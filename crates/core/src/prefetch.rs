@@ -15,7 +15,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashSet;
 
 /// One training iteration's samples: positives and their corruptions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MiniBatch {
     /// Positive triples drawn from the worker's subgraph.
     pub positives: Vec<Triple>,
@@ -67,6 +67,12 @@ pub struct Prefetcher {
     batch_size: usize,
     key_space: KeySpace,
     rng: StdRng,
+    /// The identity permutation over the subgraph's indices between draws.
+    /// A draw swaps `batch_size` entries to the front and then undoes those
+    /// swaps, so each batch costs O(batch), not O(subgraph).
+    perm: Vec<u32>,
+    /// The swap partners of the draw in progress, for undoing it.
+    swaps: Vec<u32>,
 }
 
 impl Prefetcher {
@@ -77,6 +83,8 @@ impl Prefetcher {
             batch_size,
             key_space,
             rng: StdRng::seed_from_u64(seed),
+            perm: Vec::new(),
+            swaps: Vec::new(),
         }
     }
 
@@ -87,21 +95,53 @@ impl Prefetcher {
 
     /// Sample one positive mini-batch from `triples`.
     pub fn sample_batch(&mut self, triples: &[Triple]) -> Vec<Triple> {
+        let mut out = Vec::new();
+        self.sample_batch_into(triples, &mut out);
+        out
+    }
+
+    /// [`Prefetcher::sample_batch`] into a reused buffer (cleared first).
+    pub fn sample_batch_into(&mut self, triples: &[Triple], out: &mut Vec<Triple>) {
         assert!(!triples.is_empty(), "cannot sample from an empty subgraph");
+        out.clear();
         let n = triples.len();
         if n <= self.batch_size {
-            return triples.to_vec();
+            out.extend_from_slice(triples);
+            return;
+        }
+        if self.perm.len() != n {
+            self.perm.clear();
+            self.perm.extend(0..n as u32);
         }
         // Partial Fisher–Yates over indices for a without-replacement draw.
-        let mut idx: Vec<u32> = (0..n as u32).collect();
+        self.swaps.clear();
         for i in 0..self.batch_size {
             let j = self.rng.random_range(i..n);
-            idx.swap(i, j);
+            self.perm.swap(i, j);
+            self.swaps.push(j as u32);
         }
-        idx[..self.batch_size]
-            .iter()
-            .map(|&i| triples[i as usize])
-            .collect()
+        out.extend(
+            self.perm[..self.batch_size]
+                .iter()
+                .map(|&i| triples[i as usize]),
+        );
+        // Undo in reverse: the permutation is the identity again.
+        for (i, &j) in self.swaps.iter().enumerate().rev() {
+            self.perm.swap(i, j as usize);
+        }
+    }
+
+    /// Draw one iteration's samples into `batch` (reusing its buffers): a
+    /// positive mini-batch from `triples` and its corruptions by `neg`.
+    pub fn draw_into(
+        &mut self,
+        triples: &[Triple],
+        neg: &mut NegativeSampler,
+        batch: &mut MiniBatch,
+    ) {
+        self.sample_batch_into(triples, &mut batch.positives);
+        batch.negatives.clear();
+        neg.corrupt_batch(&batch.positives, &mut batch.negatives);
     }
 
     /// Algorithm 1: prefetch `d` iterations from `triples`, corrupting with
@@ -116,13 +156,8 @@ impl Prefetcher {
         let mut batches = Vec::with_capacity(d);
         let mut accesses = Vec::new();
         for _ in 0..d {
-            let positives = self.sample_batch(triples);
-            let mut negatives = Vec::new();
-            neg.corrupt_batch(&positives, &mut negatives);
-            let batch = MiniBatch {
-                positives,
-                negatives,
-            };
+            let mut batch = MiniBatch::default();
+            self.draw_into(triples, neg, &mut batch);
             for t in batch
                 .positives
                 .iter()
@@ -230,6 +265,32 @@ mod tests {
         let b = p.sample_batch(&triples);
         let set: HashSet<_> = b.iter().collect();
         assert_eq!(set.len(), b.len());
+    }
+
+    #[test]
+    fn draws_equal_a_fresh_fisher_yates_and_leave_the_permutation_intact() {
+        // The reused identity permutation must give exactly the batches a
+        // fresh `0..n` array per draw gives (same RNG calls, same swaps),
+        // batch after batch, and across a change of subgraph length.
+        let (triples, ks, _) = setup();
+        let mut p = Prefetcher::new(24, ks, 17);
+        let mut oracle = StdRng::seed_from_u64(17);
+        for round in 0..6 {
+            let sub = if round < 4 {
+                &triples[..]
+            } else {
+                &triples[..300]
+            };
+            let n = sub.len();
+            let mut idx: Vec<u32> = (0..n as u32).collect();
+            for i in 0..24 {
+                let j = oracle.random_range(i..n);
+                idx.swap(i, j);
+            }
+            let want: Vec<Triple> = idx[..24].iter().map(|&i| sub[i as usize]).collect();
+            assert_eq!(p.sample_batch(sub), want, "round {round}");
+            assert!(p.perm.iter().enumerate().all(|(i, &v)| v as usize == i));
+        }
     }
 
     #[test]

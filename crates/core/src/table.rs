@@ -1,7 +1,7 @@
 //! The hot-embedding table: a worker-local cache of embedding rows.
 //!
 //! Entities and relations are stored in separate dense slabs (their row
-//! widths differ for models like TransR), with `key → slot` maps on top.
+//! widths differ for models like TransR), with `key ↔ slot` maps on top.
 //! Capacity is fixed at construction — the filter decides *which* keys get
 //! the slots; the table itself never evicts on access.
 //!
@@ -15,18 +15,115 @@ use hetkg_kgraph::{KeySpace, ParamKey};
 use hetkg_ps::optimizer::Optimizer;
 use std::collections::HashMap;
 
+/// One kind's rows: a dense slab, the optimizer state beside it, and the
+/// `key ↔ slot` maps on top. Occupied slots are always `0..keys.len()`.
+#[derive(Debug, Clone)]
+struct Slab {
+    capacity: usize,
+    slots: HashMap<ParamKey, u32>,
+    /// Slot → key, in insertion order (evictions move the last key into
+    /// the hole).
+    keys: Vec<ParamKey>,
+    rows: EmbeddingTable,
+    state: EmbeddingTable,
+}
+
+impl Slab {
+    fn new(capacity: usize, dim: usize, state_width: usize) -> Self {
+        Self {
+            capacity,
+            slots: HashMap::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            rows: EmbeddingTable::zeros(capacity, dim),
+            state: EmbeddingTable::zeros(capacity, (dim * state_width).max(1)),
+        }
+    }
+
+    #[inline]
+    fn get(&self, key: ParamKey) -> Option<&[f32]> {
+        self.slots.get(&key).map(|&s| self.rows.row(s as usize))
+    }
+
+    fn insert(&mut self, key: ParamKey, row: &[f32]) -> Result<(), CacheFull> {
+        let slot = match self.slots.get(&key) {
+            Some(&slot) => slot as usize,
+            None if self.keys.len() >= self.capacity => return Err(CacheFull { key }),
+            None => {
+                let slot = self.keys.len();
+                self.slots.insert(key, slot as u32);
+                self.keys.push(key);
+                slot
+            }
+        };
+        self.rows.set_row(slot, row);
+        // insert() means "fresh cache entry": optimizer state restarts too
+        // (refresh() is the value-only update).
+        self.state.row_mut(slot).fill(0.0);
+        Ok(())
+    }
+
+    fn refresh(&mut self, key: ParamKey, row: &[f32]) -> bool {
+        match self.slots.get(&key) {
+            Some(&slot) => {
+                self.rows.set_row(slot as usize, row);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn apply_grad(
+        &mut self,
+        key: ParamKey,
+        grad: &[f32],
+        optimizer: &dyn Optimizer,
+        state_width: usize,
+    ) -> bool {
+        match self.slots.get(&key) {
+            Some(&slot) => {
+                let row = self.rows.row_mut(slot as usize);
+                let width = row.len() * state_width;
+                optimizer.update(row, &mut self.state.row_mut(slot as usize)[..width], grad);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn retain(&mut self, keep: &mut impl FnMut(ParamKey) -> bool) {
+        let mut slot = 0;
+        while slot < self.keys.len() {
+            if keep(self.keys[slot]) {
+                self.state.row_mut(slot).fill(0.0);
+                slot += 1;
+                continue;
+            }
+            // Evict: the last occupied slot's row moves into the hole (and
+            // is examined next, `slot` not advancing).
+            self.slots.remove(&self.keys[slot]);
+            let last = self.keys.len() - 1;
+            if slot != last {
+                let (hole, moved) = self.rows.rows_mut2(slot, last);
+                hole.copy_from_slice(moved);
+                self.keys[slot] = self.keys[last];
+                self.slots.insert(self.keys[slot], slot as u32);
+            }
+            self.keys.pop();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.keys.clear();
+    }
+}
+
 /// A fixed-capacity cache of embedding rows, split by kind.
 #[derive(Debug, Clone)]
 pub struct HotEmbeddingTable {
     key_space: KeySpace,
-    entity_capacity: usize,
-    relation_capacity: usize,
-    entity_slots: HashMap<ParamKey, u32>,
-    relation_slots: HashMap<ParamKey, u32>,
-    entities: EmbeddingTable,
-    relations: EmbeddingTable,
-    entity_state: EmbeddingTable,
-    relation_state: EmbeddingTable,
+    entities: Slab,
+    relations: Slab,
     state_width: usize,
 }
 
@@ -46,39 +143,48 @@ impl HotEmbeddingTable {
         assert!(entity_dim > 0 && relation_dim > 0);
         Self {
             key_space,
-            entity_capacity,
-            relation_capacity,
-            entity_slots: HashMap::with_capacity(entity_capacity),
-            relation_slots: HashMap::with_capacity(relation_capacity),
-            entities: EmbeddingTable::zeros(entity_capacity, entity_dim),
-            relations: EmbeddingTable::zeros(relation_capacity, relation_dim),
-            entity_state: EmbeddingTable::zeros(entity_capacity, (entity_dim * state_width).max(1)),
-            relation_state: EmbeddingTable::zeros(
-                relation_capacity,
-                (relation_dim * state_width).max(1),
-            ),
+            entities: Slab::new(entity_capacity, entity_dim, state_width),
+            relations: Slab::new(relation_capacity, relation_dim, state_width),
             state_width,
+        }
+    }
+
+    #[inline]
+    fn slab(&self, key: ParamKey) -> &Slab {
+        if self.key_space.is_entity(key) {
+            &self.entities
+        } else {
+            &self.relations
+        }
+    }
+
+    #[inline]
+    fn slab_mut(&mut self, key: ParamKey) -> &mut Slab {
+        if self.key_space.is_entity(key) {
+            &mut self.entities
+        } else {
+            &mut self.relations
         }
     }
 
     /// Total capacity (entity + relation rows).
     pub fn capacity(&self) -> usize {
-        self.entity_capacity + self.relation_capacity
+        self.entities.capacity + self.relations.capacity
     }
 
     /// Entity-row capacity.
     pub fn entity_capacity(&self) -> usize {
-        self.entity_capacity
+        self.entities.capacity
     }
 
     /// Relation-row capacity.
     pub fn relation_capacity(&self) -> usize {
-        self.relation_capacity
+        self.relations.capacity
     }
 
     /// Number of cached rows.
     pub fn len(&self) -> usize {
-        self.entity_slots.len() + self.relation_slots.len()
+        self.entities.keys.len() + self.relations.keys.len()
     }
 
     /// Whether nothing is cached.
@@ -89,139 +195,73 @@ impl HotEmbeddingTable {
     /// Whether `key` is cached.
     #[inline]
     pub fn contains(&self, key: ParamKey) -> bool {
-        if self.key_space.is_entity(key) {
-            self.entity_slots.contains_key(&key)
-        } else {
-            self.relation_slots.contains_key(&key)
-        }
+        self.slab(key).slots.contains_key(&key)
     }
 
     /// Cached row for `key`, if present.
     #[inline]
     pub fn get(&self, key: ParamKey) -> Option<&[f32]> {
-        if self.key_space.is_entity(key) {
-            self.entity_slots
-                .get(&key)
-                .map(|&s| self.entities.row(s as usize))
-        } else {
-            self.relation_slots
-                .get(&key)
-                .map(|&s| self.relations.row(s as usize))
-        }
+        self.slab(key).get(key)
     }
 
-    /// Insert (or overwrite) a key's row. Fails when the kind's slab is full
-    /// and the key is not already cached.
+    /// Insert (or overwrite) a key's row, with fresh optimizer state. Fails
+    /// when the kind's slab is full and the key is not already cached.
     pub fn insert(&mut self, key: ParamKey, row: &[f32]) -> Result<(), CacheFull> {
-        let is_entity = self.key_space.is_entity(key);
-        let (slots, slab, capacity) = if is_entity {
-            (
-                &mut self.entity_slots,
-                &mut self.entities,
-                self.entity_capacity,
-            )
-        } else {
-            (
-                &mut self.relation_slots,
-                &mut self.relations,
-                self.relation_capacity,
-            )
-        };
-        if let Some(&slot) = slots.get(&key) {
-            slab.set_row(slot as usize, row);
-            // insert() means "fresh cache entry": optimizer state restarts
-            // too (refresh() is the value-only update).
-            let state = if is_entity {
-                &mut self.entity_state
-            } else {
-                &mut self.relation_state
-            };
-            state.row_mut(slot as usize).fill(0.0);
-            return Ok(());
-        }
-        if slots.len() >= capacity {
-            return Err(CacheFull { key });
-        }
-        let slot = slots.len() as u32;
-        slots.insert(key, slot);
-        slab.set_row(slot as usize, row);
-        // Fresh rows start with fresh optimizer state.
-        let state = if is_entity {
-            &mut self.entity_state
-        } else {
-            &mut self.relation_state
-        };
-        state.row_mut(slot as usize).fill(0.0);
-        Ok(())
+        self.slab_mut(key).insert(key, row)
     }
 
     /// Overwrite a cached key's value (e.g. during synchronization).
     /// Returns false when the key is not cached.
     pub fn refresh(&mut self, key: ParamKey, row: &[f32]) -> bool {
-        let (slots, slab) = if self.key_space.is_entity(key) {
-            (&self.entity_slots, &mut self.entities)
-        } else {
-            (&self.relation_slots, &mut self.relations)
-        };
-        match slots.get(&key) {
-            Some(&slot) => {
-                slab.set_row(slot as usize, row);
-                true
-            }
-            None => false,
-        }
+        self.slab_mut(key).refresh(key, row)
     }
 
     /// Apply a gradient to a cached row with `optimizer`, using the row's
     /// local optimizer state. Returns false when the key is not cached.
     pub fn apply_grad(&mut self, key: ParamKey, grad: &[f32], optimizer: &dyn Optimizer) -> bool {
-        let is_entity = self.key_space.is_entity(key);
-        let (slots, slab, state) = if is_entity {
-            (
-                &self.entity_slots,
-                &mut self.entities,
-                &mut self.entity_state,
-            )
-        } else {
-            (
-                &self.relation_slots,
-                &mut self.relations,
-                &mut self.relation_state,
-            )
-        };
-        match slots.get(&key) {
-            Some(&slot) => {
-                let row = slab.row_mut(slot as usize);
-                let width = row.len() * self.state_width;
-                optimizer.update(row, &mut state.row_mut(slot as usize)[..width], grad);
-                true
-            }
-            None => false,
-        }
+        let state_width = self.state_width;
+        self.slab_mut(key)
+            .apply_grad(key, grad, optimizer, state_width)
     }
 
-    /// Drop every cached row (DPS reconstruction starts from empty).
+    /// Evict every key `keep` rejects, in place: surviving rows keep their
+    /// values and are not copied out and back; as with
+    /// [`HotEmbeddingTable::insert`], their optimizer state restarts. This
+    /// is the eviction half of a DPS reconstruction — the newly selected
+    /// keys are then inserted into the freed slots.
+    pub fn retain(&mut self, mut keep: impl FnMut(ParamKey) -> bool) {
+        self.entities.retain(&mut keep);
+        self.relations.retain(&mut keep);
+    }
+
+    /// Drop every cached row.
     pub fn clear(&mut self) {
-        self.entity_slots.clear();
-        self.relation_slots.clear();
+        self.entities.clear();
+        self.relations.clear();
     }
 
-    /// All cached keys (entities then relations; order within a kind is
-    /// unspecified).
+    /// All cached keys: entities then relations, each in slot order.
+    pub fn iter_keys(&self) -> impl Iterator<Item = ParamKey> + '_ {
+        self.entities
+            .keys
+            .iter()
+            .chain(&self.relations.keys)
+            .copied()
+    }
+
+    /// [`HotEmbeddingTable::iter_keys`], collected.
     pub fn keys(&self) -> Vec<ParamKey> {
-        let mut keys: Vec<ParamKey> = self.entity_slots.keys().copied().collect();
-        keys.extend(self.relation_slots.keys().copied());
-        keys
+        self.iter_keys().collect()
     }
 
     /// Number of cached entity rows.
     pub fn num_entities(&self) -> usize {
-        self.entity_slots.len()
+        self.entities.keys.len()
     }
 
     /// Number of cached relation rows.
     pub fn num_relations(&self) -> usize {
-        self.relation_slots.len()
+        self.relations.keys.len()
     }
 }
 
@@ -333,6 +373,47 @@ mod tests {
             t.insert(ParamKey(k), &[0.0; 4]).unwrap();
         }
         assert_eq!(t.num_entities(), 3);
+    }
+
+    #[test]
+    fn retain_evicts_in_place_and_restarts_survivor_state() {
+        let mut t = HotEmbeddingTable::new(KeySpace::new(10, 5), 4, 2, 4, 4, 1);
+        let opt = AdaGrad::new(0.1);
+        for k in [0u64, 1, 2, 3, 10, 11] {
+            t.insert(ParamKey(k), &[k as f32; 4]).unwrap();
+            t.apply_grad(ParamKey(k), &[1.0; 4], &opt);
+        }
+        let before: Vec<Vec<f32>> = [1u64, 3, 11]
+            .iter()
+            .map(|&k| t.get(ParamKey(k)).unwrap().to_vec())
+            .collect();
+        t.retain(|k| [1, 3, 11].contains(&k.0));
+        assert_eq!(t.num_entities(), 2);
+        assert_eq!(t.num_relations(), 1);
+        for k in [0u64, 2, 10] {
+            assert!(!t.contains(ParamKey(k)));
+        }
+        // Survivors keep their values…
+        for (&k, row) in [1u64, 3, 11].iter().zip(&before) {
+            assert_eq!(t.get(ParamKey(k)).unwrap(), row.as_slice());
+        }
+        // …but step like a freshly inserted row (state restarted).
+        let mut fresh = HotEmbeddingTable::new(KeySpace::new(10, 5), 4, 2, 4, 4, 1);
+        fresh.insert(ParamKey(1), &before[0]).unwrap();
+        fresh.apply_grad(ParamKey(1), &[1.0; 4], &opt);
+        t.apply_grad(ParamKey(1), &[1.0; 4], &opt);
+        assert_eq!(t.get(ParamKey(1)), fresh.get(ParamKey(1)));
+        // The freed slots take newcomers up to capacity again.
+        t.insert(ParamKey(5), &[5.0; 4]).unwrap();
+        t.insert(ParamKey(6), &[6.0; 4]).unwrap();
+        assert!(t.insert(ParamKey(7), &[7.0; 4]).is_err());
+        let mut keys = t.keys();
+        keys.sort();
+        assert_eq!(keys, [1u64, 3, 5, 6, 11].map(ParamKey));
+        assert_eq!(t.get(ParamKey(3)).unwrap(), before[1].as_slice());
+        // Rejecting everything empties the table.
+        t.retain(|_| false);
+        assert!(t.is_empty());
     }
 
     #[test]

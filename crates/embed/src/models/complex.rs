@@ -79,6 +79,23 @@ impl KgeModel for ComplEx {
             gf[k] += dscore * (a[k] * dd[k] + b[k] * c[k]);
         }
     }
+
+    /// In place: `grad` touches every coordinate of `gh`, `gr`, `gt` exactly
+    /// once, so adding onto earlier gradients is the same arithmetic as
+    /// zeroed buffers plus an elementwise add.
+    fn grad_bwd(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        dscore: f32,
+        _fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    ) {
+        self.grad(h, r, t, dscore, gh, gr, gt);
+    }
 }
 
 #[cfg(test)]

@@ -84,6 +84,23 @@ impl KgeModel for DistMult {
             gt[i] += dscore * h[i] * r[i];
         }
     }
+
+    /// In place: `grad` touches every coordinate of `gh`, `gr`, `gt` exactly
+    /// once, so adding onto earlier gradients is the same arithmetic as
+    /// zeroed buffers plus an elementwise add.
+    fn grad_bwd(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        dscore: f32,
+        _fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    ) {
+        self.grad(h, r, t, dscore, gh, gr, gt);
+    }
 }
 
 #[cfg(test)]

@@ -70,6 +70,61 @@ pub trait KgeModel: Send + Sync {
         gt: &mut [f32],
     );
 
+    /// Forward half of a fused score + gradient evaluation: returns exactly
+    /// [`KgeModel::score`]`(h, r, t)` and may leave in `fwd` whatever
+    /// [`KgeModel::grad_bwd`] can reuse for the same triple (TransE: the
+    /// residual and its norm), so the training kernel computes it once per
+    /// triple and allocates nothing. The contents of `fwd` are the model's
+    /// own business; callers only keep the buffer alive between the two
+    /// halves and reuse it across triples.
+    ///
+    /// Same contract as the block kernels below: an override MUST stay
+    /// **bit-identical** to `score`.
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
+        let _ = fwd;
+        self.score(h, r, t)
+    }
+
+    /// Backward half: add `dscore * ∂score/∂{h,r,t}` onto `gh`, `gr`, `gt`,
+    /// which already hold other triples' gradients. `fwd` is the buffer the
+    /// last [`KgeModel::score_fwd`] call *for these same rows* filled; it
+    /// may be used again for a later `grad_bwd` of the same triple, so an
+    /// override that reads it must leave it intact.
+    ///
+    /// The result MUST be bit-identical to [`KgeModel::grad`] into zeroed
+    /// buffers followed by an elementwise add onto `gh`/`gr`/`gt` — which
+    /// is what this default does, with `fwd` as the zeroed buffer (the
+    /// default `score_fwd` keeps nothing there). Accumulating in place is
+    /// only the same arithmetic when `grad` touches each output coordinate
+    /// exactly once; models for which that holds override this.
+    #[allow(clippy::too_many_arguments)]
+    fn grad_bwd(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        dscore: f32,
+        fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    ) {
+        fwd.clear();
+        fwd.resize(gh.len() + gr.len() + gt.len(), 0.0);
+        let (th, rest) = fwd.split_at_mut(gh.len());
+        let (tr, tt) = rest.split_at_mut(gr.len());
+        self.grad(h, r, t, dscore, th, tr, tt);
+        for (g, &x) in gh.iter_mut().zip(&*th) {
+            *g += x;
+        }
+        for (g, &x) in gr.iter_mut().zip(&*tr) {
+            *g += x;
+        }
+        for (g, &x) in gt.iter_mut().zip(&*tt) {
+            *g += x;
+        }
+    }
+
     /// Score a block of candidate tails for a fixed `(h, r)`:
     /// `out[i] = score(h, r, tails.row(ids[i]))`.
     ///

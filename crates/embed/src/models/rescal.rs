@@ -38,10 +38,17 @@ impl KgeModel for Rescal {
     }
 
     fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        let d = self.dim;
-        let mut mt = vec![0.0f32; d];
-        matvec(r, t, &mut mt);
-        dot(h, &mt)
+        self.score_fwd(h, r, t, &mut Vec::new())
+    }
+
+    /// `fwd` holds `M t` while the score is formed; nothing is kept for the
+    /// backward half (`grad` accumulates `gt` over rows, so the zeroed-buffer
+    /// default `grad_bwd` applies).
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
+        fwd.resize(self.dim, 0.0);
+        let mt = &mut fwd[..self.dim];
+        matvec(r, t, mt);
+        dot(h, mt)
     }
 
     fn grad(

@@ -45,19 +45,27 @@ impl KgeModel for TransD {
     }
 
     fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+        self.score_fwd(h, r, t, &mut Vec::new())
+    }
+
+    /// Leaves `[u (d), ‖u‖, hp·hv, tp·tv]` in `fwd`.
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
         let d = self.dim;
         let (hv, hp) = h.split_at(d);
         let (tv, tp) = t.split_at(d);
         let (rv, rp) = r.split_at(d);
         let hph = dot(hp, hv);
         let tpt = dot(tp, tv);
-        let mut u = vec![0.0f32; d];
+        fwd.resize(d + 3, 0.0);
+        let (u, tail) = fwd.split_at_mut(d);
         for i in 0..d {
             let hproj = hv[i] + hph * rp[i];
             let tproj = tv[i] + tpt * rp[i];
             u[i] = hproj + rv[i] - tproj;
         }
-        -norm2(&u)
+        let n = norm2(u);
+        tail.copy_from_slice(&[n, hph, tpt]);
+        -n
     }
 
     fn grad(
@@ -70,17 +78,28 @@ impl KgeModel for TransD {
         gr: &mut [f32],
         gt: &mut [f32],
     ) {
+        let mut fwd = Vec::new();
+        self.score_fwd(h, r, t, &mut fwd);
+        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
+    }
+
+    /// In place: every output coordinate is touched once.
+    fn grad_bwd(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        dscore: f32,
+        fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    ) {
         let d = self.dim;
         let (hv, hp) = h.split_at(d);
         let (tv, tp) = t.split_at(d);
-        let (rv, rp) = r.split_at(d);
-        let hph = dot(hp, hv);
-        let tpt = dot(tp, tv);
-        let mut u = vec![0.0f32; d];
-        for i in 0..d {
-            u[i] = (hv[i] + hph * rp[i]) + rv[i] - (tv[i] + tpt * rp[i]);
-        }
-        let n = norm2(&u);
+        let rp = &r[d..];
+        let (u, n, hph, tpt) = (&fwd[..d], fwd[d], fwd[d + 1], fwd[d + 2]);
         if n == 0.0 {
             return;
         }

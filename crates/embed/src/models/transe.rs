@@ -49,12 +49,20 @@ impl KgeModel for TransE {
     }
 
     fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        let mut u = vec![0.0f32; self.dim];
-        translation_residual(h, r, t, &mut u);
-        match self.norm {
-            Norm::L1 => -norm1(&u),
-            Norm::L2 => -norm2(&u),
-        }
+        self.score_fwd(h, r, t, &mut Vec::new())
+    }
+
+    /// Leaves the residual `u = h + r − t` in `fwd[..dim]` and its norm in
+    /// `fwd[dim]`, the two things [`TransE::grad_bwd`] needs.
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
+        fwd.resize(self.dim + 1, 0.0);
+        let (u, n) = fwd.split_at_mut(self.dim);
+        translation_residual(h, r, t, u);
+        n[0] = match self.norm {
+            Norm::L1 => norm1(u),
+            Norm::L2 => norm2(u),
+        };
+        -n[0]
     }
 
     /// Blocked tail scoring with the per-query translation `q = h + r`
@@ -129,12 +137,30 @@ impl KgeModel for TransE {
         gr: &mut [f32],
         gt: &mut [f32],
     ) {
-        let mut u = vec![0.0f32; self.dim];
-        translation_residual(h, r, t, &mut u);
+        let mut fwd = Vec::new();
+        self.score_fwd(h, r, t, &mut fwd);
+        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
+    }
+
+    /// In place: every coordinate of `gh`, `gr`, `gt` is touched once.
+    fn grad_bwd(
+        &self,
+        _h: &[f32],
+        _r: &[f32],
+        _t: &[f32],
+        dscore: f32,
+        fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    ) {
+        let d = self.dim;
+        let (u, n) = (&fwd[..d], fwd[d]);
+        let (gh, gr, gt) = (&mut gh[..d], &mut gr[..d], &mut gt[..d]);
         match self.norm {
             Norm::L1 => {
                 // d(−Σ|u_i|)/du_i = −sign(u_i); subgradient 0 at u_i == 0.
-                for i in 0..self.dim {
+                for i in 0..d {
                     let g = -dscore * u[i].signum() * if u[i] == 0.0 { 0.0 } else { 1.0 };
                     gh[i] += g;
                     gr[i] += g;
@@ -142,12 +168,11 @@ impl KgeModel for TransE {
                 }
             }
             Norm::L2 => {
-                let n = norm2(&u);
                 if n == 0.0 {
                     return; // score is at its max; zero (sub)gradient.
                 }
                 let inv = dscore * (-1.0 / n);
-                for i in 0..self.dim {
+                for i in 0..d {
                     let g = inv * u[i];
                     gh[i] += g;
                     gr[i] += g;

@@ -43,17 +43,25 @@ impl KgeModel for TransH {
     }
 
     fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+        self.score_fwd(h, r, t, &mut Vec::new())
+    }
+
+    /// Leaves `[u (d), ‖u‖, w·h, w·t]` in `fwd`.
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
         let d = self.dim;
         let (dr, w) = r.split_at(d);
         let wh = dot(w, h);
         let wt = dot(w, t);
-        let mut u = vec![0.0f32; d];
+        fwd.resize(d + 3, 0.0);
+        let (u, tail) = fwd.split_at_mut(d);
         for i in 0..d {
             let hp = h[i] - wh * w[i];
             let tp = t[i] - wt * w[i];
             u[i] = hp + dr[i] - tp;
         }
-        -norm2(&u)
+        let n = norm2(u);
+        tail.copy_from_slice(&[n, wh, wt]);
+        -n
     }
 
     fn grad(
@@ -66,31 +74,37 @@ impl KgeModel for TransH {
         gr: &mut [f32],
         gt: &mut [f32],
     ) {
+        let mut fwd = Vec::new();
+        self.score_fwd(h, r, t, &mut fwd);
+        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
+    }
+
+    /// In place: every output coordinate is touched once.
+    fn grad_bwd(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        dscore: f32,
+        fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    ) {
         let d = self.dim;
-        let (dr, w) = r.split_at(d);
-        let wh = dot(w, h);
-        let wt = dot(w, t);
-        let mut u = vec![0.0f32; d];
-        for i in 0..d {
-            u[i] = (h[i] - wh * w[i]) + dr[i] - (t[i] - wt * w[i]);
-        }
-        let n = norm2(&u);
+        let w = &r[d..];
+        let (u, n, wh, wt) = (&fwd[..d], fwd[d], fwd[d + 1], fwd[d + 2]);
         if n == 0.0 {
             return;
         }
-        // g = d score / d u = −u / ‖u‖, scaled by dscore.
         let coef = -dscore / n;
-        // wᵀg needed for the projection chain rule.
         let wg: f32 = (0..d).map(|i| w[i] * coef * u[i]).sum();
         let (gdr, gw) = gr.split_at_mut(d);
         for i in 0..d {
             let g = coef * u[i];
-            // ∂u/∂h = I − w wᵀ  (same for t with a minus sign)
             gh[i] += g - wg * w[i];
             gt[i] -= g - wg * w[i];
             gdr[i] += g;
-            // ∂u/∂w: u = … − (wᵀh)w + (wᵀt)w ⇒
-            // Jᵀ g = −[h (wᵀg) + (wᵀh) g] + [t (wᵀg) + (wᵀt) g]
             gw[i] += -(h[i] * wg + wh * g) + (t[i] * wg + wt * g);
         }
     }

@@ -40,17 +40,25 @@ impl KgeModel for TransR {
     }
 
     fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+        self.score_fwd(h, r, t, &mut Vec::new())
+    }
+
+    /// Leaves `[u (d), ‖u‖]` in `fwd` (followed by the two projections it
+    /// was built from, which nothing reads back).
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
         let d = self.dim;
         let (rv, m) = r.split_at(d);
-        let mut mh = vec![0.0f32; d];
-        let mut mt = vec![0.0f32; d];
-        matvec(m, h, &mut mh);
-        matvec(m, t, &mut mt);
-        let mut u = vec![0.0f32; d];
+        fwd.resize(3 * d + 1, 0.0);
+        let (u, rest) = fwd.split_at_mut(d);
+        let (n, rest) = rest.split_at_mut(1);
+        let (mh, mt) = rest.split_at_mut(d);
+        matvec(m, h, mh);
+        matvec(m, t, mt);
         for i in 0..d {
             u[i] = mh[i] + rv[i] - mt[i];
         }
-        -norm2(&u)
+        n[0] = norm2(u);
+        -n[0]
     }
 
     fn grad(
@@ -63,17 +71,26 @@ impl KgeModel for TransR {
         gr: &mut [f32],
         gt: &mut [f32],
     ) {
+        let mut fwd = Vec::new();
+        self.score_fwd(h, r, t, &mut fwd);
+        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
+    }
+
+    /// In place: every output coordinate is touched once.
+    fn grad_bwd(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        dscore: f32,
+        fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    ) {
         let d = self.dim;
-        let (rv, m) = r.split_at(d);
-        let mut mh = vec![0.0f32; d];
-        let mut mt = vec![0.0f32; d];
-        matvec(m, h, &mut mh);
-        matvec(m, t, &mut mt);
-        let mut u = vec![0.0f32; d];
-        for i in 0..d {
-            u[i] = mh[i] + rv[i] - mt[i];
-        }
-        let n = norm2(&u);
+        let m = &r[d..];
+        let (u, n) = (&fwd[..d], fwd[d]);
         if n == 0.0 {
             return;
         }

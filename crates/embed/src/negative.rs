@@ -71,6 +71,8 @@ pub struct NegativeSampler {
     num_entities: u32,
     config: NegConfig,
     rng: StdRng,
+    /// The chunked strategy's shared corruption set, reused across chunks.
+    shared: Vec<EntityId>,
 }
 
 impl NegativeSampler {
@@ -88,6 +90,7 @@ impl NegativeSampler {
             num_entities: num_entities as u32,
             config,
             rng: StdRng::seed_from_u64(seed),
+            shared: Vec::new(),
         }
     }
 
@@ -127,16 +130,18 @@ impl NegativeSampler {
             NegStrategy::Chunked { chunk_size } => {
                 for (ci, chunk) in positives.chunks(chunk_size).enumerate() {
                     // One shared corruption set per chunk.
-                    let shared: Vec<EntityId> = (0..self.config.per_positive)
-                        .map(|_| EntityId(self.rng.random_range(0..self.num_entities)))
-                        .collect();
+                    self.shared.clear();
+                    for _ in 0..self.config.per_positive {
+                        let e = EntityId(self.rng.random_range(0..self.num_entities));
+                        self.shared.push(e);
+                    }
                     let slot = if ci % 2 == 0 {
                         CorruptSlot::Head
                     } else {
                         CorruptSlot::Tail
                     };
                     for &p in chunk {
-                        for &e in &shared {
+                        for &e in &self.shared {
                             // Skip degenerate corruption equal to the original.
                             let e = if e == p.head && slot == CorruptSlot::Head
                                 || e == p.tail && slot == CorruptSlot::Tail

@@ -24,7 +24,7 @@
 //! # Wire integrity
 //!
 //! Every message is modeled as a checksummed [`WireFrame`] (key ids +
-//! payload, sealed with FNV-1a at send time). Under a fault plan with
+//! payload, sealed with a 32-bit digest at send time). Under a fault plan with
 //! `corrupt_probability > 0` a delivered frame may arrive with a flipped
 //! payload bit: with checksums on (the default) the client detects the
 //! mismatch, counts it, and re-pulls under the same [`RetryPolicy`] —
@@ -201,7 +201,11 @@ impl PsScratch {
         for mut f in self.wire.drain(..) {
             self.pool
                 .push((std::mem::take(&mut f.keys), std::mem::take(&mut f.payload)));
-            self.byte_pool.push(std::mem::take(&mut f.encoded));
+            // Dense frames carry no encoded buffer; pooling their empty
+            // `Vec`s would grow the pool by one per shard per call, forever.
+            if f.encoded.capacity() > 0 {
+                self.byte_pool.push(std::mem::take(&mut f.encoded));
+            }
         }
         self.pool.append(&mut self.parts);
         self.byte_pool.append(&mut self.enc_parts);

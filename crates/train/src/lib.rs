@@ -16,6 +16,7 @@
 pub mod batch;
 pub mod config;
 pub mod oracle;
+pub mod plan;
 pub mod report;
 pub mod supervisor;
 pub mod systems;

@@ -20,33 +20,27 @@
 //! DGL-KE overlaps far less than HET-KG, whose cache absorbs exactly those
 //! shared-hot keys.
 
-use crate::worker::{EpochRun, WorkerCtx, WorkerEpochStats, WorkerLoop};
+use crate::batch::BatchResult;
+use crate::plan::BatchPlan;
+use crate::worker::{EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop};
 use hetkg_core::prefetch::{MiniBatch, Prefetcher};
 use hetkg_embed::negative::NegativeSampler;
-use hetkg_kgraph::ParamKey;
 
 /// Per-worker DGL-KE training state.
 pub struct DglKeWorker {
     ctx: WorkerCtx,
     sampler: Prefetcher,
     negatives: NegativeSampler,
-    /// Pipelining: the next iteration's batch (`None` when not staged).
-    staged_batch: Option<MiniBatch>,
-    /// Pipelining: staged keys on shards whose staged keys the in-flight
-    /// batch does not touch, pulled ahead into `staged_rows`.
-    staged_early: Vec<ParamKey>,
-    /// Pipelining: staged keys on the remaining shards, pulled at consume
-    /// time (after the in-flight push).
-    staged_late: Vec<ParamKey>,
-    /// Pipelining scratch: per-shard "written by the in-flight batch"
-    /// flags.
-    staged_dirty: Vec<bool>,
-    /// Pipelining: rows pulled ahead for `staged_early`, flat, key order.
-    staged_rows: Vec<f32>,
-    /// Pipelining: timeline completion of the early pull (0 when none).
-    staged_pull_end: f64,
-    /// Pipelining: sorted unique keys of the batch currently in flight.
-    cur_keys: Vec<ParamKey>,
+    /// Reusable draw buffers; a batch lives on only as its compiled plan.
+    batch: MiniBatch,
+    /// Whether `next_plan` and `pull` describe a batch that has been drawn
+    /// but not consumed.
+    staged: bool,
+    /// The staged batch, compiled. Swapped into `ctx.scratch.plan` when
+    /// consumed, so that plan is always the batch in flight.
+    next_plan: BatchPlan,
+    /// The staged batch's pull (every key of the batch).
+    pull: StagedPull,
     /// Cross-step state for the epoch in progress.
     run: EpochRun,
 }
@@ -64,153 +58,54 @@ impl DglKeWorker {
             ctx,
             sampler,
             negatives,
-            staged_batch: None,
-            staged_early: Vec::new(),
-            staged_late: Vec::new(),
-            staged_dirty: Vec::new(),
-            staged_rows: Vec::new(),
-            staged_pull_end: 0.0,
-            cur_keys: Vec::new(),
+            batch: MiniBatch::default(),
+            staged: false,
+            next_plan: BatchPlan::new(),
+            pull: StagedPull::default(),
             run: EpochRun::default(),
         }
     }
 
-    fn draw_batch(&mut self) -> MiniBatch {
-        let positives = self.sampler.sample_batch(&self.ctx.subgraph);
-        let mut negs = Vec::new();
-        self.negatives.corrupt_batch(&positives, &mut negs);
-        MiniBatch {
-            positives,
-            negatives: negs,
-        }
+    /// Draw the next batch, compile it into `next_plan` and stage its pull:
+    /// ahead of time where the in-flight batch allows (`pull_ahead`, see
+    /// the module docs), or all of it at consume time.
+    fn stage(&mut self, pull_ahead: bool) {
+        debug_assert!(!self.staged, "staging twice");
+        self.sampler
+            .draw_into(&self.ctx.subgraph, &mut self.negatives, &mut self.batch);
+        self.next_plan.compile(
+            &self.batch,
+            self.ctx.key_space,
+            self.ctx.model.entity_dim(),
+            self.ctx.model.relation_dim(),
+        );
+        let keys = self.next_plan.keys().iter().copied().zip(0..);
+        self.pull.stage(&mut self.ctx, keys, pull_ahead);
+        self.staged = true;
     }
 
-    /// Resolve this iteration's batch the sequential way: draw it and pull
-    /// everything it touches. Returns the batch and the timeline
-    /// completion of its pull.
-    fn resolve_now(&mut self) -> (MiniBatch, f64) {
-        let batch = self.draw_batch();
-        let keys = batch.unique_keys(self.ctx.key_space);
-        self.ctx.ws.clear();
-        let delta = self.ctx.pull_into_ws(&keys);
-        let pull_end = self.ctx.post_comm(delta, 0.0);
-        if self.ctx.overlap {
-            self.cur_keys.clear();
-            self.cur_keys.extend_from_slice(&keys);
-            self.cur_keys.sort_unstable();
-        }
-        (batch, pull_end)
+    /// Make the staged batch the one in flight: lay the arenas out by its
+    /// plan and deliver its rows. Returns the timeline completion of the
+    /// batch's pull.
+    fn consume_staged(&mut self) -> f64 {
+        debug_assert!(self.staged, "a batch was staged");
+        self.staged = false;
+        std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
+        self.ctx.begin_batch();
+        self.pull.deliver(&mut self.ctx)
     }
 
-    /// Stage the next iteration's batch and pull ahead every shard frame
-    /// the in-flight batch cannot invalidate (see the module docs: the
-    /// per-shard split keeps metered traffic identical to the sequential
-    /// schedule).
-    fn stage_next(&mut self) {
-        debug_assert!(self.staged_batch.is_none(), "staging twice");
-        let batch = self.draw_batch();
-        let keys = batch.unique_keys(self.ctx.key_space);
-        self.staged_early.clear();
-        self.staged_late.clear();
-        self.staged_pull_end = 0.0;
-        self.staged_dirty.clear();
-        self.staged_dirty
-            .resize(self.ctx.client.num_shards(), false);
-        for &k in &keys {
-            if self.cur_keys.binary_search(&k).is_ok() {
-                self.staged_dirty[self.ctx.client.shard_of(k)] = true;
-            }
+    fn one_iteration_inner(&mut self, may_stage: bool) -> BatchResult {
+        if !self.staged {
+            self.stage(false);
         }
-        for &k in &keys {
-            if self.staged_dirty[self.ctx.client.shard_of(k)] {
-                self.staged_late.push(k);
-            } else {
-                self.staged_early.push(k);
-            }
-        }
-        if !self.staged_early.is_empty() {
-            let mut rows = std::mem::take(&mut self.staged_rows);
-            match self.ctx.client.try_pull_batch_issue(
-                &self.staged_early,
-                &mut self.ctx.ps,
-                &mut rows,
-            ) {
-                Ok(delta) => {
-                    self.staged_pull_end = self.ctx.post_comm(delta, 0.0);
-                }
-                Err(_) => {
-                    // Unreachable when the trainer gates overlap on inert
-                    // fault plans; fall back to a consume-time pull.
-                    rows.clear();
-                    self.staged_late.append(&mut self.staged_early);
-                }
-            }
-            self.staged_rows = rows;
-        }
-        self.staged_batch = Some(batch);
-    }
-
-    /// Consume the staged batch: refresh the early pull's delivery to the
-    /// server's current rows (free — its frames were metered at issue
-    /// time) and pull the late keys now (after the previous push),
-    /// matching the sequential schedule's values exactly.
-    fn consume_staged(&mut self) -> (MiniBatch, f64) {
-        let batch = self.staged_batch.take().expect("a batch was staged");
-        self.ctx.ws.clear();
-        let mut pull_end = self.staged_pull_end;
-        if !self.staged_early.is_empty() {
-            self.ctx
-                .client
-                .refresh_pull_batch(&self.staged_early, &mut self.staged_rows);
-            let ws = &mut self.ctx.ws;
-            let early = &self.staged_early;
-            self.ctx
-                .client
-                .complete_pull_batch(early, &self.staged_rows, |i, row| {
-                    ws.insert(early[i], row);
-                });
-        }
-        if !self.staged_late.is_empty() {
-            let before = self.ctx.meter.snapshot();
-            {
-                let ws = &mut self.ctx.ws;
-                let late = &self.staged_late;
-                self.ctx
-                    .client
-                    .pull_batch_with(late, &mut self.ctx.ps, |i, row| {
-                        ws.insert(late[i], row);
-                    });
-            }
-            let delta = self.ctx.meter.snapshot().since(before);
-            pull_end = pull_end.max(self.ctx.post_comm(delta, 0.0));
-        }
-        self.cur_keys.clear();
-        self.cur_keys.extend_from_slice(&self.staged_early);
-        self.cur_keys.extend_from_slice(&self.staged_late);
-        self.cur_keys.sort_unstable();
-        (batch, pull_end)
-    }
-
-    fn one_iteration_inner(&mut self, may_stage: bool) -> crate::batch::BatchResult {
-        let (batch, pull_end) = if self.staged_batch.is_some() {
-            self.consume_staged()
-        } else {
-            self.resolve_now()
-        };
+        let pull_end = self.consume_staged();
 
         if may_stage && self.ctx.overlap {
-            self.stage_next();
+            self.stage(true);
         }
 
-        let result = crate::batch::compute_batch(
-            self.ctx.model.as_ref(),
-            self.ctx.loss,
-            self.ctx.key_space,
-            &batch,
-            &self.ctx.ws,
-            &mut self.ctx.grads,
-            &mut self.ctx.scratch,
-        );
+        let result = self.ctx.compute();
         let compute_end = self.ctx.post_compute(result.work_units, pull_end);
         let push = self.ctx.push_grads();
         self.ctx.post_comm(push, compute_end);

@@ -49,7 +49,9 @@
 //! and the trainer disables overlap entirely under non-inert fault
 //! plans.
 
-use crate::worker::{EpochRun, WorkerCtx, WorkerEpochStats, WorkerLoop};
+use crate::batch::BatchResult;
+use crate::plan::BatchPlan;
+use crate::worker::{EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop};
 use hetkg_core::filter::filter_hot_set;
 use hetkg_core::metrics::CacheStats;
 use hetkg_core::policy::{subgraph_accesses, CachePolicy, PolicyKind};
@@ -58,7 +60,7 @@ use hetkg_core::sync::{StalenessTracker, SyncConfig};
 use hetkg_core::table::HotEmbeddingTable;
 use hetkg_embed::negative::NegativeSampler;
 use hetkg_kgraph::ParamKey;
-use hetkg_ps::RpcError;
+use hetkg_ps::{PsScratch, RpcError};
 use std::collections::{HashMap, VecDeque};
 
 /// Per-worker HET-KG training state (CPS or DPS, by the policy's kind).
@@ -82,42 +84,40 @@ pub struct HetKgWorker {
     epoch_div_sum: f64,
     /// Number of per-key divergence samples this epoch.
     epoch_div_samples: u64,
-    /// Scratch for miss keys.
+    /// Scratch: the batch's cache misses and their plan slots (while
+    /// staging: the staged misses before the early/late split).
     miss_keys: Vec<ParamKey>,
-    /// Scratch: usage-weighted access counts for the batch being resolved
-    /// (hoisted out of the per-iteration hot path).
-    usage: HashMap<ParamKey, u64>,
-    /// Scratch for the degraded push's available-key list.
+    miss_slots: Vec<u32>,
+    /// Scratch: a sync iteration's combined pull list (misses, then every
+    /// cached key to refresh).
+    combined: Vec<ParamKey>,
+    /// Scratch for table construction: the selected hot set, sorted, and
+    /// the selected keys not cached yet.
+    selected: Vec<ParamKey>,
+    fresh: Vec<ParamKey>,
+    /// Scratch for the degraded push: the available gradient slots in key
+    /// order, and their keys.
+    up_slots: Vec<u32>,
     up_keys: Vec<ParamKey>,
-    /// Pipelining: the next iteration's batch, resolved while the current
-    /// one computes (`None` when nothing is staged).
-    staged_batch: Option<MiniBatch>,
-    /// Pipelining: cache hits of the staged batch. Their *values* are read
-    /// only at consume time, after the in-flight push updates the cache.
-    staged_hits: Vec<ParamKey>,
+    /// Reusable draw buffers (CPS draws one batch per iteration into them).
+    batch: MiniBatch,
+    /// The next batch, compiled. Swapped into `ctx.scratch.plan` when it
+    /// becomes the batch in flight.
+    next_plan: BatchPlan,
+    /// Pipelining: whether `next_plan` and the `staged_*` fields hold the
+    /// next iteration's batch, resolved while the current one computes.
+    staged: bool,
+    /// Pipelining: slots of the staged batch's cache hits. Their *values*
+    /// are read only at consume time, after the in-flight push updates the
+    /// cache.
+    staged_hits: Vec<u32>,
     /// Pipelining: usage-weighted hit count of the staged batch.
     staged_hit_uses: u64,
-    /// Pipelining: staged misses homed on shards whose staged keys the
-    /// in-flight batch does not touch — pulled ahead, rows parked in
-    /// `staged_rows` until consumed.
-    staged_early: Vec<ParamKey>,
-    /// Pipelining: staged misses on the remaining shards — at least one
-    /// key per shard depends on the in-flight push, so the whole shard's
-    /// frame is pulled at consume time (keeping frames, and thus metered
-    /// traffic, identical to the sequential schedule).
-    staged_late: Vec<ParamKey>,
-    /// Pipelining scratch: per-shard "written by the in-flight batch" flags
-    /// for the staged misses.
-    staged_dirty: Vec<bool>,
+    /// Pipelining: the staged batch's miss pull, split per shard into
+    /// frames issued ahead and frames pulled at consume time.
+    staged_pull: StagedPull,
     /// Pipelining: usage-weighted miss count of the staged batch.
     staged_miss_uses: u64,
-    /// Pipelining: rows pulled ahead for `staged_early`, flat, key order.
-    staged_rows: Vec<f32>,
-    /// Pipelining: timeline completion of the early pull (0 when none).
-    staged_pull_end: f64,
-    /// Pipelining: sorted unique keys of the batch currently in flight —
-    /// an upper bound on its push's write set, used to split staged misses.
-    cur_keys: Vec<ParamKey>,
     /// Degraded mode: gradient pushes deferred while their home shard was
     /// down, summed per key, replayed on recovery.
     backlog: HashMap<ParamKey, Vec<f32>>,
@@ -180,18 +180,19 @@ impl HetKgWorker {
             epoch_div_sum: 0.0,
             epoch_div_samples: 0,
             miss_keys: Vec::new(),
-            usage: HashMap::new(),
+            miss_slots: Vec::new(),
+            combined: Vec::new(),
+            selected: Vec::new(),
+            fresh: Vec::new(),
+            up_slots: Vec::new(),
             up_keys: Vec::new(),
-            staged_batch: None,
+            batch: MiniBatch::default(),
+            next_plan: BatchPlan::new(),
+            staged: false,
             staged_hits: Vec::new(),
             staged_hit_uses: 0,
-            staged_early: Vec::new(),
-            staged_late: Vec::new(),
-            staged_dirty: Vec::new(),
+            staged_pull: StagedPull::default(),
             staged_miss_uses: 0,
-            staged_rows: Vec::new(),
-            staged_pull_end: 0.0,
-            cur_keys: Vec::new(),
             backlog: HashMap::new(),
             staleness_cap: 64,
             backlog_cap: 4096,
@@ -228,35 +229,28 @@ impl HetKgWorker {
     }
 
     /// (Re)construct the hot-embedding table from an access list: filter the
-    /// top-k, then pull the *newly selected* keys from the PS (metered —
-    /// building the cache is not free). Keys already cached are kept as-is:
-    /// hot sets overlap heavily between windows and retained rows stay
-    /// within the staleness bound (the periodic sync refreshes them), so
-    /// re-pulling them would be pure waste.
+    /// top-k, evict what fell out of it, then pull the *newly selected* keys
+    /// from the PS (metered — building the cache is not free). Keys already
+    /// cached stay where they are: hot sets overlap heavily between windows
+    /// and retained rows stay within the staleness bound (the periodic sync
+    /// refreshes them), so re-pulling them would be pure waste.
     fn construct_table(&mut self, accesses: &[ParamKey]) {
         let hot = filter_hot_set(accesses, self.ctx.key_space, &self.policy.filter);
-        let selected: std::collections::HashSet<ParamKey> = hot.keys().collect();
-        // Rebuild in place: carry over surviving rows, then pull newcomers.
-        let mut fresh: Vec<ParamKey> = Vec::new();
-        let mut survivors: Vec<(ParamKey, Vec<f32>)> = Vec::new();
-        for key in &selected {
-            match self.table.get(*key) {
-                Some(row) => survivors.push((*key, row.to_vec())),
-                None => fresh.push(*key),
-            }
-        }
-        self.table.clear();
-        for (key, row) in survivors {
-            self.table
-                .insert(key, &row)
-                .expect("capacity covers the hot set");
-        }
-        if !fresh.is_empty() {
+        self.selected.clear();
+        self.selected.extend(hot.keys());
+        self.selected.sort_unstable();
+        let selected = &self.selected;
+        self.table.retain(|k| selected.binary_search(&k).is_ok());
+        let table = &mut self.table;
+        self.fresh.clear();
+        self.fresh
+            .extend(hot.keys().filter(|&k| !table.contains(k)));
+        if !self.fresh.is_empty() {
             let before = self.ctx.meter.snapshot();
-            let table = &mut self.table;
+            let fresh = &self.fresh;
             self.ctx
                 .client
-                .pull_batch_with(&fresh, &mut self.ctx.ps, |i, row| {
+                .pull_batch_with(fresh, &mut self.ctx.ps, |i, row| {
                     table
                         .insert(fresh[i], row)
                         .expect("capacity covers the hot set");
@@ -266,7 +260,11 @@ impl HetKgWorker {
         }
     }
 
-    fn next_batch(&mut self) -> MiniBatch {
+    /// Take the next batch — the next prefetched one under DPS, a fresh
+    /// draw under CPS — and compile it into `next_plan`.
+    fn compile_next(&mut self) {
+        let (ks, model) = (self.ctx.key_space, &self.ctx.model);
+        let (ed, rd) = (model.entity_dim(), model.relation_dim());
         match self.policy.kind {
             PolicyKind::Dps => {
                 if self.pending.is_empty() {
@@ -279,18 +277,16 @@ impl HetKgWorker {
                     );
                     self.pending = pf.batches.into();
                 }
-                self.pending
+                let batch = self
+                    .pending
                     .pop_front()
-                    .expect("prefetch produced at least one batch")
+                    .expect("prefetch produced at least one batch");
+                self.next_plan.compile(&batch, ks, ed, rd);
             }
             PolicyKind::Cps => {
-                let positives = self.sampler.sample_batch(&self.ctx.subgraph);
-                let mut negs = Vec::new();
-                self.negatives.corrupt_batch(&positives, &mut negs);
-                MiniBatch {
-                    positives,
-                    negatives: negs,
-                }
+                self.sampler
+                    .draw_into(&self.ctx.subgraph, &mut self.negatives, &mut self.batch);
+                self.next_plan.compile(&self.batch, ks, ed, rd);
             }
         }
     }
@@ -366,6 +362,27 @@ impl HetKgWorker {
         }
     }
 
+    /// [`Self::defer_into`], folding the key's pending error-feedback
+    /// residual into a kept gradient: a deferred push must carry it too —
+    /// otherwise the compression error would sit client-side until the key
+    /// happens to be pushed again, stretching the staleness envelope. Shed
+    /// keys keep their residual.
+    fn defer_with_residual(
+        backlog: &mut HashMap<ParamKey, Vec<f32>>,
+        cap: usize,
+        ps: &mut PsScratch,
+        k: ParamKey,
+        g: &[f32],
+    ) -> bool {
+        let kept = Self::defer_into(backlog, cap, k, g);
+        if kept {
+            if let Some(e) = backlog.get_mut(&k) {
+                ps.fold_residual(k, e);
+            }
+        }
+        kept
+    }
+
     /// Push accumulated gradients, deferring those homed on a down or
     /// browning-out shard into the local backlog (summed per key) instead
     /// of blocking the iteration. A push the overload machinery refuses —
@@ -375,43 +392,34 @@ impl HetKgWorker {
     fn push_grads_degraded(&mut self) {
         let mut deferred = 0u64;
         let mut shed = 0u64;
-        let mut up_keys = std::mem::take(&mut self.up_keys);
-        self.ctx.grads.keys_into(&mut up_keys);
-        {
-            let client = &self.ctx.client;
-            let grads = &self.ctx.grads;
-            let backlog = &mut self.backlog;
-            let ps = &mut self.ctx.ps;
-            let cap = self.backlog_cap;
-            up_keys.retain(|&k| {
-                if client.shard_healthy(k) {
-                    return true;
-                }
-                if Self::defer_into(backlog, cap, k, grads.row(k)) {
-                    deferred += 1;
-                    // A deferred push must carry the key's pending
-                    // error-feedback residual too — otherwise the
-                    // compression error would sit client-side until the
-                    // key happens to be pushed again, stretching the
-                    // staleness envelope. Shed keys keep their residual.
-                    if let Some(e) = backlog.get_mut(&k) {
-                        ps.fold_residual(k, e);
-                    }
-                } else {
-                    shed += 1;
-                }
-                false
-            });
-        }
-        let pushed = {
-            let grads = &self.ctx.grads;
-            self.ctx.client.try_push_batch_rows(
-                &up_keys,
-                |i| grads.row(up_keys[i]),
-                self.ctx.optimizer.as_ref(),
-                &mut self.ctx.ps,
-            )
-        };
+        self.ctx.grads.sorted_slots_into(&mut self.up_slots);
+        let client = &self.ctx.client;
+        let grads = &self.ctx.grads;
+        let backlog = &mut self.backlog;
+        let ps = &mut self.ctx.ps;
+        let cap = self.backlog_cap;
+        self.up_slots.retain(|&slot| {
+            let k = grads.key_at(slot);
+            if client.shard_healthy(k) {
+                return true;
+            }
+            if Self::defer_with_residual(backlog, cap, ps, k, grads.row_at(slot)) {
+                deferred += 1;
+            } else {
+                shed += 1;
+            }
+            false
+        });
+        let up_slots = &self.up_slots;
+        self.up_keys.clear();
+        self.up_keys
+            .extend(up_slots.iter().map(|&s| grads.key_at(s)));
+        let pushed = client.try_push_batch_rows(
+            &self.up_keys,
+            |i| grads.row_at(up_slots[i]),
+            self.ctx.optimizer.as_ref(),
+            ps,
+        );
         match pushed {
             Ok(()) => {}
             Err(RpcError::Overloaded { .. }) => {
@@ -419,16 +427,9 @@ impl HetKgWorker {
                 // push: brown out instead of insisting. The whole batch
                 // folds into the backlog and replays once the breaker
                 // closes or the flash crowd passes.
-                let grads = &self.ctx.grads;
-                let backlog = &mut self.backlog;
-                let ps = &mut self.ctx.ps;
-                let cap = self.backlog_cap;
-                for &k in &up_keys {
-                    if Self::defer_into(backlog, cap, k, grads.row(k)) {
+                for (&k, &slot) in self.up_keys.iter().zip(up_slots) {
+                    if Self::defer_with_residual(backlog, cap, ps, k, grads.row_at(slot)) {
                         deferred += 1;
-                        if let Some(e) = backlog.get_mut(&k) {
-                            ps.fold_residual(k, e);
-                        }
                     } else {
                         shed += 1;
                     }
@@ -447,32 +448,13 @@ impl HetKgWorker {
             }
         }
         self.ctx.grads.clear();
-        self.up_keys = up_keys;
-    }
-
-    /// Count usage-weighted accesses of `batch` into the reusable `usage`
-    /// scratch map: a key used `u` times in the batch counts `u`
-    /// hits/misses — the paper's "embedding usage" statistic (Fig. 2,
-    /// Table VI). Pull traffic is still deduplicated per batch.
-    fn count_usage(&mut self, batch: &MiniBatch) {
-        let ks = self.ctx.key_space;
-        self.usage.clear();
-        for t in batch
-            .positives
-            .iter()
-            .chain(batch.negatives.iter().map(|n| &n.triple))
-        {
-            *self.usage.entry(ks.entity_key(t.head)).or_insert(0) += 1;
-            *self.usage.entry(ks.relation_key(t.relation)).or_insert(0) += 1;
-            *self.usage.entry(ks.entity_key(t.tail)).or_insert(0) += 1;
-        }
     }
 
     /// Resolve this iteration's batch the sequential way: construction,
     /// sync bookkeeping, batch draw, cache probe, miss pull. Returns the
-    /// batch and the timeline completion of its pull (0 with overlap off
-    /// or nothing pulled).
-    fn resolve_now(&mut self, degraded: bool) -> (MiniBatch, f64) {
+    /// timeline completion of its pull (0 with overlap off or nothing
+    /// pulled).
+    fn resolve_now(&mut self, degraded: bool) -> f64 {
         // --- Construction (Alg. 3 lines 5–7) ---
         if self.policy.needs_construction(self.iteration) {
             match self.policy.kind {
@@ -505,17 +487,21 @@ impl HetKgWorker {
         let staleness_now = self.staleness.observe(self.iteration);
 
         // --- Fetch: cache hits locally, misses from the PS ---
-        let batch = self.next_batch();
-        let keys = batch.unique_keys(self.ctx.key_space);
-        self.count_usage(&batch);
-        self.ctx.ws.clear();
+        self.compile_next();
+        std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
+        self.ctx.begin_batch();
         self.miss_keys.clear();
+        self.miss_slots.clear();
         let mut degraded_uses = 0u64;
         let mut brownout_uses = 0u64;
-        for &k in &keys {
-            let uses = self.usage.get(&k).copied().unwrap_or(1);
+        let plan = &self.ctx.scratch.plan;
+        // A key used `u` times in the batch counts `u` hits/misses — the
+        // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
+        // traffic is still deduplicated per batch.
+        for (slot, (&k, &uses)) in plan.keys().iter().zip(plan.uses()).enumerate() {
+            let uses = u64::from(uses);
             if let Some(row) = self.table.get(k) {
-                self.ctx.ws.insert(k, row);
+                self.ctx.ws.row_mut(slot as u32).copy_from_slice(row);
                 self.cache_stats.hits += uses;
                 if degraded {
                     if !self.ctx.client.shard_available(k) {
@@ -531,6 +517,7 @@ impl HetKgWorker {
                 }
             } else {
                 self.miss_keys.push(k);
+                self.miss_slots.push(slot as u32);
                 self.cache_stats.misses += uses;
             }
         }
@@ -544,159 +531,107 @@ impl HetKgWorker {
                 }
             }
         }
-        let misses = std::mem::take(&mut self.miss_keys);
-        let pull_end;
-        if sync_now {
-            // One combined pull: misses (into the working set) + every
-            // cached key (refreshing the table). Rows for refreshed keys
-            // that this batch reads as hits were already copied into the
-            // working set from the pre-refresh cache — that read is at most
-            // one sync period stale, which is exactly the bounded-staleness
-            // contract.
-            let mut refresh = self.table.keys();
-            // Degraded sync: skip cached keys whose home shard is down or
-            // behind an open breaker and keep serving them stale — the
-            // brownout widens effective staleness past `P` — unless
-            // staleness has hit the hard cap; then refresh everything and
-            // let the client wait the outage (or probe the breaker) in
-            // simulated time. A partial refresh does not count as a sync,
-            // so staleness keeps accruing toward the cap.
-            let mut partial = false;
-            if degraded && staleness_now < self.staleness_cap {
-                let before = refresh.len();
-                refresh.retain(|&k| self.ctx.client.shard_healthy(k));
-                partial = refresh.len() < before;
-            }
-            let mut combined = misses.clone();
-            combined.extend_from_slice(&refresh);
-            let miss_count = misses.len();
-            let before = self.ctx.meter.snapshot();
-            let table = &mut self.table;
-            let ws = &mut self.ctx.ws;
-            let ps = &mut self.ctx.ps;
-            let mut max_div = 0.0f64;
-            let mut div_sum = 0.0f64;
-            let mut div_samples = 0u64;
-            self.ctx.client.pull_batch_with(&combined, ps, |i, row| {
-                if i < miss_count {
-                    ws.insert(combined[i], row);
-                } else {
-                    if let Some(cached) = table.get(combined[i]) {
-                        let d2: f64 = cached
-                            .iter()
-                            .zip(row)
-                            .map(|(&c, &g)| ((c - g) as f64).powi(2))
-                            .sum();
-                        let d = d2.sqrt();
-                        max_div = max_div.max(d);
-                        div_sum += d;
-                        div_samples += 1;
-                    }
-                    table.refresh(combined[i], row);
+        if !sync_now {
+            let delta = self.ctx.pull_into_ws(&self.miss_keys, &self.miss_slots);
+            return self.ctx.post_comm(delta, 0.0);
+        }
+        // One combined pull: misses (into the working set) + every cached
+        // key (refreshing the table). Rows for refreshed keys that this
+        // batch reads as hits were already copied into the working set from
+        // the pre-refresh cache — that read is at most one sync period
+        // stale, which is exactly the bounded-staleness contract.
+        let miss_count = self.miss_keys.len();
+        self.combined.clear();
+        self.combined.extend_from_slice(&self.miss_keys);
+        // Degraded sync: skip cached keys whose home shard is down or
+        // behind an open breaker and keep serving them stale — the
+        // brownout widens effective staleness past `P` — unless staleness
+        // has hit the hard cap; then refresh everything and let the client
+        // wait the outage (or probe the breaker) in simulated time. A
+        // partial refresh does not count as a sync, so staleness keeps
+        // accruing toward the cap.
+        let client = &self.ctx.client;
+        let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
+        self.combined.extend(
+            self.table
+                .iter_keys()
+                .filter(|&k| !skip_unhealthy || client.shard_healthy(k)),
+        );
+        let partial = self.combined.len() - miss_count < self.table.len();
+        let before = self.ctx.meter.snapshot();
+        let (combined, miss_slots) = (&self.combined, &self.miss_slots);
+        let table = &mut self.table;
+        let ws = &mut self.ctx.ws;
+        let mut max_div = 0.0f64;
+        let mut div_sum = 0.0f64;
+        let mut div_samples = 0u64;
+        client.pull_batch_with(combined, &mut self.ctx.ps, |i, row| {
+            if i < miss_count {
+                ws.row_mut(miss_slots[i]).copy_from_slice(row);
+            } else {
+                if let Some(cached) = table.get(combined[i]) {
+                    let d2: f64 = cached
+                        .iter()
+                        .zip(row)
+                        .map(|(&c, &g)| ((c - g) as f64).powi(2))
+                        .sum();
+                    let d = d2.sqrt();
+                    max_div = max_div.max(d);
+                    div_sum += d;
+                    div_samples += 1;
                 }
-            });
-            self.epoch_divergence = self.epoch_divergence.max(max_div);
-            self.epoch_div_sum += div_sum;
-            self.epoch_div_samples += div_samples;
-            if !partial {
-                self.staleness.record_sync(self.iteration);
+                table.refresh(combined[i], row);
             }
-            let delta = self.ctx.meter.snapshot().since(before);
-            pull_end = self.ctx.post_comm(delta, 0.0);
-        } else {
-            let delta = self.ctx.pull_into_ws(&misses);
-            pull_end = self.ctx.post_comm(delta, 0.0);
+        });
+        self.epoch_divergence = self.epoch_divergence.max(max_div);
+        self.epoch_div_sum += div_sum;
+        self.epoch_div_samples += div_samples;
+        if !partial {
+            self.staleness.record_sync(self.iteration);
         }
-        self.miss_keys = misses;
-        if self.ctx.overlap {
-            self.cur_keys.clear();
-            self.cur_keys.extend_from_slice(&keys);
-            self.cur_keys.sort_unstable();
-        }
-        (batch, pull_end)
+        let delta = self.ctx.meter.snapshot().since(before);
+        self.ctx.post_comm(delta, 0.0)
     }
 
     /// Stage iteration `i+1` while iteration `i` is still in flight: draw
-    /// its batch, count usage, probe the cache, and pull ahead every shard
-    /// frame the in-flight batch cannot invalidate. Construction and sync
-    /// iterations are never staged — their pulls have ordering constraints
+    /// its batch, probe the cache, and pull ahead every shard frame the
+    /// in-flight batch cannot invalidate. Construction and sync iterations
+    /// are never staged — their pulls have ordering constraints
     /// (rebuild-before-read, refresh-after-push) that the sequential path
     /// handles.
     fn stage_next(&mut self) {
-        debug_assert!(self.staged_batch.is_none(), "staging twice");
+        debug_assert!(!self.staged, "staging twice");
         let next = self.iteration + 1;
         if self.policy.needs_construction(next) || self.sync.is_sync_iteration(next) {
             return;
         }
-        let batch = self.next_batch();
-        self.count_usage(&batch);
+        self.compile_next();
         self.staged_hits.clear();
-        self.staged_early.clear();
-        self.staged_late.clear();
+        self.miss_keys.clear();
+        self.miss_slots.clear();
         self.staged_hit_uses = 0;
         self.staged_miss_uses = 0;
-        self.staged_pull_end = 0.0;
-        let keys = batch.unique_keys(self.ctx.key_space);
-        for &k in &keys {
-            let uses = self.usage.get(&k).copied().unwrap_or(1);
+        let plan = &self.next_plan;
+        for (slot, (&k, &uses)) in plan.keys().iter().zip(plan.uses()).enumerate() {
             // Cache membership cannot change before consumption: gradient
             // application updates rows in place and non-construction
             // iterations never insert or evict.
             if self.table.contains(k) {
-                self.staged_hits.push(k);
-                self.staged_hit_uses += uses;
+                self.staged_hits.push(slot as u32);
+                self.staged_hit_uses += u64::from(uses);
             } else {
-                self.staged_miss_uses += uses;
-                self.staged_early.push(k); // provisional: partitioned below
+                self.staged_miss_uses += u64::from(uses);
+                self.miss_keys.push(k);
+                self.miss_slots.push(slot as u32);
             }
         }
-        // A shard's frame may be pulled ahead only if the in-flight push
-        // writes none of the staged keys on it. Whole-frame granularity
-        // keeps the early + late pulls an exact partition of the frames the
-        // sequential single pull would send, so metered traffic is
-        // bit-identical in both modes.
-        self.staged_dirty.clear();
-        self.staged_dirty
-            .resize(self.ctx.client.num_shards(), false);
-        for &k in &self.staged_early {
-            if self.cur_keys.binary_search(&k).is_ok() {
-                self.staged_dirty[self.ctx.client.shard_of(k)] = true;
-            }
-        }
-        {
-            let dirty = &self.staged_dirty;
-            let client = &self.ctx.client;
-            let late = &mut self.staged_late;
-            self.staged_early.retain(|&k| {
-                if dirty[client.shard_of(k)] {
-                    late.push(k);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        if !self.staged_early.is_empty() {
-            let mut rows = std::mem::take(&mut self.staged_rows);
-            match self.ctx.client.try_pull_batch_issue(
-                &self.staged_early,
-                &mut self.ctx.ps,
-                &mut rows,
-            ) {
-                Ok(delta) => {
-                    self.staged_pull_end = self.ctx.post_comm(delta, 0.0);
-                }
-                Err(_) => {
-                    // Unreachable when the trainer gates overlap on inert
-                    // fault plans; if a caller enables both anyway, fall
-                    // back to pulling these keys at consume time.
-                    rows.clear();
-                    self.staged_late.append(&mut self.staged_early);
-                }
-            }
-            self.staged_rows = rows;
-        }
-        self.staged_batch = Some(batch);
+        let misses = self
+            .miss_keys
+            .iter()
+            .copied()
+            .zip(self.miss_slots.iter().copied());
+        self.staged_pull.stage(&mut self.ctx, misses, true);
+        self.staged = true;
     }
 
     /// Consume the batch staged during the previous iteration. Hit values
@@ -705,69 +640,40 @@ impl HetKgWorker {
     /// server's current rows (free: its frames were metered at issue
     /// time), and the late misses are pulled now, so every value matches
     /// the sequential schedule bit for bit; only the early misses'
-    /// network time has already been spent (and overlapped).
-    fn consume_staged(&mut self) -> (MiniBatch, f64) {
-        let batch = self.staged_batch.take().expect("a batch was staged");
+    /// network time has already been spent (and overlapped). Returns the
+    /// timeline completion of the batch's pull.
+    fn consume_staged(&mut self) -> f64 {
+        debug_assert!(self.staged, "a batch was staged");
+        self.staged = false;
         self.staleness.observe(self.iteration);
-        self.ctx.ws.clear();
-        for &k in &self.staged_hits {
+        std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
+        self.ctx.begin_batch();
+        let keys = self.ctx.scratch.plan.keys();
+        for &slot in &self.staged_hits {
             let row = self
                 .table
-                .get(k)
+                .get(keys[slot as usize])
                 .expect("staged hits stay cached until consumed");
-            self.ctx.ws.insert(k, row);
+            self.ctx.ws.row_mut(slot).copy_from_slice(row);
         }
         self.cache_stats.hits += self.staged_hit_uses;
         self.cache_stats.misses += self.staged_miss_uses;
-        let mut pull_end = self.staged_pull_end;
-        if !self.staged_early.is_empty() {
-            self.ctx
-                .client
-                .refresh_pull_batch(&self.staged_early, &mut self.staged_rows);
-            let ws = &mut self.ctx.ws;
-            let early = &self.staged_early;
-            self.ctx
-                .client
-                .complete_pull_batch(early, &self.staged_rows, |i, row| {
-                    ws.insert(early[i], row);
-                });
-        }
-        if !self.staged_late.is_empty() {
-            let before = self.ctx.meter.snapshot();
-            {
-                let ws = &mut self.ctx.ws;
-                let late = &self.staged_late;
-                self.ctx
-                    .client
-                    .pull_batch_with(late, &mut self.ctx.ps, |i, row| {
-                        ws.insert(late[i], row);
-                    });
-            }
-            let delta = self.ctx.meter.snapshot().since(before);
-            pull_end = pull_end.max(self.ctx.post_comm(delta, 0.0));
-        }
-        // Record this batch's key set for the next staging decision.
-        self.cur_keys.clear();
-        self.cur_keys.extend_from_slice(&self.staged_hits);
-        self.cur_keys.extend_from_slice(&self.staged_early);
-        self.cur_keys.extend_from_slice(&self.staged_late);
-        self.cur_keys.sort_unstable();
-        (batch, pull_end)
+        self.staged_pull.deliver(&mut self.ctx)
     }
 
     /// Single sequential iteration (no staging) — the unit tests' probe.
     #[cfg(test)]
-    fn one_iteration(&mut self) -> crate::batch::BatchResult {
+    fn one_iteration(&mut self) -> BatchResult {
         self.one_iteration_inner(false)
     }
 
-    fn one_iteration_inner(&mut self, may_stage: bool) -> crate::batch::BatchResult {
+    fn one_iteration_inner(&mut self, may_stage: bool) -> BatchResult {
         let degraded = self.ctx.client.faults().is_some();
         if degraded {
             self.flush_backlog_if_ready();
         }
 
-        let (batch, pull_end) = if self.staged_batch.is_some() {
+        let pull_end = if self.staged {
             self.consume_staged()
         } else {
             self.resolve_now(degraded)
@@ -780,20 +686,17 @@ impl HetKgWorker {
         }
 
         // --- Compute ---
-        let result = crate::batch::compute_batch(
-            self.ctx.model.as_ref(),
-            self.ctx.loss,
-            self.ctx.key_space,
-            &batch,
-            &self.ctx.ws,
-            &mut self.ctx.grads,
-            &mut self.ctx.scratch,
-        );
+        let result = self.ctx.compute();
         let compute_end = self.ctx.post_compute(result.work_units, pull_end);
 
         // --- Update: local cache rows + push everything (Alg. 3 17–19) ---
-        for (k, g) in self.ctx.grads.iter() {
-            self.table.apply_grad(k, g, self.ctx.optimizer.as_ref());
+        let grads = &self.ctx.grads;
+        for &slot in grads.touched() {
+            self.table.apply_grad(
+                grads.key_at(slot),
+                grads.row_at(slot),
+                self.ctx.optimizer.as_ref(),
+            );
         }
         if degraded {
             let before = self.ctx.meter.snapshot();

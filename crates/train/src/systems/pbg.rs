@@ -275,8 +275,11 @@ impl PbgWorker {
 
         // --- 2+3. Mini-batch training with dense relation pushes ---
         let mut acc = crate::batch::BatchResult::default();
-        let zero_rel = vec![0.0f32; self.ctx.model.relation_dim()];
-        let mut pending_rel_grads: HashMap<ParamKey, Vec<f32>> = HashMap::new();
+        // Relation gradients since the last dense push: one row per
+        // relation, zeros for the ones no batch touched.
+        let rel_dim = self.ctx.model.relation_dim();
+        let first_rel = self.ctx.key_space.num_entities();
+        let mut rel_grads = vec![0.0f32; self.relation_keys.len() * rel_dim];
         let mut batches_since_push = 0usize;
         let mut last_compute_end = 0.0f64;
         let num_chunks = triples.chunks(self.ctx.batch_size).count();
@@ -294,27 +297,22 @@ impl PbgWorker {
             let compute_end = self.ctx.post_compute(result.work_units, ready);
             acc.absorb(result);
 
-            // Entities: applied locally to the working set (sparse, free).
-            let mut entity_updates: Vec<(ParamKey, Vec<f32>)> = Vec::new();
             for (k, g) in self.ctx.grads.iter() {
                 if self.ctx.key_space.is_entity(k) {
-                    // local SGD-style step on the working copy
-                    let cur = self.ctx.ws.get(k);
+                    // Entities: a local SGD-style step on the working copy
+                    // (sparse, free).
+                    let slot = self.ctx.ws.slot_of(k).expect("bucket rows are resident");
                     let lr = self.entity_lr;
-                    let next: Vec<f32> = cur.iter().zip(g).map(|(&x, &gi)| x - lr * gi).collect();
-                    entity_updates.push((k, next));
+                    for (x, &gi) in self.ctx.ws.row_mut(slot).iter_mut().zip(g) {
+                        *x -= lr * gi;
+                    }
                 } else {
                     // Relations accumulate until the next dense push.
-                    let buf = pending_rel_grads
-                        .entry(k)
-                        .or_insert_with(|| vec![0.0; g.len()]);
-                    for (b, &gi) in buf.iter_mut().zip(g) {
+                    let at = (k.index() - first_rel) * rel_dim;
+                    for (b, &gi) in rel_grads[at..at + rel_dim].iter_mut().zip(g) {
                         *b += gi;
                     }
                 }
-            }
-            for (k, v) in entity_updates {
-                self.ctx.ws.insert(k, &v);
             }
             self.ctx.grads.clear();
             batches_since_push += 1;
@@ -323,29 +321,17 @@ impl PbgWorker {
             // every RELATION_PUSH_INTERVAL batches and at bucket end.
             if batches_since_push >= RELATION_PUSH_INTERVAL || ci + 1 == num_chunks {
                 let before = self.ctx.meter.snapshot();
-                {
-                    let dense: Vec<&[f32]> = self
-                        .relation_keys
-                        .iter()
-                        .map(|k| {
-                            pending_rel_grads
-                                .get(k)
-                                .map(Vec::as_slice)
-                                .unwrap_or(&zero_rel)
-                        })
-                        .collect();
-                    self.ctx.client.push_batch_with(
-                        &self.relation_keys,
-                        &dense,
-                        self.ctx.optimizer.as_ref(),
-                        &mut self.ctx.ps,
-                    );
-                }
+                self.ctx.client.push_batch_rows(
+                    &self.relation_keys,
+                    |i| &rel_grads[i * rel_dim..(i + 1) * rel_dim],
+                    self.ctx.optimizer.as_ref(),
+                    &mut self.ctx.ps,
+                );
                 let push_delta = self.ctx.meter.snapshot().since(before);
                 // The push carries this chunk's gradients; the re-pull
                 // follows it on the comm lane and gates the next chunk.
                 self.ctx.post_comm(push_delta, compute_end);
-                pending_rel_grads.clear();
+                rel_grads.fill(0.0);
                 batches_since_push = 0;
                 // Refresh local relation copies from the server (they moved).
                 let before = self.ctx.meter.snapshot();

@@ -1,7 +1,7 @@
 //! Shared worker machinery: the per-worker context every system's training
 //! loop builds on, and the per-epoch stats workers hand back to the trainer.
 
-use crate::batch::{BatchScratch, GradAccum, WorkingSet};
+use crate::batch::{compute_planned, BatchResult, BatchScratch, GradAccum, WorkingSet};
 use hetkg_core::metrics::CacheStats;
 use hetkg_embed::loss::LossKind;
 use hetkg_embed::models::KgeModel;
@@ -69,11 +69,12 @@ pub struct WorkerCtx {
     pub batch_size: usize,
     /// Iterations per epoch (ceil(subgraph / batch_size), min 1).
     pub iterations_per_epoch: usize,
-    /// Reusable buffers.
+    /// The in-flight batch's embedding rows, one per plan slot.
     pub ws: WorkingSet,
     /// Reusable gradient accumulator.
     pub grads: GradAccum,
-    /// Reusable backprop scratch.
+    /// The compiled batch in flight (`scratch.plan`) and the kernel's
+    /// reusable buffers.
     pub scratch: BatchScratch,
     /// Reusable PS frame/plan buffers (batched calls allocate nothing at
     /// steady state).
@@ -87,7 +88,9 @@ pub struct WorkerCtx {
     pub overlap: bool,
     /// This worker's two-lane schedule (comm, compute).
     pub timeline: Timeline,
-    /// Reusable key buffer for batched pushes.
+    /// Reusable buffers for batched pushes: the touched slots in key order
+    /// and their keys.
+    push_slots: Vec<u32>,
     push_keys: Vec<ParamKey>,
     /// Cumulative per-lane busy seconds at epoch start ([comm, compute]),
     /// so the adaptive compression policy sees this epoch's occupancy
@@ -130,6 +133,7 @@ impl WorkerCtx {
             cost: CostModel::gigabit(),
             overlap: false,
             timeline: Timeline::pipelined(),
+            push_slots: Vec::new(),
             push_keys: Vec::new(),
             epoch_busy: [0.0; 2],
         }
@@ -152,32 +156,57 @@ impl WorkerCtx {
         self
     }
 
-    /// Pull `keys` from the PS into the working set (one coalesced request).
-    /// Returns the operation's metered traffic for timeline posting.
-    pub fn pull_into_ws(&mut self, keys: &[ParamKey]) -> TrafficSnapshot {
+    /// Lay the working set and the gradient accumulator out by the compiled
+    /// batch (`scratch.plan`): one row per slot, the working set's to be
+    /// filled by cache copies and [`WorkerCtx::pull_into_ws`], the
+    /// accumulator's all untouched.
+    pub fn begin_batch(&mut self) {
+        self.ws.reset(self.scratch.plan.layout());
+        self.grads.reset(self.scratch.plan.layout());
+    }
+
+    /// Pull `keys` from the PS (one coalesced request) straight into the
+    /// working-set rows `slots` (parallel to `keys`). Returns the
+    /// operation's metered traffic for timeline posting.
+    pub fn pull_into_ws(&mut self, keys: &[ParamKey], slots: &[u32]) -> TrafficSnapshot {
+        debug_assert_eq!(keys.len(), slots.len());
         let before = self.meter.snapshot();
         let ws = &mut self.ws;
-        self.client
-            .pull_batch_with(keys, &mut self.ps, |i, row| ws.insert(keys[i], row));
+        self.client.pull_batch_with(keys, &mut self.ps, |i, row| {
+            ws.row_mut(slots[i]).copy_from_slice(row)
+        });
         self.meter.snapshot().since(before)
     }
 
-    /// Push every accumulated gradient to the PS (coalesced), then clear the
-    /// accumulator. Returns the operation's metered traffic for timeline
-    /// posting.
+    /// Score and differentiate the compiled batch (`scratch.plan`) over the
+    /// working set into the accumulator.
+    pub fn compute(&mut self) -> BatchResult {
+        compute_planned(
+            self.model.as_ref(),
+            self.loss,
+            &self.ws,
+            &mut self.grads,
+            &mut self.scratch,
+        )
+    }
+
+    /// Push every accumulated gradient to the PS (coalesced, in key order),
+    /// then clear the accumulator. Returns the operation's metered traffic
+    /// for timeline posting.
     pub fn push_grads(&mut self) -> TrafficSnapshot {
         let before = self.meter.snapshot();
-        let mut keys = std::mem::take(&mut self.push_keys);
-        self.grads.keys_into(&mut keys);
-        let grads = &self.grads;
+        self.grads.sorted_slots_into(&mut self.push_slots);
+        let (grads, slots) = (&self.grads, &self.push_slots);
+        self.push_keys.clear();
+        self.push_keys
+            .extend(slots.iter().map(|&s| grads.key_at(s)));
         self.client.push_batch_rows(
-            &keys,
-            |i| grads.row(keys[i]),
+            &self.push_keys,
+            |i| grads.row_at(slots[i]),
             self.optimizer.as_ref(),
             &mut self.ps,
         );
         self.grads.clear();
-        self.push_keys = keys;
         self.meter.snapshot().since(before)
     }
 
@@ -246,6 +275,105 @@ impl WorkerCtx {
     }
 }
 
+/// The pull of a batch that has been drawn but is not in flight yet, split
+/// per shard: frames the in-flight batch cannot invalidate are issued ahead
+/// (their network time hides behind the in-flight compute), the rest are
+/// pulled when the batch is consumed. A shard's keys go early only if the
+/// in-flight batch — whose key set bounds its push's write set — touches
+/// none of them; whole-frame granularity keeps early + late an exact
+/// partition of the frames one sequential pull would send, so metered
+/// traffic is bit-identical either way.
+#[derive(Debug, Default)]
+pub struct StagedPull {
+    /// Keys pulled ahead, their working-set slots, and their parked rows
+    /// (flat, key order).
+    early: Vec<ParamKey>,
+    early_slots: Vec<u32>,
+    rows: Vec<f32>,
+    /// Keys (and slots) pulled at consume time.
+    late: Vec<ParamKey>,
+    late_slots: Vec<u32>,
+    /// Scratch: per-shard "pull at consume time" flags.
+    dirty: Vec<bool>,
+    /// Timeline completion of the early pull (0 when none).
+    pull_end: f64,
+}
+
+impl StagedPull {
+    /// Split `keys` (each with the slot its row goes to) and, with
+    /// `pull_ahead`, issue the early frames now; without, every key waits
+    /// for [`StagedPull::deliver`] — the sequential schedule. The in-flight
+    /// batch is `ctx.scratch.plan`.
+    pub fn stage(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        keys: impl Iterator<Item = (ParamKey, u32)> + Clone,
+        pull_ahead: bool,
+    ) {
+        let client = &ctx.client;
+        self.dirty.clear();
+        self.dirty.resize(client.num_shards(), !pull_ahead);
+        if pull_ahead {
+            for (k, _) in keys.clone() {
+                if ctx.scratch.plan.contains(k) {
+                    self.dirty[client.shard_of(k)] = true;
+                }
+            }
+        }
+        self.early.clear();
+        self.early_slots.clear();
+        self.late.clear();
+        self.late_slots.clear();
+        self.pull_end = 0.0;
+        for (k, slot) in keys {
+            let (to, to_slots) = if self.dirty[client.shard_of(k)] {
+                (&mut self.late, &mut self.late_slots)
+            } else {
+                (&mut self.early, &mut self.early_slots)
+            };
+            to.push(k);
+            to_slots.push(slot);
+        }
+        if self.early.is_empty() {
+            return;
+        }
+        match client.try_pull_batch_issue(&self.early, &mut ctx.ps, &mut self.rows) {
+            Ok(delta) => self.pull_end = ctx.post_comm(delta, 0.0),
+            Err(_) => {
+                // Unreachable when the trainer gates overlap on inert fault
+                // plans; if a caller enables both anyway, fall back to
+                // pulling these keys at consume time.
+                self.rows.clear();
+                self.late.append(&mut self.early);
+                self.late_slots.append(&mut self.early_slots);
+            }
+        }
+    }
+
+    /// Deliver the staged rows into the working set (already laid out for
+    /// the batch): the early pull's delivery is refreshed to the server's
+    /// current rows — free, its frames were metered at issue time — and the
+    /// late keys are pulled now, after the previous push, so every value
+    /// matches the sequential schedule bit for bit. Returns the timeline
+    /// completion of the whole pull.
+    pub fn deliver(&mut self, ctx: &mut WorkerCtx) -> f64 {
+        let mut pull_end = self.pull_end;
+        if !self.early.is_empty() {
+            ctx.client.refresh_pull_batch(&self.early, &mut self.rows);
+            let (ws, slots) = (&mut ctx.ws, &self.early_slots);
+            ctx.client
+                .complete_pull_batch(&self.early, &self.rows, |i, row| {
+                    ws.row_mut(slots[i]).copy_from_slice(row);
+                });
+        }
+        if !self.late.is_empty() {
+            let delta = ctx.pull_into_ws(&self.late, &self.late_slots);
+            pull_end = pull_end.max(ctx.post_comm(delta, 0.0));
+        }
+        pull_end
+    }
+}
+
 /// Book-keeping carried across [`WorkerLoop::step`] calls within one epoch.
 #[derive(Default)]
 pub struct EpochRun {
@@ -254,7 +382,7 @@ pub struct EpochRun {
     /// Real wall-clock epoch start (diagnostic only).
     pub started: Option<std::time::Instant>,
     /// Accumulated batch results so far this epoch.
-    pub acc: crate::batch::BatchResult,
+    pub acc: BatchResult,
     /// Units (iterations or buckets) completed so far this epoch.
     pub unit: usize,
 }
@@ -264,7 +392,7 @@ impl EpochRun {
     pub fn begin(&mut self, start_traffic: TrafficSnapshot) {
         self.start_traffic = start_traffic;
         self.started = Some(std::time::Instant::now());
-        self.acc = crate::batch::BatchResult::default();
+        self.acc = BatchResult::default();
         self.unit = 0;
     }
 
@@ -316,6 +444,7 @@ pub trait WorkerLoop: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetkg_core::prefetch::MiniBatch;
     use hetkg_embed::init::Init;
     use hetkg_embed::ModelKind;
     use hetkg_netsim::ClusterTopology;
@@ -353,6 +482,16 @@ mod tests {
         )
     }
 
+    /// Pull entity `keys` into a working set holding exactly them.
+    fn pull(c: &mut WorkerCtx, keys: &[ParamKey]) -> TrafficSnapshot {
+        c.ws.clear();
+        for &k in keys {
+            c.ws.insert(k, &[0.0; 4]);
+        }
+        let slots: Vec<u32> = (0..keys.len() as u32).collect();
+        c.pull_into_ws(keys, &slots)
+    }
+
     #[test]
     fn iterations_per_epoch_is_ceil() {
         let c = ctx();
@@ -362,10 +501,22 @@ mod tests {
     #[test]
     fn pull_into_ws_fetches_rows() {
         let mut c = ctx();
-        c.pull_into_ws(&[ParamKey(0), ParamKey(10)]);
-        assert!(c.ws.contains(ParamKey(0)));
-        assert!(c.ws.contains(ParamKey(10)));
-        assert_eq!(c.ws.len(), 2);
+        let batch = MiniBatch {
+            positives: vec![Triple::new(0, 0, 1)],
+            negatives: vec![],
+        };
+        c.scratch.plan.compile(&batch, c.key_space, 4, 4);
+        c.begin_batch();
+        let keys = c.scratch.plan.keys().to_vec();
+        assert_eq!(keys, [ParamKey(0), ParamKey(10), ParamKey(1)]);
+        c.pull_into_ws(&keys, &[0, 1, 2]);
+        assert_eq!(c.ws.len(), 3);
+        let mut want = [0.0f32; 4];
+        for (slot, &k) in keys.iter().enumerate() {
+            c.client.pull(k, &mut want);
+            assert_eq!(c.ws.row(slot as u32), want);
+            assert_eq!(c.ws.get(k), want);
+        }
         assert!(c.meter.snapshot().total_bytes() > 0);
     }
 
@@ -382,7 +533,7 @@ mod tests {
     fn timing_disabled_never_touches_the_timeline() {
         let mut c = ctx();
         assert!(!c.overlap);
-        let delta = c.pull_into_ws(&[ParamKey(0)]);
+        let delta = pull(&mut c, &[ParamKey(0)]);
         assert_eq!(c.post_comm(delta, 0.0), 0.0);
         assert_eq!(c.post_compute(1_000, 5.0), 0.0);
         c.begin_epoch_timing();
@@ -394,7 +545,7 @@ mod tests {
     fn timing_enabled_builds_a_critical_path() {
         let mut c = ctx().with_timing(CostModel::gigabit(), true);
         c.begin_epoch_timing();
-        let delta = c.pull_into_ws(&[ParamKey(0), ParamKey(3)]);
+        let delta = pull(&mut c, &[ParamKey(0), ParamKey(3)]);
         let pull_end = c.post_comm(delta, 0.0);
         assert!(pull_end > 0.0);
         let compute_end = c.post_compute(2_000_000, pull_end);
