@@ -161,23 +161,20 @@ fn bench_ps(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     let mut acc = 0.0f32;
-                    client.pull_batch_with(&keys, &mut scratch, |_, row| acc += row[0]);
+                    client
+                        .try_pull_batch_with(&keys, &mut scratch, |_, row| acc += row[0])
+                        .unwrap();
                     black_box(acc)
                 })
             },
         );
         group.bench_function(
             BenchmarkId::new("push_batch_256", format!("{shards}sh")),
-            |b| b.iter(|| client.push_batch_with(&keys, &grads, &opt, &mut scratch)),
-        );
-        // Allocating convenience path, for before/after comparison.
-        group.bench_function(
-            BenchmarkId::new("pull_batch_256_alloc", format!("{shards}sh")),
             |b| {
                 b.iter(|| {
-                    let mut acc = 0.0f32;
-                    client.pull_batch(&keys, |_, row| acc += row[0]);
-                    black_box(acc)
+                    client
+                        .try_push_batch_with(&keys, &grads, &opt, &mut scratch)
+                        .unwrap()
                 })
             },
         );
@@ -210,12 +207,18 @@ fn bench_ps(c: &mut Criterion) {
         group.bench_function("pull_batch_256_contended/4sh", |b| {
             b.iter(|| {
                 let mut acc = 0.0f32;
-                client.pull_batch_with(&keys, &mut scratch, |_, row| acc += row[0]);
+                client
+                    .try_pull_batch_with(&keys, &mut scratch, |_, row| acc += row[0])
+                    .unwrap();
                 black_box(acc)
             })
         });
         group.bench_function("push_batch_256_contended/4sh", |b| {
-            b.iter(|| client.push_batch_with(&keys, &grads, &opt, &mut scratch))
+            b.iter(|| {
+                client
+                    .try_push_batch_with(&keys, &grads, &opt, &mut scratch)
+                    .unwrap()
+            })
         });
         stop.store(true, Ordering::Relaxed);
         for w in writers {

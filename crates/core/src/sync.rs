@@ -7,12 +7,11 @@
 //! bound of §IV-C's convergence analysis — Fig. 8b sweeps it, Fig. 9 shows
 //! divergence when it is too large.
 //!
-//! The pull goes through the metered [`PsClient`], so synchronization's
-//! communication cost shows up in the experiments exactly as it would on a
-//! real cluster.
+//! This module holds the schedule and the staleness book-keeping. The pull
+//! itself is the HET-KG worker's: a sync iteration's refresh rides in the
+//! same metered PS request as that iteration's misses, which is also where
+//! cache-vs-global divergence is measured.
 
-use crate::table::HotEmbeddingTable;
-use hetkg_ps::PsClient;
 use serde::{Deserialize, Serialize};
 
 /// Synchronization schedule: the staleness bound `P`.
@@ -81,83 +80,9 @@ impl StalenessTracker {
     }
 }
 
-/// Pull the latest global values of every cached key and refresh the table
-/// (Algorithm 3 lines 8–9). Returns the number of rows refreshed.
-pub fn synchronize(table: &mut HotEmbeddingTable, client: &PsClient) -> usize {
-    synchronize_measuring(table, client).refreshed
-}
-
-/// What a synchronization observed: how many rows were refreshed and how
-/// far the cache had drifted from the global model.
-///
-/// The divergence numbers are the empirical counterpart of §IV-C's bounded-
-/// staleness analysis: with sync period `P`, the drift at refresh time is
-/// the accumulated effect of at most `P` iterations of remote updates, so
-/// it should grow with `P` and stay bounded for fixed `P`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SyncReport {
-    /// Rows refreshed.
-    pub refreshed: usize,
-    /// Largest L2 distance between a cached row and its global replica,
-    /// observed just before refreshing.
-    pub max_divergence: f64,
-    /// Mean L2 distance across refreshed rows.
-    pub mean_divergence: f64,
-}
-
-/// [`synchronize`] that also measures cache-vs-global divergence.
-pub fn synchronize_measuring(table: &mut HotEmbeddingTable, client: &PsClient) -> SyncReport {
-    let keys = table.keys();
-    if keys.is_empty() {
-        return SyncReport::default();
-    }
-    let mut report = SyncReport::default();
-    let mut divergence_sum = 0.0f64;
-    client.pull_batch(&keys, |i, row| {
-        if let Some(cached) = table.get(keys[i]) {
-            let d2: f64 = cached
-                .iter()
-                .zip(row)
-                .map(|(&c, &g)| ((c - g) as f64).powi(2))
-                .sum();
-            let d = d2.sqrt();
-            report.max_divergence = report.max_divergence.max(d);
-            divergence_sum += d;
-        }
-        if table.refresh(keys[i], row) {
-            report.refreshed += 1;
-        }
-    });
-    if report.refreshed > 0 {
-        report.mean_divergence = divergence_sum / report.refreshed as f64;
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetkg_embed::init::Init;
-    use hetkg_kgraph::{KeySpace, ParamKey};
-    use hetkg_netsim::{ClusterTopology, TrafficMeter};
-    use hetkg_ps::{KvStore, ShardRouter};
-    use std::sync::Arc;
-
-    fn client_and_store() -> (PsClient, Arc<KvStore>, Arc<TrafficMeter>) {
-        let ks = KeySpace::new(8, 2);
-        let router = ShardRouter::round_robin(ks, 2);
-        let store = Arc::new(KvStore::new(
-            router,
-            4,
-            4,
-            0,
-            Init::Uniform { bound: 0.1 },
-            3,
-        ));
-        let meter = Arc::new(TrafficMeter::new());
-        let client = PsClient::new(0, ClusterTopology::new(2, 1), store.clone(), meter.clone());
-        (client, store, meter)
-    }
 
     #[test]
     fn sync_schedule_fires_every_p_but_not_at_zero() {
@@ -189,76 +114,6 @@ mod tests {
     #[should_panic(expected = "staleness bound must be positive")]
     fn zero_period_rejected() {
         let _ = SyncConfig::new(0);
-    }
-
-    #[test]
-    fn synchronize_refreshes_cached_rows_from_ps() {
-        let (client, store, _) = client_and_store();
-        let ks = KeySpace::new(8, 2);
-        let mut table = HotEmbeddingTable::new(ks, 2, 1, 4, 4, 0);
-        table.insert(ParamKey(1), &[9.0; 4]).unwrap();
-        table.insert(ParamKey(8), &[9.0; 4]).unwrap();
-        // Global values move on.
-        store.store(ParamKey(1), &[1.0; 4]);
-        store.store(ParamKey(8), &[2.0; 4]);
-        let n = synchronize(&mut table, &client);
-        assert_eq!(n, 2);
-        assert_eq!(table.get(ParamKey(1)).unwrap(), &[1.0; 4]);
-        assert_eq!(table.get(ParamKey(8)).unwrap(), &[2.0; 4]);
-    }
-
-    #[test]
-    fn synchronize_is_metered() {
-        let (client, _, meter) = client_and_store();
-        let ks = KeySpace::new(8, 2);
-        let mut table = HotEmbeddingTable::new(ks, 4, 0, 4, 4, 0);
-        table.insert(ParamKey(0), &[0.0; 4]).unwrap();
-        table.insert(ParamKey(1), &[0.0; 4]).unwrap();
-        synchronize(&mut table, &client);
-        let s = meter.snapshot();
-        assert!(s.total_bytes() > 0, "sync communication must be accounted");
-        // Keys 0 (shard 0, local to worker 0) and 1 (shard 1, remote).
-        assert!(s.remote_bytes > 0);
-        assert!(s.local_bytes > 0);
-    }
-
-    #[test]
-    fn synchronize_empty_table_is_free() {
-        let (client, _, meter) = client_and_store();
-        let ks = KeySpace::new(8, 2);
-        let mut table = HotEmbeddingTable::new(ks, 4, 2, 4, 4, 0);
-        assert_eq!(synchronize(&mut table, &client), 0);
-        assert_eq!(meter.snapshot().total_bytes(), 0);
-    }
-
-    #[test]
-    fn divergence_is_measured_before_refresh() {
-        let (client, store, _) = client_and_store();
-        let ks = KeySpace::new(8, 2);
-        let mut table = HotEmbeddingTable::new(ks, 2, 0, 4, 4, 0);
-        table.insert(ParamKey(0), &[0.0; 4]).unwrap();
-        table.insert(ParamKey(1), &[0.0; 4]).unwrap();
-        // Global rows moved: key 0 by distance 2 (1,1,1,1), key 1 by 4.
-        store.store(ParamKey(0), &[1.0; 4]);
-        store.store(ParamKey(1), &[2.0; 4]);
-        let report = synchronize_measuring(&mut table, &client);
-        assert_eq!(report.refreshed, 2);
-        assert!((report.max_divergence - 4.0).abs() < 1e-6, "{report:?}");
-        assert!((report.mean_divergence - 3.0).abs() < 1e-6, "{report:?}");
-        // And the rows are now refreshed.
-        assert_eq!(table.get(ParamKey(1)).unwrap(), &[2.0; 4]);
-    }
-
-    #[test]
-    fn in_sync_cache_has_zero_divergence() {
-        let (client, store, _) = client_and_store();
-        let ks = KeySpace::new(8, 2);
-        let mut table = HotEmbeddingTable::new(ks, 1, 0, 4, 4, 0);
-        let mut row = [0.0f32; 4];
-        store.pull(ParamKey(3), &mut row);
-        table.insert(ParamKey(3), &row).unwrap();
-        let report = synchronize_measuring(&mut table, &client);
-        assert_eq!(report.max_divergence, 0.0);
     }
 
     #[test]

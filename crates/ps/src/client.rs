@@ -7,18 +7,27 @@
 //! touched per direction**, matching how a real KVStore client coalesces a
 //! mini-batch's keys.
 //!
+//! # One call per operation
+//!
+//! Algorithm 4 has two operations and so does this client, plus PBG's
+//! overwrite: [`PsClient::try_pull_batch_with`],
+//! [`PsClient::try_push_batch_rows`] (with
+//! [`PsClient::try_push_batch_with`] as its slice adapter) and
+//! [`PsClient::try_write_batch_with`]. Each is batched (a single key is a
+//! one-key batch), fallible, and builds its frames in a caller-owned
+//! [`PsScratch`]; what to do when the retries run out is the caller's
+//! decision.
+//!
 //! # Fault handling
 //!
-//! By default every call is infallible (the store is in-process memory).
+//! By default no call fails (the store is in-process memory).
 //! Attaching a [`FaultInjector`] via [`PsClient::with_faults`] routes every
 //! message through fault adjudication: drops are retransmitted under the
 //! [`RetryPolicy`] (exponential backoff, seeded jitter), shard outages are
 //! either waited out in simulated time or surfaced as
 //! [`RpcError::ShardUnavailable`]. Every transmission attempt — including
 //! retransmissions of dropped messages — is metered, so simulated network
-//! time reflects the true cost of the faults. The `try_*` methods expose
-//! the fallible path; the legacy infallible methods delegate to them and
-//! panic only if the retry budget is exhausted. With a zero-fault plan
+//! time reflects the true cost of the faults. With a zero-fault plan
 //! attached, traffic is byte-identical to running with no injector at all.
 //!
 //! # Wire integrity
@@ -45,7 +54,7 @@ use hetkg_kgraph::ParamKey;
 use hetkg_netsim::compress::encoded_len;
 use hetkg_netsim::{
     ClusterTopology, Codec, CompressionMode, CompressionStats, FaultInjector, TrafficMeter,
-    TrafficSnapshot, Verdict, WireFrame,
+    Verdict, WireFrame,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -118,8 +127,8 @@ struct FrameSlot {
 
 /// Reusable scratch for the client's batched operations.
 ///
-/// The `*_batch_with` methods resolve placements into a [`BatchPlan`], build
-/// one frame per shard out of recycled buffers, and return every frame's
+/// Every client operation resolves placements into a [`BatchPlan`], builds
+/// one frame per shard out of recycled buffers, and returns every frame's
 /// vectors to an internal pool afterwards — so a steady-state training loop
 /// performs **zero** heap allocations per batched PS call. One scratch per
 /// worker (it lives in the worker context); it carries no data across calls,
@@ -411,79 +420,13 @@ impl PsClient {
         self.shard_available(key) && !self.breaker_tripped(self.store.router().shard_of(key))
     }
 
-    /// Pull one key (one message).
-    pub fn pull(&self, key: ParamKey, out: &mut [f32]) {
-        self.try_pull(key, out)
-            .expect("ps pull failed after retries");
-    }
-
-    /// Fallible [`pull`](Self::pull): fails only with a fault injector
-    /// attached and the retry budget exhausted.
-    pub fn try_pull(&self, key: ParamKey, out: &mut [f32]) -> Result<(), RpcError> {
-        self.try_pull_with(key, out, &mut PsScratch::new())
-    }
-
-    /// [`try_pull`](Self::try_pull) with caller-owned scratch, so repeated
-    /// single-key pulls reuse the frame buffers instead of allocating.
-    pub fn try_pull_with(
-        &self,
-        key: ParamKey,
-        out: &mut [f32],
-        scratch: &mut PsScratch,
-    ) -> Result<(), RpcError> {
-        let shard = self.store.router().shard_of(key);
-        // The server serializes the row into the response frame, sealing the
-        // checksum over the clean data; whatever survives transit (possibly
-        // a damaged payload, if checksums are off) lands in `out`. On error
-        // `out` is untouched.
-        scratch.begin(1);
-        let (mut keys, mut payload) = scratch.parts.pop().expect("begin filled one part");
-        keys.push(key.0);
-        payload.resize(out.len(), 0.0);
-        self.store.pull(key, &mut payload);
-        let mut frame = WireFrame::seal(keys, payload);
-        let result = self.transmit_frame(shard, &mut frame, FrameOp::Pull);
-        if result.is_ok() {
-            out.copy_from_slice(&frame.payload);
-        }
-        scratch.wire.push(frame); // recycled by the next call
-        result
-    }
-
-    /// Pull many keys; `sink(i, row)` receives each key's row in order.
+    /// Pull many keys; `sink(i, row)` receives each key's row in key order.
+    /// All-or-nothing: on error no row reaches `sink`.
     ///
-    /// Metering: requested keys are grouped by shard; each touched shard
-    /// costs one message carrying its keys' ids plus the returned rows.
-    pub fn pull_batch(&self, keys: &[ParamKey], sink: impl FnMut(usize, &[f32])) {
-        self.try_pull_batch(keys, sink)
-            .expect("ps pull_batch failed after retries");
-    }
-
-    /// Fallible [`pull_batch`](Self::pull_batch). All-or-nothing: on error
-    /// no row reaches `sink`. On success rows arrive in key order.
-    pub fn try_pull_batch(
-        &self,
-        keys: &[ParamKey],
-        sink: impl FnMut(usize, &[f32]),
-    ) -> Result<(), RpcError> {
-        self.try_pull_batch_with(keys, &mut PsScratch::new(), sink)
-    }
-
-    /// [`pull_batch`](Self::pull_batch) with caller-owned scratch (the hot
-    /// training path); panics only if the retry budget is exhausted.
-    pub fn pull_batch_with(
-        &self,
-        keys: &[ParamKey],
-        scratch: &mut PsScratch,
-        sink: impl FnMut(usize, &[f32]),
-    ) {
-        self.try_pull_batch_with(keys, scratch, sink)
-            .expect("ps pull_batch failed after retries");
-    }
-
-    /// [`try_pull_batch`](Self::try_pull_batch) with caller-owned scratch:
-    /// placements are resolved once into a shard-grouped [`BatchPlan`], each
-    /// shard is read-locked once, rows are copied straight into recycled
+    /// Requested keys are grouped by shard, and each touched shard costs one
+    /// message carrying its keys' ids plus the returned rows. Placements are
+    /// resolved once into a shard-grouped [`BatchPlan`], each shard is
+    /// read-locked once, rows are copied straight into `scratch`'s recycled
     /// frame buffers, and nothing is allocated at steady state.
     pub fn try_pull_batch_with(
         &self,
@@ -527,174 +470,9 @@ impl PsClient {
         Ok(())
     }
 
-    /// Run `op` against this client and return its result together with the
-    /// traffic it metered. A worker's meter is private to it and the worker
-    /// is single-threaded, so the snapshot delta is exactly the operation's
-    /// own traffic — the duration a timeline posts for the comm lane.
-    pub fn metered<T>(&self, op: impl FnOnce(&Self) -> T) -> (T, TrafficSnapshot) {
-        let before = self.meter.snapshot();
-        let out = op(self);
-        (out, self.meter.snapshot().since(before))
-    }
-
-    /// Issue half of a split pull: execute the batched pull *now* (the
-    /// store is read, the frames transit and are metered), parking each
-    /// key's row back-to-back in key order in `rows`, and return the
-    /// operation's metered traffic so the caller can post its duration to
-    /// a timeline. Consume later with [`PsClient::complete_pull_batch`].
-    ///
-    /// On error `rows` is left empty and nothing is observable.
-    pub fn try_pull_batch_issue(
-        &self,
-        keys: &[ParamKey],
-        scratch: &mut PsScratch,
-        rows: &mut Vec<f32>,
-    ) -> Result<TrafficSnapshot, RpcError> {
-        rows.clear();
-        let before = self.meter.snapshot();
-        self.try_pull_batch_with(keys, scratch, |_, row| rows.extend_from_slice(row))?;
-        Ok(self.meter.snapshot().since(before))
-    }
-
-    /// Refresh rows parked by [`PsClient::try_pull_batch_issue`] to the
-    /// store's *current* values, unmetered. The split pull's frames — and
-    /// their bytes — already transited at issue time; delivery happens at
-    /// consume time, so the parked payload is brought up to date with what
-    /// the server holds now. This is what keeps a staged pull bit-identical
-    /// to the sequential schedule even when other workers push between
-    /// issue and consume: the consumer observes exactly the rows a
-    /// sequential pull at the consume point would.
-    pub fn refresh_pull_batch(&self, keys: &[ParamKey], rows: &mut [f32]) {
-        let mut offset = 0;
-        for &k in keys {
-            let width = (self.store.row_bytes(k) / 4) as usize;
-            self.store.pull(k, &mut rows[offset..offset + width]);
-            offset += width;
-        }
-        debug_assert_eq!(offset, rows.len(), "rows do not match the key batch");
-    }
-
-    /// Complete half of a split pull: replay rows parked by
-    /// [`PsClient::try_pull_batch_issue`] to `sink` in key order. Row
-    /// widths come from the store's schema, so `rows` must belong to
-    /// exactly this `keys` batch.
-    pub fn complete_pull_batch(
-        &self,
-        keys: &[ParamKey],
-        rows: &[f32],
-        mut sink: impl FnMut(usize, &[f32]),
-    ) {
-        let mut offset = 0;
-        for (i, &k) in keys.iter().enumerate() {
-            let width = (self.store.row_bytes(k) / 4) as usize;
-            sink(i, &rows[offset..offset + width]);
-            offset += width;
-        }
-        debug_assert_eq!(offset, rows.len(), "rows do not match the key batch");
-    }
-
-    /// Push one gradient (one message); the server applies `optimizer`.
-    pub fn push(&self, key: ParamKey, grad: &[f32], optimizer: &dyn Optimizer) {
-        self.try_push(key, grad, optimizer)
-            .expect("ps push failed after retries");
-    }
-
-    /// Fallible [`push`](Self::push).
-    pub fn try_push(
-        &self,
-        key: ParamKey,
-        grad: &[f32],
-        optimizer: &dyn Optimizer,
-    ) -> Result<(), RpcError> {
-        self.try_push_with(key, grad, optimizer, &mut PsScratch::new())
-    }
-
-    /// [`try_push`](Self::try_push) with caller-owned scratch, so repeated
-    /// single-key pushes reuse the frame buffers instead of allocating a
-    /// key vector and a gradient copy per call — the push mirror of
-    /// [`try_pull_with`](Self::try_pull_with). The scratch's compression
-    /// mode applies exactly as it does for batched pushes.
-    pub fn try_push_with(
-        &self,
-        key: ParamKey,
-        grad: &[f32],
-        optimizer: &dyn Optimizer,
-        scratch: &mut PsScratch,
-    ) -> Result<(), RpcError> {
-        let shard = self.store.router().shard_of(key);
-        let codec = scratch.push_codec();
-        scratch.begin(1);
-        let (mut keys, mut payload) = scratch.parts.pop().expect("begin filled one part");
-        keys.push(key.0);
-        payload.extend_from_slice(grad);
-        let mut frame = if codec == Codec::Dense {
-            WireFrame::seal(keys, payload)
-        } else {
-            let comp = scratch
-                .compressor
-                .as_mut()
-                .expect("non-dense codec without a compressor");
-            comp.begin_batch(1);
-            comp.stage(0, key.0, &mut payload);
-            let mut enc = scratch.enc_parts.pop().expect("begin filled one part");
-            comp.encode(codec, &payload, &mut enc);
-            WireFrame::seal_encoded(keys, payload, enc, codec)
-        };
-        let result = self.transmit_frame(shard, &mut frame, FrameOp::Push);
-        if result.is_ok() {
-            if let Some(comp) = scratch.compressor.as_mut() {
-                if codec != Codec::Dense {
-                    comp.decode_commit_row(codec, 0, key.0, &frame.encoded, &mut frame.payload);
-                }
-                comp.note_frame(&frame);
-            }
-            self.meter.record_push(
-                frame.wire_bytes(),
-                KEY_BYTES + frame.payload.len() as u64 * 4,
-            );
-            self.store.push_grad(key, &frame.payload, optimizer);
-            self.ship_replication(shard);
-        }
-        scratch.wire.push(frame); // recycled by the next call
-        result
-    }
-
-    /// Push many gradients, one message per shard touched.
-    ///
-    /// `grads[i]` is the gradient for `keys[i]`.
-    pub fn push_batch(&self, keys: &[ParamKey], grads: &[&[f32]], optimizer: &dyn Optimizer) {
-        self.try_push_batch(keys, grads, optimizer)
-            .expect("ps push_batch failed after retries");
-    }
-
-    /// Fallible [`push_batch`](Self::push_batch). All-or-nothing: on error
-    /// no gradient is applied.
-    pub fn try_push_batch(
-        &self,
-        keys: &[ParamKey],
-        grads: &[&[f32]],
-        optimizer: &dyn Optimizer,
-    ) -> Result<(), RpcError> {
-        self.try_push_batch_with(keys, grads, optimizer, &mut PsScratch::new())
-    }
-
-    /// [`push_batch`](Self::push_batch) with caller-owned scratch (the hot
-    /// training path); panics only if the retry budget is exhausted.
-    pub fn push_batch_with(
-        &self,
-        keys: &[ParamKey],
-        grads: &[&[f32]],
-        optimizer: &dyn Optimizer,
-        scratch: &mut PsScratch,
-    ) {
-        self.try_push_batch_with(keys, grads, optimizer, scratch)
-            .expect("ps push_batch failed after retries");
-    }
-
-    /// [`try_push_batch`](Self::try_push_batch) with caller-owned scratch:
-    /// one plan resolves placements for both frame sealing and server-side
-    /// application, each shard is write-locked once, and duplicate keys
-    /// apply in batch order (the grouping is stable).
+    /// [`try_push_batch_rows`](Self::try_push_batch_rows) for callers that
+    /// hold the gradients as a slice of rows: `grads[i]` is the gradient
+    /// for `keys[i]`.
     pub fn try_push_batch_with(
         &self,
         keys: &[ParamKey],
@@ -706,26 +484,16 @@ impl PsClient {
         self.try_push_batch_rows(keys, |i| grads[i], optimizer, scratch)
     }
 
-    /// [`push_batch_with`](Self::push_batch_with) with the gradient rows
-    /// supplied by lookup instead of a slice-of-slices, so callers holding
-    /// gradients in a map (e.g. a `GradAccum`) push without building a
-    /// per-call `Vec<&[f32]>`. Panics only if the retry budget is
-    /// exhausted.
-    pub fn push_batch_rows<'a>(
-        &self,
-        keys: &[ParamKey],
-        row_of: impl Fn(usize) -> &'a [f32],
-        optimizer: &dyn Optimizer,
-        scratch: &mut PsScratch,
-    ) {
-        self.try_push_batch_rows(keys, row_of, optimizer, scratch)
-            .expect("ps push_batch failed after retries");
-    }
-
-    /// Fallible [`push_batch_rows`](Self::push_batch_rows). `row_of(i)` is
-    /// the gradient for `keys[i]`. All-or-nothing, like
-    /// [`try_push_batch_with`](Self::try_push_batch_with), and byte- and
-    /// application-order-identical to it for the same rows.
+    /// Push many gradients, one message per shard touched; the server
+    /// applies `optimizer`. `row_of(i)` is the gradient for `keys[i]` — a
+    /// lookup, so callers holding gradients in an arena (e.g. a
+    /// `GradAccum`) push without building a per-call `Vec<&[f32]>`.
+    /// All-or-nothing: on error no gradient is applied.
+    ///
+    /// One plan resolves placements for both frame sealing and server-side
+    /// application, each shard is write-locked once, and duplicate keys
+    /// apply in batch order (the grouping is stable). The scratch's
+    /// compression mode decides how the rows are encoded on the wire.
     pub fn try_push_batch_rows<'a>(
         &self,
         keys: &[ParamKey],
@@ -764,27 +532,8 @@ impl PsClient {
 
     /// Overwrite many keys' values (no optimizer), one message per shard
     /// touched. Used by block-partitioned training (PBG) to save entity
-    /// partitions back to shared storage.
-    pub fn write_batch(&self, keys: &[ParamKey], values: &[&[f32]]) {
-        self.try_write_batch(keys, values)
-            .expect("ps write_batch failed after retries");
-    }
-
-    /// Fallible [`write_batch`](Self::write_batch). All-or-nothing.
-    pub fn try_write_batch(&self, keys: &[ParamKey], values: &[&[f32]]) -> Result<(), RpcError> {
-        self.try_write_batch_with(keys, values, &mut PsScratch::new())
-    }
-
-    /// [`write_batch`](Self::write_batch) with caller-owned scratch; panics
-    /// only if the retry budget is exhausted.
-    pub fn write_batch_with(&self, keys: &[ParamKey], values: &[&[f32]], scratch: &mut PsScratch) {
-        self.try_write_batch_with(keys, values, scratch)
-            .expect("ps write_batch failed after retries");
-    }
-
-    /// [`try_write_batch`](Self::try_write_batch) with caller-owned scratch.
-    /// Duplicate keys resolve to the last value in batch order, like
-    /// sequential stores.
+    /// partitions back to shared storage. All-or-nothing; duplicate keys
+    /// resolve to the last value in batch order, like sequential stores.
     pub fn try_write_batch_with(
         &self,
         keys: &[ParamKey],
@@ -996,8 +745,7 @@ impl PsClient {
         frame: &mut WireFrame,
         op: FrameOp,
     ) -> Result<(), RpcError> {
-        let transport = Arc::clone(&self.transport);
-        transport.exchange(self, shard, op, frame)
+        self.transport.exchange(self, shard, op, frame)
     }
 
     /// Send one frame to `shard`, retrying under the fault policy. Every
@@ -1259,7 +1007,7 @@ mod tests {
     use crate::router::ShardRouter;
     use hetkg_embed::init::Init;
     use hetkg_kgraph::KeySpace;
-    use hetkg_netsim::{CostModel, FaultPlan};
+    use hetkg_netsim::{CostModel, FaultPlan, TrafficSnapshot};
 
     fn setup(machines: usize) -> (Arc<KvStore>, ClusterTopology) {
         let ks = KeySpace::new(8, 4);
@@ -1277,6 +1025,59 @@ mod tests {
 
     fn injector(plan: FaultPlan) -> Arc<FaultInjector> {
         Arc::new(FaultInjector::new(plan, CostModel::gigabit(), 0))
+    }
+
+    // The client's calls with a fresh scratch per call (a scratch carries
+    // capacity, never data), and single-key operations as one-key batches.
+
+    fn pull_batch(client: &PsClient, keys: &[ParamKey], sink: impl FnMut(usize, &[f32])) {
+        client
+            .try_pull_batch_with(keys, &mut PsScratch::new(), sink)
+            .unwrap();
+    }
+
+    fn push_batch(client: &PsClient, keys: &[ParamKey], grads: &[&[f32]], opt: &dyn Optimizer) {
+        client
+            .try_push_batch_with(keys, grads, opt, &mut PsScratch::new())
+            .unwrap();
+    }
+
+    fn write_batch(client: &PsClient, keys: &[ParamKey], values: &[&[f32]]) {
+        client
+            .try_write_batch_with(keys, values, &mut PsScratch::new())
+            .unwrap();
+    }
+
+    fn try_pull(client: &PsClient, key: ParamKey, out: &mut [f32]) -> Result<(), RpcError> {
+        try_pull_with(client, key, out, &mut PsScratch::new())
+    }
+
+    fn try_pull_with(
+        client: &PsClient,
+        key: ParamKey,
+        out: &mut [f32],
+        scratch: &mut PsScratch,
+    ) -> Result<(), RpcError> {
+        client.try_pull_batch_with(&[key], scratch, |_, row| out.copy_from_slice(row))
+    }
+
+    fn try_push(
+        client: &PsClient,
+        key: ParamKey,
+        grad: &[f32],
+        opt: &dyn Optimizer,
+    ) -> Result<(), RpcError> {
+        try_push_with(client, key, grad, opt, &mut PsScratch::new())
+    }
+
+    fn try_push_with(
+        client: &PsClient,
+        key: ParamKey,
+        grad: &[f32],
+        opt: &dyn Optimizer,
+        scratch: &mut PsScratch,
+    ) -> Result<(), RpcError> {
+        client.try_push_batch_with(&[key], &[grad], opt, scratch)
     }
 
     #[test]
@@ -1309,9 +1110,9 @@ mod tests {
         let client = PsClient::new(0, topo, store, meter.clone());
         let mut buf = [0.0f32; 4];
         // Entity key 0 -> shard 0 (round robin): local for worker 0.
-        client.pull(ParamKey(0), &mut buf);
+        try_pull(&client, ParamKey(0), &mut buf).unwrap();
         // Entity key 1 -> shard 1: remote.
-        client.pull(ParamKey(1), &mut buf);
+        try_pull(&client, ParamKey(1), &mut buf).unwrap();
         let s = meter.snapshot();
         assert_eq!(s.local_messages, 1);
         assert_eq!(s.remote_messages, 1);
@@ -1327,7 +1128,7 @@ mod tests {
         // Keys 0,2,4,6 on shard 0 (local), 1,3,5 on shard 1 (remote).
         let keys: Vec<ParamKey> = (0..7).map(ParamKey).collect();
         let mut rows = 0;
-        client.pull_batch(&keys, |_, row| {
+        pull_batch(&client, &keys, |_, row| {
             assert_eq!(row.len(), 4);
             rows += 1;
         });
@@ -1345,7 +1146,7 @@ mod tests {
         let meter = Arc::new(TrafficMeter::new());
         let client = PsClient::new(0, topo, store.clone(), meter);
         store.store(ParamKey(0), &[1.0; 4]);
-        client.push(ParamKey(0), &[1.0; 4], &Sgd { lr: 0.5 });
+        try_push(&client, ParamKey(0), &[1.0; 4], &Sgd { lr: 0.5 }).unwrap();
         let mut buf = [0.0f32; 4];
         store.pull(ParamKey(0), &mut buf);
         assert!((buf[0] - 0.5).abs() < 1e-6);
@@ -1359,7 +1160,12 @@ mod tests {
         store.store(ParamKey(0), &[0.0; 4]);
         store.store(ParamKey(1), &[0.0; 4]);
         let g = [1.0f32; 4];
-        client.push_batch(&[ParamKey(0), ParamKey(1)], &[&g, &g], &Sgd { lr: 1.0 });
+        push_batch(
+            &client,
+            &[ParamKey(0), ParamKey(1)],
+            &[&g, &g],
+            &Sgd { lr: 1.0 },
+        );
         let mut buf = [0.0f32; 4];
         store.pull(ParamKey(0), &mut buf);
         assert!((buf[0] + 1.0).abs() < 1e-6);
@@ -1374,8 +1180,8 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let client = PsClient::new(0, topo, store, meter.clone());
-        client.pull_batch(&[], |_, _| panic!("no rows expected"));
-        client.push_batch(&[], &[], &Sgd { lr: 1.0 });
+        pull_batch(&client, &[], |_, _| panic!("no rows expected"));
+        push_batch(&client, &[], &[], &Sgd { lr: 1.0 });
         assert_eq!(meter.snapshot().total_bytes(), 0);
     }
 
@@ -1385,7 +1191,7 @@ mod tests {
         let meter = Arc::new(TrafficMeter::new());
         let client = PsClient::new(0, topo, store, meter.clone());
         let keys: Vec<ParamKey> = (0..12).map(ParamKey).collect();
-        client.pull_batch(&keys, |_, _| {});
+        pull_batch(&client, &keys, |_, _| {});
         let s = meter.snapshot();
         assert_eq!(s.remote_bytes, 0);
         assert!(s.local_bytes > 0);
@@ -1395,7 +1201,8 @@ mod tests {
     fn reused_scratch_matches_fresh_scratch_calls() {
         // One worker reusing a single PsScratch across many mixed calls must
         // produce the same rows, same store contents, and same metered
-        // traffic as the allocating convenience methods.
+        // traffic as the same calls each handed a fresh scratch: a scratch
+        // carries capacity, never data, across calls.
         let (store_a, topo) = setup(2);
         let (store_b, _) = setup(2);
         let meter_a = Arc::new(TrafficMeter::new());
@@ -1409,19 +1216,21 @@ mod tests {
         let grads: Vec<&[f32]> = keys.iter().map(|_| &g[..]).collect();
         for _ in 0..3 {
             let mut rows_a = Vec::new();
-            a.pull_batch(&keys, |_, row| rows_a.push(row.to_vec()));
+            pull_batch(&a, &keys, |_, row| rows_a.push(row.to_vec()));
             let mut rows_b = Vec::new();
-            b.pull_batch_with(&keys, &mut scratch, |_, row| rows_b.push(row.to_vec()));
+            b.try_pull_batch_with(&keys, &mut scratch, |_, row| rows_b.push(row.to_vec()))
+                .unwrap();
             assert_eq!(rows_a, rows_b);
-            a.push_batch(&keys, &grads, &Sgd { lr: 0.1 });
-            b.push_batch_with(&keys, &grads, &Sgd { lr: 0.1 }, &mut scratch);
-            a.write_batch(&[ParamKey(2)], &[&g]);
-            b.write_batch_with(&[ParamKey(2)], &[&g], &mut scratch);
+            push_batch(&a, &keys, &grads, &Sgd { lr: 0.1 });
+            b.try_push_batch_with(&keys, &grads, &Sgd { lr: 0.1 }, &mut scratch)
+                .unwrap();
+            write_batch(&a, &[ParamKey(2)], &[&g]);
+            b.try_write_batch_with(&[ParamKey(2)], &[&g], &mut scratch)
+                .unwrap();
             let mut single_a = [0.0f32; 4];
             let mut single_b = [0.0f32; 4];
-            a.pull(ParamKey(5), &mut single_a);
-            b.try_pull_with(ParamKey(5), &mut single_b, &mut scratch)
-                .unwrap();
+            try_pull(&a, ParamKey(5), &mut single_a).unwrap();
+            try_pull_with(&b, ParamKey(5), &mut single_b, &mut scratch).unwrap();
             assert_eq!(single_a, single_b);
         }
         assert_eq!(meter_a.snapshot(), meter_b.snapshot());
@@ -1446,11 +1255,11 @@ mod tests {
         let grads: Vec<&[f32]> = keys.iter().map(|_| &g[..]).collect();
         for client in [&plain, &faulty] {
             let mut buf = [0.0f32; 4];
-            client.pull(ParamKey(3), &mut buf);
-            client.pull_batch(&keys, |_, _| {});
-            client.push(ParamKey(5), &g, &Sgd { lr: 0.1 });
-            client.push_batch(&keys, &grads, &Sgd { lr: 0.1 });
-            client.write_batch(&keys, &grads);
+            try_pull(client, ParamKey(3), &mut buf).unwrap();
+            pull_batch(client, &keys, |_, _| {});
+            try_push(client, ParamKey(5), &g, &Sgd { lr: 0.1 }).unwrap();
+            push_batch(client, &keys, &grads, &Sgd { lr: 0.1 });
+            write_batch(client, &keys, &grads);
         }
         assert_eq!(plain_meter.snapshot(), fault_meter.snapshot());
         assert_eq!(faulty.faults().unwrap().injector.stats().total_faults(), 0);
@@ -1468,7 +1277,7 @@ mod tests {
         let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone(), policy);
         let mut buf = [0.0f32; 4];
         // Key 1 is remote for worker 0.
-        let err = client.try_pull(ParamKey(1), &mut buf).unwrap_err();
+        let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
         assert_eq!(err, RpcError::Dropped { attempts: 3 });
         let s = meter.snapshot();
         let msg_bytes = 16 + 8;
@@ -1490,7 +1299,7 @@ mod tests {
             PsClient::new(0, topo, store, meter.clone()).with_faults(inj, RetryPolicy::default());
         let mut buf = [0.0f32; 4];
         // Key 0 is local for worker 0: delivered despite p = 1.
-        client.try_pull(ParamKey(0), &mut buf).unwrap();
+        try_pull(&client, ParamKey(0), &mut buf).unwrap();
         assert_eq!(meter.snapshot().local_messages, 1);
     }
 
@@ -1504,7 +1313,7 @@ mod tests {
         assert!(!client.shard_available(ParamKey(1)));
         assert!(client.shard_available(ParamKey(0)));
         let mut buf = [0.0f32; 4];
-        client.try_pull(ParamKey(1), &mut buf).unwrap();
+        try_pull(&client, ParamKey(1), &mut buf).unwrap();
         assert!(inj.now() >= 0.5, "client slept past the outage window");
         assert!(inj.stats().outage_refusals >= 1);
         assert_eq!(
@@ -1527,7 +1336,7 @@ mod tests {
         };
         let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj, policy);
         let mut buf = [0.0f32; 4];
-        let err = client.try_pull(ParamKey(1), &mut buf).unwrap_err();
+        let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
         assert_eq!(
             err,
             RpcError::ShardUnavailable {
@@ -1559,7 +1368,12 @@ mod tests {
         // Shard 0 is fine but shard 1 is down: all-or-nothing, so neither
         // gradient lands.
         let err = client
-            .try_push_batch(&[ParamKey(0), ParamKey(1)], &[&g, &g], &Sgd { lr: 1.0 })
+            .try_push_batch_with(
+                &[ParamKey(0), ParamKey(1)],
+                &[&g, &g],
+                &Sgd { lr: 1.0 },
+                &mut PsScratch::new(),
+            )
             .unwrap_err();
         assert!(matches!(err, RpcError::ShardUnavailable { shard: 1, .. }));
         let mut buf = [0.0f32; 4];
@@ -1579,7 +1393,7 @@ mod tests {
         let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone(), policy);
         let mut buf = [7.0f32; 4];
         // Key 1 is remote for worker 0.
-        let err = client.try_pull(ParamKey(1), &mut buf).unwrap_err();
+        let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
         assert_eq!(err, RpcError::CorruptPayload { attempts: 3 });
         assert_eq!(buf, [7.0; 4], "failed pull leaves the output untouched");
         let s = meter.snapshot();
@@ -1612,7 +1426,7 @@ mod tests {
             let mut clean = vec![0.0f32; width];
             store.pull(key, &mut clean);
             let mut got = vec![0.0f32; width];
-            client.try_pull(key, &mut got).unwrap();
+            try_pull(&client, key, &mut got).unwrap();
             let same = clean
                 .iter()
                 .zip(&got)
@@ -1639,7 +1453,7 @@ mod tests {
         let mut clean = [0.0f32; 4];
         store.pull(ParamKey(1), &mut clean);
         let mut got = [0.0f32; 4];
-        client.try_pull(ParamKey(1), &mut got).unwrap();
+        try_pull(&client, ParamKey(1), &mut got).unwrap();
         assert_ne!(
             clean.map(f32::to_bits),
             got.map(f32::to_bits),
@@ -1671,8 +1485,8 @@ mod tests {
             let keys: Vec<ParamKey> = (0..8).map(ParamKey).collect();
             let mut buf = [0.0f32; 4];
             for _ in 0..20 {
-                client.pull_batch(&keys, |_, _| {});
-                client.try_pull(ParamKey(1), &mut buf).unwrap();
+                pull_batch(&client, &keys, |_, _| {});
+                try_pull(&client, ParamKey(1), &mut buf).unwrap();
             }
             (meter.snapshot(), inj.stats())
         };
@@ -1680,76 +1494,7 @@ mod tests {
     }
 
     #[test]
-    fn split_pull_replays_the_same_rows_as_a_direct_pull() {
-        let (store, topo) = setup(2);
-        let meter = Arc::new(TrafficMeter::new());
-        let client = PsClient::new(0, topo, store, meter.clone());
-        let mut scratch = PsScratch::new();
-        // Mixed widths are fine: entities and a relation key.
-        let keys = [0u64, 3, 9, 1].map(ParamKey);
-        let mut direct = Vec::new();
-        client.pull_batch(&keys, |i, row| direct.push((i, row.to_vec())));
-        let before = meter.snapshot();
-        let mut rows = Vec::new();
-        let delta = client
-            .try_pull_batch_issue(&keys, &mut scratch, &mut rows)
-            .unwrap();
-        assert_eq!(
-            delta,
-            meter.snapshot().since(before),
-            "delta is the op's own traffic"
-        );
-        assert!(delta.total_bytes() > 0);
-        let mut replayed = Vec::new();
-        client.complete_pull_batch(&keys, &rows, |i, row| replayed.push((i, row.to_vec())));
-        assert_eq!(direct, replayed);
-    }
-
-    #[test]
-    fn refreshed_split_pull_observes_pushes_landed_after_issue() {
-        let (store, topo) = setup(2);
-        let meter = Arc::new(TrafficMeter::new());
-        let client = PsClient::new(0, topo, store, meter.clone());
-        let mut scratch = PsScratch::new();
-        let keys = [0u64, 3, 9].map(ParamKey);
-        let mut rows = Vec::new();
-        client
-            .try_pull_batch_issue(&keys, &mut scratch, &mut rows)
-            .unwrap();
-        // Another worker's push lands between issue and consume.
-        let g = [1.0f32; 4];
-        client.push_batch(&[ParamKey(3)], &[&g], &Sgd { lr: 1.0 });
-        let metered = meter.snapshot();
-        client.refresh_pull_batch(&keys, &mut rows);
-        assert_eq!(
-            meter.snapshot(),
-            metered,
-            "delivery of an issued pull is free"
-        );
-        // The refreshed rows match a direct pull at the consume point.
-        let mut direct = Vec::new();
-        client.pull_batch(&keys, |_, row| direct.extend_from_slice(row));
-        assert_eq!(
-            rows.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn metered_reports_exactly_one_ops_traffic() {
-        let (store, topo) = setup(2);
-        let meter = Arc::new(TrafficMeter::new());
-        let client = PsClient::new(0, topo, store, meter.clone());
-        let keys: Vec<ParamKey> = (0..5).map(ParamKey).collect();
-        client.pull_batch(&keys, |_, _| {}); // unrelated earlier traffic
-        let before = meter.snapshot();
-        let ((), delta) = client.metered(|c| c.pull_batch(&keys, |_, _| {}));
-        assert_eq!(delta, meter.snapshot().since(before));
-        assert_eq!(delta.local_messages + delta.remote_messages, 2);
-    }
-
-    #[test]
-    fn push_batch_rows_matches_the_slice_based_push() {
+    fn push_batch_slice_adapter_matches_the_rows_push() {
         let (store_a, topo) = setup(2);
         let (store_b, _) = setup(2);
         let meter_a = Arc::new(TrafficMeter::new());
@@ -1760,13 +1505,15 @@ mod tests {
         let keys = [4u64, 1, 2, 4].map(ParamKey); // duplicate key included
         let grads: Vec<Vec<f32>> = (0..keys.len()).map(|i| vec![0.5 + i as f32; 4]).collect();
         let refs: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
-        a.push_batch_with(&keys, &refs, &Sgd { lr: 0.2 }, &mut scratch);
-        b.push_batch_rows(
+        a.try_push_batch_with(&keys, &refs, &Sgd { lr: 0.2 }, &mut scratch)
+            .unwrap();
+        b.try_push_batch_rows(
             &keys,
             |i| grads[i].as_slice(),
             &Sgd { lr: 0.2 },
             &mut scratch,
-        );
+        )
+        .unwrap();
         assert_eq!(meter_a.snapshot(), meter_b.snapshot());
         let mut all_a = Vec::new();
         store_a.for_each_row(|k, row| all_a.push((k, row.to_vec())));
@@ -1808,7 +1555,7 @@ mod tests {
             .with_faults(inj.clone(), RetryPolicy::default());
         let mut buf = [0.0f32; 4];
         // Key 1 routes to shard 1, dead from t=0: the pull must fail over.
-        client.try_pull(ParamKey(1), &mut buf).unwrap();
+        try_pull(&client, ParamKey(1), &mut buf).unwrap();
         assert_eq!(buf, marker, "promoted backup serves the caught-up value");
         let stats = inj.stats();
         assert_eq!(stats.promotions, 1);
@@ -1827,10 +1574,8 @@ mod tests {
             "catch-up traffic is metered on the replication lane"
         );
         // The new primary takes writes like any other shard.
-        client
-            .try_push(ParamKey(1), &[0.5; 4], &Sgd { lr: 1.0 })
-            .unwrap();
-        client.try_pull(ParamKey(1), &mut buf).unwrap();
+        try_push(&client, ParamKey(1), &[0.5; 4], &Sgd { lr: 1.0 }).unwrap();
+        try_pull(&client, ParamKey(1), &mut buf).unwrap();
         assert_eq!(buf, [6.5f32; 4]);
         assert_eq!(inj.stats().promotions, 1, "no second promotion");
     }
@@ -1846,7 +1591,7 @@ mod tests {
         let client =
             PsClient::new(0, topo, store, meter.clone()).with_faults(inj, RetryPolicy::default());
         let mut buf = [0.0f32; 4];
-        let err = client.try_pull(ParamKey(1), &mut buf).unwrap_err();
+        let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
         assert_eq!(err, RpcError::ShardLost { shard: 1 });
     }
 
@@ -1868,15 +1613,14 @@ mod tests {
         let client = PsClient::new(0, topo, store, meter.clone())
             .with_faults(inj.clone(), RetryPolicy::default());
         let mut buf = [0.0f32; 4];
-        let calm = client
-            .metered(|c| c.try_pull(ParamKey(1), &mut buf).unwrap())
-            .1;
+        try_pull(&client, ParamKey(1), &mut buf).unwrap();
         assert_eq!(
-            calm.replication_bytes, 0,
+            meter.snapshot().replication_bytes,
+            0,
             "unperturbed pulls never hedge: the observed/predicted ratio is 1"
         );
         for _ in 0..40 {
-            client.try_pull(ParamKey(1), &mut buf).unwrap();
+            try_pull(&client, ParamKey(1), &mut buf).unwrap();
         }
         let stats = inj.stats();
         assert!(stats.slow_messages > 0, "the episode was entered");
@@ -1927,7 +1671,7 @@ mod tests {
             .with_overload(ctl.clone());
         let mut buf = [0.0f32; 4];
         for _ in 0..20 {
-            client.try_pull(ParamKey(1), &mut buf).unwrap();
+            try_pull(&client, ParamKey(1), &mut buf).unwrap();
         }
         let s = inj.stats();
         assert!(s.overload_sheds > 0, "the queue filled and shed");
@@ -1957,13 +1701,11 @@ mod tests {
             .with_faults(inj.clone(), RetryPolicy::default())
             .with_overload(ctl);
         // Sheddable write, dry budget: typed error, immediately.
-        let err = client
-            .try_push(ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 })
-            .unwrap_err();
+        let err = try_push(&client, ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 }).unwrap_err();
         assert!(matches!(err, RpcError::Overloaded { shard: 1, .. }));
         // Required read, dry budget: waits for relief instead of erroring.
         let mut buf = [0.0f32; 4];
-        client.try_pull(ParamKey(1), &mut buf).unwrap();
+        try_pull(&client, ParamKey(1), &mut buf).unwrap();
         let s = inj.stats();
         assert!(s.retries_denied >= 2, "both ops saw a dry budget");
         assert_eq!(s.retries, 0, "nothing was retried on credit");
@@ -1986,25 +1728,21 @@ mod tests {
             .with_overload(ctl.clone());
         // First push: shed at the queue, which trips the breaker; the next
         // gate check fails fast with the typed error.
-        let err = client
-            .try_push(ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 })
-            .unwrap_err();
+        let err = try_push(&client, ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 }).unwrap_err();
         assert!(matches!(err, RpcError::Overloaded { shard: 1, .. }));
         assert!(client.breaker_tripped(1));
         assert!(!client.shard_healthy(ParamKey(1)));
         assert!(client.shard_healthy(ParamKey(0)), "shard 0 unaffected");
         // Second push hits the open breaker without even reaching the queue.
         let before = inj.stats().overload_sheds;
-        let err = client
-            .try_push(ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 })
-            .unwrap_err();
+        let err = try_push(&client, ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 }).unwrap_err();
         assert!(matches!(err, RpcError::Overloaded { shard: 1, .. }));
         assert_eq!(inj.stats().overload_sheds, before, "fast fail sent nothing");
         assert!(inj.stats().breaker_fast_fails > 0);
         // A required pull sleeps out the cooldown, probes, and closes the
         // breaker (the window has ended by then).
         let mut buf = [0.0f32; 4];
-        client.try_pull(ParamKey(1), &mut buf).unwrap();
+        try_pull(&client, ParamKey(1), &mut buf).unwrap();
         let br = ctl.breakers.as_ref().unwrap();
         assert!(br.opens() >= 1, "Closed -> Open happened");
         assert_eq!(br.half_opens(), 1, "Open -> HalfOpen probe");
@@ -2027,7 +1765,7 @@ mod tests {
             }
             let mut buf = [0.0f32; 4];
             for _ in 0..30 {
-                client.try_pull(ParamKey(1), &mut buf).unwrap();
+                try_pull(&client, ParamKey(1), &mut buf).unwrap();
             }
             inj.stats()
         };
@@ -2074,9 +1812,9 @@ mod tests {
             let grads: Vec<&[f32]> = keys.iter().map(|_| &g[..]).collect();
             let mut buf = [0.0f32; 4];
             for _ in 0..10 {
-                client.pull_batch(&keys, |_, _| {});
-                client.try_pull(ParamKey(1), &mut buf).unwrap();
-                client.push_batch(&keys, &grads, &Sgd { lr: 0.1 });
+                pull_batch(&client, &keys, |_, _| {});
+                try_pull(&client, ParamKey(1), &mut buf).unwrap();
+                push_batch(&client, &keys, &grads, &Sgd { lr: 0.1 });
             }
             let mut rows = Vec::new();
             store.for_each_row(|k, row| {
@@ -2100,7 +1838,7 @@ mod tests {
             let mut buf = [0.0f32; 4];
             for round in 0..20 {
                 for &k in &keys {
-                    client.try_pull(k, &mut buf).unwrap();
+                    try_pull(&client, k, &mut buf).unwrap();
                 }
                 let g = vec![0.01 * (round as f32 + 1.0); 4];
                 let refs: Vec<&[f32]> = keys.iter().map(|_| g.as_slice()).collect();
@@ -2193,9 +1931,7 @@ mod tests {
         store.store(key, &[0.0; 4]);
         let g = [0.013f32, -0.027, 0.0031, 0.009];
         for _ in 0..200 {
-            client
-                .try_push_with(key, &g, &Sgd { lr: 1.0 }, &mut scratch)
-                .unwrap();
+            try_push_with(&client, key, &g, &Sgd { lr: 1.0 }, &mut scratch).unwrap();
         }
         let mut buf = [0.0f32; 4];
         store.pull(key, &mut buf);
@@ -2223,9 +1959,7 @@ mod tests {
         let key = ParamKey(0);
         store.store(key, &[0.0; 4]);
         let g = [0.5f32, -0.01, 0.02, -0.003];
-        client
-            .try_push_with(key, &g, &Sgd { lr: 1.0 }, &mut scratch)
-            .unwrap();
+        try_push_with(&client, key, &g, &Sgd { lr: 1.0 }, &mut scratch).unwrap();
         let mut buf = [0.0f32; 4];
         store.pull(key, &mut buf);
         let nonzero = buf.iter().filter(|v| **v != 0.0).count();
@@ -2239,7 +1973,7 @@ mod tests {
     }
 
     #[test]
-    fn single_key_push_with_scratch_matches_fresh_calls() {
+    fn one_key_batches_with_reused_scratch_match_fresh_calls() {
         let (store_a, topo) = setup(2);
         let (store_b, _) = setup(2);
         let meter_a = Arc::new(TrafficMeter::new());
@@ -2250,15 +1984,13 @@ mod tests {
         let g = [0.25f32, -0.5, 0.125, 0.0625];
         for round in 0..5 {
             for k in [1u64, 0, 3, 9].map(ParamKey) {
-                a.push(k, &g, &Sgd { lr: 0.1 });
-                b.try_push_with(k, &g, &Sgd { lr: 0.1 }, &mut scratch)
-                    .unwrap();
+                try_push(&a, k, &g, &Sgd { lr: 0.1 }).unwrap();
+                try_push_with(&b, k, &g, &Sgd { lr: 0.1 }, &mut scratch).unwrap();
             }
             let mut ra = [0.0f32; 4];
             let mut rb = [0.0f32; 4];
-            a.pull(ParamKey(round), &mut ra);
-            b.try_pull_with(ParamKey(round), &mut rb, &mut scratch)
-                .unwrap();
+            try_pull(&a, ParamKey(round), &mut ra).unwrap();
+            try_pull_with(&b, ParamKey(round), &mut rb, &mut scratch).unwrap();
             assert_eq!(ra, rb);
         }
         assert_eq!(meter_a.snapshot(), meter_b.snapshot());
@@ -2283,10 +2015,10 @@ mod tests {
             let g = [0.1f32; 4];
             let grads: Vec<&[f32]> = keys.iter().map(|_| &g[..]).collect();
             for _ in 0..4 {
-                client.push_batch_with(&keys, &grads, &Sgd { lr: 0.1 }, &mut scratch);
                 client
-                    .try_push_with(ParamKey(2), &g, &Sgd { lr: 0.1 }, &mut scratch)
+                    .try_push_batch_with(&keys, &grads, &Sgd { lr: 0.1 }, &mut scratch)
                     .unwrap();
+                try_push_with(&client, ParamKey(2), &g, &Sgd { lr: 0.1 }, &mut scratch).unwrap();
             }
             assert!(scratch.compression_stats().is_none());
             let mut rows = Vec::new();

@@ -1,10 +1,10 @@
-//! Typed failures for the PS client and the async push server, plus the
-//! retry policy the client wraps around a fault injector.
+//! Typed failures for the PS client, plus the retry policy the client wraps
+//! around a fault injector.
 //!
 //! Without a fault injector attached every [`PsClient`](crate::PsClient)
-//! call is infallible (the store is in-process memory); these types only
-//! surface once simulated faults are in play — or, for [`ServerGone`], when
-//! the [`AsyncServer`](crate::AsyncServer) consumer thread has died.
+//! call over the simulated transport succeeds (the store is in-process
+//! memory); these errors only surface once simulated faults are in play, or
+//! when a socket transport maps a timeout or a dead peer onto them.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,8 +48,6 @@ pub enum RpcError {
         /// Send attempts made before the budget/breaker cut the loop.
         attempts: u32,
     },
-    /// The async push server's consumer thread is gone.
-    ServerGone,
 }
 
 impl fmt::Display for RpcError {
@@ -73,31 +71,11 @@ impl fmt::Display for RpcError {
                     "shard {shard} overloaded after {attempts} attempts: retry budget dry, degrade instead"
                 )
             }
-            RpcError::ServerGone => write!(f, "ps server thread is gone"),
         }
     }
 }
 
 impl std::error::Error for RpcError {}
-
-impl From<ServerGone> for RpcError {
-    fn from(_: ServerGone) -> Self {
-        RpcError::ServerGone
-    }
-}
-
-/// The async push server's consumer thread has exited (store panic or
-/// earlier shutdown); the queued operation was not applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerGone;
-
-impl fmt::Display for ServerGone {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ps server thread is gone")
-    }
-}
-
-impl std::error::Error for ServerGone {}
 
 /// Bounded retries with exponential backoff and seeded jitter, all in
 /// simulated time.
@@ -215,8 +193,6 @@ mod tests {
             RpcError::ShardLost { shard: 1 }.to_string(),
             "shard 1 lost: primary dead, no backup to promote"
         );
-        assert_eq!(RpcError::from(ServerGone), RpcError::ServerGone);
-        assert_eq!(ServerGone.to_string(), "ps server thread is gone");
     }
 
     #[test]

@@ -160,9 +160,11 @@ fn batched_path_is_traffic_and_state_identical_to_per_key_path() {
                 .collect();
 
             let mut new_rows: Vec<Vec<u32>> = Vec::new();
-            client.pull_batch_with(&keys, &mut scratch, |_, row| {
-                new_rows.push(row.iter().map(|v| v.to_bits()).collect());
-            });
+            client
+                .try_pull_batch_with(&keys, &mut scratch, |_, row| {
+                    new_rows.push(row.iter().map(|v| v.to_bits()).collect());
+                })
+                .unwrap();
             let mut old_rows: Vec<Vec<u32>> = Vec::new();
             reference.pull_batch(&keys, |_, row| {
                 old_rows.push(row.iter().map(|v| v.to_bits()).collect());
@@ -183,7 +185,9 @@ fn batched_path_is_traffic_and_state_identical_to_per_key_path() {
                 })
                 .collect();
             let grad_refs: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
-            client.push_batch_with(&keys, &grad_refs, &opt, &mut scratch);
+            client
+                .try_push_batch_with(&keys, &grad_refs, &opt, &mut scratch)
+                .unwrap();
             reference.push_batch(&keys, &grad_refs, &opt);
 
             // Occasional block write, PBG-style (entity keys only, all the
@@ -197,7 +201,9 @@ fn batched_path_is_traffic_and_state_identical_to_per_key_path() {
                     .map(|(i, _)| (0..DIM).map(|d| i as f32 * 0.5 + d as f32).collect())
                     .collect();
                 let val_refs: Vec<&[f32]> = vals.iter().map(|v| v.as_slice()).collect();
-                client.write_batch_with(&wkeys, &val_refs, &mut scratch);
+                client
+                    .try_write_batch_with(&wkeys, &val_refs, &mut scratch)
+                    .unwrap();
                 reference.write_batch(&wkeys, &val_refs);
             }
         }

@@ -5,7 +5,7 @@
 use hetkg_embed::init::Init;
 use hetkg_kgraph::{KeySpace, ParamKey};
 use hetkg_netsim::{ClusterTopology, CostModel, FaultInjector, FaultPlan, TrafficMeter};
-use hetkg_ps::{KvStore, PsClient, RetryPolicy, RpcError, ShardRouter};
+use hetkg_ps::{KvStore, PsClient, PsScratch, RetryPolicy, RpcError, ShardRouter};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -33,6 +33,13 @@ fn lossy_client(
     let client = PsClient::new(0, ClusterTopology::new(2, 1), store, meter.clone())
         .with_faults(inj.clone(), policy);
     (client, inj, meter)
+}
+
+/// A single-key pull: a one-key batch.
+fn pull_one(client: &PsClient, key: ParamKey, out: &mut [f32]) -> Result<(), RpcError> {
+    client.try_pull_batch_with(&[key], &mut PsScratch::new(), |_, row| {
+        out.copy_from_slice(row)
+    })
 }
 
 proptest! {
@@ -94,7 +101,7 @@ proptest! {
         let mut buf = [0.0f32; 4];
         // Key 1 lives on shard 1: remote for worker 0, so it transits the
         // faulty link on every attempt.
-        let err = client.try_pull(ParamKey(1), &mut buf).unwrap_err();
+        let err = pull_one(&client, ParamKey(1), &mut buf).unwrap_err();
         prop_assert_eq!(err, RpcError::Dropped { attempts: max_attempts });
         prop_assert_eq!(meter.snapshot().remote_messages, max_attempts as u64);
         let stats = inj.stats();
@@ -118,7 +125,7 @@ proptest! {
             for i in 0..pulls {
                 // Odd keys are remote for worker 0 under round-robin.
                 let key = ParamKey((2 * i as u64 + 1) % 8);
-                client.try_pull(key, &mut buf).unwrap();
+                pull_one(&client, key, &mut buf).unwrap();
             }
             (inj.stats(), meter.snapshot())
         };

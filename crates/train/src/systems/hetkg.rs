@@ -51,7 +51,9 @@
 
 use crate::batch::BatchResult;
 use crate::plan::BatchPlan;
-use crate::worker::{EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop};
+use crate::worker::{
+    retries_exhausted, EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop,
+};
 use hetkg_core::filter::filter_hot_set;
 use hetkg_core::metrics::CacheStats;
 use hetkg_core::policy::{subgraph_accesses, CachePolicy, PolicyKind};
@@ -250,11 +252,12 @@ impl HetKgWorker {
             let fresh = &self.fresh;
             self.ctx
                 .client
-                .pull_batch_with(fresh, &mut self.ctx.ps, |i, row| {
+                .try_pull_batch_with(fresh, &mut self.ctx.ps, |i, row| {
                     table
                         .insert(fresh[i], row)
                         .expect("capacity covers the hot set");
-                });
+                })
+                .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
             let delta = self.ctx.meter.snapshot().since(before);
             self.ctx.post_comm(delta, 0.0);
         }
@@ -358,7 +361,7 @@ impl HetKgWorker {
                     self.backlog.insert(k, g);
                 }
             }
-            Err(other) => panic!("backlog replay failed after retries: {other}"),
+            Err(other) => retries_exhausted("backlog replay", other),
         }
     }
 
@@ -435,7 +438,7 @@ impl HetKgWorker {
                     }
                 }
             }
-            Err(other) => panic!("ps push_batch failed after retries: {other}"),
+            Err(other) => retries_exhausted("push_batch", other),
         }
         if deferred > 0 || shed > 0 {
             if let Some(f) = self.ctx.client.faults() {
@@ -565,7 +568,7 @@ impl HetKgWorker {
         let mut max_div = 0.0f64;
         let mut div_sum = 0.0f64;
         let mut div_samples = 0u64;
-        client.pull_batch_with(combined, &mut self.ctx.ps, |i, row| {
+        let pulled = client.try_pull_batch_with(combined, &mut self.ctx.ps, |i, row| {
             if i < miss_count {
                 ws.row_mut(miss_slots[i]).copy_from_slice(row);
             } else {
@@ -583,6 +586,7 @@ impl HetKgWorker {
                 table.refresh(combined[i], row);
             }
         });
+        pulled.unwrap_or_else(|e| retries_exhausted("pull_batch", e));
         self.epoch_divergence = self.epoch_divergence.max(max_div);
         self.epoch_div_sum += div_sum;
         self.epoch_div_samples += div_samples;
@@ -636,9 +640,9 @@ impl HetKgWorker {
 
     /// Consume the batch staged during the previous iteration. Hit values
     /// are copied from the cache *now* — after the previous push applied
-    /// its local updates — the early pull's delivery is refreshed to the
-    /// server's current rows (free: its frames were metered at issue
-    /// time), and the late misses are pulled now, so every value matches
+    /// its local updates — the early misses receive the server's current
+    /// rows (free: their frames were metered at issue time), and the late
+    /// misses are pulled now, so every value matches
     /// the sequential schedule bit for bit; only the early misses'
     /// network time has already been spent (and overlapped). Returns the
     /// timeline completion of the batch's pull.
@@ -990,6 +994,52 @@ mod tests {
             w.epoch_div_samples > 0,
             "periodic sync must still fire at iteration P"
         );
+    }
+
+    /// A CPS worker standing at its first sync point (iteration `P`), with
+    /// every cached key's global row set to the cached value.
+    fn in_sync_at_the_sync_point() -> (HetKgWorker, Vec<ParamKey>) {
+        let mut w = build(PolicyKind::Cps, 200);
+        for _ in 0..4 {
+            w.one_iteration();
+        }
+        assert!(w.sync.is_sync_iteration(w.iteration));
+        assert_eq!(w.epoch_div_samples, 0, "no sync has run yet");
+        let keys: Vec<ParamKey> = w.table.iter_keys().collect();
+        assert!(!keys.is_empty());
+        for &k in &keys {
+            w.ctx.client.store().store(k, w.table.get(k).unwrap());
+        }
+        (w, keys)
+    }
+
+    #[test]
+    fn sync_measures_divergence_before_refreshing_the_cache() {
+        let (mut w, keys) = in_sync_at_the_sync_point();
+        // One global row moves on by distance 5 (a 3-4-5 step).
+        let store = w.ctx.client.store().clone();
+        let mut moved = w.table.get(keys[0]).unwrap().to_vec();
+        moved[0] += 3.0;
+        moved[1] += 4.0;
+        store.store(keys[0], &moved);
+        w.resolve_now(false);
+        assert_eq!(w.epoch_div_samples, keys.len() as u64);
+        assert!((w.epoch_divergence - 5.0).abs() < 1e-5);
+        assert!((w.epoch_div_sum - 5.0).abs() < 1e-5);
+        // And the rows are now the server's.
+        let mut global = [0.0f32; 8];
+        for &k in &keys {
+            store.pull(k, &mut global);
+            assert_eq!(w.table.get(k).unwrap(), global);
+        }
+    }
+
+    #[test]
+    fn in_sync_cache_has_zero_divergence() {
+        let (mut w, keys) = in_sync_at_the_sync_point();
+        w.resolve_now(false);
+        assert_eq!(w.epoch_div_samples, keys.len() as u64);
+        assert_eq!(w.epoch_divergence, 0.0);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! its communication on the critical path.
 
 use crate::batch::WorkingSet;
-use crate::worker::{EpochRun, WorkerCtx, WorkerEpochStats, WorkerLoop};
+use crate::worker::{retries_exhausted, EpochRun, WorkerCtx, WorkerEpochStats, WorkerLoop};
 use hetkg_core::prefetch::MiniBatch;
 use hetkg_embed::negative::{CorruptSlot, Negative};
 use hetkg_kgraph::{EntityId, ParamKey, Triple};
@@ -248,15 +248,17 @@ impl PbgWorker {
             let ws = &mut self.ctx.ws;
             self.ctx
                 .client
-                .pull_batch_with(&entity_keys, &mut self.ctx.ps, |i, row| {
+                .try_pull_batch_with(&entity_keys, &mut self.ctx.ps, |i, row| {
                     ws.insert(entity_keys[i], row)
-                });
+                })
+                .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
             let rel_keys = &self.relation_keys;
             self.ctx
                 .client
-                .pull_batch_with(rel_keys, &mut self.ctx.ps, |i, row| {
+                .try_pull_batch_with(rel_keys, &mut self.ctx.ps, |i, row| {
                     ws.insert(rel_keys[i], row)
-                });
+                })
+                .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
         }
         let load_delta = self.ctx.meter.snapshot().since(before);
         // `ready` carries the completion time of the comm event the next
@@ -321,12 +323,15 @@ impl PbgWorker {
             // every RELATION_PUSH_INTERVAL batches and at bucket end.
             if batches_since_push >= RELATION_PUSH_INTERVAL || ci + 1 == num_chunks {
                 let before = self.ctx.meter.snapshot();
-                self.ctx.client.push_batch_rows(
-                    &self.relation_keys,
-                    |i| &rel_grads[i * rel_dim..(i + 1) * rel_dim],
-                    self.ctx.optimizer.as_ref(),
-                    &mut self.ctx.ps,
-                );
+                self.ctx
+                    .client
+                    .try_push_batch_rows(
+                        &self.relation_keys,
+                        |i| &rel_grads[i * rel_dim..(i + 1) * rel_dim],
+                        self.ctx.optimizer.as_ref(),
+                        &mut self.ctx.ps,
+                    )
+                    .unwrap_or_else(|e| retries_exhausted("push_batch", e));
                 let push_delta = self.ctx.meter.snapshot().since(before);
                 // The push carries this chunk's gradients; the re-pull
                 // follows it on the comm lane and gates the next chunk.
@@ -340,9 +345,10 @@ impl PbgWorker {
                     let rel_keys = &self.relation_keys;
                     self.ctx
                         .client
-                        .pull_batch_with(rel_keys, &mut self.ctx.ps, |i, row| {
+                        .try_pull_batch_with(rel_keys, &mut self.ctx.ps, |i, row| {
                             ws.insert(rel_keys[i], row)
-                        });
+                        })
+                        .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
                 }
                 let repull_delta = self.ctx.meter.snapshot().since(before);
                 ready = self.ctx.post_comm(repull_delta, 0.0);
@@ -356,7 +362,8 @@ impl PbgWorker {
             let values: Vec<&[f32]> = entity_keys.iter().map(|&k| self.ctx.ws.get(k)).collect();
             self.ctx
                 .client
-                .write_batch_with(&entity_keys, &values, &mut self.ctx.ps);
+                .try_write_batch_with(&entity_keys, &values, &mut self.ctx.ps)
+                .unwrap_or_else(|e| retries_exhausted("write_batch", e));
         }
         let save_delta = self.ctx.meter.snapshot().since(before);
         self.ctx.post_comm(save_delta, last_compute_end);

@@ -10,7 +10,7 @@ use hetkg_netsim::{
     CompressionMode, CompressionStats, CostModel, Lane, Timeline, TrafficMeter, TrafficSnapshot,
 };
 use hetkg_ps::optimizer::Optimizer;
-use hetkg_ps::{PsClient, PsScratch};
+use hetkg_ps::{PsClient, PsScratch, RpcError};
 use std::sync::Arc;
 
 /// What one worker reports for one epoch.
@@ -45,6 +45,14 @@ pub struct WorkerEpochStats {
     /// makespan of the worker's comm and compute lanes under the pipelined
     /// schedule. Zero when overlap accounting is disabled.
     pub critical_path_secs: f64,
+}
+
+/// What every training loop does when a PS operation it cannot train
+/// without still fails after the client's retries: stop the run. A push an
+/// overloaded shard shed is not that case — the HET-KG worker defers those
+/// into its backlog before anything reaches this.
+pub(crate) fn retries_exhausted(op: &str, err: RpcError) -> ! {
+    panic!("ps {op} failed after retries: {err}")
 }
 
 /// Everything a worker needs regardless of system.
@@ -148,8 +156,8 @@ impl WorkerCtx {
     }
 
     /// Select the push-path compression mode. The compressor lives in this
-    /// worker's [`PsScratch`], so every push this worker issues — batched,
-    /// single-key, or backlog flush — threads through it without further
+    /// worker's [`PsScratch`], so every push this worker issues — a batch's
+    /// gradients or a backlog flush — threads through it without further
     /// plumbing. [`CompressionMode::Off`] leaves pushes dense.
     pub fn with_compression(mut self, mode: CompressionMode) -> Self {
         self.ps.set_compression(mode);
@@ -172,9 +180,11 @@ impl WorkerCtx {
         debug_assert_eq!(keys.len(), slots.len());
         let before = self.meter.snapshot();
         let ws = &mut self.ws;
-        self.client.pull_batch_with(keys, &mut self.ps, |i, row| {
-            ws.row_mut(slots[i]).copy_from_slice(row)
-        });
+        self.client
+            .try_pull_batch_with(keys, &mut self.ps, |i, row| {
+                ws.row_mut(slots[i]).copy_from_slice(row)
+            })
+            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
         self.meter.snapshot().since(before)
     }
 
@@ -200,12 +210,14 @@ impl WorkerCtx {
         self.push_keys.clear();
         self.push_keys
             .extend(slots.iter().map(|&s| grads.key_at(s)));
-        self.client.push_batch_rows(
-            &self.push_keys,
-            |i| grads.row_at(slots[i]),
-            self.optimizer.as_ref(),
-            &mut self.ps,
-        );
+        self.client
+            .try_push_batch_rows(
+                &self.push_keys,
+                |i| grads.row_at(slots[i]),
+                self.optimizer.as_ref(),
+                &mut self.ps,
+            )
+            .unwrap_or_else(|e| retries_exhausted("push_batch", e));
         self.grads.clear();
         self.meter.snapshot().since(before)
     }
@@ -285,11 +297,9 @@ impl WorkerCtx {
 /// traffic is bit-identical either way.
 #[derive(Debug, Default)]
 pub struct StagedPull {
-    /// Keys pulled ahead, their working-set slots, and their parked rows
-    /// (flat, key order).
+    /// Keys whose frames were sent ahead, and their working-set slots.
     early: Vec<ParamKey>,
     early_slots: Vec<u32>,
-    rows: Vec<f32>,
     /// Keys (and slots) pulled at consume time.
     late: Vec<ParamKey>,
     late_slots: Vec<u32>,
@@ -301,9 +311,11 @@ pub struct StagedPull {
 
 impl StagedPull {
     /// Split `keys` (each with the slot its row goes to) and, with
-    /// `pull_ahead`, issue the early frames now; without, every key waits
-    /// for [`StagedPull::deliver`] — the sequential schedule. The in-flight
-    /// batch is `ctx.scratch.plan`.
+    /// `pull_ahead`, issue the early frames now — for their traffic and
+    /// their slot on the comm lane only: the rows they carry are dropped,
+    /// because delivery happens at [`StagedPull::deliver`]. Without
+    /// `pull_ahead` every key waits for `deliver` — the sequential
+    /// schedule. The in-flight batch is `ctx.scratch.plan`.
     pub fn stage(
         &mut self,
         ctx: &mut WorkerCtx,
@@ -337,13 +349,16 @@ impl StagedPull {
         if self.early.is_empty() {
             return;
         }
-        match client.try_pull_batch_issue(&self.early, &mut ctx.ps, &mut self.rows) {
-            Ok(delta) => self.pull_end = ctx.post_comm(delta, 0.0),
+        let before = ctx.meter.snapshot();
+        match client.try_pull_batch_with(&self.early, &mut ctx.ps, |_, _| {}) {
+            Ok(()) => {
+                let delta = ctx.meter.snapshot().since(before);
+                self.pull_end = ctx.post_comm(delta, 0.0);
+            }
             Err(_) => {
                 // Unreachable when the trainer gates overlap on inert fault
                 // plans; if a caller enables both anyway, fall back to
                 // pulling these keys at consume time.
-                self.rows.clear();
                 self.late.append(&mut self.early);
                 self.late_slots.append(&mut self.early_slots);
             }
@@ -351,20 +366,17 @@ impl StagedPull {
     }
 
     /// Deliver the staged rows into the working set (already laid out for
-    /// the batch): the early pull's delivery is refreshed to the server's
-    /// current rows — free, its frames were metered at issue time — and the
-    /// late keys are pulled now, after the previous push, so every value
-    /// matches the sequential schedule bit for bit. Returns the timeline
-    /// completion of the whole pull.
+    /// the batch): each early key's slot receives the server's *current*
+    /// row — free, its frame was metered at issue time — and the late keys
+    /// are pulled now, after the previous push, so every value matches the
+    /// sequential schedule bit for bit even when other workers pushed
+    /// between issue and delivery. Returns the timeline completion of the
+    /// whole pull.
     pub fn deliver(&mut self, ctx: &mut WorkerCtx) -> f64 {
         let mut pull_end = self.pull_end;
-        if !self.early.is_empty() {
-            ctx.client.refresh_pull_batch(&self.early, &mut self.rows);
-            let (ws, slots) = (&mut ctx.ws, &self.early_slots);
-            ctx.client
-                .complete_pull_batch(&self.early, &self.rows, |i, row| {
-                    ws.row_mut(slots[i]).copy_from_slice(row);
-                });
+        let store = ctx.client.store();
+        for (&k, &slot) in self.early.iter().zip(&self.early_slots) {
+            store.pull(k, ctx.ws.row_mut(slot));
         }
         if !self.late.is_empty() {
             let delta = ctx.pull_into_ws(&self.late, &self.late_slots);
@@ -447,13 +459,19 @@ mod tests {
     use hetkg_core::prefetch::MiniBatch;
     use hetkg_embed::init::Init;
     use hetkg_embed::ModelKind;
-    use hetkg_netsim::ClusterTopology;
+    use hetkg_netsim::{ClusterTopology, FaultInjector, FaultPlan};
     use hetkg_ps::optimizer::Sgd;
-    use hetkg_ps::{KvStore, ShardRouter};
+    use hetkg_ps::{KvStore, RetryPolicy, ShardRouter};
 
     fn ctx() -> WorkerCtx {
+        ctx_on(1).0
+    }
+
+    /// Worker 0's context on a `machines`-shard store, and the store (so a
+    /// test can attach another worker's client to it).
+    fn ctx_on(machines: usize) -> (WorkerCtx, Arc<KvStore>) {
         let ks = KeySpace::new(10, 2);
-        let router = ShardRouter::round_robin(ks, 1);
+        let router = ShardRouter::round_robin(ks, machines);
         let store = Arc::new(KvStore::new(
             router,
             4,
@@ -463,13 +481,18 @@ mod tests {
             1,
         ));
         let meter = Arc::new(TrafficMeter::new());
-        let client = PsClient::new(0, ClusterTopology::new(1, 1), store, meter.clone());
+        let client = PsClient::new(
+            0,
+            ClusterTopology::new(machines, 1),
+            store.clone(),
+            meter.clone(),
+        );
         let subgraph = vec![
             Triple::new(0, 0, 1),
             Triple::new(1, 1, 2),
             Triple::new(2, 0, 3),
         ];
-        WorkerCtx::new(
+        let ctx = WorkerCtx::new(
             0,
             subgraph,
             ks,
@@ -479,17 +502,32 @@ mod tests {
             LossKind::Logistic,
             Arc::new(Sgd { lr: 0.1 }),
             2,
-        )
+        );
+        (ctx, store)
     }
 
-    /// Pull entity `keys` into a working set holding exactly them.
-    fn pull(c: &mut WorkerCtx, keys: &[ParamKey]) -> TrafficSnapshot {
+    /// A working set holding exactly `keys` (all rows are 4 wide here),
+    /// zeroed, and the slots in key order.
+    fn lay_out(c: &mut WorkerCtx, keys: &[ParamKey]) -> Vec<u32> {
         c.ws.clear();
         for &k in keys {
             c.ws.insert(k, &[0.0; 4]);
         }
-        let slots: Vec<u32> = (0..keys.len() as u32).collect();
+        (0..keys.len() as u32).collect()
+    }
+
+    /// Pull `keys` into a working set holding exactly them.
+    fn pull(c: &mut WorkerCtx, keys: &[ParamKey]) -> TrafficSnapshot {
+        let slots = lay_out(c, keys);
         c.pull_into_ws(keys, &slots)
+    }
+
+    /// The working set's rows in slot order, bit for bit.
+    fn ws_bits(c: &WorkerCtx, slots: &[u32]) -> Vec<Vec<u32>> {
+        slots
+            .iter()
+            .map(|&s| c.ws.row(s).iter().map(|v| v.to_bits()).collect())
+            .collect()
     }
 
     #[test]
@@ -513,11 +551,136 @@ mod tests {
         assert_eq!(c.ws.len(), 3);
         let mut want = [0.0f32; 4];
         for (slot, &k) in keys.iter().enumerate() {
-            c.client.pull(k, &mut want);
+            c.client
+                .try_pull_batch_with(&[k], &mut PsScratch::new(), |_, row| {
+                    want.copy_from_slice(row)
+                })
+                .unwrap();
             assert_eq!(c.ws.row(slot as u32), want);
             assert_eq!(c.ws.get(k), want);
         }
         assert!(c.meter.snapshot().total_bytes() > 0);
+    }
+
+    #[test]
+    fn staged_pull_delivers_the_same_rows_as_a_direct_pull() {
+        let (mut c, _) = ctx_on(2);
+        // Mixed kinds are fine: entities on both shards and a relation key.
+        let keys = [0u64, 3, 10, 1].map(ParamKey);
+        let unsplit = pull(&mut c, &keys);
+        let slots: Vec<u32> = (0..keys.len() as u32).collect();
+        let direct = ws_bits(&c, &slots);
+
+        lay_out(&mut c, &keys);
+        let before = c.meter.snapshot();
+        let mut staged = StagedPull::default();
+        // Nothing is in flight, so every frame goes ahead.
+        let pairs = keys.iter().copied().zip(slots.iter().copied());
+        staged.stage(&mut c, pairs, true);
+        assert_eq!(staged.early, keys);
+        assert!(staged.late.is_empty());
+        let issued = c.meter.snapshot();
+        assert_eq!(issued.since(before), unsplit, "the frames transit at stage");
+        assert!(unsplit.total_bytes() > 0);
+        staged.deliver(&mut c);
+        assert_eq!(
+            c.meter.snapshot(),
+            issued,
+            "delivery of an issued pull is free"
+        );
+        assert_eq!(ws_bits(&c, &slots), direct);
+    }
+
+    #[test]
+    fn staged_pull_observes_pushes_landed_between_stage_and_deliver() {
+        let (mut c, store) = ctx_on(2);
+        let other = PsClient::new(
+            1,
+            ClusterTopology::new(2, 1),
+            store,
+            Arc::new(TrafficMeter::new()),
+        );
+        // In flight: entities 0 and 2 (shard 0) and relation 0.
+        let batch = MiniBatch {
+            positives: vec![Triple::new(0, 0, 2)],
+            negatives: vec![],
+        };
+        c.scratch.plan.compile(&batch, c.key_space, 4, 4);
+        // Key 0 is shared with the in-flight batch, so shard 0's frame
+        // waits; shard 1's (keys 1 and 3) goes ahead.
+        let keys = [1u64, 0, 3, 4].map(ParamKey);
+        assert_ne!(c.client.shard_of(keys[0]), c.client.shard_of(keys[1]));
+        let slots = lay_out(&mut c, &keys);
+        let before = c.meter.snapshot();
+        let mut staged = StagedPull::default();
+        let pairs = keys.iter().copied().zip(slots.iter().copied());
+        staged.stage(&mut c, pairs, true);
+        assert_eq!(staged.early, [ParamKey(1), ParamKey(3)]);
+        assert_eq!(staged.late, [ParamKey(0), ParamKey(4)]);
+        // Another worker's push lands between stage and deliver, on an
+        // early key and on a late one.
+        let g = [1.0f32; 4];
+        other
+            .try_push_batch_with(
+                &[ParamKey(3), ParamKey(4)],
+                &[&g, &g],
+                &Sgd { lr: 1.0 },
+                &mut PsScratch::new(),
+            )
+            .unwrap();
+        staged.deliver(&mut c);
+        let split = c.meter.snapshot().since(before);
+        let delivered = ws_bits(&c, &slots);
+        // A sequential pull at the deliver point: same rows, and early +
+        // late frames are exactly its frames.
+        let unsplit = pull(&mut c, &keys);
+        assert_eq!(delivered, ws_bits(&c, &slots));
+        assert_eq!(split, unsplit);
+    }
+
+    /// `c` with shard 1 down until simulated second 1 and a client that
+    /// gives up instead of waiting the outage out.
+    fn with_shard_1_down(mut c: WorkerCtx) -> (WorkerCtx, Arc<FaultInjector>) {
+        let inj = Arc::new(FaultInjector::new(
+            FaultPlan::shard_outage(0, 1, 0.0, 1.0),
+            CostModel::gigabit(),
+            0,
+        ));
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            wait_for_recovery: false,
+            ..RetryPolicy::default()
+        };
+        c.client = c.client.with_faults(inj.clone(), policy);
+        (c, inj)
+    }
+
+    #[test]
+    fn failed_early_pull_falls_back_to_pulling_at_delivery() {
+        let (c, _) = ctx_on(2);
+        let (mut c, inj) = with_shard_1_down(c);
+        let keys = [1u64, 0, 3].map(ParamKey);
+        let slots = lay_out(&mut c, &keys);
+        let mut staged = StagedPull::default();
+        let pairs = keys.iter().copied().zip(slots.iter().copied());
+        staged.stage(&mut c, pairs, true);
+        assert!(staged.early.is_empty(), "the refused frames are not early");
+        assert_eq!(staged.late, keys);
+        assert_eq!(staged.late_slots, slots);
+        // The shard is back by the time the batch is consumed.
+        inj.advance(2.0);
+        staged.deliver(&mut c);
+        let delivered = ws_bits(&c, &slots);
+        pull(&mut c, &keys);
+        assert_eq!(delivered, ws_bits(&c, &slots));
+    }
+
+    #[test]
+    #[should_panic(expected = "ps pull_batch failed after retries: shard 1 unavailable")]
+    fn a_pull_that_exhausts_its_retries_stops_the_run() {
+        let (c, _) = ctx_on(2);
+        let (mut c, _) = with_shard_1_down(c);
+        pull(&mut c, &[ParamKey(1)]);
     }
 
     #[test]

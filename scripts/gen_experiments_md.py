@@ -94,12 +94,6 @@ PAPER = {
         "number of workers, especially in a low bandwidth network environment' — the "
         "cache's benefit should grow as bandwidth shrinks (no figure; motivating claim)."
     ),
-    "serving": (
-        "No serving figure in the paper — this is the inference-side form of §III-C's "
-        "skew argument: the hotness statistic that makes the training cache effective "
-        "makes a read-path admission cache effective too (generated by "
-        "`scripts/bench_serving.sh`, not the repro harness)."
-    ),
     "wallclock-arena": (
         "Table I / Fig. 7 decompose a worker's step into embedding computation "
         "plus network. Not a paper experiment: the wall-clock of this repo's own "
@@ -114,7 +108,7 @@ ORDER = [
     "table1", "fig2", "table3", "table4", "table5", "fig5", "fig6", "fig7",
     "fig8a", "fig8b", "fig8c", "fig9", "table6", "table7",
     "partition-ablation", "negsample-ablation", "divergence", "bandwidth-sweep",
-    "serving", "wallclock-arena",
+    "wallclock-arena",
 ]
 
 

@@ -15,7 +15,7 @@
 use het_kg::embed::init::Init;
 use het_kg::netsim::TrafficMeter;
 use het_kg::prelude::*;
-use het_kg::ps::{ProcessCluster, PsClient, ShardServerConfig, SocketMode};
+use het_kg::ps::{ProcessCluster, PsClient, PsScratch, ShardServerConfig, SocketMode};
 use het_kg::train_sys::trainer;
 use std::path::Path;
 use std::sync::Arc;
@@ -132,7 +132,9 @@ fn dead_servers_surface_typed_rpc_errors() {
     .with_transport(transport);
     let mut row = [0.0f32; 4];
     let err = client
-        .try_pull(ParamKey(0), &mut row)
+        .try_pull_batch_with(&[ParamKey(0)], &mut PsScratch::new(), |_, r| {
+            row.copy_from_slice(r)
+        })
         .expect_err("pull against killed servers must fail");
     // The exact variant depends on how fast the OS tears the listener down
     // (refused vs reset vs timeout); what matters is a typed error with a
