@@ -11,7 +11,6 @@
 
 use hetkg_kgraph::{KeySpace, ParamKey};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Configuration for hot-set selection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,20 +73,41 @@ impl HotSet {
 /// Algorithm 2: count frequencies in `accesses`, sort descending, keep the
 /// top-k under `config`'s capacity and split rules. Ties break toward lower
 /// key ids, so the result is deterministic.
+///
+/// Keys are dense ids below `key_space.len()`, so the count is an array
+/// indexed by key (one zeroed word per key, no hashing per access); keys
+/// are collected the first time they are seen.
 pub fn filter_hot_set(accesses: &[ParamKey], key_space: KeySpace, config: &FilterConfig) -> HotSet {
-    let mut counts: HashMap<ParamKey, u64> = HashMap::new();
+    let mut counts = vec![0u32; key_space.len()];
+    let mut seen: Vec<ParamKey> = Vec::new();
     for &k in accesses {
-        *counts.entry(k).or_insert(0) += 1;
+        let c = &mut counts[k.index()];
+        if *c == 0 {
+            seen.push(k);
+        }
+        *c += 1;
     }
     let mut entities: Vec<(ParamKey, u64)> = Vec::new();
     let mut relations: Vec<(ParamKey, u64)> = Vec::new();
-    for (&k, &c) in &counts {
+    for k in seen {
+        let c = u64::from(counts[k.index()]);
         if key_space.is_entity(k) {
             entities.push((k, c));
         } else {
             relations.push((k, c));
         }
     }
+    select_hot_set(entities, relations, key_space, config)
+}
+
+/// The selection half of Algorithm 2, over per-key counts in any order
+/// (the sort is by a total order, so the input order does not matter).
+fn select_hot_set(
+    mut entities: Vec<(ParamKey, u64)>,
+    mut relations: Vec<(ParamKey, u64)>,
+    key_space: KeySpace,
+    config: &FilterConfig,
+) -> HotSet {
     let by_freq_desc = |a: &(ParamKey, u64), b: &(ParamKey, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
     entities.sort_by(by_freq_desc);
     relations.sort_by(by_freq_desc);
@@ -138,6 +158,72 @@ pub fn filter_hot_set(accesses: &[ParamKey], key_space: KeySpace, config: &Filte
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// The counting this module had before the key-indexed array: a SipHash
+    /// map, an insert per access. Kept as the oracle the array count is
+    /// pinned against; no runtime path uses it.
+    fn filter_hot_set_hashed(
+        accesses: &[ParamKey],
+        key_space: KeySpace,
+        config: &FilterConfig,
+    ) -> HotSet {
+        let mut counts: HashMap<ParamKey, u64> = HashMap::new();
+        for &k in accesses {
+            *counts.entry(k).or_insert(0) += 1;
+        }
+        let (entities, relations) = counts
+            .into_iter()
+            .partition(|&(k, _)| key_space.is_entity(k));
+        select_hot_set(entities, relations, key_space, config)
+    }
+
+    #[test]
+    fn array_count_selects_exactly_what_the_hash_map_count_did() {
+        // A skewed, tie-heavy access list over a few hundred keys, under
+        // every split rule and around every capacity edge.
+        let ks = KeySpace::new(300, 12);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut accesses = Vec::new();
+        for _ in 0..6000 {
+            let r = next();
+            // Squaring a uniform draw skews toward low ids; ties abound.
+            let u = (r % 1000) as f64 / 1000.0;
+            let key = if r % 5 == 0 {
+                300 + ((u * u * 12.0) as u64).min(11)
+            } else {
+                ((u * u * 300.0) as u64).min(299)
+            };
+            accesses.push(ParamKey(key));
+        }
+        for capacity in [0, 1, 7, 12, 13, 100, 311, 312, 400] {
+            for config in [
+                FilterConfig::paper_default(capacity),
+                FilterConfig::naive(capacity),
+                FilterConfig {
+                    capacity,
+                    entity_fraction: 0.9,
+                    heterogeneity_aware: true,
+                },
+            ] {
+                assert_eq!(
+                    filter_hot_set(&accesses, ks, &config),
+                    filter_hot_set_hashed(&accesses, ks, &config),
+                    "{config:?}"
+                );
+            }
+        }
+        assert_eq!(
+            filter_hot_set(&[], ks, &FilterConfig::paper_default(8)),
+            filter_hot_set_hashed(&[], ks, &FilterConfig::paper_default(8)),
+        );
+    }
 
     /// Accesses where relation keys (10, 11) are far hotter than entities.
     fn skewed_accesses(ks: KeySpace) -> Vec<ParamKey> {

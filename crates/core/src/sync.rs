@@ -2,15 +2,19 @@
 //!
 //! A cached row drifts from its global replica as other workers keep pushing
 //! gradients to the PS. The synchronization algorithm bounds that drift:
-//! every `P` iterations the worker pulls the latest version of *all* cached
-//! keys from the PS and refreshes the table. `P` is therefore the staleness
-//! bound of §IV-C's convergence analysis — Fig. 8b sweeps it, Fig. 9 shows
-//! divergence when it is too large.
+//! every `P` iterations the worker brings *all* cached rows up to date with
+//! the PS. `P` is therefore the staleness bound of §IV-C's convergence
+//! analysis — Fig. 8b sweeps it, Fig. 9 shows divergence when it is too
+//! large.
 //!
-//! This module holds the schedule and the staleness book-keeping. The pull
-//! itself is the HET-KG worker's: a sync iteration's refresh rides in the
-//! same metered PS request as that iteration's misses, which is also where
-//! cache-vs-global divergence is measured.
+//! This module holds the schedule and the staleness book-keeping. The
+//! exchange itself is the HET-KG worker's, and it is a pull-if-newer: the
+//! worker sends the server version each cached row is held under and gets
+//! back only the rows whose version moved — an unchanged row is
+//! bit-identical to the cached copy, so it is confirmed current without
+//! being re-sent. The request rides in the same metered PS message as that
+//! iteration's misses, which is also where cache-vs-global divergence is
+//! measured.
 
 use serde::{Deserialize, Serialize};
 

@@ -9,10 +9,19 @@
 //! apply gradients to cached rows locally between synchronizations (the
 //! "update the corresponding gradients to the involved hot-embeddings" step
 //! of Hot-Embedding Oriented Training).
+//!
+//! Each slot also remembers two things the synchronization (Alg. 3) runs
+//! on: the *server version* its bits were received under — or [`NO_VERSION`]
+//! once a local gradient has moved them away from what the server sent —
+//! and the iteration at which the row was last *confirmed current*
+//! (received, or found to still match the server's version). The first
+//! makes a sync a pull-if-newer; the second turns §IV-C's staleness bound
+//! into something a read can assert.
 
 use hetkg_embed::storage::EmbeddingTable;
 use hetkg_kgraph::{KeySpace, ParamKey};
 use hetkg_ps::optimizer::Optimizer;
+use hetkg_ps::NO_VERSION;
 use std::collections::HashMap;
 
 /// One kind's rows: a dense slab, the optimizer state beside it, and the
@@ -26,6 +35,11 @@ struct Slab {
     keys: Vec<ParamKey>,
     rows: EmbeddingTable,
     state: EmbeddingTable,
+    /// Per occupied slot (parallel to `keys`): the server version the row's
+    /// bits were received under, and the iteration it was last confirmed
+    /// current at.
+    versions: Vec<u32>,
+    confirmed: Vec<usize>,
 }
 
 impl Slab {
@@ -36,6 +50,8 @@ impl Slab {
             keys: Vec::with_capacity(capacity),
             rows: EmbeddingTable::zeros(capacity, dim),
             state: EmbeddingTable::zeros(capacity, (dim * state_width).max(1)),
+            versions: Vec::with_capacity(capacity),
+            confirmed: Vec::with_capacity(capacity),
         }
     }
 
@@ -44,7 +60,13 @@ impl Slab {
         self.slots.get(&key).map(|&s| self.rows.row(s as usize))
     }
 
-    fn insert(&mut self, key: ParamKey, row: &[f32]) -> Result<(), CacheFull> {
+    fn insert(
+        &mut self,
+        key: ParamKey,
+        row: &[f32],
+        version: u32,
+        now: usize,
+    ) -> Result<(), CacheFull> {
         let slot = match self.slots.get(&key) {
             Some(&slot) => slot as usize,
             None if self.keys.len() >= self.capacity => return Err(CacheFull { key }),
@@ -52,6 +74,8 @@ impl Slab {
                 let slot = self.keys.len();
                 self.slots.insert(key, slot as u32);
                 self.keys.push(key);
+                self.versions.push(NO_VERSION);
+                self.confirmed.push(0);
                 slot
             }
         };
@@ -59,13 +83,22 @@ impl Slab {
         // insert() means "fresh cache entry": optimizer state restarts too
         // (refresh() is the value-only update).
         self.state.row_mut(slot).fill(0.0);
+        self.versions[slot] = version;
+        self.confirmed[slot] = now;
         Ok(())
     }
 
-    fn refresh(&mut self, key: ParamKey, row: &[f32]) -> bool {
+    /// `now`: the iteration this refresh confirms the row current at;
+    /// `None` leaves the confirmation where it was.
+    fn refresh(&mut self, key: ParamKey, row: &[f32], version: u32, now: Option<usize>) -> bool {
         match self.slots.get(&key) {
             Some(&slot) => {
-                self.rows.set_row(slot as usize, row);
+                let slot = slot as usize;
+                self.rows.set_row(slot, row);
+                self.versions[slot] = version;
+                if let Some(now) = now {
+                    self.confirmed[slot] = now;
+                }
                 true
             }
             None => false,
@@ -84,6 +117,8 @@ impl Slab {
                 let row = self.rows.row_mut(slot as usize);
                 let width = row.len() * state_width;
                 optimizer.update(row, &mut self.state.row_mut(slot as usize)[..width], grad);
+                // The bits are no longer the ones the server sent.
+                self.versions[slot as usize] = NO_VERSION;
                 true
             }
             None => false,
@@ -109,12 +144,25 @@ impl Slab {
                 self.slots.insert(self.keys[slot], slot as u32);
             }
             self.keys.pop();
+            self.versions.swap_remove(slot);
+            self.confirmed.swap_remove(slot);
         }
     }
 
     fn clear(&mut self) {
         self.slots.clear();
         self.keys.clear();
+        self.versions.clear();
+        self.confirmed.clear();
+    }
+
+    /// `(key, held version, confirmed-at)` per occupied slot, in slot order.
+    fn held(&self) -> impl Iterator<Item = (ParamKey, u32, usize)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.versions)
+            .zip(&self.confirmed)
+            .map(|((&k, &v), &c)| (k, v, c))
     }
 }
 
@@ -205,15 +253,69 @@ impl HotEmbeddingTable {
     }
 
     /// Insert (or overwrite) a key's row, with fresh optimizer state. Fails
-    /// when the kind's slab is full and the key is not already cached.
+    /// when the kind's slab is full and the key is not already cached. The
+    /// row is held under no version: the next sync fetches it whatever the
+    /// server says ([`HotEmbeddingTable::insert_at`] remembers one).
     pub fn insert(&mut self, key: ParamKey, row: &[f32]) -> Result<(), CacheFull> {
-        self.slab_mut(key).insert(key, row)
+        self.insert_at(key, row, NO_VERSION, 0)
+    }
+
+    /// [`HotEmbeddingTable::insert`] of a row the server sent under
+    /// `version` at iteration `now`.
+    pub fn insert_at(
+        &mut self,
+        key: ParamKey,
+        row: &[f32],
+        version: u32,
+        now: usize,
+    ) -> Result<(), CacheFull> {
+        self.slab_mut(key).insert(key, row, version, now)
     }
 
     /// Overwrite a cached key's value (e.g. during synchronization).
-    /// Returns false when the key is not cached.
+    /// Returns false when the key is not cached. Like
+    /// [`HotEmbeddingTable::insert`], forgets the version the row was held
+    /// under ([`HotEmbeddingTable::refresh_at`] remembers the new one).
     pub fn refresh(&mut self, key: ParamKey, row: &[f32]) -> bool {
-        self.slab_mut(key).refresh(key, row)
+        self.slab_mut(key).refresh(key, row, NO_VERSION, None)
+    }
+
+    /// [`HotEmbeddingTable::refresh`] with a row the server sent under
+    /// `version` at iteration `now`.
+    pub fn refresh_at(&mut self, key: ParamKey, row: &[f32], version: u32, now: usize) -> bool {
+        self.slab_mut(key).refresh(key, row, version, Some(now))
+    }
+
+    /// The server still reports the version `key`'s row is held under: the
+    /// cached bits are current as of iteration `now`. Returns false when
+    /// the key is not cached.
+    pub fn confirm(&mut self, key: ParamKey, now: usize) -> bool {
+        let slab = self.slab_mut(key);
+        match slab.slots.get(&key) {
+            Some(&slot) => {
+                slab.confirmed[slot as usize] = now;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The server version `key`'s cached bits were received under;
+    /// [`NO_VERSION`] when they were inserted without one or a local
+    /// gradient has moved them since. `None` when the key is not cached.
+    pub fn held_version(&self, key: ParamKey) -> Option<u32> {
+        let slab = self.slab(key);
+        slab.slots.get(&key).map(|&s| slab.versions[s as usize])
+    }
+
+    /// Iterations since `key`'s row was last confirmed current (received
+    /// from the server, or found to match its version), as of iteration
+    /// `now` — the staleness §IV-C bounds by `P`. `None` when not cached.
+    pub fn age(&self, key: ParamKey, now: usize) -> Option<usize> {
+        let slab = self.slab(key);
+        slab.slots
+            .get(&key)
+            .map(|&s| now.saturating_sub(slab.confirmed[s as usize]))
     }
 
     /// Apply a gradient to a cached row with `optimizer`, using the row's
@@ -249,9 +351,11 @@ impl HotEmbeddingTable {
             .copied()
     }
 
-    /// [`HotEmbeddingTable::iter_keys`], collected.
-    pub fn keys(&self) -> Vec<ParamKey> {
-        self.iter_keys().collect()
+    /// Every cached key with the version it is held under and the
+    /// iteration it was last confirmed current at, in
+    /// [`HotEmbeddingTable::iter_keys`] order.
+    pub fn iter_held(&self) -> impl Iterator<Item = (ParamKey, u32, usize)> + '_ {
+        self.entities.held().chain(self.relations.held())
     }
 
     /// Number of cached entity rows.
@@ -407,7 +511,7 @@ mod tests {
         t.insert(ParamKey(5), &[5.0; 4]).unwrap();
         t.insert(ParamKey(6), &[6.0; 4]).unwrap();
         assert!(t.insert(ParamKey(7), &[7.0; 4]).is_err());
-        let mut keys = t.keys();
+        let mut keys: Vec<ParamKey> = t.iter_keys().collect();
         keys.sort();
         assert_eq!(keys, [1u64, 3, 5, 6, 11].map(ParamKey));
         assert_eq!(t.get(ParamKey(3)).unwrap(), before[1].as_slice());
@@ -417,13 +521,73 @@ mod tests {
     }
 
     #[test]
-    fn keys_lists_everything() {
+    fn iter_keys_lists_everything() {
         let mut t = table();
         t.insert(ParamKey(1), &[0.0; 4]).unwrap();
         t.insert(ParamKey(12), &[0.0; 4]).unwrap();
-        let mut keys = t.keys();
-        keys.sort();
+        let keys: Vec<ParamKey> = t.iter_keys().collect();
         assert_eq!(keys, vec![ParamKey(1), ParamKey(12)]);
+    }
+
+    #[test]
+    fn slots_remember_version_and_confirmation() {
+        let mut t = table();
+        assert_eq!(t.held_version(ParamKey(1)), None);
+        assert_eq!(t.age(ParamKey(1), 9), None);
+        // Unversioned inserts and refreshes hold no version.
+        t.insert(ParamKey(1), &[1.0; 4]).unwrap();
+        assert_eq!(t.held_version(ParamKey(1)), Some(NO_VERSION));
+        t.insert_at(ParamKey(2), &[2.0; 4], 7, 16).unwrap();
+        assert_eq!(t.held_version(ParamKey(2)), Some(7));
+        assert_eq!(t.age(ParamKey(2), 16), Some(0));
+        assert_eq!(t.age(ParamKey(2), 24), Some(8));
+        // A version match confirms without touching bits or version.
+        assert!(t.confirm(ParamKey(2), 24));
+        assert_eq!(t.age(ParamKey(2), 24), Some(0));
+        assert_eq!(t.held_version(ParamKey(2)), Some(7));
+        assert_eq!(t.get(ParamKey(2)).unwrap(), &[2.0; 4]);
+        assert!(!t.confirm(ParamKey(5), 24));
+        // A versioned refresh replaces all three.
+        assert!(t.refresh_at(ParamKey(2), &[3.0; 4], 9, 32));
+        assert_eq!(t.held_version(ParamKey(2)), Some(9));
+        assert_eq!(t.age(ParamKey(2), 33), Some(1));
+        // A local gradient moves the bits off what the server sent; the
+        // confirmation time stays (it measures staleness, not dirtiness).
+        t.apply_grad(ParamKey(2), &[1.0; 4], &Sgd { lr: 0.5 });
+        assert_eq!(t.held_version(ParamKey(2)), Some(NO_VERSION));
+        assert_eq!(t.age(ParamKey(2), 33), Some(1));
+        // The unversioned refresh forgets the version, keeps the time.
+        t.refresh_at(ParamKey(2), &[3.0; 4], 11, 40);
+        t.refresh(ParamKey(2), &[4.0; 4]);
+        assert_eq!(t.held_version(ParamKey(2)), Some(NO_VERSION));
+        assert_eq!(t.age(ParamKey(2), 41), Some(1));
+        let held: Vec<_> = t.iter_held().collect();
+        assert_eq!(
+            held,
+            [(ParamKey(1), NO_VERSION, 0), (ParamKey(2), NO_VERSION, 40)]
+        );
+    }
+
+    #[test]
+    fn retain_moves_version_and_confirmation_with_the_row() {
+        let mut t = HotEmbeddingTable::new(KeySpace::new(10, 5), 4, 2, 4, 4, 1);
+        for k in 0u64..4 {
+            t.insert_at(ParamKey(k), &[k as f32; 4], 100 + k as u32, 10 + k as usize)
+                .unwrap();
+        }
+        t.insert_at(ParamKey(12), &[12.0; 4], 112, 22).unwrap();
+        // Evicting slot 0 and 1 moves the last rows into the holes.
+        t.retain(|k| k.0 >= 2);
+        for k in [2u64, 3, 12] {
+            assert_eq!(t.get(ParamKey(k)).unwrap(), &[k as f32; 4]);
+            assert_eq!(t.held_version(ParamKey(k)), Some(100 + k as u32));
+            assert_eq!(t.age(ParamKey(k), 30), Some(20 - k as usize));
+        }
+        assert_eq!(t.iter_held().count(), 3);
+        t.clear();
+        assert_eq!(t.iter_held().count(), 0);
+        t.insert(ParamKey(0), &[0.0; 4]).unwrap();
+        assert_eq!(t.held_version(ParamKey(0)), Some(NO_VERSION));
     }
 
     #[test]

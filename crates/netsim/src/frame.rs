@@ -2,8 +2,10 @@
 //!
 //! Every metered PS message is modeled as one [`WireFrame`]: the key ids it
 //! addresses plus the dense f32 payload (embedding rows on pull, gradients
-//! on push). The sender seals the frame with a 32-bit word-parallel digest
-//! over both; the receiver re-computes it and rejects the frame on mismatch
+//! on push) and, on a pull-if-newer exchange, an update version for each key
+//! asked about conditionally.
+//! The sender seals the frame with a 32-bit word-parallel digest over all
+//! of it; the receiver re-computes it and rejects the frame on mismatch
 //! instead of ingesting garbage.
 //!
 //! The 4-byte digest rides inside the per-message envelope already priced
@@ -71,15 +73,19 @@ fn absorb_keys(lanes: &mut [u32; DIGEST_LANES], keys: &[u64]) {
     }
 }
 
-/// Fold the lanes in a fixed order, mix in the two section lengths (so a
-/// word cannot move across the key/payload boundary, and trailing zeros are
-/// not free), and finish with an avalanche. Every step is a bijection of
-/// the running state, so a difference confined to one lane survives to the
-/// result.
+/// Fold the lanes in a fixed order, mix in the section lengths (so a word
+/// cannot move across a section boundary, and trailing zeros are not free),
+/// and finish with an avalanche. Every step is a bijection of the running
+/// state, so a difference confined to one lane survives to the result. The
+/// version count joins only when there are versions: a frame without them
+/// digests exactly as it did before frames could carry any.
 #[inline]
-fn fold(lanes: [u32; DIGEST_LANES], keys: usize, body: usize) -> u32 {
+fn fold(lanes: [u32; DIGEST_LANES], keys: usize, versions: usize, body: usize) -> u32 {
     let mut h = lanes.iter().fold(DIGEST_SEEDS[0], |h, &l| mix(h, l));
     h = mix(h, keys as u32);
+    if versions > 0 {
+        h = mix(h, versions as u32);
+    }
     h = mix(h, body as u32);
     h ^= h >> 16;
     h = h.wrapping_mul(0x85EB_CA6B);
@@ -93,19 +99,24 @@ fn fold(lanes: [u32; DIGEST_LANES], keys: usize, body: usize) -> u32 {
 /// transports can seal key-only request messages without allocating a
 /// throwaway frame.
 pub fn frame_digest(keys: &[u64], payload: &[f32]) -> u32 {
-    digest(keys, payload)
+    digest(keys, &[], payload)
 }
 
 /// Word-wise, [`DIGEST_LANES`]-lane digest of a dense frame: key halves,
-/// then the payload's `f32::to_bits` words, each section starting at lane 0.
+/// the row versions, then the payload's `f32::to_bits` words, each section
+/// starting at lane 0.
 ///
 /// A single flipped bit changes exactly one word, hence exactly one lane,
 /// and [`mix`]/[`fold`] are bijections of the state they update — so every
 /// single-bit flip changes the digest with certainty, not with probability
 /// 1 − 2⁻³².
-fn digest(keys: &[u64], payload: &[f32]) -> u32 {
+fn digest(keys: &[u64], versions: &[u32], payload: &[f32]) -> u32 {
     let mut lanes = DIGEST_SEEDS;
     absorb_keys(&mut lanes, keys);
+    for (i, &v) in versions.iter().enumerate() {
+        let lane = i % DIGEST_LANES;
+        lanes[lane] = mix(lanes[lane], v);
+    }
     let rounds = payload.chunks_exact(DIGEST_LANES);
     let rest = rounds.remainder();
     for c in rounds {
@@ -116,7 +127,7 @@ fn digest(keys: &[u64], payload: &[f32]) -> u32 {
     for (lane, v) in lanes.iter_mut().zip(rest) {
         *lane = mix(*lane, v.to_bits());
     }
-    fold(lanes, keys.len(), payload.len())
+    fold(lanes, keys.len(), versions.len(), payload.len())
 }
 
 /// Digest for an encoded (compressed) frame: the key ids, the codec tag
@@ -140,7 +151,7 @@ fn digest_encoded(keys: &[u64], tag: u8, encoded: &[u8]) -> u32 {
         word[..w.len()].copy_from_slice(w);
         *lane = mix(*lane, u32::from_le_bytes(word));
     }
-    fold(lanes, keys.len(), encoded.len())
+    fold(lanes, keys.len(), 0, encoded.len())
 }
 
 /// One PS message: key ids plus either a dense f32 payload (the legacy
@@ -148,6 +159,11 @@ fn digest_encoded(keys: &[u64], tag: u8, encoded: &[u8]) -> u32 {
 /// checksum at send time. The checksum is computed once over the clean
 /// wire contents; transit corruption mutates `keys`/`payload`/`encoded`
 /// but not the seal, so [`verify`](WireFrame::verify) catches it.
+///
+/// A pull-if-newer exchange also carries `versions`, which belong to the
+/// *last* `versions.len()` keys: the versions the worker holds on the way
+/// out (keys before them are pulled unconditionally), the returned rows'
+/// new versions on the way back. Every other frame has none.
 ///
 /// For encoded frames only `keys` + `encoded` cross the (simulated) wire:
 /// `payload` is client-side staging that the receiver reconstructs by
@@ -163,6 +179,9 @@ pub struct WireFrame {
     pub payload: Vec<f32>,
     /// Compressed payload bytes (empty for dense frames).
     pub encoded: Vec<u8>,
+    /// Row update versions of the last `versions.len()` keys on a
+    /// pull-if-newer frame, else empty. Dense frames only.
+    pub versions: Vec<u32>,
     codec: Codec,
     checksum: u32,
 }
@@ -171,11 +190,19 @@ impl WireFrame {
     /// Seal a dense frame: compute the digest over the clean keys and
     /// payload. Bit-identical to the pre-compression wire format.
     pub fn seal(keys: Vec<u64>, payload: Vec<f32>) -> Self {
-        let checksum = digest(&keys, &payload);
+        Self::seal_versioned(keys, Vec::new(), payload)
+    }
+
+    /// Seal a dense pull-if-newer frame: `versions` belong to the last
+    /// `versions.len()` keys, and the digest covers them like everything
+    /// else on the wire.
+    pub fn seal_versioned(keys: Vec<u64>, versions: Vec<u32>, payload: Vec<f32>) -> Self {
+        let checksum = digest(&keys, &versions, &payload);
         Self {
             keys,
             payload,
             encoded: Vec::new(),
+            versions,
             codec: Codec::Dense,
             checksum,
         }
@@ -192,6 +219,7 @@ impl WireFrame {
             keys,
             payload,
             encoded,
+            versions: Vec::new(),
             codec,
             checksum,
         }
@@ -205,6 +233,7 @@ impl WireFrame {
     /// the only intended caller.
     pub fn from_wire(
         keys: Vec<u64>,
+        versions: Vec<u32>,
         payload: Vec<f32>,
         encoded: Vec<u8>,
         codec: Codec,
@@ -214,6 +243,7 @@ impl WireFrame {
             keys,
             payload,
             encoded,
+            versions,
             codec,
             checksum,
         }
@@ -233,20 +263,26 @@ impl WireFrame {
     /// compare against the seal.
     pub fn verify(&self) -> bool {
         match self.codec {
-            Codec::Dense => digest(&self.keys, &self.payload) == self.checksum,
-            c => digest_encoded(&self.keys, c.tag(), &self.encoded) == self.checksum,
+            Codec::Dense => digest(&self.keys, &self.versions, &self.payload) == self.checksum,
+            // The encoded digest does not cover versions, so an encoded
+            // frame that claims any cannot be vouched for.
+            c => {
+                self.versions.is_empty()
+                    && digest_encoded(&self.keys, c.tag(), &self.encoded) == self.checksum
+            }
         }
     }
 
-    /// Metered size of this frame: 8 bytes per key id + the payload as it
-    /// crosses the wire (4 per f32 dense, or the encoded byte count). The
-    /// [`FRAME_CHECKSUM_BYTES`] digest is envelope overhead on top.
+    /// Metered size of this frame: 8 bytes per key id, 4 per version, and
+    /// the payload as it crosses the wire (4 per f32 dense, or the encoded
+    /// byte count). The [`FRAME_CHECKSUM_BYTES`] digest is envelope overhead
+    /// on top.
     pub fn wire_bytes(&self) -> u64 {
         let payload_bytes = match self.codec {
             Codec::Dense => self.payload.len() as u64 * 4,
             _ => self.encoded.len() as u64,
         };
-        self.keys.len() as u64 * 8 + payload_bytes
+        self.keys.len() as u64 * 8 + self.versions.len() as u64 * 4 + payload_bytes
     }
 
     /// Flip one bit chosen by `pattern` (a seeded draw from the fault
@@ -510,6 +546,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Versions ride in the same lanes as everything else: every single-bit
+    /// flip of a version word is caught with certainty, over every
+    /// lane-remainder shape, with and without a payload behind it.
+    #[test]
+    fn every_single_bit_flip_of_a_version_is_detected() {
+        for nkeys in 1..=17usize {
+            for nwords in [0usize, 5, 16] {
+                let base = dense_frame(nkeys, nwords);
+                let versions: Vec<u32> = (0..nkeys).map(|i| word(300 + i)).collect();
+                let clean = WireFrame::seal_versioned(base.keys, versions, base.payload);
+                assert!(clean.verify(), "{nkeys} keys, {nwords} words");
+                assert_eq!(
+                    clean.wire_bytes(),
+                    (nkeys * 12 + nwords * 4) as u64,
+                    "a version is 4 metered bytes"
+                );
+                for v in 0..nkeys {
+                    for bit in 0..32 {
+                        let mut f = clean.clone();
+                        f.versions[v] ^= 1 << bit;
+                        assert!(!f.verify(), "{nkeys}k {nwords}w: version {v} bit {bit}");
+                    }
+                }
+                // A key or payload flip is still caught with versions present.
+                let mut f = clean.clone();
+                f.keys[nkeys - 1] ^= 1 << 40;
+                assert!(!f.verify());
+            }
+        }
+    }
+
+    #[test]
+    fn versions_are_part_of_the_seal() {
+        let keys = vec![3u64, 9];
+        let rows = vec![0.5f32, -1.0];
+        let plain = WireFrame::seal(keys.clone(), rows.clone());
+        assert_eq!(plain.checksum(), frame_digest(&keys, &rows));
+        let versioned = WireFrame::seal_versioned(keys.clone(), vec![0, 0], rows.clone());
+        assert_ne!(
+            plain.checksum(),
+            versioned.checksum(),
+            "zero versions are not free"
+        );
+        let swapped = WireFrame::seal_versioned(keys.clone(), vec![2, 1], rows.clone());
+        let ordered = WireFrame::seal_versioned(keys.clone(), vec![1, 2], rows.clone());
+        assert_ne!(
+            swapped.checksum(),
+            ordered.checksum(),
+            "version order matters"
+        );
+        // Dropping the versions of a versioned frame does not verify, and an
+        // encoded frame cannot smuggle unverified versions.
+        let mut stripped = ordered.clone();
+        stripped.versions.clear();
+        assert!(!stripped.verify());
+        let mut smuggled = encoded_frame(Codec::Int8);
+        smuggled.versions.push(7);
+        assert!(!smuggled.verify());
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub use faults::{
     ShardLiveness, SlowEpisode, Verdict,
 };
 pub use frame::{WireFrame, FRAME_CHECKSUM_BYTES};
-pub use meter::{TrafficMeter, TrafficSnapshot};
+pub use meter::{Cause, CauseBytes, LaneBytes, TrafficMeter, TrafficSnapshot};
 pub use timeline::{Lane, Timeline};
 pub use topology::ClusterTopology;

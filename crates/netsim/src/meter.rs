@@ -4,14 +4,141 @@
 //! thread and any observer (the trainer's reporting loop) can share it via
 //! `Arc` without locks. [`TrafficSnapshot`] is a plain copy used in reports;
 //! snapshots subtract, so per-epoch traffic is `end − start`.
+//!
+//! Every worker-lane byte is recorded together with its [`Cause`] — there is
+//! no way to add to `local_bytes`/`remote_bytes` without one — so the
+//! per-cause split in [`TrafficSnapshot::by_cause`] sums to the lane totals
+//! exactly, by construction.
 
 use crate::cost::CostModel;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Why bytes crossed between a worker and the parameter server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// Rows a batch needed and the worker did not hold: cache misses, and
+    /// every pull of a system without a cache.
+    MissPull,
+    /// The request half of a hot-table sync: a key id and the held version
+    /// per cached row.
+    SyncProbe,
+    /// The response half of a hot-table sync: the rows whose version moved,
+    /// each with its key id and new version.
+    SyncRows,
+    /// Filling freshly selected hot-table slots (CPS once, DPS per rebuild).
+    Construction,
+    /// Gradient pushes.
+    Push,
+    /// Raw overwrites (PBG saving a partition back).
+    Write,
+}
+
+impl Cause {
+    /// Every cause, in report order.
+    pub const ALL: [Cause; 6] = [
+        Cause::MissPull,
+        Cause::SyncProbe,
+        Cause::SyncRows,
+        Cause::Construction,
+        Cause::Push,
+        Cause::Write,
+    ];
+
+    /// The cause's field name in [`CauseBytes`] (and in report JSON).
+    pub fn name(self) -> &'static str {
+        match self {
+            Cause::MissPull => "miss_pull",
+            Cause::SyncProbe => "sync_probe",
+            Cause::SyncRows => "sync_rows",
+            Cause::Construction => "construction",
+            Cause::Push => "push",
+            Cause::Write => "write",
+        }
+    }
+}
+
+/// One cause's bytes on the two worker lanes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LaneBytes {
+    /// Bytes moved through shared memory.
+    pub local: u64,
+    /// Bytes moved across machines.
+    pub remote: u64,
+}
+
+/// Worker-lane bytes split by [`Cause`]. Sums to the snapshot's
+/// `local_bytes` / `remote_bytes` exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CauseBytes {
+    /// [`Cause::MissPull`].
+    pub miss_pull: LaneBytes,
+    /// [`Cause::SyncProbe`].
+    pub sync_probe: LaneBytes,
+    /// [`Cause::SyncRows`].
+    pub sync_rows: LaneBytes,
+    /// [`Cause::Construction`].
+    pub construction: LaneBytes,
+    /// [`Cause::Push`].
+    pub push: LaneBytes,
+    /// [`Cause::Write`].
+    pub write: LaneBytes,
+}
+
+impl CauseBytes {
+    /// The bytes attributed to `cause`.
+    pub fn get(&self, cause: Cause) -> LaneBytes {
+        match cause {
+            Cause::MissPull => self.miss_pull,
+            Cause::SyncProbe => self.sync_probe,
+            Cause::SyncRows => self.sync_rows,
+            Cause::Construction => self.construction,
+            Cause::Push => self.push,
+            Cause::Write => self.write,
+        }
+    }
+
+    fn get_mut(&mut self, cause: Cause) -> &mut LaneBytes {
+        match cause {
+            Cause::MissPull => &mut self.miss_pull,
+            Cause::SyncProbe => &mut self.sync_probe,
+            Cause::SyncRows => &mut self.sync_rows,
+            Cause::Construction => &mut self.construction,
+            Cause::Push => &mut self.push,
+            Cause::Write => &mut self.write,
+        }
+    }
+
+    /// All causes added up — equal to the snapshot's lane totals.
+    pub fn total(&self) -> LaneBytes {
+        Cause::ALL.iter().fold(LaneBytes::default(), |acc, &c| {
+            let b = self.get(c);
+            LaneBytes {
+                local: acc.local + b.local,
+                remote: acc.remote + b.remote,
+            }
+        })
+    }
+
+    /// Combine two splits cause by cause, lane by lane.
+    fn zip_with(self, other: CauseBytes, f: impl Fn(u64, u64) -> u64) -> CauseBytes {
+        let mut out = CauseBytes::default();
+        for c in Cause::ALL {
+            let (a, b) = (self.get(c), other.get(c));
+            *out.get_mut(c) = LaneBytes {
+                local: f(a.local, b.local),
+                remote: f(a.remote, b.remote),
+            };
+        }
+        out
+    }
+}
+
 /// Atomic per-worker traffic counters.
 #[derive(Debug, Default)]
 pub struct TrafficMeter {
+    /// `by_cause[cause][lane]`, lane 0 local and 1 remote.
+    by_cause: [[AtomicU64; 2]; Cause::ALL.len()],
     local_bytes: AtomicU64,
     local_messages: AtomicU64,
     remote_bytes: AtomicU64,
@@ -29,18 +156,22 @@ impl TrafficMeter {
         Self::default()
     }
 
-    /// Record one local (shared-memory) transfer of `bytes`.
+    /// Record one worker↔PS message on the remote (cross-machine) or local
+    /// (shared-memory) lane, its bytes attributed cause by cause. One
+    /// message may serve two causes: a sync's request is
+    /// [`Cause::SyncProbe`], its response [`Cause::SyncRows`].
     #[inline]
-    pub fn record_local(&self, bytes: u64) {
-        self.local_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.local_messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one remote (cross-machine) transfer of `bytes`.
-    #[inline]
-    pub fn record_remote(&self, bytes: u64) {
-        self.remote_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.remote_messages.fetch_add(1, Ordering::Relaxed);
+    pub fn record(&self, remote: bool, parts: &[(Cause, u64)]) {
+        let (bytes, messages) = if remote {
+            (&self.remote_bytes, &self.remote_messages)
+        } else {
+            (&self.local_bytes, &self.local_messages)
+        };
+        for &(cause, n) in parts {
+            bytes.fetch_add(n, Ordering::Relaxed);
+            self.by_cause[cause as usize][usize::from(remote)].fetch_add(n, Ordering::Relaxed);
+        }
+        messages.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one primary→backup replication transfer of `bytes`. Kept on
@@ -67,7 +198,16 @@ impl TrafficMeter {
 
     /// Copy the current counters.
     pub fn snapshot(&self) -> TrafficSnapshot {
+        let mut by_cause = CauseBytes::default();
+        for c in Cause::ALL {
+            let [local, remote] = &self.by_cause[c as usize];
+            *by_cause.get_mut(c) = LaneBytes {
+                local: local.load(Ordering::Relaxed),
+                remote: remote.load(Ordering::Relaxed),
+            };
+        }
         TrafficSnapshot {
+            by_cause,
             local_bytes: self.local_bytes.load(Ordering::Relaxed),
             local_messages: self.local_messages.load(Ordering::Relaxed),
             remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
@@ -82,6 +222,9 @@ impl TrafficMeter {
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
+        for counter in self.by_cause.iter().flatten() {
+            counter.store(0, Ordering::Relaxed);
+        }
         self.local_bytes.store(0, Ordering::Relaxed);
         self.local_messages.store(0, Ordering::Relaxed);
         self.remote_bytes.store(0, Ordering::Relaxed);
@@ -122,6 +265,10 @@ pub struct TrafficSnapshot {
     /// Gradient-push frame count.
     #[serde(default)]
     pub push_messages: u64,
+    /// `local_bytes` and `remote_bytes` split by why they moved (all zero in
+    /// reports written before the split existed).
+    #[serde(default)]
+    pub by_cause: CauseBytes,
 }
 
 impl TrafficSnapshot {
@@ -160,6 +307,9 @@ impl TrafficSnapshot {
             push_wire_bytes: self.push_wire_bytes.saturating_sub(earlier.push_wire_bytes),
             push_raw_bytes: self.push_raw_bytes.saturating_sub(earlier.push_raw_bytes),
             push_messages: self.push_messages.saturating_sub(earlier.push_messages),
+            by_cause: self
+                .by_cause
+                .zip_with(earlier.by_cause, u64::saturating_sub),
         }
     }
 
@@ -175,6 +325,7 @@ impl TrafficSnapshot {
             push_wire_bytes: self.push_wire_bytes + other.push_wire_bytes,
             push_raw_bytes: self.push_raw_bytes + other.push_raw_bytes,
             push_messages: self.push_messages + other.push_messages,
+            by_cause: self.by_cause.zip_with(other.by_cause, |a, b| a + b),
         }
     }
 
@@ -202,9 +353,9 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let m = TrafficMeter::new();
-        m.record_local(100);
-        m.record_remote(200);
-        m.record_remote(300);
+        m.record(false, &[(Cause::MissPull, 100)]);
+        m.record(true, &[(Cause::MissPull, 200)]);
+        m.record(true, &[(Cause::Push, 300)]);
         let s = m.snapshot();
         assert_eq!(s.local_bytes, 100);
         assert_eq!(s.local_messages, 1);
@@ -213,12 +364,57 @@ mod tests {
     }
 
     #[test]
+    fn causes_sum_to_the_lane_totals_exactly() {
+        let m = TrafficMeter::new();
+        m.record(true, &[(Cause::MissPull, 520)]);
+        m.record(false, &[(Cause::Push, 40)]);
+        // One sync message, two causes: still one message.
+        m.record(true, &[(Cause::SyncProbe, 24), (Cause::SyncRows, 1072)]);
+        m.record(false, &[(Cause::Construction, 536)]);
+        m.record(true, &[(Cause::Write, 8)]);
+        let start = m.snapshot();
+        assert_eq!(start.remote_messages, 3);
+        assert_eq!(start.local_messages, 2);
+        assert_eq!(start.by_cause.sync_probe.remote, 24);
+        assert_eq!(start.by_cause.sync_rows.remote, 1072);
+        m.record(true, &[(Cause::SyncProbe, 12), (Cause::SyncRows, 0)]);
+        let end = m.snapshot();
+        for s in [start, end, end.since(start), start.merge(end)] {
+            let total = s.by_cause.total();
+            assert_eq!(total.local, s.local_bytes);
+            assert_eq!(total.remote, s.remote_bytes);
+        }
+        assert_eq!(end.since(start).by_cause.sync_probe.remote, 12);
+        assert_eq!(end.since(start).by_cause.total().remote, 12);
+        m.reset();
+        assert_eq!(m.snapshot(), TrafficSnapshot::default());
+    }
+
+    #[test]
+    fn snapshot_without_the_cause_split_still_loads() {
+        let json = r#"{"local_bytes":1,"local_messages":2,"remote_bytes":3,"remote_messages":4}"#;
+        let s: TrafficSnapshot = serde_json::from_str(json).unwrap();
+        assert_eq!(s.by_cause, CauseBytes::default());
+        // And the split round-trips under its report names.
+        let m = TrafficMeter::new();
+        m.record(true, &[(Cause::SyncRows, 9)]);
+        let json = serde_json::to_string(&m.snapshot()).unwrap();
+        assert!(
+            json.contains(r#""sync_rows":{"local":0,"remote":9}"#),
+            "{json}"
+        );
+        let back: TrafficSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, m.snapshot());
+        assert_eq!(Cause::SyncRows.name(), "sync_rows");
+    }
+
+    #[test]
     fn since_subtracts() {
         let m = TrafficMeter::new();
-        m.record_remote(100);
+        m.record(true, &[(Cause::MissPull, 100)]);
         let start = m.snapshot();
-        m.record_remote(250);
-        m.record_local(50);
+        m.record(true, &[(Cause::MissPull, 250)]);
+        m.record(false, &[(Cause::MissPull, 50)]);
         let delta = m.snapshot().since(start);
         assert_eq!(delta.remote_bytes, 250);
         assert_eq!(delta.remote_messages, 1);
@@ -232,11 +428,11 @@ mod tests {
     #[test]
     fn since_saturates_after_reset() {
         let m = TrafficMeter::new();
-        m.record_remote(1_000);
-        m.record_local(500);
+        m.record(true, &[(Cause::MissPull, 1_000)]);
+        m.record(false, &[(Cause::MissPull, 500)]);
         let before = m.snapshot();
         m.reset();
-        m.record_remote(10);
+        m.record(true, &[(Cause::MissPull, 10)]);
         let delta = m.snapshot().since(before);
         assert_eq!(delta, TrafficSnapshot::default());
     }
@@ -272,7 +468,7 @@ mod tests {
     #[test]
     fn replication_lane_is_separate() {
         let m = TrafficMeter::new();
-        m.record_remote(100);
+        m.record(true, &[(Cause::MissPull, 100)]);
         m.record_replication(40);
         m.record_replication(60);
         let s = m.snapshot();
@@ -305,7 +501,7 @@ mod tests {
     #[test]
     fn push_lane_is_a_breakdown_not_extra_traffic() {
         let m = TrafficMeter::new();
-        m.record_remote(100);
+        m.record(true, &[(Cause::MissPull, 100)]);
         m.record_push(40, 100);
         let s = m.snapshot();
         assert_eq!(s.push_wire_bytes, 40);
@@ -357,7 +553,7 @@ mod tests {
     #[test]
     fn reset_zeroes() {
         let m = TrafficMeter::new();
-        m.record_remote(10);
+        m.record(true, &[(Cause::MissPull, 10)]);
         m.reset();
         assert_eq!(m.snapshot(), TrafficSnapshot::default());
     }
@@ -370,7 +566,7 @@ mod tests {
                 let m = m.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        m.record_remote(1);
+                        m.record(true, &[(Cause::MissPull, 1)]);
                     }
                 })
             })

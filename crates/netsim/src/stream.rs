@@ -8,8 +8,9 @@
 //! [len: u32 le]                        // byte length of everything below
 //! [op: u8] [codec tag: u8]             // operation + payload codec
 //! [checksum: u32 le]                   // the sender's frame seal, as sent
-//! [nkeys: u32 le] [npayload: u32 le] [nenc: u32 le]
+//! [nkeys: u32 le] [nversions: u32 le] [npayload: u32 le] [nenc: u32 le]
 //! [keys: nkeys × u64 le]
+//! [versions: nversions × u32 le]       // pull-if-newer frames: at most one per key
 //! [payload: npayload × f32 le]         // dense frames
 //! [encoded: nenc bytes]                // compressed frames
 //! ```
@@ -17,8 +18,12 @@
 //! The checksum travels *as sealed by the sender* and the decoder keeps it
 //! verbatim ([`WireFrame::from_wire`]), so `WireFrame::verify` remains an
 //! end-to-end integrity check across the socket — the length prefix and
-//! counts are framing, not trust: every count is bounds-checked against
-//! the prefix and [`MAX_MESSAGE_BYTES`] before a byte is allocated.
+//! counts are framing, not trust: the prefix is bounded by
+//! [`MAX_MESSAGE_BYTES`], the body buffer grows only as bytes actually
+//! arrive (a prefix that promises more than the peer sends costs at most
+//! [`EAGER_BODY_BYTES`]), every count is checked against the bytes received
+//! before anything is allocated for it, and a frame never carries more
+//! versions than keys.
 
 use crate::compress::Codec;
 use crate::frame::WireFrame;
@@ -29,9 +34,15 @@ use std::io::{self, Read, Write};
 /// shard frame this codebase produces.
 pub const MAX_MESSAGE_BYTES: usize = 1 << 30;
 
+/// What the reader reserves for a body up front. Bodies up to this size
+/// (every frame a training run sends is one) are read into one exact
+/// allocation; a larger declared length is only believed as its bytes
+/// arrive.
+pub const EAGER_BODY_BYTES: usize = 1 << 20;
+
 /// Fixed header bytes after the length prefix: op, codec tag, checksum,
-/// three counts.
-const HEADER_BYTES: usize = 1 + 1 + 4 + 3 * 4;
+/// four counts.
+const HEADER_BYTES: usize = 1 + 1 + 4 + 4 * 4;
 
 /// One decoded stream message: the transport-level operation byte plus the
 /// reassembled frame (carrying the sender's checksum).
@@ -47,17 +58,21 @@ pub struct StreamMessage {
 /// Serialize one message from raw frame parts. Dense messages ship
 /// `payload`; compressed messages ship `encoded` (pass the parts exactly
 /// as [`WireFrame::wire_bytes`] accounts them — callers decide which side
-/// is empty). `checksum` must be the sender's seal over those parts.
+/// is empty). `versions` holds at most one per key. `checksum` must be the
+/// sender's seal over those parts.
+#[allow(clippy::too_many_arguments)]
 pub fn write_message<W: Write>(
     w: &mut W,
     op: u8,
     keys: &[u64],
+    versions: &[u32],
     payload: &[f32],
     encoded: &[u8],
     codec: Codec,
     checksum: u32,
 ) -> io::Result<()> {
-    let body = HEADER_BYTES + keys.len() * 8 + payload.len() * 4 + encoded.len();
+    let body =
+        HEADER_BYTES + keys.len() * 8 + versions.len() * 4 + payload.len() * 4 + encoded.len();
     if body > MAX_MESSAGE_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -70,10 +85,14 @@ pub fn write_message<W: Write>(
     buf.push(codec.tag());
     buf.extend_from_slice(&checksum.to_le_bytes());
     buf.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(versions.len() as u32).to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
     for k in keys {
         buf.extend_from_slice(&k.to_le_bytes());
+    }
+    for v in versions {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
     for v in payload {
         buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -91,6 +110,7 @@ pub fn write_frame<W: Write>(w: &mut W, op: u8, frame: &WireFrame) -> io::Result
             w,
             op,
             &frame.keys,
+            &frame.versions,
             &frame.payload,
             &[],
             Codec::Dense,
@@ -101,6 +121,7 @@ pub fn write_frame<W: Write>(w: &mut W, op: u8, frame: &WireFrame) -> io::Result
             w,
             op,
             &frame.keys,
+            &frame.versions,
             &[],
             &frame.encoded,
             frame.codec(),
@@ -115,7 +136,8 @@ pub fn write_frame<W: Write>(w: &mut W, op: u8, frame: &WireFrame) -> io::Result
 ///   boundary, closed cleanly; callers distinguish by whether any prior
 ///   byte of this message arrived — see [`read_message_or_eof`]);
 /// * `InvalidData` — the framing is inconsistent (length prefix over the
-///   cap, counts not adding up to the prefix, unknown codec tag).
+///   cap, counts not adding up to the prefix, more versions than keys,
+///   unknown codec tag).
 pub fn read_message<R: Read>(r: &mut R) -> io::Result<StreamMessage> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -145,49 +167,66 @@ pub fn read_message_or_eof<R: Read>(r: &mut R) -> io::Result<Option<StreamMessag
     decode_body(r, u32::from_le_bytes(len) as usize).map(Some)
 }
 
+fn invalid(what: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+fn u32_at(body: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(body[off..off + 4].try_into().expect("4-byte slice"))
+}
+
 fn decode_body<R: Read>(r: &mut R, body_len: usize) -> io::Result<StreamMessage> {
     if !(HEADER_BYTES..=MAX_MESSAGE_BYTES).contains(&body_len) {
+        return Err(invalid("stream message length out of bounds"));
+    }
+    // The prefix is a claim, not a fact: reserve at most EAGER_BODY_BYTES
+    // for it and let the buffer grow with what the peer really sends.
+    let mut body = Vec::with_capacity(body_len.min(EAGER_BODY_BYTES));
+    r.take(body_len as u64).read_to_end(&mut body)?;
+    if body.len() != body_len {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "stream message length out of bounds",
+            io::ErrorKind::UnexpectedEof,
+            "stream closed mid-message",
         ));
     }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
     let op = body[0];
-    let codec = Codec::from_tag(body[1])
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unknown codec tag on stream"))?;
-    let checksum = u32::from_le_bytes(body[2..6].try_into().unwrap());
-    let nkeys = u32::from_le_bytes(body[6..10].try_into().unwrap()) as usize;
-    let npayload = u32::from_le_bytes(body[10..14].try_into().unwrap()) as usize;
-    let nenc = u32::from_le_bytes(body[14..18].try_into().unwrap()) as usize;
-    let expected = HEADER_BYTES
-        .checked_add(nkeys.saturating_mul(8))
-        .and_then(|n| n.checked_add(npayload.checked_mul(4)?))
-        .and_then(|n| n.checked_add(nenc));
-    if expected != Some(body_len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+    let codec = Codec::from_tag(body[1]).ok_or_else(|| invalid("unknown codec tag on stream"))?;
+    let checksum = u32_at(&body, 2);
+    let [nkeys, nversions, npayload, nenc] = [6, 10, 14, 18].map(|off| u32_at(&body, off));
+    if nversions > nkeys {
+        return Err(invalid("stream message has more versions than keys"));
+    }
+    // Four u32 counts times at most 8 cannot overflow a u64; the sum must
+    // match the bytes actually received, which bounds every count below.
+    let expected = HEADER_BYTES as u64
+        + u64::from(nkeys) * 8
+        + u64::from(nversions) * 4
+        + u64::from(npayload) * 4
+        + u64::from(nenc);
+    if expected != body_len as u64 {
+        return Err(invalid(
             "stream message counts disagree with its length prefix",
         ));
     }
-    let mut off = HEADER_BYTES;
-    let mut keys = Vec::with_capacity(nkeys);
-    for _ in 0..nkeys {
-        keys.push(u64::from_le_bytes(body[off..off + 8].try_into().unwrap()));
-        off += 8;
-    }
-    let mut payload = Vec::with_capacity(npayload);
-    for _ in 0..npayload {
-        payload.push(f32::from_bits(u32::from_le_bytes(
-            body[off..off + 4].try_into().unwrap(),
-        )));
-        off += 4;
-    }
-    let encoded = body[off..].to_vec();
+    let [nkeys, nversions, npayload] = [nkeys, nversions, npayload].map(|n| n as usize);
+    let (keys_bytes, rest) = body[HEADER_BYTES..].split_at(nkeys * 8);
+    let (version_bytes, rest) = rest.split_at(nversions * 4);
+    let (payload_bytes, encoded) = rest.split_at(npayload * 4);
+    let keys = keys_bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect();
+    let versions = version_bytes
+        .chunks_exact(4)
+        .map(|c| u32_at(c, 0))
+        .collect();
+    let payload = payload_bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_bits(u32_at(c, 0)))
+        .collect();
     Ok(StreamMessage {
         op,
-        frame: WireFrame::from_wire(keys, payload, encoded, codec, checksum),
+        frame: WireFrame::from_wire(keys, versions, payload, encoded.to_vec(), codec, checksum),
     })
 }
 
@@ -277,11 +316,60 @@ mod tests {
     }
 
     #[test]
+    fn versioned_frame_round_trips_and_a_flipped_version_fails_verification() {
+        let frame = WireFrame::seal_versioned(vec![4, 8, 15], vec![16, 23, 42], vec![0.5; 6]);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 5, &frame).unwrap();
+        let msg = read_message(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(msg.frame, frame);
+        assert!(msg.frame.verify());
+        assert_eq!(msg.frame.wire_bytes(), 3 * 12 + 6 * 4);
+        // The first version word sits right after the header and the keys.
+        buf[4 + HEADER_BYTES + 3 * 8] ^= 0x04;
+        let msg = read_message(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(msg.frame.versions, [20, 23, 42]);
+        assert!(!msg.frame.verify(), "the digest covers the versions");
+    }
+
+    #[test]
+    fn more_versions_than_keys_are_rejected() {
+        let frame = WireFrame::seal_versioned(vec![1, 2], vec![7, 9], vec![]);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 5, &frame).unwrap();
+        // Claim three versions, with the word and a prefix to match, so
+        // only that rule can fire.
+        buf[4 + 10] = 3;
+        buf.extend_from_slice(&11u32.to_le_bytes());
+        let body = (buf.len() - 4) as u32;
+        buf[..4].copy_from_slice(&body.to_le_bytes());
+        let err = read_message(&mut Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("more versions than keys"), "{err}");
+        // Fewer is a frame whose leading keys are plain pulls.
+        let mixed = WireFrame::seal_versioned(vec![1, 2, 3], vec![9], vec![]);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 5, &mixed).unwrap();
+        assert_eq!(read_message(&mut Cursor::new(&buf)).unwrap().frame, mixed);
+    }
+
+    #[test]
+    fn a_prefix_that_promises_more_than_arrives_is_a_torn_message() {
+        // 512 MiB declared, 40 bytes sent: the reader must not take the
+        // prefix at its word (the allocation side of this is measured in
+        // tests/stream_fuzz.rs).
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(512u32 << 20).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 40]);
+        let err = read_message(&mut Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
     fn key_only_request_round_trips() {
         let keys = vec![5u64, 17, 9000];
         let checksum = crate::frame::frame_digest(&keys, &[]);
         let mut buf = Vec::new();
-        write_message(&mut buf, 0, &keys, &[], &[], Codec::Dense, checksum).unwrap();
+        write_message(&mut buf, 0, &keys, &[], &[], &[], Codec::Dense, checksum).unwrap();
         let msg = read_message(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(msg.frame.keys, keys);
         assert!(msg.frame.payload.is_empty());

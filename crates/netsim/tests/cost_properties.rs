@@ -1,6 +1,6 @@
 //! Property tests over the network cost model and traffic metering.
 
-use hetkg_netsim::{CostModel, TrafficMeter, TrafficSnapshot};
+use hetkg_netsim::{Cause, CostModel, TrafficMeter, TrafficSnapshot};
 use proptest::prelude::*;
 
 proptest! {
@@ -56,11 +56,8 @@ proptest! {
             if i == split_at.min(ops.len()) {
                 start = meter.snapshot();
             }
-            if remote {
-                meter.record_remote(bytes);
-            } else {
-                meter.record_local(bytes);
-            }
+            // Cycle through the causes: the split obeys the same algebra.
+            meter.record(remote, &[(Cause::ALL[i % Cause::ALL.len()], bytes)]);
         }
         if split_at >= ops.len() {
             start = meter.snapshot();
@@ -69,6 +66,8 @@ proptest! {
         let delta = end.since(start);
         prop_assert_eq!(delta.merge(start), end);
         prop_assert_eq!(start.merge(delta), end);
+        prop_assert_eq!(delta.by_cause.total().remote, delta.remote_bytes);
+        prop_assert_eq!(delta.by_cause.total().local, delta.local_bytes);
     }
 
     /// Faster links are never slower end to end.

@@ -10,10 +10,11 @@
 //! # One call per operation
 //!
 //! Algorithm 4 has two operations and so does this client, plus PBG's
-//! overwrite: [`PsClient::try_pull_batch_with`],
-//! [`PsClient::try_push_batch_rows`] (with
-//! [`PsClient::try_push_batch_with`] as its slice adapter) and
-//! [`PsClient::try_write_batch_with`]. Each is batched (a single key is a
+//! overwrite and the hot table's version-gated read:
+//! [`PsClient::try_pull_batch_with`], [`PsClient::try_push_batch_rows`]
+//! (with [`PsClient::try_push_batch_with`] as its slice adapter),
+//! [`PsClient::try_write_batch_with`] and
+//! [`PsClient::try_pull_newer_with`]. Each is batched (a single key is a
 //! one-key batch), fallible, and builds its frames in a caller-owned
 //! [`PsScratch`]; what to do when the retries run out is the caller's
 //! decision.
@@ -45,15 +46,15 @@
 
 use crate::compress::PushCompressor;
 use crate::error::{RetryPolicy, RpcError};
-use crate::kvstore::KvStore;
+use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
 use crate::overload::{Gate, OverloadControl, ShardBreakers};
 use crate::router::BatchPlan;
-use crate::transport::{FrameOp, SimTransport, Transport};
+use crate::transport::{answer_newer, FrameOp, Refresh, SimTransport, Transport};
 use hetkg_kgraph::ParamKey;
 use hetkg_netsim::compress::encoded_len;
 use hetkg_netsim::{
-    ClusterTopology, Codec, CompressionMode, CompressionStats, FaultInjector, TrafficMeter,
+    Cause, ClusterTopology, Codec, CompressionMode, CompressionStats, FaultInjector, TrafficMeter,
     Verdict, WireFrame,
 };
 use parking_lot::Mutex;
@@ -61,6 +62,34 @@ use std::sync::Arc;
 
 /// Bytes accounted per key id shipped in a request (u64 on the wire).
 const KEY_BYTES: u64 = 8;
+/// Bytes accounted per row version (u32 on the wire).
+const VERSION_BYTES: u64 = 4;
+
+/// The shape of a pull-if-newer request frame, noted before its response
+/// replaces it, so the exchange can be metered as the one message it is.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Sent {
+    keys: u64,
+    versions: u64,
+}
+
+impl Sent {
+    /// `op`'s request as sent: `frame`'s shape for a pull-if-newer, nothing
+    /// for the ops whose frame is the same size in both directions.
+    pub(crate) fn of(op: FrameOp, frame: &WireFrame) -> Self {
+        match op {
+            FrameOp::PullNewer(_) => Self {
+                keys: frame.keys.len() as u64,
+                versions: frame.versions.len() as u64,
+            },
+            _ => Self::default(),
+        }
+    }
+
+    fn bytes(self) -> u64 {
+        KEY_BYTES * self.keys + VERSION_BYTES * self.versions
+    }
+}
 
 /// Hedged pulls fire when a delivery's latency inflation (observed time over
 /// the cost model's base time) exceeds `HEDGE_MIN_RATIO` and
@@ -117,12 +146,15 @@ pub struct FaultBinding {
     pub policy: RetryPolicy,
 }
 
-/// Where one key's row lives inside its shard frame's payload.
+/// Where one key's row lives inside its shard frame's payload. After a
+/// pull-if-newer, `width == 0` marks a key whose row did not come back, and
+/// `version` is the version that came with a row that did.
 #[derive(Debug, Clone, Copy, Default)]
 struct FrameSlot {
     shard: usize,
     offset: usize,
     width: usize,
+    version: u32,
 }
 
 /// Reusable scratch for the client's batched operations.
@@ -145,6 +177,9 @@ pub struct PsScratch {
     enc_parts: Vec<Vec<u8>>,
     /// Spare encoded-byte buffers, recycled between calls.
     byte_pool: Vec<Vec<u8>>,
+    /// Spare version buffers of pull-if-newer frames, recycled between
+    /// calls.
+    version_pool: Vec<Vec<u32>>,
     /// Sealed frames for the call in flight (index = shard).
     wire: Vec<WireFrame>,
     /// Push-path compressor. `None` means compression is off — the dense
@@ -165,13 +200,6 @@ impl PsScratch {
     /// pushes go back to dense frames.
     pub fn set_compression(&mut self, mode: CompressionMode) {
         self.compressor = PushCompressor::new(mode);
-    }
-
-    /// The configured compression mode.
-    pub fn compression(&self) -> CompressionMode {
-        self.compressor
-            .as_ref()
-            .map_or(CompressionMode::Off, |c| c.mode())
     }
 
     /// Cumulative compression counters; `None` when compression is off.
@@ -214,6 +242,9 @@ impl PsScratch {
             // `Vec`s would grow the pool by one per shard per call, forever.
             if f.encoded.capacity() > 0 {
                 self.byte_pool.push(std::mem::take(&mut f.encoded));
+            }
+            if f.versions.capacity() > 0 {
+                self.version_pool.push(std::mem::take(&mut f.versions));
             }
         }
         self.pool.append(&mut self.parts);
@@ -331,11 +362,6 @@ impl PsClient {
         self
     }
 
-    /// Whether this client verifies wire-frame checksums.
-    pub fn checksums(&self) -> bool {
-        self.checksums
-    }
-
     /// The attached fault binding, if any.
     pub fn faults(&self) -> Option<&FaultBinding> {
         self.faults.as_ref()
@@ -351,16 +377,45 @@ impl PsClient {
         self.worker_id
     }
 
-    /// The traffic meter this client reports to (transports meter
-    /// successful exchanges themselves).
-    pub(crate) fn meter(&self) -> &TrafficMeter {
-        &self.meter
-    }
-
-    /// The cluster topology (transports split local vs remote lanes by
-    /// it, exactly like the simulated path).
-    pub(crate) fn topology(&self) -> &ClusterTopology {
-        &self.topology
+    /// Meter one exchange with `shard` — one message on the local or remote
+    /// lane, its bytes attributed to what they were for. `frame` is the frame
+    /// as the exchange left it; `sent` is the wire size of a pull-if-newer's
+    /// request frame (which the response has replaced) and default for every
+    /// other op, whose one frame counts once for both directions.
+    ///
+    /// A sync's message serves three causes: the plain keys riding in front
+    /// (8 bytes and a row each, exactly what a plain pull charges) are cache
+    /// misses, the 12 bytes per conditional key the probe, and what names
+    /// and carries each returned row (12 bytes and the row) the refresh.
+    pub(crate) fn record_exchange(&self, shard: usize, op: FrameOp, sent: Sent, frame: &WireFrame) {
+        let remote = !self.topology.is_local(self.worker_id, shard);
+        let bytes = frame.wire_bytes();
+        match op {
+            FrameOp::Pull => self.meter.record(remote, &[(Cause::MissPull, bytes)]),
+            FrameOp::Push => self.meter.record(remote, &[(Cause::Push, bytes)]),
+            FrameOp::Write => self.meter.record(remote, &[(Cause::Write, bytes)]),
+            FrameOp::PullNewer(Refresh::Construction) => self
+                .meter
+                .record(remote, &[(Cause::Construction, sent.bytes() + bytes)]),
+            FrameOp::PullNewer(Refresh::Sync) => {
+                let returned_rows: u64 = frame
+                    .keys
+                    .iter()
+                    .map(|&k| self.store.row_bytes(ParamKey(k)))
+                    .sum();
+                let rows = (KEY_BYTES + VERSION_BYTES) * frame.keys.len() as u64 + returned_rows;
+                let probe = (KEY_BYTES + VERSION_BYTES) * sent.versions;
+                let misses = sent.bytes() + bytes - rows - probe;
+                self.meter.record(
+                    remote,
+                    &[
+                        (Cause::MissPull, misses),
+                        (Cause::SyncProbe, probe),
+                        (Cause::SyncRows, rows),
+                    ],
+                );
+            }
+        }
     }
 
     /// Whether `key` is served from this worker's machine.
@@ -456,6 +511,7 @@ impl PsClient {
                 shard,
                 offset,
                 width: row.len(),
+                ..FrameSlot::default()
             };
         });
         scratch.seal_parts();
@@ -466,6 +522,109 @@ impl PsClient {
                 i,
                 &scratch.wire[slot.shard].payload[slot.offset..slot.offset + slot.width],
             );
+        }
+        Ok(())
+    }
+
+    /// Pull-if-newer. `held` belongs to the *last* `held.len()` keys: those
+    /// are asked about conditionally — `(key, held version)` goes out, and
+    /// the row comes back, with its new version, only when the server's
+    /// version differs. The keys before them are pulled unconditionally and
+    /// ride in the same per-shard message (a sync iteration's cache misses).
+    /// `sink(i, version, row)` receives every row that came back, in
+    /// ascending `i`; unconditional rows report
+    /// [`NO_VERSION`](crate::kvstore::NO_VERSION). A conditional key sent
+    /// with `NO_VERSION` always comes back. One that does not come back is
+    /// bit-identical to the copy its held version was obtained with (see
+    /// the [`kvstore`](crate::kvstore) module docs), so skipping it changes
+    /// no value the caller reads. The conditional keys must be distinct.
+    /// All-or-nothing: on error no row reaches `sink`.
+    ///
+    /// One message per shard touched, like a pull. An unconditional key is
+    /// metered as in a plain pull (8 bytes and its row); a conditional key
+    /// as 8 bytes of id and 4 of version, and the same 12 again plus the
+    /// row when it is returned (the response names the row and its new
+    /// version). `refresh` says which hot-table fill this serves, and so
+    /// which [`Cause`]s the bytes are booked under.
+    pub fn try_pull_newer_with(
+        &self,
+        keys: &[ParamKey],
+        held: &[u32],
+        refresh: Refresh,
+        scratch: &mut PsScratch,
+        mut sink: impl FnMut(usize, u32, &[f32]),
+    ) -> Result<(), RpcError> {
+        assert!(held.len() <= keys.len(), "at most one held version per key");
+        if keys.is_empty() {
+            return Ok(());
+        }
+        let unconditional = keys.len() - held.len();
+        let router = self.store.router();
+        router.plan_into(keys, &mut scratch.plan);
+        scratch.begin(router.num_shards());
+        let PsScratch {
+            plan,
+            slots,
+            parts,
+            version_pool,
+            wire,
+            ..
+        } = &mut *scratch;
+        // A shard's keys are in input order, so its unconditional keys lead.
+        for (shard, (mut frame_keys, rows)) in parts.drain(..).enumerate() {
+            let mut versions = version_pool.pop().unwrap_or_default();
+            versions.clear();
+            for i in plan.indices(shard) {
+                frame_keys.push(keys[i].0);
+                if i >= unconditional {
+                    versions.push(held[i - unconditional]);
+                }
+            }
+            wire.push(WireFrame::seal_versioned(frame_keys, versions, rows));
+        }
+        // Unlike the other ops, a frame that comes back empty was still
+        // sent: walk the plan's shards, not the non-empty frames.
+        for shard in plan.shards() {
+            self.transport
+                .exchange(self, shard, FrameOp::PullNewer(refresh), &mut wire[shard])?;
+        }
+        // A response's payload is the unconditional rows, then the rows of
+        // its keys — an in-order selection of the conditional ones.
+        slots.clear();
+        slots.resize(keys.len(), FrameSlot::default());
+        for shard in plan.shards() {
+            let frame = &wire[shard];
+            let (mut returned, mut offset) = (0, 0);
+            for i in plan.indices(shard) {
+                let version = if i < unconditional {
+                    NO_VERSION
+                } else if frame.keys.get(returned) == Some(&keys[i].0) {
+                    returned += 1;
+                    frame.versions[returned - 1]
+                } else {
+                    continue;
+                };
+                let width = self.store.row_bytes(keys[i]) as usize / 4;
+                slots[i] = FrameSlot {
+                    shard,
+                    offset,
+                    width,
+                    version,
+                };
+                offset += width;
+            }
+            debug_assert_eq!(
+                returned,
+                frame.keys.len(),
+                "every returned row was asked for"
+            );
+            debug_assert_eq!(offset, frame.payload.len());
+        }
+        for (i, slot) in slots.iter().enumerate() {
+            if slot.width > 0 {
+                let row = &wire[slot.shard].payload[slot.offset..slot.offset + slot.width];
+                sink(i, slot.version, row);
+            }
         }
         Ok(())
     }
@@ -589,6 +748,7 @@ impl PsClient {
                     shard,
                     offset,
                     width: row.len(),
+                    ..FrameSlot::default()
                 };
             }
         }
@@ -654,6 +814,7 @@ impl PsClient {
                     shard,
                     offset,
                     width: row.len(),
+                    ..FrameSlot::default()
                 };
             }
         }
@@ -755,28 +916,31 @@ impl PsClient {
     /// the receiver accepted: the sealed contents, unless checksums are off
     /// and transit corruption was ingested.
     ///
-    /// `hedgeable` marks read traffic (pulls): if a delivered remote pull
-    /// took far longer than the cost model predicts (a straggler episode),
-    /// the same request is hedged to a backup replica and the faster
-    /// response wins. Writes are never hedged — duplicating a gradient push
-    /// would double-apply it.
+    /// Reads (pulls, pull-if-newer) are hedgeable: if a delivered remote
+    /// read took far longer than the cost model predicts (a straggler
+    /// episode), the same request is hedged to a backup replica and the
+    /// faster response wins. Writes are never hedged — duplicating a
+    /// gradient push would double-apply it.
+    ///
+    /// A pull-if-newer arrives as its request frame and is answered from
+    /// the store first ([`answer_newer`], the function a shard server
+    /// runs); request and response then transit as one message.
     pub(crate) fn sim_exchange(
         &self,
         shard: usize,
+        op: FrameOp,
         frame: &mut WireFrame,
-        hedgeable: bool,
     ) -> Result<(), RpcError> {
-        let bytes = frame.wire_bytes();
+        let hedgeable = matches!(op, FrameOp::Pull | FrameOp::PullNewer(_));
+        let sent = Sent::of(op, frame);
+        if let FrameOp::PullNewer(_) = op {
+            answer_newer(&self.store, frame);
+        }
+        let bytes = sent.bytes() + frame.wire_bytes();
         let remote = !self.topology.is_local(self.worker_id, shard);
-        let record = |b: u64| {
-            if remote {
-                self.meter.record_remote(b);
-            } else {
-                self.meter.record_local(b);
-            }
-        };
+        let record = |frame: &WireFrame| self.record_exchange(shard, op, sent, frame);
         let Some(f) = &self.faults else {
-            record(bytes);
+            record(frame);
             return Ok(());
         };
         let mut attempts: u32 = 0;
@@ -804,7 +968,7 @@ impl PsClient {
             let sent_at = f.injector.now();
             match f.injector.adjudicate(shard, remote, bytes) {
                 Verdict::Deliver => {
-                    record(bytes);
+                    record(frame);
                     let elapsed = f.injector.now() - sent_at;
                     if let Some(ctl) = &self.overload {
                         if let Some(budget) = &ctl.budget {
@@ -869,10 +1033,13 @@ impl PsClient {
                 }
                 Verdict::Corrupt => {
                     // The damaged frame still transited the link.
-                    record(bytes);
+                    record(frame);
                     let mut damaged = frame.clone();
-                    damaged.corrupt(f.injector.corruption_pattern());
-                    if self.checksums && !damaged.verify() {
+                    // A pull-if-newer that found nothing newer has an empty
+                    // response: the flip then landed in its request, which
+                    // the shard's own checksum refuses.
+                    let hit = damaged.corrupt(f.injector.corruption_pattern());
+                    if self.checksums && !(hit && damaged.verify()) {
                         f.injector.note_corrupt_detected();
                         if attempts >= f.policy.max_attempts {
                             return Err(RpcError::CorruptPayload { attempts });
@@ -890,7 +1057,7 @@ impl PsClient {
                 }
                 Verdict::Drop => {
                     // The lost message still transited the link.
-                    record(bytes);
+                    record(frame);
                     if attempts >= f.policy.max_attempts {
                         return Err(RpcError::Dropped { attempts });
                     }
@@ -1239,6 +1406,225 @@ mod tests {
         let mut all_b = Vec::new();
         store_b.for_each_row(|k, row| all_b.push((k, row.to_vec())));
         assert_eq!(all_a, all_b);
+    }
+
+    /// `try_pull_newer_with` with a fresh scratch, collecting what came back.
+    fn pull_newer(
+        client: &PsClient,
+        keys: &[ParamKey],
+        held: &[u32],
+        refresh: Refresh,
+    ) -> Vec<(usize, u32, Vec<f32>)> {
+        let mut got = Vec::new();
+        client
+            .try_pull_newer_with(keys, held, refresh, &mut PsScratch::new(), |i, v, row| {
+                got.push((i, v, row.to_vec()))
+            })
+            .unwrap();
+        got
+    }
+
+    #[test]
+    fn pull_newer_returns_only_moved_rows_and_meters_both_directions() {
+        let (store, topo) = setup(2);
+        let meter = Arc::new(TrafficMeter::new());
+        let client = PsClient::new(0, topo, store.clone(), meter.clone());
+        // Keys 0, 2, 4 are local (shard 0), 1, 3 remote, 9 a relation on
+        // shard 1; in no particular order.
+        let keys = [3u64, 0, 9, 2, 1, 4].map(ParamKey);
+        let first = pull_newer(&client, &keys, &[NO_VERSION; 6], Refresh::Construction);
+        assert_eq!(
+            first.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 5],
+            "every row comes back, in input order"
+        );
+        let mut want = [0.0f32; 4];
+        for (i, version, row) in &first {
+            store.pull(keys[*i], &mut want);
+            assert_eq!(row[..], want);
+            assert_eq!(*version, store.version(keys[*i]));
+        }
+        let s = meter.snapshot();
+        assert_eq!((s.local_messages, s.remote_messages), (1, 1));
+        // Per key 12 bytes out; per returned row 12 + 16 back.
+        assert_eq!(s.local_bytes, 3 * (12 + 12 + 16));
+        assert_eq!(s.remote_bytes, 3 * (12 + 12 + 16));
+        assert_eq!(s.by_cause.construction.remote, s.remote_bytes);
+        assert_eq!(s.by_cause.construction.local, s.local_bytes);
+
+        // Someone writes two of the rows; a sync with the held versions
+        // brings back exactly those, with their new versions.
+        let held: Vec<u32> = first.iter().map(|r| r.1).collect();
+        store.push_grad(ParamKey(1), &[1.0; 4], &Sgd { lr: 0.5 });
+        store.store(ParamKey(2), &[9.0; 4]);
+        let before = meter.snapshot();
+        let second = pull_newer(&client, &keys, &held, Refresh::Sync);
+        assert_eq!(
+            second.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [3, 4],
+            "ascending input index"
+        );
+        assert_eq!(second[0].2, [9.0; 4]);
+        assert_ne!(second[1].1, held[4]);
+        let d = meter.snapshot().since(before);
+        assert_eq!((d.local_messages, d.remote_messages), (1, 1));
+        assert_eq!(d.by_cause.sync_probe.local, 3 * 12);
+        assert_eq!(d.by_cause.sync_probe.remote, 3 * 12);
+        assert_eq!(d.by_cause.sync_rows.local, 12 + 16);
+        assert_eq!(d.by_cause.sync_rows.remote, 12 + 16);
+        assert_eq!(d.by_cause.total().remote, d.remote_bytes);
+        assert_eq!(d.by_cause.total().local, d.local_bytes);
+
+        // Nothing moved since: the probe is still sent (and paid for), no
+        // row comes back.
+        let mut held = held;
+        for (i, v, _) in &second {
+            held[*i] = *v;
+        }
+        let before = meter.snapshot();
+        assert!(pull_newer(&client, &keys, &held, Refresh::Sync).is_empty());
+        let d = meter.snapshot().since(before);
+        assert_eq!((d.local_messages, d.remote_messages), (1, 1));
+        assert_eq!(d.total_bytes(), 6 * 12);
+        assert_eq!(d.by_cause.sync_rows, Default::default());
+    }
+
+    #[test]
+    fn unconditional_keys_ride_in_a_sync_and_cost_what_a_plain_pull_costs() {
+        let (store, topo) = setup(2);
+        let meter = Arc::new(TrafficMeter::new());
+        let client = PsClient::new(0, topo, store.clone(), meter.clone());
+        // Misses 5 (remote), 6 (local), 7 (remote); cached 0, 2 (local),
+        // 1, 3 (remote), of which 2 and 3 have been written since.
+        let cached = [0u64, 1, 2, 3].map(ParamKey);
+        let held: Vec<u32> = cached.iter().map(|&k| store.version(k)).collect();
+        store.store(ParamKey(2), &[2.0; 4]);
+        store.store(ParamKey(3), &[3.0; 4]);
+        let keys = [5u64, 6, 7, 0, 1, 2, 3].map(ParamKey);
+        let got = pull_newer(&client, &keys, &held, Refresh::Sync);
+        assert_eq!(
+            got.iter()
+                .map(|r| (r.0, r.1 == NO_VERSION))
+                .collect::<Vec<_>>(),
+            [(0, true), (1, true), (2, true), (5, false), (6, false)],
+            "every miss, then the two moved rows, in input order"
+        );
+        let mut want = [0.0f32; 4];
+        for (i, _, row) in &got {
+            store.pull(keys[*i], &mut want);
+            assert_eq!(row[..], want, "key {:?}", keys[*i]);
+        }
+        // One message per shard, as a plain pull of the misses would be.
+        let s = meter.snapshot();
+        assert_eq!((s.local_messages, s.remote_messages), (1, 1));
+        let c = s.by_cause;
+        assert_eq!(
+            (c.miss_pull.local, c.miss_pull.remote),
+            (8 + 16, 2 * (8 + 16))
+        );
+        assert_eq!((c.sync_probe.local, c.sync_probe.remote), (2 * 12, 2 * 12));
+        assert_eq!((c.sync_rows.local, c.sync_rows.remote), (12 + 16, 12 + 16));
+        assert_eq!(c.total().local, s.local_bytes);
+        assert_eq!(c.total().remote, s.remote_bytes);
+        // The same misses as a plain pull: the same miss bytes.
+        let before = meter.snapshot();
+        pull_batch(&client, &keys[..3], |_, _| {});
+        let plain = meter.snapshot().since(before);
+        assert_eq!(plain.by_cause.miss_pull, c.miss_pull);
+    }
+
+    #[test]
+    fn pull_newer_reuses_its_scratch_and_mixes_with_other_calls() {
+        let (store, topo) = setup(2);
+        let meter = Arc::new(TrafficMeter::new());
+        let client = PsClient::new(0, topo, store.clone(), meter);
+        let mut scratch = PsScratch::new();
+        let keys = [1u64, 0, 9].map(ParamKey);
+        let g = [0.5f32; 4];
+        let mut held = [NO_VERSION; 3];
+        for round in 0..4 {
+            let mut rows = 0;
+            let asked = held;
+            client
+                .try_pull_newer_with(&keys, &asked, Refresh::Sync, &mut scratch, |i, v, row| {
+                    let mut want = [0.0f32; 4];
+                    store.pull(keys[i], &mut want);
+                    assert_eq!(row, want);
+                    held[i] = v;
+                    rows += 1;
+                })
+                .unwrap();
+            // Round 0 fetches everything; later rounds only key 1, which
+            // the push below keeps moving.
+            assert_eq!(rows, if round == 0 { 3 } else { 1 }, "round {round}");
+            client
+                .try_push_batch_with(&keys[..1], &[&g], &Sgd { lr: 0.1 }, &mut scratch)
+                .unwrap();
+            let mut plain = Vec::new();
+            client
+                .try_pull_batch_with(&keys, &mut scratch, |_, row| plain.push(row.to_vec()))
+                .unwrap();
+            assert_eq!(plain.len(), 3);
+        }
+        assert!(
+            scratch.version_pool.len() <= 2,
+            "version buffers recycle instead of piling up: {}",
+            scratch.version_pool.len()
+        );
+    }
+
+    #[test]
+    fn dropped_pull_newer_retransmits_request_and_response_bytes() {
+        let (store, topo) = setup(2);
+        let meter = Arc::new(TrafficMeter::new());
+        let inj = injector(FaultPlan::lossy(1, 1.0));
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone(), policy);
+        let err = client
+            .try_pull_newer_with(
+                &[ParamKey(1)],
+                &[NO_VERSION],
+                Refresh::Sync,
+                &mut PsScratch::new(),
+                |_, _, _| panic!("all-or-nothing"),
+            )
+            .unwrap_err();
+        assert_eq!(err, RpcError::Dropped { attempts: 3 });
+        let s = meter.snapshot();
+        assert_eq!(s.remote_messages, 3);
+        assert_eq!(s.remote_bytes, 3 * (12 + 12 + 16));
+        assert_eq!(inj.stats().retransmitted_bytes, 2 * (12 + 12 + 16));
+    }
+
+    #[test]
+    fn corrupted_pull_newer_is_detected_even_when_nothing_came_back() {
+        let (store, topo) = setup(2);
+        let meter = Arc::new(TrafficMeter::new());
+        let inj = injector(FaultPlan::corrupting(1, 1.0));
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        let client = PsClient::new(0, topo, store.clone(), meter).with_faults(inj.clone(), policy);
+        // The held version is current: the response frame is empty, so the
+        // flipped bit can only have hit the request.
+        let held = [store.version(ParamKey(1))];
+        let err = client
+            .try_pull_newer_with(
+                &[ParamKey(1)],
+                &held,
+                Refresh::Sync,
+                &mut PsScratch::new(),
+                |_, _, _| panic!("nothing is newer"),
+            )
+            .unwrap_err();
+        assert_eq!(err, RpcError::CorruptPayload { attempts: 2 });
+        let f = inj.stats();
+        assert_eq!(f.corrupt_detected, 2);
+        assert_eq!(f.corrupt_ingested, 0);
     }
 
     #[test]

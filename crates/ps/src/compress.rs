@@ -77,11 +77,6 @@ impl PushCompressor {
         })
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> CompressionMode {
-        self.mode
-    }
-
     /// The codec the next push will use.
     pub fn codec(&self) -> Codec {
         match self.mode {

@@ -22,6 +22,25 @@
 //! the primary slot, after which the replayed state is value-identical to
 //! the dead primary's. Replication off (`k == 1`) allocates nothing and
 //! changes no behavior.
+//!
+//! ## Row versions
+//!
+//! Every row carries a 32-bit *update version*: the shard generation it was
+//! last written under (high 8 bits) and a per-row write counter (low 24).
+//! Every write — gradient push, raw store, checkpoint restore — bumps it,
+//! and nothing else does, so **two reads of a row that report the same
+//! version saw the same bits**. That is what lets a worker's hot-table sync
+//! ask "only if newer" ([`KvStore::pull_if_newer`]) without changing any
+//! value it ever reads. A version travels with its row through replication
+//! (backups replay `(row, state, version)` images), so a caught-up backup
+//! reports exactly what its primary did. [`promote`](KvStore::promote)
+//! starts a new generation: a backup promoted while it lagged counts from
+//! older counters, and without the generation it could count its way back
+//! to a version the dead primary had handed out for different bits.
+//! [`NO_VERSION`] is the one value no row ever reports. (The counter wraps
+//! after 2²⁴ writes to one row; to be fooled, a holder would have to sit on
+//! a version across exactly that many writes without asking once, and the
+//! hot table asks every `P` iterations.)
 
 use crate::optimizer::Optimizer;
 use crate::router::{BatchPlan, Placement, RowKind, ShardRouter};
@@ -30,6 +49,24 @@ use hetkg_embed::storage::EmbeddingTable;
 use hetkg_kgraph::ParamKey;
 use parking_lot::{Mutex, RwLock};
 
+/// The version no row ever has: what a worker sends in a pull-if-newer for
+/// a row it holds no (valid) copy of, so the row always comes back.
+pub const NO_VERSION: u32 = u32::MAX;
+
+/// Bits of a version that count writes to the row; the rest is the shard
+/// generation the last write happened under.
+const COUNTER_BITS: u32 = 24;
+const COUNTER_MASK: u32 = (1 << COUNTER_BITS) - 1;
+/// Generations cycle below 255, so a version's top byte is never `0xFF` and
+/// no version equals [`NO_VERSION`].
+const GENERATIONS: u32 = 255;
+
+/// The version a row reports after one more write under `generation`.
+#[inline]
+fn bumped(generation: u32, version: u32) -> u32 {
+    (generation << COUNTER_BITS) | (version.wrapping_add(1) & COUNTER_MASK)
+}
+
 /// One machine's slice of the parameter space.
 #[derive(Debug, Clone)]
 struct Shard {
@@ -37,6 +74,41 @@ struct Shard {
     relations: EmbeddingTable,
     entity_state: EmbeddingTable,
     relation_state: EmbeddingTable,
+    /// Update version per row (see the module docs).
+    entity_versions: Vec<u32>,
+    relation_versions: Vec<u32>,
+    /// Bumped by [`KvStore::promote`]; stamped into every version written
+    /// afterwards.
+    generation: u32,
+}
+
+impl Shard {
+    #[inline]
+    fn version(&self, kind: RowKind, local: usize) -> u32 {
+        match kind {
+            RowKind::Entity => self.entity_versions[local],
+            RowKind::Relation => self.relation_versions[local],
+        }
+    }
+
+    #[inline]
+    fn row(&self, kind: RowKind, local: usize) -> &[f32] {
+        match kind {
+            RowKind::Entity => self.entities.row(local),
+            RowKind::Relation => self.relations.row(local),
+        }
+    }
+
+    /// Count one write to a row; returns its new version.
+    #[inline]
+    fn bump(&mut self, kind: RowKind, local: usize) -> u32 {
+        let v = match kind {
+            RowKind::Entity => &mut self.entity_versions[local],
+            RowKind::Relation => &mut self.relation_versions[local],
+        };
+        *v = bumped(self.generation, *v);
+        *v
+    }
 }
 
 /// Mutations per shard buffered before a replication shipment. Small enough
@@ -54,10 +126,14 @@ struct RepRecord {
     row: Vec<f32>,
     /// Empty for plain stores (they do not touch optimizer state).
     state: Vec<f32>,
+    /// The row's version after the mutation; the backup adopts it with the
+    /// image.
+    version: u32,
 }
 
 impl RepRecord {
-    /// Wire size of this record: an 8-byte key plus the f32 payload.
+    /// Wire size of this record: an 8-byte key plus the f32 payload. The
+    /// version word rides in the record's envelope, like a frame's digest.
     fn bytes(&self) -> u64 {
         (8 + 4 * (self.row.len() + self.state.len())) as u64
     }
@@ -144,6 +220,9 @@ impl KvStore {
                 relations,
                 entity_state,
                 relation_state,
+                entity_versions: vec![0; ne],
+                relation_versions: vec![0; nr],
+                generation: 0,
             }));
         }
         Self {
@@ -195,7 +274,7 @@ impl KvStore {
 
     /// Append one mutation to `shard`'s replication backlog (no-op when the
     /// shard has no live backups left).
-    fn log_replica(&self, p: Placement, row: &[f32], state: Option<&[f32]>) {
+    fn log_replica(&self, p: Placement, row: &[f32], state: Option<&[f32]>, version: u32) {
         let Some(rep) = &self.replication else {
             return;
         };
@@ -207,6 +286,7 @@ impl KvStore {
             local: p.local,
             row: row.to_vec(),
             state: state.map(<[f32]>::to_vec).unwrap_or_default(),
+            version,
         });
     }
 
@@ -233,14 +313,23 @@ impl KvStore {
         let payload_bytes: u64 = records.iter().map(RepRecord::bytes).sum();
         for backup in backups.iter_mut() {
             for r in &records {
-                let (table, state_table) = match r.kind {
-                    RowKind::Entity => (&mut backup.entities, &mut backup.entity_state),
-                    RowKind::Relation => (&mut backup.relations, &mut backup.relation_state),
+                let (table, state_table, versions) = match r.kind {
+                    RowKind::Entity => (
+                        &mut backup.entities,
+                        &mut backup.entity_state,
+                        &mut backup.entity_versions,
+                    ),
+                    RowKind::Relation => (
+                        &mut backup.relations,
+                        &mut backup.relation_state,
+                        &mut backup.relation_versions,
+                    ),
                 };
                 table.set_row(r.local, &r.row);
                 if !r.state.is_empty() {
                     state_table.set_row(r.local, &r.state);
                 }
+                versions[r.local] = r.version;
             }
         }
         ReplicationFlush {
@@ -267,7 +356,10 @@ impl KvStore {
     /// Fail `shard` over: swap one caught-up backup into the primary slot,
     /// discarding the dead primary. Returns `false` when the shard has no
     /// backups left. Call [`catch_up`](Self::catch_up) first — promotion
-    /// takes the backup as-is.
+    /// takes the backup as-is, row versions included, and opens a new
+    /// version generation: rows the backup had caught up on keep reporting
+    /// the version their bits were handed out under, while every write from
+    /// here on reports one the dead primary never used.
     pub fn promote(&self, shard: usize) -> bool {
         let Some(rep) = &self.replication else {
             return false;
@@ -278,7 +370,11 @@ impl KvStore {
         let Some(candidate) = backups.pop() else {
             return false;
         };
+        // Later candidates were cloned under an older generation than a
+        // primary that was itself promoted, hence the max.
+        let generation = (primary.generation.max(candidate.generation) + 1) % GENERATIONS;
         *primary = candidate;
+        primary.generation = generation;
         // Whatever the dead primary buffered can never be shipped by it.
         if backups.is_empty() {
             rep.backlog[shard].lock().clear();
@@ -359,15 +455,37 @@ impl KvStore {
         out.copy_from_slice(row);
     }
 
+    /// The update version of `key`'s row (see the module docs).
+    pub fn version(&self, key: ParamKey) -> u32 {
+        let p = self.router.place(key);
+        self.shards[p.shard].read().version(p.kind, p.local)
+    }
+
+    /// Pull-if-newer for one key: when the row's version differs from
+    /// `held`, append the row to `out` and return its version; when it
+    /// matches, the holder's copy is bit-identical and nothing is appended.
+    /// Version and row are read under one lock, so they belong together.
+    pub fn pull_if_newer(&self, key: ParamKey, held: u32, out: &mut Vec<f32>) -> Option<u32> {
+        let p = self.router.place(key);
+        let shard = self.shards[p.shard].read();
+        let version = shard.version(p.kind, p.local);
+        (version != held).then(|| {
+            out.extend_from_slice(shard.row(p.kind, p.local));
+            version
+        })
+    }
+
     /// Apply a gradient to a key under `optimizer` (server-side update).
     pub fn push_grad(&self, key: ParamKey, grad: &[f32], optimizer: &dyn Optimizer) {
         let p = self.router.place(key);
         let mut shard = self.shards[p.shard].write();
+        let version = shard.bump(p.kind, p.local);
         let Shard {
             entities,
             relations,
             entity_state,
             relation_state,
+            ..
         } = &mut *shard;
         let (row, state) = match p.kind {
             RowKind::Entity => (entities.row_mut(p.local), entity_state.row_mut(p.local)),
@@ -378,7 +496,7 @@ impl KvStore {
         if self.replication.is_some() {
             let (row, state) = (row.to_vec(), state[..width].to_vec());
             drop(shard);
-            self.log_replica(p, &row, Some(&state));
+            self.log_replica(p, &row, Some(&state), version);
         }
     }
 
@@ -390,8 +508,9 @@ impl KvStore {
             RowKind::Entity => shard.entities.set_row(p.local, value),
             RowKind::Relation => shard.relations.set_row(p.local, value),
         }
+        let version = shard.bump(p.kind, p.local);
         drop(shard);
-        self.log_replica(p, value, None);
+        self.log_replica(p, value, None, version);
     }
 
     /// Placement of a key (exposed for the metering client).
@@ -453,31 +572,41 @@ impl KvStore {
     ) {
         let replicating = self.replication.is_some();
         for s in plan.shards() {
-            let mut records: Vec<(Placement, Vec<f32>, Vec<f32>)> = Vec::new();
+            let mut records: Vec<(Placement, Vec<f32>, Vec<f32>, u32)> = Vec::new();
             let mut shard = self.shards[s].write();
             let Shard {
                 entities,
                 relations,
                 entity_state,
                 relation_state,
+                entity_versions,
+                relation_versions,
+                generation,
             } = &mut *shard;
             for i in plan.indices(s) {
                 let p = plan.placement(i);
-                let (row, state) = match p.kind {
-                    RowKind::Entity => (entities.row_mut(p.local), entity_state.row_mut(p.local)),
-                    RowKind::Relation => {
-                        (relations.row_mut(p.local), relation_state.row_mut(p.local))
-                    }
+                let (row, state, version) = match p.kind {
+                    RowKind::Entity => (
+                        entities.row_mut(p.local),
+                        entity_state.row_mut(p.local),
+                        &mut entity_versions[p.local],
+                    ),
+                    RowKind::Relation => (
+                        relations.row_mut(p.local),
+                        relation_state.row_mut(p.local),
+                        &mut relation_versions[p.local],
+                    ),
                 };
                 let width = row.len() * optimizer.state_width();
                 optimizer.update(row, &mut state[..width], grad_of(i));
+                *version = bumped(*generation, *version);
                 if replicating {
-                    records.push((p, row.to_vec(), state[..width].to_vec()));
+                    records.push((p, row.to_vec(), state[..width].to_vec(), *version));
                 }
             }
             drop(shard);
-            for (p, row, state) in records {
-                self.log_replica(p, &row, Some(&state));
+            for (p, row, state, version) in records {
+                self.log_replica(p, &row, Some(&state), version);
             }
         }
     }
@@ -487,6 +616,7 @@ impl KvStore {
     pub fn store_planned<'a, V: Fn(usize) -> &'a [f32]>(&self, plan: &BatchPlan, value_of: V) {
         let replicating = self.replication.is_some();
         for s in plan.shards() {
+            let mut versions = Vec::new();
             let mut shard = self.shards[s].write();
             for i in plan.indices(s) {
                 let p = plan.placement(i);
@@ -494,12 +624,14 @@ impl KvStore {
                     RowKind::Entity => shard.entities.set_row(p.local, value_of(i)),
                     RowKind::Relation => shard.relations.set_row(p.local, value_of(i)),
                 }
+                let version = shard.bump(p.kind, p.local);
+                if replicating {
+                    versions.push(version);
+                }
             }
             drop(shard);
-            if replicating {
-                for i in plan.indices(s) {
-                    self.log_replica(plan.placement(i), value_of(i), None);
-                }
+            for (i, version) in plan.indices(s).zip(versions) {
+                self.log_replica(plan.placement(i), value_of(i), None, version);
             }
         }
     }
@@ -557,9 +689,12 @@ impl KvStore {
 
     /// Overwrite a key's embedding and, when given, its optimizer state
     /// (checkpoint restore). `state` must match the key's state-row width.
+    /// A restore is a write like any other to the row's version: whatever a
+    /// worker cached before the restore, it never matches afterwards.
     pub fn restore_row(&self, key: ParamKey, value: &[f32], state: Option<&[f32]>) {
         let p = self.router.place(key);
         let mut shard = self.shards[p.shard].write();
+        shard.bump(p.kind, p.local);
         match p.kind {
             RowKind::Entity => {
                 shard.entities.set_row(p.local, value);
@@ -878,6 +1013,194 @@ mod tests {
             s.pull(k, &mut prim);
             assert!(s.pull_backup(k, &mut back));
             assert_eq!(prim, back, "key {k:?}");
+        }
+    }
+
+    #[test]
+    fn every_write_moves_the_version_and_nothing_else_does() {
+        let s = store(2);
+        let key = ParamKey(3);
+        let v0 = s.version(key);
+        let mut buf = [0.0f32; 8];
+        s.pull(key, &mut buf);
+        s.pull_many(&[key], |_, _| {});
+        assert_eq!(s.version(key), v0, "reads leave the version alone");
+        let mut seen = vec![v0];
+        s.push_grad(key, &[0.5; 8], &Sgd { lr: 0.1 });
+        seen.push(s.version(key));
+        s.push_grad_many(&[key, key], &[&[0.5; 8], &[0.5; 8]], &Sgd { lr: 0.1 });
+        seen.push(s.version(key));
+        s.store(key, &[1.0; 8]);
+        seen.push(s.version(key));
+        s.store_many(&[key], &[&[2.0; 8]]);
+        seen.push(s.version(key));
+        s.restore_row(key, &[3.0; 8], None);
+        seen.push(s.version(key));
+        // A write of the bits already there is still a write.
+        s.store(key, &[3.0; 8]);
+        seen.push(s.version(key));
+        let mut distinct = seen.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), seen.len(), "versions repeated: {seen:?}");
+        assert!(!seen.contains(&NO_VERSION));
+        assert_eq!(s.version(ParamKey(4)), v0, "other rows are untouched");
+    }
+
+    #[test]
+    fn pull_if_newer_returns_the_row_only_when_the_version_differs() {
+        let s = store(2);
+        let key = ParamKey(11); // a relation key
+        let mut out = Vec::new();
+        let v = s.pull_if_newer(key, NO_VERSION, &mut out).unwrap();
+        assert_eq!(v, s.version(key));
+        assert_eq!(out.len(), 8);
+        assert_eq!(s.pull_if_newer(key, v, &mut out), None);
+        assert_eq!(out.len(), 8, "a matching version appends nothing");
+        s.push_grad(key, &[1.0; 8], &Sgd { lr: 0.1 });
+        let v2 = s.pull_if_newer(key, v, &mut out).unwrap();
+        assert_ne!(v2, v);
+        let mut now = [0.0f32; 8];
+        s.pull(key, &mut now);
+        assert_eq!(&out[8..], &now, "rows append in call order");
+    }
+
+    #[test]
+    fn no_version_is_unreachable_even_when_counters_and_generations_wrap() {
+        // The counter wraps inside its 24 bits and the generation below 255:
+        // no (generation, counter) pair is the all-ones word.
+        assert_eq!(bumped(0, COUNTER_MASK), 0);
+        assert_eq!(
+            bumped(3, COUNTER_MASK - 1),
+            (3 << COUNTER_BITS) | COUNTER_MASK
+        );
+        for generation in 0..GENERATIONS {
+            for version in [0, 1, COUNTER_MASK - 1, COUNTER_MASK, u32::MAX - 1] {
+                assert_ne!(bumped(generation, version), NO_VERSION);
+            }
+        }
+        // Promotion keeps the generation in range however often it happens.
+        let s = store(1).with_replication(2);
+        for _ in 0..600 {
+            s.resync_backups();
+            // Refill the backup set the previous promotion consumed.
+            let mut backups = s.replication.as_ref().unwrap().backups[0].write();
+            if backups.is_empty() {
+                let primary = s.shards[0].read().clone();
+                backups.push(primary);
+            }
+            drop(backups);
+            assert!(s.promote(0));
+            assert!(s.shards[0].read().generation < GENERATIONS);
+        }
+    }
+
+    #[test]
+    fn versions_travel_with_the_row_through_replication_and_promotion() {
+        let s = store(2).with_replication(2);
+        let opt = AdaGrad::new(0.1);
+        let keys: Vec<ParamKey> = (0..14u64).map(ParamKey).collect();
+        for round in 0..3 {
+            for &k in &keys {
+                s.push_grad(k, &[0.5 + round as f32; 8], &opt);
+            }
+        }
+        let before: Vec<u32> = keys.iter().map(|&k| s.version(k)).collect();
+        s.catch_up(0);
+        assert!(s.promote(0));
+        let after: Vec<u32> = keys.iter().map(|&k| s.version(k)).collect();
+        assert_eq!(
+            before, after,
+            "a caught-up backup reports what its primary did: same bits, same versions"
+        );
+        // Writes after the promotion are stamped with the new generation.
+        let k0 = keys
+            .iter()
+            .copied()
+            .find(|&k| s.place(k).shard == 0)
+            .unwrap();
+        s.push_grad(k0, &[1.0; 8], &opt);
+        assert_eq!(s.version(k0) >> COUNTER_BITS, 1);
+        // resync re-clones versions too.
+        s.resync_backups();
+        let primary = s.shards[1].read();
+        let backups = s.replication.as_ref().unwrap().backups[1].read();
+        assert_eq!(primary.entity_versions, backups[0].entity_versions);
+        assert_eq!(primary.relation_versions, backups[0].relation_versions);
+    }
+
+    /// The failover drill the generation exists for: a backup promoted while
+    /// it *lags* restarts from older counters, and walks through the very
+    /// counter values the dead primary handed out — for different bits. The
+    /// generation is what keeps every one of those a different version.
+    #[test]
+    fn a_lagging_backup_promoted_cannot_count_back_to_a_version_the_primary_used() {
+        let s = store(1).with_replication(2);
+        let opt = Sgd { lr: 0.1 };
+        let key = ParamKey(2);
+        // Three pushes stay in the backlog (below the shipping threshold):
+        // the backup still holds the initial row at version 0.
+        let mut handed_out = Vec::new();
+        for i in 0..3 {
+            s.push_grad(key, &[1.0 + i as f32; 8], &opt);
+            handed_out.push(s.version(key));
+        }
+        // The primary dies; promotion takes the backup as it is.
+        assert!(s.promote(0));
+        let mut counters_revisited = 0;
+        for i in 0..6 {
+            s.push_grad(key, &[-2.0 - i as f32; 8], &opt);
+            let now = s.version(key);
+            assert!(
+                !handed_out.contains(&now),
+                "version {now:#x} was handed out by the dead primary for other bits"
+            );
+            counters_revisited += handed_out
+                .iter()
+                .filter(|&&held| held & COUNTER_MASK == now & COUNTER_MASK)
+                .count();
+            // So a worker holding any of them is sent the row.
+            for &held in &handed_out {
+                assert_eq!(s.pull_if_newer(key, held, &mut Vec::new()), Some(now));
+            }
+        }
+        assert_eq!(
+            counters_revisited, 3,
+            "the counter alone would have collided"
+        );
+    }
+
+    /// Checkpoint-restore drill: rows are rolled back to older bits and then
+    /// trained forward again. A version held from before the restore never
+    /// matches afterwards, whatever the row goes through.
+    #[test]
+    fn a_restore_never_reuses_a_version_held_from_before_it() {
+        let s = store(2).with_replication(2);
+        let opt = AdaGrad::new(0.1);
+        let key = ParamKey(5);
+        let mut checkpoint_row = vec![];
+        let mut checkpoint_state = vec![];
+        s.push_grad(key, &[1.0; 8], &opt);
+        s.for_each_row_with_state(|k, row, state| {
+            if k == key {
+                checkpoint_row = row.to_vec();
+                checkpoint_state = state.to_vec();
+            }
+        });
+        let mut held = vec![s.version(key)];
+        for _ in 0..4 {
+            s.push_grad(key, &[0.25; 8], &opt);
+            held.push(s.version(key));
+        }
+        s.restore_row(key, &checkpoint_row, Some(&checkpoint_state));
+        s.resync_backups();
+        for _ in 0..8 {
+            assert!(
+                !held.contains(&s.version(key)),
+                "version {} was held before the restore",
+                s.version(key)
+            );
+            s.push_grad(key, &[0.25; 8], &opt);
         }
     }
 

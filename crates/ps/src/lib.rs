@@ -61,11 +61,11 @@ pub mod transport;
 pub use client::{FaultBinding, PsClient, PsScratch};
 pub use compress::PushCompressor;
 pub use error::{RetryPolicy, RpcError};
-pub use kvstore::{KvStore, ReplicationFlush};
+pub use kvstore::{KvStore, ReplicationFlush, NO_VERSION};
 pub use optimizer::{AdaGrad, Optimizer, Sgd};
 pub use overload::{
     BreakerConfig, Gate, OverloadControl, RetryBudget, RetryBudgetConfig, ShardBreakers,
 };
 pub use router::{BatchPlan, ShardRouter};
 pub use server::{serve, ProcessCluster, ShardListener, ShardServerConfig, SocketMode};
-pub use transport::{FrameOp, ProcessTransport, ServerAddr, SimTransport, Transport};
+pub use transport::{FrameOp, ProcessTransport, Refresh, ServerAddr, SimTransport, Transport};

@@ -20,7 +20,9 @@
 use crate::kvstore::KvStore;
 use crate::optimizer::OptimizerKind;
 use crate::router::ShardRouter;
-use crate::transport::{ServerAddr, OP_ACK, OP_PULL, OP_PUSH, OP_SHUTDOWN, OP_WRITE};
+use crate::transport::{
+    answer_newer, ServerAddr, OP_ACK, OP_PULL, OP_PULL_NEWER, OP_PUSH, OP_SHUTDOWN, OP_WRITE,
+};
 use hetkg_embed::init::Init;
 use hetkg_kgraph::{KeySpace, ParamKey};
 use hetkg_netsim::compress::{decode_row, encoded_len};
@@ -244,7 +246,7 @@ fn handle<W: Write>(
     conn: &mut W,
     msg: StreamMessage,
 ) -> io::Result<Served> {
-    let StreamMessage { op, frame } = msg;
+    let StreamMessage { op, mut frame } = msg;
     if op == OP_SHUTDOWN {
         write_ack(conn)?;
         return Ok(Served::Shutdown);
@@ -252,6 +254,18 @@ fn handle<W: Write>(
     // Every data op must verify end-to-end and address only this shard.
     if !frame.verify() {
         return Err(protocol("frame failed checksum"));
+    }
+    // Versions belong to pull-if-newer requests — at most one per key, a
+    // request's trailing keys — and to nothing else.
+    let versions_allowed = if op == OP_PULL_NEWER {
+        frame.keys.len()
+    } else {
+        0
+    };
+    if frame.versions.len() > versions_allowed {
+        return Err(protocol(
+            "versions on an op that takes none, or more than keys",
+        ));
     }
     for &k in &frame.keys {
         if k >= config.num_keys() {
@@ -275,6 +289,13 @@ fn handle<W: Write>(
             }
             let resp = WireFrame::seal(frame.keys, payload);
             stream::write_frame(conn, OP_PULL, &resp)
+        }
+        OP_PULL_NEWER => {
+            if frame.codec() != Codec::Dense || !frame.payload.is_empty() {
+                return Err(protocol("a pull-if-newer request carries no rows"));
+            }
+            answer_newer(store, &mut frame);
+            stream::write_frame(conn, OP_PULL_NEWER, &frame)
         }
         OP_PUSH | OP_WRITE => {
             apply_frame(store, optimizer, row, &frame, op == OP_PUSH)?;
@@ -617,7 +638,6 @@ mod tests {
     /// store receiving the same operations.
     #[test]
     fn serve_loop_answers_pull_push_write_shutdown() {
-        use crate::transport::{OP_ACK, OP_PULL, OP_PUSH, OP_SHUTDOWN};
         let mut cfg = tiny_config();
         cfg.num_shards = 1;
         cfg.entity_shard = vec![0; 8];
@@ -627,6 +647,7 @@ mod tests {
         let handle = std::thread::spawn(move || serve(&server_cfg, 0, &listener));
 
         let mirror = cfg.build_store();
+        let initial_version_of_3 = mirror.version(ParamKey(3));
         let optimizer = cfg.optimizer.build();
         let addr = spec.strip_prefix("tcp:").unwrap();
         let mut sock = TcpStream::connect(addr).unwrap();
@@ -634,7 +655,17 @@ mod tests {
         // Pull key 3: must equal the mirror's row bitwise.
         let keys = vec![3u64];
         let digest = hetkg_netsim::frame::frame_digest(&keys, &[]);
-        stream::write_message(&mut sock, OP_PULL, &keys, &[], &[], Codec::Dense, digest).unwrap();
+        stream::write_message(
+            &mut sock,
+            OP_PULL,
+            &keys,
+            &[],
+            &[],
+            &[],
+            Codec::Dense,
+            digest,
+        )
+        .unwrap();
         let msg = stream::read_message(&mut sock).unwrap();
         assert_eq!(msg.op, OP_PULL);
         assert!(msg.frame.verify());
@@ -649,7 +680,17 @@ mod tests {
         let ack = stream::read_message(&mut sock).unwrap();
         assert_eq!(ack.op, OP_ACK);
         mirror.push_grad(ParamKey(3), &grad, optimizer.as_ref());
-        stream::write_message(&mut sock, OP_PULL, &keys, &[], &[], Codec::Dense, digest).unwrap();
+        stream::write_message(
+            &mut sock,
+            OP_PULL,
+            &keys,
+            &[],
+            &[],
+            &[],
+            Codec::Dense,
+            digest,
+        )
+        .unwrap();
         let msg = stream::read_message(&mut sock).unwrap();
         mirror.pull(ParamKey(3), &mut expect);
         assert_eq!(
@@ -657,8 +698,29 @@ mod tests {
             "server optimizer == mirror optimizer"
         );
 
+        // Pull-if-newer: key 3 is held from before the push above, key 5
+        // was never written.
+        let request = WireFrame::seal_versioned(
+            vec![3, 5],
+            vec![initial_version_of_3, mirror.version(ParamKey(5))],
+            Vec::new(),
+        );
+        stream::write_frame(&mut sock, OP_PULL_NEWER, &request).unwrap();
+        let msg = stream::read_message(&mut sock).unwrap();
+        assert_eq!(msg.op, OP_PULL_NEWER);
+        assert!(msg.frame.verify());
+        assert_eq!(msg.frame.keys, [3], "only the row whose version differs");
+        assert_eq!(msg.frame.versions, [mirror.version(ParamKey(3))]);
+        mirror.pull(ParamKey(3), &mut expect);
+        assert_eq!(msg.frame.payload, expect);
+        // Asking with what came back returns an empty, sealed frame.
+        let request = WireFrame::seal_versioned(vec![3], msg.frame.versions.clone(), Vec::new());
+        stream::write_frame(&mut sock, OP_PULL_NEWER, &request).unwrap();
+        let msg = stream::read_message(&mut sock).unwrap();
+        assert!(msg.frame.keys.is_empty() && msg.frame.verify());
+
         // Orderly shutdown ends the serve loop.
-        stream::write_message(&mut sock, OP_SHUTDOWN, &[], &[], &[], Codec::Dense, 0).unwrap();
+        stream::write_message(&mut sock, OP_SHUTDOWN, &[], &[], &[], &[], Codec::Dense, 0).unwrap();
         let ack = stream::read_message(&mut sock).unwrap();
         assert_eq!(ack.op, OP_ACK);
         handle.join().unwrap().unwrap();
@@ -681,13 +743,162 @@ mod tests {
         let mut sock = TcpStream::connect(&addr).unwrap();
         let keys = vec![1u64]; // entity 1 lives on shard 1
         let digest = hetkg_netsim::frame::frame_digest(&keys, &[]);
-        stream::write_message(&mut sock, OP_PULL, &keys, &[], &[], Codec::Dense, digest).unwrap();
+        stream::write_message(
+            &mut sock,
+            OP_PULL,
+            &keys,
+            &[],
+            &[],
+            &[],
+            Codec::Dense,
+            digest,
+        )
+        .unwrap();
         // Server closes without answering.
         assert!(stream::read_message(&mut sock).is_err());
         drop(sock);
         let mut sock = TcpStream::connect(&addr).unwrap();
-        stream::write_message(&mut sock, OP_SHUTDOWN, &[], &[], &[], Codec::Dense, 0).unwrap();
+        stream::write_message(&mut sock, OP_SHUTDOWN, &[], &[], &[], &[], Codec::Dense, 0).unwrap();
         let _ = stream::read_message(&mut sock);
         handle.join().unwrap().unwrap();
+    }
+
+    /// Run one request's bytes through the stream decoder and the shard-0
+    /// handler of a two-shard store, as `serve` does; returns the bytes the
+    /// handler wrote back.
+    fn feed(cfg: &ShardServerConfig, store: &KvStore, bytes: &[u8]) -> io::Result<Vec<u8>> {
+        let msg = stream::read_message(&mut io::Cursor::new(bytes))?;
+        let optimizer = cfg.optimizer.build();
+        let mut reply = Vec::new();
+        handle(
+            cfg,
+            0,
+            store,
+            optimizer.as_ref(),
+            &mut Vec::new(),
+            &mut reply,
+            msg,
+        )?;
+        Ok(reply)
+    }
+
+    fn request_bytes(op: u8, frame: &WireFrame) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        stream::write_frame(&mut bytes, op, frame).unwrap();
+        bytes
+    }
+
+    mod fuzz {
+        use super::*;
+        use crate::kvstore::NO_VERSION;
+        use proptest::prelude::*;
+
+        /// Distinct keys of `tiny_config`'s shard 0: the even entities and
+        /// the even relations (keys 8 and 10).
+        fn shard0_keys(picks: &[u8]) -> Vec<u64> {
+            let mut keys: Vec<u64> = picks.iter().map(|p| u64::from(p % 6) * 2).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Whatever arrives, the handler answers or refuses; it never
+            /// panics (an out-of-range key, a foreign shard's key, a payload
+            /// that does not match its keys, versions where none belong).
+            #[test]
+            fn arbitrary_bytes_never_panic_the_handler(
+                bytes in prop::collection::vec(any::<u8>(), 0..200),
+            ) {
+                let cfg = tiny_config();
+                let _ = feed(&cfg, &cfg.build_store(), &bytes);
+            }
+
+            /// Sealed, well-framed messages with arbitrary contents — the
+            /// ones that get past the checksum — are still only data.
+            #[test]
+            fn sealed_frames_with_arbitrary_contents_never_panic_the_handler(
+                op in 0u8..7,
+                keys in prop::collection::vec(0u64..16, 0..6),
+                versions in prop::collection::vec(any::<u32>(), 0..6),
+                words in prop::collection::vec(any::<u32>(), 0..24),
+            ) {
+                // Every op byte but shutdown's (4), which acknowledges
+                // whatever frame it rides on.
+                let op = if op >= OP_SHUTDOWN { op + 1 } else { op };
+                let cfg = tiny_config();
+                let store = cfg.build_store();
+                let payload = words.iter().map(|&w| f32::from_bits(w)).collect();
+                // Built directly: the stream decoder is not the only thing
+                // standing between the handler and a bad version count.
+                let msg = StreamMessage {
+                    op,
+                    frame: WireFrame::seal_versioned(keys.clone(), versions.clone(), payload),
+                };
+                let mut reply = Vec::new();
+                let optimizer = cfg.optimizer.build();
+                let out = handle(&cfg, 0, &store, optimizer.as_ref(), &mut Vec::new(), &mut reply, msg);
+                if op == OP_PULL_NEWER && versions.len() > keys.len() {
+                    prop_assert!(out.is_err(), "more versions than keys were served");
+                }
+                if op != OP_PULL_NEWER && !versions.is_empty() {
+                    prop_assert!(out.is_err(), "versions were accepted on op {op}");
+                }
+            }
+
+            /// A valid pull-if-newer request round-trips: the reply decodes,
+            /// verifies and is a well-formed answer; one flipped bit anywhere
+            /// in the request is refused or changes nothing the seal covers.
+            #[test]
+            fn valid_requests_round_trip_and_mutated_ones_are_refused(
+                picks in prop::collection::vec(any::<u8>(), 1..8),
+                plain in 0usize..8,
+                hold in prop::collection::vec(any::<bool>(), 8),
+                pushed in prop::collection::vec(any::<u8>(), 0..4),
+                at in any::<usize>(),
+                bit in 0u8..8,
+            ) {
+                let cfg = tiny_config();
+                let store = cfg.build_store();
+                let optimizer = cfg.optimizer.build();
+                let keys = shard0_keys(&picks);
+                // The first `plain` keys are pulled unconditionally.
+                let plain = plain % (keys.len() + 1);
+                let held: Vec<u32> = keys[plain..]
+                    .iter()
+                    .zip(&hold)
+                    .map(|(&k, &h)| if h { store.version(ParamKey(k)) } else { NO_VERSION })
+                    .collect();
+                for k in shard0_keys(&pushed) {
+                    store.push_grad(ParamKey(k), &[0.5; 4], optimizer.as_ref());
+                }
+                let request = WireFrame::seal_versioned(keys.clone(), held.clone(), Vec::new());
+                let bytes = request_bytes(OP_PULL_NEWER, &request);
+                let reply = feed(&cfg, &store, &bytes).unwrap();
+                let msg = stream::read_message(&mut io::Cursor::new(&reply)).unwrap();
+                prop_assert_eq!(msg.op, OP_PULL_NEWER);
+                prop_assert!(msg.frame.verify());
+                let expect: Vec<u64> = keys[plain..]
+                    .iter()
+                    .zip(&held)
+                    .filter(|&(&k, &h)| store.version(ParamKey(k)) != h)
+                    .map(|(&k, _)| k)
+                    .collect();
+                prop_assert_eq!(&msg.frame.keys, &expect);
+                prop_assert_eq!(msg.frame.versions.len(), expect.len());
+                prop_assert_eq!(msg.frame.payload.len(), (plain + expect.len()) * 4);
+
+                let mut bad = bytes.clone();
+                let at = at % bad.len();
+                bad[at] ^= 1 << bit;
+                // The op byte (offset 4) is not under the seal; every other
+                // flip must be refused by the decoder or the checksum.
+                if at != 4 {
+                    prop_assert!(feed(&cfg, &store, &bad).is_err(), "flip at {at} was served");
+                }
+            }
+        }
     }
 }

@@ -15,15 +15,19 @@
 //!   Socket failures map onto the same [`RpcError`] vocabulary the
 //!   simulated fault machinery raises, so callers retry identically.
 //!
-//! Both backends meter a successful exchange the same way: the frame's
-//! [`wire_bytes`](WireFrame::wire_bytes) on the local or remote lane
+//! Both backends meter a successful exchange the same way
+//! ([`PsClient::record_exchange`]): the frame's
+//! [`wire_bytes`](WireFrame::wire_bytes) — for a pull-if-newer, the request
+//! frame's plus the response frame's — on the local or remote lane
 //! depending on shard placement. Envelope bytes (length prefix, op byte,
 //! counts) ride unmetered on both, exactly like the cost model's
 //! per-message overhead — which is what makes the cross-backend
 //! differential test able to demand *identical* byte totals.
 
-use crate::client::PsClient;
+use crate::client::{PsClient, Sent};
 use crate::error::RpcError;
+use crate::kvstore::{KvStore, NO_VERSION};
+use hetkg_kgraph::ParamKey;
 use hetkg_netsim::stream::{self, StreamMessage};
 use hetkg_netsim::{frame::frame_digest, Codec, WireFrame};
 use parking_lot::Mutex;
@@ -46,15 +50,34 @@ pub const OP_WRITE: u8 = 2;
 pub const OP_ACK: u8 = 3;
 /// Orderly server shutdown.
 pub const OP_SHUTDOWN: u8 = 4;
+/// Pull-if-newer: the request's trailing keys each carry the version the
+/// worker holds (its leading keys are plain pulls riding in the same
+/// message); the response (same op byte) carries the plain rows, then the
+/// rows whose version differs, each of those with its key and new version.
+pub const OP_PULL_NEWER: u8 = 5;
+
+/// Which hot-table fill a pull-if-newer serves. The wire is the same; the
+/// bytes are metered under different [`Cause`](hetkg_netsim::Cause)s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refresh {
+    /// The periodic Alg. 3 synchronization of rows already cached.
+    Sync,
+    /// Filling slots for keys the hot set just selected.
+    Construction,
+}
 
 /// What a frame exchange *is*, as far as a transport needs to know.
-/// Pulls are the only hedgeable traffic (re-issuing a read is safe;
-/// re-applying a gradient is not), and the only op whose response
+/// Reads are the only hedgeable traffic (re-issuing a read is safe;
+/// re-applying a gradient is not), and the only ops whose response
 /// carries data back into the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameOp {
     /// Read rows; the response payload replaces the frame's payload.
     Pull,
+    /// Read the unversioned leading keys' rows, and of the versioned
+    /// trailing keys the rows whose version differs from the one sent; the
+    /// response frame (see [`answer_newer`]) replaces the request frame.
+    PullNewer(Refresh),
     /// Apply gradients through the server-side optimizer.
     Push,
     /// Overwrite values (no optimizer).
@@ -66,6 +89,7 @@ impl FrameOp {
     pub fn wire_op(self) -> u8 {
         match self {
             FrameOp::Pull => OP_PULL,
+            FrameOp::PullNewer(_) => OP_PULL_NEWER,
             FrameOp::Push => OP_PUSH,
             FrameOp::Write => OP_WRITE,
         }
@@ -76,10 +100,11 @@ impl FrameOp {
 /// crosses.
 ///
 /// Contract: on `Ok(())` the frame holds what the server accepted (for
-/// pulls, the server's rows in `frame.payload`), and the exchange has been
-/// metered once — `wire_bytes()` on the local or remote lane per the
-/// client's topology. On `Err` the frame's payload is unspecified and
-/// nothing further was metered by this call beyond attempts actually made.
+/// pulls, the server's rows in `frame.payload`; for a pull-if-newer, the
+/// whole response frame), and the exchange has been metered once per the
+/// client's topology ([`PsClient::record_exchange`]). On `Err` the frame's
+/// payload is unspecified and nothing further was metered by this call
+/// beyond attempts actually made.
 pub trait Transport: fmt::Debug + Send + Sync {
     /// Exchange `frame` with `shard` on behalf of `client`.
     fn exchange(
@@ -105,8 +130,71 @@ impl Transport for SimTransport {
         op: FrameOp,
         frame: &mut WireFrame,
     ) -> Result<(), RpcError> {
-        client.sim_exchange(shard, frame, op == FrameOp::Pull)
+        client.sim_exchange(shard, op, frame)
     }
+}
+
+/// Answer a pull-if-newer request in place. The request's last
+/// `versions.len()` keys are asked about conditionally; the keys before
+/// them are plain pulls. The response keeps, of the conditional keys, those
+/// whose row version differs from the one sent, with their new versions,
+/// and carries every plain row and then every kept row as its payload
+/// (plain rows need no key echoed: they all come back, in request order).
+///
+/// What the simulated backend and a shard server both run, so the two
+/// cannot disagree about what a sync returns. The caller has checked that
+/// the request has no more versions than keys and only keys this store
+/// holds.
+pub(crate) fn answer_newer(store: &KvStore, frame: &mut WireFrame) {
+    let mut keys = std::mem::take(&mut frame.keys);
+    let mut versions = std::mem::take(&mut frame.versions);
+    let mut rows = std::mem::take(&mut frame.payload);
+    rows.clear();
+    let plain = keys.len() - versions.len();
+    for &k in &keys[..plain] {
+        // No row reports NO_VERSION, so this always appends.
+        store.pull_if_newer(ParamKey(k), NO_VERSION, &mut rows);
+    }
+    let mut kept = 0;
+    for i in 0..versions.len() {
+        let k = keys[plain + i];
+        if let Some(version) = store.pull_if_newer(ParamKey(k), versions[i], &mut rows) {
+            keys[kept] = k;
+            versions[kept] = version;
+            kept += 1;
+        }
+    }
+    keys.truncate(kept);
+    versions.truncate(kept);
+    *frame = WireFrame::seal_versioned(keys, versions, rows);
+}
+
+/// Whether `response` is a well-formed answer to the pull-if-newer
+/// `request`: a dense frame with one version per key, none of them
+/// [`NO_VERSION`], whose keys are an in-order selection of the request's
+/// conditional keys and whose payload is exactly the request's plain rows
+/// followed by those keys' rows.
+fn answers(store: &KvStore, request: &WireFrame, response: &WireFrame) -> bool {
+    if response.codec() != Codec::Dense
+        || !response.encoded.is_empty()
+        || response.versions.len() != response.keys.len()
+        || response.versions.contains(&NO_VERSION)
+    {
+        return false;
+    }
+    let words = |k: &u64| store.row_bytes(ParamKey(*k)) as usize / 4;
+    let (plain, conditional) = request
+        .keys
+        .split_at(request.keys.len() - request.versions.len());
+    let mut expected: usize = plain.iter().map(words).sum();
+    let mut asked = conditional.iter();
+    for k in &response.keys {
+        if !asked.any(|a| a == k) {
+            return false;
+        }
+        expected += words(k);
+    }
+    expected == response.payload.len()
 }
 
 /// Where one shard server listens.
@@ -274,7 +362,13 @@ impl ProcessTransport {
         self.conns.len()
     }
 
-    fn attempt(&self, conn: &mut ShardConn, op: FrameOp, frame: &mut WireFrame) -> io::Result<()> {
+    fn attempt(
+        &self,
+        store: &KvStore,
+        conn: &mut ShardConn,
+        op: FrameOp,
+        frame: &mut WireFrame,
+    ) -> io::Result<()> {
         if conn.sock.is_none() {
             conn.sock = Some(connect(&conn.addr, self.connect_timeout, self.io_timeout)?);
         }
@@ -287,6 +381,7 @@ impl ProcessTransport {
                     sock,
                     OP_PULL,
                     &frame.keys,
+                    &[],
                     &[],
                     &[],
                     Codec::Dense,
@@ -303,6 +398,21 @@ impl ProcessTransport {
                     return Err(bad_reply("pull response shape mismatch"));
                 }
                 frame.payload.copy_from_slice(&resp.payload);
+                Ok(())
+            }
+            FrameOp::PullNewer(_) => {
+                stream::write_frame(sock, OP_PULL_NEWER, frame)?;
+                let StreamMessage { op, frame: resp } = stream::read_message(sock)?;
+                if op != OP_PULL_NEWER {
+                    return Err(bad_reply("pull-if-newer answered with another op"));
+                }
+                if !resp.verify() {
+                    return Err(bad_reply("pull-if-newer response failed checksum"));
+                }
+                if !answers(store, frame, &resp) {
+                    return Err(bad_reply("pull-if-newer response shape mismatch"));
+                }
+                *frame = resp;
                 Ok(())
             }
             FrameOp::Push | FrameOp::Write => {
@@ -329,7 +439,7 @@ impl ProcessTransport {
                     conn.sock = Some(connect(&conn.addr, self.connect_timeout, self.io_timeout)?);
                 }
                 let sock = conn.sock.as_mut().expect("connected above");
-                stream::write_message(sock, OP_SHUTDOWN, &[], &[], &[], Codec::Dense, 0)?;
+                stream::write_message(sock, OP_SHUTDOWN, &[], &[], &[], &[], Codec::Dense, 0)?;
                 // Ack is best-effort: the server may exit before replying.
                 let _ = stream::read_message(sock);
                 Ok(())
@@ -372,7 +482,7 @@ impl Transport for ProcessTransport {
         op: FrameOp,
         frame: &mut WireFrame,
     ) -> Result<(), RpcError> {
-        let bytes = frame.wire_bytes();
+        let sent = Sent::of(op, frame);
         let conn = self
             .conns
             .get(shard)
@@ -381,13 +491,9 @@ impl Transport for ProcessTransport {
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
-            match self.attempt(&mut conn, op, frame) {
+            match self.attempt(client.store(), &mut conn, op, frame) {
                 Ok(()) => {
-                    if client.topology().is_local(client.worker_id(), shard) {
-                        client.meter().record_local(bytes);
-                    } else {
-                        client.meter().record_remote(bytes);
-                    }
+                    client.record_exchange(shard, op, sent, frame);
                     return Ok(());
                 }
                 Err(e) => {
@@ -451,6 +557,125 @@ mod tests {
         assert_eq!(FrameOp::Pull.wire_op(), OP_PULL);
         assert_eq!(FrameOp::Push.wire_op(), OP_PUSH);
         assert_eq!(FrameOp::Write.wire_op(), OP_WRITE);
-        assert_ne!(OP_ACK, OP_SHUTDOWN);
+        assert_eq!(FrameOp::PullNewer(Refresh::Sync).wire_op(), OP_PULL_NEWER);
+        assert_eq!(
+            FrameOp::PullNewer(Refresh::Construction).wire_op(),
+            OP_PULL_NEWER
+        );
+        let ops = [
+            OP_PULL,
+            OP_PUSH,
+            OP_WRITE,
+            OP_ACK,
+            OP_SHUTDOWN,
+            OP_PULL_NEWER,
+        ];
+        for (i, a) in ops.iter().enumerate() {
+            assert!(!ops[..i].contains(a), "op byte {a} used twice");
+        }
+    }
+
+    fn small_store() -> KvStore {
+        use crate::router::ShardRouter;
+        use hetkg_embed::init::Init;
+        use hetkg_kgraph::KeySpace;
+        let router = ShardRouter::round_robin(KeySpace::new(6, 2), 1);
+        KvStore::new(router, 4, 4, 0, Init::Uniform { bound: 0.5 }, 3)
+    }
+
+    #[test]
+    fn answer_newer_returns_exactly_the_rows_that_moved() {
+        let store = small_store();
+        let keys: Vec<u64> = vec![0, 3, 5, 7];
+        let held: Vec<u32> = keys.iter().map(|&k| store.version(ParamKey(k))).collect();
+        // Nothing moved: an empty (but sealed, verifying) answer.
+        let mut frame = WireFrame::seal_versioned(keys.clone(), held.clone(), Vec::new());
+        let request = frame.clone();
+        answer_newer(&store, &mut frame);
+        assert!(frame.keys.is_empty() && frame.payload.is_empty() && frame.verify());
+        assert!(answers(&store, &request, &frame));
+        // Two rows are written; a third is asked for without a held copy.
+        store.store(ParamKey(3), &[1.0; 4]);
+        store.store(ParamKey(7), &[2.0; 4]);
+        let mut asked = held.clone();
+        asked[0] = NO_VERSION;
+        let mut frame = WireFrame::seal_versioned(keys.clone(), asked.clone(), Vec::new());
+        let request = frame.clone();
+        answer_newer(&store, &mut frame);
+        assert!(frame.verify());
+        assert_eq!(frame.keys, [0, 3, 7]);
+        assert_eq!(&frame.payload[4..8], &[1.0; 4]);
+        assert_eq!(&frame.payload[8..], &[2.0; 4]);
+        assert_eq!(
+            frame.versions[0], held[0],
+            "an unwritten row keeps its version"
+        );
+        assert_ne!(frame.versions[1], held[1]);
+        assert_eq!(frame.wire_bytes(), 3 * (8 + 4 + 16));
+        assert!(answers(&store, &request, &frame));
+        // Asking again with what came back returns nothing.
+        let mut again =
+            WireFrame::seal_versioned(frame.keys.clone(), frame.versions.clone(), vec![]);
+        answer_newer(&store, &mut again);
+        assert!(again.keys.is_empty());
+    }
+
+    #[test]
+    fn plain_keys_ride_in_front_and_always_come_back() {
+        let store = small_store();
+        store.store(ParamKey(5), &[5.0; 4]);
+        // Keys 1 and 6 are plain pulls; 3 and 5 are asked about with their
+        // current versions, then 5 is written.
+        let held = vec![store.version(ParamKey(3)), store.version(ParamKey(5))];
+        store.store(ParamKey(5), &[6.0; 4]);
+        let mut frame = WireFrame::seal_versioned(vec![1, 6, 3, 5], held, Vec::new());
+        let request = frame.clone();
+        assert_eq!(request.wire_bytes(), 4 * 8 + 2 * 4);
+        answer_newer(&store, &mut frame);
+        assert!(frame.verify());
+        assert_eq!(
+            frame.keys,
+            [5],
+            "plain rows are not named: they all come back"
+        );
+        assert_eq!(frame.versions, [store.version(ParamKey(5))]);
+        let mut want = [0.0f32; 4];
+        store.pull(ParamKey(1), &mut want);
+        assert_eq!(frame.payload[..4], want);
+        store.pull(ParamKey(6), &mut want);
+        assert_eq!(frame.payload[4..8], want);
+        assert_eq!(frame.payload[8..], [6.0; 4]);
+        // A plain row costs what it costs in a plain pull: 8 + 16 bytes.
+        assert_eq!(
+            request.wire_bytes() + frame.wire_bytes(),
+            2 * (8 + 16) + 2 * 12 + (12 + 16)
+        );
+        assert!(answers(&store, &request, &frame));
+        // A response that drops a plain row is refused.
+        let short = WireFrame::seal_versioned(vec![5], frame.versions.clone(), vec![0.0; 8]);
+        assert!(!answers(&store, &request, &short));
+        // So is one that names a plain key as if it had been conditional.
+        let named = WireFrame::seal_versioned(vec![1, 5], vec![0, 1], vec![0.0; 12]);
+        assert!(!answers(&store, &request, &named));
+    }
+
+    #[test]
+    fn malformed_newer_responses_are_refused() {
+        let store = small_store();
+        let request = WireFrame::seal_versioned(vec![1, 2, 6], vec![NO_VERSION; 3], Vec::new());
+        let ok = WireFrame::seal_versioned(vec![1, 6], vec![0, 0], vec![0.0; 8]);
+        assert!(answers(&store, &request, &ok));
+        let reordered = WireFrame::seal_versioned(vec![6, 1], vec![0, 0], vec![0.0; 8]);
+        assert!(!answers(&store, &request, &reordered));
+        let unasked = WireFrame::seal_versioned(vec![1, 4], vec![0, 0], vec![0.0; 8]);
+        assert!(!answers(&store, &request, &unasked));
+        let repeated = WireFrame::seal_versioned(vec![1, 1], vec![0, 0], vec![0.0; 8]);
+        assert!(!answers(&store, &request, &repeated));
+        let short = WireFrame::seal_versioned(vec![1, 6], vec![0, 0], vec![0.0; 7]);
+        assert!(!answers(&store, &request, &short));
+        let unversioned = WireFrame::seal(vec![1], vec![0.0; 4]);
+        assert!(!answers(&store, &request, &unversioned));
+        let no_version = WireFrame::seal_versioned(vec![1], vec![NO_VERSION], vec![0.0; 4]);
+        assert!(!answers(&store, &request, &no_version));
     }
 }

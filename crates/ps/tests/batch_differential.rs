@@ -12,7 +12,7 @@
 
 use hetkg_embed::init::Init;
 use hetkg_kgraph::{KeySpace, ParamKey};
-use hetkg_netsim::{ClusterTopology, CostModel, TrafficMeter};
+use hetkg_netsim::{Cause, ClusterTopology, CostModel, TrafficMeter};
 use hetkg_ps::optimizer::AdaGrad;
 use hetkg_ps::{KvStore, PsClient, PsScratch, ShardRouter};
 use rand::rngs::StdRng;
@@ -58,16 +58,13 @@ impl RefClient {
         bytes
     }
 
-    fn meter_batch(&self, keys: &[ParamKey]) {
+    fn meter_batch(&self, keys: &[ParamKey], cause: Cause) {
         for (shard, b) in self.shard_bytes(keys).into_iter().enumerate() {
             if b == 0 {
                 continue;
             }
-            if self.topology.is_local(self.worker_id, shard) {
-                self.meter.record_local(b);
-            } else {
-                self.meter.record_remote(b);
-            }
+            let remote = !self.topology.is_local(self.worker_id, shard);
+            self.meter.record(remote, &[(cause, b)]);
         }
     }
 
@@ -75,7 +72,7 @@ impl RefClient {
         if keys.is_empty() {
             return;
         }
-        self.meter_batch(keys);
+        self.meter_batch(keys, Cause::MissPull);
         let mut row = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
             row.resize((self.store.row_bytes(k) / 4) as usize, 0.0);
@@ -88,7 +85,7 @@ impl RefClient {
         if keys.is_empty() {
             return;
         }
-        self.meter_batch(keys);
+        self.meter_batch(keys, Cause::Push);
         // Push-lane breakdown: one record per shard message; a dense push
         // costs on the wire exactly what its rows cost raw.
         for b in self.shard_bytes(keys) {
@@ -105,7 +102,7 @@ impl RefClient {
         if keys.is_empty() {
             return;
         }
-        self.meter_batch(keys);
+        self.meter_batch(keys, Cause::Write);
         for (&k, &v) in keys.iter().zip(values) {
             self.store.store(k, v);
         }

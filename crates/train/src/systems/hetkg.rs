@@ -6,7 +6,12 @@
 //!    CPS once from the whole subgraph's frequencies, DPS every `D`
 //!    iterations from prefetched batches;
 //! 2. synchronize the table with the PS every `P` iterations (bounded
-//!    staleness, Alg. 3 lines 8–9);
+//!    staleness, Alg. 3 lines 8–9) — as a *pull-if-newer*: the worker sends
+//!    the server version each cached row is held under and receives only
+//!    the rows whose version moved. A row that does not come back is
+//!    bit-identical to the cached copy, so no value the model reads depends
+//!    on the gate, and every row — returned or not — is confirmed current
+//!    as of this iteration, which is what §IV-C's bound counts from;
 //! 3. read hot embeddings from the table, pull only the *misses* from the
 //!    PS — this is where the communication reduction comes from;
 //! 4. compute gradients; apply them to cached rows locally **and** push all
@@ -62,7 +67,7 @@ use hetkg_core::sync::{StalenessTracker, SyncConfig};
 use hetkg_core::table::HotEmbeddingTable;
 use hetkg_embed::negative::NegativeSampler;
 use hetkg_kgraph::ParamKey;
-use hetkg_ps::{PsScratch, RpcError};
+use hetkg_ps::{PsScratch, Refresh, RpcError, NO_VERSION};
 use std::collections::{HashMap, VecDeque};
 
 /// Per-worker HET-KG training state (CPS or DPS, by the policy's kind).
@@ -90,13 +95,21 @@ pub struct HetKgWorker {
     /// staging: the staged misses before the early/late split).
     miss_keys: Vec<ParamKey>,
     miss_slots: Vec<u32>,
-    /// Scratch: a sync iteration's combined pull list (misses, then every
-    /// cached key to refresh).
-    combined: Vec<ParamKey>,
-    /// Scratch for table construction: the selected hot set, sorted, and
-    /// the selected keys not cached yet.
+    /// Scratch: a pull-if-newer's keys (a sync's misses, then its cached
+    /// keys; a construction's fresh keys) and the version each conditional
+    /// one is held under.
+    probe_keys: Vec<ParamKey>,
+    probe_held: Vec<u32>,
+    /// Scratch for table construction: the selected hot set, sorted.
     selected: Vec<ParamKey>,
-    fresh: Vec<ParamKey>,
+    /// Scratch for the debug check that a row the shard declined to send is
+    /// bit-equal to the cached copy.
+    check_row: Vec<f32>,
+    /// Test-only: synchronize the way the code did before versions existed
+    /// (pull every cached row, every time), as the reference the
+    /// differential tests hold the version gate against.
+    #[cfg(test)]
+    full_refresh_reference: bool,
     /// Scratch for the degraded push: the available gradient slots in key
     /// order, and their keys.
     up_slots: Vec<u32>,
@@ -183,9 +196,12 @@ impl HetKgWorker {
             epoch_div_samples: 0,
             miss_keys: Vec::new(),
             miss_slots: Vec::new(),
-            combined: Vec::new(),
+            probe_keys: Vec::new(),
+            probe_held: Vec::new(),
             selected: Vec::new(),
-            fresh: Vec::new(),
+            check_row: Vec::new(),
+            #[cfg(test)]
+            full_refresh_reference: false,
             up_slots: Vec::new(),
             up_keys: Vec::new(),
             batch: MiniBatch::default(),
@@ -230,12 +246,27 @@ impl HetKgWorker {
         self.staleness.max_observed()
     }
 
+    /// The largest age (iterations since it was last confirmed current) a
+    /// cached row may be read at: `P` — a read at a sync iteration precedes
+    /// that iteration's refresh, so the bound is inclusive — and, while a
+    /// fault plan lets syncs skip unhealthy shards, the staleness cap
+    /// rounded up to the sync schedule it is checked on.
+    fn staleness_bound(&self, degraded: bool) -> usize {
+        let p = self.sync.period;
+        if degraded {
+            self.staleness_cap.next_multiple_of(p).max(p)
+        } else {
+            p
+        }
+    }
+
     /// (Re)construct the hot-embedding table from an access list: filter the
     /// top-k, evict what fell out of it, then pull the *newly selected* keys
-    /// from the PS (metered — building the cache is not free). Keys already
-    /// cached stay where they are: hot sets overlap heavily between windows
-    /// and retained rows stay within the staleness bound (the periodic sync
-    /// refreshes them), so re-pulling them would be pure waste.
+    /// from the PS (metered — building the cache is not free), each with the
+    /// version it is held under from now on. Keys already cached stay where
+    /// they are: hot sets overlap heavily between windows and retained rows
+    /// stay within the staleness bound (the periodic sync refreshes them),
+    /// so re-pulling them would be pure waste.
     fn construct_table(&mut self, accesses: &[ParamKey]) {
         let hot = filter_hot_set(accesses, self.ctx.key_space, &self.policy.filter);
         self.selected.clear();
@@ -243,24 +274,195 @@ impl HetKgWorker {
         self.selected.sort_unstable();
         let selected = &self.selected;
         self.table.retain(|k| selected.binary_search(&k).is_ok());
-        let table = &mut self.table;
-        self.fresh.clear();
-        self.fresh
+        let table = &self.table;
+        self.probe_keys.clear();
+        self.probe_keys
             .extend(hot.keys().filter(|&k| !table.contains(k)));
-        if !self.fresh.is_empty() {
-            let before = self.ctx.meter.snapshot();
-            let fresh = &self.fresh;
-            self.ctx
-                .client
-                .try_pull_batch_with(fresh, &mut self.ctx.ps, |i, row| {
-                    table
-                        .insert(fresh[i], row)
-                        .expect("capacity covers the hot set");
-                })
-                .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
-            let delta = self.ctx.meter.snapshot().since(before);
-            self.ctx.post_comm(delta, 0.0);
+        if self.probe_keys.is_empty() {
+            return;
         }
+        let before = self.ctx.meter.snapshot();
+        self.fill_fresh_slots()
+            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
+        let delta = self.ctx.meter.snapshot().since(before);
+        self.ctx.post_comm(delta, 0.0);
+    }
+
+    /// Pull `probe_keys` — selected, not cached yet — into free slots. The
+    /// worker holds no copy of them, so the pull-if-newer returns every row,
+    /// and with it the version the next sync will ask about.
+    fn fill_fresh_slots(&mut self) -> Result<(), RpcError> {
+        #[cfg(test)]
+        {
+            if self.full_refresh_reference {
+                return self.fill_fresh_slots_reference();
+            }
+        }
+        let (fresh, table, now) = (&self.probe_keys, &mut self.table, self.iteration);
+        self.probe_held.clear();
+        self.probe_held.resize(fresh.len(), NO_VERSION);
+        self.ctx.client.try_pull_newer_with(
+            fresh,
+            &self.probe_held,
+            Refresh::Construction,
+            &mut self.ctx.ps,
+            |i, version, row| {
+                table
+                    .insert_at(fresh[i], row, version, now)
+                    .expect("capacity covers the hot set");
+            },
+        )
+    }
+
+    /// A sync iteration's one PS request: this batch's misses (into the
+    /// working set) and, riding in the same per-shard messages, the table's
+    /// synchronization (Alg. 3 lines 8–9) as a pull-if-newer over every
+    /// cached row. Folds the cache-vs-global divergence it observes into
+    /// the epoch's statistics.
+    ///
+    /// Three kinds of cached row send nothing or get nothing back. Rows this
+    /// iteration's construction pulled moments ago are not even asked
+    /// about, and rows whose version still matches cost 12 bytes asked and
+    /// nothing returned; both count as zero-divergence samples, because
+    /// that is what a full refresh would have measured on them. In degraded
+    /// mode only — and not counted — rows homed on a down or browning-out
+    /// shard are skipped: they keep their old version and keep ageing
+    /// toward `staleness_cap`; once staleness reaches the cap everything is
+    /// asked about and the client waits the outage out (or probes the
+    /// breaker) in simulated time. A partial sync does not reset the
+    /// staleness clock.
+    fn pull_misses_and_sync(&mut self, degraded: bool, staleness_now: usize) {
+        #[cfg(test)]
+        {
+            if self.full_refresh_reference {
+                return self.pull_misses_and_sync_reference(degraded, staleness_now);
+            }
+        }
+        let now = self.iteration;
+        let client = &self.ctx.client;
+        let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
+        let miss_count = self.miss_keys.len();
+        self.probe_keys.clear();
+        self.probe_keys.extend_from_slice(&self.miss_keys);
+        self.probe_held.clear();
+        let mut covered = 0usize;
+        for (k, held, confirmed) in self.table.iter_held() {
+            if skip_unhealthy && !client.shard_healthy(k) {
+                continue;
+            }
+            covered += 1;
+            if confirmed != now {
+                self.probe_keys.push(k);
+                self.probe_held.push(held);
+            }
+        }
+        let (keys, held, miss_slots) = (&self.probe_keys, &self.probe_held, &self.miss_slots);
+        let (table, ws) = (&mut self.table, &mut self.ctx.ws);
+        let mut max_div = 0.0f64;
+        let mut div_sum = 0.0f64;
+        client
+            .try_pull_newer_with(
+                keys,
+                held,
+                Refresh::Sync,
+                &mut self.ctx.ps,
+                |i, version, row| {
+                    if i < miss_count {
+                        ws.row_mut(miss_slots[i]).copy_from_slice(row);
+                        return;
+                    }
+                    let cached = table
+                        .get(keys[i])
+                        .expect("only cached keys are asked about");
+                    let d = l2_distance(cached, row);
+                    max_div = max_div.max(d);
+                    div_sum += d;
+                    table.refresh_at(keys[i], row, version, now);
+                },
+            )
+            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
+        // Everything asked about and not returned still matches.
+        for (&k, &held) in keys[miss_count..].iter().zip(held) {
+            if cfg!(debug_assertions) && table.held_version(k) == Some(held) {
+                // The gate is sound: what the shard declined to send is,
+                // bit for bit, what the cache already holds.
+                let cached = table.get(k).expect("only cached keys are asked about");
+                self.check_row.resize(cached.len(), 0.0);
+                client.store().pull(k, &mut self.check_row);
+                debug_assert!(
+                    cached
+                        .iter()
+                        .zip(&self.check_row)
+                        .all(|(c, g)| c.to_bits() == g.to_bits()),
+                    "{k} kept version {held} but its bits moved"
+                );
+            }
+            table.confirm(k, now);
+        }
+        self.note_sync(max_div, div_sum, covered);
+    }
+
+    /// Book a sync that covered `covered` cached rows (returned or not) and
+    /// saw these divergences on the ones that came back. Only a sync that
+    /// covered the whole table resets the staleness clock.
+    fn note_sync(&mut self, max_div: f64, div_sum: f64, covered: usize) {
+        self.epoch_divergence = self.epoch_divergence.max(max_div);
+        self.epoch_div_sum += div_sum;
+        self.epoch_div_samples += covered as u64;
+        if covered == self.table.len() {
+            self.staleness.record_sync(self.iteration);
+        }
+    }
+
+    /// [`Self::fill_fresh_slots`] as it was before rows had versions: a
+    /// plain pull, rows held under no version.
+    #[cfg(test)]
+    fn fill_fresh_slots_reference(&mut self) -> Result<(), RpcError> {
+        let (fresh, table, now) = (&self.probe_keys, &mut self.table, self.iteration);
+        self.ctx
+            .client
+            .try_pull_batch_with(fresh, &mut self.ctx.ps, |i, row| {
+                table
+                    .insert_at(fresh[i], row, NO_VERSION, now)
+                    .expect("capacity covers the hot set");
+            })
+    }
+
+    /// [`Self::pull_misses_and_sync`] as it was before rows had versions:
+    /// one plain pull of the misses and every cached row (of a healthy
+    /// shard, in degraded mode), overwriting the cache with whatever comes
+    /// back, changed or not.
+    #[cfg(test)]
+    fn pull_misses_and_sync_reference(&mut self, degraded: bool, staleness_now: usize) {
+        let now = self.iteration;
+        let client = &self.ctx.client;
+        let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
+        let miss_count = self.miss_keys.len();
+        self.probe_keys.clear();
+        self.probe_keys.extend_from_slice(&self.miss_keys);
+        self.probe_keys.extend(
+            self.table
+                .iter_keys()
+                .filter(|&k| !skip_unhealthy || client.shard_healthy(k)),
+        );
+        let refreshed = self.probe_keys.len() - miss_count;
+        let (keys, miss_slots) = (&self.probe_keys, &self.miss_slots);
+        let (table, ws) = (&mut self.table, &mut self.ctx.ws);
+        let mut max_div = 0.0f64;
+        let mut div_sum = 0.0f64;
+        client
+            .try_pull_batch_with(keys, &mut self.ctx.ps, |i, row| {
+                if i < miss_count {
+                    ws.row_mut(miss_slots[i]).copy_from_slice(row);
+                    return;
+                }
+                let d = l2_distance(table.get(keys[i]).expect("cached"), row);
+                max_div = max_div.max(d);
+                div_sum += d;
+                table.refresh_at(keys[i], row, NO_VERSION, now);
+            })
+            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
+        self.note_sync(max_div, div_sum, refreshed);
     }
 
     /// Take the next batch — the next prefetched one under DPS, a fresh
@@ -480,10 +682,6 @@ impl HetKgWorker {
         }
 
         // --- Synchronization (Alg. 3 lines 8–9) ---
-        // The refresh keys ride in the same pull request as this iteration's
-        // cache misses (one round trip per server per iteration, as a real
-        // KVStore client batches), so sync costs bytes but no extra
-        // messages.
         // Iteration 0 is never a sync point (the schedule itself excludes
         // it): the cache was constructed from fresh pulls moments ago.
         let sync_now = self.sync.is_sync_iteration(self.iteration);
@@ -497,6 +695,7 @@ impl HetKgWorker {
         self.miss_slots.clear();
         let mut degraded_uses = 0u64;
         let mut brownout_uses = 0u64;
+        let bound = self.staleness_bound(degraded);
         let plan = &self.ctx.scratch.plan;
         // A key used `u` times in the batch counts `u` hits/misses — the
         // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
@@ -504,6 +703,7 @@ impl HetKgWorker {
         for (slot, (&k, &uses)) in plan.keys().iter().zip(plan.uses()).enumerate() {
             let uses = u64::from(uses);
             if let Some(row) = self.table.get(k) {
+                debug_assert_fresh(&self.table, k, self.iteration, bound);
                 self.ctx.ws.row_mut(slot as u32).copy_from_slice(row);
                 self.cache_stats.hits += uses;
                 if degraded {
@@ -538,61 +738,14 @@ impl HetKgWorker {
             let delta = self.ctx.pull_into_ws(&self.miss_keys, &self.miss_slots);
             return self.ctx.post_comm(delta, 0.0);
         }
-        // One combined pull: misses (into the working set) + every cached
-        // key (refreshing the table). Rows for refreshed keys that this
-        // batch reads as hits were already copied into the working set from
-        // the pre-refresh cache — that read is at most one sync period
+        // The table's synchronization rides in the same request as the
+        // misses (one round trip per server per iteration, as a real KVStore
+        // client batches), so a sync costs bytes but no extra messages. Rows
+        // this batch reads as hits were copied into the working set above,
+        // from the pre-sync cache: that read is at most one sync period
         // stale, which is exactly the bounded-staleness contract.
-        let miss_count = self.miss_keys.len();
-        self.combined.clear();
-        self.combined.extend_from_slice(&self.miss_keys);
-        // Degraded sync: skip cached keys whose home shard is down or
-        // behind an open breaker and keep serving them stale — the
-        // brownout widens effective staleness past `P` — unless staleness
-        // has hit the hard cap; then refresh everything and let the client
-        // wait the outage (or probe the breaker) in simulated time. A
-        // partial refresh does not count as a sync, so staleness keeps
-        // accruing toward the cap.
-        let client = &self.ctx.client;
-        let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
-        self.combined.extend(
-            self.table
-                .iter_keys()
-                .filter(|&k| !skip_unhealthy || client.shard_healthy(k)),
-        );
-        let partial = self.combined.len() - miss_count < self.table.len();
         let before = self.ctx.meter.snapshot();
-        let (combined, miss_slots) = (&self.combined, &self.miss_slots);
-        let table = &mut self.table;
-        let ws = &mut self.ctx.ws;
-        let mut max_div = 0.0f64;
-        let mut div_sum = 0.0f64;
-        let mut div_samples = 0u64;
-        let pulled = client.try_pull_batch_with(combined, &mut self.ctx.ps, |i, row| {
-            if i < miss_count {
-                ws.row_mut(miss_slots[i]).copy_from_slice(row);
-            } else {
-                if let Some(cached) = table.get(combined[i]) {
-                    let d2: f64 = cached
-                        .iter()
-                        .zip(row)
-                        .map(|(&c, &g)| ((c - g) as f64).powi(2))
-                        .sum();
-                    let d = d2.sqrt();
-                    max_div = max_div.max(d);
-                    div_sum += d;
-                    div_samples += 1;
-                }
-                table.refresh(combined[i], row);
-            }
-        });
-        pulled.unwrap_or_else(|e| retries_exhausted("pull_batch", e));
-        self.epoch_divergence = self.epoch_divergence.max(max_div);
-        self.epoch_div_sum += div_sum;
-        self.epoch_div_samples += div_samples;
-        if !partial {
-            self.staleness.record_sync(self.iteration);
-        }
+        self.pull_misses_and_sync(degraded, staleness_now);
         let delta = self.ctx.meter.snapshot().since(before);
         self.ctx.post_comm(delta, 0.0)
     }
@@ -653,11 +806,14 @@ impl HetKgWorker {
         std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
         self.ctx.begin_batch();
         let keys = self.ctx.scratch.plan.keys();
+        let bound = self.staleness_bound(self.ctx.client.faults().is_some());
         for &slot in &self.staged_hits {
+            let k = keys[slot as usize];
             let row = self
                 .table
-                .get(keys[slot as usize])
+                .get(k)
                 .expect("staged hits stay cached until consumed");
+            debug_assert_fresh(&self.table, k, self.iteration, bound);
             self.ctx.ws.row_mut(slot).copy_from_slice(row);
         }
         self.cache_stats.hits += self.staged_hit_uses;
@@ -715,6 +871,27 @@ impl HetKgWorker {
         self.iteration += 1;
         result
     }
+}
+
+/// §IV-C at the point of use: a cached row read at iteration `now` was last
+/// confirmed current at most `bound` iterations ago.
+#[inline]
+fn debug_assert_fresh(table: &HotEmbeddingTable, k: ParamKey, now: usize, bound: usize) {
+    debug_assert!(
+        table.age(k, now) <= Some(bound),
+        "§IV-C: {k} read {:?} iterations after it was last current (bound {bound})",
+        table.age(k, now)
+    );
+}
+
+/// L2 distance between a cached row and the server's, accumulated in `f64`.
+fn l2_distance(cached: &[f32], global: &[f32]) -> f64 {
+    let d2: f64 = cached
+        .iter()
+        .zip(global)
+        .map(|(&c, &g)| ((c - g) as f64).powi(2))
+        .sum();
+    d2.sqrt()
 }
 
 impl WorkerLoop for HetKgWorker {
@@ -1308,5 +1485,304 @@ mod tests {
                 b.critical_path_secs
             );
         }
+    }
+
+    // ---- The version gate against the full refresh it replaced ----
+
+    /// Three workers on three machines over one store, as the trainer wires
+    /// them (per-worker meters, clients, samplers), on a graph skewed enough
+    /// that some cached rows sit unwritten across a sync period and others
+    /// are written by every worker. D = 8 is a multiple of P = 4, so every
+    /// DPS rebuild lands on a sync iteration, like the benchmark's.
+    fn build_pool(
+        kind: PolicyKind,
+        overlap: bool,
+        compression: hetkg_netsim::CompressionMode,
+        reference: bool,
+        replication: usize,
+    ) -> (Vec<HetKgWorker>, Arc<KvStore>) {
+        const MACHINES: usize = 3;
+        let g = SyntheticKg {
+            num_entities: 3_000,
+            num_relations: 10,
+            num_triples: 4_500,
+            entity_alpha: 1.0,
+            relation_alpha: 1.1,
+            ..Default::default()
+        }
+        .build(17);
+        let ks = g.key_space();
+        let router = ShardRouter::round_robin(ks, MACHINES);
+        let store = Arc::new(
+            KvStore::new(router, 32, 32, 1, Init::Uniform { bound: 0.2 }, 4)
+                .with_replication(replication),
+        );
+        let workers = (0..MACHINES)
+            .map(|w| {
+                let meter = Arc::new(TrafficMeter::new());
+                let client = PsClient::new(
+                    w,
+                    ClusterTopology::new(MACHINES, 1),
+                    store.clone(),
+                    meter.clone(),
+                );
+                let subgraph = g
+                    .triples()
+                    .iter()
+                    .copied()
+                    .filter(|t| t.head.index() % MACHINES == w)
+                    .collect();
+                let ctx = WorkerCtx::new(
+                    w,
+                    subgraph,
+                    ks,
+                    client,
+                    meter,
+                    ModelKind::TransEL2.build(32).into(),
+                    LossKind::Logistic,
+                    Arc::new(AdaGrad::new(0.1)),
+                    32,
+                )
+                .with_timing(CostModel::gigabit(), overlap)
+                .with_compression(compression);
+                let negatives = NegativeSampler::new(3_000, NegConfig::default(), 9 + w as u64);
+                let policy = CachePolicy {
+                    kind,
+                    filter: hetkg_core::filter::FilterConfig::paper_default(300),
+                    prefetch_depth: 8,
+                };
+                let mut worker = HetKgWorker::new(ctx, policy, SyncConfig::new(4), negatives, 1);
+                worker.full_refresh_reference = reference;
+                worker
+            })
+            .collect();
+        (workers, store)
+    }
+
+    /// One epoch, workers interleaved step by step like the trainer's.
+    fn run_pool_epoch(workers: &mut [HetKgWorker], epoch: usize) -> Vec<WorkerEpochStats> {
+        for w in workers.iter_mut() {
+            w.begin_epoch(epoch);
+        }
+        let mut live = workers.len();
+        while live > 0 {
+            live = workers
+                .iter_mut()
+                .map(|w| w.step())
+                .filter(|&more| more)
+                .count();
+        }
+        workers.iter_mut().map(|w| w.finish_epoch()).collect()
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A worker's cached rows, by key, bit for bit.
+    fn table_bits(w: &HetKgWorker) -> Vec<(u64, Vec<u32>)> {
+        let mut rows: Vec<_> = w
+            .table
+            .iter_keys()
+            .map(|k| (k.0, bits(w.table.get(k).unwrap())))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// Every row and optimizer-state row of the store, bit for bit.
+    fn store_bits(store: &KvStore) -> Vec<(u64, Vec<u32>, Vec<u32>)> {
+        let mut rows = Vec::new();
+        store.for_each_row_with_state(|k, row, state| rows.push((k.0, bits(row), bits(state))));
+        rows.sort();
+        rows
+    }
+
+    /// The tentpole's contract: the version gate changes which bytes move
+    /// and nothing else. Over 3 epochs, for CPS and DPS, pipelined and not,
+    /// dense and int8 pushes: per-worker loss, cache statistics, divergence
+    /// statistics and staleness bit-equal to the full-refresh reference
+    /// after every epoch, every worker's hot table bit-equal, the final
+    /// store (rows and optimizer state) bit-equal, message counts equal —
+    /// and strictly fewer remote bytes.
+    #[test]
+    fn version_gated_sync_matches_the_full_refresh_reference_bit_for_bit() {
+        use hetkg_netsim::CompressionMode;
+        for kind in [PolicyKind::Cps, PolicyKind::Dps] {
+            for overlap in [false, true] {
+                for compression in [CompressionMode::Off, CompressionMode::Int8] {
+                    let what = format!("{kind:?} overlap {overlap} {compression:?}");
+                    let (mut gated, gated_store) = build_pool(kind, overlap, compression, false, 1);
+                    let (mut full, full_store) = build_pool(kind, overlap, compression, true, 1);
+                    let (mut gated_bytes, mut full_bytes) = (0u64, 0u64);
+                    for epoch in 0..3 {
+                        let a = run_pool_epoch(&mut gated, epoch);
+                        let b = run_pool_epoch(&mut full, epoch);
+                        for (w, (a, b)) in a.iter().zip(&b).enumerate() {
+                            let at = format!("{what}, epoch {epoch}, worker {w}");
+                            assert_eq!(a.loss_sum.to_bits(), b.loss_sum.to_bits(), "{at}: loss");
+                            assert_eq!(a.loss_terms, b.loss_terms, "{at}");
+                            assert_eq!(a.work_units, b.work_units, "{at}");
+                            assert_eq!(a.cache, b.cache, "{at}: cache stats");
+                            assert_eq!(
+                                a.max_divergence.to_bits(),
+                                b.max_divergence.to_bits(),
+                                "{at}: max divergence"
+                            );
+                            assert_eq!(
+                                a.mean_divergence.to_bits(),
+                                b.mean_divergence.to_bits(),
+                                "{at}: mean divergence"
+                            );
+                            assert!(a.max_divergence > 0.0, "{at}: syncs saw drift");
+                            assert_eq!(a.max_staleness, b.max_staleness, "{at}");
+                            assert!(a.max_staleness <= 4, "{at}: staleness ≤ P");
+                            assert_eq!(
+                                (a.traffic.local_messages, a.traffic.remote_messages),
+                                (b.traffic.local_messages, b.traffic.remote_messages),
+                                "{at}: a sync still rides the miss pull's messages"
+                            );
+                            assert_eq!(
+                                a.traffic.by_cause.push, b.traffic.by_cause.push,
+                                "{at}: pushes are untouched"
+                            );
+                            assert_eq!(
+                                a.traffic.by_cause.miss_pull.remote
+                                    + a.traffic.by_cause.sync_probe.remote
+                                    + a.traffic.by_cause.sync_rows.remote
+                                    + a.traffic.by_cause.construction.remote
+                                    + a.traffic.by_cause.push.remote,
+                                a.traffic.remote_bytes,
+                                "{at}: causes add up"
+                            );
+                            gated_bytes += a.traffic.remote_bytes;
+                            full_bytes += b.traffic.remote_bytes;
+                        }
+                        for (w, (a, b)) in gated.iter().zip(&full).enumerate() {
+                            assert_eq!(
+                                table_bits(a),
+                                table_bits(b),
+                                "{what}, epoch {epoch}: worker {w}'s hot table"
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        store_bits(&gated_store),
+                        store_bits(&full_store),
+                        "{what}: final store"
+                    );
+                    assert!(
+                        gated_bytes < full_bytes,
+                        "{what}: gated {gated_bytes} B, full refresh {full_bytes} B"
+                    );
+                }
+            }
+        }
+    }
+
+    /// What the gate saves is visible in the split: the reference books a
+    /// sync's rows as plain pulls, the gate books 12 bytes per row asked and
+    /// rows only for what moved — and under DPS asks nothing at all about
+    /// the rows the same iteration's construction just pulled.
+    #[test]
+    fn the_gate_asks_about_fewer_rows_than_it_covers_and_returns_fewer_still() {
+        let (mut gated, _) = build_pool(
+            PolicyKind::Dps,
+            false,
+            hetkg_netsim::CompressionMode::Off,
+            false,
+            1,
+        );
+        let stats = run_pool_epoch(&mut gated, 0);
+        for (w, s) in stats.iter().enumerate() {
+            let c = s.traffic.by_cause;
+            let asked = (c.sync_probe.local + c.sync_probe.remote) / 12;
+            let returned = (c.sync_rows.local + c.sync_rows.remote) / (12 + 4 * 32);
+            let covered = gated[w].epoch_div_samples;
+            assert!(returned > 0, "worker {w}: hot rows do move");
+            assert!(
+                returned < asked && asked < covered,
+                "worker {w}: {returned} returned of {asked} asked of {covered} covered"
+            );
+            assert!(c.construction.remote > 0);
+        }
+    }
+
+    /// Failover drill: shard 1's primary dies mid-run and a backup is
+    /// promoted under the workers, who keep the versions they held. No
+    /// worker may skip a row whose bits differ — asserted directly by the
+    /// debug check in the sync path (when this test runs with debug
+    /// assertions, as `cargo test` does), and end to end by staying
+    /// bit-equal to the full-refresh reference, which never trusts a
+    /// version.
+    #[test]
+    fn promotion_under_workers_holding_versions_never_skips_a_changed_row() {
+        let run = |reference: bool| {
+            let (mut pool, store) = build_pool(
+                PolicyKind::Dps,
+                false,
+                hetkg_netsim::CompressionMode::Off,
+                reference,
+                2,
+            );
+            let mut out = Vec::new();
+            for epoch in 0..3 {
+                if epoch == 1 {
+                    // Leave the backup lagging by whatever the backlog
+                    // holds: promotion takes it as it is. The rows the
+                    // lagging backup never saw are *different bits* from
+                    // the ones the workers cached.
+                    assert!(store.promote(1));
+                }
+                out.extend(
+                    run_pool_epoch(&mut pool, epoch)
+                        .iter()
+                        .map(|s| s.loss_sum.to_bits()),
+                );
+            }
+            let tables: Vec<_> = pool.iter().map(table_bits).collect();
+            (out, tables, store_bits(&store))
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    /// Checkpoint-restore drill, same shape: the store is rolled back to an
+    /// earlier image under workers that keep their tables (the trainer
+    /// rebuilds its workers after a restore; a worker that survived one
+    /// must be just as safe).
+    #[test]
+    fn restore_under_workers_holding_versions_never_skips_a_changed_row() {
+        let run = |reference: bool| {
+            let (mut pool, store) = build_pool(
+                PolicyKind::Cps,
+                false,
+                hetkg_netsim::CompressionMode::Off,
+                reference,
+                2,
+            );
+            let mut image = Vec::new();
+            let mut out = Vec::new();
+            for epoch in 0..3 {
+                if epoch == 1 {
+                    store.for_each_row_with_state(|k, row, state| {
+                        image.push((k, row.to_vec(), state.to_vec()))
+                    });
+                }
+                if epoch == 2 {
+                    for (k, row, state) in &image {
+                        store.restore_row(*k, row, Some(state));
+                    }
+                    store.resync_backups();
+                }
+                out.extend(
+                    run_pool_epoch(&mut pool, epoch)
+                        .iter()
+                        .map(|s| s.loss_sum.to_bits()),
+                );
+            }
+            let tables: Vec<_> = pool.iter().map(table_bits).collect();
+            (out, tables, store_bits(&store))
+        };
+        assert_eq!(run(false), run(true));
     }
 }

@@ -102,13 +102,21 @@ PAPER = {
         "measured with `benchmark/run.sh` in alternating parent/change pairs "
         "(written by hand from those runs, not by the repro harness)."
     ),
+    "sync-gate": (
+        "Table I / Fig. 5 / Fig. 7: the hot-embedding table reduces parameter-server "
+        "traffic relative to DGL-KE at equal accuracy. Not a paper experiment as such: "
+        "this repo's benchmark showed the opposite (HET-KG-D moving 13 % more remote "
+        "bytes than DGL-KE) until the hot-table synchronization became a pull-if-newer "
+        "over per-row versions in PR 16 (written by hand from `benchmark/run.sh` runs "
+        "and the trainer's per-cause byte split, not by the repro harness)."
+    ),
 }
 
 ORDER = [
     "table1", "fig2", "table3", "table4", "table5", "fig5", "fig6", "fig7",
     "fig8a", "fig8b", "fig8c", "fig9", "table6", "table7",
     "partition-ablation", "negsample-ablation", "divergence", "bandwidth-sweep",
-    "wallclock-arena",
+    "wallclock-arena", "sync-gate",
 ]
 
 

@@ -9,7 +9,7 @@
 //!                 [--integrity on|off] [--checkpoint-dir DIR]
 //!                 [--max-restarts N] [--oracle on|off]
 //!                 [--compress off|int8|int4|topk|adaptive]
-//!                 [--transport sim|tcp|uds]
+//!                 [--transport sim|tcp|uds] [--report PATH]
 //! hetkg eval      (--data DIR | --synthetic NAME) --checkpoint CK.bin
 //!                 [--model M] [--dim D] [--candidates K] [--eval-threads N]
 //! hetkg serve     (--checkpoint CK.bin | --checkpoint-dir DIR)
@@ -164,6 +164,8 @@ fn usage() {
     println!("                  adaptive: starts at int8, tightens to top-k only");
     println!("                  while the comm lane is the bottleneck; error-");
     println!("                  feedback residuals stay client-side in every mode");
+    println!("  --report PATH   write the full TrainReport JSON here (per-epoch");
+    println!("                  traffic with its split by cause, cache, loss)");
     println!("  --transport T   sim | tcp | uds                       (default sim)");
     println!("                  sim: in-process cost-model cluster, bit-identical");
     println!("                       to every earlier release");
@@ -543,6 +545,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             "breaker",
             "compress",
             "transport",
+            "report",
         ],
     )?;
     let data = load_data(flags)?;
@@ -722,6 +725,21 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         100.0 * report.comm_fraction(),
         report.total_traffic().total_bytes() as f64 / 1e6
     );
+    let by_cause = report.total_traffic().by_cause;
+    let causes: Vec<String> = het_kg::netsim::Cause::ALL
+        .iter()
+        .map(|&c| (c, by_cause.get(c)))
+        .filter(|(_, b)| b.remote + b.local > 0)
+        .map(|(c, b)| {
+            format!(
+                "{} {:.1}/{:.1}",
+                c.name(),
+                b.remote as f64 / 1e6,
+                b.local as f64 / 1e6
+            )
+        })
+        .collect();
+    println!("bytes by cause (remote/local MB): {}", causes.join(" | "));
     if let Some(c) = &report.compression {
         println!(
             "compression: mode={} | push lane {:.1} KB raw -> {:.1} KB wire ({:.2}x) over {} rows in {} frames | {} residual folds | ladder +{}/-{}",
@@ -823,6 +841,13 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
     ck.save(&out)
         .map_err(|e| CliError::Checkpoint(format!("saving checkpoint: {e}")))?;
     println!("checkpoint written to {}", out.display());
+    if let Some(path) = flags.get("report") {
+        let json = serde_json::to_string_pretty(&report)
+            .map_err(|e| CliError::Data(format!("serializing the train report: {e}")))?;
+        std::fs::write(path, json)
+            .map_err(|e| CliError::Data(format!("writing report {path}: {e}")))?;
+        println!("report written to {path}");
+    }
     Ok(())
 }
 

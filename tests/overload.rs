@@ -189,6 +189,9 @@ fn pre_overload_report_fixture_still_deserializes() {
     assert_eq!(report.system, "HET-KG-C");
     assert_eq!(report.epochs.len(), 1);
     assert_eq!(report.epochs[0].max_staleness, 4);
+    // The fixture's traffic object predates the split by cause too: it
+    // loads, and the split reads all zero.
+    assert_eq!(report.total_traffic().by_cause, Default::default());
     let fr = report.faults.expect("fixture carries a fault report");
     assert_eq!(fr.drops, 17);
     assert_eq!(fr.retransmitted_bytes, 43_520);

@@ -1,0 +1,125 @@
+//! §IV-C as an enforced invariant: no hot-table read is staler than `P`
+//! (than `staleness_cap`, rounded up to the sync schedule, while a fault
+//! plan lets syncs skip unhealthy shards).
+//!
+//! The enforcement lives in the program: every cached row remembers the
+//! iteration it was last confirmed current at (received, or found to still
+//! match the server's version), every hot-table read `debug_assert!`s its
+//! age against the bound, and the sync path `debug_assert!`s that a row the
+//! shard declined to send is bit-equal to the cached copy. This test is the
+//! sweep that drives those assertions — CPS and DPS × every fault profile
+//! the CLI offers (plus windows placed at t = 0 so they bite on a graph
+//! this small) × P ∈ {1, 4, 8} — and checks the reported maximum against
+//! the same bound from outside (the only half left in a release build,
+//! where debug assertions are compiled out).
+
+use het_kg::netsim::OverloadWindow;
+use het_kg::prelude::*;
+
+fn workload() -> (KnowledgeGraph, Vec<Triple>) {
+    let kg = SyntheticKg {
+        num_entities: 300,
+        num_relations: 12,
+        num_triples: 2_000,
+        ..Default::default()
+    }
+    .build(7);
+    let split = Split::ninety_five_five(&kg, 7);
+    (kg, split.train)
+}
+
+/// The CLI's `--fault-profile` presets, by name, with what each needs
+/// switched on to bite (`hetkg train` defaults the same way).
+fn profiles(seed: u64) -> Vec<(&'static str, Option<FaultPlan>)> {
+    // An outage and a flash crowd that start with the run: the presets'
+    // windows open tens of simulated milliseconds in, later than this
+    // workload runs.
+    let early_outage = FaultPlan::shard_outage(seed, 1, 0.0, 0.004);
+    let early_overload = FaultPlan {
+        seed,
+        overloads: vec![OverloadWindow {
+            shard: 1,
+            start: 0.0,
+            end: 0.004,
+            queue_capacity: 0,
+            drain_rate: 1.0,
+            latency_per_inflight: 0.0,
+        }],
+        ..FaultPlan::default()
+    };
+    vec![
+        ("none", None),
+        ("inert", Some(FaultPlan::default())),
+        ("lossy", Some(FaultPlan::lossy(seed, 0.02))),
+        ("corrupt", Some(FaultPlan::corrupting(seed, 0.01))),
+        (
+            "outage",
+            Some(FaultPlan::shard_outage(seed, 1, 0.050, 0.150)),
+        ),
+        ("overload", Some(FaultPlan::overload(seed))),
+        ("chaos", Some(FaultPlan::chaos(seed))),
+        ("failover", Some(FaultPlan::failover(seed))),
+        ("early-outage", Some(early_outage)),
+        ("early-overload", Some(early_overload)),
+    ]
+}
+
+#[test]
+fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
+    let (kg, train_set) = workload();
+    let mut degraded_somewhere = false;
+    for system in [SystemKind::HetKgCps, SystemKind::HetKgDps] {
+        for (name, plan) in profiles(11) {
+            for p in [1usize, 4, 8] {
+                let mut cfg = TrainConfig::small(system);
+                cfg.epochs = 2;
+                cfg.eval_candidates = None;
+                cfg.cache.staleness = p;
+                // A cap the run can actually reach, and not a multiple of
+                // every P: the bound rounds it up to the sync schedule.
+                cfg.cache.staleness_cap = 6;
+                cfg.cache.prefetch_depth = 8;
+                cfg.faults = plan.clone();
+                if matches!(name, "failover" | "chaos") {
+                    cfg.replication = 2;
+                }
+                if matches!(name, "overload" | "early-overload") {
+                    cfg.retry_budget = Some(Default::default());
+                    cfg.breaker = Some(Default::default());
+                }
+                let report = train(&kg, &train_set, &[], &cfg);
+                let bound = if plan.is_some() {
+                    cfg.cache.staleness_cap.next_multiple_of(p).max(p)
+                } else {
+                    p
+                };
+                let what = format!("{system} / {name} / P = {p}");
+                assert_eq!(report.epochs.len(), 2, "{what}: the run finished");
+                assert!(
+                    report.max_staleness() <= bound,
+                    "{what}: a cached row was read {} iterations stale, bound {bound}",
+                    report.max_staleness()
+                );
+                assert!(
+                    report.total_cache().hits > 0,
+                    "{what}: nothing was read from the cache"
+                );
+                if let Some(fr) = &report.faults {
+                    degraded_somewhere |= fr.degraded_hits + fr.brownout_stale_serves > 0;
+                }
+                // Retransmissions are booked under their cause like first
+                // attempts, so the split adds up under faults too.
+                let by_cause = report.total_traffic().by_cause;
+                assert_eq!(
+                    by_cause.total().remote,
+                    report.total_traffic().remote_bytes,
+                    "{what}: causes add up"
+                );
+            }
+        }
+    }
+    assert!(
+        degraded_somewhere,
+        "no profile ever served a stale hit: the degraded bound was never exercised"
+    );
+}

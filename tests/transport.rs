@@ -81,6 +81,17 @@ fn assert_identical(system: SystemKind, seed: u64, socket: TransportKind) {
         sim_ck, sock_ck,
         "{system} seed {seed} {socket}: final checkpoint bytes diverged"
     );
+    // The hot-table sync is a pull-if-newer answered by the shard servers
+    // from *their* row versions. Byte-equal traffic (above: the snapshot
+    // includes the per-cause split) means they declined exactly the rows
+    // the in-process store declines — and that they were asked at all.
+    let by_cause = sock_report.total_traffic().by_cause;
+    let cached = system != SystemKind::DglKe;
+    assert_eq!(
+        by_cause.sync_probe.remote > 0 && by_cause.construction.remote > 0,
+        cached,
+        "{system} seed {seed} {socket}: {by_cause:?}"
+    );
 }
 
 /// The headline differential: 2 systems × 2 seeds over Unix-domain
@@ -93,6 +104,54 @@ fn uds_backend_is_bit_identical_to_sim() {
             assert_identical(system, seed, TransportKind::Uds);
         }
     }
+    // DPS rebuilds its table on sync iterations: construction pulls and the
+    // sync's skip of the rows they just fetched cross the sockets too.
+    assert_identical(SystemKind::HetKgDps, 11, TransportKind::Uds);
+}
+
+/// The version gate over real sockets, on a key space sparse enough that
+/// most cached rows sit unwritten across a sync period: the shard servers
+/// must decline exactly the rows the in-process store declines (same
+/// per-cause bytes, same loss bits), and it must be a good share of them.
+#[cfg(unix)]
+#[test]
+fn shard_servers_decline_the_same_unchanged_rows_as_the_simulated_store() {
+    let kg = SyntheticKg {
+        num_entities: 3_000,
+        num_relations: 10,
+        num_triples: 4_000,
+        ..Default::default()
+    }
+    .build(5);
+    let train = Split::ninety_five_five(&kg, 5).train;
+    let run = |transport: TransportKind| {
+        let mut cfg = TrainConfig::small(SystemKind::HetKgDps);
+        cfg.epochs = 2;
+        cfg.machines = 2;
+        cfg.batch_size = 32;
+        cfg.seed = 5;
+        cfg.eval_candidates = None;
+        cfg.cache.capacity_fraction = 0.2;
+        cfg.cache.staleness = 4;
+        cfg.cache.prefetch_depth = 8;
+        cfg.transport = transport;
+        if transport.is_socket() {
+            cfg.ps_server_bin = Some(hetkg_bin().to_string());
+        }
+        trainer::train_with_store(&kg, &train, &[], &cfg).0
+    };
+    let (sim, uds) = (run(TransportKind::Sim), run(TransportKind::Uds));
+    for (a, b) in sim.epochs.iter().zip(&uds.epochs) {
+        assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "epoch {}", a.epoch);
+        assert_eq!(a.traffic, b.traffic, "epoch {}", a.epoch);
+    }
+    let c = uds.total_traffic().by_cause;
+    let asked = (c.sync_probe.local + c.sync_probe.remote) / 12;
+    let returned = (c.sync_rows.local + c.sync_rows.remote) / (12 + 4 * 16);
+    assert!(
+        0 < returned && 4 * returned < 3 * asked,
+        "the servers returned {returned} of {asked} rows asked about"
+    );
 }
 
 /// TCP takes the same wire path through different sockets; one
