@@ -9,12 +9,13 @@ use crate::workloads::{Dataset, Workload};
 use hetkg_core::baselines::{
     replay, FifoCache, ImportanceCache, LfuCache, LruCache, ReplacementCache,
 };
-use hetkg_core::filter::{filter_hot_set, FilterConfig};
-use hetkg_core::metrics::CacheStats;
+use hetkg_core::filter::{FilterConfig, HotSetSelector};
+use hetkg_core::metrics::{CacheStats, TableEconomy};
 use hetkg_core::prefetch::Prefetcher;
 use hetkg_embed::negative::{NegConfig, NegativeSampler};
-use hetkg_kgraph::ParamKey;
+use hetkg_kgraph::{ParamKey, Triple};
 use hetkg_train::config::CacheConfig;
+use hetkg_train::plan::BatchPlan;
 use hetkg_train::{train, SystemKind, TrainConfig};
 
 fn hetkg_run(
@@ -33,8 +34,8 @@ fn hetkg_run(
     train(&w.kg, &w.split.train, &w.eval_set, &cfg)
 }
 
-/// Fig. 8a: cache-size sweep — hit ratio rises with capacity, MRR stays
-/// flat.
+/// Fig. 8a: cache-size sweep — hit ratio rises with capacity until every
+/// key two batches of a window read fits, then plateaus; MRR stays flat.
 pub fn fig8a(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Freebase86m, ctx.full, ctx.seed);
     let epochs = ctx.epochs(4);
@@ -67,8 +68,12 @@ pub fn fig8a(ctx: ExpCtx) -> ExperimentRecord {
             .map(String::from)
             .to_vec(),
         rows,
-        shape_expectation: "hit ratio increases monotonically with capacity while \
-                            MRR stays roughly flat (paper Fig. 8a)"
+        shape_expectation: "hit ratio rises with capacity, then plateaus once every key \
+                            that two batches of a prefetched window read fits (DPS admits \
+                            no others: a row read once costs the same pull cached or not), \
+                            and bytes moved fall to that plateau instead of rising with the \
+                            table; MRR stays roughly flat (paper Fig. 8a: hit ratio rises, \
+                            MRR does not change significantly)"
             .into(),
     }
 }
@@ -265,27 +270,46 @@ fn degree_scores(w: &Workload) -> Vec<(ParamKey, u64)> {
         .collect()
 }
 
-/// Replay HET-KG's DPS selection over a trace: every `window` batches the
-/// hot set is rebuilt from that window's accesses (exactly what prefetch
-/// does in the live system), then accesses replay against it.
+/// Sample `batches` training batches the way a worker does and replay
+/// HET-KG's DPS cache over them: every `window` batches the prefetcher
+/// reports the next window's read statistics and the hot set is rebuilt from
+/// them by the selection the live worker calls ([`HotSetSelector::select`]),
+/// then each batch's distinct keys — what it would pull — replay against it.
+/// Returns HET-KG's hit statistics and the flat trace of those per-batch
+/// distinct keys, for the replacement caches to replay.
+///
+/// A key the window reads once is never admitted, so it misses by design:
+/// its one pull is the same pull cached or not.
 fn hetkg_replay(
-    trace_batches: &[Vec<ParamKey>],
-    capacity: usize,
+    sampler: &mut Prefetcher,
+    negatives: &mut NegativeSampler,
+    train: &[Triple],
     ks: hetkg_kgraph::KeySpace,
+    capacity: usize,
+    batches: usize,
     window: usize,
-) -> CacheStats {
+) -> (CacheStats, Vec<ParamKey>) {
     let mut stats = CacheStats::new();
-    for chunk in trace_batches.chunks(window) {
-        let window_accesses: Vec<ParamKey> = chunk.iter().flatten().copied().collect();
-        let hot = filter_hot_set(&window_accesses, ks, &FilterConfig::paper_default(capacity));
+    let mut trace = Vec::new();
+    let mut selector = HotSetSelector::default();
+    let mut plan = BatchPlan::new();
+    let config = FilterConfig::paper_default(capacity);
+    let mut left = batches;
+    while left > 0 {
+        let pf = sampler.prefetch(train, negatives, left.min(window));
+        left -= pf.batches.len();
+        let hot = selector.select(&pf.reads, ks, &config);
         let mut cache = ImportanceCache::from_keys(capacity, hot.keys());
-        for batch in chunk {
-            for &k in batch {
+        for batch in &pf.batches {
+            // Row widths do not matter here: only the distinct keys do.
+            plan.compile(batch, ks, 1, 1);
+            for &k in plan.keys() {
                 stats.record(cache.access(k));
             }
+            trace.extend_from_slice(plan.keys());
         }
     }
-    stats
+    (stats, trace)
 }
 
 /// Table VI: hit-ratio comparison — FIFO, LRU, LFU, importance, HET-KG.
@@ -296,21 +320,27 @@ pub fn table6(ctx: ExpCtx) -> ExperimentRecord {
         let ks = w.kg.key_space();
         let capacity = (ks.len() / 20).max(8); // 5% of keys
         let batches = if ctx.quick { 50 } else { 300 };
-        // Per-batch traces so HET-KG's windowed reconstruction is faithful.
+        // One trace for every policy: HET-KG's windowed reconstruction
+        // replays it as it is sampled, the others replay it flat.
         let mut sampler = Prefetcher::new(64, ks, ctx.seed);
         let mut negatives =
             NegativeSampler::new(w.kg.num_entities(), NegConfig::default(), ctx.seed);
-        let pf = sampler.prefetch(&w.split.train, &mut negatives, batches);
-        let trace_batches: Vec<Vec<ParamKey>> =
-            pf.batches.iter().map(|b| b.unique_keys(ks)).collect();
-        let flat: Vec<ParamKey> = trace_batches.iter().flatten().copied().collect();
+        let (het, flat) = hetkg_replay(
+            &mut sampler,
+            &mut negatives,
+            &w.split.train,
+            ks,
+            capacity,
+            batches,
+            16,
+        );
+        let het = het.hit_ratio();
         let scores = degree_scores(&w);
 
         let fifo = replay(&mut FifoCache::new(capacity), &flat).hit_ratio();
         let lru = replay(&mut LruCache::new(capacity), &flat).hit_ratio();
         let lfu = replay(&mut LfuCache::new(capacity), &flat).hit_ratio();
         let imp = replay(&mut ImportanceCache::from_scores(capacity, &scores), &flat).hit_ratio();
-        let het = hetkg_replay(&trace_batches, capacity, ks, 16).hit_ratio();
         rows.push(vec![
             dataset.name().to_string(),
             pct(fifo),
@@ -330,6 +360,212 @@ pub fn table6(ctx: ExpCtx) -> ExperimentRecord {
         rows,
         shape_expectation: "FIFO < LRU < importance < HET-KG on every dataset \
                             (paper Table VI; e.g. Freebase-86m 6.6/8.6/34.3/43.1%)"
+            .into(),
+    }
+}
+
+/// What one training run of the admission study reports, in the units its
+/// table prints: remote bytes by cause, simulated seconds, and the hot
+/// table's economy.
+struct AdmissionRow {
+    seed: u64,
+    system: &'static str,
+    admission: &'static str,
+    /// Remote bytes: total, miss pull, sync probe, sync rows, construction,
+    /// push.
+    remote: [u64; 6],
+    /// Simulated seconds: communication, compute, overlap, epoch.
+    secs: [f64; 4],
+    /// The hot table's economy and its usage-weighted hit ratio; `None` for
+    /// a cacheless system.
+    table: Option<(TableEconomy, f64)>,
+}
+
+impl AdmissionRow {
+    fn of(
+        seed: u64,
+        system: &'static str,
+        admission: &'static str,
+        r: &hetkg_train::TrainReport,
+    ) -> Self {
+        use hetkg_netsim::Cause;
+        let t = r.total_traffic();
+        let cause = |c| t.by_cause.get(c).remote;
+        let e = r.total_table();
+        Self {
+            seed,
+            system,
+            admission,
+            remote: [
+                t.remote_bytes,
+                cause(Cause::MissPull),
+                cause(Cause::SyncProbe),
+                cause(Cause::SyncRows),
+                cause(Cause::Construction),
+                cause(Cause::Push),
+            ],
+            secs: [
+                r.total_comm_secs(),
+                r.total_compute_secs(),
+                r.total_overlap_secs(),
+                r.total_secs(),
+            ],
+            table: (e.rebuilds > 0).then(|| (e, r.total_cache().hit_ratio())),
+        }
+    }
+
+    fn cells(&self) -> Vec<String> {
+        let mut cells = vec![
+            self.seed.to_string(),
+            self.system.to_string(),
+            self.admission.to_string(),
+        ];
+        cells.extend(
+            self.remote
+                .iter()
+                .map(|&b| format!("{:.2}", b as f64 / 1e6)),
+        );
+        cells.extend(self.secs.iter().map(|s| format!("{s:.4}")));
+        match self.table {
+            Some((e, hit_ratio)) => cells.extend([
+                pct(e.occupancy()),
+                format!("{:.1}", e.fresh_rows_per_rebuild()),
+                format!("{} / {}", e.staged_early, e.staged_late),
+                pct(hit_ratio),
+            ]),
+            None => cells.extend(std::iter::repeat_n("-".to_string(), 4)),
+        }
+        cells
+    }
+}
+
+/// HET-KG-D as it ran at the parent of the change that introduced admission
+/// by reading batches (commit ec06e18: every key of the window a candidate,
+/// ranked by raw uses), on this experiment's graph and seeds. The old rule
+/// is not selectable at run time — it survives only as a `#[cfg(test)]`
+/// reference in `hetkg_core::filter` — so its columns were recorded once
+/// from that commit: traffic and seconds from its `TrainReport`, the table
+/// economy (which it did not report) from counters printed by a scratch
+/// build. Rows held equal capacity at every rebuild there.
+const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
+    AdmissionRow {
+        seed: 7,
+        system: "HET-KG-D",
+        admission: "raw uses (parent)",
+        remote: [
+            19_961_476, 4_039_064, 327_192, 3_010_140, 2_101_248, 10_483_832,
+        ],
+        secs: [0.2336876752, 0.033509376, 0.0276109144, 0.2395861368],
+        table: Some((
+            TableEconomy {
+                rebuilds: 72,
+                rows_held: 29_088,
+                capacity: 29_088,
+                fresh_rows: 18_872,
+                staged_early: 21_021,
+                staged_late: 54_707,
+            },
+            0.7386903734923921,
+        )),
+    },
+    AdmissionRow {
+        seed: 8,
+        system: "HET-KG-D",
+        admission: "raw uses (parent)",
+        remote: [
+            19_977_200, 4_032_672, 327_228, 3_005_380, 2_132_712, 10_479_208,
+        ],
+        secs: [0.2419105112, 0.034062336, 0.0276045832, 0.2483682640],
+        table: Some((
+            TableEconomy {
+                rebuilds: 73,
+                rows_held: 29_492,
+                capacity: 29_492,
+                fresh_rows: 19_056,
+                staged_early: 19_061,
+                staged_late: 56_758,
+            },
+            0.7387648296033389,
+        )),
+    },
+];
+
+/// DPS admission study: what the hot table costs and saves when a row is
+/// cached only if two batches of the prefetched window read it, against the
+/// raw-use ranking it replaced and against DGL-KE, on the benchmark's
+/// skewed graph at a tenth of its scale (`tests/traffic_shape.rs`'s).
+pub fn dps_admission(_ctx: ExpCtx) -> ExperimentRecord {
+    let mut rows = Vec::new();
+    for recorded in RAW_USE_ADMISSION {
+        let seed = recorded.seed;
+        let kg = hetkg_kgraph::generator::SyntheticKg {
+            num_entities: 20_000,
+            num_relations: 200,
+            num_triples: 80_000,
+            entity_alpha: 1.0,
+            relation_alpha: 1.1,
+            ..Default::default()
+        }
+        .build(seed);
+        let split = hetkg_kgraph::split::Split::ninety_five_five(&kg, seed);
+        let run = |system| {
+            let mut cfg = TrainConfig::paper(system, hetkg_embed::ModelKind::TransEL2, 32);
+            cfg.batch_size = 64;
+            cfg.machines = 4;
+            cfg.epochs = 1;
+            cfg.eval_candidates = None;
+            cfg.seed = seed;
+            train(&kg, &split.train, &[], &cfg)
+        };
+        let dglke = AdmissionRow::of(seed, "DGL-KE", "-", &run(SystemKind::DglKe));
+        let hetkg = AdmissionRow::of(
+            seed,
+            "HET-KG-D",
+            "read by >= 2 batches",
+            &run(SystemKind::HetKgDps),
+        );
+        rows.extend([dglke.cells(), recorded.cells(), hetkg.cells()]);
+    }
+    ExperimentRecord {
+        id: "dps-admission".into(),
+        title: "DPS admission: cache a row only when two batches of the window read it".into(),
+        params: "20000 entities / 200 relations / 80000 triples, entity alpha 1.0, relation \
+                 alpha 1.1 | TransE-L2 d=32, batch 64, 4 machines, 1 epoch, cache 2 % / P=8 / \
+                 D=16, seeds 7 and 8 (fixed: the parent's rows are recordings) | bytes are \
+                 remote MB, times simulated seconds"
+            .into(),
+        columns: [
+            "seed",
+            "system",
+            "admission",
+            "remote MB",
+            "miss_pull",
+            "sync_probe",
+            "sync_rows",
+            "construction",
+            "push",
+            "comm s",
+            "compute s",
+            "overlap s",
+            "epoch s",
+            "occupancy",
+            "fresh rows/rebuild",
+            "staged early / late",
+            "hit ratio",
+        ]
+        .map(String::from)
+        .to_vec(),
+        rows,
+        shape_expectation: "admission by reading batches moves fewer remote bytes than the \
+                            raw-use ranking and than DGL-KE: construction shrinks several-fold \
+                            (no row + version pulled for a key one batch reads), sync rows \
+                            shrink (those rows were re-sent when the worker's own push moved \
+                            them), miss pulls grow by less than the two save, push is \
+                            unchanged; no staged miss key is left for consume time, so overlap \
+                            equals compute; occupancy falls below 100 % (the table holds what \
+                            pays, not what fits) and the usage-weighted hit ratio falls with \
+                            it, because a corruption used 32 times by one batch counted as 32 \
+                            hits for one saved pull"
             .into(),
     }
 }
@@ -411,6 +647,23 @@ mod tests {
     }
 
     #[test]
+    fn dps_admission_saves_bytes_and_stages_every_miss_early() {
+        let r = dps_admission(quick());
+        let col = |name: &str| r.columns.iter().position(|c| c == name).unwrap();
+        let remote = |row: &Vec<String>| row[col("remote MB")].parse::<f64>().unwrap();
+        // Per seed: DGL-KE, the recorded raw-use row, this build.
+        for rows in r.rows.chunks(3) {
+            let [dglke, raw_uses, admitted] = rows else {
+                panic!("three rows per seed")
+            };
+            assert!(remote(admitted) < remote(raw_uses) && remote(raw_uses) < remote(dglke));
+            assert!(admitted[col("staged early / late")].ends_with("/ 0"));
+            assert_eq!(admitted[col("overlap s")], admitted[col("compute s")]);
+            assert_eq!(admitted[col("push")], raw_uses[col("push")]);
+        }
+    }
+
+    #[test]
     fn table6_hetkg_beats_simple_caches() {
         let r = table6(quick());
         for row in &r.rows {
@@ -426,17 +679,34 @@ mod tests {
     }
 
     #[test]
-    fn hetkg_replay_with_full_capacity_hits_everything_after_construction() {
+    fn hetkg_replay_with_full_capacity_misses_only_one_shot_keys() {
         let w = Workload::new(Dataset::Wn18, false, 1);
         let ks = w.kg.key_space();
         let mut sampler = Prefetcher::new(16, ks, 1);
         let mut negatives = NegativeSampler::new(w.kg.num_entities(), NegConfig::default(), 1);
-        let pf = sampler.prefetch(&w.split.train, &mut negatives, 10);
-        let batches: Vec<Vec<ParamKey>> = pf.batches.iter().map(|b| b.unique_keys(ks)).collect();
-        let stats = hetkg_replay(&batches, ks.len(), ks, 10);
-        assert_eq!(
-            stats.misses, 0,
-            "full-capacity prefetch-built cache never misses"
+        // One window, room for every key: what misses is decided by the
+        // admission rule alone.
+        let (stats, trace) = hetkg_replay(
+            &mut sampler,
+            &mut negatives,
+            &w.split.train,
+            ks,
+            ks.len(),
+            10,
+            10,
         );
+        // The trace lists each batch's distinct keys, so a key's count in
+        // it is the number of batches that read it.
+        let mut reading_batches = std::collections::HashMap::new();
+        for &k in &trace {
+            *reading_batches.entry(k).or_insert(0u64) += 1;
+        }
+        let one_shot = reading_batches.values().filter(|&&b| b == 1).count() as u64;
+        assert!(one_shot > 0 && one_shot < trace.len() as u64);
+        assert_eq!(
+            stats.misses, one_shot,
+            "a key read by one batch is never admitted; every other read hits"
+        );
+        assert_eq!(stats.total(), trace.len() as u64);
     }
 }

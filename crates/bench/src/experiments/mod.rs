@@ -67,6 +67,7 @@ pub const ALL: &[&str] = &[
     "divergence",
     "bandwidth-sweep",
     "compression-ablation",
+    "dps-admission",
 ];
 
 /// Run one experiment by id.
@@ -91,6 +92,7 @@ pub fn run(id: &str, ctx: ExpCtx) -> Option<ExperimentRecord> {
         "divergence" => cache::divergence(ctx),
         "bandwidth-sweep" => ablations::bandwidth(ctx),
         "compression-ablation" => ablations::compression(ctx),
+        "dps-admission" => cache::dps_admission(ctx),
         _ => return None,
     };
     Some(record)

@@ -1,14 +1,29 @@
-//! Algorithm 2 — `filter`: pick the top-k hot embeddings from a prefetched
-//! access list.
+//! Algorithm 2 — `filter`: pick the top-k hot embeddings from what was
+//! prefetched.
 //!
-//! Frequencies are counted over `L_er`, sorted descending, and the top-k
-//! keys become the hot set. The paper's node-heterogeneity fix is the
-//! *entity ratio*: relations are accessed far more often per key than
-//! entities (Fig. 2), so naive top-k fills the cache with relations and
-//! starves entity locality. HET-KG therefore fixes the split — 25% entities
-//! / 75% relations by default (Fig. 8c finds this optimum). `HET-KG-N`
-//! (Table VII) is the ablation with the split disabled.
+//! The paper counts frequencies over `L_er`, sorts descending, and keeps the
+//! top-k. Its node-heterogeneity fix is the *entity ratio*: relations are
+//! accessed far more often per key than entities (Fig. 2), so naive top-k
+//! fills the cache with relations and starves entity locality. HET-KG
+//! therefore fixes the split — 25% entities / 75% relations by default
+//! (Fig. 8c finds this optimum). `HET-KG-N` (Table VII) is the ablation with
+//! the split disabled.
+//!
+//! Two rankings feed that selection:
+//!
+//! * [`filter_hot_set`] ranks by frequency in an access list. CPS uses it
+//!   over the whole subgraph, where every triple touches its keys once and
+//!   there is no batch to speak of.
+//! * [`HotSetSelector::select`] is DPS's: it ranks a prefetched window's
+//!   keys by how many of the window's batches *read* them, and admits only
+//!   keys read by at least [`MIN_READING_BATCHES`]. A batch pulls each
+//!   distinct key once however many triples use it, so reading batches —
+//!   not uses — is the number of pulls a cached row stands in for. A
+//!   corrupting entity shared by a chunk of 32 positives has 32 uses and
+//!   saves one pull; ranking it by uses put ≈ 2 000 such one-shot rows per
+//!   window ahead of all but the few hundred hottest entities.
 
+use crate::prefetch::KeyReads;
 use hetkg_kgraph::{KeySpace, ParamKey};
 use serde::{Deserialize, Serialize};
 
@@ -45,11 +60,11 @@ impl FilterConfig {
 }
 
 /// The selected hot keys, split by kind.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HotSet {
-    /// Hot entity keys, most frequent first.
+    /// Hot entity keys, hottest first.
     pub entities: Vec<ParamKey>,
-    /// Hot relation keys, most frequent first.
+    /// Hot relation keys, hottest first.
     pub relations: Vec<ParamKey>,
 }
 
@@ -70,9 +85,12 @@ impl HotSet {
     }
 }
 
-/// Algorithm 2: count frequencies in `accesses`, sort descending, keep the
-/// top-k under `config`'s capacity and split rules. Ties break toward lower
-/// key ids, so the result is deterministic.
+/// A candidate key and its rank; higher ranks are hotter.
+type Ranked = (ParamKey, u64);
+
+/// Algorithm 2 over an access list: count frequencies in `accesses`, sort
+/// descending, keep the top-k under `config`'s capacity and split rules.
+/// Ties break toward lower key ids, so the result is deterministic.
 ///
 /// Keys are dense ids below `key_space.len()`, so the count is an array
 /// indexed by key (one zeroed word per key, no hashing per access); keys
@@ -87,8 +105,8 @@ pub fn filter_hot_set(accesses: &[ParamKey], key_space: KeySpace, config: &Filte
         }
         *c += 1;
     }
-    let mut entities: Vec<(ParamKey, u64)> = Vec::new();
-    let mut relations: Vec<(ParamKey, u64)> = Vec::new();
+    let mut entities: Vec<Ranked> = Vec::new();
+    let mut relations: Vec<Ranked> = Vec::new();
     for k in seen {
         let c = u64::from(counts[k.index()]);
         if key_space.is_entity(k) {
@@ -97,22 +115,81 @@ pub fn filter_hot_set(accesses: &[ParamKey], key_space: KeySpace, config: &Filte
             relations.push((k, c));
         }
     }
-    select_hot_set(entities, relations, key_space, config)
+    let mut hot = HotSet::default();
+    select_hot_set(&mut entities, &mut relations, key_space, config, &mut hot);
+    hot
 }
 
-/// The selection half of Algorithm 2, over per-key counts in any order
-/// (the sort is by a total order, so the input order does not matter).
+/// The fewest batches of a window that must read a key for DPS to cache it.
+///
+/// Not a tunable. A row read by one batch costs one pull whether it is
+/// cached or not — the construction pull replaces the miss pull — so
+/// admitting it can only lose: construction carries the row's version on top
+/// of the row, and a sync inside the window may re-send it. From two reading
+/// batches on, every read after the first is a pull saved. The threshold
+/// also has a structural consequence the pipeline relies on: when every key
+/// read twice in a window is cached, the miss sets of the window's batches
+/// are pairwise disjoint, so a staged batch's misses are never written by
+/// the batch in flight and its whole miss pull can be issued one iteration
+/// early.
+pub const MIN_READING_BATCHES: u32 = 2;
+
+/// Algorithm 2 over a prefetched window's statistics — DPS's selection —
+/// with buffers that are reused from window to window.
+#[derive(Debug, Default)]
+pub struct HotSetSelector {
+    entities: Vec<Ranked>,
+    relations: Vec<Ranked>,
+    hot: HotSet,
+}
+
+impl HotSetSelector {
+    /// The top-k of `reads` by reading batches (ties: more uses, then lower
+    /// key id) among keys read by at least [`MIN_READING_BATCHES`] batches,
+    /// under `config`'s capacity and split rules.
+    pub fn select(
+        &mut self,
+        reads: &[KeyReads],
+        key_space: KeySpace,
+        config: &FilterConfig,
+    ) -> &HotSet {
+        self.entities.clear();
+        self.relations.clear();
+        for r in reads.iter().filter(|r| r.batches >= MIN_READING_BATCHES) {
+            let ranked = (r.key, u64::from(r.batches) << 32 | u64::from(r.uses));
+            if key_space.is_entity(r.key) {
+                self.entities.push(ranked);
+            } else {
+                self.relations.push(ranked);
+            }
+        }
+        select_hot_set(
+            &mut self.entities,
+            &mut self.relations,
+            key_space,
+            config,
+            &mut self.hot,
+        );
+        &self.hot
+    }
+}
+
+/// The selection half of Algorithm 2, over ranked candidates in any order
+/// (the sort is by a total order, so the input order does not matter). The
+/// candidate lists are scratch: they come back sorted or merged.
 fn select_hot_set(
-    mut entities: Vec<(ParamKey, u64)>,
-    mut relations: Vec<(ParamKey, u64)>,
+    entities: &mut Vec<Ranked>,
+    relations: &mut Vec<Ranked>,
     key_space: KeySpace,
     config: &FilterConfig,
-) -> HotSet {
-    let by_freq_desc = |a: &(ParamKey, u64), b: &(ParamKey, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-    entities.sort_by(by_freq_desc);
-    relations.sort_by(by_freq_desc);
-
+    hot: &mut HotSet,
+) {
+    let by_rank_desc = |a: &Ranked, b: &Ranked| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+    hot.entities.clear();
+    hot.relations.clear();
     if config.heterogeneity_aware {
+        entities.sort_unstable_by(by_rank_desc);
+        relations.sort_unstable_by(by_rank_desc);
         let ent_quota = ((config.capacity as f64 * config.entity_fraction).round() as usize)
             .min(config.capacity);
         let rel_quota = config.capacity - ent_quota;
@@ -123,34 +200,21 @@ fn select_hot_set(
         let spare = (ent_quota - take_e) + (rel_quota - take_r);
         let extra_e = spare.min(entities.len() - take_e);
         let extra_r = (spare - extra_e).min(relations.len() - take_r);
-        HotSet {
-            entities: entities[..take_e + extra_e]
-                .iter()
-                .map(|&(k, _)| k)
-                .collect(),
-            relations: relations[..take_r + extra_r]
-                .iter()
-                .map(|&(k, _)| k)
-                .collect(),
-        }
+        let key = |&(k, _): &Ranked| k;
+        hot.entities
+            .extend(entities[..take_e + extra_e].iter().map(key));
+        hot.relations
+            .extend(relations[..take_r + extra_r].iter().map(key));
     } else {
         // Plain top-k over the merged list.
-        let mut all = entities;
-        all.extend(relations);
-        all.sort_by(by_freq_desc);
-        all.truncate(config.capacity);
-        let mut ents = Vec::new();
-        let mut rels = Vec::new();
-        for (k, _) in all {
+        entities.append(relations);
+        entities.sort_unstable_by(by_rank_desc);
+        for &(k, _) in entities.iter().take(config.capacity) {
             if key_space.is_entity(k) {
-                ents.push(k);
+                hot.entities.push(k);
             } else {
-                rels.push(k);
+                hot.relations.push(k);
             }
-        }
-        HotSet {
-            entities: ents,
-            relations: rels,
         }
     }
 }
@@ -158,7 +222,9 @@ fn select_hot_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     /// The counting this module had before the key-indexed array: a SipHash
     /// map, an insert per access. Kept as the oracle the array count is
@@ -172,10 +238,219 @@ mod tests {
         for &k in accesses {
             *counts.entry(k).or_insert(0) += 1;
         }
-        let (entities, relations) = counts
+        let (mut entities, mut relations): (Vec<Ranked>, Vec<Ranked>) = counts
             .into_iter()
             .partition(|&(k, _)| key_space.is_entity(k));
-        select_hot_set(entities, relations, key_space, config)
+        let mut hot = HotSet::default();
+        select_hot_set(&mut entities, &mut relations, key_space, config, &mut hot);
+        hot
+    }
+
+    /// DPS's selection as it was before admission counted reading batches:
+    /// every key of the window is a candidate, ranked by raw uses. Equal by
+    /// construction to [`filter_hot_set`] over the window's raw access list
+    /// (`raw_use_reference_is_the_access_list_selection` holds it to that),
+    /// which is what the live worker called. No runtime path uses it.
+    fn select_by_raw_uses(
+        reads: &[KeyReads],
+        key_space: KeySpace,
+        config: &FilterConfig,
+    ) -> HotSet {
+        let (mut entities, mut relations): (Vec<Ranked>, Vec<Ranked>) = reads
+            .iter()
+            .map(|r| (r.key, u64::from(r.uses)))
+            .partition(|&(k, _)| key_space.is_entity(k));
+        let mut hot = HotSet::default();
+        select_hot_set(&mut entities, &mut relations, key_space, config, &mut hot);
+        hot
+    }
+
+    /// A window as the prefetcher sees it: per batch, the raw key accesses.
+    type Window = Vec<Vec<ParamKey>>;
+
+    /// The window's statistics, counted the obvious way.
+    fn brute_force_reads(window: &Window) -> Vec<KeyReads> {
+        let mut counts: BTreeMap<ParamKey, (u32, u32)> = BTreeMap::new();
+        for batch in window {
+            let readers: HashSet<ParamKey> = batch.iter().copied().collect();
+            for k in readers {
+                counts.entry(k).or_default().0 += 1;
+            }
+            for &k in batch {
+                counts.entry(k).or_default().1 += 1;
+            }
+        }
+        counts
+            .into_iter()
+            .map(|(key, (batches, uses))| KeyReads { key, batches, uses })
+            .collect()
+    }
+
+    /// The admission rule and Algorithm 2's split, written out without the
+    /// shared selection code: what [`HotSetSelector::select`] must return.
+    fn brute_force_selection(reads: &[KeyReads], ks: KeySpace, config: &FilterConfig) -> HotSet {
+        let mut admitted: Vec<KeyReads> =
+            reads.iter().copied().filter(|r| r.batches >= 2).collect();
+        admitted.sort_by_key(|r| (Reverse(r.batches), Reverse(r.uses), r.key));
+        if !config.heterogeneity_aware {
+            admitted.truncate(config.capacity);
+        }
+        let of_kind = |entity: bool| -> Vec<ParamKey> {
+            admitted
+                .iter()
+                .map(|r| r.key)
+                .filter(|&k| ks.is_entity(k) == entity)
+                .collect()
+        };
+        if !config.heterogeneity_aware {
+            return HotSet {
+                entities: of_kind(true),
+                relations: of_kind(false),
+            };
+        }
+        let (mut entities, mut relations) = (of_kind(true), of_kind(false));
+        let ent_quota = ((config.capacity as f64 * config.entity_fraction).round() as usize)
+            .min(config.capacity);
+        let rel_quota = config.capacity - ent_quota;
+        // Each kind fills its quota; what one kind leaves unused the other
+        // may take, entities first.
+        let spare_r = rel_quota.saturating_sub(relations.len());
+        entities.truncate(ent_quota + spare_r);
+        let left = config.capacity - entities.len();
+        relations.truncate(left);
+        HotSet {
+            entities,
+            relations,
+        }
+    }
+
+    fn arb_window(keys: u64) -> impl Strategy<Value = Window> {
+        // Squaring skews toward low ids, so some keys recur across batches
+        // and many are read once.
+        let key =
+            (0..keys * keys).prop_map(move |v| ParamKey(((v as f64).sqrt() as u64).min(keys - 1)));
+        prop::collection::vec(prop::collection::vec(key, 0..40), 1..9)
+    }
+
+    fn arb_config() -> impl Strategy<Value = FilterConfig> {
+        (0usize..60, 0.0f64..=1.0, any::<bool>()).prop_map(
+            |(capacity, entity_fraction, heterogeneity_aware)| FilterConfig {
+                capacity,
+                entity_fraction,
+                heterogeneity_aware,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The admission rule against its brute-force statement, and the
+        /// bounds it must respect whatever the window looks like.
+        #[test]
+        fn window_selection_equals_the_brute_force_oracle(
+            window in arb_window(48),
+            config in arb_config(),
+        ) {
+            let ks = KeySpace::new(40, 8);
+            let reads = brute_force_reads(&window);
+            let mut selector = HotSetSelector::default();
+            // A reused selector carries nothing over from the window before.
+            selector.select(&reads[..reads.len() / 2], ks, &FilterConfig::naive(60));
+            let hot = selector.select(&reads, ks, &config).clone();
+            prop_assert_eq!(&hot, &brute_force_selection(&reads, ks, &config));
+            prop_assert!(hot.len() <= config.capacity);
+            let by_key: HashMap<ParamKey, KeyReads> = reads.iter().map(|r| (r.key, *r)).collect();
+            for k in hot.keys() {
+                prop_assert!(by_key[&k].batches >= MIN_READING_BATCHES, "{} admitted on one read", k);
+            }
+            prop_assert!(hot.entities.iter().all(|&k| ks.is_entity(k)));
+            prop_assert!(hot.relations.iter().all(|&k| !ks.is_entity(k)));
+            if config.heterogeneity_aware {
+                // A kind exceeds its quota only by what the other left unused.
+                let ent_quota = ((config.capacity as f64 * config.entity_fraction).round() as usize)
+                    .min(config.capacity);
+                let rel_quota = config.capacity - ent_quota;
+                prop_assert!(hot.entities.len() <= ent_quota + rel_quota.saturating_sub(hot.relations.len()));
+                prop_assert!(hot.relations.len() <= rel_quota + ent_quota.saturating_sub(hot.entities.len()));
+            }
+        }
+
+        /// The raw-use reference is the selection the worker made before:
+        /// `filter_hot_set` over the window's flattened access list.
+        #[test]
+        fn raw_use_reference_is_the_access_list_selection(
+            window in arb_window(48),
+            config in arb_config(),
+        ) {
+            let ks = KeySpace::new(40, 8);
+            let accesses: Vec<ParamKey> = window.iter().flatten().copied().collect();
+            prop_assert_eq!(
+                select_by_raw_uses(&brute_force_reads(&window), ks, &config),
+                filter_hot_set(&accesses, ks, &config)
+            );
+        }
+
+        /// Where no batch uses a key twice, uses *are* reading batches: on
+        /// the keys both rules may admit, ranking by either is the same
+        /// selection. The rules differ only through keys used more than
+        /// once per batch and through the one-read keys.
+        #[test]
+        fn the_two_rankings_agree_when_every_use_is_a_reading_batch(
+            counts in prop::collection::vec(2u32..9, 0..48),
+            config in arb_config(),
+        ) {
+            let ks = KeySpace::new(40, 8);
+            let reads: Vec<KeyReads> = counts
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| KeyReads { key: ParamKey(i as u64), batches: c, uses: c })
+                .collect();
+            let mut selector = HotSetSelector::default();
+            prop_assert_eq!(
+                selector.select(&reads, ks, &config),
+                &select_by_raw_uses(&reads, ks, &config)
+            );
+        }
+    }
+
+    #[test]
+    fn a_key_used_often_by_one_batch_loses_to_a_key_read_by_two() {
+        // The case the rule exists for: a shared corrupting entity (32 uses,
+        // one batch) against a mildly hot one (2 uses, two batches).
+        let ks = KeySpace::new(10, 0);
+        let reads = [
+            KeyReads {
+                key: ParamKey(1),
+                batches: 1,
+                uses: 32,
+            },
+            KeyReads {
+                key: ParamKey(2),
+                batches: 2,
+                uses: 2,
+            },
+            KeyReads {
+                key: ParamKey(3),
+                batches: 2,
+                uses: 5,
+            },
+            KeyReads {
+                key: ParamKey(4),
+                batches: 3,
+                uses: 3,
+            },
+        ];
+        let mut selector = HotSetSelector::default();
+        let hot = selector.select(&reads, ks, &FilterConfig::naive(8));
+        // Reading batches first, uses second; the one-shot key is not
+        // admitted even though six slots stay empty.
+        assert_eq!(hot.entities, [ParamKey(4), ParamKey(3), ParamKey(2)]);
+        assert_eq!(
+            select_by_raw_uses(&reads, ks, &FilterConfig::naive(1)).entities,
+            [ParamKey(1)],
+            "the raw-use ranking put it first"
+        );
     }
 
     #[test]

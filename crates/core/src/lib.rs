@@ -5,10 +5,12 @@
 //! entities/relations. Each worker therefore keeps a *hot-embedding table*:
 //!
 //! * [`prefetch`] — Algorithm 1: sample `D` iterations of mini-batches in
-//!   advance (positives + corruptions) and record which embeddings they use;
-//! * [`filter`] — Algorithm 2: count frequencies in the prefetched list and
-//!   keep the top-k, with a fixed entity/relation split (the node-
-//!   heterogeneity fix: default 25% entities / 75% relations);
+//!   advance (positives + corruptions) and record, per embedding, how many
+//!   of those batches read it and how often they use it;
+//! * [`filter`] — Algorithm 2: keep the top-k with a fixed entity/relation
+//!   split (the node-heterogeneity fix: default 25% entities / 75%
+//!   relations) — by frequency in an access list for CPS, by reading
+//!   batches among the keys at least two batches read for DPS;
 //! * [`table`] — the cache itself: id → slot map over a dense slab;
 //! * [`policy`] — CPS (constant partial stale: table fixed before training)
 //!   and DPS (dynamic partial stale: rebuilt every `D` iterations);

@@ -1,4 +1,5 @@
-//! Cache effectiveness accounting: hits, misses, hit ratio.
+//! Cache effectiveness accounting: hits, misses, hit ratio, and what the hot
+//! table held and cost.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,12 +35,7 @@ impl CacheStats {
 
     /// Hit ratio in `[0, 1]`; 0 for an untouched cache.
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.hits, self.total())
     }
 
     /// Combine counters (e.g. across workers).
@@ -48,6 +44,61 @@ impl CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
         }
+    }
+}
+
+/// What a hot table held and what building it cost, with how the pipeline
+/// split the miss pulls it left over. All fields are sums, so reports merge
+/// across workers and epochs by addition; the ratios are derived.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TableEconomy {
+    /// Table (re)constructions: one for CPS, one per `D` iterations for DPS.
+    pub rebuilds: u64,
+    /// Rows the table held right after each rebuild, summed over rebuilds.
+    pub rows_held: u64,
+    /// The table's capacity, summed over rebuilds (the base of
+    /// [`TableEconomy::occupancy`]).
+    pub capacity: u64,
+    /// Rows rebuilds pulled because the table did not hold them yet.
+    pub fresh_rows: u64,
+    /// Miss keys of staged batches whose pull was issued one iteration
+    /// early, behind the in-flight compute.
+    pub staged_early: u64,
+    /// Miss keys of staged batches left for consume time, because the
+    /// in-flight batch writes a key of their shard's frame.
+    pub staged_late: u64,
+}
+
+impl TableEconomy {
+    /// Rows held ÷ capacity, mean over rebuilds; 0 before any rebuild.
+    pub fn occupancy(&self) -> f64 {
+        ratio(self.rows_held, self.capacity)
+    }
+
+    /// Fresh rows pulled per rebuild; 0 before any rebuild.
+    pub fn fresh_rows_per_rebuild(&self) -> f64 {
+        ratio(self.fresh_rows, self.rebuilds)
+    }
+
+    /// Combine counters (e.g. across workers).
+    pub fn merge(self, other: TableEconomy) -> TableEconomy {
+        TableEconomy {
+            rebuilds: self.rebuilds + other.rebuilds,
+            rows_held: self.rows_held + other.rows_held,
+            capacity: self.capacity + other.capacity,
+            fresh_rows: self.fresh_rows + other.fresh_rows,
+            staged_early: self.staged_early + other.staged_early,
+            staged_late: self.staged_late + other.staged_late,
+        }
+    }
+}
+
+/// `num / den`, 0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -72,5 +123,29 @@ mod tests {
         let b = CacheStats { hits: 1, misses: 5 };
         let c = a.merge(b);
         assert_eq!(c, CacheStats { hits: 4, misses: 6 });
+    }
+
+    #[test]
+    fn table_economy_ratios_are_over_rebuilds() {
+        assert_eq!(TableEconomy::default().occupancy(), 0.0);
+        assert_eq!(TableEconomy::default().fresh_rows_per_rebuild(), 0.0);
+        let a = TableEconomy {
+            rebuilds: 2,
+            rows_held: 30,
+            capacity: 80,
+            fresh_rows: 12,
+            staged_early: 5,
+            staged_late: 1,
+        };
+        let both = a.merge(TableEconomy {
+            rebuilds: 2,
+            rows_held: 50,
+            capacity: 80,
+            fresh_rows: 8,
+            ..Default::default()
+        });
+        assert_eq!(both.occupancy(), 0.5);
+        assert_eq!(both.fresh_rows_per_rebuild(), 5.0);
+        assert_eq!((both.staged_early, both.staged_late), (5, 1));
     }
 }

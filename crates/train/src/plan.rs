@@ -326,19 +326,29 @@ mod tests {
         assert_eq!(l.insert(ParamKey(5), 4), (0, true));
     }
 
-    /// The three things `compile` replaced, recomputed the old way.
+    /// The three things `compile` replaced, recomputed the old way: the
+    /// batch's distinct keys in first-seen order and each key's use count.
     fn old_way(batch: &MiniBatch, ks: KeySpace) -> (Vec<ParamKey>, HashMap<ParamKey, u64>) {
         let mut usage = HashMap::new();
+        let mut keys = Vec::new();
         for t in batch
             .positives
             .iter()
             .chain(batch.negatives.iter().map(|n| &n.triple))
         {
-            *usage.entry(ks.entity_key(t.head)).or_insert(0u64) += 1;
-            *usage.entry(ks.relation_key(t.relation)).or_insert(0) += 1;
-            *usage.entry(ks.entity_key(t.tail)).or_insert(0) += 1;
+            for k in [
+                ks.entity_key(t.head),
+                ks.relation_key(t.relation),
+                ks.entity_key(t.tail),
+            ] {
+                let uses = usage.entry(k).or_insert(0u64);
+                if *uses == 0 {
+                    keys.push(k);
+                }
+                *uses += 1;
+            }
         }
-        (batch.unique_keys(ks), usage)
+        (keys, usage)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! computation + communication.
 
 use crate::supervisor::SupervisorReport;
-use hetkg_core::metrics::CacheStats;
+use hetkg_core::metrics::{CacheStats, TableEconomy};
 use hetkg_eval::RankMetrics;
 use hetkg_netsim::{FaultSnapshot, TrafficSnapshot};
 use serde::{Deserialize, Serialize};
@@ -57,6 +57,11 @@ pub struct EpochReport {
     /// overlap accounting is off.
     #[serde(default)]
     pub overlap_secs: f64,
+    /// What the hot tables held and cost across workers this epoch —
+    /// occupancy, fresh rows per rebuild, staged-early vs staged-late miss
+    /// keys (zero for cacheless systems and pre-economy reports).
+    #[serde(default)]
+    pub table: TableEconomy,
 }
 
 impl EpochReport {
@@ -337,6 +342,13 @@ impl TrainReport {
         self.epochs
             .iter()
             .fold(CacheStats::default(), |acc, e| acc.merge(e.cache))
+    }
+
+    /// Aggregate hot-table economy over the whole run.
+    pub fn total_table(&self) -> TableEconomy {
+        self.epochs
+            .iter()
+            .fold(TableEconomy::default(), |acc, e| acc.merge(e.table))
     }
 
     /// Largest cache-vs-global divergence seen anywhere in the run.

@@ -154,6 +154,7 @@ impl WorkerLoop for DglKeWorker {
             mean_divergence: 0.0,
             max_staleness: 0,
             critical_path_secs,
+            table: Default::default(),
         }
     }
 }

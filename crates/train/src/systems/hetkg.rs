@@ -4,7 +4,9 @@
 //!
 //! 1. (re)construct the hot-embedding table when the policy says so —
 //!    CPS once from the whole subgraph's frequencies, DPS every `D`
-//!    iterations from prefetched batches;
+//!    iterations from the prefetched window's read statistics: the keys
+//!    at least two of its batches read, most reading batches first (a row
+//!    one batch reads costs the same one pull cached or not);
 //! 2. synchronize the table with the PS every `P` iterations (bounded
 //!    staleness, Alg. 3 lines 8–9) — as a *pull-if-newer*: the worker sends
 //!    the server version each cached row is held under and receives only
@@ -41,7 +43,9 @@
 //! them, so the early frames are byte-for-byte the frames the sequential
 //! schedule would send to those shards, just one iteration sooner; misses
 //! on the remaining shards are pulled at consume time, exactly where the
-//! sequential schedule pulls them. Metered traffic — bytes, message
+//! sequential schedule pulls them. (Under DPS, while capacity does not
+//! bind, no shard remains: a key both the staged and the in-flight batch
+//! read is read twice in their window, hence cached, hence not a miss.) Metered traffic — bytes, message
 //! counts, locality — is therefore bit-identical to the sequential
 //! schedule, and so is every value the model sees: an early pull's
 //! *delivery* happens at consume time — the parked rows are refreshed to
@@ -59,16 +63,16 @@ use crate::plan::BatchPlan;
 use crate::worker::{
     retries_exhausted, EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop,
 };
-use hetkg_core::filter::filter_hot_set;
-use hetkg_core::metrics::CacheStats;
+use hetkg_core::filter::{filter_hot_set, HotSet, HotSetSelector};
+use hetkg_core::metrics::{CacheStats, TableEconomy};
 use hetkg_core::policy::{subgraph_accesses, CachePolicy, PolicyKind};
-use hetkg_core::prefetch::{MiniBatch, Prefetcher};
+use hetkg_core::prefetch::{MiniBatch, Prefetched, Prefetcher};
 use hetkg_core::sync::{StalenessTracker, SyncConfig};
 use hetkg_core::table::HotEmbeddingTable;
 use hetkg_embed::negative::NegativeSampler;
 use hetkg_kgraph::ParamKey;
 use hetkg_ps::{PsScratch, Refresh, RpcError, NO_VERSION};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Per-worker HET-KG training state (CPS or DPS, by the policy's kind).
 pub struct HetKgWorker {
@@ -78,13 +82,20 @@ pub struct HetKgWorker {
     table: HotEmbeddingTable,
     sampler: Prefetcher,
     negatives: NegativeSampler,
-    /// DPS: batches produced by the last prefetch, consumed one per
-    /// iteration.
-    pending: VecDeque<MiniBatch>,
+    /// DPS: the prefetched window — its batches, consumed one per iteration
+    /// from `window_next` on, and its per-key read statistics. Handed back
+    /// to the prefetcher every `D` iterations, so its buffers are reused.
+    window: Prefetched,
+    window_next: usize,
+    /// DPS: Algorithm 2 over `window.reads`, with its reusable buffers.
+    selector: HotSetSelector,
     /// Global iteration counter (across epochs).
     iteration: usize,
     staleness: StalenessTracker,
     cache_stats: CacheStats,
+    /// What the table held and cost, and how the pipeline split the staged
+    /// miss pulls, this epoch.
+    economy: TableEconomy,
     /// Largest cache-vs-global divergence seen at sync points this epoch.
     epoch_divergence: f64,
     /// Sum of per-key divergences across this epoch's sync events.
@@ -187,10 +198,13 @@ impl HetKgWorker {
             table,
             sampler,
             negatives,
-            pending: VecDeque::new(),
+            window: Prefetched::default(),
+            window_next: 0,
+            selector: HotSetSelector::default(),
             iteration: 0,
             staleness: StalenessTracker::new(),
             cache_stats: CacheStats::new(),
+            economy: TableEconomy::default(),
             epoch_divergence: 0.0,
             epoch_div_sum: 0.0,
             epoch_div_samples: 0,
@@ -260,15 +274,14 @@ impl HetKgWorker {
         }
     }
 
-    /// (Re)construct the hot-embedding table from an access list: filter the
-    /// top-k, evict what fell out of it, then pull the *newly selected* keys
-    /// from the PS (metered — building the cache is not free), each with the
-    /// version it is held under from now on. Keys already cached stay where
-    /// they are: hot sets overlap heavily between windows and retained rows
-    /// stay within the staleness bound (the periodic sync refreshes them),
-    /// so re-pulling them would be pure waste.
-    fn construct_table(&mut self, accesses: &[ParamKey]) {
-        let hot = filter_hot_set(accesses, self.ctx.key_space, &self.policy.filter);
+    /// (Re)construct the hot-embedding table to hold `hot`: evict what fell
+    /// out of the selection, then pull the *newly selected* keys from the PS
+    /// (metered — building the cache is not free), each with the version it
+    /// is held under from now on. Keys already cached stay where they are:
+    /// hot sets overlap heavily between windows and retained rows stay
+    /// within the staleness bound (the periodic sync refreshes them), so
+    /// re-pulling them would be pure waste.
+    fn construct_table(&mut self, hot: &HotSet) {
         self.selected.clear();
         self.selected.extend(hot.keys());
         self.selected.sort_unstable();
@@ -278,6 +291,10 @@ impl HetKgWorker {
         self.probe_keys.clear();
         self.probe_keys
             .extend(hot.keys().filter(|&k| !table.contains(k)));
+        self.economy.rebuilds += 1;
+        self.economy.rows_held += hot.len() as u64;
+        self.economy.capacity += self.policy.filter.capacity as u64;
+        self.economy.fresh_rows += self.probe_keys.len() as u64;
         if self.probe_keys.is_empty() {
             return;
         }
@@ -465,6 +482,17 @@ impl HetKgWorker {
         self.note_sync(max_div, div_sum, refreshed);
     }
 
+    /// Algorithm 1: prefetch the next `D` batches into `window`.
+    fn prefetch_window(&mut self) {
+        self.sampler.prefetch_into(
+            &self.ctx.subgraph,
+            &mut self.negatives,
+            self.policy.prefetch_depth,
+            &mut self.window,
+        );
+        self.window_next = 0;
+    }
+
     /// Take the next batch — the next prefetched one under DPS, a fresh
     /// draw under CPS — and compile it into `next_plan`.
     fn compile_next(&mut self) {
@@ -472,21 +500,14 @@ impl HetKgWorker {
         let (ed, rd) = (model.entity_dim(), model.relation_dim());
         match self.policy.kind {
             PolicyKind::Dps => {
-                if self.pending.is_empty() {
+                if self.window_next == self.window.batches.len() {
                     // Refill (can happen when an epoch boundary desyncs the
                     // D-cycle; keeps the loop total-failure free).
-                    let pf = self.sampler.prefetch(
-                        &self.ctx.subgraph,
-                        &mut self.negatives,
-                        self.policy.prefetch_depth,
-                    );
-                    self.pending = pf.batches.into();
+                    self.prefetch_window();
                 }
-                let batch = self
-                    .pending
-                    .pop_front()
-                    .expect("prefetch produced at least one batch");
-                self.next_plan.compile(&batch, ks, ed, rd);
+                let batch = &self.window.batches[self.window_next];
+                self.window_next += 1;
+                self.next_plan.compile(batch, ks, ed, rd);
             }
             PolicyKind::Cps => {
                 self.sampler
@@ -666,17 +687,20 @@ impl HetKgWorker {
                 PolicyKind::Cps => {
                     if self.iteration == 0 {
                         let acc = subgraph_accesses(&self.ctx.subgraph, self.ctx.key_space);
-                        self.construct_table(&acc);
+                        let hot = filter_hot_set(&acc, self.ctx.key_space, &self.policy.filter);
+                        self.construct_table(&hot);
                     }
                 }
                 PolicyKind::Dps => {
-                    let pf = self.sampler.prefetch(
-                        &self.ctx.subgraph,
-                        &mut self.negatives,
-                        self.policy.prefetch_depth,
+                    self.prefetch_window();
+                    let mut selector = std::mem::take(&mut self.selector);
+                    let hot = selector.select(
+                        &self.window.reads,
+                        self.ctx.key_space,
+                        &self.policy.filter,
                     );
-                    self.pending = pf.batches.into();
-                    self.construct_table(&pf.accesses);
+                    self.construct_table(hot);
+                    self.selector = selector;
                 }
             }
         }
@@ -788,6 +812,9 @@ impl HetKgWorker {
             .copied()
             .zip(self.miss_slots.iter().copied());
         self.staged_pull.stage(&mut self.ctx, misses, true);
+        let (early, late) = self.staged_pull.split();
+        self.economy.staged_early += early as u64;
+        self.economy.staged_late += late as u64;
         self.staged = true;
     }
 
@@ -902,6 +929,7 @@ impl WorkerLoop for HetKgWorker {
     fn begin_epoch(&mut self, _epoch: usize) {
         self.run.begin(self.ctx.meter.snapshot());
         self.epoch_start_cache = self.cache_stats;
+        self.economy = TableEconomy::default();
         self.epoch_divergence = 0.0;
         self.epoch_div_sum = 0.0;
         self.epoch_div_samples = 0;
@@ -942,6 +970,7 @@ impl WorkerLoop for HetKgWorker {
             },
             max_staleness: self.staleness.max_observed(),
             critical_path_secs,
+            table: self.economy,
         }
     }
 }
@@ -1281,7 +1310,8 @@ mod tests {
         // construction pull's shard-1 message lands at t = 0 (before the
         // outage) and advances the clock to 1.0 s — inside the window.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
-        w.construct_table(&every_key);
+        let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
+        w.construct_table(&everything);
         w.iteration = 1;
         for e in 0..2 {
             w.run_epoch(e);
@@ -1355,7 +1385,8 @@ mod tests {
         // deferred push. The construction pull lands at t = 0 (before the
         // window) and advances the clock to 1.0 s — inside it.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
-        w.construct_table(&every_key);
+        let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
+        w.construct_table(&everything);
         w.iteration = 1;
         for e in 0..2 {
             w.run_epoch(e);

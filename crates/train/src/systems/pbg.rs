@@ -434,6 +434,7 @@ impl WorkerLoop for PbgWorker {
             mean_divergence: 0.0,
             max_staleness: 0,
             critical_path_secs,
+            table: Default::default(),
         }
     }
 }

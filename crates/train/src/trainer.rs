@@ -602,6 +602,7 @@ fn aggregate(epoch: usize, stats: &[WorkerEpochStats], config: &TrainConfig) -> 
             .max(s.traffic.simulated_time(&config.cost_model));
         er.traffic = er.traffic.merge(s.traffic);
         er.cache = er.cache.merge(s.cache);
+        er.table = er.table.merge(s.table);
         er.max_divergence = er.max_divergence.max(s.max_divergence);
         er.mean_divergence = er.mean_divergence.max(s.mean_divergence);
         er.max_staleness = er.max_staleness.max(s.max_staleness);

@@ -2,7 +2,7 @@
 //! loop builds on, and the per-epoch stats workers hand back to the trainer.
 
 use crate::batch::{compute_planned, BatchResult, BatchScratch, GradAccum, WorkingSet};
-use hetkg_core::metrics::CacheStats;
+use hetkg_core::metrics::{CacheStats, TableEconomy};
 use hetkg_embed::loss::LossKind;
 use hetkg_embed::models::KgeModel;
 use hetkg_kgraph::{KeySpace, ParamKey, Triple};
@@ -45,6 +45,9 @@ pub struct WorkerEpochStats {
     /// makespan of the worker's comm and compute lanes under the pipelined
     /// schedule. Zero when overlap accounting is disabled.
     pub critical_path_secs: f64,
+    /// What the hot table held and cost this epoch (zero for cacheless
+    /// systems).
+    pub table: TableEconomy,
 }
 
 /// What every training loop does when a PS operation it cannot train
@@ -363,6 +366,12 @@ impl StagedPull {
                 self.late_slots.append(&mut self.early_slots);
             }
         }
+    }
+
+    /// How many of the staged keys went out early and how many wait for
+    /// [`StagedPull::deliver`].
+    pub fn split(&self) -> (usize, usize) {
+        (self.early.len(), self.late.len())
     }
 
     /// Deliver the staged rows into the working set (already laid out for

@@ -3,10 +3,15 @@
 
 Run `cargo run --release -p hetkg-bench --bin repro -- all` first, then
 `python3 scripts/gen_experiments_md.py`.
+
+`--check` writes nothing: it exits non-zero when EXPERIMENTS.md is not what
+the committed `experiments/*.json` render to (CI's lint job runs it, so a
+hand-edited or half-regenerated EXPERIMENTS.md cannot land).
 """
 
 import json
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXP = ROOT / "experiments"
@@ -110,13 +115,29 @@ PAPER = {
         "over per-row versions in PR 16 (written by hand from `benchmark/run.sh` runs "
         "and the trainer's per-cause byte split, not by the repro harness)."
     ),
+    "dps-admission": (
+        "Algorithm 2 keeps the top-k of the prefetched access list by frequency; §IV-B's "
+        "premise is that the table holds embeddings that will be *reused*. Not a paper "
+        "experiment: what the table costs and saves once DPS admits a row only when two "
+        "batches of the window read it (a batch pulls each distinct key once, so a row read "
+        "once costs one pull cached or not), against the raw-use ranking it replaced and "
+        "DGL-KE. Emitted by `repro dps-admission`; the raw-use rows are recordings from the "
+        "parent commit, where that rule was the only one."
+    ),
+    "dps-admission-benchmark": (
+        "Table I / Fig. 5 / Fig. 7: HET-KG trains in less time and moves fewer bytes than "
+        "DGL-KE at equal accuracy. Not a paper experiment as such: the repo's benchmark "
+        "(`train-hetkg-skew` against `train-dglke-skew`) before and after DPS admission by "
+        "reading batches (written by hand from `benchmark/run.sh` runs of both commits, not "
+        "by the repro harness; the exact metrics repeat bit for bit for a seed)."
+    ),
 }
 
 ORDER = [
     "table1", "fig2", "table3", "table4", "table5", "fig5", "fig6", "fig7",
     "fig8a", "fig8b", "fig8c", "fig9", "table6", "table7",
     "partition-ablation", "negsample-ablation", "divergence", "bandwidth-sweep",
-    "wallclock-arena", "sync-gate",
+    "wallclock-arena", "sync-gate", "dps-admission", "dps-admission-benchmark",
 ]
 
 
@@ -132,7 +153,8 @@ def render_table(columns, rows):
     return "\n".join(lines)
 
 
-def main():
+def render():
+    """EXPERIMENTS.md's text and the ids in ORDER that have no record."""
     out = [
         "# EXPERIMENTS — paper vs measured",
         "",
@@ -174,7 +196,26 @@ def main():
     if missing:
         out.append(f"*Missing records (run `repro all`):* {', '.join(missing)}")
         out.append("")
-    (ROOT / "EXPERIMENTS.md").write_text("\n".join(out))
+    return "\n".join(out), missing
+
+
+def main():
+    text, missing = render()
+    target = ROOT / "EXPERIMENTS.md"
+    if sys.argv[1:] == ["--check"]:
+        if not target.exists() or target.read_text() != text:
+            print(
+                "EXPERIMENTS.md is not what experiments/*.json render to; "
+                "run `python3 scripts/gen_experiments_md.py` and commit the result",
+                file=sys.stderr,
+            )
+            sys.exit(1)
+        print(f"EXPERIMENTS.md is up to date ({len(ORDER) - len(missing)} experiments)")
+        return
+    if sys.argv[1:]:
+        print("usage: gen_experiments_md.py [--check]", file=sys.stderr)
+        sys.exit(2)
+    target.write_text(text)
     print(f"wrote EXPERIMENTS.md ({len(ORDER) - len(missing)} experiments)")
 
 

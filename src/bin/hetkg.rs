@@ -740,6 +740,17 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         })
         .collect();
     println!("bytes by cause (remote/local MB): {}", causes.join(" | "));
+    let table = report.total_table();
+    if table.rebuilds > 0 {
+        println!(
+            "hot table: {:.1}% occupied (mean over {} rebuilds) | {:.1} fresh rows per rebuild | staged miss keys {} early / {} late",
+            100.0 * table.occupancy(),
+            table.rebuilds,
+            table.fresh_rows_per_rebuild(),
+            table.staged_early,
+            table.staged_late,
+        );
+    }
     if let Some(c) = &report.compression {
         println!(
             "compression: mode={} | push lane {:.1} KB raw -> {:.1} KB wire ({:.2}x) over {} rows in {} frames | {} residual folds | ladder +{}/-{}",

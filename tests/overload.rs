@@ -192,6 +192,8 @@ fn pre_overload_report_fixture_still_deserializes() {
     // The fixture's traffic object predates the split by cause too: it
     // loads, and the split reads all zero.
     assert_eq!(report.total_traffic().by_cause, Default::default());
+    // And the hot-table economy, which it predates as well.
+    assert_eq!(report.total_table(), Default::default());
     let fr = report.faults.expect("fixture carries a fault report");
     assert_eq!(fr.drops, 17);
     assert_eq!(fr.retransmitted_bytes, 43_520);

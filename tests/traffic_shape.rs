@@ -11,6 +11,13 @@
 //! moved 3.6 % and 4.6 % *more* remote bytes than DGL-KE at these two
 //! seeds, because every sync re-pulled every cached row, changed or not —
 //! and nothing failed. Now something does.
+//!
+//! Since DPS admits a row only when two batches of the prefetched window
+//! read it, the margin is pinned too: the table no longer pays a
+//! construction pull (row + version) for each of a window's one-shot
+//! corrupting entities to save that row's one miss pull, which was most of
+//! what construction moved. HET-KG-D sat 5.3 % and 4.5 % below DGL-KE at
+//! these seeds before that; it sits 13.8 % and 13.2 % below now.
 
 use het_kg::netsim::Cause;
 use het_kg::prelude::*;
@@ -50,6 +57,23 @@ fn hetkg_d_moves_fewer_remote_bytes_than_dglke_on_a_skewed_graph() {
             het_t.remote_bytes,
             dgl_t.remote_bytes,
             het_t.by_cause
+        );
+        assert!(
+            het_t.remote_bytes * 100 <= dgl_t.remote_bytes * 88,
+            "seed {seed}: HET-KG-D moved {} remote bytes, DGL-KE {} — less than 12 % apart \
+             (by cause: {:?})",
+            het_t.remote_bytes,
+            dgl_t.remote_bytes,
+            het_t.by_cause
+        );
+        // Construction is the small term it should be: it pulls only rows
+        // that will be read at least twice, so it moves a fraction of what
+        // the misses it leaves behind move.
+        let construction = het_t.by_cause.get(Cause::Construction).remote;
+        let misses = het_t.by_cause.get(Cause::MissPull).remote;
+        assert!(
+            construction > 0 && construction < misses / 4,
+            "seed {seed}: construction moved {construction} remote bytes against {misses} of misses"
         );
         assert!(
             het.total_secs() < dgl.total_secs(),

@@ -110,9 +110,18 @@ fn uds_backend_is_bit_identical_to_sim() {
 }
 
 /// The version gate over real sockets, on a key space sparse enough that
-/// most cached rows sit unwritten across a sync period: the shard servers
+/// some cached rows sit unwritten across a sync period: the shard servers
 /// must decline exactly the rows the in-process store declines (same
-/// per-cause bytes, same loss bits), and it must be a good share of them.
+/// per-cause bytes, same loss bits), and there must be rows they decline
+/// and rows they return.
+///
+/// This used to require that more than a quarter of the rows asked about
+/// be declined. That share was a property of what DPS cached, not of the
+/// gate: the table was mostly rows a window read once — corrupting entities
+/// nobody wrote again — and those never move. Admission now keeps such rows
+/// out, so what a sync asks about is rows this worker reads, and therefore
+/// writes, at least twice per window; most of them have moved (here 3181 of
+/// 3429 asked come back).
 #[cfg(unix)]
 #[test]
 fn shard_servers_decline_the_same_unchanged_rows_as_the_simulated_store() {
@@ -149,7 +158,7 @@ fn shard_servers_decline_the_same_unchanged_rows_as_the_simulated_store() {
     let asked = (c.sync_probe.local + c.sync_probe.remote) / 12;
     let returned = (c.sync_rows.local + c.sync_rows.remote) / (12 + 4 * 16);
     assert!(
-        0 < returned && 4 * returned < 3 * asked,
+        0 < returned && returned < asked,
         "the servers returned {returned} of {asked} rows asked about"
     );
 }
