@@ -247,24 +247,21 @@ mod tests {
 
     #[test]
     fn compression_cuts_push_bytes_3x_at_near_equal_mrr() {
-        // The bar on the fb15k workload: int8, top-k and the adaptive
-        // int8+top-k ladder each cut metered push-lane bytes at least 3x —
-        // exact, deterministic, the claim — and none of them loses the
-        // model: error feedback keeps final MRR from collapsing.
+        // The PR acceptance bar on the fb15k workload: int8 and top-k each
+        // cut metered push-lane bytes at least 3x, and the adaptive
+        // int8+top-k ladder holds final MRR within 2% relative of the
+        // dense run. (Dense MRR itself swings ~3% seed to seed at harness
+        // scale, so the fixed lossy modes get a looser catastrophic-loss
+        // guard instead of the 2% bar; the simulator is deterministic, so
+        // none of these assertions are flaky.)
         //
-        // The MRR guard is one-sided and sized from measured noise. It used
-        // to be |Δ| ≤ 10 % for the fixed modes and ≤ 2 % for adaptive, bars
-        // this 2-epoch run (MRR ≈ 0.04) passed at seed 42 by the draw: at
-        // the parent of this change, top-k reads +2.7 %, 0.0 % and −12.2 %
-        // against dense at seeds 1, 2, 3 and adaptive +0.5 %, −3.0 %,
-        // −5.4 %. Any change to what HET-KG-D caches moves the trajectory
-        // by that much; DPS admission by reading batches did (dense 0.0407
-        // → 0.0391, top-k −7.1 % → −10.7 %, adaptive 0.0 % → +6.9 %). A
-        // broken error-feedback path costs most of the MRR, not a tenth.
-        let r = compression(ExpCtx {
-            quick: true,
-            ..Default::default()
-        });
+        // Runs the experiment's own 4 epochs — the committed record — not
+        // the 2-epoch `quick` clamp: a single 2-epoch draw (MRR ≈ 0.04)
+        // scatters ±12 % between modes from seed to seed on any commit, and
+        // DPS admission by reading batches moved seed 42's top-k draw from
+        // −7.1 % to −10.7 %. The bars are unchanged; holding them over a
+        // mean of seeds instead of one draw is ROADMAP verification work.
+        let r = compression(ExpCtx::default());
         let row = |mode: &str| {
             r.rows
                 .iter()
@@ -278,6 +275,7 @@ mod tests {
         let mrr = |mode: &str| row(mode)[5].parse::<f64>().unwrap();
         let dense = mrr("off");
         assert!(dense.is_finite() && dense > 0.0);
+        let rel = |mode: &str| (mrr(mode) - dense).abs() / dense;
         for mode in ["int8", "topk", "adaptive"] {
             assert!(
                 ratio(mode) >= 3.0,
@@ -285,13 +283,20 @@ mod tests {
                 ratio(mode)
             );
             assert!(
-                mrr(mode) >= 0.8 * dense,
+                rel(mode) <= 0.10,
                 "{mode} MRR {} collapsed {:.1}% from dense {}",
                 mrr(mode),
-                100.0 * (dense - mrr(mode)) / dense,
+                100.0 * rel(mode),
                 dense
             );
         }
+        assert!(
+            rel("adaptive") <= 0.02,
+            "adaptive MRR {} drifted {:.1}% from dense {}",
+            mrr("adaptive"),
+            100.0 * rel("adaptive"),
+            dense
+        );
         // The dense baseline ships raw == wire: ratio exactly 1.
         assert_eq!(ratio("off"), 1.0);
     }

@@ -99,6 +99,12 @@ PAPER = {
         "number of workers, especially in a low bandwidth network environment' — the "
         "cache's benefit should grow as bandwidth shrinks (no figure; motivating claim)."
     ),
+    "compression-ablation": (
+        "Not a paper experiment: §II's premise is that communication bounds training, so "
+        "the gradient pushes HET-KG shares with DGL-KE are compressed (int8 / int4 "
+        "quantization, top-k sparsification, an adaptive ladder) with error feedback, and "
+        "the bytes saved are set against final MRR."
+    ),
     "wallclock-arena": (
         "Table I / Fig. 7 decompose a worker's step into embedding computation "
         "plus network. Not a paper experiment: the wall-clock of this repo's own "
@@ -137,7 +143,7 @@ ORDER = [
     "table1", "fig2", "table3", "table4", "table5", "fig5", "fig6", "fig7",
     "fig8a", "fig8b", "fig8c", "fig9", "table6", "table7",
     "partition-ablation", "negsample-ablation", "divergence", "bandwidth-sweep",
-    "wallclock-arena", "sync-gate", "dps-admission", "dps-admission-benchmark",
+    "compression-ablation", "wallclock-arena", "sync-gate", "dps-admission", "dps-admission-benchmark",
 ]
 
 
