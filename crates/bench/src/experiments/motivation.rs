@@ -108,18 +108,6 @@ pub fn fig2(ctx: ExpCtx) -> ExperimentRecord {
     }
 }
 
-/// Table I companion used by tests: the communication share of one quick
-/// DGL-KE run.
-pub fn dglke_comm_share(ctx: ExpCtx, dataset: Dataset) -> f64 {
-    let w = Workload::new(dataset, false, ctx.seed);
-    let mut cfg = TrainConfig::small(SystemKind::DglKe);
-    cfg.epochs = 1;
-    cfg.dim = 128;
-    cfg.machines = 4;
-    let report = train(&w.kg, &w.split.train, &[], &cfg);
-    report.comm_fraction()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

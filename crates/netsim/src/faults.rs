@@ -590,7 +590,6 @@ struct InjectorState {
 pub struct FaultInjector {
     plan: FaultPlan,
     cost: CostModel,
-    worker_id: usize,
     /// Failover table shared across workers. `None` means the run has no
     /// backup replicas to promote, so permanent kills are masked — a kill
     /// plan at replication 1 behaves exactly like the same plan without
@@ -609,7 +608,6 @@ impl FaultInjector {
         Self {
             plan,
             cost,
-            worker_id,
             liveness: None,
             inner: Mutex::new(InjectorState {
                 rng,
@@ -640,11 +638,6 @@ impl FaultInjector {
     /// The cost model this injector charges simulated time under.
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The worker this injector belongs to.
-    pub fn worker_id(&self) -> usize {
-        self.worker_id
     }
 
     /// Current simulated instant on this worker's clock.

@@ -103,11 +103,6 @@ impl Timeline {
         self.free[0].max(self.free[1])
     }
 
-    /// When `lane` next becomes free.
-    pub fn lane_end(&self, lane: Lane) -> f64 {
-        self.free[lane.index()]
-    }
-
     /// Total busy time posted to `lane` so far.
     pub fn busy(&self, lane: Lane) -> f64 {
         self.busy[lane.index()]

@@ -19,46 +19,25 @@ use crate::partitioning::{Partitioner, Partitioning};
 use hetkg_kgraph::KnowledgeGraph;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 
-/// Multilevel min-cut partitioner configuration.
+/// Coarsening stops once the graph has at most
+/// `COARSEN_TARGET_PER_PART × num_parts` vertices.
+const COARSEN_TARGET_PER_PART: usize = 32;
+/// Allowed imbalance: a part may weigh up to `(1 + IMBALANCE) × ideal`.
+const IMBALANCE: f64 = 0.05;
+/// Refinement passes per level.
+const REFINE_PASSES: usize = 4;
+
+/// Multilevel min-cut partitioner.
 #[derive(Debug, Clone, Copy)]
 pub struct MetisLike {
     /// Seed for matching/tie-breaking randomness.
     pub seed: u64,
-    /// Coarsening stops once the graph has at most
-    /// `coarsen_target_per_part × num_parts` vertices.
-    pub coarsen_target_per_part: usize,
-    /// Allowed imbalance: a part may weigh up to `(1 + imbalance) × ideal`.
-    pub imbalance: f64,
-    /// Refinement passes per level.
-    pub refine_passes: usize,
-}
-
-impl Default for MetisLike {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            coarsen_target_per_part: 32,
-            imbalance: 0.05,
-            refine_passes: 4,
-        }
-    }
-}
-
-impl MetisLike {
-    /// Default configuration with an explicit seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
-    }
 }
 
 /// An undirected weighted graph in CSR form, as used internally by the
 /// multilevel hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct WGraph {
     xadj: Vec<usize>,
     adjncy: Vec<u32>,
@@ -81,50 +60,100 @@ impl WGraph {
 
     /// Build from a knowledge graph: vertices are entities, parallel triples
     /// collapse into one edge with accumulated weight, self-loops dropped.
-    fn from_kg(kg: &KnowledgeGraph) -> WGraph {
-        let n = kg.num_entities();
-        // Aggregate parallel edges with per-vertex hash maps.
-        let mut maps: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-        for t in kg.triples() {
-            if t.head == t.tail {
-                continue;
-            }
-            *maps[t.head.index()].entry(t.tail.0).or_insert(0) += 1;
-            *maps[t.tail.index()].entry(t.head.0).or_insert(0) += 1;
-        }
-        let mut xadj = Vec::with_capacity(n + 1);
-        xadj.push(0usize);
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
-        for map in &maps {
-            let mut entries: Vec<(u32, u64)> = map.iter().map(|(&k, &w)| (k, w)).collect();
-            entries.sort_unstable();
-            for (k, w) in entries {
-                adjncy.push(k);
-                adjwgt.push(w);
-            }
-            xadj.push(adjncy.len());
-        }
+    fn from_kg(kg: &KnowledgeGraph, csr: CsrBuilder) -> WGraph {
+        let edges = kg
+            .triples()
+            .iter()
+            .filter(|t| t.head != t.tail)
+            .flat_map(|t| [(t.head.0, t.tail.0, 1), (t.tail.0, t.head.0, 1)])
+            .collect();
         // Vertex weight = degree + 1: balancing weighted vertices balances
         // *triples* per partition, which is what balances worker iteration
         // counts (entity-count balance would hand the hub partition most of
         // the work on skewed graphs).
-        let mut vwgt = vec![1u64; n];
+        let mut vwgt = vec![1u64; kg.num_entities()];
         for t in kg.triples() {
             vwgt[t.head.index()] += 1;
             vwgt[t.tail.index()] += 1;
         }
-        WGraph {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
+        csr(vwgt, edges)
+    }
+}
+
+/// A directed `(source, target, weight)` edge; an undirected edge is listed
+/// from both ends.
+type Edge = (u32, u32, u64);
+
+/// How a level's graph is assembled from its vertex weights and edge list:
+/// [`csr_from_edges`], or the tests' hash-map reference.
+type CsrBuilder = fn(Vec<u64>, Vec<Edge>) -> WGraph;
+
+/// The graph over `vwgt.len()` vertices with the given edges. Parallel edges
+/// merge, their weights summed; every vertex's neighbours come out in
+/// ascending id order.
+fn csr_from_edges(vwgt: Vec<u64>, edges: Vec<Edge>) -> WGraph {
+    let n = vwgt.len();
+    // Counting sort by source: row sizes, row starts, then a scatter.
+    let mut start = vec![0usize; n + 1];
+    for &(v, _, _) in &edges {
+        start[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut rows = vec![(0u32, 0u64); edges.len()];
+    let mut next = start.clone();
+    for (v, u, w) in edges {
+        rows[next[v as usize]] = (u, w);
+        next[v as usize] += 1;
+    }
+    // Per row: sort by target, merge runs of equal targets.
+    let mut xadj = vec![0usize];
+    let mut adjncy = Vec::new();
+    let mut adjwgt: Vec<u64> = Vec::new();
+    for v in 0..n {
+        let row = &mut rows[start[v]..start[v + 1]];
+        row.sort_unstable_by_key(|&(u, _)| u);
+        for &(u, w) in row.iter() {
+            if adjncy.len() > xadj[v] && adjncy.last() == Some(&u) {
+                *adjwgt.last_mut().expect("as long as adjncy") += w;
+            } else {
+                adjncy.push(u);
+                adjwgt.push(w);
+            }
         }
+        xadj.push(adjncy.len());
+    }
+    WGraph {
+        xadj,
+        adjncy,
+        adjwgt,
+        vwgt,
     }
 }
 
 impl Partitioner for MetisLike {
     fn partition(&self, kg: &KnowledgeGraph, num_parts: usize) -> Partitioning {
+        self.partition_with(kg, num_parts, csr_from_edges)
+    }
+
+    fn name(&self) -> &'static str {
+        "metis-like"
+    }
+}
+
+impl MetisLike {
+    /// A partitioner drawing its randomness from `seed`.
+    pub fn new(seed: u64) -> Self {
+        Self { seed }
+    }
+
+    fn partition_with(
+        &self,
+        kg: &KnowledgeGraph,
+        num_parts: usize,
+        csr: CsrBuilder,
+    ) -> Partitioning {
         assert!(num_parts > 0);
         let n = kg.num_entities();
         if num_parts == 1 || n == 0 {
@@ -136,10 +165,10 @@ impl Partitioner for MetisLike {
             return Partitioning::new(num_parts, assignment);
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let base = WGraph::from_kg(kg);
+        let base = WGraph::from_kg(kg, csr);
 
         // --- Phase 1: coarsen ---
-        let target = (self.coarsen_target_per_part * num_parts).max(num_parts * 2);
+        let target = (COARSEN_TARGET_PER_PART * num_parts).max(num_parts * 2);
         let mut levels: Vec<WGraph> = vec![base];
         let mut maps: Vec<Vec<u32>> = Vec::new(); // fine vertex -> coarse vertex
         loop {
@@ -147,7 +176,7 @@ impl Partitioner for MetisLike {
             if g.num_vertices() <= target {
                 break;
             }
-            let (coarse, map) = coarsen_once(g, &mut rng);
+            let (coarse, map) = coarsen_once(g, &mut rng, csr);
             // Bail out when matching stops making progress (e.g. star
             // graphs where everything matches into one hub).
             if coarse.num_vertices() as f64 > g.num_vertices() as f64 * 0.95 {
@@ -162,15 +191,7 @@ impl Partitioner for MetisLike {
         let mut part = initial_partition(coarsest, num_parts, &mut rng);
 
         // --- Phase 3: uncoarsen + refine ---
-        let max_load = max_load(coarsest.total_vweight(), num_parts, self.imbalance);
-        refine(
-            coarsest,
-            &mut part,
-            num_parts,
-            max_load,
-            self.refine_passes,
-            &mut rng,
-        );
+        refine(coarsest, &mut part, num_parts, &mut rng);
         for level in (0..maps.len()).rev() {
             let fine = &levels[level];
             let map = &maps[level];
@@ -178,36 +199,15 @@ impl Partitioner for MetisLike {
                 .map(|v| part[map[v] as usize])
                 .collect();
             part = fine_part;
-            let max_load = max_load_of(fine, num_parts, self.imbalance);
-            refine(
-                fine,
-                &mut part,
-                num_parts,
-                max_load,
-                self.refine_passes,
-                &mut rng,
-            );
+            refine(fine, &mut part, num_parts, &mut rng);
         }
         Partitioning::new(num_parts, part)
     }
-
-    fn name(&self) -> &'static str {
-        "metis-like"
-    }
-}
-
-fn max_load(total: u64, parts: usize, imbalance: f64) -> u64 {
-    let ideal = total as f64 / parts as f64;
-    (ideal * (1.0 + imbalance)).ceil() as u64
-}
-
-fn max_load_of(g: &WGraph, parts: usize, imbalance: f64) -> u64 {
-    max_load(g.total_vweight(), parts, imbalance)
 }
 
 /// One round of heavy-edge matching; returns the coarse graph and the
 /// fine→coarse vertex map.
-fn coarsen_once(g: &WGraph, rng: &mut StdRng) -> (WGraph, Vec<u32>) {
+fn coarsen_once(g: &WGraph, rng: &mut StdRng, csr: CsrBuilder) -> (WGraph, Vec<u32>) {
     let n = g.num_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     for i in (1..order.len()).rev() {
@@ -251,48 +251,21 @@ fn coarsen_once(g: &WGraph, rng: &mut StdRng) -> (WGraph, Vec<u32>) {
         map[m] = next;
         next += 1;
     }
-    let cn = next as usize;
-    // Aggregate coarse edges.
-    let mut vwgt = vec![0u64; cn];
+    let mut vwgt = vec![0u64; next as usize];
     for v in 0..n {
         vwgt[map[v] as usize] += g.vwgt[v];
     }
-    let mut edge_maps: Vec<HashMap<u32, u64>> = vec![HashMap::new(); cn];
-    for v in 0..n {
-        let cv = map[v];
-        for (u, w) in g.neighbors(v) {
-            let cu = map[u as usize];
-            if cu == cv {
-                continue; // internal edge disappears
-            }
-            // Each undirected edge is seen from both endpoints; halve later
-            // by only inserting from the lower endpoint. Simpler: insert both
-            // directions, weights stay symmetric because the input is.
-            *edge_maps[cv as usize].entry(cu).or_insert(0) += w;
-        }
-    }
-    let mut xadj = Vec::with_capacity(cn + 1);
-    xadj.push(0usize);
-    let mut adjncy = Vec::new();
-    let mut adjwgt = Vec::new();
-    for m in &edge_maps {
-        let mut entries: Vec<(u32, u64)> = m.iter().map(|(&k, &w)| (k, w)).collect();
-        entries.sort_unstable();
-        for (k, w) in entries {
-            adjncy.push(k);
-            adjwgt.push(w);
-        }
-        xadj.push(adjncy.len());
-    }
-    (
-        WGraph {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
-        },
-        map,
-    )
+    // Each undirected edge is seen from both endpoints, so the coarse graph
+    // stays symmetric; an edge inside a coarse vertex disappears.
+    let edges = (0..n)
+        .flat_map(|v| {
+            let map = &map;
+            g.neighbors(v)
+                .map(move |(u, w)| (map[v], map[u as usize], w))
+        })
+        .filter(|&(cv, cu, _)| cv != cu)
+        .collect();
+    (csr(vwgt, edges), map)
 }
 
 /// Greedy BFS region growing: grow each part from a random unassigned seed
@@ -350,15 +323,10 @@ fn initial_partition(g: &WGraph, parts: usize, rng: &mut StdRng) -> Vec<u32> {
 /// Boundary Kernighan–Lin refinement: move vertices with positive gain,
 /// respecting the balance constraint. Greedy single-vertex moves, several
 /// passes; stops early when a pass makes no move.
-fn refine(
-    g: &WGraph,
-    part: &mut [u32],
-    parts: usize,
-    max_load: u64,
-    passes: usize,
-    rng: &mut StdRng,
-) {
+fn refine(g: &WGraph, part: &mut [u32], parts: usize, rng: &mut StdRng) {
     let n = g.num_vertices();
+    let ideal = g.total_vweight() as f64 / parts as f64;
+    let max_load = (ideal * (1.0 + IMBALANCE)).ceil() as u64;
     let mut loads = vec![0u64; parts];
     for (v, &p) in part.iter().enumerate() {
         loads[p as usize] += g.vwgt[v];
@@ -366,7 +334,7 @@ fn refine(
     let mut order: Vec<u32> = (0..n as u32).collect();
     // Scratch: per-part connectivity of the current vertex.
     let mut conn = vec![0u64; parts];
-    for _ in 0..passes {
+    for _ in 0..REFINE_PASSES {
         for i in (1..order.len()).rev() {
             let j = rng.random_range(0..=i);
             order.swap(i, j);
@@ -448,6 +416,67 @@ mod tests {
             }
         }
         KnowledgeGraph::new_unchecked(n, 1, triples)
+    }
+
+    /// The builder `csr_from_edges` replaced: one hash map per vertex, its
+    /// entries sorted afterwards.
+    fn csr_hashed(vwgt: Vec<u64>, edges: Vec<Edge>) -> WGraph {
+        let mut maps = vec![std::collections::HashMap::new(); vwgt.len()];
+        for (v, u, w) in edges {
+            *maps[v as usize].entry(u).or_insert(0u64) += w;
+        }
+        let mut xadj = vec![0usize];
+        let (mut adjncy, mut adjwgt) = (Vec::new(), Vec::new());
+        for map in &maps {
+            let mut entries: Vec<(u32, u64)> = map.iter().map(|(&k, &w)| (k, w)).collect();
+            entries.sort_unstable();
+            for (k, w) in entries {
+                adjncy.push(k);
+                adjwgt.push(w);
+            }
+            xadj.push(adjncy.len());
+        }
+        WGraph {
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        }
+    }
+
+    #[test]
+    fn counting_sort_csr_equals_the_hash_map_reference_at_every_level() {
+        // Every level of every run is assembled by both builders and must
+        // come out equal; the run then continues on the reference's graph,
+        // so its assignment is the hash-map partitioner's.
+        fn both(vwgt: Vec<u64>, edges: Vec<Edge>) -> WGraph {
+            let reference = csr_hashed(vwgt.clone(), edges.clone());
+            assert_eq!(csr_from_edges(vwgt, edges), reference);
+            reference
+        }
+        for entity_alpha in [1.0, 0.0] {
+            let g = SyntheticKg {
+                num_entities: 2_000,
+                num_relations: 10,
+                num_triples: 12_000,
+                entity_alpha,
+                // Parallel edges (one pair under several relations) and
+                // self-loops must merge and vanish as before.
+                forbid_loops: false,
+                ..Default::default()
+            }
+            .build(5);
+            for seed in [1, 2, 3] {
+                for parts in [2, 4] {
+                    let metis = MetisLike::new(seed);
+                    assert_eq!(
+                        metis.partition(&g, parts),
+                        metis.partition_with(&g, parts, both),
+                        "alpha {entity_alpha}, seed {seed}, {parts} parts"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

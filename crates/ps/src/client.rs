@@ -10,11 +10,11 @@
 //! # One call per operation
 //!
 //! Algorithm 4 has two operations and so does this client, plus PBG's
-//! overwrite and the hot table's version-gated read:
-//! [`PsClient::try_pull_batch_with`], [`PsClient::try_push_batch_rows`]
-//! (with [`PsClient::try_push_batch_with`] as its slice adapter),
-//! [`PsClient::try_write_batch_with`] and
-//! [`PsClient::try_pull_newer_with`]. Each is batched (a single key is a
+//! overwrite: the read [`PsClient::try_pull_newer_with`] (a pull-if-newer;
+//! [`PsClient::try_pull_batch_with`] is the call that holds no version),
+//! [`PsClient::try_push_batch_rows`] (with
+//! [`PsClient::try_push_batch_with`] as its slice adapter) and
+//! [`PsClient::try_write_batch_with`]. Each is batched (a single key is a
 //! one-key batch), fallible, and builds its frames in a caller-owned
 //! [`PsScratch`]; what to do when the retries run out is the caller's
 //! decision.
@@ -50,7 +50,7 @@ use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
 use crate::overload::{Gate, OverloadControl, ShardBreakers};
 use crate::router::BatchPlan;
-use crate::transport::{answer_newer, FrameOp, Refresh, SimTransport, Transport};
+use crate::transport::{answer_read, apply_frame, FrameOp, Refresh, SimTransport, Transport};
 use hetkg_kgraph::ParamKey;
 use hetkg_netsim::compress::encoded_len;
 use hetkg_netsim::{
@@ -65,8 +65,8 @@ const KEY_BYTES: u64 = 8;
 /// Bytes accounted per row version (u32 on the wire).
 const VERSION_BYTES: u64 = 4;
 
-/// The shape of a pull-if-newer request frame, noted before its response
-/// replaces it, so the exchange can be metered as the one message it is.
+/// The shape of a read request frame, noted before its response replaces
+/// it, so the exchange can be metered as the one message it is.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Sent {
     keys: u64,
@@ -74,8 +74,8 @@ pub(crate) struct Sent {
 }
 
 impl Sent {
-    /// `op`'s request as sent: `frame`'s shape for a pull-if-newer, nothing
-    /// for the ops whose frame is the same size in both directions.
+    /// `op`'s request as sent: `frame`'s shape for a read, nothing for the
+    /// ops whose one frame counts once for both directions.
     pub(crate) fn of(op: FrameOp, frame: &WireFrame) -> Self {
         match op {
             FrameOp::PullNewer(_) => Self {
@@ -147,7 +147,7 @@ pub struct FaultBinding {
 }
 
 /// Where one key's row lives inside its shard frame's payload. After a
-/// pull-if-newer, `width == 0` marks a key whose row did not come back, and
+/// read, `width == 0` marks a key whose row did not come back, and
 /// `version` is the version that came with a row that did.
 #[derive(Debug, Clone, Copy, Default)]
 struct FrameSlot {
@@ -173,13 +173,13 @@ pub struct PsScratch {
     pool: Vec<(Vec<u64>, Vec<f32>)>,
     /// Per-shard frame contents for the call in flight (index = shard).
     parts: Vec<(Vec<u64>, Vec<f32>)>,
-    /// Per-shard encoded payloads for the call in flight (index = shard).
-    enc_parts: Vec<Vec<u8>>,
-    /// Spare encoded-byte buffers, recycled between calls.
-    byte_pool: Vec<Vec<u8>>,
-    /// Spare version buffers of pull-if-newer frames, recycled between
+    /// Spare encoded-payload buffers of compressed frames, recycled between
     /// calls.
+    byte_pool: Vec<Vec<u8>>,
+    /// Spare version buffers of read frames, recycled between calls.
     version_pool: Vec<Vec<u32>>,
+    /// One decoded row: what applying a compressed frame decodes into.
+    row: Vec<f32>,
     /// Sealed frames for the call in flight (index = shard).
     wire: Vec<WireFrame>,
     /// Push-path compressor. `None` means compression is off — the dense
@@ -232,8 +232,7 @@ impl PsScratch {
     }
 
     /// Recycle last call's frames and hand out one cleared `(keys, payload)`
-    /// pair per shard in `parts` (plus one cleared encoded buffer per shard
-    /// in `enc_parts`, for compressed pushes).
+    /// pair per shard in `parts`.
     fn begin(&mut self, num_shards: usize) {
         for mut f in self.wire.drain(..) {
             self.pool
@@ -248,33 +247,11 @@ impl PsScratch {
             }
         }
         self.pool.append(&mut self.parts);
-        self.byte_pool.append(&mut self.enc_parts);
         while self.parts.len() < num_shards {
             let (mut k, mut p) = self.pool.pop().unwrap_or_default();
             k.clear();
             p.clear();
             self.parts.push((k, p));
-        }
-        while self.enc_parts.len() < num_shards {
-            let mut b = self.byte_pool.pop().unwrap_or_default();
-            b.clear();
-            self.enc_parts.push(b);
-        }
-    }
-
-    /// Seal each shard's part into its wire frame (empty shards included, so
-    /// `wire` stays shard-indexed).
-    fn seal_parts(&mut self) {
-        for (k, p) in self.parts.drain(..) {
-            self.wire.push(WireFrame::seal(k, p));
-        }
-    }
-
-    /// Seal each shard's part together with its encoded payload into a
-    /// compressed wire frame whose checksum covers the *encoded* bytes.
-    fn seal_parts_encoded(&mut self, codec: Codec) {
-        for ((k, p), e) in self.parts.drain(..).zip(self.enc_parts.drain(..)) {
-            self.wire.push(WireFrame::seal_encoded(k, p, e, codec));
         }
     }
 }
@@ -372,26 +349,20 @@ impl PsClient {
         &self.store
     }
 
-    /// This client's worker id.
-    pub fn worker_id(&self) -> usize {
-        self.worker_id
-    }
-
     /// Meter one exchange with `shard` — one message on the local or remote
     /// lane, its bytes attributed to what they were for. `frame` is the frame
-    /// as the exchange left it; `sent` is the wire size of a pull-if-newer's
-    /// request frame (which the response has replaced) and default for every
-    /// other op, whose one frame counts once for both directions.
+    /// as the exchange left it; `sent` is the wire size of a read's request
+    /// frame (which the response has replaced) and default for every other
+    /// op, whose one frame counts once for both directions.
     ///
-    /// A sync's message serves three causes: the plain keys riding in front
-    /// (8 bytes and a row each, exactly what a plain pull charges) are cache
-    /// misses, the 12 bytes per conditional key the probe, and what names
+    /// A sync's message serves three causes: the keys sent without a
+    /// version (8 bytes and a row each) are cache misses — all of a plain
+    /// pull — the 12 bytes per conditional key the probe, and what names
     /// and carries each returned row (12 bytes and the row) the refresh.
     pub(crate) fn record_exchange(&self, shard: usize, op: FrameOp, sent: Sent, frame: &WireFrame) {
         let remote = !self.topology.is_local(self.worker_id, shard);
         let bytes = frame.wire_bytes();
         match op {
-            FrameOp::Pull => self.meter.record(remote, &[(Cause::MissPull, bytes)]),
             FrameOp::Push => self.meter.record(remote, &[(Cause::Push, bytes)]),
             FrameOp::Write => self.meter.record(remote, &[(Cause::Write, bytes)]),
             FrameOp::PullNewer(Refresh::Construction) => self
@@ -449,11 +420,6 @@ impl PsClient {
         }
     }
 
-    /// The attached overload-protection bundle, if any.
-    pub fn overload(&self) -> Option<&Arc<OverloadControl>> {
-        self.overload.as_ref()
-    }
-
     /// The shared breaker table, when breakers are enabled.
     fn breakers(&self) -> Option<&ShardBreakers> {
         self.overload.as_ref().and_then(|c| c.breakers.as_ref())
@@ -478,61 +444,26 @@ impl PsClient {
     /// Pull many keys; `sink(i, row)` receives each key's row in key order.
     /// All-or-nothing: on error no row reaches `sink`.
     ///
-    /// Requested keys are grouped by shard, and each touched shard costs one
-    /// message carrying its keys' ids plus the returned rows. Placements are
-    /// resolved once into a shard-grouped [`BatchPlan`], each shard is
-    /// read-locked once, rows are copied straight into `scratch`'s recycled
-    /// frame buffers, and nothing is allocated at steady state.
+    /// The read of a worker that holds nothing: every key goes out without a
+    /// version, so every row comes back. Each touched shard costs one
+    /// message carrying its keys' ids plus the returned rows, all of it
+    /// booked as cache misses; duplicate keys are allowed.
     pub fn try_pull_batch_with(
         &self,
         keys: &[ParamKey],
         scratch: &mut PsScratch,
         mut sink: impl FnMut(usize, &[f32]),
     ) -> Result<(), RpcError> {
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let router = self.store.router();
-        router.plan_into(keys, &mut scratch.plan);
-        scratch.begin(router.num_shards());
-        let PsScratch {
-            plan, slots, parts, ..
-        } = &mut *scratch;
-        slots.clear();
-        slots.resize(keys.len(), FrameSlot::default());
-        // The sink runs under each shard's read lock; it only appends to
-        // this worker's private buffers, so no other lock is touched.
-        self.store.pull_planned(plan, |i, shard, row| {
-            let (frame_keys, payload) = &mut parts[shard];
-            let offset = payload.len();
-            payload.extend_from_slice(row);
-            frame_keys.push(keys[i].0);
-            slots[i] = FrameSlot {
-                shard,
-                offset,
-                width: row.len(),
-                ..FrameSlot::default()
-            };
-        });
-        scratch.seal_parts();
-        self.debug_assert_frame_bytes(keys, &scratch.wire);
-        self.transmit_frames(&mut scratch.wire, FrameOp::Pull)?;
-        for (i, slot) in scratch.slots.iter().enumerate() {
-            sink(
-                i,
-                &scratch.wire[slot.shard].payload[slot.offset..slot.offset + slot.width],
-            );
-        }
-        Ok(())
+        self.try_pull_newer_with(keys, &[], Refresh::Sync, scratch, |i, _, row| sink(i, row))
     }
 
-    /// Pull-if-newer. `held` belongs to the *last* `held.len()` keys: those
-    /// are asked about conditionally — `(key, held version)` goes out, and
-    /// the row comes back, with its new version, only when the server's
-    /// version differs. The keys before them are pulled unconditionally and
-    /// ride in the same per-shard message (a sync iteration's cache misses).
-    /// `sink(i, version, row)` receives every row that came back, in
-    /// ascending `i`; unconditional rows report
+    /// Pull-if-newer, the one read. `held` belongs to the *last*
+    /// `held.len()` keys: those are asked about conditionally — `(key, held
+    /// version)` goes out, and the row comes back, with its new version,
+    /// only when the server's version differs. The keys before them are
+    /// pulled unconditionally and ride in the same per-shard message (a sync
+    /// iteration's cache misses). `sink(i, version, row)` receives every row
+    /// that came back, in ascending `i`; unconditional rows report
     /// [`NO_VERSION`](crate::kvstore::NO_VERSION). A conditional key sent
     /// with `NO_VERSION` always comes back. One that does not come back is
     /// bit-identical to the copy its held version was obtained with (see
@@ -540,12 +471,16 @@ impl PsClient {
     /// no value the caller reads. The conditional keys must be distinct.
     /// All-or-nothing: on error no row reaches `sink`.
     ///
-    /// One message per shard touched, like a pull. An unconditional key is
-    /// metered as in a plain pull (8 bytes and its row); a conditional key
-    /// as 8 bytes of id and 4 of version, and the same 12 again plus the
-    /// row when it is returned (the response names the row and its new
-    /// version). `refresh` says which hot-table fill this serves, and so
-    /// which [`Cause`]s the bytes are booked under.
+    /// One message per shard touched. An unconditional key is metered as 8
+    /// bytes and its row; a conditional key as 8 bytes of id and 4 of
+    /// version, and the same 12 again plus the row when it is returned (the
+    /// response names the row and its new version). `refresh` says what the
+    /// read serves, and so which [`Cause`]s the bytes are booked under.
+    ///
+    /// Placements are resolved once into a shard-grouped [`BatchPlan`], the
+    /// request frames are built out of `scratch`'s recycled buffers, each
+    /// shard answers under one read lock, and nothing is allocated at
+    /// steady state.
     pub fn try_pull_newer_with(
         &self,
         keys: &[ParamKey],
@@ -582,12 +517,7 @@ impl PsClient {
             }
             wire.push(WireFrame::seal_versioned(frame_keys, versions, rows));
         }
-        // Unlike the other ops, a frame that comes back empty was still
-        // sent: walk the plan's shards, not the non-empty frames.
-        for shard in plan.shards() {
-            self.transport
-                .exchange(self, shard, FrameOp::PullNewer(refresh), &mut wire[shard])?;
-        }
+        self.transmit(plan, wire, FrameOp::PullNewer(refresh))?;
         // A response's payload is the unconditional rows, then the rows of
         // its keys — an in-order selection of the conditional ones.
         slots.clear();
@@ -604,7 +534,7 @@ impl PsClient {
                 } else {
                     continue;
                 };
-                let width = self.store.row_bytes(keys[i]) as usize / 4;
+                let width = self.store.row_dim(keys[i]);
                 slots[i] = FrameSlot {
                     shard,
                     offset,
@@ -664,28 +594,13 @@ impl PsClient {
             return Ok(());
         }
         let codec = scratch.push_codec();
-        if codec == Codec::Dense {
-            self.seal_frames_by(keys, row_of, scratch);
-        } else {
-            self.seal_frames_compressed(keys, row_of, codec, scratch);
-        }
-        self.transmit_frames(&mut scratch.wire, FrameOp::Push)?;
+        self.seal_frames(keys, row_of, codec, scratch);
+        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Push)?;
         if codec != Codec::Dense {
-            Self::decode_and_commit(keys, codec, scratch);
+            self.decode_and_commit(keys, codec, scratch);
         }
         self.meter_push_frames(scratch);
-        let (wire, slots) = (&scratch.wire, &scratch.slots);
-        self.store.push_planned(
-            &scratch.plan,
-            |i| {
-                let s = slots[i];
-                &wire[s.shard].payload[s.offset..s.offset + s.width]
-            },
-            optimizer,
-        );
-        for shard in scratch.plan.shards() {
-            self.ship_replication(shard);
-        }
+        self.apply_frames(scratch, Some(optimizer));
         Ok(())
     }
 
@@ -703,80 +618,24 @@ impl PsClient {
         if keys.is_empty() {
             return Ok(());
         }
-        self.seal_frames_by(keys, |i| values[i], scratch);
-        self.transmit_frames(&mut scratch.wire, FrameOp::Write)?;
-        let (wire, slots) = (&scratch.wire, &scratch.slots);
-        self.store.store_planned(&scratch.plan, |i| {
-            let s = slots[i];
-            &wire[s.shard].payload[s.offset..s.offset + s.width]
-        });
-        for shard in scratch.plan.shards() {
-            self.ship_replication(shard);
-        }
+        self.seal_frames(keys, |i| values[i], Codec::Dense, scratch);
+        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Write)?;
+        self.apply_frames(scratch, None);
         Ok(())
     }
 
-    /// Plan a batch and seal one frame per shard from caller-supplied rows
-    /// (`row_of(i)` belongs to `keys[i]`), leaving the plan, slots, and
-    /// wire frames in `scratch`. Per-shard frame contents are in batch
-    /// order — exactly what per-key grouping produced, since the plan's
-    /// grouping is stable — so metered bytes are unchanged. Frame bytes are
-    /// exactly the pre-frame accounting (`row_bytes + KEY_BYTES` per key);
-    /// the checksum itself rides in the per-message envelope overhead.
-    fn seal_frames_by<'a>(
-        &self,
-        keys: &[ParamKey],
-        row_of: impl Fn(usize) -> &'a [f32],
-        scratch: &mut PsScratch,
-    ) {
-        let router = self.store.router();
-        router.plan_into(keys, &mut scratch.plan);
-        scratch.begin(router.num_shards());
-        let PsScratch {
-            plan, slots, parts, ..
-        } = &mut *scratch;
-        slots.clear();
-        slots.resize(keys.len(), FrameSlot::default());
-        for shard in plan.shards() {
-            let (frame_keys, payload) = &mut parts[shard];
-            for i in plan.indices(shard) {
-                let row = row_of(i);
-                let offset = payload.len();
-                payload.extend_from_slice(row);
-                frame_keys.push(keys[i].0);
-                slots[i] = FrameSlot {
-                    shard,
-                    offset,
-                    width: row.len(),
-                    ..FrameSlot::default()
-                };
-            }
-        }
-        scratch.seal_parts();
-        self.debug_assert_frame_bytes(keys, &scratch.wire);
-    }
-
-    /// Debug check: sealed **dense** frames carry exactly the per-key
-    /// metered bytes. Compressed frames intentionally carry fewer — their
-    /// walk is checked row-by-row in [`Self::decode_and_commit`].
-    fn debug_assert_frame_bytes(&self, keys: &[ParamKey], wire: &[WireFrame]) {
-        debug_assert_eq!(
-            wire.iter().map(|fr| fr.wire_bytes()).sum::<u64>(),
-            keys.iter()
-                .map(|&k| self.store.row_bytes(k) + KEY_BYTES)
-                .sum::<u64>(),
-            "frame bytes must match the metered per-key accounting"
-        );
-    }
-
-    /// Compressed counterpart of [`Self::seal_frames_by`]: plan the batch,
-    /// stage each row through the compressor (error feedback *peeks* the
-    /// key's residual — nothing is committed until the transmit succeeds),
-    /// encode it under `codec`, and seal per-shard frames whose checksum
-    /// covers the encoded bytes. The staged dense rows stay client-side in
-    /// the frame payload (never on the wire) so a successful transmit can
-    /// commit residuals without re-deriving them.
-    fn seal_frames_compressed<'a>(
+    /// Plan a batch and seal one push or write frame per shard from
+    /// caller-supplied rows (`row_of(i)` belongs to `keys[i]`), leaving the
+    /// plan and wire frames in `scratch`. Per-shard frame contents are in
+    /// batch order, since the plan's grouping is stable.
+    ///
+    /// Under a compressing `codec` each row is first staged through the
+    /// compressor (error feedback *peeks* the key's residual — nothing is
+    /// committed until the transmit succeeds) and encoded; the frame's
+    /// checksum then covers the encoded bytes, and the staged dense rows
+    /// stay client-side in the frame payload (never on the wire) so a
+    /// successful transmit can commit residuals without re-deriving them.
+    fn seal_frames<'a>(
         &self,
         keys: &[ParamKey],
         row_of: impl Fn(usize) -> &'a [f32],
@@ -788,50 +647,62 @@ impl PsClient {
         scratch.begin(router.num_shards());
         let PsScratch {
             plan,
-            slots,
             parts,
-            enc_parts,
+            byte_pool,
+            wire,
             compressor,
             ..
         } = &mut *scratch;
-        let comp = compressor
-            .as_mut()
-            .expect("non-dense codec without a compressor");
-        comp.begin_batch(keys.len());
-        slots.clear();
-        slots.resize(keys.len(), FrameSlot::default());
-        for shard in plan.shards() {
-            let (frame_keys, payload) = &mut parts[shard];
-            let enc = &mut enc_parts[shard];
-            for i in plan.indices(shard) {
-                let row = row_of(i);
-                let offset = payload.len();
-                payload.extend_from_slice(row);
-                comp.stage(i, keys[i].0, &mut payload[offset..]);
-                comp.encode(codec, &payload[offset..], enc);
-                frame_keys.push(keys[i].0);
-                slots[i] = FrameSlot {
-                    shard,
-                    offset,
-                    width: row.len(),
-                    ..FrameSlot::default()
-                };
-            }
+        let mut compressor = compressor.as_mut().filter(|_| codec != Codec::Dense);
+        if let Some(comp) = &mut compressor {
+            comp.begin_batch(keys.len());
         }
-        scratch.seal_parts_encoded(codec);
+        for (shard, (mut frame_keys, mut payload)) in parts.drain(..).enumerate() {
+            let mut encoded = match compressor {
+                Some(_) => byte_pool.pop().unwrap_or_default(),
+                None => Vec::new(),
+            };
+            encoded.clear();
+            for i in plan.indices(shard) {
+                let offset = payload.len();
+                payload.extend_from_slice(row_of(i));
+                if let Some(comp) = &mut compressor {
+                    comp.stage(i, keys[i].0, &mut payload[offset..]);
+                    comp.encode(codec, &payload[offset..], &mut encoded);
+                }
+                frame_keys.push(keys[i].0);
+            }
+            // Empty shards are sealed too, so `wire` stays shard-indexed.
+            wire.push(match codec {
+                Codec::Dense => WireFrame::seal(frame_keys, payload),
+                _ => WireFrame::seal_encoded(frame_keys, payload, encoded, codec),
+            });
+        }
+        // Dense frames carry exactly the per-key metered bytes (the checksum
+        // rides in the per-message envelope overhead). Compressed frames
+        // intentionally carry fewer: their walk is checked row by row in
+        // `decode_and_commit`.
+        debug_assert!(
+            codec != Codec::Dense
+                || wire.iter().map(|fr| fr.wire_bytes()).sum::<u64>()
+                    == keys
+                        .iter()
+                        .map(|&k| self.store.row_bytes(k) + KEY_BYTES)
+                        .sum::<u64>(),
+            "frame bytes must match the metered per-key accounting"
+        );
     }
 
     /// After a successful compressed transmit: walk each frame's encoded
-    /// bytes (row boundaries are a pure function of codec and row width —
-    /// no counts or lengths are trusted from the wire), overwrite each
-    /// staged payload row with the decoded values the server actually
-    /// applies, and commit each key's error-feedback residual. With
-    /// checksums off an ingested corrupt frame decodes to finite garbage
-    /// here, exactly like the dense ingest path.
-    fn decode_and_commit(keys: &[ParamKey], codec: Codec, scratch: &mut PsScratch) {
+    /// bytes beside its staged rows (row boundaries are a pure function of
+    /// codec and row width — no counts or lengths are trusted from the
+    /// wire), overwrite each staged payload row with the decoded values the
+    /// server actually applies, and commit each key's error-feedback
+    /// residual. With checksums off an ingested corrupt frame decodes to
+    /// finite garbage here, exactly like the dense ingest path.
+    fn decode_and_commit(&self, keys: &[ParamKey], codec: Codec, scratch: &mut PsScratch) {
         let PsScratch {
             plan,
-            slots,
             wire,
             compressor,
             ..
@@ -841,18 +712,19 @@ impl PsClient {
             .expect("non-dense codec without a compressor");
         for shard in plan.shards() {
             let frame = &mut wire[shard];
-            let mut off = 0;
+            let (mut off, mut at) = (0, 0);
             for i in plan.indices(shard) {
-                let s = slots[i];
-                let len = encoded_len(codec, s.width);
+                let width = self.store.row_dim(keys[i]);
+                let len = encoded_len(codec, width);
                 comp.decode_commit_row(
                     codec,
                     i,
                     keys[i].0,
                     &frame.encoded[off..off + len],
-                    &mut frame.payload[s.offset..s.offset + s.width],
+                    &mut frame.payload[at..at + width],
                 );
                 off += len;
+                at += width;
             }
             debug_assert_eq!(
                 off,
@@ -884,29 +756,39 @@ impl PsClient {
         }
     }
 
-    /// Send one frame per touched shard, in ascending shard order.
-    /// All-or-nothing: the first shard that exhausts its retries aborts the
-    /// batch.
-    fn transmit_frames(&self, frames: &mut [WireFrame], op: FrameOp) -> Result<(), RpcError> {
-        for (shard, frame) in frames.iter_mut().enumerate() {
-            if !frame.keys.is_empty() {
-                self.transmit_frame(shard, frame, op)?;
-            }
+    /// Exchange the frame of every shard the plan touches, in ascending
+    /// shard order, through the attached [`Transport`]: the default
+    /// [`SimTransport`] delegates straight to
+    /// [`sim_exchange`](Self::sim_exchange); a socket transport puts the
+    /// frame on a real wire instead. All-or-nothing: the first shard that
+    /// exhausts its retries aborts the batch.
+    fn transmit(
+        &self,
+        plan: &BatchPlan,
+        frames: &mut [WireFrame],
+        op: FrameOp,
+    ) -> Result<(), RpcError> {
+        for shard in plan.shards() {
+            self.transport
+                .exchange(self, shard, op, &mut frames[shard])?;
         }
         Ok(())
     }
 
-    /// Exchange one frame with `shard` through the attached
-    /// [`Transport`]. The default [`SimTransport`] delegates straight to
-    /// [`sim_exchange`](Self::sim_exchange); a socket transport puts the
-    /// frame on a real wire instead.
-    fn transmit_frame(
-        &self,
-        shard: usize,
-        frame: &mut WireFrame,
-        op: FrameOp,
-    ) -> Result<(), RpcError> {
-        self.transport.exchange(self, shard, op, frame)
+    /// Every shard's frame got through: apply each to this process's store
+    /// (what a shard server does with the same frame, [`apply_frame`]) with
+    /// the placements the plan already holds, and ship what replication
+    /// has batched up.
+    fn apply_frames(&self, scratch: &mut PsScratch, optimizer: Option<&dyn Optimizer>) {
+        let PsScratch {
+            plan, wire, row, ..
+        } = &mut *scratch;
+        for shard in plan.shards() {
+            let places = plan.indices(shard).map(|i| plan.placement(i));
+            apply_frame(&self.store, shard, &wire[shard], places, optimizer, row)
+                .expect("a frame this client sealed matches its keys' rows");
+            self.ship_replication(shard);
+        }
     }
 
     /// Send one frame to `shard`, retrying under the fault policy. Every
@@ -916,25 +798,25 @@ impl PsClient {
     /// the receiver accepted: the sealed contents, unless checksums are off
     /// and transit corruption was ingested.
     ///
-    /// Reads (pulls, pull-if-newer) are hedgeable: if a delivered remote
-    /// read took far longer than the cost model predicts (a straggler
-    /// episode), the same request is hedged to a backup replica and the
-    /// faster response wins. Writes are never hedged — duplicating a
-    /// gradient push would double-apply it.
+    /// Reads are hedgeable: if a delivered remote read took far longer than
+    /// the cost model predicts (a straggler episode), the same request is
+    /// hedged to a backup replica and the faster response wins. Writes are
+    /// never hedged — duplicating a gradient push would double-apply it.
     ///
-    /// A pull-if-newer arrives as its request frame and is answered from
-    /// the store first ([`answer_newer`], the function a shard server
-    /// runs); request and response then transit as one message.
+    /// A read arrives as its request frame and is answered from the store
+    /// first ([`answer_read`], the function a shard server runs); request
+    /// and response then transit as one message. A push or write frame only
+    /// transits here: it is applied once every shard's frame got through.
     pub(crate) fn sim_exchange(
         &self,
         shard: usize,
         op: FrameOp,
         frame: &mut WireFrame,
     ) -> Result<(), RpcError> {
-        let hedgeable = matches!(op, FrameOp::Pull | FrameOp::PullNewer(_));
+        let hedgeable = matches!(op, FrameOp::PullNewer(_));
         let sent = Sent::of(op, frame);
         if let FrameOp::PullNewer(_) = op {
-            answer_newer(&self.store, frame);
+            answer_read(&self.store, shard, frame);
         }
         let bytes = sent.bytes() + frame.wire_bytes();
         let remote = !self.topology.is_local(self.worker_id, shard);
@@ -1035,9 +917,9 @@ impl PsClient {
                     // The damaged frame still transited the link.
                     record(frame);
                     let mut damaged = frame.clone();
-                    // A pull-if-newer that found nothing newer has an empty
-                    // response: the flip then landed in its request, which
-                    // the shard's own checksum refuses.
+                    // A read that found nothing newer has an empty response:
+                    // the flip then landed in its request, which the shard's
+                    // own checksum refuses.
                     let hit = damaged.corrupt(f.injector.corruption_pattern());
                     if self.checksums && !(hit && damaged.verify()) {
                         f.injector.note_corrupt_detected();

@@ -30,8 +30,9 @@
 //! Every write — gradient push, raw store, checkpoint restore — bumps it,
 //! and nothing else does, so **two reads of a row that report the same
 //! version saw the same bits**. That is what lets a worker's hot-table sync
-//! ask "only if newer" ([`KvStore::pull_if_newer`]) without changing any
-//! value it ever reads. A version travels with its row through replication
+//! ask "only if newer" (the one read a shard answers, see
+//! [`transport`](crate::transport)) without changing any value it ever
+//! reads. A version travels with its row through replication
 //! (backups replay `(row, state, version)` images), so a caught-up backup
 //! reports exactly what its primary did. [`promote`](KvStore::promote)
 //! starts a new generation: a backup promoted while it lagged counts from
@@ -43,11 +44,11 @@
 //! hot table asks every `P` iterations.)
 
 use crate::optimizer::Optimizer;
-use crate::router::{BatchPlan, Placement, RowKind, ShardRouter};
+use crate::router::{Placement, RowKind, ShardRouter};
 use hetkg_embed::init::Init;
 use hetkg_embed::storage::EmbeddingTable;
 use hetkg_kgraph::ParamKey;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The version no row ever has: what a worker sends in a pull-if-newer for
 /// a row it holds no (valid) copy of, so the row always comes back.
@@ -69,7 +70,7 @@ fn bumped(generation: u32, version: u32) -> u32 {
 
 /// One machine's slice of the parameter space.
 #[derive(Debug, Clone)]
-struct Shard {
+pub(crate) struct Shard {
     entities: EmbeddingTable,
     relations: EmbeddingTable,
     entity_state: EmbeddingTable,
@@ -84,7 +85,7 @@ struct Shard {
 
 impl Shard {
     #[inline]
-    fn version(&self, kind: RowKind, local: usize) -> u32 {
+    pub(crate) fn version(&self, kind: RowKind, local: usize) -> u32 {
         match kind {
             RowKind::Entity => self.entity_versions[local],
             RowKind::Relation => self.relation_versions[local],
@@ -92,22 +93,83 @@ impl Shard {
     }
 
     #[inline]
-    fn row(&self, kind: RowKind, local: usize) -> &[f32] {
+    pub(crate) fn row(&self, kind: RowKind, local: usize) -> &[f32] {
         match kind {
             RowKind::Entity => self.entities.row(local),
             RowKind::Relation => self.relations.row(local),
         }
     }
 
-    /// Count one write to a row; returns its new version.
+    /// Count one write to a row.
     #[inline]
-    fn bump(&mut self, kind: RowKind, local: usize) -> u32 {
+    fn bump(&mut self, kind: RowKind, local: usize) {
         let v = match kind {
             RowKind::Entity => &mut self.entity_versions[local],
             RowKind::Relation => &mut self.relation_versions[local],
         };
         *v = bumped(self.generation, *v);
-        *v
+    }
+}
+
+/// One shard under its write lock, taking the writes of one frame or of one
+/// batch's share of keys ([`KvStore::write_shard`]). Every write to a row
+/// outside a checkpoint restore goes through [`write`](Self::write).
+pub(crate) struct ShardWriter<'a> {
+    shard: RwLockWriteGuard<'a, Shard>,
+    /// `Some`: values are gradients, applied through it. `None`: values
+    /// overwrite the row and leave its optimizer state alone.
+    optimizer: Option<&'a dyn Optimizer>,
+    /// Post-write row images for the replication backlog, logged once the
+    /// lock is released; `None` (and nothing copied) with replication off.
+    images: Option<Vec<RepRecord>>,
+}
+
+impl ShardWriter<'_> {
+    /// One write to a row: update or overwrite it, count the write in its
+    /// version. Writes to one row apply in call order.
+    pub(crate) fn write(&mut self, kind: RowKind, local: usize, value: &[f32]) {
+        let Shard {
+            entities,
+            relations,
+            entity_state,
+            relation_state,
+            entity_versions,
+            relation_versions,
+            generation,
+        } = &mut *self.shard;
+        let (row, state, version) = match kind {
+            RowKind::Entity => (
+                entities.row_mut(local),
+                entity_state.row_mut(local),
+                &mut entity_versions[local],
+            ),
+            RowKind::Relation => (
+                relations.row_mut(local),
+                relation_state.row_mut(local),
+                &mut relation_versions[local],
+            ),
+        };
+        let state = match self.optimizer {
+            Some(optimizer) => {
+                let width = row.len() * optimizer.state_width();
+                optimizer.update(row, &mut state[..width], value);
+                &state[..width]
+            }
+            None => {
+                row.copy_from_slice(value);
+                &state[..0]
+            }
+        };
+        *version = bumped(*generation, *version);
+        if let Some(images) = &mut self.images {
+            images.push(RepRecord {
+                kind,
+                local,
+                row: row.to_vec(),
+                state: state.to_vec(),
+                version: *version,
+            });
+        }
     }
 }
 
@@ -274,20 +336,14 @@ impl KvStore {
 
     /// Append one mutation to `shard`'s replication backlog (no-op when the
     /// shard has no live backups left).
-    fn log_replica(&self, p: Placement, row: &[f32], state: Option<&[f32]>, version: u32) {
+    fn log_replica(&self, shard: usize, record: RepRecord) {
         let Some(rep) = &self.replication else {
             return;
         };
-        if rep.backups[p.shard].read().is_empty() {
+        if rep.backups[shard].read().is_empty() {
             return;
         }
-        rep.backlog[p.shard].lock().push(RepRecord {
-            kind: p.kind,
-            local: p.local,
-            row: row.to_vec(),
-            state: state.map(<[f32]>::to_vec).unwrap_or_default(),
-            version,
-        });
+        rep.backlog[shard].lock().push(record);
     }
 
     /// Drain `shard`'s backlog onto its backups once it holds at least
@@ -410,11 +466,7 @@ impl KvStore {
         let Some(backup) = backups.first() else {
             return false;
         };
-        let row = match p.kind {
-            RowKind::Entity => backup.entities.row(p.local),
-            RowKind::Relation => backup.relations.row(p.local),
-        };
-        out.copy_from_slice(row);
+        out.copy_from_slice(backup.row(p.kind, p.local));
         true
     }
 
@@ -433,84 +485,74 @@ impl KvStore {
         self.relation_dim
     }
 
-    /// Row width (bytes) for a key — what one pull of it transfers.
-    pub fn row_bytes(&self, key: ParamKey) -> u64 {
-        let p = self.router.place(key);
-        let dim = match p.kind {
+    /// Row width (f32 words) of a key's row.
+    pub(crate) fn row_dim(&self, key: ParamKey) -> usize {
+        match self.router.kind_of(key) {
             RowKind::Entity => self.entity_dim,
             RowKind::Relation => self.relation_dim,
+        }
+    }
+
+    /// Row width (bytes) for a key — what one pull of it transfers.
+    pub fn row_bytes(&self, key: ParamKey) -> u64 {
+        (self.row_dim(key) * std::mem::size_of::<f32>()) as u64
+    }
+
+    /// `shard` under its read lock: how every row and version is read,
+    /// whether one key, a batch or a frame asks.
+    pub(crate) fn read_shard(&self, shard: usize) -> RwLockReadGuard<'_, Shard> {
+        self.shards[shard].read()
+    }
+
+    /// Run `body` with `shard` under its write lock: how every row is
+    /// written, whether one key, a batch or a frame brings the values.
+    /// `optimizer` says what a value is (see [`ShardWriter`]).
+    pub(crate) fn write_shard(
+        &self,
+        shard: usize,
+        optimizer: Option<&dyn Optimizer>,
+        body: impl FnOnce(&mut ShardWriter<'_>),
+    ) {
+        let mut writer = ShardWriter {
+            shard: self.shards[shard].write(),
+            optimizer,
+            images: self.replication.is_some().then(Vec::new),
         };
-        (dim * std::mem::size_of::<f32>()) as u64
+        body(&mut writer);
+        let ShardWriter {
+            shard: lock,
+            images,
+            ..
+        } = writer;
+        drop(lock);
+        for image in images.into_iter().flatten() {
+            self.log_replica(shard, image);
+        }
     }
 
     /// Copy a key's current embedding into `out` (length must match the
     /// key's row width).
     pub fn pull(&self, key: ParamKey, out: &mut [f32]) {
         let p = self.router.place(key);
-        let shard = self.shards[p.shard].read();
-        let row = match p.kind {
-            RowKind::Entity => shard.entities.row(p.local),
-            RowKind::Relation => shard.relations.row(p.local),
-        };
-        out.copy_from_slice(row);
+        out.copy_from_slice(self.read_shard(p.shard).row(p.kind, p.local));
     }
 
     /// The update version of `key`'s row (see the module docs).
     pub fn version(&self, key: ParamKey) -> u32 {
         let p = self.router.place(key);
-        self.shards[p.shard].read().version(p.kind, p.local)
-    }
-
-    /// Pull-if-newer for one key: when the row's version differs from
-    /// `held`, append the row to `out` and return its version; when it
-    /// matches, the holder's copy is bit-identical and nothing is appended.
-    /// Version and row are read under one lock, so they belong together.
-    pub fn pull_if_newer(&self, key: ParamKey, held: u32, out: &mut Vec<f32>) -> Option<u32> {
-        let p = self.router.place(key);
-        let shard = self.shards[p.shard].read();
-        let version = shard.version(p.kind, p.local);
-        (version != held).then(|| {
-            out.extend_from_slice(shard.row(p.kind, p.local));
-            version
-        })
+        self.read_shard(p.shard).version(p.kind, p.local)
     }
 
     /// Apply a gradient to a key under `optimizer` (server-side update).
     pub fn push_grad(&self, key: ParamKey, grad: &[f32], optimizer: &dyn Optimizer) {
         let p = self.router.place(key);
-        let mut shard = self.shards[p.shard].write();
-        let version = shard.bump(p.kind, p.local);
-        let Shard {
-            entities,
-            relations,
-            entity_state,
-            relation_state,
-            ..
-        } = &mut *shard;
-        let (row, state) = match p.kind {
-            RowKind::Entity => (entities.row_mut(p.local), entity_state.row_mut(p.local)),
-            RowKind::Relation => (relations.row_mut(p.local), relation_state.row_mut(p.local)),
-        };
-        let width = row.len() * optimizer.state_width();
-        optimizer.update(row, &mut state[..width], grad);
-        if self.replication.is_some() {
-            let (row, state) = (row.to_vec(), state[..width].to_vec());
-            drop(shard);
-            self.log_replica(p, &row, Some(&state), version);
-        }
+        self.write_shard(p.shard, Some(optimizer), |w| w.write(p.kind, p.local, grad));
     }
 
     /// Overwrite a key's embedding (used by tests and checkpoint loading).
     pub fn store(&self, key: ParamKey, value: &[f32]) {
         let p = self.router.place(key);
-        let mut shard = self.shards[p.shard].write();
-        match p.kind {
-            RowKind::Entity => shard.entities.set_row(p.local, value),
-            RowKind::Relation => shard.relations.set_row(p.local, value),
-        }
-        let version = shard.bump(p.kind, p.local);
-        drop(shard);
-        self.log_replica(p, value, None, version);
+        self.write_shard(p.shard, None, |w| w.write(p.kind, p.local, value));
     }
 
     /// Placement of a key (exposed for the metering client).
@@ -523,7 +565,13 @@ impl KvStore {
     /// `(input_index, row)` — shard-grouped, so *not* in input order.
     pub fn pull_many<F: FnMut(usize, &[f32])>(&self, keys: &[ParamKey], mut sink: F) {
         let plan = self.router.plan(keys);
-        self.pull_planned(&plan, |i, _shard, row| sink(i, row));
+        for s in plan.shards() {
+            let shard = self.read_shard(s);
+            for i in plan.indices(s) {
+                let p = plan.placement(i);
+                sink(i, shard.row(p.kind, p.local));
+            }
+        }
     }
 
     /// Batched [`push_grad`](Self::push_grad). Equivalent to applying the
@@ -531,108 +579,27 @@ impl KvStore {
     /// on the same shard and the grouping is stable, so their updates (and
     /// optimizer-state mutations) apply in the same order.
     pub fn push_grad_many(&self, keys: &[ParamKey], grads: &[&[f32]], optimizer: &dyn Optimizer) {
-        assert_eq!(keys.len(), grads.len(), "one gradient per key");
-        let plan = self.router.plan(keys);
-        self.push_planned(&plan, |i| grads[i], optimizer);
+        self.write_many(keys, grads, Some(optimizer));
     }
 
     /// Batched [`store`](Self::store); duplicate keys resolve to the last
     /// value in batch order, like sequential stores.
     pub fn store_many(&self, keys: &[ParamKey], values: &[&[f32]]) {
-        assert_eq!(keys.len(), values.len(), "one value per key");
+        self.write_many(keys, values, None);
+    }
+
+    /// Resolve placements once and write each shard's rows, in batch order,
+    /// under one lock.
+    fn write_many(&self, keys: &[ParamKey], values: &[&[f32]], optimizer: Option<&dyn Optimizer>) {
+        assert_eq!(keys.len(), values.len(), "one row per key");
         let plan = self.router.plan(keys);
-        self.store_planned(&plan, |i| values[i]);
-    }
-
-    /// [`pull_many`](Self::pull_many) against a pre-resolved [`BatchPlan`]
-    /// (the metering client plans once and reuses it for frame sealing).
-    /// `sink` receives `(input_index, shard, row)` grouped by shard,
-    /// batch-ordered within each shard.
-    pub fn pull_planned<F: FnMut(usize, usize, &[f32])>(&self, plan: &BatchPlan, mut sink: F) {
         for s in plan.shards() {
-            let shard = self.shards[s].read();
-            for i in plan.indices(s) {
-                let p = plan.placement(i);
-                let row = match p.kind {
-                    RowKind::Entity => shard.entities.row(p.local),
-                    RowKind::Relation => shard.relations.row(p.local),
-                };
-                sink(i, s, row);
-            }
-        }
-    }
-
-    /// [`push_grad_many`](Self::push_grad_many) against a pre-resolved plan;
-    /// `grad_of(input_index)` supplies each gradient.
-    pub fn push_planned<'a, G: Fn(usize) -> &'a [f32]>(
-        &self,
-        plan: &BatchPlan,
-        grad_of: G,
-        optimizer: &dyn Optimizer,
-    ) {
-        let replicating = self.replication.is_some();
-        for s in plan.shards() {
-            let mut records: Vec<(Placement, Vec<f32>, Vec<f32>, u32)> = Vec::new();
-            let mut shard = self.shards[s].write();
-            let Shard {
-                entities,
-                relations,
-                entity_state,
-                relation_state,
-                entity_versions,
-                relation_versions,
-                generation,
-            } = &mut *shard;
-            for i in plan.indices(s) {
-                let p = plan.placement(i);
-                let (row, state, version) = match p.kind {
-                    RowKind::Entity => (
-                        entities.row_mut(p.local),
-                        entity_state.row_mut(p.local),
-                        &mut entity_versions[p.local],
-                    ),
-                    RowKind::Relation => (
-                        relations.row_mut(p.local),
-                        relation_state.row_mut(p.local),
-                        &mut relation_versions[p.local],
-                    ),
-                };
-                let width = row.len() * optimizer.state_width();
-                optimizer.update(row, &mut state[..width], grad_of(i));
-                *version = bumped(*generation, *version);
-                if replicating {
-                    records.push((p, row.to_vec(), state[..width].to_vec(), *version));
+            self.write_shard(s, optimizer, |w| {
+                for i in plan.indices(s) {
+                    let p = plan.placement(i);
+                    w.write(p.kind, p.local, values[i]);
                 }
-            }
-            drop(shard);
-            for (p, row, state, version) in records {
-                self.log_replica(p, &row, Some(&state), version);
-            }
-        }
-    }
-
-    /// [`store_many`](Self::store_many) against a pre-resolved plan;
-    /// `value_of(input_index)` supplies each row.
-    pub fn store_planned<'a, V: Fn(usize) -> &'a [f32]>(&self, plan: &BatchPlan, value_of: V) {
-        let replicating = self.replication.is_some();
-        for s in plan.shards() {
-            let mut versions = Vec::new();
-            let mut shard = self.shards[s].write();
-            for i in plan.indices(s) {
-                let p = plan.placement(i);
-                match p.kind {
-                    RowKind::Entity => shard.entities.set_row(p.local, value_of(i)),
-                    RowKind::Relation => shard.relations.set_row(p.local, value_of(i)),
-                }
-                let version = shard.bump(p.kind, p.local);
-                if replicating {
-                    versions.push(version);
-                }
-            }
-            drop(shard);
-            for (i, version) in plan.indices(s).zip(versions) {
-                self.log_replica(plan.placement(i), value_of(i), None, version);
-            }
+            });
         }
     }
 
@@ -645,11 +612,7 @@ impl KvStore {
             let shard = lock.read();
             for &key in self.router.shard_keys(s) {
                 let p = self.router.place(key);
-                let row = match p.kind {
-                    RowKind::Entity => shard.entities.row(p.local),
-                    RowKind::Relation => shard.relations.row(p.local),
-                };
-                f(key, row);
+                f(key, shard.row(p.kind, p.local));
             }
         }
     }
@@ -1048,24 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn pull_if_newer_returns_the_row_only_when_the_version_differs() {
-        let s = store(2);
-        let key = ParamKey(11); // a relation key
-        let mut out = Vec::new();
-        let v = s.pull_if_newer(key, NO_VERSION, &mut out).unwrap();
-        assert_eq!(v, s.version(key));
-        assert_eq!(out.len(), 8);
-        assert_eq!(s.pull_if_newer(key, v, &mut out), None);
-        assert_eq!(out.len(), 8, "a matching version appends nothing");
-        s.push_grad(key, &[1.0; 8], &Sgd { lr: 0.1 });
-        let v2 = s.pull_if_newer(key, v, &mut out).unwrap();
-        assert_ne!(v2, v);
-        let mut now = [0.0f32; 8];
-        s.pull(key, &mut now);
-        assert_eq!(&out[8..], &now, "rows append in call order");
-    }
-
-    #[test]
     fn no_version_is_unreachable_even_when_counters_and_generations_wrap() {
         // The counter wraps inside its 24 bits and the generation below 255:
         // no (generation, counter) pair is the all-ones word.
@@ -1159,10 +1104,6 @@ mod tests {
                 .iter()
                 .filter(|&&held| held & COUNTER_MASK == now & COUNTER_MASK)
                 .count();
-            // So a worker holding any of them is sent the row.
-            for &held in &handed_out {
-                assert_eq!(s.pull_if_newer(key, held, &mut Vec::new()), Some(now));
-            }
         }
         assert_eq!(
             counters_revisited, 3,

@@ -167,18 +167,24 @@ impl ShardRouter {
         self.num_shards
     }
 
+    /// Which storage family a key belongs to: entity keys come first in
+    /// the key space.
+    #[inline]
+    pub(crate) fn kind_of(&self, key: ParamKey) -> RowKind {
+        if key.index() < self.key_space.num_entities() {
+            RowKind::Entity
+        } else {
+            RowKind::Relation
+        }
+    }
+
     /// Placement of a key.
     #[inline]
     pub fn place(&self, key: ParamKey) -> Placement {
         let i = key.index();
-        let kind = if i < self.key_space.num_entities() {
-            RowKind::Entity
-        } else {
-            RowKind::Relation
-        };
         Placement {
             shard: self.shard_of[i] as usize,
-            kind,
+            kind: self.kind_of(key),
             local: self.local_of[i] as usize,
         }
     }

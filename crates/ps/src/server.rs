@@ -21,11 +21,10 @@ use crate::kvstore::KvStore;
 use crate::optimizer::OptimizerKind;
 use crate::router::ShardRouter;
 use crate::transport::{
-    answer_newer, ServerAddr, OP_ACK, OP_PULL, OP_PULL_NEWER, OP_PUSH, OP_SHUTDOWN, OP_WRITE,
+    answer_read, apply_frame, ServerAddr, OP_ACK, OP_PULL_NEWER, OP_PUSH, OP_SHUTDOWN, OP_WRITE,
 };
 use hetkg_embed::init::Init;
 use hetkg_kgraph::{KeySpace, ParamKey};
-use hetkg_netsim::compress::{decode_row, encoded_len};
 use hetkg_netsim::stream::{self, StreamMessage};
 use hetkg_netsim::{Codec, WireFrame};
 use serde::{Deserialize, Serialize};
@@ -36,7 +35,6 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// The handshake line a shard server prints on stdout once it is bound
 /// and accepting, followed by the actual listen spec (ports resolve
@@ -276,93 +274,22 @@ fn handle<W: Write>(
         }
     }
     match op {
-        OP_PULL => {
-            // Response: echo the keys, rows concatenated in request order,
-            // sealed fresh so the client can verify the reply leg.
-            let mut payload = Vec::new();
-            for &k in &frame.keys {
-                let key = ParamKey(k);
-                let width = store.row_bytes(key) as usize / 4;
-                let off = payload.len();
-                payload.resize(off + width, 0.0);
-                store.pull(key, &mut payload[off..off + width]);
-            }
-            let resp = WireFrame::seal(frame.keys, payload);
-            stream::write_frame(conn, OP_PULL, &resp)
-        }
         OP_PULL_NEWER => {
             if frame.codec() != Codec::Dense || !frame.payload.is_empty() {
-                return Err(protocol("a pull-if-newer request carries no rows"));
+                return Err(protocol("a read request carries no rows"));
             }
-            answer_newer(store, &mut frame);
+            answer_read(store, shard, &mut frame);
             stream::write_frame(conn, OP_PULL_NEWER, &frame)
         }
         OP_PUSH | OP_WRITE => {
-            apply_frame(store, optimizer, row, &frame, op == OP_PUSH)?;
+            let places = frame.keys.iter().map(|&k| store.place(ParamKey(k)));
+            let optimizer = (op == OP_PUSH).then_some(optimizer);
+            apply_frame(store, shard, &frame, places, optimizer, row).map_err(protocol)?;
             write_ack(conn)
         }
         _ => Err(protocol("unknown op")),
     }?;
     Ok(Served::Continue)
-}
-
-/// Apply a push (through the optimizer) or write (raw store) frame, row by
-/// row in frame order — the same order the client's mirror applies them,
-/// so both sides stay bitwise-equal. Compressed frames are walked by
-/// `encoded_len` exactly like the client's decode-and-commit: row
-/// boundaries are a pure function of codec and row width, never trusted
-/// from the wire.
-fn apply_frame(
-    store: &KvStore,
-    optimizer: &dyn crate::optimizer::Optimizer,
-    row: &mut Vec<f32>,
-    frame: &WireFrame,
-    is_push: bool,
-) -> io::Result<()> {
-    if frame.codec() == Codec::Dense {
-        let mut off = 0;
-        for &k in &frame.keys {
-            let key = ParamKey(k);
-            let width = store.row_bytes(key) as usize / 4;
-            let slice = frame
-                .payload
-                .get(off..off + width)
-                .ok_or_else(|| protocol("payload shorter than its keys' rows"))?;
-            if is_push {
-                store.push_grad(key, slice, optimizer);
-            } else {
-                store.store(key, slice);
-            }
-            off += width;
-        }
-        if off != frame.payload.len() {
-            return Err(protocol("payload longer than its keys' rows"));
-        }
-    } else {
-        if !is_push {
-            return Err(protocol("compressed frames are push-only"));
-        }
-        let codec = frame.codec();
-        let mut off = 0;
-        for &k in &frame.keys {
-            let key = ParamKey(k);
-            let width = store.row_bytes(key) as usize / 4;
-            let len = encoded_len(codec, width);
-            let bytes = frame
-                .encoded
-                .get(off..off + len)
-                .ok_or_else(|| protocol("encoded bytes shorter than its keys' rows"))?;
-            row.clear();
-            row.resize(width, 0.0);
-            decode_row(codec, bytes, row);
-            store.push_grad(key, row, optimizer);
-            off += len;
-        }
-        if off != frame.encoded.len() {
-            return Err(protocol("encoded bytes longer than its keys' rows"));
-        }
-    }
-    Ok(())
 }
 
 fn write_ack<W: Write>(conn: &mut W) -> io::Result<()> {
@@ -507,11 +434,9 @@ impl ProcessCluster {
         &self.addrs
     }
 
-    /// A transport dialing this cluster, with timeouts suited to local
-    /// sockets.
+    /// A transport dialing this cluster.
     pub fn transport(&self) -> crate::transport::ProcessTransport {
         crate::transport::ProcessTransport::new(self.addrs.clone())
-            .with_timeouts(Duration::from_secs(5), Duration::from_secs(30))
     }
 
     /// Reap every server after an orderly
@@ -569,6 +494,7 @@ impl Drop for ProcessCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetkg_netsim::compress::encode_row;
 
     fn tiny_config() -> ShardServerConfig {
         ShardServerConfig {
@@ -652,23 +578,13 @@ mod tests {
         let addr = spec.strip_prefix("tcp:").unwrap();
         let mut sock = TcpStream::connect(addr).unwrap();
 
-        // Pull key 3: must equal the mirror's row bitwise.
-        let keys = vec![3u64];
-        let digest = hetkg_netsim::frame::frame_digest(&keys, &[]);
-        stream::write_message(
-            &mut sock,
-            OP_PULL,
-            &keys,
-            &[],
-            &[],
-            &[],
-            Codec::Dense,
-            digest,
-        )
-        .unwrap();
+        // Pull key 3 with nothing held: must equal the mirror's row bitwise.
+        let plain_pull = WireFrame::seal(vec![3], Vec::new());
+        stream::write_frame(&mut sock, OP_PULL_NEWER, &plain_pull).unwrap();
         let msg = stream::read_message(&mut sock).unwrap();
-        assert_eq!(msg.op, OP_PULL);
+        assert_eq!(msg.op, OP_PULL_NEWER);
         assert!(msg.frame.verify());
+        assert!(msg.frame.keys.is_empty(), "plain rows are not named");
         let mut expect = [0.0f32; 4];
         mirror.pull(ParamKey(3), &mut expect);
         assert_eq!(msg.frame.payload, expect);
@@ -680,17 +596,7 @@ mod tests {
         let ack = stream::read_message(&mut sock).unwrap();
         assert_eq!(ack.op, OP_ACK);
         mirror.push_grad(ParamKey(3), &grad, optimizer.as_ref());
-        stream::write_message(
-            &mut sock,
-            OP_PULL,
-            &keys,
-            &[],
-            &[],
-            &[],
-            Codec::Dense,
-            digest,
-        )
-        .unwrap();
+        stream::write_frame(&mut sock, OP_PULL_NEWER, &plain_pull).unwrap();
         let msg = stream::read_message(&mut sock).unwrap();
         mirror.pull(ParamKey(3), &mut expect);
         assert_eq!(
@@ -741,19 +647,8 @@ mod tests {
         });
         let addr = spec.strip_prefix("tcp:").unwrap().to_string();
         let mut sock = TcpStream::connect(&addr).unwrap();
-        let keys = vec![1u64]; // entity 1 lives on shard 1
-        let digest = hetkg_netsim::frame::frame_digest(&keys, &[]);
-        stream::write_message(
-            &mut sock,
-            OP_PULL,
-            &keys,
-            &[],
-            &[],
-            &[],
-            Codec::Dense,
-            digest,
-        )
-        .unwrap();
+        let plain_pull = WireFrame::seal(vec![1], Vec::new()); // entity 1 lives on shard 1
+        stream::write_frame(&mut sock, OP_PULL_NEWER, &plain_pull).unwrap();
         // Server closes without answering.
         assert!(stream::read_message(&mut sock).is_err());
         drop(sock);
@@ -763,16 +658,20 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
-    /// Run one request's bytes through the stream decoder and the shard-0
-    /// handler of a two-shard store, as `serve` does; returns the bytes the
-    /// handler wrote back.
-    fn feed(cfg: &ShardServerConfig, store: &KvStore, bytes: &[u8]) -> io::Result<Vec<u8>> {
+    /// Run one request's bytes through the stream decoder and `shard`'s
+    /// handler, as `serve` does; returns the bytes the handler wrote back.
+    fn feed(
+        cfg: &ShardServerConfig,
+        shard: usize,
+        store: &KvStore,
+        bytes: &[u8],
+    ) -> io::Result<Vec<u8>> {
         let msg = stream::read_message(&mut io::Cursor::new(bytes))?;
         let optimizer = cfg.optimizer.build();
         let mut reply = Vec::new();
         handle(
             cfg,
-            0,
+            shard,
             store,
             optimizer.as_ref(),
             &mut Vec::new(),
@@ -788,10 +687,92 @@ mod tests {
         bytes
     }
 
+    /// `tiny_config` with AdaGrad, so a push moves optimizer state too, and
+    /// TransR-shaped rows (a relation row is wider than an entity row), so
+    /// one frame mixes two widths.
+    fn two_width_config() -> ShardServerConfig {
+        ShardServerConfig {
+            relation_dim: 6,
+            optimizer: OptimizerKind::AdaGrad { lr: 0.1 },
+            ..tiny_config()
+        }
+    }
+
+    /// Every key's row and optimizer state, as bits, and its version.
+    fn contents(store: &KvStore) -> Vec<(u64, Vec<u32>, Vec<u32>, u32)> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut all = Vec::new();
+        store.for_each_row_with_state(|key, row, state| {
+            all.push((key.0, bits(row), bits(state), 0));
+        });
+        for entry in &mut all {
+            entry.3 = store.version(ParamKey(entry.0));
+        }
+        all
+    }
+
+    /// A frame whose body is shorter or longer than its keys' rows is
+    /// refused before a row is written.
+    #[test]
+    fn a_refused_frame_has_written_nothing() {
+        let cfg = two_width_config();
+        let store = cfg.build_store();
+        // An entity row (4 wide) and a relation row (6 wide) of shard 0.
+        let keys = vec![2u64, 8];
+        let rows = [0.25f32; 10];
+        let frame = |codec: Codec, resized: fn(usize) -> usize| {
+            if codec == Codec::Dense {
+                let mut payload = rows.to_vec();
+                payload.resize(resized(payload.len()), 0.5);
+                return WireFrame::seal(keys.clone(), payload);
+            }
+            let mut bytes = Vec::new();
+            for row in [&rows[..4], &rows[4..]] {
+                encode_row(codec, row, &mut bytes, &mut Vec::new());
+            }
+            bytes.resize(resized(bytes.len()), 7);
+            WireFrame::seal_encoded(keys.clone(), Vec::new(), bytes, codec)
+        };
+        for (op, codec) in [
+            (OP_PUSH, Codec::Dense),
+            (OP_PUSH, Codec::Int8),
+            (OP_PUSH, Codec::TopKQuarter),
+            (OP_WRITE, Codec::Dense),
+        ] {
+            let before = contents(&store);
+            let wrong: [fn(usize) -> usize; 2] = [|n| n - 1, |n| n + 1];
+            for resized in wrong {
+                let bytes = request_bytes(op, &frame(codec, resized));
+                assert!(feed(&cfg, 0, &store, &bytes).is_err());
+                assert_eq!(
+                    contents(&store),
+                    before,
+                    "op {op}, {codec:?}: a refused frame wrote"
+                );
+            }
+            // The body that does match is applied.
+            feed(&cfg, 0, &store, &request_bytes(op, &frame(codec, |n| n))).unwrap();
+            assert_ne!(contents(&store), before);
+        }
+    }
+
+    #[test]
+    fn the_retired_plain_pull_byte_is_an_unknown_op() {
+        let cfg = tiny_config();
+        let plain_pull = WireFrame::seal(vec![0], Vec::new());
+        let refused = feed(&cfg, 0, &cfg.build_store(), &request_bytes(0, &plain_pull));
+        assert!(refused.unwrap_err().to_string().contains("unknown op"));
+    }
+
     mod fuzz {
         use super::*;
+        use crate::client::{PsClient, PsScratch};
+        use crate::error::RpcError;
         use crate::kvstore::NO_VERSION;
+        use crate::transport::{FrameOp, Refresh, Transport};
+        use hetkg_netsim::{ClusterTopology, CompressionMode, TrafficMeter};
         use proptest::prelude::*;
+        use std::sync::Arc;
 
         /// Distinct keys of `tiny_config`'s shard 0: the even entities and
         /// the even relations (keys 8 and 10).
@@ -813,7 +794,7 @@ mod tests {
                 bytes in prop::collection::vec(any::<u8>(), 0..200),
             ) {
                 let cfg = tiny_config();
-                let _ = feed(&cfg, &cfg.build_store(), &bytes);
+                let _ = feed(&cfg, 0, &cfg.build_store(), &bytes);
             }
 
             /// Sealed, well-framed messages with arbitrary contents — the
@@ -876,7 +857,7 @@ mod tests {
                 }
                 let request = WireFrame::seal_versioned(keys.clone(), held.clone(), Vec::new());
                 let bytes = request_bytes(OP_PULL_NEWER, &request);
-                let reply = feed(&cfg, &store, &bytes).unwrap();
+                let reply = feed(&cfg, 0, &store, &bytes).unwrap();
                 let msg = stream::read_message(&mut io::Cursor::new(&reply)).unwrap();
                 prop_assert_eq!(msg.op, OP_PULL_NEWER);
                 prop_assert!(msg.frame.verify());
@@ -896,7 +877,140 @@ mod tests {
                 // The op byte (offset 4) is not under the seal; every other
                 // flip must be refused by the decoder or the checksum.
                 if at != 4 {
-                    prop_assert!(feed(&cfg, &store, &bad).is_err(), "flip at {at} was served");
+                    prop_assert!(feed(&cfg, 0, &store, &bad).is_err(), "flip at {at} was served");
+                }
+            }
+        }
+
+        /// Shows every frame the client exchanges to a shard server's
+        /// connection handler — over an in-memory stream, on the servers'
+        /// own table — then to the simulated exchange, and requires the
+        /// same answer from both.
+        #[derive(Debug)]
+        struct BothSides {
+            cfg: ShardServerConfig,
+            /// What the `ps-server` processes hold. Each touches only its
+            /// own shard's rows, so one table stands for all of them.
+            served: KvStore,
+        }
+
+        impl Transport for BothSides {
+            fn exchange(
+                &self,
+                client: &PsClient,
+                shard: usize,
+                op: FrameOp,
+                frame: &mut WireFrame,
+            ) -> Result<(), RpcError> {
+                let request = request_bytes(op.wire_op(), frame);
+                let served = feed(&self.cfg, shard, &self.served, &request)
+                    .expect("a shard server refused a frame the client sealed");
+                client.sim_exchange(shard, op, frame)?;
+                let simulated = match op {
+                    FrameOp::PullNewer(_) => request_bytes(OP_PULL_NEWER, frame),
+                    FrameOp::Push | FrameOp::Write => {
+                        request_bytes(OP_ACK, &WireFrame::seal(Vec::new(), Vec::new()))
+                    }
+                };
+                assert_eq!(served, simulated, "shard {shard}, {op:?}");
+                Ok(())
+            }
+        }
+
+        // The default case count, so `PROPTEST_CASES` deepens the run.
+        proptest! {
+            /// sim ≡ server: a random sequence of the client's calls — reads
+            /// mixing plain keys (duplicates included) with conditional keys
+            /// held at the current, a stale or no version; dense, int8, int4
+            /// and top-k pushes with duplicate keys; writes — draws the same
+            /// response frame, seal included, from a shard server and from
+            /// the simulated exchange, and leaves the same rows, optimizer
+            /// state and versions in both tables after every call.
+            #[test]
+            fn a_shard_server_and_the_simulated_exchange_agree_on_every_frame(
+                calls in prop::collection::vec(
+                    (
+                        0u8..7,
+                        prop::collection::vec(0u64..12, 1..8),
+                        prop::collection::vec(any::<u8>(), 0..5),
+                        any::<u32>(),
+                    ),
+                    1..12,
+                ),
+            ) {
+                let cfg = two_width_config();
+                let sim = Arc::new(cfg.build_store());
+                let both = Arc::new(BothSides { cfg: cfg.clone(), served: cfg.build_store() });
+                let client = PsClient::new(
+                    0,
+                    ClusterTopology::new(2, 1),
+                    sim.clone(),
+                    Arc::new(TrafficMeter::new()),
+                )
+                .with_transport(both.clone());
+                let optimizer = cfg.optimizer.build();
+                let first_version: Vec<u32> = (0..12).map(|k| sim.version(ParamKey(k))).collect();
+                // One scratch per push codec, so a codec's error-feedback
+                // residuals carry from one of its pushes to the next.
+                let mut scratches = [
+                    CompressionMode::Off,
+                    CompressionMode::Int8,
+                    CompressionMode::Int4,
+                    CompressionMode::TopK,
+                ]
+                .map(|mode| {
+                    let mut scratch = PsScratch::new();
+                    scratch.set_compression(mode);
+                    scratch
+                });
+                for (call, picks, holds, mut word) in calls {
+                    let mut keys: Vec<ParamKey> = picks.iter().map(|&k| ParamKey(k)).collect();
+                    let values: Vec<Vec<f32>> = keys
+                        .iter()
+                        .map(|k| {
+                            let width = if k.0 < 8 { cfg.entity_dim } else { cfg.relation_dim };
+                            (0..width)
+                                .map(|_| {
+                                    word = word.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                                    (word >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let rows: Vec<&[f32]> = values.iter().map(Vec::as_slice).collect();
+                    let done = match call {
+                        0..=3 => client.try_push_batch_with(
+                            &keys,
+                            &rows,
+                            optimizer.as_ref(),
+                            &mut scratches[usize::from(call)],
+                        ),
+                        4 => client.try_write_batch_with(&keys, &rows, &mut scratches[0]),
+                        _ => {
+                            // `keys` ride in front as plain pulls; behind
+                            // them, distinct keys are asked about.
+                            let mut asked: Vec<u64> = holds.iter().map(|h| u64::from(h % 12)).collect();
+                            asked.sort_unstable();
+                            asked.dedup();
+                            let held: Vec<u32> = asked
+                                .iter()
+                                .zip(&holds)
+                                .map(|(&k, h)| match h / 12 % 3 {
+                                    0 => sim.version(ParamKey(k)),
+                                    1 => first_version[k as usize],
+                                    _ => NO_VERSION,
+                                })
+                                .collect();
+                            keys.extend(asked.iter().map(|&k| ParamKey(k)));
+                            let refresh = if call == 5 { Refresh::Sync } else { Refresh::Construction };
+                            client.try_pull_newer_with(&keys, &held, refresh, &mut scratches[0], |_, _, _| {})
+                        }
+                    };
+                    prop_assert!(done.is_ok(), "call {call} failed: {done:?}");
+                    prop_assert!(
+                        contents(&sim) == contents(&both.served),
+                        "the tables differ after call {call} on {keys:?}"
+                    );
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! The pluggable transport seam behind [`PsClient`].
 //!
-//! Every pull/push/write the client issues funnels through one call —
+//! Every read/push/write the client issues funnels through one call —
 //! [`Transport::exchange`] — with a sealed [`WireFrame`] in hand. Two
 //! implementations exist:
 //!
@@ -15,11 +15,17 @@
 //!   Socket failures map onto the same [`RpcError`] vocabulary the
 //!   simulated fault machinery raises, so callers retry identically.
 //!
+//! What a shard does with a frame exists once, here: [`answer_read`] for
+//! the one read (a pull-if-newer; a plain pull is the request that holds no
+//! version) and [`apply_frame`] for a push or a write. The simulated
+//! backend runs them on the client's store, a `ps-server` process on its
+//! own, so the two cannot disagree about what a frame returns or changes.
+//!
 //! Both backends meter a successful exchange the same way
 //! ([`PsClient::record_exchange`]): the frame's
-//! [`wire_bytes`](WireFrame::wire_bytes) — for a pull-if-newer, the request
-//! frame's plus the response frame's — on the local or remote lane
-//! depending on shard placement. Envelope bytes (length prefix, op byte,
+//! [`wire_bytes`](WireFrame::wire_bytes) — for a read, the request frame's
+//! plus the response frame's — on the local or remote lane depending on
+//! shard placement. Envelope bytes (length prefix, op byte,
 //! counts) ride unmetered on both, exactly like the cost model's
 //! per-message overhead — which is what makes the cross-backend
 //! differential test able to demand *identical* byte totals.
@@ -27,9 +33,12 @@
 use crate::client::{PsClient, Sent};
 use crate::error::RpcError;
 use crate::kvstore::{KvStore, NO_VERSION};
+use crate::optimizer::Optimizer;
+use crate::router::Placement;
 use hetkg_kgraph::ParamKey;
+use hetkg_netsim::compress::{decode_row, encoded_len};
 use hetkg_netsim::stream::{self, StreamMessage};
-use hetkg_netsim::{frame::frame_digest, Codec, WireFrame};
+use hetkg_netsim::{Codec, WireFrame};
 use parking_lot::Mutex;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -39,8 +48,9 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Stream operation bytes (the `op` field of a stream message).
-pub const OP_PULL: u8 = 0;
+// Stream operation bytes (the `op` field of a stream message). Byte 0 was
+// the plain pull; it is retired and refused like any unknown op.
+
 /// Gradient push: the frame's rows are applied through the server's
 /// optimizer.
 pub const OP_PUSH: u8 = 1;
@@ -50,17 +60,20 @@ pub const OP_WRITE: u8 = 2;
 pub const OP_ACK: u8 = 3;
 /// Orderly server shutdown.
 pub const OP_SHUTDOWN: u8 = 4;
-/// Pull-if-newer: the request's trailing keys each carry the version the
-/// worker holds (its leading keys are plain pulls riding in the same
-/// message); the response (same op byte) carries the plain rows, then the
-/// rows whose version differs, each of those with its key and new version.
+/// The read, a pull-if-newer: the request's trailing keys each carry the
+/// version the worker holds, its leading keys none (a plain pull is a
+/// request of leading keys only); the response (same op byte) carries the
+/// leading keys' rows, then the rows whose version differs, each of those
+/// with its key and new version.
 pub const OP_PULL_NEWER: u8 = 5;
 
-/// Which hot-table fill a pull-if-newer serves. The wire is the same; the
-/// bytes are metered under different [`Cause`](hetkg_netsim::Cause)s.
+/// What a read is for. The wire is the same; the bytes are metered under
+/// different [`Cause`](hetkg_netsim::Cause)s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Refresh {
-    /// The periodic Alg. 3 synchronization of rows already cached.
+    /// Cache misses (the keys sent without a version) and the periodic
+    /// Alg. 3 synchronization of rows already cached (the keys sent with
+    /// one).
     Sync,
     /// Filling slots for keys the hot set just selected.
     Construction,
@@ -72,11 +85,9 @@ pub enum Refresh {
 /// carries data back into the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameOp {
-    /// Read rows; the response payload replaces the frame's payload.
-    Pull,
     /// Read the unversioned leading keys' rows, and of the versioned
     /// trailing keys the rows whose version differs from the one sent; the
-    /// response frame (see [`answer_newer`]) replaces the request frame.
+    /// response frame (see [`answer_read`]) replaces the request frame.
     PullNewer(Refresh),
     /// Apply gradients through the server-side optimizer.
     Push,
@@ -88,7 +99,6 @@ impl FrameOp {
     /// The stream op byte for this operation.
     pub fn wire_op(self) -> u8 {
         match self {
-            FrameOp::Pull => OP_PULL,
             FrameOp::PullNewer(_) => OP_PULL_NEWER,
             FrameOp::Push => OP_PUSH,
             FrameOp::Write => OP_WRITE,
@@ -99,10 +109,9 @@ impl FrameOp {
 /// One-frame-per-shard exchange: the single seam every PS interaction
 /// crosses.
 ///
-/// Contract: on `Ok(())` the frame holds what the server accepted (for
-/// pulls, the server's rows in `frame.payload`; for a pull-if-newer, the
-/// whole response frame), and the exchange has been metered once per the
-/// client's topology ([`PsClient::record_exchange`]). On `Err` the frame's
+/// Contract: on `Ok(())` the frame holds what the server accepted (for a
+/// read, the whole response frame), and the exchange has been metered once
+/// per the client's topology ([`PsClient::record_exchange`]). On `Err` the frame's
 /// payload is unspecified and nothing further was metered by this call
 /// beyond attempts actually made.
 pub trait Transport: fmt::Debug + Send + Sync {
@@ -134,34 +143,46 @@ impl Transport for SimTransport {
     }
 }
 
-/// Answer a pull-if-newer request in place. The request's last
-/// `versions.len()` keys are asked about conditionally; the keys before
-/// them are plain pulls. The response keeps, of the conditional keys, those
-/// whose row version differs from the one sent, with their new versions,
-/// and carries every plain row and then every kept row as its payload
-/// (plain rows need no key echoed: they all come back, in request order).
+/// Answer a read request in place, under one read lock of `shard`. The
+/// request's last `versions.len()` keys are asked about conditionally; the
+/// keys before them are plain pulls. The response keeps, of the conditional
+/// keys, those whose row version differs from the one sent, with their new
+/// versions, and carries every plain row and then every kept row as its
+/// payload (plain rows need no key echoed: they all come back, in request
+/// order).
 ///
-/// What the simulated backend and a shard server both run, so the two
-/// cannot disagree about what a sync returns. The caller has checked that
-/// the request has no more versions than keys and only keys this store
-/// holds.
-pub(crate) fn answer_newer(store: &KvStore, frame: &mut WireFrame) {
+/// The caller has checked that the request has no more versions than keys
+/// and only keys `shard` holds.
+pub(crate) fn answer_read(store: &KvStore, shard: usize, frame: &mut WireFrame) {
     let mut keys = std::mem::take(&mut frame.keys);
     let mut versions = std::mem::take(&mut frame.versions);
     let mut rows = std::mem::take(&mut frame.payload);
     rows.clear();
     let plain = keys.len() - versions.len();
-    for &k in &keys[..plain] {
-        // No row reports NO_VERSION, so this always appends.
-        store.pull_if_newer(ParamKey(k), NO_VERSION, &mut rows);
-    }
+    rows.reserve(
+        keys[..plain]
+            .iter()
+            .map(|&k| store.row_dim(ParamKey(k)))
+            .sum(),
+    );
     let mut kept = 0;
-    for i in 0..versions.len() {
-        let k = keys[plain + i];
-        if let Some(version) = store.pull_if_newer(ParamKey(k), versions[i], &mut rows) {
-            keys[kept] = k;
-            versions[kept] = version;
-            kept += 1;
+    {
+        let held = store.read_shard(shard);
+        for i in 0..keys.len() {
+            let p = store.place(ParamKey(keys[i]));
+            debug_assert_eq!(p.shard, shard, "a frame addresses one shard");
+            if i >= plain {
+                // Version and row are read under one lock, so they belong
+                // together.
+                let version = held.version(p.kind, p.local);
+                if version == versions[i - plain] {
+                    continue;
+                }
+                keys[kept] = keys[i];
+                versions[kept] = version;
+                kept += 1;
+            }
+            rows.extend_from_slice(held.row(p.kind, p.local));
         }
     }
     keys.truncate(kept);
@@ -169,9 +190,56 @@ pub(crate) fn answer_newer(store: &KvStore, frame: &mut WireFrame) {
     *frame = WireFrame::seal_versioned(keys, versions, rows);
 }
 
-/// Whether `response` is a well-formed answer to the pull-if-newer
-/// `request`: a dense frame with one version per key, none of them
-/// [`NO_VERSION`], whose keys are an in-order selection of the request's
+/// Apply a push (`optimizer` is `Some`: the rows are gradients) or a write
+/// (`None`: the rows overwrite) frame to `shard`, under one write lock, row
+/// by row in frame order. `places` are the frame's keys' placements, in
+/// key order. A compressed frame is walked by [`encoded_len`], each row
+/// decoded into `row`: row boundaries are a pure function of codec and row
+/// width, never trusted from the wire. The body is measured against its
+/// keys' rows before the first row is written, so a frame that is refused
+/// has changed nothing.
+pub(crate) fn apply_frame(
+    store: &KvStore,
+    shard: usize,
+    frame: &WireFrame,
+    places: impl Iterator<Item = Placement>,
+    optimizer: Option<&dyn Optimizer>,
+    row: &mut Vec<f32>,
+) -> Result<(), &'static str> {
+    let codec = frame.codec();
+    let body = if codec == Codec::Dense {
+        frame.payload.len() * 4
+    } else if optimizer.is_some() {
+        frame.encoded.len()
+    } else {
+        return Err("compressed frames are push-only");
+    };
+    let dims = || frame.keys.iter().map(|&k| store.row_dim(ParamKey(k)));
+    if dims().map(|dim| encoded_len(codec, dim)).sum::<usize>() != body {
+        return Err("frame body does not match its keys' rows");
+    }
+    store.write_shard(shard, optimizer, |shard| {
+        let mut off = 0;
+        for (dim, p) in dims().zip(places) {
+            if codec == Codec::Dense {
+                shard.write(p.kind, p.local, &frame.payload[off..off + dim]);
+                off += dim;
+            } else {
+                let len = encoded_len(codec, dim);
+                row.clear();
+                row.resize(dim, 0.0);
+                decode_row(codec, &frame.encoded[off..off + len], row);
+                shard.write(p.kind, p.local, row);
+                off += len;
+            }
+        }
+    });
+    Ok(())
+}
+
+/// Whether `response` is a well-formed answer to the read `request`: a
+/// dense frame with one version per key, none of them [`NO_VERSION`],
+/// whose keys are an in-order selection of the request's
 /// conditional keys and whose payload is exactly the request's plain rows
 /// followed by those keys' rows.
 fn answers(store: &KvStore, request: &WireFrame, response: &WireFrame) -> bool {
@@ -182,7 +250,7 @@ fn answers(store: &KvStore, request: &WireFrame, response: &WireFrame) -> bool {
     {
         return false;
     }
-    let words = |k: &u64| store.row_bytes(ParamKey(*k)) as usize / 4;
+    let words = |k: &u64| store.row_dim(ParamKey(*k));
     let (plain, conditional) = request
         .keys
         .split_at(request.keys.len() - request.versions.len());
@@ -266,7 +334,7 @@ impl Write for Sock {
     }
 }
 
-fn connect(addr: &ServerAddr, connect_timeout: Duration, io_timeout: Duration) -> io::Result<Sock> {
+fn connect(addr: &ServerAddr) -> io::Result<Sock> {
     let sock = match addr {
         ServerAddr::Tcp(spec) => {
             let resolved: Vec<SocketAddr> = spec.to_socket_addrs()?.collect();
@@ -276,7 +344,7 @@ fn connect(addr: &ServerAddr, connect_timeout: Duration, io_timeout: Duration) -
                     "address resolved to nothing",
                 )
             })?;
-            let s = TcpStream::connect_timeout(first, connect_timeout)?;
+            let s = TcpStream::connect_timeout(first, CONNECT_TIMEOUT)?;
             s.set_nodelay(true)?;
             Sock::Tcp(s)
         }
@@ -292,13 +360,13 @@ fn connect(addr: &ServerAddr, connect_timeout: Duration, io_timeout: Duration) -
     };
     match &sock {
         Sock::Tcp(s) => {
-            s.set_read_timeout(Some(io_timeout))?;
-            s.set_write_timeout(Some(io_timeout))?;
+            s.set_read_timeout(Some(IO_TIMEOUT))?;
+            s.set_write_timeout(Some(IO_TIMEOUT))?;
         }
         #[cfg(unix)]
         Sock::Uds(s) => {
-            s.set_read_timeout(Some(io_timeout))?;
-            s.set_write_timeout(Some(io_timeout))?;
+            s.set_read_timeout(Some(IO_TIMEOUT))?;
+            s.set_write_timeout(Some(IO_TIMEOUT))?;
         }
     }
     Ok(sock)
@@ -312,27 +380,39 @@ struct ShardConn {
     sock: Option<Sock>,
 }
 
+impl ShardConn {
+    /// The connected stream, dialing first if there is none.
+    fn dial(&mut self) -> io::Result<&mut Sock> {
+        if self.sock.is_none() {
+            self.sock = Some(connect(&self.addr)?);
+        }
+        Ok(self.sock.as_mut().expect("connected above"))
+    }
+}
+
 /// How many times one exchange re-dials/retransmits before surfacing an
 /// [`RpcError`]. Deliberately small: socket failures here are real process
 /// deaths or real timeouts, not simulated transients.
 const SOCKET_ATTEMPTS: u32 = 3;
 /// Real-time backoff between socket attempts.
 const SOCKET_BACKOFF: Duration = Duration::from_millis(20);
+/// How long a dial may take.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long one read or write on a connected stream may block: a shard
+/// server applying a large frame under load answers well inside it.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The socket backend: one persistent stream per shard server, exchanges
 /// serialized per shard by a mutex (workers are driven single-threaded, so
 /// this is protection, not a bottleneck).
 pub struct ProcessTransport {
     conns: Vec<Mutex<ShardConn>>,
-    connect_timeout: Duration,
-    io_timeout: Duration,
 }
 
 impl fmt::Debug for ProcessTransport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProcessTransport")
             .field("shards", &self.conns.len())
-            .field("io_timeout", &self.io_timeout)
             .finish()
     }
 }
@@ -345,16 +425,7 @@ impl ProcessTransport {
                 .into_iter()
                 .map(|addr| Mutex::new(ShardConn { addr, sock: None }))
                 .collect(),
-            connect_timeout: Duration::from_secs(5),
-            io_timeout: Duration::from_secs(10),
         }
-    }
-
-    /// Override both timeouts (tests use short ones).
-    pub fn with_timeouts(mut self, connect: Duration, io: Duration) -> Self {
-        self.connect_timeout = connect;
-        self.io_timeout = io;
-        self
     }
 
     /// Number of shard servers this transport dials.
@@ -362,67 +433,30 @@ impl ProcessTransport {
         self.conns.len()
     }
 
+    /// One round trip: the frame goes out, the reply must verify and carry
+    /// the op that answers `op`.
     fn attempt(
-        &self,
         store: &KvStore,
         conn: &mut ShardConn,
         op: FrameOp,
         frame: &mut WireFrame,
     ) -> io::Result<()> {
-        if conn.sock.is_none() {
-            conn.sock = Some(connect(&conn.addr, self.connect_timeout, self.io_timeout)?);
+        let sock = conn.dial()?;
+        stream::write_frame(sock, op.wire_op(), frame)?;
+        let StreamMessage {
+            op: reply,
+            frame: resp,
+        } = stream::read_message(sock)?;
+        if !resp.verify() {
+            return Err(bad_reply("reply failed checksum"));
         }
-        let sock = conn.sock.as_mut().expect("connected above");
         match op {
-            FrameOp::Pull => {
-                // Keys-only request, sealed so the server can verify it
-                // arrived intact without a payload round-trip.
-                stream::write_message(
-                    sock,
-                    OP_PULL,
-                    &frame.keys,
-                    &[],
-                    &[],
-                    &[],
-                    Codec::Dense,
-                    frame_digest(&frame.keys, &[]),
-                )?;
-                let StreamMessage { op, frame: resp } = stream::read_message(sock)?;
-                if op != OP_PULL {
-                    return Err(bad_reply("pull answered with a non-pull op"));
-                }
-                if !resp.verify() {
-                    return Err(bad_reply("pull response failed checksum"));
-                }
-                if resp.keys != frame.keys || resp.payload.len() != frame.payload.len() {
-                    return Err(bad_reply("pull response shape mismatch"));
-                }
-                frame.payload.copy_from_slice(&resp.payload);
-                Ok(())
-            }
-            FrameOp::PullNewer(_) => {
-                stream::write_frame(sock, OP_PULL_NEWER, frame)?;
-                let StreamMessage { op, frame: resp } = stream::read_message(sock)?;
-                if op != OP_PULL_NEWER {
-                    return Err(bad_reply("pull-if-newer answered with another op"));
-                }
-                if !resp.verify() {
-                    return Err(bad_reply("pull-if-newer response failed checksum"));
-                }
-                if !answers(store, frame, &resp) {
-                    return Err(bad_reply("pull-if-newer response shape mismatch"));
-                }
+            FrameOp::PullNewer(_) if reply == OP_PULL_NEWER && answers(store, frame, &resp) => {
                 *frame = resp;
                 Ok(())
             }
-            FrameOp::Push | FrameOp::Write => {
-                stream::write_frame(sock, op.wire_op(), frame)?;
-                let StreamMessage { op, frame: ack } = stream::read_message(sock)?;
-                if op != OP_ACK || !ack.verify() {
-                    return Err(bad_reply("push/write not acknowledged"));
-                }
-                Ok(())
-            }
+            FrameOp::Push | FrameOp::Write if reply == OP_ACK => Ok(()),
+            _ => Err(bad_reply("reply does not answer the request")),
         }
     }
 
@@ -435,10 +469,7 @@ impl ProcessTransport {
         for conn in &self.conns {
             let mut conn = conn.lock();
             let r = (|| -> io::Result<()> {
-                if conn.sock.is_none() {
-                    conn.sock = Some(connect(&conn.addr, self.connect_timeout, self.io_timeout)?);
-                }
-                let sock = conn.sock.as_mut().expect("connected above");
+                let sock = conn.dial()?;
                 stream::write_message(sock, OP_SHUTDOWN, &[], &[], &[], &[], Codec::Dense, 0)?;
                 // Ack is best-effort: the server may exit before replying.
                 let _ = stream::read_message(sock);
@@ -491,7 +522,7 @@ impl Transport for ProcessTransport {
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
-            match self.attempt(client.store(), &mut conn, op, frame) {
+            match Self::attempt(client.store(), &mut conn, op, frame) {
                 Ok(()) => {
                     client.record_exchange(shard, op, sent, frame);
                     return Ok(());
@@ -554,7 +585,6 @@ mod tests {
 
     #[test]
     fn frame_ops_have_distinct_wire_bytes() {
-        assert_eq!(FrameOp::Pull.wire_op(), OP_PULL);
         assert_eq!(FrameOp::Push.wire_op(), OP_PUSH);
         assert_eq!(FrameOp::Write.wire_op(), OP_WRITE);
         assert_eq!(FrameOp::PullNewer(Refresh::Sync).wire_op(), OP_PULL_NEWER);
@@ -562,16 +592,10 @@ mod tests {
             FrameOp::PullNewer(Refresh::Construction).wire_op(),
             OP_PULL_NEWER
         );
-        let ops = [
-            OP_PULL,
-            OP_PUSH,
-            OP_WRITE,
-            OP_ACK,
-            OP_SHUTDOWN,
-            OP_PULL_NEWER,
-        ];
+        let ops = [OP_PUSH, OP_WRITE, OP_ACK, OP_SHUTDOWN, OP_PULL_NEWER];
         for (i, a) in ops.iter().enumerate() {
             assert!(!ops[..i].contains(a), "op byte {a} used twice");
+            assert_ne!(*a, 0, "byte 0 (the retired plain pull) stays unused");
         }
     }
 
@@ -591,7 +615,7 @@ mod tests {
         // Nothing moved: an empty (but sealed, verifying) answer.
         let mut frame = WireFrame::seal_versioned(keys.clone(), held.clone(), Vec::new());
         let request = frame.clone();
-        answer_newer(&store, &mut frame);
+        answer_read(&store, 0, &mut frame);
         assert!(frame.keys.is_empty() && frame.payload.is_empty() && frame.verify());
         assert!(answers(&store, &request, &frame));
         // Two rows are written; a third is asked for without a held copy.
@@ -601,7 +625,7 @@ mod tests {
         asked[0] = NO_VERSION;
         let mut frame = WireFrame::seal_versioned(keys.clone(), asked.clone(), Vec::new());
         let request = frame.clone();
-        answer_newer(&store, &mut frame);
+        answer_read(&store, 0, &mut frame);
         assert!(frame.verify());
         assert_eq!(frame.keys, [0, 3, 7]);
         assert_eq!(&frame.payload[4..8], &[1.0; 4]);
@@ -616,7 +640,7 @@ mod tests {
         // Asking again with what came back returns nothing.
         let mut again =
             WireFrame::seal_versioned(frame.keys.clone(), frame.versions.clone(), vec![]);
-        answer_newer(&store, &mut again);
+        answer_read(&store, 0, &mut again);
         assert!(again.keys.is_empty());
     }
 
@@ -631,7 +655,7 @@ mod tests {
         let mut frame = WireFrame::seal_versioned(vec![1, 6, 3, 5], held, Vec::new());
         let request = frame.clone();
         assert_eq!(request.wire_bytes(), 4 * 8 + 2 * 4);
-        answer_newer(&store, &mut frame);
+        answer_read(&store, 0, &mut frame);
         assert!(frame.verify());
         assert_eq!(
             frame.keys,

@@ -9,9 +9,12 @@
 //! * **PBG (simulated)** — block partitioning with a lock server, bucket
 //!   swapping through a shared filesystem, relations as dense parameters.
 //!
-//! Workers run as OS threads doing real floating-point training; the network
-//! is metered and costed by `hetkg-netsim`, so "communication time" in the
-//! reports is simulated (deterministic) while "computation time" is real.
+//! Workers do real floating-point training on one thread, stepped
+//! round-robin one unit at a time (`trainer::run_epoch_interleaved`), so the
+//! order of PS reads and writes never depends on the host's scheduler. The
+//! network is metered and costed by `hetkg-netsim` and compute is costed from
+//! counted kernel work, so both times in the reports are simulated
+//! (deterministic); wall-clock is what `benchmark/` measures.
 
 pub mod batch;
 pub mod config;

@@ -74,6 +74,11 @@ use hetkg_kgraph::ParamKey;
 use hetkg_ps::{PsScratch, Refresh, RpcError, NO_VERSION};
 use std::collections::HashMap;
 
+/// Degraded mode: hard bound on distinct keys the deferred-push backlog may
+/// hold. Gradients arriving once the backlog is full are shed (dropped and
+/// counted) rather than growing memory without bound under a long brownout.
+const BACKLOG_CAP: usize = 4096;
+
 /// Per-worker HET-KG training state (CPS or DPS, by the policy's kind).
 pub struct HetKgWorker {
     ctx: WorkerCtx,
@@ -153,11 +158,6 @@ pub struct HetKgWorker {
     /// everything anyway, waiting the outage out in simulated time rather
     /// than drifting further.
     staleness_cap: usize,
-    /// Degraded mode: hard bound on distinct keys the backlog may hold.
-    /// Gradients arriving once the backlog is full are shed (dropped and
-    /// counted) rather than growing memory without bound under a long
-    /// brownout.
-    backlog_cap: usize,
     /// Cross-step state for the epoch in progress.
     run: EpochRun,
     /// Cache stats at epoch start (the epoch report is the delta).
@@ -227,7 +227,6 @@ impl HetKgWorker {
             staged_miss_uses: 0,
             backlog: HashMap::new(),
             staleness_cap: 64,
-            backlog_cap: 4096,
             run: EpochRun::default(),
             epoch_start_cache: CacheStats::new(),
         }
@@ -238,13 +237,6 @@ impl HetKgWorker {
     /// fault injection is attached to the PS client.
     pub fn with_staleness_cap(mut self, cap: usize) -> Self {
         self.staleness_cap = cap.max(1);
-        self
-    }
-
-    /// Override the deferred-push backlog bound (distinct keys). Only
-    /// relevant when fault injection is attached to the PS client.
-    pub fn with_backlog_cap(mut self, cap: usize) -> Self {
-        self.backlog_cap = cap.max(1);
         self
     }
 
@@ -519,20 +511,15 @@ impl HetKgWorker {
 
     /// Fold one gradient into the deferred backlog. Existing entries
     /// accumulate regardless of the bound; a *new* key is admitted only
-    /// while the backlog holds fewer than `cap` keys. Returns `true` when
-    /// the gradient was kept, `false` when it was shed.
-    fn defer_into(
-        backlog: &mut HashMap<ParamKey, Vec<f32>>,
-        cap: usize,
-        k: ParamKey,
-        g: &[f32],
-    ) -> bool {
+    /// while the backlog holds fewer than [`BACKLOG_CAP`] keys. Returns
+    /// `true` when the gradient was kept, `false` when it was shed.
+    fn defer_into(backlog: &mut HashMap<ParamKey, Vec<f32>>, k: ParamKey, g: &[f32]) -> bool {
         if let Some(acc) = backlog.get_mut(&k) {
             for (a, b) in acc.iter_mut().zip(g) {
                 *a += b;
             }
             true
-        } else if backlog.len() >= cap {
+        } else if backlog.len() >= BACKLOG_CAP {
             false
         } else {
             backlog.insert(k, g.to_vec());
@@ -595,12 +582,11 @@ impl HetKgWorker {
     /// keys keep their residual.
     fn defer_with_residual(
         backlog: &mut HashMap<ParamKey, Vec<f32>>,
-        cap: usize,
         ps: &mut PsScratch,
         k: ParamKey,
         g: &[f32],
     ) -> bool {
-        let kept = Self::defer_into(backlog, cap, k, g);
+        let kept = Self::defer_into(backlog, k, g);
         if kept {
             if let Some(e) = backlog.get_mut(&k) {
                 ps.fold_residual(k, e);
@@ -623,13 +609,12 @@ impl HetKgWorker {
         let grads = &self.ctx.grads;
         let backlog = &mut self.backlog;
         let ps = &mut self.ctx.ps;
-        let cap = self.backlog_cap;
         self.up_slots.retain(|&slot| {
             let k = grads.key_at(slot);
             if client.shard_healthy(k) {
                 return true;
             }
-            if Self::defer_with_residual(backlog, cap, ps, k, grads.row_at(slot)) {
+            if Self::defer_with_residual(backlog, ps, k, grads.row_at(slot)) {
                 deferred += 1;
             } else {
                 shed += 1;
@@ -654,7 +639,7 @@ impl HetKgWorker {
                 // folds into the backlog and replays once the breaker
                 // closes or the flash crowd passes.
                 for (&k, &slot) in self.up_keys.iter().zip(up_slots) {
-                    if Self::defer_with_residual(backlog, cap, ps, k, grads.row_at(slot)) {
+                    if Self::defer_with_residual(backlog, ps, k, grads.row_at(slot)) {
                         deferred += 1;
                     } else {
                         shed += 1;

@@ -553,7 +553,6 @@ impl RecoveryStore {
     }
 }
 
-/// Run one epoch on every worker concurrently.
 /// Drive one epoch across the worker pool on a single thread, interleaving
 /// units (mini-batch iterations / PBG buckets) in fixed round-robin order.
 /// Workers still contend on the shared PS mid-epoch — the interleaving
