@@ -565,7 +565,12 @@ pub fn dps_admission(_ctx: ExpCtx) -> ExperimentRecord {
                             equals compute; occupancy falls below 100 % (the table holds what \
                             pays, not what fits) and the usage-weighted hit ratio falls with \
                             it, because a corruption used 32 times by one batch counted as 32 \
-                            hits for one saved pull"
+                            hits for one saved pull. At this scale (d=32, batch 64) an epoch is \
+                            bound by per-message latency, not bytes or compute, so the \
+                            pipeline's per-key split costs both systems more in second frames \
+                            than overlap returns — DGL-KE's epoch s read 0.2633 / 0.2707 and \
+                            HET-KG-D's 0.2298 / 0.2375 under the per-shard rule; \
+                            `pipeline-split` has the benchmark-scale runs, where it pays"
             .into(),
     }
 }

@@ -68,6 +68,7 @@ pub const ALL: &[&str] = &[
     "bandwidth-sweep",
     "compression-ablation",
     "dps-admission",
+    "pipeline-split",
 ];
 
 /// Run one experiment by id.
@@ -93,6 +94,7 @@ pub fn run(id: &str, ctx: ExpCtx) -> Option<ExperimentRecord> {
         "bandwidth-sweep" => ablations::bandwidth(ctx),
         "compression-ablation" => ablations::compression(ctx),
         "dps-admission" => cache::dps_admission(ctx),
+        "pipeline-split" => efficiency::pipeline_split(ctx),
         _ => return None,
     };
     Some(record)

@@ -48,8 +48,10 @@ impl CacheStats {
 }
 
 /// What a hot table held and what building it cost, with how the pipeline
-/// split the miss pulls it left over. All fields are sums, so reports merge
-/// across workers and epochs by addition; the ratios are derived.
+/// split the miss pulls it left over (a cacheless system reports the split
+/// of its whole pulls and zeros for the table). All fields are sums, so
+/// reports merge across workers and epochs by addition; the ratios are
+/// derived.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableEconomy {
     /// Table (re)constructions: one for CPS, one per `D` iterations for DPS.
@@ -65,7 +67,7 @@ pub struct TableEconomy {
     /// early, behind the in-flight compute.
     pub staged_early: u64,
     /// Miss keys of staged batches left for consume time, because the
-    /// in-flight batch writes a key of their shard's frame.
+    /// in-flight batch writes them.
     pub staged_late: u64,
 }
 

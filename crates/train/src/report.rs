@@ -59,7 +59,8 @@ pub struct EpochReport {
     pub overlap_secs: f64,
     /// What the hot tables held and cost across workers this epoch —
     /// occupancy, fresh rows per rebuild, staged-early vs staged-late miss
-    /// keys (zero for cacheless systems and pre-economy reports).
+    /// keys (DGL-KE fills only the staged split, of whole pulls; zero for
+    /// PBG and pre-economy reports).
     #[serde(default)]
     pub table: TableEconomy,
 }

@@ -37,26 +37,20 @@
 //! With overlap accounting on (`WorkerCtx::overlap`), the loop is a
 //! two-stage software pipeline: while iteration `i` computes, iteration
 //! `i+1` is *staged* — its batch drawn, usage counted, cache probed — and
-//! part of its miss pull is issued ahead so the network time hides behind
-//! compute on the timeline. The split is per *shard*: a shard's staged
-//! misses are pulled early only when the in-flight batch writes none of
-//! them, so the early frames are byte-for-byte the frames the sequential
-//! schedule would send to those shards, just one iteration sooner; misses
-//! on the remaining shards are pulled at consume time, exactly where the
-//! sequential schedule pulls them. (Under DPS, while capacity does not
-//! bind, no shard remains: a key both the staged and the in-flight batch
-//! read is read twice in their window, hence cached, hence not a miss.) Metered traffic — bytes, message
-//! counts, locality — is therefore bit-identical to the sequential
-//! schedule, and so is every value the model sees: an early pull's
-//! *delivery* happens at consume time — the parked rows are refreshed to
-//! the server's current values, free of charge, since the frames already
-//! transited at issue time — so staged rows observe every push that
-//! landed in between, other workers' included; hit rows are likewise
-//! copied from the cache only at consume time, after the in-flight
-//! push's local updates have been applied. Construction and sync
-//! iterations are never staged (their pulls carry ordering constraints),
-//! and the trainer disables overlap entirely under non-inert fault
-//! plans.
+//! its miss pull is split per key by [`StagedPull`], which states the
+//! contract: a miss the in-flight batch does not write is pulled now,
+//! behind compute; one it does write, at consume time. (Under DPS, while
+//! capacity does not bind, none is left for consume time: a key both
+//! batches read is read twice in their window, hence cached, hence not a
+//! miss.) Values match the sequential schedule bit for bit because rows
+//! are *delivered* at consume time — early misses from the server's
+//! current rows, hits from the cache after the in-flight push's local
+//! updates and before this iteration's sync. Sync iterations are staged
+//! like any other; the table's pull-if-newer goes out at consume time with
+//! the late misses. The sequential path is the same code with nothing
+//! issued early, which is also how an epoch's first iteration and a
+//! construction iteration run (a rebuild changes what a probe would find).
+//! The trainer disables overlap entirely under non-inert fault plans.
 
 use crate::batch::BatchResult;
 use crate::plan::BatchPlan;
@@ -107,8 +101,8 @@ pub struct HetKgWorker {
     epoch_div_sum: f64,
     /// Number of per-key divergence samples this epoch.
     epoch_div_samples: u64,
-    /// Scratch: the batch's cache misses and their plan slots (while
-    /// staging: the staged misses before the early/late split).
+    /// Scratch: the staged batch's cache misses and their plan slots,
+    /// before `staged_pull` splits them into early and late.
     miss_keys: Vec<ParamKey>,
     miss_slots: Vec<u32>,
     /// Scratch: a pull-if-newer's keys (a sync's misses, then its cached
@@ -135,19 +129,19 @@ pub struct HetKgWorker {
     /// The next batch, compiled. Swapped into `ctx.scratch.plan` when it
     /// becomes the batch in flight.
     next_plan: BatchPlan,
-    /// Pipelining: whether `next_plan` and the `staged_*` fields hold the
-    /// next iteration's batch, resolved while the current one computes.
+    /// Whether `next_plan` and the `staged_*` fields hold a batch that has
+    /// been drawn and probed but not consumed — the next iteration's,
+    /// staged while the current one computes, or this one's.
     staged: bool,
-    /// Pipelining: slots of the staged batch's cache hits. Their *values*
-    /// are read only at consume time, after the in-flight push updates the
-    /// cache.
+    /// Slots of the staged batch's cache hits. Their *values* are read
+    /// only at consume time, after the in-flight push updates the cache.
     staged_hits: Vec<u32>,
-    /// Pipelining: usage-weighted hit count of the staged batch.
+    /// Usage-weighted hit count of the staged batch.
     staged_hit_uses: u64,
-    /// Pipelining: the staged batch's miss pull, split per shard into
-    /// frames issued ahead and frames pulled at consume time.
+    /// The staged batch's miss pull, split per key into frames issued
+    /// ahead and keys pulled at consume time.
     staged_pull: StagedPull,
-    /// Pipelining: usage-weighted miss count of the staged batch.
+    /// Usage-weighted miss count of the staged batch.
     staged_miss_uses: u64,
     /// Degraded mode: gradient pushes deferred while their home shard was
     /// down, summed per key, replayed on recovery.
@@ -323,8 +317,9 @@ impl HetKgWorker {
         )
     }
 
-    /// A sync iteration's one PS request: this batch's misses (into the
-    /// working set) and, riding in the same per-shard messages, the table's
+    /// A sync iteration's consume-time PS request: the staged batch's late
+    /// misses (into the working set; all of its misses when nothing was
+    /// pulled ahead) and, riding in the same per-shard messages, the table's
     /// synchronization (Alg. 3 lines 8–9) as a pull-if-newer over every
     /// cached row. Folds the cache-vs-global divergence it observes into
     /// the epoch's statistics.
@@ -350,9 +345,10 @@ impl HetKgWorker {
         let now = self.iteration;
         let client = &self.ctx.client;
         let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
-        let miss_count = self.miss_keys.len();
+        let (late_keys, miss_slots) = self.staged_pull.late();
+        let miss_count = late_keys.len();
         self.probe_keys.clear();
-        self.probe_keys.extend_from_slice(&self.miss_keys);
+        self.probe_keys.extend_from_slice(late_keys);
         self.probe_held.clear();
         let mut covered = 0usize;
         for (k, held, confirmed) in self.table.iter_held() {
@@ -365,7 +361,7 @@ impl HetKgWorker {
                 self.probe_held.push(held);
             }
         }
-        let (keys, held, miss_slots) = (&self.probe_keys, &self.probe_held, &self.miss_slots);
+        let (keys, held) = (&self.probe_keys, &self.probe_held);
         let (table, ws) = (&mut self.table, &mut self.ctx.ws);
         let mut max_div = 0.0f64;
         let mut div_sum = 0.0f64;
@@ -446,16 +442,17 @@ impl HetKgWorker {
         let now = self.iteration;
         let client = &self.ctx.client;
         let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
-        let miss_count = self.miss_keys.len();
+        let (late_keys, miss_slots) = self.staged_pull.late();
+        let miss_count = late_keys.len();
         self.probe_keys.clear();
-        self.probe_keys.extend_from_slice(&self.miss_keys);
+        self.probe_keys.extend_from_slice(late_keys);
         self.probe_keys.extend(
             self.table
                 .iter_keys()
                 .filter(|&k| !skip_unhealthy || client.shard_healthy(k)),
         );
         let refreshed = self.probe_keys.len() - miss_count;
-        let (keys, miss_slots) = (&self.probe_keys, &self.miss_slots);
+        let keys = &self.probe_keys;
         let (table, ws) = (&mut self.table, &mut self.ctx.ws);
         let mut max_div = 0.0f64;
         let mut div_sum = 0.0f64;
@@ -661,116 +658,39 @@ impl HetKgWorker {
         self.ctx.grads.clear();
     }
 
-    /// Resolve this iteration's batch the sequential way: construction,
-    /// sync bookkeeping, batch draw, cache probe, miss pull. Returns the
-    /// timeline completion of its pull (0 with overlap off or nothing
-    /// pulled).
-    fn resolve_now(&mut self, degraded: bool) -> f64 {
-        // --- Construction (Alg. 3 lines 5–7) ---
-        if self.policy.needs_construction(self.iteration) {
-            match self.policy.kind {
-                PolicyKind::Cps => {
-                    if self.iteration == 0 {
-                        let acc = subgraph_accesses(&self.ctx.subgraph, self.ctx.key_space);
-                        let hot = filter_hot_set(&acc, self.ctx.key_space, &self.policy.filter);
-                        self.construct_table(&hot);
-                    }
-                }
-                PolicyKind::Dps => {
-                    self.prefetch_window();
-                    let mut selector = std::mem::take(&mut self.selector);
-                    let hot = selector.select(
-                        &self.window.reads,
-                        self.ctx.key_space,
-                        &self.policy.filter,
-                    );
-                    self.construct_table(hot);
-                    self.selector = selector;
-                }
-            }
-        }
-
-        // --- Synchronization (Alg. 3 lines 8–9) ---
-        // Iteration 0 is never a sync point (the schedule itself excludes
-        // it): the cache was constructed from fresh pulls moments ago.
-        let sync_now = self.sync.is_sync_iteration(self.iteration);
-        let staleness_now = self.staleness.observe(self.iteration);
-
-        // --- Fetch: cache hits locally, misses from the PS ---
-        self.compile_next();
-        std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
-        self.ctx.begin_batch();
-        self.miss_keys.clear();
-        self.miss_slots.clear();
-        let mut degraded_uses = 0u64;
-        let mut brownout_uses = 0u64;
-        let bound = self.staleness_bound(degraded);
-        let plan = &self.ctx.scratch.plan;
-        // A key used `u` times in the batch counts `u` hits/misses — the
-        // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
-        // traffic is still deduplicated per batch.
-        for (slot, (&k, &uses)) in plan.keys().iter().zip(plan.uses()).enumerate() {
-            let uses = u64::from(uses);
-            if let Some(row) = self.table.get(k) {
-                debug_assert_fresh(&self.table, k, self.iteration, bound);
-                self.ctx.ws.row_mut(slot as u32).copy_from_slice(row);
-                self.cache_stats.hits += uses;
-                if degraded {
-                    if !self.ctx.client.shard_available(k) {
-                        // Served stale from the cache while the home shard
-                        // is down — the hit the baselines don't have.
-                        degraded_uses += uses;
-                    } else if self.ctx.client.breaker_tripped(self.ctx.client.shard_of(k)) {
-                        // Served stale because the home shard's breaker is
-                        // open: the brownout hit, counted separately from
-                        // outage hits.
-                        brownout_uses += uses;
-                    }
-                }
-            } else {
-                self.miss_keys.push(k);
-                self.miss_slots.push(slot as u32);
-                self.cache_stats.misses += uses;
-            }
-        }
-        if degraded_uses > 0 || brownout_uses > 0 {
-            if let Some(f) = self.ctx.client.faults() {
-                if degraded_uses > 0 {
-                    f.injector.note_degraded_hits(degraded_uses);
-                }
-                if brownout_uses > 0 {
-                    f.injector.note_brownout_stale_serves(brownout_uses);
-                }
-            }
-        }
-        if !sync_now {
-            let delta = self.ctx.pull_into_ws(&self.miss_keys, &self.miss_slots);
-            return self.ctx.post_comm(delta, 0.0);
-        }
-        // The table's synchronization rides in the same request as the
-        // misses (one round trip per server per iteration, as a real KVStore
-        // client batches), so a sync costs bytes but no extra messages. Rows
-        // this batch reads as hits were copied into the working set above,
-        // from the pre-sync cache: that read is at most one sync period
-        // stale, which is exactly the bounded-staleness contract.
-        let before = self.ctx.meter.snapshot();
-        self.pull_misses_and_sync(degraded, staleness_now);
-        let delta = self.ctx.meter.snapshot().since(before);
-        self.ctx.post_comm(delta, 0.0)
-    }
-
-    /// Stage iteration `i+1` while iteration `i` is still in flight: draw
-    /// its batch, probe the cache, and pull ahead every shard frame the
-    /// in-flight batch cannot invalidate. Construction and sync iterations
-    /// are never staged — their pulls have ordering constraints
-    /// (rebuild-before-read, refresh-after-push) that the sequential path
-    /// handles.
-    fn stage_next(&mut self) {
-        debug_assert!(!self.staged, "staging twice");
-        let next = self.iteration + 1;
-        if self.policy.needs_construction(next) || self.sync.is_sync_iteration(next) {
+    /// Construction (Alg. 3 lines 5–7), when the policy says this iteration
+    /// rebuilds the table.
+    fn construct_if_due(&mut self) {
+        if !self.policy.needs_construction(self.iteration) {
             return;
         }
+        match self.policy.kind {
+            PolicyKind::Cps => {
+                let acc = subgraph_accesses(&self.ctx.subgraph, self.ctx.key_space);
+                let hot = filter_hot_set(&acc, self.ctx.key_space, &self.policy.filter);
+                self.construct_table(&hot);
+            }
+            PolicyKind::Dps => {
+                self.prefetch_window();
+                let mut selector = std::mem::take(&mut self.selector);
+                let hot =
+                    selector.select(&self.window.reads, self.ctx.key_space, &self.policy.filter);
+                self.construct_table(hot);
+                self.selector = selector;
+            }
+        }
+    }
+
+    /// Stage the next batch: draw it, probe the cache, and stage its miss
+    /// pull — with `pull_ahead`, while the previous iteration is still in
+    /// flight, every miss that batch does not write goes out now; without,
+    /// every miss waits for [`Self::consume_staged`], which is the
+    /// sequential schedule. The probe is valid until then: gradient
+    /// application updates rows in place, a sync refreshes them in place,
+    /// and only a construction inserts or evicts — so the iteration before
+    /// a construction does not stage.
+    fn stage(&mut self, pull_ahead: bool) {
+        debug_assert!(!self.staged, "staging twice");
         self.compile_next();
         self.staged_hits.clear();
         self.miss_keys.clear();
@@ -778,10 +698,10 @@ impl HetKgWorker {
         self.staged_hit_uses = 0;
         self.staged_miss_uses = 0;
         let plan = &self.next_plan;
+        // A key used `u` times in the batch counts `u` hits/misses — the
+        // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
+        // traffic is still deduplicated per batch.
         for (slot, (&k, &uses)) in plan.keys().iter().zip(plan.uses()).enumerate() {
-            // Cache membership cannot change before consumption: gradient
-            // application updates rows in place and non-construction
-            // iterations never insert or evict.
             if self.table.contains(k) {
                 self.staged_hits.push(slot as u32);
                 self.staged_hit_uses += u64::from(uses);
@@ -796,41 +716,74 @@ impl HetKgWorker {
             .iter()
             .copied()
             .zip(self.miss_slots.iter().copied());
-        self.staged_pull.stage(&mut self.ctx, misses, true);
-        let (early, late) = self.staged_pull.split();
-        self.economy.staged_early += early as u64;
-        self.economy.staged_late += late as u64;
+        self.staged_pull
+            .stage(&mut self.ctx, misses, pull_ahead, &mut self.economy);
         self.staged = true;
     }
 
-    /// Consume the batch staged during the previous iteration. Hit values
-    /// are copied from the cache *now* — after the previous push applied
-    /// its local updates — the early misses receive the server's current
-    /// rows (free: their frames were metered at issue time), and the late
-    /// misses are pulled now, so every value matches
-    /// the sequential schedule bit for bit; only the early misses'
-    /// network time has already been spent (and overlapped). Returns the
-    /// timeline completion of the batch's pull.
-    fn consume_staged(&mut self) -> f64 {
+    /// Make the staged batch the one in flight. Hit values are copied from
+    /// the cache *now* — after the previous push applied its local updates,
+    /// before this iteration's sync — so a hit is at most one sync period
+    /// stale, which is exactly the bounded-staleness contract; the early
+    /// misses receive the server's current rows (free: their frames were
+    /// metered at issue time) and the late misses are pulled now, so every
+    /// value is the sequential schedule's bit for bit. At a sync iteration
+    /// (Alg. 3 lines 8–9; never iteration 0, whose cache was constructed
+    /// from fresh pulls moments ago) the table's synchronization rides in
+    /// the late misses' request: one round trip per server, as a real
+    /// KVStore client batches. Returns the timeline completion of the
+    /// batch's pull.
+    fn consume_staged(&mut self, degraded: bool) -> f64 {
         debug_assert!(self.staged, "a batch was staged");
         self.staged = false;
-        self.staleness.observe(self.iteration);
+        let staleness_now = self.staleness.observe(self.iteration);
         std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
         self.ctx.begin_batch();
-        let keys = self.ctx.scratch.plan.keys();
-        let bound = self.staleness_bound(self.ctx.client.faults().is_some());
+        let plan = &self.ctx.scratch.plan;
+        let client = &self.ctx.client;
+        let bound = self.staleness_bound(degraded);
+        let mut degraded_uses = 0u64;
+        let mut brownout_uses = 0u64;
         for &slot in &self.staged_hits {
-            let k = keys[slot as usize];
+            let k = plan.keys()[slot as usize];
             let row = self
                 .table
                 .get(k)
                 .expect("staged hits stay cached until consumed");
             debug_assert_fresh(&self.table, k, self.iteration, bound);
             self.ctx.ws.row_mut(slot).copy_from_slice(row);
+            if degraded {
+                let uses = u64::from(plan.uses()[slot as usize]);
+                if !client.shard_available(k) {
+                    // Served stale from the cache while the home shard is
+                    // down — the hit the baselines don't have.
+                    degraded_uses += uses;
+                } else if client.breaker_tripped(client.shard_of(k)) {
+                    // Served stale because the home shard's breaker is
+                    // open: the brownout hit, counted separately from
+                    // outage hits.
+                    brownout_uses += uses;
+                }
+            }
         }
         self.cache_stats.hits += self.staged_hit_uses;
         self.cache_stats.misses += self.staged_miss_uses;
-        self.staged_pull.deliver(&mut self.ctx)
+        if let Some(f) = client.faults() {
+            if degraded_uses > 0 {
+                f.injector.note_degraded_hits(degraded_uses);
+            }
+            if brownout_uses > 0 {
+                f.injector.note_brownout_stale_serves(brownout_uses);
+            }
+        }
+        if !self.sync.is_sync_iteration(self.iteration) {
+            return self.staged_pull.deliver(&mut self.ctx);
+        }
+        let early_end = self.staged_pull.deliver_early(&mut self.ctx);
+        let before = self.ctx.meter.snapshot();
+        self.pull_misses_and_sync(degraded, staleness_now);
+        let delta = self.ctx.meter.snapshot().since(before);
+        early_end.max(self.ctx.post_comm(delta, 0.0))
     }
 
     /// Single sequential iteration (no staging) — the unit tests' probe.
@@ -845,16 +798,18 @@ impl HetKgWorker {
             self.flush_backlog_if_ready();
         }
 
-        let pull_end = if self.staged {
-            self.consume_staged()
-        } else {
-            self.resolve_now(degraded)
-        };
+        // Nothing was staged behind the previous iteration (an epoch's
+        // first, a construction, or overlap off): stage now, nothing early.
+        if !self.staged {
+            self.construct_if_due();
+            self.stage(false);
+        }
+        let pull_end = self.consume_staged(degraded);
 
         // Stage the next iteration *before* computing this one, so its
         // early pull lands on the comm lane while this compute runs.
-        if may_stage && self.ctx.overlap {
-            self.stage_next();
+        if may_stage && self.ctx.overlap && !self.policy.needs_construction(self.iteration + 1) {
+            self.stage(true);
         }
 
         // --- Compute ---
@@ -963,6 +918,7 @@ impl WorkerLoop for HetKgWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::assert_same_bytes_more_messages;
     use hetkg_embed::init::Init;
     use hetkg_embed::loss::LossKind;
     use hetkg_embed::negative::{NegConfig, NegStrategy};
@@ -1213,7 +1169,8 @@ mod tests {
         moved[0] += 3.0;
         moved[1] += 4.0;
         store.store(keys[0], &moved);
-        w.resolve_now(false);
+        w.stage(false);
+        w.consume_staged(false);
         assert_eq!(w.epoch_div_samples, keys.len() as u64);
         assert!((w.epoch_divergence - 5.0).abs() < 1e-5);
         assert!((w.epoch_div_sum - 5.0).abs() < 1e-5);
@@ -1228,7 +1185,8 @@ mod tests {
     #[test]
     fn in_sync_cache_has_zero_divergence() {
         let (mut w, keys) = in_sync_at_the_sync_point();
-        w.resolve_now(false);
+        w.stage(false);
+        w.consume_staged(false);
         assert_eq!(w.epoch_div_samples, keys.len() as u64);
         assert_eq!(w.epoch_divergence, 0.0);
     }
@@ -1480,9 +1438,10 @@ mod tests {
             assert_eq!(a.cache.hits, b.cache.hits);
             assert_eq!(a.cache.misses, b.cache.misses);
             assert_eq!(a.max_staleness, b.max_staleness);
-            // The per-shard split sends exactly the frames the sequential
-            // pull would, one iteration sooner: traffic is bit-identical.
-            assert_eq!(a.traffic, b.traffic, "epoch {e} traffic diverged");
+            // Same bytes; a shard is sent a second frame at a staged
+            // iteration when it holds keys of both halves.
+            let staged = (pipe.ctx.iterations_per_epoch - 1) as u64;
+            assert_same_bytes_more_messages(a.traffic, b.traffic, 2 * staged, "het-kg");
             // Sequential accounting never touches the timeline.
             assert_eq!(a.critical_path_secs, 0.0);
             // The pipelined critical path is a real schedule: at least as

@@ -46,7 +46,7 @@ pub struct WorkerEpochStats {
     /// schedule. Zero when overlap accounting is disabled.
     pub critical_path_secs: f64,
     /// What the hot table held and cost this epoch (zero for cacheless
-    /// systems).
+    /// systems), and how the pipeline split the staged pulls.
     pub table: TableEconomy,
 }
 
@@ -291,13 +291,13 @@ impl WorkerCtx {
 }
 
 /// The pull of a batch that has been drawn but is not in flight yet, split
-/// per shard: frames the in-flight batch cannot invalidate are issued ahead
-/// (their network time hides behind the in-flight compute), the rest are
-/// pulled when the batch is consumed. A shard's keys go early only if the
-/// in-flight batch — whose key set bounds its push's write set — touches
-/// none of them; whole-frame granularity keeps early + late an exact
-/// partition of the frames one sequential pull would send, so metered
-/// traffic is bit-identical either way.
+/// per key: a key the in-flight batch does not touch — that batch's key set
+/// bounds its push's write set — is pulled ahead, behind the in-flight
+/// compute; a key it does touch, when the batch is consumed, after that
+/// push. Against the sequential schedule's one pull: the same rows (early
+/// keys are delivered at consume time), the same bytes per lane and per
+/// cause, and at most one message more per shard — a shard holding keys of
+/// both halves is sent two frames.
 #[derive(Debug, Default)]
 pub struct StagedPull {
     /// Keys whose frames were sent ahead, and their working-set slots.
@@ -306,87 +306,88 @@ pub struct StagedPull {
     /// Keys (and slots) pulled at consume time.
     late: Vec<ParamKey>,
     late_slots: Vec<u32>,
-    /// Scratch: per-shard "pull at consume time" flags.
-    dirty: Vec<bool>,
     /// Timeline completion of the early pull (0 when none).
     pull_end: f64,
 }
 
 impl StagedPull {
     /// Split `keys` (each with the slot its row goes to) and, with
-    /// `pull_ahead`, issue the early frames now — for their traffic and
-    /// their slot on the comm lane only: the rows they carry are dropped,
-    /// because delivery happens at [`StagedPull::deliver`]. Without
-    /// `pull_ahead` every key waits for `deliver` — the sequential
-    /// schedule. The in-flight batch is `ctx.scratch.plan`.
+    /// `pull_ahead`, issue the early keys' frames now — for their traffic
+    /// and their slot on the comm lane only: the rows they carry are
+    /// dropped, because delivery happens at [`StagedPull::deliver`] — and
+    /// add the split to `economy`. Without `pull_ahead` every key waits for
+    /// `deliver`: the sequential schedule, which is not a split and is not
+    /// counted. The in-flight batch is `ctx.scratch.plan`.
     pub fn stage(
         &mut self,
         ctx: &mut WorkerCtx,
-        keys: impl Iterator<Item = (ParamKey, u32)> + Clone,
+        keys: impl Iterator<Item = (ParamKey, u32)>,
         pull_ahead: bool,
+        economy: &mut TableEconomy,
     ) {
-        let client = &ctx.client;
-        self.dirty.clear();
-        self.dirty.resize(client.num_shards(), !pull_ahead);
-        if pull_ahead {
-            for (k, _) in keys.clone() {
-                if ctx.scratch.plan.contains(k) {
-                    self.dirty[client.shard_of(k)] = true;
-                }
-            }
-        }
         self.early.clear();
         self.early_slots.clear();
         self.late.clear();
         self.late_slots.clear();
         self.pull_end = 0.0;
         for (k, slot) in keys {
-            let (to, to_slots) = if self.dirty[client.shard_of(k)] {
-                (&mut self.late, &mut self.late_slots)
-            } else {
+            let (to, to_slots) = if pull_ahead && !ctx.scratch.plan.contains(k) {
                 (&mut self.early, &mut self.early_slots)
+            } else {
+                (&mut self.late, &mut self.late_slots)
             };
             to.push(k);
             to_slots.push(slot);
         }
-        if self.early.is_empty() {
+        if !pull_ahead {
             return;
         }
-        let before = ctx.meter.snapshot();
-        match client.try_pull_batch_with(&self.early, &mut ctx.ps, |_, _| {}) {
-            Ok(()) => {
-                let delta = ctx.meter.snapshot().since(before);
-                self.pull_end = ctx.post_comm(delta, 0.0);
-            }
-            Err(_) => {
-                // Unreachable when the trainer gates overlap on inert fault
-                // plans; if a caller enables both anyway, fall back to
-                // pulling these keys at consume time.
-                self.late.append(&mut self.early);
-                self.late_slots.append(&mut self.early_slots);
+        if !self.early.is_empty() {
+            let before = ctx.meter.snapshot();
+            let client = &ctx.client;
+            match client.try_pull_batch_with(&self.early, &mut ctx.ps, |_, _| {}) {
+                Ok(()) => {
+                    let delta = ctx.meter.snapshot().since(before);
+                    self.pull_end = ctx.post_comm(delta, 0.0);
+                }
+                Err(_) => {
+                    // Unreachable when the trainer gates overlap on inert
+                    // fault plans; if a caller enables both anyway, fall
+                    // back to pulling these keys at consume time.
+                    self.late.append(&mut self.early);
+                    self.late_slots.append(&mut self.early_slots);
+                }
             }
         }
+        economy.staged_early += self.early.len() as u64;
+        economy.staged_late += self.late.len() as u64;
     }
 
-    /// How many of the staged keys went out early and how many wait for
-    /// [`StagedPull::deliver`].
-    pub fn split(&self) -> (usize, usize) {
-        (self.early.len(), self.late.len())
+    /// The keys left for consume time and their slots, for a caller whose
+    /// consume-time request carries more than them (a HET-KG sync) and who
+    /// pulls them itself after [`StagedPull::deliver_early`].
+    pub fn late(&self) -> (&[ParamKey], &[u32]) {
+        (&self.late, &self.late_slots)
     }
 
-    /// Deliver the staged rows into the working set (already laid out for
-    /// the batch): each early key's slot receives the server's *current*
-    /// row — free, its frame was metered at issue time — and the late keys
-    /// are pulled now, after the previous push, so every value matches the
-    /// sequential schedule bit for bit even when other workers pushed
-    /// between issue and delivery. Returns the timeline completion of the
-    /// whole pull.
-    pub fn deliver(&mut self, ctx: &mut WorkerCtx) -> f64 {
-        let mut pull_end = self.pull_end;
+    /// Deliver the early keys into the working set (already laid out for
+    /// the batch): each slot receives the server's *current* row — free,
+    /// its frame was metered at issue time — so staged rows observe every
+    /// push that landed since, other workers' included. Returns the
+    /// timeline completion of the early pull.
+    pub fn deliver_early(&self, ctx: &mut WorkerCtx) -> f64 {
         let store = ctx.client.store();
         for (&k, &slot) in self.early.iter().zip(&self.early_slots) {
             store.pull(k, ctx.ws.row_mut(slot));
         }
+        self.pull_end
+    }
+
+    /// Deliver every staged row: the early keys, then the late keys by
+    /// pulling them now, after the previous push. Returns the timeline
+    /// completion of the whole pull.
+    pub fn deliver(&self, ctx: &mut WorkerCtx) -> f64 {
+        let mut pull_end = self.deliver_early(ctx);
         if !self.late.is_empty() {
             let delta = ctx.pull_into_ws(&self.late, &self.late_slots);
             pull_end = pull_end.max(ctx.post_comm(delta, 0.0));
@@ -462,6 +463,35 @@ pub trait WorkerLoop: Send {
     }
 }
 
+/// The pipeline's traffic contract, for the differential tests: against the
+/// sequential schedule's `seq`, `pipe` moved the same bytes — per lane, per
+/// cause, push breakdown included — in at least as many messages and at
+/// most `max_extra` more.
+#[cfg(test)]
+pub(crate) fn assert_same_bytes_more_messages(
+    seq: TrafficSnapshot,
+    pipe: TrafficSnapshot,
+    max_extra: u64,
+    what: &str,
+) {
+    let bytes_of = |t: TrafficSnapshot| TrafficSnapshot {
+        local_messages: 0,
+        remote_messages: 0,
+        ..t
+    };
+    assert_eq!(bytes_of(seq), bytes_of(pipe), "{what}: bytes moved");
+    assert!(
+        pipe.local_messages >= seq.local_messages && pipe.remote_messages >= seq.remote_messages,
+        "{what}: the split dropped a message ({seq:?} vs {pipe:?})"
+    );
+    let extra =
+        (pipe.local_messages + pipe.remote_messages) - (seq.local_messages + seq.remote_messages);
+    assert!(
+        extra <= max_extra,
+        "{what}: {extra} extra messages, at most {max_extra} allowed"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,6 +501,7 @@ mod tests {
     use hetkg_netsim::{ClusterTopology, FaultInjector, FaultPlan};
     use hetkg_ps::optimizer::Sgd;
     use hetkg_ps::{KvStore, RetryPolicy, ShardRouter};
+    use proptest::prelude::*;
 
     fn ctx() -> WorkerCtx {
         ctx_on(1).0
@@ -583,9 +614,10 @@ mod tests {
         lay_out(&mut c, &keys);
         let before = c.meter.snapshot();
         let mut staged = StagedPull::default();
-        // Nothing is in flight, so every frame goes ahead.
+        let mut economy = TableEconomy::default();
+        // Nothing is in flight, so every key goes ahead.
         let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true);
+        staged.stage(&mut c, pairs, true, &mut economy);
         assert_eq!(staged.early, keys);
         assert!(staged.late.is_empty());
         let issued = c.meter.snapshot();
@@ -600,6 +632,15 @@ mod tests {
         assert_eq!(ws_bits(&c, &slots), direct);
     }
 
+    /// In flight: entities 0 and 2 (both on shard 0) and relation 0.
+    fn put_in_flight(c: &mut WorkerCtx) {
+        let batch = MiniBatch {
+            positives: vec![Triple::new(0, 0, 2)],
+            negatives: vec![],
+        };
+        c.scratch.plan.compile(&batch, c.key_space, 4, 4);
+    }
+
     #[test]
     fn staged_pull_observes_pushes_landed_between_stage_and_deliver() {
         let (mut c, store) = ctx_on(2);
@@ -609,29 +650,26 @@ mod tests {
             store,
             Arc::new(TrafficMeter::new()),
         );
-        // In flight: entities 0 and 2 (shard 0) and relation 0.
-        let batch = MiniBatch {
-            positives: vec![Triple::new(0, 0, 2)],
-            negatives: vec![],
-        };
-        c.scratch.plan.compile(&batch, c.key_space, 4, 4);
-        // Key 0 is shared with the in-flight batch, so shard 0's frame
-        // waits; shard 1's (keys 1 and 3) goes ahead.
+        put_in_flight(&mut c);
+        // Key 0 is written by the in-flight batch, so it waits — alone: key
+        // 4 shares its shard and goes ahead with shard 1's keys 1 and 3.
         let keys = [1u64, 0, 3, 4].map(ParamKey);
-        assert_ne!(c.client.shard_of(keys[0]), c.client.shard_of(keys[1]));
+        assert_eq!(c.client.shard_of(keys[1]), c.client.shard_of(keys[3]));
         let slots = lay_out(&mut c, &keys);
         let before = c.meter.snapshot();
         let mut staged = StagedPull::default();
+        let mut economy = TableEconomy::default();
         let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true);
-        assert_eq!(staged.early, [ParamKey(1), ParamKey(3)]);
-        assert_eq!(staged.late, [ParamKey(0), ParamKey(4)]);
+        staged.stage(&mut c, pairs, true, &mut economy);
+        assert_eq!(staged.early, [ParamKey(1), ParamKey(3), ParamKey(4)]);
+        assert_eq!(staged.early_slots, [0, 2, 3]);
+        assert_eq!(staged.late(), (&[ParamKey(0)][..], &[1u32][..]));
         // Another worker's push lands between stage and deliver, on an
-        // early key and on a late one.
+        // early key and on the late one.
         let g = [1.0f32; 4];
         other
             .try_push_batch_with(
-                &[ParamKey(3), ParamKey(4)],
+                &[ParamKey(3), ParamKey(0)],
                 &[&g, &g],
                 &Sgd { lr: 1.0 },
                 &mut PsScratch::new(),
@@ -640,11 +678,109 @@ mod tests {
         staged.deliver(&mut c);
         let split = c.meter.snapshot().since(before);
         let delivered = ws_bits(&c, &slots);
-        // A sequential pull at the deliver point: same rows, and early +
-        // late frames are exactly its frames.
+        // A sequential pull at the deliver point: same rows, same bytes, and
+        // one message fewer — shard 0 was sent an early and a late frame.
         let unsplit = pull(&mut c, &keys);
         assert_eq!(delivered, ws_bits(&c, &slots));
-        assert_eq!(split, unsplit);
+        assert_same_bytes_more_messages(unsplit, split, 1, "split pull");
+        assert_eq!(
+            split.local_messages + split.remote_messages,
+            unsplit.local_messages + unsplit.remote_messages + 1
+        );
+    }
+
+    #[test]
+    fn without_pull_ahead_every_key_waits_for_delivery() {
+        let (mut c, _) = ctx_on(2);
+        put_in_flight(&mut c);
+        let keys = [1u64, 0, 3, 4].map(ParamKey);
+        let slots = lay_out(&mut c, &keys);
+        let before = c.meter.snapshot();
+        let mut staged = StagedPull::default();
+        let mut economy = TableEconomy::default();
+        let pairs = keys.iter().copied().zip(slots.iter().copied());
+        staged.stage(&mut c, pairs, false, &mut economy);
+        assert_eq!(economy, TableEconomy::default(), "not a split");
+        assert_eq!(staged.late(), (&keys[..], &slots[..]));
+        assert_eq!(c.meter.snapshot(), before, "nothing transits at stage");
+        staged.deliver(&mut c);
+        let late = c.meter.snapshot().since(before);
+        assert_eq!(late, pull(&mut c, &keys), "the sequential pull");
+    }
+
+    /// The rule this one replaced, kept as the reference the per-key split
+    /// is pinned against: a shard's keys go early only when the in-flight
+    /// batch touches none of them.
+    fn per_shard_split(c: &WorkerCtx, keys: &[ParamKey]) -> (Vec<ParamKey>, Vec<ParamKey>) {
+        let mut dirty = vec![false; c.client.num_shards()];
+        for &k in keys {
+            if c.scratch.plan.contains(k) {
+                dirty[c.client.shard_of(k)] = true;
+            }
+        }
+        keys.iter().partition(|&&k| !dirty[c.client.shard_of(k)])
+    }
+
+    proptest! {
+        /// On random in-flight batches and staged key lists: the late keys
+        /// are exactly the input's keys in flight and the early keys the
+        /// rest, both in input order; everything the per-shard rule sent
+        /// early still goes early; and the delivered rows and bytes are the
+        /// sequential pull's, in at most one more message per shard.
+        #[test]
+        fn per_key_split_partitions_the_input_and_contains_the_per_shard_split(
+            machines in 1usize..5,
+            in_flight in prop::collection::vec((0u32..10, 0u32..2, 0u32..10), 0..4),
+            staged_keys in prop::collection::vec(0u64..12, 0..12),
+        ) {
+            let (mut c, _) = ctx_on(machines);
+            let batch = MiniBatch {
+                positives: in_flight.iter().map(|&(h, r, t)| Triple::new(h, r, t)).collect(),
+                negatives: vec![],
+            };
+            c.scratch.plan.compile(&batch, c.key_space, 4, 4);
+            let mut keys: Vec<ParamKey> = Vec::new();
+            for k in staged_keys.into_iter().map(ParamKey) {
+                if !keys.contains(&k) {
+                    keys.push(k);
+                }
+            }
+            let slots = lay_out(&mut c, &keys);
+            let before = c.meter.snapshot();
+            let mut staged = StagedPull::default();
+            let mut economy = TableEconomy::default();
+            let pairs = keys.iter().copied().zip(slots.iter().copied());
+            staged.stage(&mut c, pairs, true, &mut economy);
+            prop_assert_eq!(
+                (economy.staged_early, economy.staged_late),
+                (staged.early.len() as u64, staged.late.len() as u64)
+            );
+            staged.deliver(&mut c);
+            let split = c.meter.snapshot().since(before);
+
+            let pairs = |ks: &[ParamKey], ss: &[u32]| -> Vec<(ParamKey, u32)> {
+                ks.iter().copied().zip(ss.iter().copied()).collect()
+            };
+            let early = pairs(&staged.early, &staged.early_slots);
+            let late = pairs(&staged.late, &staged.late_slots);
+            let input = pairs(&keys, &slots);
+            let expect = |late_half: bool| -> Vec<(ParamKey, u32)> {
+                let half = |&(k, _): &(ParamKey, u32)| c.scratch.plan.contains(k) == late_half;
+                input.iter().copied().filter(half).collect()
+            };
+            prop_assert_eq!(&early, &expect(false));
+            prop_assert_eq!(&late, &expect(true));
+
+            let (ref_early, ref_late) = per_shard_split(&c, &keys);
+            prop_assert!(ref_early.iter().all(|k| staged.early.contains(k)));
+            prop_assert!(staged.late.iter().all(|k| ref_late.contains(k)));
+            prop_assert_eq!(ref_early.len() + ref_late.len(), keys.len());
+
+            let delivered = ws_bits(&c, &slots);
+            let unsplit = pull(&mut c, &keys);
+            prop_assert_eq!(delivered, ws_bits(&c, &slots));
+            assert_same_bytes_more_messages(unsplit, split, machines as u64, "split pull");
+        }
     }
 
     /// `c` with shard 1 down until simulated second 1 and a client that
@@ -671,8 +807,9 @@ mod tests {
         let keys = [1u64, 0, 3].map(ParamKey);
         let slots = lay_out(&mut c, &keys);
         let mut staged = StagedPull::default();
+        let mut economy = TableEconomy::default();
         let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true);
+        staged.stage(&mut c, pairs, true, &mut economy);
         assert!(staged.early.is_empty(), "the refused frames are not early");
         assert_eq!(staged.late, keys);
         assert_eq!(staged.late_slots, slots);

@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Do two commits train the same model over the same bytes?
+#
+#   scripts/exact.sh <rev> [--full] [seed...]
+#
+# Exports <rev> beside the working tree (`git archive` into
+# target/exact/<sha>/src, built into its own target/exact/<sha>/target; .git
+# is not touched), runs benchmark/'s three training workloads there and in
+# the working tree for every seed given (default 7), and prints what the two
+# report side by side, `=` where a field is bit-equal and `≠` where not.
+#
+#   default   1/20-scale `--quick` runs, seconds each: the values a quick
+#             run prints — first-epoch loss, final_loss, mrr
+#   --full    the benchmark's own 20 s runs: the four `fact exact` fields —
+#             sim_epoch_s, remote_bytes_per_triple, final_loss, mrr
+#
+# Prints; gates nothing: a change that means to move a field says so, and
+# this is the table it says it with.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+[[ $# -ge 1 ]] || { sed -n '2,18p' "$0" >&2; exit 2; }
+sha="$(git rev-parse --short=12 "$1^{commit}")"
+shift
+mode=(--seconds 3 --trace 1 --quick)
+seeds=()
+for arg in "$@"; do
+    if [[ $arg == --full ]]; then mode=(--seconds 20 --trace 0); else seeds+=("$arg"); fi
+done
+[[ ${#seeds[@]} -gt 0 ]] || seeds=(7)
+
+root="$PWD/target/exact/$sha"
+rm -rf "$root/src"
+mkdir -p "$root/src"
+git archive "$sha" | tar -x -C "$root/src"
+
+# stdout: the lines of one run that carry a compared value.
+run() { # checkout, target dir, workload, seed
+    (cd "$1" && CARGO_TARGET_DIR="$2" bash benchmark/run.sh \
+        --workload "$3" --seed "$4" "${mode[@]}") \
+        | grep -E '^(fact exact|check (loss_decreases|mrr_floor)) ' || true
+}
+
+for workload in train-hetkg-skew train-dglke-skew train-uds-flat; do
+    for seed in "${seeds[@]}"; do
+        echo "run $workload $seed"
+        run "$root/src" "$root/target" "$workload" "$seed" | sed 's/^/a /'
+        run "$PWD" "${CARGO_TARGET_DIR:-target}" "$workload" "$seed" | sed 's/^/b /'
+    done
+done > "$root/runs.txt"
+
+python3 - "$sha" "$root/runs.txt" <<'EOF'
+import re, struct, sys
+
+EXACT = ("sim_epoch_s", "remote_bytes_per_triple", "final_loss", "mrr")
+
+def fields(lines):
+    """name -> printed value, from the compared lines of one run."""
+    out = {}
+    for line in lines:
+        if line.startswith("fact exact "):
+            for name, bits in zip(EXACT, line.split()[2].split("/")):
+                out[name] = repr(struct.unpack(">d", bytes.fromhex(bits))[0])
+        elif m := re.match(r"check loss_decreases \w+ \((\S+) -> (\S+)\)", line):
+            out.setdefault("first_loss", m[1])
+            out.setdefault("final_loss", m[2])
+        elif m := re.match(r"check mrr_floor \w+ \(mrr (\S+) ", line):
+            out.setdefault("mrr", m[1])
+    # A full run's `fact exact` carries the bits; its check lines add nothing.
+    return {n: out[n] for n in EXACT} if EXACT[0] in out else out
+
+rev, log = sys.argv[1], sys.argv[2]
+runs = []
+for line in open(log):
+    tag, _, rest = line.rstrip("\n").partition(" ")
+    if tag == "run":
+        runs.append((rest.split(), {"a": [], "b": []}))
+    else:
+        runs[-1][1][tag].append(rest)
+row = "{:18} {:>5}  {:24} {:>22} {:>22}  {}"
+print(row.format("workload", "seed", "field", rev, "working tree", ""))
+for (workload, seed), sides in runs:
+    a, b = fields(sides["a"]), fields(sides["b"])
+    if not (a and b):
+        print(row.format(workload, seed, "(a run printed nothing: did it fail?)", "", "", ""))
+    for name in [n for n in a if n in b]:
+        print(row.format(workload, seed, name, a[name], b[name], "=" if a[name] == b[name] else "≠"))
+EOF

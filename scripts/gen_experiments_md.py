@@ -130,6 +130,16 @@ PAPER = {
         "DGL-KE. Emitted by `repro dps-admission`; the raw-use rows are recordings from the "
         "parent commit, where that rule was the only one."
     ),
+    "pipeline-split": (
+        "Fig. 5 / Fig. 6 / Table I: the paper's time axis is epoch time with communication "
+        "overlapped by computation, and its baseline DGL-KE overlaps gradient traffic with "
+        "the next batch. Not a paper experiment: the three PS systems' simulated epochs on "
+        "the benchmark's skewed workload when a staged key waits for consume time only if "
+        "the batch in flight writes that key, against the per-shard rule it replaced (one "
+        "colliding key parked its shard's whole frame, so DGL-KE hid nothing). Emitted by "
+        "`repro pipeline-split`; the per-shard rows are recordings from the parent commit, "
+        "where that rule was the only one."
+    ),
     "dps-admission-benchmark": (
         "Table I / Fig. 5 / Fig. 7: HET-KG trains in less time and moves fewer bytes than "
         "DGL-KE at equal accuracy. Not a paper experiment as such: the repo's benchmark "
@@ -144,6 +154,7 @@ ORDER = [
     "fig8a", "fig8b", "fig8c", "fig9", "table6", "table7",
     "partition-ablation", "negsample-ablation", "divergence", "bandwidth-sweep",
     "compression-ablation", "wallclock-arena", "sync-gate", "dps-admission", "dps-admission-benchmark",
+    "pipeline-split",
 ]
 
 

@@ -750,6 +750,11 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             table.staged_early,
             table.staged_late,
         );
+    } else if table.staged_early + table.staged_late > 0 {
+        println!(
+            "pipeline: staged pull keys {} early / {} late",
+            table.staged_early, table.staged_late
+        );
     }
     if let Some(c) = &report.compression {
         println!(

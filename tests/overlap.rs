@@ -6,10 +6,14 @@
 //! 1. `--no-overlap` (config `overlap = false`) reproduces the pre-timeline
 //!    sequential accounting bit for bit: zero critical path, epoch time
 //!    `max(compute, comm)`.
-//! 2. Turning overlap on leaves every measurement — losses, traffic,
-//!    compute and communication seconds — bit-identical; only the epoch's
-//!    critical path (the schedule) changes, and for the cache-enabled
-//!    HET-KG systems it drops strictly below the sequential sum.
+//! 2. Turning overlap on leaves losses, cache counters, compute seconds and
+//!    bytes — per lane, per cause — bit-identical. Messages may only grow,
+//!    by at most one per shard per staged iteration (a shard holding keys
+//!    of both halves of a split pull is sent two frames), and communication
+//!    seconds move by those messages' modelled cost alone. Beyond that
+//!    only the epoch's critical path (the schedule) changes, and for the
+//!    three parameter-server systems it drops strictly below the
+//!    sequential sum.
 //! 3. A perturbing fault plan disables the pipeline outright (fault
 //!    verdicts depend on message order), so faulty reports are bit-equal
 //!    with overlap on or off; an all-zero (inert) plan keeps it enabled.
@@ -17,6 +21,7 @@
 //! And one consequence of DPS admission for the schedule itself: within a
 //! prefetched window every staged miss pull goes out an iteration early.
 
+use het_kg::netsim::TrafficSnapshot;
 use het_kg::prelude::*;
 
 const SEEDS: [u64; 2] = [7, 19];
@@ -29,10 +34,9 @@ const SYSTEMS: [SystemKind; 4] = [
 ];
 
 /// Sparse workload: many entities relative to the batch size, so that
-/// consecutive mini-batches frequently leave whole PS shards untouched.
-/// That is the regime where pipelining can move pulls early (the strict
-/// overlap assertions below need it); the bit-identity assertions hold on
-/// any workload.
+/// consecutive mini-batches share few keys and most of a staged pull can
+/// move early (the strict overlap assertions below need some of it to);
+/// the bit-identity assertions hold on any workload.
 fn workload(seed: u64) -> (KnowledgeGraph, Vec<Triple>) {
     let kg = SyntheticKg {
         num_entities: 2_000,
@@ -94,35 +98,67 @@ fn overlap_changes_the_schedule_but_not_the_measurements() {
             let pipe_cfg = config(system, seed); // overlap defaults on
             let pipe = train(&kg, &train_set, &[], &pipe_cfg);
 
-            assert_eq!(
-                seq.total_traffic(),
-                pipe.total_traffic(),
-                "{system} seed {seed}: pipelining changed metered traffic"
-            );
+            // A worker stages every iteration of an epoch but the first,
+            // and its iterations are ceil(subgraph / batch): summed over
+            // workers that is at most train / batch staged iterations, each
+            // of which may send its own shard and every other one a second
+            // frame.
+            let staged = (train_set.len() / pipe_cfg.batch_size) as u64;
+            let others = (pipe_cfg.machines - 1) as u64;
+            let cost = pipe_cfg.cost_model;
             assert_eq!(seq.epochs.len(), pipe.epochs.len());
             for (a, b) in seq.epochs.iter().zip(&pipe.epochs) {
+                let at = format!("{system} seed {seed} epoch {}", a.epoch);
+                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{at}: loss");
+                assert_eq!(a.cache, b.cache, "{at}: cache counters");
                 assert_eq!(
-                    a.loss.to_bits(),
-                    b.loss.to_bits(),
-                    "{system} seed {seed}: epoch {} loss diverged under pipelining",
-                    a.epoch
+                    a.compute_secs.to_bits(),
+                    b.compute_secs.to_bits(),
+                    "{at}: compute"
                 );
-                assert_eq!(a.traffic, b.traffic);
-                assert_eq!(a.compute_secs.to_bits(), b.compute_secs.to_bits());
-                assert_eq!(a.comm_secs.to_bits(), b.comm_secs.to_bits());
-                assert_eq!(a.cache.hits, b.cache.hits);
-                assert_eq!(a.cache.misses, b.cache.misses);
+                // Traffic, field by field: every byte where it was.
+                let (ta, tb) = (a.traffic, b.traffic);
+                let bytes_of = |t: TrafficSnapshot| TrafficSnapshot {
+                    local_messages: 0,
+                    remote_messages: 0,
+                    ..t
+                };
+                assert_eq!(bytes_of(ta), bytes_of(tb), "{at}: bytes moved");
+                // Messages only grow, within the bound.
+                assert!(tb.local_messages >= ta.local_messages, "{at}");
+                assert!(tb.remote_messages >= ta.remote_messages, "{at}");
+                let extra_local = tb.local_messages - ta.local_messages;
+                let extra_remote = tb.remote_messages - ta.remote_messages;
+                assert!(
+                    extra_local <= staged && extra_remote <= staged * others,
+                    "{at}: {extra_local} local / {extra_remote} remote extra messages \
+                     over {staged} staged iterations"
+                );
+                if system == SystemKind::Pbg {
+                    assert_eq!(extra_local + extra_remote, 0, "{at}: PBG stages nothing");
+                }
+                // Communication seconds are the slowest worker's, so they
+                // move by no more than every extra message at its modelled
+                // cost, and never down.
+                let extra_cost =
+                    cost.remote_time(0, extra_remote) + cost.local_time(0, extra_local);
+                assert!(
+                    b.comm_secs >= a.comm_secs && b.comm_secs <= a.comm_secs + extra_cost + 1e-12,
+                    "{at}: comm {} s sequential, {} s pipelined, extra messages cost {extra_cost} s",
+                    a.comm_secs,
+                    b.comm_secs
+                );
                 // The pipelined epoch time is a real two-lane schedule:
                 // bounded below by either lane, above by their sum.
                 assert!(b.critical_path_secs >= b.compute_secs.max(b.comm_secs));
                 assert!(b.critical_path_secs <= b.compute_secs + b.comm_secs + 1e-9);
                 assert!(b.epoch_secs() >= a.epoch_secs());
             }
-            // The cache-enabled systems must actually hide communication:
-            // consecutive sparse batches leave whole shards untouched, so
-            // early pulls land behind compute and the total drops strictly
-            // below the sequential compute + comm sum.
-            if matches!(system, SystemKind::HetKgCps | SystemKind::HetKgDps) {
+            // The parameter-server systems must actually hide communication:
+            // a staged key goes out early unless the batch in flight writes
+            // it, so early pulls land behind compute and the total drops
+            // strictly below the sequential compute + comm sum.
+            if system != SystemKind::Pbg {
                 assert!(
                     pipe.total_overlap_secs() > 0.0,
                     "{system} seed {seed}: pipeline hid no communication"
@@ -133,6 +169,8 @@ fn overlap_changes_the_schedule_but_not_the_measurements() {
                     pipe.total_secs(),
                     pipe.total_compute_secs() + pipe.total_comm_secs()
                 );
+                let table = pipe.total_table();
+                assert!(table.staged_early > 0, "{system} seed {seed}: {table:?}");
             }
         }
     }

@@ -123,3 +123,50 @@ fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
         "no profile ever served a stale hit: the degraded bound was never exercised"
     );
 }
+
+/// The pipeline stages sync iterations like any other: the batch is drawn
+/// and probed an iteration ahead, its hits are read at consume time from
+/// the pre-sync table, and the table's pull-if-newer goes out right after.
+/// So a hit read at a sync iteration is exactly `P` old — the read-path
+/// assertion holds with equality — and the refresh lands before the next
+/// read, which would otherwise be `P + 1` old. With `P` = 1 every staged
+/// iteration is a sync iteration.
+#[test]
+fn staged_sync_iterations_read_exactly_p_old_and_sync_before_the_next_read() {
+    let (kg, train_set) = workload();
+    for system in [SystemKind::HetKgCps, SystemKind::HetKgDps] {
+        for p in [1usize, 4, 8] {
+            let mut cfg = TrainConfig::small(system);
+            cfg.epochs = 2;
+            cfg.eval_candidates = None;
+            cfg.cache.staleness = p;
+            cfg.cache.prefetch_depth = 8;
+            let pipe = train(&kg, &train_set, &[], &cfg);
+            cfg.overlap = false;
+            let seq = train(&kg, &train_set, &[], &cfg);
+            let what = format!("{system} / P = {p}");
+            assert!(
+                pipe.total_table().staged_early > 0 && pipe.total_overlap_secs() > 0.0,
+                "{what}: nothing was staged"
+            );
+            assert_eq!(pipe.max_staleness(), p, "{what}: pipelined");
+            assert_eq!(seq.max_staleness(), p, "{what}: sequential");
+            // The same reads saw the same rows, and the syncs asked about
+            // and received the same bytes.
+            assert_eq!(pipe.total_cache(), seq.total_cache(), "{what}");
+            assert_eq!(
+                pipe.total_traffic().by_cause,
+                seq.total_traffic().by_cause,
+                "{what}"
+            );
+            for (a, b) in pipe.epochs.iter().zip(&seq.epochs) {
+                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{what}: loss");
+                assert_eq!(
+                    a.max_divergence.to_bits(),
+                    b.max_divergence.to_bits(),
+                    "{what}: what the syncs measured"
+                );
+            }
+        }
+    }
+}
