@@ -50,12 +50,12 @@ use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
 use crate::overload::{Gate, OverloadControl, ShardBreakers};
 use crate::router::BatchPlan;
-use crate::transport::{answer_read, apply_frame, FrameOp, Refresh, SimTransport, Transport};
+use crate::transport::{apply_frame, FrameOp, Refresh, SimTransport, Transport};
 use hetkg_kgraph::ParamKey;
 use hetkg_netsim::compress::encoded_len;
 use hetkg_netsim::{
     Cause, ClusterTopology, Codec, CompressionMode, CompressionStats, FaultInjector, TrafficMeter,
-    Verdict, WireFrame,
+    TrafficSnapshot, Verdict, WireFrame,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -68,7 +68,7 @@ const VERSION_BYTES: u64 = 4;
 /// The shape of a read request frame, noted before its response replaces
 /// it, so the exchange can be metered as the one message it is.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Sent {
+struct Sent {
     keys: u64,
     versions: u64,
 }
@@ -76,7 +76,7 @@ pub(crate) struct Sent {
 impl Sent {
     /// `op`'s request as sent: `frame`'s shape for a read, nothing for the
     /// ops whose one frame counts once for both directions.
-    pub(crate) fn of(op: FrameOp, frame: &WireFrame) -> Self {
+    fn of(op: FrameOp, frame: &WireFrame) -> Self {
         match op {
             FrameOp::PullNewer(_) => Self {
                 keys: frame.keys.len() as u64,
@@ -271,8 +271,8 @@ pub struct PsClient {
     /// Run-global overload protection (retry budget + circuit breakers),
     /// shared by every worker's client like `ShardLiveness`.
     overload: Option<Arc<OverloadControl>>,
-    /// The backend every frame exchange crosses: the simulated cost-model
-    /// path by default, or a socket backend via
+    /// The backend that carries every frame to its shard: `store` itself
+    /// by default, or a socket backend via
     /// [`with_transport`](Self::with_transport).
     transport: Arc<dyn Transport>,
 }
@@ -295,21 +295,20 @@ impl PsClient {
         Self {
             worker_id,
             topology,
+            transport: Arc::new(SimTransport(store.clone())),
             store,
             meter,
             faults: None,
             checksums: true,
             hedge: Arc::new(Mutex::new(HedgeState::default())),
             overload: None,
-            transport: Arc::new(SimTransport),
         }
     }
 
-    /// Route all frame exchanges through `transport` instead of the
-    /// default simulated path. Fault injection, hedging, and replication
-    /// are properties of the simulated backend; attaching a socket
-    /// transport to a client that also carries a fault binding is a
-    /// configuration error the trainer rejects up front.
+    /// Have `transport` carry every frame instead of the in-process store.
+    /// Metering and the fault loop stay on this side of the seam; why the
+    /// trainer still refuses faults over a socket transport is at
+    /// `TrainConfig::check_socket_transport`.
     pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
         self.transport = transport;
         self
@@ -344,7 +343,8 @@ impl PsClient {
         self.faults.as_ref()
     }
 
-    /// The underlying store (for evaluation snapshots).
+    /// The in-process store: what the default transport serves; a socket
+    /// run's mirror (evaluation snapshots, checkpoints).
     pub fn store(&self) -> &Arc<KvStore> {
         &self.store
     }
@@ -359,7 +359,7 @@ impl PsClient {
     /// version (8 bytes and a row each) are cache misses — all of a plain
     /// pull — the 12 bytes per conditional key the probe, and what names
     /// and carries each returned row (12 bytes and the row) the refresh.
-    pub(crate) fn record_exchange(&self, shard: usize, op: FrameOp, sent: Sent, frame: &WireFrame) {
+    fn record_exchange(&self, shard: usize, op: FrameOp, sent: Sent, frame: &WireFrame) {
         let remote = !self.topology.is_local(self.worker_id, shard);
         let bytes = frame.wire_bytes();
         match op {
@@ -455,6 +455,25 @@ impl PsClient {
         mut sink: impl FnMut(usize, &[f32]),
     ) -> Result<(), RpcError> {
         self.try_pull_newer_with(keys, &[], Refresh::Sync, scratch, |i, _, row| sink(i, row))
+    }
+
+    /// What [`try_pull_batch_with`](Self::try_pull_batch_with) of `keys`
+    /// is metered as when every frame is delivered first time: per touched
+    /// shard one message of 8 bytes and the row per key, duplicates
+    /// included, all cache misses. Sends nothing, reads no row: a pipelined
+    /// worker books a pull's slot on its comm lane with it.
+    pub fn plain_pull_cost(&self, keys: &[ParamKey], scratch: &mut PsScratch) -> TrafficSnapshot {
+        self.store.router().plan_into(keys, &mut scratch.plan);
+        let cost = TrafficMeter::new();
+        for shard in scratch.plan.shards() {
+            let rows = scratch.plan.indices(shard);
+            let bytes = rows
+                .map(|i| KEY_BYTES + self.store.row_bytes(keys[i]))
+                .sum();
+            let remote = !self.topology.is_local(self.worker_id, shard);
+            cost.record(remote, &[(Cause::MissPull, bytes)]);
+        }
+        cost.snapshot()
     }
 
     /// Pull-if-newer, the one read. `held` belongs to the *last*
@@ -756,12 +775,9 @@ impl PsClient {
         }
     }
 
-    /// Exchange the frame of every shard the plan touches, in ascending
-    /// shard order, through the attached [`Transport`]: the default
-    /// [`SimTransport`] delegates straight to
-    /// [`sim_exchange`](Self::sim_exchange); a socket transport puts the
-    /// frame on a real wire instead. All-or-nothing: the first shard that
-    /// exhausts its retries aborts the batch.
+    /// [`exchange`](Self::exchange) the frame of every shard the plan
+    /// touches, in ascending shard order. All-or-nothing: the first shard
+    /// that exhausts its retries aborts the batch.
     fn transmit(
         &self,
         plan: &BatchPlan,
@@ -769,8 +785,7 @@ impl PsClient {
         op: FrameOp,
     ) -> Result<(), RpcError> {
         for shard in plan.shards() {
-            self.transport
-                .exchange(self, shard, op, &mut frames[shard])?;
+            self.exchange(shard, op, &mut frames[shard])?;
         }
         Ok(())
     }
@@ -791,33 +806,26 @@ impl PsClient {
         }
     }
 
-    /// Send one frame to `shard`, retrying under the fault policy. Every
-    /// transmission attempt is metered — a dropped or corrupted message
-    /// still crossed the wire, so its bytes (and its retransmission's)
-    /// count toward simulated network time. On return the frame holds what
-    /// the receiver accepted: the sealed contents, unless checksums are off
-    /// and transit corruption was ingested.
+    /// Exchange one frame with `shard`: the transport carries it, once, and
+    /// this meters it — the one place that does, whichever backend — and,
+    /// with a fault injector attached, adjudicates its transit, retrying
+    /// under the fault policy. Every transmission attempt is metered — a
+    /// dropped or corrupted message still crossed the wire, so its bytes
+    /// (and its retransmission's) count toward simulated network time. On
+    /// return the frame holds what the receiver accepted: the sealed
+    /// contents, unless checksums are off and transit corruption was
+    /// ingested. A read's request and response transit as one message; a
+    /// push or write frame is applied to this process's store once every
+    /// shard's frame got through.
     ///
     /// Reads are hedgeable: if a delivered remote read took far longer than
     /// the cost model predicts (a straggler episode), the same request is
     /// hedged to a backup replica and the faster response wins. Writes are
     /// never hedged — duplicating a gradient push would double-apply it.
-    ///
-    /// A read arrives as its request frame and is answered from the store
-    /// first ([`answer_read`], the function a shard server runs); request
-    /// and response then transit as one message. A push or write frame only
-    /// transits here: it is applied once every shard's frame got through.
-    pub(crate) fn sim_exchange(
-        &self,
-        shard: usize,
-        op: FrameOp,
-        frame: &mut WireFrame,
-    ) -> Result<(), RpcError> {
+    fn exchange(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError> {
         let hedgeable = matches!(op, FrameOp::PullNewer(_));
         let sent = Sent::of(op, frame);
-        if let FrameOp::PullNewer(_) = op {
-            answer_read(&self.store, shard, frame);
-        }
+        self.transport.carry(shard, op, frame)?;
         let bytes = sent.bytes() + frame.wire_bytes();
         let remote = !self.topology.is_local(self.worker_id, shard);
         let record = |frame: &WireFrame| self.record_exchange(shard, op, sent, frame);
@@ -1057,6 +1065,7 @@ mod tests {
     use hetkg_embed::init::Init;
     use hetkg_kgraph::KeySpace;
     use hetkg_netsim::{CostModel, FaultPlan, TrafficSnapshot};
+    use proptest::prelude::*;
 
     fn setup(machines: usize) -> (Arc<KvStore>, ClusterTopology) {
         let ks = KeySpace::new(8, 4);
@@ -2342,5 +2351,31 @@ mod tests {
             clean, faulty,
             "retransmission delivered the sealed bytes bit for bit"
         );
+    }
+
+    proptest! {
+        /// `plain_pull_cost` is the meter's delta over the pull it prices —
+        /// lanes, messages and causes — on 1–4 machines, from either end of
+        /// the cluster, over duplicate keys and two row widths, and it
+        /// meters nothing itself.
+        #[test]
+        fn plain_pull_cost_is_what_the_pull_is_metered_as(
+            machines in 1usize..5,
+            last_worker in any::<bool>(),
+            picks in prop::collection::vec(0u64..12, 0..24),
+        ) {
+            // TransR-shaped: a relation row is wider than an entity row.
+            let router = ShardRouter::round_robin(KeySpace::new(8, 4), machines);
+            let store = Arc::new(KvStore::new(router, 4, 6, 0, Init::Uniform { bound: 0.1 }, 1));
+            let meter = Arc::new(TrafficMeter::new());
+            let worker = if last_worker { machines - 1 } else { 0 };
+            let client = PsClient::new(worker, ClusterTopology::new(machines, 1), store, meter.clone());
+            let keys: Vec<ParamKey> = picks.into_iter().map(ParamKey).collect();
+            let mut scratch = PsScratch::new();
+            let cost = client.plain_pull_cost(&keys, &mut scratch);
+            prop_assert_eq!(meter.snapshot(), TrafficSnapshot::default());
+            client.try_pull_batch_with(&keys, &mut scratch, |_, _| {}).unwrap();
+            prop_assert_eq!(cost, meter.snapshot());
+        }
     }
 }

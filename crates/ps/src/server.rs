@@ -21,7 +21,8 @@ use crate::kvstore::KvStore;
 use crate::optimizer::OptimizerKind;
 use crate::router::ShardRouter;
 use crate::transport::{
-    answer_read, apply_frame, ServerAddr, OP_ACK, OP_PULL_NEWER, OP_PUSH, OP_SHUTDOWN, OP_WRITE,
+    answer_read, apply_frame, ProcessTransport, RowWidths, ServerAddr, OP_ACK, OP_PULL_NEWER,
+    OP_PUSH, OP_SHUTDOWN, OP_WRITE,
 };
 use hetkg_embed::init::Init;
 use hetkg_kgraph::{KeySpace, ParamKey};
@@ -349,14 +350,16 @@ pub enum SocketMode {
 /// Lifecycle: [`spawn`](Self::spawn) writes the shared config JSON into a
 /// scratch directory, launches every server, and blocks until each prints
 /// its [`READY_PREFIX`] line. [`transport`](Self::transport) then builds
-/// the [`ProcessTransport`](crate::transport::ProcessTransport) dialing
-/// them. Shut down with `transport.send_shutdown()` followed by
-/// [`wait`](Self::wait); dropping the cluster kills any still-running
-/// children so a panicking test cannot leak processes.
+/// the [`ProcessTransport`] dialing them. Shut down with
+/// `transport.send_shutdown()` followed by [`wait`](Self::wait); dropping the
+/// cluster kills any still-running children so a panicking test cannot leak
+/// processes.
 #[derive(Debug)]
 pub struct ProcessCluster {
     children: Vec<Child>,
     addrs: Vec<ServerAddr>,
+    /// Row widths of the servers' tables.
+    widths: RowWidths,
     dir: PathBuf,
     waited: bool,
 }
@@ -380,6 +383,11 @@ impl ProcessCluster {
         let mut cluster = Self {
             children: Vec::with_capacity(config.num_shards),
             addrs: Vec::with_capacity(config.num_shards),
+            widths: RowWidths {
+                num_entities: config.num_entities as u64,
+                entity_dim: config.entity_dim,
+                relation_dim: config.relation_dim,
+            },
             dir,
             waited: false,
         };
@@ -429,18 +437,13 @@ impl ProcessCluster {
         Ok(cluster)
     }
 
-    /// The shard servers' dial addresses (index = shard id).
-    pub fn addrs(&self) -> &[ServerAddr] {
-        &self.addrs
-    }
-
     /// A transport dialing this cluster.
-    pub fn transport(&self) -> crate::transport::ProcessTransport {
-        crate::transport::ProcessTransport::new(self.addrs.clone())
+    pub fn transport(&self) -> ProcessTransport {
+        ProcessTransport::new(self.addrs.clone(), self.widths)
     }
 
     /// Reap every server after an orderly
-    /// [`send_shutdown`](crate::transport::ProcessTransport::send_shutdown).
+    /// [`send_shutdown`](ProcessTransport::send_shutdown).
     /// Any child that did not exit cleanly is killed; the first failure is
     /// reported after all children are reaped.
     pub fn wait(&mut self) -> io::Result<()> {
@@ -882,22 +885,25 @@ mod tests {
             }
         }
 
-        /// Shows every frame the client exchanges to a shard server's
+        /// Carries every frame the client exchanges to a shard server's
         /// connection handler — over an in-memory stream, on the servers'
-        /// own table — then to the simulated exchange, and requires the
-        /// same answer from both.
+        /// own table — and hands the server's reply back, as a socket does,
+        /// after requiring the simulated backend's answer (`answer_read` on
+        /// the client's own store; an acknowledgement for a push or a
+        /// write) to be the same bytes.
         #[derive(Debug)]
         struct BothSides {
             cfg: ShardServerConfig,
             /// What the `ps-server` processes hold. Each touches only its
             /// own shard's rows, so one table stands for all of them.
             served: KvStore,
+            /// The client's own store.
+            sim: Arc<KvStore>,
         }
 
         impl Transport for BothSides {
-            fn exchange(
+            fn carry(
                 &self,
-                client: &PsClient,
                 shard: usize,
                 op: FrameOp,
                 frame: &mut WireFrame,
@@ -905,14 +911,21 @@ mod tests {
                 let request = request_bytes(op.wire_op(), frame);
                 let served = feed(&self.cfg, shard, &self.served, &request)
                     .expect("a shard server refused a frame the client sealed");
-                client.sim_exchange(shard, op, frame)?;
                 let simulated = match op {
-                    FrameOp::PullNewer(_) => request_bytes(OP_PULL_NEWER, frame),
+                    FrameOp::PullNewer(_) => {
+                        answer_read(&self.sim, shard, frame);
+                        request_bytes(OP_PULL_NEWER, frame)
+                    }
                     FrameOp::Push | FrameOp::Write => {
                         request_bytes(OP_ACK, &WireFrame::seal(Vec::new(), Vec::new()))
                     }
                 };
                 assert_eq!(served, simulated, "shard {shard}, {op:?}");
+                if let FrameOp::PullNewer(_) = op {
+                    *frame = stream::read_message(&mut io::Cursor::new(&served))
+                        .expect("the reply decodes")
+                        .frame;
+                }
                 Ok(())
             }
         }
@@ -940,7 +953,11 @@ mod tests {
             ) {
                 let cfg = two_width_config();
                 let sim = Arc::new(cfg.build_store());
-                let both = Arc::new(BothSides { cfg: cfg.clone(), served: cfg.build_store() });
+                let both = Arc::new(BothSides {
+                    cfg: cfg.clone(),
+                    served: cfg.build_store(),
+                    sim: sim.clone(),
+                });
                 let client = PsClient::new(
                     0,
                     ClusterTopology::new(2, 1),

@@ -1,14 +1,15 @@
-//! The pluggable transport seam behind [`PsClient`].
+//! The pluggable transport seam behind the PS client.
 //!
 //! Every read/push/write the client issues funnels through one call —
-//! [`Transport::exchange`] — with a sealed [`WireFrame`] in hand. Two
-//! implementations exist:
+//! [`Transport::carry`]: get this sealed [`WireFrame`] answered by its
+//! shard, once. A transport knows nothing of the client above it; metering,
+//! fault adjudication, retries, hedging and breakers are the client's,
+//! whichever backend carried the frame. Two implementations exist:
 //!
-//! * [`SimTransport`] (the default): the in-process cost-model path,
-//!   byte-for-byte identical to the pre-trait client. Fault injection,
-//!   hedged pulls, circuit breakers, and replication shipping all live on
-//!   this side of the seam — they model cluster conditions the socket
-//!   backend does not reproduce (yet).
+//! * [`SimTransport`] (the default): the shards are an in-process
+//!   [`KvStore`]. A read is answered from it on the spot; a push or write
+//!   frame is only accepted, because the client applies a batch's frames
+//!   once every shard's got through.
 //! * [`ProcessTransport`]: each PS shard is a real OS process (the
 //!   `hetkg ps-server` subcommand) speaking length-prefixed `WireFrame`s
 //!   (see [`hetkg_netsim::stream`]) over TCP or Unix-domain sockets.
@@ -21,16 +22,14 @@
 //! backend runs them on the client's store, a `ps-server` process on its
 //! own, so the two cannot disagree about what a frame returns or changes.
 //!
-//! Both backends meter a successful exchange the same way
-//! ([`PsClient::record_exchange`]): the frame's
-//! [`wire_bytes`](WireFrame::wire_bytes) — for a read, the request frame's
-//! plus the response frame's — on the local or remote lane depending on
-//! shard placement. Envelope bytes (length prefix, op byte,
-//! counts) ride unmetered on both, exactly like the cost model's
+//! A carried frame is metered by the client, the same way on both
+//! backends: the frame's [`wire_bytes`](WireFrame::wire_bytes) — for a
+//! read, the request frame's plus the response frame's — on the local or
+//! remote lane depending on shard placement. Envelope bytes (length prefix,
+//! op byte, counts) ride unmetered on both, exactly like the cost model's
 //! per-message overhead — which is what makes the cross-backend
 //! differential test able to demand *identical* byte totals.
 
-use crate::client::{PsClient, Sent};
 use crate::error::RpcError;
 use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
@@ -46,6 +45,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 // Stream operation bytes (the `op` field of a stream message). Byte 0 was
@@ -106,40 +106,31 @@ impl FrameOp {
     }
 }
 
-/// One-frame-per-shard exchange: the single seam every PS interaction
-/// crosses.
+/// Get one frame answered by its shard: the single seam every PS
+/// interaction crosses.
 ///
-/// Contract: on `Ok(())` the frame holds what the server accepted (for a
-/// read, the whole response frame), and the exchange has been metered once
-/// per the client's topology ([`PsClient::record_exchange`]). On `Err` the frame's
-/// payload is unspecified and nothing further was metered by this call
-/// beyond attempts actually made.
+/// Contract: on `Ok(())` the shard accepted the frame and, for a read, the
+/// whole response frame has replaced it. On `Err` the frame's payload is
+/// unspecified. Nothing is metered here: that is the caller's.
 pub trait Transport: fmt::Debug + Send + Sync {
-    /// Exchange `frame` with `shard` on behalf of `client`.
-    fn exchange(
-        &self,
-        client: &PsClient,
-        shard: usize,
-        op: FrameOp,
-        frame: &mut WireFrame,
-    ) -> Result<(), RpcError>;
+    /// Carry `frame` to `shard` and bring back its answer.
+    fn carry(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError>;
 }
 
-/// The default backend: the simulated in-process path, unchanged.
-/// Delegates straight back into the client's cost-model/fault machinery so
-/// `--transport sim` is bitwise-identical to the pre-trait code.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimTransport;
+/// The default backend: the shards are this in-process store.
+#[derive(Debug)]
+pub struct SimTransport(pub Arc<KvStore>);
 
 impl Transport for SimTransport {
-    fn exchange(
-        &self,
-        client: &PsClient,
-        shard: usize,
-        op: FrameOp,
-        frame: &mut WireFrame,
-    ) -> Result<(), RpcError> {
-        client.sim_exchange(shard, op, frame)
+    /// A read is answered from the store ([`answer_read`], the function a
+    /// shard server runs). A push or write frame is only accepted: the
+    /// client applies a batch's frames ([`apply_frame`]) once every shard's
+    /// got through, so a batch one shard refuses changes nothing.
+    fn carry(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError> {
+        if let FrameOp::PullNewer(_) = op {
+            answer_read(&self.0, shard, frame);
+        }
+        Ok(())
     }
 }
 
@@ -237,12 +228,21 @@ pub(crate) fn apply_frame(
     Ok(())
 }
 
+/// How wide each key's row is — all a socket transport needs to know of the
+/// table to check that a reply has the shape its request asked for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowWidths {
+    pub(crate) num_entities: u64,
+    pub(crate) entity_dim: usize,
+    pub(crate) relation_dim: usize,
+}
+
 /// Whether `response` is a well-formed answer to the read `request`: a
 /// dense frame with one version per key, none of them [`NO_VERSION`],
 /// whose keys are an in-order selection of the request's
 /// conditional keys and whose payload is exactly the request's plain rows
 /// followed by those keys' rows.
-fn answers(store: &KvStore, request: &WireFrame, response: &WireFrame) -> bool {
+fn answers(widths: &RowWidths, request: &WireFrame, response: &WireFrame) -> bool {
     if response.codec() != Codec::Dense
         || !response.encoded.is_empty()
         || response.versions.len() != response.keys.len()
@@ -250,7 +250,13 @@ fn answers(store: &KvStore, request: &WireFrame, response: &WireFrame) -> bool {
     {
         return false;
     }
-    let words = |k: &u64| store.row_dim(ParamKey(*k));
+    let words = |&k: &u64| {
+        if k < widths.num_entities {
+            widths.entity_dim
+        } else {
+            widths.relation_dim
+        }
+    };
     let (plain, conditional) = request
         .keys
         .split_at(request.keys.len() - request.versions.len());
@@ -405,42 +411,29 @@ const IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// The socket backend: one persistent stream per shard server, exchanges
 /// serialized per shard by a mutex (workers are driven single-threaded, so
 /// this is protection, not a bottleneck).
+#[derive(Debug)]
 pub struct ProcessTransport {
     conns: Vec<Mutex<ShardConn>>,
-}
-
-impl fmt::Debug for ProcessTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProcessTransport")
-            .field("shards", &self.conns.len())
-            .finish()
-    }
+    /// The servers' row widths, which every read reply is checked against.
+    widths: RowWidths,
 }
 
 impl ProcessTransport {
-    /// A transport dialing the given shard servers (index = shard id).
-    pub fn new(addrs: Vec<ServerAddr>) -> Self {
+    /// A transport dialing the given shard servers (index = shard id),
+    /// whose tables hold rows of `widths`.
+    pub(crate) fn new(addrs: Vec<ServerAddr>, widths: RowWidths) -> Self {
         Self {
             conns: addrs
                 .into_iter()
                 .map(|addr| Mutex::new(ShardConn { addr, sock: None }))
                 .collect(),
+            widths,
         }
-    }
-
-    /// Number of shard servers this transport dials.
-    pub fn num_shards(&self) -> usize {
-        self.conns.len()
     }
 
     /// One round trip: the frame goes out, the reply must verify and carry
     /// the op that answers `op`.
-    fn attempt(
-        store: &KvStore,
-        conn: &mut ShardConn,
-        op: FrameOp,
-        frame: &mut WireFrame,
-    ) -> io::Result<()> {
+    fn attempt(&self, conn: &mut ShardConn, op: FrameOp, frame: &mut WireFrame) -> io::Result<()> {
         let sock = conn.dial()?;
         stream::write_frame(sock, op.wire_op(), frame)?;
         let StreamMessage {
@@ -451,7 +444,9 @@ impl ProcessTransport {
             return Err(bad_reply("reply failed checksum"));
         }
         match op {
-            FrameOp::PullNewer(_) if reply == OP_PULL_NEWER && answers(store, frame, &resp) => {
+            FrameOp::PullNewer(_)
+                if reply == OP_PULL_NEWER && answers(&self.widths, frame, &resp) =>
+            {
                 *frame = resp;
                 Ok(())
             }
@@ -506,14 +501,7 @@ fn map_io_error(e: &io::Error, shard: usize, attempts: u32) -> RpcError {
 }
 
 impl Transport for ProcessTransport {
-    fn exchange(
-        &self,
-        client: &PsClient,
-        shard: usize,
-        op: FrameOp,
-        frame: &mut WireFrame,
-    ) -> Result<(), RpcError> {
-        let sent = Sent::of(op, frame);
+    fn carry(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError> {
         let conn = self
             .conns
             .get(shard)
@@ -522,11 +510,8 @@ impl Transport for ProcessTransport {
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
-            match Self::attempt(client.store(), &mut conn, op, frame) {
-                Ok(()) => {
-                    client.record_exchange(shard, op, sent, frame);
-                    return Ok(());
-                }
+            match self.attempt(&mut conn, op, frame) {
+                Ok(()) => return Ok(()),
                 Err(e) => {
                     // Whatever the failure, the stream is suspect: drop it
                     // and re-dial on the next attempt.
@@ -599,6 +584,15 @@ mod tests {
         }
     }
 
+    /// `small_store`'s row widths, as a socket transport is told them.
+    fn widths() -> RowWidths {
+        RowWidths {
+            num_entities: 6,
+            entity_dim: 4,
+            relation_dim: 4,
+        }
+    }
+
     fn small_store() -> KvStore {
         use crate::router::ShardRouter;
         use hetkg_embed::init::Init;
@@ -617,7 +611,7 @@ mod tests {
         let request = frame.clone();
         answer_read(&store, 0, &mut frame);
         assert!(frame.keys.is_empty() && frame.payload.is_empty() && frame.verify());
-        assert!(answers(&store, &request, &frame));
+        assert!(answers(&widths(), &request, &frame));
         // Two rows are written; a third is asked for without a held copy.
         store.store(ParamKey(3), &[1.0; 4]);
         store.store(ParamKey(7), &[2.0; 4]);
@@ -636,7 +630,7 @@ mod tests {
         );
         assert_ne!(frame.versions[1], held[1]);
         assert_eq!(frame.wire_bytes(), 3 * (8 + 4 + 16));
-        assert!(answers(&store, &request, &frame));
+        assert!(answers(&widths(), &request, &frame));
         // Asking again with what came back returns nothing.
         let mut again =
             WireFrame::seal_versioned(frame.keys.clone(), frame.versions.clone(), vec![]);
@@ -674,32 +668,31 @@ mod tests {
             request.wire_bytes() + frame.wire_bytes(),
             2 * (8 + 16) + 2 * 12 + (12 + 16)
         );
-        assert!(answers(&store, &request, &frame));
+        assert!(answers(&widths(), &request, &frame));
         // A response that drops a plain row is refused.
         let short = WireFrame::seal_versioned(vec![5], frame.versions.clone(), vec![0.0; 8]);
-        assert!(!answers(&store, &request, &short));
+        assert!(!answers(&widths(), &request, &short));
         // So is one that names a plain key as if it had been conditional.
         let named = WireFrame::seal_versioned(vec![1, 5], vec![0, 1], vec![0.0; 12]);
-        assert!(!answers(&store, &request, &named));
+        assert!(!answers(&widths(), &request, &named));
     }
 
     #[test]
     fn malformed_newer_responses_are_refused() {
-        let store = small_store();
         let request = WireFrame::seal_versioned(vec![1, 2, 6], vec![NO_VERSION; 3], Vec::new());
         let ok = WireFrame::seal_versioned(vec![1, 6], vec![0, 0], vec![0.0; 8]);
-        assert!(answers(&store, &request, &ok));
+        assert!(answers(&widths(), &request, &ok));
         let reordered = WireFrame::seal_versioned(vec![6, 1], vec![0, 0], vec![0.0; 8]);
-        assert!(!answers(&store, &request, &reordered));
+        assert!(!answers(&widths(), &request, &reordered));
         let unasked = WireFrame::seal_versioned(vec![1, 4], vec![0, 0], vec![0.0; 8]);
-        assert!(!answers(&store, &request, &unasked));
+        assert!(!answers(&widths(), &request, &unasked));
         let repeated = WireFrame::seal_versioned(vec![1, 1], vec![0, 0], vec![0.0; 8]);
-        assert!(!answers(&store, &request, &repeated));
+        assert!(!answers(&widths(), &request, &repeated));
         let short = WireFrame::seal_versioned(vec![1, 6], vec![0, 0], vec![0.0; 7]);
-        assert!(!answers(&store, &request, &short));
+        assert!(!answers(&widths(), &request, &short));
         let unversioned = WireFrame::seal(vec![1], vec![0.0; 4]);
-        assert!(!answers(&store, &request, &unversioned));
+        assert!(!answers(&widths(), &request, &unversioned));
         let no_version = WireFrame::seal_versioned(vec![1], vec![NO_VERSION], vec![0.0; 4]);
-        assert!(!answers(&store, &request, &no_version));
+        assert!(!answers(&widths(), &request, &no_version));
     }
 }

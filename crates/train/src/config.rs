@@ -209,9 +209,8 @@ pub struct TrainConfig {
     /// default) is the in-process cost-model path, bit-identical to
     /// pre-transport behavior; `Tcp`/`Uds` run each PS shard as a real
     /// `hetkg ps-server` process and put every frame on a real socket.
-    /// Socket modes require faults, replication, retry budgets, and
-    /// breakers off — those model cluster conditions the simulated backend
-    /// owns.
+    /// Socket modes refuse some options
+    /// ([`TrainConfig::check_socket_transport`]).
     #[serde(default)]
     pub transport: TransportKind,
     /// Path to the `hetkg` binary whose `ps-server` subcommand the socket
@@ -248,6 +247,17 @@ impl std::fmt::Display for TransportKind {
             TransportKind::Uds => "uds",
         })
     }
+}
+
+/// An option a socket transport refuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SocketRefusal {
+    /// A fault plan is attached.
+    FaultInjection,
+    /// Shards keep backups.
+    Replication,
+    /// A retry budget or circuit breakers are configured.
+    OverloadProtection,
 }
 
 fn default_integrity() -> bool {
@@ -336,6 +346,24 @@ impl TrainConfig {
     pub fn topology(&self) -> ClusterTopology {
         ClusterTopology::new(self.machines, self.workers_per_machine)
     }
+
+    /// Whether this config can run over [`TransportKind::Tcp`] /
+    /// [`TransportKind::Uds`] — the one place that says which options a
+    /// socket transport refuses. All three for one reason: this process
+    /// applies a multi-shard push only once every shard's frame got through,
+    /// a `ps-server` applies a frame on receipt, so a batch stopped half-way
+    /// would leave servers and mirror apart (DESIGN.md "Scope and metering").
+    pub fn check_socket_transport(&self) -> Result<(), SocketRefusal> {
+        if self.faults.is_some() {
+            Err(SocketRefusal::FaultInjection)
+        } else if self.replication.min(self.machines) > 1 {
+            Err(SocketRefusal::Replication)
+        } else if self.retry_budget.is_some() || self.breaker.is_some() {
+            Err(SocketRefusal::OverloadProtection)
+        } else {
+            Ok(())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +401,59 @@ mod tests {
         let t = cfg.topology();
         assert_eq!(t.num_machines(), 2);
         assert_eq!(t.num_workers(), 2);
+    }
+
+    #[test]
+    fn sockets_refuse_fault_injection() {
+        let clean = TrainConfig::small(SystemKind::HetKgCps);
+        assert_eq!(clean.check_socket_transport(), Ok(()));
+        // Even an inert plan: the refusal is about the machinery attached.
+        let faulty = TrainConfig {
+            faults: Some(FaultPlan::default()),
+            ..clean
+        };
+        assert_eq!(
+            faulty.check_socket_transport(),
+            Err(SocketRefusal::FaultInjection)
+        );
+    }
+
+    #[test]
+    fn sockets_refuse_replication_that_keeps_a_backup() {
+        let replicated = TrainConfig {
+            replication: 2,
+            ..TrainConfig::small(SystemKind::HetKgCps)
+        };
+        assert_eq!(
+            replicated.check_socket_transport(),
+            Err(SocketRefusal::Replication)
+        );
+        // A lone machine has nowhere to keep one (the trainer clamps the
+        // factor to the machine count): nothing to refuse.
+        let clamped = TrainConfig {
+            machines: 1,
+            ..replicated
+        };
+        assert_eq!(clamped.check_socket_transport(), Ok(()));
+    }
+
+    #[test]
+    fn sockets_refuse_overload_protection() {
+        let clean = TrainConfig::small(SystemKind::HetKgCps);
+        let budgeted = TrainConfig {
+            retry_budget: Some(RetryBudgetConfig::default()),
+            ..clean.clone()
+        };
+        let guarded = TrainConfig {
+            breaker: Some(BreakerConfig::default()),
+            ..clean
+        };
+        for cfg in [budgeted, guarded] {
+            assert_eq!(
+                cfg.check_socket_transport(),
+                Err(SocketRefusal::OverloadProtection)
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! communication share Table I measures.
 //!
 //! With overlap accounting on the loop pipelines like HET-KG's: the next
-//! batch is drawn while the current one computes, and every key of it the
-//! in-flight batch does not write is pulled ahead, behind that compute.
-//! What consecutive batches share — hot relations and entities, a fifth of
-//! a batch's keys on the benchmark's skewed graph — is pulled at consume
-//! time, after the in-flight push. [`StagedPull`] states the contract.
+//! batch is drawn while the current one computes, and the pull of every key
+//! of it the in-flight batch does not write is booked ahead on the comm
+//! lane, behind that compute. What consecutive batches share — hot
+//! relations and entities, a fifth of a batch's keys on the benchmark's
+//! skewed graph — waits for the in-flight push. Every row is carried when
+//! the batch is consumed. [`StagedPull`] states the contract.
 
 use crate::batch::BatchResult;
 use crate::plan::BatchPlan;

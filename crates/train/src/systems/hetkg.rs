@@ -38,16 +38,16 @@
 //! two-stage software pipeline: while iteration `i` computes, iteration
 //! `i+1` is *staged* — its batch drawn, usage counted, cache probed — and
 //! its miss pull is split per key by [`StagedPull`], which states the
-//! contract: a miss the in-flight batch does not write is pulled now,
-//! behind compute; one it does write, at consume time. (Under DPS, while
-//! capacity does not bind, none is left for consume time: a key both
-//! batches read is read twice in their window, hence cached, hence not a
-//! miss.) Values match the sequential schedule bit for bit because rows
-//! are *delivered* at consume time — early misses from the server's
-//! current rows, hits from the cache after the in-flight push's local
-//! updates and before this iteration's sync. Sync iterations are staged
-//! like any other; the table's pull-if-newer goes out at consume time with
-//! the late misses. The sequential path is the same code with nothing
+//! contract: the pull of a miss the in-flight batch does not write takes
+//! its slot on the comm lane now, behind compute; one it does write waits
+//! for that batch's push. (Under DPS, while capacity does not bind, none
+//! waits: a key both batches read is read twice in their window, hence
+//! cached, hence not a miss.) Values match the sequential schedule bit for
+//! bit because every row is *carried* at consume time — misses by the one
+//! pull through the client, hits from the cache after the in-flight push's
+//! local updates and before this iteration's sync. Sync iterations are
+//! staged like any other; the table's pull-if-newer goes out at consume
+//! time with the late misses. The sequential path is the same code with nothing
 //! issued early, which is also how an epoch's first iteration and a
 //! construction iteration run (a rebuild changes what a probe would find).
 //! The trainer disables overlap entirely under non-inert fault plans.
@@ -724,14 +724,13 @@ impl HetKgWorker {
     /// Make the staged batch the one in flight. Hit values are copied from
     /// the cache *now* — after the previous push applied its local updates,
     /// before this iteration's sync — so a hit is at most one sync period
-    /// stale, which is exactly the bounded-staleness contract; the early
-    /// misses receive the server's current rows (free: their frames were
-    /// metered at issue time) and the late misses are pulled now, so every
-    /// value is the sequential schedule's bit for bit. At a sync iteration
-    /// (Alg. 3 lines 8–9; never iteration 0, whose cache was constructed
-    /// from fresh pulls moments ago) the table's synchronization rides in
-    /// the late misses' request: one round trip per server, as a real
-    /// KVStore client batches. Returns the timeline completion of the
+    /// stale, which is exactly the bounded-staleness contract; the misses,
+    /// early (already on the timeline) and late alike, are pulled now, so
+    /// every value is the sequential schedule's bit for bit. At a sync
+    /// iteration (Alg. 3 lines 8–9; never iteration 0, whose cache was
+    /// constructed from fresh pulls moments ago) the table's
+    /// synchronization rides in the late misses' request: one round trip
+    /// per server, as a real KVStore client batches. Returns the timeline completion of the
     /// batch's pull.
     fn consume_staged(&mut self, degraded: bool) -> f64 {
         debug_assert!(self.staged, "a batch was staged");

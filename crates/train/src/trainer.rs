@@ -94,27 +94,15 @@ pub fn train_with_store(
     // --- Socket transport: one real PS-server process per shard ---
     //
     // The in-process `store` stays as a deterministic mirror (eval
-    // snapshots, checkpoints, and the cache's refresh reads all come from
-    // it), while every pull consumes the server's wire response and every
+    // snapshots, checkpoints and the returned store come from it), while
+    // every row a worker trains on is the server's wire response and every
     // push/write is applied by the server's own optimizer. Both sides see
     // the same requests in the same order, so they stay bitwise-equal —
     // the cross-backend differential test holds them to it.
-    let (mut cluster, proc_transport): (
-        Option<ProcessCluster>,
-        Option<Arc<hetkg_ps::ProcessTransport>>,
-    ) = if config.transport.is_socket() {
-        assert!(
-            config.faults.is_none(),
-            "fault injection is sim-only; use --transport sim"
-        );
-        assert!(
-            replication == 1,
-            "replication is sim-only; use --transport sim"
-        );
-        assert!(
-            config.retry_budget.is_none() && config.breaker.is_none(),
-            "overload protection is sim-only; use --transport sim"
-        );
+    let mut sockets = config.transport.is_socket().then(|| {
+        config
+            .check_socket_transport()
+            .expect("a sim-only option over a socket transport; use --transport sim");
         let bin = config
             .ps_server_bin
             .as_deref()
@@ -138,10 +126,8 @@ pub fn train_with_store(
         let cluster = ProcessCluster::spawn(std::path::Path::new(bin), &server_config, mode)
             .expect("spawn ps-server cluster");
         let transport = Arc::new(cluster.transport());
-        (Some(cluster), Some(transport))
-    } else {
-        (None, None)
-    };
+        (cluster, transport)
+    });
 
     // --- Distribute training triples to workers ---
     let per_machine = partitioning.split_triples(train_triples);
@@ -226,8 +212,8 @@ pub fn train_with_store(
             if let Some(ctl) = &overload {
                 client = client.with_overload(ctl.clone());
             }
-            if let Some(t) = &proc_transport {
-                client = client.with_transport(t.clone());
+            if let Some((_, transport)) = &sockets {
+                client = client.with_transport(transport.clone());
             }
             let ctx = WorkerCtx::new(
                 w,
@@ -448,13 +434,9 @@ pub fn train_with_store(
     // (the servers' accept loops are sequential), then the children are
     // reaped. Failures here are real process-management bugs, not
     // tolerable flakiness.
-    if let Some(t) = &proc_transport {
-        t.send_shutdown().expect("ps-server shutdown");
-        cluster
-            .as_mut()
-            .expect("cluster exists with a socket transport")
-            .wait()
-            .expect("ps-server exit");
+    if let Some((cluster, transport)) = &mut sockets {
+        transport.send_shutdown().expect("ps-server shutdown");
+        cluster.wait().expect("ps-server exit");
     }
     (report, store)
 }

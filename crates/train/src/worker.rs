@@ -294,28 +294,32 @@ impl WorkerCtx {
 /// per key: a key the in-flight batch does not touch — that batch's key set
 /// bounds its push's write set — is pulled ahead, behind the in-flight
 /// compute; a key it does touch, when the batch is consumed, after that
-/// push. Against the sequential schedule's one pull: the same rows (early
-/// keys are delivered at consume time), the same bytes per lane and per
-/// cause, and at most one message more per shard — a shard holding keys of
-/// both halves is sent two frames.
+/// push. "Ahead" is where the pull sits on the timeline: staging books its
+/// duration on the comm lane, and the frames are carried once, when the
+/// batch is consumed, so every row trained on is the one its shard answered
+/// with then, on either backend. Against the sequential schedule's one
+/// pull: the same rows, the same bytes per lane and per cause, and at most
+/// one message more per shard — one holding keys of both halves is sent two
+/// frames.
 #[derive(Debug, Default)]
 pub struct StagedPull {
-    /// Keys whose frames were sent ahead, and their working-set slots.
+    /// Keys whose pull was booked ahead, and their working-set slots.
     early: Vec<ParamKey>,
     early_slots: Vec<u32>,
     /// Keys (and slots) pulled at consume time.
     late: Vec<ParamKey>,
     late_slots: Vec<u32>,
+    /// What the early pull was booked as, and must be metered as.
+    booked: TrafficSnapshot,
     /// Timeline completion of the early pull (0 when none).
     pull_end: f64,
 }
 
 impl StagedPull {
     /// Split `keys` (each with the slot its row goes to) and, with
-    /// `pull_ahead`, issue the early keys' frames now — for their traffic
-    /// and their slot on the comm lane only: the rows they carry are
-    /// dropped, because delivery happens at [`StagedPull::deliver`] — and
-    /// add the split to `economy`. Without `pull_ahead` every key waits for
+    /// `pull_ahead`, book the early keys' pull on the comm lane now — what
+    /// the client says it will be metered as; nothing is sent — and add the
+    /// split to `economy`. Without `pull_ahead` every key waits for
     /// `deliver`: the sequential schedule, which is not a split and is not
     /// counted. The in-flight batch is `ctx.scratch.plan`.
     pub fn stage(
@@ -343,21 +347,8 @@ impl StagedPull {
             return;
         }
         if !self.early.is_empty() {
-            let before = ctx.meter.snapshot();
-            let client = &ctx.client;
-            match client.try_pull_batch_with(&self.early, &mut ctx.ps, |_, _| {}) {
-                Ok(()) => {
-                    let delta = ctx.meter.snapshot().since(before);
-                    self.pull_end = ctx.post_comm(delta, 0.0);
-                }
-                Err(_) => {
-                    // Unreachable when the trainer gates overlap on inert
-                    // fault plans; if a caller enables both anyway, fall
-                    // back to pulling these keys at consume time.
-                    self.late.append(&mut self.early);
-                    self.late_slots.append(&mut self.early_slots);
-                }
-            }
+            self.booked = ctx.client.plain_pull_cost(&self.early, &mut ctx.ps);
+            self.pull_end = ctx.post_comm(self.booked, 0.0);
         }
         economy.staged_early += self.early.len() as u64;
         economy.staged_late += self.late.len() as u64;
@@ -370,22 +361,24 @@ impl StagedPull {
         (&self.late, &self.late_slots)
     }
 
-    /// Deliver the early keys into the working set (already laid out for
-    /// the batch): each slot receives the server's *current* row — free,
-    /// its frame was metered at issue time — so staged rows observe every
-    /// push that landed since, other workers' included. Returns the
+    /// Pull the early keys into the working set (already laid out for the
+    /// batch), now, so staged rows observe every push that landed since,
+    /// other workers' included. Metered here, not posted again. Returns the
     /// timeline completion of the early pull.
     pub fn deliver_early(&self, ctx: &mut WorkerCtx) -> f64 {
-        let store = ctx.client.store();
-        for (&k, &slot) in self.early.iter().zip(&self.early_slots) {
-            store.pull(k, ctx.ws.row_mut(slot));
+        if !self.early.is_empty() {
+            let metered = ctx.pull_into_ws(&self.early, &self.early_slots);
+            debug_assert_eq!(
+                metered, self.booked,
+                "the early pull was booked as it is metered"
+            );
         }
         self.pull_end
     }
 
-    /// Deliver every staged row: the early keys, then the late keys by
-    /// pulling them now, after the previous push. Returns the timeline
-    /// completion of the whole pull.
+    /// Deliver every staged row: the early keys, then the late keys, both
+    /// pulled now, after the previous push. Returns the timeline completion
+    /// of the whole pull.
     pub fn deliver(&self, ctx: &mut WorkerCtx) -> f64 {
         let mut pull_end = self.deliver_early(ctx);
         if !self.late.is_empty() {
@@ -500,26 +493,25 @@ mod tests {
     use hetkg_embed::ModelKind;
     use hetkg_netsim::{ClusterTopology, FaultInjector, FaultPlan};
     use hetkg_ps::optimizer::Sgd;
-    use hetkg_ps::{KvStore, RetryPolicy, ShardRouter};
+    use hetkg_ps::{KvStore, RetryPolicy, ShardRouter, SimTransport};
     use proptest::prelude::*;
 
     fn ctx() -> WorkerCtx {
         ctx_on(1).0
     }
 
+    /// A `machines`-shard table whose rows are a function of `seed`.
+    fn store_on(machines: usize, seed: u64) -> Arc<KvStore> {
+        let router = ShardRouter::round_robin(KeySpace::new(10, 2), machines);
+        let init = Init::Uniform { bound: 0.2 };
+        Arc::new(KvStore::new(router, 4, 4, 0, init, seed))
+    }
+
     /// Worker 0's context on a `machines`-shard store, and the store (so a
     /// test can attach another worker's client to it).
     fn ctx_on(machines: usize) -> (WorkerCtx, Arc<KvStore>) {
-        let ks = KeySpace::new(10, 2);
-        let router = ShardRouter::round_robin(ks, machines);
-        let store = Arc::new(KvStore::new(
-            router,
-            4,
-            4,
-            0,
-            Init::Uniform { bound: 0.2 },
-            1,
-        ));
+        let store = store_on(machines, 1);
+        let ks = store.router().key_space();
         let meter = Arc::new(TrafficMeter::new());
         let client = PsClient::new(
             0,
@@ -604,7 +596,8 @@ mod tests {
 
     #[test]
     fn staged_pull_delivers_the_same_rows_as_a_direct_pull() {
-        let (mut c, _) = ctx_on(2);
+        let (c, _) = ctx_on(2);
+        let mut c = c.with_timing(CostModel::gigabit(), true);
         // Mixed kinds are fine: entities on both shards and a relation key.
         let keys = [0u64, 3, 10, 1].map(ParamKey);
         let unsplit = pull(&mut c, &keys);
@@ -620,16 +613,55 @@ mod tests {
         staged.stage(&mut c, pairs, true, &mut economy);
         assert_eq!(staged.early, keys);
         assert!(staged.late.is_empty());
-        let issued = c.meter.snapshot();
-        assert_eq!(issued.since(before), unsplit, "the frames transit at stage");
-        assert!(unsplit.total_bytes() > 0);
-        staged.deliver(&mut c);
+        assert_eq!(c.meter.snapshot(), before, "nothing transits at stage");
+        let booked = unsplit.simulated_time(&c.cost);
+        assert!(booked > 0.0);
         assert_eq!(
-            c.meter.snapshot(),
-            issued,
-            "delivery of an issued pull is free"
+            c.timeline.busy(Lane::Comm),
+            booked,
+            "the pull's slot on the comm lane is taken at stage"
+        );
+        let pull_end = staged.deliver(&mut c);
+        assert_eq!(
+            c.meter.snapshot().since(before),
+            unsplit,
+            "the direct pull's frames are metered at deliver"
+        );
+        assert_eq!(
+            (c.timeline.busy(Lane::Comm), pull_end),
+            (booked, booked),
+            "a booked pull is not posted again"
         );
         assert_eq!(ws_bits(&c, &slots), direct);
+    }
+
+    #[test]
+    fn every_delivered_row_is_the_one_the_transport_answered_with() {
+        let (mut c, store) = ctx_on(2);
+        // The shards the transport reaches hold other rows than the
+        // client's in-process store.
+        let served = store_on(2, 2);
+        c.client = c
+            .client
+            .with_transport(Arc::new(SimTransport(served.clone())));
+        put_in_flight(&mut c);
+        // Entity 0 and relation 0 are in flight, so they wait; the rest go
+        // ahead.
+        let keys = [1u64, 0, 3, 10, 4].map(ParamKey);
+        let slots = lay_out(&mut c, &keys);
+        let mut staged = StagedPull::default();
+        let pairs = keys.iter().copied().zip(slots.iter().copied());
+        staged.stage(&mut c, pairs, true, &mut TableEconomy::default());
+        assert_eq!(staged.early, [ParamKey(1), ParamKey(3), ParamKey(4)]);
+        assert_eq!(staged.late, [ParamKey(0), ParamKey(10)]);
+        staged.deliver(&mut c);
+        let (mut answered, mut mirrored) = ([0.0f32; 4], [0.0f32; 4]);
+        for (&k, &slot) in keys.iter().zip(&slots) {
+            served.pull(k, &mut answered);
+            store.pull(k, &mut mirrored);
+            assert_ne!(answered, mirrored);
+            assert_eq!(c.ws.row(slot), answered, "{k}");
+        }
     }
 
     /// In flight: entities 0 and 2 (both on shard 0) and relation 0.
@@ -798,27 +830,6 @@ mod tests {
         };
         c.client = c.client.with_faults(inj.clone(), policy);
         (c, inj)
-    }
-
-    #[test]
-    fn failed_early_pull_falls_back_to_pulling_at_delivery() {
-        let (c, _) = ctx_on(2);
-        let (mut c, inj) = with_shard_1_down(c);
-        let keys = [1u64, 0, 3].map(ParamKey);
-        let slots = lay_out(&mut c, &keys);
-        let mut staged = StagedPull::default();
-        let mut economy = TableEconomy::default();
-        let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true, &mut economy);
-        assert!(staged.early.is_empty(), "the refused frames are not early");
-        assert_eq!(staged.late, keys);
-        assert_eq!(staged.late_slots, slots);
-        // The shard is back by the time the batch is consumed.
-        inj.advance(2.0);
-        staged.deliver(&mut c);
-        let delivered = ws_bits(&c, &slots);
-        pull(&mut c, &keys);
-        assert_eq!(delivered, ws_bits(&c, &slots));
     }
 
     #[test]

@@ -50,6 +50,7 @@ use het_kg::kgraph::stats::AccessCounter;
 use het_kg::partition::quality;
 use het_kg::prelude::*;
 use het_kg::ps::ShardServerConfig;
+use het_kg::train_sys::config::SocketRefusal;
 use het_kg::train_sys::oracle;
 use het_kg::train_sys::trainer;
 use std::collections::HashMap;
@@ -605,34 +606,22 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         }
     };
     if cfg.transport.is_socket() {
-        // Fault injection, replication, and overload protection all live in
-        // the simulated cluster; refusing the combination up front beats a
-        // trainer assert.
-        if cfg.faults.is_some() {
-            return Err(CliError::BadFlag {
+        // Refusing the combination up front beats the trainer's panic.
+        cfg.check_socket_transport().map_err(|refused| {
+            let what = match refused {
+                SocketRefusal::FaultInjection => {
+                    "fault injection is sim-only; drop --fault-profile"
+                }
+                SocketRefusal::Replication => "shard replication is sim-only; drop --replication",
+                SocketRefusal::OverloadProtection => {
+                    "overload protection is sim-only; drop --retry-budget/--breaker"
+                }
+            };
+            CliError::BadFlag {
                 flag: "transport",
-                message: format!(
-                    "fault injection is sim-only; drop --fault-profile or use --transport sim \
-                     (got {})",
-                    cfg.transport
-                ),
-            });
-        }
-        if cfg.replication > 1 {
-            return Err(CliError::BadFlag {
-                flag: "transport",
-                message: "shard replication is sim-only; drop --replication or use --transport sim"
-                    .into(),
-            });
-        }
-        if cfg.retry_budget.is_some() || cfg.breaker.is_some() {
-            return Err(CliError::BadFlag {
-                flag: "transport",
-                message: "overload protection is sim-only; drop --retry-budget/--breaker or use \
-                          --transport sim"
-                    .into(),
-            });
-        }
+                message: format!("{what} or use --transport sim (got {})", cfg.transport),
+            }
+        })?;
         let exe = std::env::current_exe().map_err(|e| CliError::BadFlag {
             flag: "transport",
             message: format!("cannot locate the hetkg binary to spawn ps-server shards: {e}"),
