@@ -255,36 +255,59 @@ mod tests {
         // guard instead of the 2% bar; the simulator is deterministic, so
         // none of these assertions are flaky.)
         //
-        // Runs the experiment's own 4 epochs — the committed record — not
-        // the 2-epoch `quick` clamp: a single 2-epoch draw (MRR ≈ 0.04)
-        // scatters ±12 % between modes from seed to seed on any commit, and
-        // DPS admission by reading batches moved seed 42's top-k draw from
-        // −7.1 % to −10.7 %. The bars are unchanged; holding them over a
-        // mean of seeds instead of one draw is ROADMAP verification work.
-        let r = compression(ExpCtx::default());
-        let row = |mode: &str| {
-            r.rows
-                .iter()
-                .find(|row| row[0] == mode)
-                .unwrap_or_else(|| panic!("no {mode} row"))
+        // Runs the experiment's own 4 epochs, not the 2-epoch `quick` clamp.
+        // One draw (MRR ≈ 0.04) scatters ±12 % between modes from seed to
+        // seed on any commit — DPS admission by reading batches moved seed
+        // 42's 2-epoch top-k draw from −7.1 % to −10.7 %, writing hot rows
+        // back once per sync window moved its 4-epoch draw from −3 % to
+        // +10 % — so the two-sided bars (10 %, adaptive 2 %) are held over
+        // the mean of three seeds, and on every single seed no compressed
+        // mode may fall more than 10 % *below* that seed's dense run: a
+        // collapse on any one draw still fails, landing above dense does
+        // not. The byte bars are held on each seed.
+        let seeds = [42u64, 43, 44];
+        let records: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                compression(ExpCtx {
+                    seed,
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let cell = |r: &ExperimentRecord, mode: &str, col: usize| {
+            let row = r.rows.iter().find(|row| row[0] == mode);
+            row.unwrap_or_else(|| panic!("no {mode} row"))[col].clone()
         };
-        let ratio = |mode: &str| {
-            let cell = &row(mode)[3];
+        let ratio = |r: &ExperimentRecord, mode: &str| {
+            let cell = cell(r, mode, 3);
             cell.trim_end_matches('x').parse::<f64>().unwrap()
         };
-        let mrr = |mode: &str| row(mode)[5].parse::<f64>().unwrap();
+        let mrr_of = |r: &ExperimentRecord, mode: &str| cell(r, mode, 5).parse::<f64>().unwrap();
+        let mrr = |mode: &str| {
+            let sum: f64 = records.iter().map(|r| mrr_of(r, mode)).sum();
+            sum / seeds.len() as f64
+        };
         let dense = mrr("off");
         assert!(dense.is_finite() && dense > 0.0);
         let rel = |mode: &str| (mrr(mode) - dense).abs() / dense;
         for mode in ["int8", "topk", "adaptive"] {
-            assert!(
-                ratio(mode) >= 3.0,
-                "{mode} push-lane cut {:.2}x is under the 3x bar",
-                ratio(mode)
-            );
+            for (r, seed) in records.iter().zip(seeds) {
+                assert!(
+                    ratio(r, mode) >= 3.0,
+                    "{mode} push-lane cut {:.2}x is under the 3x bar",
+                    ratio(r, mode)
+                );
+                assert!(
+                    mrr_of(r, mode) >= 0.90 * mrr_of(r, "off"),
+                    "seed {seed}: {mode} MRR {} collapsed from dense {}",
+                    mrr_of(r, mode),
+                    mrr_of(r, "off")
+                );
+            }
             assert!(
                 rel(mode) <= 0.10,
-                "{mode} MRR {} collapsed {:.1}% from dense {}",
+                "{mode} mean MRR {} collapsed {:.1}% from dense {}",
                 mrr(mode),
                 100.0 * rel(mode),
                 dense
@@ -292,12 +315,12 @@ mod tests {
         }
         assert!(
             rel("adaptive") <= 0.02,
-            "adaptive MRR {} drifted {:.1}% from dense {}",
+            "adaptive mean MRR {} drifted {:.1}% from dense {}",
             mrr("adaptive"),
             100.0 * rel("adaptive"),
             dense
         );
         // The dense baseline ships raw == wire: ratio exactly 1.
-        assert_eq!(ratio("off"), 1.0);
+        assert_eq!(ratio(&records[0], "off"), 1.0);
     }
 }

@@ -372,8 +372,8 @@ struct AdmissionRow {
     system: &'static str,
     admission: &'static str,
     /// Remote bytes: total, miss pull, sync probe, sync rows, construction,
-    /// push.
-    remote: [u64; 6],
+    /// push, write-back.
+    remote: [u64; 7],
     /// Simulated seconds: communication, compute, overlap, epoch.
     secs: [f64; 4],
     /// The hot table's economy and its usage-weighted hit ratio; `None` for
@@ -403,6 +403,7 @@ impl AdmissionRow {
                 cause(Cause::SyncRows),
                 cause(Cause::Construction),
                 cause(Cause::Push),
+                cause(Cause::WriteBack),
             ],
             secs: [
                 r.total_comm_secs(),
@@ -453,7 +454,7 @@ const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
         system: "HET-KG-D",
         admission: "raw uses (parent)",
         remote: [
-            19_961_476, 4_039_064, 327_192, 3_010_140, 2_101_248, 10_483_832,
+            19_961_476, 4_039_064, 327_192, 3_010_140, 2_101_248, 10_483_832, 0,
         ],
         secs: [0.2336876752, 0.033509376, 0.0276109144, 0.2395861368],
         table: Some((
@@ -464,6 +465,10 @@ const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
                 fresh_rows: 18_872,
                 staged_early: 21_021,
                 staged_late: 54_707,
+                written_back_rows: 0,
+                coalesced_grads: 0,
+                written_back_energy: 0.0,
+                written_back_sum_sq: 0.0,
             },
             0.7386903734923921,
         )),
@@ -473,7 +478,7 @@ const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
         system: "HET-KG-D",
         admission: "raw uses (parent)",
         remote: [
-            19_977_200, 4_032_672, 327_228, 3_005_380, 2_132_712, 10_479_208,
+            19_977_200, 4_032_672, 327_228, 3_005_380, 2_132_712, 10_479_208, 0,
         ],
         secs: [0.2419105112, 0.034062336, 0.0276045832, 0.2483682640],
         table: Some((
@@ -484,6 +489,10 @@ const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
                 fresh_rows: 19_056,
                 staged_early: 19_061,
                 staged_late: 56_758,
+                written_back_rows: 0,
+                coalesced_grads: 0,
+                written_back_energy: 0.0,
+                written_back_sum_sq: 0.0,
             },
             0.7387648296033389,
         )),
@@ -544,6 +553,7 @@ pub fn dps_admission(_ctx: ExpCtx) -> ExperimentRecord {
             "sync_rows",
             "construction",
             "push",
+            "write_back",
             "comm s",
             "compute s",
             "overlap s",
@@ -560,8 +570,10 @@ pub fn dps_admission(_ctx: ExpCtx) -> ExperimentRecord {
                             raw-use ranking and than DGL-KE: construction shrinks several-fold \
                             (no row + version pulled for a key one batch reads), sync rows \
                             shrink (those rows were re-sent when the worker's own push moved \
-                            them), miss pulls grow by less than the two save, push is \
-                            unchanged; no staged miss key is left for consume time, so overlap \
+                            them), miss pulls grow by less than the two save; the rule leaves \
+                            push alone — it is smaller in this build's rows because hot rows \
+                            are now written back once per sync window (`write-back` has that \
+                            comparison); no staged miss key is left for consume time, so overlap \
                             equals compute; occupancy falls below 100 % (the table holds what \
                             pays, not what fits) and the usage-weighted hit ratio falls with \
                             it, because a corruption used 32 times by one batch counted as 32 \
@@ -657,14 +669,22 @@ mod tests {
         // by `tests/traffic_shape.rs` and `tests/overlap.rs`.
         let r = dps_admission(quick());
         let push = r.columns.iter().position(|c| c == "push").unwrap();
+        assert_eq!(r.columns[push + 1], "write_back");
+        let compute = r.columns.iter().position(|c| c == "compute s").unwrap();
         assert_eq!(r.rows.len(), 3 * RAW_USE_ADMISSION.len());
         // Per seed: DGL-KE, the recorded raw-use row, this build.
         for (rows, recorded) in r.rows.chunks(3).zip(&RAW_USE_ADMISSION) {
             assert!(rows.iter().all(|row| row.len() == r.columns.len()));
             assert_eq!(rows[1], recorded.cells());
-            // Push bytes follow from the batches alone, whatever is cached:
-            // equal ones say the recording is of this graph and seed.
-            assert_eq!(rows[2][push], recorded.cells()[push]);
+            // Compute seconds follow from the triples each worker trains
+            // on, whatever is cached or pushed: equal ones say the
+            // recording is of this graph and seed.
+            assert_eq!(rows[2][compute], recorded.cells()[compute]);
+            // The recording pushed every gradient every iteration; this
+            // build writes its hot rows back instead, in fewer bytes.
+            let mb = |cell: &String| cell.parse::<f64>().unwrap();
+            assert!(mb(&rows[2][push + 1]) > 0.0);
+            assert!(mb(&rows[2][push]) + mb(&rows[2][push + 1]) < mb(&rows[1][push]));
         }
     }
 

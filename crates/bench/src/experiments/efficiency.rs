@@ -333,6 +333,85 @@ const PER_SHARD_SPLIT: [SplitRow; 9] = [
     },
 ];
 
+/// The benchmark's skewed training workload (`train-hetkg-skew` /
+/// `train-dglke-skew`), or with `--quick` one seed of the same graph at a
+/// tenth of its scale.
+#[derive(Clone, Copy)]
+struct SkewScale {
+    /// Graph divisor.
+    shrink: usize,
+    dim: usize,
+    batch_size: usize,
+    epochs: usize,
+    seeds: &'static [u64],
+    machines: usize,
+}
+
+/// One seed's graph, with what a run over it is divided by.
+struct SkewWorkload {
+    kg: hetkg_kgraph::KnowledgeGraph,
+    split: hetkg_kgraph::split::Split,
+    /// Worker iterations of a run, as the trainer cuts them: per machine,
+    /// one per batch of its partition's triples, per epoch.
+    iters: usize,
+    /// Triples trained on over a run.
+    triples: usize,
+}
+
+impl SkewScale {
+    fn of(ctx: ExpCtx) -> Self {
+        let (shrink, dim, batch_size, epochs, seeds): (_, _, _, _, &[u64]) = if ctx.quick {
+            (10, 32, 64, 1, &[7])
+        } else {
+            (1, 128, 512, 2, &[7, 8, 9])
+        };
+        Self {
+            shrink,
+            dim,
+            batch_size,
+            epochs,
+            seeds,
+            machines: 4,
+        }
+    }
+
+    fn workload(&self, seed: u64) -> SkewWorkload {
+        let kg = hetkg_kgraph::generator::SyntheticKg {
+            num_entities: 200_000 / self.shrink,
+            num_relations: 200,
+            num_triples: 800_000 / self.shrink,
+            entity_alpha: 1.0,
+            relation_alpha: 1.1,
+            ..Default::default()
+        }
+        .build(seed);
+        let split = hetkg_kgraph::split::Split::ninety_five_five(&kg, seed);
+        let iters = Partitioner::partition(&MetisLike::new(seed), &kg, self.machines)
+            .split_triples(&split.train)
+            .iter()
+            .map(|t| t.len().div_ceil(self.batch_size))
+            .sum::<usize>()
+            * self.epochs;
+        let triples = self.epochs * split.train.len();
+        SkewWorkload {
+            kg,
+            split,
+            iters,
+            triples,
+        }
+    }
+
+    fn config(&self, system: SystemKind, seed: u64) -> TrainConfig {
+        let mut cfg = TrainConfig::paper(system, hetkg_embed::ModelKind::TransEL2, self.dim);
+        cfg.batch_size = self.batch_size;
+        cfg.machines = self.machines;
+        cfg.epochs = self.epochs;
+        cfg.eval_candidates = None;
+        cfg.seed = seed;
+        cfg
+    }
+}
+
 /// Pipeline-split study: what the three PS systems' epochs cost when a
 /// staged key waits for consume time only if the batch in flight writes
 /// that key, against the per-shard rule it replaced — on the benchmark's
@@ -357,44 +436,22 @@ pub fn pipeline_split(ctx: ExpCtx) -> ExperimentRecord {
         "remote B/triple",
         "staged early / late",
     ];
-    // (graph divisor, dim, batch size, epochs, seeds)
-    let (shrink, dim, batch_size, epochs, seeds): (usize, usize, usize, usize, &[u64]) =
-        if ctx.quick {
-            (10, 32, 64, 1, &[7])
-        } else {
-            (1, 128, 512, 2, &[7, 8, 9])
-        };
-    let machines = 4;
+    let scale = SkewScale::of(ctx);
+    let SkewScale {
+        shrink,
+        dim,
+        batch_size,
+        epochs,
+        seeds,
+        machines,
+    } = scale;
     let mut rows = Vec::new();
     for &seed in seeds {
-        let kg = hetkg_kgraph::generator::SyntheticKg {
-            num_entities: 200_000 / shrink,
-            num_relations: 200,
-            num_triples: 800_000 / shrink,
-            entity_alpha: 1.0,
-            relation_alpha: 1.1,
-            ..Default::default()
-        }
-        .build(seed);
-        let split = hetkg_kgraph::split::Split::ninety_five_five(&kg, seed);
-        let train_set = &split.train;
-        // Worker iterations, as the trainer cuts them: per machine, one per
-        // batch of its partition's triples.
-        let iters: usize = Partitioner::partition(&MetisLike::new(seed), &kg, machines)
-            .split_triples(train_set)
-            .iter()
-            .map(|t| t.len().div_ceil(batch_size))
-            .sum::<usize>()
-            * epochs;
-        let triples = epochs * train_set.len();
+        let w = scale.workload(seed);
+        let (kg, train_set, iters, triples) = (&w.kg, &w.split.train, w.iters, w.triples);
         let measured = SYSTEMS.map(|(system, name)| {
-            let mut cfg = TrainConfig::paper(system, hetkg_embed::ModelKind::TransEL2, dim);
-            cfg.batch_size = batch_size;
-            cfg.machines = machines;
-            cfg.epochs = epochs;
-            cfg.eval_candidates = None;
-            cfg.seed = seed;
-            SplitRow::of(seed, name, &train(&kg, train_set, &[], &cfg))
+            let cfg = scale.config(system, seed);
+            SplitRow::of(seed, name, &train(kg, train_set, &[], &cfg))
         });
         // Per system the recorded row (in `SYSTEMS` order, like `measured`),
         // then this build's; then HET-KG-D's epoch over DGL-KE's per rule.
@@ -447,23 +504,296 @@ pub fn pipeline_split(ctx: ExpCtx) -> ExperimentRecord {
         ),
         columns: COLUMNS.map(String::from).to_vec(),
         rows,
-        shape_expectation: "remote bytes per triple equal the parent's in every row; only \
-                            messages per iteration grow, by less than one per remote shard \
-                            (DGL-KE: all three, 6 -> 9; HET-KG-D 6.19 -> 6.38), and comm \
-                            seconds grow by exactly their modelled cost. DGL-KE, which hid \
-                            nothing (one relation shared with the batch in flight parked a \
-                            shard's whole frame, and every shard holds one), now issues ~78 % \
-                            of its staged keys early and hides about half of its compute; what \
-                            stays on its critical path is compute -> push -> the consume-time \
-                            pull of the keys that push wrote, which no rule may reorder. \
-                            HET-KG-C goes from 39 % early keys to 99 %. HET-KG-D's misses were \
-                            already all early under DPS admission; it gains its staged sync \
-                            iterations. sim_epoch_s falls ~20 % for DGL-KE, ~6.5 % for \
-                            HET-KG-C and ~1 % for HET-KG-D; HET-KG-D / DGL-KE rises from \
-                            0.56-0.57 to 0.68-0.71 and stays <= 0.75 (ROADMAP: the sim_epoch_s \
-                            half of the paper's effect) - now a statement about the bytes the \
-                            cache removed rather than about which system's frames the \
-                            simulator allowed to move"
+        shape_expectation: "the rule moves messages, not bytes: DGL-KE's remote bytes per \
+                            triple equal the parent's, only messages per iteration grow, by less \
+                            than one per remote shard (DGL-KE: all three, 6 -> 9; HET-KG-D 6.19 \
+                            -> 6.38), and comm seconds grow by exactly their modelled cost. \
+                            (The HET-KG rows of this build move ~130 B/triple less than the \
+                            recordings for another reason: since PR 23 hot rows are written \
+                            back once per sync window, which `write-back` sets against its own \
+                            parent; under the per-key rule alone they read the recordings' \
+                            729.2 / 804.7 at seed 7.) DGL-KE, which hid nothing (one relation \
+                            shared with the batch in flight parked a shard's whole frame, and \
+                            every shard holds one), now issues ~78 % of its staged keys early \
+                            and hides about half of its compute; what stays on its critical \
+                            path is compute -> push -> the consume-time pull of the keys that \
+                            push wrote, which no rule may reorder. HET-KG-C goes from 39 % \
+                            early keys to 99 %. HET-KG-D's misses were already all early under \
+                            DPS admission; it gains its staged sync iterations. sim_epoch_s \
+                            falls ~20 % for DGL-KE, ~13 % for HET-KG-C (half of it the rule, \
+                            half the bytes written back instead of pushed) and stays level for \
+                            HET-KG-D; HET-KG-D / DGL-KE rises from 0.56-0.57 to 0.69-0.70 and \
+                            stays <= 0.75 (ROADMAP: the sim_epoch_s half of the paper's effect) \
+                            - now a statement about the bytes the cache removed rather than \
+                            about which system's frames the simulator allowed to move"
+            .into(),
+    }
+}
+
+/// One training run of the write-back study, as raw totals.
+struct WriteBackRow {
+    seed: u64,
+    system: &'static str,
+    writes: &'static str,
+    /// Remote bytes: total, miss pull, sync probe, sync rows, construction,
+    /// push, write-back.
+    remote: [u64; 7],
+    remote_messages: u64,
+    /// Simulated seconds over the run (the critical path).
+    secs: f64,
+    final_loss: f64,
+    mrr: f64,
+    /// Rows written back, the gradients they carried, and ρ over the rows
+    /// sent with an energy; `None` for a run that wrote nothing back.
+    written_back: Option<(u64, u64, f64)>,
+}
+
+impl WriteBackRow {
+    fn of(seed: u64, system: &'static str, r: &hetkg_train::TrainReport, mrr: f64) -> Self {
+        use hetkg_netsim::Cause;
+        let (t, e) = (r.total_traffic(), r.total_table());
+        let cause = |c| t.by_cause.get(c).remote;
+        Self {
+            seed,
+            system,
+            writes: if e.written_back_rows > 0 {
+                "once per sync window"
+            } else {
+                "-"
+            },
+            remote: [
+                t.remote_bytes,
+                cause(Cause::MissPull),
+                cause(Cause::SyncProbe),
+                cause(Cause::SyncRows),
+                cause(Cause::Construction),
+                cause(Cause::Push),
+                cause(Cause::WriteBack),
+            ],
+            remote_messages: t.remote_messages,
+            secs: r.total_secs(),
+            final_loss: r.epochs.last().map_or(f64::NAN, |e| e.loss),
+            mrr,
+            written_back: (e.written_back_rows > 0)
+                .then(|| (e.written_back_rows, e.coalesced_grads, e.mean_rho())),
+        }
+    }
+
+    /// Table cells, for a run of `epochs` epochs, `iters` worker iterations
+    /// and `triples` trained triples.
+    fn cells(&self, epochs: usize, iters: usize, triples: usize) -> Vec<String> {
+        let mut cells = vec![
+            self.seed.to_string(),
+            self.system.to_string(),
+            self.writes.to_string(),
+        ];
+        cells.extend(
+            self.remote
+                .iter()
+                .map(|&b| format!("{:.1}", b as f64 / triples as f64)),
+        );
+        cells.extend([
+            format!("{:.3}", self.remote_messages as f64 / iters as f64),
+            format!("{:.4}", self.secs / epochs as f64),
+            format!("{:.5}", self.final_loss),
+            format!("{:.4}", self.mrr),
+        ]);
+        cells.extend(match self.written_back {
+            Some((rows, grads, rho)) => [
+                format!("{:.2}", grads as f64 / rows as f64),
+                format!("{rho:.2}"),
+            ],
+            None => ["-".to_string(), "-".to_string()],
+        });
+        cells
+    }
+}
+
+/// HET-KG-D as it ran at the parent of the change that made it write hot
+/// rows back once per sync window (commit d9643b8: a gradient was applied
+/// to the cached row *and* pushed, every iteration), on this experiment's
+/// full-scale workload. That behaviour is not selectable at run time — it
+/// survives only as a `#[cfg(test)]` reference in `hetkg_train` — so its
+/// rows were recorded once by running this function's configuration and
+/// evaluation at that commit.
+const WRITE_THROUGH: [WriteBackRow; 3] = [
+    WriteBackRow {
+        seed: 7,
+        system: "HET-KG-D",
+        writes: "every iteration (parent)",
+        remote: [
+            1_050_054_144,
+            316_805_320,
+            2_148_648,
+            91_848_816,
+            26_609_720,
+            612_641_640,
+            0,
+        ],
+        remote_messages: 17_943,
+        secs: 3.555413894400009,
+        final_loss: 0.2731946225818809,
+        mrr: 0.1400921605713218,
+        written_back: None,
+    },
+    WriteBackRow {
+        seed: 8,
+        system: "HET-KG-D",
+        writes: "every iteration (parent)",
+        remote: [
+            1_073_394_616,
+            326_909_960,
+            2_175_864,
+            92_958_648,
+            27_322_064,
+            624_028_080,
+            0,
+        ],
+        remote_messages: 17_958,
+        secs: 3.779356581600011,
+        final_loss: 0.27191880713481237,
+        mrr: 0.16612410809168998,
+        written_back: None,
+    },
+    WriteBackRow {
+        seed: 9,
+        system: "HET-KG-D",
+        writes: "every iteration (parent)",
+        remote: [
+            1_055_889_324,
+            318_105_840,
+            2_182_680,
+            93_269_380,
+            26_839_664,
+            615_491_760,
+            0,
+        ],
+        remote_messages: 17_970,
+        secs: 3.571430910800016,
+        final_loss: 0.2730441417157953,
+        mrr: 0.16604077544710732,
+        written_back: None,
+    },
+];
+
+/// Write-back study: what HET-KG-D moves, and where it ends up, when the
+/// gradients of a cached row are summed in the hot table and written back
+/// once per sync window with their energy, against the parent that pushed
+/// every one of them and against DGL-KE — on the benchmark's skewed
+/// workload, evaluated as the benchmark evaluates (filtered MRR of the
+/// first 1000 test triples against 1000 candidates), so the bytes, epoch
+/// seconds, loss and MRR here are `train-hetkg-skew`'s and
+/// `train-dglke-skew`'s metrics. `--quick` runs one seed of the same graph
+/// at a tenth of its scale, without the recorded rows.
+pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
+    use hetkg_eval::link_prediction::{evaluate, EvalConfig};
+    const COLUMNS: [&str; 16] = [
+        "seed",
+        "system",
+        "hot-row writes",
+        "remote B/triple",
+        "miss_pull",
+        "sync_probe",
+        "sync_rows",
+        "construction",
+        "push",
+        "write_back",
+        "remote msgs/iter",
+        "sim_epoch_s",
+        "final loss",
+        "MRR",
+        "grads/row",
+        "rho",
+    ];
+    let scale = SkewScale::of(ctx);
+    let SkewScale {
+        shrink,
+        dim,
+        batch_size,
+        epochs,
+        seeds,
+        machines,
+    } = scale;
+    let mut rows = Vec::new();
+    for &seed in seeds {
+        let w = scale.workload(seed);
+        let run = |system, name| {
+            let cfg = scale.config(system, seed);
+            let (report, store) =
+                hetkg_train::trainer::train_with_store(&w.kg, &w.split.train, &[], &cfg);
+            let snapshot = hetkg_train::trainer::snapshot(&store, w.kg.key_space());
+            let model = cfg.model.build(dim);
+            let test = &w.split.test[..(1000 / shrink).min(w.split.test.len())];
+            let eval = EvalConfig {
+                filtered: true,
+                max_candidates: Some(1000 / shrink),
+                seed: 0x5EED_E7A1,
+            };
+            let metrics = evaluate(model.as_ref(), &snapshot, test, w.kg.triples(), &eval);
+            WriteBackRow::of(seed, name, &report, metrics.mrr())
+        };
+        let dglke = run(SystemKind::DglKe, "DGL-KE");
+        let hetkg = run(SystemKind::HetKgDps, "HET-KG-D");
+        let recorded = WRITE_THROUGH.iter().find(|r| !ctx.quick && r.seed == seed);
+        for r in [Some(&dglke), recorded, Some(&hetkg)].into_iter().flatten() {
+            rows.push(r.cells(epochs, w.iters, w.triples));
+        }
+        for r in [recorded, Some(&hetkg)].into_iter().flatten() {
+            let mut cells = vec![
+                seed.to_string(),
+                "HET-KG-D / DGL-KE".to_string(),
+                r.writes.to_string(),
+                format!("{:.3}", r.remote[0] as f64 / dglke.remote[0] as f64),
+            ];
+            cells.resize(COLUMNS.len(), String::new());
+            cells[11] = format!("{:.3}", r.secs / dglke.secs);
+            rows.push(cells);
+        }
+    }
+    ExperimentRecord {
+        id: "write-back".into(),
+        title: "Hot rows written back once per sync window, with their gradient energy".into(),
+        params: format!(
+            "{} entities / 200 relations / {} triples, entity alpha 1.0, relation alpha 1.1 | \
+             TransE-L2 d={dim}, batch {batch_size}, {machines} machines, {epochs} epoch(s), \
+             AdaGrad, cache 2 % / P=8 / D=16, overlap on, seeds {seeds:?}{} | bytes are remote \
+             bytes per trained triple, by cause; msgs/iter = remote messages per worker \
+             iteration; sim_epoch_s = simulated seconds per epoch (the critical path); MRR = \
+             filtered, first {} test triples against {} candidates; grads/row = gradients per \
+             row written back (the coalescing factor); rho = sum of energies / sum of \
+             ||sum g||^2 over the rows sent with an energy",
+            200_000 / shrink,
+            800_000 / shrink,
+            if ctx.quick {
+                " (--quick: a tenth of the benchmark's graph, no recorded rows)"
+            } else {
+                " (the benchmark's train-hetkg-skew / train-dglke-skew configuration and \
+                 evaluation; `every iteration (parent)` rows are recordings from commit \
+                 d9643b8)"
+            },
+            1000 / shrink,
+            1000 / shrink,
+        ),
+        columns: COLUMNS.map(String::from).to_vec(),
+        rows,
+        shape_expectation: "against the parent: miss_pull, sync_probe, sync_rows and \
+                            construction move by a fraction of a byte (the model differs in \
+                            its last bits, so a few versions differ); push + write_back is \
+                            ~132 B/triple below the parent's push, which was DGL-KE's to 0.1 %; \
+                            messages per iteration are the parent's to the digit; sim_epoch_s \
+                            stays within a few percent either way (fewer bytes on the comm \
+                            lane, but a window's write-back is a burst on the sync's critical \
+                            path); final loss within +0.2 %, MRR within seed noise; a \
+                            written-back row carries ~2.5 gradients and rho ~2 - successive \
+                            gradients of a hot row anti-correlate, so (sum g)^2 alone would \
+                            under-count what the server's AdaGrad accumulates by half. That \
+                            is what the energy word buys: on a scratch build that sent plain \
+                            sums (ISSUE 23, not reproducible from this tree) the same bytes \
+                            cost -9.3 % MRR (mean of seeds 7/8/9/101/102: 0.1614 -> 0.1464) \
+                            where this build's mean is 0.1610; applying the same gradients \
+                            one by one but late lost 1-2 %, so it is the accumulator, not the \
+                            delay. HET-KG-D / DGL-KE in bytes falls from 0.86-0.87 to \
+                            ~0.70, under the 0.75 the ROADMAP asks for"
             .into(),
     }
 }
@@ -522,6 +852,25 @@ mod tests {
         );
         let ratio: f64 = r.rows[3][3].parse().unwrap();
         assert!(ratio < 1.0, "HET-KG-D / DGL-KE = {ratio}");
+    }
+
+    #[test]
+    fn write_back_reports_the_split_the_factor_and_the_ratio() {
+        // Shape of the record and the direction of its claims at a tenth of
+        // the benchmark's scale; `tests/traffic_shape.rs` pins the bytes
+        // and the message counts.
+        let r = write_back(quick());
+        assert!(r.rows.iter().all(|row| row.len() == r.columns.len()));
+        let systems: Vec<&str> = r.rows.iter().map(|row| row[1].as_str()).collect();
+        assert_eq!(systems, ["DGL-KE", "HET-KG-D", "HET-KG-D / DGL-KE"]);
+        let col = |name: &str| r.columns.iter().position(|c| c == name).unwrap();
+        let num = |row: usize, name: &str| r.rows[row][col(name)].parse::<f64>().unwrap();
+        assert_eq!(r.rows[0][col("write_back")], "0.0");
+        assert_eq!(r.rows[0][col("grads/row")], "-");
+        assert!(num(1, "write_back") > 0.0);
+        assert!(num(1, "push") + num(1, "write_back") < 0.75 * num(0, "push"));
+        assert!(num(1, "grads/row") > 2.0 && num(1, "rho") > 1.0);
+        assert!(num(2, "remote B/triple") < 0.75);
     }
 
     #[test]

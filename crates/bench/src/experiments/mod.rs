@@ -69,6 +69,7 @@ pub const ALL: &[&str] = &[
     "compression-ablation",
     "dps-admission",
     "pipeline-split",
+    "write-back",
 ];
 
 /// Run one experiment by id.
@@ -95,6 +96,7 @@ pub fn run(id: &str, ctx: ExpCtx) -> Option<ExperimentRecord> {
         "compression-ablation" => ablations::compression(ctx),
         "dps-admission" => cache::dps_admission(ctx),
         "pipeline-split" => efficiency::pipeline_split(ctx),
+        "write-back" => efficiency::write_back(ctx),
         _ => return None,
     };
     Some(record)

@@ -52,7 +52,7 @@ impl CacheStats {
 /// of its whole pulls and zeros for the table). All fields are sums, so
 /// reports merge across workers and epochs by addition; the ratios are
 /// derived.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TableEconomy {
     /// Table (re)constructions: one for CPS, one per `D` iterations for DPS.
     pub rebuilds: u64,
@@ -69,6 +69,22 @@ pub struct TableEconomy {
     /// Miss keys of staged batches left for consume time, because the
     /// in-flight batch writes them.
     pub staged_late: u64,
+    /// Cached rows written back: each left the table's write-back arena in
+    /// one push, once per sync window, whatever it had collected.
+    #[serde(default)]
+    pub written_back_rows: u64,
+    /// The gradients those rows had collected (each row at least one).
+    #[serde(default)]
+    pub coalesced_grads: u64,
+    /// Over the written-back rows that carried more than one gradient —
+    /// the ones sent with an energy: `Σ E`, the energies sent …
+    #[serde(default)]
+    pub written_back_energy: f64,
+    /// … and `Σ ‖Σg‖²`, the squared norms of the sums they were sent with
+    /// (the one counter here that is computed for the report alone: a dot
+    /// product per such row per write-back, not per iteration).
+    #[serde(default)]
+    pub written_back_sum_sq: f64,
 }
 
 impl TableEconomy {
@@ -82,6 +98,24 @@ impl TableEconomy {
         ratio(self.fresh_rows, self.rebuilds)
     }
 
+    /// Gradients per written-back row: how many pushes of a hot row one
+    /// write-back stands for. 0 before any.
+    pub fn coalescing_factor(&self) -> f64 {
+        ratio(self.coalesced_grads, self.written_back_rows)
+    }
+
+    /// `ρ = Σ E ÷ Σ ‖Σg‖²` over the rows sent with an energy: how far
+    /// `(Σg)²` alone would under-count what the server's AdaGrad
+    /// accumulates. Above 1 when a row's successive gradients
+    /// anti-correlate; 0 before any such row.
+    pub fn mean_rho(&self) -> f64 {
+        if self.written_back_sum_sq > 0.0 {
+            self.written_back_energy / self.written_back_sum_sq
+        } else {
+            0.0
+        }
+    }
+
     /// Combine counters (e.g. across workers).
     pub fn merge(self, other: TableEconomy) -> TableEconomy {
         TableEconomy {
@@ -91,6 +125,10 @@ impl TableEconomy {
             fresh_rows: self.fresh_rows + other.fresh_rows,
             staged_early: self.staged_early + other.staged_early,
             staged_late: self.staged_late + other.staged_late,
+            written_back_rows: self.written_back_rows + other.written_back_rows,
+            coalesced_grads: self.coalesced_grads + other.coalesced_grads,
+            written_back_energy: self.written_back_energy + other.written_back_energy,
+            written_back_sum_sq: self.written_back_sum_sq + other.written_back_sum_sq,
         }
     }
 }
@@ -138,7 +176,15 @@ mod tests {
             fresh_rows: 12,
             staged_early: 5,
             staged_late: 1,
+            written_back_rows: 10,
+            coalesced_grads: 28,
+            written_back_energy: 9.0,
+            written_back_sum_sq: 4.0,
         };
+        assert_eq!(TableEconomy::default().coalescing_factor(), 0.0);
+        assert_eq!(TableEconomy::default().mean_rho(), 0.0);
+        assert_eq!(a.coalescing_factor(), 2.8);
+        assert_eq!(a.mean_rho(), 2.25);
         let both = a.merge(TableEconomy {
             rebuilds: 2,
             rows_held: 50,
@@ -149,5 +195,7 @@ mod tests {
         assert_eq!(both.occupancy(), 0.5);
         assert_eq!(both.fresh_rows_per_rebuild(), 5.0);
         assert_eq!((both.staged_early, both.staged_late), (5, 1));
+        assert_eq!(a.merge(a).coalescing_factor(), 2.8);
+        assert_eq!(a.merge(a).mean_rho(), 2.25);
     }
 }

@@ -14,7 +14,10 @@
 //! bit-identical to the cached copy, so it is confirmed current without
 //! being re-sent. The request rides in the same metered PS message as that
 //! iteration's misses, which is also where cache-vs-global divergence is
-//! measured.
+//! measured. The same period bounds the other direction: the worker writes
+//! a cached row's gradients back once per window, in the push of the
+//! iteration before a sync, so the server never waits longer than `P − 1`
+//! iterations for one.
 
 use serde::{Deserialize, Serialize};
 

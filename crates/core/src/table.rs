@@ -17,10 +17,19 @@
 //! (received, or found to still match the server's version). The first
 //! makes a sync a pull-if-newer; the second turns §IV-C's staleness bound
 //! into something a read can assert.
+//!
+//! And each slot has a *write-back arena*: a gradient applied to the cached
+//! row can also be held there — summed with the others the row collected
+//! since it was last written back, beside their energy `Σᵢ‖gᵢ‖²` and their
+//! number — until the worker pushes the row once for all of them
+//! ([`HotEmbeddingTable::apply_and_hold`], [`HotEmbeddingTable::pending`],
+//! [`HotEmbeddingTable::clear_pending`]). A row that holds gradients is
+//! never evicted: the worker writes everything back in the push before a
+//! rebuild.
 
 use hetkg_embed::storage::EmbeddingTable;
 use hetkg_kgraph::{KeySpace, ParamKey};
-use hetkg_ps::optimizer::Optimizer;
+use hetkg_ps::optimizer::{energy, Optimizer};
 use hetkg_ps::NO_VERSION;
 use std::collections::HashMap;
 
@@ -40,6 +49,16 @@ struct Slab {
     /// current at.
     versions: Vec<u32>,
     confirmed: Vec<usize>,
+    /// The write-back arena, per slot of the slab (not only the occupied
+    /// ones): the sum of the gradients held, their energy, how many they
+    /// are and the iteration the first was held at. A slot with
+    /// `held_grads` 0 holds nothing and the rest of its entry means nothing.
+    held_sum: EmbeddingTable,
+    held_energy: Vec<f32>,
+    held_grads: Vec<u32>,
+    held_since: Vec<usize>,
+    /// The slots that hold gradients, in the order they first did.
+    holding: Vec<u32>,
 }
 
 impl Slab {
@@ -52,6 +71,11 @@ impl Slab {
             state: EmbeddingTable::zeros(capacity, (dim * state_width).max(1)),
             versions: Vec::with_capacity(capacity),
             confirmed: Vec::with_capacity(capacity),
+            held_sum: EmbeddingTable::zeros(capacity, dim),
+            held_energy: vec![0.0; capacity],
+            held_grads: vec![0; capacity],
+            held_since: vec![0; capacity],
+            holding: Vec::with_capacity(capacity),
         }
     }
 
@@ -105,27 +129,72 @@ impl Slab {
         }
     }
 
+    /// `hold_at`: also hold the gradient for write-back, as of that
+    /// iteration.
     fn apply_grad(
         &mut self,
         key: ParamKey,
         grad: &[f32],
         optimizer: &dyn Optimizer,
         state_width: usize,
+        hold_at: Option<usize>,
     ) -> bool {
-        match self.slots.get(&key) {
-            Some(&slot) => {
-                let row = self.rows.row_mut(slot as usize);
-                let width = row.len() * state_width;
-                optimizer.update(row, &mut self.state.row_mut(slot as usize)[..width], grad);
-                // The bits are no longer the ones the server sent.
-                self.versions[slot as usize] = NO_VERSION;
-                true
+        let Some(&slot) = self.slots.get(&key) else {
+            return false;
+        };
+        let slot = slot as usize;
+        let row = self.rows.row_mut(slot);
+        let width = row.len() * state_width;
+        optimizer.update(row, &mut self.state.row_mut(slot)[..width], grad);
+        // The bits are no longer the ones the server sent.
+        self.versions[slot] = NO_VERSION;
+        if let Some(now) = hold_at {
+            let sum = self.held_sum.row_mut(slot);
+            if self.held_grads[slot] == 0 {
+                // Copied, not added to zeros: a row that collects one
+                // gradient is written back as that gradient, bit for bit.
+                sum.copy_from_slice(grad);
+                self.held_energy[slot] = energy(grad);
+                self.held_since[slot] = now;
+                self.holding.push(slot as u32);
+            } else {
+                for (s, g) in sum.iter_mut().zip(grad) {
+                    *s += g;
+                }
+                self.held_energy[slot] += energy(grad);
             }
-            None => false,
+            self.held_grads[slot] += 1;
+        }
+        true
+    }
+
+    /// What each holding slot holds, in the order the slots first held.
+    fn pending(&self) -> impl Iterator<Item = Pending<'_>> + '_ {
+        self.holding.iter().map(|&slot| {
+            let slot = slot as usize;
+            Pending {
+                key: self.keys[slot],
+                sum: self.held_sum.row(slot),
+                energy: self.held_energy[slot],
+                grads: self.held_grads[slot],
+                since: self.held_since[slot],
+            }
+        })
+    }
+
+    fn clear_pending(&mut self) {
+        for slot in self.holding.drain(..) {
+            self.held_grads[slot as usize] = 0;
         }
     }
 
     fn retain(&mut self, keep: &mut impl FnMut(ParamKey) -> bool) {
+        // Evictions move rows between slots, and an evicted row's gradients
+        // would be lost.
+        assert!(
+            self.holding.is_empty(),
+            "eviction while rows hold gradients that were not written back"
+        );
         let mut slot = 0;
         while slot < self.keys.len() {
             if keep(self.keys[slot]) {
@@ -154,6 +223,7 @@ impl Slab {
         self.keys.clear();
         self.versions.clear();
         self.confirmed.clear();
+        self.clear_pending();
     }
 
     /// `(key, held version, confirmed-at)` per occupied slot, in slot order.
@@ -164,6 +234,22 @@ impl Slab {
             .zip(&self.confirmed)
             .map(|((&k, &v), &c)| (k, v, c))
     }
+}
+
+/// What a cached row holds for write-back: the gradients applied to it since
+/// it was last written back, as the server needs them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pending<'a> {
+    /// The row's key.
+    pub key: ParamKey,
+    /// `Σᵢ gᵢ` — the one gradient itself, bit for bit, when `grads` is 1.
+    pub sum: &'a [f32],
+    /// `Σᵢ ‖gᵢ‖²`.
+    pub energy: f32,
+    /// How many gradients were summed; at least 1.
+    pub grads: u32,
+    /// The iteration the first of them was held at.
+    pub since: usize,
 }
 
 /// A fixed-capacity cache of embedding rows, split by kind.
@@ -323,14 +409,52 @@ impl HotEmbeddingTable {
     pub fn apply_grad(&mut self, key: ParamKey, grad: &[f32], optimizer: &dyn Optimizer) -> bool {
         let state_width = self.state_width;
         self.slab_mut(key)
-            .apply_grad(key, grad, optimizer, state_width)
+            .apply_grad(key, grad, optimizer, state_width, None)
+    }
+
+    /// [`HotEmbeddingTable::apply_grad`], also holding the gradient in the
+    /// row's write-back arena as of iteration `now`: summed with what the
+    /// row already holds, its energy added to theirs.
+    pub fn apply_and_hold(
+        &mut self,
+        key: ParamKey,
+        grad: &[f32],
+        optimizer: &dyn Optimizer,
+        now: usize,
+    ) -> bool {
+        let state_width = self.state_width;
+        self.slab_mut(key)
+            .apply_grad(key, grad, optimizer, state_width, Some(now))
+    }
+
+    /// What every row that holds gradients holds: entities then relations,
+    /// each in the order the rows first held one.
+    pub fn pending(&self) -> impl Iterator<Item = Pending<'_>> + '_ {
+        self.entities.pending().chain(self.relations.pending())
+    }
+
+    /// The sum `key`'s row holds; `None` when it is not cached or holds
+    /// nothing.
+    pub fn pending_sum(&self, key: ParamKey) -> Option<&[f32]> {
+        let slab = self.slab(key);
+        let slot = *slab.slots.get(&key)? as usize;
+        (slab.held_grads[slot] > 0).then(|| slab.held_sum.row(slot))
+    }
+
+    /// Everything [`HotEmbeddingTable::pending`] lists has been written
+    /// back (or handed to whoever will): no row holds anything.
+    pub fn clear_pending(&mut self) {
+        self.entities.clear_pending();
+        self.relations.clear_pending();
     }
 
     /// Evict every key `keep` rejects, in place: surviving rows keep their
     /// values and are not copied out and back; as with
     /// [`HotEmbeddingTable::insert`], their optimizer state restarts. This
     /// is the eviction half of a DPS reconstruction — the newly selected
-    /// keys are then inserted into the freed slots.
+    /// keys are then inserted into the freed slots. Panics when a row still
+    /// holds gradients: they are written back before a rebuild, not lost in
+    /// one.
     pub fn retain(&mut self, mut keep: impl FnMut(ParamKey) -> bool) {
         self.entities.retain(&mut keep);
         self.relations.retain(&mut keep);
@@ -588,6 +712,77 @@ mod tests {
         assert_eq!(t.iter_held().count(), 0);
         t.insert(ParamKey(0), &[0.0; 4]).unwrap();
         assert_eq!(t.held_version(ParamKey(0)), Some(NO_VERSION));
+    }
+
+    #[test]
+    fn held_gradients_are_summed_with_their_energy_until_cleared() {
+        let mut t = table();
+        let opt = Sgd { lr: 0.5 };
+        t.insert(ParamKey(1), &[1.0; 4]).unwrap();
+        t.insert(ParamKey(2), &[2.0; 4]).unwrap();
+        t.insert(ParamKey(12), &[3.0; 4]).unwrap();
+        assert_eq!(t.pending().count(), 0);
+        assert_eq!(t.pending_sum(ParamKey(1)), None);
+        // Not cached: nothing applied, nothing held.
+        assert!(!t.apply_and_hold(ParamKey(3), &[1.0; 4], &opt, 5));
+        // One gradient is held as itself, negative zero included.
+        let g = [0.5f32, -0.0, 2.0, -1.0];
+        assert!(t.apply_and_hold(ParamKey(12), &g, &opt, 5));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(t.pending_sum(ParamKey(12)).unwrap()), bits(&g));
+        // The cached row moved as with `apply_grad`.
+        assert_eq!(t.get(ParamKey(12)).unwrap(), &[2.75, 3.0, 2.0, 3.5]);
+        assert_eq!(t.held_version(ParamKey(12)), Some(NO_VERSION));
+        // Two more on another row, one of them opposite: the sum shrinks,
+        // the energy does not.
+        assert!(t.apply_and_hold(ParamKey(2), &[1.0, 0.0, -1.0, 2.0], &opt, 6));
+        assert!(t.apply_and_hold(ParamKey(2), &[-1.0, 0.5, 1.0, 1.0], &opt, 7));
+        // A plain `apply_grad` moves the row and holds nothing.
+        assert!(t.apply_grad(ParamKey(1), &[1.0; 4], &opt));
+        let held: Vec<_> = t.pending().collect();
+        assert_eq!(
+            held,
+            [
+                Pending {
+                    key: ParamKey(2),
+                    sum: &[0.0, 0.5, 0.0, 3.0],
+                    energy: 6.0 + 3.25,
+                    grads: 2,
+                    since: 6,
+                },
+                Pending {
+                    key: ParamKey(12),
+                    sum: &g,
+                    energy: 5.25,
+                    grads: 1,
+                    since: 5,
+                },
+            ]
+        );
+        t.clear_pending();
+        assert_eq!(t.pending().count(), 0);
+        assert_eq!(t.pending_sum(ParamKey(2)), None);
+        // The next window starts from nothing.
+        assert!(t.apply_and_hold(ParamKey(2), &[0.25; 4], &opt, 9));
+        let again: Vec<_> = t.pending().collect();
+        assert_eq!(again.len(), 1);
+        assert_eq!(
+            (again[0].sum, again[0].grads, again[0].since),
+            (&[0.25f32; 4][..], 1, 9)
+        );
+        assert_eq!(again[0].energy, 0.25);
+        // `clear` forgets what was held with everything else.
+        t.clear();
+        assert_eq!(t.pending().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not written back")]
+    fn a_row_that_holds_gradients_is_not_evicted() {
+        let mut t = table();
+        t.insert(ParamKey(1), &[1.0; 4]).unwrap();
+        t.apply_and_hold(ParamKey(1), &[1.0; 4], &Sgd { lr: 0.5 }, 0);
+        t.retain(|_| false);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Checksummed wire frames for parameter-server messages.
 //!
 //! Every metered PS message is modeled as one [`WireFrame`]: the key ids it
-//! addresses plus the dense f32 payload (embedding rows on pull, gradients
-//! on push) and, on a pull-if-newer exchange, an update version for each key
-//! asked about conditionally.
+//! addresses plus the f32 payload (embedding rows on pull, gradients on push)
+//! and a trailer of one `u32` word for each of its last few keys: on a
+//! pull-if-newer exchange the update version of a key asked about
+//! conditionally, on a push the gradient energy of a row written back.
 //! The sender seals the frame with a 32-bit word-parallel digest over all
 //! of it; the receiver re-computes it and rejects the frame on mismatch
 //! instead of ingesting garbage.
@@ -73,6 +74,15 @@ fn absorb_keys(lanes: &mut [u32; DIGEST_LANES], keys: &[u64]) {
     }
 }
 
+/// Feed the trailer words, word `i` to lane `i mod 8`.
+#[inline]
+fn absorb_versions(lanes: &mut [u32; DIGEST_LANES], versions: &[u32]) {
+    for (i, &v) in versions.iter().enumerate() {
+        let lane = i % DIGEST_LANES;
+        lanes[lane] = mix(lanes[lane], v);
+    }
+}
+
 /// Fold the lanes in a fixed order, mix in the section lengths (so a word
 /// cannot move across a section boundary, and trailing zeros are not free),
 /// and finish with an avalanche. Every step is a bijection of the running
@@ -113,10 +123,7 @@ pub fn frame_digest(keys: &[u64], payload: &[f32]) -> u32 {
 fn digest(keys: &[u64], versions: &[u32], payload: &[f32]) -> u32 {
     let mut lanes = DIGEST_SEEDS;
     absorb_keys(&mut lanes, keys);
-    for (i, &v) in versions.iter().enumerate() {
-        let lane = i % DIGEST_LANES;
-        lanes[lane] = mix(lanes[lane], v);
-    }
+    absorb_versions(&mut lanes, versions);
     let rounds = payload.chunks_exact(DIGEST_LANES);
     let rest = rounds.remainder();
     for c in rounds {
@@ -130,14 +137,16 @@ fn digest(keys: &[u64], versions: &[u32], payload: &[f32]) -> u32 {
     fold(lanes, keys.len(), versions.len(), payload.len())
 }
 
-/// Digest for an encoded (compressed) frame: the key ids, the codec tag
-/// (a frame must not verify under the wrong codec), then the encoded
-/// payload bytes packed little-endian into words (the last one zero-padded;
-/// the byte length is mixed in by [`fold`]) — the checksum covers exactly
-/// what crosses the wire. Same lanes and guarantee as [`digest`].
-fn digest_encoded(keys: &[u64], tag: u8, encoded: &[u8]) -> u32 {
+/// Digest for an encoded (compressed) frame: the key ids, the trailer
+/// words, the codec tag (a frame must not verify under the wrong codec),
+/// then the encoded payload bytes packed little-endian into words (the last
+/// one zero-padded; the byte length is mixed in by [`fold`]) — the checksum
+/// covers exactly what crosses the wire. Same lanes and guarantee as
+/// [`digest`].
+fn digest_encoded(keys: &[u64], versions: &[u32], tag: u8, encoded: &[u8]) -> u32 {
     let mut lanes = DIGEST_SEEDS;
     absorb_keys(&mut lanes, keys);
+    absorb_versions(&mut lanes, versions);
     lanes[0] = mix(lanes[0], u32::from(tag));
     let rounds = encoded.chunks_exact(4 * DIGEST_LANES);
     let rest = rounds.remainder();
@@ -151,7 +160,7 @@ fn digest_encoded(keys: &[u64], tag: u8, encoded: &[u8]) -> u32 {
         word[..w.len()].copy_from_slice(w);
         *lane = mix(*lane, u32::from_le_bytes(word));
     }
-    fold(lanes, keys.len(), 0, encoded.len())
+    fold(lanes, keys.len(), versions.len(), encoded.len())
 }
 
 /// One PS message: key ids plus either a dense f32 payload (the legacy
@@ -160,12 +169,17 @@ fn digest_encoded(keys: &[u64], tag: u8, encoded: &[u8]) -> u32 {
 /// wire contents; transit corruption mutates `keys`/`payload`/`encoded`
 /// but not the seal, so [`verify`](WireFrame::verify) catches it.
 ///
-/// A pull-if-newer exchange also carries `versions`, which belong to the
-/// *last* `versions.len()` keys: the versions the worker holds on the way
-/// out (keys before them are pulled unconditionally), the returned rows'
-/// new versions on the way back. Every other frame has none.
+/// `versions` is the frame's trailer: one word for each of its *last*
+/// `versions.len()` keys, with two meanings. On a pull-if-newer exchange
+/// they are row versions — the ones the worker holds on the way out (keys
+/// before them are pulled unconditionally), the returned rows' new ones on
+/// the way back. On a push they are gradient energies: a trailing key's row
+/// is the sum of several gradients, written back once, and its word is
+/// `E.to_bits()` for `E = Σᵢ‖gᵢ‖²` (keys before them carry one gradient
+/// each and need none). Every other frame has none.
 ///
-/// For encoded frames only `keys` + `encoded` cross the (simulated) wire:
+/// For encoded frames only `keys`, `versions` and `encoded` cross the
+/// (simulated) wire:
 /// `payload` is client-side staging that the receiver reconstructs by
 /// decoding, so neither [`wire_bytes`](WireFrame::wire_bytes) nor the
 /// digest covers it.
@@ -179,8 +193,9 @@ pub struct WireFrame {
     pub payload: Vec<f32>,
     /// Compressed payload bytes (empty for dense frames).
     pub encoded: Vec<u8>,
-    /// Row update versions of the last `versions.len()` keys on a
-    /// pull-if-newer frame, else empty. Dense frames only.
+    /// One word for each of the last `versions.len()` keys: row update
+    /// versions on a pull-if-newer frame, gradient energies (`f32` bits) on
+    /// a push frame, else empty.
     pub versions: Vec<u32>,
     codec: Codec,
     checksum: u32,
@@ -193,7 +208,7 @@ impl WireFrame {
         Self::seal_versioned(keys, Vec::new(), payload)
     }
 
-    /// Seal a dense pull-if-newer frame: `versions` belong to the last
+    /// Seal a dense frame with a trailer: `versions` belong to the last
     /// `versions.len()` keys, and the digest covers them like everything
     /// else on the wire.
     pub fn seal_versioned(keys: Vec<u64>, versions: Vec<u32>, payload: Vec<f32>) -> Self {
@@ -213,13 +228,25 @@ impl WireFrame {
     /// the client's pre-quantization rows (same concatenated layout) for
     /// the receiver to overwrite with the decoded values.
     pub fn seal_encoded(keys: Vec<u64>, payload: Vec<f32>, encoded: Vec<u8>, codec: Codec) -> Self {
+        Self::seal_encoded_versioned(keys, Vec::new(), payload, encoded, codec)
+    }
+
+    /// Seal a compressed push frame whose last `versions.len()` rows are
+    /// written back with their energies; the digest covers the trailer too.
+    pub fn seal_encoded_versioned(
+        keys: Vec<u64>,
+        versions: Vec<u32>,
+        payload: Vec<f32>,
+        encoded: Vec<u8>,
+        codec: Codec,
+    ) -> Self {
         debug_assert!(codec != Codec::Dense, "dense frames use seal()");
-        let checksum = digest_encoded(&keys, codec.tag(), &encoded);
+        let checksum = digest_encoded(&keys, &versions, codec.tag(), &encoded);
         Self {
             keys,
             payload,
             encoded,
-            versions: Vec::new(),
+            versions,
             codec,
             checksum,
         }
@@ -264,16 +291,13 @@ impl WireFrame {
     pub fn verify(&self) -> bool {
         match self.codec {
             Codec::Dense => digest(&self.keys, &self.versions, &self.payload) == self.checksum,
-            // The encoded digest does not cover versions, so an encoded
-            // frame that claims any cannot be vouched for.
             c => {
-                self.versions.is_empty()
-                    && digest_encoded(&self.keys, c.tag(), &self.encoded) == self.checksum
+                digest_encoded(&self.keys, &self.versions, c.tag(), &self.encoded) == self.checksum
             }
         }
     }
 
-    /// Metered size of this frame: 8 bytes per key id, 4 per version, and
+    /// Metered size of this frame: 8 bytes per key id, 4 per trailer word, and
     /// the payload as it crosses the wire (4 per f32 dense, or the encoded
     /// byte count). The [`FRAME_CHECKSUM_BYTES`] digest is envelope overhead
     /// on top.
@@ -283,6 +307,14 @@ impl WireFrame {
             _ => self.encoded.len() as u64,
         };
         self.keys.len() as u64 * 8 + self.versions.len() as u64 * 4 + payload_bytes
+    }
+
+    /// What the frame would meter with its rows sent dense: keys, trailer
+    /// and 4 bytes per `payload` word (for an encoded frame, the rows the
+    /// sender staged or the receiver decoded). Equal to
+    /// [`wire_bytes`](WireFrame::wire_bytes) for a dense frame.
+    pub fn dense_wire_bytes(&self) -> u64 {
+        (self.keys.len() * 8 + self.versions.len() * 4 + self.payload.len() * 4) as u64
     }
 
     /// Flip one bit chosen by `pattern` (a seeded draw from the fault
@@ -598,14 +630,71 @@ mod tests {
             ordered.checksum(),
             "version order matters"
         );
-        // Dropping the versions of a versioned frame does not verify, and an
-        // encoded frame cannot smuggle unverified versions.
+        // Dropping the versions of a versioned frame does not verify.
         let mut stripped = ordered.clone();
         stripped.versions.clear();
         assert!(!stripped.verify());
-        let mut smuggled = encoded_frame(Codec::Int8);
-        smuggled.versions.push(7);
-        assert!(!smuggled.verify());
+    }
+
+    /// An encoded frame's seal covers its trailer like a dense frame's: one
+    /// sealed without a trailer cannot be given one, one sealed with energies
+    /// cannot lose, reorder or change one — and without a trailer the digest
+    /// is the one encoded frames always had.
+    #[test]
+    fn an_encoded_frame_cannot_carry_a_trailer_its_seal_does_not_cover() {
+        for codec in CODECS {
+            let plain = encoded_frame(codec);
+            let mut smuggled = plain.clone();
+            smuggled.versions.push(7);
+            assert!(
+                !smuggled.verify(),
+                "{codec:?}: a trailer added after sealing"
+            );
+            let energies = vec![1.5f32.to_bits(), 0.25f32.to_bits()];
+            let sealed = WireFrame::seal_encoded_versioned(
+                plain.keys.clone(),
+                energies.clone(),
+                plain.payload.clone(),
+                plain.encoded.clone(),
+                codec,
+            );
+            assert!(sealed.verify(), "{codec:?}");
+            assert_ne!(sealed.checksum(), plain.checksum(), "{codec:?}");
+            assert_eq!(sealed.wire_bytes(), plain.wire_bytes() + 8, "{codec:?}");
+            assert_eq!(
+                sealed.dense_wire_bytes(),
+                (3 * 8 + 2 * 4 + 24 * 4) as u64,
+                "{codec:?}"
+            );
+            let mut stripped = sealed.clone();
+            stripped.versions.clear();
+            assert!(!stripped.verify(), "{codec:?}: trailer dropped");
+            let mut swapped = sealed.clone();
+            swapped.versions.swap(0, 1);
+            assert!(!swapped.verify(), "{codec:?}: trailer reordered");
+            for v in 0..energies.len() {
+                for bit in 0..32 {
+                    let mut f = sealed.clone();
+                    f.versions[v] ^= 1 << bit;
+                    assert!(!f.verify(), "{codec:?}: energy {v} bit {bit}");
+                }
+            }
+            // A payload or key flip is still caught behind a trailer.
+            let mut f = sealed.clone();
+            f.encoded[0] ^= 1;
+            assert!(!f.verify());
+            let mut f = sealed.clone();
+            f.keys[0] ^= 1 << 33;
+            assert!(!f.verify());
+            let empty = WireFrame::seal_encoded_versioned(
+                plain.keys.clone(),
+                Vec::new(),
+                plain.payload.clone(),
+                plain.encoded.clone(),
+                codec,
+            );
+            assert_eq!(empty.checksum(), plain.checksum(), "{codec:?}");
+        }
     }
 
     #[test]

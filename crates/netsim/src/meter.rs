@@ -28,20 +28,24 @@ pub enum Cause {
     SyncRows,
     /// Filling freshly selected hot-table slots (CPS once, DPS per rebuild).
     Construction,
-    /// Gradient pushes.
+    /// Gradient pushes: rows that carry one gradient.
     Push,
+    /// Hot rows written back: rows of a push that carry the sum of several
+    /// gradients, each with its energy word.
+    WriteBack,
     /// Raw overwrites (PBG saving a partition back).
     Write,
 }
 
 impl Cause {
     /// Every cause, in report order.
-    pub const ALL: [Cause; 6] = [
+    pub const ALL: [Cause; 7] = [
         Cause::MissPull,
         Cause::SyncProbe,
         Cause::SyncRows,
         Cause::Construction,
         Cause::Push,
+        Cause::WriteBack,
         Cause::Write,
     ];
 
@@ -53,6 +57,7 @@ impl Cause {
             Cause::SyncRows => "sync_rows",
             Cause::Construction => "construction",
             Cause::Push => "push",
+            Cause::WriteBack => "write_back",
             Cause::Write => "write",
         }
     }
@@ -81,6 +86,10 @@ pub struct CauseBytes {
     pub construction: LaneBytes,
     /// [`Cause::Push`].
     pub push: LaneBytes,
+    /// [`Cause::WriteBack`] (zero in reports written before hot rows were
+    /// written back).
+    #[serde(default)]
+    pub write_back: LaneBytes,
     /// [`Cause::Write`].
     pub write: LaneBytes,
 }
@@ -94,6 +103,7 @@ impl CauseBytes {
             Cause::SyncRows => self.sync_rows,
             Cause::Construction => self.construction,
             Cause::Push => self.push,
+            Cause::WriteBack => self.write_back,
             Cause::Write => self.write,
         }
     }
@@ -105,6 +115,7 @@ impl CauseBytes {
             Cause::SyncRows => &mut self.sync_rows,
             Cause::Construction => &mut self.construction,
             Cause::Push => &mut self.push,
+            Cause::WriteBack => &mut self.write_back,
             Cause::Write => &mut self.write,
         }
     }
@@ -372,8 +383,12 @@ mod tests {
         m.record(true, &[(Cause::SyncProbe, 24), (Cause::SyncRows, 1072)]);
         m.record(false, &[(Cause::Construction, 536)]);
         m.record(true, &[(Cause::Write, 8)]);
+        // One push message, two causes: plain rows and rows written back.
+        m.record(true, &[(Cause::Push, 520), (Cause::WriteBack, 524)]);
         let start = m.snapshot();
-        assert_eq!(start.remote_messages, 3);
+        assert_eq!(start.by_cause.push.remote, 520);
+        assert_eq!(start.by_cause.write_back.remote, 524);
+        assert_eq!(start.remote_messages, 4);
         assert_eq!(start.local_messages, 2);
         assert_eq!(start.by_cause.sync_probe.remote, 24);
         assert_eq!(start.by_cause.sync_rows.remote, 1072);
@@ -406,6 +421,12 @@ mod tests {
         let back: TrafficSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m.snapshot());
         assert_eq!(Cause::SyncRows.name(), "sync_rows");
+        // A split written before write-back existed loads with none.
+        let old = json.replace(r#","write_back":{"local":0,"remote":0}"#, "");
+        assert_ne!(old, json);
+        let back: TrafficSnapshot = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, m.snapshot());
+        assert_eq!(Cause::WriteBack.name(), "write_back");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! [checksum: u32 le]                   // the sender's frame seal, as sent
 //! [nkeys: u32 le] [nversions: u32 le] [npayload: u32 le] [nenc: u32 le]
 //! [keys: nkeys × u64 le]
-//! [versions: nversions × u32 le]       // pull-if-newer frames: at most one per key
+//! [versions: nversions × u32 le]       // the trailer, at most one word per key:
+//!                                      // versions on a read, energies on a push
 //! [payload: npayload × f32 le]         // dense frames
 //! [encoded: nenc bytes]                // compressed frames
 //! ```
@@ -58,8 +59,8 @@ pub struct StreamMessage {
 /// Serialize one message from raw frame parts. Dense messages ship
 /// `payload`; compressed messages ship `encoded` (pass the parts exactly
 /// as [`WireFrame::wire_bytes`] accounts them — callers decide which side
-/// is empty). `versions` holds at most one per key. `checksum` must be the
-/// sender's seal over those parts.
+/// is empty). `versions` is the frame's trailer, at most one word per key.
+/// `checksum` must be the sender's seal over those parts.
 #[allow(clippy::too_many_arguments)]
 pub fn write_message<W: Write>(
     w: &mut W,
@@ -329,6 +330,34 @@ mod tests {
         let msg = read_message(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(msg.frame.versions, [20, 23, 42]);
         assert!(!msg.frame.verify(), "the digest covers the versions");
+    }
+
+    #[test]
+    fn compressed_push_frame_round_trips_with_its_energy_trailer() {
+        let row = [0.1f32, -2.5, 1e-3, 42.0, 0.0, 1.5, -0.25, 3.25];
+        let mut encoded = Vec::new();
+        let mut idx = Vec::new();
+        for _ in 0..2 {
+            encode_row(Codec::Int8, &row, &mut encoded, &mut idx);
+        }
+        let frame = WireFrame::seal_encoded_versioned(
+            vec![11, 12],
+            vec![2.5f32.to_bits()],
+            Vec::new(),
+            encoded,
+            Codec::Int8,
+        );
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1, &frame).unwrap();
+        let msg = read_message(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(msg.frame, frame);
+        assert!(msg.frame.verify());
+        assert_eq!(msg.frame.wire_bytes(), frame.wire_bytes());
+        // The energy word sits right after the header and the keys.
+        buf[4 + HEADER_BYTES + 2 * 8 + 3] ^= 0x40;
+        let msg = read_message(&mut Cursor::new(&buf)).unwrap();
+        assert_ne!(msg.frame.versions, frame.versions);
+        assert!(!msg.frame.verify(), "the encoded digest covers the trailer");
     }
 
     #[test]

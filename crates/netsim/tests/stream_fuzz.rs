@@ -83,29 +83,37 @@ fn allocation_cap(received: usize) -> usize {
     EAGER_BODY_BYTES + 4 * received + 4096
 }
 
-/// A valid frame from fuzz inputs: dense with or without versions, or int8.
+/// A valid frame from fuzz inputs: dense or int8, each with or without a
+/// trailer (a read's versions; a push's energies, which an int8 frame
+/// carries too).
 fn frame_from(keys: &[u64], words: &[u32], versioned: bool, int8: bool) -> WireFrame {
     let payload: Vec<f32> = words
         .iter()
         // Keep payload words comparable with `==`: no NaNs.
         .map(|&w| f32::from_bits(w & 0x7F7F_FFFF))
         .collect();
+    // The trailing two thirds of the keys carry a trailer word.
+    let versions = if versioned {
+        keys[keys.len() / 3..]
+            .iter()
+            .map(|&k| (k >> 7) as u32)
+            .collect()
+    } else {
+        Vec::new()
+    };
     if int8 && !payload.is_empty() {
         let mut encoded = Vec::new();
         let mut idx = Vec::new();
         encode_row(Codec::Int8, &payload, &mut encoded, &mut idx);
-        return WireFrame::seal_encoded(keys.to_vec(), Vec::new(), encoded, Codec::Int8);
+        return WireFrame::seal_encoded_versioned(
+            keys.to_vec(),
+            versions,
+            Vec::new(),
+            encoded,
+            Codec::Int8,
+        );
     }
-    if versioned {
-        // The trailing two thirds of the keys carry a version.
-        let versions = keys[keys.len() / 3..]
-            .iter()
-            .map(|&k| (k >> 7) as u32)
-            .collect();
-        WireFrame::seal_versioned(keys.to_vec(), versions, payload)
-    } else {
-        WireFrame::seal(keys.to_vec(), payload)
-    }
+    WireFrame::seal_versioned(keys.to_vec(), versions, payload)
 }
 
 fn encode(op: u8, frame: &WireFrame) -> Vec<u8> {

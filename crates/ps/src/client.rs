@@ -12,9 +12,10 @@
 //! Algorithm 4 has two operations and so does this client, plus PBG's
 //! overwrite: the read [`PsClient::try_pull_newer_with`] (a pull-if-newer;
 //! [`PsClient::try_pull_batch_with`] is the call that holds no version),
-//! [`PsClient::try_push_batch_rows`] (with
-//! [`PsClient::try_push_batch_with`] as its slice adapter) and
-//! [`PsClient::try_write_batch_with`]. Each is batched (a single key is a
+//! [`PsClient::try_push_coalesced_rows`] (a push whose trailing rows are
+//! written back with their energies; [`PsClient::try_push_batch_rows`] and
+//! its slice adapter [`PsClient::try_push_batch_with`] are the calls that
+//! write nothing back) and [`PsClient::try_write_batch_with`]. Each is batched (a single key is a
 //! one-key batch), fallible, and builds its frames in a caller-owned
 //! [`PsScratch`]; what to do when the retries run out is the caller's
 //! decision.
@@ -62,7 +63,8 @@ use std::sync::Arc;
 
 /// Bytes accounted per key id shipped in a request (u64 on the wire).
 const KEY_BYTES: u64 = 8;
-/// Bytes accounted per row version (u32 on the wire).
+/// Bytes accounted per trailer word — a row version on a read, a gradient
+/// energy on a push (u32 on the wire).
 const VERSION_BYTES: u64 = 4;
 
 /// The shape of a read request frame, noted before its response replaces
@@ -358,12 +360,30 @@ impl PsClient {
     /// A sync's message serves three causes: the keys sent without a
     /// version (8 bytes and a row each) are cache misses — all of a plain
     /// pull — the 12 bytes per conditional key the probe, and what names
-    /// and carries each returned row (12 bytes and the row) the refresh.
+    /// and carries each returned row (12 bytes and the row) the refresh. A
+    /// push's serves two: its trailing rows, each with its energy word, are
+    /// written back, the rows before them plain gradients.
     fn record_exchange(&self, shard: usize, op: FrameOp, sent: Sent, frame: &WireFrame) {
         let remote = !self.topology.is_local(self.worker_id, shard);
         let bytes = frame.wire_bytes();
         match op {
-            FrameOp::Push => self.meter.record(remote, &[(Cause::Push, bytes)]),
+            FrameOp::Push => {
+                let plain = frame.keys.len() - frame.versions.len();
+                let written_back: u64 = frame.keys[plain..]
+                    .iter()
+                    .map(|&k| {
+                        let row = encoded_len(frame.codec(), self.store.row_dim(ParamKey(k)));
+                        KEY_BYTES + VERSION_BYTES + row as u64
+                    })
+                    .sum();
+                self.meter.record(
+                    remote,
+                    &[
+                        (Cause::Push, bytes - written_back),
+                        (Cause::WriteBack, written_back),
+                    ],
+                );
+            }
             FrameOp::Write => self.meter.record(remote, &[(Cause::Write, bytes)]),
             FrameOp::PullNewer(Refresh::Construction) => self
                 .meter
@@ -592,16 +612,9 @@ impl PsClient {
         self.try_push_batch_rows(keys, |i| grads[i], optimizer, scratch)
     }
 
-    /// Push many gradients, one message per shard touched; the server
-    /// applies `optimizer`. `row_of(i)` is the gradient for `keys[i]` — a
-    /// lookup, so callers holding gradients in an arena (e.g. a
-    /// `GradAccum`) push without building a per-call `Vec<&[f32]>`.
-    /// All-or-nothing: on error no gradient is applied.
-    ///
-    /// One plan resolves placements for both frame sealing and server-side
-    /// application, each shard is write-locked once, and duplicate keys
-    /// apply in batch order (the grouping is stable). The scratch's
-    /// compression mode decides how the rows are encoded on the wire.
+    /// [`try_push_coalesced_rows`](Self::try_push_coalesced_rows) of rows
+    /// that are one gradient each: nothing is written back, no frame has a
+    /// trailer.
     pub fn try_push_batch_rows<'a>(
         &self,
         keys: &[ParamKey],
@@ -609,11 +622,39 @@ impl PsClient {
         optimizer: &dyn Optimizer,
         scratch: &mut PsScratch,
     ) -> Result<(), RpcError> {
+        self.try_push_coalesced_rows(keys, &[], row_of, optimizer, scratch)
+    }
+
+    /// Push many gradients, one message per shard touched; the server
+    /// applies `optimizer`. `row_of(i)` is the gradient for `keys[i]` — a
+    /// lookup, so callers holding gradients in an arena (e.g. a
+    /// `GradAccum`) push without building a per-call `Vec<&[f32]>`.
+    /// `energies` belongs to the *last* `energies.len()` keys: each of those
+    /// rows is the sum of several gradients of a row written back once, and
+    /// its energy `Σᵢ‖gᵢ‖²` rides in the frame's trailer for the server's
+    /// [`Optimizer::update_coalesced`]; the keys before them carry one
+    /// gradient each. All-or-nothing: on error no gradient is applied.
+    ///
+    /// One plan resolves placements for both frame sealing and server-side
+    /// application, each shard is write-locked once, and duplicate keys
+    /// apply in batch order (the grouping is stable). The scratch's
+    /// compression mode decides how the rows are encoded on the wire. A row
+    /// written back is metered as its key, its row as encoded and 4 bytes
+    /// of energy, under [`Cause::WriteBack`].
+    pub fn try_push_coalesced_rows<'a>(
+        &self,
+        keys: &[ParamKey],
+        energies: &[f32],
+        row_of: impl Fn(usize) -> &'a [f32],
+        optimizer: &dyn Optimizer,
+        scratch: &mut PsScratch,
+    ) -> Result<(), RpcError> {
+        assert!(energies.len() <= keys.len(), "at most one energy per key");
         if keys.is_empty() {
             return Ok(());
         }
         let codec = scratch.push_codec();
-        self.seal_frames(keys, row_of, codec, scratch);
+        self.seal_frames(keys, energies, row_of, codec, scratch);
         self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Push)?;
         if codec != Codec::Dense {
             self.decode_and_commit(keys, codec, scratch);
@@ -637,16 +678,18 @@ impl PsClient {
         if keys.is_empty() {
             return Ok(());
         }
-        self.seal_frames(keys, |i| values[i], Codec::Dense, scratch);
+        self.seal_frames(keys, &[], |i| values[i], Codec::Dense, scratch);
         self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Write)?;
         self.apply_frames(scratch, None);
         Ok(())
     }
 
     /// Plan a batch and seal one push or write frame per shard from
-    /// caller-supplied rows (`row_of(i)` belongs to `keys[i]`), leaving the
-    /// plan and wire frames in `scratch`. Per-shard frame contents are in
-    /// batch order, since the plan's grouping is stable.
+    /// caller-supplied rows (`row_of(i)` belongs to `keys[i]`, `energies`
+    /// to the last keys), leaving the plan and wire frames in `scratch`.
+    /// Per-shard frame contents are in batch order, since the plan's
+    /// grouping is stable — so a shard's rows with an energy trail its
+    /// frame, and their energies are its trailer.
     ///
     /// Under a compressing `codec` each row is first staged through the
     /// compressor (error feedback *peeks* the key's residual — nothing is
@@ -657,10 +700,12 @@ impl PsClient {
     fn seal_frames<'a>(
         &self,
         keys: &[ParamKey],
+        energies: &[f32],
         row_of: impl Fn(usize) -> &'a [f32],
         codec: Codec,
         scratch: &mut PsScratch,
     ) {
+        let plain = keys.len() - energies.len();
         let router = self.store.router();
         router.plan_into(keys, &mut scratch.plan);
         scratch.begin(router.num_shards());
@@ -668,6 +713,7 @@ impl PsClient {
             plan,
             parts,
             byte_pool,
+            version_pool,
             wire,
             compressor,
             ..
@@ -682,6 +728,11 @@ impl PsClient {
                 None => Vec::new(),
             };
             encoded.clear();
+            let mut trailer = match energies {
+                [] => Vec::new(),
+                _ => version_pool.pop().unwrap_or_default(),
+            };
+            trailer.clear();
             for i in plan.indices(shard) {
                 let offset = payload.len();
                 payload.extend_from_slice(row_of(i));
@@ -690,11 +741,16 @@ impl PsClient {
                     comp.encode(codec, &payload[offset..], &mut encoded);
                 }
                 frame_keys.push(keys[i].0);
+                if let Some(e) = i.checked_sub(plain) {
+                    trailer.push(energies[e].to_bits());
+                }
             }
             // Empty shards are sealed too, so `wire` stays shard-indexed.
             wire.push(match codec {
-                Codec::Dense => WireFrame::seal(frame_keys, payload),
-                _ => WireFrame::seal_encoded(frame_keys, payload, encoded, codec),
+                Codec::Dense => WireFrame::seal_versioned(frame_keys, trailer, payload),
+                _ => {
+                    WireFrame::seal_encoded_versioned(frame_keys, trailer, payload, encoded, codec)
+                }
             });
         }
         // Dense frames carry exactly the per-key metered bytes (the checksum
@@ -707,7 +763,8 @@ impl PsClient {
                     == keys
                         .iter()
                         .map(|&k| self.store.row_bytes(k) + KEY_BYTES)
-                        .sum::<u64>(),
+                        .sum::<u64>()
+                        + VERSION_BYTES * energies.len() as u64,
             "frame bytes must match the metered per-key accounting"
         );
     }
@@ -767,8 +824,8 @@ impl PsClient {
             if frame.keys.is_empty() {
                 continue;
             }
-            let raw = frame.keys.len() as u64 * KEY_BYTES + frame.payload.len() as u64 * 4;
-            self.meter.record_push(frame.wire_bytes(), raw);
+            self.meter
+                .record_push(frame.wire_bytes(), frame.dense_wire_bytes());
             if let Some(c) = compressor.as_mut() {
                 c.note_frame(frame);
             }
@@ -2195,6 +2252,95 @@ mod tests {
         assert_eq!(stats.rows, 6);
         assert_eq!(stats.frames, 2);
         assert!(stats.ratio() > 1.4, "ratio {}", stats.ratio());
+    }
+
+    /// A push whose last rows are written back: each shard's frame trails
+    /// its own share of them with their energies, the split between plain
+    /// rows and rows written back adds up to the lanes, the server hands the
+    /// energy to the optimizer — and a push without any is, byte for byte
+    /// and cause for cause, the push it always was.
+    #[test]
+    fn coalesced_rows_trail_each_shard_frame_and_are_metered_as_written_back() {
+        use crate::optimizer::{energy, AdaGrad};
+        for (mode, row_bytes) in [(CompressionMode::Off, 16), (CompressionMode::Int8, 8)] {
+            let ks = KeySpace::new(8, 4);
+            let new_store = || {
+                let router = ShardRouter::round_robin(ks, 2);
+                Arc::new(KvStore::new(
+                    router,
+                    4,
+                    4,
+                    1,
+                    Init::Uniform { bound: 0.1 },
+                    1,
+                ))
+            };
+            let (store, reference) = (new_store(), new_store());
+            let meter = Arc::new(TrafficMeter::new());
+            let client = PsClient::new(0, ClusterTopology::new(2, 1), store.clone(), meter.clone());
+            let mut scratch = PsScratch::new();
+            scratch.set_compression(mode);
+            let opt = AdaGrad::new(0.1);
+            // Keys 0, 1 and 2 carry one gradient; 3 (shard 1), 4 (shard 0) and
+            // 5 (shard 1) the sum of two that cancel in part.
+            let keys: Vec<ParamKey> = (0..6).map(ParamKey).collect();
+            let (a, b) = ([0.4f32, -0.2, 0.1, 0.05], [-0.3f32, 0.25, 0.1, -0.05]);
+            let sum: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+            let e = energy(&a) + energy(&b);
+            let row_of = |i: usize| if i < 3 { &a[..] } else { &sum[..] };
+            client
+                .try_push_coalesced_rows(&keys, &[e, e, e], row_of, &opt, &mut scratch)
+                .unwrap();
+            let t = meter.snapshot();
+            assert_eq!(t.push_messages, 2, "{mode:?}: no message is added");
+            assert_eq!(t.local_messages + t.remote_messages, 2);
+            let written_back = 3 * (8 + 4 + row_bytes);
+            let (push, back) = (t.by_cause.push, t.by_cause.write_back);
+            assert_eq!(back.local + back.remote, written_back, "{mode:?}");
+            assert_eq!(back.local, 8 + 4 + row_bytes, "{mode:?}: key 4 is local");
+            assert_eq!(push.local + push.remote, 3 * (8 + row_bytes), "{mode:?}");
+            assert_eq!(t.by_cause.total().remote, t.remote_bytes);
+            assert_eq!(t.by_cause.total().local, t.local_bytes);
+            assert_eq!(t.push_wire_bytes, t.total_bytes());
+            assert_eq!(t.push_raw_bytes, 6 * (8 + 16) + 3 * 4);
+            // The same rows pushed plain: the written-back rows' state grew
+            // by less, the plain rows' by the same.
+            let plain = PsClient::new(
+                0,
+                ClusterTopology::new(2, 1),
+                reference.clone(),
+                Arc::new(TrafficMeter::new()),
+            );
+            let mut plain_scratch = PsScratch::new();
+            plain_scratch.set_compression(mode);
+            plain
+                .try_push_batch_rows(&keys, row_of, &opt, &mut plain_scratch)
+                .unwrap();
+            let state_of = |store: &KvStore, k: u64| {
+                let mut found = Vec::new();
+                store.for_each_row_with_state(|key, _, state| {
+                    if key.0 == k {
+                        found = state.to_vec();
+                    }
+                });
+                found
+            };
+            for k in 0..6u64 {
+                let (with, without) = (state_of(&store, k), state_of(&reference, k));
+                if k < 3 {
+                    assert_eq!(with, without, "{mode:?}: key {k} is a plain row");
+                } else {
+                    let grown: f32 = with.iter().sum();
+                    assert!(
+                        (grown - e).abs() < 0.02 * e && grown > 2.0 * without.iter().sum::<f32>(),
+                        "{mode:?}: key {k}'s state grew by {grown}, energy {e}"
+                    );
+                }
+            }
+            let no_trailer = plain.meter.snapshot();
+            assert_eq!(no_trailer.by_cause.write_back, Default::default());
+            assert_eq!(no_trailer.total_bytes(), 6 * (8 + row_bytes));
+        }
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl PushCompressor {
         self.stats.frames += 1;
         self.stats.rows += frame.keys.len() as u64;
         self.stats.wire_bytes += frame.wire_bytes();
-        self.stats.raw_bytes += frame.keys.len() as u64 * 8 + frame.payload.len() as u64 * 4;
+        self.stats.raw_bytes += frame.dense_wire_bytes();
     }
 }
 

@@ -126,8 +126,16 @@ pub(crate) struct ShardWriter<'a> {
 
 impl ShardWriter<'_> {
     /// One write to a row: update or overwrite it, count the write in its
-    /// version. Writes to one row apply in call order.
-    pub(crate) fn write(&mut self, kind: RowKind, local: usize, value: &[f32]) {
+    /// version. Writes to one row apply in call order. `energy` is `Some`
+    /// when `value` is several gradients written back as their sum (see
+    /// [`Optimizer::update_coalesced`]); it means nothing to an overwrite.
+    pub(crate) fn write(
+        &mut self,
+        kind: RowKind,
+        local: usize,
+        value: &[f32],
+        energy: Option<f32>,
+    ) {
         let Shard {
             entities,
             relations,
@@ -152,7 +160,10 @@ impl ShardWriter<'_> {
         let state = match self.optimizer {
             Some(optimizer) => {
                 let width = row.len() * optimizer.state_width();
-                optimizer.update(row, &mut state[..width], value);
+                match energy {
+                    Some(e) => optimizer.update_coalesced(row, &mut state[..width], value, e),
+                    None => optimizer.update(row, &mut state[..width], value),
+                }
                 &state[..width]
             }
             None => {
@@ -546,13 +557,15 @@ impl KvStore {
     /// Apply a gradient to a key under `optimizer` (server-side update).
     pub fn push_grad(&self, key: ParamKey, grad: &[f32], optimizer: &dyn Optimizer) {
         let p = self.router.place(key);
-        self.write_shard(p.shard, Some(optimizer), |w| w.write(p.kind, p.local, grad));
+        self.write_shard(p.shard, Some(optimizer), |w| {
+            w.write(p.kind, p.local, grad, None)
+        });
     }
 
     /// Overwrite a key's embedding (used by tests and checkpoint loading).
     pub fn store(&self, key: ParamKey, value: &[f32]) {
         let p = self.router.place(key);
-        self.write_shard(p.shard, None, |w| w.write(p.kind, p.local, value));
+        self.write_shard(p.shard, None, |w| w.write(p.kind, p.local, value, None));
     }
 
     /// Placement of a key (exposed for the metering client).
@@ -597,7 +610,7 @@ impl KvStore {
             self.write_shard(s, optimizer, |w| {
                 for i in plan.indices(s) {
                     let p = plan.placement(i);
-                    w.write(p.kind, p.local, values[i]);
+                    w.write(p.kind, p.local, values[i], None);
                 }
             });
         }

@@ -6,7 +6,17 @@
 //! optimizer of choice ("it can get embeddings of greater quality than
 //! SGD", §VI-A, at the cost of the extra state memory).
 
+use hetkg_embed::math::dot;
 use serde::{Deserialize, Serialize};
+
+/// A gradient's energy `‖g‖² = Σⱼ gⱼ²`. A worker that writes a row back adds
+/// this up per gradient — for every gradient of a cached row, so it is the
+/// lane-parallel [`dot`] and not a serial fold — and the shard divides by it
+/// ([`Optimizer::update_coalesced`]): both sides compute it here, in one
+/// summation order.
+pub fn energy(grad: &[f32]) -> f32 {
+    dot(grad, grad)
+}
 
 /// A stateless-object, per-row optimizer: applies one gradient row to one
 /// parameter row, given that row's optimizer state.
@@ -18,6 +28,16 @@ pub trait Optimizer: Send + Sync {
     /// Apply `grad` to `param` in place, updating `state` (length
     /// `param.len() × state_width`).
     fn update(&self, param: &mut [f32], state: &mut [f32], grad: &[f32]);
+
+    /// Apply `sum = Σᵢ gᵢ`, several gradients of one row written back at
+    /// once, with their `energy = Σᵢ ‖gᵢ‖²` — what is left of the single
+    /// gradients once they are summed. The default ignores the energy and
+    /// is [`update`](Self::update), which is exact for an optimizer that is
+    /// linear in the gradient.
+    fn update_coalesced(&self, param: &mut [f32], state: &mut [f32], sum: &[f32], energy: f32) {
+        let _ = energy;
+        self.update(param, state, sum);
+    }
 
     /// Name for reports.
     fn name(&self) -> &'static str;
@@ -74,6 +94,27 @@ impl Optimizer for AdaGrad {
         for i in 0..param.len() {
             let g = grad[i];
             state[i] += g * g;
+            param[i] -= self.lr * g / (state[i].sqrt() + self.eps);
+        }
+    }
+
+    /// Successive gradients of a hot row anti-correlate, so `(Σg)²`
+    /// under-counts what the accumulator would have collected from them one
+    /// by one, and every later step comes out too large. The state grows by
+    /// `ρ·sumⱼ²` with `ρ = energy ÷ ‖sum‖²` instead: the same `energy` in
+    /// total, spread over the coordinates as the sum's own squares are. One
+    /// gradient sent with its own energy has `ρ` = 1 and steps exactly as
+    /// [`update`](Optimizer::update) does.
+    fn update_coalesced(&self, param: &mut [f32], state: &mut [f32], sum: &[f32], energy: f32) {
+        debug_assert_eq!(param.len(), sum.len());
+        debug_assert_eq!(param.len(), state.len());
+        let rho = energy / self::energy(sum);
+        // A sum that cancelled to nothing (or to denormals) has no squares
+        // to spread the energy over.
+        let rho = if rho.is_finite() { rho } else { 1.0 };
+        for i in 0..param.len() {
+            let g = sum[i];
+            state[i] += rho * (g * g);
             param[i] -= self.lr * g / (state[i].sqrt() + self.eps);
         }
     }
@@ -157,6 +198,79 @@ mod tests {
         o.update(&mut p, &mut s, &[2.0]);
         o.update(&mut p, &mut s, &[3.0]);
         assert!((s[0] - 13.0).abs() < 1e-5);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_gradient_with_its_own_energy_steps_exactly_like_update() {
+        let g = [0.37f32, -1.25, 1e-4, 0.0, 3.5, -0.002, 7.0, 0.11];
+        let optimizers: [&dyn Optimizer; 2] = [&Sgd { lr: 0.05 }, &AdaGrad::new(0.1)];
+        for o in optimizers {
+            let w = g.len() * o.state_width();
+            let (mut p, mut s) = ([0.5f32; 8], vec![0.25f32; w]);
+            let (mut q, mut t) = (p, s.clone());
+            // Twice, so the second step starts from a state the first left.
+            for _ in 0..2 {
+                o.update(&mut p, &mut s, &g);
+                o.update_coalesced(&mut q, &mut t, &g, energy(&g));
+            }
+            assert_eq!(bits(&p), bits(&q), "{}", o.name());
+            assert_eq!(bits(&s), bits(&t), "{}", o.name());
+        }
+    }
+
+    #[test]
+    fn sgd_ignores_the_energy() {
+        let o = Sgd { lr: 0.1 };
+        let sum = [1.0f32, -2.0];
+        let (mut p, mut q) = ([0.5f32; 2], [0.5f32; 2]);
+        o.update(&mut p, &mut [], &sum);
+        o.update_coalesced(&mut q, &mut [], &sum, 1e6);
+        assert_eq!(bits(&p), bits(&q));
+    }
+
+    #[test]
+    fn adagrad_state_grows_by_the_energy_not_by_the_square_of_the_sum() {
+        let o = AdaGrad::new(0.1);
+        // Two opposite-sign gradients: the regression the energy exists for.
+        let (a, b) = ([1.0f32, -0.5, 0.25, 2.0], [-0.8f32, 0.75, -0.5, -1.0]);
+        let sum: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+        let e = energy(&a) + energy(&b);
+        let (mut p, mut s) = ([0.0f32; 4], [0.5f32; 4]);
+        o.update_coalesced(&mut p, &mut s, &sum, e);
+        let grown: f32 = s.iter().map(|v| v - 0.5).sum();
+        assert!((grown - e).abs() < 1e-4 * e, "grew {grown}, energy {e}");
+        assert!(
+            grown > 2.0 * energy(&sum),
+            "grew {grown}, (Σg)² is only {}",
+            energy(&sum)
+        );
+        // One by one, the accumulator collects the same total.
+        let (mut q, mut t) = ([0.0f32; 4], [0.5f32; 4]);
+        o.update(&mut q, &mut t, &a);
+        o.update(&mut q, &mut t, &b);
+        let one_by_one: f32 = t.iter().map(|v| v - 0.5).sum();
+        assert!((one_by_one - grown).abs() < 1e-4 * e);
+        // And the coalesced step is the smaller for it.
+        let (mut r, mut u) = ([0.0f32; 4], [0.5f32; 4]);
+        o.update(&mut r, &mut u, &sum);
+        for i in 0..4 {
+            assert!(p[i].abs() < r[i].abs(), "coordinate {i}: {p:?} vs {r:?}");
+        }
+    }
+
+    #[test]
+    fn a_sum_that_cancelled_to_zero_does_not_divide_by_zero() {
+        let o = AdaGrad::new(0.1);
+        for sum in [[0.0f32; 3], [1e-30f32, 0.0, -1e-30]] {
+            let (mut p, mut s) = ([0.5f32; 3], [1.0f32; 3]);
+            o.update_coalesced(&mut p, &mut s, &sum, 8.0);
+            assert!(p.iter().chain(&s).all(|v| v.is_finite()), "{p:?} {s:?}");
+            assert!(p.iter().all(|v| (v - 0.5).abs() < 1e-20), "{p:?}");
+        }
     }
 
     #[test]

@@ -254,16 +254,17 @@ fn handle<W: Write>(
     if !frame.verify() {
         return Err(protocol("frame failed checksum"));
     }
-    // Versions belong to pull-if-newer requests — at most one per key, a
-    // request's trailing keys — and to nothing else.
-    let versions_allowed = if op == OP_PULL_NEWER {
+    // A trailer belongs to a read (the versions held) or a push (the
+    // energies of rows written back) — at most one word per key, the
+    // frame's trailing keys — and to nothing else.
+    let trailer_allowed = if matches!(op, OP_PULL_NEWER | OP_PUSH) {
         frame.keys.len()
     } else {
         0
     };
-    if frame.versions.len() > versions_allowed {
+    if frame.versions.len() > trailer_allowed {
         return Err(protocol(
-            "versions on an op that takes none, or more than keys",
+            "a trailer on an op that takes none, or longer than the keys",
         ));
     }
     for &k in &frame.keys {
@@ -759,6 +760,90 @@ mod tests {
         }
     }
 
+    /// A push's trailer is checked like its body, before the first row is
+    /// written: an energy that is not a finite, non-negative number, more
+    /// energies than keys, energies on a write — dense and compressed.
+    #[test]
+    fn a_push_with_a_bad_trailer_has_written_nothing() {
+        let cfg = two_width_config();
+        let store = cfg.build_store();
+        let keys = vec![2u64, 8];
+        let rows = [0.25f32; 10];
+        let frame = |codec: Codec, trailer: &[f32]| {
+            let trailer = trailer.iter().map(|e| e.to_bits()).collect();
+            if codec == Codec::Dense {
+                return WireFrame::seal_versioned(keys.clone(), trailer, rows.to_vec());
+            }
+            let mut bytes = Vec::new();
+            for row in [&rows[..4], &rows[4..]] {
+                encode_row(codec, row, &mut bytes, &mut Vec::new());
+            }
+            WireFrame::seal_encoded_versioned(keys.clone(), trailer, Vec::new(), bytes, codec)
+        };
+        let before = contents(&store);
+        for codec in [Codec::Dense, Codec::Int8] {
+            let bad: [&[f32]; 6] = [
+                &[f32::NAN],
+                &[f32::INFINITY],
+                &[-1.0],
+                &[1.0, f32::NEG_INFINITY],
+                &[-f32::MIN_POSITIVE, 1.0],
+                &[1.0, 1.0, 1.0],
+            ];
+            for trailer in bad {
+                let bytes = request_bytes(OP_PUSH, &frame(codec, trailer));
+                // More energies than keys does not even frame.
+                assert!(
+                    feed(&cfg, 0, &store, &bytes).is_err(),
+                    "{codec:?} {trailer:?}"
+                );
+                assert_eq!(contents(&store), before, "{codec:?} {trailer:?} wrote");
+            }
+        }
+        // Handed to `apply_frame` directly (the handler's own count check
+        // aside), the longer trailer is refused there too.
+        let long = frame(Codec::Dense, &[1.0, 1.0, 1.0]);
+        let places = || keys.iter().map(|&k| store.place(ParamKey(k)));
+        let optimizer = cfg.optimizer.build();
+        let refused = apply_frame(
+            &store,
+            0,
+            &long,
+            places(),
+            Some(optimizer.as_ref()),
+            &mut Vec::new(),
+        );
+        assert_eq!(refused, Err("more energies than keys"));
+        // A write takes no energies, however good.
+        let bytes = request_bytes(OP_WRITE, &frame(Codec::Dense, &[1.0]));
+        assert!(feed(&cfg, 0, &store, &bytes).is_err());
+        assert_eq!(contents(&store), before);
+        // A good trailer is applied — and not as a plain push would be: the
+        // energy reaches the optimizer's state.
+        for codec in [Codec::Dense, Codec::Int8] {
+            let with = cfg.build_store();
+            feed(
+                &cfg,
+                0,
+                &with,
+                &request_bytes(OP_PUSH, &frame(codec, &[9.0])),
+            )
+            .unwrap();
+            let without = cfg.build_store();
+            feed(
+                &cfg,
+                0,
+                &without,
+                &request_bytes(OP_PUSH, &frame(codec, &[])),
+            )
+            .unwrap();
+            let (with, without) = (contents(&with), contents(&without));
+            assert_ne!(with, before);
+            assert_eq!(with[0], without[0], "{codec:?}: key 2 went as a plain row");
+            assert_ne!(with, without, "{codec:?}: key 8 went with its energy");
+        }
+    }
+
     #[test]
     fn the_retired_plain_pull_byte_is_an_unknown_op() {
         let cfg = tiny_config();
@@ -824,11 +909,19 @@ mod tests {
                 let mut reply = Vec::new();
                 let optimizer = cfg.optimizer.build();
                 let out = handle(&cfg, 0, &store, optimizer.as_ref(), &mut Vec::new(), &mut reply, msg);
-                if op == OP_PULL_NEWER && versions.len() > keys.len() {
-                    prop_assert!(out.is_err(), "more versions than keys were served");
+                let takes_a_trailer = matches!(op, OP_PULL_NEWER | OP_PUSH);
+                if takes_a_trailer && versions.len() > keys.len() {
+                    prop_assert!(out.is_err(), "a trailer longer than the keys was served");
                 }
-                if op != OP_PULL_NEWER && !versions.is_empty() {
-                    prop_assert!(out.is_err(), "versions were accepted on op {op}");
+                if !takes_a_trailer && !versions.is_empty() {
+                    prop_assert!(out.is_err(), "a trailer was accepted on op {op}");
+                }
+                let energy_ok = |&v: &u32| {
+                    let e = f32::from_bits(v);
+                    e.is_finite() && e >= 0.0
+                };
+                if op == OP_PUSH && !versions.iter().all(energy_ok) {
+                    prop_assert!(out.is_err(), "a push with a bad energy was applied");
                 }
             }
 
@@ -935,7 +1028,8 @@ mod tests {
             /// sim ≡ server: a random sequence of the client's calls — reads
             /// mixing plain keys (duplicates included) with conditional keys
             /// held at the current, a stale or no version; dense, int8, int4
-            /// and top-k pushes with duplicate keys; writes — draws the same
+            /// and top-k pushes with duplicate keys, their trailing rows
+            /// written back with an energy; writes — draws the same
             /// response frame, seal included, from a shard server and from
             /// the simulated exchange, and leaves the same rows, optimizer
             /// state and versions in both tables after every call.
@@ -996,12 +1090,22 @@ mod tests {
                         .collect();
                     let rows: Vec<&[f32]> = values.iter().map(Vec::as_slice).collect();
                     let done = match call {
-                        0..=3 => client.try_push_batch_with(
-                            &keys,
-                            &rows,
-                            optimizer.as_ref(),
-                            &mut scratches[usize::from(call)],
-                        ),
+                        0..=3 => {
+                            // The last rows (none, some or all) are written
+                            // back, energies from zero up.
+                            let energies: Vec<f32> = holds
+                                .iter()
+                                .take(keys.len())
+                                .map(|&h| f32::from(h) * 0.37)
+                                .collect();
+                            client.try_push_coalesced_rows(
+                                &keys,
+                                &energies,
+                                |i| rows[i],
+                                optimizer.as_ref(),
+                                &mut scratches[usize::from(call)],
+                            )
+                        }
                         4 => client.try_write_batch_with(&keys, &rows, &mut scratches[0]),
                         _ => {
                             // `keys` ride in front as plain pulls; behind

@@ -52,7 +52,9 @@ use std::time::Duration;
 // the plain pull; it is retired and refused like any unknown op.
 
 /// Gradient push: the frame's rows are applied through the server's
-/// optimizer.
+/// optimizer. The leading keys' rows are one gradient each; the trailing
+/// keys each carry a trailer word, the energy (`f32` bits) of the several
+/// gradients their row is the sum of.
 pub const OP_PUSH: u8 = 1;
 /// Raw overwrite (no optimizer).
 pub const OP_WRITE: u8 = 2;
@@ -209,18 +211,35 @@ pub(crate) fn apply_frame(
     if dims().map(|dim| encoded_len(codec, dim)).sum::<usize>() != body {
         return Err("frame body does not match its keys' rows");
     }
+    let Some(plain) = frame.keys.len().checked_sub(frame.versions.len()) else {
+        return Err("more energies than keys");
+    };
+    if optimizer.is_none() && plain != frame.keys.len() {
+        return Err("energies on a write");
+    }
+    let energy = |bits: &u32| f32::from_bits(*bits);
+    if !frame
+        .versions
+        .iter()
+        .map(energy)
+        .all(|e| e.is_finite() && e >= 0.0)
+    {
+        return Err("an energy that is not a finite, non-negative number");
+    }
     store.write_shard(shard, optimizer, |shard| {
         let mut off = 0;
-        for (dim, p) in dims().zip(places) {
+        for (i, (dim, p)) in dims().zip(places).enumerate() {
+            let energy = i.checked_sub(plain).map(|e| energy(&frame.versions[e]));
             if codec == Codec::Dense {
-                shard.write(p.kind, p.local, &frame.payload[off..off + dim]);
+                let value = &frame.payload[off..off + dim];
+                shard.write(p.kind, p.local, value, energy);
                 off += dim;
             } else {
                 let len = encoded_len(codec, dim);
                 row.clear();
                 row.resize(dim, 0.0);
                 decode_row(codec, &frame.encoded[off..off + len], row);
-                shard.write(p.kind, p.local, row);
+                shard.write(p.kind, p.local, row, energy);
                 off += len;
             }
         }

@@ -59,7 +59,9 @@ pub struct CacheConfig {
     pub heterogeneity_aware: bool,
     /// DPS prefetch depth `D`.
     pub prefetch_depth: usize,
-    /// Staleness bound `P` (sync period, Fig. 8b).
+    /// Staleness bound `P` (Fig. 8b): the table is synchronized every `P`
+    /// iterations, and a cached row's gradients are written back once per
+    /// such window, in the push before the sync.
     pub staleness: usize,
     /// Hard staleness ceiling for degraded mode: during a PS-shard outage
     /// the cache keeps serving stale hits past `P`, but once a cached key

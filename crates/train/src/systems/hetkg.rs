@@ -16,15 +16,30 @@
 //!    as of this iteration, which is what §IV-C's bound counts from;
 //! 3. read hot embeddings from the table, pull only the *misses* from the
 //!    PS — this is where the communication reduction comes from;
-//! 4. compute gradients; apply them to cached rows locally **and** push all
-//!    gradients to the PS (Alg. 3 lines 17–19) so the global model keeps
-//!    advancing.
+//! 4. compute gradients and update (Alg. 3 lines 17–19, as built): the
+//!    gradient of a row the table does not hold is pushed to the PS, as a
+//!    cacheless system would; the gradient of a cached row is applied to the
+//!    cached copy — the worker's own reads stay current — and *held* in the
+//!    table beside the others the row collects, to be written back once per
+//!    sync window. The held rows ride in the push of the iteration before
+//!    the table's next sync, before a DPS rebuild (nothing evicted is lost)
+//!    and at an epoch's end (evaluation, checkpoints and restarts see
+//!    everything), so no gradient waits more than `P − 1` iterations — the
+//!    write side of §IV-C's bound — and no message is added. A row that
+//!    collected one gradient goes out as that gradient; one that collected
+//!    several goes out as their sum `Σg` with their energy `Σᵢ‖gᵢ‖²` in the
+//!    push frame's trailer, which is what lets the server's AdaGrad account
+//!    for the gradients it never saw one by one
+//!    ([`Optimizer::update_coalesced`](hetkg_ps::optimizer::Optimizer::update_coalesced)).
+//!    It has to be the push *before* the sync: the refresh would otherwise
+//!    overwrite local updates the server has not seen.
 //!
 //! With fault injection attached the cache doubles as a degraded-mode
 //! buffer: while a PS shard is down, cached keys homed there keep serving
 //! (stale) hits past the sync bound `P` up to a hard staleness cap, and
-//! their gradient pushes are deferred into a local backlog that is replayed
-//! once the shard recovers. With overload protection attached
+//! their gradient pushes — rows written back included, with their energy —
+//! are deferred into a local backlog that is replayed once the shard
+//! recovers. With overload protection attached
 //! ([`hetkg_ps::OverloadControl`]) the same machinery doubles as a
 //! *brownout*: a shard whose circuit breaker is open is treated like a
 //! down shard — cached keys serve stale (counted separately as brownout
@@ -65,6 +80,7 @@ use hetkg_core::sync::{StalenessTracker, SyncConfig};
 use hetkg_core::table::HotEmbeddingTable;
 use hetkg_embed::negative::NegativeSampler;
 use hetkg_kgraph::ParamKey;
+use hetkg_ps::optimizer::energy;
 use hetkg_ps::{PsScratch, Refresh, RpcError, NO_VERSION};
 use std::collections::HashMap;
 
@@ -72,6 +88,32 @@ use std::collections::HashMap;
 /// hold. Gradients arriving once the backlog is full are shed (dropped and
 /// counted) rather than growing memory without bound under a long brownout.
 const BACKLOG_CAP: usize = 4096;
+
+/// [`PushRow::slot`] of a row that comes out of the table's write-back arena.
+const FROM_TABLE: u32 = u32::MAX;
+
+/// One row of an iteration's push.
+#[derive(Debug, Clone, Copy)]
+struct PushRow {
+    key: ParamKey,
+    /// Where the row is: a slot of the gradient accumulator (this batch's
+    /// gradient of a row the table does not hold), or [`FROM_TABLE`].
+    slot: u32,
+    /// Of a row written back: how many gradients it is the sum of, and their
+    /// energy. A row with one gradient is pushed as that gradient.
+    grads: u32,
+    energy: f32,
+}
+
+/// Gradients deferred while their home shard was unhealthy, summed per key
+/// with their energy — what the table holds per cached row, for any row —
+/// and replayed the way a row is written back.
+#[derive(Debug)]
+struct Deferred {
+    sum: Vec<f32>,
+    energy: f32,
+    grads: u32,
+}
 
 /// Per-worker HET-KG training state (CPS or DPS, by the policy's kind).
 pub struct HetKgWorker {
@@ -120,10 +162,18 @@ pub struct HetKgWorker {
     /// differential tests hold the version gate against.
     #[cfg(test)]
     full_refresh_reference: bool,
-    /// Scratch for the degraded push: the available gradient slots in key
-    /// order, and their keys.
-    up_slots: Vec<u32>,
+    /// Test-only: push every gradient every iteration and hold nothing, as
+    /// the code did before hot rows were written back — the reference the
+    /// differential tests hold the write-back against.
+    #[cfg(test)]
+    write_through_reference: bool,
+    /// Scratch: the rows of this iteration's push — one gradient each in
+    /// key order, then the rows written back with an energy in key order —
+    /// and, derived from it, the keys and trailing energies the client is
+    /// handed.
+    up: Vec<PushRow>,
     up_keys: Vec<ParamKey>,
+    up_energy: Vec<f32>,
     /// Reusable draw buffers (CPS draws one batch per iteration into them).
     batch: MiniBatch,
     /// The next batch, compiled. Swapped into `ctx.scratch.plan` when it
@@ -144,8 +194,8 @@ pub struct HetKgWorker {
     /// Usage-weighted miss count of the staged batch.
     staged_miss_uses: u64,
     /// Degraded mode: gradient pushes deferred while their home shard was
-    /// down, summed per key, replayed on recovery.
-    backlog: HashMap<ParamKey, Vec<f32>>,
+    /// down, replayed on recovery.
+    backlog: HashMap<ParamKey, Deferred>,
     /// Degraded mode: hard ceiling on cache staleness. While a shard is
     /// down, cached keys skip the periodic refresh and keep serving stale
     /// hits — but once staleness reaches this cap the worker refreshes
@@ -210,8 +260,11 @@ impl HetKgWorker {
             check_row: Vec::new(),
             #[cfg(test)]
             full_refresh_reference: false,
-            up_slots: Vec::new(),
+            #[cfg(test)]
+            write_through_reference: false,
+            up: Vec::new(),
             up_keys: Vec::new(),
+            up_energy: Vec::new(),
             batch: MiniBatch::default(),
             next_plan: BatchPlan::new(),
             staged: false,
@@ -506,29 +559,41 @@ impl HetKgWorker {
         }
     }
 
-    /// Fold one gradient into the deferred backlog. Existing entries
-    /// accumulate regardless of the bound; a *new* key is admitted only
-    /// while the backlog holds fewer than [`BACKLOG_CAP`] keys. Returns
-    /// `true` when the gradient was kept, `false` when it was shed.
-    fn defer_into(backlog: &mut HashMap<ParamKey, Vec<f32>>, k: ParamKey, g: &[f32]) -> bool {
+    /// Fold `grads` gradients of `k`, summed in `sum` with energy `energy`,
+    /// into the deferred backlog. Existing entries accumulate regardless of
+    /// the bound; a *new* key is admitted only while the backlog holds fewer
+    /// than [`BACKLOG_CAP`] keys. Returns `true` when the gradients were
+    /// kept, `false` when they were shed.
+    fn defer_into(
+        backlog: &mut HashMap<ParamKey, Deferred>,
+        k: ParamKey,
+        sum: &[f32],
+        energy: f32,
+        grads: u32,
+    ) -> bool {
         if let Some(acc) = backlog.get_mut(&k) {
-            for (a, b) in acc.iter_mut().zip(g) {
+            for (a, b) in acc.sum.iter_mut().zip(sum) {
                 *a += b;
             }
+            acc.energy += energy;
+            acc.grads += grads;
             true
         } else if backlog.len() >= BACKLOG_CAP {
             false
         } else {
-            backlog.insert(k, g.to_vec());
+            let sum = sum.to_vec();
+            backlog.insert(k, Deferred { sum, energy, grads });
             true
         }
     }
 
     /// Replay backlogged gradient pushes whose home shard has recovered —
-    /// reachable *and* not behind a tripped breaker. No-op on the healthy
-    /// path (backlog empty) and while the shards are still down or browning
-    /// out. Keys are flushed in sorted order so the replay is deterministic
-    /// regardless of `HashMap` iteration order.
+    /// reachable *and* not behind a tripped breaker — the way hot rows are
+    /// written back: an entry that collected one gradient as that gradient,
+    /// one that collected several as their sum with its energy. No-op on
+    /// the healthy path (backlog empty) and while the shards are still down
+    /// or browning out. Keys are flushed in sorted order so the replay is
+    /// deterministic regardless of `HashMap` iteration order.
     fn flush_backlog_if_ready(&mut self) {
         if self.backlog.is_empty() {
             return;
@@ -542,15 +607,20 @@ impl HetKgWorker {
         if ready.is_empty() {
             return;
         }
-        ready.sort_unstable_by_key(|k| k.0);
-        let grads: Vec<Vec<f32>> = ready
+        ready.sort_unstable_by_key(|k| (self.backlog[k].grads > 1, k.0));
+        let rows: Vec<Deferred> = ready
             .iter()
             .map(|k| self.backlog.remove(k).expect("key was just listed"))
             .collect();
-        let grad_refs: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
-        match self.ctx.client.try_push_batch_with(
+        let energies: Vec<f32> = rows
+            .iter()
+            .filter(|d| d.grads > 1)
+            .map(|d| d.energy)
+            .collect();
+        match self.ctx.client.try_push_coalesced_rows(
             &ready,
-            &grad_refs,
+            &energies,
+            |i| &rows[i].sum,
             self.ctx.optimizer.as_ref(),
             &mut self.ctx.ps,
         ) {
@@ -564,8 +634,8 @@ impl HetKgWorker {
                 // breaker re-tripped mid-flush): put the gradients back and
                 // retry next iteration. Re-insertion cannot overflow the
                 // bound — these keys held slots moments ago.
-                for (k, g) in ready.into_iter().zip(grads) {
-                    self.backlog.insert(k, g);
+                for (k, d) in ready.into_iter().zip(rows) {
+                    self.backlog.insert(k, d);
                 }
             }
             Err(other) => retries_exhausted("backlog replay", other),
@@ -573,87 +643,156 @@ impl HetKgWorker {
     }
 
     /// [`Self::defer_into`], folding the key's pending error-feedback
-    /// residual into a kept gradient: a deferred push must carry it too —
+    /// residual into kept gradients: a deferred push must carry it too —
     /// otherwise the compression error would sit client-side until the key
     /// happens to be pushed again, stretching the staleness envelope. Shed
     /// keys keep their residual.
     fn defer_with_residual(
-        backlog: &mut HashMap<ParamKey, Vec<f32>>,
+        backlog: &mut HashMap<ParamKey, Deferred>,
         ps: &mut PsScratch,
         k: ParamKey,
-        g: &[f32],
+        sum: &[f32],
+        energy: f32,
+        grads: u32,
     ) -> bool {
-        let kept = Self::defer_into(backlog, k, g);
+        let kept = Self::defer_into(backlog, k, sum, energy, grads);
         if kept {
             if let Some(e) = backlog.get_mut(&k) {
-                ps.fold_residual(k, e);
+                ps.fold_residual(k, &mut e.sum);
             }
         }
         kept
     }
 
-    /// Push accumulated gradients, deferring those homed on a down or
-    /// browning-out shard into the local backlog (summed per key) instead
-    /// of blocking the iteration. A push the overload machinery refuses —
-    /// retry budget dry, breaker tripped mid-flight — folds into the
-    /// backlog the same way. With every shard up (and no breaker open)
-    /// this sends exactly the batch [`WorkerCtx::push_grads`] would.
-    fn push_grads_degraded(&mut self) {
-        let mut deferred = 0u64;
-        let mut shed = 0u64;
-        self.ctx.grads.sorted_slots_into(&mut self.up_slots);
-        let client = &self.ctx.client;
-        let grads = &self.ctx.grads;
-        let backlog = &mut self.backlog;
-        let ps = &mut self.ctx.ps;
-        self.up_slots.retain(|&slot| {
-            let k = grads.key_at(slot);
-            if client.shard_healthy(k) {
-                return true;
+    /// The update step (Alg. 3 lines 17–19, as built). Every gradient of a
+    /// cached row is applied to the cached copy and held in the table; the
+    /// gradients of the other rows are pushed. With `write_back`, everything
+    /// the table holds — this iteration's gradients and the ones before
+    /// them — rides in the same push: rows that collected one gradient as
+    /// that gradient, among the plain rows, and the rows that collected
+    /// several behind them, each with its energy.
+    ///
+    /// `degraded`: a fault plan is attached. Rows homed on a down or
+    /// browning-out shard are deferred into the local backlog, with their
+    /// energy, instead of blocking the iteration, and a push the overload
+    /// machinery refuses — retry budget dry, breaker tripped mid-flight —
+    /// folds into the backlog the same way. With every shard up (and no
+    /// breaker open) this sends exactly what the healthy path does.
+    fn push_update(&mut self, write_back: bool, degraded: bool) {
+        let now = self.iteration;
+        let (grads, table) = (&self.ctx.grads, &mut self.table);
+        let optimizer = self.ctx.optimizer.as_ref();
+        #[cfg(test)]
+        let hold = !self.write_through_reference;
+        #[cfg(not(test))]
+        let hold = true;
+        self.up.clear();
+        for &slot in grads.touched() {
+            let (key, grad) = (grads.key_at(slot), grads.row_at(slot));
+            let held = if hold {
+                table.apply_and_hold(key, grad, optimizer, now)
+            } else {
+                table.apply_grad(key, grad, optimizer);
+                false
+            };
+            if !held {
+                self.up.push(PushRow {
+                    key,
+                    slot,
+                    grads: 1,
+                    energy: 0.0,
+                });
             }
-            if Self::defer_with_residual(backlog, ps, k, grads.row_at(slot)) {
+        }
+        if write_back {
+            let window = self.sync.period;
+            for p in table.pending() {
+                // The write side of §IV-C: no gradient waits out a window.
+                debug_assert!(
+                    now - p.since < window,
+                    "{} held a gradient for {} iterations (P = {window})",
+                    p.key,
+                    now - p.since
+                );
+                self.economy.written_back_rows += 1;
+                self.economy.coalesced_grads += u64::from(p.grads);
+                if p.grads > 1 {
+                    self.economy.written_back_energy += f64::from(p.energy);
+                    self.economy.written_back_sum_sq += f64::from(energy(p.sum));
+                }
+                self.up.push(PushRow {
+                    key: p.key,
+                    slot: FROM_TABLE,
+                    grads: p.grads,
+                    energy: p.energy,
+                });
+            }
+        }
+        self.up.sort_unstable_by_key(|r| (r.grads > 1, r.key));
+        let table = &self.table;
+        let row_of = |r: &PushRow| match r.slot {
+            FROM_TABLE => table.pending_sum(r.key).expect("listed as pending"),
+            slot => grads.row_at(slot),
+        };
+
+        let client = &self.ctx.client;
+        let (backlog, ps) = (&mut self.backlog, &mut self.ctx.ps);
+        let (mut deferred, mut shed) = (0u64, 0u64);
+        let mut defer = |r: &PushRow, ps: &mut PsScratch| {
+            let row = row_of(r);
+            let e = match r.slot {
+                FROM_TABLE => r.energy,
+                _ => energy(row),
+            };
+            if Self::defer_with_residual(backlog, ps, r.key, row, e, r.grads) {
                 deferred += 1;
             } else {
                 shed += 1;
             }
-            false
-        });
-        let up_slots = &self.up_slots;
+        };
+        if degraded {
+            self.up.retain(|r| {
+                let healthy = client.shard_healthy(r.key);
+                if !healthy {
+                    defer(r, ps);
+                }
+                healthy
+            });
+        }
+        let up = &self.up;
         self.up_keys.clear();
-        self.up_keys
-            .extend(up_slots.iter().map(|&s| grads.key_at(s)));
-        let pushed = client.try_push_batch_rows(
+        self.up_keys.extend(up.iter().map(|r| r.key));
+        self.up_energy.clear();
+        self.up_energy
+            .extend(up.iter().filter(|r| r.grads > 1).map(|r| r.energy));
+        let pushed = client.try_push_coalesced_rows(
             &self.up_keys,
-            |i| grads.row_at(up_slots[i]),
-            self.ctx.optimizer.as_ref(),
+            &self.up_energy,
+            |i| row_of(&up[i]),
+            optimizer,
             ps,
         );
         match pushed {
             Ok(()) => {}
-            Err(RpcError::Overloaded { .. }) => {
+            Err(RpcError::Overloaded { .. }) if degraded => {
                 // The shard is drowning and the retry budget refused the
                 // push: brown out instead of insisting. The whole batch
                 // folds into the backlog and replays once the breaker
                 // closes or the flash crowd passes.
-                for (&k, &slot) in self.up_keys.iter().zip(up_slots) {
-                    if Self::defer_with_residual(backlog, ps, k, grads.row_at(slot)) {
-                        deferred += 1;
-                    } else {
-                        shed += 1;
-                    }
-                }
+                up.iter().for_each(|r| defer(r, ps));
             }
             Err(other) => retries_exhausted("push_batch", other),
         }
-        if deferred > 0 || shed > 0 {
-            if let Some(f) = self.ctx.client.faults() {
-                if deferred > 0 {
-                    f.injector.note_deferred_pushes(deferred);
-                }
-                if shed > 0 {
-                    f.injector.note_shed_pushes(shed);
-                }
+        if let Some(f) = client.faults() {
+            if deferred > 0 {
+                f.injector.note_deferred_pushes(deferred);
             }
+            if shed > 0 {
+                f.injector.note_shed_pushes(shed);
+            }
+        }
+        if write_back {
+            self.table.clear_pending();
         }
         self.ctx.grads.clear();
     }
@@ -785,13 +924,17 @@ impl HetKgWorker {
         early_end.max(self.ctx.post_comm(delta, 0.0))
     }
 
-    /// Single sequential iteration (no staging) — the unit tests' probe.
+    /// Single sequential iteration (no staging, everything written back) —
+    /// the unit tests' probe.
     #[cfg(test)]
     fn one_iteration(&mut self) -> BatchResult {
         self.one_iteration_inner(false)
     }
 
-    fn one_iteration_inner(&mut self, may_stage: bool) -> BatchResult {
+    /// `epoch_continues`: another iteration of this epoch follows, so the
+    /// next batch may be staged behind this one and held gradients may wait
+    /// for a later push.
+    fn one_iteration_inner(&mut self, epoch_continues: bool) -> BatchResult {
         let degraded = self.ctx.client.faults().is_some();
         if degraded {
             self.flush_backlog_if_ready();
@@ -807,7 +950,9 @@ impl HetKgWorker {
 
         // Stage the next iteration *before* computing this one, so its
         // early pull lands on the comm lane while this compute runs.
-        if may_stage && self.ctx.overlap && !self.policy.needs_construction(self.iteration + 1) {
+        let next = self.iteration + 1;
+        let rebuild_next = self.policy.needs_construction(next);
+        if epoch_continues && self.ctx.overlap && !rebuild_next {
             self.stage(true);
         }
 
@@ -815,24 +960,14 @@ impl HetKgWorker {
         let result = self.ctx.compute();
         let compute_end = self.ctx.post_compute(result.work_units, pull_end);
 
-        // --- Update: local cache rows + push everything (Alg. 3 17–19) ---
-        let grads = &self.ctx.grads;
-        for &slot in grads.touched() {
-            self.table.apply_grad(
-                grads.key_at(slot),
-                grads.row_at(slot),
-                self.ctx.optimizer.as_ref(),
-            );
-        }
-        if degraded {
-            let before = self.ctx.meter.snapshot();
-            self.push_grads_degraded();
-            let delta = self.ctx.meter.snapshot().since(before);
-            self.ctx.post_comm(delta, compute_end);
-        } else {
-            let push = self.ctx.push_grads();
-            self.ctx.post_comm(push, compute_end);
-        }
+        // --- Update (Alg. 3 17–19): cached rows locally, the rest pushed,
+        // and in the last push before a sync, a rebuild or the epoch's end
+        // everything the table holds.
+        let write_back = !epoch_continues || rebuild_next || self.sync.is_sync_iteration(next);
+        let before = self.ctx.meter.snapshot();
+        self.push_update(write_back, degraded);
+        let delta = self.ctx.meter.snapshot().since(before);
+        self.ctx.post_comm(delta, compute_end);
 
         self.iteration += 1;
         result
@@ -881,7 +1016,9 @@ impl WorkerLoop for HetKgWorker {
             return false;
         }
         // The last iteration never stages: staging the next epoch's
-        // first batch would shift its pull traffic into this epoch.
+        // first batch would shift its pull traffic into this epoch. And it
+        // writes back what the table holds: an epoch ends with the server
+        // owed nothing.
         let r = self.one_iteration_inner(self.run.unit + 1 < iters);
         self.ctx.advance_fault_clock(r.work_units);
         self.run.acc.absorb(r);
@@ -1243,14 +1380,17 @@ mod tests {
             compute_rate: 4000.0,
         };
         // Worker 0 lives on machine 0, so shard 1 is its remote shard.
-        let plan = FaultPlan::shard_outage(7, 1, 0.5, 3.5);
+        let plan = FaultPlan::shard_outage(7, 1, 0.5, 6.5);
         let mut w = build_with_faults(PolicyKind::Cps, 200, plan, cost);
         // Pre-cache the full key space (capacity 200 covers all 86 keys)
         // and skip the iteration-0 rebuild, so the epoch below never
         // misses: every shard-1 access during the outage is then a
         // degraded hit or a deferred push, not a blocking pull. The
         // construction pull's shard-1 message lands at t = 0 (before the
-        // outage) and advances the clock to 1.0 s — inside the window.
+        // outage) and advances the clock to 1.0 s — inside the window,
+        // which stays open past the first write-back: with every row cached
+        // nothing is pushed until iteration 3, the push before the sync at
+        // P = 4, some 3 s of compute later.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
         let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
         w.construct_table(&everything);
@@ -1292,14 +1432,14 @@ mod tests {
             compute_rate: 4000.0,
         };
         // Worker 0 lives on machine 0, so shard 1 is remote. The flash
-        // crowd sheds *every* shard-1 arrival between 0.5 s and 3.5 s
+        // crowd sheds *every* shard-1 arrival between 0.5 s and 6.5 s
         // (queue capacity 0), with a 1 s relief hint.
         let plan = FaultPlan {
             seed: 7,
             overloads: vec![OverloadWindow {
                 shard: 1,
                 start: 0.5,
-                end: 3.5,
+                end: 6.5,
                 queue_capacity: 0,
                 drain_rate: 1.0,
                 latency_per_inflight: 0.0,
@@ -1325,7 +1465,9 @@ mod tests {
         // Pre-cache the full key space so the epoch never misses: every
         // shard-1 access during the brownout is then a stale serve or a
         // deferred push. The construction pull lands at t = 0 (before the
-        // window) and advances the clock to 1.0 s — inside it.
+        // window) and advances the clock to 1.0 s — inside it; the first
+        // message the crowd can shed is iteration 3's write-back, some 3 s
+        // of compute later.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
         let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
         w.construct_table(&everything);
@@ -1475,62 +1617,121 @@ mod tests {
         reference: bool,
         replication: usize,
     ) -> (Vec<HetKgWorker>, Arc<KvStore>) {
-        const MACHINES: usize = 3;
-        let g = SyntheticKg {
-            num_entities: 3_000,
-            num_relations: 10,
-            num_triples: 4_500,
-            entity_alpha: 1.0,
-            relation_alpha: 1.1,
-            ..Default::default()
+        let spec = PoolSpec {
+            kind,
+            overlap,
+            compression,
+            replication,
+            ..PoolSpec::default()
+        };
+        let (mut workers, store) = spec.build();
+        for w in &mut workers {
+            w.full_refresh_reference = reference;
         }
-        .build(17);
-        let ks = g.key_space();
-        let router = ShardRouter::round_robin(ks, MACHINES);
-        let store = Arc::new(
-            KvStore::new(router, 32, 32, 1, Init::Uniform { bound: 0.2 }, 4)
-                .with_replication(replication),
-        );
-        let workers = (0..MACHINES)
-            .map(|w| {
-                let meter = Arc::new(TrafficMeter::new());
-                let client = PsClient::new(
-                    w,
-                    ClusterTopology::new(MACHINES, 1),
-                    store.clone(),
-                    meter.clone(),
-                );
-                let subgraph = g
-                    .triples()
-                    .iter()
-                    .copied()
-                    .filter(|t| t.head.index() % MACHINES == w)
-                    .collect();
-                let ctx = WorkerCtx::new(
-                    w,
-                    subgraph,
-                    ks,
-                    client,
-                    meter,
-                    ModelKind::TransEL2.build(32).into(),
-                    LossKind::Logistic,
-                    Arc::new(AdaGrad::new(0.1)),
-                    32,
-                )
-                .with_timing(CostModel::gigabit(), overlap)
-                .with_compression(compression);
-                let negatives = NegativeSampler::new(3_000, NegConfig::default(), 9 + w as u64);
-                let policy = CachePolicy {
-                    kind,
-                    filter: hetkg_core::filter::FilterConfig::paper_default(300),
-                    prefetch_depth: 8,
-                };
-                let mut worker = HetKgWorker::new(ctx, policy, SyncConfig::new(4), negatives, 1);
-                worker.full_refresh_reference = reference;
-                worker
-            })
-            .collect();
         (workers, store)
+    }
+
+    /// [`build_pool`]'s pool, every knob a test turns exposed.
+    #[derive(Clone)]
+    struct PoolSpec {
+        kind: PolicyKind,
+        overlap: bool,
+        compression: hetkg_netsim::CompressionMode,
+        replication: usize,
+        machines: usize,
+        /// `P` and `D`.
+        period: usize,
+        depth: usize,
+        optimizer: Arc<dyn hetkg_ps::optimizer::Optimizer>,
+        faults: Option<FaultPlan>,
+    }
+
+    impl Default for PoolSpec {
+        fn default() -> Self {
+            Self {
+                kind: PolicyKind::Cps,
+                overlap: false,
+                compression: hetkg_netsim::CompressionMode::Off,
+                replication: 1,
+                machines: 3,
+                period: 4,
+                depth: 8,
+                optimizer: Arc::new(AdaGrad::new(0.1)),
+                faults: None,
+            }
+        }
+    }
+
+    impl PoolSpec {
+        fn build(&self) -> (Vec<HetKgWorker>, Arc<KvStore>) {
+            let spec = self;
+            let PoolSpec {
+                kind,
+                overlap,
+                compression,
+                replication,
+                machines,
+                ..
+            } = *spec;
+            let g = SyntheticKg {
+                num_entities: 3_000,
+                num_relations: 10,
+                num_triples: 4_500,
+                entity_alpha: 1.0,
+                relation_alpha: 1.1,
+                ..Default::default()
+            }
+            .build(17);
+            let ks = g.key_space();
+            let router = ShardRouter::round_robin(ks, machines);
+            let state_width = spec.optimizer.state_width();
+            let store = Arc::new(
+                KvStore::new(router, 32, 32, state_width, Init::Uniform { bound: 0.2 }, 4)
+                    .with_replication(replication),
+            );
+            let workers = (0..machines)
+                .map(|w| {
+                    let meter = Arc::new(TrafficMeter::new());
+                    let mut client = PsClient::new(
+                        w,
+                        ClusterTopology::new(machines, 1),
+                        store.clone(),
+                        meter.clone(),
+                    );
+                    if let Some(plan) = &spec.faults {
+                        let injector = FaultInjector::new(plan.clone(), CostModel::gigabit(), w);
+                        client = client.with_faults(Arc::new(injector), RetryPolicy::default());
+                    }
+                    let subgraph = g
+                        .triples()
+                        .iter()
+                        .copied()
+                        .filter(|t| t.head.index() % machines == w)
+                        .collect();
+                    let ctx = WorkerCtx::new(
+                        w,
+                        subgraph,
+                        ks,
+                        client,
+                        meter,
+                        ModelKind::TransEL2.build(32).into(),
+                        LossKind::Logistic,
+                        spec.optimizer.clone(),
+                        32,
+                    )
+                    .with_timing(CostModel::gigabit(), overlap)
+                    .with_compression(compression);
+                    let negatives = NegativeSampler::new(3_000, NegConfig::default(), 9 + w as u64);
+                    let policy = CachePolicy {
+                        kind,
+                        filter: hetkg_core::filter::FilterConfig::paper_default(300),
+                        prefetch_depth: spec.depth,
+                    };
+                    HetKgWorker::new(ctx, policy, SyncConfig::new(spec.period), negatives, 1)
+                })
+                .collect();
+            (workers, store)
+        }
     }
 
     /// One epoch, workers interleaved step by step like the trainer's.
@@ -1617,15 +1818,12 @@ mod tests {
                                 "{at}: a sync still rides the miss pull's messages"
                             );
                             assert_eq!(
-                                a.traffic.by_cause.push, b.traffic.by_cause.push,
+                                (a.traffic.by_cause.push, a.traffic.by_cause.write_back),
+                                (b.traffic.by_cause.push, b.traffic.by_cause.write_back),
                                 "{at}: pushes are untouched"
                             );
                             assert_eq!(
-                                a.traffic.by_cause.miss_pull.remote
-                                    + a.traffic.by_cause.sync_probe.remote
-                                    + a.traffic.by_cause.sync_rows.remote
-                                    + a.traffic.by_cause.construction.remote
-                                    + a.traffic.by_cause.push.remote,
+                                a.traffic.by_cause.total().remote,
                                 a.traffic.remote_bytes,
                                 "{at}: causes add up"
                             );
@@ -1652,6 +1850,234 @@ mod tests {
                 }
             }
         }
+    }
+
+    // ---- Write-back against the write-through it replaced ----
+
+    fn write_through(mut pool: Vec<HetKgWorker>) -> Vec<HetKgWorker> {
+        for w in &mut pool {
+            w.write_through_reference = true;
+        }
+        pool
+    }
+
+    /// With `P` = 1 every push is the push before a sync, so every cached
+    /// row is written back the iteration it collects its one gradient — as
+    /// that gradient. Nothing then tells the run from the write-through
+    /// reference: per worker and epoch the whole traffic snapshot (lanes,
+    /// messages, the per-cause split with `write_back` at zero, the push
+    /// breakdown), loss, cache and divergence statistics bit-equal, every
+    /// hot table and the final store (rows and optimizer state) bit-equal —
+    /// CPS and DPS, pipelined and not, dense and int8.
+    #[test]
+    fn write_back_at_p_1_is_the_write_through_reference_bit_for_bit() {
+        use hetkg_netsim::CompressionMode;
+        for kind in [PolicyKind::Cps, PolicyKind::Dps] {
+            for overlap in [false, true] {
+                for compression in [CompressionMode::Off, CompressionMode::Int8] {
+                    let what = format!("{kind:?} overlap {overlap} {compression:?}");
+                    let spec = PoolSpec {
+                        kind,
+                        overlap,
+                        compression,
+                        period: 1,
+                        depth: 6,
+                        ..PoolSpec::default()
+                    };
+                    let (mut back, back_store) = spec.build();
+                    let (through, through_store) = spec.build();
+                    let mut through = write_through(through);
+                    for epoch in 0..3 {
+                        let a = run_pool_epoch(&mut back, epoch);
+                        let b = run_pool_epoch(&mut through, epoch);
+                        for (w, (a, b)) in a.iter().zip(&b).enumerate() {
+                            let at = format!("{what}, epoch {epoch}, worker {w}");
+                            assert_eq!(a.traffic, b.traffic, "{at}: traffic");
+                            assert_eq!(a.traffic.by_cause.write_back, Default::default());
+                            assert!(a.traffic.by_cause.push.remote > 0, "{at}");
+                            assert_eq!(a.loss_sum.to_bits(), b.loss_sum.to_bits(), "{at}: loss");
+                            assert_eq!(a.cache, b.cache, "{at}");
+                            assert_eq!(
+                                a.max_divergence.to_bits(),
+                                b.max_divergence.to_bits(),
+                                "{at}: divergence"
+                            );
+                            assert_eq!(a.critical_path_secs, b.critical_path_secs, "{at}");
+                            // Every row written back carried one gradient.
+                            assert!(a.table.written_back_rows > 0, "{at}");
+                            assert_eq!(a.table.written_back_rows, a.table.coalesced_grads);
+                            assert_eq!(b.table.written_back_rows, 0, "{at}: the reference");
+                        }
+                        for (w, (a, b)) in back.iter().zip(&through).enumerate() {
+                            assert_eq!(table_bits(a), table_bits(b), "{what}: table {w}");
+                        }
+                    }
+                    assert_eq!(
+                        store_bits(&back_store),
+                        store_bits(&through_store),
+                        "{what}: final store"
+                    );
+                }
+            }
+        }
+    }
+
+    /// SGD is linear in the gradient and a worker reads its own writes from
+    /// its cache, so with one worker nothing can tell `Σg` written back once
+    /// from the same gradients pushed one by one, except float rounding: at
+    /// `P` = 8 the final stores agree to 1e-5 — under CPS, and under DPS
+    /// with a `D` that is not a multiple of `P`, where rows are evicted
+    /// mid-window and epochs end mid-window. A gradient lost at an eviction,
+    /// a rebuild or an epoch's end would show here as a row apart by a
+    /// whole step. And it does so in fewer bytes, over the same messages.
+    #[test]
+    fn one_sgd_worker_writing_back_at_p_8_ends_where_write_through_does() {
+        for (kind, depth) in [(PolicyKind::Cps, 8), (PolicyKind::Dps, 6)] {
+            let spec = PoolSpec {
+                kind,
+                machines: 1,
+                period: 8,
+                depth,
+                optimizer: Arc::new(hetkg_ps::optimizer::Sgd { lr: 0.05 }),
+                ..PoolSpec::default()
+            };
+            let (mut back, back_store) = spec.build();
+            let (through, through_store) = spec.build();
+            let mut through = write_through(through);
+            let (mut back_bytes, mut through_bytes) = (0, 0);
+            for epoch in 0..3 {
+                let a = run_pool_epoch(&mut back, epoch);
+                let b = run_pool_epoch(&mut through, epoch);
+                assert!(
+                    back[0].table.pending().next().is_none(),
+                    "{kind:?}: epoch end"
+                );
+                assert!(
+                    a[0].table.coalescing_factor() > 1.5,
+                    "{kind:?}: {:?}",
+                    a[0].table
+                );
+                assert_eq!(
+                    a[0].traffic.local_messages, b[0].traffic.local_messages,
+                    "{kind:?}: no message is added or saved"
+                );
+                back_bytes += a[0].traffic.total_bytes();
+                through_bytes += b[0].traffic.total_bytes();
+            }
+            assert!(
+                back_bytes * 10 < through_bytes * 9,
+                "{kind:?}: {back_bytes} B written back, {through_bytes} B written through"
+            );
+            let mut rows = Vec::new();
+            back_store.for_each_row_with_state(|k, row, _| rows.push((k, row.to_vec())));
+            let mut other = vec![0.0f32; 32];
+            let mut moved = 0;
+            for (k, row) in &rows {
+                through_store.pull(*k, &mut other);
+                for (a, b) in row.iter().zip(&other) {
+                    assert!((a - b).abs() <= 1e-5, "{kind:?}: {k} ended at {a} vs {b}");
+                }
+                let mut init = vec![0.0f32; 32];
+                spec.build().1.pull(*k, &mut init);
+                moved += usize::from(row != &init);
+            }
+            assert!(
+                moved > rows.len() / 2,
+                "{kind:?}: training moved {moved} rows"
+            );
+        }
+    }
+
+    /// The write side of §IV-C, with `D` = 6 a multiple of neither `P`: no
+    /// gradient waits in a table longer than `P − 1` iterations (asserted
+    /// at every write-back too, in a debug build), every gradient of a
+    /// cached row is written back — counted one by one against what the
+    /// workers report — nothing is held across an epoch's end, and a rebuild
+    /// finds nothing held (`retain` panics otherwise). Healthy, and with a
+    /// shard down for a stretch, where held rows leave through the backlog.
+    #[test]
+    fn no_gradient_waits_out_a_sync_window_and_none_is_lost() {
+        let outage = FaultPlan::shard_outage(7, 1, 0.002, 0.02);
+        // Whether any run deferred a push, and whether a row written back
+        // with several gradients ever sat in a backlog.
+        let (mut deferred_somewhere, mut coalesced_deferred) = (false, false);
+        for kind in [PolicyKind::Cps, PolicyKind::Dps] {
+            for period in [1usize, 4, 8] {
+                for faults in [None, Some(outage.clone())] {
+                    let what = format!("{kind:?} P = {period} faults {}", faults.is_some());
+                    let faulty = faults.is_some();
+                    let spec = PoolSpec {
+                        kind,
+                        period,
+                        depth: 6,
+                        faults,
+                        ..PoolSpec::default()
+                    };
+                    let (mut pool, _) = spec.build();
+                    let mut expected = vec![0u64; pool.len()];
+                    let (mut written_back, mut deferred) = (0u64, 0u64);
+                    for epoch in 0..2 {
+                        for w in pool.iter_mut() {
+                            w.begin_epoch(epoch);
+                        }
+                        let mut live = pool.len();
+                        while live > 0 {
+                            live = 0;
+                            for (w, grads) in pool.iter_mut().zip(&mut expected) {
+                                if !w.step() {
+                                    continue;
+                                }
+                                live += 1;
+                                // The batch just trained on: every key of it
+                                // got a gradient, the cached ones held.
+                                let plan = &w.ctx.scratch.plan;
+                                *grads +=
+                                    plan.keys().iter().filter(|&&k| w.table.contains(k)).count()
+                                        as u64;
+                                coalesced_deferred |= w.backlog.values().any(|d| d.grads > 1);
+                                for p in w.table.pending() {
+                                    assert!(
+                                        w.iteration - p.since < period,
+                                        "{what}: {} still holds a gradient of iteration {} \
+                                         before iteration {}",
+                                        p.key,
+                                        p.since,
+                                        w.iteration
+                                    );
+                                }
+                            }
+                        }
+                        for w in pool.iter_mut() {
+                            let stats = w.finish_epoch();
+                            written_back += stats.table.coalesced_grads;
+                            assert!(w.table.pending().next().is_none(), "{what}: epoch end");
+                            assert!(stats.max_staleness <= w.staleness_bound(faulty), "{what}");
+                            if period == 1 {
+                                assert_eq!(stats.traffic.by_cause.write_back, Default::default());
+                            }
+                        }
+                    }
+                    assert_eq!(written_back, expected.iter().sum::<u64>(), "{what}");
+                    for w in &pool {
+                        if let Some(f) = w.ctx.client.faults() {
+                            deferred += f.injector.stats().deferred_pushes;
+                            assert_eq!(f.injector.stats().shed_pushes, 0, "{what}");
+                        }
+                        assert!(w.backlog.is_empty(), "{what}: the backlog drained");
+                    }
+                    assert!(
+                        faulty || deferred == 0,
+                        "{what}: {deferred} pushes deferred"
+                    );
+                    deferred_somewhere |= deferred > 0;
+                }
+            }
+        }
+        assert!(
+            deferred_somewhere && coalesced_deferred,
+            "the backlog was never exercised (deferred {deferred_somewhere}, with several \
+             gradients {coalesced_deferred})"
+        );
     }
 
     /// What the gate saves is visible in the split: the reference books a

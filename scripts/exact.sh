@@ -14,18 +14,27 @@
 #   --full    the benchmark's own 20 s runs: the four `fact exact` fields —
 #             sim_epoch_s, remote_bytes_per_triple, final_loss, mrr
 #
+# and beside them, in both modes, where the remote bytes of the same
+# configuration go: bytes per triple by cause (`examples/cause_split.rs`,
+# copied into the <rev> checkout when it predates the example; a cause one
+# side does not have reads 0). The example spells the workloads out a second
+# time, so a side whose example and benchmark runs disagree on final_loss
+# (or, with --full, on remote_bytes_per_triple) is flagged: the split printed
+# there is of some other configuration.
+#
 # Prints; gates nothing: a change that means to move a field says so, and
 # this is the table it says it with.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 1 ]] || { sed -n '2,18p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,26p' "$0" >&2; exit 2; }
 sha="$(git rev-parse --short=12 "$1^{commit}")"
 shift
 mode=(--seconds 3 --trace 1 --quick)
+split=(--quick)
 seeds=()
 for arg in "$@"; do
-    if [[ $arg == --full ]]; then mode=(--seconds 20 --trace 0); else seeds+=("$arg"); fi
+    if [[ $arg == --full ]]; then mode=(--seconds 20 --trace 0); split=(); else seeds+=("$arg"); fi
 done
 [[ ${#seeds[@]} -gt 0 ]] || seeds=(7)
 
@@ -33,12 +42,15 @@ root="$PWD/target/exact/$sha"
 rm -rf "$root/src"
 mkdir -p "$root/src"
 git archive "$sha" | tar -x -C "$root/src"
+[[ -e "$root/src/examples/cause_split.rs" ]] || cp examples/cause_split.rs "$root/src/examples/"
 
 # stdout: the lines of one run that carry a compared value.
 run() { # checkout, target dir, workload, seed
     (cd "$1" && CARGO_TARGET_DIR="$2" bash benchmark/run.sh \
         --workload "$3" --seed "$4" "${mode[@]}") \
         | grep -E '^(fact exact|check (loss_decreases|mrr_floor)) ' || true
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo run --release --quiet --example cause_split -- \
+        "$3" "$4" "${split[@]}") | grep -E '^(cause|same) ' || true
 }
 
 for workload in train-hetkg-skew train-dglke-skew train-uds-flat; do
@@ -56,7 +68,7 @@ EXACT = ("sim_epoch_s", "remote_bytes_per_triple", "final_loss", "mrr")
 
 def fields(lines):
     """name -> printed value, from the compared lines of one run."""
-    out = {}
+    out, causes, same = {}, {}, {}
     for line in lines:
         if line.startswith("fact exact "):
             for name, bits in zip(EXACT, line.split()[2].split("/")):
@@ -66,8 +78,14 @@ def fields(lines):
             out.setdefault("final_loss", m[2])
         elif m := re.match(r"check mrr_floor \w+ \(mrr (\S+) ", line):
             out.setdefault("mrr", m[1])
+        elif m := re.match(r"cause (\w+) (\S+)", line):
+            causes["B/triple " + m[1]] = m[2]
+        elif m := re.match(r"same (\w+) (\S+)", line):
+            same[m[1]] = m[2]
+    # The example's copy of the workload against the benchmark's own run.
+    drift = [n for n, v in same.items() if n in out and float(v) != float(out[n])]
     # A full run's `fact exact` carries the bits; its check lines add nothing.
-    return {n: out[n] for n in EXACT} if EXACT[0] in out else out
+    return ({n: out[n] for n in EXACT} if EXACT[0] in out else out) | causes, drift
 
 rev, log = sys.argv[1], sys.argv[2]
 runs = []
@@ -80,9 +98,16 @@ for line in open(log):
 row = "{:18} {:>5}  {:24} {:>22} {:>22}  {}"
 print(row.format("workload", "seed", "field", rev, "working tree", ""))
 for (workload, seed), sides in runs:
-    a, b = fields(sides["a"]), fields(sides["b"])
+    (a, a_drift), (b, b_drift) = fields(sides["a"]), fields(sides["b"])
     if not (a and b):
         print(row.format(workload, seed, "(a run printed nothing: did it fail?)", "", "", ""))
-    for name in [n for n in a if n in b]:
-        print(row.format(workload, seed, name, a[name], b[name], "=" if a[name] == b[name] else "≠"))
+    for side, drift in ((rev, a_drift), ("working tree", b_drift)):
+        for name in drift:
+            what = f"(B/triple rows: {side}'s cause_split and benchmark/ differ on {name})"
+            print(row.format(workload, seed, what, "", "", "!"))
+    for name in list(a) + [n for n in b if n not in a]:
+        if name.startswith("B/triple "):
+            a.setdefault(name, "0.00"), b.setdefault(name, "0.00")
+        if name in a and name in b:
+            print(row.format(workload, seed, name, a[name], b[name], "=" if a[name] == b[name] else "≠"))
 EOF

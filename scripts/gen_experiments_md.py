@@ -140,6 +140,18 @@ PAPER = {
         "`repro pipeline-split`; the per-shard rows are recordings from the parent commit, "
         "where that rule was the only one."
     ),
+    "write-back": (
+        "Algorithm 3 lines 17–19 update the involved hot embeddings locally and push the "
+        "gradients to the PS; §IV-C bounds how stale a worker's view may be by `P`. Not a "
+        "paper experiment: what HET-KG-D moves and where it ends up on the benchmark's skewed "
+        "workload when a cached row's gradients are summed in the hot table and written back "
+        "once per sync window with their energy (from which the server's AdaGrad rebuilds "
+        "the accumulator it would have collected from them one by one), against the parent, "
+        "which pushed every gradient every iteration, and DGL-KE. Emitted by `repro "
+        "write-back`; the parent's rows are recordings from that commit, where pushing "
+        "everything was the only behaviour, and the plain-sum ablation in the shape note is "
+        "quoted from ISSUE 23's scratch measurements."
+    ),
     "dps-admission-benchmark": (
         "Table I / Fig. 5 / Fig. 7: HET-KG trains in less time and moves fewer bytes than "
         "DGL-KE at equal accuracy. Not a paper experiment as such: the repo's benchmark "
@@ -154,7 +166,7 @@ ORDER = [
     "fig8a", "fig8b", "fig8c", "fig9", "table6", "table7",
     "partition-ablation", "negsample-ablation", "divergence", "bandwidth-sweep",
     "compression-ablation", "wallclock-arena", "sync-gate", "dps-admission", "dps-admission-benchmark",
-    "pipeline-split",
+    "pipeline-split", "write-back",
 ]
 
 

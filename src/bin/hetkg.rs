@@ -732,12 +732,16 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let table = report.total_table();
     if table.rebuilds > 0 {
         println!(
-            "hot table: {:.1}% occupied (mean over {} rebuilds) | {:.1} fresh rows per rebuild | staged miss keys {} early / {} late",
+            "hot table: {:.1}% occupied (mean over {} rebuilds) | {:.1} fresh rows per rebuild | staged miss keys {} early / {} late | {} rows written back for {} gradients (x{:.2}, rho {:.2})",
             100.0 * table.occupancy(),
             table.rebuilds,
             table.fresh_rows_per_rebuild(),
             table.staged_early,
             table.staged_late,
+            table.written_back_rows,
+            table.coalesced_grads,
+            table.coalescing_factor(),
+            table.mean_rho(),
         );
     } else if table.staged_early + table.staged_late > 0 {
         println!(

@@ -12,6 +12,19 @@
 //! this small) × P ∈ {1, 4, 8} — and checks the reported maximum against
 //! the same bound from outside (the only half left in a release build,
 //! where debug assertions are compiled out).
+//!
+//! The bound has a write side since hot rows are written back once per sync
+//! window: a gradient applied to a cached row waits in the table's
+//! write-back arena for the push before the next sync, the next DPS rebuild
+//! or the epoch's end — at most `P − 1` iterations, `debug_assert!`ed at
+//! every write-back — and `HotEmbeddingTable::retain` panics if a rebuild
+//! finds a row still holding one. The sweep drives those too, with a `D`
+//! that is a multiple of neither `P`, so windows are cut short by rebuilds
+//! and by epoch ends, through the profiles that crash and restart workers
+//! from a checkpoint; what it can check from outside is that every row
+//! that left a table is accounted for and that the bytes say so.
+//! (`hetkg_train`'s own tests hold the write-back against the
+//! write-through reference, which only they can build.)
 
 use het_kg::netsim::OverloadWindow;
 use het_kg::prelude::*;
@@ -67,7 +80,7 @@ fn profiles(seed: u64) -> Vec<(&'static str, Option<FaultPlan>)> {
 #[test]
 fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
     let (kg, train_set) = workload();
-    let mut degraded_somewhere = false;
+    let (mut degraded_somewhere, mut restarted_somewhere) = (false, false);
     for system in [SystemKind::HetKgCps, SystemKind::HetKgDps] {
         for (name, plan) in profiles(11) {
             for p in [1usize, 4, 8] {
@@ -78,7 +91,7 @@ fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
                 // A cap the run can actually reach, and not a multiple of
                 // every P: the bound rounds it up to the sync schedule.
                 cfg.cache.staleness_cap = 6;
-                cfg.cache.prefetch_depth = 8;
+                cfg.cache.prefetch_depth = 6;
                 cfg.faults = plan.clone();
                 if matches!(name, "failover" | "chaos") {
                     cfg.replication = 2;
@@ -115,12 +128,36 @@ fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
                     report.total_traffic().remote_bytes,
                     "{what}: causes add up"
                 );
+                // The write side. Rows left the tables' arenas, each with at
+                // least the one gradient that put it there; with P = 1 with
+                // exactly one, as a plain gradient row, so nothing is booked
+                // as written back (unless a backlog summed what it deferred,
+                // and replayed it the same way); with a window to coalesce
+                // over, some rows collected several and went out with an
+                // energy.
+                let table = report.total_table();
+                assert!(table.written_back_rows > 0, "{what}: {table:?}");
+                let written_back = by_cause.write_back.remote + by_cause.write_back.local;
+                if p == 1 {
+                    assert_eq!(table.coalesced_grads, table.written_back_rows, "{what}");
+                    let deferred = report.faults.as_ref().map_or(0, |fr| fr.deferred_pushes);
+                    assert!(written_back == 0 || deferred > 0, "{what}: {by_cause:?}");
+                } else {
+                    assert!(table.coalescing_factor() > 1.0, "{what}: {table:?}");
+                    assert!(table.mean_rho() > 0.0, "{what}: {table:?}");
+                    assert!(written_back > 0, "{what}: {by_cause:?}");
+                }
+                restarted_somewhere |= report.supervisor.as_ref().is_some_and(|s| s.restarts > 0);
             }
         }
     }
     assert!(
         degraded_somewhere,
         "no profile ever served a stale hit: the degraded bound was never exercised"
+    );
+    assert!(
+        restarted_somewhere,
+        "no profile ever restarted its workers from a checkpoint"
     );
 }
 
@@ -142,6 +179,12 @@ fn staged_sync_iterations_read_exactly_p_old_and_sync_before_the_next_read() {
             cfg.cache.staleness = p;
             cfg.cache.prefetch_depth = 8;
             let pipe = train(&kg, &train_set, &[], &cfg);
+            // What is written back, and when, does not depend on the
+            // schedule either.
+            let written_back = |r: &TrainReport| {
+                let t = r.total_table();
+                (t.written_back_rows, t.coalesced_grads)
+            };
             cfg.overlap = false;
             let seq = train(&kg, &train_set, &[], &cfg);
             let what = format!("{system} / P = {p}");
@@ -154,6 +197,7 @@ fn staged_sync_iterations_read_exactly_p_old_and_sync_before_the_next_read() {
             // The same reads saw the same rows, and the syncs asked about
             // and received the same bytes.
             assert_eq!(pipe.total_cache(), seq.total_cache(), "{what}");
+            assert_eq!(written_back(&pipe), written_back(&seq), "{what}");
             assert_eq!(
                 pipe.total_traffic().by_cause,
                 seq.total_traffic().by_cause,

@@ -17,7 +17,15 @@
 //! construction pull (row + version) for each of a window's one-shot
 //! corrupting entities to save that row's one miss pull, which was most of
 //! what construction moved. HET-KG-D sat 5.3 % and 4.5 % below DGL-KE at
-//! these seeds before that; it sits 13.8 % and 13.2 % below now.
+//! these seeds before that, and 13.8 % and 13.2 % below after it.
+//!
+//! Since hot rows are written back once per sync window instead of pushed
+//! every iteration, pushes — half of what HET-KG-D moved, byte for byte
+//! what DGL-KE pushes — shrink by a third: it sits 30.2 % and 29.6 % below
+//! DGL-KE now, and the margin pinned is 28 %. What must not move with it is
+//! pinned too: the written-back rows ride in the pushes that were going out
+//! anyway, so the message counts are the write-through build's, to the
+//! message.
 
 use het_kg::netsim::Cause;
 use het_kg::prelude::*;
@@ -59,8 +67,8 @@ fn hetkg_d_moves_fewer_remote_bytes_than_dglke_on_a_skewed_graph() {
             het_t.by_cause
         );
         assert!(
-            het_t.remote_bytes * 100 <= dgl_t.remote_bytes * 88,
-            "seed {seed}: HET-KG-D moved {} remote bytes, DGL-KE {} — less than 12 % apart \
+            het_t.remote_bytes * 100 <= dgl_t.remote_bytes * 72,
+            "seed {seed}: HET-KG-D moved {} remote bytes, DGL-KE {} — less than 28 % apart \
              (by cause: {:?})",
             het_t.remote_bytes,
             dgl_t.remote_bytes,
@@ -80,6 +88,34 @@ fn hetkg_d_moves_fewer_remote_bytes_than_dglke_on_a_skewed_graph() {
             "seed {seed}: simulated time {} vs {}",
             het.total_secs(),
             dgl.total_secs()
+        );
+        // Writing back adds no message and saves none: these are the counts
+        // of the build that pushed every gradient every iteration.
+        assert_eq!(
+            (
+                het_t.remote_messages,
+                het_t.local_messages,
+                het_t.push_messages
+            ),
+            (7191, 2397, 4508),
+            "seed {seed}: HET-KG-D's message counts moved"
+        );
+        // What it saves is pushes: the rows written back carried 2.3
+        // gradients each, and plain pushes and write-backs together are a
+        // third less than DGL-KE's pushes, which the write-through build's
+        // equalled to within 1 %.
+        let economy = het.total_table();
+        assert!(
+            economy.coalescing_factor() > 2.0,
+            "seed {seed}: {economy:?}"
+        );
+        let write_back = het_t.by_cause.get(Cause::WriteBack).remote;
+        let pushes = het_t.by_cause.get(Cause::Push).remote + write_back;
+        assert!(
+            write_back > 0 && pushes * 100 < dgl_t.by_cause.get(Cause::Push).remote * 70,
+            "seed {seed}: HET-KG-D pushed {pushes} remote bytes ({write_back} written back), \
+             DGL-KE {}",
+            dgl_t.by_cause.get(Cause::Push).remote
         );
         // The split the inequality is argued from adds up, for both systems.
         for t in [het_t, dgl_t] {

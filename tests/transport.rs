@@ -13,7 +13,7 @@
 //! subcommand (`CARGO_BIN_EXE_hetkg`), exactly as the CLI wires it.
 
 use het_kg::embed::init::Init;
-use het_kg::netsim::TrafficMeter;
+use het_kg::netsim::{CompressionMode, TrafficMeter};
 use het_kg::prelude::*;
 use het_kg::ps::{ProcessCluster, PsClient, PsScratch, ShardServerConfig, SocketMode};
 use het_kg::train_sys::trainer;
@@ -161,6 +161,64 @@ fn shard_servers_decline_the_same_unchanged_rows_as_the_simulated_store() {
         0 < returned && returned < asked,
         "the servers returned {returned} of {asked} rows asked about"
     );
+}
+
+/// Rows written back cross the sockets with their energies in the push
+/// frame's trailer, dense and int8, and each `ps-server` hands them to its
+/// own optimizer: loss, traffic (the per-cause split included) and the final
+/// checkpoint stay bit-equal to the simulated backend's, where the same
+/// `apply_frame` runs in this process. With `P` = 1 nothing is written back
+/// on either — every row carries one gradient, as a plain row — which,
+/// with `hetkg_train`'s own differential against the write-through
+/// reference on the simulated backend, is the parent's behaviour over `uds`
+/// too.
+#[cfg(unix)]
+#[test]
+fn written_back_rows_cross_the_sockets_with_their_energies() {
+    let (kg, train) = workload(11);
+    for staleness in [1usize, 4] {
+        for compression in [CompressionMode::Off, CompressionMode::Int8] {
+            let run = |transport: TransportKind| {
+                let mut cfg = TrainConfig::small(SystemKind::HetKgDps);
+                cfg.epochs = 2;
+                cfg.machines = 2;
+                cfg.seed = 11;
+                cfg.eval_candidates = None;
+                cfg.cache.staleness = staleness;
+                cfg.cache.prefetch_depth = 6;
+                cfg.compression = compression;
+                cfg.transport = transport;
+                if transport.is_socket() {
+                    cfg.ps_server_bin = Some(hetkg_bin().to_string());
+                }
+                let (report, store) = trainer::train_with_store(&kg, &train, &[], &cfg);
+                let ck = trainer::checkpoint(&store, kg.key_space());
+                (report, ck.to_bytes().expect("checkpoint fits").to_vec())
+            };
+            let what = format!("P = {staleness}, {compression:?}");
+            let ((sim, sim_ck), (uds, uds_ck)) = (run(TransportKind::Sim), run(TransportKind::Uds));
+            for (a, b) in sim.epochs.iter().zip(&uds.epochs) {
+                assert_eq!(
+                    a.loss.to_bits(),
+                    b.loss.to_bits(),
+                    "{what}: epoch {}",
+                    a.epoch
+                );
+                assert_eq!(a.traffic, b.traffic, "{what}: epoch {}", a.epoch);
+                assert_eq!(a.table, b.table, "{what}: epoch {}", a.epoch);
+            }
+            assert_eq!(sim_ck, uds_ck, "{what}: final checkpoint bytes");
+            let (table, by_cause) = (uds.total_table(), uds.total_traffic().by_cause);
+            assert!(table.written_back_rows > 0, "{what}: {table:?}");
+            if staleness == 1 {
+                assert_eq!(table.coalesced_grads, table.written_back_rows, "{what}");
+                assert_eq!(by_cause.write_back, Default::default(), "{what}");
+            } else {
+                assert!(table.coalescing_factor() > 1.0, "{what}: {table:?}");
+                assert!(by_cause.write_back.remote > 0, "{what}: {by_cause:?}");
+            }
+        }
+    }
 }
 
 /// TCP takes the same wire path through different sockets; one
