@@ -160,6 +160,42 @@ pub fn bandwidth(ctx: ExpCtx) -> ExperimentRecord {
     }
 }
 
+/// One row of the push-compression ablation: `mode` trained on `w`.
+fn compression_row(
+    w: &Workload,
+    mode: hetkg_netsim::CompressionMode,
+    epochs: usize,
+    seed: u64,
+) -> Vec<String> {
+    let mut cfg = TrainConfig::small(SystemKind::HetKgDps);
+    cfg.machines = 4;
+    cfg.dim = 32;
+    cfg.epochs = epochs;
+    cfg.seed = seed;
+    // Rank against every entity: candidate subsampling noise at this
+    // scale would swamp the small accuracy deltas the ablation measures.
+    cfg.eval_candidates = Some(w.kg.num_entities());
+    cfg.compression = mode;
+    let report = train(&w.kg, &w.split.train, &w.eval_set, &cfg);
+    let t = report.total_traffic();
+    let ratio = if t.push_wire_bytes > 0 {
+        t.push_raw_bytes as f64 / t.push_wire_bytes as f64
+    } else {
+        1.0
+    };
+    vec![
+        mode.as_str().to_string(),
+        mb(t.push_raw_bytes),
+        mb(t.push_wire_bytes),
+        format!("{ratio:.2}x"),
+        secs(report.total_comm_secs()),
+        format!(
+            "{:.4}",
+            report.final_metrics.as_ref().map_or(f64::NAN, |m| m.mrr())
+        ),
+    ]
+}
+
 /// Push-compression ablation: dense f32 pushes vs int8/int4 quantization,
 /// top-k sparsification, and the adaptive ladder — metered push-lane bytes
 /// saved vs final MRR, with error feedback keeping the lossy modes honest.
@@ -167,42 +203,16 @@ pub fn compression(ctx: ExpCtx) -> ExperimentRecord {
     use hetkg_netsim::CompressionMode;
     let epochs = ctx.epochs(4);
     let w = Workload::new(Dataset::Fb15k, ctx.full, ctx.seed);
-    let mut rows = Vec::new();
-    for mode in [
+    let rows = [
         CompressionMode::Off,
         CompressionMode::Int8,
         CompressionMode::Int4,
         CompressionMode::TopK,
         CompressionMode::Adaptive,
-    ] {
-        let mut cfg = TrainConfig::small(SystemKind::HetKgDps);
-        cfg.machines = 4;
-        cfg.dim = 32;
-        cfg.epochs = epochs;
-        cfg.seed = ctx.seed;
-        // Rank against every entity: candidate subsampling noise at this
-        // scale would swamp the small accuracy deltas the ablation measures.
-        cfg.eval_candidates = Some(w.kg.num_entities());
-        cfg.compression = mode;
-        let report = train(&w.kg, &w.split.train, &w.eval_set, &cfg);
-        let t = report.total_traffic();
-        let ratio = if t.push_wire_bytes > 0 {
-            t.push_raw_bytes as f64 / t.push_wire_bytes as f64
-        } else {
-            1.0
-        };
-        rows.push(vec![
-            mode.as_str().to_string(),
-            mb(t.push_raw_bytes),
-            mb(t.push_wire_bytes),
-            format!("{ratio:.2}x"),
-            secs(report.total_comm_secs()),
-            format!(
-                "{:.4}",
-                report.final_metrics.as_ref().map_or(f64::NAN, |m| m.mrr())
-            ),
-        ]);
-    }
+    ]
+    .into_iter()
+    .map(|mode| compression_row(&w, mode, epochs, ctx.seed))
+    .collect();
     ExperimentRecord {
         id: "compression-ablation".into(),
         title: "Push compression: bytes saved vs accuracy".into(),
@@ -261,10 +271,22 @@ mod tests {
         // 42's 2-epoch top-k draw from −7.1 % to −10.7 %, writing hot rows
         // back once per sync window moved its 4-epoch draw from −3 % to
         // +10 % — so the two-sided bars (10 %, adaptive 2 %) are held over
-        // the mean of three seeds, and on every single seed no compressed
-        // mode may fall more than 10 % *below* that seed's dense run: a
-        // collapse on any one draw still fails, landing above dense does
-        // not. The byte bars are held on each seed.
+        // a mean of seeds, and on every single seed no compressed mode may
+        // fall more than 10 % *below* that seed's dense run: a collapse on
+        // any one draw still fails, landing above dense does not. The byte
+        // bars are held on each seed.
+        //
+        // The 10 % bars take the mean of three seeds. The 2 % bar takes
+        // twelve, because three do not resolve it. Over seeds 40–79 the
+        // three-seed mean of `adaptive` against dense has a standard
+        // deviation of 1.9 % and sits inside ±2 % in 21 of the 38 runs of
+        // three consecutive seeds; with hot rows written back at their last
+        // gradient of the window — which reorders server updates, so every
+        // draw is a new one — 2.7 % and 17 of 38, and seeds 42–44 drew
+        // +3.8 %. The forty-seed mean is −1.4 ± 0.5 % before and −0.1 ±
+        // 0.7 % after: no shift that either can tell from the other or from
+        // zero. Twelve seeds put a standard error at 1.0–1.3 %; seeds 42–53
+        // read −1.1 % before and +1.3 % after.
         let seeds = [42u64, 43, 44];
         let records: Vec<_> = seeds
             .iter()
@@ -313,12 +335,47 @@ mod tests {
                 dense
             );
         }
+        // Nine seeds more of the two modes the 2 % bar compares, on two
+        // threads: this is the suite's longest test.
+        let off_and_adaptive = |seed: u64| {
+            use hetkg_netsim::CompressionMode::{Adaptive, Off};
+            let w = Workload::new(Dataset::Fb15k, false, seed);
+            [Off, Adaptive].map(|mode| {
+                compression_row(&w, mode, 4, seed)[5]
+                    .parse::<f64>()
+                    .unwrap()
+            })
+        };
+        let more: Vec<u64> = (45..54).collect();
+        let (front, back) = more.split_at(more.len() / 2);
+        let run = |seeds: &[u64]| {
+            seeds
+                .iter()
+                .map(|&s| off_and_adaptive(s))
+                .collect::<Vec<_>>()
+        };
+        let (front_pairs, back_pairs) = std::thread::scope(|scope| {
+            let back = scope.spawn(|| run(back));
+            (run(front), back.join().unwrap())
+        });
+        let mut pairs: Vec<[f64; 2]> = records
+            .iter()
+            .map(|r| [mrr_of(r, "off"), mrr_of(r, "adaptive")])
+            .collect();
+        for (seed, [off, adaptive]) in more.iter().zip(front_pairs.into_iter().chain(back_pairs)) {
+            assert!(
+                adaptive >= 0.90 * off,
+                "seed {seed}: adaptive MRR {adaptive} collapsed from dense {off}"
+            );
+            pairs.push([off, adaptive]);
+        }
+        let n = pairs.len() as f64;
+        let dense = pairs.iter().map(|p| p[0]).sum::<f64>() / n;
+        let adaptive = pairs.iter().map(|p| p[1]).sum::<f64>() / n;
         assert!(
-            rel("adaptive") <= 0.02,
-            "adaptive mean MRR {} drifted {:.1}% from dense {}",
-            mrr("adaptive"),
-            100.0 * rel("adaptive"),
-            dense
+            (adaptive - dense).abs() / dense <= 0.02,
+            "adaptive mean MRR {adaptive} drifted {:.1}% from dense {dense} over {n} seeds",
+            100.0 * (adaptive - dense) / dense
         );
         // The dense baseline ships raw == wire: ratio exactly 1.
         assert_eq!(ratio(&records[0], "off"), 1.0);

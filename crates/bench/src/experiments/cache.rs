@@ -466,6 +466,7 @@ const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
                 staged_early: 21_021,
                 staged_late: 54_707,
                 written_back_rows: 0,
+                written_back_early: 0,
                 coalesced_grads: 0,
                 written_back_energy: 0.0,
                 written_back_sum_sq: 0.0,
@@ -490,6 +491,7 @@ const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
                 staged_early: 19_061,
                 staged_late: 56_758,
                 written_back_rows: 0,
+                written_back_early: 0,
                 coalesced_grads: 0,
                 written_back_energy: 0.0,
                 written_back_sum_sq: 0.0,

@@ -512,7 +512,12 @@ pub fn pipeline_split(ctx: ExpCtx) -> ExperimentRecord {
                             recordings for another reason: since PR 23 hot rows are written \
                             back once per sync window, which `write-back` sets against its own \
                             parent; under the per-key rule alone they read the recordings' \
-                            729.2 / 804.7 at seed 7.) DGL-KE, which hid nothing (one relation \
+                            729.2 / 804.7 at seed 7. And HET-KG-D's sim_epoch_s is ~10 % below \
+                            what this rule left it at, 1.62 against 1.80 at seed 7, since held \
+                            rows leave at their window's last gradient, rebuild iterations are \
+                            staged and a sync gates the next compute instead of its own - again \
+                            `write-back` has the parent; HET-KG-C gains 0.5 % from the last of \
+                            the three.) DGL-KE, which hid nothing (one relation \
                             shared with the batch in flight parked a shard's whole frame, and \
                             every shard holds one), now issues ~78 % of its staged keys early \
                             and hides about half of its compute; what stays on its critical \
@@ -521,9 +526,9 @@ pub fn pipeline_split(ctx: ExpCtx) -> ExperimentRecord {
                             early keys to 99 %. HET-KG-D's misses were already all early under \
                             DPS admission; it gains its staged sync iterations. sim_epoch_s \
                             falls ~20 % for DGL-KE, ~13 % for HET-KG-C (half of it the rule, \
-                            half the bytes written back instead of pushed) and stays level for \
-                            HET-KG-D; HET-KG-D / DGL-KE rises from 0.56-0.57 to 0.69-0.70 and \
-                            stays <= 0.75 (ROADMAP: the sim_epoch_s half of the paper's effect) \
+                            half the bytes written back instead of pushed) and stayed level for \
+                            HET-KG-D under this rule alone; HET-KG-D / DGL-KE rose from 0.56-0.57 \
+                            to 0.69-0.70 with it, reads 0.62-0.63 now, and stays <= 0.75 (ROADMAP: the sim_epoch_s half of the paper's effect) \
                             - now a statement about the bytes the cache removed rather than \
                             about which system's frames the simulator allowed to move"
             .into(),
@@ -543,9 +548,10 @@ struct WriteBackRow {
     secs: f64,
     final_loss: f64,
     mrr: f64,
-    /// Rows written back, the gradients they carried, and ρ over the rows
-    /// sent with an energy; `None` for a run that wrote nothing back.
-    written_back: Option<(u64, u64, f64)>,
+    /// Rows written back, how many of them before their window's last push,
+    /// the gradients they carried, and ρ over the rows sent with an energy;
+    /// `None` for a run that wrote nothing back.
+    written_back: Option<(u64, u64, u64, f64)>,
 }
 
 impl WriteBackRow {
@@ -557,7 +563,7 @@ impl WriteBackRow {
             seed,
             system,
             writes: if e.written_back_rows > 0 {
-                "once per sync window"
+                "per window, at the row's last gradient"
             } else {
                 "-"
             },
@@ -574,8 +580,14 @@ impl WriteBackRow {
             secs: r.total_secs(),
             final_loss: r.epochs.last().map_or(f64::NAN, |e| e.loss),
             mrr,
-            written_back: (e.written_back_rows > 0)
-                .then(|| (e.written_back_rows, e.coalesced_grads, e.mean_rho())),
+            written_back: (e.written_back_rows > 0).then(|| {
+                (
+                    e.written_back_rows,
+                    e.written_back_early,
+                    e.coalesced_grads,
+                    e.mean_rho(),
+                )
+            }),
         }
     }
 
@@ -599,11 +611,12 @@ impl WriteBackRow {
             format!("{:.4}", self.mrr),
         ]);
         cells.extend(match self.written_back {
-            Some((rows, grads, rho)) => [
+            Some((rows, early, grads, rho)) => [
                 format!("{:.2}", grads as f64 / rows as f64),
                 format!("{rho:.2}"),
+                format!("{:.2}", early as f64 / rows as f64),
             ],
-            None => ["-".to_string(), "-".to_string()],
+            None => ["-".to_string(), "-".to_string(), "-".to_string()],
         });
         cells
     }
@@ -676,10 +689,79 @@ const WRITE_THROUGH: [WriteBackRow; 3] = [
     },
 ];
 
+/// HET-KG-D as it ran at the parent of the change that writes a held row
+/// back at its last gradient of the window (commit 5cdf0a5: every held row
+/// left in the window's boundary push, a rebuild iteration was not staged,
+/// and a sync gated its own batch), on this experiment's full-scale
+/// workload. Not selectable at run time either — the boundary-only
+/// write-back is a `#[cfg(test)]` reference in `hetkg_train`, the two
+/// scheduling rules are not options — so recorded the same way.
+const BOUNDARY_ONLY: [WriteBackRow; 3] = [
+    WriteBackRow {
+        seed: 7,
+        system: "HET-KG-D",
+        writes: "per window, in its last push (parent)",
+        remote: [
+            859_890_044,
+            316_805_320,
+            2_148_648,
+            91_837_812,
+            26_609_720,
+            354_370_640,
+            68_117_904,
+        ],
+        remote_messages: 17_943,
+        secs: 3.604666855200068,
+        final_loss: 0.27360280529818054,
+        mrr: 0.14110402371913192,
+        written_back: Some((542_696, 0, 1_340_701, 2.0827794425633686)),
+    },
+    WriteBackRow {
+        seed: 8,
+        system: "HET-KG-D",
+        writes: "per window, in its last push (parent)",
+        remote: [
+            883_302_892,
+            326_909_960,
+            2_175_864,
+            92_941_356,
+            27_322_064,
+            365_408_160,
+            68_545_488,
+        ],
+        remote_messages: 17_958,
+        secs: 3.691843732000072,
+        final_loss: 0.27215035319980113,
+        mrr: 0.1628270570432007,
+        written_back: Some((545_360, 0, 1_334_390, 1.8492265352472916)),
+    },
+    WriteBackRow {
+        seed: 9,
+        system: "HET-KG-D",
+        writes: "per window, in its last push (parent)",
+        remote: [
+            865_514_628,
+            318_105_840,
+            2_182_680,
+            93_248_944,
+            26_839_664,
+            356_396_560,
+            68_740_940,
+        ],
+        remote_messages: 17_970,
+        secs: 3.5945840552000705,
+        final_loss: 0.2733970064677791,
+        mrr: 0.1643624979606457,
+        written_back: Some((543_221, 0, 1_328_505, 2.1833663411263875)),
+    },
+];
+
 /// Write-back study: what HET-KG-D moves, and where it ends up, when the
 /// gradients of a cached row are summed in the hot table and written back
-/// once per sync window with their energy, against the parent that pushed
-/// every one of them and against DGL-KE — on the benchmark's skewed
+/// once per sync window with their energy — each at the last gradient the
+/// window gives it — against the build that pushed every one of them,
+/// against the one that wrote all of a window back in its last push, and
+/// against DGL-KE — on the benchmark's skewed
 /// workload, evaluated as the benchmark evaluates (filtered MRR of the
 /// first 1000 test triples against 1000 candidates), so the bytes, epoch
 /// seconds, loss and MRR here are `train-hetkg-skew`'s and
@@ -687,7 +769,7 @@ const WRITE_THROUGH: [WriteBackRow; 3] = [
 /// at a tenth of its scale, without the recorded rows.
 pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
     use hetkg_eval::link_prediction::{evaluate, EvalConfig};
-    const COLUMNS: [&str; 16] = [
+    const COLUMNS: [&str; 17] = [
         "seed",
         "system",
         "hot-row writes",
@@ -704,6 +786,7 @@ pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
         "MRR",
         "grads/row",
         "rho",
+        "early share",
     ];
     let scale = SkewScale::of(ctx);
     let SkewScale {
@@ -734,11 +817,14 @@ pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
         };
         let dglke = run(SystemKind::DglKe, "DGL-KE");
         let hetkg = run(SystemKind::HetKgDps, "HET-KG-D");
-        let recorded = WRITE_THROUGH.iter().find(|r| !ctx.quick && r.seed == seed);
-        for r in [Some(&dglke), recorded, Some(&hetkg)].into_iter().flatten() {
+        let recorded =
+            |rows: &'static [WriteBackRow; 3]| rows.iter().find(|r| !ctx.quick && r.seed == seed);
+        let (through, boundary) = (recorded(&WRITE_THROUGH), recorded(&BOUNDARY_ONLY));
+        let runs = [Some(&dglke), through, boundary, Some(&hetkg)];
+        for r in runs.into_iter().flatten() {
             rows.push(r.cells(epochs, w.iters, w.triples));
         }
-        for r in [recorded, Some(&hetkg)].into_iter().flatten() {
+        for r in runs.into_iter().skip(1).flatten() {
             let mut cells = vec![
                 seed.to_string(),
                 "HET-KG-D / DGL-KE".to_string(),
@@ -752,7 +838,9 @@ pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
     }
     ExperimentRecord {
         id: "write-back".into(),
-        title: "Hot rows written back once per sync window, with their gradient energy".into(),
+        title: "Hot rows written back once per sync window, with their gradient energy, at \
+                their last gradient of the window"
+            .into(),
         params: format!(
             "{} entities / 200 relations / {} triples, entity alpha 1.0, relation alpha 1.1 | \
              TransE-L2 d={dim}, batch {batch_size}, {machines} machines, {epochs} epoch(s), \
@@ -761,7 +849,8 @@ pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
              iteration; sim_epoch_s = simulated seconds per epoch (the critical path); MRR = \
              filtered, first {} test triples against {} candidates; grads/row = gradients per \
              row written back (the coalescing factor); rho = sum of energies / sum of \
-             ||sum g||^2 over the rows sent with an energy",
+             ||sum g||^2 over the rows sent with an energy; early share = rows written back \
+             before their window's last push / rows written back",
             200_000 / shrink,
             800_000 / shrink,
             if ctx.quick {
@@ -769,31 +858,45 @@ pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
             } else {
                 " (the benchmark's train-hetkg-skew / train-dglke-skew configuration and \
                  evaluation; `every iteration (parent)` rows are recordings from commit \
-                 d9643b8)"
+                 d9643b8, `per window, in its last push (parent)` rows from commit 5cdf0a5)"
             },
             1000 / shrink,
             1000 / shrink,
         ),
         columns: COLUMNS.map(String::from).to_vec(),
         rows,
-        shape_expectation: "against the parent: miss_pull, sync_probe, sync_rows and \
+        shape_expectation: "against `every iteration`: miss_pull, sync_probe, sync_rows and \
                             construction move by a fraction of a byte (the model differs in \
                             its last bits, so a few versions differ); push + write_back is \
-                            ~132 B/triple below the parent's push, which was DGL-KE's to 0.1 %; \
-                            messages per iteration are the parent's to the digit; sim_epoch_s \
-                            stays within a few percent either way (fewer bytes on the comm \
-                            lane, but a window's write-back is a burst on the sync's critical \
-                            path); final loss within +0.2 %, MRR within seed noise; a \
-                            written-back row carries ~2.5 gradients and rho ~2 - successive \
-                            gradients of a hot row anti-correlate, so (sum g)^2 alone would \
-                            under-count what the server's AdaGrad accumulates by half. That \
-                            is what the energy word buys: on a scratch build that sent plain \
-                            sums (ISSUE 23, not reproducible from this tree) the same bytes \
-                            cost -9.3 % MRR (mean of seeds 7/8/9/101/102: 0.1614 -> 0.1464) \
-                            where this build's mean is 0.1610; applying the same gradients \
-                            one by one but late lost 1-2 %, so it is the accumulator, not the \
-                            delay. HET-KG-D / DGL-KE in bytes falls from 0.86-0.87 to \
-                            ~0.70, under the 0.75 the ROADMAP asks for"
+                            ~132 B/triple below that build's push, which was DGL-KE's to 0.1 %; \
+                            messages per iteration are the same to the digit; final loss \
+                            within +0.2 %, MRR within seed noise; a written-back row carries \
+                            ~2.5 gradients and rho ~2 - successive gradients of a hot row \
+                            anti-correlate, so (sum g)^2 alone would under-count what the \
+                            server's AdaGrad accumulates by half. That is what the energy \
+                            word buys: on a scratch build that sent plain sums (ISSUE 23, \
+                            not reproducible from this tree) the same bytes cost -9.3 % MRR \
+                            (mean of seeds 7/8/9/101/102: 0.1614 -> 0.1464) where the \
+                            energy-carrying build's mean was 0.1610; applying the same \
+                            gradients one by one but late lost 1-2 %, so it is the \
+                            accumulator, not the delay. HET-KG-D / DGL-KE in bytes falls \
+                            from 0.86-0.87 to ~0.70, under the 0.75 the ROADMAP asks for. \
+                            Writing a window back in its last push left sim_epoch_s where it \
+                            was (within a few percent either way: fewer bytes on the comm \
+                            lane, but a burst on the sync's critical path). Against that \
+                            build (`per window, in its last push`): the same rows are written \
+                            back with the same gradient counts, ~69 % of them before their \
+                            window's last push; miss_pull, construction, push and write_back \
+                            are equal to the tenth of a byte, sync_rows moves by ~0.1 (which \
+                            sync returns a row depends on the order of server-side updates); \
+                            messages per iteration are equal; sim_epoch_s falls ~10 % (the \
+                            write-back is off the sync's critical path and the rebuild is \
+                            staged: ~7 points; a sync is recorded as gating the next compute, \
+                            which reads what it refreshed, instead of its own, which does \
+                            not: ~3 points, a correction of the timeline that moves no value \
+                            and no byte) and HET-KG-D / DGL-KE on simulated \
+                            time goes 0.69-0.70 -> ~0.63; final loss within 0.03 %, MRR \
+                            within seed noise (the order of server-side updates differs)"
             .into(),
     }
 }
@@ -870,6 +973,8 @@ mod tests {
         assert!(num(1, "write_back") > 0.0);
         assert!(num(1, "push") + num(1, "write_back") < 0.75 * num(0, "push"));
         assert!(num(1, "grads/row") > 2.0 && num(1, "rho") > 1.0);
+        let early = num(1, "early share");
+        assert!(early > 0.5 && early < 0.9, "early share {early}");
         assert!(num(2, "remote B/triple") < 0.75);
     }
 

@@ -268,6 +268,17 @@ mod tests {
     /// A window as the prefetcher sees it: per batch, the raw key accesses.
     type Window = Vec<Vec<ParamKey>>;
 
+    /// An entry of a window's statistics. The selection does not ask which
+    /// batches read a key, only how many: the first `batches` stand in.
+    fn key_reads(key: ParamKey, batches: u32, uses: u32) -> KeyReads {
+        KeyReads {
+            key,
+            batches,
+            uses,
+            in_batches: (1 << batches) - 1,
+        }
+    }
+
     /// The window's statistics, counted the obvious way.
     fn brute_force_reads(window: &Window) -> Vec<KeyReads> {
         let mut counts: BTreeMap<ParamKey, (u32, u32)> = BTreeMap::new();
@@ -282,7 +293,7 @@ mod tests {
         }
         counts
             .into_iter()
-            .map(|(key, (batches, uses))| KeyReads { key, batches, uses })
+            .map(|(key, (batches, uses))| key_reads(key, batches, uses))
             .collect()
     }
 
@@ -404,7 +415,7 @@ mod tests {
             let reads: Vec<KeyReads> = counts
                 .iter()
                 .enumerate()
-                .map(|(i, &c)| KeyReads { key: ParamKey(i as u64), batches: c, uses: c })
+                .map(|(i, &c)| key_reads(ParamKey(i as u64), c, c))
                 .collect();
             let mut selector = HotSetSelector::default();
             prop_assert_eq!(
@@ -420,26 +431,10 @@ mod tests {
         // one batch) against a mildly hot one (2 uses, two batches).
         let ks = KeySpace::new(10, 0);
         let reads = [
-            KeyReads {
-                key: ParamKey(1),
-                batches: 1,
-                uses: 32,
-            },
-            KeyReads {
-                key: ParamKey(2),
-                batches: 2,
-                uses: 2,
-            },
-            KeyReads {
-                key: ParamKey(3),
-                batches: 2,
-                uses: 5,
-            },
-            KeyReads {
-                key: ParamKey(4),
-                batches: 3,
-                uses: 3,
-            },
+            key_reads(ParamKey(1), 1, 32),
+            key_reads(ParamKey(2), 2, 2),
+            key_reads(ParamKey(3), 2, 5),
+            key_reads(ParamKey(4), 3, 3),
         ];
         let mut selector = HotSetSelector::default();
         let hot = selector.select(&reads, ks, &FilterConfig::naive(8));

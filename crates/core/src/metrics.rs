@@ -67,13 +67,19 @@ pub struct TableEconomy {
     /// early, behind the in-flight compute.
     pub staged_early: u64,
     /// Miss keys of staged batches left for consume time, because the
-    /// in-flight batch writes them.
+    /// in-flight batch writes them. Neither count takes in a rebuilt table's
+    /// first batch, staged across two windows, which always share some.
     pub staged_late: u64,
     /// Cached rows written back: each left the table's write-back arena in
     /// one push, once per sync window, whatever it had collected.
     #[serde(default)]
     pub written_back_rows: u64,
-    /// The gradients those rows had collected (each row at least one).
+    /// Of those, the rows that left before their window's last push: in the
+    /// push of the last batch to read them before it.
+    #[serde(default)]
+    pub written_back_early: u64,
+    /// The gradients the written-back rows had collected (each row at least
+    /// one).
     #[serde(default)]
     pub coalesced_grads: u64,
     /// Over the written-back rows that carried more than one gradient —
@@ -104,6 +110,12 @@ impl TableEconomy {
         ratio(self.coalesced_grads, self.written_back_rows)
     }
 
+    /// The share of written-back rows that left before their window's last
+    /// push, off the critical path of the sync behind it. 0 before any.
+    pub fn early_share(&self) -> f64 {
+        ratio(self.written_back_early, self.written_back_rows)
+    }
+
     /// `ρ = Σ E ÷ Σ ‖Σg‖²` over the rows sent with an energy: how far
     /// `(Σg)²` alone would under-count what the server's AdaGrad
     /// accumulates. Above 1 when a row's successive gradients
@@ -126,6 +138,7 @@ impl TableEconomy {
             staged_early: self.staged_early + other.staged_early,
             staged_late: self.staged_late + other.staged_late,
             written_back_rows: self.written_back_rows + other.written_back_rows,
+            written_back_early: self.written_back_early + other.written_back_early,
             coalesced_grads: self.coalesced_grads + other.coalesced_grads,
             written_back_energy: self.written_back_energy + other.written_back_energy,
             written_back_sum_sq: self.written_back_sum_sq + other.written_back_sum_sq,
@@ -177,6 +190,7 @@ mod tests {
             staged_early: 5,
             staged_late: 1,
             written_back_rows: 10,
+            written_back_early: 4,
             coalesced_grads: 28,
             written_back_energy: 9.0,
             written_back_sum_sq: 4.0,
@@ -184,6 +198,8 @@ mod tests {
         assert_eq!(TableEconomy::default().coalescing_factor(), 0.0);
         assert_eq!(TableEconomy::default().mean_rho(), 0.0);
         assert_eq!(a.coalescing_factor(), 2.8);
+        assert_eq!(TableEconomy::default().early_share(), 0.0);
+        assert_eq!(a.early_share(), 0.4);
         assert_eq!(a.mean_rho(), 2.25);
         let both = a.merge(TableEconomy {
             rebuilds: 2,
@@ -196,6 +212,7 @@ mod tests {
         assert_eq!(both.fresh_rows_per_rebuild(), 5.0);
         assert_eq!((both.staged_early, both.staged_late), (5, 1));
         assert_eq!(a.merge(a).coalescing_factor(), 2.8);
+        assert_eq!(a.merge(a).written_back_early, 8);
         assert_eq!(a.merge(a).mean_rho(), 2.25);
     }
 }

@@ -8,8 +8,11 @@
 //! accesses. The access list `L_er` is kept as *statistics* rather than as a
 //! raw list: per key of the window, how many uses it has and — what a cached
 //! copy actually saves, because a batch pulls each distinct key once — how
-//! many of the `D` batches read it ([`KeyReads`]). The counters live in
-//! key-indexed scratch the prefetcher keeps between windows, stamped by
+//! many of the `D` batches read it, and which ([`KeyReads`]). The window
+//! therefore knows, for every key, the last batch that reads it before any
+//! point — which is when a worker that holds the row's gradients can let
+//! them go. The counters live in the window's entries; the prefetcher keeps
+//! only a key-indexed mark per key saying where a key's entry is, stamped by
 //! window so nothing is zeroed per window.
 
 use hetkg_embed::negative::{Negative, NegativeSampler};
@@ -38,6 +41,27 @@ pub struct KeyReads {
     /// Raw uses over the window: every head/relation/tail occurrence of
     /// every positive and negative (Algorithm 1 lines 7–8 count these).
     pub uses: u32,
+    /// Which batches read the key: bit `b` is set when batch `b` of the
+    /// window does. `batches` is its popcount while the window is no deeper
+    /// than [`KeyReads::BATCH_BITS`]; deeper batches are not recorded.
+    pub in_batches: u64,
+}
+
+impl KeyReads {
+    /// How many of a window's batches [`KeyReads::in_batches`] records.
+    pub const BATCH_BITS: usize = u64::BITS as usize;
+
+    /// Whether any batch of `batches` (indices into the window) reads the
+    /// key. A batch past the recorded ones counts as reading it: whoever
+    /// asks in order to act on "nobody reads this row for a while" must not
+    /// act on what the window did not record.
+    pub fn read_in(&self, batches: std::ops::Range<usize>) -> bool {
+        if batches.end > Self::BATCH_BITS {
+            return true;
+        }
+        let below = |b: usize| ((1u128 << b) - 1) as u64;
+        self.in_batches & (below(batches.end) & !below(batches.start)) != 0
+    }
 }
 
 /// The output of Algorithm 1: the sample list `L_s` and the access
@@ -84,6 +108,9 @@ pub struct Prefetcher {
     /// batches takes `d` consecutive ones. Never 0, which is what an
     /// untouched mark carries.
     next_stamp: u32,
+    /// The first stamp of the latest window: a mark stamped below it belongs
+    /// to an earlier one.
+    window_first: u32,
 }
 
 impl Prefetcher {
@@ -98,6 +125,7 @@ impl Prefetcher {
             swaps: Vec::new(),
             marks: Vec::new(),
             next_stamp: 1,
+            window_first: 1,
         }
     }
 
@@ -205,7 +233,22 @@ impl Prefetcher {
         }
         let window = self.next_stamp;
         self.next_stamp += d;
+        self.window_first = window;
         window
+    }
+
+    /// How `window` reads `key`; `None` when none of its batches does.
+    /// `window` must be the one the latest [`Prefetcher::prefetch_into`]
+    /// filled: the marks that say where a key's entry is are this
+    /// prefetcher's, and they are overwritten window after window.
+    pub fn reads_of<'w>(&self, window: &'w Prefetched, key: ParamKey) -> Option<&'w KeyReads> {
+        let mark = self.marks.get(key.index())?;
+        if mark.stamp < self.window_first {
+            return None;
+        }
+        let reads = &window.reads[mark.entry as usize];
+        debug_assert_eq!(reads.key, key, "the window is not the latest prefetched");
+        Some(reads)
     }
 
     /// Count the batch stamped `stamp` of the window whose first stamp is
@@ -231,6 +274,8 @@ impl Prefetcher {
                 ^ marks[ks.entity_key(p.tail).index()].stamp;
         }
         std::hint::black_box(warmed);
+        // This batch's bit in `in_batches`; none past the recorded ones.
+        let bit = 1u64.checked_shl(stamp - window).unwrap_or(0);
         let mut note = |k: ParamKey| {
             let m = &mut marks[k.index()];
             if m.stamp < window {
@@ -242,6 +287,7 @@ impl Prefetcher {
                     key: k,
                     batches: 1,
                     uses: 1,
+                    in_batches: bit,
                 });
                 return;
             }
@@ -250,6 +296,7 @@ impl Prefetcher {
             if m.stamp != stamp {
                 m.stamp = stamp;
                 r.batches += 1;
+                r.in_batches |= bit;
             }
         };
         for t in batch
@@ -394,6 +441,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Whether `batch` reads `key`, by looking.
+    fn scan(batch: &MiniBatch, ks: KeySpace, key: ParamKey) -> bool {
+        batch
+            .positives
+            .iter()
+            .chain(batch.negatives.iter().map(|n| &n.triple))
+            .any(|t| {
+                ks.entity_key(t.head) == key
+                    || ks.relation_key(t.relation) == key
+                    || ks.entity_key(t.tail) == key
+            })
+    }
+
+    #[test]
+    fn batch_bits_agree_with_a_scan_of_the_batches_window_after_window() {
+        let (triples, ks, mut neg) = setup();
+        let mut p = Prefetcher::new(16, ks, 3);
+        let mut window = Prefetched::default();
+        let mut earlier: Vec<ParamKey> = Vec::new();
+        for d in [6, 16, 1, 9] {
+            p.prefetch_into(&triples, &mut neg, d, &mut window);
+            for r in &window.reads {
+                assert_eq!(r.in_batches.count_ones(), r.batches, "{}", r.key);
+                for (b, batch) in window.batches.iter().enumerate() {
+                    let reads = scan(batch, ks, r.key);
+                    assert_eq!(r.in_batches >> b & 1 == 1, reads, "{} batch {b}", r.key);
+                    assert_eq!(r.read_in(b..b + 1), reads);
+                }
+                assert_eq!(r.in_batches >> d, 0, "no bit past the window");
+                // Every range of batches, against the scan.
+                for lo in 0..d {
+                    for hi in lo..=d {
+                        let any = (lo..hi).any(|b| scan(&window.batches[b], ks, r.key));
+                        assert_eq!(r.read_in(lo..hi), any, "{} in {lo}..{hi}", r.key);
+                    }
+                }
+                // The prefetcher finds a key's entry, and only this window's.
+                assert_eq!(p.reads_of(&window, r.key), Some(r));
+            }
+            for &k in &earlier {
+                let in_window = window.reads.iter().any(|r| r.key == k);
+                assert_eq!(p.reads_of(&window, k).is_some(), in_window, "{k}");
+            }
+            earlier = window.reads.iter().map(|r| r.key).collect();
+        }
+        // A key no batch of any window read.
+        let fresh = Prefetcher::new(16, ks, 3);
+        assert_eq!(fresh.reads_of(&window, ParamKey(0)), None, "no window yet");
+    }
+
+    #[test]
+    fn batches_past_the_bit_width_count_as_reading_every_key() {
+        let (triples, ks, mut neg) = setup();
+        let mut p = Prefetcher::new(4, ks, 3);
+        let d = KeyReads::BATCH_BITS + 6;
+        let out = p.prefetch(&triples, &mut neg, d);
+        let want = brute_force_reads(&out.batches, ks);
+        let mut deeper = 0;
+        for r in &out.reads {
+            // The counts still cover the whole window; the bits its first 64.
+            assert_eq!((r.batches, r.uses), want[&r.key]);
+            let recorded = (0..KeyReads::BATCH_BITS)
+                .filter(|&b| scan(&out.batches[b], ks, r.key))
+                .count() as u32;
+            assert_eq!(r.in_batches.count_ones(), recorded);
+            deeper += u32::from(r.batches > recorded);
+            // Inside the recorded batches the answer is exact, the last one
+            // included; a range that reaches past them is "yes" whatever the
+            // batches there hold.
+            let last = KeyReads::BATCH_BITS - 1;
+            assert_eq!(
+                r.read_in(last..last + 1),
+                scan(&out.batches[last], ks, r.key)
+            );
+            assert!(r.read_in(last..last + 2));
+            assert!(r.read_in(d - 2..d));
+            assert!(!r.read_in(3..3), "an empty range reads nothing");
+        }
+        assert!(deeper > 0, "some key is read past the recorded batches");
     }
 
     #[test]

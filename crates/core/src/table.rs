@@ -22,8 +22,12 @@
 //! row can also be held there — summed with the others the row collected
 //! since it was last written back, beside their energy `Σᵢ‖gᵢ‖²` and their
 //! number — until the worker pushes the row once for all of them
-//! ([`HotEmbeddingTable::apply_and_hold`], [`HotEmbeddingTable::pending`],
-//! [`HotEmbeddingTable::clear_pending`]). A row that holds gradients is
+//! ([`HotEmbeddingTable::apply_and_hold`], [`HotEmbeddingTable::pending`]).
+//! Which rows go in a push is the worker's call, row by row
+//! ([`HotEmbeddingTable::hand_over_where`]): the rows it takes stay
+//! readable while the push is sealed and are cleared after it
+//! ([`HotEmbeddingTable::clear_handed_over`]); the others keep what they
+//! hold, in the order they first held it. A row that holds gradients is
 //! never evicted: the worker writes everything back in the push before a
 //! rebuild.
 
@@ -59,6 +63,9 @@ struct Slab {
     held_since: Vec<usize>,
     /// The slots that hold gradients, in the order they first did.
     holding: Vec<u32>,
+    /// The slots whose gradients were handed over to a push that has not
+    /// been sealed yet, in the same order. Their entries stay as they were.
+    leaving: Vec<u32>,
 }
 
 impl Slab {
@@ -76,6 +83,7 @@ impl Slab {
             held_grads: vec![0; capacity],
             held_since: vec![0; capacity],
             holding: Vec::with_capacity(capacity),
+            leaving: Vec::with_capacity(capacity),
         }
     }
 
@@ -149,6 +157,7 @@ impl Slab {
         // The bits are no longer the ones the server sent.
         self.versions[slot] = NO_VERSION;
         if let Some(now) = hold_at {
+            debug_assert!(self.leaving.is_empty(), "a hand-over is in progress");
             let sum = self.held_sum.row_mut(slot);
             if self.held_grads[slot] == 0 {
                 // Copied, not added to zeros: a row that collects one
@@ -182,8 +191,37 @@ impl Slab {
         })
     }
 
-    fn clear_pending(&mut self) {
-        for slot in self.holding.drain(..) {
+    /// Move the holding slots `leaves` accepts to `leaving`; both lists keep
+    /// their order.
+    fn hand_over_where(&mut self, leaves: &mut impl FnMut(Pending<'_>) -> bool) {
+        let Self {
+            holding,
+            leaving,
+            keys,
+            held_sum,
+            held_energy,
+            held_grads,
+            held_since,
+            ..
+        } = self;
+        holding.retain(|&slot| {
+            let s = slot as usize;
+            let gone = leaves(Pending {
+                key: keys[s],
+                sum: held_sum.row(s),
+                energy: held_energy[s],
+                grads: held_grads[s],
+                since: held_since[s],
+            });
+            if gone {
+                leaving.push(slot);
+            }
+            !gone
+        });
+    }
+
+    fn clear_handed_over(&mut self) {
+        for slot in self.leaving.drain(..) {
             self.held_grads[slot as usize] = 0;
         }
     }
@@ -192,7 +230,7 @@ impl Slab {
         // Evictions move rows between slots, and an evicted row's gradients
         // would be lost.
         assert!(
-            self.holding.is_empty(),
+            self.holding.is_empty() && self.leaving.is_empty(),
             "eviction while rows hold gradients that were not written back"
         );
         let mut slot = 0;
@@ -223,7 +261,9 @@ impl Slab {
         self.keys.clear();
         self.versions.clear();
         self.confirmed.clear();
-        self.clear_pending();
+        for slot in self.holding.drain(..).chain(self.leaving.drain(..)) {
+            self.held_grads[slot as usize] = 0;
+        }
     }
 
     /// `(key, held version, confirmed-at)` per occupied slot, in slot order.
@@ -428,24 +468,36 @@ impl HotEmbeddingTable {
     }
 
     /// What every row that holds gradients holds: entities then relations,
-    /// each in the order the rows first held one.
+    /// each in the order the rows first held one. Rows handed over are not
+    /// listed.
     pub fn pending(&self) -> impl Iterator<Item = Pending<'_>> + '_ {
         self.entities.pending().chain(self.relations.pending())
     }
 
-    /// The sum `key`'s row holds; `None` when it is not cached or holds
-    /// nothing.
+    /// Hand over what the rows `leaves` accepts hold, to a push: asked of
+    /// every holding row in [`HotEmbeddingTable::pending`]'s order. An
+    /// accepted row is no longer pending, and its sum stays readable
+    /// ([`HotEmbeddingTable::pending_sum`]) until
+    /// [`HotEmbeddingTable::clear_handed_over`]; a row `leaves` declines
+    /// keeps its place, its sum, its energy and its `since`.
+    pub fn hand_over_where(&mut self, mut leaves: impl FnMut(Pending<'_>) -> bool) {
+        self.entities.hand_over_where(&mut leaves);
+        self.relations.hand_over_where(&mut leaves);
+    }
+
+    /// The sum `key`'s row holds, handed over or not; `None` when it is not
+    /// cached or holds nothing.
     pub fn pending_sum(&self, key: ParamKey) -> Option<&[f32]> {
         let slab = self.slab(key);
         let slot = *slab.slots.get(&key)? as usize;
         (slab.held_grads[slot] > 0).then(|| slab.held_sum.row(slot))
     }
 
-    /// Everything [`HotEmbeddingTable::pending`] lists has been written
-    /// back (or handed to whoever will): no row holds anything.
-    pub fn clear_pending(&mut self) {
-        self.entities.clear_pending();
-        self.relations.clear_pending();
+    /// The push the rows were handed over to is sealed: they hold nothing,
+    /// and start over at the next gradient.
+    pub fn clear_handed_over(&mut self) {
+        self.entities.clear_handed_over();
+        self.relations.clear_handed_over();
     }
 
     /// Evict every key `keep` rejects, in place: surviving rows keep their
@@ -759,8 +811,10 @@ mod tests {
                 },
             ]
         );
-        t.clear_pending();
+        t.hand_over_where(|_| true);
         assert_eq!(t.pending().count(), 0);
+        assert_eq!(t.pending_sum(ParamKey(2)), Some(&[0.0, 0.5, 0.0, 3.0][..]));
+        t.clear_handed_over();
         assert_eq!(t.pending_sum(ParamKey(2)), None);
         // The next window starts from nothing.
         assert!(t.apply_and_hold(ParamKey(2), &[0.25; 4], &opt, 9));
@@ -774,6 +828,82 @@ mod tests {
         // `clear` forgets what was held with everything else.
         t.clear();
         assert_eq!(t.pending().count(), 0);
+    }
+
+    #[test]
+    fn handing_one_row_over_leaves_the_others_as_they_were() {
+        let mut t = HotEmbeddingTable::new(KeySpace::new(10, 5), 4, 2, 4, 4, 1);
+        let opt = Sgd { lr: 0.5 };
+        for k in [0u64, 1, 2, 3, 10, 11] {
+            t.insert(ParamKey(k), &[k as f32; 4]).unwrap();
+        }
+        // Held in this order, at these iterations: 2, 0, 3 (twice), 11, 1, 10.
+        for (k, g, now) in [
+            (2u64, 1.0f32, 5usize),
+            (0, 2.0, 5),
+            (3, 0.5, 6),
+            (11, -1.0, 6),
+            (1, 4.0, 7),
+            (3, 0.25, 7),
+            (10, 3.0, 8),
+        ] {
+            assert!(t.apply_and_hold(ParamKey(k), &[g; 4], &opt, now));
+        }
+        let listed = |t: &HotEmbeddingTable| -> Vec<(u64, Vec<f32>, f32, u32, usize)> {
+            t.pending()
+                .map(|p| (p.key.0, p.sum.to_vec(), p.energy, p.grads, p.since))
+                .collect()
+        };
+        let before = listed(&t);
+        assert_eq!(
+            before.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [2, 0, 3, 1, 11, 10],
+            "entities then relations, each in the order they first held"
+        );
+        // One row, from the middle of the entities: asked of every row, in
+        // order, each shown what it holds.
+        let mut asked = Vec::new();
+        t.hand_over_where(|p| {
+            asked.push((p.key.0, p.sum.to_vec(), p.energy, p.grads, p.since));
+            p.key == ParamKey(3)
+        });
+        assert_eq!(asked, before);
+        let rest: Vec<_> = before.iter().filter(|p| p.0 != 3).cloned().collect();
+        assert_eq!(listed(&t), rest);
+        // Its sum is readable until the push is sealed, then gone.
+        assert_eq!(t.pending_sum(ParamKey(3)), Some(&[0.75f32; 4][..]));
+        t.clear_handed_over();
+        assert_eq!(t.pending_sum(ParamKey(3)), None);
+        assert_eq!(listed(&t), rest);
+        // It starts over behind the others; they add to what they held.
+        assert!(t.apply_and_hold(ParamKey(3), &[1.0; 4], &opt, 9));
+        assert!(t.apply_and_hold(ParamKey(0), &[1.0; 4], &opt, 9));
+        let after = listed(&t);
+        assert_eq!(
+            after.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [2, 0, 1, 3, 11, 10]
+        );
+        assert_eq!(after[1], (0, vec![3.0; 4], 16.0 + 4.0, 2, 5));
+        assert_eq!(after[3], (3, vec![1.0; 4], 4.0, 1, 9));
+        // A relation and an entity at once; nothing of a declined hand-over
+        // is cleared with them.
+        t.hand_over_where(|p| [1, 11].contains(&p.key.0));
+        t.clear_handed_over();
+        assert_eq!(
+            listed(&t).iter().map(|p| p.0).collect::<Vec<_>>(),
+            [2, 0, 3, 10]
+        );
+        assert_eq!(listed(&t)[0], before[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not written back")]
+    fn a_row_handed_over_but_not_cleared_is_not_evicted_either() {
+        let mut t = table();
+        t.insert(ParamKey(1), &[1.0; 4]).unwrap();
+        t.apply_and_hold(ParamKey(1), &[1.0; 4], &Sgd { lr: 0.5 }, 0);
+        t.hand_over_where(|_| true);
+        t.retain(|_| false);
     }
 
     #[test]

@@ -67,10 +67,18 @@ impl WGraph {
             .filter(|t| t.head != t.tail)
             .flat_map(|t| [(t.head.0, t.tail.0, 1), (t.tail.0, t.head.0, 1)])
             .collect();
-        // Vertex weight = degree + 1: balancing weighted vertices balances
-        // *triples* per partition, which is what balances worker iteration
-        // counts (entity-count balance would hand the hub partition most of
-        // the work on skewed graphs).
+        // Vertex weight = degree + 1, in- and out-degree alike: balancing
+        // weighted vertices balances the triples that *touch* a partition
+        // (entity-count balance would hand the hub partition most of the
+        // work on skewed graphs). That is not what a worker iterates over:
+        // a triple is homed by its head alone, so a worker's iterations per
+        // epoch follow the out-degree its partition holds. Measured on the
+        // benchmark's skewed graph (200 k entities, 4 parts, seed 7): the
+        // workers run 310 / 393 / 308 / 396 iterations per epoch, and the
+        // slowest sets the epoch's simulated time. Weighing a vertex by
+        // out-degree + 1 instead levels that spread and was tried: the cut
+        // it buys the balance with costs more than the spread (DESIGN.md,
+        // "Pipelined iterations").
         let mut vwgt = vec![1u64; kg.num_entities()];
         for t in kg.triples() {
             vwgt[t.head.index()] += 1;

@@ -73,16 +73,22 @@ const VERSION_BYTES: u64 = 4;
 struct Sent {
     keys: u64,
     versions: u64,
+    /// How many of the versioned keys — the leading ones — are rows the
+    /// worker is about to cache. The frame cannot say: a cached row a local
+    /// gradient has moved is asked about with nothing held too.
+    fresh: u64,
 }
 
 impl Sent {
-    /// `op`'s request as sent: `frame`'s shape for a read, nothing for the
-    /// ops whose one frame counts once for both directions.
-    fn of(op: FrameOp, frame: &WireFrame) -> Self {
+    /// `op`'s request as sent: `frame`'s shape for a read, `fresh` of its
+    /// versioned keys fresh; nothing for the ops whose one frame counts once
+    /// for both directions.
+    fn of(op: FrameOp, frame: &WireFrame, fresh: u64) -> Self {
         match op {
             FrameOp::PullNewer(_) => Self {
                 keys: frame.keys.len() as u64,
                 versions: frame.versions.len() as u64,
+                fresh,
             },
             _ => Self::default(),
         }
@@ -180,6 +186,9 @@ pub struct PsScratch {
     byte_pool: Vec<Vec<u8>>,
     /// Spare version buffers of read frames, recycled between calls.
     version_pool: Vec<Vec<u32>>,
+    /// How many fresh keys each shard's read frame asks about, for the call
+    /// in flight (index = shard).
+    fresh_in: Vec<u64>,
     /// One decoded row: what applying a compressed frame decodes into.
     row: Vec<f32>,
     /// Sealed frames for the call in flight (index = shard).
@@ -357,12 +366,15 @@ impl PsClient {
     /// frame (which the response has replaced) and default for every other
     /// op, whose one frame counts once for both directions.
     ///
-    /// A sync's message serves three causes: the keys sent without a
+    /// A read's message serves up to four causes: the keys sent without a
     /// version (8 bytes and a row each) are cache misses — all of a plain
-    /// pull — the 12 bytes per conditional key the probe, and what names
-    /// and carries each returned row (12 bytes and the row) the refresh. A
-    /// push's serves two: its trailing rows, each with its energy word, are
-    /// written back, the rows before them plain gradients.
+    /// pull; the fresh keys (12 bytes asked, 12 and the row returned: a key
+    /// held under no version always comes back) are construction, whichever
+    /// message carries them; of the other conditional keys the 12 bytes each
+    /// are the probe, and what names and carries each returned row (12 bytes
+    /// and the row) the refresh. A push's serves two: its trailing rows, each
+    /// with its energy word, are written back, the rows before them plain
+    /// gradients.
     fn record_exchange(&self, shard: usize, op: FrameOp, sent: Sent, frame: &WireFrame) {
         let remote = !self.topology.is_local(self.worker_id, shard);
         let bytes = frame.wire_bytes();
@@ -385,22 +397,25 @@ impl PsClient {
                 );
             }
             FrameOp::Write => self.meter.record(remote, &[(Cause::Write, bytes)]),
-            FrameOp::PullNewer(Refresh::Construction) => self
-                .meter
-                .record(remote, &[(Cause::Construction, sent.bytes() + bytes)]),
-            FrameOp::PullNewer(Refresh::Sync) => {
-                let returned_rows: u64 = frame
-                    .keys
-                    .iter()
-                    .map(|&k| self.store.row_bytes(ParamKey(k)))
-                    .sum();
-                let rows = (KEY_BYTES + VERSION_BYTES) * frame.keys.len() as u64 + returned_rows;
-                let probe = (KEY_BYTES + VERSION_BYTES) * sent.versions;
-                let misses = sent.bytes() + bytes - rows - probe;
+            FrameOp::PullNewer(_) => {
+                let asked = KEY_BYTES + VERSION_BYTES;
+                let returned = |keys: &[u64]| -> u64 {
+                    let rows = keys.iter().map(|&k| self.store.row_bytes(ParamKey(k)));
+                    asked * keys.len() as u64 + rows.sum::<u64>()
+                };
+                // The fresh keys lead the conditional ones, and the response
+                // names what came back in request order.
+                let fresh = frame.keys.len().min(sent.fresh as usize);
+                let (fresh, moved) = frame.keys.split_at(fresh);
+                let construction = asked * sent.fresh + returned(fresh);
+                let probe = asked * (sent.versions - sent.fresh);
+                let rows = returned(moved);
+                let misses = sent.bytes() + bytes - construction - probe - rows;
                 self.meter.record(
                     remote,
                     &[
                         (Cause::MissPull, misses),
+                        (Cause::Construction, construction),
                         (Cause::SyncProbe, probe),
                         (Cause::SyncRows, rows),
                     ],
@@ -474,47 +489,74 @@ impl PsClient {
         scratch: &mut PsScratch,
         mut sink: impl FnMut(usize, &[f32]),
     ) -> Result<(), RpcError> {
-        self.try_pull_newer_with(keys, &[], Refresh::Sync, scratch, |i, _, row| sink(i, row))
+        self.try_pull_newer_with(keys, 0, &[], scratch, |i, _, row| sink(i, row))
     }
 
-    /// What [`try_pull_batch_with`](Self::try_pull_batch_with) of `keys`
-    /// is metered as when every frame is delivered first time: per touched
-    /// shard one message of 8 bytes and the row per key, duplicates
-    /// included, all cache misses. Sends nothing, reads no row: a pipelined
-    /// worker books a pull's slot on its comm lane with it.
-    pub fn plain_pull_cost(&self, keys: &[ParamKey], scratch: &mut PsScratch) -> TrafficSnapshot {
+    /// What a pull of `keys` is metered as when every frame is delivered
+    /// first time. Sends nothing, reads no row: a pipelined worker books a
+    /// pull's slot on its comm lane with it.
+    ///
+    /// All but the last `fresh` keys are plain — what
+    /// [`try_pull_batch_with`](Self::try_pull_batch_with) pulls: 8 bytes and
+    /// the row per key, duplicates included, all cache misses. The last
+    /// `fresh` are rows the worker is about to cache, which
+    /// [`try_pull_newer_with`](Self::try_pull_newer_with) asks about with
+    /// nothing held: each comes back, named and versioned — 12 bytes asked,
+    /// 12 and the row returned, all construction. One message per touched
+    /// shard carries both kinds.
+    pub fn staged_pull_cost(
+        &self,
+        keys: &[ParamKey],
+        fresh: usize,
+        scratch: &mut PsScratch,
+    ) -> TrafficSnapshot {
+        let plain = keys.len() - fresh;
         self.store.router().plan_into(keys, &mut scratch.plan);
         let cost = TrafficMeter::new();
         for shard in scratch.plan.shards() {
-            let rows = scratch.plan.indices(shard);
-            let bytes = rows
-                .map(|i| KEY_BYTES + self.store.row_bytes(keys[i]))
-                .sum();
+            let (mut misses, mut construction) = (0, 0);
+            for i in scratch.plan.indices(shard) {
+                let row = self.store.row_bytes(keys[i]);
+                if i < plain {
+                    misses += KEY_BYTES + row;
+                } else {
+                    construction += 2 * (KEY_BYTES + VERSION_BYTES) + row;
+                }
+            }
             let remote = !self.topology.is_local(self.worker_id, shard);
-            cost.record(remote, &[(Cause::MissPull, bytes)]);
+            cost.record(
+                remote,
+                &[
+                    (Cause::MissPull, misses),
+                    (Cause::Construction, construction),
+                ],
+            );
         }
         cost.snapshot()
     }
 
-    /// Pull-if-newer, the one read. `held` belongs to the *last*
-    /// `held.len()` keys: those are asked about conditionally — `(key, held
-    /// version)` goes out, and the row comes back, with its new version,
-    /// only when the server's version differs. The keys before them are
-    /// pulled unconditionally and ride in the same per-shard message (a sync
-    /// iteration's cache misses). `sink(i, version, row)` receives every row
+    /// Pull-if-newer, the one read, of three kinds of key in this order.
+    /// The leading keys are pulled unconditionally (a batch's cache misses).
+    /// `held` belongs to the *last* `held.len()` keys: those are asked about
+    /// conditionally — `(key, held version)` goes out, and the row comes
+    /// back, with its new version, only when the server's version differs (a
+    /// sync of rows already cached). The `fresh` keys between the two are
+    /// rows the caller is about to cache: asked about conditionally with
+    /// nothing held, [`NO_VERSION`](crate::kvstore::NO_VERSION), so each
+    /// comes back with the version it will be held under. All ride in the
+    /// same per-shard message. `sink(i, version, row)` receives every row
     /// that came back, in ascending `i`; unconditional rows report
-    /// [`NO_VERSION`](crate::kvstore::NO_VERSION). A conditional key sent
-    /// with `NO_VERSION` always comes back. One that does not come back is
+    /// `NO_VERSION`. A conditional key that does not come back is
     /// bit-identical to the copy its held version was obtained with (see
     /// the [`kvstore`](crate::kvstore) module docs), so skipping it changes
     /// no value the caller reads. The conditional keys must be distinct.
     /// All-or-nothing: on error no row reaches `sink`.
     ///
     /// One message per shard touched. An unconditional key is metered as 8
-    /// bytes and its row; a conditional key as 8 bytes of id and 4 of
-    /// version, and the same 12 again plus the row when it is returned (the
-    /// response names the row and its new version). `refresh` says what the
-    /// read serves, and so which [`Cause`]s the bytes are booked under.
+    /// bytes and its row, a cache miss; a conditional key as 8 bytes of id
+    /// and 4 of version, and the same 12 again plus the row when it is
+    /// returned (the response names the row and its new version) — a fresh
+    /// key's as construction, the others' as the sync's probe and rows.
     ///
     /// Placements are resolved once into a shard-grouped [`BatchPlan`], the
     /// request frames are built out of `scratch`'s recycled buffers, each
@@ -523,16 +565,20 @@ impl PsClient {
     pub fn try_pull_newer_with(
         &self,
         keys: &[ParamKey],
+        fresh: usize,
         held: &[u32],
-        refresh: Refresh,
         scratch: &mut PsScratch,
         mut sink: impl FnMut(usize, u32, &[f32]),
     ) -> Result<(), RpcError> {
-        assert!(held.len() <= keys.len(), "at most one held version per key");
+        assert!(
+            fresh + held.len() <= keys.len(),
+            "a key is fresh or held under one version, not both"
+        );
         if keys.is_empty() {
             return Ok(());
         }
-        let unconditional = keys.len() - held.len();
+        let first_held = keys.len() - held.len();
+        let unconditional = first_held - fresh;
         let router = self.store.router();
         router.plan_into(keys, &mut scratch.plan);
         scratch.begin(router.num_shards());
@@ -541,22 +587,34 @@ impl PsClient {
             slots,
             parts,
             version_pool,
+            fresh_in,
             wire,
             ..
         } = &mut *scratch;
-        // A shard's keys are in input order, so its unconditional keys lead.
+        fresh_in.clear();
+        // A shard's keys are in input order: unconditional, fresh, held.
         for (shard, (mut frame_keys, rows)) in parts.drain(..).enumerate() {
             let mut versions = version_pool.pop().unwrap_or_default();
             versions.clear();
+            let mut nothing_held = 0;
             for i in plan.indices(shard) {
                 frame_keys.push(keys[i].0);
-                if i >= unconditional {
-                    versions.push(held[i - unconditional]);
+                if i >= first_held {
+                    versions.push(held[i - first_held]);
+                } else if i >= unconditional {
+                    versions.push(NO_VERSION);
+                    nothing_held += 1;
                 }
             }
+            fresh_in.push(nothing_held);
             wire.push(WireFrame::seal_versioned(frame_keys, versions, rows));
         }
-        self.transmit(plan, wire, FrameOp::PullNewer(refresh))?;
+        let refresh = if fresh > 0 {
+            Refresh::Construction
+        } else {
+            Refresh::Sync
+        };
+        self.transmit(plan, wire, FrameOp::PullNewer(refresh), fresh_in)?;
         // A response's payload is the unconditional rows, then the rows of
         // its keys — an in-order selection of the conditional ones.
         slots.clear();
@@ -655,7 +713,7 @@ impl PsClient {
         }
         let codec = scratch.push_codec();
         self.seal_frames(keys, energies, row_of, codec, scratch);
-        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Push)?;
+        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Push, &[])?;
         if codec != Codec::Dense {
             self.decode_and_commit(keys, codec, scratch);
         }
@@ -679,7 +737,7 @@ impl PsClient {
             return Ok(());
         }
         self.seal_frames(keys, &[], |i| values[i], Codec::Dense, scratch);
-        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Write)?;
+        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Write, &[])?;
         self.apply_frames(scratch, None);
         Ok(())
     }
@@ -833,16 +891,20 @@ impl PsClient {
     }
 
     /// [`exchange`](Self::exchange) the frame of every shard the plan
-    /// touches, in ascending shard order. All-or-nothing: the first shard
-    /// that exhausts its retries aborts the batch.
+    /// touches, in ascending shard order; `fresh_in[shard]` of a read
+    /// frame's versioned keys are fresh (none where the slice does not
+    /// reach). All-or-nothing: the first shard that exhausts its retries
+    /// aborts the batch.
     fn transmit(
         &self,
         plan: &BatchPlan,
         frames: &mut [WireFrame],
         op: FrameOp,
+        fresh_in: &[u64],
     ) -> Result<(), RpcError> {
         for shard in plan.shards() {
-            self.exchange(shard, op, &mut frames[shard])?;
+            let fresh = fresh_in.get(shard).copied().unwrap_or(0);
+            self.exchange(shard, op, &mut frames[shard], fresh)?;
         }
         Ok(())
     }
@@ -879,9 +941,15 @@ impl PsClient {
     /// the cost model predicts (a straggler episode), the same request is
     /// hedged to a backup replica and the faster response wins. Writes are
     /// never hedged — duplicating a gradient push would double-apply it.
-    fn exchange(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError> {
+    fn exchange(
+        &self,
+        shard: usize,
+        op: FrameOp,
+        frame: &mut WireFrame,
+        fresh: u64,
+    ) -> Result<(), RpcError> {
         let hedgeable = matches!(op, FrameOp::PullNewer(_));
-        let sent = Sent::of(op, frame);
+        let sent = Sent::of(op, frame, fresh);
         self.transport.carry(shard, op, frame)?;
         let bytes = sent.bytes() + frame.wire_bytes();
         let remote = !self.topology.is_local(self.worker_id, shard);
@@ -1360,12 +1428,12 @@ mod tests {
     fn pull_newer(
         client: &PsClient,
         keys: &[ParamKey],
+        fresh: usize,
         held: &[u32],
-        refresh: Refresh,
     ) -> Vec<(usize, u32, Vec<f32>)> {
         let mut got = Vec::new();
         client
-            .try_pull_newer_with(keys, held, refresh, &mut PsScratch::new(), |i, v, row| {
+            .try_pull_newer_with(keys, fresh, held, &mut PsScratch::new(), |i, v, row| {
                 got.push((i, v, row.to_vec()))
             })
             .unwrap();
@@ -1380,7 +1448,7 @@ mod tests {
         // Keys 0, 2, 4 are local (shard 0), 1, 3 remote, 9 a relation on
         // shard 1; in no particular order.
         let keys = [3u64, 0, 9, 2, 1, 4].map(ParamKey);
-        let first = pull_newer(&client, &keys, &[NO_VERSION; 6], Refresh::Construction);
+        let first = pull_newer(&client, &keys, 6, &[]);
         assert_eq!(
             first.iter().map(|r| r.0).collect::<Vec<_>>(),
             [0, 1, 2, 3, 4, 5],
@@ -1406,7 +1474,7 @@ mod tests {
         store.push_grad(ParamKey(1), &[1.0; 4], &Sgd { lr: 0.5 });
         store.store(ParamKey(2), &[9.0; 4]);
         let before = meter.snapshot();
-        let second = pull_newer(&client, &keys, &held, Refresh::Sync);
+        let second = pull_newer(&client, &keys, 0, &held);
         assert_eq!(
             second.iter().map(|r| r.0).collect::<Vec<_>>(),
             [3, 4],
@@ -1430,7 +1498,7 @@ mod tests {
             held[*i] = *v;
         }
         let before = meter.snapshot();
-        assert!(pull_newer(&client, &keys, &held, Refresh::Sync).is_empty());
+        assert!(pull_newer(&client, &keys, 0, &held).is_empty());
         let d = meter.snapshot().since(before);
         assert_eq!((d.local_messages, d.remote_messages), (1, 1));
         assert_eq!(d.total_bytes(), 6 * 12);
@@ -1449,7 +1517,7 @@ mod tests {
         store.store(ParamKey(2), &[2.0; 4]);
         store.store(ParamKey(3), &[3.0; 4]);
         let keys = [5u64, 6, 7, 0, 1, 2, 3].map(ParamKey);
-        let got = pull_newer(&client, &keys, &held, Refresh::Sync);
+        let got = pull_newer(&client, &keys, 0, &held);
         assert_eq!(
             got.iter()
                 .map(|r| (r.0, r.1 == NO_VERSION))
@@ -1482,6 +1550,46 @@ mod tests {
     }
 
     #[test]
+    fn fresh_keys_are_construction_in_whatever_message_carries_them() {
+        let (store, topo) = setup(2);
+        let meter = Arc::new(TrafficMeter::new());
+        let client = PsClient::new(0, topo, store.clone(), meter.clone());
+        // A miss (5, remote), two fresh rows (6 local, 7 remote) and a sync
+        // of two cached rows: 0 (local) still current, 1 (remote) moved by
+        // a local gradient, so held under no version like the fresh ones.
+        let keys = [5u64, 6, 7, 0, 1].map(ParamKey);
+        let held = [store.version(ParamKey(0)), NO_VERSION];
+        let mixed = pull_newer(&client, &keys, 2, &held);
+        assert_eq!(
+            mixed.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [0, 1, 2, 4],
+            "the miss, both fresh rows, and the row held under no version"
+        );
+        for (i, version, _) in &mixed[1..] {
+            assert_eq!(*version, store.version(keys[*i]));
+        }
+        let s = meter.snapshot();
+        assert_eq!((s.local_messages, s.remote_messages), (1, 1));
+        let c = s.by_cause;
+        assert_eq!((c.miss_pull.local, c.miss_pull.remote), (0, 8 + 16));
+        let fresh_row = 12 + 12 + 16;
+        assert_eq!(
+            (c.construction.local, c.construction.remote),
+            (fresh_row, fresh_row)
+        );
+        assert_eq!((c.sync_probe.local, c.sync_probe.remote), (12, 12));
+        assert_eq!((c.sync_rows.local, c.sync_rows.remote), (0, 12 + 16));
+        assert_eq!(c.total().local, s.local_bytes);
+        assert_eq!(c.total().remote, s.remote_bytes);
+        // The same fresh rows in a message of their own: the same bytes.
+        let before = meter.snapshot();
+        pull_newer(&client, &keys[1..3], 2, &[]);
+        let alone = meter.snapshot().since(before);
+        assert_eq!(alone.by_cause.construction, c.construction);
+        assert_eq!(alone.by_cause.total(), alone.by_cause.construction);
+    }
+
+    #[test]
     fn pull_newer_reuses_its_scratch_and_mixes_with_other_calls() {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
@@ -1494,7 +1602,7 @@ mod tests {
             let mut rows = 0;
             let asked = held;
             client
-                .try_pull_newer_with(&keys, &asked, Refresh::Sync, &mut scratch, |i, v, row| {
+                .try_pull_newer_with(&keys, 0, &asked, &mut scratch, |i, v, row| {
                     let mut want = [0.0f32; 4];
                     store.pull(keys[i], &mut want);
                     assert_eq!(row, want);
@@ -1534,8 +1642,8 @@ mod tests {
         let err = client
             .try_pull_newer_with(
                 &[ParamKey(1)],
+                0,
                 &[NO_VERSION],
-                Refresh::Sync,
                 &mut PsScratch::new(),
                 |_, _, _| panic!("all-or-nothing"),
             )
@@ -1563,8 +1671,8 @@ mod tests {
         let err = client
             .try_pull_newer_with(
                 &[ParamKey(1)],
+                0,
                 &held,
-                Refresh::Sync,
                 &mut PsScratch::new(),
                 |_, _, _| panic!("nothing is newer"),
             )
@@ -2500,15 +2608,20 @@ mod tests {
     }
 
     proptest! {
-        /// `plain_pull_cost` is the meter's delta over the pull it prices —
+        /// `staged_pull_cost` is the meter's delta over the pull it prices —
         /// lanes, messages and causes — on 1–4 machines, from either end of
-        /// the cluster, over duplicate keys and two row widths, and it
-        /// meters nothing itself.
+        /// the cluster, over two row widths, and it meters nothing itself:
+        /// plain keys (duplicates allowed) leading, booked as misses, and
+        /// distinct rows asked about with nothing held behind them, booked
+        /// as construction, one message per shard for both. With no fresh
+        /// row it is a plain pull's cost; with no plain key, what a
+        /// construction has always cost.
         #[test]
         fn plain_pull_cost_is_what_the_pull_is_metered_as(
             machines in 1usize..5,
             last_worker in any::<bool>(),
-            picks in prop::collection::vec(0u64..12, 0..24),
+            plain in prop::collection::vec(0u64..12, 0..24),
+            fresh in prop::collection::vec(0u64..12, 0..10),
         ) {
             // TransR-shaped: a relation row is wider than an entity row.
             let router = ShardRouter::round_robin(KeySpace::new(8, 4), machines);
@@ -2516,12 +2629,31 @@ mod tests {
             let meter = Arc::new(TrafficMeter::new());
             let worker = if last_worker { machines - 1 } else { 0 };
             let client = PsClient::new(worker, ClusterTopology::new(machines, 1), store, meter.clone());
-            let keys: Vec<ParamKey> = picks.into_iter().map(ParamKey).collect();
+            let fresh: std::collections::BTreeSet<u64> = fresh.into_iter().collect();
+            let keys: Vec<ParamKey> = plain.iter().chain(&fresh).copied().map(ParamKey).collect();
             let mut scratch = PsScratch::new();
-            let cost = client.plain_pull_cost(&keys, &mut scratch);
+            let cost = client.staged_pull_cost(&keys, fresh.len(), &mut scratch);
             prop_assert_eq!(meter.snapshot(), TrafficSnapshot::default());
-            client.try_pull_batch_with(&keys, &mut scratch, |_, _| {}).unwrap();
+            let mut got = 0;
+            if fresh.is_empty() {
+                client.try_pull_batch_with(&keys, &mut scratch, |_, _| got += 1).unwrap();
+            } else {
+                client
+                    .try_pull_newer_with(&keys, fresh.len(), &[], &mut scratch, |_, _, _| got += 1)
+                    .unwrap();
+            }
+            prop_assert_eq!(got, keys.len(), "a row held under no version always comes back");
             prop_assert_eq!(cost, meter.snapshot());
+            let row_bytes = |k: &u64| if *k < 8 { 16 } else { 24 };
+            let causes = cost.by_cause;
+            prop_assert_eq!(
+                causes.miss_pull.local + causes.miss_pull.remote,
+                plain.iter().map(|k| 8 + row_bytes(k)).sum::<u64>()
+            );
+            prop_assert_eq!(
+                causes.construction.local + causes.construction.remote,
+                fresh.iter().map(|k| 24 + row_bytes(k)).sum::<u64>()
+            );
         }
     }
 }

@@ -857,7 +857,7 @@ mod tests {
         use crate::client::{PsClient, PsScratch};
         use crate::error::RpcError;
         use crate::kvstore::NO_VERSION;
-        use crate::transport::{FrameOp, Refresh, Transport};
+        use crate::transport::{FrameOp, Transport};
         use hetkg_netsim::{ClusterTopology, CompressionMode, TrafficMeter};
         use proptest::prelude::*;
         use std::sync::Arc;
@@ -1123,8 +1123,9 @@ mod tests {
                                 })
                                 .collect();
                             keys.extend(asked.iter().map(|&k| ParamKey(k)));
-                            let refresh = if call == 5 { Refresh::Sync } else { Refresh::Construction };
-                            client.try_pull_newer_with(&keys, &held, refresh, &mut scratches[0], |_, _, _| {})
+                            // Call 6 asks about the first of them as a fresh row.
+                            let fresh = usize::from(call == 6).min(held.len());
+                            client.try_pull_newer_with(&keys, fresh, &held[fresh..], &mut scratches[0], |_, _, _| {})
                         }
                     };
                     prop_assert!(done.is_ok(), "call {call} failed: {done:?}");

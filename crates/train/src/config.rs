@@ -61,7 +61,7 @@ pub struct CacheConfig {
     pub prefetch_depth: usize,
     /// Staleness bound `P` (Fig. 8b): the table is synchronized every `P`
     /// iterations, and a cached row's gradients are written back once per
-    /// such window, in the push before the sync.
+    /// such window, by the push before the sync at the latest.
     pub staleness: usize,
     /// Hard staleness ceiling for degraded mode: during a PS-shard outage
     /// the cache keeps serving stale hits past `P`, but once a cached key

@@ -21,18 +21,24 @@
 //!    cacheless system would; the gradient of a cached row is applied to the
 //!    cached copy — the worker's own reads stay current — and *held* in the
 //!    table beside the others the row collects, to be written back once per
-//!    sync window. The held rows ride in the push of the iteration before
-//!    the table's next sync, before a DPS rebuild (nothing evicted is lost)
-//!    and at an epoch's end (evaluation, checkpoints and restarts see
-//!    everything), so no gradient waits more than `P − 1` iterations — the
-//!    write side of §IV-C's bound — and no message is added. A row that
-//!    collected one gradient goes out as that gradient; one that collected
-//!    several goes out as their sum `Σg` with their energy `Σᵢ‖gᵢ‖²` in the
-//!    push frame's trailer, which is what lets the server's AdaGrad account
-//!    for the gradients it never saw one by one
+//!    sync window: in the push of the last batch of the window that reads
+//!    the row. Under DPS the prefetched window knows which batch that is
+//!    ([`KeyReads::read_in`](hetkg_core::prefetch::KeyReads::read_in)), so
+//!    the write-backs of a window are spread over its pushes, where the link
+//!    is idle, instead of bursting in the last one, in front of the sync.
+//!    That last one — the *boundary* push: before the table's next sync,
+//!    before a DPS rebuild (nothing evicted is lost) and at an epoch's end
+//!    (evaluation, checkpoints and restarts see everything) — sends whatever
+//!    is still held, which under CPS, where no window says when a row is
+//!    quiet, is everything. So no gradient waits more than `P − 1`
+//!    iterations — the write side of §IV-C's bound — and no message is
+//!    added. A row that collected one gradient goes out as that gradient;
+//!    one that collected several goes out as their sum `Σg` with their
+//!    energy `Σᵢ‖gᵢ‖²` in the push frame's trailer, which is what lets the
+//!    server's AdaGrad account for the gradients it never saw one by one
 //!    ([`Optimizer::update_coalesced`](hetkg_ps::optimizer::Optimizer::update_coalesced)).
-//!    It has to be the push *before* the sync: the refresh would otherwise
-//!    overwrite local updates the server has not seen.
+//!    It has to be out by the push *before* the sync: the refresh would
+//!    otherwise overwrite local updates the server has not seen.
 //!
 //! With fault injection attached the cache doubles as a degraded-mode
 //! buffer: while a PS shard is down, cached keys homed there keep serving
@@ -55,17 +61,38 @@
 //! its miss pull is split per key by [`StagedPull`], which states the
 //! contract: the pull of a miss the in-flight batch does not write takes
 //! its slot on the comm lane now, behind compute; one it does write waits
-//! for that batch's push. (Under DPS, while capacity does not bind, none
-//! waits: a key both batches read is read twice in their window, hence
-//! cached, hence not a miss.) Values match the sequential schedule bit for
-//! bit because every row is *carried* at consume time — misses by the one
-//! pull through the client, hits from the cache after the in-flight push's
-//! local updates and before this iteration's sync. Sync iterations are
-//! staged like any other; the table's pull-if-newer goes out at consume
-//! time with the late misses. The sequential path is the same code with nothing
-//! issued early, which is also how an epoch's first iteration and a
-//! construction iteration run (a rebuild changes what a probe would find).
-//! The trainer disables overlap entirely under non-inert fault plans.
+//! for that batch's push. (Under DPS, within a window, while capacity does
+//! not bind, none waits: a key both batches read is read twice in their
+//! window, hence cached, hence not a miss.) Values match the sequential
+//! schedule bit for bit because every row is *carried* at consume time —
+//! misses by the one pull through the client, hits from the cache after the
+//! in-flight push's local updates and before this iteration's sync. Three
+//! rules keep the hot table's own traffic off compute's critical path:
+//!
+//! 1. a held row is written back with its window's last gradient (step 4),
+//!    not in a burst the sync queues behind;
+//! 2. a rebuild iteration is staged like any other: the iteration before it
+//!    prefetches the next window, selects its hot set and probes the
+//!    rebuild's first batch against *that set*; the rows the table does not
+//!    hold yet ride in the staged pull beside the misses, split by the same
+//!    rule, and eviction and insertion wait for consume time;
+//! 3. a consume-time request — a sync's pull-if-newer, with whatever late
+//!    keys ride in it — gates only a batch that reads from it. Hits are
+//!    copied *before* the refresh, so a batch with no late key reads nothing
+//!    the request returns: its compute waits for its staged pull alone, and
+//!    the request's completion is a dependency of the *next* compute, whose
+//!    hits come from the refreshed table. This one corrects the timeline,
+//!    not the program: the simulated worker is one thread and still carries
+//!    the request before it computes, as it always has; what changes is
+//!    which completion the timeline makes compute wait for — the rows it
+//!    reads, as for a staged pull, which is also booked where an
+//!    asynchronous client would have it in flight rather than where this
+//!    loop runs it.
+//!
+//! The sequential path is the same code with nothing issued early, which is
+//! also how an epoch's first iteration runs — the only one that is not
+//! staged behind another. The trainer disables overlap entirely under
+//! non-inert fault plans.
 
 use crate::batch::BatchResult;
 use crate::plan::BatchPlan;
@@ -81,7 +108,7 @@ use hetkg_core::table::HotEmbeddingTable;
 use hetkg_embed::negative::NegativeSampler;
 use hetkg_kgraph::ParamKey;
 use hetkg_ps::optimizer::energy;
-use hetkg_ps::{PsScratch, Refresh, RpcError, NO_VERSION};
+use hetkg_ps::{PsScratch, RpcError};
 use std::collections::HashMap;
 
 /// Degraded mode: hard bound on distinct keys the deferred-push backlog may
@@ -115,6 +142,28 @@ struct Deferred {
     grads: u32,
 }
 
+/// Test-only: a row as it was written back — the boundary pushes before it,
+/// the key, its gradient count, and its energy and sum bit for bit.
+#[cfg(test)]
+type WrittenBackRow = (usize, ParamKey, u32, u32, Vec<u32>);
+
+/// Test-only: where one iteration sat on the worker's timeline.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct IterationTrace {
+    iteration: usize,
+    /// Staged when it ran, nothing early, rather than behind the iteration
+    /// before.
+    unstaged: bool,
+    /// What its compute waited for: the completion of the last pull it reads.
+    waited_for: f64,
+    /// The completion of its consume-time request, when its compute did not
+    /// wait for it; 0 otherwise.
+    left_behind: f64,
+    compute_secs: f64,
+    compute_end: f64,
+}
+
 /// Per-worker HET-KG training state (CPS or DPS, by the policy's kind).
 pub struct HetKgWorker {
     ctx: WorkerCtx,
@@ -123,11 +172,12 @@ pub struct HetKgWorker {
     table: HotEmbeddingTable,
     sampler: Prefetcher,
     negatives: NegativeSampler,
-    /// DPS: the prefetched window — its batches, consumed one per iteration
-    /// from `window_next` on, and its per-key read statistics. Handed back
-    /// to the prefetcher every `D` iterations, so its buffers are reused.
+    /// DPS: the prefetched window — its batches, of which iteration
+    /// `window_base + b` trains on batch `b`, and its per-key read
+    /// statistics. Handed back to the prefetcher every `D` iterations, so its
+    /// buffers are reused.
     window: Prefetched,
-    window_next: usize,
+    window_base: usize,
     /// DPS: Algorithm 2 over `window.reads`, with its reusable buffers.
     selector: HotSetSelector,
     /// Global iteration counter (across epochs).
@@ -152,8 +202,10 @@ pub struct HetKgWorker {
     /// one is held under.
     probe_keys: Vec<ParamKey>,
     probe_held: Vec<u32>,
-    /// Scratch for table construction: the selected hot set, sorted.
+    /// The hot set the staged (or latest) rebuild selected, sorted, and the
+    /// keys of it the table did not hold when it was selected, hottest first.
     selected: Vec<ParamKey>,
+    fresh: Vec<ParamKey>,
     /// Scratch for the debug check that a row the shard declined to send is
     /// bit-equal to the cached copy.
     check_row: Vec<f32>,
@@ -167,6 +219,20 @@ pub struct HetKgWorker {
     /// differential tests hold the write-back against.
     #[cfg(test)]
     write_through_reference: bool,
+    /// Test-only: write held rows back in a window's boundary push and in no
+    /// other, as the code did before the prefetched window was asked when a
+    /// row is last read — the reference the differential tests hold the
+    /// early write-back against.
+    #[cfg(test)]
+    boundary_write_back_reference: bool,
+    /// Test-only: every row written back, when a test asks for the log, and
+    /// where every iteration sat on the timeline.
+    #[cfg(test)]
+    written_back_log: Option<Vec<WrittenBackRow>>,
+    #[cfg(test)]
+    boundary_pushes: usize,
+    #[cfg(test)]
+    trace: Vec<IterationTrace>,
     /// Scratch: the rows of this iteration's push — one gradient each in
     /// key order, then the rows written back with an energy in key order —
     /// and, derived from it, the keys and trailing energies the client is
@@ -183,6 +249,20 @@ pub struct HetKgWorker {
     /// been drawn and probed but not consumed — the next iteration's,
     /// staged while the current one computes, or this one's.
     staged: bool,
+    /// Whether the staged batch is the first of a rebuilt table: probed
+    /// against `selected`, its pull carrying the `fresh` rows, the eviction
+    /// and the insertions still to happen when it is consumed.
+    staged_rebuild: bool,
+    /// Timeline completion of a consume-time request whose batch did not
+    /// wait for it, because it read none of its rows: what the request
+    /// refreshed is read by the next batch, so the next compute waits.
+    /// Sound because of two orderings the loop keeps. The batch's hits are
+    /// copied into the working set before the request runs, and its staged
+    /// rows are there already: with no late key, compute reads nothing the
+    /// request returns. And the batch's push is posted behind the request on
+    /// the comm lane, which is one queue: the refresh lands before the
+    /// batch's gradients leave, and before anything the next compute reads.
+    refreshed_end: f64,
     /// Slots of the staged batch's cache hits. Their *values* are read
     /// only at consume time, after the in-flight push updates the cache.
     staged_hits: Vec<u32>,
@@ -243,7 +323,7 @@ impl HetKgWorker {
             sampler,
             negatives,
             window: Prefetched::default(),
-            window_next: 0,
+            window_base: 0,
             selector: HotSetSelector::default(),
             iteration: 0,
             staleness: StalenessTracker::new(),
@@ -257,17 +337,28 @@ impl HetKgWorker {
             probe_keys: Vec::new(),
             probe_held: Vec::new(),
             selected: Vec::new(),
+            fresh: Vec::new(),
             check_row: Vec::new(),
             #[cfg(test)]
             full_refresh_reference: false,
             #[cfg(test)]
             write_through_reference: false,
+            #[cfg(test)]
+            boundary_write_back_reference: false,
+            #[cfg(test)]
+            written_back_log: None,
+            #[cfg(test)]
+            boundary_pushes: 0,
+            #[cfg(test)]
+            trace: Vec::new(),
             up: Vec::new(),
             up_keys: Vec::new(),
             up_energy: Vec::new(),
             batch: MiniBatch::default(),
             next_plan: BatchPlan::new(),
             staged: false,
+            staged_rebuild: false,
+            refreshed_end: 0.0,
             staged_hits: Vec::new(),
             staged_hit_uses: 0,
             staged_pull: StagedPull::default(),
@@ -313,134 +404,155 @@ impl HetKgWorker {
         }
     }
 
-    /// (Re)construct the hot-embedding table to hold `hot`: evict what fell
-    /// out of the selection, then pull the *newly selected* keys from the PS
-    /// (metered — building the cache is not free), each with the version it
-    /// is held under from now on. Keys already cached stay where they are:
-    /// hot sets overlap heavily between windows and retained rows stay
-    /// within the staleness bound (the periodic sync refreshes them), so
-    /// re-pulling them would be pure waste.
-    fn construct_table(&mut self, hot: &HotSet) {
+    /// Selection for the table iteration `t` (re)builds (Alg. 3 lines 5–7,
+    /// the half that reads no row): CPS from the whole subgraph's
+    /// frequencies, DPS from the window prefetched here for iterations `t`
+    /// onwards. Leaves the hot set in `selected`, sorted, and in `fresh`,
+    /// hottest first, the keys of it the table does not hold — membership
+    /// only changes when the rebuild is consumed, so this may run an
+    /// iteration ahead of it. Keys already cached are not fetched again: hot
+    /// sets overlap heavily between windows and retained rows stay within
+    /// the staleness bound (the periodic sync refreshes them).
+    fn select_for(&mut self, t: usize) {
+        match self.policy.kind {
+            PolicyKind::Cps => {
+                let acc = subgraph_accesses(&self.ctx.subgraph, self.ctx.key_space);
+                let hot = filter_hot_set(&acc, self.ctx.key_space, &self.policy.filter);
+                self.note_selection(&hot);
+            }
+            PolicyKind::Dps => {
+                self.prefetch_window(t);
+                let mut selector = std::mem::take(&mut self.selector);
+                let hot =
+                    selector.select(&self.window.reads, self.ctx.key_space, &self.policy.filter);
+                self.note_selection(hot);
+                self.selector = selector;
+            }
+        }
+    }
+
+    fn note_selection(&mut self, hot: &HotSet) {
         self.selected.clear();
         self.selected.extend(hot.keys());
         self.selected.sort_unstable();
+        let table = &self.table;
+        self.fresh.clear();
+        self.fresh
+            .extend(hot.keys().filter(|&k| !table.contains(k)));
+    }
+
+    /// The consume-time half of a rebuild that reads no row: evict what fell
+    /// out of the selection. The fresh rows arrive with the staged pull —
+    /// metered: building the cache is not free — each with the version it is
+    /// held under from now on.
+    fn evict_unselected(&mut self) {
         let selected = &self.selected;
         self.table.retain(|k| selected.binary_search(&k).is_ok());
-        let table = &self.table;
-        self.probe_keys.clear();
-        self.probe_keys
-            .extend(hot.keys().filter(|&k| !table.contains(k)));
         self.economy.rebuilds += 1;
-        self.economy.rows_held += hot.len() as u64;
+        self.economy.rows_held += selected.len() as u64;
         self.economy.capacity += self.policy.filter.capacity as u64;
-        self.economy.fresh_rows += self.probe_keys.len() as u64;
-        if self.probe_keys.is_empty() {
-            return;
-        }
-        let before = self.ctx.meter.snapshot();
-        self.fill_fresh_slots()
-            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
-        let delta = self.ctx.meter.snapshot().since(before);
-        self.ctx.post_comm(delta, 0.0);
+        self.economy.fresh_rows += self.staged_pull.fresh() as u64;
     }
 
-    /// Pull `probe_keys` — selected, not cached yet — into free slots. The
-    /// worker holds no copy of them, so the pull-if-newer returns every row,
-    /// and with it the version the next sync will ask about.
-    fn fill_fresh_slots(&mut self) -> Result<(), RpcError> {
-        #[cfg(test)]
-        {
-            if self.full_refresh_reference {
-                return self.fill_fresh_slots_reference();
-            }
-        }
-        let (fresh, table, now) = (&self.probe_keys, &mut self.table, self.iteration);
-        self.probe_held.clear();
-        self.probe_held.resize(fresh.len(), NO_VERSION);
-        self.ctx.client.try_pull_newer_with(
-            fresh,
-            &self.probe_held,
-            Refresh::Construction,
-            &mut self.ctx.ps,
-            |i, version, row| {
-                table
-                    .insert_at(fresh[i], row, version, now)
-                    .expect("capacity covers the hot set");
-            },
-        )
-    }
-
-    /// A sync iteration's consume-time PS request: the staged batch's late
-    /// misses (into the working set; all of its misses when nothing was
-    /// pulled ahead) and, riding in the same per-shard messages, the table's
-    /// synchronization (Alg. 3 lines 8–9) as a pull-if-newer over every
-    /// cached row. Folds the cache-vs-global divergence it observes into
-    /// the epoch's statistics.
+    /// The staged batch's consume-time PS request, one message per shard:
+    /// its late misses (into the working set; all of its misses when nothing
+    /// was pulled ahead), the late fresh rows of a rebuild (into the table,
+    /// and into the working set when the batch reads them) and, at a sync
+    /// iteration, the table's synchronization (Alg. 3 lines 8–9) as a
+    /// pull-if-newer over every cached row. Folds the cache-vs-global
+    /// divergence it observes into the epoch's statistics. Returns whether
+    /// there was anything to request.
     ///
-    /// Three kinds of cached row send nothing or get nothing back. Rows this
-    /// iteration's construction pulled moments ago are not even asked
-    /// about, and rows whose version still matches cost 12 bytes asked and
-    /// nothing returned; both count as zero-divergence samples, because
-    /// that is what a full refresh would have measured on them. In degraded
-    /// mode only — and not counted — rows homed on a down or browning-out
-    /// shard are skipped: they keep their old version and keep ageing
-    /// toward `staleness_cap`; once staleness reaches the cap everything is
-    /// asked about and the client waits the outage out (or probes the
-    /// breaker) in simulated time. A partial sync does not reset the
-    /// staleness clock.
-    fn pull_misses_and_sync(&mut self, degraded: bool, staleness_now: usize) {
+    /// A fresh row is asked about with nothing held, so it always comes
+    /// back, with its version; its bytes are construction's in this message
+    /// as in the staged one. Three kinds of cached row send nothing or get
+    /// nothing back. Rows this iteration's rebuild received moments ago are
+    /// not even asked about,
+    /// and rows whose version still matches cost 12 bytes asked and nothing
+    /// returned; both count as zero-divergence samples, because that is
+    /// what a full refresh would have measured on them. In degraded mode
+    /// only — and not counted — rows homed on a down or browning-out shard
+    /// are skipped: they keep their old version and keep ageing toward
+    /// `staleness_cap`; once staleness reaches the cap everything is asked
+    /// about and the client waits the outage out (or probes the breaker) in
+    /// simulated time. A partial sync does not reset the staleness clock.
+    fn consume_time_request(&mut self, sync: bool, degraded: bool, staleness_now: usize) -> bool {
+        // Test-only: the reference synchronizes as the code did before rows
+        // had versions — every cached row (of a healthy shard, in degraded
+        // mode) pulled plainly, whatever comes back overwriting the cache,
+        // changed or not, held under no version.
         #[cfg(test)]
-        {
-            if self.full_refresh_reference {
-                return self.pull_misses_and_sync_reference(degraded, staleness_now);
-            }
-        }
+        let gated = !self.full_refresh_reference;
+        #[cfg(not(test))]
+        let gated = true;
         let now = self.iteration;
         let client = &self.ctx.client;
         let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
-        let (late_keys, miss_slots) = self.staged_pull.late();
-        let miss_count = late_keys.len();
+        let asked = |k: ParamKey| !skip_unhealthy || client.shard_healthy(k);
+        let (late, late_slots, late_fresh) = self.staged_pull.late();
         self.probe_keys.clear();
-        self.probe_keys.extend_from_slice(late_keys);
+        self.probe_keys.extend_from_slice(late);
+        if sync && !gated {
+            // Plain keys lead a request.
+            self.probe_keys
+                .extend(self.table.iter_keys().filter(|&k| asked(k)));
+        }
+        let fresh = self.probe_keys.len()..self.probe_keys.len() + late_fresh.len();
+        let mut covered = fresh.start - late.len();
+        self.probe_keys.extend_from_slice(late_fresh);
         self.probe_held.clear();
-        let mut covered = 0usize;
-        for (k, held, confirmed) in self.table.iter_held() {
-            if skip_unhealthy && !client.shard_healthy(k) {
-                continue;
-            }
-            covered += 1;
-            if confirmed != now {
-                self.probe_keys.push(k);
-                self.probe_held.push(held);
+        if sync {
+            covered += late_fresh.iter().filter(|&&k| asked(k)).count();
+        }
+        if sync && gated {
+            for (k, held, confirmed) in self.table.iter_held() {
+                if !asked(k) {
+                    continue;
+                }
+                covered += 1;
+                if confirmed != now {
+                    self.probe_keys.push(k);
+                    self.probe_held.push(held);
+                }
             }
         }
         let (keys, held) = (&self.probe_keys, &self.probe_held);
         let (table, ws) = (&mut self.table, &mut self.ctx.ws);
+        let layout = self.ctx.scratch.plan.layout();
         let mut max_div = 0.0f64;
         let mut div_sum = 0.0f64;
         client
             .try_pull_newer_with(
                 keys,
+                fresh.len(),
                 held,
-                Refresh::Sync,
                 &mut self.ctx.ps,
                 |i, version, row| {
-                    if i < miss_count {
-                        ws.row_mut(miss_slots[i]).copy_from_slice(row);
-                        return;
+                    if let Some(&slot) = late_slots.get(i) {
+                        ws.row_mut(slot).copy_from_slice(row);
+                    } else if fresh.contains(&i) {
+                        table
+                            .insert_at(keys[i], row, version, now)
+                            .expect("capacity covers the hot set");
+                        // A hit of the batch that was not there to copy.
+                        if let Some(slot) = layout.slot_of(keys[i]) {
+                            ws.row_mut(slot).copy_from_slice(row);
+                        }
+                    } else {
+                        let cached = table
+                            .get(keys[i])
+                            .expect("only cached keys are asked about");
+                        let d = l2_distance(cached, row);
+                        max_div = max_div.max(d);
+                        div_sum += d;
+                        table.refresh_at(keys[i], row, version, now);
                     }
-                    let cached = table
-                        .get(keys[i])
-                        .expect("only cached keys are asked about");
-                    let d = l2_distance(cached, row);
-                    max_div = max_div.max(d);
-                    div_sum += d;
-                    table.refresh_at(keys[i], row, version, now);
                 },
             )
             .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
-        // Everything asked about and not returned still matches.
-        for (&k, &held) in keys[miss_count..].iter().zip(held) {
+        // Everything asked about under a version and not returned still
+        // matches.
+        for (&k, &held) in keys[fresh.end..].iter().zip(held) {
             if cfg!(debug_assertions) && table.held_version(k) == Some(held) {
                 // The gate is sound: what the shard declined to send is,
                 // bit for bit, what the cache already holds.
@@ -457,7 +569,11 @@ impl HetKgWorker {
             }
             table.confirm(k, now);
         }
-        self.note_sync(max_div, div_sum, covered);
+        let requested = !keys.is_empty();
+        if sync {
+            self.note_sync(max_div, div_sum, covered);
+        }
+        requested
     }
 
     /// Book a sync that covered `covered` cached rows (returned or not) and
@@ -472,84 +588,32 @@ impl HetKgWorker {
         }
     }
 
-    /// [`Self::fill_fresh_slots`] as it was before rows had versions: a
-    /// plain pull, rows held under no version.
-    #[cfg(test)]
-    fn fill_fresh_slots_reference(&mut self) -> Result<(), RpcError> {
-        let (fresh, table, now) = (&self.probe_keys, &mut self.table, self.iteration);
-        self.ctx
-            .client
-            .try_pull_batch_with(fresh, &mut self.ctx.ps, |i, row| {
-                table
-                    .insert_at(fresh[i], row, NO_VERSION, now)
-                    .expect("capacity covers the hot set");
-            })
-    }
-
-    /// [`Self::pull_misses_and_sync`] as it was before rows had versions:
-    /// one plain pull of the misses and every cached row (of a healthy
-    /// shard, in degraded mode), overwriting the cache with whatever comes
-    /// back, changed or not.
-    #[cfg(test)]
-    fn pull_misses_and_sync_reference(&mut self, degraded: bool, staleness_now: usize) {
-        let now = self.iteration;
-        let client = &self.ctx.client;
-        let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
-        let (late_keys, miss_slots) = self.staged_pull.late();
-        let miss_count = late_keys.len();
-        self.probe_keys.clear();
-        self.probe_keys.extend_from_slice(late_keys);
-        self.probe_keys.extend(
-            self.table
-                .iter_keys()
-                .filter(|&k| !skip_unhealthy || client.shard_healthy(k)),
-        );
-        let refreshed = self.probe_keys.len() - miss_count;
-        let keys = &self.probe_keys;
-        let (table, ws) = (&mut self.table, &mut self.ctx.ws);
-        let mut max_div = 0.0f64;
-        let mut div_sum = 0.0f64;
-        client
-            .try_pull_batch_with(keys, &mut self.ctx.ps, |i, row| {
-                if i < miss_count {
-                    ws.row_mut(miss_slots[i]).copy_from_slice(row);
-                    return;
-                }
-                let d = l2_distance(table.get(keys[i]).expect("cached"), row);
-                max_div = max_div.max(d);
-                div_sum += d;
-                table.refresh_at(keys[i], row, NO_VERSION, now);
-            })
-            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
-        self.note_sync(max_div, div_sum, refreshed);
-    }
-
-    /// Algorithm 1: prefetch the next `D` batches into `window`.
-    fn prefetch_window(&mut self) {
+    /// Algorithm 1: prefetch the `D` batches of iterations `t` onwards into
+    /// `window`. Every batch of the window it replaces has been compiled.
+    fn prefetch_window(&mut self, t: usize) {
         self.sampler.prefetch_into(
             &self.ctx.subgraph,
             &mut self.negatives,
             self.policy.prefetch_depth,
             &mut self.window,
         );
-        self.window_next = 0;
+        self.window_base = t;
     }
 
-    /// Take the next batch — the next prefetched one under DPS, a fresh
-    /// draw under CPS — and compile it into `next_plan`.
-    fn compile_next(&mut self) {
+    /// Take iteration `t`'s batch — the window's under DPS, a fresh draw
+    /// under CPS — and compile it into `next_plan`.
+    fn compile_next(&mut self, t: usize) {
         let (ks, model) = (self.ctx.key_space, &self.ctx.model);
         let (ed, rd) = (model.entity_dim(), model.relation_dim());
         match self.policy.kind {
             PolicyKind::Dps => {
-                if self.window_next == self.window.batches.len() {
-                    // Refill (can happen when an epoch boundary desyncs the
-                    // D-cycle; keeps the loop total-failure free).
-                    self.prefetch_window();
-                }
-                let batch = &self.window.batches[self.window_next];
-                self.window_next += 1;
-                self.next_plan.compile(batch, ks, ed, rd);
+                // The iteration counter runs on across epochs and every
+                // `D`-th iteration prefetches `D` batches: the window the
+                // table was selected from reaches the table's next rebuild.
+                let b = self
+                    .window_batch(t)
+                    .expect("a prefetched window covers every iteration up to the next rebuild");
+                self.next_plan.compile(&self.window.batches[b], ks, ed, rd);
             }
             PolicyKind::Cps => {
                 self.sampler
@@ -557,6 +621,13 @@ impl HetKgWorker {
                 self.next_plan.compile(&self.batch, ks, ed, rd);
             }
         }
+    }
+
+    /// DPS: which batch of the window iteration `t` trains on; `None` when
+    /// the window does not reach it (or there is no window: CPS).
+    fn window_batch(&self, t: usize) -> Option<usize> {
+        let b = t.checked_sub(self.window_base)?;
+        (self.policy.kind == PolicyKind::Dps && b < self.window.batches.len()).then_some(b)
     }
 
     /// Fold `grads` gradients of `k`, summed in `sum` with energy `energy`,
@@ -664,13 +735,38 @@ impl HetKgWorker {
         kept
     }
 
+    /// The window's batches that train between this iteration's push and the
+    /// window's boundary push, the boundary's own included — what a held row
+    /// must sit out to be worth writing back now. `remaining` iterations of
+    /// the epoch follow this one, at least one. `None` when no prefetched
+    /// window says (CPS, or a window that does not reach that far): what
+    /// staging happens to have drawn is not asked, the sequential schedule
+    /// has not drawn it.
+    fn batches_to_boundary(&self, remaining: usize) -> Option<std::ops::Range<usize>> {
+        let first = self.iteration + 1;
+        let mut last = first;
+        while last - self.iteration < remaining && !self.ends_a_window(last) {
+            last += 1;
+        }
+        Some(self.window_batch(first)?..self.window_batch(last)? + 1)
+    }
+
+    /// Whether iteration `t`'s push is the last before the table's next sync
+    /// or rebuild.
+    fn ends_a_window(&self, t: usize) -> bool {
+        self.policy.needs_construction(t + 1) || self.sync.is_sync_iteration(t + 1)
+    }
+
     /// The update step (Alg. 3 lines 17–19, as built). Every gradient of a
     /// cached row is applied to the cached copy and held in the table; the
-    /// gradients of the other rows are pushed. With `write_back`, everything
-    /// the table holds — this iteration's gradients and the ones before
-    /// them — rides in the same push: rows that collected one gradient as
-    /// that gradient, among the plain rows, and the rows that collected
-    /// several behind them, each with its energy.
+    /// gradients of the other rows are pushed. Held rows ride in the same
+    /// push when they have collected the last gradient their window gives
+    /// them: all of them in a boundary push — the last before a sync, a
+    /// rebuild or, with no iteration `remaining`, the epoch's end — and
+    /// before it, under DPS, the rows no batch up to the boundary reads,
+    /// which the prefetched window knows. Rows that collected one gradient
+    /// go as that gradient, among the plain rows, and the rows that
+    /// collected several behind them, each with its energy.
     ///
     /// `degraded`: a fault plan is attached. Rows homed on a down or
     /// browning-out shard are deferred into the local backlog, with their
@@ -678,14 +774,27 @@ impl HetKgWorker {
     /// machinery refuses — retry budget dry, breaker tripped mid-flight —
     /// folds into the backlog the same way. With every shard up (and no
     /// breaker open) this sends exactly what the healthy path does.
-    fn push_update(&mut self, write_back: bool, degraded: bool) {
+    fn push_update(&mut self, remaining: usize, degraded: bool) {
         let now = self.iteration;
-        let (grads, table) = (&self.ctx.grads, &mut self.table);
-        let optimizer = self.ctx.optimizer.as_ref();
+        let boundary = remaining == 0 || self.ends_a_window(now);
         #[cfg(test)]
-        let hold = !self.write_through_reference;
+        let (hold, early) = (
+            !self.write_through_reference,
+            !self.boundary_write_back_reference,
+        );
         #[cfg(not(test))]
-        let hold = true;
+        let (hold, early) = (true, true);
+        let quiet = if boundary || !early {
+            None
+        } else {
+            self.batches_to_boundary(remaining)
+        };
+        // The batch of the window in flight, while the window covers it.
+        let in_flight = self.window_batch(now);
+        let (grads, table) = (&self.ctx.grads, &mut self.table);
+        let (sampler, window) = (&self.sampler, &self.window);
+        let reads = |k: ParamKey| sampler.reads_of(window, k);
+        let optimizer = self.ctx.optimizer.as_ref();
         self.up.clear();
         for &slot in grads.touched() {
             let (key, grad) = (grads.key_at(slot), grads.row_at(slot));
@@ -702,36 +811,68 @@ impl HetKgWorker {
                     grads: 1,
                     energy: 0.0,
                 });
+                continue;
             }
+            // The prediction an early write-back acts on, checked where it
+            // comes true: the window knew this batch reads the row, so a
+            // row it says no batch reads again collects nothing more.
+            debug_assert!(
+                in_flight.is_none_or(|b| reads(key).is_some_and(|r| r.read_in(b..b + 1))),
+                "{key} collected a gradient from a batch its window does not list as reading it"
+            );
         }
-        if write_back {
-            let window = self.sync.period;
-            for p in table.pending() {
-                // The write side of §IV-C: no gradient waits out a window.
-                debug_assert!(
-                    now - p.since < window,
-                    "{} held a gradient for {} iterations (P = {window})",
-                    p.key,
-                    now - p.since
-                );
-                self.economy.written_back_rows += 1;
-                self.economy.coalesced_grads += u64::from(p.grads);
-                if p.grads > 1 {
-                    self.economy.written_back_energy += f64::from(p.energy);
-                    self.economy.written_back_sum_sq += f64::from(energy(p.sum));
-                }
-                self.up.push(PushRow {
-                    key: p.key,
-                    slot: FROM_TABLE,
-                    grads: p.grads,
-                    energy: p.energy,
-                });
+        let (economy, up) = (&mut self.economy, &mut self.up);
+        let period = self.sync.period;
+        #[cfg(test)]
+        let (log, boundaries) = (&mut self.written_back_log, self.boundary_pushes);
+        table.hand_over_where(|p| {
+            let leaves = boundary
+                || quiet
+                    .as_ref()
+                    .is_some_and(|q| reads(p.key).is_some_and(|r| !r.read_in(q.clone())));
+            if !leaves {
+                return false;
             }
+            // The write side of §IV-C: no gradient waits out a window.
+            debug_assert!(
+                now - p.since < period,
+                "{} held a gradient for {} iterations (P = {period})",
+                p.key,
+                now - p.since
+            );
+            economy.written_back_rows += 1;
+            economy.written_back_early += u64::from(!boundary);
+            economy.coalesced_grads += u64::from(p.grads);
+            if p.grads > 1 {
+                economy.written_back_energy += f64::from(p.energy);
+                economy.written_back_sum_sq += f64::from(energy(p.sum));
+            }
+            #[cfg(test)]
+            if let Some(log) = log.as_mut() {
+                log.push((
+                    boundaries,
+                    p.key,
+                    p.grads,
+                    p.energy.to_bits(),
+                    p.sum.iter().map(|v| v.to_bits()).collect(),
+                ));
+            }
+            up.push(PushRow {
+                key: p.key,
+                slot: FROM_TABLE,
+                grads: p.grads,
+                energy: p.energy,
+            });
+            true
+        });
+        #[cfg(test)]
+        {
+            self.boundary_pushes += usize::from(boundary);
         }
         self.up.sort_unstable_by_key(|r| (r.grads > 1, r.key));
         let table = &self.table;
         let row_of = |r: &PushRow| match r.slot {
-            FROM_TABLE => table.pending_sum(r.key).expect("listed as pending"),
+            FROM_TABLE => table.pending_sum(r.key).expect("handed over"),
             slot => grads.row_at(slot),
         };
 
@@ -791,57 +932,51 @@ impl HetKgWorker {
                 f.injector.note_shed_pushes(shed);
             }
         }
-        if write_back {
-            self.table.clear_pending();
-        }
+        self.table.clear_handed_over();
         self.ctx.grads.clear();
     }
 
-    /// Construction (Alg. 3 lines 5–7), when the policy says this iteration
-    /// rebuilds the table.
-    fn construct_if_due(&mut self) {
-        if !self.policy.needs_construction(self.iteration) {
-            return;
-        }
-        match self.policy.kind {
-            PolicyKind::Cps => {
-                let acc = subgraph_accesses(&self.ctx.subgraph, self.ctx.key_space);
-                let hot = filter_hot_set(&acc, self.ctx.key_space, &self.policy.filter);
-                self.construct_table(&hot);
-            }
-            PolicyKind::Dps => {
-                self.prefetch_window();
-                let mut selector = std::mem::take(&mut self.selector);
-                let hot =
-                    selector.select(&self.window.reads, self.ctx.key_space, &self.policy.filter);
-                self.construct_table(hot);
-                self.selector = selector;
-            }
-        }
-    }
-
-    /// Stage the next batch: draw it, probe the cache, and stage its miss
-    /// pull — with `pull_ahead`, while the previous iteration is still in
-    /// flight, every miss that batch does not write goes out now; without,
-    /// every miss waits for [`Self::consume_staged`], which is the
+    /// Stage iteration `t`'s batch: draw it, probe the cache, and stage its
+    /// miss pull — with `pull_ahead`, while the previous iteration is still
+    /// in flight, every miss that batch does not write goes out now;
+    /// without, every miss waits for [`Self::consume_staged`], which is the
     /// sequential schedule. The probe is valid until then: gradient
     /// application updates rows in place, a sync refreshes them in place,
-    /// and only a construction inserts or evicts — so the iteration before
-    /// a construction does not stage.
-    fn stage(&mut self, pull_ahead: bool) {
+    /// and only a rebuild inserts or evicts. When `t` rebuilds the table
+    /// (Alg. 3 lines 5–7) the hot set is selected here — under DPS from the
+    /// next window, prefetched here: the prefetcher's draws are its own and
+    /// the batch in flight is compiled — the batch is probed against *that
+    /// set*, and the rows of it the table does not hold yet ride in the
+    /// staged pull, split like the misses; evicting and inserting wait for
+    /// the batch to be consumed, after the in-flight push.
+    fn stage(&mut self, t: usize, pull_ahead: bool) {
         debug_assert!(!self.staged, "staging twice");
-        self.compile_next();
+        let rebuild = self.policy.needs_construction(t);
+        if rebuild {
+            self.select_for(t);
+        } else {
+            self.fresh.clear();
+        }
+        self.compile_next(t);
         self.staged_hits.clear();
         self.miss_keys.clear();
         self.miss_slots.clear();
         self.staged_hit_uses = 0;
         self.staged_miss_uses = 0;
         let plan = &self.next_plan;
+        let (table, selected) = (&self.table, &self.selected);
+        let cached = |k: ParamKey| {
+            if rebuild {
+                selected.binary_search(&k).is_ok()
+            } else {
+                table.contains(k)
+            }
+        };
         // A key used `u` times in the batch counts `u` hits/misses — the
         // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
         // traffic is still deduplicated per batch.
         for (slot, (&k, &uses)) in plan.keys().iter().zip(plan.uses()).enumerate() {
-            if self.table.contains(k) {
+            if cached(k) {
                 self.staged_hits.push(slot as u32);
                 self.staged_hit_uses += u64::from(uses);
             } else {
@@ -855,28 +990,56 @@ impl HetKgWorker {
             .iter()
             .copied()
             .zip(self.miss_slots.iter().copied());
-        self.staged_pull
-            .stage(&mut self.ctx, misses, pull_ahead, &mut self.economy);
+        if rebuild {
+            // Not counted as a split: within a window a late miss means
+            // capacity bound, which is what `staged_late` is read for;
+            // across two it is a key the old window's last batch and the
+            // new one's first share, and there always are some.
+            let fresh = self.fresh.iter().copied();
+            self.staged_pull
+                .stage_with_fresh(&mut self.ctx, misses, fresh, pull_ahead);
+        } else {
+            self.staged_pull
+                .stage(&mut self.ctx, misses, pull_ahead, &mut self.economy);
+        }
         self.staged = true;
+        self.staged_rebuild = rebuild;
     }
 
-    /// Make the staged batch the one in flight. Hit values are copied from
-    /// the cache *now* — after the previous push applied its local updates,
-    /// before this iteration's sync — so a hit is at most one sync period
-    /// stale, which is exactly the bounded-staleness contract; the misses,
-    /// early (already on the timeline) and late alike, are pulled now, so
-    /// every value is the sequential schedule's bit for bit. At a sync
-    /// iteration (Alg. 3 lines 8–9; never iteration 0, whose cache was
-    /// constructed from fresh pulls moments ago) the table's
-    /// synchronization rides in the late misses' request: one round trip
-    /// per server, as a real KVStore client batches. Returns the timeline completion of the
-    /// batch's pull.
+    /// Make the staged batch the one in flight. A staged rebuild happens
+    /// now: rows that fell out of the selection are evicted, the fresh ones
+    /// arrive with the pull. Hit values are copied from the cache *now* —
+    /// after the previous push applied its local updates, before this
+    /// iteration's sync — so a hit is at most one sync period stale, which
+    /// is exactly the bounded-staleness contract; the misses, early (already
+    /// on the timeline) and late alike, are pulled now, so every value is
+    /// the sequential schedule's bit for bit. At a sync iteration (Alg. 3
+    /// lines 8–9; never iteration 0, whose cache was constructed from fresh
+    /// pulls moments ago) the table's synchronization rides in the late
+    /// keys' request: one round trip per server, as a real KVStore client
+    /// batches. Returns the timeline completion of what the batch reads: its
+    /// staged pull and, when it carries a late miss or a late fresh row, the
+    /// consume-time request. One that carries neither — a sync the batch
+    /// reads nothing of — is left in `refreshed_end` for the next compute.
     fn consume_staged(&mut self, degraded: bool) -> f64 {
         debug_assert!(self.staged, "a batch was staged");
         self.staged = false;
-        let staleness_now = self.staleness.observe(self.iteration);
+        let now = self.iteration;
+        let staleness_now = self.staleness.observe(now);
         std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
         self.ctx.begin_batch();
+        let rebuild = std::mem::take(&mut self.staged_rebuild);
+        if rebuild {
+            self.evict_unselected();
+        }
+        let table = &mut self.table;
+        let early_end = self
+            .staged_pull
+            .deliver_early(&mut self.ctx, |k, version, row| {
+                table
+                    .insert_at(k, row, version, now)
+                    .expect("capacity covers the hot set");
+            });
         let plan = &self.ctx.scratch.plan;
         let client = &self.ctx.client;
         let bound = self.staleness_bound(degraded);
@@ -884,11 +1047,13 @@ impl HetKgWorker {
         let mut brownout_uses = 0u64;
         for &slot in &self.staged_hits {
             let k = plan.keys()[slot as usize];
-            let row = self
-                .table
-                .get(k)
-                .expect("staged hits stay cached until consumed");
-            debug_assert_fresh(&self.table, k, self.iteration, bound);
+            let Some(row) = self.table.get(k) else {
+                // A fresh row the in-flight batch wrote: it comes with the
+                // consume-time request, which copies it.
+                debug_assert!(rebuild, "staged hits stay cached until consumed");
+                continue;
+            };
+            debug_assert_fresh(&self.table, k, now, bound);
             self.ctx.ws.row_mut(slot).copy_from_slice(row);
             if degraded {
                 let uses = u64::from(plan.uses()[slot as usize]);
@@ -914,58 +1079,71 @@ impl HetKgWorker {
                 f.injector.note_brownout_stale_serves(brownout_uses);
             }
         }
-        if !self.sync.is_sync_iteration(self.iteration) {
-            return self.staged_pull.deliver(&mut self.ctx);
-        }
-        let early_end = self.staged_pull.deliver_early(&mut self.ctx);
+        let (late, _, late_fresh) = self.staged_pull.late();
+        let read_by_the_batch = !late.is_empty() || !late_fresh.is_empty();
+        let sync = self.sync.is_sync_iteration(now);
         let before = self.ctx.meter.snapshot();
-        self.pull_misses_and_sync(degraded, staleness_now);
+        if !self.consume_time_request(sync, degraded, staleness_now) {
+            return early_end;
+        }
         let delta = self.ctx.meter.snapshot().since(before);
-        early_end.max(self.ctx.post_comm(delta, 0.0))
+        let request_end = self.ctx.post_comm(delta, 0.0);
+        if read_by_the_batch {
+            early_end.max(request_end)
+        } else {
+            self.refreshed_end = request_end;
+            early_end
+        }
     }
 
     /// Single sequential iteration (no staging, everything written back) —
     /// the unit tests' probe.
     #[cfg(test)]
     fn one_iteration(&mut self) -> BatchResult {
-        self.one_iteration_inner(false)
+        self.one_iteration_inner(0)
     }
 
-    /// `epoch_continues`: another iteration of this epoch follows, so the
-    /// next batch may be staged behind this one and held gradients may wait
-    /// for a later push.
-    fn one_iteration_inner(&mut self, epoch_continues: bool) -> BatchResult {
+    /// `remaining`: how many iterations of this epoch follow. While some do,
+    /// the next batch may be staged behind this one and held gradients may
+    /// wait for a later push.
+    fn one_iteration_inner(&mut self, remaining: usize) -> BatchResult {
         let degraded = self.ctx.client.faults().is_some();
         if degraded {
             self.flush_backlog_if_ready();
         }
 
         // Nothing was staged behind the previous iteration (an epoch's
-        // first, a construction, or overlap off): stage now, nothing early.
-        if !self.staged {
-            self.construct_if_due();
-            self.stage(false);
+        // first, or overlap off): stage now, nothing early.
+        let unstaged = !self.staged;
+        if unstaged {
+            self.stage(self.iteration, false);
         }
-        let pull_end = self.consume_staged(degraded);
+        let refreshed_end = std::mem::take(&mut self.refreshed_end);
+        let pull_end = self.consume_staged(degraded).max(refreshed_end);
 
         // Stage the next iteration *before* computing this one, so its
         // early pull lands on the comm lane while this compute runs.
-        let next = self.iteration + 1;
-        let rebuild_next = self.policy.needs_construction(next);
-        if epoch_continues && self.ctx.overlap && !rebuild_next {
-            self.stage(true);
+        if remaining > 0 && self.ctx.overlap {
+            self.stage(self.iteration + 1, true);
         }
 
         // --- Compute ---
         let result = self.ctx.compute();
         let compute_end = self.ctx.post_compute(result.work_units, pull_end);
+        #[cfg(test)]
+        self.trace.push(IterationTrace {
+            iteration: self.iteration,
+            unstaged,
+            waited_for: pull_end,
+            left_behind: self.refreshed_end,
+            compute_secs: self.ctx.cost.compute_time(result.work_units),
+            compute_end,
+        });
 
         // --- Update (Alg. 3 17–19): cached rows locally, the rest pushed,
-        // and in the last push before a sync, a rebuild or the epoch's end
-        // everything the table holds.
-        let write_back = !epoch_continues || rebuild_next || self.sync.is_sync_iteration(next);
+        // and with them the held rows whose window gives them nothing more.
         let before = self.ctx.meter.snapshot();
-        self.push_update(write_back, degraded);
+        self.push_update(remaining, degraded);
         let delta = self.ctx.meter.snapshot().since(before);
         self.ctx.post_comm(delta, compute_end);
 
@@ -1019,7 +1197,7 @@ impl WorkerLoop for HetKgWorker {
         // first batch would shift its pull traffic into this epoch. And it
         // writes back what the table holds: an epoch ends with the server
         // owed nothing.
-        let r = self.one_iteration_inner(self.run.unit + 1 < iters);
+        let r = self.one_iteration_inner(iters - 1 - self.run.unit);
         self.ctx.advance_fault_clock(r.work_units);
         self.run.acc.absorb(r);
         self.run.unit += 1;
@@ -1141,6 +1319,20 @@ mod tests {
             prefetch_depth: 4,
         };
         HetKgWorker::new(ctx, policy, SyncConfig::new(4), negatives, 1)
+    }
+
+    /// Rebuild `w`'s table to hold `hot`, now, outside any iteration: the
+    /// fresh rows in one construction pull.
+    fn precache(w: &mut HetKgWorker, hot: &HotSet) {
+        w.note_selection(hot);
+        let fresh = w.fresh.iter().copied();
+        w.staged_pull
+            .stage_with_fresh(&mut w.ctx, std::iter::empty(), fresh, false);
+        w.evict_unselected();
+        let (table, now) = (&mut w.table, w.iteration);
+        w.staged_pull.deliver_early(&mut w.ctx, |k, version, row| {
+            table.insert_at(k, row, version, now).unwrap();
+        });
     }
 
     #[test]
@@ -1305,7 +1497,7 @@ mod tests {
         moved[0] += 3.0;
         moved[1] += 4.0;
         store.store(keys[0], &moved);
-        w.stage(false);
+        w.stage(w.iteration, false);
         w.consume_staged(false);
         assert_eq!(w.epoch_div_samples, keys.len() as u64);
         assert!((w.epoch_divergence - 5.0).abs() < 1e-5);
@@ -1321,7 +1513,7 @@ mod tests {
     #[test]
     fn in_sync_cache_has_zero_divergence() {
         let (mut w, keys) = in_sync_at_the_sync_point();
-        w.stage(false);
+        w.stage(w.iteration, false);
         w.consume_staged(false);
         assert_eq!(w.epoch_div_samples, keys.len() as u64);
         assert_eq!(w.epoch_divergence, 0.0);
@@ -1393,7 +1585,7 @@ mod tests {
         // P = 4, some 3 s of compute later.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
         let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
-        w.construct_table(&everything);
+        precache(&mut w, &everything);
         w.iteration = 1;
         for e in 0..2 {
             w.run_epoch(e);
@@ -1470,7 +1662,7 @@ mod tests {
         // of compute later.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
         let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
-        w.construct_table(&everything);
+        precache(&mut w, &everything);
         w.iteration = 1;
         for e in 0..2 {
             w.run_epoch(e);
@@ -1644,6 +1836,7 @@ mod tests {
         depth: usize,
         optimizer: Arc<dyn hetkg_ps::optimizer::Optimizer>,
         faults: Option<FaultPlan>,
+        cost: CostModel,
     }
 
     impl Default for PoolSpec {
@@ -1658,6 +1851,7 @@ mod tests {
                 depth: 8,
                 optimizer: Arc::new(AdaGrad::new(0.1)),
                 faults: None,
+                cost: CostModel::gigabit(),
             }
         }
     }
@@ -1719,7 +1913,7 @@ mod tests {
                         spec.optimizer.clone(),
                         32,
                     )
-                    .with_timing(CostModel::gigabit(), overlap)
+                    .with_timing(spec.cost, overlap)
                     .with_compression(compression);
                     let negatives = NegativeSampler::new(3_000, NegConfig::default(), 9 + w as u64);
                     let policy = CachePolicy {
@@ -2078,6 +2272,358 @@ mod tests {
             "the backlog was never exercised (deferred {deferred_somewhere}, with several \
              gradients {coalesced_deferred})"
         );
+    }
+
+    // ---- Early write-back against the boundary-only write-back it replaced ----
+
+    fn boundary_only(mut pool: Vec<HetKgWorker>) -> Vec<HetKgWorker> {
+        for w in &mut pool {
+            w.boundary_write_back_reference = true;
+        }
+        pool
+    }
+
+    /// What a worker wrote back, by window (the boundary pushes before it)
+    /// and key: gradient count, energy bits, sum bits.
+    type WrittenBack = std::collections::BTreeMap<(usize, ParamKey), (u32, u32, Vec<u32>)>;
+
+    fn written_back(w: &HetKgWorker, what: &str) -> WrittenBack {
+        let mut rows = WrittenBack::new();
+        let log = w
+            .written_back_log
+            .as_ref()
+            .expect("the test asked for the log");
+        for (window, key, grads, energy, sum) in log.iter().cloned() {
+            let again = rows.insert((window, key), (grads, energy, sum));
+            assert!(
+                again.is_none(),
+                "{what}: {key} was written back twice in window {window}"
+            );
+        }
+        rows
+    }
+
+    /// `t` without the rows syncs returned, in the split and in the lanes.
+    fn but_sync_rows(mut t: hetkg_netsim::TrafficSnapshot) -> hetkg_netsim::TrafficSnapshot {
+        let rows = std::mem::take(&mut t.by_cause.sync_rows);
+        t.local_bytes -= rows.local;
+        t.remote_bytes -= rows.remote;
+        t
+    }
+
+    /// Writing a held row back at the last gradient its window gives it
+    /// sends what the window's boundary push would have sent, sooner. Against
+    /// the boundary-only reference, over CPS and DPS, pipelined and not,
+    /// dense and int8 pushes, `P` ∈ {1, 4, 8} and `D` = 6 (a multiple of no
+    /// `P` > 1: windows end at rebuilds too) and 16:
+    ///
+    /// * three workers, one epoch: per worker the traffic snapshot (lanes,
+    ///   causes, messages, the push breakdown) but for the rows its syncs
+    ///   return, every row written back once per window and key with the
+    ///   same gradient count, and the same economy but for
+    ///   `written_back_early`. Values differ — another worker's miss reads a
+    ///   row the server has a few iterations sooner — and so does *which*
+    ///   sync returns a row: a write-back that leaves in a window's first
+    ///   push reaches the workers that sync later in the same round one
+    ///   window sooner;
+    /// * with `P` = 1 every push is a boundary push: nothing tells the runs
+    ///   apart, bit for bit, losses, tables and store included;
+    /// * one worker, two epochs — nobody reads a row between the early
+    ///   write-back and the boundary, so nothing can tell *when* it went:
+    ///   sums and energies per window and key, losses, the table and the
+    ///   store (rows and optimizer state) are bit-equal.
+    ///
+    /// In a debug build every gradient a cached row collects is also checked
+    /// against the window's prediction, and every wait against `P − 1`.
+    #[test]
+    fn early_write_back_sends_what_the_boundary_push_would_have_sent() {
+        use hetkg_netsim::CompressionMode;
+        let mut early_somewhere = 0u64;
+        for (kind, overlap, compression) in [
+            (PolicyKind::Cps, false, CompressionMode::Off),
+            (PolicyKind::Cps, true, CompressionMode::Int8),
+            (PolicyKind::Dps, false, CompressionMode::Off),
+            (PolicyKind::Dps, false, CompressionMode::Int8),
+            (PolicyKind::Dps, true, CompressionMode::Off),
+            (PolicyKind::Dps, true, CompressionMode::Int8),
+        ] {
+            for period in [1usize, 4, 8] {
+                for depth in [6usize, 16] {
+                    for machines in [3usize, 1] {
+                        let what = format!(
+                            "{kind:?} overlap {overlap} {compression:?} P {period} D {depth} \
+                             on {machines}"
+                        );
+                        let spec = PoolSpec {
+                            kind,
+                            overlap,
+                            compression,
+                            period,
+                            depth,
+                            machines,
+                            ..PoolSpec::default()
+                        };
+                        let (mut early, early_store) = spec.build();
+                        let (reference, reference_store) = spec.build();
+                        let mut reference = boundary_only(reference);
+                        for w in early.iter_mut().chain(&mut reference) {
+                            w.written_back_log = Some(Vec::new());
+                        }
+                        // Alone, a worker's epochs may end mid-window.
+                        let epochs = if machines == 1 { 2 } else { 1 };
+                        let bit_equal = machines == 1 || period == 1;
+                        for epoch in 0..epochs {
+                            let a = run_pool_epoch(&mut early, epoch);
+                            let b = run_pool_epoch(&mut reference, epoch);
+                            for (w, (a, b)) in a.iter().zip(&b).enumerate() {
+                                let at = format!("{what}, epoch {epoch}, worker {w}");
+                                if bit_equal {
+                                    assert_eq!(a.traffic, b.traffic, "{at}: traffic");
+                                } else {
+                                    assert_eq!(
+                                        but_sync_rows(a.traffic),
+                                        but_sync_rows(b.traffic),
+                                        "{at}: traffic"
+                                    );
+                                }
+                                assert_eq!(a.cache, b.cache, "{at}");
+                                assert_eq!(a.max_staleness, b.max_staleness, "{at}");
+                                assert_eq!(b.table.written_back_early, 0, "{at}: the reference");
+                                let expect_early = kind == PolicyKind::Dps && period > 1;
+                                assert_eq!(
+                                    a.table.written_back_early > 0,
+                                    expect_early,
+                                    "{at}: {:?}",
+                                    a.table
+                                );
+                                early_somewhere += a.table.written_back_early;
+                                let but_early = TableEconomy {
+                                    written_back_early: 0,
+                                    written_back_energy: 0.0,
+                                    written_back_sum_sq: 0.0,
+                                    ..a.table
+                                };
+                                let reference_but = TableEconomy {
+                                    written_back_energy: 0.0,
+                                    written_back_sum_sq: 0.0,
+                                    ..b.table
+                                };
+                                assert_eq!(but_early, reference_but, "{at}: economy");
+                                if bit_equal {
+                                    assert_eq!(
+                                        a.loss_sum.to_bits(),
+                                        b.loss_sum.to_bits(),
+                                        "{at}: loss"
+                                    );
+                                    assert_eq!(
+                                        a.table.written_back_energy.to_bits(),
+                                        b.table.written_back_energy.to_bits(),
+                                        "{at}: energy"
+                                    );
+                                    assert_eq!(
+                                        a.max_divergence.to_bits(),
+                                        b.max_divergence.to_bits(),
+                                        "{at}: divergence"
+                                    );
+                                }
+                            }
+                        }
+                        for (w, (a, b)) in early.iter().zip(&reference).enumerate() {
+                            let at = format!("{what}, worker {w}");
+                            let (a_rows, b_rows) = (written_back(a, &at), written_back(b, &at));
+                            assert!(!a_rows.is_empty(), "{at}");
+                            if bit_equal {
+                                assert_eq!(a_rows, b_rows, "{at}: rows written back");
+                                assert_eq!(table_bits(a), table_bits(b), "{at}: table");
+                            } else {
+                                let counts = |rows: &WrittenBack| -> Vec<_> {
+                                    rows.iter().map(|(&at, row)| (at, row.0)).collect()
+                                };
+                                assert_eq!(counts(&a_rows), counts(&b_rows), "{at}: gradients");
+                            }
+                        }
+                        if bit_equal {
+                            assert_eq!(
+                                store_bits(&early_store),
+                                store_bits(&reference_store),
+                                "{what}: final store"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(early_somewhere > 0);
+    }
+
+    // ---- The timeline around a sync and around a rebuild ----
+
+    /// One DPS worker of the pool (`P` = 4, `D` = 8), pipelined, on a
+    /// cluster whose machines compute fifty times slower than the paper's:
+    /// compute paces every iteration, so whatever the compute lane waits for
+    /// is a dependency, not a busy link.
+    fn traced_epochs(epochs: usize) -> (Vec<IterationTrace>, Vec<WorkerEpochStats>) {
+        let gigabit = CostModel::gigabit();
+        let spec = PoolSpec {
+            kind: PolicyKind::Dps,
+            overlap: true,
+            cost: CostModel {
+                compute_rate: gigabit.compute_rate / 50.0,
+                ..gigabit
+            },
+            ..PoolSpec::default()
+        };
+        let (mut pool, _) = spec.build();
+        let stats = (0..epochs)
+            .map(|epoch| run_pool_epoch(&mut pool, epoch).remove(0))
+            .collect();
+        (std::mem::take(&mut pool[0].trace), stats)
+    }
+
+    /// Below any message's cost: not a wait.
+    const NO_STALL: f64 = 1e-9;
+
+    /// How long the compute lane sat idle before each traced iteration but
+    /// the first, to the float rounding of the subtraction.
+    fn stalls(trace: &[IterationTrace]) -> Vec<(IterationTrace, f64)> {
+        trace
+            .windows(2)
+            .map(|w| {
+                (
+                    w[1],
+                    w[1].compute_end - w[1].compute_secs - w[0].compute_end,
+                )
+            })
+            .collect()
+    }
+
+    /// Rule (3). A sync iteration's batch copies its hits before the refresh
+    /// and has its misses staged, so it reads nothing of the consume-time
+    /// request that carries the sync: its compute does not wait for it — on
+    /// this cluster it does not wait at all, like a plain iteration's — and
+    /// the next compute, whose hits come from the refreshed table, does.
+    #[test]
+    fn a_sync_its_batch_does_not_read_gates_the_next_compute_not_this_one() {
+        let (trace, _) = traced_epochs(1);
+        let stalls = stalls(&trace);
+        let (mut syncs, mut plains) = (0, 0);
+        for (i, &(it, stall)) in stalls.iter().enumerate() {
+            let (sync, rebuild) = (it.iteration % 4 == 0, it.iteration % 8 == 0);
+            if rebuild {
+                continue;
+            }
+            // Plain or sync: nothing to wait for.
+            assert!(stall < NO_STALL, "iteration {}: {it:?}", it.iteration);
+            assert!(!it.unstaged);
+            if !sync {
+                assert_eq!(
+                    it.left_behind, 0.0,
+                    "a plain iteration requests nothing late"
+                );
+                plains += 1;
+                continue;
+            }
+            syncs += 1;
+            // The request went out — after the previous push, so it ends
+            // after this compute starts — and nobody waited for it...
+            let compute_start = it.compute_end - it.compute_secs;
+            assert!(it.left_behind > compute_start + NO_STALL, "{it:?}");
+            assert!(it.waited_for <= compute_start + NO_STALL, "{it:?}");
+            // ... until the next batch, which reads what it refreshed.
+            let (next, _) = stalls[i + 1];
+            assert!(next.waited_for >= it.left_behind, "{it:?} then {next:?}");
+            assert!(next.compute_end - next.compute_secs + NO_STALL >= it.left_behind);
+        }
+        assert!(syncs >= 5 && plains >= 25, "{syncs} syncs, {plains} plain");
+    }
+
+    /// Rule (2). The iteration before a rebuild prefetches the next window,
+    /// selects its hot set and stages the rebuild's first batch against it,
+    /// fresh rows included: the rebuild iteration finds its pull on the
+    /// timeline and waits only for the few keys the in-flight batch wrote —
+    /// one short request behind that batch's push. Only an epoch's first
+    /// iteration is staged when it runs, everything late. And none of it
+    /// moves a value or a byte: the same pool, not pipelined, trains the
+    /// same losses over the same bytes per cause.
+    #[test]
+    fn a_rebuild_is_staged_and_only_an_epochs_first_iteration_is_not() {
+        let (trace, stats) = traced_epochs(2);
+        let per_epoch = trace.len() / 2;
+        for (i, it) in trace.iter().enumerate() {
+            assert_eq!(it.unstaged, i % per_epoch == 0, "{it:?}");
+        }
+        let message = CostModel::gigabit().remote_latency;
+        let (mut rebuilds, mut waited) = (0, 0);
+        for (it, stall) in stalls(&trace) {
+            if it.iteration % 8 != 0 || it.unstaged {
+                continue;
+            }
+            rebuilds += 1;
+            // When no key is late its request is the sync's alone and is
+            // left behind; when it waits, it is for the late keys' request.
+            assert_eq!(stall > NO_STALL, it.left_behind == 0.0, "{it:?}");
+            if stall < NO_STALL {
+                continue;
+            }
+            waited += 1;
+            // That is two exchanges with the two remote shards — the push
+            // before the rebuild and the request — where the unstaged
+            // rebuild's compute also sat out a construction pull and the
+            // pull of every miss: four.
+            assert!(
+                4.0 * message < stall && stall < 6.0 * message,
+                "{it:?}: stalled {stall} s"
+            );
+        }
+        assert!(
+            rebuilds >= 8 && waited > 0,
+            "{rebuilds} rebuilds, {waited} waited"
+        );
+        assert_eq!(
+            stats.iter().map(|s| s.table.rebuilds).sum::<u64>(),
+            rebuilds + 1,
+            "every rebuild but iteration 0's was staged (the second epoch starts mid-window)"
+        );
+
+        // The sequential schedule, worker for worker.
+        let run = |overlap: bool| {
+            let spec = PoolSpec {
+                kind: PolicyKind::Dps,
+                overlap,
+                depth: 6,
+                ..PoolSpec::default()
+            };
+            let (mut pool, store) = spec.build();
+            let stats: Vec<_> = (0..2).map(|e| run_pool_epoch(&mut pool, e)).collect();
+            (
+                stats,
+                pool.iter().map(table_bits).collect::<Vec<_>>(),
+                store_bits(&store),
+            )
+        };
+        let (seq, seq_tables, seq_store) = run(false);
+        let (pipe, pipe_tables, pipe_store) = run(true);
+        for (epoch, (a, b)) in seq.iter().zip(&pipe).enumerate() {
+            for (w, (a, b)) in a.iter().zip(b).enumerate() {
+                let at = format!("epoch {epoch}, worker {w}");
+                assert_eq!(a.loss_sum.to_bits(), b.loss_sum.to_bits(), "{at}: loss");
+                assert_eq!(a.cache, b.cache, "{at}");
+                assert_eq!(
+                    a.max_divergence.to_bits(),
+                    b.max_divergence.to_bits(),
+                    "{at}"
+                );
+                let staged = (b.table.staged_early + b.table.staged_late) as usize;
+                assert!(staged > 0, "{at}: {:?}", b.table);
+                // A shard may be sent a frame of each half at any staged
+                // iteration; a rebuild's fresh rows and its misses are
+                // apart in both schedules.
+                let iterations = 2 * (3 * 4_500 / 3 / 32 + 1) as u64;
+                assert_same_bytes_more_messages(a.traffic, b.traffic, iterations, &at);
+            }
+        }
+        assert_eq!(seq_tables, pipe_tables);
+        assert_eq!(seq_store, pipe_store);
     }
 
     /// What the gate saves is visible in the split: the reference books a

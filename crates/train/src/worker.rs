@@ -301,16 +301,30 @@ impl WorkerCtx {
 /// pull: the same rows, the same bytes per lane and per cause, and at most
 /// one message more per shard — one holding keys of both halves is sent two
 /// frames.
+///
+/// Two kinds of key ride in it. *Plain* keys are the batch's rows nobody
+/// caches, each bound for a working-set slot. *Fresh* keys are rows a table
+/// rebuild is about to cache: asked about with nothing held, so each comes
+/// back with the version it will be held under, and handed to the caller's
+/// sink rather than to a slot. A fresh key waits for consume time only when
+/// a batch is in flight and writes it; with nothing in flight the fresh keys
+/// go in a message of their own, as a construction always has — posted when
+/// it is carried, like everything the sequential schedule sends, so that a
+/// faulty run's retransmissions are on the timeline. Whichever message
+/// carries a fresh row, its bytes are construction's.
 #[derive(Debug, Default)]
 pub struct StagedPull {
-    /// Keys whose pull was booked ahead, and their working-set slots.
+    /// Keys pulled in the early message — the plain ones, then the fresh
+    /// ones — and the plain ones' working-set slots.
     early: Vec<ParamKey>,
     early_slots: Vec<u32>,
-    /// Keys (and slots) pulled at consume time.
+    /// Keys (plain, then fresh) and slots (of the plain ones) left for the
+    /// consume-time request.
     late: Vec<ParamKey>,
     late_slots: Vec<u32>,
-    /// What the early pull was booked as, and must be metered as.
-    booked: TrafficSnapshot,
+    /// What the early pull was booked as when it was booked ahead, and must
+    /// then be metered as.
+    booked: Option<TrafficSnapshot>,
     /// Timeline completion of the early pull (0 when none).
     pull_end: f64,
 }
@@ -329,13 +343,33 @@ impl StagedPull {
         pull_ahead: bool,
         economy: &mut TableEconomy,
     ) {
+        self.stage_with_fresh(ctx, keys, std::iter::empty(), pull_ahead);
+        if pull_ahead {
+            economy.staged_early += self.early.len() as u64;
+            economy.staged_late += self.late.len() as u64;
+        }
+    }
+
+    /// [`StagedPull::stage`], uncounted, with the `fresh` rows of a table
+    /// rebuild: with `pull_ahead`, split like the plain keys and in the same
+    /// messages; without — nothing is in flight — all in the early message,
+    /// which is then posted when it is delivered.
+    pub fn stage_with_fresh(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        keys: impl Iterator<Item = (ParamKey, u32)>,
+        fresh: impl Iterator<Item = ParamKey>,
+        pull_ahead: bool,
+    ) {
         self.early.clear();
         self.early_slots.clear();
         self.late.clear();
         self.late_slots.clear();
+        self.booked = None;
         self.pull_end = 0.0;
+        let in_flight = &ctx.scratch.plan;
         for (k, slot) in keys {
-            let (to, to_slots) = if pull_ahead && !ctx.scratch.plan.contains(k) {
+            let (to, to_slots) = if pull_ahead && !in_flight.contains(k) {
                 (&mut self.early, &mut self.early_slots)
             } else {
                 (&mut self.late, &mut self.late_slots)
@@ -343,46 +377,86 @@ impl StagedPull {
             to.push(k);
             to_slots.push(slot);
         }
-        if !pull_ahead {
-            return;
+        for k in fresh {
+            let to = if pull_ahead && in_flight.contains(k) {
+                &mut self.late
+            } else {
+                &mut self.early
+            };
+            to.push(k);
         }
-        if !self.early.is_empty() {
-            self.booked = ctx.client.plain_pull_cost(&self.early, &mut ctx.ps);
-            self.pull_end = ctx.post_comm(self.booked, 0.0);
+        if pull_ahead && !self.early.is_empty() {
+            let fresh = self.early.len() - self.early_slots.len();
+            let booked = ctx.client.staged_pull_cost(&self.early, fresh, &mut ctx.ps);
+            self.pull_end = ctx.post_comm(booked, 0.0);
+            self.booked = Some(booked);
         }
-        economy.staged_early += self.early.len() as u64;
-        economy.staged_late += self.late.len() as u64;
     }
 
-    /// The keys left for consume time and their slots, for a caller whose
-    /// consume-time request carries more than them (a HET-KG sync) and who
-    /// pulls them itself after [`StagedPull::deliver_early`].
-    pub fn late(&self) -> (&[ParamKey], &[u32]) {
-        (&self.late, &self.late_slots)
+    /// What is left for consume time, for a caller whose consume-time
+    /// request carries more than a plain pull (a HET-KG sync, the rows of a
+    /// rebuild) and who sends it itself after [`StagedPull::deliver_early`]:
+    /// the plain keys, their slots, and the fresh keys.
+    pub fn late(&self) -> (&[ParamKey], &[u32], &[ParamKey]) {
+        let (plain, fresh) = self.late.split_at(self.late_slots.len());
+        (plain, &self.late_slots, fresh)
     }
 
-    /// Pull the early keys into the working set (already laid out for the
-    /// batch), now, so staged rows observe every push that landed since,
-    /// other workers' included. Metered here, not posted again. Returns the
-    /// timeline completion of the early pull.
-    pub fn deliver_early(&self, ctx: &mut WorkerCtx) -> f64 {
-        if !self.early.is_empty() {
-            let metered = ctx.pull_into_ws(&self.early, &self.early_slots);
-            debug_assert_eq!(
-                metered, self.booked,
-                "the early pull was booked as it is metered"
-            );
+    /// How many fresh keys were staged, early and late.
+    pub fn fresh(&self) -> usize {
+        (self.early.len() - self.early_slots.len()) + (self.late.len() - self.late_slots.len())
+    }
+
+    /// Carry the early message now, so staged rows observe every push that
+    /// landed since, other workers' included: plain rows into the working
+    /// set (already laid out for the batch), fresh rows to `on_fresh(key,
+    /// version, row)`. Metered here; posted here too unless it was booked
+    /// ahead. Returns the timeline completion of the early pull.
+    pub fn deliver_early(
+        &self,
+        ctx: &mut WorkerCtx,
+        mut on_fresh: impl FnMut(ParamKey, u32, &[f32]),
+    ) -> f64 {
+        if self.early.is_empty() {
+            return self.pull_end;
         }
-        self.pull_end
+        let before = ctx.meter.snapshot();
+        let (keys, slots, ws) = (&self.early, &self.early_slots, &mut ctx.ws);
+        let fresh = keys.len() - slots.len();
+        ctx.client
+            .try_pull_newer_with(
+                keys,
+                fresh,
+                &[],
+                &mut ctx.ps,
+                |i, version, row| match slots.get(i) {
+                    Some(&slot) => ws.row_mut(slot).copy_from_slice(row),
+                    None => on_fresh(keys[i], version, row),
+                },
+            )
+            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
+        let metered = ctx.meter.snapshot().since(before);
+        match self.booked {
+            Some(booked) => {
+                debug_assert_eq!(
+                    metered, booked,
+                    "the early pull was booked as it is metered"
+                );
+                self.pull_end
+            }
+            None => ctx.post_comm(metered, 0.0),
+        }
     }
 
-    /// Deliver every staged row: the early keys, then the late keys, both
-    /// pulled now, after the previous push. Returns the timeline completion
-    /// of the whole pull.
+    /// Deliver every row of a pull that staged plain keys only: the early
+    /// keys, then the late keys, both pulled now, after the previous push.
+    /// Returns the timeline completion of the whole pull.
     pub fn deliver(&self, ctx: &mut WorkerCtx) -> f64 {
-        let mut pull_end = self.deliver_early(ctx);
-        if !self.late.is_empty() {
-            let delta = ctx.pull_into_ws(&self.late, &self.late_slots);
+        let mut pull_end = self.deliver_early(ctx, |k, _, _| unreachable!("{k} staged as fresh"));
+        let (late, late_slots, fresh) = self.late();
+        debug_assert!(fresh.is_empty(), "fresh rows need the caller's request");
+        if !late.is_empty() {
+            let delta = ctx.pull_into_ws(late, late_slots);
             pull_end = pull_end.max(ctx.post_comm(delta, 0.0));
         }
         pull_end
@@ -695,7 +769,7 @@ mod tests {
         staged.stage(&mut c, pairs, true, &mut economy);
         assert_eq!(staged.early, [ParamKey(1), ParamKey(3), ParamKey(4)]);
         assert_eq!(staged.early_slots, [0, 2, 3]);
-        assert_eq!(staged.late(), (&[ParamKey(0)][..], &[1u32][..]));
+        assert_eq!(staged.late(), (&[ParamKey(0)][..], &[1u32][..], &[][..]));
         // Another worker's push lands between stage and deliver, on an
         // early key and on the late one.
         let g = [1.0f32; 4];
@@ -733,7 +807,7 @@ mod tests {
         let pairs = keys.iter().copied().zip(slots.iter().copied());
         staged.stage(&mut c, pairs, false, &mut economy);
         assert_eq!(economy, TableEconomy::default(), "not a split");
-        assert_eq!(staged.late(), (&keys[..], &slots[..]));
+        assert_eq!(staged.late(), (&keys[..], &slots[..], &[][..]));
         assert_eq!(c.meter.snapshot(), before, "nothing transits at stage");
         staged.deliver(&mut c);
         let late = c.meter.snapshot().since(before);

@@ -14,20 +14,28 @@
 #   --full    the benchmark's own 20 s runs: the four `fact exact` fields —
 #             sim_epoch_s, remote_bytes_per_triple, final_loss, mrr
 #
-# and beside them, in both modes, where the remote bytes of the same
-# configuration go: bytes per triple by cause (`examples/cause_split.rs`,
-# copied into the <rev> checkout when it predates the example; a cause one
-# side does not have reads 0). The example spells the workloads out a second
-# time, so a side whose example and benchmark runs disagree on final_loss
-# (or, with --full, on remote_bytes_per_triple) is flagged: the split printed
-# there is of some other configuration.
+# and beside them, in both modes, where the remote bytes and the simulated
+# seconds of the same configuration go: bytes per triple by cause, and per
+# epoch the critical path beside the comm and compute lanes it is scheduled
+# from (`examples/cause_split.rs` — the working tree's, copied into the <rev>
+# checkout so both sides answer the same questions; a cause one side does not
+# have reads 0). The example spells the workloads out a second time, so a
+# side whose example and benchmark runs disagree on final_loss (or, with
+# --full, on remote_bytes_per_triple or sim_epoch_s) is flagged: the split
+# printed there is of some other configuration.
+#
+# Last, in both modes, the example's `hetkg-p1`: HET-KG-D and HET-KG-C with
+# a sync every iteration, where no schedule of write-backs, staging or gating
+# may move anything, over the simulated backend and over `uds` — every epoch's
+# loss bits, bytes and messages (remote/local), bytes by cause, and a digest
+# of the final store.
 #
 # Prints; gates nothing: a change that means to move a field says so, and
 # this is the table it says it with.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 1 ]] || { sed -n '2,26p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,34p' "$0" >&2; exit 2; }
 sha="$(git rev-parse --short=12 "$1^{commit}")"
 shift
 mode=(--seconds 3 --trace 1 --quick)
@@ -42,7 +50,7 @@ root="$PWD/target/exact/$sha"
 rm -rf "$root/src"
 mkdir -p "$root/src"
 git archive "$sha" | tar -x -C "$root/src"
-[[ -e "$root/src/examples/cause_split.rs" ]] || cp examples/cause_split.rs "$root/src/examples/"
+cp examples/cause_split.rs "$root/src/examples/"
 
 # stdout: the lines of one run that carry a compared value.
 run() { # checkout, target dir, workload, seed
@@ -50,16 +58,35 @@ run() { # checkout, target dir, workload, seed
         --workload "$3" --seed "$4" "${mode[@]}") \
         | grep -E '^(fact exact|check (loss_decreases|mrr_floor)) ' || true
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo run --release --quiet --example cause_split -- \
-        "$3" "$4" "${split[@]}") | grep -E '^(cause|same) ' || true
+        "$3" "$4" "${split[@]}") | grep -E '^(cause|lane|same) ' || true
 }
 
-for workload in train-hetkg-skew train-dglke-skew train-uds-flat; do
-    for seed in "${seeds[@]}"; do
-        echo "run $workload $seed"
-        run "$root/src" "$root/target" "$workload" "$seed" | sed 's/^/a /'
-        run "$PWD" "${CARGO_TARGET_DIR:-target}" "$workload" "$seed" | sed 's/^/b /'
+# stdout: `hetkg-p1`'s lines, simulated then over sockets. `run` has built
+# the `hetkg` binary the shards are spawned from; sockets go where
+# benchmark/run.sh puts them.
+p1() { # checkout, target dir, seed
+    for backend in "" --uds; do
+        (cd "$1" && mkdir -p benchmark/out/tmp && CARGO_TARGET_DIR="$2" \
+            HETKG_BIN="$2/release/hetkg" TMPDIR=benchmark/out/tmp \
+            cargo run --release --quiet --example cause_split -- hetkg-p1 "$3" $backend) \
+            | grep -E '^p1 ' || true
     done
-done > "$root/runs.txt"
+}
+
+{
+    for workload in train-hetkg-skew train-dglke-skew train-uds-flat; do
+        for seed in "${seeds[@]}"; do
+            echo "run $workload $seed"
+            run "$root/src" "$root/target" "$workload" "$seed" | sed 's/^/a /'
+            run "$PWD" "${CARGO_TARGET_DIR:-target}" "$workload" "$seed" | sed 's/^/b /'
+        done
+    done
+    for seed in "${seeds[@]}"; do
+        echo "run hetkg-p1 $seed"
+        p1 "$root/src" "$root/target" "$seed" | sed 's/^/a /'
+        p1 "$PWD" "${CARGO_TARGET_DIR:-target}" "$seed" | sed 's/^/b /'
+    done
+} > "$root/runs.txt"
 
 python3 - "$sha" "$root/runs.txt" <<'EOF'
 import re, struct, sys
@@ -68,7 +95,7 @@ EXACT = ("sim_epoch_s", "remote_bytes_per_triple", "final_loss", "mrr")
 
 def fields(lines):
     """name -> printed value, from the compared lines of one run."""
-    out, causes, same = {}, {}, {}
+    out, causes, lanes, same, p1 = {}, {}, {}, {}, {}
     for line in lines:
         if line.startswith("fact exact "):
             for name, bits in zip(EXACT, line.split()[2].split("/")):
@@ -80,12 +107,16 @@ def fields(lines):
             out.setdefault("mrr", m[1])
         elif m := re.match(r"cause (\w+) (\S+)", line):
             causes["B/triple " + m[1]] = m[2]
+        elif m := re.match(r"lane (\w+) (\S+)", line):
+            lanes["sim_s " + m[1]] = m[2]
         elif m := re.match(r"same (\w+) (\S+)", line):
             same[m[1]] = m[2]
+        elif m := re.match(r"p1 (\w+) (\S+)", line):
+            p1["P=1 " + m[1]] = m[2]
     # The example's copy of the workload against the benchmark's own run.
     drift = [n for n, v in same.items() if n in out and float(v) != float(out[n])]
     # A full run's `fact exact` carries the bits; its check lines add nothing.
-    return ({n: out[n] for n in EXACT} if EXACT[0] in out else out) | causes, drift
+    return ({n: out[n] for n in EXACT} if EXACT[0] in out else out) | causes | lanes | p1, drift
 
 rev, log = sys.argv[1], sys.argv[2]
 runs = []

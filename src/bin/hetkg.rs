@@ -732,7 +732,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let table = report.total_table();
     if table.rebuilds > 0 {
         println!(
-            "hot table: {:.1}% occupied (mean over {} rebuilds) | {:.1} fresh rows per rebuild | staged miss keys {} early / {} late | {} rows written back for {} gradients (x{:.2}, rho {:.2})",
+            "hot table: {:.1}% occupied (mean over {} rebuilds) | {:.1} fresh rows per rebuild | staged miss keys {} early / {} late | {} rows written back for {} gradients (x{:.2}, rho {:.2}), {} of them ({:.0}%) before their window's last push",
             100.0 * table.occupancy(),
             table.rebuilds,
             table.fresh_rows_per_rebuild(),
@@ -742,6 +742,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             table.coalesced_grads,
             table.coalescing_factor(),
             table.mean_rho(),
+            table.written_back_early,
+            100.0 * table.early_share(),
         );
     } else if table.staged_early + table.staged_late > 0 {
         println!(
