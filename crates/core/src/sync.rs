@@ -21,6 +21,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Sync periods a cached row may go unconfirmed in degraded mode
+/// ([`SyncConfig::degraded_bound`]).
+const DEGRADED_PERIODS: usize = 8;
+
 /// Synchronization schedule: the staleness bound `P`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyncConfig {
@@ -40,6 +44,20 @@ impl SyncConfig {
     /// The paper's sweet spot (Fig. 8b: MRR stable up to P ≈ 8).
     pub fn paper_default() -> Self {
         Self::new(8)
+    }
+
+    /// The staleness bound in degraded mode: eight sync periods, `8·P`.
+    ///
+    /// While a fault plan has a shard down or browning out, a sync skips the
+    /// rows homed there and the cache keeps serving them past `P`; once a
+    /// row could be read older than this, the sync asks about everything and
+    /// waits the outage out. Eight periods is 64 iterations at the paper's
+    /// `P` = 8 — long enough to ride out a short outage on cached rows, short
+    /// against an epoch. A multiple of `P`, so it falls on the sync schedule
+    /// it is checked on. The worker's §IV-C assertion and the divergence
+    /// oracle both read it here.
+    pub fn degraded_bound(&self) -> usize {
+        DEGRADED_PERIODS * self.period
     }
 
     /// Whether `iteration` is a synchronization point.

@@ -146,23 +146,6 @@ pub fn matvec(m: &[f32], x: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Dense transposed matrix-vector product `out = Mᵀ x` with `M` row-major
-/// `rows×cols` (so `x` has `rows` elements and `out` has `cols`).
-#[inline]
-pub fn matvec_t(m: &[f32], x: &[f32], out: &mut [f32]) {
-    let rows = x.len();
-    let cols = out.len();
-    debug_assert_eq!(m.len(), rows * cols);
-    out.fill(0.0);
-    for i in 0..rows {
-        let row = &m[i * cols..(i + 1) * cols];
-        let xi = x[i];
-        for j in 0..cols {
-            out[j] += xi * row[j];
-        }
-    }
-}
-
 /// Numerically-stable logistic sigmoid.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
@@ -233,9 +216,11 @@ mod tests {
         let mut out3 = [0.0; 3];
         matvec(&m, &x2, &mut out3);
         assert_eq!(out3, [3.0, 7.0, 11.0]);
+        // Mᵀ, row-major (2x3).
+        let mt = [1.0, 3.0, 5.0, 2.0, 4.0, 6.0];
         let x3 = [1.0, 0.0, 1.0];
         let mut out2 = [0.0; 2];
-        matvec_t(&m, &x3, &mut out2);
+        matvec(&mt, &x3, &mut out2);
         assert_eq!(out2, [6.0, 8.0]);
     }
 

@@ -145,14 +145,6 @@ impl TopK {
         self.entries.insert(pos, (score, id));
     }
 
-    /// Offer a parallel block of scores and ids.
-    pub fn offer_block(&mut self, scores: &[f32], ids: &[u32]) {
-        debug_assert_eq!(scores.len(), ids.len());
-        for (&s, &id) in scores.iter().zip(ids) {
-            self.offer(s, id);
-        }
-    }
-
     /// The selected candidates, best first, as `(id, score)`.
     pub fn into_sorted(self) -> Vec<(u32, f32)> {
         self.entries.into_iter().map(|(s, id)| (id, s)).collect()
@@ -260,7 +252,9 @@ mod tests {
         scorer.score_tails(&ents, &h, &rel, &ids, &mut out);
 
         let mut tk = TopK::new(7);
-        tk.offer_block(&out, &ids);
+        for (&s, &id) in out.iter().zip(&ids) {
+            tk.offer(s, id);
+        }
         let got = tk.into_sorted();
 
         let mut full: Vec<(u32, f32)> = ids.iter().map(|&i| (i, out[i as usize])).collect();

@@ -5,7 +5,7 @@
 //! *undirected* entity graph, which is what the partitioner needs) and the
 //! raw triple list is kept for sampling.
 
-use crate::ids::{EntityId, KeySpace, RelationId};
+use crate::ids::{EntityId, KeySpace};
 use crate::triple::Triple;
 
 /// An immutable knowledge graph: `n_v` entities, `n_r` relations, and a list
@@ -197,16 +197,6 @@ impl KnowledgeGraph {
         }
         self.adj.len() as f64 / self.num_entities as f64
     }
-
-    /// Relation id with the largest triple count, if any triples exist.
-    pub fn most_frequent_relation(&self) -> Option<RelationId> {
-        let freq = self.relation_frequencies();
-        freq.iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, _)| RelationId(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +256,6 @@ mod tests {
     fn relation_frequencies_count_labels() {
         let g = toy();
         assert_eq!(g.relation_frequencies(), vec![2, 1]);
-        assert_eq!(g.most_frequent_relation(), Some(RelationId(0)));
     }
 
     #[test]
@@ -308,7 +297,6 @@ mod tests {
         let g = KnowledgeGraph::new(0, 0, vec![]).unwrap();
         assert_eq!(g.num_triples(), 0);
         assert_eq!(g.avg_degree(), 0.0);
-        assert_eq!(g.most_frequent_relation(), None);
     }
 
     #[test]

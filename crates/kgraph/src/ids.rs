@@ -114,12 +114,6 @@ impl KeySpace {
         k.0 < self.num_entities
     }
 
-    /// Whether a key addresses a relation embedding.
-    #[inline]
-    pub fn is_relation(&self, k: ParamKey) -> bool {
-        k.0 >= self.num_entities && k.0 < self.num_entities + self.num_relations
-    }
-
     /// Invert a key back to its typed id.
     ///
     /// Returns `None` when the key is outside the space.
@@ -184,12 +178,10 @@ mod tests {
             let k = ks.entity_key(EntityId(e));
             assert_eq!(ks.classify(k), Some(KeyKind::Entity(EntityId(e))));
             assert!(ks.is_entity(k));
-            assert!(!ks.is_relation(k));
         }
         for r in 0..4u32 {
             let k = ks.relation_key(RelationId(r));
             assert_eq!(ks.classify(k), Some(KeyKind::Relation(RelationId(r))));
-            assert!(ks.is_relation(k));
             assert!(!ks.is_entity(k));
         }
     }

@@ -54,11 +54,6 @@ impl Dictionary {
         self.entity_ids.get(name).copied()
     }
 
-    /// Look up a relation id without interning.
-    pub fn relation_id(&self, name: &str) -> Option<u32> {
-        self.relation_ids.get(name).copied()
-    }
-
     /// Name of an entity id.
     pub fn entity_name(&self, id: u32) -> Option<&str> {
         self.entity_names.get(id as usize).map(String::as_str)

@@ -42,12 +42,6 @@ impl Triple {
         Self { tail, ..self }
     }
 
-    /// The triple with relation replaced.
-    #[inline]
-    pub fn with_relation(self, relation: RelationId) -> Self {
-        Self { relation, ..self }
-    }
-
     /// Whether the triple is a self-loop (head == tail).
     #[inline]
     pub fn is_loop(self) -> bool {
@@ -76,7 +70,6 @@ mod tests {
         let t = Triple::new(1, 2, 3);
         assert_eq!(t.with_head(EntityId(9)), Triple::new(9, 2, 3));
         assert_eq!(t.with_tail(EntityId(9)), Triple::new(1, 2, 9));
-        assert_eq!(t.with_relation(RelationId(9)), Triple::new(1, 9, 3));
         // original untouched (Copy semantics)
         assert_eq!(t, Triple::new(1, 2, 3));
     }

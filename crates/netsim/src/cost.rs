@@ -46,14 +46,6 @@ impl CostModel {
         }
     }
 
-    /// A 10 Gbps variant for sensitivity studies.
-    pub fn ten_gigabit() -> Self {
-        Self {
-            remote_bandwidth: 10e9 / 8.0,
-            ..Self::gigabit()
-        }
-    }
-
     /// Simulated seconds to move `bytes` across the remote link in
     /// `messages` messages.
     pub fn remote_time(&self, bytes: u64, messages: u64) -> f64 {

@@ -296,17 +296,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan can ever perturb a message (crash injection alone
-    /// does not touch the message path).
-    pub fn perturbs_messages(&self) -> bool {
-        self.drop_probability > 0.0
-            || self.corrupt_probability > 0.0
-            || !self.slow_episodes.is_empty()
-            || !self.outages.is_empty()
-            || !self.kills.is_empty()
-            || !self.overloads.is_empty()
-    }
-
     /// All scheduled crash epochs (`crash` unioned with `crashes`), sorted
     /// and deduplicated.
     pub fn crash_epochs(&self) -> Vec<usize> {
@@ -667,42 +656,6 @@ impl FaultInjector {
             .any(|w| w.shard == shard && w.contains(now))
     }
 
-    /// Whether `shard` is inside an overload window at the current
-    /// simulated instant. Pure clock lookup — consumes no randomness.
-    pub fn shard_overloaded(&self, shard: usize) -> bool {
-        let now = self.inner.lock().clock;
-        self.plan
-            .overloads
-            .iter()
-            .any(|w| w.shard == shard && w.contains(now))
-    }
-
-    /// End of the overload window currently affecting `shard`, if any.
-    pub fn overload_until(&self, shard: usize) -> Option<f64> {
-        let now = self.inner.lock().clock;
-        self.plan
-            .overloads
-            .iter()
-            .filter(|w| w.shard == shard && w.contains(now))
-            .map(|w| w.end)
-            .fold(None, |acc: Option<f64>, end| {
-                Some(acc.map_or(end, |a| a.max(end)))
-            })
-    }
-
-    /// End of the outage currently affecting `shard`, if any.
-    pub fn outage_end(&self, shard: usize) -> Option<f64> {
-        let now = self.inner.lock().clock;
-        self.plan
-            .outages
-            .iter()
-            .filter(|w| w.shard == shard && w.contains(now))
-            .map(|w| w.end)
-            .fold(None, |acc: Option<f64>, end| {
-                Some(acc.map_or(end, |a| a.max(end)))
-            })
-    }
-
     /// Adjudicate one message of `bytes` payload to `shard`, advancing the
     /// clock by its transmission time. `remote` selects the link type (drops
     /// and slow episodes apply only to remote messages; outages refuse both).
@@ -995,7 +948,6 @@ mod tests {
         inj.advance(1.0);
         assert!(inj.shard_available(1));
         assert_eq!(inj.adjudicate(1, true, 64), Verdict::Deliver);
-        assert_eq!(inj.outage_end(1), None);
     }
 
     #[test]
@@ -1156,11 +1108,9 @@ mod tests {
             ..Default::default()
         };
         assert!(!killy.is_inert());
-        assert!(killy.perturbs_messages());
         assert!(!FaultPlan::failover(1).is_inert());
         let crowded = FaultPlan::overload(1);
         assert!(!crowded.is_inert());
-        assert!(crowded.perturbs_messages());
     }
 
     #[test]
@@ -1261,7 +1211,6 @@ mod tests {
         // kills/overloads existed must keep deserializing.
         let empty: FaultPlan = serde_json::from_str("{}").unwrap();
         assert_eq!(empty, FaultPlan::default());
-        assert!(!empty.perturbs_messages());
         assert!(empty.kills.is_empty());
         assert!(empty.overloads.is_empty());
     }
@@ -1282,10 +1231,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let inj = injector(plan);
-        assert!(inj.shard_overloaded(1));
-        assert!(!inj.shard_overloaded(0));
-        assert_eq!(inj.overload_until(1), Some(10.0));
-        assert_eq!(inj.overload_until(0), None);
         assert_eq!(inj.adjudicate(1, true, 64), Verdict::Deliver);
         assert_eq!(inj.adjudicate(1, true, 64), Verdict::Deliver);
         let before = inj.now();
@@ -1308,7 +1253,6 @@ mod tests {
         assert_eq!(inj.adjudicate(1, true, 64), Verdict::Deliver);
         // Past the window the queue model disengages entirely.
         inj.advance(10.0);
-        assert!(!inj.shard_overloaded(1));
         for _ in 0..10 {
             assert_eq!(inj.adjudicate(1, true, 64), Verdict::Deliver);
         }

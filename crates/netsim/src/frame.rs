@@ -224,15 +224,11 @@ impl WireFrame {
     }
 
     /// Seal a compressed frame: the digest covers the keys, the codec tag,
-    /// and the encoded bytes — exactly the wire contents. `payload` holds
-    /// the client's pre-quantization rows (same concatenated layout) for
-    /// the receiver to overwrite with the decoded values.
-    pub fn seal_encoded(keys: Vec<u64>, payload: Vec<f32>, encoded: Vec<u8>, codec: Codec) -> Self {
-        Self::seal_encoded_versioned(keys, Vec::new(), payload, encoded, codec)
-    }
-
-    /// Seal a compressed push frame whose last `versions.len()` rows are
-    /// written back with their energies; the digest covers the trailer too.
+    /// the encoded bytes and the trailer — exactly the wire contents. The
+    /// last `versions.len()` rows are written back with their energies.
+    /// `payload` holds the client's pre-quantization rows (same
+    /// concatenated layout) for the receiver to overwrite with the decoded
+    /// values.
     pub fn seal_encoded_versioned(
         keys: Vec<u64>,
         versions: Vec<u32>,
@@ -417,7 +413,7 @@ mod tests {
             payload.extend_from_slice(row);
             crate::compress::encode_row(codec, row, &mut encoded, &mut idx);
         }
-        WireFrame::seal_encoded(keys, payload, encoded, codec)
+        WireFrame::seal_encoded_versioned(keys, Vec::new(), payload, encoded, codec)
     }
 
     #[test]
@@ -521,7 +517,7 @@ mod tests {
     fn encoded_bytes_frame(codec: Codec, nkeys: usize, nbytes: usize) -> WireFrame {
         let keys = dense_frame(nkeys, 0).keys;
         let encoded = (0..nbytes).map(|i| (word(200 + i) >> 11) as u8).collect();
-        WireFrame::seal_encoded(keys, Vec::new(), encoded, codec)
+        WireFrame::seal_encoded_versioned(keys, Vec::new(), Vec::new(), encoded, codec)
     }
 
     /// The digest used to be FNV-1a fed one byte at a time: one multiply per
@@ -732,8 +728,10 @@ mod tests {
         assert_ne!(frame_digest(&[], &[]), frame_digest(&[0], &[]));
         assert_ne!(frame_digest(&[7], &[x]), frame_digest(&[7], &[x, 0.0]));
         for codec in CODECS {
-            let short = WireFrame::seal_encoded(vec![7], vec![], vec![1, 2, 3], codec);
-            let padded = WireFrame::seal_encoded(vec![7], vec![], vec![1, 2, 3, 0], codec);
+            let short =
+                WireFrame::seal_encoded_versioned(vec![7], vec![], vec![], vec![1, 2, 3], codec);
+            let padded =
+                WireFrame::seal_encoded_versioned(vec![7], vec![], vec![], vec![1, 2, 3, 0], codec);
             assert_ne!(short.checksum(), padded.checksum(), "{codec:?}");
         }
     }

@@ -255,7 +255,13 @@ mod tests {
         let mut encoded = Vec::new();
         let mut idx = Vec::new();
         encode_row(Codec::Int8, &row, &mut encoded, &mut idx);
-        let frame = WireFrame::seal_encoded(vec![11], row.to_vec(), encoded, Codec::Int8);
+        let frame = WireFrame::seal_encoded_versioned(
+            vec![11],
+            Vec::new(),
+            row.to_vec(),
+            encoded,
+            Codec::Int8,
+        );
         let mut buf = Vec::new();
         write_frame(&mut buf, 1, &frame).unwrap();
         let msg = read_message(&mut Cursor::new(&buf)).unwrap();

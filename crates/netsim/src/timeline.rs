@@ -14,11 +14,6 @@
 //! deterministic cost model applied to deterministic meter deltas, and the
 //! schedule is a pure fold over posting order, so the critical path is
 //! bit-reproducible across hosts and runs.
-//!
-//! A timeline built with [`Timeline::sequential`] serializes the two lanes
-//! against each other (every event waits for *both* lanes), which makes the
-//! makespan collapse to the plain sum of all durations — the pre-pipeline
-//! accounting, reproduced bit-identically from the same events.
 
 /// Which execution lane an event occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +41,6 @@ impl Lane {
 /// it only decides *when* each one runs.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    /// When `true`, every event waits for both lanes (no overlap).
-    sequential: bool,
     /// Per-lane time at which the lane next becomes free.
     free: [f64; 2],
     /// Per-lane total busy time (sum of posted durations).
@@ -60,19 +53,9 @@ impl Timeline {
     /// A timeline on which comm and compute may overlap.
     pub fn pipelined() -> Self {
         Self {
-            sequential: false,
             free: [0.0; 2],
             busy: [0.0; 2],
             epoch_start: 0.0,
-        }
-    }
-
-    /// A timeline that serializes every event: the makespan equals the sum
-    /// of all posted durations (the pre-pipeline accounting).
-    pub fn sequential() -> Self {
-        Self {
-            sequential: true,
-            ..Self::pipelined()
         }
     }
 
@@ -82,18 +65,8 @@ impl Timeline {
     /// event's completion time.
     pub fn post(&mut self, lane: Lane, duration: f64, after: f64) -> f64 {
         debug_assert!(duration >= 0.0, "negative duration {duration}");
-        let start = if self.sequential {
-            self.now().max(after)
-        } else {
-            self.free[lane.index()].max(after)
-        };
-        let end = start + duration;
-        if self.sequential {
-            // Both lanes advance: nothing may run concurrently.
-            self.free = [end; 2];
-        } else {
-            self.free[lane.index()] = end;
-        }
+        let end = self.free[lane.index()].max(after) + duration;
+        self.free[lane.index()] = end;
         self.busy[lane.index()] += duration;
         end
     }
@@ -188,38 +161,6 @@ mod tests {
         // Even with no dependency, the NIC queue is in-order.
         let second = tl.post(Lane::Comm, 1.0, 0.0);
         assert_eq!(second, 6.0);
-    }
-
-    #[test]
-    fn sequential_makespan_is_the_sum_of_durations() {
-        let durations = [1.5, 0.25, 3.0, 0.5, 2.0];
-        let mut tl = Timeline::sequential();
-        for (i, &d) in durations.iter().enumerate() {
-            let lane = if i % 2 == 0 {
-                Lane::Comm
-            } else {
-                Lane::Compute
-            };
-            tl.post(lane, d, 0.0);
-        }
-        let sum: f64 = durations.iter().sum();
-        assert_eq!(tl.now(), sum);
-        assert_eq!(tl.busy(Lane::Comm) + tl.busy(Lane::Compute), sum);
-    }
-
-    #[test]
-    fn sequential_and_pipelined_agree_on_busy_time() {
-        let mut seq = Timeline::sequential();
-        let mut pipe = Timeline::pipelined();
-        for tl in [&mut seq, &mut pipe] {
-            tl.post(Lane::Comm, 2.0, 0.0);
-            tl.post(Lane::Compute, 3.0, 0.0);
-            tl.post(Lane::Comm, 1.0, 0.0);
-        }
-        assert_eq!(seq.busy(Lane::Comm), pipe.busy(Lane::Comm));
-        assert_eq!(seq.busy(Lane::Compute), pipe.busy(Lane::Compute));
-        assert_eq!(seq.now(), 6.0);
-        assert_eq!(pipe.now(), 3.0);
     }
 
     #[test]

@@ -74,7 +74,10 @@ proptest! {
     #[test]
     fn ten_gigabit_is_no_slower(bytes in 0u64..2_000_000_000, msgs in 0u64..100_000) {
         let one = CostModel::gigabit();
-        let ten = CostModel::ten_gigabit();
+        let ten = CostModel {
+            remote_bandwidth: 10.0 * one.remote_bandwidth,
+            ..one
+        };
         prop_assert!(ten.remote_time(bytes, msgs) <= one.remote_time(bytes, msgs));
     }
 }

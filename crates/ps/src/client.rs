@@ -24,12 +24,11 @@
 //!
 //! By default no call fails (the store is in-process memory).
 //! Attaching a [`FaultInjector`] via [`PsClient::with_faults`] routes every
-//! message through fault adjudication: drops are retransmitted under the
-//! [`RetryPolicy`] (exponential backoff, seeded jitter), shard outages are
-//! either waited out in simulated time or surfaced as
-//! [`RpcError::ShardUnavailable`]. Every transmission attempt — including
-//! retransmissions of dropped messages — is metered, so simulated network
-//! time reflects the true cost of the faults. With a zero-fault plan
+//! message through fault adjudication: drops are retransmitted after a
+//! [`backoff`] (exponential, seeded jitter) up to [`MAX_ATTEMPTS`] sends,
+//! and shard outages are waited out in simulated time. Every transmission
+//! attempt — including retransmissions of dropped messages — is metered,
+//! so simulated network time reflects the true cost of the faults. With a zero-fault plan
 //! attached, traffic is byte-identical to running with no injector at all.
 //!
 //! # Wire integrity
@@ -38,20 +37,20 @@
 //! payload, sealed with a 32-bit digest at send time). Under a fault plan with
 //! `corrupt_probability > 0` a delivered frame may arrive with a flipped
 //! payload bit: with checksums on (the default) the client detects the
-//! mismatch, counts it, and re-pulls under the same [`RetryPolicy`] —
-//! garbage never reaches the table; with [`PsClient::with_checksums`]
+//! mismatch, counts it, and re-pulls on the same schedule — garbage never
+//! reaches the table; with [`PsClient::with_checksums`]
 //! `(false)` the damaged payload is ingested and counted, which is how the
 //! divergence oracle demonstrates what the integrity layer prevents. The
 //! 4-byte digest rides in the per-message envelope overhead already priced
 //! by the cost model, so checksums change no metered byte counts.
 
 use crate::compress::PushCompressor;
-use crate::error::{RetryPolicy, RpcError};
+use crate::error::{backoff, RpcError, MAX_ATTEMPTS};
 use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
 use crate::overload::{Gate, OverloadControl, ShardBreakers};
 use crate::router::BatchPlan;
-use crate::transport::{apply_frame, FrameOp, Refresh, SimTransport, Transport};
+use crate::transport::{apply_frame, FrameOp, SimTransport, Transport};
 use hetkg_kgraph::ParamKey;
 use hetkg_netsim::compress::encoded_len;
 use hetkg_netsim::{
@@ -85,7 +84,7 @@ impl Sent {
     /// for both directions.
     fn of(op: FrameOp, frame: &WireFrame, fresh: u64) -> Self {
         match op {
-            FrameOp::PullNewer(_) => Self {
+            FrameOp::PullNewer => Self {
                 keys: frame.keys.len() as u64,
                 versions: frame.versions.len() as u64,
                 fresh,
@@ -142,16 +141,6 @@ impl HedgeState {
             self.primed = true;
         }
     }
-}
-
-/// A fault injector plus the retry policy governing this client's responses
-/// to its verdicts.
-#[derive(Debug, Clone)]
-pub struct FaultBinding {
-    /// The per-worker adjudicator (shared with the trainer for reporting).
-    pub injector: Arc<FaultInjector>,
-    /// How this client retries dropped messages and down shards.
-    pub policy: RetryPolicy,
 }
 
 /// Where one key's row lives inside its shard frame's payload. After a
@@ -274,7 +263,9 @@ pub struct PsClient {
     topology: ClusterTopology,
     store: Arc<KvStore>,
     meter: Arc<TrafficMeter>,
-    faults: Option<FaultBinding>,
+    /// The per-worker fault adjudicator, shared with the trainer for
+    /// reporting.
+    faults: Option<Arc<FaultInjector>>,
     checksums: bool,
     /// Adaptive hedged-pull threshold state (shared by clones so a worker
     /// rebuilt after a crash keeps its calibration).
@@ -325,9 +316,9 @@ impl PsClient {
         self
     }
 
-    /// Attach a fault injector and retry policy to this client.
-    pub fn with_faults(mut self, injector: Arc<FaultInjector>, policy: RetryPolicy) -> Self {
-        self.faults = Some(FaultBinding { injector, policy });
+    /// Attach a fault injector to this client.
+    pub fn with_faults(mut self, injector: Arc<FaultInjector>) -> Self {
+        self.faults = Some(injector);
         self
     }
 
@@ -349,8 +340,8 @@ impl PsClient {
         self
     }
 
-    /// The attached fault binding, if any.
-    pub fn faults(&self) -> Option<&FaultBinding> {
+    /// The attached fault injector, if any.
+    pub fn faults(&self) -> Option<&Arc<FaultInjector>> {
         self.faults.as_ref()
     }
 
@@ -397,7 +388,7 @@ impl PsClient {
                 );
             }
             FrameOp::Write => self.meter.record(remote, &[(Cause::Write, bytes)]),
-            FrameOp::PullNewer(_) => {
+            FrameOp::PullNewer => {
                 let asked = KEY_BYTES + VERSION_BYTES;
                 let returned = |keys: &[u64]| -> u64 {
                     let rows = keys.iter().map(|&k| self.store.row_bytes(ParamKey(k)));
@@ -447,12 +438,9 @@ impl PsClient {
     /// without a fault injector.
     #[inline]
     pub fn shard_available(&self, key: ParamKey) -> bool {
-        match &self.faults {
-            None => true,
-            Some(f) => f
-                .injector
-                .shard_available(self.store.router().shard_of(key)),
-        }
+        self.faults
+            .as_ref()
+            .is_none_or(|f| f.shard_available(self.store.router().shard_of(key)))
     }
 
     /// The shared breaker table, when breakers are enabled.
@@ -609,12 +597,7 @@ impl PsClient {
             fresh_in.push(nothing_held);
             wire.push(WireFrame::seal_versioned(frame_keys, versions, rows));
         }
-        let refresh = if fresh > 0 {
-            Refresh::Construction
-        } else {
-            Refresh::Sync
-        };
-        self.transmit(plan, wire, FrameOp::PullNewer(refresh), fresh_in)?;
+        self.transmit(plan, wire, FrameOp::PullNewer, fresh_in)?;
         // A response's payload is the unconditional rows, then the rows of
         // its keys — an in-order selection of the conditional ones.
         slots.clear();
@@ -927,8 +910,8 @@ impl PsClient {
 
     /// Exchange one frame with `shard`: the transport carries it, once, and
     /// this meters it — the one place that does, whichever backend — and,
-    /// with a fault injector attached, adjudicates its transit, retrying
-    /// under the fault policy. Every transmission attempt is metered — a
+    /// with a fault injector attached, adjudicates its transit, retrying on
+    /// the [`backoff`] schedule. Every transmission attempt is metered — a
     /// dropped or corrupted message still crossed the wire, so its bytes
     /// (and its retransmission's) count toward simulated network time. On
     /// return the frame holds what the receiver accepted: the sealed
@@ -948,7 +931,7 @@ impl PsClient {
         frame: &mut WireFrame,
         fresh: u64,
     ) -> Result<(), RpcError> {
-        let hedgeable = matches!(op, FrameOp::PullNewer(_));
+        let hedgeable = op == FrameOp::PullNewer;
         let sent = Sent::of(op, frame, fresh);
         self.transport.carry(shard, op, frame)?;
         let bytes = sent.bytes() + frame.wire_bytes();
@@ -966,37 +949,37 @@ impl PsClient {
             // the cooldown in simulated time and become the HalfOpen probe.
             // Neither path burns an attempt: nothing transited.
             if let Some(br) = self.breakers() {
-                match br.allow(shard, f.injector.now()) {
+                match br.allow(shard, f.now()) {
                     Gate::Allow | Gate::Probe => {}
                     Gate::FastFail { until } => {
-                        f.injector.note_breaker_fast_fail();
+                        f.note_breaker_fast_fail();
                         if !hedgeable {
                             return Err(RpcError::Overloaded { shard, attempts });
                         }
-                        let wait = (until - f.injector.now()).max(0.0);
-                        f.injector.note_backoff(wait);
+                        let wait = (until - f.now()).max(0.0);
+                        f.note_backoff(wait);
                         continue;
                     }
                 }
             }
             attempts += 1;
-            let sent_at = f.injector.now();
-            match f.injector.adjudicate(shard, remote, bytes) {
+            let sent_at = f.now();
+            match f.adjudicate(shard, remote, bytes) {
                 Verdict::Deliver => {
                     record(frame);
-                    let elapsed = f.injector.now() - sent_at;
+                    let elapsed = f.now() - sent_at;
                     if let Some(ctl) = &self.overload {
                         if let Some(budget) = &ctl.budget {
                             budget.earn();
                         }
                         if let Some(br) = &ctl.breakers {
                             let base = if remote {
-                                f.injector.cost().remote_time(bytes, 1)
+                                f.cost().remote_time(bytes, 1)
                             } else {
-                                f.injector.cost().local_time(bytes, 1)
+                                f.cost().local_time(bytes, 1)
                             };
                             let ratio = if base > 0.0 { elapsed / base } else { 1.0 };
-                            br.on_success(shard, f.injector.now(), ratio);
+                            br.on_success(shard, f.now(), ratio);
                         }
                     }
                     if hedgeable && remote {
@@ -1009,29 +992,29 @@ impl PsClient {
                     // transited (the refusal's latency was charged during
                     // adjudication), so nothing is metered here.
                     if let Some(br) = self.breakers() {
-                        br.on_failure(shard, f.injector.now());
+                        br.on_failure(shard, f.now());
                     }
-                    if attempts >= f.policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(RpcError::Overloaded { shard, attempts });
                     }
-                    let relief = (retry_at - f.injector.now()).max(0.0);
+                    let relief = (retry_at - f.now()).max(0.0);
                     match self.overload.as_ref().and_then(|c| c.budget.as_ref()) {
                         Some(budget) => {
                             if budget.try_spend() {
                                 // Paid retry: wait for the queue to drain
                                 // one slot, then retransmit.
-                                f.injector.note_retry(bytes);
-                                f.injector.note_backoff(relief);
+                                f.note_retry(bytes);
+                                f.note_backoff(relief);
                             } else if hedgeable {
                                 // Budget dry, but reads must complete: be
                                 // patient instead of pushy — same wait, no
                                 // retransmission pressure accounted.
-                                f.injector.note_retry_denied();
-                                f.injector.note_backoff(relief);
+                                f.note_retry_denied();
+                                f.note_backoff(relief);
                             } else {
                                 // Budget dry and the write is sheddable:
                                 // hand it back for the brownout backlog.
-                                f.injector.note_retry_denied();
+                                f.note_retry_denied();
                                 return Err(RpcError::Overloaded { shard, attempts });
                             }
                         }
@@ -1040,9 +1023,8 @@ impl PsClient {
                             // jittered retransmissions hammer the shard
                             // while it is still shedding — this is the
                             // behavior the budget exists to prevent.
-                            f.injector.note_retry(bytes);
-                            f.injector
-                                .note_backoff(f.policy.backoff(attempts, f.injector.jitter()));
+                            f.note_retry(bytes);
+                            f.note_backoff(backoff(attempts, f.jitter()));
                         }
                     }
                 }
@@ -1053,19 +1035,18 @@ impl PsClient {
                     // A read that found nothing newer has an empty response:
                     // the flip then landed in its request, which the shard's
                     // own checksum refuses.
-                    let hit = damaged.corrupt(f.injector.corruption_pattern());
+                    let hit = damaged.corrupt(f.corruption_pattern());
                     if self.checksums && !(hit && damaged.verify()) {
-                        f.injector.note_corrupt_detected();
-                        if attempts >= f.policy.max_attempts {
+                        f.note_corrupt_detected();
+                        if attempts >= MAX_ATTEMPTS {
                             return Err(RpcError::CorruptPayload { attempts });
                         }
-                        f.injector.note_retry(bytes);
-                        f.injector
-                            .note_backoff(f.policy.backoff(attempts, f.injector.jitter()));
+                        f.note_retry(bytes);
+                        f.note_backoff(backoff(attempts, f.jitter()));
                     } else {
                         // No digest to check (or, astronomically rarely, a
                         // digest collision): the receiver accepts garbage.
-                        f.injector.note_corrupt_ingested();
+                        f.note_corrupt_ingested();
                         *frame = damaged;
                         return Ok(());
                     }
@@ -1073,25 +1054,19 @@ impl PsClient {
                 Verdict::Drop => {
                     // The lost message still transited the link.
                     record(frame);
-                    if attempts >= f.policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(RpcError::Dropped { attempts });
                     }
-                    f.injector.note_retry(bytes);
-                    f.injector
-                        .note_backoff(f.policy.backoff(attempts, f.injector.jitter()));
+                    f.note_retry(bytes);
+                    f.note_backoff(backoff(attempts, f.jitter()));
                 }
                 Verdict::ShardDown { until } => {
-                    if attempts >= f.policy.max_attempts {
+                    if attempts >= MAX_ATTEMPTS {
                         return Err(RpcError::ShardUnavailable { shard, attempts });
                     }
-                    let backoff = f.policy.backoff(attempts, f.injector.jitter());
-                    if f.policy.wait_for_recovery {
-                        // Sleep (in simulated time) until the shard is back.
-                        let wait = (until - f.injector.now()).max(0.0) + backoff;
-                        f.injector.note_backoff(wait);
-                    } else {
-                        f.injector.note_backoff(backoff);
-                    }
+                    // Sleep (in simulated time) until the shard is back.
+                    let wait = (until - f.now()).max(0.0) + backoff(attempts, f.jitter());
+                    f.note_backoff(wait);
                 }
                 Verdict::ShardDead => {
                     // Permanent loss: promote a backup (or fail for good),
@@ -1111,11 +1086,11 @@ impl PsClient {
     /// swap the backup into the primary slot. Losers of the race return
     /// immediately — the winner's promotion is already visible through the
     /// shared liveness table by the time `promote` returns `true` here.
-    fn fail_over(&self, f: &FaultBinding, shard: usize) -> Result<(), RpcError> {
-        let Some(liveness) = f.injector.liveness() else {
+    fn fail_over(&self, f: &FaultInjector, shard: usize) -> Result<(), RpcError> {
+        let Some(liveness) = f.liveness() else {
             return Err(RpcError::ShardLost { shard });
         };
-        if liveness.promote(shard, f.injector.now()) {
+        if liveness.promote(shard, f.now()) {
             if !self.store.has_backup(shard) {
                 return Err(RpcError::ShardLost { shard });
             }
@@ -1126,8 +1101,7 @@ impl PsClient {
             if !self.store.promote(shard) {
                 return Err(RpcError::ShardLost { shard });
             }
-            f.injector
-                .note_promotion(flush.records, flush.messages * flush.payload_bytes);
+            f.note_promotion(flush.records, flush.messages * flush.payload_bytes);
         }
         Ok(())
     }
@@ -1143,11 +1117,11 @@ impl PsClient {
     /// primary's frame is already sealed and backups are value-identical
     /// modulo the bounded replication lag — so hedging perturbs time and
     /// counters only, never training values.
-    fn maybe_hedge(&self, f: &FaultBinding, shard: usize, bytes: u64, elapsed: f64) {
+    fn maybe_hedge(&self, f: &FaultInjector, shard: usize, bytes: u64, elapsed: f64) {
         if !self.store.has_backup(shard) {
             return;
         }
-        let base = f.injector.cost().remote_time(bytes, 1);
+        let base = f.cost().remote_time(bytes, 1);
         if base <= 0.0 {
             return;
         }
@@ -1162,10 +1136,9 @@ impl PsClient {
             return;
         }
         self.meter.record_replication(bytes);
-        let backup_time = base + f.injector.cost().remote_latency;
+        let backup_time = base + f.cost().remote_latency;
         let won = backup_time < elapsed;
-        f.injector
-            .note_hedged_pull(won, if won { elapsed - backup_time } else { 0.0 });
+        f.note_hedged_pull(won, if won { elapsed - backup_time } else { 0.0 });
     }
 
     /// Drain any full replication batches for `shard` to its backups,
@@ -1634,11 +1607,7 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::lossy(1, 1.0));
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone(), policy);
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone());
         let err = client
             .try_pull_newer_with(
                 &[ParamKey(1)],
@@ -1648,11 +1617,20 @@ mod tests {
                 |_, _, _| panic!("all-or-nothing"),
             )
             .unwrap_err();
-        assert_eq!(err, RpcError::Dropped { attempts: 3 });
+        let attempts = u64::from(MAX_ATTEMPTS);
+        assert_eq!(
+            err,
+            RpcError::Dropped {
+                attempts: MAX_ATTEMPTS
+            }
+        );
         let s = meter.snapshot();
-        assert_eq!(s.remote_messages, 3);
-        assert_eq!(s.remote_bytes, 3 * (12 + 12 + 16));
-        assert_eq!(inj.stats().retransmitted_bytes, 2 * (12 + 12 + 16));
+        assert_eq!(s.remote_messages, attempts);
+        assert_eq!(s.remote_bytes, attempts * (12 + 12 + 16));
+        assert_eq!(
+            inj.stats().retransmitted_bytes,
+            (attempts - 1) * (12 + 12 + 16)
+        );
     }
 
     #[test]
@@ -1660,11 +1638,7 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::corrupting(1, 1.0));
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        let client = PsClient::new(0, topo, store.clone(), meter).with_faults(inj.clone(), policy);
+        let client = PsClient::new(0, topo, store.clone(), meter).with_faults(inj.clone());
         // The held version is current: the response frame is empty, so the
         // flipped bit can only have hit the request.
         let held = [store.version(ParamKey(1))];
@@ -1677,9 +1651,14 @@ mod tests {
                 |_, _, _| panic!("nothing is newer"),
             )
             .unwrap_err();
-        assert_eq!(err, RpcError::CorruptPayload { attempts: 2 });
+        assert_eq!(
+            err,
+            RpcError::CorruptPayload {
+                attempts: MAX_ATTEMPTS
+            }
+        );
         let f = inj.stats();
-        assert_eq!(f.corrupt_detected, 2);
+        assert_eq!(f.corrupt_detected, u64::from(MAX_ATTEMPTS));
         assert_eq!(f.corrupt_ingested, 0);
     }
 
@@ -1690,7 +1669,7 @@ mod tests {
         let plain = PsClient::new(0, topo, store.clone(), plain_meter.clone());
         let fault_meter = Arc::new(TrafficMeter::new());
         let faulty = PsClient::new(0, topo, store.clone(), fault_meter.clone())
-            .with_faults(injector(FaultPlan::default()), RetryPolicy::default());
+            .with_faults(injector(FaultPlan::default()));
 
         let keys: Vec<ParamKey> = (0..10).map(ParamKey).collect();
         let g = [0.1f32; 4];
@@ -1704,7 +1683,7 @@ mod tests {
             write_batch(client, &keys, &grads);
         }
         assert_eq!(plain_meter.snapshot(), fault_meter.snapshot());
-        assert_eq!(faulty.faults().unwrap().injector.stats().total_faults(), 0);
+        assert_eq!(faulty.faults().unwrap().stats().total_faults(), 0);
     }
 
     #[test]
@@ -1712,23 +1691,27 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::lossy(1, 1.0)); // every remote message lost
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone(), policy);
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone());
         let mut buf = [0.0f32; 4];
         // Key 1 is remote for worker 0.
         let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
-        assert_eq!(err, RpcError::Dropped { attempts: 3 });
+        assert_eq!(
+            err,
+            RpcError::Dropped {
+                attempts: MAX_ATTEMPTS
+            }
+        );
         let s = meter.snapshot();
-        let msg_bytes = 16 + 8;
-        assert_eq!(s.remote_messages, 3, "every attempt transited the link");
-        assert_eq!(s.remote_bytes, 3 * msg_bytes);
+        let (attempts, msg_bytes) = (u64::from(MAX_ATTEMPTS), 16 + 8);
+        assert_eq!(
+            s.remote_messages, attempts,
+            "every attempt transited the link"
+        );
+        assert_eq!(s.remote_bytes, attempts * msg_bytes);
         let f = inj.stats();
-        assert_eq!(f.drops, 3);
-        assert_eq!(f.retries, 2);
-        assert_eq!(f.retransmitted_bytes, 2 * msg_bytes);
+        assert_eq!(f.drops, attempts);
+        assert_eq!(f.retries, attempts - 1);
+        assert_eq!(f.retransmitted_bytes, (attempts - 1) * msg_bytes);
         assert!(f.backoff_secs > 0.0);
     }
 
@@ -1737,8 +1720,7 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::lossy(1, 1.0));
-        let client =
-            PsClient::new(0, topo, store, meter.clone()).with_faults(inj, RetryPolicy::default());
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj);
         let mut buf = [0.0f32; 4];
         // Key 0 is local for worker 0: delivered despite p = 1.
         try_pull(&client, ParamKey(0), &mut buf).unwrap();
@@ -1750,8 +1732,7 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::shard_outage(0, 1, 0.0, 0.5));
-        let client = PsClient::new(0, topo, store, meter.clone())
-            .with_faults(inj.clone(), RetryPolicy::default());
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone());
         assert!(!client.shard_available(ParamKey(1)));
         assert!(client.shard_available(ParamKey(0)));
         let mut buf = [0.0f32; 4];
@@ -1767,48 +1748,17 @@ mod tests {
     }
 
     #[test]
-    fn outage_without_wait_exhausts_attempts() {
-        let (store, topo) = setup(2);
-        let meter = Arc::new(TrafficMeter::new());
-        let inj = injector(FaultPlan::shard_outage(0, 1, 0.0, 1e9));
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            wait_for_recovery: false,
-            ..RetryPolicy::default()
-        };
-        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj, policy);
-        let mut buf = [0.0f32; 4];
-        let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
-        assert_eq!(
-            err,
-            RpcError::ShardUnavailable {
-                shard: 1,
-                attempts: 2
-            }
-        );
-        assert_eq!(
-            meter.snapshot().remote_messages,
-            0,
-            "refusals are not deliveries"
-        );
-    }
-
-    #[test]
     fn failed_batch_applies_nothing() {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
-        let inj = injector(FaultPlan::shard_outage(0, 1, 0.0, 1e9));
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            wait_for_recovery: false,
-            ..RetryPolicy::default()
-        };
-        let client = PsClient::new(0, topo, store.clone(), meter).with_faults(inj, policy);
+        // Every remote message is lost.
+        let inj = injector(FaultPlan::lossy(1, 1.0));
+        let client = PsClient::new(0, topo, store.clone(), meter).with_faults(inj);
         store.store(ParamKey(0), &[0.0; 4]);
         store.store(ParamKey(1), &[0.0; 4]);
         let g = [1.0f32; 4];
-        // Shard 0 is fine but shard 1 is down: all-or-nothing, so neither
-        // gradient lands.
+        // Shard 0 is local and fine, but every frame to shard 1 is dropped:
+        // all-or-nothing, so neither gradient lands.
         let err = client
             .try_push_batch_with(
                 &[ParamKey(0), ParamKey(1)],
@@ -1817,7 +1767,12 @@ mod tests {
                 &mut PsScratch::new(),
             )
             .unwrap_err();
-        assert!(matches!(err, RpcError::ShardUnavailable { shard: 1, .. }));
+        assert_eq!(
+            err,
+            RpcError::Dropped {
+                attempts: MAX_ATTEMPTS
+            }
+        );
         let mut buf = [0.0f32; 4];
         store.pull(ParamKey(0), &mut buf);
         assert_eq!(buf, [0.0; 4], "no partial application");
@@ -1828,26 +1783,28 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::corrupting(1, 1.0)); // every remote frame damaged
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
-        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone(), policy);
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone());
         let mut buf = [7.0f32; 4];
         // Key 1 is remote for worker 0.
         let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
-        assert_eq!(err, RpcError::CorruptPayload { attempts: 3 });
+        assert_eq!(
+            err,
+            RpcError::CorruptPayload {
+                attempts: MAX_ATTEMPTS
+            }
+        );
         assert_eq!(buf, [7.0; 4], "failed pull leaves the output untouched");
         let s = meter.snapshot();
+        let attempts = u64::from(MAX_ATTEMPTS);
         assert_eq!(
-            s.remote_messages, 3,
+            s.remote_messages, attempts,
             "every damaged attempt transited the link"
         );
         let f = inj.stats();
-        assert_eq!(f.corrupt_frames, 3);
-        assert_eq!(f.corrupt_detected, 3);
+        assert_eq!(f.corrupt_frames, attempts);
+        assert_eq!(f.corrupt_detected, attempts);
         assert_eq!(f.corrupt_ingested, 0);
-        assert_eq!(f.retries, 2);
+        assert_eq!(f.retries, attempts - 1);
         assert!(f.backoff_secs > 0.0);
     }
 
@@ -1856,12 +1813,7 @@ mod tests {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::corrupting(9, 0.4));
-        // A deep retry budget so a corrupt streak cannot exhaust a pull.
-        let policy = RetryPolicy {
-            max_attempts: 16,
-            ..RetryPolicy::default()
-        };
-        let client = PsClient::new(0, topo, store.clone(), meter).with_faults(inj.clone(), policy);
+        let client = PsClient::new(0, topo, store.clone(), meter).with_faults(inj.clone());
         for round in 0..50u64 {
             let key = ParamKey(round % 8);
             let width = (store.row_bytes(key) / 4) as usize;
@@ -1890,7 +1842,7 @@ mod tests {
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(FaultPlan::corrupting(1, 1.0));
         let client = PsClient::new(0, topo, store.clone(), meter.clone())
-            .with_faults(inj.clone(), RetryPolicy::default())
+            .with_faults(inj.clone())
             .with_checksums(false);
         let mut clean = [0.0f32; 4];
         store.pull(ParamKey(1), &mut clean);
@@ -1922,7 +1874,7 @@ mod tests {
             let meter = Arc::new(TrafficMeter::new());
             let inj = injector(FaultPlan::lossy(5, 0.3));
             let client = PsClient::new(0, topo, store, meter.clone())
-                .with_faults(inj.clone(), RetryPolicy::default())
+                .with_faults(inj.clone())
                 .with_checksums(checksums);
             let keys: Vec<ParamKey> = (0..8).map(ParamKey).collect();
             let mut buf = [0.0f32; 4];
@@ -1993,8 +1945,7 @@ mod tests {
             FaultInjector::new(kill_plan(1, 0.0), CostModel::gigabit(), 0)
                 .with_liveness(liveness.clone()),
         );
-        let client = PsClient::new(0, topo, store, meter.clone())
-            .with_faults(inj.clone(), RetryPolicy::default());
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone());
         let mut buf = [0.0f32; 4];
         // Key 1 routes to shard 1, dead from t=0: the pull must fail over.
         try_pull(&client, ParamKey(1), &mut buf).unwrap();
@@ -2030,8 +1981,7 @@ mod tests {
         let inj = Arc::new(
             FaultInjector::new(kill_plan(1, 0.0), CostModel::gigabit(), 0).with_liveness(liveness),
         );
-        let client =
-            PsClient::new(0, topo, store, meter.clone()).with_faults(inj, RetryPolicy::default());
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj);
         let mut buf = [0.0f32; 4];
         let err = try_pull(&client, ParamKey(1), &mut buf).unwrap_err();
         assert_eq!(err, RpcError::ShardLost { shard: 1 });
@@ -2052,8 +2002,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let inj = Arc::new(FaultInjector::new(plan, CostModel::gigabit(), 0));
-        let client = PsClient::new(0, topo, store, meter.clone())
-            .with_faults(inj.clone(), RetryPolicy::default());
+        let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone());
         let mut buf = [0.0f32; 4];
         try_pull(&client, ParamKey(1), &mut buf).unwrap();
         assert_eq!(
@@ -2093,23 +2042,16 @@ mod tests {
         }
     }
 
-    use crate::overload::{BreakerConfig, OverloadControl, RetryBudgetConfig};
+    use crate::overload::OverloadControl;
 
     #[test]
     fn overload_sheds_spend_the_retry_budget_and_still_deliver() {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(overload_plan(1, 1.0, 2));
-        // A deliberately generous bucket: the point here is spend-and-
-        // deliver, not denial (the stingier default is exercised below).
-        let generous = RetryBudgetConfig {
-            initial_millitokens: 20_000,
-            earn_millitokens: 100,
-            cap_millitokens: 50_000,
-        };
-        let ctl = Arc::new(OverloadControl::from_configs(2, Some(generous), None).unwrap());
+        let ctl = Arc::new(OverloadControl::new(2, true, false).unwrap());
         let client = PsClient::new(0, topo, store, meter)
-            .with_faults(inj.clone(), RetryPolicy::default())
+            .with_faults(inj.clone())
             .with_overload(ctl.clone());
         let mut buf = [0.0f32; 4];
         for _ in 0..20 {
@@ -2124,7 +2066,11 @@ mod tests {
         assert!(s.overload_extra_secs > 0.0);
         let budget = ctl.budget.as_ref().unwrap();
         assert!(budget.retries_spent() > 0, "sheds were retried on budget");
-        assert_eq!(s.retries_denied, 0, "a generous budget never runs dry here");
+        assert_eq!(
+            s.retries,
+            budget.retries_spent(),
+            "every retransmission was paid for"
+        );
     }
 
     #[test]
@@ -2133,15 +2079,14 @@ mod tests {
         let meter = Arc::new(TrafficMeter::new());
         // Capacity 0: every in-window request to shard 1 is shed.
         let inj = injector(overload_plan(1, 2e-3, 0));
-        let dry = RetryBudgetConfig {
-            initial_millitokens: 0,
-            earn_millitokens: 0,
-            cap_millitokens: 0,
-        };
-        let ctl = Arc::new(OverloadControl::from_configs(2, Some(dry), None).unwrap());
+        let ctl = Arc::new(OverloadControl::new(2, true, false).unwrap());
+        // Spend the starting float: the budget is dry, and nothing below
+        // succeeds on shard 1 before the window ends to earn it back.
+        let budget = ctl.budget.as_ref().unwrap();
+        while budget.try_spend() {}
         let client = PsClient::new(0, topo, store, meter)
-            .with_faults(inj.clone(), RetryPolicy::default())
-            .with_overload(ctl);
+            .with_faults(inj.clone())
+            .with_overload(ctl.clone());
         // Sheddable write, dry budget: typed error, immediately.
         let err = try_push(&client, ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 }).unwrap_err();
         assert!(matches!(err, RpcError::Overloaded { shard: 1, .. }));
@@ -2158,20 +2103,27 @@ mod tests {
     fn breaker_cycles_open_halfopen_closed_and_fast_fails_writes() {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
-        let inj = injector(overload_plan(1, 1e-3, 0));
-        let breaker = BreakerConfig {
-            failure_threshold: 1,
-            cooldown_secs: 2e-3, // cooldown outlasts the overload window
-            latency_ratio: 3.0,
-        };
-        let ctl = Arc::new(OverloadControl::from_configs(2, None, Some(breaker)).unwrap());
+        // The third shed lands near 0.57 ms and the cooldown then ends near
+        // 1.07 ms: a window ending at 0.8 ms holds all three sheds and is
+        // over, by a wide margin, before the probe.
+        let window_end = 800e-6;
+        let inj = injector(overload_plan(1, window_end, 0));
+        let ctl = Arc::new(OverloadControl::new(2, false, true).unwrap());
         let client = PsClient::new(0, topo, store, meter)
-            .with_faults(inj.clone(), RetryPolicy::default())
+            .with_faults(inj.clone())
             .with_overload(ctl.clone());
-        // First push: shed at the queue, which trips the breaker; the next
-        // gate check fails fast with the typed error.
+        // First push: every attempt is shed at the queue, and the third shed
+        // within its retries trips the breaker; the next gate check fails
+        // fast with the typed error.
         let err = try_push(&client, ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 }).unwrap_err();
-        assert!(matches!(err, RpcError::Overloaded { shard: 1, .. }));
+        assert_eq!(
+            err,
+            RpcError::Overloaded {
+                shard: 1,
+                attempts: 3
+            }
+        );
+        assert_eq!(inj.stats().overload_sheds, 3);
         assert!(client.breaker_tripped(1));
         assert!(!client.shard_healthy(ParamKey(1)));
         assert!(client.shard_healthy(ParamKey(0)), "shard 0 unaffected");
@@ -2182,10 +2134,18 @@ mod tests {
         assert_eq!(inj.stats().overload_sheds, before, "fast fail sent nothing");
         assert!(inj.stats().breaker_fast_fails > 0);
         // A required pull sleeps out the cooldown, probes, and closes the
-        // breaker (the window has ended by then).
+        // breaker. The probe succeeds only because the cooldown ends after
+        // the overload window does; pin that margin rather than rely on it.
+        let br = ctl.breakers.as_ref().unwrap();
+        let Gate::FastFail { until } = br.allow(1, inj.now()) else {
+            panic!("the breaker is still cooling down");
+        };
+        assert!(
+            until >= window_end,
+            "probe at {until} s lands inside the overload window"
+        );
         let mut buf = [0.0f32; 4];
         try_pull(&client, ParamKey(1), &mut buf).unwrap();
-        let br = ctl.breakers.as_ref().unwrap();
         assert!(br.opens() >= 1, "Closed -> Open happened");
         assert_eq!(br.half_opens(), 1, "Open -> HalfOpen probe");
         assert_eq!(br.closes(), 1, "HalfOpen -> Closed on probe success");
@@ -2195,14 +2155,13 @@ mod tests {
 
     #[test]
     fn retry_budget_cuts_retransmitted_bytes_versus_the_storm() {
-        let run = |budget: Option<RetryBudgetConfig>| {
+        let run = |budget: bool| {
             let (store, topo) = setup(2);
             let meter = Arc::new(TrafficMeter::new());
             let inj = injector(overload_plan(1, 10e-3, 2));
-            let mut client = PsClient::new(0, topo, store, meter)
-                .with_faults(inj.clone(), RetryPolicy::default());
-            if let Some(cfg) = budget {
-                let ctl = Arc::new(OverloadControl::from_configs(2, Some(cfg), None).unwrap());
+            let mut client = PsClient::new(0, topo, store, meter).with_faults(inj.clone());
+            if budget {
+                let ctl = Arc::new(OverloadControl::new(2, true, false).unwrap());
                 client = client.with_overload(ctl);
             }
             let mut buf = [0.0f32; 4];
@@ -2211,14 +2170,9 @@ mod tests {
             }
             inj.stats()
         };
-        // A small budget: a few paid retries, then patience.
-        let tight = RetryBudgetConfig {
-            initial_millitokens: 3_000,
-            earn_millitokens: 0,
-            cap_millitokens: 3_000,
-        };
-        let with_budget = run(Some(tight));
-        let storm = run(None);
+        // The budget's float pays a few retries, then patience.
+        let with_budget = run(true);
+        let storm = run(false);
         assert!(storm.overload_sheds > 0);
         assert!(with_budget.overload_sheds > 0);
         assert!(
@@ -2227,7 +2181,7 @@ mod tests {
             with_budget.retransmitted_bytes,
             storm.retransmitted_bytes
         );
-        assert!(with_budget.retries_denied > 0, "the tight budget ran dry");
+        assert!(with_budget.retries_denied > 0, "the budget ran dry");
     }
 
     #[test]
@@ -2236,17 +2190,10 @@ mod tests {
             let (store, topo) = setup(2);
             let meter = Arc::new(TrafficMeter::new());
             let inj = injector(FaultPlan::default());
-            let mut client = PsClient::new(0, topo, store.clone(), meter.clone())
-                .with_faults(inj.clone(), RetryPolicy::default());
+            let mut client =
+                PsClient::new(0, topo, store.clone(), meter.clone()).with_faults(inj.clone());
             if protected {
-                let ctl = Arc::new(
-                    OverloadControl::from_configs(
-                        2,
-                        Some(RetryBudgetConfig::default()),
-                        Some(BreakerConfig::default()),
-                    )
-                    .unwrap(),
-                );
+                let ctl = Arc::new(OverloadControl::new(2, true, true).unwrap());
                 client = client.with_overload(ctl);
             }
             let keys: Vec<ParamKey> = (0..8).map(ParamKey).collect();
@@ -2273,8 +2220,7 @@ mod tests {
             let (store, topo) = setup_replicated(2, k);
             let meter = Arc::new(TrafficMeter::new());
             let inj = injector(FaultPlan::default());
-            let client = PsClient::new(0, topo, store.clone(), meter.clone())
-                .with_faults(inj, RetryPolicy::default());
+            let client = PsClient::new(0, topo, store.clone(), meter.clone()).with_faults(inj);
             let mut scratch = PsScratch::new();
             let keys: Vec<ParamKey> = (0..8).map(ParamKey).collect();
             let mut buf = [0.0f32; 4];
@@ -2571,12 +2517,8 @@ mod tests {
             let (store, topo) = setup(2);
             let meter = Arc::new(TrafficMeter::new());
             let inj = injector(plan);
-            let policy = RetryPolicy {
-                max_attempts: 64,
-                ..RetryPolicy::default()
-            };
-            let client = PsClient::new(0, topo, store.clone(), meter.clone())
-                .with_faults(inj.clone(), policy);
+            let client =
+                PsClient::new(0, topo, store.clone(), meter.clone()).with_faults(inj.clone());
             let mut scratch = PsScratch::new();
             scratch.set_compression(CompressionMode::TopK);
             let keys: Vec<ParamKey> = (0..8).map(ParamKey).collect();

@@ -12,8 +12,9 @@
 //! * [`server`] — Algorithm 4's server side as real processes: one
 //!   `hetkg ps-server` per shard applying pushes as their frames arrive,
 //!   reached through [`transport::ProcessTransport`];
-//! * [`error`] — typed RPC failures ([`RpcError`]) and the [`RetryPolicy`]
-//!   used when a fault injector is attached to the client;
+//! * [`error`] — typed RPC failures ([`RpcError`]) and the retry schedule
+//!   ([`backoff`], [`MAX_ATTEMPTS`]) used when a fault injector is attached
+//!   to the client;
 //! * [`overload`] — overload protection: a run-global [`RetryBudget`] and
 //!   per-shard circuit [`ShardBreakers`], shared by workers via
 //!   [`OverloadControl`] so retries stop amplifying a flash crowd.
@@ -58,14 +59,12 @@ pub mod router;
 pub mod server;
 pub mod transport;
 
-pub use client::{FaultBinding, PsClient, PsScratch};
+pub use client::{PsClient, PsScratch};
 pub use compress::PushCompressor;
-pub use error::{RetryPolicy, RpcError};
+pub use error::{backoff, RpcError, MAX_ATTEMPTS};
 pub use kvstore::{KvStore, ReplicationFlush, NO_VERSION};
 pub use optimizer::{AdaGrad, Optimizer, Sgd};
-pub use overload::{
-    BreakerConfig, Gate, OverloadControl, RetryBudget, RetryBudgetConfig, ShardBreakers,
-};
+pub use overload::{Gate, OverloadControl, RetryBudget, ShardBreakers};
 pub use router::{BatchPlan, ShardRouter};
 pub use server::{serve, ProcessCluster, ShardListener, ShardServerConfig, SocketMode};
-pub use transport::{FrameOp, ProcessTransport, Refresh, ServerAddr, SimTransport, Transport};
+pub use transport::{FrameOp, ProcessTransport, ServerAddr, SimTransport, Transport};

@@ -27,67 +27,51 @@
 //! [`PsClient`]: crate::client::PsClient
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Token-bucket parameters for the run-global retry budget, in
-/// *millitokens* (integer arithmetic keeps the shared state exact and
-/// deterministic). One retry costs 1000 millitokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryBudgetConfig {
-    /// Starting balance, millitokens (default 2 retries' worth — a small
-    /// float for transient blips; sustained retrying must be earned).
-    pub initial_millitokens: u64,
-    /// Earned per successful operation, millitokens (default 25 — the
-    /// steady-state retry allowance is 2.5% of successful traffic).
-    pub earn_millitokens: u64,
-    /// Balance ceiling, millitokens (stops a long quiet period from
-    /// banking an unbounded burst allowance).
-    pub cap_millitokens: u64,
-}
-
-impl Default for RetryBudgetConfig {
-    fn default() -> Self {
-        Self {
-            initial_millitokens: 2_000,
-            earn_millitokens: 25,
-            cap_millitokens: 20_000,
-        }
-    }
-}
-
-/// Millitokens one retry costs.
+/// Millitokens one retry costs (integer arithmetic keeps the shared
+/// balance exact and deterministic).
 pub const RETRY_COST_MILLITOKENS: u64 = 1_000;
+/// Starting balance: two retries' worth, a small float for transient blips;
+/// sustained retrying must be earned.
+const BUDGET_INITIAL_MILLITOKENS: u64 = 2_000;
+/// Earned per successful operation: 25 millitokens, so the steady-state
+/// retry allowance is 2.5 % of successful traffic.
+const BUDGET_EARN_MILLITOKENS: u64 = 25;
+/// Balance ceiling: twenty retries, so a long quiet period cannot bank an
+/// unbounded burst allowance.
+const BUDGET_CAP_MILLITOKENS: u64 = 20_000;
 
 /// The run-global token-bucket retry budget.
 #[derive(Debug)]
 pub struct RetryBudget {
-    cfg: RetryBudgetConfig,
     balance: AtomicU64,
     denied: AtomicU64,
     spent: AtomicU64,
 }
 
-impl RetryBudget {
-    /// A fresh budget at its configured starting balance.
-    pub fn new(cfg: RetryBudgetConfig) -> Self {
+impl Default for RetryBudget {
+    /// A fresh budget at its starting balance.
+    fn default() -> Self {
         Self {
-            balance: AtomicU64::new(cfg.initial_millitokens.min(cfg.cap_millitokens)),
+            balance: AtomicU64::new(BUDGET_INITIAL_MILLITOKENS),
             denied: AtomicU64::new(0),
             spent: AtomicU64::new(0),
-            cfg,
         }
     }
+}
 
+impl RetryBudget {
     /// Credit one successful operation.
     pub fn earn(&self) {
-        let cap = self.cfg.cap_millitokens;
-        let earn = self.cfg.earn_millitokens;
         // fetch_update so concurrent earners never overshoot the cap.
         let _ = self
             .balance
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| {
-                Some(b.saturating_add(earn).min(cap))
+                Some(
+                    b.saturating_add(BUDGET_EARN_MILLITOKENS)
+                        .min(BUDGET_CAP_MILLITOKENS),
+                )
             });
     }
 
@@ -125,28 +109,18 @@ impl RetryBudget {
     }
 }
 
-/// Circuit-breaker parameters (per shard).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BreakerConfig {
-    /// Consecutive failure signals that open a Closed breaker.
-    pub failure_threshold: u32,
-    /// Simulated seconds an Open breaker fails fast before letting a
-    /// HalfOpen probe through.
-    pub cooldown_secs: f64,
-    /// EWMA latency ratio (observed / modeled) counted as a failure signal
-    /// even when the message technically delivered.
-    pub latency_ratio: f64,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 3,
-            cooldown_secs: 500e-6,
-            latency_ratio: 3.0,
-        }
-    }
-}
+/// Consecutive failure signals that open a Closed breaker: three, so one
+/// shed or lost message — which the retry loop absorbs — does not cut a
+/// shard off.
+const BREAKER_FAILURE_THRESHOLD: u32 = 3;
+/// Simulated seconds an Open breaker fails fast before a HalfOpen probe goes
+/// through: 500 µs, five gigabit message latencies — a tripped shard is
+/// probed again within a few messages' time, not hammered on every one.
+const BREAKER_COOLDOWN_SECS: f64 = 500e-6;
+/// EWMA latency ratio (observed over modelled) counted as a failure signal
+/// even when the message delivered: a shard answering three times slower
+/// than the cost model is drowning, not jittering.
+const BREAKER_LATENCY_RATIO: f64 = 3.0;
 
 /// EWMA smoothing for the per-shard latency-ratio signal (mirrors the
 /// hedging EWMA in `client.rs`).
@@ -203,7 +177,6 @@ pub enum Gate {
 /// clock (no wall time anywhere).
 #[derive(Debug)]
 pub struct ShardBreakers {
-    cfg: BreakerConfig,
     shards: Vec<Mutex<ShardSlot>>,
     opens: AtomicU64,
     half_opens: AtomicU64,
@@ -216,11 +189,8 @@ pub struct ShardBreakers {
 
 impl ShardBreakers {
     /// A breaker table for `num_shards` shards, all Closed.
-    pub fn new(num_shards: usize, cfg: BreakerConfig) -> Self {
-        assert!(cfg.failure_threshold > 0, "failure threshold must be >= 1");
-        assert!(cfg.cooldown_secs > 0.0, "cooldown must be positive");
+    pub fn new(num_shards: usize) -> Self {
         Self {
-            cfg,
             shards: (0..num_shards)
                 .map(|_| Mutex::new(ShardSlot::default()))
                 .collect(),
@@ -229,11 +199,6 @@ impl ShardBreakers {
             closes: AtomicU64::new(0),
             brownout_nanos: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &BreakerConfig {
-        &self.cfg
     }
 
     /// Gate one outgoing request to `shard` at simulated instant `now`.
@@ -247,13 +212,13 @@ impl ShardBreakers {
         match slot.state {
             BreakerState::Closed { .. } => Gate::Allow,
             BreakerState::Open { since, opened_at } => {
-                if now >= since + self.cfg.cooldown_secs {
+                if now >= since + BREAKER_COOLDOWN_SECS {
                     slot.state = BreakerState::HalfOpen { opened_at };
                     self.half_opens.fetch_add(1, Ordering::Relaxed);
                     Gate::Probe
                 } else {
                     Gate::FastFail {
-                        until: since + self.cfg.cooldown_secs,
+                        until: since + BREAKER_COOLDOWN_SECS,
                     }
                 }
             }
@@ -278,7 +243,7 @@ impl ShardBreakers {
             LOAD_EWMA_ALPHA * latency_ratio + (1.0 - LOAD_EWMA_ALPHA) * slot.ewma_ratio
         };
         let breached =
-            slot.observations >= LOAD_EWMA_PRIME && slot.ewma_ratio > self.cfg.latency_ratio;
+            slot.observations >= LOAD_EWMA_PRIME && slot.ewma_ratio > BREAKER_LATENCY_RATIO;
         match slot.state {
             BreakerState::Closed { consecutive } => {
                 if breached {
@@ -333,7 +298,7 @@ impl ShardBreakers {
 
     fn count_failure(&self, slot: &mut ShardSlot, consecutive: u32, now: f64) {
         let consecutive = consecutive + 1;
-        if consecutive >= self.cfg.failure_threshold {
+        if consecutive >= BREAKER_FAILURE_THRESHOLD {
             slot.state = BreakerState::Open {
                 since: now,
                 opened_at: now,
@@ -387,19 +352,13 @@ pub struct OverloadControl {
 }
 
 impl OverloadControl {
-    /// Build from the run's optional configs. Returns `None` when both are
-    /// off, so the client path stays exactly the pre-overload one.
-    pub fn from_configs(
-        num_shards: usize,
-        budget: Option<RetryBudgetConfig>,
-        breaker: Option<BreakerConfig>,
-    ) -> Option<Self> {
-        if budget.is_none() && breaker.is_none() {
-            return None;
-        }
-        Some(Self {
-            budget: budget.map(RetryBudget::new),
-            breakers: breaker.map(|cfg| ShardBreakers::new(num_shards, cfg)),
+    /// The bundle with a retry budget and/or breakers for `num_shards`
+    /// shards, as switched on. `None` when both are off, so the client path
+    /// stays exactly the pre-overload one.
+    pub fn new(num_shards: usize, budget: bool, breakers: bool) -> Option<Self> {
+        (budget || breakers).then(|| Self {
+            budget: budget.then(RetryBudget::default),
+            breakers: breakers.then(|| ShardBreakers::new(num_shards)),
         })
     }
 
@@ -413,20 +372,25 @@ impl OverloadControl {
 mod tests {
     use super::*;
 
+    /// `x` cooldowns, in simulated seconds.
+    fn cooldowns(x: f64) -> f64 {
+        x * BREAKER_COOLDOWN_SECS
+    }
+
     #[test]
     fn budget_earns_spends_and_denies() {
-        let b = RetryBudget::new(RetryBudgetConfig {
-            initial_millitokens: 2_000,
-            earn_millitokens: 500,
-            cap_millitokens: 3_000,
-        });
+        let b = RetryBudget::default();
         assert!(b.try_spend());
         assert!(b.try_spend());
         assert!(!b.try_spend(), "balance is dry");
         assert_eq!(b.retries_spent(), 2);
         assert_eq!(b.retries_denied(), 1);
-        // Two successes fund one more retry.
-        b.earn();
+        // Forty successes fund one more retry; thirty-nine do not.
+        let per_retry = RETRY_COST_MILLITOKENS / BUDGET_EARN_MILLITOKENS;
+        assert_eq!(per_retry, 40);
+        for _ in 1..per_retry {
+            b.earn();
+        }
         assert!(!b.try_spend());
         b.earn();
         assert!(b.try_spend());
@@ -436,72 +400,66 @@ mod tests {
 
     #[test]
     fn budget_balance_is_capped() {
-        let b = RetryBudget::new(RetryBudgetConfig {
-            initial_millitokens: 10_000,
-            earn_millitokens: 1_000,
-            cap_millitokens: 2_000,
-        });
-        assert_eq!(b.balance_millitokens(), 2_000, "initial clamps to cap");
-        for _ in 0..100 {
+        let b = RetryBudget::default();
+        assert_eq!(b.balance_millitokens(), 2 * RETRY_COST_MILLITOKENS);
+        for _ in 0..1_000 {
             b.earn();
         }
-        assert_eq!(b.balance_millitokens(), 2_000);
+        assert_eq!(b.balance_millitokens(), BUDGET_CAP_MILLITOKENS);
+        assert_eq!(BUDGET_CAP_MILLITOKENS, 20 * RETRY_COST_MILLITOKENS);
     }
 
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
-        let br = ShardBreakers::new(
-            2,
-            BreakerConfig {
-                failure_threshold: 3,
-                cooldown_secs: 1.0,
-                latency_ratio: 3.0,
-            },
-        );
+        let br = ShardBreakers::new(2);
         assert_eq!(br.allow(1, 0.0), Gate::Allow);
-        br.on_failure(1, 0.1);
-        br.on_failure(1, 0.2);
+        br.on_failure(1, cooldowns(0.1));
+        br.on_failure(1, cooldowns(0.2));
         assert!(!br.tripped(1), "below threshold stays Closed");
-        br.on_failure(1, 0.3);
+        br.on_failure(1, cooldowns(0.3));
         assert!(br.tripped(1));
         assert_eq!(br.opens(), 1);
-        assert_eq!(br.allow(1, 0.5), Gate::FastFail { until: 1.3 });
-        assert_eq!(br.allow(0, 0.5), Gate::Allow, "other shards unaffected");
+        assert_eq!(
+            br.allow(1, cooldowns(0.5)),
+            Gate::FastFail {
+                until: cooldowns(0.3) + BREAKER_COOLDOWN_SECS
+            }
+        );
+        assert_eq!(
+            br.allow(0, cooldowns(0.5)),
+            Gate::Allow,
+            "other shards unaffected"
+        );
         // Cooldown elapses: the next request is a probe.
-        assert_eq!(br.allow(1, 1.4), Gate::Probe);
+        assert_eq!(br.allow(1, cooldowns(1.4)), Gate::Probe);
         assert_eq!(br.half_opens(), 1);
         assert!(br.tripped(1), "HalfOpen still counts as tripped");
-        br.on_success(1, 1.5, 1.0);
+        br.on_success(1, cooldowns(1.5), 1.0);
         assert!(!br.tripped(1));
         assert_eq!(br.closes(), 1);
         assert!(
-            (br.brownout_secs() - 1.2).abs() < 1e-9,
-            "tripped at 0.3, closed at 1.5: {}",
+            (br.brownout_secs() - cooldowns(1.2)).abs() < 1e-9,
+            "tripped at 0.3 cooldowns, closed at 1.5: {}",
             br.brownout_secs()
         );
     }
 
     #[test]
     fn failed_probe_reopens_and_keeps_the_brownout_clock() {
-        let br = ShardBreakers::new(
-            1,
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown_secs: 1.0,
-                latency_ratio: 3.0,
-            },
-        );
-        br.on_failure(0, 0.0);
+        let br = ShardBreakers::new(1);
+        for _ in 0..BREAKER_FAILURE_THRESHOLD {
+            br.on_failure(0, 0.0);
+        }
         assert_eq!(br.opens(), 1);
-        assert_eq!(br.allow(0, 1.5), Gate::Probe);
-        br.on_failure(0, 1.6); // probe fails
+        assert_eq!(br.allow(0, cooldowns(1.5)), Gate::Probe);
+        br.on_failure(0, cooldowns(1.6)); // probe fails
         assert_eq!(br.opens(), 2);
-        assert!(matches!(br.allow(0, 1.7), Gate::FastFail { .. }));
-        assert_eq!(br.allow(0, 2.7), Gate::Probe);
-        br.on_success(0, 2.8, 1.0);
+        assert!(matches!(br.allow(0, cooldowns(1.7)), Gate::FastFail { .. }));
+        assert_eq!(br.allow(0, cooldowns(2.7)), Gate::Probe);
+        br.on_success(0, cooldowns(2.8), 1.0);
         assert_eq!(br.closes(), 1);
         assert!(
-            (br.brownout_secs() - 2.8).abs() < 1e-9,
+            (br.brownout_secs() - cooldowns(2.8)).abs() < 1e-9,
             "the episode spans the first trip to the close: {}",
             br.brownout_secs()
         );
@@ -509,7 +467,7 @@ mod tests {
 
     #[test]
     fn successes_reset_the_consecutive_count() {
-        let br = ShardBreakers::new(1, BreakerConfig::default());
+        let br = ShardBreakers::new(1);
         br.on_failure(0, 0.0);
         br.on_failure(0, 0.1);
         br.on_success(0, 0.2, 1.0);
@@ -521,14 +479,7 @@ mod tests {
 
     #[test]
     fn sustained_latency_breach_opens_without_hard_failures() {
-        let br = ShardBreakers::new(
-            1,
-            BreakerConfig {
-                failure_threshold: 3,
-                cooldown_secs: 1.0,
-                latency_ratio: 2.0,
-            },
-        );
+        let br = ShardBreakers::new(1);
         // Every message delivers, but 8x slower than modeled; once the EWMA
         // primes, each slow success counts toward the failure threshold.
         for i in 0..10 {
@@ -540,7 +491,7 @@ mod tests {
 
     #[test]
     fn fast_ewma_never_trips() {
-        let br = ShardBreakers::new(1, BreakerConfig::default());
+        let br = ShardBreakers::new(1);
         for i in 0..1000 {
             br.on_success(0, i as f64 * 0.001, 1.0);
         }
@@ -551,21 +502,19 @@ mod tests {
 
     #[test]
     fn control_is_none_when_both_knobs_are_off() {
-        assert!(OverloadControl::from_configs(4, None, None).is_none());
-        let budget_only =
-            OverloadControl::from_configs(4, Some(RetryBudgetConfig::default()), None).unwrap();
+        assert!(OverloadControl::new(4, false, false).is_none());
+        let budget_only = OverloadControl::new(4, true, false).unwrap();
         assert!(budget_only.budget.is_some());
         assert!(budget_only.breakers.is_none());
         assert!(!budget_only.tripped(0));
-        let breaker_only =
-            OverloadControl::from_configs(4, None, Some(BreakerConfig::default())).unwrap();
+        let breaker_only = OverloadControl::new(4, false, true).unwrap();
         assert!(breaker_only.budget.is_none());
         assert!(breaker_only.breakers.is_some());
     }
 
     #[test]
     fn out_of_range_shard_is_a_noop() {
-        let br = ShardBreakers::new(1, BreakerConfig::default());
+        let br = ShardBreakers::new(1);
         assert_eq!(br.allow(9, 0.0), Gate::Allow);
         br.on_failure(9, 0.0);
         br.on_success(9, 0.0, 1.0);

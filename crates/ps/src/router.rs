@@ -84,11 +84,6 @@ impl BatchPlan {
     pub fn shards(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.num_shards()).filter(|&s| self.starts[s] != self.starts[s + 1])
     }
-
-    /// Number of keys routed to `shard`.
-    pub fn shard_len(&self, shard: usize) -> usize {
-        (self.starts[shard + 1] - self.starts[shard]) as usize
-    }
 }
 
 /// Immutable key → placement map shared by all workers.
@@ -342,7 +337,6 @@ mod tests {
         let s1: Vec<usize> = plan.indices(1).collect();
         assert_eq!(s0, vec![1, 4, 5], "shard 0 indices in batch order");
         assert_eq!(s1, vec![0, 2, 3], "duplicate key 1 keeps batch order");
-        assert_eq!(plan.shard_len(0), 3);
         assert_eq!(plan.shards().collect::<Vec<_>>(), vec![0, 1]);
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(plan.placement(i), r.place(k));
@@ -355,7 +349,7 @@ mod tests {
         let r = ShardRouter::round_robin(ks, 4);
         let plan = r.plan(&[ParamKey(2), ParamKey(6)]);
         assert_eq!(plan.shards().collect::<Vec<_>>(), vec![2]);
-        assert_eq!(plan.shard_len(0), 0);
+        assert!(plan.indices(0).next().is_none());
         assert!(plan.indices(1).next().is_none());
     }
 

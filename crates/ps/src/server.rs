@@ -735,7 +735,7 @@ mod tests {
                 encode_row(codec, row, &mut bytes, &mut Vec::new());
             }
             bytes.resize(resized(bytes.len()), 7);
-            WireFrame::seal_encoded(keys.clone(), Vec::new(), bytes, codec)
+            WireFrame::seal_encoded_versioned(keys.clone(), Vec::new(), Vec::new(), bytes, codec)
         };
         for (op, codec) in [
             (OP_PUSH, Codec::Dense),
@@ -1005,7 +1005,7 @@ mod tests {
                 let served = feed(&self.cfg, shard, &self.served, &request)
                     .expect("a shard server refused a frame the client sealed");
                 let simulated = match op {
-                    FrameOp::PullNewer(_) => {
+                    FrameOp::PullNewer => {
                         answer_read(&self.sim, shard, frame);
                         request_bytes(OP_PULL_NEWER, frame)
                     }
@@ -1014,7 +1014,7 @@ mod tests {
                     }
                 };
                 assert_eq!(served, simulated, "shard {shard}, {op:?}");
-                if let FrameOp::PullNewer(_) = op {
+                if op == FrameOp::PullNewer {
                     *frame = stream::read_message(&mut io::Cursor::new(&served))
                         .expect("the reply decodes")
                         .frame;

@@ -69,18 +69,6 @@ pub const OP_SHUTDOWN: u8 = 4;
 /// with its key and new version.
 pub const OP_PULL_NEWER: u8 = 5;
 
-/// What a read is for. The wire is the same; the bytes are metered under
-/// different [`Cause`](hetkg_netsim::Cause)s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Refresh {
-    /// Cache misses (the keys sent without a version) and the periodic
-    /// Alg. 3 synchronization of rows already cached (the keys sent with
-    /// one).
-    Sync,
-    /// Filling slots for keys the hot set just selected.
-    Construction,
-}
-
 /// What a frame exchange *is*, as far as a transport needs to know.
 /// Reads are the only hedgeable traffic (re-issuing a read is safe;
 /// re-applying a gradient is not), and the only ops whose response
@@ -90,7 +78,7 @@ pub enum FrameOp {
     /// Read the unversioned leading keys' rows, and of the versioned
     /// trailing keys the rows whose version differs from the one sent; the
     /// response frame (see [`answer_read`]) replaces the request frame.
-    PullNewer(Refresh),
+    PullNewer,
     /// Apply gradients through the server-side optimizer.
     Push,
     /// Overwrite values (no optimizer).
@@ -101,7 +89,7 @@ impl FrameOp {
     /// The stream op byte for this operation.
     pub fn wire_op(self) -> u8 {
         match self {
-            FrameOp::PullNewer(_) => OP_PULL_NEWER,
+            FrameOp::PullNewer => OP_PULL_NEWER,
             FrameOp::Push => OP_PUSH,
             FrameOp::Write => OP_WRITE,
         }
@@ -129,7 +117,7 @@ impl Transport for SimTransport {
     /// client applies a batch's frames ([`apply_frame`]) once every shard's
     /// got through, so a batch one shard refuses changes nothing.
     fn carry(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError> {
-        if let FrameOp::PullNewer(_) = op {
+        if op == FrameOp::PullNewer {
             answer_read(&self.0, shard, frame);
         }
         Ok(())
@@ -463,9 +451,7 @@ impl ProcessTransport {
             return Err(bad_reply("reply failed checksum"));
         }
         match op {
-            FrameOp::PullNewer(_)
-                if reply == OP_PULL_NEWER && answers(&self.widths, frame, &resp) =>
-            {
+            FrameOp::PullNewer if reply == OP_PULL_NEWER && answers(&self.widths, frame, &resp) => {
                 *frame = resp;
                 Ok(())
             }
@@ -591,11 +577,7 @@ mod tests {
     fn frame_ops_have_distinct_wire_bytes() {
         assert_eq!(FrameOp::Push.wire_op(), OP_PUSH);
         assert_eq!(FrameOp::Write.wire_op(), OP_WRITE);
-        assert_eq!(FrameOp::PullNewer(Refresh::Sync).wire_op(), OP_PULL_NEWER);
-        assert_eq!(
-            FrameOp::PullNewer(Refresh::Construction).wire_op(),
-            OP_PULL_NEWER
-        );
+        assert_eq!(FrameOp::PullNewer.wire_op(), OP_PULL_NEWER);
         let ops = [OP_PUSH, OP_WRITE, OP_ACK, OP_SHUTDOWN, OP_PULL_NEWER];
         for (i, a) in ops.iter().enumerate() {
             assert!(!ops[..i].contains(a), "op byte {a} used twice");

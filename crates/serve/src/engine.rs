@@ -147,22 +147,6 @@ impl ServeEngine {
         self.entity_row(&snap, id, out)
     }
 
-    /// Copy relation `id`'s embedding into `out`. Relations are few and
-    /// uniformly hot, so they are served straight from the snapshot.
-    pub fn lookup_relation(&self, id: u32, out: &mut Vec<f32>) -> Result<(), ServeError> {
-        let snap = self.cell.load();
-        let n = snap.relations.rows();
-        if id as usize >= n {
-            return Err(ServeError::UnknownRelation {
-                id,
-                num_relations: n,
-            });
-        }
-        out.clear();
-        out.extend_from_slice(snap.relations.row(id as usize));
-        Ok(())
-    }
-
     /// Fetch one entity row against a pinned snapshot, through the cache.
     fn entity_row(
         &self,
@@ -307,8 +291,6 @@ mod tests {
         // Second lookup may come from cache; identical either way.
         eng.lookup_entity(17, &mut out).unwrap();
         assert_eq!(out, snap.entities.row(17));
-        eng.lookup_relation(2, &mut out).unwrap();
-        assert_eq!(out, snap.relations.row(2));
     }
 
     #[test]
@@ -318,10 +300,6 @@ mod tests {
         assert!(matches!(
             eng.lookup_entity(10_000, &mut out),
             Err(ServeError::UnknownEntity { id: 10_000, .. })
-        ));
-        assert!(matches!(
-            eng.lookup_relation(99, &mut out),
-            Err(ServeError::UnknownRelation { id: 99, .. })
         ));
         let mut scratch = eng.scratch();
         assert!(matches!(

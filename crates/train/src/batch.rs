@@ -144,23 +144,6 @@ impl GradAccum {
             .map(|&s| (self.key_at(s), self.row_at(s)))
     }
 
-    /// Keys and gradient slices as parallel vectors (for batched pushes).
-    /// Deterministically ordered by key.
-    pub fn as_batch(&self) -> (Vec<ParamKey>, Vec<&[f32]>) {
-        let mut slots = Vec::new();
-        self.sorted_slots_into(&mut slots);
-        let keys = slots.iter().map(|&s| self.key_at(s)).collect();
-        let grads = slots.iter().map(|&s| self.row_at(s)).collect();
-        (keys, grads)
-    }
-
-    /// Collect the touched keys, sorted, into `out`.
-    pub fn keys_into(&self, out: &mut Vec<ParamKey>) {
-        out.clear();
-        out.extend(self.touched.iter().map(|&s| self.key_at(s)));
-        out.sort_unstable();
-    }
-
     /// Collect the touched slots, ordered by key, into `out`: the order a
     /// push walks them in (pair with [`GradAccum::key_at`] and
     /// [`GradAccum::row_at`]).
@@ -720,14 +703,14 @@ mod tests {
         g.add(ParamKey(5), &[1.0]);
         g.add(ParamKey(2), &[2.0]);
         g.add(ParamKey(5), &[3.0]);
-        let (keys, grads) = g.as_batch();
+        // The order a push walks the accumulator in: by key, each key's
+        // gradients summed in its one row.
+        let mut slots = vec![99];
+        g.sorted_slots_into(&mut slots);
+        let keys: Vec<ParamKey> = slots.iter().map(|&s| g.key_at(s)).collect();
         assert_eq!(keys, vec![ParamKey(2), ParamKey(5)]);
-        assert_eq!(grads[0], &[2.0]);
-        assert_eq!(grads[1], &[4.0]);
-        // The allocation-free pair agrees with `as_batch`.
-        let mut reused = vec![ParamKey(99)];
-        g.keys_into(&mut reused);
-        assert_eq!(reused, keys);
+        assert_eq!(g.row_at(slots[0]), &[2.0]);
+        assert_eq!(g.row_at(slots[1]), &[4.0]);
         assert_eq!(g.row(ParamKey(2)), &[2.0]);
         assert_eq!(g.row(ParamKey(5)), &[4.0]);
     }
@@ -981,9 +964,9 @@ mod tests {
         grads.reset(scratch.plan.layout());
         assert!(grads.is_empty());
         assert_eq!(grads.iter().count(), 0);
-        let mut keys = vec![ParamKey(9)];
-        grads.keys_into(&mut keys);
-        assert!(keys.is_empty());
+        let mut slots = vec![9];
+        grads.sorted_slots_into(&mut slots);
+        assert!(slots.is_empty());
         let mut planned_ws = WorkingSet::new();
         planned_ws.reset(scratch.plan.layout());
         for (slot, &k) in scratch.plan.keys().iter().enumerate() {

@@ -10,7 +10,6 @@ use hetkg_embed::negative::NegConfig;
 use hetkg_embed::ModelKind;
 use hetkg_netsim::{ClusterTopology, CompressionMode, CostModel, FaultPlan};
 use hetkg_ps::optimizer::OptimizerKind;
-use hetkg_ps::{BreakerConfig, RetryBudgetConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which training system to run (the paper's comparison grid).
@@ -61,19 +60,10 @@ pub struct CacheConfig {
     pub prefetch_depth: usize,
     /// Staleness bound `P` (Fig. 8b): the table is synchronized every `P`
     /// iterations, and a cached row's gradients are written back once per
-    /// such window, by the push before the sync at the latest.
+    /// such window, by the push before the sync at the latest. Under a fault
+    /// plan a cached row may go eight periods unconfirmed
+    /// ([`SyncConfig::degraded_bound`]).
     pub staleness: usize,
-    /// Hard staleness ceiling for degraded mode: during a PS-shard outage
-    /// the cache keeps serving stale hits past `P`, but once a cached key
-    /// has gone this many iterations without a sync the worker blocks and
-    /// waits the outage out (in simulated time) instead of drifting
-    /// further. Only reachable with fault injection enabled.
-    #[serde(default = "default_staleness_cap")]
-    pub staleness_cap: usize,
-}
-
-fn default_staleness_cap() -> usize {
-    64
 }
 
 impl Default for CacheConfig {
@@ -84,7 +74,6 @@ impl Default for CacheConfig {
             heterogeneity_aware: true,
             prefetch_depth: 16,
             staleness: 8,
-            staleness_cap: default_staleness_cap(),
         }
     }
 }
@@ -191,14 +180,16 @@ pub struct TrainConfig {
     #[serde(default = "default_replication")]
     pub replication: usize,
     /// Run-global retry budget (token bucket shared by every worker's PS
-    /// client). `None` (the default) keeps the unbudgeted per-message
-    /// retry policy — bit-identical to pre-overload behavior.
-    #[serde(default)]
-    pub retry_budget: Option<RetryBudgetConfig>,
-    /// Per-shard circuit breakers (Closed→Open→HalfOpen) on the PS
-    /// clients. `None` (the default) disables breakers entirely.
-    #[serde(default)]
-    pub breaker: Option<BreakerConfig>,
+    /// client, [`hetkg_ps::RetryBudget`]). Off (the default) keeps the
+    /// unbudgeted per-message retries — bit-identical to pre-overload
+    /// behavior.
+    #[serde(default, deserialize_with = "switch")]
+    pub retry_budget: bool,
+    /// Per-shard circuit breakers (Closed→Open→HalfOpen) on the PS clients,
+    /// [`hetkg_ps::ShardBreakers`]. Off (the default) disables breakers
+    /// entirely.
+    #[serde(default, deserialize_with = "switch")]
+    pub breaker: bool,
     /// Push-path gradient compression. [`CompressionMode::Off`] (the
     /// default) is bit-identical to pre-compression behavior; the lossy
     /// modes (int8/int4 row quantization, top-k sparsification, or the
@@ -274,6 +265,17 @@ fn default_replication() -> usize {
     1
 }
 
+/// An on/off switch, or as older configs wrote it: `null` for off, the
+/// retired parameter object for on.
+fn switch(v: &serde::Value) -> Result<bool, serde::Error> {
+    match v {
+        serde::Value::Bool(on) => Ok(*on),
+        serde::Value::Null => Ok(false),
+        serde::Value::Map(_) => Ok(true),
+        other => Err(serde::Error::invalid_type("bool", other)),
+    }
+}
+
 impl TrainConfig {
     /// A small, fast configuration used by tests and the quickstart
     /// example (TransE-L2, logistic loss, 2 machines).
@@ -301,8 +303,8 @@ impl TrainConfig {
             supervisor: SupervisorConfig::default(),
             overlap: true,
             replication: 1,
-            retry_budget: None,
-            breaker: None,
+            retry_budget: false,
+            breaker: false,
             compression: CompressionMode::Off,
             transport: TransportKind::Sim,
             ps_server_bin: None,
@@ -336,8 +338,8 @@ impl TrainConfig {
             supervisor: SupervisorConfig::default(),
             overlap: true,
             replication: 1,
-            retry_budget: None,
-            breaker: None,
+            retry_budget: false,
+            breaker: false,
             compression: CompressionMode::Off,
             transport: TransportKind::Sim,
             ps_server_bin: None,
@@ -360,7 +362,7 @@ impl TrainConfig {
             Err(SocketRefusal::FaultInjection)
         } else if self.replication.min(self.machines) > 1 {
             Err(SocketRefusal::Replication)
-        } else if self.retry_budget.is_some() || self.breaker.is_some() {
+        } else if self.retry_budget || self.breaker {
             Err(SocketRefusal::OverloadProtection)
         } else {
             Ok(())
@@ -443,11 +445,11 @@ mod tests {
     fn sockets_refuse_overload_protection() {
         let clean = TrainConfig::small(SystemKind::HetKgCps);
         let budgeted = TrainConfig {
-            retry_budget: Some(RetryBudgetConfig::default()),
+            retry_budget: true,
             ..clean.clone()
         };
         let guarded = TrainConfig {
-            breaker: Some(BreakerConfig::default()),
+            breaker: true,
             ..clean
         };
         for cfg in [budgeted, guarded] {
@@ -470,8 +472,8 @@ mod tests {
 
     #[test]
     fn fault_fields_default_when_absent_from_json() {
-        // Pre-fault-subsystem configs (no `faults`/`checkpoint_every`/
-        // `staleness_cap` fields) must keep deserializing.
+        // Configs from before the fault subsystem (no `faults`,
+        // `checkpoint_every` or any later field) must keep deserializing.
         let cfg = TrainConfig::small(SystemKind::DglKe);
         let mut v = serde_json::to_value(&cfg).unwrap();
         let obj = v.as_object_mut().unwrap();
@@ -487,22 +489,16 @@ mod tests {
         obj.remove("compression");
         obj.remove("transport");
         obj.remove("ps_server_bin");
-        obj.get_mut("cache")
-            .unwrap()
-            .as_object_mut()
-            .unwrap()
-            .remove("staleness_cap");
         let back: TrainConfig = serde_json::from_value(v).unwrap();
         assert!(back.faults.is_none());
         assert_eq!(back.checkpoint_every, 0);
-        assert_eq!(back.cache.staleness_cap, 64);
         assert!(back.integrity, "checksums default on");
         assert!(back.checkpoint_dir.is_none());
         assert_eq!(back.supervisor, SupervisorConfig::default());
         assert!(back.overlap, "pipelining defaults on");
         assert_eq!(back.replication, 1, "replication defaults off");
-        assert!(back.retry_budget.is_none(), "retry budget defaults off");
-        assert!(back.breaker.is_none(), "breakers default off");
+        assert!(!back.retry_budget, "retry budget defaults off");
+        assert!(!back.breaker, "breakers default off");
         assert_eq!(
             back.compression,
             CompressionMode::Off,
@@ -514,5 +510,28 @@ mod tests {
             "transport defaults to the simulated path"
         );
         assert!(back.ps_server_bin.is_none());
+    }
+
+    #[test]
+    fn settings_that_became_constants_still_load() {
+        // What a config carried before the robustness tuning became
+        // constants: parameter objects for the budget and breakers, a
+        // degraded-mode staleness cap, the supervisor's timings. The
+        // objects and `null` read as on and off; the rest is ignored.
+        let mut v = serde_json::to_value(TrainConfig::small(SystemKind::HetKgDps)).unwrap();
+        let budget =
+            r#"{"initial_millitokens":2000,"earn_millitokens":25,"cap_millitokens":20000}"#;
+        v["retry_budget"] = serde_json::from_str(budget).unwrap();
+        v["breaker"] = serde_json::Value::Null;
+        v["cache"]["staleness_cap"] = serde_json::Value::UInt(64);
+        v["supervisor"]["heartbeat_timeout"] = serde_json::Value::Float(0.05);
+        let back: TrainConfig = serde_json::from_value(v).unwrap();
+        assert!(back.retry_budget);
+        assert!(!back.breaker);
+        assert_eq!(back.cache, CacheConfig::default());
+        assert_eq!(back.supervisor, SupervisorConfig::default());
+        let json = serde_json::to_string(&back).unwrap();
+        let again: TrainConfig = serde_json::from_str(&json).unwrap();
+        assert!(again.retry_budget && !again.breaker);
     }
 }

@@ -13,15 +13,18 @@
 //! Plans that lose state on purpose — shard outages (the HET-KG cache
 //! serves stale hits in degraded mode) and worker crashes (training rewinds
 //! to a checkpoint) — cannot be exact. For those the oracle checks a loose
-//! envelope implied by bounded staleness: each cache read is at most
-//! `max(P, staleness_cap)` iterations stale, so per-key drift is bounded by
-//! a multiple of the learning rate times `sqrt(dim)` times that bound. The
+//! envelope implied by bounded staleness: each cache read is at most eight
+//! sync periods stale ([`SyncConfig::degraded_bound`], the bound the
+//! worker asserts), so per-key drift is bounded by a multiple of the
+//! learning rate times `sqrt(dim)` times that bound. The
 //! envelope is a catastrophic-divergence detector (NaN blowups, runaway
 //! keys), not a tight proof; the structural staleness check rides along.
 
 use crate::config::TrainConfig;
 use crate::report::TrainReport;
 use crate::trainer::{snapshot, train_with_store};
+#[cfg(doc)]
+use hetkg_core::sync::SyncConfig;
 use hetkg_embed::storage::EmbeddingTable;
 use hetkg_kgraph::{KnowledgeGraph, Triple};
 use hetkg_netsim::FaultPlan;
@@ -59,7 +62,7 @@ pub struct OracleReport {
     /// Whether the divergence stayed inside the envelope (for `exact`
     /// plans: whether it is exactly zero).
     pub within_bound: bool,
-    /// Whether observed cache staleness respected `max(P, staleness_cap)`.
+    /// Whether observed cache staleness respected the degraded bound, `8·P`.
     pub staleness_ok: bool,
     /// Keys compared (entities + relations).
     pub keys_compared: usize,
@@ -76,10 +79,7 @@ impl OracleReport {
             "divergence oracle violated: max per-key divergence {} exceeds {} (exact: {})",
             self.max_divergence, self.bound, self.exact
         );
-        assert!(
-            self.staleness_ok,
-            "staleness exceeded max(P, staleness_cap)"
-        );
+        assert!(self.staleness_ok, "staleness exceeded 8·P");
     }
 }
 
@@ -93,7 +93,7 @@ impl OracleReport {
 /// run's update *schedule* (and with it cache sync points) can differ from
 /// the reference — the staleness envelope is the right check.
 /// Overload windows likewise perturb values: the brownout serves stale
-/// hits past `P` (up to the staleness cap) and sheds or defers pushes, so
+/// hits past `P` (up to the degraded bound) and sheds or defers pushes, so
 /// the envelope — not bit-exactness — is the contract.
 ///
 /// Push compression is judged separately (see [`shadow_check_with_store`]):
@@ -175,7 +175,7 @@ pub fn shadow_check_with_store(
     let lr = match config.optimizer {
         OptimizerKind::Sgd { lr } | OptimizerKind::AdaGrad { lr } => lr,
     };
-    let stale_bound = config.cache.staleness.max(config.cache.staleness_cap);
+    let stale_bound = config.cache.sync().degraded_bound();
     let bound = if exact {
         0.0
     } else {

@@ -24,44 +24,38 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Failure-detection and restart policy.
+/// Simulated seconds of heartbeat silence before a worker is suspected:
+/// 50 ms. Workers beat once per epoch and a crash silences the whole pool,
+/// so the trainer's sweep one timeout after the newest beat always finds it;
+/// the value only dates the detection in the report, and 50 ms is short
+/// against any epoch.
+pub const HEARTBEAT_TIMEOUT_SECS: f64 = 0.050;
+/// Simulated backoff before a worker's first restart: 10 ms, a fifth of the
+/// heartbeat timeout, so the pool is back well inside one detection window.
+const RESTART_BACKOFF_SECS: f64 = 0.010;
+/// Each further restart of the same worker waits twice as long as the one
+/// before: a worker that keeps dying backs off exponentially until its
+/// restart budget runs out.
+const RESTART_BACKOFF_FACTOR: f64 = 2.0;
+
+/// The restart budget: how many restarts a worker is granted before the
+/// supervisor gives up (`--max-restarts`). Detection and backoff timings
+/// are constants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
-    /// Simulated seconds of heartbeat silence before a worker is suspected.
-    #[serde(default = "default_heartbeat_timeout")]
-    pub heartbeat_timeout: f64,
     /// Restarts granted per worker before the supervisor gives up.
     #[serde(default = "default_max_restarts")]
     pub max_restarts: u32,
-    /// Simulated backoff before the first restart of a worker.
-    #[serde(default = "default_restart_backoff")]
-    pub restart_backoff: f64,
-    /// Multiplier applied to the backoff on each successive restart of the
-    /// same worker.
-    #[serde(default = "default_backoff_factor")]
-    pub backoff_factor: f64,
 }
 
-fn default_heartbeat_timeout() -> f64 {
-    0.050
-}
 fn default_max_restarts() -> u32 {
     3
-}
-fn default_restart_backoff() -> f64 {
-    0.010
-}
-fn default_backoff_factor() -> f64 {
-    2.0
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
-            heartbeat_timeout: default_heartbeat_timeout(),
             max_restarts: default_max_restarts(),
-            restart_backoff: default_restart_backoff(),
-            backoff_factor: default_backoff_factor(),
         }
     }
 }
@@ -179,11 +173,6 @@ impl Supervisor {
     /// heartbeat at simulated time zero.
     pub fn new(config: SupervisorConfig, num_workers: usize) -> Self {
         assert!(num_workers > 0, "nothing to supervise");
-        assert!(
-            config.heartbeat_timeout > 0.0,
-            "heartbeat timeout must be positive"
-        );
-        assert!(config.backoff_factor >= 1.0, "backoff must not shrink");
         Self {
             config,
             states: vec![WorkerState::Healthy; num_workers],
@@ -191,11 +180,6 @@ impl Supervisor {
             restarts: vec![0; num_workers],
             report: SupervisorReport::default(),
         }
-    }
-
-    /// The policy in force.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
     }
 
     /// A worker's current state.
@@ -224,7 +208,7 @@ impl Supervisor {
         let mut suspected = Vec::new();
         for w in 0..self.states.len() {
             if self.states[w] == WorkerState::Healthy
-                && now - self.last_beat[w] > self.config.heartbeat_timeout
+                && now - self.last_beat[w] > HEARTBEAT_TIMEOUT_SECS
             {
                 self.states[w] = WorkerState::Suspected;
                 self.report.detections += 1;
@@ -262,11 +246,8 @@ impl Supervisor {
             });
             return RestartDecision::GiveUp;
         }
-        let backoff = self.config.restart_backoff
-            * self
-                .config
-                .backoff_factor
-                .powi(self.restarts[worker] as i32);
+        let backoff =
+            RESTART_BACKOFF_SECS * RESTART_BACKOFF_FACTOR.powi(self.restarts[worker] as i32);
         self.restarts[worker] += 1;
         self.states[worker] = WorkerState::Healthy;
         self.last_beat[worker] = self.last_beat[worker].max(now + backoff);
@@ -322,13 +303,7 @@ mod tests {
     use super::*;
 
     fn sup(max_restarts: u32) -> Supervisor {
-        Supervisor::new(
-            SupervisorConfig {
-                max_restarts,
-                ..SupervisorConfig::default()
-            },
-            2,
-        )
+        Supervisor::new(SupervisorConfig { max_restarts }, 2)
     }
 
     #[test]
@@ -412,13 +387,7 @@ mod tests {
     fn events_are_ordered_and_serializable() {
         // One supervised worker, so the event order below is exactly its
         // own transition sequence.
-        let mut s = Supervisor::new(
-            SupervisorConfig {
-                max_restarts: 1,
-                ..SupervisorConfig::default()
-            },
-            1,
-        );
+        let mut s = Supervisor::new(SupervisorConfig { max_restarts: 1 }, 1);
         s.poll(1.0);
         s.confirm_crash(0, 4, 1.0);
         s.request_restart(0, 1.0);

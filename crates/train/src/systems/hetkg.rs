@@ -42,10 +42,10 @@
 //!
 //! With fault injection attached the cache doubles as a degraded-mode
 //! buffer: while a PS shard is down, cached keys homed there keep serving
-//! (stale) hits past the sync bound `P` up to a hard staleness cap, and
-//! their gradient pushes — rows written back included, with their energy —
-//! are deferred into a local backlog that is replayed once the shard
-//! recovers. With overload protection attached
+//! (stale) hits past the sync bound `P` for up to eight sync periods
+//! ([`SyncConfig::degraded_bound`]), and their gradient pushes — rows
+//! written back included, with their energy — are deferred into a local
+//! backlog that is replayed once the shard recovers. With overload protection attached
 //! ([`hetkg_ps::OverloadControl`]) the same machinery doubles as a
 //! *brownout*: a shard whose circuit breaker is open is treated like a
 //! down shard — cached keys serve stale (counted separately as brownout
@@ -276,12 +276,6 @@ pub struct HetKgWorker {
     /// Degraded mode: gradient pushes deferred while their home shard was
     /// down, replayed on recovery.
     backlog: HashMap<ParamKey, Deferred>,
-    /// Degraded mode: hard ceiling on cache staleness. While a shard is
-    /// down, cached keys skip the periodic refresh and keep serving stale
-    /// hits — but once staleness reaches this cap the worker refreshes
-    /// everything anyway, waiting the outage out in simulated time rather
-    /// than drifting further.
-    staleness_cap: usize,
     /// Cross-step state for the epoch in progress.
     run: EpochRun,
     /// Cache stats at epoch start (the epoch report is the delta).
@@ -364,18 +358,9 @@ impl HetKgWorker {
             staged_pull: StagedPull::default(),
             staged_miss_uses: 0,
             backlog: HashMap::new(),
-            staleness_cap: 64,
             run: EpochRun::default(),
             epoch_start_cache: CacheStats::new(),
         }
-    }
-
-    /// Override the degraded-mode staleness ceiling (see
-    /// [`crate::config::CacheConfig::staleness_cap`]). Only relevant when
-    /// fault injection is attached to the PS client.
-    pub fn with_staleness_cap(mut self, cap: usize) -> Self {
-        self.staleness_cap = cap.max(1);
-        self
     }
 
     /// The cache table (exposed for tests and the harness's hit-ratio
@@ -393,14 +378,12 @@ impl HetKgWorker {
     /// The largest age (iterations since it was last confirmed current) a
     /// cached row may be read at: `P` — a read at a sync iteration precedes
     /// that iteration's refresh, so the bound is inclusive — and, while a
-    /// fault plan lets syncs skip unhealthy shards, the staleness cap
-    /// rounded up to the sync schedule it is checked on.
+    /// fault plan lets syncs skip unhealthy shards, eight sync periods.
     fn staleness_bound(&self, degraded: bool) -> usize {
-        let p = self.sync.period;
         if degraded {
-            self.staleness_cap.next_multiple_of(p).max(p)
+            self.sync.degraded_bound()
         } else {
-            p
+            self.sync.period
         }
     }
 
@@ -472,9 +455,9 @@ impl HetKgWorker {
     /// returned; both count as zero-divergence samples, because that is
     /// what a full refresh would have measured on them. In degraded mode
     /// only — and not counted — rows homed on a down or browning-out shard
-    /// are skipped: they keep their old version and keep ageing toward
-    /// `staleness_cap`; once staleness reaches the cap everything is asked
-    /// about and the client waits the outage out (or probes the breaker) in
+    /// are skipped: they keep their old version and keep ageing toward the
+    /// degraded bound; once staleness reaches it everything is asked about
+    /// and the client waits the outage out (or probes the breaker) in
     /// simulated time. A partial sync does not reset the staleness clock.
     fn consume_time_request(&mut self, sync: bool, degraded: bool, staleness_now: usize) -> bool {
         // Test-only: the reference synchronizes as the code did before rows
@@ -487,7 +470,7 @@ impl HetKgWorker {
         let gated = true;
         let now = self.iteration;
         let client = &self.ctx.client;
-        let skip_unhealthy = degraded && staleness_now < self.staleness_cap;
+        let skip_unhealthy = degraded && staleness_now < self.sync.degraded_bound();
         let asked = |k: ParamKey| !skip_unhealthy || client.shard_healthy(k);
         let (late, late_slots, late_fresh) = self.staged_pull.late();
         self.probe_keys.clear();
@@ -697,7 +680,7 @@ impl HetKgWorker {
         ) {
             Ok(()) => {
                 if let Some(f) = self.ctx.client.faults() {
-                    f.injector.note_backlog_flush();
+                    f.note_backlog_flush();
                 }
             }
             Err(RpcError::Overloaded { .. }) => {
@@ -926,10 +909,10 @@ impl HetKgWorker {
         }
         if let Some(f) = client.faults() {
             if deferred > 0 {
-                f.injector.note_deferred_pushes(deferred);
+                f.note_deferred_pushes(deferred);
             }
             if shed > 0 {
-                f.injector.note_shed_pushes(shed);
+                f.note_shed_pushes(shed);
             }
         }
         self.table.clear_handed_over();
@@ -1073,10 +1056,10 @@ impl HetKgWorker {
         self.cache_stats.misses += self.staged_miss_uses;
         if let Some(f) = client.faults() {
             if degraded_uses > 0 {
-                f.injector.note_degraded_hits(degraded_uses);
+                f.note_degraded_hits(degraded_uses);
             }
             if brownout_uses > 0 {
-                f.injector.note_brownout_stale_serves(brownout_uses);
+                f.note_brownout_stale_serves(brownout_uses);
             }
         }
         let (late, _, late_fresh) = self.staged_pull.late();
@@ -1242,9 +1225,7 @@ mod tests {
         ClusterTopology, CostModel, FaultInjector, FaultPlan, OverloadWindow, TrafficMeter,
     };
     use hetkg_ps::optimizer::AdaGrad;
-    use hetkg_ps::{
-        BreakerConfig, KvStore, OverloadControl, PsClient, RetryPolicy, ShardBreakers, ShardRouter,
-    };
+    use hetkg_ps::{KvStore, OverloadControl, PsClient, ShardRouter};
     use std::sync::Arc;
 
     fn build(policy_kind: PolicyKind, capacity: usize) -> HetKgWorker {
@@ -1286,10 +1267,7 @@ mod tests {
         let meter = Arc::new(TrafficMeter::new());
         let mut client = PsClient::new(0, ClusterTopology::new(2, 1), store, meter.clone());
         if let Some((plan, cost)) = faults {
-            client = client.with_faults(
-                Arc::new(FaultInjector::new(plan, cost, 0)),
-                RetryPolicy::default(),
-            );
+            client = client.with_faults(Arc::new(FaultInjector::new(plan, cost, 0)));
         }
         if let Some(ctl) = overload {
             client = client.with_overload(ctl);
@@ -1550,7 +1528,7 @@ mod tests {
             assert_eq!(a.cache.hits, b.cache.hits);
             assert_eq!(a.cache.misses, b.cache.misses);
         }
-        let stats = faulty.ctx.client.faults().unwrap().injector.stats();
+        let stats = faulty.ctx.client.faults().unwrap().stats();
         assert_eq!(stats.total_faults(), 0);
         assert_eq!(stats.degraded_hits, 0);
         assert_eq!(stats.deferred_pushes, 0);
@@ -1590,8 +1568,7 @@ mod tests {
         for e in 0..2 {
             w.run_epoch(e);
         }
-        let binding = w.ctx.client.faults().unwrap();
-        let stats = binding.injector.stats();
+        let stats = w.ctx.client.faults().unwrap().stats();
         assert!(
             stats.degraded_hits > 0,
             "no stale hits served during the outage: {stats:?}"
@@ -1624,51 +1601,45 @@ mod tests {
             compute_rate: 4000.0,
         };
         // Worker 0 lives on machine 0, so shard 1 is remote. The flash
-        // crowd sheds *every* shard-1 arrival between 0.5 s and 6.5 s
+        // crowd sheds *every* shard-1 arrival between 0.5 s and 20 s
         // (queue capacity 0), with a 1 s relief hint.
         let plan = FaultPlan {
             seed: 7,
             overloads: vec![OverloadWindow {
                 shard: 1,
                 start: 0.5,
-                end: 6.5,
+                end: 20.0,
                 queue_capacity: 0,
                 drain_rate: 1.0,
                 latency_per_inflight: 0.0,
             }],
             ..FaultPlan::default()
         };
-        // One failure opens the breaker; probes resume after 2 s of
-        // cooldown. The latency-ratio signal is disabled so only hard
-        // overload verdicts trip.
-        let ctl = Arc::new(OverloadControl {
-            budget: None,
-            breakers: Some(ShardBreakers::new(
-                2,
-                BreakerConfig {
-                    failure_threshold: 1,
-                    cooldown_secs: 2.0,
-                    latency_ratio: f64::INFINITY,
-                },
-            )),
-        });
-        let mut w = build_inner(PolicyKind::Cps, 200, Some((plan, cost)), Some(ctl.clone()))
-            .with_staleness_cap(6);
+        // Breakers only, no budget: the first push the crowd sheds is
+        // retried until three failures open shard 1's breaker.
+        let ctl = Arc::new(OverloadControl::new(2, false, true).unwrap());
+        let mut w = build_inner(PolicyKind::Cps, 200, Some((plan, cost)), Some(ctl.clone()));
         // Pre-cache the full key space so the epoch never misses: every
         // shard-1 access during the brownout is then a stale serve or a
-        // deferred push. The construction pull lands at t = 0 (before the
-        // window) and advances the clock to 1.0 s — inside it; the first
-        // message the crowd can shed is iteration 3's write-back, some 3 s
-        // of compute later.
+        // deferred push, and nothing sends to shard 1 — nothing probes the
+        // open breaker — until a sync must ask about every row: at the
+        // degraded bound, 8·P = 32 iterations after the last full sync,
+        // some 35 s in, after the crowd has gone. The construction pull
+        // lands at t = 0 (before the window) and advances the clock to
+        // 1.0 s — inside it; the first message the crowd can shed is
+        // iteration 3's write-back, some 3 s of compute later.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
         let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
         precache(&mut w, &everything);
         w.iteration = 1;
-        for e in 0..2 {
+        for e in 0..4 {
             w.run_epoch(e);
         }
-        let binding = w.ctx.client.faults().unwrap();
-        let stats = binding.injector.stats();
+        assert!(
+            w.iteration > w.sync.degraded_bound(),
+            "the run reaches the bound"
+        );
+        let stats = w.ctx.client.faults().unwrap().stats();
         assert_eq!(
             stats.degraded_hits, 0,
             "no outage in the plan, yet outage hits were counted: {stats:?}"
@@ -1687,7 +1658,11 @@ mod tests {
         );
         let br = ctl.breakers.as_ref().unwrap();
         assert_eq!(br.opens(), 1, "exactly one trip expected");
-        assert_eq!(br.half_opens(), 1, "the staleness-cap refresh must probe");
+        assert_eq!(
+            br.half_opens(),
+            1,
+            "the sync at the degraded bound must probe"
+        );
         assert_eq!(br.closes(), 1, "the probe must close the breaker");
         assert!(br.brownout_secs() > 0.0);
         assert!(
@@ -1698,6 +1673,43 @@ mod tests {
             w.backlog.is_empty(),
             "backlog must drain once the breaker closes"
         );
+    }
+
+    /// What a faulty run's reads are held to is one function of `P`: the
+    /// worker's §IV-C assertion and the divergence oracle's envelope both
+    /// read [`SyncConfig::degraded_bound`] — 64 at the paper's `P` = 8, and
+    /// the same for both at a `P` that does not divide 64.
+    #[test]
+    fn degraded_bound_is_one_function() {
+        use crate::config::{SystemKind, TrainConfig};
+        use crate::oracle::{shadow_check, OracleConfig};
+        use hetkg_ps::optimizer::OptimizerKind;
+        assert_eq!(SyncConfig::new(8).degraded_bound(), 64);
+        let mut w = build(PolicyKind::Cps, 30);
+        for p in [1, 3, 8] {
+            w.sync = SyncConfig::new(p);
+            assert_eq!(w.staleness_bound(true), 8 * p);
+            assert_eq!(w.staleness_bound(false), p);
+        }
+        let g = SyntheticKg {
+            num_entities: 80,
+            num_relations: 6,
+            num_triples: 400,
+            ..Default::default()
+        }
+        .build(5);
+        let mut cfg = TrainConfig::small(SystemKind::HetKgCps);
+        cfg.epochs = 1;
+        cfg.cache.staleness = 3;
+        cfg.faults = Some(FaultPlan::shard_outage(7, 1, 0.0001, 0.01));
+        let oracle = OracleConfig::default();
+        let r = shadow_check(&g, g.triples(), &cfg, oracle);
+        let OptimizerKind::AdaGrad { lr } = cfg.optimizer else {
+            unreachable!("the small config trains with AdaGrad")
+        };
+        let envelope = oracle.slack * lr as f64 * (cfg.dim as f64).sqrt();
+        assert_eq!(r.bound, envelope * 24.0, "the oracle's envelope at 8·P");
+        r.assert_ok();
     }
 
     /// A sparse workload (entities ≫ batch coverage) where consecutive
@@ -1894,7 +1906,7 @@ mod tests {
                     );
                     if let Some(plan) = &spec.faults {
                         let injector = FaultInjector::new(plan.clone(), CostModel::gigabit(), w);
-                        client = client.with_faults(Arc::new(injector), RetryPolicy::default());
+                        client = client.with_faults(Arc::new(injector));
                     }
                     let subgraph = g
                         .triples()
@@ -2254,8 +2266,8 @@ mod tests {
                     assert_eq!(written_back, expected.iter().sum::<u64>(), "{what}");
                     for w in &pool {
                         if let Some(f) = w.ctx.client.faults() {
-                            deferred += f.injector.stats().deferred_pushes;
-                            assert_eq!(f.injector.stats().shed_pushes, 0, "{what}");
+                            deferred += f.stats().deferred_pushes;
+                            assert_eq!(f.stats().shed_pushes, 0, "{what}");
                         }
                         assert!(w.backlog.is_empty(), "{what}: the backlog drained");
                     }

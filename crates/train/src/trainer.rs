@@ -15,7 +15,7 @@
 
 use crate::config::{PartitionerKind, SystemKind, TrainConfig, TransportKind};
 use crate::report::{CompressionReport, EpochReport, FaultReport, TrainReport};
-use crate::supervisor::{RestartDecision, Supervisor};
+use crate::supervisor::{RestartDecision, Supervisor, HEARTBEAT_TIMEOUT_SECS};
 use crate::systems::dglke::DglKeWorker;
 use crate::systems::hetkg::HetKgWorker;
 use crate::systems::pbg::{LockServer, PbgPlan, PbgWorker};
@@ -30,8 +30,7 @@ use hetkg_kgraph::{ids::KeyKind, EntityId, KeySpace, KnowledgeGraph, RelationId,
 use hetkg_netsim::{CompressionMode, CompressionStats, FaultInjector, ShardLiveness, TrafficMeter};
 use hetkg_partition::{MetisLike, Partitioner, RandomPartitioner};
 use hetkg_ps::{
-    KvStore, OverloadControl, ProcessCluster, PsClient, RetryPolicy, ShardRouter,
-    ShardServerConfig, SocketMode,
+    KvStore, OverloadControl, ProcessCluster, PsClient, ShardRouter, ShardServerConfig, SocketMode,
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -164,7 +163,7 @@ pub fn train_with_store(
     // created outside `build_workers` so crash-recovery rebuilds keep the
     // balance and breaker states instead of resetting them.
     let overload =
-        OverloadControl::from_configs(topology.num_machines(), config.retry_budget, config.breaker)
+        OverloadControl::new(topology.num_machines(), config.retry_budget, config.breaker)
             .map(Arc::new);
     let injectors: Vec<Option<Arc<FaultInjector>>> = (0..topology.num_workers())
         .map(|w| {
@@ -207,7 +206,7 @@ pub fn train_with_store(
             let mut client = PsClient::new(w, topology, store.clone(), meter.clone())
                 .with_checksums(config.integrity);
             if let Some(inj) = &injectors[w] {
-                client = client.with_faults(inj.clone(), RetryPolicy::default());
+                client = client.with_faults(inj.clone());
             }
             if let Some(ctl) = &overload {
                 client = client.with_overload(ctl.clone());
@@ -237,10 +236,8 @@ pub fn train_with_store(
                 SystemKind::DglKe => Box::new(DglKeWorker::new(ctx, negatives, config.seed)),
                 SystemKind::HetKgCps | SystemKind::HetKgDps => {
                     let policy = config.cache.policy(ks.len(), config.system);
-                    Box::new(
-                        HetKgWorker::new(ctx, policy, config.cache.sync(), negatives, config.seed)
-                            .with_staleness_cap(config.cache.staleness_cap),
-                    )
+                    let sync = config.cache.sync();
+                    Box::new(HetKgWorker::new(ctx, policy, sync, negatives, config.seed))
                 }
                 SystemKind::Pbg => {
                     let (plan, locks) = pbg_shared.as_ref().expect("pbg shared state");
@@ -311,8 +308,8 @@ pub fn train_with_store(
             let sup = supervisor
                 .as_mut()
                 .expect("crash schedule implies a fault plan");
-            let detect_at = cluster_now(&injectors).max(sup.newest_beat())
-                + 1.01 * sup.config().heartbeat_timeout;
+            let detect_at =
+                cluster_now(&injectors).max(sup.newest_beat()) + 1.01 * HEARTBEAT_TIMEOUT_SECS;
             let dead = sup.poll(detect_at);
             debug_assert_eq!(dead.len(), workers.len(), "a crash kills the whole pool");
             let mut abandoned = false;

@@ -285,7 +285,7 @@ impl WorkerCtx {
     /// places outage/straggler windows correctly relative to the workload.
     pub fn advance_fault_clock(&self, work_units: u64) {
         if let Some(f) = self.client.faults() {
-            f.injector.advance_compute(work_units);
+            f.advance_compute(work_units);
         }
     }
 }
@@ -567,7 +567,7 @@ mod tests {
     use hetkg_embed::ModelKind;
     use hetkg_netsim::{ClusterTopology, FaultInjector, FaultPlan};
     use hetkg_ps::optimizer::Sgd;
-    use hetkg_ps::{KvStore, RetryPolicy, ShardRouter, SimTransport};
+    use hetkg_ps::{KvStore, ShardRouter, SimTransport};
     use proptest::prelude::*;
 
     fn ctx() -> WorkerCtx {
@@ -889,28 +889,16 @@ mod tests {
         }
     }
 
-    /// `c` with shard 1 down until simulated second 1 and a client that
-    /// gives up instead of waiting the outage out.
-    fn with_shard_1_down(mut c: WorkerCtx) -> (WorkerCtx, Arc<FaultInjector>) {
-        let inj = Arc::new(FaultInjector::new(
-            FaultPlan::shard_outage(0, 1, 0.0, 1.0),
-            CostModel::gigabit(),
-            0,
-        ));
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            wait_for_recovery: false,
-            ..RetryPolicy::default()
-        };
-        c.client = c.client.with_faults(inj.clone(), policy);
-        (c, inj)
-    }
-
     #[test]
-    #[should_panic(expected = "ps pull_batch failed after retries: shard 1 unavailable")]
+    #[should_panic(
+        expected = "ps pull_batch failed after retries: message dropped on all 8 attempts"
+    )]
     fn a_pull_that_exhausts_its_retries_stops_the_run() {
-        let (c, _) = ctx_on(2);
-        let (mut c, _) = with_shard_1_down(c);
+        let (mut c, _) = ctx_on(2);
+        // Every remote message is lost, so the pull of a key on shard 1
+        // runs out of attempts.
+        let inj = FaultInjector::new(FaultPlan::lossy(0, 1.0), CostModel::gigabit(), 0);
+        c.client = c.client.with_faults(Arc::new(inj));
         pull(&mut c, &[ParamKey(1)]);
     }
 

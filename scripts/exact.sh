@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Do two commits train the same model over the same bytes?
 #
-#   scripts/exact.sh <rev> [--full] [seed...]
+#   scripts/exact.sh <rev> [--full | --faults] [seed...]
 #
 # Exports <rev> beside the working tree (`git archive` into
 # target/exact/<sha>/src, built into its own target/exact/<sha>/target; .git
@@ -30,26 +30,69 @@
 # loss bits, bytes and messages (remote/local), bytes by cause, and a digest
 # of the final store.
 #
+# --faults runs none of that. It builds `hetkg` on both sides and trains
+# with every CLI fault profile at every seed given (default 11 23 47, the
+# chaos jobs' seeds) — lossy, corrupt, corrupt --integrity off, outage,
+# overload (retry budget and breakers on, the profile's default), chaos,
+# and failover --replication 2 — on `--synthetic fb15k --epochs 3` with
+# `--oracle on`, and prints `=` / `≠` per profile for the run's stdout and
+# for the checkpoint's bytes. Fault runs report simulated time only, so
+# both are deterministic.
+#
 # Prints; gates nothing: a change that means to move a field says so, and
 # this is the table it says it with.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 1 ]] || { sed -n '2,34p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,43p' "$0" >&2; exit 2; }
 sha="$(git rev-parse --short=12 "$1^{commit}")"
 shift
 mode=(--seconds 3 --trace 1 --quick)
 split=(--quick)
 seeds=()
+faults=0
 for arg in "$@"; do
-    if [[ $arg == --full ]]; then mode=(--seconds 20 --trace 0); split=(); else seeds+=("$arg"); fi
+    case $arg in
+        --full) mode=(--seconds 20 --trace 0); split=() ;;
+        --faults) faults=1 ;;
+        *) seeds+=("$arg") ;;
+    esac
 done
-[[ ${#seeds[@]} -gt 0 ]] || seeds=(7)
 
 root="$PWD/target/exact/$sha"
 rm -rf "$root/src"
 mkdir -p "$root/src"
 git archive "$sha" | tar -x -C "$root/src"
+
+if [[ $faults == 1 ]]; then
+    [[ ${#seeds[@]} -gt 0 ]] || seeds=(11 23 47)
+    profiles=(lossy corrupt "corrupt --integrity off" outage overload chaos
+              "failover --replication 2")
+    here_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")"
+    (cd "$root/src" && CARGO_TARGET_DIR="$root/target" cargo build --release --quiet --bin hetkg)
+    cargo build --release --quiet --bin hetkg
+    printf '%-6s %-26s %-7s%s\n' seed profile stdout checkpoint
+    for seed in "${seeds[@]}"; do
+        for profile in "${profiles[@]}"; do
+            # One directory per side, so the printed checkpoint path agrees.
+            for side in a b; do
+                bin="$here_target/release/hetkg"
+                [[ $side == a ]] && bin="$root/target/release/hetkg"
+                dir="$root/faults/$side"
+                rm -rf "$dir" && mkdir -p "$dir"
+                # shellcheck disable=SC2086 # a profile is a flag and its arguments
+                (cd "$dir" && "$bin" train --synthetic fb15k --epochs 3 --seed "$seed" \
+                    --fault-profile $profile --oracle on --out model.bin \
+                    > stdout.txt 2>&1 || echo "exit $?" >> stdout.txt)
+            done
+            same() { cmp -s "$root/faults/a/$1" "$root/faults/b/$1" && echo "=" || echo "≠"; }
+            printf '%-6s %-26s %s      %s\n' "$seed" "$profile" "$(same stdout.txt)" "$(same model.bin)"
+        done
+    done
+    exit 0
+fi
+
+[[ ${#seeds[@]} -gt 0 ]] || seeds=(7)
 cp examples/cause_split.rs "$root/src/examples/"
 
 # stdout: the lines of one run that carry a compared value.

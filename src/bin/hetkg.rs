@@ -156,8 +156,9 @@ fn usage() {
     println!("  --out PATH      checkpoint output                    (default hetkg-model.bin)");
     println!("  --checkpoint P  checkpoint input for `eval` / `serve`");
     println!("  --seed N        master seed                          (default 42)");
-    println!("  --no-overlap    disable comm/compute pipelining; reproduces the");
-    println!("                  sequential timing accounting bit for bit");
+    println!("  --no-overlap    disable comm/compute pipelining: stage nothing ahead and");
+    println!("                  report epoch time as max(compute, comm), the");
+    println!("                  perfect-overlap bound");
     println!("  --compress C    push-path gradient compression        (default off)");
     println!("                  off: dense f32 rows, bit-identical to pre-compression");
     println!("                  int8 | int4: per-row scaled quantization");
@@ -578,10 +579,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
     // breakers the client would retry-storm the saturated shard, so both
     // default on there (and off everywhere else).
     let overload_default = profile == "overload";
-    cfg.retry_budget = switch(flags, "retry-budget", overload_default)?
-        .then(het_kg::ps::RetryBudgetConfig::default);
-    cfg.breaker =
-        switch(flags, "breaker", overload_default)?.then(het_kg::ps::BreakerConfig::default);
+    cfg.retry_budget = switch(flags, "retry-budget", overload_default)?;
+    cfg.breaker = switch(flags, "breaker", overload_default)?;
     cfg.checkpoint_every = non_negative(flags, "checkpoint-every", 0)?;
     cfg.integrity = switch(flags, "integrity", true)?;
     cfg.checkpoint_dir = flags.get("checkpoint-dir").cloned();
@@ -654,15 +653,12 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             },
         );
     }
-    if cfg.retry_budget.is_some() || cfg.breaker.is_some() {
+    if cfg.retry_budget || cfg.breaker {
+        let on_off = |on: bool| if on { "on" } else { "off" };
         println!(
             "overload protection: retry budget {} | breakers {}",
-            if cfg.retry_budget.is_some() {
-                "on"
-            } else {
-                "off"
-            },
-            if cfg.breaker.is_some() { "on" } else { "off" },
+            on_off(cfg.retry_budget),
+            on_off(cfg.breaker),
         );
     }
     if cfg.replication > 1 {

@@ -84,7 +84,6 @@ pub mod prelude {
     };
     pub use hetkg_partition::{MetisLike, Partitioner, RandomPartitioner};
     pub use hetkg_ps::optimizer::OptimizerKind;
-    pub use hetkg_ps::RetryPolicy;
     pub use hetkg_serve::{
         run_load, LoadGenConfig, ServeEngine, ServeReport, ServingSnapshot, SnapshotCell,
         SnapshotReloader,

@@ -12,7 +12,6 @@
 //! disabled retransmits strictly more bytes (the classic retry storm).
 
 use het_kg::prelude::*;
-use het_kg::ps::{BreakerConfig, RetryBudgetConfig};
 use het_kg::train_sys::oracle;
 use het_kg::train_sys::report::TrainReport;
 
@@ -38,8 +37,8 @@ fn armed_overload_protection_is_invisible_without_faults() {
         plain.faults = Some(FaultPlan::default());
 
         let mut armed = plain.clone();
-        armed.retry_budget = Some(RetryBudgetConfig::default());
-        armed.breaker = Some(BreakerConfig::default());
+        armed.retry_budget = true;
+        armed.breaker = true;
 
         let a = train(&kg, &train_set, &[], &plain);
         let b = train(&kg, &train_set, &[], &armed);
@@ -77,8 +76,8 @@ fn flash_crowd_browns_out_and_recovers_across_seeds() {
         cfg.eval_candidates = None;
         cfg.seed = seed;
         cfg.faults = Some(FaultPlan::overload(seed));
-        cfg.retry_budget = Some(RetryBudgetConfig::default());
-        cfg.breaker = Some(BreakerConfig::default());
+        cfg.retry_budget = true;
+        cfg.breaker = true;
 
         let verdict = oracle::shadow_check(&kg, &train_set, &cfg, oracle::OracleConfig::default());
         let report = &verdict.report;
@@ -130,10 +129,10 @@ fn retry_budget_cuts_retransmitted_bytes_versus_the_storm() {
     with_budget.epochs = 3;
     with_budget.eval_candidates = None;
     with_budget.faults = Some(FaultPlan::overload(23));
-    with_budget.retry_budget = Some(RetryBudgetConfig::default());
+    with_budget.retry_budget = true;
 
     let mut storm = with_budget.clone();
-    storm.retry_budget = None;
+    storm.retry_budget = false;
 
     let a = train(&kg, &train_set, &[], &with_budget);
     let b = train(&kg, &train_set, &[], &storm);
@@ -163,8 +162,8 @@ fn overload_runs_are_reproducible() {
     cfg.epochs = 2;
     cfg.eval_candidates = None;
     cfg.faults = Some(FaultPlan::overload(23));
-    cfg.retry_budget = Some(RetryBudgetConfig::default());
-    cfg.breaker = Some(BreakerConfig::default());
+    cfg.retry_budget = true;
+    cfg.breaker = true;
 
     let a = train(&kg, &train_set, &[], &cfg);
     let b = train(&kg, &train_set, &[], &cfg);

@@ -1,6 +1,6 @@
 //! §IV-C as an enforced invariant: no hot-table read is staler than `P`
-//! (than `staleness_cap`, rounded up to the sync schedule, while a fault
-//! plan lets syncs skip unhealthy shards).
+//! (than eight sync periods, `8·P`, while a fault plan lets syncs skip
+//! unhealthy shards).
 //!
 //! The enforcement lives in the program: every cached row remembers the
 //! iteration it was last confirmed current at (received, or found to still
@@ -88,24 +88,17 @@ fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
                 cfg.epochs = 2;
                 cfg.eval_candidates = None;
                 cfg.cache.staleness = p;
-                // A cap the run can actually reach, and not a multiple of
-                // every P: the bound rounds it up to the sync schedule.
-                cfg.cache.staleness_cap = 6;
                 cfg.cache.prefetch_depth = 6;
                 cfg.faults = plan.clone();
                 if matches!(name, "failover" | "chaos") {
                     cfg.replication = 2;
                 }
                 if matches!(name, "overload" | "early-overload") {
-                    cfg.retry_budget = Some(Default::default());
-                    cfg.breaker = Some(Default::default());
+                    cfg.retry_budget = true;
+                    cfg.breaker = true;
                 }
                 let report = train(&kg, &train_set, &[], &cfg);
-                let bound = if plan.is_some() {
-                    cfg.cache.staleness_cap.next_multiple_of(p).max(p)
-                } else {
-                    p
-                };
+                let bound = if plan.is_some() { 8 * p } else { p };
                 let what = format!("{system} / {name} / P = {p}");
                 assert_eq!(report.epochs.len(), 2, "{what}: the run finished");
                 assert!(
@@ -113,6 +106,16 @@ fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
                     "{what}: a cached row was read {} iterations stale, bound {bound}",
                     report.max_staleness()
                 );
+                // The flash crowd's brownout at P = 1 and 4 reads rows
+                // staler than P: the degraded bound is exercised, not only
+                // met.
+                if name == "overload" && p < 8 {
+                    assert!(
+                        report.max_staleness() > p,
+                        "{what}: no row was read past P ({})",
+                        report.max_staleness()
+                    );
+                }
                 assert!(
                     report.total_cache().hits > 0,
                     "{what}: nothing was read from the cache"
