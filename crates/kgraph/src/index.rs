@@ -71,23 +71,6 @@ impl TripleIndex {
     pub fn contains(&self, t: Triple) -> bool {
         self.tails(t.head, t.relation).contains(&t.tail)
     }
-
-    /// How many true tails compete with `t.tail` for `(t.head, t.relation)`
-    /// — the count the *filtered* ranking protocol removes.
-    pub fn competing_tails(&self, t: Triple) -> usize {
-        self.tails(t.head, t.relation)
-            .iter()
-            .filter(|&&x| x != t.tail)
-            .count()
-    }
-
-    /// How many true heads compete with `t.head` for `(t.relation, t.tail)`.
-    pub fn competing_heads(&self, t: Triple) -> usize {
-        self.heads(t.relation, t.tail)
-            .iter()
-            .filter(|&&x| x != t.head)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -123,19 +106,6 @@ mod tests {
         assert!(idx.contains(Triple::new(0, 0, 1)));
         assert!(!idx.contains(Triple::new(1, 0, 0)));
         assert!(!idx.contains(Triple::new(0, 1, 1)));
-    }
-
-    #[test]
-    fn competing_counts_exclude_self() {
-        let idx = index();
-        // (0, r0, 1): the other true tail for (0, r0) is 2 → one competitor.
-        assert_eq!(idx.competing_tails(Triple::new(0, 0, 1)), 1);
-        // (0, r0, 2): competitor tail 1.
-        assert_eq!(idx.competing_tails(Triple::new(0, 0, 2)), 1);
-        // (0, r0, 2) heads: competitor 3.
-        assert_eq!(idx.competing_heads(Triple::new(0, 0, 2)), 1);
-        // relation 1 has a single triple: no competitors.
-        assert_eq!(idx.competing_tails(Triple::new(0, 1, 2)), 0);
     }
 
     #[test]

@@ -116,28 +116,6 @@ impl AccessCounter {
             mr / me
         }
     }
-
-    /// The Fig. 2 export: per-key access counts sorted descending, separately
-    /// for entities and relations (rank → frequency curves).
-    pub fn frequency_curves(&self) -> FrequencyCurves {
-        let mut entities: Vec<u64> = self.counts[..self.key_space.num_entities()].to_vec();
-        entities.sort_unstable_by(|a, b| b.cmp(a));
-        let mut relations: Vec<u64> = self.counts[self.key_space.num_entities()..].to_vec();
-        relations.sort_unstable_by(|a, b| b.cmp(a));
-        FrequencyCurves {
-            entities,
-            relations,
-        }
-    }
-}
-
-/// Rank-ordered access-frequency curves (Fig. 2's two series).
-#[derive(Debug, Clone)]
-pub struct FrequencyCurves {
-    /// Entity access counts, descending.
-    pub entities: Vec<u64>,
-    /// Relation access counts, descending.
-    pub relations: Vec<u64>,
 }
 
 /// Share of total mass held by the largest `top_frac` fraction of values.
@@ -237,19 +215,9 @@ mod tests {
         // Far fewer relations than entities, one relation access per triple:
         // heterogeneity must be large.
         assert!(c.heterogeneity_factor() > 5.0);
-        // And the curves are skewed.
-        let curves = c.frequency_curves();
-        assert!(curves.relations[0] > curves.relations[curves.relations.len() - 1]);
+        // And the relation counts are skewed.
+        let relations = &c.counts()[g.num_entities()..];
+        assert!(relations.iter().max() > relations.iter().min());
         assert!(c.relation_top_share(0.1) > 0.2);
-    }
-
-    #[test]
-    fn frequency_curves_are_sorted() {
-        let g = SyntheticKg::default().build(9);
-        let mut c = AccessCounter::new(g.key_space());
-        c.record_batch(g.triples());
-        let curves = c.frequency_curves();
-        assert!(curves.entities.windows(2).all(|w| w[0] >= w[1]));
-        assert!(curves.relations.windows(2).all(|w| w[0] >= w[1]));
     }
 }

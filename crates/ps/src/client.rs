@@ -13,12 +13,13 @@
 //! overwrite: the read [`PsClient::try_pull_newer_with`] (a pull-if-newer;
 //! [`PsClient::try_pull_batch_with`] is the call that holds no version),
 //! [`PsClient::try_push_coalesced_rows`] (a push whose trailing rows are
-//! written back with their energies; [`PsClient::try_push_batch_rows`] and
-//! its slice adapter [`PsClient::try_push_batch_with`] are the calls that
-//! write nothing back) and [`PsClient::try_write_batch_with`]. Each is batched (a single key is a
+//! written back with their energies; its slice adapter
+//! [`PsClient::try_push_batch_with`] writes nothing back) and
+//! [`PsClient::try_write_batch_with`]. Each is batched (a single key is a
 //! one-key batch), fallible, and builds its frames in a caller-owned
 //! [`PsScratch`]; what to do when the retries run out is the caller's
-//! decision.
+//! decision. The transport's shard applies a push or write; this client
+//! applies nothing ([`PsClient::catch_up`] aside).
 //!
 //! # Fault handling
 //!
@@ -50,7 +51,7 @@ use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
 use crate::overload::{Gate, OverloadControl, ShardBreakers};
 use crate::router::BatchPlan;
-use crate::transport::{apply_frame, FrameOp, SimTransport, Transport};
+use crate::transport::{FrameOp, SimTransport, Transport};
 use hetkg_kgraph::ParamKey;
 use hetkg_netsim::compress::encoded_len;
 use hetkg_netsim::{
@@ -58,6 +59,7 @@ use hetkg_netsim::{
     TrafficSnapshot, Verdict, WireFrame,
 };
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Bytes accounted per key id shipped in a request (u64 on the wire).
@@ -65,6 +67,9 @@ const KEY_BYTES: u64 = 8;
 /// Bytes accounted per trailer word — a row version on a read, a gradient
 /// energy on a push (u32 on the wire).
 const VERSION_BYTES: u64 = 4;
+/// Keys per round of image reads in [`PsClient::catch_up`]: 1024 rows of
+/// 128 values and their AdaGrad state are 1 MiB of replies in flight.
+const CATCH_UP_ROWS: usize = 1024;
 
 /// The shape of a read request frame, noted before its response replaces
 /// it, so the exchange can be metered as the one message it is.
@@ -79,20 +84,6 @@ struct Sent {
 }
 
 impl Sent {
-    /// `op`'s request as sent: `frame`'s shape for a read, `fresh` of its
-    /// versioned keys fresh; nothing for the ops whose one frame counts once
-    /// for both directions.
-    fn of(op: FrameOp, frame: &WireFrame, fresh: u64) -> Self {
-        match op {
-            FrameOp::PullNewer => Self {
-                keys: frame.keys.len() as u64,
-                versions: frame.versions.len() as u64,
-                fresh,
-            },
-            _ => Self::default(),
-        }
-    }
-
     fn bytes(self) -> u64 {
         KEY_BYTES * self.keys + VERSION_BYTES * self.versions
     }
@@ -178,8 +169,6 @@ pub struct PsScratch {
     /// How many fresh keys each shard's read frame asks about, for the call
     /// in flight (index = shard).
     fresh_in: Vec<u64>,
-    /// One decoded row: what applying a compressed frame decodes into.
-    row: Vec<f32>,
     /// Sealed frames for the call in flight (index = shard).
     wire: Vec<WireFrame>,
     /// Push-path compressor. `None` means compression is off — the dense
@@ -308,8 +297,8 @@ impl PsClient {
     }
 
     /// Have `transport` carry every frame instead of the in-process store.
-    /// Metering and the fault loop stay on this side of the seam; why the
-    /// trainer still refuses faults over a socket transport is at
+    /// Metering and the fault loop stay on this side of the seam; what the
+    /// trainer still refuses over a socket transport is at
     /// `TrainConfig::check_socket_transport`.
     pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
         self.transport = transport;
@@ -345,8 +334,8 @@ impl PsClient {
         self.faults.as_ref()
     }
 
-    /// The in-process store: what the default transport serves; a socket
-    /// run's mirror (evaluation snapshots, checkpoints).
+    /// The in-process store: the shards under the default transport; under
+    /// any other, their rows as of the last [`catch_up`](Self::catch_up).
     pub fn store(&self) -> &Arc<KvStore> {
         &self.store
     }
@@ -366,11 +355,11 @@ impl PsClient {
     /// and the row) the refresh. A push's serves two: its trailing rows, each
     /// with its energy word, are written back, the rows before them plain
     /// gradients.
-    fn record_exchange(&self, shard: usize, op: FrameOp, sent: Sent, frame: &WireFrame) {
+    fn record_exchange(&self, shard: usize, op: FrameOp<'_>, sent: Sent, frame: &WireFrame) {
         let remote = !self.topology.is_local(self.worker_id, shard);
         let bytes = frame.wire_bytes();
         match op {
-            FrameOp::Push => {
+            FrameOp::Push(_) => {
                 let plain = frame.keys.len() - frame.versions.len();
                 let written_back: u64 = frame.keys[plain..]
                     .iter()
@@ -412,26 +401,14 @@ impl PsClient {
                     ],
                 );
             }
+            FrameOp::Images => unreachable!("an image read is not metered"),
         }
-    }
-
-    /// Whether `key` is served from this worker's machine.
-    #[inline]
-    pub fn is_local(&self, key: ParamKey) -> bool {
-        self.topology
-            .is_local(self.worker_id, self.store.router().shard_of(key))
     }
 
     /// The shard `key` is homed on (the placement frame sealing uses).
     #[inline]
     pub fn shard_of(&self, key: ParamKey) -> usize {
         self.store.router().shard_of(key)
-    }
-
-    /// Number of PS shards behind this client.
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.store.router().num_shards()
     }
 
     /// Whether `key`'s home shard is reachable right now. Always true
@@ -567,36 +544,18 @@ impl PsClient {
         }
         let first_held = keys.len() - held.len();
         let unconditional = first_held - fresh;
-        let router = self.store.router();
-        router.plan_into(keys, &mut scratch.plan);
-        scratch.begin(router.num_shards());
+        let version = |i: usize| match i.checked_sub(first_held) {
+            Some(h) => Some(held[h]),
+            None => (i >= unconditional).then_some(NO_VERSION),
+        };
+        self.seal_reads(keys, version, unconditional..first_held, scratch);
         let PsScratch {
             plan,
             slots,
-            parts,
-            version_pool,
             fresh_in,
             wire,
             ..
         } = &mut *scratch;
-        fresh_in.clear();
-        // A shard's keys are in input order: unconditional, fresh, held.
-        for (shard, (mut frame_keys, rows)) in parts.drain(..).enumerate() {
-            let mut versions = version_pool.pop().unwrap_or_default();
-            versions.clear();
-            let mut nothing_held = 0;
-            for i in plan.indices(shard) {
-                frame_keys.push(keys[i].0);
-                if i >= first_held {
-                    versions.push(held[i - first_held]);
-                } else if i >= unconditional {
-                    versions.push(NO_VERSION);
-                    nothing_held += 1;
-                }
-            }
-            fresh_in.push(nothing_held);
-            wire.push(WireFrame::seal_versioned(frame_keys, versions, rows));
-        }
         self.transmit(plan, wire, FrameOp::PullNewer, fresh_in)?;
         // A response's payload is the unconditional rows, then the rows of
         // its keys — an in-order selection of the conditional ones.
@@ -639,9 +598,10 @@ impl PsClient {
         Ok(())
     }
 
-    /// [`try_push_batch_rows`](Self::try_push_batch_rows) for callers that
-    /// hold the gradients as a slice of rows: `grads[i]` is the gradient
-    /// for `keys[i]`.
+    /// [`try_push_coalesced_rows`](Self::try_push_coalesced_rows) for
+    /// callers that hold the gradients as a slice of rows, one gradient
+    /// each: `grads[i]` is the gradient for `keys[i]`, nothing is written
+    /// back.
     pub fn try_push_batch_with(
         &self,
         keys: &[ParamKey],
@@ -650,20 +610,7 @@ impl PsClient {
         scratch: &mut PsScratch,
     ) -> Result<(), RpcError> {
         assert_eq!(keys.len(), grads.len(), "one gradient per key");
-        self.try_push_batch_rows(keys, |i| grads[i], optimizer, scratch)
-    }
-
-    /// [`try_push_coalesced_rows`](Self::try_push_coalesced_rows) of rows
-    /// that are one gradient each: nothing is written back, no frame has a
-    /// trailer.
-    pub fn try_push_batch_rows<'a>(
-        &self,
-        keys: &[ParamKey],
-        row_of: impl Fn(usize) -> &'a [f32],
-        optimizer: &dyn Optimizer,
-        scratch: &mut PsScratch,
-    ) -> Result<(), RpcError> {
-        self.try_push_coalesced_rows(keys, &[], row_of, optimizer, scratch)
+        self.try_push_coalesced_rows(keys, &[], |i| grads[i], optimizer, scratch)
     }
 
     /// Push many gradients, one message per shard touched; the server
@@ -676,12 +623,11 @@ impl PsClient {
     /// [`Optimizer::update_coalesced`]; the keys before them carry one
     /// gradient each. All-or-nothing: on error no gradient is applied.
     ///
-    /// One plan resolves placements for both frame sealing and server-side
-    /// application, each shard is write-locked once, and duplicate keys
-    /// apply in batch order (the grouping is stable). The scratch's
-    /// compression mode decides how the rows are encoded on the wire. A row
-    /// written back is metered as its key, its row as encoded and 4 bytes
-    /// of energy, under [`Cause::WriteBack`].
+    /// One plan groups the keys by shard, each shard applies its frame under
+    /// one write lock, and duplicate keys apply in batch order (the grouping
+    /// is stable). The scratch's compression mode decides how the rows are
+    /// encoded on the wire. A row written back is metered as its key, its
+    /// row as encoded and 4 bytes of energy, under [`Cause::WriteBack`].
     pub fn try_push_coalesced_rows<'a>(
         &self,
         keys: &[ParamKey],
@@ -696,12 +642,12 @@ impl PsClient {
         }
         let codec = scratch.push_codec();
         self.seal_frames(keys, energies, row_of, codec, scratch);
-        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Push, &[])?;
+        let op = FrameOp::Push(optimizer);
+        self.transmit(&scratch.plan, &mut scratch.wire, op, &[])?;
         if codec != Codec::Dense {
             self.decode_and_commit(keys, codec, scratch);
         }
         self.meter_push_frames(scratch);
-        self.apply_frames(scratch, Some(optimizer));
         Ok(())
     }
 
@@ -720,9 +666,61 @@ impl PsClient {
             return Ok(());
         }
         self.seal_frames(keys, &[], |i| values[i], Codec::Dense, scratch);
-        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Write, &[])?;
-        self.apply_frames(scratch, None);
+        self.transmit(&scratch.plan, &mut scratch.wire, FrameOp::Write, &[])
+    }
+
+    /// Bring this client's store up to date with the shards on `keys`: an
+    /// image read per touched shard holds each key's version in the store,
+    /// and the store adopts each `(row, optimizer state, version)` that
+    /// comes back — nothing, under the default transport. Not training
+    /// traffic: unmetered, and no fault is adjudicated.
+    pub fn catch_up(&self, keys: &[ParamKey], scratch: &mut PsScratch) -> Result<(), RpcError> {
+        for chunk in keys.chunks(CATCH_UP_ROWS) {
+            let held = |i: usize| Some(self.store.version(chunk[i]));
+            self.seal_reads(chunk, held, 0..0, scratch);
+            for shard in scratch.plan.shards() {
+                let frame = &mut scratch.wire[shard];
+                self.transport.carry(shard, FrameOp::Images, frame)?;
+                self.store.adopt_images(shard, frame);
+            }
+        }
         Ok(())
+    }
+
+    /// Plan `keys` and seal one read frame per shard out of `scratch`'s
+    /// buffers: key `i` holds `held(i)`, or is plain where that is `None`
+    /// (plain keys lead), and each shard's count of `fresh` keys is noted.
+    fn seal_reads(
+        &self,
+        keys: &[ParamKey],
+        held: impl Fn(usize) -> Option<u32>,
+        fresh: Range<usize>,
+        scratch: &mut PsScratch,
+    ) {
+        let router = self.store.router();
+        router.plan_into(keys, &mut scratch.plan);
+        scratch.begin(router.num_shards());
+        let PsScratch {
+            plan,
+            parts,
+            version_pool,
+            fresh_in,
+            wire,
+            ..
+        } = &mut *scratch;
+        fresh_in.clear();
+        for (shard, (mut frame_keys, rows)) in parts.drain(..).enumerate() {
+            let mut versions = version_pool.pop().unwrap_or_default();
+            versions.clear();
+            let mut in_fresh = 0;
+            for i in plan.indices(shard) {
+                frame_keys.push(keys[i].0);
+                versions.extend(held(i));
+                in_fresh += u64::from(fresh.contains(&i));
+            }
+            fresh_in.push(in_fresh);
+            wire.push(WireFrame::seal_versioned(frame_keys, versions, rows));
+        }
     }
 
     /// Plan a batch and seal one push or write frame per shard from
@@ -874,51 +872,41 @@ impl PsClient {
     }
 
     /// [`exchange`](Self::exchange) the frame of every shard the plan
-    /// touches, in ascending shard order; `fresh_in[shard]` of a read
-    /// frame's versioned keys are fresh (none where the slice does not
-    /// reach). All-or-nothing: the first shard that exhausts its retries
-    /// aborts the batch.
+    /// touches, in ascending shard order (`fresh_in[shard]` of a read
+    /// frame's versioned keys are fresh), then carry a push or write frame
+    /// by frame, each shard's replication shipped after it. All-or-nothing:
+    /// the first shard that exhausts its retries aborts the batch.
     fn transmit(
         &self,
         plan: &BatchPlan,
         frames: &mut [WireFrame],
-        op: FrameOp,
+        op: FrameOp<'_>,
         fresh_in: &[u64],
     ) -> Result<(), RpcError> {
         for shard in plan.shards() {
             let fresh = fresh_in.get(shard).copied().unwrap_or(0);
             self.exchange(shard, op, &mut frames[shard], fresh)?;
         }
+        if !op.is_read() {
+            for shard in plan.shards() {
+                self.transport.carry(shard, op, &mut frames[shard])?;
+                self.ship_replication(shard);
+            }
+        }
         Ok(())
     }
 
-    /// Every shard's frame got through: apply each to this process's store
-    /// (what a shard server does with the same frame, [`apply_frame`]) with
-    /// the placements the plan already holds, and ship what replication
-    /// has batched up.
-    fn apply_frames(&self, scratch: &mut PsScratch, optimizer: Option<&dyn Optimizer>) {
-        let PsScratch {
-            plan, wire, row, ..
-        } = &mut *scratch;
-        for shard in plan.shards() {
-            let places = plan.indices(shard).map(|i| plan.placement(i));
-            apply_frame(&self.store, shard, &wire[shard], places, optimizer, row)
-                .expect("a frame this client sealed matches its keys' rows");
-            self.ship_replication(shard);
-        }
-    }
-
-    /// Exchange one frame with `shard`: the transport carries it, once, and
-    /// this meters it — the one place that does, whichever backend — and,
-    /// with a fault injector attached, adjudicates its transit, retrying on
-    /// the [`backoff`] schedule. Every transmission attempt is metered — a
-    /// dropped or corrupted message still crossed the wire, so its bytes
-    /// (and its retransmission's) count toward simulated network time. On
-    /// return the frame holds what the receiver accepted: the sealed
-    /// contents, unless checksums are off and transit corruption was
-    /// ingested. A read's request and response transit as one message; a
-    /// push or write frame is applied to this process's store once every
-    /// shard's frame got through.
+    /// Exchange one frame with `shard`: this meters it — the one place that
+    /// does, whichever backend — and, with a fault injector attached,
+    /// adjudicates its transit, retrying on the [`backoff`] schedule. Every
+    /// transmission attempt is metered — a dropped or corrupted message
+    /// still crossed the wire, so its bytes (and its retransmission's)
+    /// count toward simulated network time. On return the frame holds what
+    /// the receiver accepted: the sealed contents, unless checksums are off
+    /// and transit corruption was ingested. A read is carried here, once, up
+    /// front: request and response transit as one message, charged for the
+    /// response's size. A push or write is carried by
+    /// [`transmit`](Self::transmit).
     ///
     /// Reads are hedgeable: if a delivered remote read took far longer than
     /// the cost model predicts (a straggler episode), the same request is
@@ -927,13 +915,22 @@ impl PsClient {
     fn exchange(
         &self,
         shard: usize,
-        op: FrameOp,
+        op: FrameOp<'_>,
         frame: &mut WireFrame,
         fresh: u64,
     ) -> Result<(), RpcError> {
-        let hedgeable = op == FrameOp::PullNewer;
-        let sent = Sent::of(op, frame, fresh);
-        self.transport.carry(shard, op, frame)?;
+        let hedgeable = op.is_read();
+        // A read's request as sent; nothing for the ops whose one frame
+        // counts once for both directions.
+        let mut sent = Sent::default();
+        if hedgeable {
+            sent = Sent {
+                keys: frame.keys.len() as u64,
+                versions: frame.versions.len() as u64,
+                fresh,
+            };
+            self.transport.carry(shard, op, frame)?;
+        }
         let bytes = sent.bytes() + frame.wire_bytes();
         let remote = !self.topology.is_local(self.worker_id, shard);
         let record = |frame: &WireFrame| self.record_exchange(shard, op, sent, frame);
@@ -1901,8 +1898,9 @@ mod tests {
         let refs: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
         a.try_push_batch_with(&keys, &refs, &Sgd { lr: 0.2 }, &mut scratch)
             .unwrap();
-        b.try_push_batch_rows(
+        b.try_push_coalesced_rows(
             &keys,
+            &[],
             |i| grads[i].as_slice(),
             &Sgd { lr: 0.2 },
             &mut scratch,
@@ -2368,7 +2366,7 @@ mod tests {
             let mut plain_scratch = PsScratch::new();
             plain_scratch.set_compression(mode);
             plain
-                .try_push_batch_rows(&keys, row_of, &opt, &mut plain_scratch)
+                .try_push_coalesced_rows(&keys, &[], row_of, &opt, &mut plain_scratch)
                 .unwrap();
             let state_of = |store: &KvStore, k: u64| {
                 let mut found = Vec::new();

@@ -34,7 +34,9 @@
 //! [`transport`](crate::transport)) without changing any value it ever
 //! reads. A version travels with its row through replication
 //! (backups replay `(row, state, version)` images), so a caught-up backup
-//! reports exactly what its primary did. [`promote`](KvStore::promote)
+//! reports exactly what its primary did — and through an image read
+//! ([`adopt_images`](KvStore::adopt_images)), so a table that catches up
+//! from the shards holds their versions with their rows. [`promote`](KvStore::promote)
 //! starts a new generation: a backup promoted while it lagged counts from
 //! older counters, and without the generation it could count its way back
 //! to a version the dead primary had handed out for different bits.
@@ -48,6 +50,7 @@ use crate::router::{Placement, RowKind, ShardRouter};
 use hetkg_embed::init::Init;
 use hetkg_embed::storage::EmbeddingTable;
 use hetkg_kgraph::ParamKey;
+use hetkg_netsim::WireFrame;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The version no row ever has: what a worker sends in a pull-if-newer for
@@ -68,16 +71,21 @@ fn bumped(generation: u32, version: u32) -> u32 {
     (generation << COUNTER_BITS) | (version.wrapping_add(1) & COUNTER_MASK)
 }
 
+/// One kind of row in a shard: the values, their optimizer state and
+/// their update versions (see the module docs).
+#[derive(Debug, Clone)]
+struct Rows {
+    values: EmbeddingTable,
+    state: EmbeddingTable,
+    versions: Vec<u32>,
+}
+
 /// One machine's slice of the parameter space.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
-    entities: EmbeddingTable,
-    relations: EmbeddingTable,
-    entity_state: EmbeddingTable,
-    relation_state: EmbeddingTable,
-    /// Update version per row (see the module docs).
-    entity_versions: Vec<u32>,
-    relation_versions: Vec<u32>,
+    /// Entity rows and relation rows (their widths differ for models like
+    /// TransR), indexed by [`RowKind`].
+    rows: [Rows; 2],
     /// Bumped by [`KvStore::promote`]; stamped into every version written
     /// afterwards.
     generation: u32,
@@ -86,29 +94,38 @@ pub(crate) struct Shard {
 impl Shard {
     #[inline]
     pub(crate) fn version(&self, kind: RowKind, local: usize) -> u32 {
-        match kind {
-            RowKind::Entity => self.entity_versions[local],
-            RowKind::Relation => self.relation_versions[local],
-        }
+        self.rows[kind as usize].versions[local]
     }
 
     #[inline]
     pub(crate) fn row(&self, kind: RowKind, local: usize) -> &[f32] {
-        match kind {
-            RowKind::Entity => self.entities.row(local),
-            RowKind::Relation => self.relations.row(local),
-        }
+        self.rows[kind as usize].values.row(local)
     }
 
-    /// Count one write to a row.
+    /// A row's optimizer-state row.
     #[inline]
-    fn bump(&mut self, kind: RowKind, local: usize) {
-        let v = match kind {
-            RowKind::Entity => &mut self.entity_versions[local],
-            RowKind::Relation => &mut self.relation_versions[local],
-        };
-        *v = bumped(self.generation, *v);
+    pub(crate) fn state(&self, kind: RowKind, local: usize) -> &[f32] {
+        self.rows[kind as usize].state.row(local)
     }
+
+    /// Take a row's image as another copy of the table holds it: its
+    /// values, its optimizer state (left alone when `state` is empty) and
+    /// its version, verbatim.
+    fn adopt(&mut self, kind: RowKind, local: usize, row: &[f32], state: &[f32], version: u32) {
+        let rows = &mut self.rows[kind as usize];
+        rows.values.set_row(local, row);
+        if !state.is_empty() {
+            rows.state.set_row(local, state);
+        }
+        rows.versions[local] = version;
+    }
+}
+
+/// Width of the optimizer-state row kept beside a row of `dim` values
+/// under an optimizer with `state_width` state words per value: at least
+/// one word, so that every table has a row per key.
+pub(crate) fn state_dim(dim: usize, state_width: usize) -> usize {
+    (dim * state_width).max(1)
 }
 
 /// One shard under its write lock, taking the writes of one frame or of one
@@ -136,27 +153,17 @@ impl ShardWriter<'_> {
         value: &[f32],
         energy: Option<f32>,
     ) {
-        let Shard {
-            entities,
-            relations,
-            entity_state,
-            relation_state,
-            entity_versions,
-            relation_versions,
-            generation,
-        } = &mut *self.shard;
-        let (row, state, version) = match kind {
-            RowKind::Entity => (
-                entities.row_mut(local),
-                entity_state.row_mut(local),
-                &mut entity_versions[local],
-            ),
-            RowKind::Relation => (
-                relations.row_mut(local),
-                relation_state.row_mut(local),
-                &mut relation_versions[local],
-            ),
-        };
+        let Shard { rows, generation } = &mut *self.shard;
+        let Rows {
+            values,
+            state,
+            versions,
+        } = &mut rows[kind as usize];
+        let (row, state, version) = (
+            values.row_mut(local),
+            state.row_mut(local),
+            &mut versions[local],
+        );
         let state = match self.optimizer {
             Some(optimizer) => {
                 let width = row.len() * optimizer.state_width();
@@ -276,27 +283,21 @@ impl KvStore {
         // partitionings start identical), zero lock operations.
         for s in 0..num_shards {
             let (ne, nr) = router.shard_rows(s);
-            let mut entities = EmbeddingTable::zeros(ne, entity_dim);
-            let mut relations = EmbeddingTable::zeros(nr, relation_dim);
-            let entity_state = EmbeddingTable::zeros(ne, (entity_dim * state_width).max(1));
-            let relation_state = EmbeddingTable::zeros(nr, (relation_dim * state_width).max(1));
+            let rows = |n, dim| Rows {
+                values: EmbeddingTable::zeros(n, dim),
+                state: EmbeddingTable::zeros(n, state_dim(dim, state_width)),
+                versions: vec![0; n],
+            };
+            let mut shard = Shard {
+                rows: [rows(ne, entity_dim), rows(nr, relation_dim)],
+                generation: 0,
+            };
             for &key in router.shard_keys(s) {
                 let p = router.place(key);
-                let row = match p.kind {
-                    RowKind::Entity => entities.row_mut(p.local),
-                    RowKind::Relation => relations.row_mut(p.local),
-                };
+                let row = shard.rows[p.kind as usize].values.row_mut(p.local);
                 init.fill_row(row, seed, key.0);
             }
-            shards.push(RwLock::new(Shard {
-                entities,
-                relations,
-                entity_state,
-                relation_state,
-                entity_versions: vec![0; ne],
-                relation_versions: vec![0; nr],
-                generation: 0,
-            }));
+            shards.push(RwLock::new(shard));
         }
         Self {
             router,
@@ -380,23 +381,7 @@ impl KvStore {
         let payload_bytes: u64 = records.iter().map(RepRecord::bytes).sum();
         for backup in backups.iter_mut() {
             for r in &records {
-                let (table, state_table, versions) = match r.kind {
-                    RowKind::Entity => (
-                        &mut backup.entities,
-                        &mut backup.entity_state,
-                        &mut backup.entity_versions,
-                    ),
-                    RowKind::Relation => (
-                        &mut backup.relations,
-                        &mut backup.relation_state,
-                        &mut backup.relation_versions,
-                    ),
-                };
-                table.set_row(r.local, &r.row);
-                if !r.state.is_empty() {
-                    state_table.set_row(r.local, &r.state);
-                }
-                versions[r.local] = r.version;
+                backup.adopt(r.kind, r.local, &r.row, &r.state, r.version);
             }
         }
         ReplicationFlush {
@@ -541,6 +526,26 @@ impl KvStore {
         }
     }
 
+    /// Adopt the reply to an image read of `shard` (see
+    /// [`transport`](crate::transport)): each named row's values, optimizer
+    /// state and version, under one write lock. This is how a table that is
+    /// not the shards — a socket run's trainer table — catches up with
+    /// them; it counts no write and logs nothing for replication.
+    pub(crate) fn adopt_images(&self, shard: usize, frame: &WireFrame) {
+        if frame.keys.is_empty() {
+            return;
+        }
+        let mut held = self.shards[shard].write();
+        let mut rest = &frame.payload[..];
+        for (&k, &version) in frame.keys.iter().zip(&frame.versions) {
+            let (p, dim) = (self.router.place(ParamKey(k)), self.row_dim(ParamKey(k)));
+            let image;
+            (image, rest) = rest.split_at(dim + held.state(p.kind, p.local).len());
+            held.adopt(p.kind, p.local, &image[..dim], &image[dim..], version);
+        }
+        debug_assert!(rest.is_empty(), "the reply is all images");
+    }
+
     /// Copy a key's current embedding into `out` (length must match the
     /// key's row width).
     pub fn pull(&self, key: ParamKey, out: &mut [f32]) {
@@ -591,26 +596,16 @@ impl KvStore {
     /// gradients one key at a time in batch order: duplicates of a key land
     /// on the same shard and the grouping is stable, so their updates (and
     /// optimizer-state mutations) apply in the same order.
-    pub fn push_grad_many(&self, keys: &[ParamKey], grads: &[&[f32]], optimizer: &dyn Optimizer) {
-        self.write_many(keys, grads, Some(optimizer));
-    }
-
-    /// Batched [`store`](Self::store); duplicate keys resolve to the last
-    /// value in batch order, like sequential stores.
-    pub fn store_many(&self, keys: &[ParamKey], values: &[&[f32]]) {
-        self.write_many(keys, values, None);
-    }
-
-    /// Resolve placements once and write each shard's rows, in batch order,
+    /// Placements are resolved once and each shard's gradients are applied
     /// under one lock.
-    fn write_many(&self, keys: &[ParamKey], values: &[&[f32]], optimizer: Option<&dyn Optimizer>) {
-        assert_eq!(keys.len(), values.len(), "one row per key");
+    pub fn push_grad_many(&self, keys: &[ParamKey], grads: &[&[f32]], optimizer: &dyn Optimizer) {
+        assert_eq!(keys.len(), grads.len(), "one gradient per key");
         let plan = self.router.plan(keys);
         for s in plan.shards() {
-            self.write_shard(s, optimizer, |w| {
+            self.write_shard(s, Some(optimizer), |w| {
                 for i in plan.indices(s) {
                     let p = plan.placement(i);
-                    w.write(p.kind, p.local, values[i], None);
+                    w.write(p.kind, p.local, grads[i], None);
                 }
             });
         }
@@ -621,24 +616,22 @@ impl KvStore {
     /// — ascending within a shard, not globally — so consumers must address
     /// by key, which snapshotting and checkpointing do.
     pub fn for_each_row<F: FnMut(ParamKey, &[f32])>(&self, mut f: F) {
-        for (s, lock) in self.shards.iter().enumerate() {
-            let shard = lock.read();
-            for &key in self.router.shard_keys(s) {
-                let p = self.router.place(key);
-                f(key, shard.row(p.kind, p.local));
-            }
-        }
+        self.for_each_row_with_state(|key, row, _| f(key, row));
     }
 
     /// Width of the entity optimizer-state rows
     /// (`(entity_dim * state_width).max(1)`).
     pub fn entity_state_dim(&self) -> usize {
-        self.shards[0].read().entity_state.dim()
+        self.shards[0].read().rows[RowKind::Entity as usize]
+            .state
+            .dim()
     }
 
     /// Width of the relation optimizer-state rows.
     pub fn relation_state_dim(&self) -> usize {
-        self.shards[0].read().relation_state.dim()
+        self.shards[0].read().rows[RowKind::Relation as usize]
+            .state
+            .dim()
     }
 
     /// Run `f` over every key with its embedding row *and* optimizer-state
@@ -649,16 +642,11 @@ impl KvStore {
             let shard = lock.read();
             for &key in self.router.shard_keys(s) {
                 let p = self.router.place(key);
-                let (row, state) = match p.kind {
-                    RowKind::Entity => {
-                        (shard.entities.row(p.local), shard.entity_state.row(p.local))
-                    }
-                    RowKind::Relation => (
-                        shard.relations.row(p.local),
-                        shard.relation_state.row(p.local),
-                    ),
-                };
-                f(key, row, state);
+                f(
+                    key,
+                    shard.row(p.kind, p.local),
+                    shard.state(p.kind, p.local),
+                );
             }
         }
     }
@@ -670,21 +658,8 @@ impl KvStore {
     pub fn restore_row(&self, key: ParamKey, value: &[f32], state: Option<&[f32]>) {
         let p = self.router.place(key);
         let mut shard = self.shards[p.shard].write();
-        shard.bump(p.kind, p.local);
-        match p.kind {
-            RowKind::Entity => {
-                shard.entities.set_row(p.local, value);
-                if let Some(s) = state {
-                    shard.entity_state.set_row(p.local, s);
-                }
-            }
-            RowKind::Relation => {
-                shard.relations.set_row(p.local, value);
-                if let Some(s) = state {
-                    shard.relation_state.set_row(p.local, s);
-                }
-            }
-        }
+        let version = bumped(shard.generation, shard.version(p.kind, p.local));
+        shard.adopt(p.kind, p.local, value, state.unwrap_or_default(), version);
     }
 }
 
@@ -858,16 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn store_many_last_write_wins() {
-        let s = store(2);
-        let keys = [ParamKey(1), ParamKey(1)];
-        s.store_many(&keys, &[&[1.0; 8], &[2.0; 8]]);
-        let mut buf = [0.0f32; 8];
-        s.pull(ParamKey(1), &mut buf);
-        assert_eq!(buf, [2.0; 8]);
-    }
-
-    #[test]
     fn for_each_row_visits_every_key() {
         let s = store(3);
         let mut seen = 0;
@@ -1008,8 +973,6 @@ mod tests {
         seen.push(s.version(key));
         s.store(key, &[1.0; 8]);
         seen.push(s.version(key));
-        s.store_many(&[key], &[&[2.0; 8]]);
-        seen.push(s.version(key));
         s.restore_row(key, &[3.0; 8], None);
         seen.push(s.version(key));
         // A write of the bits already there is still a write.
@@ -1083,8 +1046,9 @@ mod tests {
         s.resync_backups();
         let primary = s.shards[1].read();
         let backups = s.replication.as_ref().unwrap().backups[1].read();
-        assert_eq!(primary.entity_versions, backups[0].entity_versions);
-        assert_eq!(primary.relation_versions, backups[0].relation_versions);
+        for (p, b) in primary.rows.iter().zip(&backups[0].rows) {
+            assert_eq!(p.versions, b.versions);
+        }
     }
 
     /// The failover drill the generation exists for: a backup promoted while

@@ -20,7 +20,7 @@ pub fn energy(grad: &[f32]) -> f32 {
 
 /// A stateless-object, per-row optimizer: applies one gradient row to one
 /// parameter row, given that row's optimizer state.
-pub trait Optimizer: Send + Sync {
+pub trait Optimizer: std::fmt::Debug + Send + Sync {
     /// Floats of state kept per parameter coordinate (0 for SGD, 1 for
     /// AdaGrad).
     fn state_width(&self) -> usize;

@@ -6,9 +6,11 @@
 //! same router, same init, same seed — then serves its shard's keys over
 //! length-prefixed [`WireFrame`] messages ([`hetkg_netsim::stream`]).
 //! Because initialization is placement-independent and the interleaved
-//! trainer issues every request in a deterministic order, the server's
-//! shard state stays bitwise-equal to the trainer's in-process mirror; the
-//! differential test in `tests/transport.rs` holds both to that.
+//! trainer issues every request in a deterministic order, the servers'
+//! tables stay bitwise-equal to the one the simulated backend would hold;
+//! the trainer's own table catches up from them with image reads where it
+//! is read, and the differential tests in `tests/transport.rs` hold the
+//! losses, traffic, MRR and checkpoints of both backends equal.
 //!
 //! The accept loop is sequential (one connection at a time): the driving
 //! trainer is single-process and workers take turns, so a second
@@ -21,18 +23,18 @@ use crate::kvstore::KvStore;
 use crate::optimizer::OptimizerKind;
 use crate::router::ShardRouter;
 use crate::transport::{
-    answer_read, apply_frame, ProcessTransport, RowWidths, ServerAddr, OP_ACK, OP_PULL_NEWER,
-    OP_PUSH, OP_SHUTDOWN, OP_WRITE,
+    answer_images, answer_read, apply_frame, ProcessTransport, RowWidths, ServerAddr, Sock, OP_ACK,
+    OP_IMAGES, OP_PULL_NEWER, OP_PUSH, OP_SHUTDOWN, OP_WRITE,
 };
 use hetkg_embed::init::Init;
 use hetkg_kgraph::{KeySpace, ParamKey};
 use hetkg_netsim::stream::{self, StreamMessage};
 use hetkg_netsim::{Codec, WireFrame};
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpListener;
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,51 +139,15 @@ impl ShardListener {
         }
     }
 
-    fn accept(&self) -> io::Result<ServerStream> {
+    fn accept(&self) -> io::Result<Sock> {
         match self {
             ShardListener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nodelay(true)?;
-                Ok(ServerStream::Tcp(s))
+                Ok(Sock::Tcp(s))
             }
             #[cfg(unix)]
-            ShardListener::Uds(l) => {
-                let (s, _) = l.accept()?;
-                Ok(ServerStream::Uds(s))
-            }
-        }
-    }
-}
-
-enum ServerStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
-}
-
-impl Read for ServerStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ServerStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ServerStream::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ServerStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ServerStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ServerStream::Uds(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ServerStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ServerStream::Uds(s) => s.flush(),
+            ShardListener::Uds(l) => Ok(Sock::Uds(l.accept()?.0)),
         }
     }
 }
@@ -196,12 +162,12 @@ pub fn serve(config: &ShardServerConfig, shard: usize, listener: &ShardListener)
     assert!(shard < config.num_shards, "shard id out of range");
     let store = config.build_store();
     let optimizer = config.optimizer.build();
-    let mut row = Vec::new();
     loop {
-        let conn = listener.accept()?;
-        let mut conn = BufWriter::new(BufReaderStream::new(conn));
+        // Reads are buffered; a reply is written in one call already
+        // (`stream::write_message`).
+        let mut conn = BufReader::new(listener.accept()?);
         loop {
-            let msg = match stream::read_message_or_eof(conn.get_mut()) {
+            let msg = match stream::read_message_or_eof(&mut conn) {
                 Ok(Some(m)) => m,
                 Ok(None) => break, // clean disconnect → next accept
                 Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break, // torn → ditto
@@ -216,8 +182,7 @@ pub fn serve(config: &ShardServerConfig, shard: usize, listener: &ShardListener)
                 shard,
                 &store,
                 optimizer.as_ref(),
-                &mut row,
-                &mut conn,
+                conn.get_mut(),
                 msg,
             ) {
                 Ok(Served::Continue) => {}
@@ -241,7 +206,6 @@ fn handle<W: Write>(
     shard: usize,
     store: &KvStore,
     optimizer: &dyn crate::optimizer::Optimizer,
-    row: &mut Vec<f32>,
     conn: &mut W,
     msg: StreamMessage,
 ) -> io::Result<Served> {
@@ -257,7 +221,7 @@ fn handle<W: Write>(
     // A trailer belongs to a read (the versions held) or a push (the
     // energies of rows written back) — at most one word per key, the
     // frame's trailing keys — and to nothing else.
-    let trailer_allowed = if matches!(op, OP_PULL_NEWER | OP_PUSH) {
+    let trailer_allowed = if matches!(op, OP_PULL_NEWER | OP_IMAGES | OP_PUSH) {
         frame.keys.len()
     } else {
         0
@@ -276,17 +240,22 @@ fn handle<W: Write>(
         }
     }
     match op {
-        OP_PULL_NEWER => {
+        OP_PULL_NEWER | OP_IMAGES => {
             if frame.codec() != Codec::Dense || !frame.payload.is_empty() {
                 return Err(protocol("a read request carries no rows"));
             }
-            answer_read(store, shard, &mut frame);
-            stream::write_frame(conn, OP_PULL_NEWER, &frame)
+            if op == OP_PULL_NEWER {
+                answer_read(store, shard, &mut frame);
+            } else if frame.versions.len() == frame.keys.len() {
+                answer_images(store, shard, &mut frame);
+            } else {
+                return Err(protocol("an image read holds a version for every key"));
+            }
+            stream::write_frame(conn, op, &frame)
         }
         OP_PUSH | OP_WRITE => {
-            let places = frame.keys.iter().map(|&k| store.place(ParamKey(k)));
             let optimizer = (op == OP_PUSH).then_some(optimizer);
-            apply_frame(store, shard, &frame, places, optimizer, row).map_err(protocol)?;
+            apply_frame(store, shard, &frame, optimizer).map_err(protocol)?;
             write_ack(conn)
         }
         _ => Err(protocol("unknown op")),
@@ -301,36 +270,6 @@ fn write_ack<W: Write>(conn: &mut W) -> io::Result<()> {
 
 fn protocol(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
-}
-
-/// `BufWriter<T>` needs `T: Write`; we also read from the same stream.
-/// This thin wrapper buffers reads while passing writes straight through,
-/// so one object can sit inside the `BufWriter`.
-struct BufReaderStream {
-    inner: BufReader<ServerStream>,
-}
-
-impl BufReaderStream {
-    fn new(s: ServerStream) -> Self {
-        Self {
-            inner: BufReader::new(s),
-        }
-    }
-}
-
-impl Read for BufReaderStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner.read(buf)
-    }
-}
-
-impl Write for BufReaderStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.inner.get_mut().write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.get_mut().flush()
-    }
 }
 
 /// Monotonic suffix so concurrent clusters in one process never collide on
@@ -388,6 +327,7 @@ impl ProcessCluster {
                 num_entities: config.num_entities as u64,
                 entity_dim: config.entity_dim,
                 relation_dim: config.relation_dim,
+                state_width: config.optimizer.build().state_width(),
             },
             dir,
             waited: false,
@@ -499,6 +439,7 @@ impl Drop for ProcessCluster {
 mod tests {
     use super::*;
     use hetkg_netsim::compress::encode_row;
+    use std::net::TcpStream;
 
     fn tiny_config() -> ShardServerConfig {
         ShardServerConfig {
@@ -673,15 +614,7 @@ mod tests {
         let msg = stream::read_message(&mut io::Cursor::new(bytes))?;
         let optimizer = cfg.optimizer.build();
         let mut reply = Vec::new();
-        handle(
-            cfg,
-            shard,
-            store,
-            optimizer.as_ref(),
-            &mut Vec::new(),
-            &mut reply,
-            msg,
-        )?;
+        handle(cfg, shard, store, optimizer.as_ref(), &mut reply, msg)?;
         Ok(reply)
     }
 
@@ -803,17 +736,10 @@ mod tests {
         // Handed to `apply_frame` directly (the handler's own count check
         // aside), the longer trailer is refused there too.
         let long = frame(Codec::Dense, &[1.0, 1.0, 1.0]);
-        let places = || keys.iter().map(|&k| store.place(ParamKey(k)));
         let optimizer = cfg.optimizer.build();
-        let refused = apply_frame(
-            &store,
-            0,
-            &long,
-            places(),
-            Some(optimizer.as_ref()),
-            &mut Vec::new(),
-        );
+        let refused = apply_frame(&store, 0, &long, Some(optimizer.as_ref()));
         assert_eq!(refused, Err("more energies than keys"));
+        assert_eq!(contents(&store), before);
         // A write takes no energies, however good.
         let bytes = request_bytes(OP_WRITE, &frame(Codec::Dense, &[1.0]));
         assert!(feed(&cfg, 0, &store, &bytes).is_err());
@@ -857,7 +783,7 @@ mod tests {
         use crate::client::{PsClient, PsScratch};
         use crate::error::RpcError;
         use crate::kvstore::NO_VERSION;
-        use crate::transport::{FrameOp, Transport};
+        use crate::transport::{FrameOp, SimTransport, Transport};
         use hetkg_netsim::{ClusterTopology, CompressionMode, TrafficMeter};
         use proptest::prelude::*;
         use std::sync::Arc;
@@ -908,10 +834,13 @@ mod tests {
                 };
                 let mut reply = Vec::new();
                 let optimizer = cfg.optimizer.build();
-                let out = handle(&cfg, 0, &store, optimizer.as_ref(), &mut Vec::new(), &mut reply, msg);
-                let takes_a_trailer = matches!(op, OP_PULL_NEWER | OP_PUSH);
+                let out = handle(&cfg, 0, &store, optimizer.as_ref(), &mut reply, msg);
+                let takes_a_trailer = matches!(op, OP_PULL_NEWER | OP_IMAGES | OP_PUSH);
                 if takes_a_trailer && versions.len() > keys.len() {
                     prop_assert!(out.is_err(), "a trailer longer than the keys was served");
+                }
+                if op == OP_IMAGES && versions.len() != keys.len() {
+                    prop_assert!(out.is_err(), "an image read of a key it holds no version of");
                 }
                 if !takes_a_trailer && !versions.is_empty() {
                     prop_assert!(out.is_err(), "a trailer was accepted on op {op}");
@@ -925,11 +854,13 @@ mod tests {
                 }
             }
 
-            /// A valid pull-if-newer request round-trips: the reply decodes,
-            /// verifies and is a well-formed answer; one flipped bit anywhere
-            /// in the request is refused or changes nothing the seal covers.
+            /// A valid pull-if-newer or image-read request round-trips: the
+            /// reply decodes, verifies and is a well-formed answer; one
+            /// flipped bit anywhere in the request is refused or changes
+            /// nothing the seal covers.
             #[test]
             fn valid_requests_round_trip_and_mutated_ones_are_refused(
+                images in any::<bool>(),
                 picks in prop::collection::vec(any::<u8>(), 1..8),
                 plain in 0usize..8,
                 hold in prop::collection::vec(any::<bool>(), 8),
@@ -941,8 +872,12 @@ mod tests {
                 let store = cfg.build_store();
                 let optimizer = cfg.optimizer.build();
                 let keys = shard0_keys(&picks);
-                // The first `plain` keys are pulled unconditionally.
-                let plain = plain % (keys.len() + 1);
+                // The first `plain` keys are pulled unconditionally; an image
+                // read holds a version of every key.
+                let plain = if images { 0 } else { plain % (keys.len() + 1) };
+                let op = if images { OP_IMAGES } else { OP_PULL_NEWER };
+                // SGD keeps one word of state per row.
+                let words = if images { 4 + 1 } else { 4 };
                 let held: Vec<u32> = keys[plain..]
                     .iter()
                     .zip(&hold)
@@ -952,10 +887,10 @@ mod tests {
                     store.push_grad(ParamKey(k), &[0.5; 4], optimizer.as_ref());
                 }
                 let request = WireFrame::seal_versioned(keys.clone(), held.clone(), Vec::new());
-                let bytes = request_bytes(OP_PULL_NEWER, &request);
+                let bytes = request_bytes(op, &request);
                 let reply = feed(&cfg, 0, &store, &bytes).unwrap();
                 let msg = stream::read_message(&mut io::Cursor::new(&reply)).unwrap();
-                prop_assert_eq!(msg.op, OP_PULL_NEWER);
+                prop_assert_eq!(msg.op, op);
                 prop_assert!(msg.frame.verify());
                 let expect: Vec<u64> = keys[plain..]
                     .iter()
@@ -965,7 +900,7 @@ mod tests {
                     .collect();
                 prop_assert_eq!(&msg.frame.keys, &expect);
                 prop_assert_eq!(msg.frame.versions.len(), expect.len());
-                prop_assert_eq!(msg.frame.payload.len(), (plain + expect.len()) * 4);
+                prop_assert_eq!(msg.frame.payload.len(), plain * 4 + expect.len() * words);
 
                 let mut bad = bytes.clone();
                 let at = at % bad.len();
@@ -978,43 +913,40 @@ mod tests {
             }
         }
 
-        /// Carries every frame the client exchanges to a shard server's
+        /// Carries every frame the client exchanges both to a shard server's
         /// connection handler — over an in-memory stream, on the servers'
-        /// own table — and hands the server's reply back, as a socket does,
-        /// after requiring the simulated backend's answer (`answer_read` on
-        /// the client's own store; an acknowledgement for a push or a
-        /// write) to be the same bytes.
+        /// own table — and to the simulated backend, a [`SimTransport`] on
+        /// a table of its own; requires the two replies to be the same
+        /// bytes, and hands the server's back, as a socket does.
         #[derive(Debug)]
         struct BothSides {
             cfg: ShardServerConfig,
             /// What the `ps-server` processes hold. Each touches only its
             /// own shard's rows, so one table stands for all of them.
             served: KvStore,
-            /// The client's own store.
-            sim: Arc<KvStore>,
+            /// The simulated backend.
+            sim: SimTransport,
         }
 
         impl Transport for BothSides {
             fn carry(
                 &self,
                 shard: usize,
-                op: FrameOp,
+                op: FrameOp<'_>,
                 frame: &mut WireFrame,
             ) -> Result<(), RpcError> {
                 let request = request_bytes(op.wire_op(), frame);
                 let served = feed(&self.cfg, shard, &self.served, &request)
                     .expect("a shard server refused a frame the client sealed");
-                let simulated = match op {
-                    FrameOp::PullNewer => {
-                        answer_read(&self.sim, shard, frame);
-                        request_bytes(OP_PULL_NEWER, frame)
-                    }
-                    FrameOp::Push | FrameOp::Write => {
-                        request_bytes(OP_ACK, &WireFrame::seal(Vec::new(), Vec::new()))
-                    }
+                let mut answered = frame.clone();
+                self.sim.carry(shard, op, &mut answered)?;
+                let simulated = if op.is_read() {
+                    request_bytes(op.wire_op(), &answered)
+                } else {
+                    request_bytes(OP_ACK, &WireFrame::seal(Vec::new(), Vec::new()))
                 };
                 assert_eq!(served, simulated, "shard {shard}, {op:?}");
-                if op == FrameOp::PullNewer {
+                if op.is_read() {
                     *frame = stream::read_message(&mut io::Cursor::new(&served))
                         .expect("the reply decodes")
                         .frame;
@@ -1029,15 +961,19 @@ mod tests {
             /// mixing plain keys (duplicates included) with conditional keys
             /// held at the current, a stale or no version; dense, int8, int4
             /// and top-k pushes with duplicate keys, their trailing rows
-            /// written back with an energy; writes — draws the same
-            /// response frame, seal included, from a shard server and from
-            /// the simulated exchange, and leaves the same rows, optimizer
-            /// state and versions in both tables after every call.
+            /// written back with an energy; writes; image reads — draws the
+            /// same response frame, seal included, from a shard server and
+            /// from the simulated backend, and leaves the same rows,
+            /// optimizer state and versions in both tables after every call.
+            /// The client's own store is a third table, as a socket run's
+            /// trainer table is: no push or write moves it, and after an
+            /// image read of some keys it holds what the servers hold on
+            /// them.
             #[test]
             fn a_shard_server_and_the_simulated_exchange_agree_on_every_frame(
                 calls in prop::collection::vec(
                     (
-                        0u8..7,
+                        0u8..8,
                         prop::collection::vec(0u64..12, 1..8),
                         prop::collection::vec(any::<u8>(), 0..5),
                         any::<u32>(),
@@ -1050,12 +986,13 @@ mod tests {
                 let both = Arc::new(BothSides {
                     cfg: cfg.clone(),
                     served: cfg.build_store(),
-                    sim: sim.clone(),
+                    sim: SimTransport(sim.clone()),
                 });
+                let table = Arc::new(cfg.build_store());
                 let client = PsClient::new(
                     0,
                     ClusterTopology::new(2, 1),
-                    sim.clone(),
+                    table.clone(),
                     Arc::new(TrafficMeter::new()),
                 )
                 .with_transport(both.clone());
@@ -1089,6 +1026,7 @@ mod tests {
                         })
                         .collect();
                     let rows: Vec<&[f32]> = values.iter().map(Vec::as_slice).collect();
+                    let before = contents(&table);
                     let done = match call {
                         0..=3 => {
                             // The last rows (none, some or all) are written
@@ -1107,6 +1045,7 @@ mod tests {
                             )
                         }
                         4 => client.try_write_batch_with(&keys, &rows, &mut scratches[0]),
+                        7 => client.catch_up(&keys, &mut scratches[0]),
                         _ => {
                             // `keys` ride in front as plain pulls; behind
                             // them, distinct keys are asked about.
@@ -1133,6 +1072,14 @@ mod tests {
                         contents(&sim) == contents(&both.served),
                         "the tables differ after call {call} on {keys:?}"
                     );
+                    let (now, served) = (contents(&table), contents(&both.served));
+                    for (i, entry) in now.iter().enumerate() {
+                        if call == 7 && keys.contains(&ParamKey(entry.0)) {
+                            prop_assert_eq!(entry, &served[i], "caught up on {:?}", keys);
+                        } else {
+                            prop_assert_eq!(entry, &before[i], "call {} moved the client's table", call);
+                        }
+                    }
                 }
             }
         }

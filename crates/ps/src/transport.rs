@@ -7,9 +7,8 @@
 //! whichever backend carried the frame. Two implementations exist:
 //!
 //! * [`SimTransport`] (the default): the shards are an in-process
-//!   [`KvStore`]. A read is answered from it on the spot; a push or write
-//!   frame is only accepted, because the client applies a batch's frames
-//!   once every shard's got through.
+//!   [`KvStore`], and a frame is answered on it exactly as a `ps-server`
+//!   answers it on its own table.
 //! * [`ProcessTransport`]: each PS shard is a real OS process (the
 //!   `hetkg ps-server` subcommand) speaking length-prefixed `WireFrame`s
 //!   (see [`hetkg_netsim::stream`]) over TCP or Unix-domain sockets.
@@ -18,9 +17,11 @@
 //!
 //! What a shard does with a frame exists once, here: [`answer_read`] for
 //! the one read (a pull-if-newer; a plain pull is the request that holds no
-//! version) and [`apply_frame`] for a push or a write. The simulated
-//! backend runs them on the client's store, a `ps-server` process on its
-//! own, so the two cannot disagree about what a frame returns or changes.
+//! version), [`apply_frame`] for a push or a write, and [`answer_images`]
+//! for the image read that brings a table that is not the shards — a socket
+//! run's trainer table — up to date with them. The simulated backend runs
+//! them on the in-process store, a `ps-server` process on its own, so the
+//! two cannot disagree about what a frame returns or changes.
 //!
 //! A carried frame is metered by the client, the same way on both
 //! backends: the frame's [`wire_bytes`](WireFrame::wire_bytes) — for a
@@ -28,12 +29,12 @@
 //! remote lane depending on shard placement. Envelope bytes (length prefix,
 //! op byte, counts) ride unmetered on both, exactly like the cost model's
 //! per-message overhead — which is what makes the cross-backend
-//! differential test able to demand *identical* byte totals.
+//! differential test able to demand *identical* byte totals. An image read
+//! is not training traffic and is not metered at all.
 
 use crate::error::RpcError;
-use crate::kvstore::{KvStore, NO_VERSION};
+use crate::kvstore::{state_dim, KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
-use crate::router::Placement;
 use hetkg_kgraph::ParamKey;
 use hetkg_netsim::compress::{decode_row, encoded_len};
 use hetkg_netsim::stream::{self, StreamMessage};
@@ -68,43 +69,62 @@ pub const OP_SHUTDOWN: u8 = 4;
 /// leading keys' rows, then the rows whose version differs, each of those
 /// with its key and new version.
 pub const OP_PULL_NEWER: u8 = 5;
+/// The image read: every request key carries the version its asker holds;
+/// the response (same op byte) names each row whose version differs, with
+/// its new version, and carries that row followed by its optimizer-state
+/// row — the `(row, state, version)` image a backup adopts in replication.
+pub const OP_IMAGES: u8 = 6;
 
 /// What a frame exchange *is*, as far as a transport needs to know.
 /// Reads are the only hedgeable traffic (re-issuing a read is safe;
 /// re-applying a gradient is not), and the only ops whose response
 /// carries data back into the frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameOp {
+#[derive(Debug, Clone, Copy)]
+pub enum FrameOp<'o> {
     /// Read the unversioned leading keys' rows, and of the versioned
     /// trailing keys the rows whose version differs from the one sent; the
     /// response frame (see [`answer_read`]) replaces the request frame.
     PullNewer,
-    /// Apply gradients through the server-side optimizer.
-    Push,
+    /// Apply gradients. The simulated backend applies this optimizer; a
+    /// `ps-server` applies the one it built from its
+    /// [`ShardServerConfig`](crate::ShardServerConfig).
+    Push(&'o dyn Optimizer),
     /// Overwrite values (no optimizer).
     Write,
+    /// Read the `(row, state, version)` image of every key whose version
+    /// differs from the one sent; the response frame (see
+    /// [`answer_images`]) replaces the request frame.
+    Images,
 }
 
-impl FrameOp {
+impl FrameOp<'_> {
     /// The stream op byte for this operation.
     pub fn wire_op(self) -> u8 {
         match self {
             FrameOp::PullNewer => OP_PULL_NEWER,
-            FrameOp::Push => OP_PUSH,
+            FrameOp::Push(_) => OP_PUSH,
             FrameOp::Write => OP_WRITE,
+            FrameOp::Images => OP_IMAGES,
         }
+    }
+
+    /// Whether the shard answers with data that replaces the request frame
+    /// (a read of either kind), rather than changing rows.
+    pub fn is_read(self) -> bool {
+        matches!(self, FrameOp::PullNewer | FrameOp::Images)
     }
 }
 
 /// Get one frame answered by its shard: the single seam every PS
 /// interaction crosses.
 ///
-/// Contract: on `Ok(())` the shard accepted the frame and, for a read, the
-/// whole response frame has replaced it. On `Err` the frame's payload is
-/// unspecified. Nothing is metered here: that is the caller's.
+/// Contract: on `Ok(())` the shard has answered the frame — for a read the
+/// whole response frame has replaced it; a push or write has been applied.
+/// On `Err` the frame's payload is unspecified. Nothing is metered here:
+/// that is the caller's.
 pub trait Transport: fmt::Debug + Send + Sync {
     /// Carry `frame` to `shard` and bring back its answer.
-    fn carry(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError>;
+    fn carry(&self, shard: usize, op: FrameOp<'_>, frame: &mut WireFrame) -> Result<(), RpcError>;
 }
 
 /// The default backend: the shards are this in-process store.
@@ -112,15 +132,26 @@ pub trait Transport: fmt::Debug + Send + Sync {
 pub struct SimTransport(pub Arc<KvStore>);
 
 impl Transport for SimTransport {
-    /// A read is answered from the store ([`answer_read`], the function a
-    /// shard server runs). A push or write frame is only accepted: the
-    /// client applies a batch's frames ([`apply_frame`]) once every shard's
-    /// got through, so a batch one shard refuses changes nothing.
-    fn carry(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError> {
-        if op == FrameOp::PullNewer {
-            answer_read(&self.0, shard, frame);
-        }
-        Ok(())
+    /// Answer the frame on the store the way a shard server's connection
+    /// handler does on its table: [`answer_read`] or [`answer_images`] for
+    /// a read, [`apply_frame`] for a push or write. A frame this refuses
+    /// has changed nothing and comes back as [`RpcError::CorruptPayload`],
+    /// as a socket's refusal would.
+    fn carry(&self, shard: usize, op: FrameOp<'_>, frame: &mut WireFrame) -> Result<(), RpcError> {
+        let optimizer = match op {
+            FrameOp::PullNewer => {
+                answer_read(&self.0, shard, frame);
+                return Ok(());
+            }
+            FrameOp::Images => {
+                answer_images(&self.0, shard, frame);
+                return Ok(());
+            }
+            FrameOp::Push(optimizer) => Some(optimizer),
+            FrameOp::Write => None,
+        };
+        apply_frame(&self.0, shard, frame, optimizer)
+            .map_err(|_| RpcError::CorruptPayload { attempts: 1 })
     }
 }
 
@@ -135,6 +166,25 @@ impl Transport for SimTransport {
 /// The caller has checked that the request has no more versions than keys
 /// and only keys `shard` holds.
 pub(crate) fn answer_read(store: &KvStore, shard: usize, frame: &mut WireFrame) {
+    answer(store, shard, frame, false);
+}
+
+/// Answer an image read in place, under one read lock of `shard`: of the
+/// request's keys, each held under the version that follows it, the
+/// response keeps those whose row version differs, with their new
+/// versions, and carries each kept key's row followed by its optimizer-state
+/// row. Asked by a table that *is* the shard's, it returns nothing.
+///
+/// The caller has checked that the request holds one version per key and
+/// only keys `shard` holds.
+pub(crate) fn answer_images(store: &KvStore, shard: usize, frame: &mut WireFrame) {
+    debug_assert_eq!(frame.keys.len(), frame.versions.len());
+    answer(store, shard, frame, true);
+}
+
+/// [`answer_read`], and with `images` each kept row's optimizer state
+/// after it.
+fn answer(store: &KvStore, shard: usize, frame: &mut WireFrame, images: bool) {
     let mut keys = std::mem::take(&mut frame.keys);
     let mut versions = std::mem::take(&mut frame.versions);
     let mut rows = std::mem::take(&mut frame.payload);
@@ -164,6 +214,9 @@ pub(crate) fn answer_read(store: &KvStore, shard: usize, frame: &mut WireFrame) 
                 kept += 1;
             }
             rows.extend_from_slice(held.row(p.kind, p.local));
+            if images {
+                rows.extend_from_slice(held.state(p.kind, p.local));
+            }
         }
     }
     keys.truncate(kept);
@@ -173,19 +226,16 @@ pub(crate) fn answer_read(store: &KvStore, shard: usize, frame: &mut WireFrame) 
 
 /// Apply a push (`optimizer` is `Some`: the rows are gradients) or a write
 /// (`None`: the rows overwrite) frame to `shard`, under one write lock, row
-/// by row in frame order. `places` are the frame's keys' placements, in
-/// key order. A compressed frame is walked by [`encoded_len`], each row
-/// decoded into `row`: row boundaries are a pure function of codec and row
-/// width, never trusted from the wire. The body is measured against its
-/// keys' rows before the first row is written, so a frame that is refused
-/// has changed nothing.
+/// by row in frame order. A compressed frame is walked by [`encoded_len`]:
+/// row boundaries are a pure function of codec and row width, never
+/// trusted from the wire. The body is measured against its keys' rows
+/// before the first row is written, so a frame that is refused has changed
+/// nothing.
 pub(crate) fn apply_frame(
     store: &KvStore,
     shard: usize,
     frame: &WireFrame,
-    places: impl Iterator<Item = Placement>,
     optimizer: Option<&dyn Optimizer>,
-    row: &mut Vec<f32>,
 ) -> Result<(), &'static str> {
     let codec = frame.codec();
     let body = if codec == Codec::Dense {
@@ -214,9 +264,11 @@ pub(crate) fn apply_frame(
     {
         return Err("an energy that is not a finite, non-negative number");
     }
+    let mut row = Vec::new();
     store.write_shard(shard, optimizer, |shard| {
         let mut off = 0;
-        for (i, (dim, p)) in dims().zip(places).enumerate() {
+        for (i, (&k, dim)) in frame.keys.iter().zip(dims()).enumerate() {
+            let p = store.place(ParamKey(k));
             let energy = i.checked_sub(plain).map(|e| energy(&frame.versions[e]));
             if codec == Codec::Dense {
                 let value = &frame.payload[off..off + dim];
@@ -226,8 +278,8 @@ pub(crate) fn apply_frame(
                 let len = encoded_len(codec, dim);
                 row.clear();
                 row.resize(dim, 0.0);
-                decode_row(codec, &frame.encoded[off..off + len], row);
-                shard.write(p.kind, p.local, row, energy);
+                decode_row(codec, &frame.encoded[off..off + len], &mut row);
+                shard.write(p.kind, p.local, &row, energy);
                 off += len;
             }
         }
@@ -242,14 +294,17 @@ pub(crate) struct RowWidths {
     pub(crate) num_entities: u64,
     pub(crate) entity_dim: usize,
     pub(crate) relation_dim: usize,
+    /// The optimizer's state words per row coordinate.
+    pub(crate) state_width: usize,
 }
 
-/// Whether `response` is a well-formed answer to the read `request`: a
-/// dense frame with one version per key, none of them [`NO_VERSION`],
-/// whose keys are an in-order selection of the request's
-/// conditional keys and whose payload is exactly the request's plain rows
-/// followed by those keys' rows.
-fn answers(widths: &RowWidths, request: &WireFrame, response: &WireFrame) -> bool {
+/// Whether `response` is a well-formed answer to the read `request` — an
+/// image read's if `images`: a dense frame with one version per key, none
+/// of them [`NO_VERSION`], whose keys are an in-order selection of the
+/// request's conditional keys and whose payload is exactly the request's
+/// plain rows followed by those keys' rows (each with its optimizer-state
+/// row, for an image read).
+fn answers(widths: &RowWidths, images: bool, request: &WireFrame, response: &WireFrame) -> bool {
     if response.codec() != Codec::Dense
         || !response.encoded.is_empty()
         || response.versions.len() != response.keys.len()
@@ -258,11 +313,12 @@ fn answers(widths: &RowWidths, request: &WireFrame, response: &WireFrame) -> boo
         return false;
     }
     let words = |&k: &u64| {
-        if k < widths.num_entities {
+        let dim = if k < widths.num_entities {
             widths.entity_dim
         } else {
             widths.relation_dim
-        }
+        };
+        dim + usize::from(images) * state_dim(dim, widths.state_width)
     };
     let (plain, conditional) = request
         .keys
@@ -312,9 +368,10 @@ impl fmt::Display for ServerAddr {
     }
 }
 
-/// A connected stream to one shard server, TCP or Unix-domain.
+/// A connected stream between a client and a shard server, TCP or
+/// Unix-domain.
 #[derive(Debug)]
-enum Sock {
+pub(crate) enum Sock {
     Tcp(TcpStream),
     #[cfg(unix)]
     Uds(UnixStream),
@@ -423,6 +480,9 @@ pub struct ProcessTransport {
     conns: Vec<Mutex<ShardConn>>,
     /// The servers' row widths, which every read reply is checked against.
     widths: RowWidths,
+    /// Per key, whether a push or write to its row was carried since the
+    /// last [`take_moved`](Self::take_moved).
+    moved: Mutex<Vec<bool>>,
 }
 
 impl ProcessTransport {
@@ -435,12 +495,32 @@ impl ProcessTransport {
                 .map(|addr| Mutex::new(ShardConn { addr, sock: None }))
                 .collect(),
             widths,
+            moved: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The key of every row a push or write was carried to since the last
+    /// call, ascending: what a table that catches up from these servers
+    /// ([`PsClient::catch_up`](crate::PsClient::catch_up)) has to ask
+    /// about. A failed carry counts too: the server may have applied it
+    /// before the reply was lost.
+    pub fn take_moved(&self) -> Vec<ParamKey> {
+        let moved = std::mem::take(&mut *self.moved.lock());
+        (0..)
+            .zip(moved)
+            .filter(|m| m.1)
+            .map(|m| ParamKey(m.0))
+            .collect()
     }
 
     /// One round trip: the frame goes out, the reply must verify and carry
     /// the op that answers `op`.
-    fn attempt(&self, conn: &mut ShardConn, op: FrameOp, frame: &mut WireFrame) -> io::Result<()> {
+    fn attempt(
+        &self,
+        conn: &mut ShardConn,
+        op: FrameOp<'_>,
+        frame: &mut WireFrame,
+    ) -> io::Result<()> {
         let sock = conn.dial()?;
         stream::write_frame(sock, op.wire_op(), frame)?;
         let StreamMessage {
@@ -450,13 +530,15 @@ impl ProcessTransport {
         if !resp.verify() {
             return Err(bad_reply("reply failed checksum"));
         }
-        match op {
-            FrameOp::PullNewer if reply == OP_PULL_NEWER && answers(&self.widths, frame, &resp) => {
-                *frame = resp;
-                Ok(())
-            }
-            FrameOp::Push | FrameOp::Write if reply == OP_ACK => Ok(()),
-            _ => Err(bad_reply("reply does not answer the request")),
+        let images = matches!(op, FrameOp::Images);
+        let answered = op.is_read() && reply == op.wire_op();
+        if !op.is_read() && reply == OP_ACK {
+            Ok(())
+        } else if answered && answers(&self.widths, images, frame, &resp) {
+            *frame = resp;
+            Ok(())
+        } else {
+            Err(bad_reply("reply does not answer the request"))
         }
     }
 
@@ -506,11 +588,20 @@ fn map_io_error(e: &io::Error, shard: usize, attempts: u32) -> RpcError {
 }
 
 impl Transport for ProcessTransport {
-    fn carry(&self, shard: usize, op: FrameOp, frame: &mut WireFrame) -> Result<(), RpcError> {
+    fn carry(&self, shard: usize, op: FrameOp<'_>, frame: &mut WireFrame) -> Result<(), RpcError> {
         let conn = self
             .conns
             .get(shard)
             .unwrap_or_else(|| panic!("shard {shard} has no server address"));
+        if !op.is_read() {
+            let mut moved = self.moved.lock();
+            for &k in &frame.keys {
+                if moved.len() <= k as usize {
+                    moved.resize(k as usize + 1, false);
+                }
+                moved[k as usize] = true;
+            }
+        }
         let mut conn = conn.lock();
         let mut attempts: u32 = 0;
         loop {
@@ -575,10 +666,19 @@ mod tests {
 
     #[test]
     fn frame_ops_have_distinct_wire_bytes() {
-        assert_eq!(FrameOp::Push.wire_op(), OP_PUSH);
+        let sgd = crate::optimizer::Sgd { lr: 0.1 };
+        assert_eq!(FrameOp::Push(&sgd).wire_op(), OP_PUSH);
         assert_eq!(FrameOp::Write.wire_op(), OP_WRITE);
         assert_eq!(FrameOp::PullNewer.wire_op(), OP_PULL_NEWER);
-        let ops = [OP_PUSH, OP_WRITE, OP_ACK, OP_SHUTDOWN, OP_PULL_NEWER];
+        assert_eq!(FrameOp::Images.wire_op(), OP_IMAGES);
+        let ops = [
+            OP_PUSH,
+            OP_WRITE,
+            OP_ACK,
+            OP_SHUTDOWN,
+            OP_PULL_NEWER,
+            OP_IMAGES,
+        ];
         for (i, a) in ops.iter().enumerate() {
             assert!(!ops[..i].contains(a), "op byte {a} used twice");
             assert_ne!(*a, 0, "byte 0 (the retired plain pull) stays unused");
@@ -591,15 +691,63 @@ mod tests {
             num_entities: 6,
             entity_dim: 4,
             relation_dim: 4,
+            state_width: 1,
         }
     }
 
+    /// One shard of 6 entities and 2 relations, 4 wide, with an AdaGrad
+    /// state row per row.
     fn small_store() -> KvStore {
         use crate::router::ShardRouter;
         use hetkg_embed::init::Init;
         use hetkg_kgraph::KeySpace;
         let router = ShardRouter::round_robin(KeySpace::new(6, 2), 1);
-        KvStore::new(router, 4, 4, 0, Init::Uniform { bound: 0.5 }, 3)
+        KvStore::new(router, 4, 4, 1, Init::Uniform { bound: 0.5 }, 3)
+    }
+
+    #[test]
+    fn an_image_read_returns_row_state_and_version_of_the_rows_that_moved() {
+        let store = small_store();
+        let adagrad = crate::optimizer::AdaGrad::new(0.1);
+        let keys: Vec<u64> = vec![1, 3, 6];
+        let held: Vec<u32> = keys.iter().map(|&k| store.version(ParamKey(k))).collect();
+        // Asked by a table that is the shard's: nothing comes back.
+        let mut frame = WireFrame::seal_versioned(keys.clone(), held.clone(), Vec::new());
+        answer_images(&store, 0, &mut frame);
+        assert!(frame.keys.is_empty() && frame.payload.is_empty() && frame.verify());
+        // Key 3 is pushed (row and state move), relation 6 overwritten.
+        store.push_grad(ParamKey(3), &[0.5; 4], &adagrad);
+        store.store(ParamKey(6), &[2.0; 4]);
+        let mut frame = WireFrame::seal_versioned(keys.clone(), held.clone(), Vec::new());
+        let request = frame.clone();
+        answer_images(&store, 0, &mut frame);
+        assert!(frame.verify());
+        assert_eq!(frame.keys, [3, 6]);
+        assert_eq!(
+            frame.versions,
+            [store.version(ParamKey(3)), store.version(ParamKey(6))]
+        );
+        let mut images = Vec::new();
+        store.for_each_row_with_state(|k, row, state| {
+            if k == ParamKey(3) || k == ParamKey(6) {
+                images.push((k.0, [row, state].concat()));
+            }
+        });
+        images.sort_by_key(|&(k, _)| k);
+        assert_eq!(frame.payload, [&images[0].1[..], &images[1].1[..]].concat());
+        assert!(
+            frame.payload[4..8].iter().all(|&s| s > 0.0),
+            "AdaGrad's state"
+        );
+        assert!(answers(&widths(), true, &request, &frame));
+        // The same rows without their state rows are no image reply.
+        let rows_only = WireFrame::seal_versioned(
+            frame.keys.clone(),
+            frame.versions.clone(),
+            [&frame.payload[..4], &frame.payload[8..12]].concat(),
+        );
+        assert!(answers(&widths(), false, &request, &rows_only));
+        assert!(!answers(&widths(), true, &request, &rows_only));
     }
 
     #[test]
@@ -612,7 +760,7 @@ mod tests {
         let request = frame.clone();
         answer_read(&store, 0, &mut frame);
         assert!(frame.keys.is_empty() && frame.payload.is_empty() && frame.verify());
-        assert!(answers(&widths(), &request, &frame));
+        assert!(answers(&widths(), false, &request, &frame));
         // Two rows are written; a third is asked for without a held copy.
         store.store(ParamKey(3), &[1.0; 4]);
         store.store(ParamKey(7), &[2.0; 4]);
@@ -631,7 +779,7 @@ mod tests {
         );
         assert_ne!(frame.versions[1], held[1]);
         assert_eq!(frame.wire_bytes(), 3 * (8 + 4 + 16));
-        assert!(answers(&widths(), &request, &frame));
+        assert!(answers(&widths(), false, &request, &frame));
         // Asking again with what came back returns nothing.
         let mut again =
             WireFrame::seal_versioned(frame.keys.clone(), frame.versions.clone(), vec![]);
@@ -669,31 +817,31 @@ mod tests {
             request.wire_bytes() + frame.wire_bytes(),
             2 * (8 + 16) + 2 * 12 + (12 + 16)
         );
-        assert!(answers(&widths(), &request, &frame));
+        assert!(answers(&widths(), false, &request, &frame));
         // A response that drops a plain row is refused.
         let short = WireFrame::seal_versioned(vec![5], frame.versions.clone(), vec![0.0; 8]);
-        assert!(!answers(&widths(), &request, &short));
+        assert!(!answers(&widths(), false, &request, &short));
         // So is one that names a plain key as if it had been conditional.
         let named = WireFrame::seal_versioned(vec![1, 5], vec![0, 1], vec![0.0; 12]);
-        assert!(!answers(&widths(), &request, &named));
+        assert!(!answers(&widths(), false, &request, &named));
     }
 
     #[test]
     fn malformed_newer_responses_are_refused() {
         let request = WireFrame::seal_versioned(vec![1, 2, 6], vec![NO_VERSION; 3], Vec::new());
         let ok = WireFrame::seal_versioned(vec![1, 6], vec![0, 0], vec![0.0; 8]);
-        assert!(answers(&widths(), &request, &ok));
+        assert!(answers(&widths(), false, &request, &ok));
         let reordered = WireFrame::seal_versioned(vec![6, 1], vec![0, 0], vec![0.0; 8]);
-        assert!(!answers(&widths(), &request, &reordered));
+        assert!(!answers(&widths(), false, &request, &reordered));
         let unasked = WireFrame::seal_versioned(vec![1, 4], vec![0, 0], vec![0.0; 8]);
-        assert!(!answers(&widths(), &request, &unasked));
+        assert!(!answers(&widths(), false, &request, &unasked));
         let repeated = WireFrame::seal_versioned(vec![1, 1], vec![0, 0], vec![0.0; 8]);
-        assert!(!answers(&widths(), &request, &repeated));
+        assert!(!answers(&widths(), false, &request, &repeated));
         let short = WireFrame::seal_versioned(vec![1, 6], vec![0, 0], vec![0.0; 7]);
-        assert!(!answers(&widths(), &request, &short));
+        assert!(!answers(&widths(), false, &request, &short));
         let unversioned = WireFrame::seal(vec![1], vec![0.0; 4]);
-        assert!(!answers(&widths(), &request, &unversioned));
+        assert!(!answers(&widths(), false, &request, &unversioned));
         let no_version = WireFrame::seal_versioned(vec![1], vec![NO_VERSION], vec![0.0; 4]);
-        assert!(!answers(&widths(), &request, &no_version));
+        assert!(!answers(&widths(), false, &request, &no_version));
     }
 }

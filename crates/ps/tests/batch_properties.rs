@@ -1,6 +1,6 @@
-//! Property tests for the shard-grouped batch operations: `pull_many`,
-//! `push_grad_many`, and `store_many` must be observationally identical to
-//! N sequential per-key calls — including batches with duplicate keys,
+//! Property tests for the shard-grouped batch operations: `pull_many` and
+//! `push_grad_many` must be observationally identical to N sequential
+//! per-key calls — including batches with duplicate keys,
 //! where in-order application is what keeps AdaGrad state exact — plus a
 //! concurrent stress test mirroring the per-key `concurrent_pushes_all_land`.
 
@@ -88,31 +88,6 @@ proptest! {
             seq.push_grad(k, g, &opt);
         }
         batched.push_grad_many(&keys, &grad_refs, &opt);
-        prop_assert_eq!(capture(&seq), capture(&batched));
-    }
-
-    /// `store_many` equals sequential stores: for duplicate keys the last
-    /// value in batch order wins.
-    #[test]
-    fn store_many_matches_sequential_stores(
-        entities in 1usize..100,
-        relations in 0usize..20,
-        shards in 1usize..7,
-        raw in prop::collection::vec((any::<u64>(), any::<i32>()), 1..60),
-    ) {
-        let seq = build_store(entities, relations, shards, 0);
-        let batched = build_store(entities, relations, shards, 0);
-        let total = (entities + relations) as u64;
-        let keys: Vec<ParamKey> = raw.iter().map(|&(r, _)| ParamKey(r % total)).collect();
-        let vals: Vec<Vec<f32>> = raw
-            .iter()
-            .map(|&(_, v)| (0..DIM).map(|d| v as f32 + d as f32).collect())
-            .collect();
-        let val_refs: Vec<&[f32]> = vals.iter().map(|v| v.as_slice()).collect();
-        for (&k, v) in keys.iter().zip(&val_refs) {
-            seq.store(k, v);
-        }
-        batched.store_many(&keys, &val_refs);
         prop_assert_eq!(capture(&seq), capture(&batched));
     }
 }

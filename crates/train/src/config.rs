@@ -245,12 +245,13 @@ impl std::fmt::Display for TransportKind {
 /// An option a socket transport refuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SocketRefusal {
-    /// A fault plan is attached.
+    /// A fault plan is attached. Waits for a crash restore that writes the
+    /// servers' rows, and for a `ps-server` that ingests a frame whose
+    /// checksum fails, as a checksums-off run must.
     FaultInjection,
-    /// Shards keep backups.
+    /// Shards keep backups. Waits for backup processes that adopt the
+    /// images a primary ships.
     Replication,
-    /// A retry budget or circuit breakers are configured.
-    OverloadProtection,
 }
 
 fn default_integrity() -> bool {
@@ -353,17 +354,15 @@ impl TrainConfig {
 
     /// Whether this config can run over [`TransportKind::Tcp`] /
     /// [`TransportKind::Uds`] — the one place that says which options a
-    /// socket transport refuses. All three for one reason: this process
-    /// applies a multi-shard push only once every shard's frame got through,
-    /// a `ps-server` applies a frame on receipt, so a batch stopped half-way
-    /// would leave servers and mirror apart (DESIGN.md "Scope and metering").
+    /// socket transport refuses, and [`SocketRefusal`] says what each
+    /// refusal waits for (DESIGN.md "Scope and metering"). A retry budget
+    /// and breakers are not refused: they are consulted only inside the
+    /// fault loop, which a fault plan arms.
     pub fn check_socket_transport(&self) -> Result<(), SocketRefusal> {
         if self.faults.is_some() {
             Err(SocketRefusal::FaultInjection)
         } else if self.replication.min(self.machines) > 1 {
             Err(SocketRefusal::Replication)
-        } else if self.retry_budget || self.breaker {
-            Err(SocketRefusal::OverloadProtection)
         } else {
             Ok(())
         }
@@ -442,22 +441,22 @@ mod tests {
     }
 
     #[test]
-    fn sockets_refuse_overload_protection() {
-        let clean = TrainConfig::small(SystemKind::HetKgCps);
-        let budgeted = TrainConfig {
-            retry_budget: true,
-            ..clean.clone()
-        };
+    fn sockets_accept_overload_protection() {
         let guarded = TrainConfig {
+            retry_budget: true,
             breaker: true,
-            ..clean
+            ..TrainConfig::small(SystemKind::HetKgCps)
         };
-        for cfg in [budgeted, guarded] {
-            assert_eq!(
-                cfg.check_socket_transport(),
-                Err(SocketRefusal::OverloadProtection)
-            );
-        }
+        assert_eq!(guarded.check_socket_transport(), Ok(()));
+        // With a fault plan armed, the plan is what is refused.
+        let faulty = TrainConfig {
+            faults: Some(FaultPlan::default()),
+            ..guarded
+        };
+        assert_eq!(
+            faulty.check_socket_transport(),
+            Err(SocketRefusal::FaultInjection)
+        );
     }
 
     #[test]

@@ -535,7 +535,14 @@ impl HetKgWorker {
             .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
         // Everything asked about under a version and not returned still
         // matches.
-        for (&k, &held) in keys[fresh.end..].iter().zip(held) {
+        // (Checked in debug builds against the shards' rows, which a
+        // catch-up brings into the client's store over any transport.)
+        let asked = &keys[fresh.end..];
+        if cfg!(debug_assertions) {
+            let caught_up = client.catch_up(asked, &mut self.ctx.ps);
+            caught_up.unwrap_or_else(|e| retries_exhausted("catch_up", e));
+        }
+        for (&k, &held) in asked.iter().zip(held) {
             if cfg!(debug_assertions) && table.held_version(k) == Some(held) {
                 // The gate is sound: what the shard declined to send is,
                 // bit for bit, what the cache already holds.

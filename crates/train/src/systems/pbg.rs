@@ -325,8 +325,9 @@ impl PbgWorker {
                 let before = self.ctx.meter.snapshot();
                 self.ctx
                     .client
-                    .try_push_batch_rows(
+                    .try_push_coalesced_rows(
                         &self.relation_keys,
+                        &[],
                         |i| &rel_grads[i * rel_dim..(i + 1) * rel_dim],
                         self.ctx.optimizer.as_ref(),
                         &mut self.ctx.ps,

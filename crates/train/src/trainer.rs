@@ -30,7 +30,8 @@ use hetkg_kgraph::{ids::KeyKind, EntityId, KeySpace, KnowledgeGraph, RelationId,
 use hetkg_netsim::{CompressionMode, CompressionStats, FaultInjector, ShardLiveness, TrafficMeter};
 use hetkg_partition::{MetisLike, Partitioner, RandomPartitioner};
 use hetkg_ps::{
-    KvStore, OverloadControl, ProcessCluster, PsClient, ShardRouter, ShardServerConfig, SocketMode,
+    KvStore, OverloadControl, ProcessCluster, PsClient, PsScratch, ShardRouter, ShardServerConfig,
+    SocketMode,
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -92,12 +93,12 @@ pub fn train_with_store(
 
     // --- Socket transport: one real PS-server process per shard ---
     //
-    // The in-process `store` stays as a deterministic mirror (eval
-    // snapshots, checkpoints and the returned store come from it), while
-    // every row a worker trains on is the server's wire response and every
-    // push/write is applied by the server's own optimizer. Both sides see
-    // the same requests in the same order, so they stay bitwise-equal —
-    // the cross-backend differential test holds them to it.
+    // The servers own the rows: every row a worker trains on is a server's
+    // wire response, and every push or write is applied by a server alone.
+    // `store` catches up from them where it is read — before an evaluation
+    // snapshot, a recovery checkpoint and the return — on the rows pushed
+    // or written since the last catch-up. That is not training traffic:
+    // unmetered and off every fault clock.
     let mut sockets = config.transport.is_socket().then(|| {
         config
             .check_socket_transport()
@@ -127,6 +128,15 @@ pub fn train_with_store(
         let transport = Arc::new(cluster.transport());
         (cluster, transport)
     });
+    // Over the simulated transport `store` is the shards: nothing to do.
+    let catch_up = || {
+        if let Some((_, transport)) = &sockets {
+            PsClient::new(0, topology, store.clone(), Arc::new(TrafficMeter::new()))
+                .with_transport(transport.clone())
+                .catch_up(&transport.take_moved(), &mut PsScratch::new())
+                .expect("catch up from the ps-servers");
+        }
+    };
 
     // --- Distribute training triples to workers ---
     let per_machine = partitioning.split_triples(train_triples);
@@ -287,6 +297,7 @@ pub fn train_with_store(
     let mut recoveries = 0u64;
     let mut recovery = RecoveryStore::open(config);
     if ckpt_period > 0 {
+        catch_up();
         recovery.save(&checkpoint_v2(&store, ks, 0, &optimizer_label), 0);
         checkpoints += 1;
     }
@@ -363,6 +374,7 @@ pub fn train_with_store(
         }
         let mut er = aggregate(epoch, &stats, config);
         if config.eval_candidates.is_some() && !eval_set.is_empty() {
+            catch_up();
             let snap = snapshot(&store, ks);
             let metrics = evaluate(
                 model.as_ref(),
@@ -383,6 +395,7 @@ pub fn train_with_store(
         report.epochs.push(er);
         epoch += 1;
         if ckpt_period > 0 && epoch < config.epochs && epoch.is_multiple_of(ckpt_period) {
+            catch_up();
             recovery.save(
                 &checkpoint_v2(&store, ks, epoch as u64, &optimizer_label),
                 epoch,
@@ -427,6 +440,7 @@ pub fn train_with_store(
             total,
         ));
     }
+    catch_up();
     // Orderly socket teardown: shutdown rides the training connections
     // (the servers' accept loops are sequential), then the children are
     // reaped. Failures here are real process-management bugs, not

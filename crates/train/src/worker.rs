@@ -214,8 +214,9 @@ impl WorkerCtx {
         self.push_keys
             .extend(slots.iter().map(|&s| grads.key_at(s)));
         self.client
-            .try_push_batch_rows(
+            .try_push_coalesced_rows(
                 &self.push_keys,
+                &[],
                 |i| grads.row_at(slots[i]),
                 self.optimizer.as_ref(),
                 &mut self.ps,
@@ -818,7 +819,7 @@ mod tests {
     /// is pinned against: a shard's keys go early only when the in-flight
     /// batch touches none of them.
     fn per_shard_split(c: &WorkerCtx, keys: &[ParamKey]) -> (Vec<ParamKey>, Vec<ParamKey>) {
-        let mut dirty = vec![false; c.client.num_shards()];
+        let mut dirty = vec![false; c.client.store().router().num_shards()];
         for &k in keys {
             if c.scratch.plan.contains(k) {
                 dirty[c.client.shard_of(k)] = true;

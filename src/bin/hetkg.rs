@@ -40,7 +40,7 @@
 //! `--transport tcp|uds` runs each PS shard as a real OS process speaking
 //! length-prefixed wire frames over sockets; `train` spawns them itself via
 //! the `ps-server` subcommand (not normally invoked by hand). Fault
-//! injection, replication, and overload protection are sim-only.
+//! injection and replication are sim-only.
 
 use het_kg::embed::checkpoint::Checkpoint;
 use het_kg::eval::breakdown::evaluate_breakdown_threaded;
@@ -175,8 +175,8 @@ fn usage() {
     println!("                       (spawned `hetkg ps-server`) reached over");
     println!("                       TCP or Unix sockets; same loss trajectory");
     println!("                       and metered bytes as sim. Incompatible with");
-    println!("                       --fault-profile, --replication > 1,");
-    println!("                       --retry-budget, and --breaker (sim-only)");
+    println!("                       --fault-profile and --replication > 1");
+    println!("                       (sim-only)");
     println!("fault injection (train):");
     println!("  --fault-profile P    none | lossy | corrupt | outage | overload | chaos");
     println!("                       | failover, or a JSON FaultPlan file (default none)");
@@ -612,9 +612,6 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
                     "fault injection is sim-only; drop --fault-profile"
                 }
                 SocketRefusal::Replication => "shard replication is sim-only; drop --replication",
-                SocketRefusal::OverloadProtection => {
-                    "overload protection is sim-only; drop --retry-budget/--breaker"
-                }
             };
             CliError::BadFlag {
                 flag: "transport",

@@ -6,8 +6,9 @@
 //! identical `TrafficMeter` totals, and a byte-identical final checkpoint
 //! whether PS traffic crosses the in-process cost model or real OS
 //! processes speaking wire frames over sockets. Any drift means the server
-//! processes and the trainer's mirror store have diverged — the one bug
-//! class this backend must never have silently.
+//! processes applied something the simulated shards did not, or the
+//! trainer's table failed to catch up from them — the one bug class this
+//! backend must never have silently.
 //!
 //! Spawned shard servers come from the `hetkg` binary's `ps-server`
 //! subcommand (`CARGO_BIN_EXE_hetkg`), exactly as the CLI wires it.
@@ -15,7 +16,7 @@
 use het_kg::embed::init::Init;
 use het_kg::netsim::{CompressionMode, TrafficMeter};
 use het_kg::prelude::*;
-use het_kg::ps::{ProcessCluster, PsClient, PsScratch, ShardServerConfig, SocketMode};
+use het_kg::ps::{KvStore, ProcessCluster, PsClient, PsScratch, ShardServerConfig, SocketMode};
 use het_kg::train_sys::trainer;
 use std::path::Path;
 use std::sync::Arc;
@@ -267,4 +268,166 @@ fn dead_servers_surface_typed_rpc_errors() {
     // Display impl, not a panic.
     let rendered = format!("{err}");
     assert!(!rendered.is_empty());
+}
+
+/// Every row of `store`, its optimizer state (as bits) and its version.
+fn images(store: &KvStore) -> Vec<(u64, Vec<u32>, Vec<u32>, u32)> {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut all = Vec::new();
+    store.for_each_row_with_state(|k, row, state| all.push((k.0, bits(row), bits(state), 0)));
+    for entry in &mut all {
+        entry.3 = store.version(ParamKey(entry.0));
+    }
+    all
+}
+
+/// One apply per push, by its shard: over a real uds cluster a push moves
+/// the servers' rows and leaves the client's in-process store alone, bits
+/// and versions; an image read of the rows the transport saw moved then
+/// brings their rows, optimizer state and versions home. The reference is
+/// the simulated backend, given the same calls.
+#[cfg(unix)]
+#[test]
+fn a_push_moves_only_the_servers_rows_until_an_image_read_brings_them_home() {
+    let cfg = ShardServerConfig {
+        num_entities: 12,
+        num_relations: 2,
+        entity_shard: (0..12u32).map(|e| e % 2).collect(),
+        num_shards: 2,
+        entity_dim: 4,
+        relation_dim: 4,
+        init: Init::Uniform { bound: 0.1 },
+        seed: 3,
+        optimizer: OptimizerKind::AdaGrad { lr: 0.1 },
+    };
+    let mut cluster = ProcessCluster::spawn(Path::new(hetkg_bin()), &cfg, SocketMode::Uds)
+        .expect("spawn two-shard cluster");
+    let transport = Arc::new(cluster.transport());
+    let client_on = |store: &Arc<KvStore>| {
+        PsClient::new(
+            0,
+            ClusterTopology::new(2, 1),
+            store.clone(),
+            Arc::new(TrafficMeter::new()),
+        )
+    };
+    let table = Arc::new(cfg.build_store());
+    let client = client_on(&table).with_transport(transport.clone());
+    let reference = Arc::new(cfg.build_store());
+    let sim = client_on(&reference);
+
+    let keys = [5u64, 0, 12, 1, 5].map(ParamKey);
+    let grads: Vec<Vec<f32>> = (0..keys.len())
+        .map(|i| (0..4).map(|d| 0.25 * (i + d) as f32 - 0.5).collect())
+        .collect();
+    let grads: Vec<&[f32]> = grads.iter().map(Vec::as_slice).collect();
+    let optimizer = cfg.optimizer.build();
+    let before = images(&table);
+    for c in [&client, &sim] {
+        c.try_push_batch_with(&keys, &grads, optimizer.as_ref(), &mut PsScratch::new())
+            .expect("push");
+    }
+    assert_eq!(
+        images(&table),
+        before,
+        "the client's process applied a push"
+    );
+    assert_ne!(images(&reference), before);
+    // The servers' rows moved as the reference's did.
+    let (mut served, mut simulated) = (Vec::new(), Vec::new());
+    client
+        .try_pull_batch_with(&keys, &mut PsScratch::new(), |_, r| served.push(r.to_vec()))
+        .expect("pull over uds");
+    sim.try_pull_batch_with(&keys, &mut PsScratch::new(), |_, r| {
+        simulated.push(r.to_vec())
+    })
+    .expect("simulated pull");
+    assert_eq!(served, simulated);
+    assert_eq!(images(&table), before, "a pull writes nothing either");
+
+    let moved = transport.take_moved();
+    assert_eq!(moved, [0u64, 1, 5, 12].map(ParamKey));
+    client
+        .catch_up(&moved, &mut PsScratch::new())
+        .expect("image read over uds");
+    assert_eq!(
+        images(&table),
+        images(&reference),
+        "rows, optimizer state and versions came home"
+    );
+    assert!(transport.take_moved().is_empty(), "forgotten once returned");
+    transport.send_shutdown().expect("shutdown");
+    cluster.wait().expect("servers exit cleanly");
+}
+
+/// The configuration of the two runs below, over `transport`.
+fn caught_up_config(transport: TransportKind) -> TrainConfig {
+    let mut cfg = TrainConfig::small(SystemKind::HetKgCps);
+    cfg.epochs = 3;
+    cfg.machines = 2;
+    cfg.seed = 23;
+    cfg.transport = transport;
+    if transport.is_socket() {
+        cfg.ps_server_bin = Some(hetkg_bin().to_string());
+    }
+    cfg
+}
+
+/// The trainer's table catches up from the servers before each evaluation
+/// snapshot: every epoch's MRR is bit-equal over sim and uds.
+#[cfg(unix)]
+#[test]
+fn every_epochs_mrr_is_the_same_over_sockets() {
+    let kg = workload(23).0;
+    let split = Split::ninety_five_five(&kg, 23);
+    let eval = &split.valid[..40.min(split.valid.len())];
+    let mrr = |transport: TransportKind| -> Vec<u64> {
+        let mut cfg = caught_up_config(transport);
+        cfg.eval_candidates = Some(50);
+        let report = trainer::train(&kg, &split.train, eval, &cfg);
+        report
+            .epochs
+            .iter()
+            .map(|e| e.mrr.expect("evaluated every epoch").to_bits())
+            .collect()
+    };
+    let sim = mrr(TransportKind::Sim);
+    assert_eq!(sim.len(), 3);
+    assert_ne!(sim[0], sim[2], "training moved the ranking");
+    assert_eq!(mrr(TransportKind::Uds), sim);
+}
+
+/// ... and before each recovery checkpoint: every image a run with
+/// `checkpoint_every = 1` writes — rows and optimizer state — is
+/// byte-equal over sim and uds.
+#[cfg(unix)]
+#[test]
+fn recovery_checkpoints_are_byte_equal_over_sockets() {
+    let (kg, train) = workload(23);
+    let files = |transport: TransportKind| -> Vec<(String, Vec<u8>)> {
+        let dir = std::env::temp_dir().join(format!(
+            "hetkg-transport-ck-{}-{transport}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = caught_up_config(transport);
+        cfg.checkpoint_every = 1;
+        cfg.checkpoint_dir = Some(dir.to_string_lossy().into_owned());
+        trainer::train(&kg, &train, &[], &cfg);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("checkpoint directory")
+            .map(|entry| {
+                let path = entry.expect("directory entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("checkpoint bytes"))
+            })
+            .collect();
+        files.sort();
+        std::fs::remove_dir_all(&dir).ok();
+        files
+    };
+    let sim = files(TransportKind::Sim);
+    let checkpoints = sim.iter().filter(|(name, _)| name.ends_with(".bin"));
+    assert_eq!(checkpoints.count(), 3, "{:?}", sim.iter().map(|f| &f.0));
+    assert!(sim == files(TransportKind::Uds), "recovery images differ");
 }
