@@ -24,13 +24,6 @@ pub enum Init {
 }
 
 impl Init {
-    /// The DGL-KE default: uniform with bound `gamma / dim`.
-    pub fn dglke_default(gamma: f32, dim: usize) -> Self {
-        Init::Uniform {
-            bound: gamma / dim as f32,
-        }
-    }
-
     /// Fill `table` in place, deterministically from `seed`.
     pub fn fill(self, table: &mut EmbeddingTable, seed: u64) {
         let dim = table.dim();
@@ -100,14 +93,6 @@ mod tests {
         let mut r3 = vec![0.0f32; 8];
         init.fill_row(&mut r3, 3, 10);
         assert_eq!(r1, r3);
-    }
-
-    #[test]
-    fn dglke_default_bound() {
-        match Init::dglke_default(12.0, 400) {
-            Init::Uniform { bound } => assert!((bound - 0.03).abs() < 1e-6),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

@@ -117,15 +117,6 @@ pub fn scale(x: &mut [f32], a: f32) {
     }
 }
 
-/// Normalize to unit L2 norm in place; leaves zero vectors untouched.
-#[inline]
-pub fn normalize(x: &mut [f32]) {
-    let n = norm2(x);
-    if n > 0.0 {
-        scale(x, 1.0 / n);
-    }
-}
-
 /// Elementwise difference norm helper: returns `h + r - t` into `out`.
 #[inline]
 pub fn translation_residual(h: &[f32], r: &[f32], t: &[f32], out: &mut [f32]) {
@@ -184,16 +175,6 @@ mod tests {
         let mut y = [1.0, 1.0];
         axpy(2.0, &[1.0, -1.0], &mut y);
         assert_eq!(y, [3.0, -1.0]);
-    }
-
-    #[test]
-    fn normalize_unit_and_zero() {
-        let mut x = [3.0, 4.0];
-        normalize(&mut x);
-        assert!((norm2(&x) - 1.0).abs() < 1e-6);
-        let mut z = [0.0, 0.0];
-        normalize(&mut z);
-        assert_eq!(z, [0.0, 0.0]);
     }
 
     #[test]

@@ -162,19 +162,6 @@ impl NegativeSampler {
         }
     }
 
-    /// Number of *distinct corrupting entities* drawn for a batch of
-    /// `batch_len` positives — the quantity the chunked strategy reduces
-    /// (§V's complexity argument, benched in the negative-sampling
-    /// ablation).
-    pub fn corruption_draws(&self, batch_len: usize) -> usize {
-        match self.config.strategy {
-            NegStrategy::Independent => batch_len * self.config.per_positive,
-            NegStrategy::Chunked { chunk_size } => {
-                batch_len.div_ceil(chunk_size) * self.config.per_positive
-            }
-        }
-    }
-
     fn draw_entity_not(&mut self, avoid: EntityId) -> EntityId {
         // Bounded retries; fall back to a deterministic neighbour.
         for _ in 0..16 {
@@ -309,28 +296,6 @@ mod tests {
             heads.len() <= 3 + 1,
             "expected shared corruption set, got {heads:?}"
         );
-    }
-
-    #[test]
-    fn corruption_draws_reflects_complexity_reduction() {
-        let ind = NegativeSampler::new(
-            100,
-            NegConfig {
-                per_positive: 8,
-                strategy: NegStrategy::Independent,
-            },
-            1,
-        );
-        let chk = NegativeSampler::new(
-            100,
-            NegConfig {
-                per_positive: 8,
-                strategy: NegStrategy::Chunked { chunk_size: 32 },
-            },
-            1,
-        );
-        assert_eq!(ind.corruption_draws(128), 1024);
-        assert_eq!(chk.corruption_draws(128), 32);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl EmbeddingTable {
         &mut self.data
     }
 
-    /// Grow to at least `rows` rows, zero-filling new space.
-    pub fn resize_rows(&mut self, rows: usize) {
-        self.data.resize(rows * self.dim, 0.0);
-    }
-
     /// Bytes occupied by one row (the unit metered by the network model).
     #[inline]
     pub fn row_bytes(&self) -> usize {
@@ -163,14 +158,5 @@ mod tests {
     #[should_panic(expected = "multiple of dim")]
     fn from_data_rejects_ragged() {
         let _ = EmbeddingTable::from_data(3, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn resize_rows_zero_fills() {
-        let mut t = EmbeddingTable::from_data(2, vec![1.0; 4]);
-        t.resize_rows(4);
-        assert_eq!(t.rows(), 4);
-        assert_eq!(t.row(3), &[0.0, 0.0]);
-        assert_eq!(t.row(0), &[1.0, 1.0]);
     }
 }

@@ -12,8 +12,10 @@
 //! The injector deliberately knows nothing about retries or caching; it
 //! only answers "what happened to this message?" via [`Verdict`]. Retry
 //! policy lives in the PS client, degraded-mode semantics in the trainer —
-//! both report their countermeasures back here (`note_*`) so one
-//! [`FaultSnapshot`] aggregates the whole story.
+//! both report their countermeasures back here (`note_*`), so each event is
+//! counted once, in the worker's [`FaultSnapshot`]. The run's report is
+//! those ledgers [`merge`](FaultSnapshot::merge)d, plus the few counts only
+//! the trainer sees.
 
 use crate::cost::CostModel;
 use parking_lot::Mutex;
@@ -340,15 +342,20 @@ pub enum Verdict {
     },
 }
 
-/// Aggregated fault/countermeasure counters for one injector (one worker).
-/// Snapshots from all workers merge into the run-level report.
+/// The fault ledger: fault and countermeasure counters. One injector (one
+/// worker) counts into its own; a run's report is every injector's
+/// [`merge`](Self::merge)d with one the trainer fills with the six
+/// run-level fields — `recoveries` and `checkpoints` from its recovery
+/// loop, the four `breaker_*`/`brownout_secs` from the shared breaker
+/// table — which an injector's own ledger leaves at zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSnapshot {
     /// Remote messages lost in transit.
     pub drops: u64,
     /// Retransmission attempts made by the PS client.
     pub retries: u64,
-    /// Bytes re-sent due to drops (also metered as traffic).
+    /// Bytes re-sent due to drops (also metered as traffic, so simulated
+    /// network time already pays for them).
     pub retransmitted_bytes: u64,
     /// Messages refused because the target shard was down.
     pub outage_refusals: u64,
@@ -364,13 +371,20 @@ pub struct FaultSnapshot {
     pub deferred_pushes: u64,
     /// Backlog flushes performed after shard recovery.
     pub backlog_flushes: u64,
+    /// Crash-recovery restarts (restore-from-checkpoint events); run-level.
+    #[serde(default)]
+    pub recoveries: u64,
+    /// Recovery checkpoints taken during the run; run-level.
+    #[serde(default)]
+    pub checkpoints: u64,
     /// Remote messages delivered with a flipped payload bit.
     #[serde(default)]
     pub corrupt_frames: u64,
     /// Corrupt frames caught by the checksum and re-pulled (never ingested).
     #[serde(default)]
     pub corrupt_detected: u64,
-    /// Corrupt frames ingested because checksums were disabled.
+    /// Corrupt frames ingested because checksums were disabled (poisoned
+    /// entries; zero whenever integrity is on).
     #[serde(default)]
     pub corrupt_ingested: u64,
     /// Backup replicas promoted to primary after a permanent shard death.
@@ -415,10 +429,23 @@ pub struct FaultSnapshot {
     /// its bound.
     #[serde(default)]
     pub shed_pushes: u64,
+    /// Circuit-breaker Closed→Open transitions; run-level.
+    #[serde(default)]
+    pub breaker_opens: u64,
+    /// Circuit-breaker Open→HalfOpen probe transitions; run-level.
+    #[serde(default)]
+    pub breaker_half_opens: u64,
+    /// Circuit-breaker HalfOpen→Closed recoveries; run-level.
+    #[serde(default)]
+    pub breaker_closes: u64,
+    /// Total simulated seconds shards spent behind a tripped breaker, over
+    /// closed brownout episodes; run-level.
+    #[serde(default)]
+    pub brownout_secs: f64,
 }
 
 impl FaultSnapshot {
-    /// Combine two workers' snapshots.
+    /// Combine two ledgers, field by field: the one fold over the counters.
     pub fn merge(self, o: FaultSnapshot) -> FaultSnapshot {
         FaultSnapshot {
             drops: self.drops + o.drops,
@@ -431,6 +458,8 @@ impl FaultSnapshot {
             degraded_hits: self.degraded_hits + o.degraded_hits,
             deferred_pushes: self.deferred_pushes + o.deferred_pushes,
             backlog_flushes: self.backlog_flushes + o.backlog_flushes,
+            recoveries: self.recoveries + o.recoveries,
+            checkpoints: self.checkpoints + o.checkpoints,
             corrupt_frames: self.corrupt_frames + o.corrupt_frames,
             corrupt_detected: self.corrupt_detected + o.corrupt_detected,
             corrupt_ingested: self.corrupt_ingested + o.corrupt_ingested,
@@ -447,6 +476,10 @@ impl FaultSnapshot {
             breaker_fast_fails: self.breaker_fast_fails + o.breaker_fast_fails,
             brownout_stale_serves: self.brownout_stale_serves + o.brownout_stale_serves,
             shed_pushes: self.shed_pushes + o.shed_pushes,
+            breaker_opens: self.breaker_opens + o.breaker_opens,
+            breaker_half_opens: self.breaker_half_opens + o.breaker_half_opens,
+            breaker_closes: self.breaker_closes + o.breaker_closes,
+            brownout_secs: self.brownout_secs + o.brownout_secs,
         }
     }
 
@@ -458,6 +491,11 @@ impl FaultSnapshot {
             + self.slow_messages
             + self.corrupt_frames
             + self.overload_sheds
+    }
+
+    /// Whether no fault fired and no countermeasure ran.
+    pub fn is_quiet(&self) -> bool {
+        *self == FaultSnapshot::default()
     }
 }
 
@@ -507,14 +545,6 @@ impl ShardLiveness {
             self.events.lock().push((shard, at));
         }
         newly
-    }
-
-    /// Total shards promoted so far.
-    pub fn promotions(&self) -> u64 {
-        self.promoted
-            .iter()
-            .filter(|p| p.load(Ordering::Acquire))
-            .count() as u64
     }
 
     /// Drain the pending promotion events `(shard, simulated_instant)`.
@@ -1013,25 +1043,61 @@ mod tests {
         assert!((inj.stats().backoff_secs - 0.25).abs() < 1e-15);
     }
 
+    /// A ledger whose 32 fields each hold a distinct value: field `i` (in
+    /// declaration order) is `base + step·i`, a quarter of that for an `f64`.
+    fn distinct(base: u64, step: u64) -> FaultSnapshot {
+        let v = |i: u64| base + step * i;
+        let s = |i: u64| v(i) as f64 / 4.0;
+        FaultSnapshot {
+            drops: v(0),
+            retries: v(1),
+            retransmitted_bytes: v(2),
+            outage_refusals: v(3),
+            slow_messages: v(4),
+            extra_latency_secs: s(5),
+            backoff_secs: s(6),
+            degraded_hits: v(7),
+            deferred_pushes: v(8),
+            backlog_flushes: v(9),
+            recoveries: v(10),
+            checkpoints: v(11),
+            corrupt_frames: v(12),
+            corrupt_detected: v(13),
+            corrupt_ingested: v(14),
+            promotions: v(15),
+            catch_up_frames: v(16),
+            catch_up_bytes: v(17),
+            hedged_pulls: v(18),
+            hedged_wins: v(19),
+            hedged_losses: v(20),
+            overload_sheds: v(21),
+            overload_throttled: v(22),
+            overload_extra_secs: s(23),
+            retries_denied: v(24),
+            breaker_fast_fails: v(25),
+            brownout_stale_serves: v(26),
+            shed_pushes: v(27),
+            breaker_opens: v(28),
+            breaker_half_opens: v(29),
+            breaker_closes: v(30),
+            brownout_secs: s(31),
+        }
+    }
+
     #[test]
     fn snapshots_merge_componentwise() {
-        let a = FaultSnapshot {
-            drops: 1,
-            retries: 2,
-            backoff_secs: 0.5,
-            ..Default::default()
-        };
-        let b = FaultSnapshot {
-            drops: 3,
-            degraded_hits: 7,
-            ..Default::default()
-        };
-        let m = a.merge(b);
-        assert_eq!(m.drops, 4);
-        assert_eq!(m.retries, 2);
-        assert_eq!(m.degraded_hits, 7);
-        assert!((m.backoff_secs - 0.5).abs() < 1e-15);
-        assert_eq!(m.total_faults(), 4);
+        // Every field distinct on both sides, so a field merged from the
+        // wrong source, or not at all, misses its sum.
+        let (a, b) = (distinct(1, 1), distinct(100, 1));
+        assert_eq!(a.merge(b), distinct(101, 2));
+        assert_eq!(b.merge(a), distinct(101, 2));
+        assert_eq!(a.merge(FaultSnapshot::default()), a);
+        assert_eq!(
+            a.merge(b).total_faults(),
+            a.total_faults() + b.total_faults()
+        );
+        assert!(FaultSnapshot::default().is_quiet());
+        assert!(!a.is_quiet());
     }
 
     #[test]
@@ -1160,7 +1226,6 @@ mod tests {
         assert!(live.promote(1, inj.now()));
         assert!(!live.promote(1, inj.now()), "second promote is a no-op");
         assert_eq!(inj.adjudicate(1, true, 64), Verdict::Deliver);
-        assert_eq!(live.promotions(), 1);
         let events = live.take_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].0, 1);

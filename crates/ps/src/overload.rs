@@ -46,7 +46,6 @@ const BUDGET_CAP_MILLITOKENS: u64 = 20_000;
 #[derive(Debug)]
 pub struct RetryBudget {
     balance: AtomicU64,
-    denied: AtomicU64,
     spent: AtomicU64,
 }
 
@@ -55,7 +54,6 @@ impl Default for RetryBudget {
     fn default() -> Self {
         Self {
             balance: AtomicU64::new(BUDGET_INITIAL_MILLITOKENS),
-            denied: AtomicU64::new(0),
             spent: AtomicU64::new(0),
         }
     }
@@ -77,7 +75,7 @@ impl RetryBudget {
 
     /// Try to pay for one retry. `false` means the budget is dry and the
     /// caller must degrade (typed `Overloaded` error / brownout) instead of
-    /// retrying.
+    /// retrying; the caller's fault ledger counts it (`retries_denied`).
     pub fn try_spend(&self) -> bool {
         let paid = self
             .balance
@@ -87,8 +85,6 @@ impl RetryBudget {
             .is_ok();
         if paid {
             self.spent.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.denied.fetch_add(1, Ordering::Relaxed);
         }
         paid
     }
@@ -101,11 +97,6 @@ impl RetryBudget {
     /// Retries paid for so far.
     pub fn retries_spent(&self) -> u64 {
         self.spent.load(Ordering::Relaxed)
-    }
-
-    /// Retries refused so far (budget dry).
-    pub fn retries_denied(&self) -> u64 {
-        self.denied.load(Ordering::Relaxed)
     }
 }
 
@@ -384,7 +375,6 @@ mod tests {
         assert!(b.try_spend());
         assert!(!b.try_spend(), "balance is dry");
         assert_eq!(b.retries_spent(), 2);
-        assert_eq!(b.retries_denied(), 1);
         // Forty successes fund one more retry; thirty-nine do not.
         let per_retry = RETRY_COST_MILLITOKENS / BUDGET_EARN_MILLITOKENS;
         assert_eq!(per_retry, 40);
@@ -394,7 +384,7 @@ mod tests {
         assert!(!b.try_spend());
         b.earn();
         assert!(b.try_spend());
-        assert_eq!(b.retries_denied(), 2);
+        assert_eq!(b.retries_spent(), 3);
         assert_eq!(b.balance_millitokens(), 0);
     }
 

@@ -15,9 +15,10 @@
 //! The accept loop is sequential (one connection at a time): the driving
 //! trainer is single-process and workers take turns, so a second
 //! concurrent client would only mask bugs. A disconnected client is not an
-//! error — the server goes back to `accept` — which is what makes the
-//! transport's drop-and-redial retry loop work. Only [`OP_SHUTDOWN`]
-//! (or a fatal protocol violation on `accept`) ends the process.
+//! error — the server goes back to `accept` — which is what lets the
+//! transport drop a stream after a failed carry and dial again on the next
+//! one. Only [`OP_SHUTDOWN`] (or a fatal protocol violation on `accept`)
+//! ends the process.
 
 use crate::kvstore::KvStore;
 use crate::optimizer::OptimizerKind;

@@ -12,8 +12,9 @@
 //! * [`ProcessTransport`]: each PS shard is a real OS process (the
 //!   `hetkg ps-server` subcommand) speaking length-prefixed `WireFrame`s
 //!   (see [`hetkg_netsim::stream`]) over TCP or Unix-domain sockets.
-//!   Socket failures map onto the same [`RpcError`] vocabulary the
-//!   simulated fault machinery raises, so callers retry identically.
+//!   A carry is one attempt; a socket failure comes back as the same
+//!   [`RpcError`] vocabulary the simulated fault machinery raises, and
+//!   retrying is the client's alone.
 //!
 //! What a shard does with a frame exists once, here: [`answer_read`] for
 //! the one read (a pull-if-newer; a plain pull is the request that holds no
@@ -442,8 +443,8 @@ fn connect(addr: &ServerAddr) -> io::Result<Sock> {
     Ok(sock)
 }
 
-/// Per-shard connection state: lazily connected, dropped (and re-dialed on
-/// the next attempt) after any I/O error.
+/// Per-shard connection state: lazily connected, dropped (and re-dialed by
+/// the next carry) after any failure.
 #[derive(Debug)]
 struct ShardConn {
     addr: ServerAddr,
@@ -460,12 +461,6 @@ impl ShardConn {
     }
 }
 
-/// How many times one exchange re-dials/retransmits before surfacing an
-/// [`RpcError`]. Deliberately small: socket failures here are real process
-/// deaths or real timeouts, not simulated transients.
-const SOCKET_ATTEMPTS: u32 = 3;
-/// Real-time backoff between socket attempts.
-const SOCKET_BACKOFF: Duration = Duration::from_millis(20);
 /// How long a dial may take.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long one read or write on a connected stream may block: a shard
@@ -573,11 +568,11 @@ fn bad_reply(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// Map a socket failure onto the client-facing error vocabulary the
-/// simulated fault machinery already uses, so retry/recovery policy code
-/// is backend-agnostic.
-fn map_io_error(e: &io::Error, shard: usize, attempts: u32) -> RpcError {
+/// Map a failed carry — one attempt — onto the client-facing error
+/// vocabulary the simulated fault machinery already uses.
+fn map_io_error(e: &io::Error, shard: usize) -> RpcError {
     use io::ErrorKind::*;
+    let attempts = 1;
     match e.kind() {
         TimedOut | WouldBlock | ConnectionRefused | NotFound | AddrNotAvailable => {
             RpcError::ShardUnavailable { shard, attempts }
@@ -588,6 +583,10 @@ fn map_io_error(e: &io::Error, shard: usize, attempts: u32) -> RpcError {
 }
 
 impl Transport for ProcessTransport {
+    /// One attempt. A failure drops the stream, so the next carry dials
+    /// again, and the frame is not written twice: a push or write whose
+    /// reply was lost may already have been applied, and whether to send
+    /// anything again is the client's fault loop's to decide.
     fn carry(&self, shard: usize, op: FrameOp<'_>, frame: &mut WireFrame) -> Result<(), RpcError> {
         let conn = self
             .conns
@@ -603,22 +602,11 @@ impl Transport for ProcessTransport {
             }
         }
         let mut conn = conn.lock();
-        let mut attempts: u32 = 0;
-        loop {
-            attempts += 1;
-            match self.attempt(&mut conn, op, frame) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    // Whatever the failure, the stream is suspect: drop it
-                    // and re-dial on the next attempt.
-                    conn.sock = None;
-                    if attempts >= SOCKET_ATTEMPTS {
-                        return Err(map_io_error(&e, shard, attempts));
-                    }
-                    std::thread::sleep(SOCKET_BACKOFF * attempts);
-                }
-            }
-        }
+        self.attempt(&mut conn, op, frame).map_err(|e| {
+            // Whatever the failure, the stream is suspect.
+            conn.sock = None;
+            map_io_error(&e, shard)
+        })
     }
 }
 
@@ -641,27 +629,142 @@ mod tests {
     fn io_errors_map_onto_rpc_vocabulary() {
         let unavailable = io::Error::new(io::ErrorKind::ConnectionRefused, "x");
         assert!(matches!(
-            map_io_error(&unavailable, 2, 3),
+            map_io_error(&unavailable, 2),
             RpcError::ShardUnavailable {
                 shard: 2,
-                attempts: 3
+                attempts: 1
             }
         ));
         let timeout = io::Error::new(io::ErrorKind::TimedOut, "x");
         assert!(matches!(
-            map_io_error(&timeout, 0, 1),
+            map_io_error(&timeout, 0),
             RpcError::ShardUnavailable { .. }
         ));
         let corrupt = io::Error::new(io::ErrorKind::InvalidData, "x");
         assert!(matches!(
-            map_io_error(&corrupt, 0, 2),
-            RpcError::CorruptPayload { attempts: 2 }
+            map_io_error(&corrupt, 0),
+            RpcError::CorruptPayload { attempts: 1 }
         ));
         let torn = io::Error::new(io::ErrorKind::UnexpectedEof, "x");
         assert!(matches!(
-            map_io_error(&torn, 0, 3),
-            RpcError::Dropped { attempts: 3 }
+            map_io_error(&torn, 0),
+            RpcError::Dropped { attempts: 1 }
         ));
+    }
+
+    /// A stand-in shard server on a Unix socket: per connection it reads
+    /// one message, counts it, answers with `reply` if there is one and
+    /// hangs up — until a shutdown arrives.
+    #[cfg(unix)]
+    struct FakeShard {
+        transport: ProcessTransport,
+        path: PathBuf,
+        received: Arc<std::sync::atomic::AtomicUsize>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    #[cfg(unix)]
+    impl FakeShard {
+        fn start(name: &str, reply: Option<(u8, WireFrame)>) -> Self {
+            use std::sync::atomic::Ordering;
+            let path =
+                std::env::temp_dir().join(format!("hetkg-fake-{}-{name}.sock", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+            let received = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let count = Arc::clone(&received);
+            let thread = std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    let mut conn = conn.unwrap();
+                    let Ok(message) = stream::read_message(&mut conn) else {
+                        continue;
+                    };
+                    if message.op == OP_SHUTDOWN {
+                        break;
+                    }
+                    count.fetch_add(1, Ordering::SeqCst);
+                    if let Some((op, frame)) = &reply {
+                        let _ = stream::write_frame(&mut conn, *op, frame);
+                    }
+                }
+            });
+            let transport = ProcessTransport::new(vec![ServerAddr::Uds(path.clone())], widths());
+            Self {
+                transport,
+                path,
+                received,
+                thread,
+            }
+        }
+
+        /// Messages the server has read, shutdown aside.
+        fn received(&self) -> usize {
+            self.received.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        fn stop(self) {
+            self.transport.send_shutdown().unwrap();
+            self.thread.join().unwrap();
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_push_whose_ack_is_lost_is_sent_once() {
+        let shard = FakeShard::start("lost-ack", None);
+        let sgd = crate::optimizer::Sgd { lr: 0.1 };
+        let mut push = WireFrame::seal(vec![3], vec![0.5; 4]);
+        let err = shard
+            .transport
+            .carry(0, FrameOp::Push(&sgd), &mut push)
+            .unwrap_err();
+        assert_eq!(err, RpcError::Dropped { attempts: 1 });
+        assert_eq!(
+            shard.received(),
+            1,
+            "the server may have applied the push: it is not written again"
+        );
+        shard.stop();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_read_whose_reply_fails_its_checksum_is_sent_once() {
+        // The answer to a one-row plain pull, a bit flipped after sealing.
+        let mut reply = WireFrame::seal(Vec::new(), vec![0.25; 4]);
+        assert!(reply.corrupt(0) && !reply.verify());
+        let shard = FakeShard::start("bad-reply", Some((OP_PULL_NEWER, reply)));
+        let mut read = WireFrame::seal(vec![1], Vec::new());
+        let err = shard
+            .transport
+            .carry(0, FrameOp::PullNewer, &mut read)
+            .unwrap_err();
+        assert_eq!(err, RpcError::CorruptPayload { attempts: 1 });
+        assert_eq!(shard.received(), 1, "retrying a read is the client's");
+        shard.stop();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_push_still_marks_its_rows_moved() {
+        let shard = FakeShard::start("moved", None);
+        let sgd = crate::optimizer::Sgd { lr: 0.1 };
+        let mut push = WireFrame::seal(vec![1, 4], vec![0.5; 8]);
+        assert!(shard
+            .transport
+            .carry(0, FrameOp::Push(&sgd), &mut push)
+            .is_err());
+        assert_eq!(shard.transport.take_moved(), [ParamKey(1), ParamKey(4)]);
+        assert!(shard.transport.take_moved().is_empty(), "taken once");
+        // A failed read moves nothing.
+        let mut read = WireFrame::seal(vec![2], Vec::new());
+        assert!(shard
+            .transport
+            .carry(0, FrameOp::PullNewer, &mut read)
+            .is_err());
+        assert!(shard.transport.take_moved().is_empty());
+        shard.stop();
     }
 
     #[test]

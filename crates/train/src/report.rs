@@ -10,7 +10,7 @@
 use crate::supervisor::SupervisorReport;
 use hetkg_core::metrics::{CacheStats, TableEconomy};
 use hetkg_eval::RankMetrics;
-use hetkg_netsim::{FaultSnapshot, TrafficSnapshot};
+use hetkg_netsim::TrafficSnapshot;
 use serde::{Deserialize, Serialize};
 
 /// Measurements for one epoch (aggregated over workers: times are the
@@ -93,137 +93,12 @@ impl EpochReport {
 }
 
 /// Run-level fault and recovery accounting, present when training ran with
-/// a fault plan attached. Message-path counters are summed over all
-/// workers' [`FaultSnapshot`]s; `recoveries`/`checkpoints` come from the
-/// trainer's crash-recovery loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultReport {
-    /// Remote messages lost in transit.
-    pub drops: u64,
-    /// Retransmission attempts made by PS clients.
-    pub retries: u64,
-    /// Bytes re-sent due to drops (also included in the traffic meters, so
-    /// simulated network time already pays for them).
-    pub retransmitted_bytes: u64,
-    /// Messages refused because the target shard was down.
-    pub outage_refusals: u64,
-    /// Remote messages slowed by straggler episodes.
-    pub slow_messages: u64,
-    /// Extra simulated seconds added by straggler episodes.
-    pub extra_latency_secs: f64,
-    /// Simulated seconds spent in retry backoff / waiting out outages.
-    pub backoff_secs: f64,
-    /// HET-KG cache hits served stale because the home shard was down.
-    pub degraded_hits: u64,
-    /// Gradient pushes deferred into worker backlogs during outages.
-    pub deferred_pushes: u64,
-    /// Backlog flushes performed after shard recovery.
-    pub backlog_flushes: u64,
-    /// Crash-recovery restarts (restore-from-checkpoint events).
-    pub recoveries: u64,
-    /// Recovery checkpoints taken during the run.
-    pub checkpoints: u64,
-    /// Remote frames delivered with a flipped bit.
-    #[serde(default)]
-    pub corrupt_frames: u64,
-    /// Corrupt frames caught by the wire checksum and re-pulled.
-    #[serde(default)]
-    pub corrupt_detected: u64,
-    /// Corrupt frames ingested because checksums were off (poisoned
-    /// entries; must be zero whenever integrity is on).
-    #[serde(default)]
-    pub corrupt_ingested: u64,
-    /// Backup replicas promoted to primary after a permanent shard kill.
-    #[serde(default)]
-    pub promotions: u64,
-    /// Replication-backlog records replayed during anti-entropy catch-up.
-    #[serde(default)]
-    pub catch_up_frames: u64,
-    /// Bytes shipped during anti-entropy catch-up.
-    #[serde(default)]
-    pub catch_up_bytes: u64,
-    /// Slow remote pulls hedged to a backup replica.
-    #[serde(default)]
-    pub hedged_pulls: u64,
-    /// Hedged pulls where the backup's response arrived first.
-    #[serde(default)]
-    pub hedged_wins: u64,
-    /// Hedged pulls where the primary still won.
-    #[serde(default)]
-    pub hedged_losses: u64,
-    /// Requests shed at an overloaded shard's ingress queue.
-    #[serde(default)]
-    pub overload_sheds: u64,
-    /// Requests that queued behind a flash crowd and paid extra latency.
-    #[serde(default)]
-    pub overload_throttled: u64,
-    /// Extra simulated seconds of queueing latency under overload.
-    #[serde(default)]
-    pub overload_extra_secs: f64,
-    /// Retries refused because the run-global retry budget was dry.
-    #[serde(default)]
-    pub retries_denied: u64,
-    /// Requests failed fast at an open circuit breaker (never sent).
-    #[serde(default)]
-    pub breaker_fast_fails: u64,
-    /// HET-KG cache hits served stale because the home shard's breaker was
-    /// tripped (brownout; outage-driven stale serves are `degraded_hits`).
-    #[serde(default)]
-    pub brownout_stale_serves: u64,
-    /// Deferred pushes dropped because a brownout backlog hit its cap.
-    #[serde(default)]
-    pub shed_pushes: u64,
-    /// Circuit-breaker Closed→Open transitions (run-global).
-    #[serde(default)]
-    pub breaker_opens: u64,
-    /// Circuit-breaker Open→HalfOpen probe transitions (run-global).
-    #[serde(default)]
-    pub breaker_half_opens: u64,
-    /// Circuit-breaker HalfOpen→Closed recoveries (run-global).
-    #[serde(default)]
-    pub breaker_closes: u64,
-    /// Total simulated seconds shards spent behind a tripped breaker, over
-    /// closed brownout episodes (run-global).
-    #[serde(default)]
-    pub brownout_secs: f64,
-}
-
-impl FaultReport {
-    /// Fold one worker's injector counters into the run totals.
-    pub fn absorb(&mut self, s: &FaultSnapshot) {
-        self.drops += s.drops;
-        self.retries += s.retries;
-        self.retransmitted_bytes += s.retransmitted_bytes;
-        self.outage_refusals += s.outage_refusals;
-        self.slow_messages += s.slow_messages;
-        self.extra_latency_secs += s.extra_latency_secs;
-        self.backoff_secs += s.backoff_secs;
-        self.degraded_hits += s.degraded_hits;
-        self.deferred_pushes += s.deferred_pushes;
-        self.backlog_flushes += s.backlog_flushes;
-        self.corrupt_frames += s.corrupt_frames;
-        self.corrupt_detected += s.corrupt_detected;
-        self.corrupt_ingested += s.corrupt_ingested;
-        self.promotions += s.promotions;
-        self.catch_up_frames += s.catch_up_frames;
-        self.catch_up_bytes += s.catch_up_bytes;
-        self.hedged_pulls += s.hedged_pulls;
-        self.hedged_wins += s.hedged_wins;
-        self.hedged_losses += s.hedged_losses;
-        self.overload_sheds += s.overload_sheds;
-        self.overload_throttled += s.overload_throttled;
-        self.overload_extra_secs += s.overload_extra_secs;
-        self.retries_denied += s.retries_denied;
-        self.breaker_fast_fails += s.breaker_fast_fails;
-        self.brownout_stale_serves += s.brownout_stale_serves;
-        self.shed_pushes += s.shed_pushes;
-    }
-
-    /// Whether any fault or countermeasure fired at all.
-    pub fn is_quiet(&self) -> bool {
-        *self == FaultReport::default()
-    }
-}
+/// a fault plan attached: the fault ledger, every worker injector's
+/// [`merge`](hetkg_netsim::FaultSnapshot::merge)d with the six fields only
+/// the trainer fills — `recoveries` and `checkpoints` from its recovery
+/// loop, `breaker_opens`, `breaker_half_opens`, `breaker_closes` and
+/// `brownout_secs` from the run's shared breaker table.
+pub use hetkg_netsim::FaultSnapshot as FaultReport;
 
 /// Push-compression accounting, summed over all workers. Present when the
 /// run compressed its push path (a [`CompressionMode`] other than `Off`).
@@ -476,57 +351,80 @@ mod tests {
 
     #[test]
     fn fault_report_absorbs_snapshots() {
-        let mut fr = FaultReport::default();
-        assert!(fr.is_quiet());
-        fr.absorb(&FaultSnapshot {
-            drops: 2,
-            retries: 1,
-            degraded_hits: 5,
+        // The trainer's fold: the workers' ledgers, then its own counts.
+        let workers = [
+            FaultReport {
+                drops: 2,
+                retries: 1,
+                degraded_hits: 5,
+                ..Default::default()
+            },
+            FaultReport {
+                drops: 1,
+                overload_extra_secs: 0.25,
+                shed_pushes: 2,
+                ..Default::default()
+            },
+        ];
+        let run = FaultReport {
+            recoveries: 1,
+            breaker_opens: 3,
             ..Default::default()
-        });
-        fr.absorb(&FaultSnapshot {
-            drops: 1,
-            deferred_pushes: 3,
-            corrupt_frames: 4,
-            corrupt_detected: 4,
-            promotions: 1,
-            catch_up_frames: 6,
-            catch_up_bytes: 600,
-            hedged_pulls: 7,
-            hedged_wins: 5,
-            hedged_losses: 2,
-            overload_sheds: 9,
-            overload_throttled: 11,
-            overload_extra_secs: 0.25,
-            retries_denied: 4,
-            breaker_fast_fails: 3,
-            brownout_stale_serves: 8,
-            shed_pushes: 2,
-            ..Default::default()
-        });
-        fr.recoveries = 1;
+        };
+        assert!(FaultReport::default().is_quiet());
+        let fr = workers.iter().fold(run, |acc, w| acc.merge(*w));
         assert_eq!(fr.drops, 3);
         assert_eq!(fr.retries, 1);
         assert_eq!(fr.degraded_hits, 5);
-        assert_eq!(fr.deferred_pushes, 3);
-        assert_eq!(fr.corrupt_frames, 4);
-        assert_eq!(fr.corrupt_detected, 4);
-        assert_eq!(fr.corrupt_ingested, 0);
-        assert_eq!(fr.promotions, 1);
-        assert_eq!(fr.catch_up_frames, 6);
-        assert_eq!(fr.catch_up_bytes, 600);
-        assert_eq!(fr.hedged_pulls, 7);
-        assert_eq!(fr.hedged_wins, 5);
-        assert_eq!(fr.hedged_losses, 2);
-        assert_eq!(fr.overload_sheds, 9);
-        assert_eq!(fr.overload_throttled, 11);
         assert_eq!(fr.overload_extra_secs, 0.25);
-        assert_eq!(fr.retries_denied, 4);
-        assert_eq!(fr.breaker_fast_fails, 3);
-        assert_eq!(fr.brownout_stale_serves, 8);
         assert_eq!(fr.shed_pushes, 2);
-        assert_eq!(fr.breaker_opens, 0, "run-global, set by the trainer");
+        assert_eq!(fr.recoveries, 1);
+        assert_eq!(fr.breaker_opens, 3);
+        assert_eq!(fr.checkpoints, 0);
         assert!(!fr.is_quiet());
+    }
+
+    #[test]
+    fn fault_report_keys_keep_their_serialized_order() {
+        // The order a report's `faults` object has had since the breaker
+        // counters were added; a new counter goes on the end.
+        const KEYS: [&str; 32] = [
+            "drops",
+            "retries",
+            "retransmitted_bytes",
+            "outage_refusals",
+            "slow_messages",
+            "extra_latency_secs",
+            "backoff_secs",
+            "degraded_hits",
+            "deferred_pushes",
+            "backlog_flushes",
+            "recoveries",
+            "checkpoints",
+            "corrupt_frames",
+            "corrupt_detected",
+            "corrupt_ingested",
+            "promotions",
+            "catch_up_frames",
+            "catch_up_bytes",
+            "hedged_pulls",
+            "hedged_wins",
+            "hedged_losses",
+            "overload_sheds",
+            "overload_throttled",
+            "overload_extra_secs",
+            "retries_denied",
+            "breaker_fast_fails",
+            "brownout_stale_serves",
+            "shed_pushes",
+            "breaker_opens",
+            "breaker_half_opens",
+            "breaker_closes",
+            "brownout_secs",
+        ];
+        let json = serde_json::to_string(&FaultReport::default()).unwrap();
+        let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+        assert_eq!(keys, KEYS, "{json}");
     }
 
     #[test]

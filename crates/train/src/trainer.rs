@@ -404,21 +404,21 @@ pub fn train_with_store(
         }
     }
     if config.faults.is_some() {
-        let mut fr = FaultReport::default();
-        for inj in injectors.iter().flatten() {
-            fr.absorb(&inj.stats());
-        }
-        fr.recoveries = recoveries;
-        fr.checkpoints = checkpoints;
+        let mut run = FaultReport {
+            recoveries,
+            checkpoints,
+            ..FaultReport::default()
+        };
         // Breaker transitions are run-global (the table is shared), so they
-        // come from the control itself rather than per-worker snapshots.
+        // come from the control itself rather than per-worker ledgers.
         if let Some(br) = overload.as_ref().and_then(|c| c.breakers.as_ref()) {
-            fr.breaker_opens = br.opens();
-            fr.breaker_half_opens = br.half_opens();
-            fr.breaker_closes = br.closes();
-            fr.brownout_secs = br.brownout_secs();
+            run.breaker_opens = br.opens();
+            run.breaker_half_opens = br.half_opens();
+            run.breaker_closes = br.closes();
+            run.brownout_secs = br.brownout_secs();
         }
-        report.faults = Some(fr);
+        let ledgers = injectors.iter().flatten().map(|inj| inj.stats());
+        report.faults = Some(ledgers.fold(run, FaultReport::merge));
     }
     if let Some(sup) = supervisor.as_mut() {
         // Promotions from the final epoch (after the last beat round).

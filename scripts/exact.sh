@@ -33,18 +33,21 @@
 # --faults runs none of that. It builds `hetkg` on both sides and trains
 # with every CLI fault profile at every seed given (default 11 23 47, the
 # chaos jobs' seeds) — lossy, corrupt, corrupt --integrity off, outage,
-# overload (retry budget and breakers on, the profile's default), chaos,
-# and failover --replication 2 — on `--synthetic fb15k --epochs 3` with
-# `--oracle on`, and prints `=` / `≠` per profile for the run's stdout and
-# for the checkpoint's bytes. Fault runs report simulated time only, so
-# both are deterministic.
+# overload (retry budget and breakers on, the profile's default), overload
+# with the budget, the breakers or both off (the breaker-only, budget-only
+# and retry-storm paths), chaos, chaos --replication 2, and failover
+# --replication 2 — on `--synthetic fb15k --epochs 3` with `--oracle on`,
+# and prints `=` / `≠` per profile for the run's stdout, the checkpoint's
+# bytes and the `--report` JSON (its fault ledger included) with its
+# `wall_secs` lines removed. Fault runs report simulated time only, so all
+# three are deterministic.
 #
 # Prints; gates nothing: a change that means to move a field says so, and
 # this is the table it says it with.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 1 ]] || { sed -n '2,43p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,46p' "$0" >&2; exit 2; }
 sha="$(git rev-parse --short=12 "$1^{commit}")"
 shift
 mode=(--seconds 3 --trace 1 --quick)
@@ -66,12 +69,14 @@ git archive "$sha" | tar -x -C "$root/src"
 
 if [[ $faults == 1 ]]; then
     [[ ${#seeds[@]} -gt 0 ]] || seeds=(11 23 47)
-    profiles=(lossy corrupt "corrupt --integrity off" outage overload chaos
-              "failover --replication 2")
+    profiles=(lossy corrupt "corrupt --integrity off" outage overload
+              "overload --retry-budget off" "overload --breaker off"
+              "overload --retry-budget off --breaker off" chaos
+              "chaos --replication 2" "failover --replication 2")
     here_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")"
     (cd "$root/src" && CARGO_TARGET_DIR="$root/target" cargo build --release --quiet --bin hetkg)
     cargo build --release --quiet --bin hetkg
-    printf '%-6s %-26s %-7s%s\n' seed profile stdout checkpoint
+    printf '%-6s %-42s %-7s%-11s%s\n' seed profile stdout checkpoint report
     for seed in "${seeds[@]}"; do
         for profile in "${profiles[@]}"; do
             # One directory per side, so the printed checkpoint path agrees.
@@ -83,10 +88,12 @@ if [[ $faults == 1 ]]; then
                 # shellcheck disable=SC2086 # a profile is a flag and its arguments
                 (cd "$dir" && "$bin" train --synthetic fb15k --epochs 3 --seed "$seed" \
                     --fault-profile $profile --oracle on --out model.bin \
-                    > stdout.txt 2>&1 || echo "exit $?" >> stdout.txt)
+                    --report report.json > stdout.txt 2>&1 || echo "exit $?" >> stdout.txt
+                    grep -v '"wall_secs"' report.json > report.txt || true)
             done
             same() { cmp -s "$root/faults/a/$1" "$root/faults/b/$1" && echo "=" || echo "≠"; }
-            printf '%-6s %-26s %s      %s\n' "$seed" "$profile" "$(same stdout.txt)" "$(same model.bin)"
+            printf '%-6s %-42s %s      %s          %s\n' "$seed" "$profile" \
+                "$(same stdout.txt)" "$(same model.bin)" "$(same report.txt)"
         done
     done
     exit 0
