@@ -48,19 +48,6 @@ pub fn mb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1e6)
 }
 
-/// Render a rank-ordered series as a sparkline-ish text bar chart (for the
-/// figure subcommands where the paper has a plot).
-pub fn bars(labels: &[String], values: &[f64], width: usize) -> String {
-    let max = values.iter().cloned().fold(f64::MIN, f64::max).max(1e-12);
-    let lwidth = labels.iter().map(String::len).max().unwrap_or(0);
-    let mut out = String::new();
-    for (l, &v) in labels.iter().zip(values) {
-        let n = ((v / max) * width as f64).round() as usize;
-        out.push_str(&format!("{l:>lwidth$} | {} {v:.4}\n", "#".repeat(n)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,14 +76,6 @@ mod tests {
         assert_eq!(secs(300.0), "5.0m");
         assert_eq!(pct(0.753), "75.3%");
         assert_eq!(mb(2_500_000), "2.5");
-    }
-
-    #[test]
-    fn bars_scale_to_max() {
-        let out = bars(&s(&["a", "b"]), &[1.0, 2.0], 10);
-        let lines: Vec<&str> = out.lines().collect();
-        assert!(lines[1].matches('#').count() == 10);
-        assert!(lines[0].matches('#').count() == 5);
     }
 
     #[test]

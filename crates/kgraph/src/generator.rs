@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(g.num_relations(), 12);
         assert_eq!(g.num_triples(), 2_000);
         for t in g.triples() {
-            assert!(!t.is_loop());
+            assert_ne!(t.head, t.tail, "no self-loops");
         }
         // dedup on by default
         let set: std::collections::HashSet<_> = g.triples().iter().collect();

@@ -184,12 +184,6 @@ impl KnowledgeGraph {
             .collect()
     }
 
-    /// A sub-view keeping only the listed triples (shares no storage).
-    /// Entity/relation id spaces are preserved, so embeddings line up.
-    pub fn restrict(&self, triples: Vec<Triple>) -> KnowledgeGraph {
-        KnowledgeGraph::new_unchecked(self.num_entities, self.num_relations, triples)
-    }
-
     /// Average entity degree.
     pub fn avg_degree(&self) -> f64 {
         if self.num_entities == 0 {
@@ -280,16 +274,6 @@ mod tests {
                 relation: 3
             }
         );
-    }
-
-    #[test]
-    fn restrict_keeps_id_spaces() {
-        let g = toy();
-        let sub = g.restrict(vec![Triple::new(0, 0, 1)]);
-        assert_eq!(sub.num_entities(), 3);
-        assert_eq!(sub.num_relations(), 2);
-        assert_eq!(sub.num_triples(), 1);
-        assert_eq!(sub.degree(EntityId(2)), 0);
     }
 
     #[test]

@@ -78,18 +78,6 @@ impl AccessCounter {
         self.counts[self.key_space.num_entities()..].iter().sum()
     }
 
-    /// Keys sorted by descending access count (ties broken by key order, so
-    /// the result is deterministic).
-    pub fn ranked_keys(&self) -> Vec<ParamKey> {
-        let mut keys: Vec<u32> = (0..self.counts.len() as u32).collect();
-        keys.sort_by(|&a, &b| {
-            self.counts[b as usize]
-                .cmp(&self.counts[a as usize])
-                .then(a.cmp(&b))
-        });
-        keys.into_iter().map(|k| ParamKey(k as u64)).collect()
-    }
-
     /// Fraction of *entity* accesses captured by the hottest
     /// `top_frac` (e.g. 0.01 = top 1%) of entities.
     pub fn entity_top_share(&self, top_frac: f64) -> f64 {
@@ -171,17 +159,6 @@ mod tests {
         assert_eq!(c.count(ParamKey(5)), 1); // relation 1 at offset 4
         assert_eq!(c.entity_total(), 2);
         assert_eq!(c.relation_total(), 1);
-    }
-
-    #[test]
-    fn ranked_keys_descending_deterministic() {
-        let ks = KeySpace::new(3, 0);
-        let mut c = AccessCounter::new(ks);
-        c.record(ParamKey(1));
-        c.record(ParamKey(1));
-        c.record(ParamKey(2));
-        let ranked = c.ranked_keys();
-        assert_eq!(ranked, vec![ParamKey(1), ParamKey(2), ParamKey(0)]);
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl Triple {
     pub fn with_tail(self, tail: EntityId) -> Self {
         Self { tail, ..self }
     }
-
-    /// Whether the triple is a self-loop (head == tail).
-    #[inline]
-    pub fn is_loop(self) -> bool {
-        self.head == self.tail
-    }
 }
 
 impl std::fmt::Display for Triple {
@@ -72,12 +66,6 @@ mod tests {
         assert_eq!(t.with_tail(EntityId(9)), Triple::new(1, 2, 9));
         // original untouched (Copy semantics)
         assert_eq!(t, Triple::new(1, 2, 3));
-    }
-
-    #[test]
-    fn loop_detection() {
-        assert!(Triple::new(4, 0, 4).is_loop());
-        assert!(!Triple::new(4, 0, 5).is_loop());
     }
 
     #[test]

@@ -273,10 +273,11 @@ impl FaultPlan {
 
     /// The overload profile used by the CLI: a flash crowd saturates shard
     /// 1 early in the run. Service latency on the shard inflates with queue
-    /// depth and arrivals past a small queue capacity are shed, so clients
-    /// without overload protection degenerate into a metered retry storm,
-    /// while a retry budget + circuit breaker ride the window out on
-    /// bounded-stale cache hits. No drops, stragglers, or crashes — the
+    /// depth and arrivals past a small queue capacity are shed. The window
+    /// is what arms the trainer's retry budget and circuit breakers
+    /// (`hetkg_ps::OverloadControl::for_plan`), which ride it out on
+    /// bounded-stale cache hits instead of a metered retry storm. No drops,
+    /// stragglers, or crashes — the
     /// window is the only perturbation, which keeps cause and effect
     /// legible in the run report.
     ///

@@ -49,7 +49,7 @@ use crate::compress::PushCompressor;
 use crate::error::{backoff, RpcError, MAX_ATTEMPTS};
 use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
-use crate::overload::{Gate, OverloadControl, ShardBreakers};
+use crate::overload::OverloadControl;
 use crate::router::BatchPlan;
 use crate::transport::{FrameOp, SimTransport, Transport};
 use hetkg_kgraph::ParamKey;
@@ -311,11 +311,10 @@ impl PsClient {
         self
     }
 
-    /// Attach the run-global overload-protection bundle (retry budget and/or
-    /// per-shard circuit breakers). The bundle is shared across every
+    /// Attach the run-global overload protection, shared across every
     /// worker's client in a run so the budget is truly global and all
-    /// workers see the same breaker decisions. With no faults firing the
-    /// bundle only accumulates counters — a clean run stays bit-identical.
+    /// workers see the same breaker decisions. Without it, the fault loop
+    /// retries a shed on the backoff schedule, like a drop.
     pub fn with_overload(mut self, control: Arc<OverloadControl>) -> Self {
         self.overload = Some(control);
         self
@@ -420,16 +419,11 @@ impl PsClient {
             .is_none_or(|f| f.shard_available(self.store.router().shard_of(key)))
     }
 
-    /// The shared breaker table, when breakers are enabled.
-    fn breakers(&self) -> Option<&ShardBreakers> {
-        self.overload.as_ref().and_then(|c| c.breakers.as_ref())
-    }
-
     /// Whether `shard`'s circuit breaker is tripped (Open or HalfOpen).
-    /// Always false without breakers attached.
+    /// Always false without overload protection attached.
     #[inline]
     pub fn breaker_tripped(&self, shard: usize) -> bool {
-        self.breakers().is_some_and(|b| b.tripped(shard))
+        self.overload.as_ref().is_some_and(|c| c.tripped(shard))
     }
 
     /// Whether `key`'s home shard is worth talking to right now: reachable
@@ -938,26 +932,11 @@ impl PsClient {
             record(frame);
             return Ok(());
         };
+        let overload = self.overload.as_deref();
         let mut attempts: u32 = 0;
         loop {
-            // Circuit-breaker gate. Open breakers fail fast: sheddable
-            // writes surface a typed `Overloaded` immediately (the caller
-            // defers the push — brownout), while required reads sleep out
-            // the cooldown in simulated time and become the HalfOpen probe.
-            // Neither path burns an attempt: nothing transited.
-            if let Some(br) = self.breakers() {
-                match br.allow(shard, f.now()) {
-                    Gate::Allow | Gate::Probe => {}
-                    Gate::FastFail { until } => {
-                        f.note_breaker_fast_fail();
-                        if !hedgeable {
-                            return Err(RpcError::Overloaded { shard, attempts });
-                        }
-                        let wait = (until - f.now()).max(0.0);
-                        f.note_backoff(wait);
-                        continue;
-                    }
-                }
+            if let Some(ctl) = overload {
+                ctl.admit(f, shard, hedgeable, attempts)?;
             }
             attempts += 1;
             let sent_at = f.now();
@@ -965,19 +944,8 @@ impl PsClient {
                 Verdict::Deliver => {
                     record(frame);
                     let elapsed = f.now() - sent_at;
-                    if let Some(ctl) = &self.overload {
-                        if let Some(budget) = &ctl.budget {
-                            budget.earn();
-                        }
-                        if let Some(br) = &ctl.breakers {
-                            let base = if remote {
-                                f.cost().remote_time(bytes, 1)
-                            } else {
-                                f.cost().local_time(bytes, 1)
-                            };
-                            let ratio = if base > 0.0 { elapsed / base } else { 1.0 };
-                            br.on_success(shard, f.now(), ratio);
-                        }
+                    if let Some(ctl) = overload {
+                        ctl.delivered(f, shard, remote, bytes, elapsed);
                     }
                     if hedgeable && remote {
                         self.maybe_hedge(f, shard, bytes, elapsed);
@@ -988,40 +956,11 @@ impl PsClient {
                     // Shed at the shard's ingress queue: the message never
                     // transited (the refusal's latency was charged during
                     // adjudication), so nothing is metered here.
-                    if let Some(br) = self.breakers() {
-                        br.on_failure(shard, f.now());
-                    }
-                    if attempts >= MAX_ATTEMPTS {
-                        return Err(RpcError::Overloaded { shard, attempts });
-                    }
-                    let relief = (retry_at - f.now()).max(0.0);
-                    match self.overload.as_ref().and_then(|c| c.budget.as_ref()) {
-                        Some(budget) => {
-                            if budget.try_spend() {
-                                // Paid retry: wait for the queue to drain
-                                // one slot, then retransmit.
-                                f.note_retry(bytes);
-                                f.note_backoff(relief);
-                            } else if hedgeable {
-                                // Budget dry, but reads must complete: be
-                                // patient instead of pushy — same wait, no
-                                // retransmission pressure accounted.
-                                f.note_retry_denied();
-                                f.note_backoff(relief);
-                            } else {
-                                // Budget dry and the write is sheddable:
-                                // hand it back for the brownout backlog.
-                                f.note_retry_denied();
-                                return Err(RpcError::Overloaded { shard, attempts });
-                            }
-                        }
+                    match overload {
+                        Some(ctl) => ctl.shed(f, shard, hedgeable, attempts, bytes, retry_at)?,
                         None => {
-                            // No budget: the classic retry storm. Eager,
-                            // jittered retransmissions hammer the shard
-                            // while it is still shedding — this is the
-                            // behavior the budget exists to prevent.
-                            f.note_retry(bytes);
-                            f.note_backoff(backoff(attempts, f.jitter()));
+                            let shed = RpcError::Overloaded { shard, attempts };
+                            retry_on_schedule(f, attempts, bytes, shed)?;
                         }
                     }
                 }
@@ -1035,11 +974,12 @@ impl PsClient {
                     let hit = damaged.corrupt(f.corruption_pattern());
                     if self.checksums && !(hit && damaged.verify()) {
                         f.note_corrupt_detected();
-                        if attempts >= MAX_ATTEMPTS {
-                            return Err(RpcError::CorruptPayload { attempts });
-                        }
-                        f.note_retry(bytes);
-                        f.note_backoff(backoff(attempts, f.jitter()));
+                        retry_on_schedule(
+                            f,
+                            attempts,
+                            bytes,
+                            RpcError::CorruptPayload { attempts },
+                        )?;
                     } else {
                         // No digest to check (or, astronomically rarely, a
                         // digest collision): the receiver accepts garbage.
@@ -1051,11 +991,7 @@ impl PsClient {
                 Verdict::Drop => {
                     // The lost message still transited the link.
                     record(frame);
-                    if attempts >= MAX_ATTEMPTS {
-                        return Err(RpcError::Dropped { attempts });
-                    }
-                    f.note_retry(bytes);
-                    f.note_backoff(backoff(attempts, f.jitter()));
+                    retry_on_schedule(f, attempts, bytes, RpcError::Dropped { attempts })?;
                 }
                 Verdict::ShardDown { until } => {
                     if attempts >= MAX_ATTEMPTS {
@@ -1150,6 +1086,23 @@ impl PsClient {
             self.meter.record_replication(flush.payload_bytes);
         }
     }
+}
+
+/// Retry attempt `attempts` of a `bytes` message on the [`backoff`]
+/// schedule, or give up with `exhausted` once [`MAX_ATTEMPTS`] are spent:
+/// the answer to a drop, a detected corruption and an unguarded shed.
+fn retry_on_schedule(
+    f: &FaultInjector,
+    attempts: u32,
+    bytes: u64,
+    exhausted: RpcError,
+) -> Result<(), RpcError> {
+    if attempts >= MAX_ATTEMPTS {
+        return Err(exhausted);
+    }
+    f.note_retry(bytes);
+    f.note_backoff(backoff(attempts, f.jitter()));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -2039,14 +1992,12 @@ mod tests {
         }
     }
 
-    use crate::overload::OverloadControl;
-
     #[test]
     fn overload_sheds_spend_the_retry_budget_and_still_deliver() {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
         let inj = injector(overload_plan(1, 1.0, 2));
-        let ctl = Arc::new(OverloadControl::new(2, true, false).unwrap());
+        let ctl = Arc::new(OverloadControl::new(2));
         let client = PsClient::new(0, topo, store, meter)
             .with_faults(inj.clone())
             .with_overload(ctl.clone());
@@ -2061,13 +2012,7 @@ mod tests {
             "queued requests paid extra latency"
         );
         assert!(s.overload_extra_secs > 0.0);
-        let budget = ctl.budget.as_ref().unwrap();
-        assert!(budget.retries_spent() > 0, "sheds were retried on budget");
-        assert_eq!(
-            s.retries,
-            budget.retries_spent(),
-            "every retransmission was paid for"
-        );
+        assert!(s.retries > 0, "sheds were retried on budget");
     }
 
     #[test]
@@ -2076,11 +2021,11 @@ mod tests {
         let meter = Arc::new(TrafficMeter::new());
         // Capacity 0: every in-window request to shard 1 is shed.
         let inj = injector(overload_plan(1, 2e-3, 0));
-        let ctl = Arc::new(OverloadControl::new(2, true, false).unwrap());
+        let ctl = Arc::new(OverloadControl::new(2));
         // Spend the starting float: the budget is dry, and nothing below
         // succeeds on shard 1 before the window ends to earn it back.
-        let budget = ctl.budget.as_ref().unwrap();
-        while budget.try_spend() {}
+        let tokens = &ctl.budget;
+        while tokens.try_spend() {}
         let client = PsClient::new(0, topo, store, meter)
             .with_faults(inj.clone())
             .with_overload(ctl.clone());
@@ -2100,18 +2045,20 @@ mod tests {
     fn breaker_cycles_open_halfopen_closed_and_fast_fails_writes() {
         let (store, topo) = setup(2);
         let meter = Arc::new(TrafficMeter::new());
-        // The third shed lands near 0.57 ms and the cooldown then ends near
-        // 1.07 ms: a window ending at 0.8 ms holds all three sheds and is
-        // over, by a wide margin, before the probe.
-        let window_end = 800e-6;
+        // Each shed costs a 100 µs refusal and the paid retry waits for a
+        // slot to drain (1 ms at 1000/s), so the sheds land at 0, 1 and
+        // 2 ms and the breaker the third opens cools down until 2.6 ms: a
+        // window ending at 2.3 ms holds all three sheds and is over before
+        // the probe.
+        let window_end = 2.3e-3;
         let inj = injector(overload_plan(1, window_end, 0));
-        let ctl = Arc::new(OverloadControl::new(2, false, true).unwrap());
+        let ctl = Arc::new(OverloadControl::new(2));
         let client = PsClient::new(0, topo, store, meter)
             .with_faults(inj.clone())
             .with_overload(ctl.clone());
-        // First push: every attempt is shed at the queue, and the third shed
-        // within its retries trips the breaker; the next gate check fails
-        // fast with the typed error.
+        // First push: every attempt is shed at the queue; the budget's float
+        // pays two retries, and the third shed trips the breaker and finds
+        // the budget dry, which hands the push back with the typed error.
         let err = try_push(&client, ParamKey(1), &[0.1; 4], &Sgd { lr: 0.1 }).unwrap_err();
         assert_eq!(
             err,
@@ -2133,10 +2080,10 @@ mod tests {
         // A required pull sleeps out the cooldown, probes, and closes the
         // breaker. The probe succeeds only because the cooldown ends after
         // the overload window does; pin that margin rather than rely on it.
-        let br = ctl.breakers.as_ref().unwrap();
-        let Gate::FastFail { until } = br.allow(1, inj.now()) else {
-            panic!("the breaker is still cooling down");
-        };
+        let br = &ctl.breakers;
+        let until = br
+            .cooling_until(1, inj.now())
+            .expect("the breaker is still cooling down");
         assert!(
             until >= window_end,
             "probe at {until} s lands inside the overload window"
@@ -2152,14 +2099,15 @@ mod tests {
 
     #[test]
     fn retry_budget_cuts_retransmitted_bytes_versus_the_storm() {
-        let run = |budget: bool| {
+        // A client with no control attached retries a shed on the backoff
+        // schedule, as it does a drop: the storm the budget is held against.
+        let run = |guarded: bool| {
             let (store, topo) = setup(2);
             let meter = Arc::new(TrafficMeter::new());
             let inj = injector(overload_plan(1, 10e-3, 2));
             let mut client = PsClient::new(0, topo, store, meter).with_faults(inj.clone());
-            if budget {
-                let ctl = Arc::new(OverloadControl::new(2, true, false).unwrap());
-                client = client.with_overload(ctl);
+            if guarded {
+                client = client.with_overload(Arc::new(OverloadControl::new(2)));
             }
             let mut buf = [0.0f32; 4];
             for _ in 0..30 {
@@ -2168,17 +2116,45 @@ mod tests {
             inj.stats()
         };
         // The budget's float pays a few retries, then patience.
-        let with_budget = run(true);
+        let guarded = run(true);
         let storm = run(false);
         assert!(storm.overload_sheds > 0);
-        assert!(with_budget.overload_sheds > 0);
+        assert!(guarded.overload_sheds > 0);
         assert!(
-            with_budget.retransmitted_bytes < storm.retransmitted_bytes,
-            "budget {} vs storm {}",
-            with_budget.retransmitted_bytes,
+            guarded.retransmitted_bytes < storm.retransmitted_bytes,
+            "guarded {} vs storm {}",
+            guarded.retransmitted_bytes,
             storm.retransmitted_bytes
         );
-        assert!(with_budget.retries_denied > 0, "the budget ran dry");
+        assert!(guarded.retries_denied > 0, "the budget ran dry");
+    }
+
+    #[test]
+    fn retry_on_schedule_backs_off_until_the_attempts_are_spent() {
+        let plan = FaultPlan {
+            seed: 5,
+            ..FaultPlan::default()
+        };
+        let inj = injector(plan.clone());
+        // A twin with the same seed tells which jitter draw comes next.
+        let twin = injector(plan);
+        let exhausted = RpcError::Dropped { attempts: 0 };
+        for attempts in 1..MAX_ATTEMPTS {
+            let before = inj.now();
+            assert_eq!(retry_on_schedule(&inj, attempts, 40, exhausted), Ok(()));
+            let waited = inj.now() - before;
+            assert!((waited - backoff(attempts, twin.jitter())).abs() < 1e-12);
+        }
+        let s = inj.stats();
+        let retries = u64::from(MAX_ATTEMPTS - 1);
+        assert_eq!((s.retries, s.retransmitted_bytes), (retries, 40 * retries));
+        let before = (inj.now(), inj.stats());
+        assert_eq!(
+            retry_on_schedule(&inj, MAX_ATTEMPTS, 40, exhausted),
+            Err(exhausted),
+            "the last attempt is not retried"
+        );
+        assert_eq!((inj.now(), inj.stats()), before, "and waits for nothing");
     }
 
     #[test]
@@ -2190,8 +2166,7 @@ mod tests {
             let mut client =
                 PsClient::new(0, topo, store.clone(), meter.clone()).with_faults(inj.clone());
             if protected {
-                let ctl = Arc::new(OverloadControl::new(2, true, true).unwrap());
-                client = client.with_overload(ctl);
+                client = client.with_overload(Arc::new(OverloadControl::new(2)));
             }
             let keys: Vec<ParamKey> = (0..8).map(ParamKey).collect();
             let g = [0.1f32; 4];

@@ -64,7 +64,7 @@ pub use compress::PushCompressor;
 pub use error::{backoff, RpcError, MAX_ATTEMPTS};
 pub use kvstore::{KvStore, ReplicationFlush, NO_VERSION};
 pub use optimizer::{AdaGrad, Optimizer, Sgd};
-pub use overload::{Gate, OverloadControl, RetryBudget, ShardBreakers};
+pub use overload::{OverloadControl, RetryBudget, ShardBreakers};
 pub use router::{BatchPlan, ShardRouter};
 pub use server::{serve, ProcessCluster, ShardListener, ShardServerConfig, SocketMode};
 pub use transport::{FrameOp, ProcessTransport, ServerAddr, SimTransport, Transport};

@@ -11,21 +11,20 @@
 //! (Closed → Open), probes it after a cooldown (Open → HalfOpen), and
 //! restores normal traffic once a probe succeeds (HalfOpen → Closed).
 //!
-//! One [`OverloadControl`] is shared by every worker's [`PsClient`] in a
-//! run (like `ShardLiveness`), so its state survives crash-recovery worker
-//! rebuilds and all workers see the same breaker decisions. Determinism:
-//! the trainer drives workers in a fixed round-robin on one thread, so the
-//! shared atomics and mutexes observe a schedule that is a pure function of
-//! the config.
-//!
-//! Fault-free bit-identity contract: with no failures, the budget only
-//! *earns* (atomic adds, no behavioral effect) and every breaker stays
-//! Closed (the gate allows everything, charging no time and drawing no
-//! randomness) — so enabling overload protection on a clean run changes
-//! nothing observable.
+//! No switch arms them: a run whose fault plan schedules an overload window
+//! attaches one [`OverloadControl`], both together, shared by every
+//! worker's [`PsClient`] (like `ShardLiveness`), so its state survives
+//! crash-recovery worker rebuilds and all workers see the same breaker
+//! decisions. The trainer drives workers in a fixed round-robin on one
+//! thread, so the shared atomics and mutexes observe a schedule that is a
+//! pure function of the config. Idle is free: with no failures the budget
+//! only earns and every breaker stays Closed, charging no time and drawing
+//! no randomness.
 //!
 //! [`PsClient`]: crate::client::PsClient
 
+use crate::error::{RpcError, MAX_ATTEMPTS};
+use hetkg_netsim::{FaultInjector, FaultPlan};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,7 +45,6 @@ const BUDGET_CAP_MILLITOKENS: u64 = 20_000;
 #[derive(Debug)]
 pub struct RetryBudget {
     balance: AtomicU64,
-    spent: AtomicU64,
 }
 
 impl Default for RetryBudget {
@@ -54,7 +52,6 @@ impl Default for RetryBudget {
     fn default() -> Self {
         Self {
             balance: AtomicU64::new(BUDGET_INITIAL_MILLITOKENS),
-            spent: AtomicU64::new(0),
         }
     }
 }
@@ -77,26 +74,16 @@ impl RetryBudget {
     /// caller must degrade (typed `Overloaded` error / brownout) instead of
     /// retrying; the caller's fault ledger counts it (`retries_denied`).
     pub fn try_spend(&self) -> bool {
-        let paid = self
-            .balance
+        self.balance
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| {
                 b.checked_sub(RETRY_COST_MILLITOKENS)
             })
-            .is_ok();
-        if paid {
-            self.spent.fetch_add(1, Ordering::Relaxed);
-        }
-        paid
+            .is_ok()
     }
 
     /// Current balance, millitokens.
     pub fn balance_millitokens(&self) -> u64 {
         self.balance.load(Ordering::Acquire)
-    }
-
-    /// Retries paid for so far.
-    pub fn retries_spent(&self) -> u64 {
-        self.spent.load(Ordering::Relaxed)
     }
 }
 
@@ -148,21 +135,6 @@ impl Default for ShardSlot {
     }
 }
 
-/// The gate's answer for one outgoing request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Gate {
-    /// Breaker Closed: send normally.
-    Allow,
-    /// Breaker HalfOpen: send as a probe (its outcome decides the state).
-    Probe,
-    /// Breaker Open and still cooling down: do not send. `until` is the
-    /// simulated instant the cooldown ends (when a probe becomes useful).
-    FastFail {
-        /// Cooldown end, simulated seconds.
-        until: f64,
-    },
-}
-
 /// Per-shard Closed→Open→HalfOpen circuit breakers with transition and
 /// brownout-time accounting, driven entirely by the caller's simulated
 /// clock (no wall time anywhere).
@@ -192,29 +164,22 @@ impl ShardBreakers {
         }
     }
 
-    /// Gate one outgoing request to `shard` at simulated instant `now`.
-    /// An Open breaker whose cooldown has elapsed transitions to HalfOpen
-    /// here (the caller's request becomes the probe).
-    pub fn allow(&self, shard: usize, now: f64) -> Gate {
-        let Some(slot) = self.shards.get(shard) else {
-            return Gate::Allow;
+    /// Gate one outgoing request to `shard` at simulated instant `now`:
+    /// `Some(until)` fails it fast while an Open breaker cools down until
+    /// `until`; `None` lets it go. An Open breaker whose cooldown has
+    /// elapsed turns HalfOpen here, and the request becomes its probe.
+    pub fn cooling_until(&self, shard: usize, now: f64) -> Option<f64> {
+        let mut slot = self.shards.get(shard)?.lock();
+        let BreakerState::Open { since, opened_at } = slot.state else {
+            return None;
         };
-        let mut slot = slot.lock();
-        match slot.state {
-            BreakerState::Closed { .. } => Gate::Allow,
-            BreakerState::Open { since, opened_at } => {
-                if now >= since + BREAKER_COOLDOWN_SECS {
-                    slot.state = BreakerState::HalfOpen { opened_at };
-                    self.half_opens.fetch_add(1, Ordering::Relaxed);
-                    Gate::Probe
-                } else {
-                    Gate::FastFail {
-                        until: since + BREAKER_COOLDOWN_SECS,
-                    }
-                }
-            }
-            BreakerState::HalfOpen { .. } => Gate::Probe,
+        let until = since + BREAKER_COOLDOWN_SECS;
+        if now < until {
+            return Some(until);
         }
+        slot.state = BreakerState::HalfOpen { opened_at };
+        self.half_opens.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Report a successful delivery to `shard` with its observed/modeled
@@ -331,37 +296,118 @@ impl ShardBreakers {
     }
 }
 
-/// The run-global overload-protection bundle every worker's client shares:
-/// an optional retry budget and an optional breaker table (either can be
-/// enabled independently).
+/// The run-global overload protection every worker's client shares: the
+/// three decisions the client's fault loop asks of it, and the brownout
+/// predicate the HET-KG cache asks.
 #[derive(Debug)]
 pub struct OverloadControl {
-    /// Shared retry budget, when enabled.
-    pub budget: Option<RetryBudget>,
-    /// Shared per-shard breakers, when enabled.
-    pub breakers: Option<ShardBreakers>,
+    /// Shared retry budget.
+    pub budget: RetryBudget,
+    /// Shared per-shard breakers.
+    pub breakers: ShardBreakers,
 }
 
 impl OverloadControl {
-    /// The bundle with a retry budget and/or breakers for `num_shards`
-    /// shards, as switched on. `None` when both are off, so the client path
-    /// stays exactly the pre-overload one.
-    pub fn new(num_shards: usize, budget: bool, breakers: bool) -> Option<Self> {
-        (budget || breakers).then(|| Self {
-            budget: budget.then(RetryBudget::default),
-            breakers: breakers.then(|| ShardBreakers::new(num_shards)),
-        })
+    /// A full budget and `num_shards` Closed breakers.
+    pub fn new(num_shards: usize) -> Self {
+        Self {
+            budget: RetryBudget::default(),
+            breakers: ShardBreakers::new(num_shards),
+        }
     }
 
-    /// Whether `shard`'s breaker is tripped (false when breakers are off).
+    /// Whether `plan` arms protection: exactly when it schedules an
+    /// overload window, the only source of an `Overloaded` verdict — so a
+    /// straggler's slow deliveries never trip a breaker.
+    pub fn arms(plan: &FaultPlan) -> bool {
+        !plan.overloads.is_empty()
+    }
+
+    /// The control a run under `plan` attaches, if any.
+    pub fn for_plan(plan: &FaultPlan, num_shards: usize) -> Option<Self> {
+        Self::arms(plan).then(|| Self::new(num_shards))
+    }
+
+    /// Whether `shard`'s breaker is tripped (Open or HalfOpen).
     pub fn tripped(&self, shard: usize) -> bool {
-        self.breakers.as_ref().is_some_and(|b| b.tripped(shard))
+        self.breakers.tripped(shard)
+    }
+
+    /// Gate the next attempt at `shard`. An Open breaker fails it fast,
+    /// spending no attempt: a write gets `Overloaded` back (the caller
+    /// defers it), a read waits out the cooldown and goes as the probe.
+    pub fn admit(
+        &self,
+        f: &FaultInjector,
+        shard: usize,
+        read: bool,
+        attempts: u32,
+    ) -> Result<(), RpcError> {
+        while let Some(until) = self.breakers.cooling_until(shard, f.now()) {
+            f.note_breaker_fast_fail();
+            if !read {
+                return Err(RpcError::Overloaded { shard, attempts });
+            }
+            f.note_backoff((until - f.now()).max(0.0));
+        }
+        Ok(())
+    }
+
+    /// A `bytes` message to `shard` delivered in `elapsed` simulated
+    /// seconds: earn, and feed the breaker its ratio to the cost model.
+    pub fn delivered(
+        &self,
+        f: &FaultInjector,
+        shard: usize,
+        remote: bool,
+        bytes: u64,
+        elapsed: f64,
+    ) {
+        self.budget.earn();
+        let base = if remote {
+            f.cost().remote_time(bytes, 1)
+        } else {
+            f.cost().local_time(bytes, 1)
+        };
+        let ratio = if base > 0.0 { elapsed / base } else { 1.0 };
+        self.breakers.on_success(shard, f.now(), ratio);
+    }
+
+    /// `shard` shed attempt `attempts` of a `bytes` message, with room
+    /// again at `retry_at`. The breaker counts a failure; then, attempts
+    /// left, the budget pays a retry after that wait, or, dry, a write is
+    /// handed back `Overloaded` while a read waits unpaid.
+    pub fn shed(
+        &self,
+        f: &FaultInjector,
+        shard: usize,
+        read: bool,
+        attempts: u32,
+        bytes: u64,
+        retry_at: f64,
+    ) -> Result<(), RpcError> {
+        self.breakers.on_failure(shard, f.now());
+        if attempts >= MAX_ATTEMPTS {
+            return Err(RpcError::Overloaded { shard, attempts });
+        }
+        let relief = (retry_at - f.now()).max(0.0);
+        if self.budget.try_spend() {
+            f.note_retry(bytes);
+        } else {
+            f.note_retry_denied();
+            if !read {
+                return Err(RpcError::Overloaded { shard, attempts });
+            }
+        }
+        f.note_backoff(relief);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetkg_netsim::CostModel;
 
     /// `x` cooldowns, in simulated seconds.
     fn cooldowns(x: f64) -> f64 {
@@ -374,7 +420,7 @@ mod tests {
         assert!(b.try_spend());
         assert!(b.try_spend());
         assert!(!b.try_spend(), "balance is dry");
-        assert_eq!(b.retries_spent(), 2);
+        assert_eq!(b.balance_millitokens(), 0);
         // Forty successes fund one more retry; thirty-nine do not.
         let per_retry = RETRY_COST_MILLITOKENS / BUDGET_EARN_MILLITOKENS;
         assert_eq!(per_retry, 40);
@@ -384,7 +430,6 @@ mod tests {
         assert!(!b.try_spend());
         b.earn();
         assert!(b.try_spend());
-        assert_eq!(b.retries_spent(), 3);
         assert_eq!(b.balance_millitokens(), 0);
     }
 
@@ -402,7 +447,7 @@ mod tests {
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
         let br = ShardBreakers::new(2);
-        assert_eq!(br.allow(1, 0.0), Gate::Allow);
+        assert_eq!(br.cooling_until(1, 0.0), None);
         br.on_failure(1, cooldowns(0.1));
         br.on_failure(1, cooldowns(0.2));
         assert!(!br.tripped(1), "below threshold stays Closed");
@@ -410,18 +455,16 @@ mod tests {
         assert!(br.tripped(1));
         assert_eq!(br.opens(), 1);
         assert_eq!(
-            br.allow(1, cooldowns(0.5)),
-            Gate::FastFail {
-                until: cooldowns(0.3) + BREAKER_COOLDOWN_SECS
-            }
+            br.cooling_until(1, cooldowns(0.5)),
+            Some(cooldowns(0.3) + BREAKER_COOLDOWN_SECS)
         );
         assert_eq!(
-            br.allow(0, cooldowns(0.5)),
-            Gate::Allow,
+            br.cooling_until(0, cooldowns(0.5)),
+            None,
             "other shards unaffected"
         );
         // Cooldown elapses: the next request is a probe.
-        assert_eq!(br.allow(1, cooldowns(1.4)), Gate::Probe);
+        assert_eq!(br.cooling_until(1, cooldowns(1.4)), None);
         assert_eq!(br.half_opens(), 1);
         assert!(br.tripped(1), "HalfOpen still counts as tripped");
         br.on_success(1, cooldowns(1.5), 1.0);
@@ -441,11 +484,13 @@ mod tests {
             br.on_failure(0, 0.0);
         }
         assert_eq!(br.opens(), 1);
-        assert_eq!(br.allow(0, cooldowns(1.5)), Gate::Probe);
+        assert_eq!(br.cooling_until(0, cooldowns(1.5)), None, "the probe");
+        assert_eq!(br.half_opens(), 1);
         br.on_failure(0, cooldowns(1.6)); // probe fails
         assert_eq!(br.opens(), 2);
-        assert!(matches!(br.allow(0, cooldowns(1.7)), Gate::FastFail { .. }));
-        assert_eq!(br.allow(0, cooldowns(2.7)), Gate::Probe);
+        assert!(br.cooling_until(0, cooldowns(1.7)).is_some());
+        assert_eq!(br.cooling_until(0, cooldowns(2.7)), None);
+        assert_eq!(br.half_opens(), 2);
         br.on_success(0, cooldowns(2.8), 1.0);
         assert_eq!(br.closes(), 1);
         assert!(
@@ -490,22 +535,135 @@ mod tests {
         assert_eq!(br.brownout_secs(), 0.0);
     }
 
+    fn injector() -> FaultInjector {
+        FaultInjector::new(FaultPlan::default(), CostModel::gigabit(), 0)
+    }
+
+    fn trip(ctl: &OverloadControl, shard: usize) {
+        for _ in 0..BREAKER_FAILURE_THRESHOLD {
+            ctl.breakers.on_failure(shard, 0.0);
+        }
+    }
+
     #[test]
-    fn control_is_none_when_both_knobs_are_off() {
-        assert!(OverloadControl::new(4, false, false).is_none());
-        let budget_only = OverloadControl::new(4, true, false).unwrap();
-        assert!(budget_only.budget.is_some());
-        assert!(budget_only.breakers.is_none());
-        assert!(!budget_only.tripped(0));
-        let breaker_only = OverloadControl::new(4, false, true).unwrap();
-        assert!(breaker_only.budget.is_none());
-        assert!(breaker_only.breakers.is_some());
+    fn an_overload_window_arms_the_control_and_nothing_else_does() {
+        for quiet in [
+            FaultPlan::default(),
+            FaultPlan::lossy(1, 0.02),
+            FaultPlan::chaos(1),
+            FaultPlan::failover(1),
+        ] {
+            assert!(OverloadControl::for_plan(&quiet, 4).is_none(), "{quiet:?}");
+        }
+        assert!(OverloadControl::for_plan(&FaultPlan::overload(1), 4).is_some());
+        // A window is what arms it, whether or not it ever opens.
+        let mut later = FaultPlan::overload(1);
+        later.overloads[0].start = 1e9;
+        later.overloads[0].end = 2e9;
+        assert!(OverloadControl::for_plan(&later, 4).is_some());
+    }
+
+    #[test]
+    fn admit_fails_a_write_fast_and_walks_a_read_to_the_probe() {
+        let ctl = OverloadControl::new(2);
+        let f = injector();
+        assert_eq!(
+            ctl.admit(&f, 1, false, 0),
+            Ok(()),
+            "Closed lets all through"
+        );
+        trip(&ctl, 1);
+        assert_eq!(
+            ctl.admit(&f, 1, false, 4),
+            Err(RpcError::Overloaded {
+                shard: 1,
+                attempts: 4
+            })
+        );
+        assert_eq!(f.stats().breaker_fast_fails, 1);
+        assert_eq!(f.now(), 0.0, "a failed-fast write waits for nothing");
+        assert_eq!(
+            ctl.admit(&f, 0, false, 0),
+            Ok(()),
+            "other shards unaffected"
+        );
+        assert_eq!(ctl.admit(&f, 1, true, 0), Ok(()));
+        let s = f.stats();
+        assert_eq!(s.breaker_fast_fails, 2);
+        assert_eq!(s.backoff_secs, BREAKER_COOLDOWN_SECS);
+        assert_eq!(
+            f.now(),
+            BREAKER_COOLDOWN_SECS,
+            "the read slept out the cooldown"
+        );
+        assert_eq!(ctl.breakers.half_opens(), 1, "and goes as the probe");
+        assert!(ctl.tripped(1), "HalfOpen until the probe lands");
+    }
+
+    #[test]
+    fn delivered_earns_and_feeds_the_breaker_the_latency_ratio() {
+        let ctl = OverloadControl::new(2);
+        let f = injector();
+        let bytes = 1_000;
+        let base = f.cost().remote_time(bytes, 1);
+        ctl.delivered(&f, 1, true, bytes, base);
+        assert_eq!(
+            ctl.budget.balance_millitokens(),
+            BUDGET_INITIAL_MILLITOKENS + BUDGET_EARN_MILLITOKENS
+        );
+        // The ratio is taken against the lane the message used: a remote
+        // message's time is on time for it and far too slow for a local one.
+        for _ in 0..10 {
+            ctl.delivered(&f, 1, true, bytes, base);
+        }
+        assert!(!ctl.tripped(1));
+        for _ in 0..10 {
+            ctl.delivered(&f, 0, false, bytes, base);
+        }
+        assert!(ctl.tripped(0), "a sustained slow lane trips the breaker");
+        assert_eq!(f.stats(), injector().stats(), "a delivery notes nothing");
+    }
+
+    #[test]
+    fn shed_pays_then_hands_a_write_back_and_walks_a_read_to_relief() {
+        let ctl = OverloadControl::new(2);
+        let f = injector();
+        let overloaded = |attempts| RpcError::Overloaded { shard: 1, attempts };
+        // The starting float pays two retries, each after the relief wait.
+        assert_eq!(ctl.shed(&f, 1, false, 1, 64, 1e-3), Ok(()));
+        assert_eq!(ctl.shed(&f, 1, false, 2, 64, 3e-3), Ok(()));
+        let s = f.stats();
+        assert_eq!(
+            (s.retries, s.retransmitted_bytes, s.retries_denied),
+            (2, 128, 0)
+        );
+        assert_eq!(f.now(), 3e-3);
+        assert!(!ctl.tripped(1), "two sheds stay under the threshold");
+        // Dry: a write comes back at once, and the third shed tripped it.
+        assert_eq!(ctl.shed(&f, 1, false, 3, 64, 4e-3), Err(overloaded(3)));
+        assert!(ctl.tripped(1));
+        assert_eq!((f.stats().retries_denied, f.now()), (1, 3e-3));
+        // A read on a dry budget waits for relief, retransmission unpaid.
+        assert_eq!(ctl.shed(&f, 1, true, 1, 64, 4e-3), Ok(()));
+        let s = f.stats();
+        assert_eq!((s.retries, s.retries_denied), (2, 2));
+        assert_eq!(f.now(), 4e-3);
+        // Out of attempts, even a read is handed back, budget untouched.
+        let funded = OverloadControl::new(2);
+        assert_eq!(
+            funded.shed(&f, 1, true, MAX_ATTEMPTS, 64, 5e-3),
+            Err(overloaded(MAX_ATTEMPTS))
+        );
+        assert_eq!(
+            funded.budget.balance_millitokens(),
+            BUDGET_INITIAL_MILLITOKENS
+        );
     }
 
     #[test]
     fn out_of_range_shard_is_a_noop() {
         let br = ShardBreakers::new(1);
-        assert_eq!(br.allow(9, 0.0), Gate::Allow);
+        assert_eq!(br.cooling_until(9, 0.0), None);
         br.on_failure(9, 0.0);
         br.on_success(9, 0.0, 1.0);
         assert!(!br.tripped(9));

@@ -179,17 +179,6 @@ pub struct TrainConfig {
     /// Clamped to the machine count.
     #[serde(default = "default_replication")]
     pub replication: usize,
-    /// Run-global retry budget (token bucket shared by every worker's PS
-    /// client, [`hetkg_ps::RetryBudget`]). Off (the default) keeps the
-    /// unbudgeted per-message retries — bit-identical to pre-overload
-    /// behavior.
-    #[serde(default, deserialize_with = "switch")]
-    pub retry_budget: bool,
-    /// Per-shard circuit breakers (Closed→Open→HalfOpen) on the PS clients,
-    /// [`hetkg_ps::ShardBreakers`]. Off (the default) disables breakers
-    /// entirely.
-    #[serde(default, deserialize_with = "switch")]
-    pub breaker: bool,
     /// Push-path gradient compression. [`CompressionMode::Off`] (the
     /// default) is bit-identical to pre-compression behavior; the lossy
     /// modes (int8/int4 row quantization, top-k sparsification, or the
@@ -266,17 +255,6 @@ fn default_replication() -> usize {
     1
 }
 
-/// An on/off switch, or as older configs wrote it: `null` for off, the
-/// retired parameter object for on.
-fn switch(v: &serde::Value) -> Result<bool, serde::Error> {
-    match v {
-        serde::Value::Bool(on) => Ok(*on),
-        serde::Value::Null => Ok(false),
-        serde::Value::Map(_) => Ok(true),
-        other => Err(serde::Error::invalid_type("bool", other)),
-    }
-}
-
 impl TrainConfig {
     /// A small, fast configuration used by tests and the quickstart
     /// example (TransE-L2, logistic loss, 2 machines).
@@ -304,8 +282,6 @@ impl TrainConfig {
             supervisor: SupervisorConfig::default(),
             overlap: true,
             replication: 1,
-            retry_budget: false,
-            breaker: false,
             compression: CompressionMode::Off,
             transport: TransportKind::Sim,
             ps_server_bin: None,
@@ -339,8 +315,6 @@ impl TrainConfig {
             supervisor: SupervisorConfig::default(),
             overlap: true,
             replication: 1,
-            retry_budget: false,
-            breaker: false,
             compression: CompressionMode::Off,
             transport: TransportKind::Sim,
             ps_server_bin: None,
@@ -355,9 +329,7 @@ impl TrainConfig {
     /// Whether this config can run over [`TransportKind::Tcp`] /
     /// [`TransportKind::Uds`] — the one place that says which options a
     /// socket transport refuses, and [`SocketRefusal`] says what each
-    /// refusal waits for (DESIGN.md "Scope and metering"). A retry budget
-    /// and breakers are not refused: they are consulted only inside the
-    /// fault loop, which a fault plan arms.
+    /// refusal waits for (DESIGN.md "Scope and metering").
     pub fn check_socket_transport(&self) -> Result<(), SocketRefusal> {
         if self.faults.is_some() {
             Err(SocketRefusal::FaultInjection)
@@ -441,25 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn sockets_accept_overload_protection() {
-        let guarded = TrainConfig {
-            retry_budget: true,
-            breaker: true,
-            ..TrainConfig::small(SystemKind::HetKgCps)
-        };
-        assert_eq!(guarded.check_socket_transport(), Ok(()));
-        // With a fault plan armed, the plan is what is refused.
-        let faulty = TrainConfig {
-            faults: Some(FaultPlan::default()),
-            ..guarded
-        };
-        assert_eq!(
-            faulty.check_socket_transport(),
-            Err(SocketRefusal::FaultInjection)
-        );
-    }
-
-    #[test]
     fn config_serializes_round_trip() {
         let cfg = TrainConfig::paper(SystemKind::HetKgDps, ModelKind::DistMult, 64);
         let json = serde_json::to_string(&cfg).unwrap();
@@ -483,8 +436,6 @@ mod tests {
         obj.remove("supervisor");
         obj.remove("overlap");
         obj.remove("replication");
-        obj.remove("retry_budget");
-        obj.remove("breaker");
         obj.remove("compression");
         obj.remove("transport");
         obj.remove("ps_server_bin");
@@ -496,8 +447,6 @@ mod tests {
         assert_eq!(back.supervisor, SupervisorConfig::default());
         assert!(back.overlap, "pipelining defaults on");
         assert_eq!(back.replication, 1, "replication defaults off");
-        assert!(!back.retry_budget, "retry budget defaults off");
-        assert!(!back.breaker, "breakers default off");
         assert_eq!(
             back.compression,
             CompressionMode::Off,
@@ -514,23 +463,35 @@ mod tests {
     #[test]
     fn settings_that_became_constants_still_load() {
         // What a config carried before the robustness tuning became
-        // constants: parameter objects for the budget and breakers, a
-        // degraded-mode staleness cap, the supervisor's timings. The
-        // objects and `null` read as on and off; the rest is ignored.
-        let mut v = serde_json::to_value(TrainConfig::small(SystemKind::HetKgDps)).unwrap();
+        // constants or was derived from the fault plan: the budget and
+        // breaker switches in all three spellings they had (a bool, a
+        // parameter object, `null`), a degraded-mode staleness cap, the
+        // supervisor's timings. All of it is ignored.
+        let small = TrainConfig::small(SystemKind::HetKgDps);
         let budget =
             r#"{"initial_millitokens":2000,"earn_millitokens":25,"cap_millitokens":20000}"#;
-        v["retry_budget"] = serde_json::from_str(budget).unwrap();
-        v["breaker"] = serde_json::Value::Null;
-        v["cache"]["staleness_cap"] = serde_json::Value::UInt(64);
-        v["supervisor"]["heartbeat_timeout"] = serde_json::Value::Float(0.05);
-        let back: TrainConfig = serde_json::from_value(v).unwrap();
-        assert!(back.retry_budget);
-        assert!(!back.breaker);
-        assert_eq!(back.cache, CacheConfig::default());
-        assert_eq!(back.supervisor, SupervisorConfig::default());
-        let json = serde_json::to_string(&back).unwrap();
-        let again: TrainConfig = serde_json::from_str(&json).unwrap();
-        assert!(again.retry_budget && !again.breaker);
+        for (retry_budget, breaker) in [
+            (
+                serde_json::from_str(budget).unwrap(),
+                serde_json::Value::Null,
+            ),
+            (
+                serde_json::Value::Bool(true),
+                serde_json::Value::Bool(false),
+            ),
+        ] {
+            let mut v = serde_json::to_value(&small).unwrap();
+            v["retry_budget"] = retry_budget;
+            v["breaker"] = breaker;
+            v["cache"]["staleness_cap"] = serde_json::Value::UInt(64);
+            v["supervisor"]["heartbeat_timeout"] = serde_json::Value::Float(0.05);
+            let back: TrainConfig = serde_json::from_value(v).unwrap();
+            assert_eq!(back.cache, CacheConfig::default());
+            assert_eq!(back.supervisor, SupervisorConfig::default());
+            assert_eq!(
+                serde_json::to_string(&back).unwrap(),
+                serde_json::to_string(&small).unwrap()
+            );
+        }
     }
 }

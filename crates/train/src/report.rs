@@ -1,11 +1,13 @@
 //! Training run reports: the numbers every experiment table/figure is built
 //! from.
 //!
-//! Per epoch we record real computation wall time, *simulated* communication
-//! time (from metered traffic under the run's cost model), the traffic
-//! snapshot itself, cache statistics, training loss, and (optionally) MRR on
-//! a held-out set. "Epoch time" follows the paper's convention of
-//! computation + communication.
+//! Per epoch we record *simulated* computation time (kernel work under the
+//! run's cost model) and communication time (metered traffic under the same
+//! model), the traffic snapshot itself, cache statistics, training loss, and
+//! (optionally) MRR on a held-out set; real wall time is kept only as a
+//! diagnostic. Epoch time ([`EpochReport::epoch_secs`]) is the worker
+//! timeline's critical path, or `max(compute, comm)` without overlap
+//! accounting — never their sum.
 
 use crate::supervisor::SupervisorReport;
 use hetkg_core::metrics::{CacheStats, TableEconomy};

@@ -1622,9 +1622,14 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        // Breakers only, no budget: the first push the crowd sheds is
-        // retried until three failures open shard 1's breaker.
-        let ctl = Arc::new(OverloadControl::new(2, false, true).unwrap());
+        // The first push the crowd sheds is retried on the budget until the
+        // third failure opens shard 1's breaker. Forty deliveries' earnings
+        // fund a third retry beyond the float, so that push meets the open
+        // breaker at the gate and fails fast rather than being denied.
+        let ctl = Arc::new(OverloadControl::new(2));
+        for _ in 0..40 {
+            ctl.budget.earn();
+        }
         let mut w = build_inner(PolicyKind::Cps, 200, Some((plan, cost)), Some(ctl.clone()));
         // Pre-cache the full key space so the epoch never misses: every
         // shard-1 access during the brownout is then a stale serve or a
@@ -1663,7 +1668,7 @@ mod tests {
             stats.breaker_fast_fails > 0,
             "the open breaker never failed a push fast: {stats:?}"
         );
-        let br = ctl.breakers.as_ref().unwrap();
+        let br = &ctl.breakers;
         assert_eq!(br.opens(), 1, "exactly one trip expected");
         assert_eq!(
             br.half_opens(),

@@ -168,13 +168,16 @@ pub fn train_with_store(
     // promoted flag and keeps routing to the new primary.
     let liveness = (replication > 1 && config.faults.as_ref().is_some_and(|p| !p.kills.is_empty()))
         .then(|| Arc::new(ShardLiveness::new(topology.num_machines())));
-    // Overload protection is run-global shared state (like the liveness
-    // table): one budget and one breaker table for the whole worker pool,
-    // created outside `build_workers` so crash-recovery rebuilds keep the
-    // balance and breaker states instead of resetting them.
-    let overload =
-        OverloadControl::new(topology.num_machines(), config.retry_budget, config.breaker)
-            .map(Arc::new);
+    // Overload protection arms exactly when the plan can overload a shard,
+    // and is run-global shared state (like the liveness table): one budget
+    // and one breaker table for the whole worker pool, created outside
+    // `build_workers` so crash-recovery rebuilds keep the balance and
+    // breaker states instead of resetting them.
+    let overload = config
+        .faults
+        .as_ref()
+        .and_then(|plan| OverloadControl::for_plan(plan, topology.num_machines()))
+        .map(Arc::new);
     let injectors: Vec<Option<Arc<FaultInjector>>> = (0..topology.num_workers())
         .map(|w| {
             config.faults.clone().map(|plan| {
@@ -411,7 +414,8 @@ pub fn train_with_store(
         };
         // Breaker transitions are run-global (the table is shared), so they
         // come from the control itself rather than per-worker ledgers.
-        if let Some(br) = overload.as_ref().and_then(|c| c.breakers.as_ref()) {
+        if let Some(ctl) = &overload {
+            let br = &ctl.breakers;
             run.breaker_opens = br.opens();
             run.breaker_half_opens = br.half_opens();
             run.breaker_closes = br.closes();

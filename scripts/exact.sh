@@ -33,21 +33,19 @@
 # --faults runs none of that. It builds `hetkg` on both sides and trains
 # with every CLI fault profile at every seed given (default 11 23 47, the
 # chaos jobs' seeds) — lossy, corrupt, corrupt --integrity off, outage,
-# overload (retry budget and breakers on, the profile's default), overload
-# with the budget, the breakers or both off (the breaker-only, budget-only
-# and retry-storm paths), chaos, chaos --replication 2, and failover
-# --replication 2 — on `--synthetic fb15k --epochs 3` with `--oracle on`,
-# and prints `=` / `≠` per profile for the run's stdout, the checkpoint's
-# bytes and the `--report` JSON (its fault ledger included) with its
-# `wall_secs` lines removed. Fault runs report simulated time only, so all
-# three are deterministic.
+# overload (its window arms the retry budget and breakers), chaos, chaos
+# --replication 2, and failover --replication 2 — on `--synthetic fb15k
+# --epochs 3` with `--oracle on`, and prints `=` / `≠` per profile for the
+# run's stdout, the checkpoint's bytes and the `--report` JSON (its fault
+# ledger included) with its `wall_secs` lines removed. Fault runs report
+# simulated time only, so all three are deterministic.
 #
 # Prints; gates nothing: a change that means to move a field says so, and
 # this is the table it says it with.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 1 ]] || { sed -n '2,46p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,45p' "$0" >&2; exit 2; }
 sha="$(git rev-parse --short=12 "$1^{commit}")"
 shift
 mode=(--seconds 3 --trace 1 --quick)
@@ -69,9 +67,7 @@ git archive "$sha" | tar -x -C "$root/src"
 
 if [[ $faults == 1 ]]; then
     [[ ${#seeds[@]} -gt 0 ]] || seeds=(11 23 47)
-    profiles=(lossy corrupt "corrupt --integrity off" outage overload
-              "overload --retry-budget off" "overload --breaker off"
-              "overload --retry-budget off --breaker off" chaos
+    profiles=(lossy corrupt "corrupt --integrity off" outage overload chaos
               "chaos --replication 2" "failover --replication 2")
     here_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")"
     (cd "$root/src" && CARGO_TARGET_DIR="$root/target" cargo build --release --quiet --bin hetkg)

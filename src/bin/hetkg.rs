@@ -32,10 +32,10 @@
 //! `outage`, `overload`, `chaos`, `failover`) or a path to a JSON
 //! [`FaultPlan`] file. `--replication K` keeps `K - 1` backup replicas per
 //! PS shard; the `failover` profile (which permanently kills a primary
-//! mid-run) defaults it to 2 and refuses to run without a backup. The
-//! `overload` profile (a flash crowd saturating a shard) defaults
-//! `--retry-budget` and `--breaker` on so the run browns out instead of
-//! retry-storming.
+//! mid-run) defaults it to 2 and refuses to run without a backup. A plan
+//! with an overload window — the `overload` profile's flash crowd, or a
+//! plan file's — arms a retry budget and per-shard circuit breakers, so the
+//! run browns out instead of retry-storming.
 //!
 //! `--transport tcp|uds` runs each PS shard as a real OS process speaking
 //! length-prefixed wire frames over sockets; `train` spawns them itself via
@@ -49,7 +49,7 @@ use het_kg::kgraph::io::load_benchmark;
 use het_kg::kgraph::stats::AccessCounter;
 use het_kg::partition::quality;
 use het_kg::prelude::*;
-use het_kg::ps::ShardServerConfig;
+use het_kg::ps::{OverloadControl, ShardServerConfig};
 use het_kg::train_sys::config::SocketRefusal;
 use het_kg::train_sys::oracle;
 use het_kg::train_sys::trainer;
@@ -195,16 +195,6 @@ fn usage() {
     println!("                                 kill survived by backup promotion");
     println!("  --replication K      backup replicas per PS shard: K-1 (default 1 =");
     println!("                       off; failover profile defaults to 2)");
-    println!("  --retry-budget on|off run-global retry token bucket: retries spend,");
-    println!("                       successes earn; a dry bucket denies the retry");
-    println!("                       and degrades instead of storming   (default off;");
-    println!("                       overload profile defaults to on)");
-    println!("  --breaker on|off     per-shard circuit breakers (Closed -> Open ->");
-    println!("                       HalfOpen): consecutive overload verdicts or a");
-    println!("                       sustained latency-ratio breach open the breaker;");
-    println!("                       open breakers fail writes fast and the cache");
-    println!("                       browns out                         (default off;");
-    println!("                       overload profile defaults to on)");
     println!("  --checkpoint-every N recovery checkpoint every N epochs (0 = off;");
     println!("                       forced on when the profile schedules a crash)");
     println!("integrity & supervision (train):");
@@ -456,7 +446,7 @@ fn parse_fault_profile(value: &str, seed: u64) -> Result<Option<FaultPlan>, CliE
             let raw = std::fs::read_to_string(path).map_err(|e| CliError::BadFlag {
                 flag: "fault-profile",
                 message: format!(
-                    "not a preset (none | lossy | outage | overload | chaos | failover) and reading {path:?} failed: {e}"
+                    "not a preset (none | lossy | corrupt | outage | overload | chaos | failover) and reading {path:?} failed: {e}"
                 ),
             })?;
             let plan: FaultPlan = serde_json::from_str(&raw).map_err(|e| CliError::BadFlag {
@@ -543,8 +533,6 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             "oracle",
             "no-overlap",
             "replication",
-            "retry-budget",
-            "breaker",
             "compress",
             "transport",
             "report",
@@ -575,12 +563,6 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 .into(),
         });
     }
-    // The overload profile simulates a flash crowd; without the budget and
-    // breakers the client would retry-storm the saturated shard, so both
-    // default on there (and off everywhere else).
-    let overload_default = profile == "overload";
-    cfg.retry_budget = switch(flags, "retry-budget", overload_default)?;
-    cfg.breaker = switch(flags, "breaker", overload_default)?;
     cfg.checkpoint_every = non_negative(flags, "checkpoint-every", 0)?;
     cfg.integrity = switch(flags, "integrity", true)?;
     cfg.checkpoint_dir = flags.get("checkpoint-dir").cloned();
@@ -650,13 +632,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
             },
         );
     }
-    if cfg.retry_budget || cfg.breaker {
-        let on_off = |on: bool| if on { "on" } else { "off" };
-        println!(
-            "overload protection: retry budget {} | breakers {}",
-            on_off(cfg.retry_budget),
-            on_off(cfg.breaker),
-        );
+    if cfg.faults.as_ref().is_some_and(OverloadControl::arms) {
+        println!("overload protection: retry budget on | breakers on");
     }
     if cfg.replication > 1 {
         println!(
@@ -1141,4 +1118,41 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         println!("report written to {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn the_fault_profile_error_names_every_preset() {
+        let presets = [
+            "none", "lossy", "corrupt", "outage", "overload", "chaos", "failover",
+        ];
+        for name in presets {
+            assert!(parse_fault_profile(name, 11).is_ok(), "{name} is a preset");
+        }
+        let err = parse_fault_profile("no-such-profile", 11).unwrap_err();
+        let message = err.to_string();
+        for name in presets {
+            assert!(message.contains(name), "{name} missing from: {message}");
+        }
+    }
+
+    #[test]
+    fn overload_switches_are_unknown_train_flags() {
+        for switch in ["retry-budget", "breaker"] {
+            let line = format!("train --synthetic wn18 --fault-profile overload --{switch} off");
+            match run(args(&line)) {
+                Err(CliError::UnknownFlag { command, flag }) => {
+                    assert_eq!((command, flag.as_str()), ("train", switch));
+                }
+                other => panic!("--{switch} was not refused: {other:?}"),
+            }
+        }
+    }
 }

@@ -1,16 +1,19 @@
 //! Integration tests for overload protection: the retry budget, per-shard
 //! circuit breakers, and the HET-KG cache brownout under a flash crowd.
 //!
-//! Three contracts matter. First, *protection armed but idle is free*: a
-//! zero-fault run with the budget and breakers enabled must be bit-identical
-//! to the same run without them — the shared state only moves when an
-//! overload verdict fires. Second, a flash-crowd plan must *complete and
-//! stay inside the staleness envelope* while actually exercising the
-//! machinery: sheds, denied retries, at least one full
-//! Open→HalfOpen→Closed breaker cycle, and brownout stale serves. Third,
-//! the budget must *pay for itself*: the same flash crowd with the budget
-//! disabled retransmits strictly more bytes (the classic retry storm).
+//! Protection has no switch: a plan with an overload window arms it, and
+//! nothing else does. Three contracts matter. First, *protection armed but
+//! idle is free*: a run whose overload window never opens must be
+//! bit-identical to the same run under a fault-free plan — the shared state
+//! only moves when an overload verdict fires. Second, a flash-crowd plan,
+//! the CLI's preset or any other, must *complete and stay inside the
+//! staleness envelope* while actually exercising the machinery: sheds,
+//! denied retries, at least one full Open→HalfOpen→Closed breaker cycle,
+//! and brownout stale serves. Third, *only an overload window arms it*: a
+//! straggler episode slow enough to trip an armed breaker trips nothing
+//! without one.
 
+use het_kg::netsim::SlowEpisode;
 use het_kg::prelude::*;
 use het_kg::train_sys::oracle;
 use het_kg::train_sys::report::TrainReport;
@@ -27,6 +30,16 @@ fn workload() -> (KnowledgeGraph, Vec<Triple>) {
     (kg, split.train)
 }
 
+/// `plan` with the CLI preset's overload window moved past any run's end:
+/// it arms protection and never opens.
+fn with_idle_window(mut plan: FaultPlan) -> FaultPlan {
+    let mut window = FaultPlan::overload(plan.seed).overloads[0];
+    window.start = 1e9;
+    window.end = 2e9;
+    plan.overloads.push(window);
+    plan
+}
+
 #[test]
 fn armed_overload_protection_is_invisible_without_faults() {
     let (kg, train_set) = workload();
@@ -35,10 +48,11 @@ fn armed_overload_protection_is_invisible_without_faults() {
         plain.epochs = 3;
         plain.eval_candidates = None;
         plain.faults = Some(FaultPlan::default());
+        // A plan with a window is not inert, so it runs sequentially.
+        plain.overlap = false;
 
         let mut armed = plain.clone();
-        armed.retry_budget = true;
-        armed.breaker = true;
+        armed.faults = Some(with_idle_window(FaultPlan::default()));
 
         let a = train(&kg, &train_set, &[], &plain);
         let b = train(&kg, &train_set, &[], &armed);
@@ -76,8 +90,6 @@ fn flash_crowd_browns_out_and_recovers_across_seeds() {
         cfg.eval_candidates = None;
         cfg.seed = seed;
         cfg.faults = Some(FaultPlan::overload(seed));
-        cfg.retry_budget = true;
-        cfg.breaker = true;
 
         let verdict = oracle::shadow_check(&kg, &train_set, &cfg, oracle::OracleConfig::default());
         let report = &verdict.report;
@@ -120,38 +132,68 @@ fn flash_crowd_browns_out_and_recovers_across_seeds() {
 }
 
 #[test]
-fn retry_budget_cuts_retransmitted_bytes_versus_the_storm() {
-    // Breakers off in both arms so the comparison isolates the budget:
-    // identical plan, identical workload — the only difference is whether
-    // a dry bucket may refuse the retry.
+fn an_overload_window_in_a_plan_file_arms_protection() {
+    // A plan file of its own, not the CLI's preset: a crowd on shard 0
+    // that drains twice as slowly. Nothing else asks for protection.
+    let plan: FaultPlan = serde_json::from_str(
+        r#"{"seed": 5, "overloads": [{"shard": 0, "start": 0.001, "end": 0.006,
+            "queue_capacity": 1, "drain_rate": 1000.0, "latency_per_inflight": 0.0001}]}"#,
+    )
+    .unwrap();
     let (kg, train_set) = workload();
-    let mut with_budget = TrainConfig::small(SystemKind::HetKgCps);
-    with_budget.epochs = 3;
-    with_budget.eval_candidates = None;
-    with_budget.faults = Some(FaultPlan::overload(23));
-    with_budget.retry_budget = true;
-
-    let mut storm = with_budget.clone();
-    storm.retry_budget = false;
-
-    let a = train(&kg, &train_set, &[], &with_budget);
-    let b = train(&kg, &train_set, &[], &storm);
-    let fa = a.faults.expect("plan attached");
-    let fb = b.faults.expect("plan attached");
+    let mut cfg = TrainConfig::small(SystemKind::HetKgCps);
+    cfg.epochs = 2;
+    cfg.eval_candidates = None;
+    cfg.faults = Some(plan);
+    let report = train(&kg, &train_set, &[], &cfg);
+    let fr = report.faults.expect("fault plan attached");
+    assert!(fr.overload_sheds > 0, "the crowd never shed: {fr:?}");
+    assert!(fr.retries_denied > 0, "no budget denied a retry: {fr:?}");
     assert!(
-        fa.retries_denied > 0,
-        "the budget must actually deny something: {fa:?}"
+        fr.breaker_opens >= 1 && fr.breaker_half_opens >= 1 && fr.breaker_closes >= 1,
+        "no full Open->HalfOpen->Closed cycle: {fr:?}"
     );
-    assert_eq!(fb.retries_denied, 0, "no budget, nothing to deny");
+}
+
+#[test]
+fn a_straggler_without_an_overload_window_trips_no_breaker() {
+    // Every remote delivery takes eight times the cost model: an armed
+    // breaker's latency EWMA reads that as a drowning shard.
+    let straggler = FaultPlan {
+        seed: 3,
+        slow_episodes: vec![SlowEpisode {
+            start: 0.0,
+            end: 1e9,
+            latency_factor: 8.0,
+        }],
+        ..FaultPlan::default()
+    };
+    let (kg, train_set) = workload();
+    let run = |plan: FaultPlan| {
+        let mut cfg = TrainConfig::small(SystemKind::HetKgCps);
+        cfg.epochs = 2;
+        cfg.eval_candidates = None;
+        cfg.faults = Some(plan);
+        train(&kg, &train_set, &[], &cfg)
+            .faults
+            .expect("fault plan attached")
+    };
+    let armed = run(with_idle_window(straggler.clone()));
     assert!(
-        fa.retransmitted_bytes < fb.retransmitted_bytes,
-        "the budget must cut retransmitted bytes: {} (budget) vs {} (storm)",
-        fa.retransmitted_bytes,
-        fb.retransmitted_bytes
+        armed.breaker_opens > 0 && armed.breaker_fast_fails > 0,
+        "the straggler must be steep enough to trip an armed breaker: {armed:?}"
     );
-    assert!(
-        fa.retries < fb.retries,
-        "denied retries must show up as fewer retransmissions"
+    let plain = run(straggler);
+    assert!(plain.slow_messages > 0);
+    assert_eq!(
+        (
+            plain.breaker_opens,
+            plain.breaker_half_opens,
+            plain.breaker_closes,
+            plain.breaker_fast_fails,
+        ),
+        (0, 0, 0, 0),
+        "no overload window, no breaker: {plain:?}"
     );
 }
 
@@ -162,8 +204,6 @@ fn overload_runs_are_reproducible() {
     cfg.epochs = 2;
     cfg.eval_candidates = None;
     cfg.faults = Some(FaultPlan::overload(23));
-    cfg.retry_budget = true;
-    cfg.breaker = true;
 
     let a = train(&kg, &train_set, &[], &cfg);
     let b = train(&kg, &train_set, &[], &cfg);

@@ -93,10 +93,6 @@ fn no_cached_read_is_staler_than_the_bound_under_any_profile() {
                 if matches!(name, "failover" | "chaos") {
                     cfg.replication = 2;
                 }
-                if matches!(name, "overload" | "early-overload") {
-                    cfg.retry_budget = true;
-                    cfg.breaker = true;
-                }
                 let report = train(&kg, &train_set, &[], &cfg);
                 let bound = if plan.is_some() { 8 * p } else { p };
                 let what = format!("{system} / {name} / P = {p}");
