@@ -129,11 +129,6 @@ impl Prefetcher {
         }
     }
 
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Sample one positive mini-batch from `triples`.
     pub fn sample_batch(&mut self, triples: &[Triple]) -> Vec<Triple> {
         let mut out = Vec::new();

@@ -346,16 +346,6 @@ impl HotEmbeddingTable {
         self.entities.capacity + self.relations.capacity
     }
 
-    /// Entity-row capacity.
-    pub fn entity_capacity(&self) -> usize {
-        self.entities.capacity
-    }
-
-    /// Relation-row capacity.
-    pub fn relation_capacity(&self) -> usize {
-        self.relations.capacity
-    }
-
     /// Number of cached rows.
     pub fn len(&self) -> usize {
         self.entities.keys.len() + self.relations.keys.len()

@@ -29,11 +29,6 @@ impl TransE {
         assert!(dim > 0);
         Self { dim, norm }
     }
-
-    /// The norm in use.
-    pub fn norm(&self) -> Norm {
-        self.norm
-    }
 }
 
 impl KgeModel for TransE {

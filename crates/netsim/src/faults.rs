@@ -522,11 +522,6 @@ impl ShardLiveness {
         }
     }
 
-    /// Number of shards tracked.
-    pub fn num_shards(&self) -> usize {
-        self.promoted.len()
-    }
-
     /// Whether `shard` has already failed over to a backup.
     pub fn is_promoted(&self, shard: usize) -> bool {
         self.promoted
@@ -648,11 +643,6 @@ impl FaultInjector {
     /// The attached failover table, if any.
     pub fn liveness(&self) -> Option<&Arc<ShardLiveness>> {
         self.liveness.as_ref()
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// The cost model this injector charges simulated time under.

@@ -50,6 +50,7 @@ use crate::error::{backoff, RpcError, MAX_ATTEMPTS};
 use crate::kvstore::{KvStore, NO_VERSION};
 use crate::optimizer::Optimizer;
 use crate::overload::OverloadControl;
+use crate::replica::Replicas;
 use crate::router::BatchPlan;
 use crate::transport::{FrameOp, SimTransport, Transport};
 use hetkg_kgraph::ParamKey;
@@ -58,7 +59,6 @@ use hetkg_netsim::{
     Cause, ClusterTopology, Codec, CompressionMode, CompressionStats, FaultInjector, TrafficMeter,
     TrafficSnapshot, Verdict, WireFrame,
 };
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -86,51 +86,6 @@ struct Sent {
 impl Sent {
     fn bytes(self) -> u64 {
         KEY_BYTES * self.keys + VERSION_BYTES * self.versions
-    }
-}
-
-/// Hedged pulls fire when a delivery's latency inflation (observed time over
-/// the cost model's base time) exceeds `HEDGE_MIN_RATIO` and
-/// `HEDGE_EWMA_SLACK ×` the client's running average — adaptive, so a
-/// sustained episode stops triggering hedges once the average catches up.
-const HEDGE_MIN_RATIO: f64 = 2.0;
-const HEDGE_EWMA_SLACK: f64 = 1.5;
-/// EWMA smoothing for the observed inflation ratio.
-const HEDGE_EWMA_ALPHA: f64 = 0.2;
-
-/// Running latency-inflation tracker backing the adaptive hedge threshold.
-#[derive(Debug, Default)]
-struct HedgeState {
-    ewma: f64,
-    primed: bool,
-}
-
-impl HedgeState {
-    /// Inflation ratio above which the next pull is hedged. Infinite until
-    /// the first observation lands (never hedge blind).
-    fn threshold(&self) -> f64 {
-        if self.primed {
-            (HEDGE_EWMA_SLACK * self.ewma).max(HEDGE_MIN_RATIO)
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn observe(&mut self, ratio: f64) {
-        // A zero-duration baseline (cost model says the pull was free)
-        // makes the inflation ratio inf or NaN. Folding either into the
-        // EWMA poisons it permanently — inf disables hedging forever, NaN
-        // force-triggers or disables it depending on comparison direction —
-        // so non-finite observations are discarded, not smoothed.
-        if !ratio.is_finite() {
-            return;
-        }
-        if self.primed {
-            self.ewma = (1.0 - HEDGE_EWMA_ALPHA) * self.ewma + HEDGE_EWMA_ALPHA * ratio;
-        } else {
-            self.ewma = ratio;
-            self.primed = true;
-        }
     }
 }
 
@@ -256,9 +211,9 @@ pub struct PsClient {
     /// reporting.
     faults: Option<Arc<FaultInjector>>,
     checksums: bool,
-    /// Adaptive hedged-pull threshold state. A worker rebuilt after a crash
-    /// gets a new client, which calibrates again from its first pull.
-    hedge: Mutex<HedgeState>,
+    /// What this client does with the store's backups; attached exactly
+    /// when the store keeps some.
+    replicas: Option<Replicas>,
     /// Run-global overload protection (retry budget + circuit breakers),
     /// shared by every worker's client like `ShardLiveness`.
     overload: Option<Arc<OverloadControl>>,
@@ -270,7 +225,9 @@ pub struct PsClient {
 
 impl PsClient {
     /// Client for `worker_id` under the given topology, reporting traffic to
-    /// `meter`.
+    /// `meter`. When `store` keeps backups the client ships to them, fails
+    /// over to one and hedges slow reads against them; nothing else arms
+    /// that.
     pub fn new(
         worker_id: usize,
         topology: ClusterTopology,
@@ -287,11 +244,11 @@ impl PsClient {
             worker_id,
             topology,
             transport: Arc::new(SimTransport(store.clone())),
+            replicas: Replicas::for_store(&store, &meter),
             store,
             meter,
             faults: None,
             checksums: true,
-            hedge: Mutex::new(HedgeState::default()),
             overload: None,
         }
     }
@@ -868,7 +825,7 @@ impl PsClient {
     /// [`exchange`](Self::exchange) the frame of every shard the plan
     /// touches, in ascending shard order (`fresh_in[shard]` of a read
     /// frame's versioned keys are fresh), then carry a push or write frame
-    /// by frame, each shard's replication shipped after it. All-or-nothing:
+    /// by frame, each shard's backups shipped to after it. All-or-nothing:
     /// the first shard that exhausts its retries aborts the batch.
     fn transmit(
         &self,
@@ -884,7 +841,9 @@ impl PsClient {
         if !op.is_read() {
             for shard in plan.shards() {
                 self.transport.carry(shard, op, &mut frames[shard])?;
-                self.ship_replication(shard);
+                if let Some(replicas) = &self.replicas {
+                    replicas.ship(shard);
+                }
             }
         }
         Ok(())
@@ -900,12 +859,9 @@ impl PsClient {
     /// and transit corruption was ingested. A read is carried here, once, up
     /// front: request and response transit as one message, charged for the
     /// response's size. A push or write is carried by
-    /// [`transmit`](Self::transmit).
-    ///
-    /// Reads are hedgeable: if a delivered remote read took far longer than
-    /// the cost model predicts (a straggler episode), the same request is
-    /// hedged to a backup replica and the faster response wins. Writes are
-    /// never hedged — duplicating a gradient push would double-apply it.
+    /// [`transmit`](Self::transmit). A store's backups are [`Replicas`]'
+    /// business: a delivered remote read is offered to it to hedge, and a
+    /// dead primary to fail over.
     fn exchange(
         &self,
         shard: usize,
@@ -913,11 +869,11 @@ impl PsClient {
         frame: &mut WireFrame,
         fresh: u64,
     ) -> Result<(), RpcError> {
-        let hedgeable = op.is_read();
+        let read = op.is_read();
         // A read's request as sent; nothing for the ops whose one frame
         // counts once for both directions.
         let mut sent = Sent::default();
-        if hedgeable {
+        if read {
             sent = Sent {
                 keys: frame.keys.len() as u64,
                 versions: frame.versions.len() as u64,
@@ -936,7 +892,7 @@ impl PsClient {
         let mut attempts: u32 = 0;
         loop {
             if let Some(ctl) = overload {
-                ctl.admit(f, shard, hedgeable, attempts)?;
+                ctl.admit(f, shard, read, attempts)?;
             }
             attempts += 1;
             let sent_at = f.now();
@@ -947,8 +903,8 @@ impl PsClient {
                     if let Some(ctl) = overload {
                         ctl.delivered(f, shard, remote, bytes, elapsed);
                     }
-                    if hedgeable && remote {
-                        self.maybe_hedge(f, shard, bytes, elapsed);
+                    if let Some(replicas) = self.replicas.as_ref().filter(|_| read && remote) {
+                        replicas.hedge(f, shard, bytes, elapsed);
                     }
                     return Ok(());
                 }
@@ -957,7 +913,7 @@ impl PsClient {
                     // transited (the refusal's latency was charged during
                     // adjudication), so nothing is metered here.
                     match overload {
-                        Some(ctl) => ctl.shed(f, shard, hedgeable, attempts, bytes, retry_at)?,
+                        Some(ctl) => ctl.shed(f, shard, read, attempts, bytes, retry_at)?,
                         None => {
                             let shed = RpcError::Overloaded { shard, attempts };
                             retry_on_schedule(f, attempts, bytes, shed)?;
@@ -1006,84 +962,11 @@ impl PsClient {
                     // then let the loop retransmit to the new primary. The
                     // attempt against the dead primary doesn't burn a retry
                     // — failover is a topology change, not flaky transit.
-                    self.fail_over(f, shard)?;
+                    let lost = RpcError::ShardLost { shard };
+                    self.replicas.as_ref().ok_or(lost)?.fail_over(f, shard)?;
                     attempts -= 1;
                 }
             }
-        }
-    }
-
-    /// Handle a permanently dead primary: race to mark the shard promoted
-    /// (exactly one caller wins), replay the replication backlog onto the
-    /// backup (anti-entropy catch-up, metered as replication traffic), and
-    /// swap the backup into the primary slot. Losers of the race return
-    /// immediately — the winner's promotion is already visible through the
-    /// shared liveness table by the time `promote` returns `true` here.
-    fn fail_over(&self, f: &FaultInjector, shard: usize) -> Result<(), RpcError> {
-        let Some(liveness) = f.liveness() else {
-            return Err(RpcError::ShardLost { shard });
-        };
-        if liveness.promote(shard, f.now()) {
-            if !self.store.has_backup(shard) {
-                return Err(RpcError::ShardLost { shard });
-            }
-            let flush = self.store.catch_up(shard);
-            for _ in 0..flush.messages {
-                self.meter.record_replication(flush.payload_bytes);
-            }
-            if !self.store.promote(shard) {
-                return Err(RpcError::ShardLost { shard });
-            }
-            f.note_promotion(flush.records, flush.messages * flush.payload_bytes);
-        }
-        Ok(())
-    }
-
-    /// Hedge a slow remote pull against a backup replica. `elapsed` is the
-    /// simulated time the delivered attempt took; `base` is what the cost
-    /// model says an unperturbed transfer costs. When the ratio blows past
-    /// an adaptive threshold (an EWMA of recent ratios, floored so routine
-    /// jitter never trips it), the same pull is issued to the backup: its
-    /// bytes are metered on the replication lane, and if the backup's
-    /// unperturbed response would have arrived first, the saved time is
-    /// credited back to the worker's clock. Payloads are untouched — the
-    /// primary's frame is already sealed and backups are value-identical
-    /// modulo the bounded replication lag — so hedging perturbs time and
-    /// counters only, never training values.
-    fn maybe_hedge(&self, f: &FaultInjector, shard: usize, bytes: u64, elapsed: f64) {
-        if !self.store.has_backup(shard) {
-            return;
-        }
-        let base = f.cost().remote_time(bytes, 1);
-        if base <= 0.0 {
-            return;
-        }
-        let ratio = elapsed / base;
-        let threshold = {
-            let mut h = self.hedge.lock();
-            let t = h.threshold();
-            h.observe(ratio);
-            t
-        };
-        if ratio < threshold {
-            return;
-        }
-        self.meter.record_replication(bytes);
-        let backup_time = base + f.cost().remote_latency;
-        let won = backup_time < elapsed;
-        f.note_hedged_pull(won, if won { elapsed - backup_time } else { 0.0 });
-    }
-
-    /// Drain any full replication batches for `shard` to its backups,
-    /// metering the shipped frames on the replication lane. A no-op (no
-    /// locks, no allocation) when replication is off.
-    fn ship_replication(&self, shard: usize) {
-        if self.store.replication() <= 1 {
-            return;
-        }
-        let flush = self.store.replicate(shard);
-        for _ in 0..flush.messages {
-            self.meter.record_replication(flush.payload_bytes);
         }
     }
 }
@@ -1184,29 +1067,6 @@ mod tests {
         scratch: &mut PsScratch,
     ) -> Result<(), RpcError> {
         client.try_push_batch_with(&[key], &[grad], opt, scratch)
-    }
-
-    #[test]
-    fn hedge_state_discards_non_finite_ratios() {
-        let mut h = HedgeState::default();
-        // A zero-duration baseline pull produces inf (x/0) or NaN (0/0);
-        // neither may prime or move the EWMA.
-        h.observe(f64::INFINITY);
-        assert!(!h.primed, "inf must not prime the tracker");
-        assert_eq!(h.threshold(), f64::INFINITY, "still never-hedge-blind");
-        h.observe(f64::NAN);
-        assert!(!h.primed, "NaN must not prime the tracker");
-        h.observe(3.0);
-        assert!(h.primed);
-        assert_eq!(h.ewma, 3.0);
-        let before = h.ewma;
-        h.observe(f64::NEG_INFINITY);
-        h.observe(f64::NAN);
-        assert_eq!(h.ewma, before, "non-finite ratios leave the EWMA alone");
-        assert!(h.threshold().is_finite());
-        // Finite observations keep smoothing as before.
-        h.observe(5.0);
-        assert!((h.ewma - (0.8 * 3.0 + 0.2 * 5.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -1976,6 +1836,36 @@ mod tests {
             stats.hedged_pulls < stats.slow_messages,
             "the adaptive threshold re-calibrates and stops hedging"
         );
+    }
+
+    #[test]
+    fn only_a_store_with_backups_hedges() {
+        // The straggler episode that makes a replicated client hedge.
+        let run = |k: usize| {
+            let (store, topo) = setup_replicated(2, k);
+            let meter = Arc::new(TrafficMeter::new());
+            let plan = FaultPlan {
+                slow_episodes: vec![hetkg_netsim::SlowEpisode {
+                    start: 500e-6,
+                    end: 1.0,
+                    latency_factor: 4.0,
+                }],
+                ..FaultPlan::default()
+            };
+            let inj = injector(plan);
+            let client = PsClient::new(0, topo, store, meter.clone()).with_faults(inj.clone());
+            let mut buf = [0.0f32; 4];
+            for _ in 0..41 {
+                try_pull(&client, ParamKey(1), &mut buf).unwrap();
+            }
+            (inj.stats(), meter.snapshot().replication_bytes)
+        };
+        let (alone, alone_bytes) = run(1);
+        assert!(alone.slow_messages > 0, "the episode was entered");
+        assert_eq!((alone.hedged_pulls, alone_bytes), (0, 0));
+        let (replicated, replicated_bytes) = run(2);
+        assert_eq!(replicated.slow_messages, alone.slow_messages);
+        assert!(replicated.hedged_pulls > 0 && replicated_bytes > 0);
     }
 
     fn overload_plan(shard: usize, end: f64, capacity: u32) -> FaultPlan {

@@ -194,7 +194,7 @@ impl ShardWriter<'_> {
 /// Mutations per shard buffered before a replication shipment. Small enough
 /// to keep backup lag within the staleness envelope the trainer already
 /// tolerates; large enough to amortize per-message overhead.
-const REPLICATION_BATCH: usize = 32;
+pub(crate) const REPLICATION_BATCH: usize = 32;
 
 /// One buffered mutation: the post-update row image for a key, plus its
 /// optimizer-state row when the mutation was a gradient push. Replaying the
@@ -450,22 +450,6 @@ impl KvStore {
         }
     }
 
-    /// Read a key's embedding from one of `shard`'s backup replicas (hedged
-    /// pulls). Returns `false` when the shard has no backups. The value may
-    /// lag the primary by up to one unshipped replication batch.
-    pub fn pull_backup(&self, key: ParamKey, out: &mut [f32]) -> bool {
-        let p = self.router.place(key);
-        let Some(rep) = &self.replication else {
-            return false;
-        };
-        let backups = rep.backups[p.shard].read();
-        let Some(backup) = backups.first() else {
-            return false;
-        };
-        out.copy_from_slice(backup.row(p.kind, p.local));
-        true
-    }
-
     /// The router (placement map) in use.
     pub fn router(&self) -> &ShardRouter {
         &self.router
@@ -684,6 +668,25 @@ mod tests {
         let ks = KeySpace::new(10, 4);
         let router = ShardRouter::round_robin(ks, num_shards);
         KvStore::new(router, 8, 8, 1, Init::Uniform { bound: 0.5 }, 42)
+    }
+
+    impl KvStore {
+        /// Read a key's embedding from the first of its shard's backup
+        /// replicas. Returns `false` when the shard has no backups. The
+        /// value may lag the primary by up to one unshipped replication
+        /// batch.
+        fn pull_backup(&self, key: ParamKey, out: &mut [f32]) -> bool {
+            let p = self.router.place(key);
+            let Some(rep) = &self.replication else {
+                return false;
+            };
+            let backups = rep.backups[p.shard].read();
+            let Some(backup) = backups.first() else {
+                return false;
+            };
+            out.copy_from_slice(backup.row(p.kind, p.local));
+            true
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   to the client;
 //! * [`overload`] — overload protection: a run-global [`RetryBudget`] and
 //!   per-shard circuit [`ShardBreakers`], shared by workers via
-//!   [`OverloadControl`] so retries stop amplifying a flash crowd.
+//!   [`OverloadControl`] so retries stop amplifying a flash crowd;
+//! * `replica` — what a client does with a shard's backups: ship them
+//!   writes, fail over to one, hedge a slow read against one (crate-private;
+//!   a client holds one exactly when its store keeps backups).
 //!
 //! # Example: a two-shard store with metered pulls
 //!
@@ -55,6 +58,7 @@ pub mod error;
 pub mod kvstore;
 pub mod optimizer;
 pub mod overload;
+mod replica;
 pub mod router;
 pub mod server;
 pub mod transport;

@@ -101,7 +101,7 @@ const BREAKER_COOLDOWN_SECS: f64 = 500e-6;
 const BREAKER_LATENCY_RATIO: f64 = 3.0;
 
 /// EWMA smoothing for the per-shard latency-ratio signal (mirrors the
-/// hedging EWMA in `client.rs`).
+/// hedging EWMA in [`replica`](crate::replica)).
 const LOAD_EWMA_ALPHA: f64 = 0.2;
 /// Observations before the per-shard EWMA is trusted.
 const LOAD_EWMA_PRIME: u32 = 4;

@@ -220,11 +220,11 @@ impl ServeEngine {
         Ok(topk.into_sorted())
     }
 
-    /// Per-candidate scalar baseline for [`ServeEngine::topk_tails`]:
+    /// Per-candidate scalar reference for [`ServeEngine::topk_tails`]:
     /// one virtual `score` call per entity, exactly the shape the offline
-    /// evaluator used before the blocked kernels. Kept as the honest
-    /// speedup baseline for the serving benchmark; results are
-    /// bit-identical to the batched path by the block-kernel contract.
+    /// evaluator used before the blocked kernels. The serving benchmark
+    /// times it and checks sampled batched answers against it bit for bit,
+    /// as the block-kernel contract promises.
     pub fn topk_tails_scalar(
         &self,
         scratch: &mut ServeScratch<'_>,

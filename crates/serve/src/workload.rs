@@ -51,11 +51,6 @@ impl ZipfSampler {
         Self { cum, perm }
     }
 
-    /// Number of ids.
-    pub fn n(&self) -> usize {
-        self.perm.len()
-    }
-
     /// Probability mass of hotness rank `rank` (0 = hottest).
     pub fn mass_of_rank(&self, rank: usize) -> f64 {
         let total = *self.cum.last().expect("n > 0");

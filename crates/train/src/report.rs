@@ -229,13 +229,6 @@ impl TrainReport {
             .fold(TableEconomy::default(), |acc, e| acc.merge(e.table))
     }
 
-    /// Largest cache-vs-global divergence seen anywhere in the run.
-    pub fn max_divergence(&self) -> f64 {
-        self.epochs
-            .iter()
-            .fold(0.0, |acc, e| acc.max(e.max_divergence))
-    }
-
     /// Largest cache staleness seen anywhere in the run (iterations since
     /// sync; 0 for cacheless systems).
     pub fn max_staleness(&self) -> usize {

@@ -27,7 +27,6 @@
 //! the block structure that saves PBG entity traffic is also what keeps
 //! its communication on the critical path.
 
-use crate::batch::WorkingSet;
 use crate::worker::{retries_exhausted, EpochRun, WorkerCtx, WorkerEpochStats, WorkerLoop};
 use hetkg_core::prefetch::MiniBatch;
 use hetkg_embed::negative::{CorruptSlot, Negative};
@@ -438,12 +437,6 @@ impl WorkerLoop for PbgWorker {
             table: Default::default(),
         }
     }
-}
-
-// Keep the WorkingSet import used even in non-debug builds.
-#[allow(unused)]
-fn _assert_types(ws: &WorkingSet) -> usize {
-    ws.len()
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! The training orchestrator: partitions the graph, builds the PS, spawns
-//! one thread per worker per epoch, aggregates reports, and (optionally)
-//! evaluates link prediction between epochs.
+//! The training orchestrator: partitions the graph, builds the PS, drives
+//! every worker's epoch round-robin on one thread (`run_epoch_interleaved`),
+//! aggregates reports, and (optionally) evaluates link prediction between
+//! epochs.
 //!
 //! When the config carries a [`FaultPlan`](hetkg_netsim::FaultPlan), every
 //! worker's PS client is wired through a per-worker
