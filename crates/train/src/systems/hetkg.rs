@@ -89,6 +89,12 @@
 //!    asynchronous client would have it in flight rather than where this
 //!    loop runs it.
 //!
+//! The push in front of a staged batch leaves in two parts, as DGL-KE's
+//! does ([`WorkerCtx::post_push`]): first the rows the staged batch's
+//! consume-time request reads — its late misses and late fresh rows and,
+//! when it syncs, every cached row, which is what the boundary push writes
+//! back — behind the compute; then the rest, booked behind that request.
+//!
 //! The sequential path is the same code with nothing issued early, which is
 //! also how an epoch's first iteration runs — the only one that is not
 //! staged behind another. The trainer disables overlap entirely under
@@ -97,7 +103,7 @@
 use crate::batch::BatchResult;
 use crate::plan::BatchPlan;
 use crate::worker::{
-    retries_exhausted, EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop,
+    hazard_first, retries_exhausted, EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop,
 };
 use hetkg_core::filter::{filter_hot_set, HotSet, HotSetSelector};
 use hetkg_core::metrics::{CacheStats, TableEconomy};
@@ -110,6 +116,7 @@ use hetkg_kgraph::ParamKey;
 use hetkg_ps::optimizer::energy;
 use hetkg_ps::{PsScratch, RpcError};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Degraded mode: hard bound on distinct keys the deferred-push backlog may
 /// hold. Gradients arriving once the backlog is full are shed (dropped and
@@ -240,6 +247,8 @@ pub struct HetKgWorker {
     up: Vec<PushRow>,
     up_keys: Vec<ParamKey>,
     up_energy: Vec<f32>,
+    /// Scratch: the spare the push is ordered into its two parts through.
+    up_spare: Vec<PushRow>,
     /// Reusable draw buffers (CPS draws one batch per iteration into them).
     batch: MiniBatch,
     /// The next batch, compiled. Swapped into `ctx.scratch.plan` when it
@@ -348,6 +357,7 @@ impl HetKgWorker {
             up: Vec::new(),
             up_keys: Vec::new(),
             up_energy: Vec::new(),
+            up_spare: Vec::new(),
             batch: MiniBatch::default(),
             next_plan: BatchPlan::new(),
             staged: false,
@@ -764,7 +774,7 @@ impl HetKgWorker {
     /// machinery refuses — retry budget dry, breaker tripped mid-flight —
     /// folds into the backlog the same way. With every shard up (and no
     /// breaker open) this sends exactly what the healthy path does.
-    fn push_update(&mut self, remaining: usize, degraded: bool) {
+    fn push_update(&mut self, remaining: usize, degraded: bool, compute_end: f64) {
         let now = self.iteration;
         let boundary = remaining == 0 || self.ends_a_window(now);
         #[cfg(test)]
@@ -860,6 +870,7 @@ impl HetKgWorker {
             self.boundary_pushes += usize::from(boundary);
         }
         self.up.sort_unstable_by_key(|r| (r.grads > 1, r.key));
+        let split = self.staged && self.ctx.splits_push();
         let table = &self.table;
         let row_of = |r: &PushRow| match r.slot {
             FROM_TABLE => table.pending_sum(r.key).expect("handed over"),
@@ -890,30 +901,50 @@ impl HetKgWorker {
                 healthy
             });
         }
+        // With a batch staged behind this one the push leaves in two parts
+        // (`WorkerCtx::post_push`): first the rows that batch's consume-time
+        // request reads — its late keys and, when it syncs, every cached
+        // row — then the rest, each part in the order above.
+        let hazard = if split {
+            let (pull, syncs) = (&self.staged_pull, self.sync.is_sync_iteration(now + 1));
+            let reads = |r: &PushRow| pull.reads(r.key) || (syncs && table.contains(r.key));
+            hazard_first(&mut self.up, &mut self.up_spare, reads)
+        } else {
+            self.up.len()
+        };
         let up = &self.up;
         self.up_keys.clear();
         self.up_keys.extend(up.iter().map(|r| r.key));
         self.up_energy.clear();
         self.up_energy
             .extend(up.iter().filter(|r| r.grads > 1).map(|r| r.energy));
-        let pushed = client.try_push_coalesced_rows(
-            &self.up_keys,
-            &self.up_energy,
-            |i| row_of(&up[i]),
-            optimizer,
-            ps,
-        );
-        match pushed {
-            Ok(()) => {}
-            Err(RpcError::Overloaded { .. }) if degraded => {
-                // The shard is drowning and the retry budget refused the
-                // push: brown out instead of insisting. The whole batch
-                // folds into the backlog and replays once the breaker
-                // closes or the flash crowd passes.
-                up.iter().for_each(|r| defer(r, ps));
+        let energies = up[..hazard].iter().filter(|r| r.grads > 1).count();
+        let (keys, energy_words, meter) = (&self.up_keys, &self.up_energy, &self.ctx.meter);
+        let mut carry = |rows: Range<usize>, energies: Range<usize>, ps: &mut PsScratch| {
+            let before = meter.snapshot();
+            let part = &up[rows.clone()];
+            let pushed = client.try_push_coalesced_rows(
+                &keys[rows],
+                &energy_words[energies],
+                |i| row_of(&part[i]),
+                optimizer,
+                ps,
+            );
+            match pushed {
+                Ok(()) => {}
+                Err(RpcError::Overloaded { .. }) if degraded => {
+                    // The shard is drowning and the retry budget refused
+                    // the push: brown out instead of insisting. The part
+                    // folds into the backlog and replays once the breaker
+                    // closes or the flash crowd passes.
+                    part.iter().for_each(|r| defer(r, ps));
+                }
+                Err(other) => retries_exhausted("push_batch", other),
             }
-            Err(other) => retries_exhausted("push_batch", other),
-        }
+            meter.snapshot().since(before)
+        };
+        let hazard_part = carry(0..hazard, 0..energies, ps);
+        let rest = carry(hazard..up.len(), energies..energy_words.len(), ps);
         if let Some(f) = client.faults() {
             if deferred > 0 {
                 f.note_deferred_pushes(deferred);
@@ -924,6 +955,8 @@ impl HetKgWorker {
         }
         self.table.clear_handed_over();
         self.ctx.grads.clear();
+        let rest = split.then_some((rest, &self.up_keys[hazard..]));
+        self.ctx.post_push(hazard_part, rest, compute_end);
     }
 
     /// Stage iteration `t`'s batch: draw it, probe the cache, and stage its
@@ -1073,11 +1106,17 @@ impl HetKgWorker {
         let read_by_the_batch = !late.is_empty() || !late_fresh.is_empty();
         let sync = self.sync.is_sync_iteration(now);
         let before = self.ctx.meter.snapshot();
-        if !self.consume_time_request(sync, degraded, staleness_now) {
+        let requested = self.consume_time_request(sync, degraded, staleness_now);
+        let request_end = if requested {
+            let delta = self.ctx.meter.snapshot().since(before);
+            self.ctx.post_request(&self.probe_keys, delta)
+        } else {
+            0.0
+        };
+        self.ctx.post_held_push();
+        if !requested {
             return early_end;
         }
-        let delta = self.ctx.meter.snapshot().since(before);
-        let request_end = self.ctx.post_comm(delta, 0.0);
         if read_by_the_batch {
             early_end.max(request_end)
         } else {
@@ -1132,10 +1171,7 @@ impl HetKgWorker {
 
         // --- Update (Alg. 3 17–19): cached rows locally, the rest pushed,
         // and with them the held rows whose window gives them nothing more.
-        let before = self.ctx.meter.snapshot();
-        self.push_update(remaining, degraded);
-        let delta = self.ctx.meter.snapshot().since(before);
-        self.ctx.post_comm(delta, compute_end);
+        self.push_update(remaining, degraded, compute_end);
 
         self.iteration += 1;
         result
@@ -1795,10 +1831,11 @@ mod tests {
             assert_eq!(a.cache.hits, b.cache.hits);
             assert_eq!(a.cache.misses, b.cache.misses);
             assert_eq!(a.max_staleness, b.max_staleness);
-            // Same bytes; a shard is sent a second frame at a staged
-            // iteration when it holds keys of both halves.
+            // Same bytes; at a staged iteration each of the two shards may
+            // be sent a second frame for the pull when it holds keys of
+            // both halves, and a second for the push in front of it.
             let staged = (pipe.ctx.iterations_per_epoch - 1) as u64;
-            assert_same_bytes_more_messages(a.traffic, b.traffic, 2 * staged, "het-kg");
+            assert_same_bytes_more_messages(a.traffic, b.traffic, 2 * 2 * staged, "het-kg");
             // Sequential accounting never touches the timeline.
             assert_eq!(a.critical_path_secs, 0.0);
             // The pipelined critical path is a real schedule: at least as
@@ -2064,6 +2101,98 @@ mod tests {
                     assert!(
                         gated_bytes < full_bytes,
                         "{what}: gated {gated_bytes} B, full refresh {full_bytes} B"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One rule, reference kept: the two-part push against the whole push
+    /// it replaced, CPS and DPS, dense and int8. Both parts are carried
+    /// where the whole push was, so per worker and epoch the loss, cache
+    /// statistics, table economy and bytes per cause are bit-equal, as are
+    /// every hot table and the final store; only the timeline moves, by no
+    /// more than the frames the split adds cost. Which way depends on what
+    /// paces. On the gigabit link this pool's 32-wide rows are
+    /// latency-bound, and the added frames are what the split costs. On a
+    /// link a hundred times narrower with compute a hundred times slower,
+    /// the chain from a compute through the push to the late pull paces,
+    /// as on the benchmark's graphs, and with dense pushes no epoch is
+    /// longer: its critical path, the slowest worker's, is no longer than
+    /// the reference's. (Int8 pushes are a quarter the size, latency
+    /// weighs again, and an epoch may cost the split some of its frames.)
+    #[test]
+    fn the_split_push_trains_what_the_whole_push_reference_does() {
+        use hetkg_netsim::CompressionMode;
+        let gigabit = CostModel::gigabit();
+        let paced = CostModel {
+            remote_bandwidth: gigabit.remote_bandwidth / 100.0,
+            local_bandwidth: gigabit.local_bandwidth / 100.0,
+            compute_rate: gigabit.compute_rate / 100.0,
+            ..gigabit
+        };
+        for kind in [PolicyKind::Cps, PolicyKind::Dps] {
+            for compression in [CompressionMode::Off, CompressionMode::Int8] {
+                for cost in [gigabit, paced] {
+                    let link = if cost == gigabit { "gigabit" } else { "paced" };
+                    let what = format!("{kind:?} {compression:?} {link}");
+                    let spec = PoolSpec {
+                        kind,
+                        overlap: true,
+                        compression,
+                        cost,
+                        ..PoolSpec::default()
+                    };
+                    let (mut split, split_store) = spec.build();
+                    let (mut whole, whole_store) = spec.build();
+                    for w in &mut whole {
+                        w.ctx.whole_push_reference = true;
+                    }
+                    let chain_paced = cost == paced && compression == CompressionMode::Off;
+                    let mut added = 0;
+                    for epoch in 0..3 {
+                        let a = run_pool_epoch(&mut split, epoch);
+                        let b = run_pool_epoch(&mut whole, epoch);
+                        for (w, (a, b)) in a.iter().zip(&b).enumerate() {
+                            let at = format!("{what}, epoch {epoch}, worker {w}");
+                            assert_eq!(a.loss_sum.to_bits(), b.loss_sum.to_bits(), "{at}: loss");
+                            assert_eq!(a.cache, b.cache, "{at}");
+                            assert_eq!(a.traffic.by_cause, b.traffic.by_cause, "{at}");
+                            assert_eq!(a.table, b.table, "{at}");
+                            let (ta, tb) = (a.traffic, b.traffic);
+                            let (remote, local) = (
+                                ta.remote_messages - tb.remote_messages,
+                                ta.local_messages - tb.local_messages,
+                            );
+                            let frames = cost.remote_time(0, remote) + cost.local_time(0, local);
+                            let (cp, whole_cp) = (a.critical_path_secs, b.critical_path_secs);
+                            assert!(
+                                cp <= whole_cp + frames + 1e-12,
+                                "{at}: {cp} s split, {whole_cp} s whole, {frames} s of frames added"
+                            );
+                            added += remote + local;
+                        }
+                        // The epoch's critical path is its slowest worker's.
+                        let epoch_cp = |stats: &[WorkerEpochStats]| {
+                            stats
+                                .iter()
+                                .map(|s| s.critical_path_secs)
+                                .fold(0.0, f64::max)
+                        };
+                        let (cp, whole_cp) = (epoch_cp(&a), epoch_cp(&b));
+                        assert!(
+                            !chain_paced || cp <= whole_cp + 1e-12,
+                            "{what}, epoch {epoch}: {cp} s split, {whole_cp} s whole"
+                        );
+                    }
+                    assert!(added > 0, "{what}: no push split");
+                    for (w, (a, b)) in split.iter().zip(&whole).enumerate() {
+                        assert_eq!(table_bits(a), table_bits(b), "{what}: table {w}");
+                    }
+                    assert_eq!(
+                        store_bits(&split_store),
+                        store_bits(&whole_store),
+                        "{what}: final store"
                     );
                 }
             }
@@ -2357,6 +2486,10 @@ mod tests {
     ///   sums and energies per window and key, losses, the table and the
     ///   store (rows and optimizer state) are bit-equal.
     ///
+    /// Both pools push whole (`whole_push_reference`): which rows a push
+    /// holds decides how a split one is framed, and this test is about
+    /// which push a row rides, not how a push is split.
+    ///
     /// In a debug build every gradient a cached row collects is also checked
     /// against the window's prediction, and every wait against `P − 1`.
     #[test]
@@ -2392,6 +2525,7 @@ mod tests {
                         let mut reference = boundary_only(reference);
                         for w in early.iter_mut().chain(&mut reference) {
                             w.written_back_log = Some(Vec::new());
+                            w.ctx.whole_push_reference = true;
                         }
                         // Alone, a worker's epochs may end mid-window.
                         let epochs = if machines == 1 { 2 } else { 1 };
@@ -2590,10 +2724,12 @@ mod tests {
                 continue;
             }
             waited += 1;
-            // That is two exchanges with the two remote shards — the push
-            // before the rebuild and the request — where the unstaged
-            // rebuild's compute also sat out a construction pull and the
-            // pull of every miss: four.
+            // That is two exchanges with the two remote shards — the hazard
+            // part of the push before the rebuild (its rest, a shard's
+            // second push frame, is booked behind the request and stalls
+            // nothing) and the request — where the unstaged rebuild's
+            // compute also sat out a construction pull and the pull of
+            // every miss: four.
             assert!(
                 4.0 * message < stall && stall < 6.0 * message,
                 "{it:?}: stalled {stall} s"
@@ -2639,11 +2775,12 @@ mod tests {
                 );
                 let staged = (b.table.staged_early + b.table.staged_late) as usize;
                 assert!(staged > 0, "{at}: {:?}", b.table);
-                // A shard may be sent a frame of each half at any staged
-                // iteration; a rebuild's fresh rows and its misses are
-                // apart in both schedules.
+                // A shard may be sent a frame of each half of any staged
+                // iteration's pull and of each part of the push in front of
+                // it; a rebuild's fresh rows and its misses are apart in
+                // both schedules.
                 let iterations = 2 * (3 * 4_500 / 3 / 32 + 1) as u64;
-                assert_same_bytes_more_messages(a.traffic, b.traffic, iterations, &at);
+                assert_same_bytes_more_messages(a.traffic, b.traffic, 2 * iterations, &at);
             }
         }
         assert_eq!(seq_tables, pipe_tables);

@@ -99,10 +99,28 @@ pub struct WorkerCtx {
     pub overlap: bool,
     /// This worker's two-lane schedule (comm, compute).
     pub timeline: Timeline,
-    /// Reusable buffers for batched pushes: the touched slots in key order
-    /// and their keys.
+    /// Reusable buffers for batched pushes: the touched slots, in key order
+    /// within each part ([`hazard_first`]), their keys, and the spare the
+    /// parts are ordered through.
     push_slots: Vec<u32>,
     push_keys: Vec<ParamKey>,
+    push_spare: Vec<u32>,
+    /// The rest of the last push, carried and metered but not on the
+    /// timeline yet, and the completion of the compute whose gradients it
+    /// carries ([`WorkerCtx::post_push`]).
+    held_push: Option<(TrafficSnapshot, f64)>,
+    /// Debug builds: the held rest's keys, sorted — rows the consume-time
+    /// request posted ahead of them must not read.
+    held_keys: Vec<ParamKey>,
+    /// A batch was staged ahead of the one in flight, whose push is not on
+    /// the timeline yet: the staged batch's consume-time request, which may
+    /// read that push's rows, must not be posted before it.
+    push_due: bool,
+    /// Test-only: push whole at every iteration, as the code did before a
+    /// push left in two parts — the reference the differential tests hold
+    /// the split against.
+    #[cfg(test)]
+    pub(crate) whole_push_reference: bool,
     /// Cumulative per-lane busy seconds at epoch start ([comm, compute]),
     /// so the adaptive compression policy sees this epoch's occupancy
     /// delta rather than the whole run's.
@@ -146,6 +164,12 @@ impl WorkerCtx {
             timeline: Timeline::pipelined(),
             push_slots: Vec::new(),
             push_keys: Vec::new(),
+            push_spare: Vec::new(),
+            held_push: None,
+            held_keys: Vec::new(),
+            push_due: false,
+            #[cfg(test)]
+            whole_push_reference: false,
             epoch_busy: [0.0; 2],
         }
     }
@@ -204,26 +228,122 @@ impl WorkerCtx {
     }
 
     /// Push every accumulated gradient to the PS (coalesced, in key order),
-    /// then clear the accumulator. Returns the operation's metered traffic
-    /// for timeline posting.
-    pub fn push_grads(&mut self) -> TrafficSnapshot {
-        let before = self.meter.snapshot();
+    /// put the push on the timeline behind the compute that ended at
+    /// `compute_end`, and clear the accumulator. With `staged`, the pull of
+    /// the batch staged behind this one, the push leaves in two parts
+    /// ([`WorkerCtx::post_push`]): the rows `staged`'s consume-time request
+    /// reads, then the rest.
+    pub fn push_grads(&mut self, staged: Option<&StagedPull>, compute_end: f64) {
         self.grads.sorted_slots_into(&mut self.push_slots);
-        let (grads, slots) = (&self.grads, &self.push_slots);
+        let grads = &self.grads;
+        let split = staged.filter(|_| self.splits_push());
+        let hazard = match split {
+            Some(pull) => hazard_first(&mut self.push_slots, &mut self.push_spare, |&s| {
+                pull.reads(grads.key_at(s))
+            }),
+            None => self.push_slots.len(),
+        };
         self.push_keys.clear();
         self.push_keys
-            .extend(slots.iter().map(|&s| grads.key_at(s)));
+            .extend(self.push_slots.iter().map(|&s| grads.key_at(s)));
+        let hazard_part = self.carry_grads(0..hazard);
+        let rest = self.carry_grads(hazard..self.push_slots.len());
+        let keys = std::mem::take(&mut self.push_keys);
+        let rest = split.map(|_| (rest, &keys[hazard..]));
+        self.post_push(hazard_part, rest, compute_end);
+        self.push_keys = keys;
+        self.grads.clear();
+    }
+
+    /// Carry the gradients of `push_slots[part]`; returns their metered
+    /// traffic (none for an empty part).
+    fn carry_grads(&mut self, part: std::ops::Range<usize>) -> TrafficSnapshot {
+        let before = self.meter.snapshot();
+        let (grads, slots) = (&self.grads, &self.push_slots[part.clone()]);
         self.client
             .try_push_coalesced_rows(
-                &self.push_keys,
+                &self.push_keys[part],
                 &[],
                 |i| grads.row_at(slots[i]),
                 self.optimizer.as_ref(),
                 &mut self.ps,
             )
             .unwrap_or_else(|e| retries_exhausted("push_batch", e));
-        self.grads.clear();
         self.meter.snapshot().since(before)
+    }
+
+    /// Whether a push with a batch staged behind it leaves in two parts:
+    /// always, but in the tests' whole-push reference.
+    pub fn splits_push(&self) -> bool {
+        #[cfg(test)]
+        if self.whole_push_reference {
+            return false;
+        }
+        true
+    }
+
+    /// Put a carried push on the comm lane. Whole (`rest` is `None`): behind
+    /// the compute that produced it, which ended at `compute_end`. In two
+    /// parts: the *hazard* part, `hazard` — the rows the staged batch's
+    /// consume-time request reads — likewise; the *rest*, with its keys,
+    /// is held, for [`WorkerCtx::post_held_push`] to post after that
+    /// request. A part that sent nothing takes no slot. Both parts were
+    /// carried already, hazard first, so no value depends on where the
+    /// rest sits; the timeline may book it late because the request reads
+    /// none of its rows, and the next early booking, which may, comes
+    /// after it on the one comm queue.
+    pub fn post_push(
+        &mut self,
+        hazard: TrafficSnapshot,
+        rest: Option<(TrafficSnapshot, &[ParamKey])>,
+        compute_end: f64,
+    ) {
+        debug_assert!(self.held_push.is_none(), "the last rest was posted");
+        self.push_due = false;
+        let Some((rest, rest_keys)) = rest else {
+            self.post_comm(hazard, compute_end);
+            return;
+        };
+        let sent = |t: TrafficSnapshot| t.local_messages + t.remote_messages > 0;
+        if sent(hazard) {
+            self.post_comm(hazard, compute_end);
+        }
+        if sent(rest) {
+            self.held_push = Some((rest, compute_end));
+            if cfg!(debug_assertions) {
+                self.held_keys.extend_from_slice(rest_keys);
+                self.held_keys.sort_unstable();
+            }
+        }
+    }
+
+    /// Post the staged batch's consume-time request, which read `keys` and
+    /// was metered as `delta`, on the comm lane; returns its completion. In
+    /// debug builds, checks the read-after-write order the two-part push
+    /// rests on: the push in front of the request is on the comm lane —
+    /// one queue, so the request starts no earlier than its hazard part
+    /// ends — and the request reads no row of the held rest.
+    pub fn post_request(&mut self, keys: &[ParamKey], delta: TrafficSnapshot) -> f64 {
+        debug_assert!(
+            !(self.overlap && self.push_due),
+            "a consume-time request started before the hazard push it reads"
+        );
+        debug_assert!(
+            keys.iter()
+                .all(|k| self.held_keys.binary_search(k).is_err()),
+            "a consume-time request read a row of the push's held rest"
+        );
+        self.post_comm(delta, 0.0)
+    }
+
+    /// Post the last push's held rest, if any: after the consume-time
+    /// request [`WorkerCtx::post_request`] posted, before the next early
+    /// booking.
+    pub fn post_held_push(&mut self) {
+        if let Some((rest, compute_end)) = self.held_push.take() {
+            self.post_comm(rest, compute_end);
+        }
+        self.held_keys.clear();
     }
 
     /// Post a metered comm operation to the timeline's comm lane, not
@@ -270,6 +390,10 @@ impl WorkerCtx {
     /// modes (and overlap-off runs, which post no lane time) are
     /// unaffected.
     pub fn end_epoch_timing(&mut self) -> f64 {
+        debug_assert!(
+            self.held_push.is_none(),
+            "nothing is held past an epoch's last iteration"
+        );
         if self.overlap {
             let cp = self.timeline.end_epoch();
             let comm = self.timeline.busy(Lane::Comm) - self.epoch_busy[0];
@@ -303,6 +427,17 @@ impl WorkerCtx {
 /// one message more per shard — one holding keys of both halves is sent two
 /// frames.
 ///
+/// The in-flight push is split to match ([`WorkerCtx::post_push`]): the
+/// rows the consume-time request reads ([`StagedPull::reads`]) leave in its
+/// hazard part, behind the compute; the rest is carried with them but
+/// booked behind the request, because the request reads none of it and the
+/// next early booking queues behind it. The late keys therefore wait for
+/// the rows they read, not for the whole push — at the cost of at most one
+/// more message per shard, a shard with rows in both parts being sent two
+/// frames ([`hazard_first`]). So a staged iteration
+/// may send each shard two messages more than the sequential schedule: one
+/// for the split pull, one for the split push in front of it.
+///
 /// Two kinds of key ride in it. *Plain* keys are the batch's rows nobody
 /// caches, each bound for a working-set slot. *Fresh* keys are rows a table
 /// rebuild is about to cache: asked about with nothing held, so each comes
@@ -320,9 +455,11 @@ pub struct StagedPull {
     early: Vec<ParamKey>,
     early_slots: Vec<u32>,
     /// Keys (plain, then fresh) and slots (of the plain ones) left for the
-    /// consume-time request.
+    /// consume-time request, and, when it was pulled ahead, the same keys
+    /// sorted: what [`StagedPull::reads`] answers from.
     late: Vec<ParamKey>,
     late_slots: Vec<u32>,
+    late_sorted: Vec<ParamKey>,
     /// What the early pull was booked as when it was booked ahead, and must
     /// then be metered as.
     booked: Option<TrafficSnapshot>,
@@ -366,6 +503,7 @@ impl StagedPull {
         self.early_slots.clear();
         self.late.clear();
         self.late_slots.clear();
+        self.late_sorted.clear();
         self.booked = None;
         self.pull_end = 0.0;
         let in_flight = &ctx.scratch.plan;
@@ -386,7 +524,16 @@ impl StagedPull {
             };
             to.push(k);
         }
+        if pull_ahead {
+            self.late_sorted.extend_from_slice(&self.late);
+            self.late_sorted.sort_unstable();
+            ctx.push_due = true;
+        }
         if pull_ahead && !self.early.is_empty() {
+            debug_assert!(
+                ctx.held_push.is_none(),
+                "the held rest of a push is posted before the next early booking"
+            );
             let fresh = self.early.len() - self.early_slots.len();
             let booked = ctx.client.staged_pull_cost(&self.early, fresh, &mut ctx.ps);
             self.pull_end = ctx.post_comm(booked, 0.0);
@@ -401,6 +548,14 @@ impl StagedPull {
     pub fn late(&self) -> (&[ParamKey], &[u32], &[ParamKey]) {
         let (plain, fresh) = self.late.split_at(self.late_slots.len());
         (plain, &self.late_slots, fresh)
+    }
+
+    /// Whether the consume-time request of a batch staged behind one in
+    /// flight reads `k`: a late key, plain or fresh — a row that batch's
+    /// push may write. The hazard part of that push is its rows for which
+    /// this holds ([`WorkerCtx::post_push`]).
+    pub fn reads(&self, k: ParamKey) -> bool {
+        self.late_sorted.binary_search(&k).is_ok()
     }
 
     /// How many fresh keys were staged, early and late.
@@ -458,10 +613,37 @@ impl StagedPull {
         debug_assert!(fresh.is_empty(), "fresh rows need the caller's request");
         if !late.is_empty() {
             let delta = ctx.pull_into_ws(late, late_slots);
-            pull_end = pull_end.max(ctx.post_comm(delta, 0.0));
+            pull_end = pull_end.max(ctx.post_request(late, delta));
         }
         pull_end
     }
+}
+
+/// Order a push's `rows` into its two parts ([`WorkerCtx::post_push`]):
+/// the hazard part — the rows the staged batch's consume-time request
+/// `reads` — first, then the rest; returns the hazard part's length.
+/// Stable, so each part keeps the order its rows had; the rows go through
+/// `spare`, a reused buffer, so ordering allocates nothing at steady state.
+pub fn hazard_first<T: Copy>(
+    rows: &mut Vec<T>,
+    spare: &mut Vec<T>,
+    reads: impl Fn(&T) -> bool,
+) -> usize {
+    spare.clear();
+    let mut rest = 0;
+    for i in 0..rows.len() {
+        let row = rows[i];
+        if reads(&row) {
+            spare.push(row);
+        } else {
+            rows[rest] = row;
+            rest += 1;
+        }
+    }
+    let hazard = spare.len();
+    spare.extend_from_slice(&rows[..rest]);
+    std::mem::swap(rows, spare);
+    hazard
 }
 
 /// Book-keeping carried across [`WorkerLoop::step`] calls within one epoch.
@@ -534,7 +716,9 @@ pub trait WorkerLoop: Send {
 /// The pipeline's traffic contract, for the differential tests: against the
 /// sequential schedule's `seq`, `pipe` moved the same bytes — per lane, per
 /// cause, push breakdown included — in at least as many messages and at
-/// most `max_extra` more.
+/// most `max_extra` more. A staged iteration may add one message per shard
+/// for its split pull and one more for the split push in front of it, so
+/// the callers' bound is two per shard per staged iteration.
 #[cfg(test)]
 pub(crate) fn assert_same_bytes_more_messages(
     seq: TrafficSnapshot,
@@ -545,11 +729,14 @@ pub(crate) fn assert_same_bytes_more_messages(
     let bytes_of = |t: TrafficSnapshot| TrafficSnapshot {
         local_messages: 0,
         remote_messages: 0,
+        push_messages: 0,
         ..t
     };
     assert_eq!(bytes_of(seq), bytes_of(pipe), "{what}: bytes moved");
     assert!(
-        pipe.local_messages >= seq.local_messages && pipe.remote_messages >= seq.remote_messages,
+        pipe.local_messages >= seq.local_messages
+            && pipe.remote_messages >= seq.remote_messages
+            && pipe.push_messages >= seq.push_messages,
         "{what}: the split dropped a message ({seq:?} vs {pipe:?})"
     );
     let extra =
@@ -907,9 +1094,10 @@ mod tests {
     fn push_grads_clears_accumulator() {
         let mut c = ctx();
         c.grads.add(ParamKey(0), &[1.0, 0.0, 0.0, 0.0]);
-        let delta = c.push_grads();
+        let before = c.meter.snapshot();
+        c.push_grads(None, 0.0);
         assert!(c.grads.is_empty());
-        assert!(delta.total_bytes() > 0, "push traffic is returned");
+        assert!(c.meter.snapshot().since(before).total_bytes() > 0);
     }
 
     #[test]
@@ -934,13 +1122,137 @@ mod tests {
         let compute_end = c.post_compute(2_000_000, pull_end);
         assert!(compute_end > pull_end);
         c.grads.add(ParamKey(0), &[1.0, 0.0, 0.0, 0.0]);
-        let push = c.push_grads();
-        let push_end = c.post_comm(push, compute_end);
+        c.push_grads(None, compute_end);
+        let push_end = c.timeline.now();
         assert!(push_end > compute_end);
         let cp = c.end_epoch_timing();
         assert!(
             (cp - push_end).abs() < 1e-15,
             "fully serial chain: cp is the chain end"
         );
+    }
+
+    #[test]
+    fn hazard_first_keeps_each_parts_order_and_reuses_its_spare() {
+        let mut rows = vec![5u32, 2, 8, 1, 4, 7];
+        let mut spare = Vec::with_capacity(rows.len());
+        let hazard = hazard_first(&mut rows, &mut spare, |&r| r % 2 == 0);
+        assert_eq!((hazard, rows.as_slice()), (3, &[2, 8, 4, 5, 1, 7][..]));
+        let (cap, ptr) = (spare.capacity(), spare.as_ptr());
+        assert_eq!(hazard_first(&mut rows, &mut spare, |_| false), 0);
+        assert_eq!(rows, [2, 8, 4, 5, 1, 7]);
+        assert_eq!((rows.capacity(), rows.as_ptr()), (cap, ptr), "swapped back");
+    }
+
+    /// A pipelined iteration's push, split: worker 0, two shards, overlap
+    /// on over the gigabit link, the batch holding entities 0 and 2 and relation 0
+    /// in flight and the next one — entities 1, 0 and 3 — staged behind it,
+    /// so entity 0 is late. The in-flight compute ends and its gradients of
+    /// entities 0, 1 and 2 and relation 0 go: entity 0's row is in the
+    /// hazard part, entity 1's — shard 1's only row, which the late pull
+    /// does not read — in the rest. Returns the staged pull and the
+    /// compute's end.
+    fn split_push() -> (WorkerCtx, StagedPull, f64) {
+        let (c, _) = ctx_on(2);
+        let mut c = c.with_timing(CostModel::gigabit(), true);
+        c.begin_epoch_timing();
+        put_in_flight(&mut c);
+        let keys = [1u64, 0, 3].map(ParamKey);
+        let slots = lay_out(&mut c, &keys);
+        let mut staged = StagedPull::default();
+        let pairs = keys.iter().copied().zip(slots.iter().copied());
+        staged.stage(&mut c, pairs, true, &mut TableEconomy::default());
+        assert_eq!(staged.late, [ParamKey(0)]);
+        let compute_end = c.post_compute(2_000_000, 0.0);
+        for k in [0u64, 1, 2, 10].map(ParamKey) {
+            assert_eq!(c.client.shard_of(k), k.0 as usize % 2);
+            c.grads.add(k, &[1.0, 0.0, 0.0, 0.0]);
+        }
+        c.push_grads(Some(&staged), compute_end);
+        (c, staged, compute_end)
+    }
+
+    /// The order the two-part push keeps on the comm lane, which is one
+    /// queue: the hazard part behind the compute that produced it; the
+    /// staged batch's consume-time request — the late pull, which reads the
+    /// hazard part's row — behind that; the rest, held until then, behind
+    /// the request and still behind the compute; and the next early booking
+    /// behind the rest. Both parts were carried at the push, hazard first,
+    /// and nothing is left held when the epoch ends.
+    #[test]
+    fn a_split_push_books_its_hazard_part_before_the_request_and_its_rest_after() {
+        let (mut c, staged, compute_end) = split_push();
+        let pushed = c.meter.snapshot();
+        assert_eq!(
+            pushed.push_messages, 3,
+            "shard 0 in both parts, shard 1 in the rest"
+        );
+        let hazard_end = c.timeline.now();
+        assert!(staged.pull_end < compute_end && compute_end < hazard_end);
+        let (rest, rest_after) = c.held_push.expect("the rest is held");
+        assert_eq!(rest_after, compute_end);
+        if cfg!(debug_assertions) {
+            assert_eq!(c.held_keys, [1u64, 2, 10].map(ParamKey));
+        }
+
+        let pull_end = staged.deliver(&mut c);
+        assert!(
+            pull_end > hazard_end,
+            "the late pull waits for the hazard part"
+        );
+        c.post_held_push();
+        let rest_end = c.timeline.now();
+        assert_eq!(rest_end, pull_end + rest.simulated_time(&c.cost));
+        assert!(c.held_push.is_none() && c.held_keys.is_empty());
+
+        let mut next = StagedPull::default();
+        let pairs = [3u64, 4].map(ParamKey).into_iter().zip(0..);
+        next.stage(&mut c, pairs, true, &mut TableEconomy::default());
+        assert!(next.late.is_empty());
+        assert!(
+            next.pull_end > rest_end,
+            "the next booking queues behind the rest"
+        );
+        assert!(c.end_epoch_timing() > 0.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a consume-time request started before the hazard push it reads")]
+    fn a_request_posted_ahead_of_the_push_in_front_of_it_is_refused() {
+        let (c, _) = ctx_on(2);
+        let mut c = c.with_timing(CostModel::gigabit(), true);
+        put_in_flight(&mut c);
+        lay_out(&mut c, &[ParamKey(0)]);
+        let mut staged = StagedPull::default();
+        let pairs = [(ParamKey(0), 0)].into_iter();
+        staged.stage(&mut c, pairs, true, &mut TableEconomy::default());
+        assert_eq!(staged.late, [ParamKey(0)]);
+        staged.deliver(&mut c);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a consume-time request read a row of the push's held rest")]
+    fn a_request_reading_a_row_of_the_held_rest_is_refused() {
+        let (mut c, _, _) = split_push();
+        c.post_request(&[ParamKey(2)], TrafficSnapshot::default());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the held rest of a push is posted before the next early booking")]
+    fn an_early_booking_ahead_of_the_held_rest_is_refused() {
+        let (mut c, _, _) = split_push();
+        let pairs = [(ParamKey(3), 0)].into_iter();
+        StagedPull::default().stage(&mut c, pairs, true, &mut TableEconomy::default());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "nothing is held past an epoch's last iteration")]
+    fn an_epoch_cannot_end_with_a_rest_held() {
+        let (mut c, _, _) = split_push();
+        c.end_epoch_timing();
     }
 }

@@ -9,10 +9,14 @@
 //! sockets are held equal to) and prints that. An epoch's seconds are its
 //! slowest worker's: `critical_path` is what `sim_epoch_s` averages, and it
 //! can come down to `max(comm_lane, compute_lane)` and no further — the gap
-//! is compute waiting for rows. `scripts/exact.sh` runs it at two commits side
-//! by side — copying this file into a checkout that predates it, which is
-//! why it reads the report through names every commit since the split
-//! existed has (`Cause::ALL`, and the table as JSON).
+//! is compute waiting for rows. Beside the lanes, each epoch's remote and
+//! local messages per iteration (all workers' messages over all workers'
+//! iterations, as `ps.remote_msgs_per_iter` counts them): what a schedule
+//! change costs in frames, next to what it buys on the critical path.
+//! `scripts/exact.sh` runs it at two commits side by side — copying this
+//! file into a checkout that predates it, which is why it reads the report
+//! through names every commit since the split existed has (`Cause::ALL`,
+//! and the table as JSON).
 //!
 //! The configuration below is a hand copy of `benchmark/src/train.rs`'s, so
 //! the `same` lines print, with every bit, two values the benchmark run of
@@ -34,6 +38,7 @@
 //! ```
 
 use het_kg::netsim::{Cause, CompressionMode};
+use het_kg::partition::{MetisLike, Partitioner};
 use het_kg::prelude::*;
 use het_kg::train_sys::trainer::train_with_store;
 use het_kg::train_sys::TransportKind;
@@ -148,10 +153,31 @@ fn main() {
         "same sim_epoch_s {}",
         report.total_secs() / cfg.epochs as f64
     );
+    // Iterations per epoch, summed over the workers: each trains its
+    // machine's triples in batches (`paper` configurations run one worker
+    // per machine).
+    let iterations: usize = MetisLike::new(cfg.seed)
+        .partition(&kg, cfg.machines)
+        .split_triples(&split.train)
+        .iter()
+        .map(|t| t.len().div_ceil(cfg.batch_size))
+        .sum();
     for e in &report.epochs {
         println!("lane epoch{}_critical_path {:.4}", e.epoch, e.epoch_secs());
         println!("lane epoch{}_comm_lane {:.4}", e.epoch, e.comm_secs);
         println!("lane epoch{}_compute_lane {:.4}", e.epoch, e.compute_secs);
+        let per_iteration = |messages: u64| messages as f64 / iterations as f64;
+        let t = e.traffic;
+        println!(
+            "msgs epoch{}_remote {:.2}",
+            e.epoch,
+            per_iteration(t.remote_messages)
+        );
+        println!(
+            "msgs epoch{}_local {:.2}",
+            e.epoch,
+            per_iteration(t.local_messages)
+        );
     }
     println!("cause total {:.2}", traffic.remote_bytes as f64 / triples);
     for cause in Cause::ALL {

@@ -8,12 +8,15 @@
 //!    `max(compute, comm)`.
 //! 2. Turning overlap on leaves losses, cache counters, compute seconds and
 //!    bytes — per lane, per cause — bit-identical. Messages may only grow,
-//!    by at most one per shard per staged iteration (a shard holding keys
-//!    of both halves of a split pull is sent two frames), and communication
-//!    seconds move by those messages' modelled cost alone. Beyond that
-//!    only the epoch's critical path (the schedule) changes, and for the
-//!    three parameter-server systems it drops strictly below the
-//!    sequential sum.
+//!    by at most one per shard per staged iteration for the pull split (a
+//!    shard holding keys of both halves of a split pull is sent two
+//!    frames) and one more for the push split (a shard holding rows of
+//!    both parts of the push in front of a staged batch — those its
+//!    consume-time request reads, and the rest — is sent two frames), and
+//!    communication seconds move by those messages' modelled cost alone.
+//!    Beyond that only the epoch's critical path (the schedule) changes,
+//!    and for the three parameter-server systems it drops strictly below
+//!    the sequential sum.
 //! 3. A perturbing fault plan disables the pipeline outright (fault
 //!    verdicts depend on message order), so faulty reports are bit-equal
 //!    with overlap on or off; an all-zero (inert) plan keeps it enabled.
@@ -102,7 +105,7 @@ fn overlap_changes_the_schedule_but_not_the_measurements() {
             // and its iterations are ceil(subgraph / batch): summed over
             // workers that is at most train / batch staged iterations, each
             // of which may send its own shard and every other one a second
-            // frame.
+            // frame for the pull and another for the push.
             let staged = (train_set.len() / pipe_cfg.batch_size) as u64;
             let others = (pipe_cfg.machines - 1) as u64;
             let cost = pipe_cfg.cost_model;
@@ -121,16 +124,18 @@ fn overlap_changes_the_schedule_but_not_the_measurements() {
                 let bytes_of = |t: TrafficSnapshot| TrafficSnapshot {
                     local_messages: 0,
                     remote_messages: 0,
+                    push_messages: 0,
                     ..t
                 };
                 assert_eq!(bytes_of(ta), bytes_of(tb), "{at}: bytes moved");
                 // Messages only grow, within the bound.
                 assert!(tb.local_messages >= ta.local_messages, "{at}");
                 assert!(tb.remote_messages >= ta.remote_messages, "{at}");
+                assert!(tb.push_messages >= ta.push_messages, "{at}");
                 let extra_local = tb.local_messages - ta.local_messages;
                 let extra_remote = tb.remote_messages - ta.remote_messages;
                 assert!(
-                    extra_local <= staged && extra_remote <= staged * others,
+                    extra_local <= 2 * staged && extra_remote <= 2 * staged * others,
                     "{at}: {extra_local} local / {extra_remote} remote extra messages \
                      over {staged} staged iterations"
                 );
