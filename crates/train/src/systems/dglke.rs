@@ -6,22 +6,16 @@
 //! back. No worker-side cache — this is exactly the data path whose
 //! communication share Table I measures.
 //!
-//! With overlap accounting on the loop pipelines like HET-KG's: the next
-//! batch is drawn while the current one computes, and the pull of every key
-//! of it the in-flight batch does not write is booked ahead on the comm
-//! lane, behind that compute. What consecutive batches share — hot
-//! relations and entities, a fifth of a batch's keys on the benchmark's
-//! skewed graph — waits for the in-flight push, and only for its rows of
-//! them: the push leaves in two parts, the rows the late pull reads first,
-//! behind the compute, and the rest booked behind the late pull, which
-//! reads none of it, and ahead of the next early booking, which may. Both
-//! parts are carried at the end of the iteration, hazard first, and every
-//! row is carried when the batch is consumed, so values and bytes are the
-//! sequential schedule's. [`StagedPull`] states the contract.
+//! With overlap accounting on the loop pipelines like HET-KG's, on the same
+//! `worker::Pipeline`, which states the schedule: the next batch is drawn while
+//! the current one computes, every key of it pulled, its consume-time
+//! request the plain pull of the keys the batch in flight writes.
 
 use crate::batch::BatchResult;
-use crate::plan::BatchPlan;
-use crate::worker::{EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop};
+use crate::worker::{
+    carry_accumulated, pull_late, EpochRun, Pipeline, PushRow, WorkerCtx, WorkerEpochStats,
+    WorkerLoop,
+};
 use hetkg_core::metrics::TableEconomy;
 use hetkg_core::prefetch::{MiniBatch, Prefetcher};
 use hetkg_embed::negative::NegativeSampler;
@@ -33,14 +27,8 @@ pub struct DglKeWorker {
     negatives: NegativeSampler,
     /// Reusable draw buffers; a batch lives on only as its compiled plan.
     batch: MiniBatch,
-    /// Whether `next_plan` and `pull` describe a batch that has been drawn
-    /// but not consumed.
-    staged: bool,
-    /// The staged batch, compiled. Swapped into `ctx.scratch.plan` when
-    /// consumed, so that plan is always the batch in flight.
-    next_plan: BatchPlan,
-    /// The staged batch's pull (every key of the batch).
-    pull: StagedPull,
+    /// The staged batch, its pull, and the push in front of it.
+    pipeline: Pipeline,
     /// How the pipeline split the staged pulls this epoch (the table
     /// fields stay zero: there is no table).
     economy: TableEconomy,
@@ -62,51 +50,36 @@ impl DglKeWorker {
             sampler,
             negatives,
             batch: MiniBatch::default(),
-            staged: false,
-            next_plan: BatchPlan::new(),
-            pull: StagedPull::default(),
+            pipeline: Pipeline::default(),
             economy: TableEconomy::default(),
             run: EpochRun::default(),
         }
     }
 
-    /// Draw the next batch, compile it into `next_plan` and stage its pull:
-    /// ahead of time where the in-flight batch allows (`pull_ahead`, see
-    /// the module docs), or all of it at consume time.
+    /// Draw the next batch and stage the pull of every key of it: ahead of
+    /// time where the batch in flight allows (`pull_ahead`), or all of it
+    /// at consume time.
     fn stage(&mut self, pull_ahead: bool) {
-        debug_assert!(!self.staged, "staging twice");
         self.sampler
             .draw_into(&self.ctx.subgraph, &mut self.negatives, &mut self.batch);
-        self.next_plan.compile(
-            &self.batch,
-            self.ctx.key_space,
-            self.ctx.model.entity_dim(),
-            self.ctx.model.relation_dim(),
-        );
-        let keys = self.next_plan.keys().iter().copied().zip(0..);
-        self.pull
-            .stage(&mut self.ctx, keys, pull_ahead, &mut self.economy);
-        self.staged = true;
-    }
-
-    /// Make the staged batch the one in flight: lay the arenas out by its
-    /// plan and deliver its rows, then post the rest of the last push behind
-    /// the late ones. Returns the timeline completion of the batch's pull.
-    fn consume_staged(&mut self) -> f64 {
-        debug_assert!(self.staged, "a batch was staged");
-        self.staged = false;
-        std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
-        self.ctx.begin_batch();
-        let pull_end = self.pull.deliver(&mut self.ctx);
-        self.ctx.post_held_push();
-        pull_end
+        let every_key = |_, _, _| true;
+        let economy = Some(&mut self.economy);
+        let (ctx, batch) = (&mut self.ctx, &self.batch);
+        let fresh = std::iter::empty();
+        self.pipeline
+            .stage(ctx, batch, pull_ahead, every_key, fresh, economy);
     }
 
     fn one_iteration_inner(&mut self, may_stage: bool) -> BatchResult {
-        if !self.staged {
+        if !self.pipeline.is_staged() {
             self.stage(false);
         }
-        let pull_end = self.consume_staged();
+        let pull_end = self.pipeline.consume(
+            &mut self.ctx,
+            &mut (),
+            |_, k, _, _| unreachable!("{k} staged as fresh"),
+            |ctx, _, pull, keys| pull_late(ctx, pull, keys),
+        );
 
         if may_stage && self.ctx.overlap {
             self.stage(true);
@@ -114,8 +87,15 @@ impl DglKeWorker {
 
         let result = self.ctx.compute();
         let compute_end = self.ctx.post_compute(result.work_units, pull_end);
-        let staged = self.staged.then_some(&self.pull);
-        self.ctx.push_grads(staged, compute_end);
+        let (grads, rows) = (&self.ctx.grads, &mut self.pipeline.rows);
+        rows.extend(
+            grads
+                .touched()
+                .iter()
+                .map(|&s| PushRow::grad(grads.key_at(s), s)),
+        );
+        self.pipeline
+            .push(&mut self.ctx, |_| false, carry_accumulated, compute_end);
         result
     }
 }
@@ -355,7 +335,7 @@ mod tests {
                 let what = format!("{entities} entities, {dim} wide");
                 let mut split = build_worker_with(true, cost, entities, dim);
                 let mut whole = build_worker_with(true, cost, entities, dim);
-                whole.ctx.whole_push_reference = true;
+                whole.pipeline.whole_push_reference = true;
                 for e in 0..3 {
                     let (a, b) = (split.run_epoch(e), whole.run_epoch(e));
                     let at = format!("{what}, epoch {e}");

@@ -55,55 +55,33 @@
 //! Without faults — or with an all-zero fault plan — every key is always
 //! "available" and the data path is identical to the healthy one.
 //!
-//! With overlap accounting on (`WorkerCtx::overlap`), the loop is a
-//! two-stage software pipeline: while iteration `i` computes, iteration
-//! `i+1` is *staged* — its batch drawn, usage counted, cache probed — and
-//! its miss pull is split per key by [`StagedPull`], which states the
-//! contract: the pull of a miss the in-flight batch does not write takes
-//! its slot on the comm lane now, behind compute; one it does write waits
-//! for that batch's push. (Under DPS, within a window, while capacity does
-//! not bind, none waits: a key both batches read is read twice in their
-//! window, hence cached, hence not a miss.) Values match the sequential
-//! schedule bit for bit because every row is *carried* at consume time —
-//! misses by the one pull through the client, hits from the cache after the
-//! in-flight push's local updates and before this iteration's sync. Three
-//! rules keep the hot table's own traffic off compute's critical path:
+//! With overlap accounting on (`WorkerCtx::overlap`), the loop runs on a
+//! `worker::Pipeline`, which states the schedule: while iteration `i` computes,
+//! iteration `i+1` is *staged* — its batch drawn, usage counted, cache
+//! probed, the pull of its misses split and booked. What HET-KG adds:
 //!
-//! 1. a held row is written back with its window's last gradient (step 4),
-//!    not in a burst the sync queues behind;
-//! 2. a rebuild iteration is staged like any other: the iteration before it
+//! 1. the consume-time request is a sync's pull-if-newer, with the late
+//!    misses and a rebuild's late fresh rows riding in it; when it syncs,
+//!    the push in front of it holds every cached row in its hazard part —
+//!    what the boundary push writes back;
+//! 2. hits are copied from the cache at consume time, after the in-flight
+//!    push's local updates and before the sync, so a batch with no late key
+//!    reads nothing its request returns, and the request gates the next
+//!    compute, whose hits come from the refreshed table;
+//! 3. a rebuild iteration is staged like any other: the iteration before it
 //!    prefetches the next window, selects its hot set and probes the
 //!    rebuild's first batch against *that set*; the rows the table does not
-//!    hold yet ride in the staged pull beside the misses, split by the same
-//!    rule, and eviction and insertion wait for consume time;
-//! 3. a consume-time request — a sync's pull-if-newer, with whatever late
-//!    keys ride in it — gates only a batch that reads from it. Hits are
-//!    copied *before* the refresh, so a batch with no late key reads nothing
-//!    the request returns: its compute waits for its staged pull alone, and
-//!    the request's completion is a dependency of the *next* compute, whose
-//!    hits come from the refreshed table. This one corrects the timeline,
-//!    not the program: the simulated worker is one thread and still carries
-//!    the request before it computes, as it always has; what changes is
-//!    which completion the timeline makes compute wait for — the rows it
-//!    reads, as for a staged pull, which is also booked where an
-//!    asynchronous client would have it in flight rather than where this
-//!    loop runs it.
+//!    hold yet ride in the staged pull beside the misses, and eviction and
+//!    insertion wait for consume time.
 //!
-//! The push in front of a staged batch leaves in two parts, as DGL-KE's
-//! does ([`WorkerCtx::post_push`]): first the rows the staged batch's
-//! consume-time request reads — its late misses and late fresh rows and,
-//! when it syncs, every cached row, which is what the boundary push writes
-//! back — behind the compute; then the rest, booked behind that request.
-//!
-//! The sequential path is the same code with nothing issued early, which is
-//! also how an epoch's first iteration runs — the only one that is not
-//! staged behind another. The trainer disables overlap entirely under
-//! non-inert fault plans.
+//! The sequential path is the same code with nothing staged ahead, which is
+//! also how an epoch's first iteration runs. The trainer disables overlap
+//! entirely under non-inert fault plans.
 
-use crate::batch::BatchResult;
-use crate::plan::BatchPlan;
+use crate::batch::{BatchResult, GradAccum};
 use crate::worker::{
-    hazard_first, retries_exhausted, EpochRun, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop,
+    retries_exhausted, EpochRun, Part, Pipeline, PushRow, StagedPull, WorkerCtx, WorkerEpochStats,
+    WorkerLoop,
 };
 use hetkg_core::filter::{filter_hot_set, HotSet, HotSetSelector};
 use hetkg_core::metrics::{CacheStats, TableEconomy};
@@ -116,27 +94,45 @@ use hetkg_kgraph::ParamKey;
 use hetkg_ps::optimizer::energy;
 use hetkg_ps::{PsScratch, RpcError};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Degraded mode: hard bound on distinct keys the deferred-push backlog may
 /// hold. Gradients arriving once the backlog is full are shed (dropped and
 /// counted) rather than growing memory without bound under a long brownout.
 const BACKLOG_CAP: usize = 4096;
 
-/// [`PushRow::slot`] of a row that comes out of the table's write-back arena.
+/// [`PushRow::slot`] of a row that comes out of the table's write-back
+/// arena, rather than the gradient accumulator (this batch's gradient of a
+/// row the table does not hold).
 const FROM_TABLE: u32 = u32::MAX;
 
-/// One row of an iteration's push.
+/// Where a push row's values are.
+fn row_of<'a>(table: &'a HotEmbeddingTable, grads: &'a GradAccum, r: &PushRow) -> &'a [f32] {
+    match r.slot {
+        FROM_TABLE => table.pending_sum(r.key).expect("handed over"),
+        slot => grads.row_at(slot),
+    }
+}
+
+/// How an iteration consumes its staged batch: what
+/// [`HetKgWorker::copy_hits`] and [`HetKgWorker::consume_time_request`] read,
+/// which run inside [`Pipeline::consume`].
 #[derive(Debug, Clone, Copy)]
-struct PushRow {
-    key: ParamKey,
-    /// Where the row is: a slot of the gradient accumulator (this batch's
-    /// gradient of a row the table does not hold), or [`FROM_TABLE`].
-    slot: u32,
-    /// Of a row written back: how many gradients it is the sum of, and their
-    /// energy. A row with one gradient is pushed as that gradient.
-    grads: u32,
-    energy: f32,
+struct Consuming {
+    now: usize,
+    /// A sync iteration (Alg. 3 lines 8–9).
+    sync: bool,
+    /// The batch is the first of a rebuilt table.
+    rebuild: bool,
+    /// A fault plan is attached.
+    degraded: bool,
+    /// The largest age a hit may be read at ([`HetKgWorker::staleness_bound`]).
+    bound: usize,
+    /// Rows homed on an unhealthy shard are not asked about: degraded mode,
+    /// while staleness is still inside the degraded bound.
+    skip_unhealthy: bool,
+    /// Whether the sync is version-gated; off only in the tests'
+    /// full-refresh reference.
+    gated: bool,
 }
 
 /// Gradients deferred while their home shard was unhealthy, summed per key
@@ -200,14 +196,8 @@ pub struct HetKgWorker {
     epoch_div_sum: f64,
     /// Number of per-key divergence samples this epoch.
     epoch_div_samples: u64,
-    /// Scratch: the staged batch's cache misses and their plan slots,
-    /// before `staged_pull` splits them into early and late.
-    miss_keys: Vec<ParamKey>,
-    miss_slots: Vec<u32>,
-    /// Scratch: a pull-if-newer's keys (a sync's misses, then its cached
-    /// keys; a construction's fresh keys) and the version each conditional
-    /// one is held under.
-    probe_keys: Vec<ParamKey>,
+    /// Scratch: the version each conditional key of a consume-time request
+    /// is held under.
     probe_held: Vec<u32>,
     /// The hot set the staged (or latest) rebuild selected, sorted, and the
     /// keys of it the table did not hold when it was selected, hottest first.
@@ -240,48 +230,19 @@ pub struct HetKgWorker {
     boundary_pushes: usize,
     #[cfg(test)]
     trace: Vec<IterationTrace>,
-    /// Scratch: the rows of this iteration's push — one gradient each in
-    /// key order, then the rows written back with an energy in key order —
-    /// and, derived from it, the keys and trailing energies the client is
-    /// handed.
-    up: Vec<PushRow>,
-    up_keys: Vec<ParamKey>,
-    up_energy: Vec<f32>,
-    /// Scratch: the spare the push is ordered into its two parts through.
-    up_spare: Vec<PushRow>,
     /// Reusable draw buffers (CPS draws one batch per iteration into them).
     batch: MiniBatch,
-    /// The next batch, compiled. Swapped into `ctx.scratch.plan` when it
-    /// becomes the batch in flight.
-    next_plan: BatchPlan,
-    /// Whether `next_plan` and the `staged_*` fields hold a batch that has
-    /// been drawn and probed but not consumed — the next iteration's,
-    /// staged while the current one computes, or this one's.
-    staged: bool,
+    /// The staged batch — the next iteration's, staged while the current
+    /// one computes, or this one's — its miss pull, and the push in front
+    /// of it.
+    pipeline: Pipeline,
     /// Whether the staged batch is the first of a rebuilt table: probed
     /// against `selected`, its pull carrying the `fresh` rows, the eviction
     /// and the insertions still to happen when it is consumed.
     staged_rebuild: bool,
-    /// Timeline completion of a consume-time request whose batch did not
-    /// wait for it, because it read none of its rows: what the request
-    /// refreshed is read by the next batch, so the next compute waits.
-    /// Sound because of two orderings the loop keeps. The batch's hits are
-    /// copied into the working set before the request runs, and its staged
-    /// rows are there already: with no late key, compute reads nothing the
-    /// request returns. And the batch's push is posted behind the request on
-    /// the comm lane, which is one queue: the refresh lands before the
-    /// batch's gradients leave, and before anything the next compute reads.
-    refreshed_end: f64,
     /// Slots of the staged batch's cache hits. Their *values* are read
     /// only at consume time, after the in-flight push updates the cache.
     staged_hits: Vec<u32>,
-    /// Usage-weighted hit count of the staged batch.
-    staged_hit_uses: u64,
-    /// The staged batch's miss pull, split per key into frames issued
-    /// ahead and keys pulled at consume time.
-    staged_pull: StagedPull,
-    /// Usage-weighted miss count of the staged batch.
-    staged_miss_uses: u64,
     /// Degraded mode: gradient pushes deferred while their home shard was
     /// down, replayed on recovery.
     backlog: HashMap<ParamKey, Deferred>,
@@ -335,9 +296,6 @@ impl HetKgWorker {
             epoch_divergence: 0.0,
             epoch_div_sum: 0.0,
             epoch_div_samples: 0,
-            miss_keys: Vec::new(),
-            miss_slots: Vec::new(),
-            probe_keys: Vec::new(),
             probe_held: Vec::new(),
             selected: Vec::new(),
             fresh: Vec::new(),
@@ -354,19 +312,10 @@ impl HetKgWorker {
             boundary_pushes: 0,
             #[cfg(test)]
             trace: Vec::new(),
-            up: Vec::new(),
-            up_keys: Vec::new(),
-            up_energy: Vec::new(),
-            up_spare: Vec::new(),
             batch: MiniBatch::default(),
-            next_plan: BatchPlan::new(),
-            staged: false,
+            pipeline: Pipeline::default(),
             staged_rebuild: false,
-            refreshed_end: 0.0,
             staged_hits: Vec::new(),
-            staged_hit_uses: 0,
-            staged_pull: StagedPull::default(),
-            staged_miss_uses: 0,
             backlog: HashMap::new(),
             run: EpochRun::default(),
             epoch_start_cache: CacheStats::new(),
@@ -444,7 +393,7 @@ impl HetKgWorker {
         self.economy.rebuilds += 1;
         self.economy.rows_held += selected.len() as u64;
         self.economy.capacity += self.policy.filter.capacity as u64;
-        self.economy.fresh_rows += self.staged_pull.fresh() as u64;
+        self.economy.fresh_rows += self.fresh.len() as u64;
     }
 
     /// The staged batch's consume-time PS request, one message per shard:
@@ -452,9 +401,10 @@ impl HetKgWorker {
     /// was pulled ahead), the late fresh rows of a rebuild (into the table,
     /// and into the working set when the batch reads them) and, at a sync
     /// iteration, the table's synchronization (Alg. 3 lines 8–9) as a
-    /// pull-if-newer over every cached row. Folds the cache-vs-global
-    /// divergence it observes into the epoch's statistics. Returns whether
-    /// there was anything to request.
+    /// pull-if-newer over every cached row. Lists every key it asks about in
+    /// `keys`; returns, for the epoch's statistics, the largest and summed
+    /// cache-vs-global divergence it observed and how many cached rows it
+    /// covered.
     ///
     /// A fresh row is asked about with nothing held, so it always comes
     /// back, with its version; its bytes are construction's in this message
@@ -469,79 +419,74 @@ impl HetKgWorker {
     /// degraded bound; once staleness reaches it everything is asked about
     /// and the client waits the outage out (or probes the breaker) in
     /// simulated time. A partial sync does not reset the staleness clock.
-    fn consume_time_request(&mut self, sync: bool, degraded: bool, staleness_now: usize) -> bool {
-        // Test-only: the reference synchronizes as the code did before rows
-        // had versions — every cached row (of a healthy shard, in degraded
-        // mode) pulled plainly, whatever comes back overwriting the cache,
-        // changed or not, held under no version.
-        #[cfg(test)]
-        let gated = !self.full_refresh_reference;
-        #[cfg(not(test))]
-        let gated = true;
-        let now = self.iteration;
-        let client = &self.ctx.client;
-        let skip_unhealthy = degraded && staleness_now < self.sync.degraded_bound();
-        let asked = |k: ParamKey| !skip_unhealthy || client.shard_healthy(k);
-        let (late, late_slots, late_fresh) = self.staged_pull.late();
-        self.probe_keys.clear();
-        self.probe_keys.extend_from_slice(late);
-        if sync && !gated {
+    ///
+    /// Not gated (the tests' reference), a sync is what the code did before
+    /// rows had versions: every cached row (of a healthy shard, in degraded
+    /// mode) pulled plainly, whatever comes back overwriting the cache,
+    /// changed or not, held under no version.
+    fn consume_time_request(
+        ctx: &mut WorkerCtx,
+        table: &mut HotEmbeddingTable,
+        pull: &StagedPull,
+        keys: &mut Vec<ParamKey>,
+        held: &mut Vec<u32>,
+        check_row: &mut Vec<f32>,
+        at: Consuming,
+    ) -> (f64, f64, usize) {
+        let (now, sync) = (at.now, at.sync);
+        let client = &ctx.client;
+        let asked = |k: ParamKey| !at.skip_unhealthy || client.shard_healthy(k);
+        let (late, late_slots, late_fresh) = pull.late();
+        keys.extend_from_slice(late);
+        if sync && !at.gated {
             // Plain keys lead a request.
-            self.probe_keys
-                .extend(self.table.iter_keys().filter(|&k| asked(k)));
+            keys.extend(table.iter_keys().filter(|&k| asked(k)));
         }
-        let fresh = self.probe_keys.len()..self.probe_keys.len() + late_fresh.len();
+        let fresh = keys.len()..keys.len() + late_fresh.len();
         let mut covered = fresh.start - late.len();
-        self.probe_keys.extend_from_slice(late_fresh);
-        self.probe_held.clear();
+        keys.extend_from_slice(late_fresh);
+        held.clear();
         if sync {
             covered += late_fresh.iter().filter(|&&k| asked(k)).count();
         }
-        if sync && gated {
-            for (k, held, confirmed) in self.table.iter_held() {
+        if sync && at.gated {
+            for (k, version, confirmed) in table.iter_held() {
                 if !asked(k) {
                     continue;
                 }
                 covered += 1;
                 if confirmed != now {
-                    self.probe_keys.push(k);
-                    self.probe_held.push(held);
+                    keys.push(k);
+                    held.push(version);
                 }
             }
         }
-        let (keys, held) = (&self.probe_keys, &self.probe_held);
-        let (table, ws) = (&mut self.table, &mut self.ctx.ws);
-        let layout = self.ctx.scratch.plan.layout();
+        let (keys, held) = (&*keys, &*held);
+        let (ws, layout) = (&mut ctx.ws, ctx.scratch.plan.layout());
         let mut max_div = 0.0f64;
         let mut div_sum = 0.0f64;
         client
-            .try_pull_newer_with(
-                keys,
-                fresh.len(),
-                held,
-                &mut self.ctx.ps,
-                |i, version, row| {
-                    if let Some(&slot) = late_slots.get(i) {
+            .try_pull_newer_with(keys, fresh.len(), held, &mut ctx.ps, |i, version, row| {
+                if let Some(&slot) = late_slots.get(i) {
+                    ws.row_mut(slot).copy_from_slice(row);
+                } else if fresh.contains(&i) {
+                    table
+                        .insert_at(keys[i], row, version, now)
+                        .expect("capacity covers the hot set");
+                    // A hit of the batch that was not there to copy.
+                    if let Some(slot) = layout.slot_of(keys[i]) {
                         ws.row_mut(slot).copy_from_slice(row);
-                    } else if fresh.contains(&i) {
-                        table
-                            .insert_at(keys[i], row, version, now)
-                            .expect("capacity covers the hot set");
-                        // A hit of the batch that was not there to copy.
-                        if let Some(slot) = layout.slot_of(keys[i]) {
-                            ws.row_mut(slot).copy_from_slice(row);
-                        }
-                    } else {
-                        let cached = table
-                            .get(keys[i])
-                            .expect("only cached keys are asked about");
-                        let d = l2_distance(cached, row);
-                        max_div = max_div.max(d);
-                        div_sum += d;
-                        table.refresh_at(keys[i], row, version, now);
                     }
-                },
-            )
+                } else {
+                    let cached = table
+                        .get(keys[i])
+                        .expect("only cached keys are asked about");
+                    let d = l2_distance(cached, row);
+                    max_div = max_div.max(d);
+                    div_sum += d;
+                    table.refresh_at(keys[i], row, version, now);
+                }
+            })
             .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
         // Everything asked about under a version and not returned still
         // matches.
@@ -549,7 +494,7 @@ impl HetKgWorker {
         // catch-up brings into the client's store over any transport.)
         let asked = &keys[fresh.end..];
         if cfg!(debug_assertions) {
-            let caught_up = client.catch_up(asked, &mut self.ctx.ps);
+            let caught_up = client.catch_up(asked, &mut ctx.ps);
             caught_up.unwrap_or_else(|e| retries_exhausted("catch_up", e));
         }
         for (&k, &held) in asked.iter().zip(held) {
@@ -557,35 +502,19 @@ impl HetKgWorker {
                 // The gate is sound: what the shard declined to send is,
                 // bit for bit, what the cache already holds.
                 let cached = table.get(k).expect("only cached keys are asked about");
-                self.check_row.resize(cached.len(), 0.0);
-                client.store().pull(k, &mut self.check_row);
+                check_row.resize(cached.len(), 0.0);
+                client.store().pull(k, check_row);
                 debug_assert!(
                     cached
                         .iter()
-                        .zip(&self.check_row)
+                        .zip(check_row.iter())
                         .all(|(c, g)| c.to_bits() == g.to_bits()),
                     "{k} kept version {held} but its bits moved"
                 );
             }
             table.confirm(k, now);
         }
-        let requested = !keys.is_empty();
-        if sync {
-            self.note_sync(max_div, div_sum, covered);
-        }
-        requested
-    }
-
-    /// Book a sync that covered `covered` cached rows (returned or not) and
-    /// saw these divergences on the ones that came back. Only a sync that
-    /// covered the whole table resets the staleness clock.
-    fn note_sync(&mut self, max_div: f64, div_sum: f64, covered: usize) {
-        self.epoch_divergence = self.epoch_divergence.max(max_div);
-        self.epoch_div_sum += div_sum;
-        self.epoch_div_samples += covered as u64;
-        if covered == self.table.len() {
-            self.staleness.record_sync(self.iteration);
-        }
+        (max_div, div_sum, covered)
     }
 
     /// Algorithm 1: prefetch the `D` batches of iterations `t` onwards into
@@ -598,29 +527,6 @@ impl HetKgWorker {
             &mut self.window,
         );
         self.window_base = t;
-    }
-
-    /// Take iteration `t`'s batch — the window's under DPS, a fresh draw
-    /// under CPS — and compile it into `next_plan`.
-    fn compile_next(&mut self, t: usize) {
-        let (ks, model) = (self.ctx.key_space, &self.ctx.model);
-        let (ed, rd) = (model.entity_dim(), model.relation_dim());
-        match self.policy.kind {
-            PolicyKind::Dps => {
-                // The iteration counter runs on across epochs and every
-                // `D`-th iteration prefetches `D` batches: the window the
-                // table was selected from reaches the table's next rebuild.
-                let b = self
-                    .window_batch(t)
-                    .expect("a prefetched window covers every iteration up to the next rebuild");
-                self.next_plan.compile(&self.window.batches[b], ks, ed, rd);
-            }
-            PolicyKind::Cps => {
-                self.sampler
-                    .draw_into(&self.ctx.subgraph, &mut self.negatives, &mut self.batch);
-                self.next_plan.compile(&self.batch, ks, ed, rd);
-            }
-        }
     }
 
     /// DPS: which batch of the window iteration `t` trains on; `None` when
@@ -795,7 +701,7 @@ impl HetKgWorker {
         let (sampler, window) = (&self.sampler, &self.window);
         let reads = |k: ParamKey| sampler.reads_of(window, k);
         let optimizer = self.ctx.optimizer.as_ref();
-        self.up.clear();
+        let up = &mut self.pipeline.rows;
         for &slot in grads.touched() {
             let (key, grad) = (grads.key_at(slot), grads.row_at(slot));
             let held = if hold {
@@ -805,12 +711,7 @@ impl HetKgWorker {
                 false
             };
             if !held {
-                self.up.push(PushRow {
-                    key,
-                    slot,
-                    grads: 1,
-                    energy: 0.0,
-                });
+                up.push(PushRow::grad(key, slot));
                 continue;
             }
             // The prediction an early write-back acts on, checked where it
@@ -821,7 +722,7 @@ impl HetKgWorker {
                 "{key} collected a gradient from a batch its window does not list as reading it"
             );
         }
-        let (economy, up) = (&mut self.economy, &mut self.up);
+        let economy = &mut self.economy;
         let period = self.sync.period;
         #[cfg(test)]
         let (log, boundaries) = (&mut self.written_back_log, self.boundary_pushes);
@@ -869,19 +770,11 @@ impl HetKgWorker {
         {
             self.boundary_pushes += usize::from(boundary);
         }
-        self.up.sort_unstable_by_key(|r| (r.grads > 1, r.key));
-        let split = self.staged && self.ctx.splits_push();
-        let table = &self.table;
-        let row_of = |r: &PushRow| match r.slot {
-            FROM_TABLE => table.pending_sum(r.key).expect("handed over"),
-            slot => grads.row_at(slot),
-        };
-
-        let client = &self.ctx.client;
-        let (backlog, ps) = (&mut self.backlog, &mut self.ctx.ps);
+        // The push's order (`Pipeline::push`), so degraded mode defers in it.
+        up.sort_unstable_by_key(|r| (r.grads > 1, r.key));
+        let (ctx, backlog, table) = (&mut self.ctx, &mut self.backlog, &self.table);
         let (mut deferred, mut shed) = (0u64, 0u64);
-        let mut defer = |r: &PushRow, ps: &mut PsScratch| {
-            let row = row_of(r);
+        let mut defer = |r: &PushRow, row: &[f32], ps: &mut PsScratch| {
             let e = match r.slot {
                 FROM_TABLE => r.energy,
                 _ => energy(row),
@@ -893,42 +786,26 @@ impl HetKgWorker {
             }
         };
         if degraded {
-            self.up.retain(|r| {
-                let healthy = client.shard_healthy(r.key);
+            up.retain(|r| {
+                let healthy = ctx.client.shard_healthy(r.key);
                 if !healthy {
-                    defer(r, ps);
+                    defer(r, row_of(table, &ctx.grads, r), &mut ctx.ps);
                 }
                 healthy
             });
         }
-        // With a batch staged behind this one the push leaves in two parts
-        // (`WorkerCtx::post_push`): first the rows that batch's consume-time
-        // request reads — its late keys and, when it syncs, every cached
-        // row — then the rest, each part in the order above.
-        let hazard = if split {
-            let (pull, syncs) = (&self.staged_pull, self.sync.is_sync_iteration(now + 1));
-            let reads = |r: &PushRow| pull.reads(r.key) || (syncs && table.contains(r.key));
-            hazard_first(&mut self.up, &mut self.up_spare, reads)
-        } else {
-            self.up.len()
-        };
-        let up = &self.up;
-        self.up_keys.clear();
-        self.up_keys.extend(up.iter().map(|r| r.key));
-        self.up_energy.clear();
-        self.up_energy
-            .extend(up.iter().filter(|r| r.grads > 1).map(|r| r.energy));
-        let energies = up[..hazard].iter().filter(|r| r.grads > 1).count();
-        let (keys, energy_words, meter) = (&self.up_keys, &self.up_energy, &self.ctx.meter);
-        let mut carry = |rows: Range<usize>, energies: Range<usize>, ps: &mut PsScratch| {
-            let before = meter.snapshot();
-            let part = &up[rows.clone()];
-            let pushed = client.try_push_coalesced_rows(
-                &keys[rows],
-                &energy_words[energies],
-                |i| row_of(&part[i]),
-                optimizer,
-                ps,
+        // With a batch staged behind this one, the rows its consume-time
+        // request reads leave first: its late keys and, when it syncs,
+        // every cached row.
+        let syncs = self.sync.is_sync_iteration(now + 1);
+        let carry = |ctx: &mut WorkerCtx, part: Part<'_>| {
+            let grads = &ctx.grads;
+            let pushed = ctx.client.try_push_coalesced_rows(
+                part.keys,
+                part.energies,
+                |i| row_of(table, grads, &part.rows[i]),
+                ctx.optimizer.as_ref(),
+                &mut ctx.ps,
             );
             match pushed {
                 Ok(()) => {}
@@ -937,15 +814,16 @@ impl HetKgWorker {
                     // the push: brown out instead of insisting. The part
                     // folds into the backlog and replays once the breaker
                     // closes or the flash crowd passes.
-                    part.iter().for_each(|r| defer(r, ps));
+                    for r in part.rows {
+                        defer(r, row_of(table, &ctx.grads, r), &mut ctx.ps);
+                    }
                 }
                 Err(other) => retries_exhausted("push_batch", other),
             }
-            meter.snapshot().since(before)
         };
-        let hazard_part = carry(0..hazard, 0..energies, ps);
-        let rest = carry(hazard..up.len(), energies..energy_words.len(), ps);
-        if let Some(f) = client.faults() {
+        let also_read = |k| syncs && table.contains(k);
+        self.pipeline.push(ctx, also_read, carry, compute_end);
+        if let Some(f) = self.ctx.client.faults() {
             if deferred > 0 {
                 f.note_deferred_pushes(deferred);
             }
@@ -954,131 +832,154 @@ impl HetKgWorker {
             }
         }
         self.table.clear_handed_over();
-        self.ctx.grads.clear();
-        let rest = split.then_some((rest, &self.up_keys[hazard..]));
-        self.ctx.post_push(hazard_part, rest, compute_end);
     }
 
     /// Stage iteration `t`'s batch: draw it, probe the cache, and stage its
     /// miss pull — with `pull_ahead`, while the previous iteration is still
-    /// in flight, every miss that batch does not write goes out now;
-    /// without, every miss waits for [`Self::consume_staged`], which is the
-    /// sequential schedule. The probe is valid until then: gradient
-    /// application updates rows in place, a sync refreshes them in place,
-    /// and only a rebuild inserts or evicts. When `t` rebuilds the table
-    /// (Alg. 3 lines 5–7) the hot set is selected here — under DPS from the
-    /// next window, prefetched here: the prefetcher's draws are its own and
-    /// the batch in flight is compiled — the batch is probed against *that
-    /// set*, and the rows of it the table does not hold yet ride in the
-    /// staged pull, split like the misses; evicting and inserting wait for
-    /// the batch to be consumed, after the in-flight push.
+    /// in flight; without, every miss waits for [`Self::consume_staged`],
+    /// which is the sequential schedule. The probe is valid until then:
+    /// gradient application updates rows in place, a sync refreshes them in
+    /// place, and only a rebuild inserts or evicts. When `t` rebuilds the
+    /// table (Alg. 3 lines 5–7) the hot set is selected here — under DPS
+    /// from the next window, prefetched here: the prefetcher's draws are its
+    /// own and the batch in flight is compiled — the batch is probed against
+    /// *that set*, and the rows of it the table does not hold yet ride in
+    /// the staged pull, split like the misses; evicting and inserting wait
+    /// for the batch to be consumed, after the in-flight push.
     fn stage(&mut self, t: usize, pull_ahead: bool) {
-        debug_assert!(!self.staged, "staging twice");
         let rebuild = self.policy.needs_construction(t);
         if rebuild {
             self.select_for(t);
         } else {
             self.fresh.clear();
         }
-        self.compile_next(t);
+        let batch = match self.policy.kind {
+            PolicyKind::Dps => {
+                // The iteration counter runs on across epochs and every
+                // `D`-th iteration prefetches `D` batches: the window the
+                // table was selected from reaches the table's next rebuild.
+                let b = self
+                    .window_batch(t)
+                    .expect("a prefetched window covers every iteration up to the next rebuild");
+                &self.window.batches[b]
+            }
+            PolicyKind::Cps => {
+                self.sampler
+                    .draw_into(&self.ctx.subgraph, &mut self.negatives, &mut self.batch);
+                &self.batch
+            }
+        };
         self.staged_hits.clear();
-        self.miss_keys.clear();
-        self.miss_slots.clear();
-        self.staged_hit_uses = 0;
-        self.staged_miss_uses = 0;
-        let plan = &self.next_plan;
-        let (table, selected) = (&self.table, &self.selected);
-        let cached = |k: ParamKey| {
-            if rebuild {
+        let (table, selected, hits) = (&self.table, &self.selected, &mut self.staged_hits);
+        let stats = &mut self.cache_stats;
+        // A key used `u` times in the batch counts `u` hits/misses — the
+        // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
+        // traffic is still deduplicated per batch. They are counted here: a
+        // batch is consumed in the epoch it is staged in.
+        let missed = |slot, k: ParamKey, uses| {
+            let cached = if rebuild {
                 selected.binary_search(&k).is_ok()
             } else {
                 table.contains(k)
-            }
-        };
-        // A key used `u` times in the batch counts `u` hits/misses — the
-        // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
-        // traffic is still deduplicated per batch.
-        for (slot, (&k, &uses)) in plan.keys().iter().zip(plan.uses()).enumerate() {
-            if cached(k) {
-                self.staged_hits.push(slot as u32);
-                self.staged_hit_uses += u64::from(uses);
+            };
+            if cached {
+                hits.push(slot);
+                stats.hits += u64::from(uses);
             } else {
-                self.staged_miss_uses += u64::from(uses);
-                self.miss_keys.push(k);
-                self.miss_slots.push(slot as u32);
+                stats.misses += u64::from(uses);
             }
-        }
-        let misses = self
-            .miss_keys
-            .iter()
-            .copied()
-            .zip(self.miss_slots.iter().copied());
-        if rebuild {
-            // Not counted as a split: within a window a late miss means
-            // capacity bound, which is what `staged_late` is read for;
-            // across two it is a key the old window's last batch and the
-            // new one's first share, and there always are some.
-            let fresh = self.fresh.iter().copied();
-            self.staged_pull
-                .stage_with_fresh(&mut self.ctx, misses, fresh, pull_ahead);
-        } else {
-            self.staged_pull
-                .stage(&mut self.ctx, misses, pull_ahead, &mut self.economy);
-        }
-        self.staged = true;
+            !cached
+        };
+        // A rebuild's split is not counted: within a window a late miss
+        // means capacity bound, which is what `staged_late` is read for;
+        // across two it is a key the old window's last batch and the new
+        // one's first share, and there always are some.
+        let economy = (!rebuild).then_some(&mut self.economy);
+        let fresh = self.fresh.iter().copied();
+        self.pipeline
+            .stage(&mut self.ctx, batch, pull_ahead, missed, fresh, economy);
         self.staged_rebuild = rebuild;
     }
 
     /// Make the staged batch the one in flight. A staged rebuild happens
     /// now: rows that fell out of the selection are evicted, the fresh ones
-    /// arrive with the pull. Hit values are copied from the cache *now* —
-    /// after the previous push applied its local updates, before this
-    /// iteration's sync — so a hit is at most one sync period stale, which
-    /// is exactly the bounded-staleness contract; the misses, early (already
-    /// on the timeline) and late alike, are pulled now, so every value is
-    /// the sequential schedule's bit for bit. At a sync iteration (Alg. 3
-    /// lines 8–9; never iteration 0, whose cache was constructed from fresh
-    /// pulls moments ago) the table's synchronization rides in the late
-    /// keys' request: one round trip per server, as a real KVStore client
-    /// batches. Returns the timeline completion of what the batch reads: its
-    /// staged pull and, when it carries a late miss or a late fresh row, the
-    /// consume-time request. One that carries neither — a sync the batch
-    /// reads nothing of — is left in `refreshed_end` for the next compute.
+    /// arrive with the pull. Hits are copied ([`Self::copy_hits`]) before
+    /// the consume-time request, which at a sync iteration (never iteration
+    /// 0, whose cache was constructed from fresh pulls moments ago) carries
+    /// the table's synchronization with the late keys: one round trip per
+    /// server, as a real KVStore client batches. Returns when the batch's
+    /// compute may start ([`Pipeline::consume`]).
     fn consume_staged(&mut self, degraded: bool) -> f64 {
-        debug_assert!(self.staged, "a batch was staged");
-        self.staged = false;
         let now = self.iteration;
         let staleness_now = self.staleness.observe(now);
-        std::mem::swap(&mut self.ctx.scratch.plan, &mut self.next_plan);
-        self.ctx.begin_batch();
         let rebuild = std::mem::take(&mut self.staged_rebuild);
         if rebuild {
             self.evict_unselected();
         }
-        let table = &mut self.table;
-        let early_end = self
-            .staged_pull
-            .deliver_early(&mut self.ctx, |k, version, row| {
+        #[cfg(test)]
+        let gated = !self.full_refresh_reference;
+        #[cfg(not(test))]
+        let gated = true;
+        let at = Consuming {
+            now,
+            sync: self.sync.is_sync_iteration(now),
+            rebuild,
+            degraded,
+            bound: self.staleness_bound(degraded),
+            skip_unhealthy: degraded && staleness_now < self.sync.degraded_bound(),
+            gated,
+        };
+        let (hits, held, check_row) =
+            (&self.staged_hits, &mut self.probe_held, &mut self.check_row);
+        let mut seen = (0.0, 0.0, 0);
+        let ready = self.pipeline.consume(
+            &mut self.ctx,
+            &mut self.table,
+            |table, k, version, row| {
                 table
                     .insert_at(k, row, version, now)
                     .expect("capacity covers the hot set");
-            });
-        let plan = &self.ctx.scratch.plan;
-        let client = &self.ctx.client;
-        let bound = self.staleness_bound(degraded);
+            },
+            |ctx, table, pull, keys| {
+                Self::copy_hits(ctx, table, hits, at);
+                seen = Self::consume_time_request(ctx, table, pull, keys, held, check_row, at);
+            },
+        );
+        if at.sync {
+            // Divergences are seen on the rows that came back; every row
+            // covered, returned or not, is a sample. Only a sync that
+            // covered the whole table resets the staleness clock.
+            let (max_div, div_sum, covered) = seen;
+            self.epoch_divergence = self.epoch_divergence.max(max_div);
+            self.epoch_div_sum += div_sum;
+            self.epoch_div_samples += covered as u64;
+            if covered == self.table.len() {
+                self.staleness.record_sync(now);
+            }
+        }
+        ready
+    }
+
+    /// Copy the staged batch's cache hits (`hits`, its plan slots) into its
+    /// working set — after the previous push applied its local updates,
+    /// before this iteration's sync, so a hit is at most one sync period
+    /// stale, which is exactly the bounded-staleness contract — and count
+    /// the hits degraded mode serves stale.
+    fn copy_hits(ctx: &mut WorkerCtx, table: &HotEmbeddingTable, hits: &[u32], at: Consuming) {
+        let (plan, client) = (&ctx.scratch.plan, &ctx.client);
         let mut degraded_uses = 0u64;
         let mut brownout_uses = 0u64;
-        for &slot in &self.staged_hits {
+        for &slot in hits {
             let k = plan.keys()[slot as usize];
-            let Some(row) = self.table.get(k) else {
+            let Some(row) = table.get(k) else {
                 // A fresh row the in-flight batch wrote: it comes with the
                 // consume-time request, which copies it.
-                debug_assert!(rebuild, "staged hits stay cached until consumed");
+                debug_assert!(at.rebuild, "staged hits stay cached until consumed");
                 continue;
             };
-            debug_assert_fresh(&self.table, k, now, bound);
-            self.ctx.ws.row_mut(slot).copy_from_slice(row);
-            if degraded {
+            debug_assert_fresh(table, k, at.now, at.bound);
+            ctx.ws.row_mut(slot).copy_from_slice(row);
+            if at.degraded {
                 let uses = u64::from(plan.uses()[slot as usize]);
                 if !client.shard_available(k) {
                     // Served stale from the cache while the home shard is
@@ -1092,8 +993,6 @@ impl HetKgWorker {
                 }
             }
         }
-        self.cache_stats.hits += self.staged_hit_uses;
-        self.cache_stats.misses += self.staged_miss_uses;
         if let Some(f) = client.faults() {
             if degraded_uses > 0 {
                 f.note_degraded_hits(degraded_uses);
@@ -1101,27 +1000,6 @@ impl HetKgWorker {
             if brownout_uses > 0 {
                 f.note_brownout_stale_serves(brownout_uses);
             }
-        }
-        let (late, _, late_fresh) = self.staged_pull.late();
-        let read_by_the_batch = !late.is_empty() || !late_fresh.is_empty();
-        let sync = self.sync.is_sync_iteration(now);
-        let before = self.ctx.meter.snapshot();
-        let requested = self.consume_time_request(sync, degraded, staleness_now);
-        let request_end = if requested {
-            let delta = self.ctx.meter.snapshot().since(before);
-            self.ctx.post_request(&self.probe_keys, delta)
-        } else {
-            0.0
-        };
-        self.ctx.post_held_push();
-        if !requested {
-            return early_end;
-        }
-        if read_by_the_batch {
-            early_end.max(request_end)
-        } else {
-            self.refreshed_end = request_end;
-            early_end
         }
     }
 
@@ -1143,12 +1021,11 @@ impl HetKgWorker {
 
         // Nothing was staged behind the previous iteration (an epoch's
         // first, or overlap off): stage now, nothing early.
-        let unstaged = !self.staged;
+        let unstaged = !self.pipeline.is_staged();
         if unstaged {
             self.stage(self.iteration, false);
         }
-        let refreshed_end = std::mem::take(&mut self.refreshed_end);
-        let pull_end = self.consume_staged(degraded).max(refreshed_end);
+        let pull_end = self.consume_staged(degraded);
 
         // Stage the next iteration *before* computing this one, so its
         // early pull lands on the comm lane while this compute runs.
@@ -1164,7 +1041,7 @@ impl HetKgWorker {
             iteration: self.iteration,
             unstaged,
             waited_for: pull_end,
-            left_behind: self.refreshed_end,
+            left_behind: self.pipeline.refreshed_end(),
             compute_secs: self.ctx.cost.compute_time(result.work_units),
             compute_end,
         });
@@ -1346,14 +1223,16 @@ mod tests {
     /// fresh rows in one construction pull.
     fn precache(w: &mut HetKgWorker, hot: &HotSet) {
         w.note_selection(hot);
-        let fresh = w.fresh.iter().copied();
-        w.staged_pull
-            .stage_with_fresh(&mut w.ctx, std::iter::empty(), fresh, false);
+        let (fresh, nothing) = (w.fresh.iter().copied(), MiniBatch::default());
+        w.pipeline
+            .stage(&mut w.ctx, &nothing, false, |_, _, _| false, fresh, None);
         w.evict_unselected();
-        let (table, now) = (&mut w.table, w.iteration);
-        w.staged_pull.deliver_early(&mut w.ctx, |k, version, row| {
+        let now = w.iteration;
+        let insert = |table: &mut HotEmbeddingTable, k, version, row: &[f32]| {
             table.insert_at(k, row, version, now).unwrap();
-        });
+        };
+        w.pipeline
+            .consume(&mut w.ctx, &mut w.table, insert, |_, _, _, _| {});
     }
 
     #[test]
@@ -2146,7 +2025,7 @@ mod tests {
                     let (mut split, split_store) = spec.build();
                     let (mut whole, whole_store) = spec.build();
                     for w in &mut whole {
-                        w.ctx.whole_push_reference = true;
+                        w.pipeline.whole_push_reference = true;
                     }
                     let chain_paced = cost == paced && compression == CompressionMode::Off;
                     let mut added = 0;
@@ -2525,7 +2404,7 @@ mod tests {
                         let mut reference = boundary_only(reference);
                         for w in early.iter_mut().chain(&mut reference) {
                             w.written_back_log = Some(Vec::new());
-                            w.ctx.whole_push_reference = true;
+                            w.pipeline.whole_push_reference = true;
                         }
                         // Alone, a worker's epochs may end mid-window.
                         let epochs = if machines == 1 { 2 } else { 1 };

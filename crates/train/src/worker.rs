@@ -1,8 +1,11 @@
 //! Shared worker machinery: the per-worker context every system's training
-//! loop builds on, and the per-epoch stats workers hand back to the trainer.
+//! loop builds on, the `Pipeline` DGL-KE's and HET-KG's loops run on, and
+//! the per-epoch stats workers hand back to the trainer.
 
 use crate::batch::{compute_planned, BatchResult, BatchScratch, GradAccum, WorkingSet};
+use crate::plan::BatchPlan;
 use hetkg_core::metrics::{CacheStats, TableEconomy};
+use hetkg_core::prefetch::MiniBatch;
 use hetkg_embed::loss::LossKind;
 use hetkg_embed::models::KgeModel;
 use hetkg_kgraph::{KeySpace, ParamKey, Triple};
@@ -99,28 +102,6 @@ pub struct WorkerCtx {
     pub overlap: bool,
     /// This worker's two-lane schedule (comm, compute).
     pub timeline: Timeline,
-    /// Reusable buffers for batched pushes: the touched slots, in key order
-    /// within each part ([`hazard_first`]), their keys, and the spare the
-    /// parts are ordered through.
-    push_slots: Vec<u32>,
-    push_keys: Vec<ParamKey>,
-    push_spare: Vec<u32>,
-    /// The rest of the last push, carried and metered but not on the
-    /// timeline yet, and the completion of the compute whose gradients it
-    /// carries ([`WorkerCtx::post_push`]).
-    held_push: Option<(TrafficSnapshot, f64)>,
-    /// Debug builds: the held rest's keys, sorted — rows the consume-time
-    /// request posted ahead of them must not read.
-    held_keys: Vec<ParamKey>,
-    /// A batch was staged ahead of the one in flight, whose push is not on
-    /// the timeline yet: the staged batch's consume-time request, which may
-    /// read that push's rows, must not be posted before it.
-    push_due: bool,
-    /// Test-only: push whole at every iteration, as the code did before a
-    /// push left in two parts — the reference the differential tests hold
-    /// the split against.
-    #[cfg(test)]
-    pub(crate) whole_push_reference: bool,
     /// Cumulative per-lane busy seconds at epoch start ([comm, compute]),
     /// so the adaptive compression policy sees this epoch's occupancy
     /// delta rather than the whole run's.
@@ -162,14 +143,6 @@ impl WorkerCtx {
             cost: CostModel::gigabit(),
             overlap: false,
             timeline: Timeline::pipelined(),
-            push_slots: Vec::new(),
-            push_keys: Vec::new(),
-            push_spare: Vec::new(),
-            held_push: None,
-            held_keys: Vec::new(),
-            push_due: false,
-            #[cfg(test)]
-            whole_push_reference: false,
             epoch_busy: [0.0; 2],
         }
     }
@@ -191,30 +164,6 @@ impl WorkerCtx {
         self
     }
 
-    /// Lay the working set and the gradient accumulator out by the compiled
-    /// batch (`scratch.plan`): one row per slot, the working set's to be
-    /// filled by cache copies and [`WorkerCtx::pull_into_ws`], the
-    /// accumulator's all untouched.
-    pub fn begin_batch(&mut self) {
-        self.ws.reset(self.scratch.plan.layout());
-        self.grads.reset(self.scratch.plan.layout());
-    }
-
-    /// Pull `keys` from the PS (one coalesced request) straight into the
-    /// working-set rows `slots` (parallel to `keys`). Returns the
-    /// operation's metered traffic for timeline posting.
-    pub fn pull_into_ws(&mut self, keys: &[ParamKey], slots: &[u32]) -> TrafficSnapshot {
-        debug_assert_eq!(keys.len(), slots.len());
-        let before = self.meter.snapshot();
-        let ws = &mut self.ws;
-        self.client
-            .try_pull_batch_with(keys, &mut self.ps, |i, row| {
-                ws.row_mut(slots[i]).copy_from_slice(row)
-            })
-            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
-        self.meter.snapshot().since(before)
-    }
-
     /// Score and differentiate the compiled batch (`scratch.plan`) over the
     /// working set into the accumulator.
     pub fn compute(&mut self) -> BatchResult {
@@ -225,125 +174,6 @@ impl WorkerCtx {
             &mut self.grads,
             &mut self.scratch,
         )
-    }
-
-    /// Push every accumulated gradient to the PS (coalesced, in key order),
-    /// put the push on the timeline behind the compute that ended at
-    /// `compute_end`, and clear the accumulator. With `staged`, the pull of
-    /// the batch staged behind this one, the push leaves in two parts
-    /// ([`WorkerCtx::post_push`]): the rows `staged`'s consume-time request
-    /// reads, then the rest.
-    pub fn push_grads(&mut self, staged: Option<&StagedPull>, compute_end: f64) {
-        self.grads.sorted_slots_into(&mut self.push_slots);
-        let grads = &self.grads;
-        let split = staged.filter(|_| self.splits_push());
-        let hazard = match split {
-            Some(pull) => hazard_first(&mut self.push_slots, &mut self.push_spare, |&s| {
-                pull.reads(grads.key_at(s))
-            }),
-            None => self.push_slots.len(),
-        };
-        self.push_keys.clear();
-        self.push_keys
-            .extend(self.push_slots.iter().map(|&s| grads.key_at(s)));
-        let hazard_part = self.carry_grads(0..hazard);
-        let rest = self.carry_grads(hazard..self.push_slots.len());
-        let keys = std::mem::take(&mut self.push_keys);
-        let rest = split.map(|_| (rest, &keys[hazard..]));
-        self.post_push(hazard_part, rest, compute_end);
-        self.push_keys = keys;
-        self.grads.clear();
-    }
-
-    /// Carry the gradients of `push_slots[part]`; returns their metered
-    /// traffic (none for an empty part).
-    fn carry_grads(&mut self, part: std::ops::Range<usize>) -> TrafficSnapshot {
-        let before = self.meter.snapshot();
-        let (grads, slots) = (&self.grads, &self.push_slots[part.clone()]);
-        self.client
-            .try_push_coalesced_rows(
-                &self.push_keys[part],
-                &[],
-                |i| grads.row_at(slots[i]),
-                self.optimizer.as_ref(),
-                &mut self.ps,
-            )
-            .unwrap_or_else(|e| retries_exhausted("push_batch", e));
-        self.meter.snapshot().since(before)
-    }
-
-    /// Whether a push with a batch staged behind it leaves in two parts:
-    /// always, but in the tests' whole-push reference.
-    pub fn splits_push(&self) -> bool {
-        #[cfg(test)]
-        if self.whole_push_reference {
-            return false;
-        }
-        true
-    }
-
-    /// Put a carried push on the comm lane. Whole (`rest` is `None`): behind
-    /// the compute that produced it, which ended at `compute_end`. In two
-    /// parts: the *hazard* part, `hazard` — the rows the staged batch's
-    /// consume-time request reads — likewise; the *rest*, with its keys,
-    /// is held, for [`WorkerCtx::post_held_push`] to post after that
-    /// request. A part that sent nothing takes no slot. Both parts were
-    /// carried already, hazard first, so no value depends on where the
-    /// rest sits; the timeline may book it late because the request reads
-    /// none of its rows, and the next early booking, which may, comes
-    /// after it on the one comm queue.
-    pub fn post_push(
-        &mut self,
-        hazard: TrafficSnapshot,
-        rest: Option<(TrafficSnapshot, &[ParamKey])>,
-        compute_end: f64,
-    ) {
-        debug_assert!(self.held_push.is_none(), "the last rest was posted");
-        self.push_due = false;
-        let Some((rest, rest_keys)) = rest else {
-            self.post_comm(hazard, compute_end);
-            return;
-        };
-        let sent = |t: TrafficSnapshot| t.local_messages + t.remote_messages > 0;
-        if sent(hazard) {
-            self.post_comm(hazard, compute_end);
-        }
-        if sent(rest) {
-            self.held_push = Some((rest, compute_end));
-            if cfg!(debug_assertions) {
-                self.held_keys.extend_from_slice(rest_keys);
-                self.held_keys.sort_unstable();
-            }
-        }
-    }
-
-    /// Post the staged batch's consume-time request, which read `keys` and
-    /// was metered as `delta`, on the comm lane; returns its completion. In
-    /// debug builds, checks the read-after-write order the two-part push
-    /// rests on: the push in front of the request is on the comm lane —
-    /// one queue, so the request starts no earlier than its hazard part
-    /// ends — and the request reads no row of the held rest.
-    pub fn post_request(&mut self, keys: &[ParamKey], delta: TrafficSnapshot) -> f64 {
-        debug_assert!(
-            !(self.overlap && self.push_due),
-            "a consume-time request started before the hazard push it reads"
-        );
-        debug_assert!(
-            keys.iter()
-                .all(|k| self.held_keys.binary_search(k).is_err()),
-            "a consume-time request read a row of the push's held rest"
-        );
-        self.post_comm(delta, 0.0)
-    }
-
-    /// Post the last push's held rest, if any: after the consume-time
-    /// request [`WorkerCtx::post_request`] posted, before the next early
-    /// booking.
-    pub fn post_held_push(&mut self) {
-        if let Some((rest, compute_end)) = self.held_push.take() {
-            self.post_comm(rest, compute_end);
-        }
-        self.held_keys.clear();
     }
 
     /// Post a metered comm operation to the timeline's comm lane, not
@@ -390,10 +220,6 @@ impl WorkerCtx {
     /// modes (and overlap-off runs, which post no lane time) are
     /// unaffected.
     pub fn end_epoch_timing(&mut self) -> f64 {
-        debug_assert!(
-            self.held_push.is_none(),
-            "nothing is held past an epoch's last iteration"
-        );
         if self.overlap {
             let cp = self.timeline.end_epoch();
             let comm = self.timeline.busy(Lane::Comm) - self.epoch_busy[0];
@@ -415,39 +241,331 @@ impl WorkerCtx {
     }
 }
 
-/// The pull of a batch that has been drawn but is not in flight yet, split
-/// per key: a key the in-flight batch does not touch — that batch's key set
-/// bounds its push's write set — is pulled ahead, behind the in-flight
-/// compute; a key it does touch, when the batch is consumed, after that
-/// push. "Ahead" is where the pull sits on the timeline: staging books its
-/// duration on the comm lane, and the frames are carried once, when the
-/// batch is consumed, so every row trained on is the one its shard answered
-/// with then, on either backend. Against the sequential schedule's one
-/// pull: the same rows, the same bytes per lane and per cause, and at most
-/// one message more per shard — one holding keys of both halves is sent two
-/// frames.
+/// The schedule DGL-KE's and HET-KG's loops run their iterations on: while
+/// batch `i` computes, batch `i+1` is *staged* behind it. An iteration is
+/// three calls.
 ///
-/// The in-flight push is split to match ([`WorkerCtx::post_push`]): the
-/// rows the consume-time request reads ([`StagedPull::reads`]) leave in its
-/// hazard part, behind the compute; the rest is carried with them but
-/// booked behind the request, because the request reads none of it and the
-/// next early booking queues behind it. The late keys therefore wait for
-/// the rows they read, not for the whole push — at the cost of at most one
-/// more message per shard, a shard with rows in both parts being sent two
-/// frames ([`hazard_first`]). So a staged iteration
-/// may send each shard two messages more than the sequential schedule: one
-/// for the split pull, one for the split push in front of it.
+/// * [`Pipeline::stage`] compiles the caller's next batch and splits the
+///   keys the caller pulls for it ([`StagedPull`]): *early* keys, which the
+///   batch in flight does not write, have their pull booked on the comm lane
+///   now, where it hides behind the compute in flight; *late* keys, which
+///   it may write, wait for the consume-time request.
+/// * [`Pipeline::consume`] makes the staged batch the one in flight: it
+///   carries the early frames, runs the caller's consume-time request — the
+///   late keys and whatever the caller asks for with them (a HET-KG sync, a
+///   rebuild's late fresh rows) — and posts it, then posts the held rest of
+///   the push in front of it. It returns when compute may start: once the
+///   early pull has completed and, when the batch reads a row the request
+///   returns (it has a late key), the request too. A request the batch does
+///   not read — a sync of rows whose hits were copied before it — gates the
+///   next compute instead, which reads the refreshed rows.
+/// * [`Pipeline::push`] sends the batch's gradients, in two parts when a
+///   batch is staged behind it: the *hazard* part — the rows that batch's
+///   request reads, its late keys and any the caller names — posted behind
+///   the compute; and the *rest*, posted after the request, which reads
+///   none of it. With nothing staged the push is whole. A part that sent
+///   nothing takes no slot on the lane.
+///
+/// The comm lane is one queue, so it books early(i+1) < hazard(i) ≤
+/// request(i+1) < rest(i) < early(i+2): each read queues behind the writes
+/// it reads, and the next early booking, which may read the rest, behind
+/// the rest.
+///
+/// The timeline says where each message is *booked*; every message is
+/// *carried* in the sequential schedule's order — the early and late rows
+/// when the batch is consumed, both push parts at the push, hazard first —
+/// so every row read, loss bit and byte per cause is the sequential
+/// schedule's, on either backend. Pipelining moves simulated time only, and
+/// adds at most two messages per shard per staged iteration: one for the
+/// split pull, one for the split push.
+#[derive(Debug, Default)]
+pub(crate) struct Pipeline {
+    /// The staged batch, compiled. Swapped into `ctx.scratch.plan` when
+    /// consumed, so that plan is always the batch in flight.
+    plan: BatchPlan,
+    /// Whether `plan` and `pull` hold a batch drawn but not consumed.
+    staged: bool,
+    /// The staged batch's pull.
+    pull: StagedPull,
+    /// The keys of the last consume-time request.
+    request: Vec<ParamKey>,
+    /// Timeline completion of a consume-time request its batch did not
+    /// read: the next compute waits for it. Sound because the batch's rows
+    /// were in its working set before the request ran, and its push queues
+    /// behind the request on the one comm lane.
+    refreshed_end: f64,
+    /// The push being built, for the caller to fill; [`Pipeline::push`]
+    /// sends and clears it.
+    pub(crate) rows: Vec<PushRow>,
+    /// The spare the push is split into its two parts through, and the
+    /// keys and trailing energies the client is handed.
+    spare: Vec<PushRow>,
+    keys: Vec<ParamKey>,
+    energies: Vec<f32>,
+    /// The rest of the last push, carried and metered but not on the
+    /// timeline yet, and the completion of the compute whose gradients it
+    /// carries.
+    held: Option<(TrafficSnapshot, f64)>,
+    /// Debug builds: the held rest's keys, sorted.
+    rest_keys: Vec<ParamKey>,
+    /// Test-only: push whole at every iteration, as the code did before a
+    /// push left in two parts — the reference the differential tests hold
+    /// the split against.
+    #[cfg(test)]
+    pub(crate) whole_push_reference: bool,
+}
+
+/// One row of a push: its key, where its gradient is — a slot of the
+/// gradient accumulator, or wherever the caller's `slot` says — and, for a
+/// row that sums several gradients, how many and their energy, which ride
+/// in the push frame's trailer. A row with one gradient is pushed as that
+/// gradient.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PushRow {
+    pub key: ParamKey,
+    pub slot: u32,
+    pub grads: u32,
+    pub energy: f32,
+}
+
+impl PushRow {
+    /// The accumulator's one gradient of `key`, in `slot`.
+    pub fn grad(key: ParamKey, slot: u32) -> Self {
+        Self {
+            key,
+            slot,
+            grads: 1,
+            energy: 0.0,
+        }
+    }
+}
+
+/// One part of a push, for the caller to carry: its rows, their keys, and
+/// the energies of its rows with more than one gradient, in row order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Part<'a> {
+    pub rows: &'a [PushRow],
+    pub keys: &'a [ParamKey],
+    pub energies: &'a [f32],
+}
+
+impl Pipeline {
+    /// Whether a batch is staged, drawn but not consumed.
+    pub fn is_staged(&self) -> bool {
+        self.staged
+    }
+
+    /// Test-only: the completion of a request the batch in flight did not
+    /// read, which the next compute waits for (0 when none).
+    #[cfg(test)]
+    pub(crate) fn refreshed_end(&self) -> f64 {
+        self.refreshed_end
+    }
+
+    /// Stage `batch`: compile it, and split the keys of it that `pulled(slot,
+    /// key, uses)` says are pulled — and the `fresh` rows of a table rebuild
+    /// — into the early and late halves of its pull. With `pull_ahead` the
+    /// early pull is booked on the comm lane now, and the split is counted
+    /// into `economy` when one is given; without, nothing is booked and
+    /// every key waits for [`Pipeline::consume`]: the sequential schedule.
+    pub fn stage(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        batch: &MiniBatch,
+        pull_ahead: bool,
+        mut pulled: impl FnMut(u32, ParamKey, u32) -> bool,
+        fresh: impl Iterator<Item = ParamKey>,
+        economy: Option<&mut TableEconomy>,
+    ) {
+        debug_assert!(!self.staged, "staging twice");
+        let (ed, rd) = (ctx.model.entity_dim(), ctx.model.relation_dim());
+        self.plan.compile(batch, ctx.key_space, ed, rd);
+        let plan = &self.plan;
+        let keys = (0..).zip(plan.keys().iter().zip(plan.uses()));
+        let keys =
+            keys.filter_map(|(slot, (&k, &uses))| pulled(slot, k, uses).then_some((k, slot)));
+        self.pull.stage(ctx, keys, fresh, pull_ahead);
+        if let (true, Some(economy)) = (pull_ahead, economy) {
+            economy.staged_early += self.pull.early.len() as u64;
+            economy.staged_late += self.pull.late.len() as u64;
+        }
+        self.staged = true;
+    }
+
+    /// Make the staged batch the one in flight: lay the arenas out by its
+    /// plan and carry the early frames — plain rows into the working set,
+    /// fresh rows to `fresh(state, key, version, row)` — then run
+    /// `request(ctx, state, pull, keys)`, the caller's consume-time request,
+    /// which reads the late keys and lists in `keys` every key it asked for,
+    /// and post it; then post the held rest of the last push. Returns when
+    /// the batch's compute may start.
+    pub fn consume<T>(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        state: &mut T,
+        mut fresh: impl FnMut(&mut T, ParamKey, u32, &[f32]),
+        request: impl FnOnce(&mut WorkerCtx, &mut T, &StagedPull, &mut Vec<ParamKey>),
+    ) -> f64 {
+        debug_assert!(self.staged, "a batch was staged");
+        self.staged = false;
+        std::mem::swap(&mut ctx.scratch.plan, &mut self.plan);
+        // One row per slot: the working set's to be filled by the pull and
+        // the caller, the accumulator's all untouched.
+        ctx.ws.reset(ctx.scratch.plan.layout());
+        ctx.grads.reset(ctx.scratch.plan.layout());
+        let early_end = self
+            .pull
+            .deliver_early(ctx, |k, version, row| fresh(state, k, version, row));
+        let mut ready = early_end.max(std::mem::take(&mut self.refreshed_end));
+        let before = ctx.meter.snapshot();
+        self.request.clear();
+        request(ctx, state, &self.pull, &mut self.request);
+        if !self.request.is_empty() {
+            debug_assert!(
+                self.request
+                    .iter()
+                    .all(|k| self.rest_keys.binary_search(k).is_err()),
+                "a consume-time request read a row of the push's held rest"
+            );
+            let request_end = ctx.post_comm(ctx.meter.snapshot().since(before), 0.0);
+            if self.pull.late.is_empty() {
+                self.refreshed_end = request_end;
+            } else {
+                ready = ready.max(request_end);
+            }
+        }
+        if let Some((rest, compute_end)) = self.held.take() {
+            ctx.post_comm(rest, compute_end);
+        }
+        self.rest_keys.clear();
+        ready
+    }
+
+    /// Send the push's [`rows`](Pipeline::rows), the gradients of the
+    /// compute that ended at `compute_end`, through `carry(ctx, part)`, and
+    /// clear them and the accumulator. With a batch staged behind this one
+    /// the rows its consume-time request reads — its late keys, and the keys
+    /// `also_read` names — are sent first: the hazard part is posted behind
+    /// the compute, the rest held for [`Pipeline::consume`] to post after
+    /// that request. In each part the rows with one gradient lead, then
+    /// those that sum several, each in key order (a push holds a key once).
+    pub fn push(
+        &mut self,
+        ctx: &mut WorkerCtx,
+        also_read: impl Fn(ParamKey) -> bool,
+        mut carry: impl FnMut(&mut WorkerCtx, Part<'_>),
+        compute_end: f64,
+    ) {
+        #[cfg(test)]
+        let split = self.staged && !self.whole_push_reference;
+        #[cfg(not(test))]
+        let split = self.staged;
+        self.rows.sort_unstable_by_key(|r| (r.grads > 1, r.key));
+        let hazard = if split {
+            let (late, rows) = (&self.pull.late_sorted, &self.rows);
+            let reads = |r: &&PushRow| late.binary_search(&r.key).is_ok() || also_read(r.key);
+            self.spare.clear();
+            self.spare.extend(rows.iter().filter(reads));
+            let hazard = self.spare.len();
+            self.spare.extend(rows.iter().filter(|r| !reads(r)));
+            std::mem::swap(&mut self.rows, &mut self.spare);
+            hazard
+        } else {
+            self.rows.len()
+        };
+        let rows = &self.rows;
+        self.keys.clear();
+        self.keys.extend(rows.iter().map(|r| r.key));
+        self.energies.clear();
+        let coalesced = rows.iter().filter(|r| r.grads > 1);
+        self.energies.extend(coalesced.map(|r| r.energy));
+        let energies = rows[..hazard].iter().filter(|r| r.grads > 1).count();
+        let parts = [
+            (0..hazard, 0..energies),
+            (hazard..rows.len(), energies..self.energies.len()),
+        ];
+        let [hazard_part, rest] = parts.map(|(part, energies)| {
+            let before = ctx.meter.snapshot();
+            if !part.is_empty() {
+                let (keys, energies) = (&self.keys[part.clone()], &self.energies[energies]);
+                let rows = &rows[part];
+                carry(
+                    ctx,
+                    Part {
+                        rows,
+                        keys,
+                        energies,
+                    },
+                );
+            }
+            ctx.meter.snapshot().since(before)
+        });
+        let sent = |t: TrafficSnapshot| t.local_messages + t.remote_messages > 0;
+        if sent(hazard_part) {
+            ctx.post_comm(hazard_part, compute_end);
+        }
+        if sent(rest) {
+            self.held = Some((rest, compute_end));
+            if cfg!(debug_assertions) {
+                self.rest_keys.extend_from_slice(&self.keys[hazard..]);
+                self.rest_keys.sort_unstable();
+            }
+        }
+        self.rows.clear();
+        ctx.grads.clear();
+    }
+}
+
+/// The consume-time request of a loop that pulls its late keys plainly
+/// (DGL-KE's): into their working-set slots, one coalesced request.
+pub(crate) fn pull_late(ctx: &mut WorkerCtx, pull: &StagedPull, keys: &mut Vec<ParamKey>) {
+    let (late, slots, fresh) = pull.late();
+    debug_assert!(fresh.is_empty(), "fresh rows need the caller's request");
+    keys.extend_from_slice(late);
+    let ws = &mut ctx.ws;
+    ctx.client
+        .try_pull_batch_with(late, &mut ctx.ps, |i, row| {
+            ws.row_mut(slots[i]).copy_from_slice(row)
+        })
+        .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
+}
+
+/// The gradients a loop pushes as they are (DGL-KE's): `part`'s rows out of
+/// the accumulator.
+pub(crate) fn carry_accumulated(ctx: &mut WorkerCtx, part: Part<'_>) {
+    let grads = &ctx.grads;
+    ctx.client
+        .try_push_coalesced_rows(
+            part.keys,
+            part.energies,
+            |i| grads.row_at(part.rows[i].slot),
+            ctx.optimizer.as_ref(),
+            &mut ctx.ps,
+        )
+        .unwrap_or_else(|e| retries_exhausted("push_batch", e));
+}
+
+/// The pull of a batch that has been drawn but is not in flight yet, split
+/// per key (`Pipeline` states the schedule): a key the in-flight batch
+/// does not touch — that batch's key set bounds its push's write set — is
+/// *early*, its pull booked ahead; a key it does touch is *late*, pulled by
+/// the consume-time request after that push. Only the booking is ahead:
+/// the frames are carried once, when the batch is consumed, so every row
+/// trained on is the one its shard answered with then. Against the
+/// sequential schedule's one pull: the same rows and bytes, and at most one
+/// message more per shard — one holding keys of both halves is sent two
+/// frames.
 ///
 /// Two kinds of key ride in it. *Plain* keys are the batch's rows nobody
 /// caches, each bound for a working-set slot. *Fresh* keys are rows a table
 /// rebuild is about to cache: asked about with nothing held, so each comes
-/// back with the version it will be held under, and handed to the caller's
-/// sink rather than to a slot. A fresh key waits for consume time only when
-/// a batch is in flight and writes it; with nothing in flight the fresh keys
-/// go in a message of their own, as a construction always has — posted when
-/// it is carried, like everything the sequential schedule sends, so that a
-/// faulty run's retransmissions are on the timeline. Whichever message
-/// carries a fresh row, its bytes are construction's.
+/// back with the version it will be held under, and handed to the caller
+/// rather than to a slot. A fresh key is late only when a batch is in
+/// flight and writes it; with nothing in flight the fresh keys go in the
+/// early message, as a construction always has — posted when it is carried,
+/// like everything the sequential schedule sends, so that a faulty run's
+/// retransmissions are on the timeline. Whichever message carries a fresh
+/// row, its bytes are construction's.
 #[derive(Debug, Default)]
 pub struct StagedPull {
     /// Keys pulled in the early message — the plain ones, then the fresh
@@ -456,7 +574,8 @@ pub struct StagedPull {
     early_slots: Vec<u32>,
     /// Keys (plain, then fresh) and slots (of the plain ones) left for the
     /// consume-time request, and, when it was pulled ahead, the same keys
-    /// sorted: what [`StagedPull::reads`] answers from.
+    /// sorted: the rows of the push in front of it that are in its hazard
+    /// part.
     late: Vec<ParamKey>,
     late_slots: Vec<u32>,
     late_sorted: Vec<ParamKey>,
@@ -468,31 +587,14 @@ pub struct StagedPull {
 }
 
 impl StagedPull {
-    /// Split `keys` (each with the slot its row goes to) and, with
-    /// `pull_ahead`, book the early keys' pull on the comm lane now — what
-    /// the client says it will be metered as; nothing is sent — and add the
-    /// split to `economy`. Without `pull_ahead` every key waits for
-    /// `deliver`: the sequential schedule, which is not a split and is not
-    /// counted. The in-flight batch is `ctx.scratch.plan`.
-    pub fn stage(
-        &mut self,
-        ctx: &mut WorkerCtx,
-        keys: impl Iterator<Item = (ParamKey, u32)>,
-        pull_ahead: bool,
-        economy: &mut TableEconomy,
-    ) {
-        self.stage_with_fresh(ctx, keys, std::iter::empty(), pull_ahead);
-        if pull_ahead {
-            economy.staged_early += self.early.len() as u64;
-            economy.staged_late += self.late.len() as u64;
-        }
-    }
-
-    /// [`StagedPull::stage`], uncounted, with the `fresh` rows of a table
-    /// rebuild: with `pull_ahead`, split like the plain keys and in the same
-    /// messages; without — nothing is in flight — all in the early message,
-    /// which is then posted when it is delivered.
-    pub fn stage_with_fresh(
+    /// Split `keys` (each with the slot its row goes to) and the `fresh`
+    /// rows of a rebuild and, with `pull_ahead`, book the early keys' pull
+    /// on the comm lane now — what the client says it will be metered as;
+    /// nothing is sent. Without `pull_ahead` nothing is in flight: the plain
+    /// keys all wait for the consume-time request and the fresh ones all go
+    /// in the early message, posted when it is carried. The in-flight batch
+    /// is `ctx.scratch.plan`.
+    fn stage(
         &mut self,
         ctx: &mut WorkerCtx,
         keys: impl Iterator<Item = (ParamKey, u32)>,
@@ -527,13 +629,8 @@ impl StagedPull {
         if pull_ahead {
             self.late_sorted.extend_from_slice(&self.late);
             self.late_sorted.sort_unstable();
-            ctx.push_due = true;
         }
         if pull_ahead && !self.early.is_empty() {
-            debug_assert!(
-                ctx.held_push.is_none(),
-                "the held rest of a push is posted before the next early booking"
-            );
             let fresh = self.early.len() - self.early_slots.len();
             let booked = ctx.client.staged_pull_cost(&self.early, fresh, &mut ctx.ps);
             self.pull_end = ctx.post_comm(booked, 0.0);
@@ -541,26 +638,11 @@ impl StagedPull {
         }
     }
 
-    /// What is left for consume time, for a caller whose consume-time
-    /// request carries more than a plain pull (a HET-KG sync, the rows of a
-    /// rebuild) and who sends it itself after [`StagedPull::deliver_early`]:
-    /// the plain keys, their slots, and the fresh keys.
+    /// What is left for the consume-time request: the plain keys, their
+    /// slots, and the fresh keys.
     pub fn late(&self) -> (&[ParamKey], &[u32], &[ParamKey]) {
         let (plain, fresh) = self.late.split_at(self.late_slots.len());
         (plain, &self.late_slots, fresh)
-    }
-
-    /// Whether the consume-time request of a batch staged behind one in
-    /// flight reads `k`: a late key, plain or fresh — a row that batch's
-    /// push may write. The hazard part of that push is its rows for which
-    /// this holds ([`WorkerCtx::post_push`]).
-    pub fn reads(&self, k: ParamKey) -> bool {
-        self.late_sorted.binary_search(&k).is_ok()
-    }
-
-    /// How many fresh keys were staged, early and late.
-    pub fn fresh(&self) -> usize {
-        (self.early.len() - self.early_slots.len()) + (self.late.len() - self.late_slots.len())
     }
 
     /// Carry the early message now, so staged rows observe every push that
@@ -568,7 +650,7 @@ impl StagedPull {
     /// set (already laid out for the batch), fresh rows to `on_fresh(key,
     /// version, row)`. Metered here; posted here too unless it was booked
     /// ahead. Returns the timeline completion of the early pull.
-    pub fn deliver_early(
+    fn deliver_early(
         &self,
         ctx: &mut WorkerCtx,
         mut on_fresh: impl FnMut(ParamKey, u32, &[f32]),
@@ -603,47 +685,6 @@ impl StagedPull {
             None => ctx.post_comm(metered, 0.0),
         }
     }
-
-    /// Deliver every row of a pull that staged plain keys only: the early
-    /// keys, then the late keys, both pulled now, after the previous push.
-    /// Returns the timeline completion of the whole pull.
-    pub fn deliver(&self, ctx: &mut WorkerCtx) -> f64 {
-        let mut pull_end = self.deliver_early(ctx, |k, _, _| unreachable!("{k} staged as fresh"));
-        let (late, late_slots, fresh) = self.late();
-        debug_assert!(fresh.is_empty(), "fresh rows need the caller's request");
-        if !late.is_empty() {
-            let delta = ctx.pull_into_ws(late, late_slots);
-            pull_end = pull_end.max(ctx.post_request(late, delta));
-        }
-        pull_end
-    }
-}
-
-/// Order a push's `rows` into its two parts ([`WorkerCtx::post_push`]):
-/// the hazard part — the rows the staged batch's consume-time request
-/// `reads` — first, then the rest; returns the hazard part's length.
-/// Stable, so each part keeps the order its rows had; the rows go through
-/// `spare`, a reused buffer, so ordering allocates nothing at steady state.
-pub fn hazard_first<T: Copy>(
-    rows: &mut Vec<T>,
-    spare: &mut Vec<T>,
-    reads: impl Fn(&T) -> bool,
-) -> usize {
-    spare.clear();
-    let mut rest = 0;
-    for i in 0..rows.len() {
-        let row = rows[i];
-        if reads(&row) {
-            spare.push(row);
-        } else {
-            rows[rest] = row;
-            rest += 1;
-        }
-    }
-    let hazard = spare.len();
-    spare.extend_from_slice(&rows[..rest]);
-    std::mem::swap(rows, spare);
-    hazard
 }
 
 /// Book-keeping carried across [`WorkerLoop::step`] calls within one epoch.
@@ -750,7 +791,6 @@ pub(crate) fn assert_same_bytes_more_messages(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetkg_core::prefetch::MiniBatch;
     use hetkg_embed::init::Init;
     use hetkg_embed::ModelKind;
     use hetkg_netsim::{ClusterTopology, FaultInjector, FaultPlan};
@@ -762,7 +802,8 @@ mod tests {
         ctx_on(1).0
     }
 
-    /// A `machines`-shard table whose rows are a function of `seed`.
+    /// A `machines`-shard table whose rows are a function of `seed`: keys
+    /// 0–9 are entities, 10 and 11 relations, all rows 4 wide.
     fn store_on(machines: usize, seed: u64) -> Arc<KvStore> {
         let router = ShardRouter::round_robin(KeySpace::new(10, 2), machines);
         let init = Init::Uniform { bound: 0.2 };
@@ -800,28 +841,60 @@ mod tests {
         (ctx, store)
     }
 
-    /// A working set holding exactly `keys` (all rows are 4 wide here),
-    /// zeroed, and the slots in key order.
-    fn lay_out(c: &mut WorkerCtx, keys: &[ParamKey]) -> Vec<u32> {
-        c.ws.clear();
-        for &k in keys {
-            c.ws.insert(k, &[0.0; 4]);
+    /// A batch of positives `(head, relation, tail)`.
+    fn batch(triples: &[(u32, u32, u32)]) -> MiniBatch {
+        MiniBatch {
+            positives: triples
+                .iter()
+                .map(|&(h, r, t)| Triple::new(h, r, t))
+                .collect(),
+            negatives: vec![],
         }
-        (0..keys.len() as u32).collect()
     }
 
-    /// Pull `keys` into a working set holding exactly them.
-    fn pull(c: &mut WorkerCtx, keys: &[ParamKey]) -> TrafficSnapshot {
-        let slots = lay_out(c, keys);
-        c.pull_into_ws(keys, &slots)
+    /// Stage `triples`, pulling every key of them.
+    fn stage(c: &mut WorkerCtx, p: &mut Pipeline, triples: &[(u32, u32, u32)], ahead: bool) {
+        let every_key = |_, _, _| true;
+        p.stage(
+            c,
+            &batch(triples),
+            ahead,
+            every_key,
+            std::iter::empty(),
+            None,
+        );
+    }
+
+    /// Consume the staged batch with the plain late pull.
+    fn consume(c: &mut WorkerCtx, p: &mut Pipeline) -> f64 {
+        let no_fresh = |_: &mut (), k, _, _: &[f32]| unreachable!("{k} staged as fresh");
+        p.consume(c, &mut (), no_fresh, |ctx, _, pull, keys| {
+            pull_late(ctx, pull, keys)
+        })
+    }
+
+    /// A plain pull of `keys`: its traffic and the rows, bit for bit.
+    fn pull(c: &mut WorkerCtx, keys: &[ParamKey]) -> (TrafficSnapshot, Vec<Vec<u32>>) {
+        let before = c.meter.snapshot();
+        let mut rows = vec![Vec::new(); keys.len()];
+        c.client
+            .try_pull_batch_with(keys, &mut c.ps, |i, row| {
+                rows[i] = row.iter().map(|v| v.to_bits()).collect()
+            })
+            .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
+        (c.meter.snapshot().since(before), rows)
     }
 
     /// The working set's rows in slot order, bit for bit.
-    fn ws_bits(c: &WorkerCtx, slots: &[u32]) -> Vec<Vec<u32>> {
-        slots
-            .iter()
-            .map(|&s| c.ws.row(s).iter().map(|v| v.to_bits()).collect())
+    fn ws_bits(c: &WorkerCtx) -> Vec<Vec<u32>> {
+        (0..c.ws.len() as u32)
+            .map(|s| c.ws.row(s).iter().map(|v| v.to_bits()).collect())
             .collect()
+    }
+
+    /// The batch in flight's keys, in slot order.
+    fn in_flight_keys(c: &WorkerCtx) -> Vec<ParamKey> {
+        c.scratch.plan.keys().to_vec()
     }
 
     #[test]
@@ -830,28 +903,21 @@ mod tests {
         assert_eq!(c.iterations_per_epoch, 2); // ceil(3 / 2)
     }
 
+    /// The plain late pull — the whole pull of a batch staged with nothing
+    /// ahead — fills every working-set row with its key's.
     #[test]
     fn pull_into_ws_fetches_rows() {
-        let mut c = ctx();
-        let batch = MiniBatch {
-            positives: vec![Triple::new(0, 0, 1)],
-            negatives: vec![],
-        };
-        c.scratch.plan.compile(&batch, c.key_space, 4, 4);
-        c.begin_batch();
-        let keys = c.scratch.plan.keys().to_vec();
+        let (mut c, mut p) = (ctx(), Pipeline::default());
+        stage(&mut c, &mut p, &[(0, 0, 1)], false);
+        consume(&mut c, &mut p);
+        let keys = in_flight_keys(&c);
         assert_eq!(keys, [ParamKey(0), ParamKey(10), ParamKey(1)]);
-        c.pull_into_ws(&keys, &[0, 1, 2]);
         assert_eq!(c.ws.len(), 3);
-        let mut want = [0.0f32; 4];
-        for (slot, &k) in keys.iter().enumerate() {
-            c.client
-                .try_pull_batch_with(&[k], &mut PsScratch::new(), |_, row| {
-                    want.copy_from_slice(row)
-                })
-                .unwrap();
-            assert_eq!(c.ws.row(slot as u32), want);
-            assert_eq!(c.ws.get(k), want);
+        let (_, want) = pull(&mut c, &keys);
+        assert_eq!(ws_bits(&c), want);
+        for &k in &keys {
+            let bits: Vec<u32> = c.ws.get(k).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, want[c.ws.slot_of(k).unwrap() as usize]);
         }
         assert!(c.meter.snapshot().total_bytes() > 0);
     }
@@ -860,21 +926,17 @@ mod tests {
     fn staged_pull_delivers_the_same_rows_as_a_direct_pull() {
         let (c, _) = ctx_on(2);
         let mut c = c.with_timing(CostModel::gigabit(), true);
+        let mut p = Pipeline::default();
         // Mixed kinds are fine: entities on both shards and a relation key.
-        let keys = [0u64, 3, 10, 1].map(ParamKey);
-        let unsplit = pull(&mut c, &keys);
-        let slots: Vec<u32> = (0..keys.len() as u32).collect();
-        let direct = ws_bits(&c, &slots);
+        let triples = [(0, 0, 3), (1, 0, 0)];
+        let keys = [0u64, 10, 3, 1].map(ParamKey);
+        let (unsplit, direct) = pull(&mut c, &keys);
 
-        lay_out(&mut c, &keys);
         let before = c.meter.snapshot();
-        let mut staged = StagedPull::default();
-        let mut economy = TableEconomy::default();
         // Nothing is in flight, so every key goes ahead.
-        let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true, &mut economy);
-        assert_eq!(staged.early, keys);
-        assert!(staged.late.is_empty());
+        stage(&mut c, &mut p, &triples, true);
+        assert_eq!(p.pull.early, keys);
+        assert!(p.pull.late.is_empty());
         assert_eq!(c.meter.snapshot(), before, "nothing transits at stage");
         let booked = unsplit.simulated_time(&c.cost);
         assert!(booked > 0.0);
@@ -883,18 +945,19 @@ mod tests {
             booked,
             "the pull's slot on the comm lane is taken at stage"
         );
-        let pull_end = staged.deliver(&mut c);
+        let pull_end = consume(&mut c, &mut p);
         assert_eq!(
             c.meter.snapshot().since(before),
             unsplit,
-            "the direct pull's frames are metered at deliver"
+            "the direct pull's frames are metered at consume"
         );
         assert_eq!(
             (c.timeline.busy(Lane::Comm), pull_end),
             (booked, booked),
             "a booked pull is not posted again"
         );
-        assert_eq!(ws_bits(&c, &slots), direct);
+        assert_eq!(in_flight_keys(&c), keys);
+        assert_eq!(ws_bits(&c), direct);
     }
 
     #[test]
@@ -907,32 +970,27 @@ mod tests {
             .client
             .with_transport(Arc::new(SimTransport(served.clone())));
         put_in_flight(&mut c);
+        let mut p = Pipeline::default();
         // Entity 0 and relation 0 are in flight, so they wait; the rest go
         // ahead.
-        let keys = [1u64, 0, 3, 10, 4].map(ParamKey);
-        let slots = lay_out(&mut c, &keys);
-        let mut staged = StagedPull::default();
-        let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true, &mut TableEconomy::default());
-        assert_eq!(staged.early, [ParamKey(1), ParamKey(3), ParamKey(4)]);
-        assert_eq!(staged.late, [ParamKey(0), ParamKey(10)]);
-        staged.deliver(&mut c);
+        stage(&mut c, &mut p, &[(1, 0, 0), (3, 0, 4)], true);
+        assert_eq!(p.pull.early, [ParamKey(1), ParamKey(3), ParamKey(4)]);
+        assert_eq!(p.pull.late, [ParamKey(10), ParamKey(0)]);
+        consume(&mut c, &mut p);
         let (mut answered, mut mirrored) = ([0.0f32; 4], [0.0f32; 4]);
-        for (&k, &slot) in keys.iter().zip(&slots) {
+        for k in in_flight_keys(&c) {
             served.pull(k, &mut answered);
             store.pull(k, &mut mirrored);
             assert_ne!(answered, mirrored);
-            assert_eq!(c.ws.row(slot), answered, "{k}");
+            assert_eq!(c.ws.get(k), answered, "{k}");
         }
     }
 
     /// In flight: entities 0 and 2 (both on shard 0) and relation 0.
     fn put_in_flight(c: &mut WorkerCtx) {
-        let batch = MiniBatch {
-            positives: vec![Triple::new(0, 0, 2)],
-            negatives: vec![],
-        };
-        c.scratch.plan.compile(&batch, c.key_space, 4, 4);
+        c.scratch
+            .plan
+            .compile(&batch(&[(0, 0, 2)]), c.key_space, 4, 4);
     }
 
     #[test]
@@ -945,20 +1003,17 @@ mod tests {
             Arc::new(TrafficMeter::new()),
         );
         put_in_flight(&mut c);
+        let mut p = Pipeline::default();
         // Key 0 is written by the in-flight batch, so it waits — alone: key
-        // 4 shares its shard and goes ahead with shard 1's keys 1 and 3.
-        let keys = [1u64, 0, 3, 4].map(ParamKey);
-        assert_eq!(c.client.shard_of(keys[1]), c.client.shard_of(keys[3]));
-        let slots = lay_out(&mut c, &keys);
+        // 4 shares its shard and goes ahead with shard 1's keys 1, 11 and 3.
+        let keys = [1u64, 11, 0, 3, 4].map(ParamKey);
+        assert_eq!(c.client.shard_of(keys[2]), c.client.shard_of(keys[4]));
         let before = c.meter.snapshot();
-        let mut staged = StagedPull::default();
-        let mut economy = TableEconomy::default();
-        let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true, &mut economy);
-        assert_eq!(staged.early, [ParamKey(1), ParamKey(3), ParamKey(4)]);
-        assert_eq!(staged.early_slots, [0, 2, 3]);
-        assert_eq!(staged.late(), (&[ParamKey(0)][..], &[1u32][..], &[][..]));
-        // Another worker's push lands between stage and deliver, on an
+        stage(&mut c, &mut p, &[(1, 1, 0), (3, 1, 4)], true);
+        assert_eq!(p.pull.early, [1u64, 11, 3, 4].map(ParamKey));
+        assert_eq!(p.pull.early_slots, [0, 1, 3, 4]);
+        assert_eq!(p.pull.late(), (&[ParamKey(0)][..], &[2u32][..], &[][..]));
+        // Another worker's push lands between stage and consume, on an
         // early key and on the late one.
         let g = [1.0f32; 4];
         other
@@ -969,13 +1024,14 @@ mod tests {
                 &mut PsScratch::new(),
             )
             .unwrap();
-        staged.deliver(&mut c);
+        consume(&mut c, &mut p);
         let split = c.meter.snapshot().since(before);
-        let delivered = ws_bits(&c, &slots);
-        // A sequential pull at the deliver point: same rows, same bytes, and
-        // one message fewer — shard 0 was sent an early and a late frame.
-        let unsplit = pull(&mut c, &keys);
-        assert_eq!(delivered, ws_bits(&c, &slots));
+        assert_eq!(in_flight_keys(&c), keys);
+        // A sequential pull at the consume point: same rows, same bytes,
+        // and one message fewer — shard 0 was sent an early and a late
+        // frame.
+        let (unsplit, rows) = pull(&mut c, &keys);
+        assert_eq!(ws_bits(&c), rows);
         assert_same_bytes_more_messages(unsplit, split, 1, "split pull");
         assert_eq!(
             split.local_messages + split.remote_messages,
@@ -987,19 +1043,20 @@ mod tests {
     fn without_pull_ahead_every_key_waits_for_delivery() {
         let (mut c, _) = ctx_on(2);
         put_in_flight(&mut c);
-        let keys = [1u64, 0, 3, 4].map(ParamKey);
-        let slots = lay_out(&mut c, &keys);
+        let mut p = Pipeline::default();
         let before = c.meter.snapshot();
-        let mut staged = StagedPull::default();
         let mut economy = TableEconomy::default();
-        let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, false, &mut economy);
+        let every_key = |_, _, _| true;
+        let staged = batch(&[(1, 1, 0), (3, 1, 4)]);
+        let none = std::iter::empty();
+        p.stage(&mut c, &staged, false, every_key, none, Some(&mut economy));
         assert_eq!(economy, TableEconomy::default(), "not a split");
-        assert_eq!(staged.late(), (&keys[..], &slots[..], &[][..]));
+        let keys = [1u64, 11, 0, 3, 4].map(ParamKey);
+        assert_eq!(p.pull.late(), (&keys[..], &[0, 1, 2, 3, 4][..], &[][..]));
         assert_eq!(c.meter.snapshot(), before, "nothing transits at stage");
-        staged.deliver(&mut c);
+        consume(&mut c, &mut p);
         let late = c.meter.snapshot().since(before);
-        assert_eq!(late, pull(&mut c, &keys), "the sequential pull");
+        assert_eq!(late, pull(&mut c, &keys).0, "the sequential pull");
     }
 
     /// The rule this one replaced, kept as the reference the per-key split
@@ -1016,63 +1073,56 @@ mod tests {
     }
 
     proptest! {
-        /// On random in-flight batches and staged key lists: the late keys
-        /// are exactly the input's keys in flight and the early keys the
-        /// rest, both in input order; everything the per-shard rule sent
-        /// early still goes early; and the delivered rows and bytes are the
-        /// sequential pull's, in at most one more message per shard.
+        /// On random in-flight batches, staged batches and choices of which
+        /// of their keys are pulled: the late keys are exactly the pulled
+        /// keys in flight and the early keys the rest, both in slot order;
+        /// everything the per-shard rule sent early still goes early; and
+        /// the delivered rows and bytes are the sequential pull's, in at
+        /// most one more message per shard.
         #[test]
         fn per_key_split_partitions_the_input_and_contains_the_per_shard_split(
             machines in 1usize..5,
             in_flight in prop::collection::vec((0u32..10, 0u32..2, 0u32..10), 0..4),
-            staged_keys in prop::collection::vec(0u64..12, 0..12),
+            staged in prop::collection::vec((0u32..10, 0u32..2, 0u32..10), 0..5),
+            pulled in any::<u16>(),
         ) {
             let (mut c, _) = ctx_on(machines);
-            let batch = MiniBatch {
-                positives: in_flight.iter().map(|&(h, r, t)| Triple::new(h, r, t)).collect(),
-                negatives: vec![],
-            };
-            c.scratch.plan.compile(&batch, c.key_space, 4, 4);
-            let mut keys: Vec<ParamKey> = Vec::new();
-            for k in staged_keys.into_iter().map(ParamKey) {
-                if !keys.contains(&k) {
-                    keys.push(k);
-                }
-            }
-            let slots = lay_out(&mut c, &keys);
+            let mut p = Pipeline::default();
+            c.scratch.plan.compile(&batch(&in_flight), c.key_space, 4, 4);
             let before = c.meter.snapshot();
-            let mut staged = StagedPull::default();
             let mut economy = TableEconomy::default();
-            let pairs = keys.iter().copied().zip(slots.iter().copied());
-            staged.stage(&mut c, pairs, true, &mut economy);
+            let mask = |slot: u32| pulled & (1 << (slot % 16)) != 0;
+            let is_pulled = |slot, _, _| mask(slot);
+            let none = std::iter::empty();
+            p.stage(&mut c, &batch(&staged), true, is_pulled, none, Some(&mut economy));
             prop_assert_eq!(
                 (economy.staged_early, economy.staged_late),
-                (staged.early.len() as u64, staged.late.len() as u64)
+                (p.pull.early.len() as u64, p.pull.late.len() as u64)
             );
-            staged.deliver(&mut c);
-            let split = c.meter.snapshot().since(before);
-
+            let input: Vec<(ParamKey, u32)> = p.plan.keys().iter().copied().zip(0u32..)
+                .filter(|&(_, slot)| mask(slot)).collect();
+            let keys: Vec<ParamKey> = input.iter().map(|&(k, _)| k).collect();
+            let (ref_early, ref_late) = per_shard_split(&c, &keys);
             let pairs = |ks: &[ParamKey], ss: &[u32]| -> Vec<(ParamKey, u32)> {
                 ks.iter().copied().zip(ss.iter().copied()).collect()
             };
-            let early = pairs(&staged.early, &staged.early_slots);
-            let late = pairs(&staged.late, &staged.late_slots);
-            let input = pairs(&keys, &slots);
             let expect = |late_half: bool| -> Vec<(ParamKey, u32)> {
                 let half = |&(k, _): &(ParamKey, u32)| c.scratch.plan.contains(k) == late_half;
                 input.iter().copied().filter(half).collect()
             };
-            prop_assert_eq!(&early, &expect(false));
-            prop_assert_eq!(&late, &expect(true));
-
-            let (ref_early, ref_late) = per_shard_split(&c, &keys);
-            prop_assert!(ref_early.iter().all(|k| staged.early.contains(k)));
-            prop_assert!(staged.late.iter().all(|k| ref_late.contains(k)));
+            prop_assert_eq!(pairs(&p.pull.early, &p.pull.early_slots), expect(false));
+            prop_assert_eq!(pairs(&p.pull.late, &p.pull.late_slots), expect(true));
+            prop_assert!(ref_early.iter().all(|k| p.pull.early.contains(k)));
+            prop_assert!(p.pull.late.iter().all(|k| ref_late.contains(k)));
             prop_assert_eq!(ref_early.len() + ref_late.len(), keys.len());
 
-            let delivered = ws_bits(&c, &slots);
-            let unsplit = pull(&mut c, &keys);
-            prop_assert_eq!(delivered, ws_bits(&c, &slots));
+            consume(&mut c, &mut p);
+            let split = c.meter.snapshot().since(before);
+            let delivered = ws_bits(&c);
+            let (unsplit, rows) = pull(&mut c, &keys);
+            for (&(_, slot), row) in input.iter().zip(&rows) {
+                prop_assert_eq!(&delivered[slot as usize], row);
+            }
             assert_same_bytes_more_messages(unsplit, split, machines as u64, "split pull");
         }
     }
@@ -1090,13 +1140,62 @@ mod tests {
         pull(&mut c, &[ParamKey(1)]);
     }
 
+    /// The rows of `keys` onto `p`'s push, in reverse key order (the push
+    /// puts them in order): one gradient each, but two for a key `several`
+    /// names, with an energy of the key plus a half.
+    fn push_rows(
+        p: &mut Pipeline,
+        keys: impl IntoIterator<Item = ParamKey>,
+        several: impl Fn(ParamKey) -> bool,
+    ) {
+        let rows = &mut p.rows;
+        rows.extend(keys.into_iter().map(|k| match several(k) {
+            false => PushRow::grad(k, 0),
+            true => PushRow {
+                grads: 2,
+                energy: k.0 as f32 + 0.5,
+                ..PushRow::grad(k, 0)
+            },
+        }));
+        rows.reverse();
+    }
+
+    /// Push `p`'s rows, each a row of ones, behind the compute that ended at
+    /// `compute_end`; returns the keys and energies of each part carried,
+    /// in order.
+    fn push_ones(
+        c: &mut WorkerCtx,
+        p: &mut Pipeline,
+        also_read: impl Fn(ParamKey) -> bool,
+        compute_end: f64,
+    ) -> Vec<(Vec<ParamKey>, Vec<f32>)> {
+        const ONES: [f32; 4] = [1.0; 4];
+        let mut parts = Vec::new();
+        let carry = |ctx: &mut WorkerCtx, part: Part<'_>| {
+            parts.push((part.keys.to_vec(), part.energies.to_vec()));
+            let optimizer = ctx.optimizer.clone();
+            let (keys, energies) = (part.keys, part.energies);
+            ctx.client
+                .try_push_coalesced_rows(keys, energies, |_| &ONES, optimizer.as_ref(), &mut ctx.ps)
+                .unwrap();
+        };
+        p.push(c, also_read, carry, compute_end);
+        parts
+    }
+
     #[test]
     fn push_grads_clears_accumulator() {
-        let mut c = ctx();
+        let (mut c, mut p) = (ctx(), Pipeline::default());
         c.grads.add(ParamKey(0), &[1.0, 0.0, 0.0, 0.0]);
+        let grads = &c.grads;
+        let rows = grads
+            .touched()
+            .iter()
+            .map(|&s| PushRow::grad(grads.key_at(s), s));
+        p.rows.extend(rows);
         let before = c.meter.snapshot();
-        c.push_grads(None, 0.0);
-        assert!(c.grads.is_empty());
+        p.push(&mut c, |_| false, carry_accumulated, 0.0);
+        assert!(c.grads.is_empty() && p.rows.is_empty());
         assert!(c.meter.snapshot().since(before).total_bytes() > 0);
     }
 
@@ -1104,7 +1203,7 @@ mod tests {
     fn timing_disabled_never_touches_the_timeline() {
         let mut c = ctx();
         assert!(!c.overlap);
-        let delta = pull(&mut c, &[ParamKey(0)]);
+        let (delta, _) = pull(&mut c, &[ParamKey(0)]);
         assert_eq!(c.post_comm(delta, 0.0), 0.0);
         assert_eq!(c.post_compute(1_000, 5.0), 0.0);
         c.begin_epoch_timing();
@@ -1115,14 +1214,15 @@ mod tests {
     #[test]
     fn timing_enabled_builds_a_critical_path() {
         let mut c = ctx().with_timing(CostModel::gigabit(), true);
+        let mut p = Pipeline::default();
         c.begin_epoch_timing();
-        let delta = pull(&mut c, &[ParamKey(0), ParamKey(3)]);
+        let (delta, _) = pull(&mut c, &[ParamKey(0), ParamKey(3)]);
         let pull_end = c.post_comm(delta, 0.0);
         assert!(pull_end > 0.0);
         let compute_end = c.post_compute(2_000_000, pull_end);
         assert!(compute_end > pull_end);
-        c.grads.add(ParamKey(0), &[1.0, 0.0, 0.0, 0.0]);
-        c.push_grads(None, compute_end);
+        push_rows(&mut p, [ParamKey(0)], |_| false);
+        push_ones(&mut c, &mut p, |_| false, compute_end);
         let push_end = c.timeline.now();
         assert!(push_end > compute_end);
         let cp = c.end_epoch_timing();
@@ -1132,127 +1232,137 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hazard_first_keeps_each_parts_order_and_reuses_its_spare() {
-        let mut rows = vec![5u32, 2, 8, 1, 4, 7];
-        let mut spare = Vec::with_capacity(rows.len());
-        let hazard = hazard_first(&mut rows, &mut spare, |&r| r % 2 == 0);
-        assert_eq!((hazard, rows.as_slice()), (3, &[2, 8, 4, 5, 1, 7][..]));
-        let (cap, ptr) = (spare.capacity(), spare.as_ptr());
-        assert_eq!(hazard_first(&mut rows, &mut spare, |_| false), 0);
-        assert_eq!(rows, [2, 8, 4, 5, 1, 7]);
-        assert_eq!((rows.capacity(), rows.as_ptr()), (cap, ptr), "swapped back");
-    }
+    proptest! {
+        /// The schedule, on random iterations: a batch in flight, the next
+        /// one staged behind it with a random part of its keys pulled, a
+        /// push of random rows, and sometimes a sync of random cached rows
+        /// riding in the staged batch's consume-time request (a HET-KG
+        /// sync: it reads the cached rows, which the staged batch does not
+        /// pull). The push's hazard part is exactly its rows the request
+        /// reads, in key order, and the rest, in key order, shares no key
+        /// with the request; and the comm lane books early(i+1) < hazard(i)
+        /// ≤ request(i+1) < rest(i) < early(i+2).
+        #[test]
+        fn the_pipeline_splits_the_push_by_what_the_request_reads_and_books_the_lane_order(
+            machines in 1usize..4,
+            in_flight in prop::collection::vec((0u32..10, 0u32..2, 0u32..10), 1..4),
+            next in prop::collection::vec((0u32..10, 0u32..2, 0u32..10), 1..4),
+            after in prop::collection::vec((0u32..10, 0u32..2, 0u32..10), 1..4),
+            pulled in any::<u16>(),
+            pushed in any::<u16>(),
+            several in any::<u16>(),
+            cached in any::<u16>(),
+            sync in any::<bool>(),
+        ) {
+            let (c, _) = ctx_on(machines);
+            let mut c = c.with_timing(CostModel::gigabit(), true);
+            let mut p = Pipeline::default();
+            c.begin_epoch_timing();
+            stage(&mut c, &mut p, &in_flight, false);
+            let ready = consume(&mut c, &mut p);
 
-    /// A pipelined iteration's push, split: worker 0, two shards, overlap
-    /// on over the gigabit link, the batch holding entities 0 and 2 and relation 0
-    /// in flight and the next one — entities 1, 0 and 3 — staged behind it,
-    /// so entity 0 is late. The in-flight compute ends and its gradients of
-    /// entities 0, 1 and 2 and relation 0 go: entity 0's row is in the
-    /// hazard part, entity 1's — shard 1's only row, which the late pull
-    /// does not read — in the rest. Returns the staged pull and the
-    /// compute's end.
-    fn split_push() -> (WorkerCtx, StagedPull, f64) {
-        let (c, _) = ctx_on(2);
-        let mut c = c.with_timing(CostModel::gigabit(), true);
-        c.begin_epoch_timing();
-        put_in_flight(&mut c);
-        let keys = [1u64, 0, 3].map(ParamKey);
-        let slots = lay_out(&mut c, &keys);
-        let mut staged = StagedPull::default();
-        let pairs = keys.iter().copied().zip(slots.iter().copied());
-        staged.stage(&mut c, pairs, true, &mut TableEconomy::default());
-        assert_eq!(staged.late, [ParamKey(0)]);
-        let compute_end = c.post_compute(2_000_000, 0.0);
-        for k in [0u64, 1, 2, 10].map(ParamKey) {
-            assert_eq!(c.client.shard_of(k), k.0 as usize % 2);
-            c.grads.add(k, &[1.0, 0.0, 0.0, 0.0]);
+            // Batch i+1, staged behind batch i.
+            let (ks, bit) = (c.key_space, |set: u16, i: u64| set & (1 << i) != 0);
+            let is_pulled = |slot: u32, _, _| bit(pulled, u64::from(slot % 16));
+            let none = std::iter::empty();
+            p.stage(&mut c, &batch(&next), true, is_pulled, none, None);
+            let early1 = (!p.pull.early.is_empty()).then_some(p.pull.pull_end);
+            let next_pulled: Vec<ParamKey> = p.plan.keys().iter().copied().zip(0u32..)
+                .filter(|&(_, slot)| bit(pulled, u64::from(slot % 16)))
+                .map(|(k, _)| k)
+                .collect();
+            // A sync reads cached rows: keys batch i+1 does not pull.
+            let all_keys = (0..ks.len() as u64).map(ParamKey);
+            let table: Vec<ParamKey> = all_keys.clone()
+                .filter(|k| bit(cached, k.0) && !next_pulled.contains(k))
+                .collect();
+
+            // Batch i's compute and push.
+            let compute_end = c.post_compute(2_000_000, ready);
+            let rows: Vec<ParamKey> = all_keys.filter(|k| bit(pushed, k.0)).collect();
+            let coalesced = |k: ParamKey| bit(several, k.0);
+            push_rows(&mut p, rows.iter().copied(), coalesced);
+            let synced = |k: ParamKey| sync && table.contains(&k);
+            let parts = push_ones(&mut c, &mut p, synced, compute_end);
+            let hazard_end = c.timeline.now();
+
+            // Batch i+1 is consumed: its late keys and, with a sync, the
+            // table's rows.
+            let no_fresh = |_: &mut (), k, _, _: &[f32]| unreachable!("{k} staged as fresh");
+            let ready = p.consume(&mut c, &mut (), no_fresh, |ctx, _, pull, keys| {
+                pull_late(ctx, pull, keys);
+                if sync && !table.is_empty() {
+                    keys.extend_from_slice(&table);
+                    ctx.client.try_pull_batch_with(&table, &mut ctx.ps, |_, _| {}).unwrap();
+                }
+            });
+            let read_late = !p.pull.late.is_empty();
+            let request_end = if read_late { ready } else { p.refreshed_end };
+            let rest_end = c.timeline.now();
+
+            // The push's parts are the rows the request read, and the rest.
+            let (hazard, rest): (Vec<ParamKey>, Vec<ParamKey>) =
+                rows.iter().partition(|k| p.request.contains(k));
+            // Each in push order: one gradient before several, by key.
+            let in_order = |mut keys: Vec<ParamKey>| {
+                keys.sort_by_key(|&k| (coalesced(k), k));
+                let energies = keys.iter().filter(|&&k| coalesced(k));
+                let energies = energies.map(|k| k.0 as f32 + 0.5).collect();
+                (keys, energies)
+            };
+            let expected: Vec<(Vec<ParamKey>, Vec<f32>)> = [hazard.clone(), rest.clone()]
+                .into_iter()
+                .filter(|part| !part.is_empty())
+                .map(in_order)
+                .collect();
+            prop_assert_eq!(&parts, &expected);
+            prop_assert!(rest.iter().all(|k| !p.request.contains(k)));
+
+            // Batch i+2, staged behind batch i+1.
+            stage(&mut c, &mut p, &after, true);
+            let early2 = (!p.pull.early.is_empty()).then_some(p.pull.pull_end);
+
+            let lane = [
+                early1,
+                (!hazard.is_empty()).then_some(hazard_end),
+                (!p.request.is_empty()).then_some(request_end),
+                (!rest.is_empty()).then_some(rest_end),
+                early2,
+            ];
+            let booked: Vec<f64> = lane.into_iter().flatten().collect();
+            prop_assert!(
+                booked.windows(2).all(|w| w[0] < w[1]),
+                "booked out of order: {:?}", lane
+            );
         }
-        c.push_grads(Some(&staged), compute_end);
-        (c, staged, compute_end)
     }
 
-    /// The order the two-part push keeps on the comm lane, which is one
-    /// queue: the hazard part behind the compute that produced it; the
-    /// staged batch's consume-time request — the late pull, which reads the
-    /// hazard part's row — behind that; the rest, held until then, behind
-    /// the request and still behind the compute; and the next early booking
-    /// behind the rest. Both parts were carried at the push, hazard first,
-    /// and nothing is left held when the epoch ends.
-    #[test]
-    fn a_split_push_books_its_hazard_part_before_the_request_and_its_rest_after() {
-        let (mut c, staged, compute_end) = split_push();
-        let pushed = c.meter.snapshot();
-        assert_eq!(
-            pushed.push_messages, 3,
-            "shard 0 in both parts, shard 1 in the rest"
-        );
-        let hazard_end = c.timeline.now();
-        assert!(staged.pull_end < compute_end && compute_end < hazard_end);
-        let (rest, rest_after) = c.held_push.expect("the rest is held");
-        assert_eq!(rest_after, compute_end);
-        if cfg!(debug_assertions) {
-            assert_eq!(c.held_keys, [1u64, 2, 10].map(ParamKey));
-        }
-
-        let pull_end = staged.deliver(&mut c);
-        assert!(
-            pull_end > hazard_end,
-            "the late pull waits for the hazard part"
-        );
-        c.post_held_push();
-        let rest_end = c.timeline.now();
-        assert_eq!(rest_end, pull_end + rest.simulated_time(&c.cost));
-        assert!(c.held_push.is_none() && c.held_keys.is_empty());
-
-        let mut next = StagedPull::default();
-        let pairs = [3u64, 4].map(ParamKey).into_iter().zip(0..);
-        next.stage(&mut c, pairs, true, &mut TableEconomy::default());
-        assert!(next.late.is_empty());
-        assert!(
-            next.pull_end > rest_end,
-            "the next booking queues behind the rest"
-        );
-        assert!(c.end_epoch_timing() > 0.0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "a consume-time request started before the hazard push it reads")]
-    fn a_request_posted_ahead_of_the_push_in_front_of_it_is_refused() {
-        let (c, _) = ctx_on(2);
-        let mut c = c.with_timing(CostModel::gigabit(), true);
-        put_in_flight(&mut c);
-        lay_out(&mut c, &[ParamKey(0)]);
-        let mut staged = StagedPull::default();
-        let pairs = [(ParamKey(0), 0)].into_iter();
-        staged.stage(&mut c, pairs, true, &mut TableEconomy::default());
-        assert_eq!(staged.late, [ParamKey(0)]);
-        staged.deliver(&mut c);
-    }
-
+    /// The data check that does not depend on call order: a consume-time
+    /// request may not read a row of the push's held rest. Worker 0, two
+    /// shards: entities 0 and 2 and relation 0 in flight, entity 0 read
+    /// late by the batch staged behind them; the push of entities 0, 1 and
+    /// 2 and relation 0 holds entity 0 in its hazard part, the others in
+    /// its rest — and a request reads entity 2.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "a consume-time request read a row of the push's held rest")]
     fn a_request_reading_a_row_of_the_held_rest_is_refused() {
-        let (mut c, _, _) = split_push();
-        c.post_request(&[ParamKey(2)], TrafficSnapshot::default());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "the held rest of a push is posted before the next early booking")]
-    fn an_early_booking_ahead_of_the_held_rest_is_refused() {
-        let (mut c, _, _) = split_push();
-        let pairs = [(ParamKey(3), 0)].into_iter();
-        StagedPull::default().stage(&mut c, pairs, true, &mut TableEconomy::default());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "nothing is held past an epoch's last iteration")]
-    fn an_epoch_cannot_end_with_a_rest_held() {
-        let (mut c, _, _) = split_push();
-        c.end_epoch_timing();
+        let (c, _) = ctx_on(2);
+        let mut c = c.with_timing(CostModel::gigabit(), true);
+        let mut p = Pipeline::default();
+        put_in_flight(&mut c);
+        stage(&mut c, &mut p, &[(1, 1, 0)], true);
+        assert_eq!(p.pull.late, [ParamKey(0)]);
+        push_rows(&mut p, [0u64, 1, 2, 10].map(ParamKey), |_| false);
+        let parts = push_ones(&mut c, &mut p, |_| false, 1.0);
+        let keys: Vec<_> = parts.into_iter().map(|(keys, _)| keys).collect();
+        assert_eq!(
+            keys,
+            [vec![ParamKey(0)], [1u64, 2, 10].map(ParamKey).to_vec()]
+        );
+        let no_fresh = |_: &mut (), k, _, _: &[f32]| unreachable!("{k} staged as fresh");
+        p.consume(&mut c, &mut (), no_fresh, |_, _, _, keys| {
+            keys.push(ParamKey(2))
+        });
     }
 }
