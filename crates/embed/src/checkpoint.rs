@@ -1,38 +1,31 @@
 //! Embedding checkpointing: save and load dense tables.
 //!
-//! A checkpoint is two tables (entities, relations) in a simple versioned
-//! binary format — magic, version, shapes, then little-endian `f32` rows.
-//! Training runs use it to persist the final model; the evaluation tooling
-//! loads it back for offline link prediction.
+//! A checkpoint is two tables (entities, relations) and, optionally,
+//! resumable [`TrainState`] — the epoch counter, an optimizer description
+//! and the optimizer-state tables, enough for a crashed trainer to restart
+//! mid-run without replaying history. Training runs use it to persist the
+//! final model and their recovery images; the evaluation and serving
+//! tooling loads it back.
 //!
-//! Version 2 extends the format with resumable [`TrainState`]: the epoch
-//! counter, an optimizer description, and the optimizer-state tables —
-//! enough for a crashed trainer to restart mid-run without replaying
-//! history. A checkpoint without train state serializes as version 1,
-//! byte-identical to the original format, and the loader reads both
-//! versions (a v1 file simply has no train state).
-//!
-//! Version 3 is the crash-consistent on-disk format: the same tables and
-//! train state, but every region (header, each payload table) is followed
-//! by a 32-bit FNV-1a digest, so a torn write or bit rot is detected as a
-//! typed [`CheckpointError::ChecksumMismatch`] instead of being loaded as
-//! silently wrong embeddings. [`Checkpoint::save`] always writes v3 via
-//! write-temp → fsync → atomic-rename (plus a parent-directory fsync), so
-//! a crash mid-save can never leave a half-written file under the final
-//! name. [`Checkpoint::load`] reads all three versions. The in-memory wire
-//! encoding [`Checkpoint::to_bytes`] stays v1/v2 for compatibility with
-//! files written by earlier releases.
+//! There is one format, version 3: magic, version, a flags word saying
+//! whether train state follows, the shapes, then little-endian `f32` rows,
+//! with every region (header, each payload table) followed by a 32-bit
+//! FNV-1a digest, so a torn write or bit rot is detected as a typed
+//! [`CheckpointError::ChecksumMismatch`] instead of being loaded as
+//! silently wrong embeddings. Versions 1 and 2, which carried no digests,
+//! read as [`CheckpointError::BadVersion`]. [`Checkpoint::save`] writes via
+//! write-temp → fsync → atomic-rename (plus a parent-directory fsync), so a
+//! crash mid-save can never leave a half-written file under the final
+//! name.
 
 use crate::storage::EmbeddingTable;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"HETKGCK\0";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
-const VERSION_V3: u32 = 3;
-/// v3 flags word: bit 0 set when the checkpoint carries [`TrainState`].
+const VERSION: u32 = 3;
+/// Flags word: bit 0 set when the checkpoint carries [`TrainState`].
 const FLAG_HAS_STATE: u32 = 1;
 
 /// 32-bit FNV-1a, resumable from a prior digest state. Same digest the wire
@@ -114,7 +107,7 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Resumable training state carried by a v2 checkpoint.
+/// Resumable training state a checkpoint may carry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainState {
     /// Completed epochs at save time (training resumes from here).
@@ -137,12 +130,12 @@ pub struct Checkpoint {
     pub entities: EmbeddingTable,
     /// Relation rows, indexed by relation id.
     pub relations: EmbeddingTable,
-    /// Epoch + optimizer state, present in v2 checkpoints.
+    /// Epoch + optimizer state, present in a resumable checkpoint.
     pub train_state: Option<TrainState>,
 }
 
 impl Checkpoint {
-    /// Wrap two tables (no train state; serializes as version 1).
+    /// Wrap two tables (no train state).
     pub fn new(entities: EmbeddingTable, relations: EmbeddingTable) -> Self {
         Self {
             entities,
@@ -151,7 +144,7 @@ impl Checkpoint {
         }
     }
 
-    /// Wrap two tables plus resumable train state (serializes as version 2).
+    /// Wrap two tables plus resumable train state.
     pub fn with_state(
         entities: EmbeddingTable,
         relations: EmbeddingTable,
@@ -171,55 +164,15 @@ impl Checkpoint {
         u32::try_from(len).map_err(|_| CheckpointError::TooLarge { what, len })
     }
 
-    /// Serialize to bytes. Fails with [`CheckpointError::TooLarge`] when a
-    /// dimension or the optimizer string overflows the format's u32 fields.
-    pub fn to_bytes(&self) -> Result<Bytes, CheckpointError> {
-        let payload = 4 * (self.entities.as_slice().len() + self.relations.as_slice().len());
-        let mut buf = BytesMut::with_capacity(8 + 4 + 4 * 4 + payload);
-        buf.put_slice(MAGIC);
-        match &self.train_state {
-            None => buf.put_u32_le(VERSION_V1),
-            Some(_) => buf.put_u32_le(VERSION_V2),
-        }
-        buf.put_u64_le(self.entities.rows() as u64);
-        buf.put_u32_le(Self::u32_of("entity dim", self.entities.dim())?);
-        buf.put_u64_le(self.relations.rows() as u64);
-        buf.put_u32_le(Self::u32_of("relation dim", self.relations.dim())?);
-        if let Some(ts) = &self.train_state {
-            buf.put_u64_le(ts.epoch);
-            buf.put_u32_le(Self::u32_of("optimizer string", ts.optimizer.len())?);
-            buf.put_slice(ts.optimizer.as_bytes());
-            buf.put_u64_le(ts.entity_state.rows() as u64);
-            buf.put_u32_le(Self::u32_of("entity state dim", ts.entity_state.dim())?);
-            buf.put_u64_le(ts.relation_state.rows() as u64);
-            buf.put_u32_le(Self::u32_of("relation state dim", ts.relation_state.dim())?);
-        }
-        for &v in self.entities.as_slice() {
-            buf.put_f32_le(v);
-        }
-        for &v in self.relations.as_slice() {
-            buf.put_f32_le(v);
-        }
-        if let Some(ts) = &self.train_state {
-            for &v in ts.entity_state.as_slice() {
-                buf.put_f32_le(v);
-            }
-            for &v in ts.relation_state.as_slice() {
-                buf.put_f32_le(v);
-            }
-        }
-        Ok(buf.freeze())
-    }
-
-    /// Serialize to the checked v3 format: v2's fields plus a FNV-1a digest
-    /// after the header and after each payload table. This is what
-    /// [`save`](Checkpoint::save) puts on disk. Fails with
-    /// [`CheckpointError::TooLarge`] like [`to_bytes`](Self::to_bytes).
+    /// Serialize: the header, then each table, each followed by its FNV-1a
+    /// digest. This is what [`save`](Checkpoint::save) puts on disk. Fails
+    /// with [`CheckpointError::TooLarge`] when a dimension or the optimizer
+    /// string overflows the format's u32 fields.
     pub fn to_bytes_checked(&self) -> Result<Bytes, CheckpointError> {
         let payload = 4 * (self.entities.as_slice().len() + self.relations.as_slice().len());
         let mut buf = BytesMut::with_capacity(8 + 4 + 4 + 4 * (8 + 4) + 5 * 4 + payload);
         buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_V3);
+        buf.put_u32_le(VERSION);
         buf.put_u32_le(if self.train_state.is_some() {
             FLAG_HAS_STATE
         } else {
@@ -258,99 +211,20 @@ impl Checkpoint {
         Ok(buf.freeze())
     }
 
-    /// Deserialize from bytes (reads v1, v2, and the checked v3 format).
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, CheckpointError> {
-        if data.remaining() < 8 + 4 || &data.copy_to_bytes(8)[..] != MAGIC {
+    /// Deserialize from bytes, checking every digest.
+    pub fn from_bytes(data: Bytes) -> Result<Self, CheckpointError> {
+        if data.len() < 8 + 4 || &data[..8] != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let version = data.get_u32_le();
-        if version == VERSION_V3 {
-            return Self::from_bytes_v3(&data);
-        }
-        if version != VERSION_V1 && version != VERSION_V2 {
+        let version = u32::from_le_bytes(data[8..12].try_into().unwrap());
+        if version != VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
-        if data.remaining() < 2 * (8 + 4) {
-            return Err(CheckpointError::Truncated);
-        }
-        let ent_rows = data.get_u64_le() as usize;
-        let ent_dim = data.get_u32_le() as usize;
-        let rel_rows = data.get_u64_le() as usize;
-        let rel_dim = data.get_u32_le() as usize;
-        if ent_dim == 0 || rel_dim == 0 {
-            return Err(CheckpointError::Truncated);
-        }
-
-        let mut state_header = None;
-        if version == VERSION_V2 {
-            if data.remaining() < 8 + 4 {
-                return Err(CheckpointError::Truncated);
-            }
-            let epoch = data.get_u64_le();
-            let opt_len = data.get_u32_le() as usize;
-            if data.remaining() < opt_len {
-                return Err(CheckpointError::Truncated);
-            }
-            let optimizer = String::from_utf8(data.copy_to_bytes(opt_len).to_vec())
-                .map_err(|_| CheckpointError::Truncated)?;
-            if data.remaining() < 2 * (8 + 4) {
-                return Err(CheckpointError::Truncated);
-            }
-            let es_rows = data.get_u64_le() as usize;
-            let es_dim = data.get_u32_le() as usize;
-            let rs_rows = data.get_u64_le() as usize;
-            let rs_dim = data.get_u32_le() as usize;
-            if es_dim == 0 || rs_dim == 0 {
-                return Err(CheckpointError::Truncated);
-            }
-            state_header = Some((epoch, optimizer, es_rows, es_dim, rs_rows, rs_dim));
-        }
-
-        // Checked arithmetic: a hostile header must not overflow into a
-        // small `need` (or panic) — it must read as truncated.
-        let need = (|| -> Option<usize> {
-            let mut cells = ent_rows.checked_mul(ent_dim)?;
-            cells = cells.checked_add(rel_rows.checked_mul(rel_dim)?)?;
-            if let Some((_, _, es_rows, es_dim, rs_rows, rs_dim)) = &state_header {
-                cells = cells.checked_add(es_rows.checked_mul(*es_dim)?)?;
-                cells = cells.checked_add(rs_rows.checked_mul(*rs_dim)?)?;
-            }
-            cells.checked_mul(4)
-        })()
-        .ok_or(CheckpointError::Truncated)?;
-        if data.remaining() < need {
-            return Err(CheckpointError::Truncated);
-        }
-
-        let mut read_table = |rows: usize, dim: usize| {
-            let mut values = Vec::with_capacity(rows * dim);
-            for _ in 0..rows * dim {
-                values.push(data.get_f32_le());
-            }
-            EmbeddingTable::from_data(dim, values)
-        };
-        let entities = read_table(ent_rows, ent_dim);
-        let relations = read_table(rel_rows, rel_dim);
-        let train_state =
-            state_header.map(|(epoch, optimizer, es_rows, es_dim, rs_rows, rs_dim)| {
-                let entity_state = read_table(es_rows, es_dim);
-                let relation_state = read_table(rs_rows, rs_dim);
-                TrainState {
-                    epoch,
-                    optimizer,
-                    entity_state,
-                    relation_state,
-                }
-            });
-        Ok(Self {
-            entities,
-            relations,
-            train_state,
-        })
+        Self::from_body(&data[12..])
     }
 
-    /// Parse the checked v3 body (`data` starts right after magic + version).
-    fn from_bytes_v3(data: &[u8]) -> Result<Self, CheckpointError> {
+    /// Parse the body (`data` starts right after magic + version).
+    fn from_body(data: &[u8]) -> Result<Self, CheckpointError> {
         struct Cur<'a> {
             buf: &'a [u8],
             pos: usize,
@@ -400,7 +274,7 @@ impl Checkpoint {
         // The header digest covers magic + version + everything up to here.
         let mut pre = [0u8; 12];
         pre[..8].copy_from_slice(MAGIC);
-        pre[8..].copy_from_slice(&VERSION_V3.to_le_bytes());
+        pre[8..].copy_from_slice(&VERSION.to_le_bytes());
         let computed = fnv1a_with(fnv1a(&pre), &data[..cur.pos]);
         if cur.u32()? != computed {
             return Err(CheckpointError::ChecksumMismatch { section: "header" });
@@ -443,7 +317,7 @@ impl Checkpoint {
         })
     }
 
-    /// Write to a file, crash-consistently: the checked v3 bytes go to a
+    /// Write to a file, crash-consistently: the checked bytes go to a
     /// sibling temp file, are fsynced, and are atomically renamed over
     /// `path`; the parent directory is then fsynced (best-effort) so the
     /// rename itself is durable. A crash at any instant leaves either the
@@ -511,7 +385,7 @@ mod tests {
     #[test]
     fn bytes_round_trip() {
         let ck = sample();
-        let back = Checkpoint::from_bytes(ck.to_bytes().unwrap()).unwrap();
+        let back = Checkpoint::from_bytes(ck.to_bytes_checked().unwrap()).unwrap();
         assert_eq!(back, ck);
     }
 
@@ -541,7 +415,7 @@ mod tests {
     #[test]
     fn v2_bytes_round_trip() {
         let ck = sample_v2();
-        let back = Checkpoint::from_bytes(ck.to_bytes().unwrap()).unwrap();
+        let back = Checkpoint::from_bytes(ck.to_bytes_checked().unwrap()).unwrap();
         assert_eq!(back, ck);
         let ts = back.train_state.unwrap();
         assert_eq!(ts.epoch, 5);
@@ -558,10 +432,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The digest-free versions 1 and 2 are no longer read.
     #[test]
-    fn stateless_checkpoint_serializes_as_v1() {
-        let bytes = sample().to_bytes().unwrap();
-        assert_eq!(&bytes[8..12], &1u32.to_le_bytes(), "version 1 on the wire");
+    fn v1_and_v2_headers_read_bad_version() {
+        for version in [1u32, 2] {
+            let mut raw = sample().to_bytes_checked().unwrap().to_vec();
+            raw[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = Checkpoint::from_bytes(Bytes::from(raw)).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::BadVersion(v) if v == version),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -570,7 +452,7 @@ mod tests {
         let entities = EmbeddingTable::from_data(4, vec![1.0; 8]);
         let relations = EmbeddingTable::from_data(20, vec![2.0; 40]);
         let ck = Checkpoint::new(entities, relations);
-        let back = Checkpoint::from_bytes(ck.to_bytes().unwrap()).unwrap();
+        let back = Checkpoint::from_bytes(ck.to_bytes_checked().unwrap()).unwrap();
         assert_eq!(back.entities.dim(), 4);
         assert_eq!(back.relations.dim(), 20);
     }
@@ -584,7 +466,7 @@ mod tests {
     #[test]
     fn truncation_is_detected() {
         let ck = sample();
-        let bytes = ck.to_bytes().unwrap();
+        let bytes = ck.to_bytes_checked().unwrap();
         let cut = bytes.slice(..bytes.len() - 10);
         let err = Checkpoint::from_bytes(cut).unwrap_err();
         assert!(matches!(err, CheckpointError::Truncated), "{err}");
@@ -593,7 +475,7 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let ck = sample();
-        let mut raw = ck.to_bytes().unwrap().to_vec();
+        let mut raw = ck.to_bytes_checked().unwrap().to_vec();
         raw[8] = 99; // version LE byte 0
         let err = Checkpoint::from_bytes(Bytes::from(raw)).unwrap_err();
         assert!(matches!(err, CheckpointError::BadVersion(_)));
@@ -602,7 +484,7 @@ mod tests {
     #[test]
     fn empty_tables_round_trip() {
         let ck = Checkpoint::new(EmbeddingTable::zeros(0, 3), EmbeddingTable::zeros(0, 2));
-        let back = Checkpoint::from_bytes(ck.to_bytes().unwrap()).unwrap();
+        let back = Checkpoint::from_bytes(ck.to_bytes_checked().unwrap()).unwrap();
         assert_eq!(back.entities.rows(), 0);
         assert_eq!(back.relations.dim(), 2);
     }

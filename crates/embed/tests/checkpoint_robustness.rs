@@ -1,5 +1,6 @@
 //! Robustness tests for the checkpoint format: every error path on
-//! corrupted and truncated files, and v1 ↔ v2 compatibility.
+//! corrupted and truncated files, for checkpoints with and without train
+//! state (`v1` and `v2` below, after the layouts that used to carry each).
 
 use bytes::Bytes;
 use hetkg_embed::checkpoint::{Checkpoint, CheckpointError, TrainState};
@@ -29,6 +30,13 @@ fn v2() -> Checkpoint {
     )
 }
 
+/// The format's header digest, 32-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811C_9DC5, |h, &b| {
+        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    })
+}
+
 fn tmp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("hetkg-ckrob-{}-{tag}.bin", std::process::id()))
 }
@@ -36,7 +44,7 @@ fn tmp_path(tag: &str) -> std::path::PathBuf {
 #[test]
 fn bad_magic_on_disk() {
     let path = tmp_path("magic");
-    let mut raw = v1().to_bytes().unwrap().to_vec();
+    let mut raw = v1().to_bytes_checked().unwrap().to_vec();
     raw[0] ^= 0xFF;
     std::fs::write(&path, &raw).unwrap();
     let err = Checkpoint::load(&path).unwrap_err();
@@ -47,7 +55,7 @@ fn bad_magic_on_disk() {
 #[test]
 fn bad_version_on_disk() {
     let path = tmp_path("version");
-    let mut raw = v2().to_bytes().unwrap().to_vec();
+    let mut raw = v2().to_bytes_checked().unwrap().to_vec();
     raw[8] = 77; // version field follows the 8-byte magic
     std::fs::write(&path, &raw).unwrap();
     let err = Checkpoint::load(&path).unwrap_err();
@@ -63,7 +71,7 @@ fn missing_file_is_io_error() {
 
 #[test]
 fn every_truncation_point_is_rejected_v1() {
-    let full = v1().to_bytes().unwrap();
+    let full = v1().to_bytes_checked().unwrap();
     // Any strict prefix must fail with BadMagic (couldn't even read the
     // header) or Truncated — never panic, never succeed.
     for cut in 0..full.len() {
@@ -78,7 +86,7 @@ fn every_truncation_point_is_rejected_v1() {
 
 #[test]
 fn every_truncation_point_is_rejected_v2() {
-    let full = v2().to_bytes().unwrap();
+    let full = v2().to_bytes_checked().unwrap();
     for cut in 0..full.len() {
         let err = Checkpoint::from_bytes(full.slice(..cut)).unwrap_err();
         assert!(
@@ -91,9 +99,9 @@ fn every_truncation_point_is_rejected_v2() {
 
 #[test]
 fn zero_dims_are_rejected() {
-    let mut raw = v1().to_bytes().unwrap().to_vec();
-    // entity dim lives after magic(8) + version(4) + ent_rows(8).
-    raw[20..24].copy_from_slice(&0u32.to_le_bytes());
+    let mut raw = v1().to_bytes_checked().unwrap().to_vec();
+    // entity dim lives after magic(8) + version(4) + flags(4) + ent_rows(8).
+    raw[24..28].copy_from_slice(&0u32.to_le_bytes());
     let err = Checkpoint::from_bytes(Bytes::from(raw)).unwrap_err();
     assert!(matches!(err, CheckpointError::Truncated), "{err}");
 }
@@ -101,9 +109,13 @@ fn zero_dims_are_rejected() {
 #[test]
 fn oversized_shape_claims_are_rejected() {
     // A header claiming more rows than the payload carries must fail
-    // cleanly instead of over-reading.
-    let mut raw = v1().to_bytes().unwrap().to_vec();
-    raw[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+    // cleanly instead of over-reading — even with its digest resealed, so
+    // that the claim itself is what is refused. The header is magic(8),
+    // version(4), flags(4), then each table's rows(8) and dim(4).
+    let mut raw = v1().to_bytes_checked().unwrap().to_vec();
+    raw[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+    let digest = fnv1a(&raw[..40]);
+    raw[40..44].copy_from_slice(&digest.to_le_bytes());
     let err = Checkpoint::from_bytes(Bytes::from(raw)).unwrap_err();
     assert!(matches!(err, CheckpointError::Truncated), "{err}");
 }
@@ -136,21 +148,9 @@ fn v2_round_trips_epoch_and_optimizer_state() {
 }
 
 #[test]
-fn flipped_payload_bytes_still_parse_but_differ() {
-    // In the legacy v1/v2 encodings payload corruption is not detectable
-    // (no digest) — it must parse without crashing, just to different
-    // values. The checked v3 format closes this hole (next test).
-    let mut raw = v2().to_bytes().unwrap().to_vec();
-    let last = raw.len() - 1;
-    raw[last] ^= 0xFF;
-    let back = Checkpoint::from_bytes(Bytes::from(raw)).unwrap();
-    assert_ne!(back, v2());
-}
-
-#[test]
 fn v3_catches_the_flip_v2_cannot_see() {
-    // The exact same last-byte flip, applied to the checked encoding, is a
-    // typed checksum error instead of silently different embeddings.
+    // A flip of the last byte, which the digest-free v2 layout parsed into
+    // silently different embeddings, is a typed checksum error.
     let mut raw = v2().to_bytes_checked().unwrap().to_vec();
     let last = raw.len() - 1;
     raw[last] ^= 0xFF;

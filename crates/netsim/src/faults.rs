@@ -589,10 +589,22 @@ struct InjectorState {
     rng: SplitMix64,
     /// This worker's simulated clock: compute + message time + backoff.
     clock: f64,
+    /// The part of `clock` no message's metered price accounts for: see
+    /// [`FaultInjector::waited`].
+    waited: f64,
     stats: FaultSnapshot,
     /// Per-shard overload queues (indexed by shard; grown on demand; empty
     /// for plans without overload windows).
     queues: Vec<QueueState>,
+}
+
+impl InjectorState {
+    /// Charge `secs` of waiting to the clock: time spent beyond any
+    /// message's metered price (a credit when negative).
+    fn wait(&mut self, secs: f64) {
+        self.clock += secs;
+        self.waited += secs;
+    }
 }
 
 /// One worker's fault adjudicator.
@@ -627,6 +639,7 @@ impl FaultInjector {
             inner: Mutex::new(InjectorState {
                 rng,
                 clock: 0.0,
+                waited: 0.0,
                 stats: FaultSnapshot::default(),
                 queues: Vec::new(),
             }),
@@ -653,6 +666,17 @@ impl FaultInjector {
     /// Current simulated instant on this worker's clock.
     pub fn now(&self) -> f64 {
         self.inner.lock().clock
+    }
+
+    /// Simulated seconds this worker has spent so far beyond the metered
+    /// price of its messages and the cost of its compute: refused attempts'
+    /// connect latency, backoff and outage waits (breaker cooldowns
+    /// included), straggler and overload service latency, less hedge
+    /// credits. The clock is the sum of the three. Exactly 0.0 while
+    /// nothing has gone wrong, so a worker's timeline can add it to its comm
+    /// lane without moving a clean run's.
+    pub fn waited(&self) -> f64 {
+        self.inner.lock().waited
     }
 
     /// Advance the clock by raw simulated seconds.
@@ -695,7 +719,7 @@ impl FaultInjector {
                     .any(|k| k.shard == shard && inner.clock >= k.at)
             {
                 // The failed connect still costs one connect-timeout latency.
-                inner.clock += self.cost.remote_latency;
+                inner.wait(self.cost.remote_latency);
                 return Verdict::ShardDead;
             }
         }
@@ -709,7 +733,7 @@ impl FaultInjector {
         {
             // A refused attempt still costs one connect-timeout latency.
             inner.stats.outage_refusals += 1;
-            inner.clock += self.cost.remote_latency;
+            inner.wait(self.cost.remote_latency);
             return Verdict::ShardDown { until: w.end };
         }
 
@@ -738,7 +762,7 @@ impl FaultInjector {
                     // attempt still costs one connect-timeout latency.
                     let retry_at = now + 1.0 / w.drain_rate.max(1.0);
                     inner.stats.overload_sheds += 1;
-                    inner.clock += self.cost.remote_latency;
+                    inner.wait(self.cost.remote_latency);
                     return Verdict::Overloaded { retry_at };
                 }
                 q.depth += 1.0;
@@ -766,7 +790,10 @@ impl FaultInjector {
             inner.stats.slow_messages += 1;
             inner.stats.extra_latency_secs += base * (factor - 1.0);
         }
+        // One charge: the clock's arithmetic decides verdicts, so the wait
+        // is tallied beside it rather than split out of it.
         inner.clock += base * factor + overload_extra;
+        inner.waited += base * (factor - 1.0) + overload_extra;
 
         if remote && self.plan.drop_probability > 0.0 {
             let draw = inner.rng.next_f64();
@@ -810,7 +837,7 @@ impl FaultInjector {
         debug_assert!(secs >= 0.0);
         let mut inner = self.inner.lock();
         inner.stats.backoff_secs += secs;
-        inner.clock += secs;
+        inner.wait(secs);
     }
 
     /// Record `n` cache hits served stale because their shard was down.
@@ -856,7 +883,7 @@ impl FaultInjector {
         inner.stats.hedged_pulls += 1;
         if backup_won {
             inner.stats.hedged_wins += 1;
-            inner.clock -= saved_secs;
+            inner.wait(-saved_secs);
         } else {
             inner.stats.hedged_losses += 1;
         }
@@ -906,6 +933,7 @@ mod tests {
         let s = inj.stats();
         assert_eq!(s, FaultSnapshot::default());
         assert!(inj.now() > 0.0, "clock still advances by message time");
+        assert_eq!(inj.waited(), 0.0, "and nothing else");
     }
 
     #[test]
@@ -1005,6 +1033,8 @@ mod tests {
         let s = inj.stats();
         assert_eq!(s.slow_messages, 1);
         assert!((s.extra_latency_secs - 2.0 * base).abs() < 1e-12);
+        // The slowdown is a wait; the message's own price is not.
+        assert!((inj.waited() - 2.0 * base).abs() < 1e-12);
     }
 
     #[test]
@@ -1029,9 +1059,11 @@ mod tests {
         inj.advance_compute(1_000_000);
         let t1 = inj.now();
         assert!((t1 - cost.compute_time(1_000_000)).abs() < 1e-15);
+        assert_eq!(inj.waited(), 0.0, "compute is not a wait");
         inj.note_backoff(0.25);
         assert!((inj.now() - t1 - 0.25).abs() < 1e-15);
         assert!((inj.stats().backoff_secs - 0.25).abs() < 1e-15);
+        assert_eq!(inj.waited(), 0.25);
     }
 
     /// A ledger whose 32 fields each hold a distinct value: field `i` (in

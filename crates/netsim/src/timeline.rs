@@ -1,11 +1,10 @@
 //! Per-worker two-lane timeline: simulated time as a critical path.
 //!
-//! Historically the simulator charged an epoch as `max(comm, compute)` — an
-//! *idealized* overlap that assumes every byte of communication can hide
-//! behind compute. The timeline replaces that bound with an *achievable*
-//! schedule: every metered PS operation is posted to a **comm lane** and
-//! every counted kernel work-unit block to a **compute lane**, each as a
-//! duration event. A lane is a FIFO (one in-order NIC queue, one core), so
+//! An epoch's simulated time is an *achievable* schedule, not an idealized
+//! `max(comm, compute)` that assumes every byte of communication hides
+//! behind compute: every metered PS operation is posted to a **comm lane**
+//! and every counted kernel work-unit block to a **compute lane**, each as
+//! a duration event. A lane is a FIFO (one in-order NIC queue, one core), so
 //! an event starts when its lane is free *and* its data dependency — the
 //! `after` timestamp of the event it consumes — has completed. Epoch
 //! simulated time is the makespan of the two lanes.

@@ -94,10 +94,10 @@ impl PushCompressor {
     }
 
     /// Adaptive policy step, fed one epoch's comm/compute lane occupancy
-    /// from the worker's timeline. No-op for fixed modes and for epochs
-    /// with no posted time (overlap accounting off).
+    /// from the worker's timeline. No-op for fixed modes; an epoch with no
+    /// posted time is inside the hysteresis band.
     pub fn adapt(&mut self, comm_secs: f64, compute_secs: f64) {
-        if self.mode != CompressionMode::Adaptive || (comm_secs <= 0.0 && compute_secs <= 0.0) {
+        if self.mode != CompressionMode::Adaptive {
             return;
         }
         if comm_secs > TIGHTEN_RATIO * compute_secs && self.level + 1 < LADDER.len() {
@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(c.codec(), Codec::TopKEighth);
         c.adapt(0.1, 1.0); // comm slack: relax
         assert_eq!(c.codec(), Codec::TopKQuarter);
-        c.adapt(0.0, 0.0); // no posted time (overlap off): hold
+        c.adapt(0.0, 0.0); // no posted time: hold
         assert_eq!(c.codec(), Codec::TopKQuarter);
         let s = c.stats();
         assert_eq!(s.level_ups, 2);

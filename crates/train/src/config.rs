@@ -163,11 +163,12 @@ pub struct TrainConfig {
     /// attached.
     #[serde(default)]
     pub supervisor: SupervisorConfig,
-    /// Pipeline iterations: overlap PS communication with compute on the
-    /// per-worker timeline (default on; `--no-overlap` turns it off and
-    /// reproduces the pre-timeline sequential accounting bit for bit).
-    /// Automatically disabled when a perturbing fault plan is attached —
-    /// fault verdicts depend on message order, which pipelining changes.
+    /// Pipeline iterations: stage the next batch's pull so it overlaps the
+    /// compute in flight on the per-worker timeline (default on;
+    /// `--no-overlap` runs the sequential schedule, each operation in turn,
+    /// timed on the same timeline). Automatically disabled when a
+    /// perturbing fault plan is attached — fault verdicts depend on message
+    /// order, which pipelining changes.
     #[serde(default = "default_overlap")]
     pub overlap: bool,
     /// PS replication factor `k`: each shard keeps `k - 1` backup replicas

@@ -5,9 +5,9 @@
 //! run's cost model) and communication time (metered traffic under the same
 //! model), the traffic snapshot itself, cache statistics, training loss, and
 //! (optionally) MRR on a held-out set; real wall time is kept only as a
-//! diagnostic. Epoch time ([`EpochReport::epoch_secs`]) is the worker
-//! timeline's critical path, or `max(compute, comm)` without overlap
-//! accounting — never their sum.
+//! diagnostic. Epoch time ([`EpochReport::epoch_secs`]) has one clock: the
+//! slowest worker timeline's critical path, under whichever schedule the run
+//! used, fault waits included.
 
 use crate::supervisor::SupervisorReport;
 use hetkg_core::metrics::{CacheStats, TableEconomy};
@@ -48,15 +48,17 @@ pub struct EpochReport {
     #[serde(default)]
     pub max_staleness: usize,
     /// The slowest worker's two-lane (comm/compute) critical path this
-    /// epoch, simulated seconds. Zero when overlap accounting is off
-    /// (`--no-overlap`, a perturbing fault plan, or a pre-timeline report),
-    /// in which case [`EpochReport::epoch_secs`] falls back to the
-    /// idealized `max(compute, comm)`.
+    /// epoch, simulated seconds: the epoch's time. A sequential run's is its
+    /// lanes' busy time summed; the comm lane holds what the fault injector
+    /// made the worker wait. Zero only in a report written before the
+    /// timeline existed.
     #[serde(default)]
     pub critical_path_secs: f64,
     /// Simulated seconds of communication hidden behind compute this
-    /// epoch: `compute + comm - critical_path`, clamped at zero. Zero when
-    /// overlap accounting is off.
+    /// epoch: `compute + comm - critical_path`, clamped at zero. A
+    /// diagnostic of the pipelined schedule: `compute` and `comm` may be
+    /// different workers', so a sequential multi-worker run can read above
+    /// zero too.
     #[serde(default)]
     pub overlap_secs: f64,
     /// What the hot tables held and cost across workers this epoch —
@@ -68,18 +70,11 @@ pub struct EpochReport {
 }
 
 impl EpochReport {
-    /// Epoch duration. With overlap accounting on this is the worker
-    /// timeline's critical path — an *achievable* schedule in which only
-    /// the communication actually staged ahead hides behind compute. With
-    /// it off (or for reports written before the timeline existed) it
-    /// falls back to the idealized `max(compute, comm)` bound, preserving
-    /// the historical accounting bit for bit.
+    /// Epoch duration: the critical path of the worker timeline that
+    /// finished last — an *achievable* schedule, in which only the
+    /// communication actually staged ahead hides behind compute.
     pub fn epoch_secs(&self) -> f64 {
-        if self.critical_path_secs > 0.0 {
-            self.critical_path_secs
-        } else {
-            self.compute_secs.max(self.comm_secs)
-        }
+        self.critical_path_secs
     }
 
     /// Communication's share of the measured work,
@@ -192,7 +187,7 @@ impl TrainReport {
     }
 
     /// Total simulated seconds of communication hidden behind compute over
-    /// the run (zero when overlap accounting was off).
+    /// the run ([`EpochReport::overlap_secs`] summed).
     pub fn total_overlap_secs(&self) -> f64 {
         self.epochs.iter().map(|e| e.overlap_secs).sum()
     }
@@ -260,10 +255,13 @@ impl TrainReport {
 mod tests {
     use super::*;
 
-    fn epoch(compute: f64, comm: f64, mrr: Option<f64>) -> EpochReport {
+    /// An epoch of `compute` and `comm` seconds whose timeline took
+    /// `critical_path`.
+    fn epoch(compute: f64, comm: f64, critical_path: f64, mrr: Option<f64>) -> EpochReport {
         EpochReport {
             compute_secs: compute,
             comm_secs: comm,
+            critical_path_secs: critical_path,
             mrr,
             ..Default::default()
         }
@@ -271,31 +269,39 @@ mod tests {
 
     #[test]
     fn epoch_time_is_the_pipelined_max() {
-        let e = epoch(2.0, 6.0, None);
+        // A timeline that hid the shorter lane wholly behind the longer one
+        // ran exactly max(compute, comm): the bound is reached, not assumed.
+        let e = epoch(2.0, 6.0, 6.0, None);
         assert_eq!(e.epoch_secs(), 6.0);
         assert_eq!(e.comm_fraction(), 0.75);
         // Compute-bound epoch: compute paces it.
-        let e = epoch(6.0, 2.0, None);
+        let e = epoch(6.0, 2.0, 6.0, None);
         assert_eq!(e.epoch_secs(), 6.0);
         assert_eq!(e.comm_fraction(), 0.25);
     }
 
     #[test]
     fn critical_path_overrides_the_idealized_max() {
-        let mut e = epoch(2.0, 6.0, None);
-        e.critical_path_secs = 7.5; // real schedule: only 0.5 s overlapped
-        e.overlap_secs = 0.5;
-        assert_eq!(e.epoch_secs(), 7.5);
-        // Zero critical path (overlap off / old reports): the historical
-        // accounting is reproduced exactly.
-        e.critical_path_secs = 0.0;
-        assert_eq!(e.epoch_secs(), 6.0);
+        // A pipelined schedule that hid 0.5 s, a sequential one that hid
+        // nothing, and one whose comm lane also waited out a fault: the
+        // lanes' totals never decide the epoch's time.
+        for critical_path in [7.5, 8.0, 9.25] {
+            let e = epoch(2.0, 6.0, critical_path, None);
+            assert_eq!(e.epoch_secs(), critical_path);
+            assert_eq!(e.comm_fraction(), 0.75);
+        }
+        let e = epoch(6.0, 2.0, 6.5, None);
+        assert_eq!(e.epoch_secs(), 6.5);
+        // A zero critical path (a pre-timeline report) is not replaced by
+        // the idealized max(compute, comm).
+        let e = epoch(2.0, 6.0, 0.0, None);
+        assert_eq!(e.epoch_secs(), 0.0);
     }
 
     #[test]
     fn pre_timeline_report_json_still_loads() {
         let r = TrainReport {
-            epochs: vec![epoch(1.0, 2.0, None)],
+            epochs: vec![epoch(1.0, 2.0, 2.5, None)],
             ..Default::default()
         };
         let mut v = serde_json::to_value(&r).unwrap();
@@ -305,17 +311,20 @@ mod tests {
         let back: TrainReport = serde_json::from_value(v).unwrap();
         assert_eq!(back.epochs[0].critical_path_secs, 0.0);
         assert_eq!(back.epochs[0].overlap_secs, 0.0);
-        assert_eq!(back.total_secs(), 2.0, "idealized fallback");
+        assert_eq!(back.total_compute_secs(), 1.0);
+        assert_eq!(back.total_comm_secs(), 2.0);
+        // Such a report kept no clock, and none is made up from its lanes.
+        assert_eq!(back.total_secs(), 0.0);
         assert_eq!(back.total_overlap_secs(), 0.0);
     }
 
     #[test]
     fn totals_sum_over_epochs() {
         let r = TrainReport {
-            epochs: vec![epoch(1.0, 2.0, None), epoch(1.0, 4.0, None)],
+            epochs: vec![epoch(1.0, 2.0, 2.5, None), epoch(1.0, 4.0, 4.5, None)],
             ..Default::default()
         };
-        assert_eq!(r.total_secs(), 6.0); // max(1,2) + max(1,4)
+        assert_eq!(r.total_secs(), 7.0);
         assert_eq!(r.total_compute_secs(), 2.0);
         assert_eq!(r.total_comm_secs(), 6.0);
         assert_eq!(r.comm_fraction(), 0.75);
@@ -325,9 +334,9 @@ mod tests {
     fn convergence_series_accumulates_time() {
         let r = TrainReport {
             epochs: vec![
-                epoch(1.0, 1.0, Some(0.3)),
-                epoch(1.0, 1.0, None),
-                epoch(1.0, 1.0, Some(0.5)),
+                epoch(1.0, 1.0, 1.0, Some(0.3)),
+                epoch(1.0, 1.0, 1.0, None),
+                epoch(1.0, 1.0, 1.0, Some(0.5)),
             ],
             ..Default::default()
         };
@@ -425,7 +434,7 @@ mod tests {
     #[test]
     fn pre_overload_report_json_still_loads() {
         let r = TrainReport {
-            epochs: vec![epoch(1.0, 2.0, None)],
+            epochs: vec![epoch(1.0, 2.0, 2.5, None)],
             faults: Some(FaultReport {
                 drops: 2,
                 ..Default::default()
@@ -463,7 +472,7 @@ mod tests {
         // Reports serialized before the corrupt counters / staleness /
         // supervisor fields existed must keep deserializing.
         let r = TrainReport {
-            epochs: vec![epoch(1.0, 2.0, None)],
+            epochs: vec![epoch(1.0, 2.0, 2.5, None)],
             faults: Some(FaultReport {
                 drops: 2,
                 ..Default::default()
@@ -499,7 +508,7 @@ mod tests {
     #[test]
     fn pre_compression_report_json_still_loads() {
         let r = TrainReport {
-            epochs: vec![epoch(1.0, 2.0, None)],
+            epochs: vec![epoch(1.0, 2.0, 2.5, None)],
             ..Default::default()
         };
         let mut v = serde_json::to_value(&r).unwrap();

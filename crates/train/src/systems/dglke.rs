@@ -6,7 +6,7 @@
 //! back. No worker-side cache — this is exactly the data path whose
 //! communication share Table I measures.
 //!
-//! With overlap accounting on the loop pipelines like HET-KG's, on the same
+//! With `WorkerCtx::overlap` on the loop pipelines like HET-KG's, on the same
 //! `worker::Pipeline`, which states the schedule: the next batch is drawn while
 //! the current one computes, every key of it pulled, its consume-time
 //! request the plain pull of the keys the batch in flight writes.
@@ -230,8 +230,10 @@ mod tests {
         assert!(stats.wall_secs >= 0.0);
         // No cache.
         assert_eq!(stats.cache.total(), 0);
-        // Overlap accounting off: the timeline is untouched.
-        assert_eq!(stats.critical_path_secs, 0.0);
+        // Sequential: the epoch is the two lanes' time summed.
+        let cost = CostModel::gigabit();
+        let lanes = stats.traffic.simulated_time(&cost) + cost.compute_time(stats.work_units);
+        assert!((stats.critical_path_secs - lanes).abs() < 1e-9);
     }
 
     #[test]
@@ -283,7 +285,8 @@ mod tests {
             // batch are also in flight here, but not all).
             assert_eq!(a.table, TableEconomy::default());
             assert!(b.table.staged_early > 0 && b.table.staged_late > 0);
-            assert_eq!(a.critical_path_secs, 0.0);
+            let seq_lanes = a.traffic.simulated_time(&cost) + cost.compute_time(a.work_units);
+            assert!((a.critical_path_secs - seq_lanes).abs() < 1e-9);
             let comm = b.traffic.simulated_time(&cost);
             let compute = cost.compute_time(b.work_units);
             assert!(b.critical_path_secs > 0.0);
@@ -298,6 +301,26 @@ mod tests {
                 b.critical_path_secs
             );
         }
+    }
+
+    /// The adaptive ladder reads the timeline in either schedule: a
+    /// sequential run whose comm lane outweighs its compute tightens.
+    #[test]
+    fn a_comm_bound_sequential_run_tightens_the_adaptive_ladder() {
+        let cost = CostModel::gigabit();
+        let mut w = build_worker();
+        w.ctx
+            .ps
+            .set_compression(hetkg_netsim::CompressionMode::Adaptive);
+        let stats = w.run_epoch(0);
+        let (comm, compute) = (
+            stats.traffic.simulated_time(&cost),
+            cost.compute_time(stats.work_units),
+        );
+        assert!(comm > 2.0 * compute, "comm {comm} s, compute {compute} s");
+        assert_eq!(w.compression_stats().level_ups, 1);
+        w.run_epoch(1);
+        assert_eq!(w.compression_stats().level_ups, 2);
     }
 
     /// Every row and optimizer-state row of the worker's store, bit for bit.

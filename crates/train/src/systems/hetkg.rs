@@ -55,10 +55,10 @@
 //! Without faults — or with an all-zero fault plan — every key is always
 //! "available" and the data path is identical to the healthy one.
 //!
-//! With overlap accounting on (`WorkerCtx::overlap`), the loop runs on a
-//! `worker::Pipeline`, which states the schedule: while iteration `i` computes,
-//! iteration `i+1` is *staged* — its batch drawn, usage counted, cache
-//! probed, the pull of its misses split and booked. What HET-KG adds:
+//! The loop runs on a `worker::Pipeline`, which states the schedule: with
+//! `WorkerCtx::overlap` on, while iteration `i` computes, iteration `i+1` is
+//! *staged* — its batch drawn, usage counted, cache probed, the pull of its
+//! misses split and booked. What HET-KG adds:
 //!
 //! 1. the consume-time request is a sync's pull-if-newer, with the late
 //!    misses and a rebuild's late fresh rows riding in it; when it syncs,
@@ -570,7 +570,8 @@ impl HetKgWorker {
     /// one that collected several as their sum with its energy. No-op on
     /// the healthy path (backlog empty) and while the shards are still down
     /// or browning out. Keys are flushed in sorted order so the replay is
-    /// deterministic regardless of `HashMap` iteration order.
+    /// deterministic regardless of `HashMap` iteration order. The replay,
+    /// and any wait it met, is posted to the comm lane in turn.
     fn flush_backlog_if_ready(&mut self) {
         if self.backlog.is_empty() {
             return;
@@ -594,6 +595,7 @@ impl HetKgWorker {
             .filter(|d| d.grads > 1)
             .map(|d| d.energy)
             .collect();
+        let before = self.ctx.meter.snapshot();
         match self.ctx.client.try_push_coalesced_rows(
             &ready,
             &energies,
@@ -617,6 +619,8 @@ impl HetKgWorker {
             }
             Err(other) => retries_exhausted("backlog replay", other),
         }
+        let replay = self.ctx.meter.snapshot().since(before);
+        self.ctx.post_comm(replay, 0.0);
     }
 
     /// [`Self::defer_into`], folding the key's pending error-feedback
@@ -1715,8 +1719,9 @@ mod tests {
             // both halves, and a second for the push in front of it.
             let staged = (pipe.ctx.iterations_per_epoch - 1) as u64;
             assert_same_bytes_more_messages(a.traffic, b.traffic, 2 * 2 * staged, "het-kg");
-            // Sequential accounting never touches the timeline.
-            assert_eq!(a.critical_path_secs, 0.0);
+            // The sequential schedule runs each operation in turn.
+            let seq_lanes = a.traffic.simulated_time(&cost) + cost.compute_time(a.work_units);
+            assert!((a.critical_path_secs - seq_lanes).abs() < 1e-9);
             // The pipelined critical path is a real schedule: at least as
             // long as either lane alone, strictly shorter than their sum.
             let comm = b.traffic.simulated_time(&cost);

@@ -17,8 +17,8 @@
 //!
 //! Negatives are corrupted within the loaded partitions, as PBG must.
 //!
-//! With overlap accounting on, every metered operation is posted to the
-//! worker's two-lane timeline with its true data dependencies: chunk
+//! Every metered operation is posted to the worker's two-lane timeline
+//! with its true data dependencies, whether or not the run pipelines: chunk
 //! computes wait for the bucket load and the latest relation re-pull,
 //! dense pushes wait for the compute that produced their gradients, and
 //! the final partition save waits for the last chunk. PBG's schedule is

@@ -6,8 +6,8 @@
 //! When the config carries a [`FaultPlan`](hetkg_netsim::FaultPlan), every
 //! worker's PS client is wired through a per-worker
 //! [`FaultInjector`](hetkg_netsim::FaultInjector), the trainer takes
-//! periodic recovery checkpoints (v2 state through the checked v3 encoding,
-//! on disk when `checkpoint_dir` is set, else as validated in-memory
+//! periodic recovery checkpoints (model and optimizer state, in the checked
+//! encoding, on disk when `checkpoint_dir` is set, else as validated in-memory
 //! images), and each scheduled worker crash goes through the
 //! [`Supervisor`]: missed heartbeats, confirmation, a bounded
 //! restart-with-backoff decision, and a restore from the newest checkpoint
@@ -202,11 +202,12 @@ pub fn train_with_store(
             config.seed,
         ))
     });
-    // Pipelined overlap accounting stays on only when no fault plan can
-    // perturb a message: staging pulls ahead of the sequential order is
-    // value-preserving exactly because nothing can reorder or fail them.
-    // An *inert* plan (all-zero) keeps overlap on, preserving the
-    // contract that attaching it is byte-identical to attaching none.
+    // The loops pipeline only when no fault plan can perturb a message:
+    // staging pulls ahead of the sequential order is value-preserving
+    // exactly because nothing can reorder or fail them. A perturbing plan
+    // runs the sequential schedule, timed on the same timelines. An *inert*
+    // plan (all-zero) keeps the pipeline, preserving the contract that
+    // attaching it is byte-identical to attaching none.
     let overlap = config.overlap && config.faults.as_ref().is_none_or(|p| p.is_inert());
     let build_workers = |subgraphs: Vec<Vec<Triple>>| -> Vec<Box<dyn WorkerLoop>> {
         // PBG workers share one lock server; a rebuild gets a fresh one so
@@ -579,7 +580,8 @@ fn run_epoch_interleaved(
 }
 
 /// Fold worker stats into an epoch report: times are the slowest worker's,
-/// traffic and cache stats are summed, loss is averaged over terms.
+/// the epoch's the slowest timeline's; traffic and cache stats are summed,
+/// loss is averaged over terms.
 fn aggregate(epoch: usize, stats: &[WorkerEpochStats], config: &TrainConfig) -> EpochReport {
     let mut er = EpochReport {
         epoch,
@@ -587,9 +589,8 @@ fn aggregate(epoch: usize, stats: &[WorkerEpochStats], config: &TrainConfig) -> 
     };
     let mut loss_sum = 0.0;
     let mut loss_terms = 0usize;
-    let mut cp = 0.0f64;
     for s in stats {
-        cp = cp.max(s.critical_path_secs);
+        er.critical_path_secs = er.critical_path_secs.max(s.critical_path_secs);
         er.compute_secs = er
             .compute_secs
             .max(config.cost_model.compute_time(s.work_units));
@@ -611,20 +612,13 @@ fn aggregate(epoch: usize, stats: &[WorkerEpochStats], config: &TrainConfig) -> 
     } else {
         loss_sum / loss_terms as f64
     };
-    if config.overlap && cp > 0.0 {
-        // The per-op events are metered with the same counters the totals
-        // come from, so the epoch critical path can differ from the
-        // totals-based lane times only by float summation order; clamp it
-        // into its analytic bounds so `overlap_secs` never goes negative.
-        er.critical_path_secs = cp.max(er.compute_secs).max(er.comm_secs);
-        er.overlap_secs = (er.compute_secs + er.comm_secs - er.critical_path_secs).max(0.0);
-    }
+    er.overlap_secs = (er.compute_secs + er.comm_secs - er.critical_path_secs).max(0.0);
     er
 }
 
 /// Copy the global model out of the PS into a serializable
-/// [`Checkpoint`](hetkg_embed::checkpoint::Checkpoint) (version 1: model
-/// only, no train state).
+/// [`Checkpoint`](hetkg_embed::checkpoint::Checkpoint): the model only, no
+/// train state.
 pub fn checkpoint(store: &KvStore, ks: KeySpace) -> Checkpoint {
     let snap = snapshot(store, ks);
     Checkpoint::new(snap.entities, snap.relations)
@@ -632,8 +626,8 @@ pub fn checkpoint(store: &KvStore, ks: KeySpace) -> Checkpoint {
 
 /// Copy the full resumable training state out of the PS: the model tables
 /// plus the epoch counter, an optimizer label, and the optimizer-state
-/// tables (a version-2 checkpoint). This is what the trainer's periodic
-/// recovery checkpoints and the crash-recovery restore use.
+/// tables. This is what the trainer's periodic recovery checkpoints and the
+/// crash-recovery restore use.
 pub fn checkpoint_v2(store: &KvStore, ks: KeySpace, epoch: u64, optimizer: &str) -> Checkpoint {
     let mut entities = EmbeddingTable::zeros(ks.num_entities(), store.entity_dim());
     let mut relations = EmbeddingTable::zeros(ks.num_relations(), store.relation_dim());
@@ -663,8 +657,8 @@ pub fn checkpoint_v2(store: &KvStore, ks: KeySpace, epoch: u64, optimizer: &str)
 }
 
 /// Overwrite the PS contents from a checkpoint (crash recovery). Restores
-/// optimizer state too when the checkpoint carries it (v2) and its shapes
-/// match the store's; a v1 checkpoint restores the model only.
+/// optimizer state too when the checkpoint carries it and its shapes match
+/// the store's; one without train state restores the model only.
 pub fn restore_checkpoint(store: &KvStore, ks: KeySpace, ck: &Checkpoint) {
     assert_eq!(
         ck.entities.rows(),

@@ -44,9 +44,10 @@ pub struct WorkerEpochStats {
     /// Largest cache staleness (iterations since sync) this worker has
     /// observed so far in the run (0 for cacheless systems).
     pub max_staleness: usize,
-    /// This epoch's two-lane critical path in simulated seconds: the
-    /// makespan of the worker's comm and compute lanes under the pipelined
-    /// schedule. Zero when overlap accounting is disabled.
+    /// This epoch's time in simulated seconds: the makespan of the worker's
+    /// comm and compute lanes, under whichever schedule the loop ran — the
+    /// pipelined one, or the sequential one, where it is the two lanes'
+    /// busy time summed. The comm lane includes the fault injector's waits.
     pub critical_path_secs: f64,
     /// What the hot table held and cost this epoch (zero for cacheless
     /// systems), and how the pipeline split the staged pulls.
@@ -96,16 +97,21 @@ pub struct WorkerCtx {
     /// Cost model turning meter deltas and work units into durations for
     /// the timeline (the trainer passes its own; defaults to gigabit).
     pub cost: CostModel,
-    /// Whether overlap accounting is on. Off, the timeline is never posted
-    /// to and every report field matches the pre-timeline sequential
-    /// accounting bit for bit.
+    /// Whether the loop pipelines: stages the next batch behind the one in
+    /// flight. Off, it runs the sequential schedule, each operation in turn.
+    /// Either way every operation is posted to the timeline.
     pub overlap: bool,
-    /// This worker's two-lane schedule (comm, compute).
+    /// This worker's two-lane schedule (comm, compute): its epoch clock.
     pub timeline: Timeline,
     /// Cumulative per-lane busy seconds at epoch start ([comm, compute]),
     /// so the adaptive compression policy sees this epoch's occupancy
     /// delta rather than the whole run's.
     epoch_busy: [f64; 2],
+    /// The fault injector's [`waited`](hetkg_netsim::FaultInjector::waited)
+    /// total already posted to the comm lane — or spent before this worker
+    /// was built: a crash recovery rebuilds the workers on the run's
+    /// injectors.
+    waits_posted: f64,
 }
 
 impl WorkerCtx {
@@ -125,6 +131,7 @@ impl WorkerCtx {
     ) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         let iterations_per_epoch = subgraph.len().div_ceil(batch_size).max(1);
+        let waits_posted = client.faults().map_or(0.0, |f| f.waited());
         Self {
             worker_id,
             subgraph,
@@ -144,11 +151,12 @@ impl WorkerCtx {
             overlap: false,
             timeline: Timeline::pipelined(),
             epoch_busy: [0.0; 2],
+            waits_posted,
         }
     }
 
     /// Configure the timing model: the cost model pricing this worker's
-    /// timeline events, and whether overlap accounting is enabled.
+    /// timeline events, and whether the loop pipelines.
     pub fn with_timing(mut self, cost: CostModel, overlap: bool) -> Self {
         self.cost = cost;
         self.overlap = overlap;
@@ -178,57 +186,48 @@ impl WorkerCtx {
 
     /// Post a metered comm operation to the timeline's comm lane, not
     /// starting before `after` (the completion time of the event whose
-    /// output it carries; `0.0` when none). Returns the operation's
-    /// completion time, or `0.0` when overlap accounting is off (the
-    /// timeline is untouched, preserving sequential accounting exactly).
+    /// output it carries; `0.0` when none), and with it whatever the fault
+    /// injector made this worker wait since the last post — the exchange
+    /// that waited is the one just carried. Returns the operation's
+    /// completion time.
     pub fn post_comm(&mut self, delta: TrafficSnapshot, after: f64) -> f64 {
-        if !self.overlap {
-            return 0.0;
+        let mut duration = delta.simulated_time(&self.cost);
+        if let Some(f) = self.client.faults() {
+            let waited = f.waited();
+            duration += waited - self.waits_posted;
+            self.waits_posted = waited;
         }
-        let duration = delta.simulated_time(&self.cost);
         self.timeline.post(Lane::Comm, duration, after)
     }
 
     /// Post a kernel block of `work_units` to the compute lane, not
     /// starting before `after` (its input pull's completion). Returns its
-    /// completion time, or `0.0` when overlap accounting is off.
+    /// completion time.
     pub fn post_compute(&mut self, work_units: u64, after: f64) -> f64 {
-        if !self.overlap {
-            return 0.0;
-        }
         let duration = self.cost.compute_time(work_units);
         self.timeline.post(Lane::Compute, duration, after)
     }
 
-    /// Mark the start of an epoch on the timeline (no-op when overlap
-    /// accounting is off).
+    /// Mark the start of an epoch on the timeline.
     pub fn begin_epoch_timing(&mut self) {
-        if self.overlap {
-            self.timeline.begin_epoch();
-            self.epoch_busy = [
-                self.timeline.busy(Lane::Comm),
-                self.timeline.busy(Lane::Compute),
-            ];
-        }
+        self.timeline.begin_epoch();
+        self.epoch_busy = [
+            self.timeline.busy(Lane::Comm),
+            self.timeline.busy(Lane::Compute),
+        ];
     }
 
-    /// Close the epoch on the timeline and return its critical path
-    /// (`0.0` when overlap accounting is off). The epoch's comm/compute
-    /// lane occupancy is fed to the adaptive compression policy here:
-    /// "tighten only when the comm lane is critical" is judged on exactly
-    /// the occupancy the pipeline timeline measured. Fixed compression
-    /// modes (and overlap-off runs, which post no lane time) are
-    /// unaffected.
+    /// Close the epoch on the timeline and return its critical path. The
+    /// epoch's comm/compute lane occupancy is fed to the adaptive
+    /// compression policy here: "tighten only when the comm lane is
+    /// critical" is judged on exactly the occupancy the timeline measured,
+    /// in every schedule. Fixed compression modes are unaffected.
     pub fn end_epoch_timing(&mut self) -> f64 {
-        if self.overlap {
-            let cp = self.timeline.end_epoch();
-            let comm = self.timeline.busy(Lane::Comm) - self.epoch_busy[0];
-            let compute = self.timeline.busy(Lane::Compute) - self.epoch_busy[1];
-            self.ps.adapt_compression(comm, compute);
-            cp
-        } else {
-            0.0
-        }
+        let cp = self.timeline.end_epoch();
+        let comm = self.timeline.busy(Lane::Comm) - self.epoch_busy[0];
+        let compute = self.timeline.busy(Lane::Compute) - self.epoch_busy[1];
+        self.ps.adapt_compression(comm, compute);
+        cp
     }
 
     /// Advance the fault injector's simulated clock by this worker's compute
@@ -813,15 +812,26 @@ mod tests {
     /// Worker 0's context on a `machines`-shard store, and the store (so a
     /// test can attach another worker's client to it).
     fn ctx_on(machines: usize) -> (WorkerCtx, Arc<KvStore>) {
+        faulty_ctx_on(machines, None)
+    }
+
+    /// [`ctx_on`], its client reporting to `faults` when given.
+    fn faulty_ctx_on(
+        machines: usize,
+        faults: Option<&Arc<FaultInjector>>,
+    ) -> (WorkerCtx, Arc<KvStore>) {
         let store = store_on(machines, 1);
         let ks = store.router().key_space();
         let meter = Arc::new(TrafficMeter::new());
-        let client = PsClient::new(
+        let mut client = PsClient::new(
             0,
             ClusterTopology::new(machines, 1),
             store.clone(),
             meter.clone(),
         );
+        if let Some(f) = faults {
+            client = client.with_faults(f.clone());
+        }
         let subgraph = vec![
             Triple::new(0, 0, 1),
             Triple::new(1, 1, 2),
@@ -1200,15 +1210,46 @@ mod tests {
     }
 
     #[test]
-    fn timing_disabled_never_touches_the_timeline() {
+    fn a_sequential_run_is_timed_on_its_timeline() {
         let mut c = ctx();
         assert!(!c.overlap);
-        let (delta, _) = pull(&mut c, &[ParamKey(0)]);
-        assert_eq!(c.post_comm(delta, 0.0), 0.0);
-        assert_eq!(c.post_compute(1_000, 5.0), 0.0);
         c.begin_epoch_timing();
-        assert_eq!(c.end_epoch_timing(), 0.0);
-        assert_eq!(c.timeline.now(), 0.0);
+        let (delta, _) = pull(&mut c, &[ParamKey(0)]);
+        let pull_end = c.post_comm(delta, 0.0);
+        assert_eq!(pull_end, delta.simulated_time(&c.cost));
+        let compute_end = c.post_compute(1_000, pull_end);
+        assert_eq!(compute_end, pull_end + c.cost.compute_time(1_000));
+        let busy = c.timeline.busy(Lane::Comm) + c.timeline.busy(Lane::Compute);
+        assert_eq!(c.end_epoch_timing(), busy);
+    }
+
+    /// What the fault injector makes a worker wait lands on the comm post
+    /// of the exchange that waited, and only there: here a pull into an
+    /// outage, which is waited out. A worker rebuilt on the same injector,
+    /// as crash recovery rebuilds them, posts none of it again.
+    #[test]
+    fn a_fault_wait_is_posted_with_the_exchange_that_waited() {
+        let plan = FaultPlan::shard_outage(1, 0, 0.0, 0.01);
+        let cost = CostModel::gigabit();
+        let f = Arc::new(FaultInjector::new(plan, cost, 0));
+        let (mut c, _) = faulty_ctx_on(1, Some(&f));
+        c.begin_epoch_timing();
+        let (delta, _) = pull(&mut c, &[ParamKey(0)]);
+        assert!(f.waited() > 0.0099, "the pull waited the outage out");
+        let pull_end = c.post_comm(delta, 0.0);
+        assert_eq!(pull_end, delta.simulated_time(&cost) + f.waited());
+        assert!((pull_end - f.now()).abs() < 1e-12, "one clock");
+        let waited = f.waited();
+        let (delta, _) = pull(&mut c, &[ParamKey(0)]);
+        assert_eq!(f.waited(), waited, "the outage is over");
+        let again = c.post_comm(delta, 0.0) - pull_end;
+        assert!(
+            (again - delta.simulated_time(&cost)).abs() < 1e-15,
+            "nothing posted twice"
+        );
+        let (mut rebuilt, _) = faulty_ctx_on(1, Some(&f));
+        let (delta, _) = pull(&mut rebuilt, &[ParamKey(0)]);
+        assert_eq!(rebuilt.post_comm(delta, 0.0), delta.simulated_time(&cost));
     }
 
     #[test]

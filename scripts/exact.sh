@@ -37,16 +37,19 @@
 # overload (its window arms the retry budget and breakers), chaos, chaos
 # --replication 2, and failover --replication 2 — on `--synthetic fb15k
 # --epochs 3` with `--oracle on`, and prints `=` / `≠` per profile for the
-# run's stdout, the checkpoint's bytes and the `--report` JSON (its fault
-# ledger included) with its `wall_secs` lines removed. Fault runs report
-# simulated time only, so all three are deterministic.
+# run's stdout, the checkpoint's bytes, the `--report` JSON (its fault
+# ledger included) with its `wall_secs` lines removed, and that JSON's
+# `values`: also without its `critical_path_secs` and `overlap_secs` lines,
+# so a change that moves only simulated time shows `=` there while stdout
+# and report move. Fault runs report simulated time only, so all four are
+# deterministic.
 #
 # Prints; gates nothing: a change that means to move a field says so, and
 # this is the table it says it with.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 1 ]] || { sed -n '2,45p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,48p' "$0" >&2; exit 2; }
 sha="$(git rev-parse --short=12 "$1^{commit}")"
 shift
 mode=(--seconds 3 --trace 1 --quick)
@@ -73,7 +76,7 @@ if [[ $faults == 1 ]]; then
     here_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")"
     (cd "$root/src" && CARGO_TARGET_DIR="$root/target" cargo build --release --quiet --bin hetkg)
     cargo build --release --quiet --bin hetkg
-    printf '%-6s %-42s %-7s%-11s%s\n' seed profile stdout checkpoint report
+    printf '%-6s %-42s %-7s%-11s%-7s%s\n' seed profile stdout checkpoint report values
     for seed in "${seeds[@]}"; do
         for profile in "${profiles[@]}"; do
             # One directory per side, so the printed checkpoint path agrees.
@@ -86,11 +89,12 @@ if [[ $faults == 1 ]]; then
                 (cd "$dir" && "$bin" train --synthetic fb15k --epochs 3 --seed "$seed" \
                     --fault-profile $profile --oracle on --out model.bin \
                     --report report.json > stdout.txt 2>&1 || echo "exit $?" >> stdout.txt
-                    grep -v '"wall_secs"' report.json > report.txt || true)
+                    grep -v '"wall_secs"' report.json > report.txt || true
+                    grep -v -E '"(critical_path_secs|overlap_secs)"' report.txt > values.txt || true)
             done
             same() { cmp -s "$root/faults/a/$1" "$root/faults/b/$1" && echo "=" || echo "≠"; }
-            printf '%-6s %-42s %s      %s          %s\n' "$seed" "$profile" \
-                "$(same stdout.txt)" "$(same model.bin)" "$(same report.txt)"
+            printf '%-6s %-42s %s      %s          %s      %s\n' "$seed" "$profile" \
+                "$(same stdout.txt)" "$(same model.bin)" "$(same report.txt)" "$(same values.txt)"
         done
     done
     exit 0

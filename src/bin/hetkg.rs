@@ -157,8 +157,8 @@ fn usage() {
     println!("  --checkpoint P  checkpoint input for `eval` / `serve`");
     println!("  --seed N        master seed                          (default 42)");
     println!("  --no-overlap    disable comm/compute pipelining: stage nothing ahead and");
-    println!("                  report epoch time as max(compute, comm), the");
-    println!("                  perfect-overlap bound");
+    println!("                  run each operation in turn; epoch time is that");
+    println!("                  sequential schedule's, on the same timeline");
     println!("  --compress C    push-path gradient compression        (default off)");
     println!("                  off: dense f32 rows, bit-identical to pre-compression");
     println!("                  int8 | int4: per-row scaled quantization");
@@ -736,7 +736,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         );
     }
     let overlapped = report.total_overlap_secs();
-    if overlapped > 0.0 {
+    if table.staged_early + table.staged_late > 0 {
         println!(
             "pipelining hid {:.2}s of communication behind compute ({:.2}s sequential -> {:.2}s critical path)",
             overlapped,

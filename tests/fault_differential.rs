@@ -182,4 +182,45 @@ fn lossy_network_costs_time_but_not_convergence() {
         lossy.total_comm_secs() > clean.total_comm_secs(),
         "retransmissions and backoff must show up in simulated time"
     );
+    assert!(lossy.total_secs() > clean.total_secs());
+}
+
+#[test]
+fn waits_are_in_epoch_time() {
+    // A perturbing plan runs the sequential schedule, timed on the same
+    // worker timelines as a clean sequential run of the same config; what
+    // the faults made the workers wait is on their comm lanes, so the run
+    // reports more time than the clean one, never the same or less.
+    let (kg, train_set) = workload();
+    for system in [
+        SystemKind::DglKe,
+        SystemKind::HetKgCps,
+        SystemKind::HetKgDps,
+        SystemKind::Pbg,
+    ] {
+        let mut cfg = TrainConfig::small(system);
+        cfg.epochs = 3;
+        cfg.eval_candidates = None;
+        cfg.overlap = false;
+        let clean = train(&kg, &train_set, &[], &cfg);
+        // Shard 1 down over the run's second fifth.
+        let t = clean.total_secs();
+        let plans = [
+            ("lossy", FaultPlan::lossy(23, 0.05)),
+            ("outage", FaultPlan::shard_outage(23, 1, 0.2 * t, 0.4 * t)),
+        ];
+        for (name, plan) in plans {
+            let mut faulty_cfg = cfg.clone();
+            faulty_cfg.faults = Some(plan);
+            let faulty = train(&kg, &train_set, &[], &faulty_cfg);
+            let fr = faulty.faults.expect("plan attached");
+            assert!(fr.backoff_secs > 0.0, "{system} {name}: nothing waited");
+            assert!(
+                faulty.total_secs() > clean.total_secs(),
+                "{system} {name}: {} s, the clean run {} s",
+                faulty.total_secs(),
+                clean.total_secs()
+            );
+        }
+    }
 }

@@ -1,11 +1,15 @@
-//! Differential tests for the pipelined timeline: overlap accounting must
-//! change *when* simulated time is spent, never *what* is measured.
+//! Differential tests for the pipelined timeline: pipelining must change
+//! *when* simulated time is spent, never *what* is measured.
 //!
 //! Three contracts, each checked across systems, seeds, and fault settings:
 //!
-//! 1. `--no-overlap` (config `overlap = false`) reproduces the pre-timeline
-//!    sequential accounting bit for bit: zero critical path, epoch time
-//!    `max(compute, comm)`.
+//! 1. `--no-overlap` (config `overlap = false`) runs the sequential
+//!    schedule and times it on the same per-worker timeline: every epoch
+//!    has a non-zero critical path, equal for each worker to its compute
+//!    lane's busy time plus its comm lane's — on one worker, the report's
+//!    compute and comm seconds summed; on several, between the larger of
+//!    the two and their sum. Under a lossy plan the waits are on the comm
+//!    lane too, so the critical path is no less.
 //! 2. Turning overlap on leaves losses, cache counters, compute seconds and
 //!    bytes — per lane, per cause — bit-identical. Messages may only grow,
 //!    by at most one per shard per staged iteration for the pull split (a
@@ -14,9 +18,10 @@
 //!    both parts of the push in front of a staged batch — those its
 //!    consume-time request reads, and the rest — is sent two frames), and
 //!    communication seconds move by those messages' modelled cost alone.
-//!    Beyond that only the epoch's critical path (the schedule) changes,
-//!    and for the three parameter-server systems it drops strictly below
-//!    the sequential sum.
+//!    Beyond that only the epoch's critical path (the schedule) changes:
+//!    for the three parameter-server systems some communication hides
+//!    behind compute. Whether the pipelined epoch is the shorter one is
+//!    not asserted — the split's extra messages can cost more than it hides.
 //! 3. A perturbing fault plan disables the pipeline outright (fault
 //!    verdicts depend on message order), so faulty reports are bit-equal
 //!    with overlap on or off; an all-zero (inert) plan keeps it enabled.
@@ -66,23 +71,35 @@ fn no_overlap_reproduces_the_sequential_accounting() {
     for seed in SEEDS {
         let (kg, train_set) = workload(seed);
         for system in SYSTEMS {
-            for faults in [None, Some(FaultPlan::lossy(seed, 0.05))] {
+            // One machine (local traffic, which never drops), then two
+            // without and with a lossy network.
+            for (machines, lossy) in [(1, false), (2, false), (2, true)] {
                 let mut cfg = config(system, seed);
                 cfg.overlap = false;
-                cfg.faults = faults.clone();
+                cfg.machines = machines;
+                cfg.faults = lossy.then(|| FaultPlan::lossy(seed, 0.05));
                 let report = train(&kg, &train_set, &[], &cfg);
                 for e in &report.epochs {
-                    assert_eq!(
-                        e.critical_path_secs, 0.0,
-                        "{system} seed {seed}: sequential run touched the timeline"
+                    let at = format!("{system} seed {seed} {machines} machines epoch {}", e.epoch);
+                    let cp = e.critical_path_secs;
+                    let (longer, sum) = (
+                        e.compute_secs.max(e.comm_secs),
+                        e.compute_secs + e.comm_secs,
                     );
-                    assert_eq!(e.overlap_secs, 0.0);
-                    assert_eq!(
-                        e.epoch_secs().to_bits(),
-                        e.compute_secs.max(e.comm_secs).to_bits(),
-                        "{system} seed {seed}: epoch {} time is not the idealized max",
-                        e.epoch
+                    assert_eq!(e.epoch_secs().to_bits(), cp.to_bits(), "{at}");
+                    assert!(cp > 0.0, "{at}: the sequential run was not timed");
+                    assert!(
+                        cp + 1e-9 >= longer,
+                        "{at}: {cp} s below a lane's {longer} s"
                     );
+                    if machines == 1 {
+                        assert!(
+                            (cp - sum).abs() <= 1e-9,
+                            "{at}: {cp} s, but the one worker's lanes sum to {sum} s"
+                        );
+                    } else if !lossy {
+                        assert!(cp <= sum + 1e-9, "{at}: {cp} s above the lanes' {sum} s");
+                    }
                 }
             }
         }
@@ -154,10 +171,10 @@ fn overlap_changes_the_schedule_but_not_the_measurements() {
                     b.comm_secs
                 );
                 // The pipelined epoch time is a real two-lane schedule:
-                // bounded below by either lane, above by their sum.
-                assert!(b.critical_path_secs >= b.compute_secs.max(b.comm_secs));
+                // bounded below by either lane, above by their sum. Which
+                // schedule is faster is not asserted.
+                assert!(b.critical_path_secs + 1e-9 >= b.compute_secs.max(b.comm_secs));
                 assert!(b.critical_path_secs <= b.compute_secs + b.comm_secs + 1e-9);
-                assert!(b.epoch_secs() >= a.epoch_secs());
             }
             // The parameter-server systems must actually hide communication:
             // a staged key goes out early unless the batch in flight writes
@@ -250,17 +267,17 @@ fn perturbing_fault_plans_disable_the_pipeline() {
         assert_eq!(a.total_traffic(), b.total_traffic());
         assert_eq!(a.faults, b.faults, "{system}: fault accounting diverged");
         assert_eq!(
-            a.total_secs().to_bits(),
-            b.total_secs().to_bits(),
-            "{system}: a perturbing plan must force the sequential schedule"
+            a.total_table().staged_early + a.total_table().staged_late,
+            0,
+            "{system}: a batch was staged under a perturbing fault plan"
         );
         for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
             assert_eq!(ea.loss.to_bits(), eb.loss.to_bits());
             assert_eq!(
-                ea.critical_path_secs, 0.0,
-                "{system}: overlap ran under a perturbing fault plan"
+                ea.critical_path_secs.to_bits(),
+                eb.critical_path_secs.to_bits(),
+                "{system}: a perturbing plan must force the sequential schedule"
             );
-            assert_eq!(eb.critical_path_secs, 0.0);
         }
     }
 }

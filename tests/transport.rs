@@ -56,7 +56,10 @@ fn run(
     }
     let (report, store) = trainer::train_with_store(kg, train, &[], &cfg);
     let ck = trainer::checkpoint(&store, kg.key_space());
-    (report, ck.to_bytes().expect("checkpoint fits").to_vec())
+    (
+        report,
+        ck.to_bytes_checked().expect("checkpoint fits").to_vec(),
+    )
 }
 
 fn assert_identical(system: SystemKind, seed: u64, socket: TransportKind) {
@@ -194,7 +197,10 @@ fn written_back_rows_cross_the_sockets_with_their_energies() {
                 }
                 let (report, store) = trainer::train_with_store(&kg, &train, &[], &cfg);
                 let ck = trainer::checkpoint(&store, kg.key_space());
-                (report, ck.to_bytes().expect("checkpoint fits").to_vec())
+                (
+                    report,
+                    ck.to_bytes_checked().expect("checkpoint fits").to_vec(),
+                )
             };
             let what = format!("P = {staleness}, {compression:?}");
             let ((sim, sim_ck), (uds, uds_ck)) = (run(TransportKind::Sim), run(TransportKind::Uds));
