@@ -1,49 +1,53 @@
-//! Worker supervision: heartbeats, a timeout failure detector, and a
-//! bounded restart-with-backoff budget, all in simulated time.
+//! Worker supervision: a timeout failure detector and a bounded
+//! restart-with-backoff budget for the worker pool, all in simulated time.
 //!
-//! The trainer drives this state machine: workers `beat` at the end of every
-//! epoch with their injector's simulated clock; when an injected crash
-//! silences a worker, `poll` (called after a full heartbeat timeout of
-//! silence) flags it `Suspected`, `confirm_crash` marks it `Restarting`, and
-//! `request_restart` either grants a restart — after an exponentially
-//! growing simulated backoff — or exhausts the budget and parks the worker
-//! in `Failed`. Every transition is recorded as a [`SupervisorEvent`] and
-//! folded into the run's [`SupervisorReport`].
-//!
-//! Per-worker state machine:
+//! A crash takes the whole pool, so the supervisor keeps one restart count
+//! and one instant for it: the newest the cluster is known to have reached,
+//! which is the latest of the cluster's clock at the end of each epoch the
+//! pool got through and the end of each restart's backoff. The trainer
+//! reports each such epoch (`epoch_done`) and each crash (`crash`). A crash
+//! is detected one heartbeat timeout (and a hair) after the later of that
+//! instant and the cluster's clock; every worker is recorded as silent and
+//! crashed, and the pool either restarts, after an exponentially growing
+//! backoff, or, its budget spent, is given up. Every transition is recorded
+//! per worker as a [`SupervisorEvent`] and folded into the run's
+//! [`SupervisorReport`].
 //!
 //! ```text
-//! Healthy --poll timeout--> Suspected --confirm_crash--> Restarting
-//!    ^                                                       |
-//!    |          request_restart (budget left, backoff)       |
-//!    +-------------------------------------------------------+
-//!                                                            |
-//!              request_restart (budget exhausted)            v
-//!                                                         Failed
+//!   epoch_done(now): newest = max(newest, now)
+//!   +-------+
+//!   v       |
+//! Running --+--crash(epoch, now)--> detected at max(newest, now) + timeout
+//!   ^                                              |
+//!   |  budget left: restart after backoff b,       |
+//!   |  newest = max(newest, detection + b)         |
+//!   +----------------------------------------------+
+//!                                                  | budget spent
+//!                                                  v
+//!                                               Given up
 //! ```
 
 use serde::{Deserialize, Serialize};
 
-/// Simulated seconds of heartbeat silence before a worker is suspected:
-/// 50 ms. Workers beat once per epoch and a crash silences the whole pool,
-/// so the trainer's sweep one timeout after the newest beat always finds it;
+/// Simulated seconds of heartbeat silence before the pool is suspected:
+/// 50 ms. The pool is heard from once per epoch and a crash silences all of
+/// it, so a detection one timeout after its newest instant always finds it;
 /// the value only dates the detection in the report, and 50 ms is short
 /// against any epoch.
-pub const HEARTBEAT_TIMEOUT_SECS: f64 = 0.050;
-/// Simulated backoff before a worker's first restart: 10 ms, a fifth of the
+const HEARTBEAT_TIMEOUT_SECS: f64 = 0.050;
+/// Simulated backoff before the pool's first restart: 10 ms, a fifth of the
 /// heartbeat timeout, so the pool is back well inside one detection window.
 const RESTART_BACKOFF_SECS: f64 = 0.010;
-/// Each further restart of the same worker waits twice as long as the one
-/// before: a worker that keeps dying backs off exponentially until its
-/// restart budget runs out.
+/// Each further restart waits twice as long as the one before: a pool that
+/// keeps dying backs off exponentially until its restart budget runs out.
 const RESTART_BACKOFF_FACTOR: f64 = 2.0;
 
-/// The restart budget: how many restarts a worker is granted before the
-/// supervisor gives up (`--max-restarts`). Detection and backoff timings
+/// The restart budget: how many restarts the worker pool is granted before
+/// the supervisor gives up (`--max-restarts`). Detection and backoff timings
 /// are constants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
-    /// Restarts granted per worker before the supervisor gives up.
+    /// Restarts granted to the pool before the supervisor gives up.
     #[serde(default = "default_max_restarts")]
     pub max_restarts: u32,
 }
@@ -60,30 +64,18 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Where a worker sits in the supervision state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkerState {
-    /// Heartbeats arriving on schedule.
-    Healthy,
-    /// Heartbeat overdue; not yet confirmed dead.
-    Suspected,
-    /// Confirmed crashed; awaiting a restart decision.
-    Restarting,
-    /// Restart budget exhausted; permanently down.
-    Failed,
-}
-
 /// One supervision transition, timestamped in simulated seconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SupervisorEvent {
-    /// A worker's heartbeat went silent past the timeout.
+    /// A worker's heartbeat went silent past the timeout (recorded for
+    /// every worker of the crashed pool).
     MissedHeartbeat {
         /// The silent worker.
         worker: usize,
         /// Simulated instant of detection.
         at: f64,
     },
-    /// A suspected worker was confirmed crashed.
+    /// A silent worker was confirmed crashed.
     CrashDetected {
         /// The crashed worker.
         worker: usize,
@@ -92,20 +84,20 @@ pub enum SupervisorEvent {
         /// Simulated instant of confirmation.
         at: f64,
     },
-    /// A crashed worker was granted a restart.
+    /// A crashed worker was restarted with the pool.
     Restarted {
         /// The restarted worker.
         worker: usize,
-        /// Which restart this is for the worker (1-based).
+        /// Which restart of the pool this is (1-based).
         attempt: u32,
         /// Simulated backoff waited before the restart.
         backoff: f64,
     },
-    /// A worker exhausted its restart budget.
+    /// A worker was abandoned with the pool, its restart budget spent.
     GaveUp {
         /// The abandoned worker.
         worker: usize,
-        /// Restarts it had consumed.
+        /// Restarts the pool had been granted.
         restarts: u32,
     },
     /// Recovery found no checkpoint that validates; the run cannot resume.
@@ -123,27 +115,15 @@ pub enum SupervisorEvent {
     },
 }
 
-/// The outcome of asking the supervisor to restart a crashed worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RestartDecision {
-    /// Restart granted after this much simulated backoff.
-    Restart {
-        /// Simulated seconds waited before the worker comes back.
-        backoff: f64,
-    },
-    /// Budget exhausted; the worker stays down.
-    GiveUp,
-}
-
 /// Run-level supervision accounting, attached to the train report when a
 /// fault plan was active.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorReport {
-    /// Missed-heartbeat detections.
+    /// Missed-heartbeat detections (one per worker per crash).
     pub detections: u64,
     /// Restarts granted (summed over workers).
     pub restarts: u64,
-    /// Whether any worker was abandoned (budget exhausted or no valid
+    /// Whether the pool was abandoned (budget exhausted or no valid
     /// checkpoint to restore).
     pub gave_up: bool,
     /// Total simulated seconds spent in restart backoff.
@@ -158,107 +138,81 @@ pub struct SupervisorReport {
     pub events: Vec<SupervisorEvent>,
 }
 
-/// The failure detector and restart arbiter for one training run.
+/// The failure detector and restart arbiter for one training run's pool.
 #[derive(Debug)]
 pub struct Supervisor {
     config: SupervisorConfig,
-    states: Vec<WorkerState>,
-    last_beat: Vec<f64>,
-    restarts: Vec<u32>,
+    num_workers: usize,
+    /// Restarts the pool has been granted.
+    restarts: u32,
+    /// The newest simulated instant the pool is known to have reached.
+    newest: f64,
     report: SupervisorReport,
 }
 
 impl Supervisor {
-    /// Supervise `num_workers` workers, all initially healthy with a
-    /// heartbeat at simulated time zero.
+    /// Supervise a pool of `num_workers` workers, heard from at simulated
+    /// time zero.
     pub fn new(config: SupervisorConfig, num_workers: usize) -> Self {
         assert!(num_workers > 0, "nothing to supervise");
         Self {
             config,
-            states: vec![WorkerState::Healthy; num_workers],
-            last_beat: vec![0.0; num_workers],
-            restarts: vec![0; num_workers],
+            num_workers,
+            restarts: 0,
+            newest: 0.0,
             report: SupervisorReport::default(),
         }
     }
 
-    /// A worker's current state.
-    pub fn state(&self, worker: usize) -> WorkerState {
-        self.states[worker]
+    /// The pool got through an epoch, the cluster's clock at `now`. The
+    /// newest instant never moves backwards.
+    pub fn epoch_done(&mut self, now: f64) {
+        self.newest = self.newest.max(now);
     }
 
-    /// The most recent heartbeat heard from any worker (time zero if none
-    /// yet). Lets a caller place a detection sweep a full timeout after the
-    /// cluster went silent, whatever the workers' clock skew.
-    pub fn newest_beat(&self) -> f64 {
-        self.last_beat.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Record a heartbeat from `worker` at simulated instant `now`.
-    /// Timestamps never move backwards (worker clocks and detector bumps
-    /// are not globally ordered).
-    pub fn beat(&mut self, worker: usize, now: f64) {
-        self.last_beat[worker] = self.last_beat[worker].max(now);
-    }
-
-    /// Failure detection sweep at simulated instant `now`: every healthy
-    /// worker whose last heartbeat is more than the timeout old becomes
-    /// `Suspected`. Returns the newly suspected workers.
-    pub fn poll(&mut self, now: f64) -> Vec<usize> {
-        let mut suspected = Vec::new();
-        for w in 0..self.states.len() {
-            if self.states[w] == WorkerState::Healthy
-                && now - self.last_beat[w] > HEARTBEAT_TIMEOUT_SECS
-            {
-                self.states[w] = WorkerState::Suspected;
-                self.report.detections += 1;
-                self.report
-                    .events
-                    .push(SupervisorEvent::MissedHeartbeat { worker: w, at: now });
-                suspected.push(w);
-            }
+    /// The pool crashed during `epoch`, the cluster's clock at `now`: date
+    /// the detection, record every worker as silent and crashed, and restart
+    /// the pool after an exponentially growing backoff, or give it up once
+    /// the budget is spent. Returns whether the pool restarts.
+    pub fn crash(&mut self, epoch: usize, now: f64) -> bool {
+        // A hair past the timeout: the silence must exceed it.
+        let at = now.max(self.newest) + 1.01 * HEARTBEAT_TIMEOUT_SECS;
+        let report = &mut self.report;
+        for worker in 0..self.num_workers {
+            report.detections += 1;
+            report
+                .events
+                .push(SupervisorEvent::MissedHeartbeat { worker, at });
         }
-        suspected
-    }
-
-    /// Confirm a suspected worker crashed during `epoch`.
-    pub fn confirm_crash(&mut self, worker: usize, epoch: usize, now: f64) {
-        debug_assert_eq!(self.states[worker], WorkerState::Suspected);
-        self.states[worker] = WorkerState::Restarting;
-        self.report.events.push(SupervisorEvent::CrashDetected {
-            worker,
-            epoch,
-            at: now,
-        });
-    }
-
-    /// Decide whether `worker` (in `Restarting`) comes back. A grant waits
-    /// out an exponentially growing simulated backoff and returns the worker
-    /// to `Healthy` with its heartbeat reset to after the backoff.
-    pub fn request_restart(&mut self, worker: usize, now: f64) -> RestartDecision {
-        debug_assert_eq!(self.states[worker], WorkerState::Restarting);
-        if self.restarts[worker] >= self.config.max_restarts {
-            self.states[worker] = WorkerState::Failed;
-            self.report.gave_up = true;
-            self.report.events.push(SupervisorEvent::GaveUp {
-                worker,
-                restarts: self.restarts[worker],
-            });
-            return RestartDecision::GiveUp;
+        let restart = self.restarts < self.config.max_restarts;
+        let backoff = RESTART_BACKOFF_SECS * RESTART_BACKOFF_FACTOR.powi(self.restarts as i32);
+        for worker in 0..self.num_workers {
+            report
+                .events
+                .push(SupervisorEvent::CrashDetected { worker, epoch, at });
+            let decision = if restart {
+                report.restarts += 1;
+                report.restart_backoff_secs += backoff;
+                SupervisorEvent::Restarted {
+                    worker,
+                    attempt: self.restarts + 1,
+                    backoff,
+                }
+            } else {
+                SupervisorEvent::GaveUp {
+                    worker,
+                    restarts: self.restarts,
+                }
+            };
+            report.events.push(decision);
         }
-        let backoff =
-            RESTART_BACKOFF_SECS * RESTART_BACKOFF_FACTOR.powi(self.restarts[worker] as i32);
-        self.restarts[worker] += 1;
-        self.states[worker] = WorkerState::Healthy;
-        self.last_beat[worker] = self.last_beat[worker].max(now + backoff);
-        self.report.restarts += 1;
-        self.report.restart_backoff_secs += backoff;
-        self.report.events.push(SupervisorEvent::Restarted {
-            worker,
-            attempt: self.restarts[worker],
-            backoff,
-        });
-        RestartDecision::Restart { backoff }
+        if restart {
+            self.restarts += 1;
+            self.newest = self.newest.max(at + backoff);
+        } else {
+            report.gave_up = true;
+        }
+        restart
     }
 
     /// Record that recovery skipped `skipped` invalid checkpoint images
@@ -306,127 +260,119 @@ mod tests {
         Supervisor::new(SupervisorConfig { max_restarts }, 2)
     }
 
-    #[test]
-    fn healthy_workers_are_not_flagged() {
-        let mut s = sup(3);
-        s.beat(0, 0.04);
-        s.beat(1, 0.04);
-        assert!(s.poll(0.06).is_empty(), "beats within the timeout");
-        assert_eq!(s.state(0), WorkerState::Healthy);
-        assert_eq!(s.report().detections, 0);
-    }
-
-    #[test]
-    fn silence_past_the_timeout_suspects_exactly_the_silent() {
-        let mut s = sup(3);
-        s.beat(0, 0.10);
-        // Worker 1 last beat at t=0; the sweep runs a full timeout later.
-        let suspected = s.poll(0.051);
-        assert_eq!(suspected, vec![1]);
-        assert_eq!(s.state(1), WorkerState::Suspected);
-        assert_eq!(s.state(0), WorkerState::Healthy);
-        assert_eq!(s.report().detections, 1);
-        // A second sweep does not re-report the same suspicion.
-        assert!(s.poll(0.052).is_empty());
+    /// The backoffs of the report's restarts, in order, and its detection
+    /// instants.
+    fn backoffs_and_detections(r: &SupervisorReport) -> (Vec<f64>, Vec<f64>) {
+        let (mut backoffs, mut detections) = (Vec::new(), Vec::new());
+        for e in &r.events {
+            match *e {
+                SupervisorEvent::Restarted { backoff, .. } => backoffs.push(backoff),
+                SupervisorEvent::MissedHeartbeat { at, .. } => detections.push(at),
+                _ => {}
+            }
+        }
+        (backoffs, detections)
     }
 
     #[test]
     fn restart_backoff_grows_exponentially_then_gives_up() {
         let mut s = sup(2);
-        let mut backoffs = Vec::new();
-        for round in 0..3 {
-            let now = 0.1 * (round + 1) as f64;
-            assert_eq!(s.poll(now + 0.051), vec![0, 1]);
-            for w in 0..2 {
-                s.confirm_crash(w, round, now);
-                match s.request_restart(w, now) {
-                    RestartDecision::Restart { backoff } => {
-                        if w == 0 {
-                            backoffs.push(backoff);
-                        }
-                    }
-                    RestartDecision::GiveUp => {
-                        assert_eq!(round, 2, "budget of 2 exhausted on the third crash");
-                        assert_eq!(s.state(w), WorkerState::Failed);
-                    }
-                }
-            }
-            if round == 2 {
-                break;
-            }
-            // Workers must go silent again for the next round's poll: the
-            // restart reset their heartbeat, so time simply moves on.
-        }
-        assert_eq!(backoffs.len(), 2);
-        assert!(
-            (backoffs[1] - 2.0 * backoffs[0]).abs() < 1e-12,
-            "doubling backoff"
+        let granted: Vec<bool> = (0..3).map(|round| s.crash(round, 0.1)).collect();
+        assert_eq!(
+            granted,
+            [true, true, false],
+            "budget of 2 spent by the third crash"
         );
         let r = s.report();
+        let (backoffs, _) = backoffs_and_detections(r);
+        assert_eq!(backoffs.len(), 4, "2 workers x 2 granted restarts");
+        assert_eq!(backoffs[0], backoffs[1], "the pool restarts as one");
+        assert!(
+            (backoffs[2] - 2.0 * backoffs[0]).abs() < 1e-12,
+            "doubling backoff"
+        );
         assert!(r.gave_up);
-        assert_eq!(r.restarts, 4, "2 workers x 2 granted restarts");
+        assert_eq!(r.restarts, 4);
         assert_eq!(r.detections, 6);
         assert!(r.restart_backoff_secs > 0.0);
         assert!(matches!(
             r.events.last(),
-            Some(SupervisorEvent::GaveUp { restarts: 2, .. })
+            Some(SupervisorEvent::GaveUp {
+                worker: 1,
+                restarts: 2
+            })
         ));
     }
 
     #[test]
     fn zero_budget_gives_up_immediately() {
         let mut s = sup(0);
-        assert_eq!(s.poll(1.0), vec![0, 1]);
-        s.confirm_crash(0, 0, 1.0);
-        assert_eq!(s.request_restart(0, 1.0), RestartDecision::GiveUp);
+        assert!(!s.crash(0, 1.0));
         assert!(s.report().gave_up);
         assert_eq!(s.report().restarts, 0);
+        assert_eq!(s.report().detections, 2);
     }
 
     #[test]
     fn events_are_ordered_and_serializable() {
-        // One supervised worker, so the event order below is exactly its
-        // own transition sequence.
-        let mut s = Supervisor::new(SupervisorConfig { max_restarts: 1 }, 1);
-        s.poll(1.0);
-        s.confirm_crash(0, 4, 1.0);
-        s.request_restart(0, 1.0);
+        let mut s = Supervisor::new(SupervisorConfig { max_restarts: 1 }, 2);
+        s.crash(4, 1.0);
         s.note_checkpoints_skipped(1);
         let json = serde_json::to_string(s.report()).unwrap();
         let back: SupervisorReport = serde_json::from_str(&json).unwrap();
         assert_eq!(&back, s.report());
         assert_eq!(back.torn_checkpoints_skipped, 1);
-        // First three events for worker 0: missed, detected, restarted.
-        assert!(matches!(
-            back.events[0],
-            SupervisorEvent::MissedHeartbeat { worker: 0, .. }
-        ));
-        assert!(matches!(
-            back.events[1],
-            SupervisorEvent::CrashDetected {
-                worker: 0,
-                epoch: 4,
-                ..
-            }
-        ));
-        assert!(matches!(
-            back.events[2],
-            SupervisorEvent::Restarted {
-                worker: 0,
-                attempt: 1,
-                ..
-            }
-        ));
+        // Both workers missed, then each one detected and restarted.
+        let order: Vec<(&str, usize)> = back
+            .events
+            .iter()
+            .map(|e| match *e {
+                SupervisorEvent::MissedHeartbeat { worker, .. } => ("missed", worker),
+                SupervisorEvent::CrashDetected {
+                    worker, epoch: 4, ..
+                } => ("detected", worker),
+                SupervisorEvent::Restarted {
+                    worker, attempt: 1, ..
+                } => ("restarted", worker),
+                ref e => panic!("unexpected {e:?}"),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("missed", 0),
+                ("missed", 1),
+                ("detected", 0),
+                ("restarted", 0),
+                ("detected", 1),
+                ("restarted", 1)
+            ]
+        );
     }
 
+    /// The pool's instant is the newest epoch end or backoff end: a stale
+    /// clock reading does not move it back, and detection is dated a
+    /// timeout after it when the cluster's clock is behind it.
     #[test]
     fn beats_never_move_time_backwards() {
         let mut s = sup(3);
-        s.beat(0, 5.0);
-        s.beat(1, 5.0);
-        s.beat(0, 1.0); // stale timestamp from a slower clock
-        assert!(s.poll(5.04).is_empty(), "the newer beat stands");
-        assert_eq!(s.state(0), WorkerState::Healthy);
+        s.epoch_done(5.0);
+        s.epoch_done(1.0); // stale reading from a slower clock
+        s.crash(0, 2.0);
+        let first = 5.0 + 1.01 * HEARTBEAT_TIMEOUT_SECS;
+        // The restart's backoff end is newer than the clock at the next
+        // crash.
+        s.crash(1, 5.0);
+        let second = first + RESTART_BACKOFF_SECS + 1.01 * HEARTBEAT_TIMEOUT_SECS;
+        // A clock ahead of the pool's instant dates the detection itself.
+        s.crash(2, 9.0);
+        let third = 9.0 + 1.01 * HEARTBEAT_TIMEOUT_SECS;
+        let (_, detections) = backoffs_and_detections(s.report());
+        assert_eq!(
+            detections,
+            [first, first, second, second, third, third],
+            "detection instants"
+        );
     }
 
     #[test]

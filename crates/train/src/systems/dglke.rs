@@ -10,11 +10,14 @@
 //! `worker::Pipeline`, which states the schedule: the next batch is drawn while
 //! the current one computes, every key of it pulled, its consume-time
 //! request the plain pull of the keys the batch in flight writes.
+//!
+//! A unit of work is one iteration. The worker's `WorkerCtx` keeps the
+//! epoch's books; the only stat DGL-KE adds is how the pipeline split its
+//! staged pulls.
 
 use crate::batch::BatchResult;
 use crate::worker::{
-    carry_accumulated, pull_late, EpochRun, Pipeline, PushRow, WorkerCtx, WorkerEpochStats,
-    WorkerLoop,
+    carry_accumulated, pull_late, Pipeline, PushRow, WorkerCtx, WorkerEpochStats, WorkerLoop,
 };
 use hetkg_core::metrics::TableEconomy;
 use hetkg_core::prefetch::{MiniBatch, Prefetcher};
@@ -32,8 +35,6 @@ pub struct DglKeWorker {
     /// How the pipeline split the staged pulls this epoch (the table
     /// fields stay zero: there is no table).
     economy: TableEconomy,
-    /// Cross-step state for the epoch in progress.
-    run: EpochRun,
 }
 
 impl DglKeWorker {
@@ -52,7 +53,6 @@ impl DglKeWorker {
             batch: MiniBatch::default(),
             pipeline: Pipeline::default(),
             economy: TableEconomy::default(),
-            run: EpochRun::default(),
         }
     }
 
@@ -101,49 +101,25 @@ impl DglKeWorker {
 }
 
 impl WorkerLoop for DglKeWorker {
-    fn compression_stats(&self) -> hetkg_netsim::CompressionStats {
-        self.ctx.ps.compression_stats().unwrap_or_default()
+    fn ctx(&mut self) -> &mut WorkerCtx {
+        &mut self.ctx
     }
 
-    fn begin_epoch(&mut self, _epoch: usize) {
-        self.run.begin(self.ctx.meter.snapshot());
-        self.economy = TableEconomy::default();
-        self.ctx.begin_epoch_timing();
-    }
-
-    fn step(&mut self) -> bool {
-        let iters = self.ctx.iterations_per_epoch;
-        if self.run.unit >= iters {
-            return false;
-        }
+    fn unit(&mut self) -> Option<BatchResult> {
         // The last iteration never stages (per-epoch traffic stays
-        // attributable to its own epoch).
-        let r = self.one_iteration_inner(self.run.unit + 1 < iters);
-        // Under fault injection, compute advances the simulated clock
-        // that positions outage/straggler windows. DGL-KE has no
-        // degraded mode: a pull during an outage simply retries (the PS
-        // client waits the outage out in simulated time).
-        self.ctx.advance_fault_clock(r.work_units);
-        self.run.acc.absorb(r);
-        self.run.unit += 1;
-        true
+        // attributable to its own epoch). DGL-KE has no degraded mode: a
+        // pull during an outage simply retries (the PS client waits the
+        // outage out in simulated time).
+        let left = self.ctx.iterations_left()?;
+        Some(self.one_iteration_inner(left > 0))
     }
 
-    fn finish_epoch(&mut self) -> WorkerEpochStats {
-        let critical_path_secs = self.ctx.end_epoch_timing();
-        WorkerEpochStats {
-            work_units: self.run.acc.work_units,
-            wall_secs: self.run.wall_secs(),
-            traffic: self.ctx.meter.snapshot().since(self.run.start_traffic),
-            cache: Default::default(),
-            loss_sum: self.run.acc.loss,
-            loss_terms: self.run.acc.terms,
-            max_divergence: 0.0,
-            mean_divergence: 0.0,
-            max_staleness: 0,
-            critical_path_secs,
-            table: self.economy,
-        }
+    fn begin_system_epoch(&mut self, _epoch: usize) {
+        self.economy = TableEconomy::default();
+    }
+
+    fn system_stats(&self, stats: &mut WorkerEpochStats) {
+        stats.table = self.economy;
     }
 }
 
@@ -318,9 +294,9 @@ mod tests {
             cost.compute_time(stats.work_units),
         );
         assert!(comm > 2.0 * compute, "comm {comm} s, compute {compute} s");
-        assert_eq!(w.compression_stats().level_ups, 1);
+        assert_eq!(w.ctx.compression_stats().level_ups, 1);
         w.run_epoch(1);
-        assert_eq!(w.compression_stats().level_ups, 2);
+        assert_eq!(w.ctx.compression_stats().level_ups, 2);
     }
 
     /// Every row and optimizer-state row of the worker's store, bit for bit.

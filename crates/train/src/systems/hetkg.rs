@@ -77,11 +77,15 @@
 //! The sequential path is the same code with nothing staged ahead, which is
 //! also how an epoch's first iteration runs. The trainer disables overlap
 //! entirely under non-inert fault plans.
+//!
+//! A unit of work is one iteration. The worker's `WorkerCtx` keeps the
+//! epoch's books; HET-KG adds the stats only a cache has: its hits and
+//! misses, the divergence measured at syncs, the staleness observed, and
+//! the table's economy.
 
 use crate::batch::{BatchResult, GradAccum};
 use crate::worker::{
-    retries_exhausted, EpochRun, Part, Pipeline, PushRow, StagedPull, WorkerCtx, WorkerEpochStats,
-    WorkerLoop,
+    retries_exhausted, Part, Pipeline, PushRow, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop,
 };
 use hetkg_core::filter::{filter_hot_set, HotSet, HotSetSelector};
 use hetkg_core::metrics::{CacheStats, TableEconomy};
@@ -246,8 +250,6 @@ pub struct HetKgWorker {
     /// Degraded mode: gradient pushes deferred while their home shard was
     /// down, replayed on recovery.
     backlog: HashMap<ParamKey, Deferred>,
-    /// Cross-step state for the epoch in progress.
-    run: EpochRun,
     /// Cache stats at epoch start (the epoch report is the delta).
     epoch_start_cache: CacheStats,
 }
@@ -317,7 +319,6 @@ impl HetKgWorker {
             staged_rebuild: false,
             staged_hits: Vec::new(),
             backlog: HashMap::new(),
-            run: EpochRun::default(),
             epoch_start_cache: CacheStats::new(),
         }
     }
@@ -1081,58 +1082,40 @@ fn l2_distance(cached: &[f32], global: &[f32]) -> f64 {
 }
 
 impl WorkerLoop for HetKgWorker {
-    fn compression_stats(&self) -> hetkg_netsim::CompressionStats {
-        self.ctx.ps.compression_stats().unwrap_or_default()
+    fn ctx(&mut self) -> &mut WorkerCtx {
+        &mut self.ctx
     }
 
-    fn begin_epoch(&mut self, _epoch: usize) {
-        self.run.begin(self.ctx.meter.snapshot());
+    fn unit(&mut self) -> Option<BatchResult> {
+        // The last iteration never stages: staging the next epoch's
+        // first batch would shift its pull traffic into this epoch. And it
+        // writes back what the table holds: an epoch ends with the server
+        // owed nothing.
+        let left = self.ctx.iterations_left()?;
+        Some(self.one_iteration_inner(left))
+    }
+
+    fn begin_system_epoch(&mut self, _epoch: usize) {
         self.epoch_start_cache = self.cache_stats;
         self.economy = TableEconomy::default();
         self.epoch_divergence = 0.0;
         self.epoch_div_sum = 0.0;
         self.epoch_div_samples = 0;
-        self.ctx.begin_epoch_timing();
     }
 
-    fn step(&mut self) -> bool {
-        let iters = self.ctx.iterations_per_epoch;
-        if self.run.unit >= iters {
-            return false;
-        }
-        // The last iteration never stages: staging the next epoch's
-        // first batch would shift its pull traffic into this epoch. And it
-        // writes back what the table holds: an epoch ends with the server
-        // owed nothing.
-        let r = self.one_iteration_inner(iters - 1 - self.run.unit);
-        self.ctx.advance_fault_clock(r.work_units);
-        self.run.acc.absorb(r);
-        self.run.unit += 1;
-        true
-    }
-
-    fn finish_epoch(&mut self) -> WorkerEpochStats {
-        let critical_path_secs = self.ctx.end_epoch_timing();
-        WorkerEpochStats {
-            work_units: self.run.acc.work_units,
-            wall_secs: self.run.wall_secs(),
-            traffic: self.ctx.meter.snapshot().since(self.run.start_traffic),
-            cache: CacheStats {
-                hits: self.cache_stats.hits - self.epoch_start_cache.hits,
-                misses: self.cache_stats.misses - self.epoch_start_cache.misses,
-            },
-            loss_sum: self.run.acc.loss,
-            loss_terms: self.run.acc.terms,
-            max_divergence: self.epoch_divergence,
-            mean_divergence: if self.epoch_div_samples == 0 {
-                0.0
-            } else {
-                self.epoch_div_sum / self.epoch_div_samples as f64
-            },
-            max_staleness: self.staleness.max_observed(),
-            critical_path_secs,
-            table: self.economy,
-        }
+    fn system_stats(&self, stats: &mut WorkerEpochStats) {
+        stats.cache = CacheStats {
+            hits: self.cache_stats.hits - self.epoch_start_cache.hits,
+            misses: self.cache_stats.misses - self.epoch_start_cache.misses,
+        };
+        stats.max_divergence = self.epoch_divergence;
+        stats.mean_divergence = if self.epoch_div_samples == 0 {
+            0.0
+        } else {
+            self.epoch_div_sum / self.epoch_div_samples as f64
+        };
+        stats.max_staleness = self.staleness.max_observed();
+        stats.table = self.economy;
     }
 }
 

@@ -26,8 +26,12 @@
 //! next chunk — so its critical path sits close to `comm + compute`;
 //! the block structure that saves PBG entity traffic is also what keeps
 //! its communication on the critical path.
+//!
+//! A unit of work is one bucket. The worker's `WorkerCtx` keeps the epoch's
+//! books; all PBG adds to an epoch is opening its lock server's.
 
-use crate::worker::{retries_exhausted, EpochRun, WorkerCtx, WorkerEpochStats, WorkerLoop};
+use crate::batch::BatchResult;
+use crate::worker::{retries_exhausted, WorkerCtx, WorkerLoop};
 use hetkg_core::prefetch::MiniBatch;
 use hetkg_embed::negative::{CorruptSlot, Negative};
 use hetkg_kgraph::{EntityId, ParamKey, Triple};
@@ -193,8 +197,6 @@ pub struct PbgWorker {
     relation_keys: Vec<ParamKey>,
     /// Learning rate for the local (in-bucket) entity SGD steps.
     entity_lr: f32,
-    /// Cross-step state for the epoch in progress.
-    run: EpochRun,
 }
 
 impl PbgWorker {
@@ -222,12 +224,11 @@ impl PbgWorker {
             rng,
             relation_keys,
             entity_lr,
-            run: EpochRun::default(),
         }
     }
 
     /// Process one bucket.
-    fn process_bucket(&mut self, bucket: usize) -> crate::batch::BatchResult {
+    fn process_bucket(&mut self, bucket: usize) -> BatchResult {
         let ((pa, pb), _) = self.plan.buckets[bucket];
         let triples = self.plan.buckets[bucket].1.clone();
 
@@ -275,7 +276,7 @@ impl PbgWorker {
         };
 
         // --- 2+3. Mini-batch training with dense relation pushes ---
-        let mut acc = crate::batch::BatchResult::default();
+        let mut acc = BatchResult::default();
         // Relation gradients since the last dense push: one row per
         // relation, zeros for the ones no batch touched.
         let rel_dim = self.ctx.model.relation_dim();
@@ -393,49 +394,24 @@ impl PbgWorker {
 }
 
 impl WorkerLoop for PbgWorker {
-    fn compression_stats(&self) -> hetkg_netsim::CompressionStats {
-        self.ctx.ps.compression_stats().unwrap_or_default()
+    fn ctx(&mut self) -> &mut WorkerCtx {
+        &mut self.ctx
     }
 
-    fn begin_epoch(&mut self, epoch: usize) {
-        self.locks.begin_epoch(epoch);
-        self.run.begin(self.ctx.meter.snapshot());
-        self.ctx.begin_epoch_timing();
-    }
-
-    fn step(&mut self) -> bool {
-        // One unit = one bucket, acquired and released within the step, so
+    fn unit(&mut self) -> Option<BatchResult> {
+        // One unit = one bucket, acquired and released within the unit, so
         // under the trainer's round-robin schedule partitions are always
-        // free at step boundaries and `acquire` never waits.
-        let Some(bucket) = self.locks.acquire() else {
-            return false;
-        };
-        let r = self.process_bucket(bucket);
-        // Keep the fault clock moving (outage windows live in simulated
-        // time). PBG has no degraded mode: bucket loads/saves during an
-        // outage retry until the shard recovers.
-        self.ctx.advance_fault_clock(r.work_units);
-        self.run.acc.absorb(r);
-        self.run.unit += 1;
+        // free at unit boundaries and `acquire` never waits. PBG has no
+        // degraded mode: bucket loads/saves during an outage retry until
+        // the shard recovers.
+        let bucket = self.locks.acquire()?;
+        let result = self.process_bucket(bucket);
         self.locks.release(bucket);
-        true
+        Some(result)
     }
 
-    fn finish_epoch(&mut self) -> WorkerEpochStats {
-        let critical_path_secs = self.ctx.end_epoch_timing();
-        WorkerEpochStats {
-            work_units: self.run.acc.work_units,
-            wall_secs: self.run.wall_secs(),
-            traffic: self.ctx.meter.snapshot().since(self.run.start_traffic),
-            cache: Default::default(),
-            loss_sum: self.run.acc.loss,
-            loss_terms: self.run.acc.terms,
-            max_divergence: 0.0,
-            mean_divergence: 0.0,
-            max_staleness: 0,
-            critical_path_secs,
-            table: Default::default(),
-        }
+    fn begin_system_epoch(&mut self, epoch: usize) {
+        self.locks.begin_epoch(epoch);
     }
 }
 

@@ -8,15 +8,16 @@
 //! [`FaultInjector`](hetkg_netsim::FaultInjector), the trainer takes
 //! periodic recovery checkpoints (model and optimizer state, in the checked
 //! encoding, on disk when `checkpoint_dir` is set, else as validated in-memory
-//! images), and each scheduled worker crash goes through the
-//! [`Supervisor`]: missed heartbeats, confirmation, a bounded
-//! restart-with-backoff decision, and a restore from the newest checkpoint
-//! that still validates — torn or rotted images are skipped, counted, and
+//! images), and each scheduled crash, which takes the whole worker pool,
+//! goes through the [`Supervisor`]: a detection dated one heartbeat timeout
+//! after the cluster's newest instant, a restart-with-backoff decision
+//! against the pool's budget, and a restore from the newest checkpoint that
+//! still validates — torn or rotted images are skipped, counted, and
 //! reported, never partially loaded.
 
 use crate::config::{PartitionerKind, SystemKind, TrainConfig, TransportKind};
 use crate::report::{CompressionReport, EpochReport, FaultReport, TrainReport};
-use crate::supervisor::{RestartDecision, Supervisor, HEARTBEAT_TIMEOUT_SECS};
+use crate::supervisor::Supervisor;
 use crate::systems::dglke::DglKeWorker;
 use crate::systems::hetkg::HetKgWorker;
 use crate::systems::pbg::{LockServer, PbgPlan, PbgWorker};
@@ -314,28 +315,15 @@ pub fn train_with_store(
     let mut epoch = 0;
     while epoch < config.epochs {
         let stats = run_epoch_interleaved(&mut workers, epoch);
-        if crash_epochs.contains(&epoch) && !fired.contains(&epoch) {
-            // Injected worker crash: everything since the last recovery
+        if crash_epochs.contains(&epoch) && fired.insert(epoch) {
+            // Injected crash of the pool: everything since the last recovery
             // checkpoint — this epoch's updates included — is lost. The
-            // crashed workers never deliver this epoch's heartbeat, so the
-            // failure detector fires after a full timeout of silence; the
-            // supervisor then decides whether the pool restarts.
-            fired.insert(epoch);
+            // supervisor dates its detection and decides whether the pool
+            // restarts.
             let sup = supervisor
                 .as_mut()
                 .expect("crash schedule implies a fault plan");
-            let detect_at =
-                cluster_now(&injectors).max(sup.newest_beat()) + 1.01 * HEARTBEAT_TIMEOUT_SECS;
-            let dead = sup.poll(detect_at);
-            debug_assert_eq!(dead.len(), workers.len(), "a crash kills the whole pool");
-            let mut abandoned = false;
-            for &w in &dead {
-                sup.confirm_crash(w, epoch, detect_at);
-                if matches!(sup.request_restart(w, detect_at), RestartDecision::GiveUp) {
-                    abandoned = true;
-                }
-            }
-            if abandoned {
+            if !sup.crash(epoch, cluster_now(&injectors)) {
                 break; // restart budget exhausted; the report records it
             }
             match recovery.load_latest() {
@@ -368,9 +356,7 @@ pub fn train_with_store(
             }
         }
         if let Some(sup) = supervisor.as_mut() {
-            for (w, inj) in injectors.iter().enumerate() {
-                sup.beat(w, inj.as_ref().map_or(0.0, |i| i.now()));
-            }
+            sup.epoch_done(cluster_now(&injectors));
             if let Some(l) = &liveness {
                 for (shard, at) in l.take_events() {
                     sup.note_promotion(shard, at);
@@ -426,21 +412,21 @@ pub fn train_with_store(
         let ledgers = injectors.iter().flatten().map(|inj| inj.stats());
         report.faults = Some(ledgers.fold(run, FaultReport::merge));
     }
-    if let Some(sup) = supervisor.as_mut() {
-        // Promotions from the final epoch (after the last beat round).
+    if let Some(mut sup) = supervisor {
+        // Promotions not relayed yet: those of the epoch a run stopped in.
         if let Some(l) = &liveness {
             for (shard, at) in l.take_events() {
                 sup.note_promotion(shard, at);
             }
         }
-    }
-    if let Some(sup) = supervisor {
         report.supervisor = Some(sup.into_report());
     }
     if config.compression != CompressionMode::Off {
-        let total = workers.iter().fold(CompressionStats::default(), |acc, w| {
-            acc.merge(w.compression_stats())
-        });
+        let total = workers
+            .iter_mut()
+            .fold(CompressionStats::default(), |acc, w| {
+                acc.merge(w.ctx().compression_stats())
+            });
         report.compression = Some(CompressionReport::from_stats(
             config.compression.as_str(),
             total,
@@ -925,6 +911,65 @@ mod tests {
             .iter()
             .any(|e| matches!(e, crate::supervisor::SupervisorEvent::GaveUp { .. })));
         assert_eq!(report.faults.unwrap().recoveries, 0);
+    }
+
+    /// A three-worker pool crashes at epoch 1, restarts on its one restart
+    /// and gives up at the crash in epoch 2. The whole report is pinned:
+    /// each worker's events, in order, and every instant and backoff to its
+    /// bits (all are positive, so equal values are equal bits).
+    #[test]
+    fn a_pool_that_restarts_once_then_gives_up_reports_every_event_in_order() {
+        use crate::supervisor::{SupervisorEvent::*, SupervisorReport};
+        use hetkg_netsim::{CrashPoint, FaultPlan};
+        let kg = small_graph();
+        let split = Split::ninety_five_five(&kg, 1);
+        let mut cfg = TrainConfig::small(SystemKind::HetKgCps);
+        cfg.machines = 3;
+        cfg.epochs = 4;
+        cfg.supervisor.max_restarts = 1;
+        cfg.faults = Some(FaultPlan {
+            crashes: vec![CrashPoint { epoch: 1 }, CrashPoint { epoch: 2 }],
+            ..FaultPlan::default()
+        });
+        let report = train(&kg, &split.train, &[], &cfg);
+        assert_eq!(report.epochs.len(), 2, "epoch 1 re-ran; epoch 2 was lost");
+        let sup = report.supervisor.expect("supervised run");
+        // Epoch 2's detection is dated from the end of epoch 1's backoff,
+        // which is later than any worker's clock.
+        let detected = [
+            (1, f64::from_bits(0x3fab_f08b_2e4c_0cac)),
+            (2, f64::from_bits(0x3fbd_7533_288e_7906)),
+        ];
+        let backoff = 0.010;
+        let mut events = Vec::new();
+        for (epoch, at) in detected {
+            events.extend((0..3).map(|worker| MissedHeartbeat { worker, at }));
+            for worker in 0..3 {
+                events.push(CrashDetected { worker, epoch, at });
+                events.push(match epoch {
+                    1 => Restarted {
+                        worker,
+                        attempt: 1,
+                        backoff,
+                    },
+                    _ => GaveUp {
+                        worker,
+                        restarts: 1,
+                    },
+                });
+            }
+        }
+        let expected = SupervisorReport {
+            detections: 6,
+            restarts: 3,
+            gave_up: true,
+            // 0.01 + 0.01 + 0.01, added one worker at a time.
+            restart_backoff_secs: f64::from_bits(0x3f9e_b851_eb85_1eb8),
+            torn_checkpoints_skipped: 0,
+            promotions: 0,
+            events,
+        };
+        assert_eq!(sup, expected);
     }
 
     #[test]

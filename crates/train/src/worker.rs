@@ -15,8 +15,12 @@ use hetkg_netsim::{
 use hetkg_ps::optimizer::Optimizer;
 use hetkg_ps::{PsClient, PsScratch, RpcError};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// What one worker reports for one epoch.
+/// What one worker reports for one epoch. `WorkerCtx::end_epoch` fills
+/// the fields every system has — work, wall time, traffic, loss and the
+/// critical path — and a system's [`WorkerLoop::system_stats`] the rest,
+/// which stay zero for a system without them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerEpochStats {
     /// Kernel work units this worker performed (converted to simulated
@@ -62,7 +66,10 @@ pub(crate) fn retries_exhausted(op: &str, err: RpcError) -> ! {
     panic!("ps {op} failed after retries: {err}")
 }
 
-/// Everything a worker needs regardless of system.
+/// Everything a worker needs regardless of system, and the books of the
+/// epoch in progress: `WorkerCtx::begin_epoch` opens them,
+/// `WorkerCtx::end_unit` books each unit of work, and
+/// `WorkerCtx::end_epoch` closes them into the epoch's stats.
 pub struct WorkerCtx {
     /// This worker's id.
     pub worker_id: usize,
@@ -112,6 +119,14 @@ pub struct WorkerCtx {
     /// was built: a crash recovery rebuilds the workers on the run's
     /// injectors.
     waits_posted: f64,
+    /// Meter reading at epoch start (the stats report the delta).
+    epoch_traffic: TrafficSnapshot,
+    /// Real wall-clock epoch start (diagnostic only).
+    epoch_started: Instant,
+    /// Units (iterations or buckets) booked so far this epoch, and their
+    /// results summed.
+    epoch_units: usize,
+    epoch_result: BatchResult,
 }
 
 impl WorkerCtx {
@@ -152,6 +167,10 @@ impl WorkerCtx {
             timeline: Timeline::pipelined(),
             epoch_busy: [0.0; 2],
             waits_posted,
+            epoch_traffic: TrafficSnapshot::default(),
+            epoch_started: Instant::now(),
+            epoch_units: 0,
+            epoch_result: BatchResult::default(),
         }
     }
 
@@ -208,8 +227,13 @@ impl WorkerCtx {
         self.timeline.post(Lane::Compute, duration, after)
     }
 
-    /// Mark the start of an epoch on the timeline.
-    pub fn begin_epoch_timing(&mut self) {
+    /// Open an epoch's books: snapshot the meter, start the wall clock, and
+    /// mark the epoch's start on the timeline.
+    pub(crate) fn begin_epoch(&mut self) {
+        self.epoch_traffic = self.meter.snapshot();
+        self.epoch_started = Instant::now();
+        self.epoch_units = 0;
+        self.epoch_result = BatchResult::default();
         self.timeline.begin_epoch();
         self.epoch_busy = [
             self.timeline.busy(Lane::Comm),
@@ -217,26 +241,51 @@ impl WorkerCtx {
         ];
     }
 
-    /// Close the epoch on the timeline and return its critical path. The
-    /// epoch's comm/compute lane occupancy is fed to the adaptive
-    /// compression policy here: "tighten only when the comm lane is
-    /// critical" is judged on exactly the occupancy the timeline measured,
-    /// in every schedule. Fixed compression modes are unaffected.
-    pub fn end_epoch_timing(&mut self) -> f64 {
-        let cp = self.timeline.end_epoch();
+    /// Book a unit of work that ended with `result`, and advance the fault
+    /// injector's simulated clock by its compute (no-op without fault
+    /// injection): keeping that clock moving is what places outage and
+    /// straggler windows correctly relative to the workload.
+    pub(crate) fn end_unit(&mut self, result: BatchResult) {
+        if let Some(f) = self.client.faults() {
+            f.advance_compute(result.work_units);
+        }
+        self.epoch_result.absorb(result);
+        self.epoch_units += 1;
+    }
+
+    /// How many of this epoch's iterations follow the next one; `None` once
+    /// every iteration is booked.
+    pub(crate) fn iterations_left(&self) -> Option<usize> {
+        (self.iterations_per_epoch - 1).checked_sub(self.epoch_units)
+    }
+
+    /// Close the epoch's books: end it on the timeline, whose critical path
+    /// is its time, and report what every system reports. The epoch's
+    /// comm/compute lane occupancy is fed to the adaptive compression policy
+    /// here: "tighten only when the comm lane is critical" is judged on
+    /// exactly the occupancy the timeline measured, in every schedule. Fixed
+    /// compression modes are unaffected.
+    pub(crate) fn end_epoch(&mut self) -> WorkerEpochStats {
+        let critical_path_secs = self.timeline.end_epoch();
         let comm = self.timeline.busy(Lane::Comm) - self.epoch_busy[0];
         let compute = self.timeline.busy(Lane::Compute) - self.epoch_busy[1];
         self.ps.adapt_compression(comm, compute);
-        cp
+        let result = self.epoch_result;
+        WorkerEpochStats {
+            work_units: result.work_units,
+            wall_secs: self.epoch_started.elapsed().as_secs_f64(),
+            traffic: self.meter.snapshot().since(self.epoch_traffic),
+            loss_sum: result.loss,
+            loss_terms: result.terms,
+            critical_path_secs,
+            ..WorkerEpochStats::default()
+        }
     }
 
-    /// Advance the fault injector's simulated clock by this worker's compute
-    /// (no-op without fault injection). Keeping the clock moving is what
-    /// places outage/straggler windows correctly relative to the workload.
-    pub fn advance_fault_clock(&self, work_units: u64) {
-        if let Some(f) = self.client.faults() {
-            f.advance_compute(work_units);
-        }
+    /// Cumulative push-compression counters for this worker's run so far
+    /// (zeros when compression is off).
+    pub(crate) fn compression_stats(&self) -> CompressionStats {
+        self.ps.compression_stats().unwrap_or_default()
     }
 }
 
@@ -686,37 +735,11 @@ impl StagedPull {
     }
 }
 
-/// Book-keeping carried across [`WorkerLoop::step`] calls within one epoch.
-#[derive(Default)]
-pub struct EpochRun {
-    /// Meter reading at epoch start (stats report the delta).
-    pub start_traffic: TrafficSnapshot,
-    /// Real wall-clock epoch start (diagnostic only).
-    pub started: Option<std::time::Instant>,
-    /// Accumulated batch results so far this epoch.
-    pub acc: BatchResult,
-    /// Units (iterations or buckets) completed so far this epoch.
-    pub unit: usize,
-}
-
-impl EpochRun {
-    /// Reset for a fresh epoch starting now.
-    pub fn begin(&mut self, start_traffic: TrafficSnapshot) {
-        self.start_traffic = start_traffic;
-        self.started = Some(std::time::Instant::now());
-        self.acc = BatchResult::default();
-        self.unit = 0;
-    }
-
-    /// Real seconds since [`EpochRun::begin`] (diagnostic only).
-    pub fn wall_secs(&self) -> f64 {
-        self.started.map_or(0.0, |s| s.elapsed().as_secs_f64())
-    }
-}
-
 /// One system's per-worker training loop, driven one *unit* of work at a
-/// time (a mini-batch iteration, or a PBG bucket). State (caches, RNGs,
-/// iteration counters) persists across epochs inside the implementor.
+/// time (a mini-batch iteration, or a PBG bucket). A system is its unit and
+/// the stats only it has; its [`WorkerCtx`] keeps the epoch's books. State
+/// (caches, RNGs, iteration counters) persists across epochs inside the
+/// implementor.
 ///
 /// The trainer interleaves `step` calls across workers in a fixed
 /// round-robin, which makes the order of every parameter-server read and
@@ -725,23 +748,41 @@ impl EpochRun {
 /// Simulated parallelism lives in the per-worker timelines and cost model,
 /// not in host threads, so serializing the steps changes no reported time.
 pub trait WorkerLoop: Send {
-    /// Start an epoch: snapshot meters, reset accumulators.
-    fn begin_epoch(&mut self, epoch: usize);
+    /// The worker's context.
+    fn ctx(&mut self) -> &mut WorkerCtx;
 
-    /// Run the next unit of this epoch. Returns `false` (doing nothing)
-    /// when no units remain.
-    fn step(&mut self) -> bool;
+    /// Run the next unit of this epoch and return its result; `None`
+    /// (doing nothing) when no units remain.
+    fn unit(&mut self) -> Option<BatchResult>;
+
+    /// Reset what only this system reports, at the start of `epoch`.
+    fn begin_system_epoch(&mut self, _epoch: usize) {}
+
+    /// Fill in what only this system reports.
+    fn system_stats(&self, _stats: &mut WorkerEpochStats) {}
+
+    /// Start an epoch.
+    fn begin_epoch(&mut self, epoch: usize) {
+        self.ctx().begin_epoch();
+        self.begin_system_epoch(epoch);
+    }
+
+    /// Run and book the next unit of this epoch. Returns `false` (doing
+    /// nothing) when no units remain.
+    fn step(&mut self) -> bool {
+        let Some(result) = self.unit() else {
+            return false;
+        };
+        self.ctx().end_unit(result);
+        true
+    }
 
     /// Close the epoch started by [`WorkerLoop::begin_epoch`] and report
     /// its stats.
-    fn finish_epoch(&mut self) -> WorkerEpochStats;
-
-    /// Cumulative push-compression counters for this worker's run so far
-    /// (zeros when compression is off). Systems that own a [`WorkerCtx`]
-    /// surface its scratch's stats; the default covers loops that never
-    /// push.
-    fn compression_stats(&self) -> CompressionStats {
-        CompressionStats::default()
+    fn finish_epoch(&mut self) -> WorkerEpochStats {
+        let mut stats = self.ctx().end_epoch();
+        self.system_stats(&mut stats);
+        stats
     }
 
     /// Run one whole epoch and report stats (single-worker convenience;
@@ -1213,14 +1254,14 @@ mod tests {
     fn a_sequential_run_is_timed_on_its_timeline() {
         let mut c = ctx();
         assert!(!c.overlap);
-        c.begin_epoch_timing();
+        c.begin_epoch();
         let (delta, _) = pull(&mut c, &[ParamKey(0)]);
         let pull_end = c.post_comm(delta, 0.0);
         assert_eq!(pull_end, delta.simulated_time(&c.cost));
         let compute_end = c.post_compute(1_000, pull_end);
         assert_eq!(compute_end, pull_end + c.cost.compute_time(1_000));
         let busy = c.timeline.busy(Lane::Comm) + c.timeline.busy(Lane::Compute);
-        assert_eq!(c.end_epoch_timing(), busy);
+        assert_eq!(c.end_epoch().critical_path_secs, busy);
     }
 
     /// What the fault injector makes a worker wait lands on the comm post
@@ -1233,7 +1274,7 @@ mod tests {
         let cost = CostModel::gigabit();
         let f = Arc::new(FaultInjector::new(plan, cost, 0));
         let (mut c, _) = faulty_ctx_on(1, Some(&f));
-        c.begin_epoch_timing();
+        c.begin_epoch();
         let (delta, _) = pull(&mut c, &[ParamKey(0)]);
         assert!(f.waited() > 0.0099, "the pull waited the outage out");
         let pull_end = c.post_comm(delta, 0.0);
@@ -1256,7 +1297,7 @@ mod tests {
     fn timing_enabled_builds_a_critical_path() {
         let mut c = ctx().with_timing(CostModel::gigabit(), true);
         let mut p = Pipeline::default();
-        c.begin_epoch_timing();
+        c.begin_epoch();
         let (delta, _) = pull(&mut c, &[ParamKey(0), ParamKey(3)]);
         let pull_end = c.post_comm(delta, 0.0);
         assert!(pull_end > 0.0);
@@ -1266,7 +1307,7 @@ mod tests {
         push_ones(&mut c, &mut p, |_| false, compute_end);
         let push_end = c.timeline.now();
         assert!(push_end > compute_end);
-        let cp = c.end_epoch_timing();
+        let cp = c.end_epoch().critical_path_secs;
         assert!(
             (cp - push_end).abs() < 1e-15,
             "fully serial chain: cp is the chain end"
@@ -1298,7 +1339,7 @@ mod tests {
             let (c, _) = ctx_on(machines);
             let mut c = c.with_timing(CostModel::gigabit(), true);
             let mut p = Pipeline::default();
-            c.begin_epoch_timing();
+            c.begin_epoch();
             stage(&mut c, &mut p, &in_flight, false);
             let ready = consume(&mut c, &mut p);
 

@@ -35,6 +35,7 @@
 # with every CLI fault profile at every seed given (default 11 23 47, the
 # chaos jobs' seeds) — lossy, corrupt, corrupt --integrity off, outage,
 # overload (its window arms the retry budget and breakers), chaos, chaos
+# --max-restarts 0 (its crash at epoch 1 gives the pool up), chaos
 # --replication 2, and failover --replication 2 — on `--synthetic fb15k
 # --epochs 3` with `--oracle on`, and prints `=` / `≠` per profile for the
 # run's stdout, the checkpoint's bytes, the `--report` JSON (its fault
@@ -49,7 +50,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[[ $# -ge 1 ]] || { sed -n '2,48p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,49p' "$0" >&2; exit 2; }
 sha="$(git rev-parse --short=12 "$1^{commit}")"
 shift
 mode=(--seconds 3 --trace 1 --quick)
@@ -72,7 +73,8 @@ git archive "$sha" | tar -x -C "$root/src"
 if [[ $faults == 1 ]]; then
     [[ ${#seeds[@]} -gt 0 ]] || seeds=(11 23 47)
     profiles=(lossy corrupt "corrupt --integrity off" outage overload chaos
-              "chaos --replication 2" "failover --replication 2")
+              "chaos --max-restarts 0" "chaos --replication 2"
+              "failover --replication 2")
     here_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")"
     (cd "$root/src" && CARGO_TARGET_DIR="$root/target" cargo build --release --quiet --bin hetkg)
     cargo build --release --quiet --bin hetkg

@@ -203,7 +203,7 @@ fn usage() {
     println!("  --checkpoint-dir DIR keep recovery checkpoints on disk, written");
     println!("                       crash-consistently with a manifest (default:");
     println!("                       validated in-memory images)");
-    println!("  --max-restarts N     supervisor restart budget per worker (default 3)");
+    println!("  --max-restarts N     supervisor restart budget of the pool (default 3)");
     println!("  --oracle on|off      also run a fault-free shadow reference and");
     println!("                       check per-key divergence        (default off)");
     println!("serving flags (serve):");
