@@ -10,7 +10,7 @@ use hetkg_core::baselines::{
     replay, FifoCache, ImportanceCache, LfuCache, LruCache, ReplacementCache,
 };
 use hetkg_core::filter::{FilterConfig, HotSetSelector};
-use hetkg_core::metrics::{CacheStats, TableEconomy};
+use hetkg_core::metrics::CacheStats;
 use hetkg_core::prefetch::Prefetcher;
 use hetkg_embed::negative::{NegConfig, NegativeSampler};
 use hetkg_kgraph::{ParamKey, Triple};
@@ -364,231 +364,6 @@ pub fn table6(ctx: ExpCtx) -> ExperimentRecord {
     }
 }
 
-/// What one training run of the admission study reports, in the units its
-/// table prints: remote bytes by cause, simulated seconds, and the hot
-/// table's economy.
-struct AdmissionRow {
-    seed: u64,
-    system: &'static str,
-    admission: &'static str,
-    /// Remote bytes: total, miss pull, sync probe, sync rows, construction,
-    /// push, write-back.
-    remote: [u64; 7],
-    /// Simulated seconds: communication, compute, overlap, epoch.
-    secs: [f64; 4],
-    /// The hot table's economy and its usage-weighted hit ratio; `None` for
-    /// a cacheless system.
-    table: Option<(TableEconomy, f64)>,
-}
-
-impl AdmissionRow {
-    fn of(
-        seed: u64,
-        system: &'static str,
-        admission: &'static str,
-        r: &hetkg_train::TrainReport,
-    ) -> Self {
-        use hetkg_netsim::Cause;
-        let t = r.total_traffic();
-        let cause = |c| t.by_cause.get(c).remote;
-        let e = r.total_table();
-        Self {
-            seed,
-            system,
-            admission,
-            remote: [
-                t.remote_bytes,
-                cause(Cause::MissPull),
-                cause(Cause::SyncProbe),
-                cause(Cause::SyncRows),
-                cause(Cause::Construction),
-                cause(Cause::Push),
-                cause(Cause::WriteBack),
-            ],
-            secs: [
-                r.total_comm_secs(),
-                r.total_compute_secs(),
-                r.total_overlap_secs(),
-                r.total_secs(),
-            ],
-            table: (e.rebuilds > 0).then(|| (e, r.total_cache().hit_ratio())),
-        }
-    }
-
-    fn cells(&self) -> Vec<String> {
-        let mut cells = vec![
-            self.seed.to_string(),
-            self.system.to_string(),
-            self.admission.to_string(),
-        ];
-        cells.extend(
-            self.remote
-                .iter()
-                .map(|&b| format!("{:.2}", b as f64 / 1e6)),
-        );
-        cells.extend(self.secs.iter().map(|s| format!("{s:.4}")));
-        match self.table {
-            Some((e, hit_ratio)) => cells.extend([
-                pct(e.occupancy()),
-                format!("{:.1}", e.fresh_rows_per_rebuild()),
-                format!("{} / {}", e.staged_early, e.staged_late),
-                pct(hit_ratio),
-            ]),
-            None => cells.extend(std::iter::repeat_n("-".to_string(), 4)),
-        }
-        cells
-    }
-}
-
-/// HET-KG-D as it ran at the parent of the change that introduced admission
-/// by reading batches (commit ec06e18: every key of the window a candidate,
-/// ranked by raw uses), on this experiment's graph and seeds. The old rule
-/// is not selectable at run time — it survives only as a `#[cfg(test)]`
-/// reference in `hetkg_core::filter` — so its columns were recorded once
-/// from that commit: traffic and seconds from its `TrainReport`, the table
-/// economy (which it did not report) from counters printed by a scratch
-/// build. Rows held equal capacity at every rebuild there.
-const RAW_USE_ADMISSION: [AdmissionRow; 2] = [
-    AdmissionRow {
-        seed: 7,
-        system: "HET-KG-D",
-        admission: "raw uses (parent)",
-        remote: [
-            19_961_476, 4_039_064, 327_192, 3_010_140, 2_101_248, 10_483_832, 0,
-        ],
-        secs: [0.2336876752, 0.033509376, 0.0276109144, 0.2395861368],
-        table: Some((
-            TableEconomy {
-                rebuilds: 72,
-                rows_held: 29_088,
-                capacity: 29_088,
-                fresh_rows: 18_872,
-                staged_early: 21_021,
-                staged_late: 54_707,
-                written_back_rows: 0,
-                written_back_early: 0,
-                coalesced_grads: 0,
-                written_back_energy: 0.0,
-                written_back_sum_sq: 0.0,
-            },
-            0.7386903734923921,
-        )),
-    },
-    AdmissionRow {
-        seed: 8,
-        system: "HET-KG-D",
-        admission: "raw uses (parent)",
-        remote: [
-            19_977_200, 4_032_672, 327_228, 3_005_380, 2_132_712, 10_479_208, 0,
-        ],
-        secs: [0.2419105112, 0.034062336, 0.0276045832, 0.2483682640],
-        table: Some((
-            TableEconomy {
-                rebuilds: 73,
-                rows_held: 29_492,
-                capacity: 29_492,
-                fresh_rows: 19_056,
-                staged_early: 19_061,
-                staged_late: 56_758,
-                written_back_rows: 0,
-                written_back_early: 0,
-                coalesced_grads: 0,
-                written_back_energy: 0.0,
-                written_back_sum_sq: 0.0,
-            },
-            0.7387648296033389,
-        )),
-    },
-];
-
-/// DPS admission study: what the hot table costs and saves when a row is
-/// cached only if two batches of the prefetched window read it, against the
-/// raw-use ranking it replaced and against DGL-KE, on the benchmark's
-/// skewed graph at a tenth of its scale (`tests/traffic_shape.rs`'s).
-pub fn dps_admission(_ctx: ExpCtx) -> ExperimentRecord {
-    let mut rows = Vec::new();
-    for recorded in RAW_USE_ADMISSION {
-        let seed = recorded.seed;
-        let kg = hetkg_kgraph::generator::SyntheticKg {
-            num_entities: 20_000,
-            num_relations: 200,
-            num_triples: 80_000,
-            entity_alpha: 1.0,
-            relation_alpha: 1.1,
-            ..Default::default()
-        }
-        .build(seed);
-        let split = hetkg_kgraph::split::Split::ninety_five_five(&kg, seed);
-        let run = |system| {
-            let mut cfg = TrainConfig::paper(system, hetkg_embed::ModelKind::TransEL2, 32);
-            cfg.batch_size = 64;
-            cfg.machines = 4;
-            cfg.epochs = 1;
-            cfg.eval_candidates = None;
-            cfg.seed = seed;
-            train(&kg, &split.train, &[], &cfg)
-        };
-        let dglke = AdmissionRow::of(seed, "DGL-KE", "-", &run(SystemKind::DglKe));
-        let hetkg = AdmissionRow::of(
-            seed,
-            "HET-KG-D",
-            "read by >= 2 batches",
-            &run(SystemKind::HetKgDps),
-        );
-        rows.extend([dglke.cells(), recorded.cells(), hetkg.cells()]);
-    }
-    ExperimentRecord {
-        id: "dps-admission".into(),
-        title: "DPS admission: cache a row only when two batches of the window read it".into(),
-        params: "20000 entities / 200 relations / 80000 triples, entity alpha 1.0, relation \
-                 alpha 1.1 | TransE-L2 d=32, batch 64, 4 machines, 1 epoch, cache 2 % / P=8 / \
-                 D=16, seeds 7 and 8 (fixed: the parent's rows are recordings) | bytes are \
-                 remote MB, times simulated seconds"
-            .into(),
-        columns: [
-            "seed",
-            "system",
-            "admission",
-            "remote MB",
-            "miss_pull",
-            "sync_probe",
-            "sync_rows",
-            "construction",
-            "push",
-            "write_back",
-            "comm s",
-            "compute s",
-            "overlap s",
-            "epoch s",
-            "occupancy",
-            "fresh rows/rebuild",
-            "staged early / late",
-            "hit ratio",
-        ]
-        .map(String::from)
-        .to_vec(),
-        rows,
-        shape_expectation: "admission by reading batches moves fewer remote bytes than the \
-                            raw-use ranking and than DGL-KE: construction shrinks several-fold \
-                            (no row + version pulled for a key one batch reads), sync rows \
-                            shrink (those rows were re-sent when the worker's own push moved \
-                            them), miss pulls grow by less than the two save; the rule leaves \
-                            push alone — it is smaller in this build's rows because hot rows \
-                            are now written back once per sync window (`write-back` has that \
-                            comparison); no staged miss key is left for consume time, so overlap \
-                            equals compute; occupancy falls below 100 % (the table holds what \
-                            pays, not what fits) and the usage-weighted hit ratio falls with \
-                            it, because a corruption used 32 times by one batch counted as 32 \
-                            hits for one saved pull. At this scale (d=32, batch 64) an epoch is \
-                            bound by per-message latency, not bytes or compute, so the \
-                            pipeline's per-key split costs both systems more in second frames \
-                            than overlap returns — DGL-KE's epoch s read 0.2633 / 0.2707 and \
-                            HET-KG-D's 0.2298 / 0.2375 under the per-shard rule; \
-                            `pipeline-split` has the benchmark-scale runs, where it pays"
-            .into(),
-    }
-}
-
 /// Table VII: heterogeneity ablation — HET-KG vs HET-KG-N (no 25/75 split).
 pub fn table7(ctx: ExpCtx) -> ExperimentRecord {
     let epochs = ctx.epochs(6);
@@ -663,31 +438,6 @@ mod tests {
             last > first,
             "hit ratio must rise with capacity: {first} -> {last}"
         );
-    }
-
-    #[test]
-    fn dps_admission_sets_each_recorded_row_beside_runs_of_the_same_workload() {
-        // Shape of the record only; what the rule saves and hides is pinned
-        // by `tests/traffic_shape.rs` and `tests/overlap.rs`.
-        let r = dps_admission(quick());
-        let push = r.columns.iter().position(|c| c == "push").unwrap();
-        assert_eq!(r.columns[push + 1], "write_back");
-        let compute = r.columns.iter().position(|c| c == "compute s").unwrap();
-        assert_eq!(r.rows.len(), 3 * RAW_USE_ADMISSION.len());
-        // Per seed: DGL-KE, the recorded raw-use row, this build.
-        for (rows, recorded) in r.rows.chunks(3).zip(&RAW_USE_ADMISSION) {
-            assert!(rows.iter().all(|row| row.len() == r.columns.len()));
-            assert_eq!(rows[1], recorded.cells());
-            // Compute seconds follow from the triples each worker trains
-            // on, whatever is cached or pushed: equal ones say the
-            // recording is of this graph and seed.
-            assert_eq!(rows[2][compute], recorded.cells()[compute]);
-            // The recording pushed every gradient every iteration; this
-            // build writes its hot rows back instead, in fewer bytes.
-            let mb = |cell: &String| cell.parse::<f64>().unwrap();
-            assert!(mb(&rows[2][push + 1]) > 0.0);
-            assert!(mb(&rows[2][push]) + mb(&rows[2][push + 1]) < mb(&rows[1][push]));
-        }
     }
 
     #[test]

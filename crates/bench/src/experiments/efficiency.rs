@@ -1,6 +1,6 @@
 //! Figs. 5–7: convergence over time, scalability with workers, and the
-//! computation/communication breakdown — and what the pipeline's hazard
-//! rule contributes to the epoch times they report.
+//! computation/communication breakdown — and the same breakdown, by cause,
+//! on the benchmark's skewed workload.
 
 use super::ExpCtx;
 use crate::record::ExperimentRecord;
@@ -147,192 +147,6 @@ pub fn fig7(ctx: ExpCtx) -> ExperimentRecord {
     }
 }
 
-/// One training run of the pipeline-split study, as raw totals.
-struct SplitRow {
-    seed: u64,
-    system: &'static str,
-    split: &'static str,
-    /// Simulated seconds over the run: total (the critical path),
-    /// communication, compute, overlap.
-    secs: [f64; 4],
-    remote_messages: u64,
-    remote_bytes: u64,
-    /// Staged keys issued early / left for consume time; `None` where the
-    /// system did not report its split.
-    staged: Option<(u64, u64)>,
-}
-
-impl SplitRow {
-    fn of(seed: u64, system: &'static str, r: &hetkg_train::TrainReport) -> Self {
-        let (traffic, table) = (r.total_traffic(), r.total_table());
-        Self {
-            seed,
-            system,
-            split: "per key",
-            secs: [
-                r.total_secs(),
-                r.total_comm_secs(),
-                r.total_compute_secs(),
-                r.total_overlap_secs(),
-            ],
-            remote_messages: traffic.remote_messages,
-            remote_bytes: traffic.remote_bytes,
-            staged: Some((table.staged_early, table.staged_late)),
-        }
-    }
-
-    /// Table cells, for a run of `epochs` epochs, `iters` worker iterations
-    /// and `triples` trained triples.
-    fn cells(&self, epochs: usize, iters: usize, triples: usize) -> Vec<String> {
-        let mut cells = vec![
-            self.seed.to_string(),
-            self.system.to_string(),
-            self.split.to_string(),
-            format!("{:.4}", self.secs[0] / epochs as f64),
-        ];
-        cells.extend(self.secs[1..].iter().map(|s| format!("{s:.3}")));
-        cells.extend([
-            format!("{:.2}", self.remote_messages as f64 / iters as f64),
-            format!("{:.1}", self.remote_bytes as f64 / triples as f64),
-            self.staged
-                .map_or("-".to_string(), |(early, late)| format!("{early} / {late}")),
-        ]);
-        cells
-    }
-}
-
-/// The three PS systems as they ran at the parent of the change that made
-/// the pipeline's hazard rule per key (commit d64db47: one staged key the
-/// in-flight batch also writes parked its shard's whole frame, and sync
-/// iterations were not staged), on this experiment's full-scale workload.
-/// The old rule is not selectable at run time — it survives only as a
-/// `#[cfg(test)]` reference in `hetkg_train::worker` — so its rows were
-/// recorded once by running this function's configuration at that commit.
-/// DGL-KE did not report its split there.
-const PER_SHARD_SPLIT: [SplitRow; 9] = [
-    SplitRow {
-        seed: 7,
-        system: "HET-KG-D",
-        split: "per shard (parent)",
-        secs: [
-            3.599573966400014,
-            3.2664480584,
-            2.802843648,
-            2.469717739999986,
-        ],
-        remote_messages: 17_418,
-        remote_bytes: 1_050_054_144,
-        staged: Some((1_130_594, 0)),
-    },
-    SplitRow {
-        seed: 7,
-        system: "HET-KG-C",
-        split: "per shard (parent)",
-        secs: [5.5681505192, 3.5579572792, 2.802843648, 0.7926504080000005],
-        remote_messages: 16_896,
-        remote_bytes: 1_158_815_064,
-        staged: Some((415_996, 658_336)),
-    },
-    SplitRow {
-        seed: 7,
-        system: "DGL-KE",
-        split: "per shard (parent)",
-        secs: [
-            6.436105295999988,
-            3.654495312,
-            2.802843648,
-            0.02123366400001281,
-        ],
-        remote_messages: 16_884,
-        remote_bytes: 1_226_124_640,
-        staged: None,
-    },
-    SplitRow {
-        seed: 8,
-        system: "HET-KG-D",
-        split: "per shard (parent)",
-        secs: [
-            3.819307285600019,
-            3.5049505256,
-            2.816999424,
-            2.5026426639999806,
-        ],
-        remote_messages: 17_430,
-        remote_bytes: 1_073_394_616,
-        staged: Some((1_139_418, 0)),
-    },
-    SplitRow {
-        seed: 8,
-        system: "HET-KG-C",
-        split: "per shard (parent)",
-        secs: [
-            5.817949453199991,
-            3.8597085572000003,
-            2.816999424,
-            0.858758528000009,
-        ],
-        remote_messages: 16_908,
-        remote_bytes: 1_181_955_672,
-        staged: Some((426_587, 657_502)),
-    },
-    SplitRow {
-        seed: 8,
-        system: "DGL-KE",
-        split: "per shard (parent)",
-        secs: [
-            6.701607111999959,
-            3.884607688,
-            2.816999424,
-            6.52811138479592e-14,
-        ],
-        remote_messages: 16_896,
-        remote_bytes: 1_249_586_000,
-        staged: None,
-    },
-    SplitRow {
-        seed: 9,
-        system: "HET-KG-D",
-        split: "per shard (parent)",
-        secs: [
-            3.6189652428000216,
-            3.2825880628000004,
-            2.816999424,
-            2.4806222439999788,
-        ],
-        remote_messages: 17_442,
-        remote_bytes: 1_055_889_324,
-        staged: Some((1_136_973, 0)),
-    },
-    SplitRow {
-        seed: 9,
-        system: "HET-KG-C",
-        split: "per shard (parent)",
-        secs: [
-            5.524869375200008,
-            3.5320615312,
-            2.816999424,
-            0.8241915799999919,
-        ],
-        remote_messages: 16_920,
-        remote_bytes: 1_158_196_996,
-        staged: Some((415_102, 661_177)),
-    },
-    SplitRow {
-        seed: 9,
-        system: "DGL-KE",
-        split: "per shard (parent)",
-        secs: [
-            6.477768847999966,
-            3.660769424,
-            2.816999424,
-            6.52811138479592e-14,
-        ],
-        remote_messages: 16_908,
-        remote_bytes: 1_230_775_520,
-        staged: None,
-    },
-];
-
 /// The benchmark's skewed training workload (`train-hetkg-skew` /
 /// `train-dglke-skew`), or with `--quick` one seed of the same graph at a
 /// tenth of its scale.
@@ -412,367 +226,39 @@ impl SkewScale {
     }
 }
 
-/// Pipeline-split study: what the three PS systems' epochs cost when a
-/// staged key waits for consume time only if the batch in flight writes
-/// that key, against the per-shard rule it replaced — on the benchmark's
-/// skewed workload (`train-hetkg-skew` / `train-dglke-skew`), so
-/// `sim_epoch_s` here is the benchmark's metric. `--quick` runs one seed of
-/// the same graph at a tenth of its scale, without the recorded rows.
-pub fn pipeline_split(ctx: ExpCtx) -> ExperimentRecord {
+/// Skewed-workload breakdown: where DGL-KE's, HET-KG-C's and HET-KG-D's
+/// simulated seconds and remote bytes go on the benchmark's skewed workload
+/// (`train-hetkg-skew` / `train-dglke-skew`), and what the hot table holds
+/// and writes back, evaluated as the benchmark evaluates (filtered MRR of
+/// the first 1000 test triples against 1000 candidates) — so
+/// `sim_epoch_s`, the bytes, the loss and the MRR of the DGL-KE and
+/// HET-KG-D rows are the benchmark's metrics. `--quick` runs one seed of
+/// the same graph at a tenth of its scale.
+pub fn skew_breakdown(ctx: ExpCtx) -> ExperimentRecord {
+    use hetkg_eval::link_prediction::{evaluate, EvalConfig};
+    use hetkg_netsim::Cause;
+    use hetkg_train::trainer::{snapshot, train_with_store};
     const SYSTEMS: [(SystemKind, &str); 3] = [
-        (SystemKind::HetKgDps, "HET-KG-D"),
-        (SystemKind::HetKgCps, "HET-KG-C"),
         (SystemKind::DglKe, "DGL-KE"),
+        (SystemKind::HetKgCps, "HET-KG-C"),
+        (SystemKind::HetKgDps, "HET-KG-D"),
     ];
-    const COLUMNS: [&str; 10] = [
+    const CAUSES: [Cause; 6] = [
+        Cause::MissPull,
+        Cause::SyncProbe,
+        Cause::SyncRows,
+        Cause::Construction,
+        Cause::Push,
+        Cause::WriteBack,
+    ];
+    const COLUMNS: [&str; 23] = [
         "seed",
         "system",
-        "split",
         "sim_epoch_s",
         "comm s",
         "compute s",
         "overlap s",
         "remote msgs/iter",
-        "remote B/triple",
-        "staged early / late",
-    ];
-    let scale = SkewScale::of(ctx);
-    let SkewScale {
-        shrink,
-        dim,
-        batch_size,
-        epochs,
-        seeds,
-        machines,
-    } = scale;
-    let mut rows = Vec::new();
-    for &seed in seeds {
-        let w = scale.workload(seed);
-        let (kg, train_set, iters, triples) = (&w.kg, &w.split.train, w.iters, w.triples);
-        let measured = SYSTEMS.map(|(system, name)| {
-            let cfg = scale.config(system, seed);
-            SplitRow::of(seed, name, &train(kg, train_set, &[], &cfg))
-        });
-        // Per system the recorded row (in `SYSTEMS` order, like `measured`),
-        // then this build's; then HET-KG-D's epoch over DGL-KE's per rule.
-        let recorded: Vec<&SplitRow> = PER_SHARD_SPLIT
-            .iter()
-            .filter(|r| !ctx.quick && r.seed == seed)
-            .collect();
-        let rules: Vec<Vec<&SplitRow>> = [recorded, measured.iter().collect()]
-            .into_iter()
-            .filter(|runs| !runs.is_empty())
-            .collect();
-        for i in 0..SYSTEMS.len() {
-            rows.extend(
-                rules
-                    .iter()
-                    .map(|runs| runs[i].cells(epochs, iters, triples)),
-            );
-        }
-        for runs in &rules {
-            let mut cells = vec![
-                seed.to_string(),
-                "HET-KG-D / DGL-KE".to_string(),
-                runs[0].split.to_string(),
-                format!("{:.3}", runs[0].secs[0] / runs[2].secs[0]),
-            ];
-            cells.resize(COLUMNS.len(), String::new());
-            rows.push(cells);
-        }
-    }
-    ExperimentRecord {
-        id: "pipeline-split".into(),
-        title: "Pipeline hazard rule per key instead of per shard, and staged sync iterations"
-            .into(),
-        params: format!(
-            "{} entities / 200 relations / {} triples, entity alpha 1.0, relation alpha 1.1 | \
-             TransE-L2 d={dim}, batch {batch_size}, {machines} machines, {epochs} epoch(s), \
-             cache 2 % / P=8 / D=16, overlap on, seeds {seeds:?}{} | sim_epoch_s = simulated \
-             seconds per epoch (the critical path); comm / compute / overlap are simulated \
-             seconds over the run, slowest worker; msgs/iter = remote messages per worker \
-             iteration; staged = keys of staged pulls issued an iteration early / left for \
-             consume time",
-            200_000 / shrink,
-            800_000 / shrink,
-            if ctx.quick {
-                " (--quick: a tenth of the benchmark's graph, no recorded rows)"
-            } else {
-                " (the benchmark's train-hetkg-skew / train-dglke-skew configuration; \
-                 `per shard (parent)` rows are recordings from commit d64db47)"
-            }
-        ),
-        columns: COLUMNS.map(String::from).to_vec(),
-        rows,
-        shape_expectation: "the rule moves messages, not bytes: DGL-KE's remote bytes per \
-                            triple equal the parent's, only messages per iteration grow, by less \
-                            than one per remote shard (DGL-KE: all three, 6 -> 9; HET-KG-D 6.19 \
-                            -> 6.38), and comm seconds grow by exactly their modelled cost. \
-                            (The HET-KG rows of this build move ~130 B/triple less than the \
-                            recordings for another reason: since PR 23 hot rows are written \
-                            back once per sync window, which `write-back` sets against its own \
-                            parent; under the per-key rule alone they read the recordings' \
-                            729.2 / 804.7 at seed 7. And HET-KG-D's sim_epoch_s is ~10 % below \
-                            what this rule left it at, 1.62 against 1.80 at seed 7, since held \
-                            rows leave at their window's last gradient, rebuild iterations are \
-                            staged and a sync gates the next compute instead of its own - again \
-                            `write-back` has the parent; HET-KG-C gains 0.5 % from the last of \
-                            the three.) DGL-KE, which hid nothing (one relation \
-                            shared with the batch in flight parked a shard's whole frame, and \
-                            every shard holds one), now issues ~78 % of its staged keys early \
-                            and hides about half of its compute; what stays on its critical \
-                            path is compute -> push -> the consume-time pull of the keys that \
-                            push wrote, which no rule may reorder. HET-KG-C goes from 39 % \
-                            early keys to 99 %. HET-KG-D's misses were already all early under \
-                            DPS admission; it gains its staged sync iterations. sim_epoch_s \
-                            falls ~20 % for DGL-KE, ~13 % for HET-KG-C (half of it the rule, \
-                            half the bytes written back instead of pushed) and stayed level for \
-                            HET-KG-D under this rule alone; HET-KG-D / DGL-KE rose from 0.56-0.57 \
-                            to 0.69-0.70 with it, reads 0.62-0.63 now, and stays <= 0.75 (ROADMAP: the sim_epoch_s half of the paper's effect) \
-                            - now a statement about the bytes the cache removed rather than \
-                            about which system's frames the simulator allowed to move"
-            .into(),
-    }
-}
-
-/// One training run of the write-back study, as raw totals.
-struct WriteBackRow {
-    seed: u64,
-    system: &'static str,
-    writes: &'static str,
-    /// Remote bytes: total, miss pull, sync probe, sync rows, construction,
-    /// push, write-back.
-    remote: [u64; 7],
-    remote_messages: u64,
-    /// Simulated seconds over the run (the critical path).
-    secs: f64,
-    final_loss: f64,
-    mrr: f64,
-    /// Rows written back, how many of them before their window's last push,
-    /// the gradients they carried, and ρ over the rows sent with an energy;
-    /// `None` for a run that wrote nothing back.
-    written_back: Option<(u64, u64, u64, f64)>,
-}
-
-impl WriteBackRow {
-    fn of(seed: u64, system: &'static str, r: &hetkg_train::TrainReport, mrr: f64) -> Self {
-        use hetkg_netsim::Cause;
-        let (t, e) = (r.total_traffic(), r.total_table());
-        let cause = |c| t.by_cause.get(c).remote;
-        Self {
-            seed,
-            system,
-            writes: if e.written_back_rows > 0 {
-                "per window, at the row's last gradient"
-            } else {
-                "-"
-            },
-            remote: [
-                t.remote_bytes,
-                cause(Cause::MissPull),
-                cause(Cause::SyncProbe),
-                cause(Cause::SyncRows),
-                cause(Cause::Construction),
-                cause(Cause::Push),
-                cause(Cause::WriteBack),
-            ],
-            remote_messages: t.remote_messages,
-            secs: r.total_secs(),
-            final_loss: r.epochs.last().map_or(f64::NAN, |e| e.loss),
-            mrr,
-            written_back: (e.written_back_rows > 0).then(|| {
-                (
-                    e.written_back_rows,
-                    e.written_back_early,
-                    e.coalesced_grads,
-                    e.mean_rho(),
-                )
-            }),
-        }
-    }
-
-    /// Table cells, for a run of `epochs` epochs, `iters` worker iterations
-    /// and `triples` trained triples.
-    fn cells(&self, epochs: usize, iters: usize, triples: usize) -> Vec<String> {
-        let mut cells = vec![
-            self.seed.to_string(),
-            self.system.to_string(),
-            self.writes.to_string(),
-        ];
-        cells.extend(
-            self.remote
-                .iter()
-                .map(|&b| format!("{:.1}", b as f64 / triples as f64)),
-        );
-        cells.extend([
-            format!("{:.3}", self.remote_messages as f64 / iters as f64),
-            format!("{:.4}", self.secs / epochs as f64),
-            format!("{:.5}", self.final_loss),
-            format!("{:.4}", self.mrr),
-        ]);
-        cells.extend(match self.written_back {
-            Some((rows, early, grads, rho)) => [
-                format!("{:.2}", grads as f64 / rows as f64),
-                format!("{rho:.2}"),
-                format!("{:.2}", early as f64 / rows as f64),
-            ],
-            None => ["-".to_string(), "-".to_string(), "-".to_string()],
-        });
-        cells
-    }
-}
-
-/// HET-KG-D as it ran at the parent of the change that made it write hot
-/// rows back once per sync window (commit d9643b8: a gradient was applied
-/// to the cached row *and* pushed, every iteration), on this experiment's
-/// full-scale workload. That behaviour is not selectable at run time — it
-/// survives only as a `#[cfg(test)]` reference in `hetkg_train` — so its
-/// rows were recorded once by running this function's configuration and
-/// evaluation at that commit.
-const WRITE_THROUGH: [WriteBackRow; 3] = [
-    WriteBackRow {
-        seed: 7,
-        system: "HET-KG-D",
-        writes: "every iteration (parent)",
-        remote: [
-            1_050_054_144,
-            316_805_320,
-            2_148_648,
-            91_848_816,
-            26_609_720,
-            612_641_640,
-            0,
-        ],
-        remote_messages: 17_943,
-        secs: 3.555413894400009,
-        final_loss: 0.2731946225818809,
-        mrr: 0.1400921605713218,
-        written_back: None,
-    },
-    WriteBackRow {
-        seed: 8,
-        system: "HET-KG-D",
-        writes: "every iteration (parent)",
-        remote: [
-            1_073_394_616,
-            326_909_960,
-            2_175_864,
-            92_958_648,
-            27_322_064,
-            624_028_080,
-            0,
-        ],
-        remote_messages: 17_958,
-        secs: 3.779356581600011,
-        final_loss: 0.27191880713481237,
-        mrr: 0.16612410809168998,
-        written_back: None,
-    },
-    WriteBackRow {
-        seed: 9,
-        system: "HET-KG-D",
-        writes: "every iteration (parent)",
-        remote: [
-            1_055_889_324,
-            318_105_840,
-            2_182_680,
-            93_269_380,
-            26_839_664,
-            615_491_760,
-            0,
-        ],
-        remote_messages: 17_970,
-        secs: 3.571430910800016,
-        final_loss: 0.2730441417157953,
-        mrr: 0.16604077544710732,
-        written_back: None,
-    },
-];
-
-/// HET-KG-D as it ran at the parent of the change that writes a held row
-/// back at its last gradient of the window (commit 5cdf0a5: every held row
-/// left in the window's boundary push, a rebuild iteration was not staged,
-/// and a sync gated its own batch), on this experiment's full-scale
-/// workload. Not selectable at run time either — the boundary-only
-/// write-back is a `#[cfg(test)]` reference in `hetkg_train`, the two
-/// scheduling rules are not options — so recorded the same way.
-const BOUNDARY_ONLY: [WriteBackRow; 3] = [
-    WriteBackRow {
-        seed: 7,
-        system: "HET-KG-D",
-        writes: "per window, in its last push (parent)",
-        remote: [
-            859_890_044,
-            316_805_320,
-            2_148_648,
-            91_837_812,
-            26_609_720,
-            354_370_640,
-            68_117_904,
-        ],
-        remote_messages: 17_943,
-        secs: 3.604666855200068,
-        final_loss: 0.27360280529818054,
-        mrr: 0.14110402371913192,
-        written_back: Some((542_696, 0, 1_340_701, 2.0827794425633686)),
-    },
-    WriteBackRow {
-        seed: 8,
-        system: "HET-KG-D",
-        writes: "per window, in its last push (parent)",
-        remote: [
-            883_302_892,
-            326_909_960,
-            2_175_864,
-            92_941_356,
-            27_322_064,
-            365_408_160,
-            68_545_488,
-        ],
-        remote_messages: 17_958,
-        secs: 3.691843732000072,
-        final_loss: 0.27215035319980113,
-        mrr: 0.1628270570432007,
-        written_back: Some((545_360, 0, 1_334_390, 1.8492265352472916)),
-    },
-    WriteBackRow {
-        seed: 9,
-        system: "HET-KG-D",
-        writes: "per window, in its last push (parent)",
-        remote: [
-            865_514_628,
-            318_105_840,
-            2_182_680,
-            93_248_944,
-            26_839_664,
-            356_396_560,
-            68_740_940,
-        ],
-        remote_messages: 17_970,
-        secs: 3.5945840552000705,
-        final_loss: 0.2733970064677791,
-        mrr: 0.1643624979606457,
-        written_back: Some((543_221, 0, 1_328_505, 2.1833663411263875)),
-    },
-];
-
-/// Write-back study: what HET-KG-D moves, and where it ends up, when the
-/// gradients of a cached row are summed in the hot table and written back
-/// once per sync window with their energy — each at the last gradient the
-/// window gives it — against the build that pushed every one of them,
-/// against the one that wrote all of a window back in its last push, and
-/// against DGL-KE — on the benchmark's skewed
-/// workload, evaluated as the benchmark evaluates (filtered MRR of the
-/// first 1000 test triples against 1000 candidates), so the bytes, epoch
-/// seconds, loss and MRR here are `train-hetkg-skew`'s and
-/// `train-dglke-skew`'s metrics. `--quick` runs one seed of the same graph
-/// at a tenth of its scale, without the recorded rows.
-pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
-    use hetkg_eval::link_prediction::{evaluate, EvalConfig};
-    const COLUMNS: [&str; 17] = [
-        "seed",
-        "system",
-        "hot-row writes",
         "remote B/triple",
         "miss_pull",
         "sync_probe",
@@ -780,13 +266,15 @@ pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
         "construction",
         "push",
         "write_back",
-        "remote msgs/iter",
-        "sim_epoch_s",
-        "final loss",
-        "MRR",
+        "staged early / late",
+        "occupancy",
+        "fresh rows/rebuild",
+        "hit ratio",
         "grads/row",
         "rho",
         "early share",
+        "final loss",
+        "MRR",
     ];
     let scale = SkewScale::of(ctx);
     let SkewScale {
@@ -797,106 +285,107 @@ pub fn write_back(ctx: ExpCtx) -> ExperimentRecord {
         seeds,
         machines,
     } = scale;
+    let eval = EvalConfig {
+        filtered: true,
+        max_candidates: Some(1000 / shrink),
+        seed: 0x5EED_E7A1,
+    };
+    let dash = || ["-"; 3].map(String::from);
     let mut rows = Vec::new();
     for &seed in seeds {
         let w = scale.workload(seed);
-        let run = |system, name| {
+        let per_triple = |bytes: u64| format!("{:.1}", bytes as f64 / w.triples as f64);
+        // Per system its remote bytes and simulated seconds, for the ratio.
+        let totals = SYSTEMS.map(|(system, name)| {
             let cfg = scale.config(system, seed);
-            let (report, store) =
-                hetkg_train::trainer::train_with_store(&w.kg, &w.split.train, &[], &cfg);
-            let snapshot = hetkg_train::trainer::snapshot(&store, w.kg.key_space());
-            let model = cfg.model.build(dim);
+            let (r, store) = train_with_store(&w.kg, &w.split.train, &[], &cfg);
             let test = &w.split.test[..(1000 / shrink).min(w.split.test.len())];
-            let eval = EvalConfig {
-                filtered: true,
-                max_candidates: Some(1000 / shrink),
-                seed: 0x5EED_E7A1,
-            };
-            let metrics = evaluate(model.as_ref(), &snapshot, test, w.kg.triples(), &eval);
-            WriteBackRow::of(seed, name, &report, metrics.mrr())
-        };
-        let dglke = run(SystemKind::DglKe, "DGL-KE");
-        let hetkg = run(SystemKind::HetKgDps, "HET-KG-D");
-        let recorded =
-            |rows: &'static [WriteBackRow; 3]| rows.iter().find(|r| !ctx.quick && r.seed == seed);
-        let (through, boundary) = (recorded(&WRITE_THROUGH), recorded(&BOUNDARY_ONLY));
-        let runs = [Some(&dglke), through, boundary, Some(&hetkg)];
-        for r in runs.into_iter().flatten() {
-            rows.push(r.cells(epochs, w.iters, w.triples));
-        }
-        for r in runs.into_iter().skip(1).flatten() {
+            let snapshot = snapshot(&store, w.kg.key_space());
+            let model = cfg.model.build(dim);
+            let mrr = evaluate(model.as_ref(), &snapshot, test, w.kg.triples(), &eval).mrr();
+            let (t, e) = (r.total_traffic(), r.total_table());
             let mut cells = vec![
                 seed.to_string(),
-                "HET-KG-D / DGL-KE".to_string(),
-                r.writes.to_string(),
-                format!("{:.3}", r.remote[0] as f64 / dglke.remote[0] as f64),
+                name.to_string(),
+                format!("{:.4}", r.total_secs() / epochs as f64),
             ];
-            cells.resize(COLUMNS.len(), String::new());
-            cells[11] = format!("{:.3}", r.secs / dglke.secs);
+            let lanes = [
+                r.total_comm_secs(),
+                r.total_compute_secs(),
+                r.total_overlap_secs(),
+            ];
+            cells.extend(lanes.map(|s| format!("{s:.4}")));
+            cells.push(format!("{:.3}", t.remote_messages as f64 / w.iters as f64));
+            cells.push(per_triple(t.remote_bytes));
+            cells.extend(CAUSES.map(|c| per_triple(t.by_cause.get(c).remote)));
+            cells.push(format!("{} / {}", e.staged_early, e.staged_late));
+            cells.extend(match e.rebuilds {
+                0 => dash(),
+                _ => [
+                    pct(e.occupancy()),
+                    format!("{:.1}", e.fresh_rows_per_rebuild()),
+                    pct(r.total_cache().hit_ratio()),
+                ],
+            });
+            cells.extend(match e.written_back_rows {
+                0 => dash(),
+                _ => [e.coalescing_factor(), e.mean_rho(), e.early_share()]
+                    .map(|x| format!("{x:.2}")),
+            });
+            let final_loss = r.epochs.last().map_or(f64::NAN, |epoch| epoch.loss);
+            cells.extend([format!("{final_loss:.5}"), format!("{mrr:.4}")]);
             rows.push(cells);
-        }
+            (t.remote_bytes as f64, r.total_secs())
+        });
+        let ((dgl_bytes, dgl_secs), (het_bytes, het_secs)) = (totals[0], totals[2]);
+        let mut ratio = vec![String::new(); COLUMNS.len()];
+        ratio[0] = seed.to_string();
+        ratio[1] = "HET-KG-D / DGL-KE".to_string();
+        ratio[2] = format!("{:.3}", het_secs / dgl_secs);
+        ratio[7] = format!("{:.3}", het_bytes / dgl_bytes);
+        rows.push(ratio);
     }
     ExperimentRecord {
-        id: "write-back".into(),
-        title: "Hot rows written back once per sync window, with their gradient energy, at \
-                their last gradient of the window"
-            .into(),
+        id: "skew-breakdown".into(),
+        title: "Where the skewed workload's epochs and bytes go, per system".into(),
         params: format!(
             "{} entities / 200 relations / {} triples, entity alpha 1.0, relation alpha 1.1 | \
              TransE-L2 d={dim}, batch {batch_size}, {machines} machines, {epochs} epoch(s), \
-             AdaGrad, cache 2 % / P=8 / D=16, overlap on, seeds {seeds:?}{} | bytes are remote \
-             bytes per trained triple, by cause; msgs/iter = remote messages per worker \
-             iteration; sim_epoch_s = simulated seconds per epoch (the critical path); MRR = \
-             filtered, first {} test triples against {} candidates; grads/row = gradients per \
-             row written back (the coalescing factor); rho = sum of energies / sum of \
-             ||sum g||^2 over the rows sent with an energy; early share = rows written back \
-             before their window's last push / rows written back",
+             AdaGrad, cache 2 % / P=8 / D=16, overlap on, seeds {seeds:?}{} | \
+             sim_epoch_s = simulated seconds per epoch (the critical path); comm / compute / \
+             overlap = simulated seconds over the run, slowest worker; msgs/iter = remote \
+             messages per worker iteration; bytes are remote bytes per trained triple, in \
+             total and by cause; staged = miss keys of staged pulls issued an iteration early \
+             / left for consume time; occupancy = rows held / capacity, mean over rebuilds; \
+             hit ratio usage-weighted; grads/row = gradients per row written back (the \
+             coalescing factor); rho = sum of energies / sum of ||sum g||^2 over the rows \
+             sent with an energy; early share = rows written back before their window's \
+             last push / rows written back; MRR = filtered, first {} test triples against {} \
+             candidates",
             200_000 / shrink,
             800_000 / shrink,
             if ctx.quick {
-                " (--quick: a tenth of the benchmark's graph, no recorded rows)"
+                " (--quick: a tenth of the benchmark's graph)"
             } else {
                 " (the benchmark's train-hetkg-skew / train-dglke-skew configuration and \
-                 evaluation; `every iteration (parent)` rows are recordings from commit \
-                 d9643b8, `per window, in its last push (parent)` rows from commit 5cdf0a5)"
+                 evaluation)"
             },
             1000 / shrink,
             1000 / shrink,
         ),
         columns: COLUMNS.map(String::from).to_vec(),
         rows,
-        shape_expectation: "against `every iteration`: miss_pull, sync_probe, sync_rows and \
-                            construction move by a fraction of a byte (the model differs in \
-                            its last bits, so a few versions differ); push + write_back is \
-                            ~132 B/triple below that build's push, which was DGL-KE's to 0.1 %; \
-                            messages per iteration are the same to the digit; final loss \
-                            within +0.2 %, MRR within seed noise; a written-back row carries \
-                            ~2.5 gradients and rho ~2 - successive gradients of a hot row \
-                            anti-correlate, so (sum g)^2 alone would under-count what the \
-                            server's AdaGrad accumulates by half. That is what the energy \
-                            word buys: on a scratch build that sent plain sums (ISSUE 23, \
-                            not reproducible from this tree) the same bytes cost -9.3 % MRR \
-                            (mean of seeds 7/8/9/101/102: 0.1614 -> 0.1464) where the \
-                            energy-carrying build's mean was 0.1610; applying the same \
-                            gradients one by one but late lost 1-2 %, so it is the \
-                            accumulator, not the delay. HET-KG-D / DGL-KE in bytes falls \
-                            from 0.86-0.87 to ~0.70, under the 0.75 the ROADMAP asks for. \
-                            Writing a window back in its last push left sim_epoch_s where it \
-                            was (within a few percent either way: fewer bytes on the comm \
-                            lane, but a burst on the sync's critical path). Against that \
-                            build (`per window, in its last push`): the same rows are written \
-                            back with the same gradient counts, ~69 % of them before their \
-                            window's last push; miss_pull, construction, push and write_back \
-                            are equal to the tenth of a byte, sync_rows moves by ~0.1 (which \
-                            sync returns a row depends on the order of server-side updates); \
-                            messages per iteration are equal; sim_epoch_s falls ~10 % (the \
-                            write-back is off the sync's critical path and the rebuild is \
-                            staged: ~7 points; a sync is recorded as gating the next compute, \
-                            which reads what it refreshed, instead of its own, which does \
-                            not: ~3 points, a correction of the timeline that moves no value \
-                            and no byte) and HET-KG-D / DGL-KE on simulated \
-                            time goes 0.69-0.70 -> ~0.63; final loss within 0.03 %, MRR \
-                            within seed noise (the order of server-side updates differs)"
+        shape_expectation: "per seed, HET-KG-D moves the fewest remote bytes per triple and \
+                            has the shortest simulated epoch, DGL-KE the most bytes and the \
+                            longest epoch, and HET-KG-C lies between them in both, so both \
+                            HET-KG-D / DGL-KE ratios are below one (paper Table I / Fig. 7: the \
+                            hot-embedding table cuts PS traffic); compute seconds are equal \
+                            across the systems (the same triples, whatever is cached); DGL-KE \
+                            moves miss pulls and pushes only, in equal parts, while the HET-KG \
+                            systems also pay sync and construction bytes and write their hot \
+                            rows back, each written-back row standing for more than one \
+                            gradient; under DPS no staged miss key is left for consume time, \
+                            and DGL-KE issues most of its staged keys early"
             .into(),
     }
 }
@@ -931,51 +420,42 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_split_reports_every_system_and_the_ratio() {
-        // Shape of the record, and the direction of its one claim, at a
-        // tenth of the benchmark's scale; `tests/overlap.rs` pins the
-        // contract.
-        let r = pipeline_split(quick());
+    fn skew_breakdown_keeps_every_claim_of_the_two_studies() {
+        // Shape of the record and the direction of its claims at a tenth of
+        // the benchmark's scale; `tests/overlap.rs` pins the pipeline's
+        // contract, `tests/traffic_shape.rs` the bytes and message counts.
+        let r = skew_breakdown(quick());
         assert!(r.rows.iter().all(|row| row.len() == r.columns.len()));
         let systems: Vec<&str> = r.rows.iter().map(|row| row[1].as_str()).collect();
         assert_eq!(
             systems,
-            ["HET-KG-D", "HET-KG-C", "DGL-KE", "HET-KG-D / DGL-KE"]
+            ["DGL-KE", "HET-KG-C", "HET-KG-D", "HET-KG-D / DGL-KE"]
         );
-        let staged: Vec<u64> = r.rows[2][9]
+        let col = |name: &str| r.columns.iter().position(|c| c == name).unwrap();
+        let cell = |row: usize, name: &str| r.rows[row][col(name)].as_str();
+        let num = |row: usize, name: &str| cell(row, name).parse::<f64>().unwrap();
+        let (dglke, hetkg_d, ratio) = (0, 2, 3);
+        let staged: Vec<u64> = cell(dglke, "staged early / late")
             .split(" / ")
             .map(|n| n.parse().unwrap())
             .collect();
         assert!(staged[0] > staged[1], "DGL-KE's staged keys: {staged:?}");
-        let overlap: f64 = r.rows[2][6].parse().unwrap();
-        let compute: f64 = r.rows[2][5].parse().unwrap();
+        let (overlap, compute) = (num(dglke, "overlap s"), num(dglke, "compute s"));
         assert!(
             overlap > 0.5 * compute,
             "DGL-KE hid {overlap} of {compute} s"
         );
-        let ratio: f64 = r.rows[3][3].parse().unwrap();
-        assert!(ratio < 1.0, "HET-KG-D / DGL-KE = {ratio}");
-    }
-
-    #[test]
-    fn write_back_reports_the_split_the_factor_and_the_ratio() {
-        // Shape of the record and the direction of its claims at a tenth of
-        // the benchmark's scale; `tests/traffic_shape.rs` pins the bytes
-        // and the message counts.
-        let r = write_back(quick());
-        assert!(r.rows.iter().all(|row| row.len() == r.columns.len()));
-        let systems: Vec<&str> = r.rows.iter().map(|row| row[1].as_str()).collect();
-        assert_eq!(systems, ["DGL-KE", "HET-KG-D", "HET-KG-D / DGL-KE"]);
-        let col = |name: &str| r.columns.iter().position(|c| c == name).unwrap();
-        let num = |row: usize, name: &str| r.rows[row][col(name)].parse::<f64>().unwrap();
-        assert_eq!(r.rows[0][col("write_back")], "0.0");
-        assert_eq!(r.rows[0][col("grads/row")], "-");
-        assert!(num(1, "write_back") > 0.0);
-        assert!(num(1, "push") + num(1, "write_back") < 0.75 * num(0, "push"));
-        assert!(num(1, "grads/row") > 2.0 && num(1, "rho") > 1.0);
-        let early = num(1, "early share");
+        assert_eq!(cell(dglke, "write_back"), "0.0");
+        assert_eq!(cell(dglke, "grads/row"), "-");
+        assert!(num(hetkg_d, "write_back") > 0.0);
+        assert!(num(hetkg_d, "push") + num(hetkg_d, "write_back") < 0.75 * num(dglke, "push"));
+        assert!(num(hetkg_d, "grads/row") > 2.0 && num(hetkg_d, "rho") > 1.0);
+        let early = num(hetkg_d, "early share");
         assert!(early > 0.5 && early < 0.9, "early share {early}");
-        assert!(num(2, "remote B/triple") < 0.75);
+        let epoch = num(ratio, "sim_epoch_s");
+        assert!(epoch < 1.0, "HET-KG-D / DGL-KE = {epoch} in time");
+        let bytes = num(ratio, "remote B/triple");
+        assert!(bytes < 0.75, "HET-KG-D / DGL-KE = {bytes} in bytes");
     }
 
     #[test]

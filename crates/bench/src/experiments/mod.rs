@@ -67,9 +67,7 @@ pub const ALL: &[&str] = &[
     "divergence",
     "bandwidth-sweep",
     "compression-ablation",
-    "dps-admission",
-    "pipeline-split",
-    "write-back",
+    "skew-breakdown",
 ];
 
 /// Run one experiment by id.
@@ -94,9 +92,7 @@ pub fn run(id: &str, ctx: ExpCtx) -> Option<ExperimentRecord> {
         "divergence" => cache::divergence(ctx),
         "bandwidth-sweep" => ablations::bandwidth(ctx),
         "compression-ablation" => ablations::compression(ctx),
-        "dps-admission" => cache::dps_admission(ctx),
-        "pipeline-split" => efficiency::pipeline_split(ctx),
-        "write-back" => efficiency::write_back(ctx),
+        "skew-breakdown" => efficiency::skew_breakdown(ctx),
         _ => return None,
     };
     Some(record)

@@ -27,7 +27,7 @@ pub mod trainer;
 pub mod worker;
 
 pub use config::{SystemKind, TrainConfig, TransportKind};
-pub use oracle::{shadow_check, OracleConfig, OracleReport};
+pub use oracle::{shadow_check, OracleReport};
 pub use report::{EpochReport, FaultReport, TrainReport};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorEvent, SupervisorReport};
 pub use trainer::{train, train_with_store};

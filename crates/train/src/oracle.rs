@@ -33,19 +33,11 @@ use hetkg_ps::KvStore;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Oracle tolerances.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OracleConfig {
-    /// Multiplier on the staleness-implied drift envelope for non-exact
-    /// plans.
-    pub slack: f64,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        Self { slack: 8.0 }
-    }
-}
+/// The multiplier on the staleness-implied drift envelope for non-exact
+/// plans: a key may drift `SLACK · lr · sqrt(dim) · 8·P` from the reference
+/// run before the oracle fails it. Loose on purpose — the envelope catches
+/// blowups and runaway keys, not small drift.
+pub const SLACK: f64 = 8.0;
 
 /// What the shadow check found.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -115,9 +107,8 @@ pub fn shadow_check(
     kg: &KnowledgeGraph,
     train_triples: &[Triple],
     config: &TrainConfig,
-    oracle: OracleConfig,
 ) -> OracleReport {
-    shadow_check_with_store(kg, train_triples, config, oracle).0
+    shadow_check_with_store(kg, train_triples, config).0
 }
 
 /// [`shadow_check`], additionally returning the faulty run's store so
@@ -126,7 +117,6 @@ pub fn shadow_check_with_store(
     kg: &KnowledgeGraph,
     train_triples: &[Triple],
     config: &TrainConfig,
-    oracle: OracleConfig,
 ) -> (OracleReport, Arc<KvStore>) {
     let mut reference = config.clone();
     reference.faults = None;
@@ -179,7 +169,7 @@ pub fn shadow_check_with_store(
     let bound = if exact {
         0.0
     } else {
-        oracle.slack * lr as f64 * (config.dim as f64).sqrt() * stale_bound as f64
+        SLACK * lr as f64 * (config.dim as f64).sqrt() * stale_bound as f64
     };
     let within_bound = if exact {
         max_divergence == 0.0
@@ -234,7 +224,7 @@ mod tests {
         let (kg, triples) = workload();
         let mut config = cfg(SystemKind::DglKe);
         config.faults = Some(FaultPlan::corrupting(3, 0.05));
-        let r = shadow_check(&kg, &triples, &config, OracleConfig::default());
+        let r = shadow_check(&kg, &triples, &config);
         assert!(r.exact);
         assert_eq!(r.max_divergence, 0.0, "a poisoned entry slipped through");
         assert!(r.keys_compared > 0);
@@ -250,7 +240,7 @@ mod tests {
         let mut config = cfg(SystemKind::DglKe);
         config.integrity = false;
         config.faults = Some(FaultPlan::corrupting(3, 0.2));
-        let r = shadow_check(&kg, &triples, &config, OracleConfig::default());
+        let r = shadow_check(&kg, &triples, &config);
         assert!(!r.exact, "unchecked corruption is not value-preserving");
         assert!(
             r.max_divergence > 0.0,
@@ -266,7 +256,7 @@ mod tests {
         let (kg, triples) = workload();
         let mut config = cfg(SystemKind::HetKgCps);
         config.faults = Some(FaultPlan::lossy(7, 0.1));
-        let r = shadow_check(&kg, &triples, &config, OracleConfig::default());
+        let r = shadow_check(&kg, &triples, &config);
         assert!(r.exact, "drops only retransmit");
         assert_eq!(r.max_divergence, 0.0);
         assert!(r.report.faults.as_ref().unwrap().drops > 0);
@@ -287,7 +277,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         });
-        let r = shadow_check(&kg, &triples, &config, OracleConfig::default());
+        let r = shadow_check(&kg, &triples, &config);
         assert!(!r.exact, "failover latency reshuffles the schedule");
         let fr = r.report.faults.as_ref().unwrap();
         assert_eq!(fr.promotions, 1, "exactly one worker wins the race");
@@ -307,7 +297,7 @@ mod tests {
         for mode in [CompressionMode::Int8, CompressionMode::TopK] {
             let mut config = cfg(SystemKind::HetKgCps);
             config.compression = mode;
-            let r = shadow_check(&kg, &triples, &config, OracleConfig::default());
+            let r = shadow_check(&kg, &triples, &config);
             assert!(!r.exact, "{mode:?}: quantized pushes cannot be bit-exact");
             assert!(
                 r.max_divergence > 0.0,
@@ -323,7 +313,7 @@ mod tests {
     fn compression_off_keeps_a_clean_run_exact() {
         let (kg, triples) = workload();
         let config = cfg(SystemKind::HetKgCps);
-        let r = shadow_check(&kg, &triples, &config, OracleConfig::default());
+        let r = shadow_check(&kg, &triples, &config);
         assert!(r.exact);
         assert_eq!(r.max_divergence, 0.0);
         assert!(r.report.compression.is_none());
@@ -343,7 +333,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         });
-        let r = shadow_check(&kg, &triples, &config, OracleConfig::default());
+        let r = shadow_check(&kg, &triples, &config);
         assert!(!r.exact, "degraded-mode staleness perturbs values");
         assert!(r.bound > 0.0);
         r.assert_ok();

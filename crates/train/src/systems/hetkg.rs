@@ -1447,9 +1447,10 @@ mod tests {
     #[test]
     fn degraded_mode_buffers_through_shard_outage() {
         // Cost model where each remote message costs 1 simulated second and
-        // a training iteration's compute costs ~1 s (≥ 0.96 s: the forward
-        // pass alone is 160 scored triples × 24 units at 4000 units/s), so
-        // the outage window below spans a few iterations deterministically.
+        // a training iteration's compute costs 1.92 s (the forward pass is
+        // 160 scored triples × 24 units at 4000 units/s, the backward pass
+        // as much again), so the outage window below spans a few
+        // iterations deterministically.
         let cost = CostModel {
             remote_bandwidth: f64::INFINITY,
             remote_latency: 1.0,
@@ -1459,7 +1460,7 @@ mod tests {
             compute_rate: 4000.0,
         };
         // Worker 0 lives on machine 0, so shard 1 is its remote shard.
-        let plan = FaultPlan::shard_outage(7, 1, 0.5, 6.5);
+        let plan = FaultPlan::shard_outage(7, 1, 0.5, 8.5);
         let mut w = build_with_faults(PolicyKind::Cps, 200, plan, cost);
         // Pre-cache the full key space (capacity 200 covers all 86 keys)
         // and skip the iteration-0 rebuild, so the epoch below never
@@ -1469,7 +1470,8 @@ mod tests {
         // outage) and advances the clock to 1.0 s — inside the window,
         // which stays open past the first write-back: with every row cached
         // nothing is pushed until iteration 3, the push before the sync at
-        // P = 4, some 3 s of compute later.
+        // P = 4, behind three computes, at 6.76 s. The next push, at
+        // iteration 7, finds the shard back and flushes the backlog.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
         let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
         precache(&mut w, &everything);
@@ -1500,7 +1502,7 @@ mod tests {
     #[test]
     fn brownout_serves_stale_and_defers_while_the_breaker_is_open() {
         // Same deterministic timing as the outage test: one remote message
-        // costs 1 simulated second, one iteration's compute ~1 s.
+        // costs 1 simulated second, one iteration's compute 1.92 s.
         let cost = CostModel {
             remote_bandwidth: f64::INFINITY,
             remote_latency: 1.0,
@@ -1596,7 +1598,7 @@ mod tests {
     #[test]
     fn degraded_bound_is_one_function() {
         use crate::config::{SystemKind, TrainConfig};
-        use crate::oracle::{shadow_check, OracleConfig};
+        use crate::oracle::{shadow_check, SLACK};
         use hetkg_ps::optimizer::OptimizerKind;
         assert_eq!(SyncConfig::new(8).degraded_bound(), 64);
         let mut w = build(PolicyKind::Cps, 30);
@@ -1616,12 +1618,11 @@ mod tests {
         cfg.epochs = 1;
         cfg.cache.staleness = 3;
         cfg.faults = Some(FaultPlan::shard_outage(7, 1, 0.0001, 0.01));
-        let oracle = OracleConfig::default();
-        let r = shadow_check(&g, g.triples(), &cfg, oracle);
+        let r = shadow_check(&g, g.triples(), &cfg);
         let OptimizerKind::AdaGrad { lr } = cfg.optimizer else {
             unreachable!("the small config trains with AdaGrad")
         };
-        let envelope = oracle.slack * lr as f64 * (cfg.dim as f64).sqrt();
+        let envelope = SLACK * lr as f64 * (cfg.dim as f64).sqrt();
         assert_eq!(r.bound, envelope * 24.0, "the oracle's envelope at 8·P");
         r.assert_ok();
     }

@@ -552,10 +552,32 @@ mod tests {
 
     #[test]
     fn lock_server_never_double_locks_a_partition() {
-        let plan = Arc::new(PbgPlan::new(40, &[], 4, 2, 1));
+        let g = graph();
+        let plan = Arc::new(PbgPlan::new(g.num_entities(), g.triples(), 4, 2, 1));
+        let parts = |bucket: usize| {
+            let ((a, b), _) = plan.buckets[bucket];
+            [a, b]
+        };
+        // Every (source, destination) pair of parts holds triples, so a
+        // second bucket with parts of its own is always there to acquire.
+        assert_eq!(plan.buckets.len(), 16);
         let locks = LockServer::new(plan.clone());
         locks.begin_epoch(0);
-        // Plan has no triples => no buckets => acquire returns None.
+        let first = locks.acquire().unwrap();
+        let second = locks.acquire().unwrap();
+        assert!(
+            parts(first).iter().all(|p| !parts(second).contains(p)),
+            "buckets {first} and {second} share a partition"
+        );
+        locks.release(first);
+        locks.release(second);
+        let mut handed_out = vec![first, second];
+        while let Some(bucket) = locks.acquire() {
+            handed_out.push(bucket);
+            locks.release(bucket);
+        }
+        handed_out.sort_unstable();
+        assert_eq!(handed_out, (0..plan.buckets.len()).collect::<Vec<_>>());
         assert_eq!(locks.acquire(), None);
     }
 

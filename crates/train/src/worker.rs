@@ -220,9 +220,16 @@ impl WorkerCtx {
     }
 
     /// Post a kernel block of `work_units` to the compute lane, not
-    /// starting before `after` (its input pull's completion). Returns its
+    /// starting before `after` (its input pull's completion), and advance
+    /// the fault injector's simulated clock by the same compute (no-op
+    /// without fault injection), so the exchange posted behind it is judged
+    /// at the instant the timeline sends it: that is what places outage and
+    /// straggler windows correctly relative to the workload. Returns its
     /// completion time.
     pub fn post_compute(&mut self, work_units: u64, after: f64) -> f64 {
+        if let Some(f) = self.client.faults() {
+            f.advance_compute(work_units);
+        }
         let duration = self.cost.compute_time(work_units);
         self.timeline.post(Lane::Compute, duration, after)
     }
@@ -241,14 +248,8 @@ impl WorkerCtx {
         ];
     }
 
-    /// Book a unit of work that ended with `result`, and advance the fault
-    /// injector's simulated clock by its compute (no-op without fault
-    /// injection): keeping that clock moving is what places outage and
-    /// straggler windows correctly relative to the workload.
+    /// Book a unit of work that ended with `result`.
     pub(crate) fn end_unit(&mut self, result: BatchResult) {
-        if let Some(f) = self.client.faults() {
-            f.advance_compute(result.work_units);
-        }
         self.epoch_result.absorb(result);
         self.epoch_units += 1;
     }
@@ -1291,6 +1292,26 @@ mod tests {
         let (mut rebuilt, _) = faulty_ctx_on(1, Some(&f));
         let (delta, _) = pull(&mut rebuilt, &[ParamKey(0)]);
         assert_eq!(rebuilt.post_comm(delta, 0.0), delta.simulated_time(&cost));
+    }
+
+    /// The fault injector's clock learns a compute where the timeline
+    /// places it, before the push behind it: an outage that ends during
+    /// the compute refuses nothing of that push.
+    #[test]
+    fn a_push_behind_a_compute_is_judged_when_the_compute_ends() {
+        let cost = CostModel::gigabit();
+        let compute = 2_000_000;
+        let outage_end = 0.5 * cost.compute_time(compute);
+        let plan = FaultPlan::shard_outage(1, 0, 0.0, outage_end);
+        let f = Arc::new(FaultInjector::new(plan, cost, 0));
+        let (mut c, _) = faulty_ctx_on(1, Some(&f));
+        let mut p = Pipeline::default();
+        c.begin_epoch();
+        let compute_end = c.post_compute(compute, 0.0);
+        push_rows(&mut p, [ParamKey(0)], |_| false);
+        push_ones(&mut c, &mut p, |_| false, compute_end);
+        assert_eq!(f.stats().outage_refusals, 0, "the outage was over");
+        assert_eq!(f.waited(), 0.0);
     }
 
     #[test]

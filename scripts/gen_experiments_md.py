@@ -105,59 +105,13 @@ PAPER = {
         "quantization, top-k sparsification, an adaptive ladder) with error feedback, and "
         "the bytes saved are set against final MRR."
     ),
-    "wallclock-arena": (
-        "Table I / Fig. 7 decompose a worker's step into embedding computation "
-        "plus network. Not a paper experiment: the wall-clock of this repo's own "
-        "training iteration before and after PR 14 made it that too (slot-indexed "
-        "batch arenas, fused score/gradient kernels, lane-parallel frame digest), "
-        "measured with `benchmark/run.sh` in alternating parent/change pairs "
-        "(written by hand from those runs, not by the repro harness)."
-    ),
-    "sync-gate": (
-        "Table I / Fig. 5 / Fig. 7: the hot-embedding table reduces parameter-server "
-        "traffic relative to DGL-KE at equal accuracy. Not a paper experiment as such: "
-        "this repo's benchmark showed the opposite (HET-KG-D moving 13 % more remote "
-        "bytes than DGL-KE) until the hot-table synchronization became a pull-if-newer "
-        "over per-row versions in PR 16 (written by hand from `benchmark/run.sh` runs "
-        "and the trainer's per-cause byte split, not by the repro harness)."
-    ),
-    "dps-admission": (
-        "Algorithm 2 keeps the top-k of the prefetched access list by frequency; §IV-B's "
-        "premise is that the table holds embeddings that will be *reused*. Not a paper "
-        "experiment: what the table costs and saves once DPS admits a row only when two "
-        "batches of the window read it (a batch pulls each distinct key once, so a row read "
-        "once costs one pull cached or not), against the raw-use ranking it replaced and "
-        "DGL-KE. Emitted by `repro dps-admission`; the raw-use rows are recordings from the "
-        "parent commit, where that rule was the only one."
-    ),
-    "pipeline-split": (
-        "Fig. 5 / Fig. 6 / Table I: the paper's time axis is epoch time with communication "
-        "overlapped by computation, and its baseline DGL-KE overlaps gradient traffic with "
-        "the next batch. Not a paper experiment: the three PS systems' simulated epochs on "
-        "the benchmark's skewed workload when a staged key waits for consume time only if "
-        "the batch in flight writes that key, against the per-shard rule it replaced (one "
-        "colliding key parked its shard's whole frame, so DGL-KE hid nothing). Emitted by "
-        "`repro pipeline-split`; the per-shard rows are recordings from the parent commit, "
-        "where that rule was the only one."
-    ),
-    "write-back": (
-        "Algorithm 3 lines 17–19 update the involved hot embeddings locally and push the "
-        "gradients to the PS; §IV-C bounds how stale a worker's view may be by `P`. Not a "
-        "paper experiment: what HET-KG-D moves and where it ends up on the benchmark's skewed "
-        "workload when a cached row's gradients are summed in the hot table and written back "
-        "once per sync window with their energy (from which the server's AdaGrad rebuilds "
-        "the accumulator it would have collected from them one by one), against the parent, "
-        "which pushed every gradient every iteration, and DGL-KE. Emitted by `repro "
-        "write-back`; the parent's rows are recordings from that commit, where pushing "
-        "everything was the only behaviour, and the plain-sum ablation in the shape note is "
-        "quoted from ISSUE 23's scratch measurements."
-    ),
-    "dps-admission-benchmark": (
-        "Table I / Fig. 5 / Fig. 7: HET-KG trains in less time and moves fewer bytes than "
-        "DGL-KE at equal accuracy. Not a paper experiment as such: the repo's benchmark "
-        "(`train-hetkg-skew` against `train-dglke-skew`) before and after DPS admission by "
-        "reading batches (written by hand from `benchmark/run.sh` runs of both commits, not "
-        "by the repro harness; the exact metrics repeat bit for bit for a seed)."
+    "skew-breakdown": (
+        "Table I / Fig. 7: communication dominates DGL-KE's epoch, and the hot-embedding "
+        "table cuts the bytes HET-KG moves to the parameter server. Not a paper experiment as "
+        "such: the same breakdown on the benchmark's skewed workload (`train-hetkg-skew` / "
+        "`train-dglke-skew`), where the simulated epoch is split into its comm, compute and "
+        "overlap seconds, the remote bytes by cause, and the hot table's economy (occupancy, "
+        "fresh rows per rebuild, hit ratio, rows written back and the gradients they stand for)."
     ),
 }
 
@@ -165,8 +119,7 @@ ORDER = [
     "table1", "fig2", "table3", "table4", "table5", "fig5", "fig6", "fig7",
     "fig8a", "fig8b", "fig8c", "fig9", "table6", "table7",
     "partition-ablation", "negsample-ablation", "divergence", "bandwidth-sweep",
-    "compression-ablation", "wallclock-arena", "sync-gate", "dps-admission", "dps-admission-benchmark",
-    "pipeline-split", "write-back",
+    "compression-ablation", "skew-breakdown",
 ]
 
 

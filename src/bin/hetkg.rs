@@ -649,12 +649,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         );
     }
     let (report, store) = if oracle_on {
-        let (verdict, store) = oracle::shadow_check_with_store(
-            &data.kg,
-            &data.train,
-            &cfg,
-            oracle::OracleConfig::default(),
-        );
+        let (verdict, store) = oracle::shadow_check_with_store(&data.kg, &data.train, &cfg);
         println!(
             "oracle: {} | max per-key divergence {:.3e} (mean {:.3e}, bound {}) over {} keys | staleness ok: {}",
             if verdict.within_bound && verdict.staleness_ok { "PASS" } else { "FAIL" },

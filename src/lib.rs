@@ -91,7 +91,7 @@ pub mod prelude {
     pub use hetkg_train::config::CacheConfig;
     pub use hetkg_train::trainer::snapshot;
     pub use hetkg_train::{
-        shadow_check, train, FaultReport, OracleConfig, OracleReport, SupervisorConfig,
-        SupervisorReport, SystemKind, TrainConfig, TrainReport, TransportKind,
+        shadow_check, train, FaultReport, OracleReport, SupervisorConfig, SupervisorReport,
+        SystemKind, TrainConfig, TrainReport, TransportKind,
     };
 }

@@ -105,7 +105,7 @@ fn killed_primary_fails_over_and_completes_across_seeds() {
         cfg.replication = 2;
         cfg.faults = Some(FaultPlan::failover(seed));
 
-        let verdict = oracle::shadow_check(&kg, &train_set, &cfg, oracle::OracleConfig::default());
+        let verdict = oracle::shadow_check(&kg, &train_set, &cfg);
         let report = &verdict.report;
         assert_eq!(
             report.epochs.len(),

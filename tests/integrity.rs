@@ -4,7 +4,7 @@
 //! the supervisor's restart budget as the last backstop.
 
 use het_kg::prelude::*;
-use het_kg::train_sys::oracle::{shadow_check, OracleConfig};
+use het_kg::train_sys::oracle::shadow_check;
 
 fn workload() -> (KnowledgeGraph, Vec<Triple>) {
     let kg = SyntheticKg {
@@ -32,7 +32,7 @@ fn seeded_corruption_leaves_zero_poisoned_entries() {
         // The tiny workload only sends ~60 remote frames; 8% keeps the
         // drill deterministic-with-injections at this seed.
         cfg.faults = Some(FaultPlan::corrupting(31, 0.08));
-        let verdict = shadow_check(&kg, &train_set, &cfg, OracleConfig::default());
+        let verdict = shadow_check(&kg, &train_set, &cfg);
 
         assert_eq!(
             verdict.report.epochs.len(),
@@ -69,7 +69,7 @@ fn without_checksums_the_same_corruption_poisons_the_run() {
     cfg.eval_candidates = None;
     cfg.integrity = false;
     cfg.faults = Some(FaultPlan::corrupting(31, 0.1));
-    let verdict = shadow_check(&kg, &train_set, &cfg, OracleConfig::default());
+    let verdict = shadow_check(&kg, &train_set, &cfg);
 
     let fr = verdict.report.faults.as_ref().unwrap();
     assert!(fr.corrupt_ingested > 0, "nothing stopped the poison");

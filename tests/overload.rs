@@ -91,7 +91,7 @@ fn flash_crowd_browns_out_and_recovers_across_seeds() {
         cfg.seed = seed;
         cfg.faults = Some(FaultPlan::overload(seed));
 
-        let verdict = oracle::shadow_check(&kg, &train_set, &cfg, oracle::OracleConfig::default());
+        let verdict = oracle::shadow_check(&kg, &train_set, &cfg);
         let report = &verdict.report;
         assert_eq!(
             report.epochs.len(),
