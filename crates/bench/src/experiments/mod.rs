@@ -1,7 +1,7 @@
 //! One function per table/figure of the paper's evaluation section.
 //!
 //! Every experiment prints a rendered table and returns an
-//! [`ExperimentRecord`](crate::record::ExperimentRecord) the binary saves to
+//! [`ExperimentRecord`] the binary saves to
 //! `experiments/<id>.json`. Absolute numbers differ from the paper (the
 //! substrate is a simulator at harness scale); each record carries the
 //! *shape expectation* that should hold.

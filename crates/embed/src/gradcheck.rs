@@ -1,11 +1,10 @@
 //! Finite-difference verification of analytic gradients.
 //!
-//! Every [`KgeModel`](crate::models::KgeModel) implements its backward pass
-//! by hand; this module is how we trust them. [`check_model_grads`] compares
-//! each analytic partial derivative against a central difference
-//! `(f(x+ε) − f(x−ε)) / 2ε` and fails on the first mismatch. It is exported
-//! (not test-only) so downstream crates can property-test their own model
-//! compositions.
+//! Every [`KgeModel`] implements its backward pass by hand; this module is
+//! how we trust them. [`check_model_grads`] compares each analytic partial
+//! derivative against a central difference `(f(x+ε) − f(x−ε)) / 2ε` and
+//! fails on the first mismatch. It is exported (not test-only) so downstream
+//! crates can property-test their own model compositions.
 
 use crate::models::KgeModel;
 
@@ -123,20 +122,21 @@ mod tests {
         fn base_dim(&self) -> usize {
             self.0.base_dim()
         }
-        fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-            self.0.score(h, r, t)
+        fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
+            self.0.score_fwd(h, r, t, fwd)
         }
-        fn grad(
+        fn grad_bwd(
             &self,
             h: &[f32],
             r: &[f32],
             t: &[f32],
             dscore: f32,
+            fwd: &mut Vec<f32>,
             gh: &mut [f32],
             gr: &mut [f32],
             gt: &mut [f32],
         ) {
-            self.0.grad(h, r, t, 2.0 * dscore, gh, gr, gt);
+            self.0.grad_bwd(h, r, t, 2.0 * dscore, fwd, gh, gr, gt);
         }
     }
 

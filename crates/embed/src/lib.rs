@@ -5,7 +5,11 @@
 //! The paper evaluates TransE and DistMult; this crate additionally
 //! implements the related-work models its §II surveys (TransH, TransR,
 //! TransD, ComplEx, RESCAL, HolE) behind one [`models::KgeModel`] trait, so
-//! the training system is model-agnostic.
+//! the training system is model-agnostic. A model is one kernel pair: a
+//! forward half (`score_fwd`) that scores a triple and leaves in caller
+//! scratch what its backward half (`grad_bwd`) reuses. Training calls the
+//! pair; `score`, `grad` and the candidate-block scorers that evaluation and
+//! serving call are provided views of it.
 //!
 //! All gradients are verified against central finite differences (see
 //! [`gradcheck`]), which is what lets the distributed trainer skip an

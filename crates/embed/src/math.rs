@@ -17,7 +17,7 @@ const LANES: usize = 8;
 
 /// Dot product `x · y`.
 ///
-/// Accumulates into [`LANES`] independent partial sums (one per lane
+/// Accumulates into `LANES` independent partial sums (one per lane
 /// position) and combines them with a pairwise reduction; the tail shorter
 /// than a chunk is folded in scalarly at the end.
 #[inline]

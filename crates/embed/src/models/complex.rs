@@ -41,7 +41,7 @@ impl KgeModel for ComplEx {
         2 * self.dim
     }
 
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], _fwd: &mut Vec<f32>) -> f32 {
         let d = self.dim;
         let (a, b) = h.split_at(d); // re, im
         let (c, dd) = r.split_at(d);
@@ -53,12 +53,14 @@ impl KgeModel for ComplEx {
         acc
     }
 
-    fn grad(
+    /// In place: every output coordinate is touched once.
+    fn grad_bwd(
         &self,
         h: &[f32],
         r: &[f32],
         t: &[f32],
         dscore: f32,
+        _fwd: &mut Vec<f32>,
         gh: &mut [f32],
         gr: &mut [f32],
         gt: &mut [f32],
@@ -78,23 +80,6 @@ impl KgeModel for ComplEx {
             ge[k] += dscore * (a[k] * c[k] - b[k] * dd[k]);
             gf[k] += dscore * (a[k] * dd[k] + b[k] * c[k]);
         }
-    }
-
-    /// In place: `grad` touches every coordinate of `gh`, `gr`, `gt` exactly
-    /// once, so adding onto earlier gradients is the same arithmetic as
-    /// zeroed buffers plus an elementwise add.
-    fn grad_bwd(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        dscore: f32,
-        _fwd: &mut Vec<f32>,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        self.grad(h, r, t, dscore, gh, gr, gt);
     }
 }
 

@@ -29,7 +29,7 @@ impl KgeModel for DistMult {
         self.dim
     }
 
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], _fwd: &mut Vec<f32>) -> f32 {
         let mut acc = 0.0f32;
         for i in 0..self.dim {
             acc += h[i] * r[i] * t[i];
@@ -68,26 +68,7 @@ impl KgeModel for DistMult {
         }
     }
 
-    fn grad(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        dscore: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        for i in 0..self.dim {
-            gh[i] += dscore * r[i] * t[i];
-            gr[i] += dscore * h[i] * t[i];
-            gt[i] += dscore * h[i] * r[i];
-        }
-    }
-
-    /// In place: `grad` touches every coordinate of `gh`, `gr`, `gt` exactly
-    /// once, so adding onto earlier gradients is the same arithmetic as
-    /// zeroed buffers plus an elementwise add.
+    /// In place: every output coordinate is touched once.
     fn grad_bwd(
         &self,
         h: &[f32],
@@ -99,7 +80,11 @@ impl KgeModel for DistMult {
         gr: &mut [f32],
         gt: &mut [f32],
     ) {
-        self.grad(h, r, t, dscore, gh, gr, gt);
+        for i in 0..self.dim {
+            gh[i] += dscore * r[i] * t[i];
+            gr[i] += dscore * h[i] * t[i];
+            gt[i] += dscore * h[i] * r[i];
+        }
     }
 }
 

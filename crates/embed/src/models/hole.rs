@@ -9,7 +9,7 @@
 //! direct O(d²) form (an FFT would need a transform dependency; at the
 //! dimensions used in the experiments the direct form is fast enough).
 
-use super::KgeModel;
+use super::{add_through_scratch, KgeModel};
 
 /// The HolE score function.
 #[derive(Debug, Clone)]
@@ -34,7 +34,7 @@ impl KgeModel for HolE {
         self.dim
     }
 
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], _fwd: &mut Vec<f32>) -> f32 {
         let d = self.dim;
         let mut acc = 0.0f32;
         for k in 0..d {
@@ -47,30 +47,34 @@ impl KgeModel for HolE {
         acc
     }
 
-    fn grad(
+    /// Through scratch: every `gh` and `gt` coordinate is added to `d` times.
+    fn grad_bwd(
         &self,
         h: &[f32],
         r: &[f32],
         t: &[f32],
         dscore: f32,
+        fwd: &mut Vec<f32>,
         gh: &mut [f32],
         gr: &mut [f32],
         gt: &mut [f32],
     ) {
         let d = self.dim;
-        for k in 0..d {
-            let mut corr = 0.0f32;
-            for i in 0..d {
-                corr += h[i] * t[(k + i) % d];
+        add_through_scratch(fwd, gh, gr, gt, |gh, gr, gt| {
+            for k in 0..d {
+                let mut corr = 0.0f32;
+                for i in 0..d {
+                    corr += h[i] * t[(k + i) % d];
+                }
+                gr[k] += dscore * corr;
+                let rk = dscore * r[k];
+                for i in 0..d {
+                    // score term r_k h_i t_{(k+i)%d}
+                    gh[i] += rk * t[(k + i) % d];
+                    gt[(k + i) % d] += rk * h[i];
+                }
             }
-            gr[k] += dscore * corr;
-            let rk = dscore * r[k];
-            for i in 0..d {
-                // score term r_k h_i t_{(k+i)%d}
-                gh[i] += rk * t[(k + i) % d];
-                gt[(k + i) % d] += rk * h[i];
-            }
-        }
+        });
     }
 }
 

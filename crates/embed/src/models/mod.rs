@@ -1,11 +1,13 @@
 //! KGE score functions with analytic gradients.
 //!
-//! Every model implements [`KgeModel`]: a scalar score for a triple's three
-//! embedding slices plus the gradient of that score with respect to each
-//! slice. Models may use different per-entity and per-relation parameter
-//! widths (e.g. TransR stores a `d×d` projection matrix per relation), which
-//! is why [`KgeModel::entity_dim`]/[`KgeModel::relation_dim`] exist — the
-//! parameter server and caches size their rows from these.
+//! Every model implements [`KgeModel`] as two kernels: `score_fwd`, a scalar
+//! score for a triple's three embedding slices, and `grad_bwd`, the gradient
+//! of that score with respect to each slice. Scoring one triple, scoring a
+//! block of candidates and differentiating are views of that pair. Models
+//! may use different per-entity and per-relation parameter widths (e.g.
+//! TransR stores a `d×d` projection matrix per relation), which is why
+//! [`KgeModel::entity_dim`]/[`KgeModel::relation_dim`] exist — the parameter
+//! server and caches size their rows from these.
 //!
 //! Higher scores mean "more plausible"; translational models return negated
 //! distances so this convention holds uniformly.
@@ -32,6 +34,16 @@ use crate::storage::EmbeddingTable;
 use serde::{Deserialize, Serialize};
 
 /// A knowledge-graph embedding score function with analytic gradients.
+///
+/// A model is two kernels: [`KgeModel::score_fwd`], the forward half, and
+/// [`KgeModel::grad_bwd`], the backward half, which may reuse what the
+/// forward half left in the caller's scratch. Training calls the pair
+/// directly; [`KgeModel::score`], [`KgeModel::grad`] and the block loops
+/// are provided views of it, so offline evaluation, serving and training
+/// run one implementation per model. A block override may hoist
+/// per-query work out of the candidate loop, but it MUST stay
+/// **bit-identical** to the provided loop: same float operations on the
+/// same values in the same order per candidate.
 pub trait KgeModel: Send + Sync {
     /// Human-readable model name (e.g. `"TransE-L2"`).
     fn name(&self) -> &'static str;
@@ -49,12 +61,42 @@ pub trait KgeModel: Send + Sync {
         self.base_dim()
     }
 
-    /// Score of triple `(h, r, t)`; higher = more plausible.
+    /// Score of triple `(h, r, t)`; higher = more plausible. Slice lengths
+    /// must equal `entity_dim`/`relation_dim` respectively.
     ///
-    /// Slice lengths must equal `entity_dim`/`relation_dim` respectively.
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32;
+    /// May leave in `fwd` whatever [`KgeModel::grad_bwd`] can reuse for the
+    /// same triple (TransE: the residual and its norm), so the training
+    /// kernel computes it once per triple and allocates nothing. The
+    /// contents of `fwd` are the model's own business: callers only keep
+    /// the buffer alive between the two halves and reuse it across triples,
+    /// and the score does not depend on what it held before.
+    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32;
 
-    /// Accumulate `dscore * ∂score/∂{h,r,t}` into `gh`, `gr`, `gt`.
+    /// Add `dscore * ∂score/∂{h,r,t}` onto `gh`, `gr`, `gt`, which may
+    /// already hold other triples' gradients. `fwd` is the buffer the last
+    /// [`KgeModel::score_fwd`] call *for these same rows* filled; it may be
+    /// used again for a later `grad_bwd` of the same triple, so a model
+    /// that reads it must leave what it reads intact.
+    #[allow(clippy::too_many_arguments)]
+    fn grad_bwd(
+        &self,
+        h: &[f32],
+        r: &[f32],
+        t: &[f32],
+        dscore: f32,
+        fwd: &mut Vec<f32>,
+        gh: &mut [f32],
+        gr: &mut [f32],
+        gt: &mut [f32],
+    );
+
+    /// [`KgeModel::score_fwd`] with a throwaway buffer.
+    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
+        self.score_fwd(h, r, t, &mut Vec::new())
+    }
+
+    /// Accumulate `dscore * ∂score/∂{h,r,t}` into `gh`, `gr`, `gt`: the
+    /// forward half, then the backward half, with a throwaway buffer.
     ///
     /// Gradients are *accumulated* (`+=`), so callers can sum over a batch
     /// into shared buffers; zero them first for a fresh gradient.
@@ -68,73 +110,17 @@ pub trait KgeModel: Send + Sync {
         gh: &mut [f32],
         gr: &mut [f32],
         gt: &mut [f32],
-    );
-
-    /// Forward half of a fused score + gradient evaluation: returns exactly
-    /// [`KgeModel::score`]`(h, r, t)` and may leave in `fwd` whatever
-    /// [`KgeModel::grad_bwd`] can reuse for the same triple (TransE: the
-    /// residual and its norm), so the training kernel computes it once per
-    /// triple and allocates nothing. The contents of `fwd` are the model's
-    /// own business; callers only keep the buffer alive between the two
-    /// halves and reuse it across triples.
-    ///
-    /// Same contract as the block kernels below: an override MUST stay
-    /// **bit-identical** to `score`.
-    fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
-        let _ = fwd;
-        self.score(h, r, t)
-    }
-
-    /// Backward half: add `dscore * ∂score/∂{h,r,t}` onto `gh`, `gr`, `gt`,
-    /// which already hold other triples' gradients. `fwd` is the buffer the
-    /// last [`KgeModel::score_fwd`] call *for these same rows* filled; it
-    /// may be used again for a later `grad_bwd` of the same triple, so an
-    /// override that reads it must leave it intact.
-    ///
-    /// The result MUST be bit-identical to [`KgeModel::grad`] into zeroed
-    /// buffers followed by an elementwise add onto `gh`/`gr`/`gt` — which
-    /// is what this default does, with `fwd` as the zeroed buffer (the
-    /// default `score_fwd` keeps nothing there). Accumulating in place is
-    /// only the same arithmetic when `grad` touches each output coordinate
-    /// exactly once; models for which that holds override this.
-    #[allow(clippy::too_many_arguments)]
-    fn grad_bwd(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        dscore: f32,
-        fwd: &mut Vec<f32>,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
     ) {
-        fwd.clear();
-        fwd.resize(gh.len() + gr.len() + gt.len(), 0.0);
-        let (th, rest) = fwd.split_at_mut(gh.len());
-        let (tr, tt) = rest.split_at_mut(gr.len());
-        self.grad(h, r, t, dscore, th, tr, tt);
-        for (g, &x) in gh.iter_mut().zip(&*th) {
-            *g += x;
-        }
-        for (g, &x) in gr.iter_mut().zip(&*tr) {
-            *g += x;
-        }
-        for (g, &x) in gt.iter_mut().zip(&*tt) {
-            *g += x;
-        }
+        let mut fwd = Vec::new();
+        self.score_fwd(h, r, t, &mut fwd);
+        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
     }
 
     /// Score a block of candidate tails for a fixed `(h, r)`:
-    /// `out[i] = score(h, r, tails.row(ids[i]))`.
-    ///
-    /// The default implementation loops [`KgeModel::score`]. Models may
-    /// override it with a blocked kernel that hoists the per-query work
-    /// (e.g. `h + r` for TransE) out of the candidate loop and reuses
-    /// `scratch` instead of allocating — but every override MUST stay
-    /// **bit-identical** to the default: same float operations on the same
-    /// values in the same order per candidate. Offline evaluation pins this
-    /// with a differential test; a faster-but-drifting kernel is a bug.
+    /// `out[i] = score(h, r, tails.row(ids[i]))`, with `scratch` as every
+    /// candidate's forward buffer. Offline evaluation and serving's top-k
+    /// call it; this module's tests pin any override to the scalar path bit
+    /// for bit.
     fn score_tails_block(
         &self,
         h: &[f32],
@@ -144,21 +130,17 @@ pub trait KgeModel: Send + Sync {
         out: &mut [f32],
         scratch: &mut Vec<f32>,
     ) {
-        let _ = scratch;
         debug_assert_eq!(ids.len(), out.len());
         for (o, &id) in out.iter_mut().zip(ids) {
-            *o = self.score(h, r, tails.row(id as usize));
+            *o = self.score_fwd(h, r, tails.row(id as usize), scratch);
         }
     }
 
     /// Score a block of candidate heads for a fixed `(r, t)`:
-    /// `out[i] = score(heads.row(ids[i]), r, t)`.
-    ///
-    /// Same bit-identity contract as [`KgeModel::score_tails_block`]. Note
-    /// that the head side usually has less to hoist: TransE's residual is
-    /// `(h + r) - t`, so precomputing `r - t` would change the association
-    /// order — overrides on this side mostly win by dropping per-candidate
-    /// allocation and dynamic dispatch, not by algebra.
+    /// `out[i] = score(heads.row(ids[i]), r, t)`, with `scratch` as every
+    /// candidate's forward buffer. No model overrides it: the head side has
+    /// little to hoist (TransE's residual is `(h + r) - t`, so precomputing
+    /// `r - t` would change the association order).
     fn score_heads_block(
         &self,
         heads: &EmbeddingTable,
@@ -168,11 +150,38 @@ pub trait KgeModel: Send + Sync {
         out: &mut [f32],
         scratch: &mut Vec<f32>,
     ) {
-        let _ = scratch;
         debug_assert_eq!(ids.len(), out.len());
         for (o, &id) in out.iter_mut().zip(ids) {
-            *o = self.score(heads.row(id as usize), r, t);
+            *o = self.score_fwd(heads.row(id as usize), r, t, scratch);
         }
+    }
+}
+
+/// The backward half of a model whose gradient adds into some output
+/// coordinate more than once (HolE, RESCAL): `grad` accumulates into zeroed
+/// buffers carved from `fwd`, which are then added onto `gh`, `gr`, `gt`
+/// elementwise. Adding in place instead would round differently. Clobbers
+/// `fwd`, so such a model's `grad_bwd` reads nothing its `score_fwd` left.
+fn add_through_scratch(
+    fwd: &mut Vec<f32>,
+    gh: &mut [f32],
+    gr: &mut [f32],
+    gt: &mut [f32],
+    grad: impl FnOnce(&mut [f32], &mut [f32], &mut [f32]),
+) {
+    fwd.clear();
+    fwd.resize(gh.len() + gr.len() + gt.len(), 0.0);
+    let (th, rest) = fwd.split_at_mut(gh.len());
+    let (tr, tt) = rest.split_at_mut(gr.len());
+    grad(th, tr, tt);
+    for (g, &x) in gh.iter_mut().zip(&*th) {
+        *g += x;
+    }
+    for (g, &x) in gr.iter_mut().zip(&*tr) {
+        *g += x;
+    }
+    for (g, &x) in gt.iter_mut().zip(&*tt) {
+        *g += x;
     }
 }
 
@@ -287,20 +296,32 @@ mod tests {
         }
     }
 
+    /// `grad` is provided for every model; it must add onto what the
+    /// buffers hold, not overwrite it.
     #[test]
     fn grads_accumulate_rather_than_overwrite() {
-        let m = ModelKind::DistMult.build(4);
-        let h = [0.1, 0.2, 0.3, 0.4];
-        let r = [0.5, 0.5, 0.5, 0.5];
-        let t = [0.4, 0.3, 0.2, 0.1];
-        let mut gh = [0.0f32; 4];
-        let mut gr = [0.0f32; 4];
-        let mut gt = [0.0f32; 4];
-        m.grad(&h, &r, &t, 1.0, &mut gh, &mut gr, &mut gt);
-        let once = gh;
-        m.grad(&h, &r, &t, 1.0, &mut gh, &mut gr, &mut gt);
-        for i in 0..4 {
-            assert!((gh[i] - 2.0 * once[i]).abs() < 1e-6);
+        let mut rng = StdRng::seed_from_u64(7);
+        for kind in ModelKind::all() {
+            let m = kind.build(4);
+            let mut row =
+                |n: usize| -> Vec<f32> { (0..n).map(|_| rng.random_range(-0.8..0.8)).collect() };
+            let (h, r, t) = (
+                row(m.entity_dim()),
+                row(m.relation_dim()),
+                row(m.entity_dim()),
+            );
+            let mut gh = vec![0.0f32; h.len()];
+            let mut gr = vec![0.0f32; r.len()];
+            let mut gt = vec![0.0f32; t.len()];
+            m.grad(&h, &r, &t, 1.0, &mut gh, &mut gr, &mut gt);
+            let once = [gh.clone(), gr.clone(), gt.clone()];
+            assert!(once.iter().flatten().any(|&g| g != 0.0), "{kind}");
+            m.grad(&h, &r, &t, 1.0, &mut gh, &mut gr, &mut gt);
+            for (twice, once) in [gh, gr, gt].iter().zip(&once) {
+                for (a, b) in twice.iter().zip(once) {
+                    assert!((a - 2.0 * b).abs() < 1e-6, "{kind}: {a} vs 2 × {b}");
+                }
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! The most expressive — and most parameter-hungry — of the semantic
 //! matching family; DistMult is its diagonal restriction.
 
-use super::KgeModel;
+use super::{add_through_scratch, KgeModel};
 use crate::math::{dot, matvec};
 
 /// The RESCAL score function.
@@ -37,13 +37,8 @@ impl KgeModel for Rescal {
         self.dim * self.dim
     }
 
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        self.score_fwd(h, r, t, &mut Vec::new())
-    }
-
     /// `fwd` holds `M t` while the score is formed; nothing is kept for the
-    /// backward half (`grad` accumulates `gt` over rows, so the zeroed-buffer
-    /// default `grad_bwd` applies).
+    /// backward half.
     fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
         fwd.resize(self.dim, 0.0);
         let mt = &mut fwd[..self.dim];
@@ -51,27 +46,31 @@ impl KgeModel for Rescal {
         dot(h, mt)
     }
 
-    fn grad(
+    /// Through scratch: every `gt` coordinate is added to `d` times.
+    fn grad_bwd(
         &self,
         h: &[f32],
         r: &[f32],
         t: &[f32],
         dscore: f32,
+        fwd: &mut Vec<f32>,
         gh: &mut [f32],
         gr: &mut [f32],
         gt: &mut [f32],
     ) {
         let d = self.dim;
-        // gh = M t ; gt = Mᵀ h ; gM_ij = h_i t_j
-        for i in 0..d {
-            let row = &r[i * d..(i + 1) * d];
-            gh[i] += dscore * dot(row, t);
-            let hi = dscore * h[i];
-            for j in 0..d {
-                gt[j] += hi * row[j];
-                gr[i * d + j] += hi * t[j];
+        add_through_scratch(fwd, gh, gr, gt, |gh, gr, gt| {
+            // gh = M t ; gt = Mᵀ h ; gM_ij = h_i t_j
+            for i in 0..d {
+                let row = &r[i * d..(i + 1) * d];
+                gh[i] += dscore * dot(row, t);
+                let hi = dscore * h[i];
+                for j in 0..d {
+                    gt[j] += hi * row[j];
+                    gr[i * d + j] += hi * t[j];
+                }
             }
-        }
+        });
     }
 }
 

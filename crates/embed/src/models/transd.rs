@@ -44,10 +44,6 @@ impl KgeModel for TransD {
         2 * self.dim
     }
 
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        self.score_fwd(h, r, t, &mut Vec::new())
-    }
-
     /// Leaves `[u (d), ‖u‖, hp·hv, tp·tv]` in `fwd`.
     fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
         let d = self.dim;
@@ -66,21 +62,6 @@ impl KgeModel for TransD {
         let n = norm2(u);
         tail.copy_from_slice(&[n, hph, tpt]);
         -n
-    }
-
-    fn grad(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        dscore: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        let mut fwd = Vec::new();
-        self.score_fwd(h, r, t, &mut fwd);
-        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
     }
 
     /// In place: every output coordinate is touched once.

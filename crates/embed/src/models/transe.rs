@@ -43,10 +43,6 @@ impl KgeModel for TransE {
         self.dim
     }
 
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        self.score_fwd(h, r, t, &mut Vec::new())
-    }
-
     /// Leaves the residual `u = h + r − t` in `fwd[..dim]` and its norm in
     /// `fwd[dim]`, the two things [`TransE::grad_bwd`] needs.
     fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
@@ -94,47 +90,6 @@ impl KgeModel for TransE {
                 }
             }
         }
-    }
-
-    /// Blocked head scoring. Nothing to hoist on this side (precomputing
-    /// `r - t` would reassociate the residual), so the win over the scalar
-    /// path is dropping the per-candidate `Vec` allocation and dynamic
-    /// dispatch; the float work is operation-for-operation the same.
-    fn score_heads_block(
-        &self,
-        heads: &EmbeddingTable,
-        ids: &[u32],
-        r: &[f32],
-        t: &[f32],
-        out: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        debug_assert_eq!(ids.len(), out.len());
-        let d = self.dim;
-        scratch.resize(d, 0.0);
-        let u = &mut scratch[..d];
-        for (o, &id) in out.iter_mut().zip(ids) {
-            translation_residual(heads.row(id as usize), r, t, u);
-            *o = match self.norm {
-                Norm::L1 => -norm1(u),
-                Norm::L2 => -norm2(u),
-            };
-        }
-    }
-
-    fn grad(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        dscore: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        let mut fwd = Vec::new();
-        self.score_fwd(h, r, t, &mut fwd);
-        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
     }
 
     /// In place: every coordinate of `gh`, `gr`, `gt` is touched once.

@@ -39,10 +39,6 @@ impl KgeModel for TransR {
         self.dim + self.dim * self.dim
     }
 
-    fn score(&self, h: &[f32], r: &[f32], t: &[f32]) -> f32 {
-        self.score_fwd(h, r, t, &mut Vec::new())
-    }
-
     /// Leaves `[u (d), ‖u‖]` in `fwd` (followed by the two projections it
     /// was built from, which nothing reads back).
     fn score_fwd(&self, h: &[f32], r: &[f32], t: &[f32], fwd: &mut Vec<f32>) -> f32 {
@@ -59,21 +55,6 @@ impl KgeModel for TransR {
         }
         n[0] = norm2(u);
         -n[0]
-    }
-
-    fn grad(
-        &self,
-        h: &[f32],
-        r: &[f32],
-        t: &[f32],
-        dscore: f32,
-        gh: &mut [f32],
-        gr: &mut [f32],
-        gt: &mut [f32],
-    ) {
-        let mut fwd = Vec::new();
-        self.score_fwd(h, r, t, &mut fwd);
-        self.grad_bwd(h, r, t, dscore, &mut fwd, gh, gr, gt);
     }
 
     /// In place: every output coordinate is touched once.

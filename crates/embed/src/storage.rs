@@ -3,7 +3,7 @@
 //! An [`EmbeddingTable`] is `rows × dim` of `f32` in one contiguous
 //! allocation — the layout used by PS shards, worker caches, and scratch
 //! buffers alike. Rows are addressed by a dense local index; the mapping
-//! from global [`ParamKey`]s to rows lives with the owner (shard router or
+//! from global [`ParamKey`](hetkg_kgraph::ParamKey)s to rows lives with the owner (shard router or
 //! cache map).
 
 /// A dense `rows × dim` table of `f32` embeddings.

@@ -458,7 +458,7 @@ impl PsClient {
     /// back, with its new version, only when the server's version differs (a
     /// sync of rows already cached). The `fresh` keys between the two are
     /// rows the caller is about to cache: asked about conditionally with
-    /// nothing held, [`NO_VERSION`](crate::kvstore::NO_VERSION), so each
+    /// nothing held, [`NO_VERSION`], so each
     /// comes back with the version it will be held under. All ride in the
     /// same per-shard message. `sink(i, version, row)` receives every row
     /// that came back, in ascending `i`; unconditional rows report

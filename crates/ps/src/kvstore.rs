@@ -35,7 +35,7 @@
 //! reads. A version travels with its row through replication
 //! (backups replay `(row, state, version)` images), so a caught-up backup
 //! reports exactly what its primary did — and through an image read
-//! ([`adopt_images`](KvStore::adopt_images)), so a table that catches up
+//! (`KvStore::adopt_images`), so a table that catches up
 //! from the shards holds their versions with their rows. [`promote`](KvStore::promote)
 //! starts a new generation: a backup promoted while it lagged counts from
 //! older counters, and without the generation it could count its way back

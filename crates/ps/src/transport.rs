@@ -16,9 +16,9 @@
 //!   [`RpcError`] vocabulary the simulated fault machinery raises, and
 //!   retrying is the client's alone.
 //!
-//! What a shard does with a frame exists once, here: [`answer_read`] for
+//! What a shard does with a frame exists once, here: `answer_read` for
 //! the one read (a pull-if-newer; a plain pull is the request that holds no
-//! version), [`apply_frame`] for a push or a write, and [`answer_images`]
+//! version), `apply_frame` for a push or a write, and `answer_images`
 //! for the image read that brings a table that is not the shards — a socket
 //! run's trainer table — up to date with them. The simulated backend runs
 //! them on the in-process store, a `ps-server` process on its own, so the
@@ -84,7 +84,7 @@ pub const OP_IMAGES: u8 = 6;
 pub enum FrameOp<'o> {
     /// Read the unversioned leading keys' rows, and of the versioned
     /// trailing keys the rows whose version differs from the one sent; the
-    /// response frame (see [`answer_read`]) replaces the request frame.
+    /// response frame (see `answer_read`) replaces the request frame.
     PullNewer,
     /// Apply gradients. The simulated backend applies this optimizer; a
     /// `ps-server` applies the one it built from its
@@ -94,7 +94,7 @@ pub enum FrameOp<'o> {
     Write,
     /// Read the `(row, state, version)` image of every key whose version
     /// differs from the one sent; the response frame (see
-    /// [`answer_images`]) replaces the request frame.
+    /// `answer_images`) replaces the request frame.
     Images,
 }
 
@@ -134,8 +134,8 @@ pub struct SimTransport(pub Arc<KvStore>);
 
 impl Transport for SimTransport {
     /// Answer the frame on the store the way a shard server's connection
-    /// handler does on its table: [`answer_read`] or [`answer_images`] for
-    /// a read, [`apply_frame`] for a push or write. A frame this refuses
+    /// handler does on its table: `answer_read` or `answer_images` for
+    /// a read, `apply_frame` for a push or write. A frame this refuses
     /// has changed nothing and comes back as [`RpcError::CorruptPayload`],
     /// as a socket's refusal would.
     fn carry(&self, shard: usize, op: FrameOp<'_>, frame: &mut WireFrame) -> Result<(), RpcError> {
@@ -183,7 +183,7 @@ pub(crate) fn answer_images(store: &KvStore, shard: usize, frame: &mut WireFrame
     answer(store, shard, frame, true);
 }
 
-/// [`answer_read`], and with `images` each kept row's optimizer state
+/// `answer_read`, and with `images` each kept row's optimizer state
 /// after it.
 fn answer(store: &KvStore, shard: usize, frame: &mut WireFrame, images: bool) {
     let mut keys = std::mem::take(&mut frame.keys);

@@ -5,7 +5,7 @@
 //!
 //! When the config carries a [`FaultPlan`](hetkg_netsim::FaultPlan), every
 //! worker's PS client is wired through a per-worker
-//! [`FaultInjector`](hetkg_netsim::FaultInjector), the trainer takes
+//! [`FaultInjector`], the trainer takes
 //! periodic recovery checkpoints (model and optimizer state, in the checked
 //! encoding, on disk when `checkpoint_dir` is set, else as validated in-memory
 //! images), and each scheduled crash, which takes the whole worker pool,
@@ -603,7 +603,7 @@ fn aggregate(epoch: usize, stats: &[WorkerEpochStats], config: &TrainConfig) -> 
 }
 
 /// Copy the global model out of the PS into a serializable
-/// [`Checkpoint`](hetkg_embed::checkpoint::Checkpoint): the model only, no
+/// [`Checkpoint`]: the model only, no
 /// train state.
 pub fn checkpoint(store: &KvStore, ks: KeySpace) -> Checkpoint {
     let snap = snapshot(store, ks);

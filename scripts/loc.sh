@@ -33,8 +33,8 @@ printf '%-28s %9d %9d\n' 'total (crates/*/src + src)' "$total_code" "$total_test
 
 read -r code test < <(split crates src tests examples)
 printf '%-28s %9d\n' 'all .rs (with tests, benches)' "$((code + test))"
-for file in crates/ps/src/client.rs crates/train/src/worker.rs crates/train/src/systems/dglke.rs \
-    crates/train/src/systems/hetkg.rs; do
+for file in crates/embed/src/models crates/ps/src/client.rs crates/train/src/worker.rs \
+    crates/train/src/systems/dglke.rs crates/train/src/systems/hetkg.rs; do
     printf '%-28s %9d\n' "${file#crates/}" "$(split "$file" | cut -d' ' -f1)"
 done
 # The pipelined schedule and the two loops that run on it.

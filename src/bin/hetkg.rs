@@ -565,7 +565,15 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
     }
     cfg.checkpoint_every = non_negative(flags, "checkpoint-every", 0)?;
     cfg.integrity = switch(flags, "integrity", true)?;
-    cfg.checkpoint_dir = flags.get("checkpoint-dir").cloned();
+    if let Some(dir) = flags.get("checkpoint-dir") {
+        // The trainer opens the same store before its first epoch and
+        // panics if it cannot; refuse the flag here instead.
+        CheckpointStore::open(dir, 1).map_err(|e| CliError::BadFlag {
+            flag: "checkpoint-dir",
+            message: format!("cannot keep recovery checkpoints in {dir:?}: {e}"),
+        })?;
+        cfg.checkpoint_dir = Some(dir.clone());
+    }
     cfg.supervisor.max_restarts =
         non_negative(flags, "max-restarts", cfg.supervisor.max_restarts as usize)? as u32;
     cfg.overlap = !flags.contains_key("no-overlap");
@@ -1135,6 +1143,29 @@ mod tests {
         let message = err.to_string();
         for name in presets {
             assert!(message.contains(name), "{name} missing from: {message}");
+        }
+    }
+
+    #[test]
+    fn an_uncreatable_checkpoint_dir_is_a_bad_flag_not_a_panic() {
+        // A directory below a regular file cannot be created.
+        let file = std::env::temp_dir().join(format!("hetkg-ck-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let dir = file.join("ck");
+        let line = format!("train --synthetic wn18 --checkpoint-dir {}", dir.display());
+        let result = run(args(&line));
+        std::fs::remove_file(&file).unwrap();
+        match result {
+            Err(
+                err @ CliError::BadFlag {
+                    flag: "checkpoint-dir",
+                    ..
+                },
+            ) => {
+                assert_eq!(err.exit_code(), 2);
+                assert!(err.to_string().starts_with("--checkpoint-dir: "), "{err}");
+            }
+            other => panic!("an uncreatable --checkpoint-dir was not refused: {other:?}"),
         }
     }
 
