@@ -1,10 +1,11 @@
-//! Partition quality metrics: edge cut, balance, cross-triple fraction.
+//! Partition quality metrics: edge cut, entity balance, cross-triple
+//! fraction, and the balance of the triples each machine trains.
 //!
 //! These feed both the partitioner tests and the `partition-ablation`
 //! experiment (METIS-like vs random) in the bench harness.
 
 use crate::partitioning::Partitioning;
-use hetkg_kgraph::KnowledgeGraph;
+use hetkg_kgraph::{KnowledgeGraph, Triple};
 
 /// Number of triples whose endpoints live in different partitions.
 pub fn edge_cut(kg: &KnowledgeGraph, p: &Partitioning) -> usize {
@@ -34,10 +35,21 @@ pub fn balance(p: &Partitioning) -> f64 {
     max / ideal
 }
 
+/// Work balance: the largest part of [`Partitioning::split_triples`] over
+/// `triples` divided by the ideal `n / P`. 1.0 = every machine trains the
+/// same number of triples per epoch.
+pub fn home_balance(triples: &[Triple], p: &Partitioning) -> f64 {
+    if triples.is_empty() {
+        return 1.0;
+    }
+    let ideal = triples.len() as f64 / p.num_parts() as f64;
+    let max = p.split_triples(triples).iter().map(Vec::len).max();
+    max.expect("at least one part") as f64 / ideal
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetkg_kgraph::Triple;
 
     fn toy() -> KnowledgeGraph {
         KnowledgeGraph::new(
@@ -76,10 +88,24 @@ mod tests {
     }
 
     #[test]
+    fn home_balance_is_the_largest_trained_share() {
+        let g = toy();
+        // The cut triple (0, 3) has two appearances at each end, so it trains
+        // with its head on part 0: parts of 2 and 1 against an ideal of 1.5.
+        let p = Partitioning::new(2, vec![0, 0, 1, 1]);
+        assert!((home_balance(g.triples(), &p) - 2.0 / 1.5).abs() < 1e-12);
+        assert_eq!(
+            home_balance(g.triples(), &Partitioning::new(1, vec![0; 4])),
+            1.0
+        );
+    }
+
+    #[test]
     fn empty_graph_edge_cases() {
         let g = KnowledgeGraph::new(0, 0, vec![]).unwrap();
         let p = Partitioning::new(2, vec![]);
         assert_eq!(cut_fraction(&g, &p), 0.0);
         assert_eq!(balance(&p), 1.0);
+        assert_eq!(home_balance(g.triples(), &p), 1.0);
     }
 }

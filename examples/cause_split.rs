@@ -13,7 +13,8 @@
 //! local messages per iteration (all workers' messages over all workers'
 //! iterations, as `ps.remote_msgs_per_iter` counts them): what a schedule
 //! change costs in frames, next to what it buys on the critical path.
-//! `scripts/exact.sh` runs it at two commits side by side — copying this
+//! Before all that, the training triples each machine holds, as
+//! `split_triples` homes them. `scripts/exact.sh` runs it at two commits side by side — copying this
 //! file into a checkout that predates it, which is why it reads the report
 //! through names every commit since the split existed has (`Cause::ALL`,
 //! and the table as JSON).
@@ -155,13 +156,14 @@ fn main() {
     );
     // Iterations per epoch, summed over the workers: each trains its
     // machine's triples in batches (`paper` configurations run one worker
-    // per machine).
-    let iterations: usize = MetisLike::new(cfg.seed)
+    // per machine). The largest machine's share sets the epoch's length.
+    let homes = MetisLike::new(cfg.seed)
         .partition(&kg, cfg.machines)
-        .split_triples(&split.train)
-        .iter()
-        .map(|t| t.len().div_ceil(cfg.batch_size))
-        .sum();
+        .split_triples(&split.train);
+    for (machine, triples) in homes.iter().enumerate() {
+        println!("split machine{machine}_triples {}", triples.len());
+    }
+    let iterations: usize = homes.iter().map(|t| t.len().div_ceil(cfg.batch_size)).sum();
     for e in &report.epochs {
         println!("lane epoch{}_critical_path {:.4}", e.epoch, e.epoch_secs());
         println!("lane epoch{}_comm_lane {:.4}", e.epoch, e.comm_secs);

@@ -17,7 +17,8 @@
 # and beside them, in both modes, where the remote bytes and the simulated
 # seconds of the same configuration go: bytes per triple by cause, and per
 # epoch the critical path beside the comm and compute lanes it is scheduled
-# from, and the remote and local messages per iteration of each epoch
+# from, the remote and local messages per iteration of each epoch, and the
+# training triples `split_triples` homes on each machine
 # (`examples/cause_split.rs` — the working tree's, copied into the <rev>
 # checkout so both sides answer the same questions; a cause one side does not
 # have reads 0). The example spells the workloads out a second time, so a
@@ -111,7 +112,7 @@ run() { # checkout, target dir, workload, seed
         --workload "$3" --seed "$4" "${mode[@]}") \
         | grep -E '^(fact exact|check (loss_decreases|mrr_floor)) ' || true
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo run --release --quiet --example cause_split -- \
-        "$3" "$4" "${split[@]}") | grep -E '^(cause|lane|msgs|same) ' || true
+        "$3" "$4" "${split[@]}") | grep -E '^(cause|lane|msgs|same|split) ' || true
 }
 
 # stdout: `hetkg-p1`'s lines, simulated then over sockets. `run` has built
@@ -164,6 +165,8 @@ def fields(lines):
             lanes["sim_s " + m[1]] = m[2]
         elif m := re.match(r"msgs (\w+) (\S+)", line):
             lanes["msgs/iter " + m[1]] = m[2]
+        elif m := re.match(r"split (\w+) (\S+)", line):
+            lanes["homed " + m[1]] = m[2]
         elif m := re.match(r"same (\w+) (\S+)", line):
             same[m[1]] = m[2]
         elif m := re.match(r"p1 (\w+) (\S+)", line):

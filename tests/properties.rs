@@ -16,6 +16,105 @@ fn arb_triples(
     )
 }
 
+/// What `Partitioning::split_triples` promises, checked from the outside:
+/// the parts are the input in input order; a triple trains on one of its
+/// endpoints' parts, an uncut one on its own; a cut triple away from its
+/// colder endpoint (fewer appearances, ties to the head) was moved by the
+/// balancing pass, from a part above `⌈n/P⌉` that it left no lower than
+/// that, to a part it left no higher, the weakest preference first; and no
+/// part above `⌈n/P⌉` keeps a cut triple whose other part is below it.
+fn split_keeps_its_invariants(
+    triples: &[Triple],
+    p: &het_kg::partition::Partitioning,
+) -> Result<(), proptest::TestCaseError> {
+    let split = p.split_triples(triples);
+    prop_assert_eq!(split.len(), p.num_parts());
+    let mut all: Vec<Triple> = split.concat();
+    let mut input = triples.to_vec();
+    all.sort();
+    input.sort();
+    prop_assert_eq!(all, input, "the parts are not a permutation of the input");
+    for part in &split {
+        let mut rest = triples.iter();
+        prop_assert!(
+            part.iter().all(|t| rest.any(|u| u == t)),
+            "a part is out of input order"
+        );
+    }
+
+    let mut seen = vec![0u64; p.len()];
+    for t in triples {
+        seen[t.head.index()] += 1;
+        seen[t.tail.index()] += 1;
+    }
+    let part = |e: EntityId| p.part_of(e);
+    // (colder part, hotter part, hotter ÷ colder as a fraction).
+    let ends = |t: &Triple| {
+        let (h, tl) = (seen[t.head.index()], seen[t.tail.index()]);
+        if tl < h {
+            (part(t.tail), part(t.head), (h, tl))
+        } else {
+            (part(t.head), part(t.tail), (tl, h))
+        }
+    };
+    let cap = triples.len().div_ceil(p.num_parts());
+    let load: Vec<usize> = split.iter().map(Vec::len).collect();
+    let mut moved_out = vec![0usize; p.num_parts()];
+    let mut moved_in = vec![0usize; p.num_parts()];
+    let placed: Vec<(usize, Triple)> = split
+        .iter()
+        .enumerate()
+        .flat_map(|(q, items)| items.iter().map(move |&t| (q, t)))
+        .collect();
+    for &(q, t) in &placed {
+        prop_assert!(
+            q == part(t.head) || q == part(t.tail),
+            "{:?} trains off its endpoints",
+            t
+        );
+        if p.is_local_triple(t) {
+            continue;
+        }
+        let (colder, hotter, _) = ends(&t);
+        if q != colder {
+            moved_out[colder] += 1;
+            moved_in[hotter] += 1;
+        } else if load[q] > cap {
+            prop_assert!(
+                load[hotter] >= cap,
+                "part {} over its share keeps {:?}",
+                q,
+                t
+            );
+        }
+    }
+    for q in 0..p.num_parts() {
+        prop_assert!(moved_out[q] == 0 || (moved_in[q] == 0 && load[q] >= cap));
+        prop_assert!(moved_in[q] == 0 || load[q] <= cap);
+    }
+    // Weakest first: a cut triple its donor part kept, with a strictly
+    // smaller hotter ÷ colder ratio than one the pass moved from that part,
+    // saw its other part full. (Ties go by input position, which the unit
+    // tests pin.)
+    let cut: Vec<(usize, Triple)> = placed
+        .into_iter()
+        .filter(|&(_, t)| !p.is_local_triple(t))
+        .collect();
+    for &(q, t) in &cut {
+        let (colder, hotter, (a, b)) = ends(&t);
+        if q != colder {
+            continue;
+        }
+        for &(r, u) in &cut {
+            let (from, _, (c, d)) = ends(&u);
+            if from == q && r != from && a * d < c * b {
+                prop_assert!(load[hotter] >= cap, "{:?} kept ahead of {:?}", t, u);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -108,27 +207,6 @@ proptest! {
         prop_assert_eq!(all, orig);
     }
 
-    /// Partitionings assign every entity to a valid part, and every triple's
-    /// home is its head's part.
-    #[test]
-    fn partitioner_assignments_are_total(
-        triples in arb_triples(40, 4, 200),
-        parts in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let kg = KnowledgeGraph::new(40, 4, triples).unwrap();
-        for p in [
-            MetisLike::new(seed).partition(&kg, parts),
-            RandomPartitioner::new(seed).partition(&kg, parts),
-        ] {
-            prop_assert_eq!(p.len(), 40);
-            prop_assert_eq!(p.part_sizes().iter().sum::<usize>(), 40);
-            for &t in kg.triples() {
-                prop_assert_eq!(p.triple_home(t), p.part_of(t.head));
-            }
-        }
-    }
-
     /// Rank metrics are internally consistent: MRR ≤ Hits@1 bound relation,
     /// Hits monotone in k, MR ≥ 1.
     #[test]
@@ -145,5 +223,34 @@ proptest! {
         // Hits@1 + (1 - Hits@1) / 2 is not a tight bound — check the basic
         // dominance instead:
         prop_assert!(m.mrr() >= m.hits(1));
+    }
+}
+
+// Default config: `PROPTEST_CASES` sets how deep CI runs it.
+proptest! {
+    /// Partitionings assign every entity to a valid part, and the triples
+    /// split over them keep `split_triples`' invariants. Heads are folded
+    /// into the first `hubs` entities so that degrees are skewed and the
+    /// balancing pass has work to do.
+    #[test]
+    fn partitioner_assignments_are_total(
+        triples in arb_triples(40, 4, 200),
+        hubs in 1u32..41,
+        parts in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let triples: Vec<Triple> = triples
+            .into_iter()
+            .map(|t| Triple::new(t.head.0 % hubs, t.relation.0, t.tail.0))
+            .collect();
+        let kg = KnowledgeGraph::new(40, 4, triples).unwrap();
+        for p in [
+            MetisLike::new(seed).partition(&kg, parts),
+            RandomPartitioner::new(seed).partition(&kg, parts),
+        ] {
+            prop_assert_eq!(p.len(), 40);
+            prop_assert_eq!(p.part_sizes().iter().sum::<usize>(), 40);
+            split_keeps_its_invariants(kg.triples(), &p)?;
+        }
     }
 }
