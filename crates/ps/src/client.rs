@@ -602,6 +602,42 @@ impl PsClient {
         Ok(())
     }
 
+    /// Push what the scratch's compressor held back under a codec that drops
+    /// coordinates since the last flush: every such key goes out as its
+    /// residual alone, under int8, so only rounding error stays behind (see
+    /// [`compress`](crate::compress)). Returns whether anything was pushed.
+    /// All-or-nothing like any push: on error every residual is where it
+    /// was, and rides the key's next push.
+    pub fn try_flush_held(
+        &self,
+        optimizer: &dyn Optimizer,
+        scratch: &mut PsScratch,
+    ) -> Result<bool, RpcError> {
+        let held = scratch
+            .compressor
+            .as_mut()
+            .map(|c| c.take_held_back())
+            .unwrap_or_default();
+        if held.is_empty() {
+            return Ok(false);
+        }
+        let keys: Vec<ParamKey> = held.into_iter().map(ParamKey).collect();
+        let width = keys.iter().map(|&k| self.store.row_dim(k)).max();
+        let zero = vec![0.0; width.unwrap_or_default()];
+        // Staging adds each key's residual to its own row, here nothing.
+        let row_of = |i: usize| &zero[..self.store.row_dim(keys[i])];
+        self.seal_frames(&keys, &[], row_of, Codec::Int8, scratch);
+        self.transmit(
+            &scratch.plan,
+            &mut scratch.wire,
+            FrameOp::Push(optimizer),
+            &[],
+        )?;
+        self.decode_and_commit(&keys, Codec::Int8, scratch);
+        self.meter_push_frames(scratch);
+        Ok(true)
+    }
+
     /// Overwrite many keys' values (no optimizer), one message per shard
     /// touched. Used by block-partitioned training (PBG) to save entity
     /// partitions back to shared storage. All-or-nothing; duplicate keys
@@ -2309,6 +2345,48 @@ mod tests {
         assert!(scratch.fold_residual(key, &mut acc));
         assert!((acc[1] + 0.01).abs() < 1e-6, "got {}", acc[1]);
         assert!(!scratch.fold_residual(key, &mut acc), "folded once");
+    }
+
+    #[test]
+    fn a_flush_pushes_what_topk_held_back_and_only_that() {
+        let (store, topo) = setup(1);
+        let meter = Arc::new(TrafficMeter::new());
+        let client = PsClient::new(0, topo, store.clone(), meter.clone());
+        let sgd = Sgd { lr: 1.0 };
+        let key = ParamKey(0);
+        let g = [0.5f32, -0.01, 0.02, -0.003];
+        let mut int8 = PsScratch::new();
+        int8.set_compression(CompressionMode::Int8);
+        try_push_with(&client, key, &g, &sgd, &mut int8).unwrap();
+        assert_eq!(
+            client.try_flush_held(&sgd, &mut int8),
+            Ok(false),
+            "int8 drops nothing"
+        );
+
+        store.store(key, &[0.0; 4]);
+        let mut scratch = PsScratch::new();
+        scratch.set_compression(CompressionMode::TopK);
+        try_push_with(&client, key, &g, &sgd, &mut scratch).unwrap();
+        let before = meter.snapshot();
+        assert_eq!(client.try_flush_held(&sgd, &mut scratch), Ok(true));
+        let flushed = meter.snapshot().since(before);
+        assert_eq!(flushed.push_messages, 1, "one frame, metered");
+        let mut buf = [0.0f32; 4];
+        store.pull(key, &mut buf);
+        for d in 0..4 {
+            // What stays behind is the flush's int8 rounding of the residual.
+            assert!(
+                (buf[d] + g[d]).abs() <= 0.5 * 0.02 / 127.0 + 1e-6,
+                "dim {d}: {}",
+                buf[d]
+            );
+        }
+        assert_eq!(
+            client.try_flush_held(&sgd, &mut scratch),
+            Ok(false),
+            "flushed once"
+        );
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //! nothing: the caller still owns the raw gradient (all-or-nothing), and
 //! the residual it peeked is untouched, so no error is double-counted.
 //!
+//! A codec that drops coordinates (top-k) holds each dropped one back
+//! until the key is pushed again, and a worker may not push a key again for
+//! a long time: a row it reads only as a negative comes up when the sampler
+//! draws it. So at an epoch's end, where the model is evaluated and
+//! checkpointed, the worker pushes what such a codec held back
+//! ([`PsClient::try_flush_held`](crate::PsClient::try_flush_held)), under
+//! int8, which delivers every coordinate: what stays behind is rounding
+//! error, as it always is under int8.
+//!
 //! Degraded-mode callers that defer a push into a backlog instead of
 //! retrying fold the key's residual into the deferred value via
 //! [`PushCompressor::drain_residual_into`] — accumulated compression error
@@ -48,6 +57,9 @@ pub struct PushCompressor {
     /// Keys staged so far in the batch in flight (duplicate occurrences of
     /// a key must not re-apply its residual).
     seen: HashSet<u64>,
+    /// Keys a top-k push held coordinates of since the last
+    /// [`take_held_back`](Self::take_held_back).
+    held_back: HashSet<u64>,
     /// Whether batch index `i` was its key's first occurrence.
     first: Vec<bool>,
     /// Top-k selection scratch.
@@ -70,6 +82,7 @@ impl PushCompressor {
             level: 0,
             residuals: HashMap::new(),
             seen: HashSet::new(),
+            held_back: HashSet::new(),
             first: Vec::new(),
             idx_scratch: Vec::new(),
             row_buf: Vec::new(),
@@ -127,6 +140,19 @@ impl PushCompressor {
         }
     }
 
+    /// The keys a push under a codec that drops coordinates left a residual
+    /// on since the last call, ascending. Under int8 and int4 a residual is
+    /// rounding error, and no key is listed for it.
+    pub(crate) fn take_held_back(&mut self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self
+            .held_back
+            .drain()
+            .filter(|k| self.residuals[k].iter().any(|v| *v != 0.0))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// Start staging a push batch of `n` rows.
     pub(crate) fn begin_batch(&mut self, n: usize) {
         self.seen.clear();
@@ -169,6 +195,9 @@ impl PushCompressor {
         self.row_buf.clear();
         self.row_buf.resize(row.len(), 0.0);
         hetkg_netsim::compress::decode_row(codec, bytes, &mut self.row_buf);
+        if matches!(codec, Codec::TopKQuarter | Codec::TopKEighth) {
+            self.held_back.insert(key);
+        }
         let r = self.residuals.entry(key).or_default();
         if r.len() != row.len() {
             r.resize(row.len(), 0.0);

@@ -267,6 +267,18 @@ impl WorkerCtx {
     /// exactly the occupancy the timeline measured, in every schedule. Fixed
     /// compression modes are unaffected.
     pub(crate) fn end_epoch(&mut self) -> WorkerEpochStats {
+        // What a top-k push held back goes out before the epoch closes, on
+        // the comm lane behind the epoch's last push. One that does not get
+        // through leaves every residual in place for the key's next push;
+        // its attempts took their time all the same.
+        let before = self.meter.snapshot();
+        let flushed = self
+            .client
+            .try_flush_held(self.optimizer.as_ref(), &mut self.ps);
+        if flushed != Ok(false) {
+            let delta = self.meter.snapshot().since(before);
+            self.post_comm(delta, 0.0);
+        }
         let critical_path_secs = self.timeline.end_epoch();
         let comm = self.timeline.busy(Lane::Comm) - self.epoch_busy[0];
         let compute = self.timeline.busy(Lane::Compute) - self.epoch_busy[1];
