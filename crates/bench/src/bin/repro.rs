@@ -7,7 +7,9 @@
 //! ```
 //!
 //! Results print as text tables and are also saved as JSON under
-//! `experiments/` for EXPERIMENTS.md.
+//! `experiments/` for EXPERIMENTS.md. `ledger` is not a paper experiment:
+//! it records fixed runs bit for bit, whatever the flags (see
+//! `experiments::ledger`).
 
 use hetkg_bench::experiments::{self, ExpCtx, ALL};
 
@@ -18,7 +20,7 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--list") {
-        for id in ALL {
+        for (id, _) in ALL {
             println!("{id}");
         }
         return;
@@ -48,7 +50,7 @@ fn main() {
         }
     }
     if ids.iter().any(|i| i == "all") {
-        ids = ALL.iter().map(|s| s.to_string()).collect();
+        ids = ALL.iter().map(|(id, _)| id.to_string()).collect();
     }
     if ids.is_empty() {
         usage();
@@ -80,12 +82,13 @@ fn usage() {
     println!("usage: repro <experiment-id>... [--full] [--quick] [--seed N]");
     println!("       repro all [--quick]");
     println!("       repro --list\n");
-    println!("experiments (paper order):");
-    for id in ALL {
+    println!("experiments (paper order, then the behaviour ledger):");
+    for (id, _) in ALL {
         println!("  {id}");
     }
     println!("\nflags:");
     println!("  --full   published dataset sizes (slow; Freebase stays 1/86-scaled)");
     println!("  --quick  clamp epochs to 2 for smoke runs");
     println!("  --seed N master seed (default 42)");
+    println!("(the ledger's runs are fixed: no flag changes them)");
 }

@@ -2,7 +2,7 @@
 //! figures, but the paper's §V motivates both).
 
 use super::ExpCtx;
-use crate::record::ExperimentRecord;
+use crate::record::{ExperimentRecord, Fnv};
 use crate::render::{mb, pct, secs};
 use crate::workloads::{Dataset, Workload};
 use hetkg_embed::negative::{NegConfig, NegStrategy};
@@ -16,6 +16,7 @@ use hetkg_train::{train, SystemKind, TrainConfig};
 pub fn partition(ctx: ExpCtx) -> ExperimentRecord {
     let epochs = ctx.epochs(2);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for dataset in Dataset::all() {
         let w = Workload::new(dataset, ctx.full, ctx.seed);
         for (label, kind) in [
@@ -31,13 +32,10 @@ pub fn partition(ctx: ExpCtx) -> ExperimentRecord {
             let bal = quality::balance(&parts);
             let home = quality::home_balance(&w.split.train, &parts);
 
-            let mut cfg = TrainConfig::small(SystemKind::DglKe);
-            cfg.machines = 4;
-            cfg.dim = 32;
-            cfg.epochs = epochs;
+            let mut cfg = ctx.config(SystemKind::DglKe, 32, epochs);
             cfg.partitioner = kind;
-            cfg.seed = ctx.seed;
             let report = train(&w.kg, &w.split.train, &[], &cfg);
+            digest.report(&report);
             rows.push(vec![
                 dataset.name().to_string(),
                 label.to_string(),
@@ -69,6 +67,7 @@ pub fn partition(ctx: ExpCtx) -> ExperimentRecord {
                             balance, which lowers remote traffic (the reason \
                             DGL-KE and HET-KG partition with METIS, §V)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -78,21 +77,19 @@ pub fn negsample(ctx: ExpCtx) -> ExperimentRecord {
     let epochs = ctx.epochs(2);
     let w = Workload::new(Dataset::Fb15k, ctx.full, ctx.seed);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for (label, strategy) in [
         ("independent", NegStrategy::Independent),
         ("chunked (b_c=32)", NegStrategy::Chunked { chunk_size: 32 }),
     ] {
-        let mut cfg = TrainConfig::small(SystemKind::DglKe);
-        cfg.machines = 4;
-        cfg.dim = 32;
-        cfg.epochs = epochs;
+        let mut cfg = ctx.config(SystemKind::DglKe, 32, epochs);
         cfg.negatives = NegConfig {
             per_positive: 8,
             strategy,
         };
-        cfg.seed = ctx.seed;
         cfg.eval_candidates = Some(200);
         let report = train(&w.kg, &w.split.train, &w.eval_set, &cfg);
+        digest.report(&report);
         rows.push(vec![
             label.to_string(),
             mb(report.total_traffic().total_bytes()),
@@ -116,6 +113,7 @@ pub fn negsample(ctx: ExpCtx) -> ExperimentRecord {
                             per batch, cutting embedding traffic at equal accuracy \
                             (§V's batched negative sampling)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -127,19 +125,17 @@ pub fn bandwidth(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Fb15k, ctx.full, ctx.seed);
     let epochs = ctx.epochs(3);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for (label, gbps) in [("100 Mbps", 0.1), ("1 Gbps", 1.0), ("10 Gbps", 10.0)] {
         let mut times = Vec::new();
         for system in [SystemKind::DglKe, SystemKind::HetKgDps] {
-            let mut cfg = TrainConfig::small(system);
-            cfg.machines = 4;
-            cfg.dim = 128;
-            cfg.epochs = epochs;
-            cfg.seed = ctx.seed;
+            let mut cfg = ctx.config(system, 128, epochs);
             cfg.cost_model = CostModel {
                 remote_bandwidth: gbps * 1e9 / 8.0,
                 ..CostModel::gigabit()
             };
             let report = train(&w.kg, &w.split.train, &[], &cfg);
+            digest.report(&report);
             times.push(report.total_secs());
         }
         rows.push(vec![
@@ -161,15 +157,18 @@ pub fn bandwidth(ctx: ExpCtx) -> ExperimentRecord {
                             link and shrinks as bandwidth grows (§II Remarks: the \
                             cache matters most in low-bandwidth environments)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
-/// One row of the push-compression ablation: `mode` trained on `w`.
+/// One row of the push-compression ablation: `mode` trained on `w`, its
+/// report folded into `digest`.
 fn compression_row(
     w: &Workload,
     mode: hetkg_netsim::CompressionMode,
     epochs: usize,
     seed: u64,
+    digest: &mut Fnv,
 ) -> Vec<String> {
     let mut cfg = TrainConfig::small(SystemKind::HetKgDps);
     cfg.machines = 4;
@@ -181,6 +180,7 @@ fn compression_row(
     cfg.eval_candidates = Some(w.kg.num_entities());
     cfg.compression = mode;
     let report = train(&w.kg, &w.split.train, &w.eval_set, &cfg);
+    digest.report(&report);
     let t = report.total_traffic();
     let ratio = if t.push_wire_bytes > 0 {
         t.push_raw_bytes as f64 / t.push_wire_bytes as f64
@@ -207,6 +207,7 @@ pub fn compression(ctx: ExpCtx) -> ExperimentRecord {
     use hetkg_netsim::CompressionMode;
     let epochs = ctx.epochs(4);
     let w = Workload::new(Dataset::Fb15k, ctx.full, ctx.seed);
+    let mut digest = Fnv::default();
     let rows = [
         CompressionMode::Off,
         CompressionMode::Int8,
@@ -215,7 +216,7 @@ pub fn compression(ctx: ExpCtx) -> ExperimentRecord {
         CompressionMode::Adaptive,
     ]
     .into_iter()
-    .map(|mode| compression_row(&w, mode, epochs, ctx.seed))
+    .map(|mode| compression_row(&w, mode, epochs, ctx.seed, &mut digest))
     .collect();
     ExperimentRecord {
         id: "compression-ablation".into(),
@@ -237,6 +238,7 @@ pub fn compression(ctx: ExpCtx) -> ExperimentRecord {
                             percent of the dense run (GreenDyGNN-style adaptive \
                             communication, PAPERS.md)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -246,10 +248,7 @@ mod tests {
 
     #[test]
     fn chunked_sampling_moves_fewer_bytes() {
-        let r = negsample(ExpCtx {
-            quick: true,
-            ..Default::default()
-        });
+        let r = negsample(ExpCtx::QUICK);
         let bytes = |i: usize| r.rows[i][1].parse::<f64>().unwrap();
         assert!(
             bytes(1) < bytes(0),
@@ -325,7 +324,7 @@ mod tests {
             use hetkg_netsim::CompressionMode::{Adaptive, Off};
             let w = Workload::new(Dataset::Fb15k, false, seed);
             [Off, Adaptive].map(|mode| {
-                compression_row(&w, mode, 4, seed)[5]
+                compression_row(&w, mode, 4, seed, &mut Fnv::default())[5]
                     .parse::<f64>()
                     .unwrap()
             })

@@ -2,11 +2,11 @@
 //! systems × models per dataset.
 
 use super::ExpCtx;
-use crate::record::ExperimentRecord;
+use crate::record::{ExperimentRecord, Fnv};
 
 use crate::workloads::{Dataset, Workload};
 use hetkg_embed::ModelKind;
-use hetkg_train::{train, SystemKind, TrainConfig};
+use hetkg_train::{train, SystemKind};
 
 const SYSTEMS: [SystemKind; 4] = [
     SystemKind::Pbg,
@@ -15,24 +15,23 @@ const SYSTEMS: [SystemKind; 4] = [
     SystemKind::HetKgDps,
 ];
 
-/// Run one (system, model) cell and return a table row.
+/// Run one (system, model) cell, fold its report into `digest` and return
+/// a table row.
 fn run_cell(
     w: &Workload,
     system: SystemKind,
     model: ModelKind,
     epochs: usize,
     ctx: ExpCtx,
+    digest: &mut Fnv,
 ) -> Vec<String> {
-    let mut cfg = TrainConfig::small(system);
-    cfg.model = model;
     // The paper trains d = 400; d = 128 keeps the harness fast while staying
     // in the bytes-dominant communication regime where the cache pays off.
-    cfg.dim = 128;
-    cfg.machines = 4;
-    cfg.epochs = epochs;
-    cfg.seed = ctx.seed;
+    let mut cfg = ctx.config(system, 128, epochs);
+    cfg.model = model;
     cfg.eval_candidates = Some(200);
     let report = train(&w.kg, &w.split.train, &w.eval_set, &cfg);
+    digest.report(&report);
     let m = report.final_metrics.as_ref().expect("final eval enabled");
     vec![
         system.to_string(),
@@ -54,9 +53,10 @@ fn accuracy_grid(
     let w = Workload::new(dataset, ctx.full, ctx.seed);
     let epochs = ctx.epochs(epochs);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for &model in models {
         for system in SYSTEMS {
-            rows.push(run_cell(&w, system, model, epochs, ctx));
+            rows.push(run_cell(&w, system, model, epochs, ctx, &mut digest));
         }
     }
     ExperimentRecord {
@@ -71,6 +71,7 @@ fn accuracy_grid(
                             points) in less or equal simulated time; PBG is the \
                             slowest (paper: 3.7x vs PBG, 1.1x vs DGL-KE)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -113,11 +114,7 @@ mod tests {
 
     #[test]
     fn grid_covers_all_systems_and_models() {
-        let ctx = ExpCtx {
-            quick: true,
-            ..Default::default()
-        };
-        let r = table3(ctx);
+        let r = table3(ExpCtx::QUICK);
         assert_eq!(r.rows.len(), 8); // 2 models × 4 systems
         for row in &r.rows {
             let mrr: f64 = row[2].parse().unwrap();
@@ -127,13 +124,11 @@ mod tests {
 
     #[test]
     fn hetkg_accuracy_is_comparable_to_dglke() {
-        let ctx = ExpCtx {
-            quick: false,
-            ..Default::default()
-        };
+        let ctx = ExpCtx::default();
         let w = Workload::new(Dataset::Wn18, false, 42);
-        let dgl = run_cell(&w, SystemKind::DglKe, ModelKind::TransEL2, 5, ctx);
-        let het = run_cell(&w, SystemKind::HetKgCps, ModelKind::TransEL2, 5, ctx);
+        let d = &mut Fnv::default();
+        let dgl = run_cell(&w, SystemKind::DglKe, ModelKind::TransEL2, 5, ctx, d);
+        let het = run_cell(&w, SystemKind::HetKgCps, ModelKind::TransEL2, 5, ctx, d);
         let dgl_mrr: f64 = dgl[2].parse().unwrap();
         let het_mrr: f64 = het[2].parse().unwrap();
         assert!(

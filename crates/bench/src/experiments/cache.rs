@@ -3,7 +3,7 @@
 //! (heterogeneity ablation).
 
 use super::ExpCtx;
-use crate::record::ExperimentRecord;
+use crate::record::{ExperimentRecord, Fnv};
 use crate::render::{mb, pct, secs};
 use crate::workloads::{Dataset, Workload};
 use hetkg_core::baselines::{
@@ -16,7 +16,7 @@ use hetkg_embed::negative::{NegConfig, NegativeSampler};
 use hetkg_kgraph::{ParamKey, Triple};
 use hetkg_train::config::CacheConfig;
 use hetkg_train::plan::BatchPlan;
-use hetkg_train::{train, SystemKind, TrainConfig};
+use hetkg_train::{train, SystemKind};
 
 fn hetkg_run(
     w: &Workload,
@@ -24,12 +24,8 @@ fn hetkg_run(
     epochs: usize,
     ctx: ExpCtx,
 ) -> hetkg_train::TrainReport {
-    let mut cfg = TrainConfig::small(SystemKind::HetKgDps);
-    cfg.machines = 4;
-    cfg.dim = 64;
-    cfg.epochs = epochs;
+    let mut cfg = ctx.config(SystemKind::HetKgDps, 64, epochs);
     cfg.cache = cache;
-    cfg.seed = ctx.seed;
     cfg.eval_candidates = Some(200);
     train(&w.kg, &w.split.train, &w.eval_set, &cfg)
 }
@@ -40,6 +36,7 @@ pub fn fig8a(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Freebase86m, ctx.full, ctx.seed);
     let epochs = ctx.epochs(4);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for frac in [0.005, 0.01, 0.02, 0.04, 0.08, 0.16] {
         let report = hetkg_run(
             &w,
@@ -50,6 +47,7 @@ pub fn fig8a(ctx: ExpCtx) -> ExperimentRecord {
             epochs,
             ctx,
         );
+        digest.report(&report);
         rows.push(vec![
             pct(frac),
             pct(report.total_cache().hit_ratio()),
@@ -75,6 +73,7 @@ pub fn fig8a(ctx: ExpCtx) -> ExperimentRecord {
                             table; MRR stays roughly flat (paper Fig. 8a: hit ratio rises, \
                             MRR does not change significantly)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -83,6 +82,7 @@ pub fn fig8b(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Freebase86m, ctx.full, ctx.seed);
     let epochs = ctx.epochs(4);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for p in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let report = hetkg_run(
             &w,
@@ -93,6 +93,7 @@ pub fn fig8b(ctx: ExpCtx) -> ExperimentRecord {
             epochs,
             ctx,
         );
+        digest.report(&report);
         rows.push(vec![
             p.to_string(),
             pct(report.total_cache().hit_ratio()),
@@ -115,6 +116,7 @@ pub fn fig8b(ctx: ExpCtx) -> ExperimentRecord {
                             small P and degrades for large P (paper Fig. 8b: stable \
                             up to P≈8)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -128,22 +130,20 @@ pub fn fig8c(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Freebase86m, ctx.full, ctx.seed);
     let epochs = ctx.epochs(3);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for ratio in [0.0, 0.1, 0.25, 0.5, 0.75, 1.0] {
-        let mut cfg = TrainConfig::small(SystemKind::HetKgDps);
-        cfg.machines = 4;
-        cfg.dim = 64;
-        cfg.epochs = epochs;
+        let mut cfg = ctx.config(SystemKind::HetKgDps, 64, epochs);
         cfg.cache = CacheConfig {
             entity_fraction: ratio,
             ..Default::default()
         };
-        cfg.seed = ctx.seed;
         cfg.batch_size = 512;
         cfg.negatives = NegConfig {
             per_positive: 64,
             strategy: hetkg_embed::negative::NegStrategy::Chunked { chunk_size: 32 },
         };
         let report = train(&w.kg, &w.split.train, &[], &cfg);
+        digest.report(&report);
         rows.push(vec![
             pct(ratio),
             pct(report.total_cache().hit_ratio()),
@@ -162,6 +162,7 @@ pub fn fig8c(ctx: ExpCtx) -> ExperimentRecord {
                             peaking at a small ratio (paper Fig. 8c: 25%) because \
                             relations are denser per key"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -170,6 +171,7 @@ pub fn fig9(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Freebase86m, ctx.full, ctx.seed);
     let epochs = ctx.epochs(6);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for p in [1usize, 128] {
         let report = hetkg_run(
             &w,
@@ -180,6 +182,7 @@ pub fn fig9(ctx: ExpCtx) -> ExperimentRecord {
             epochs,
             ctx,
         );
+        digest.report(&report);
         for e in &report.epochs {
             if let Some(mrr) = e.mrr {
                 rows.push(vec![
@@ -200,6 +203,7 @@ pub fn fig9(ctx: ExpCtx) -> ExperimentRecord {
                             consistency hurts convergence (paper Fig. 9: 0.67 vs \
                             0.59 final MRR)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -209,6 +213,7 @@ pub fn divergence(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Fb15k, ctx.full, ctx.seed);
     let epochs = ctx.epochs(4);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for p in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         let report = hetkg_run(
             &w,
@@ -219,6 +224,7 @@ pub fn divergence(ctx: ExpCtx) -> ExperimentRecord {
             epochs,
             ctx,
         );
+        digest.report(&report);
         // Mean per-key divergence at sync time, averaged over post-warmup
         // epochs (max-statistics would bias toward small P, which syncs —
         // and therefore samples — far more often).
@@ -254,6 +260,7 @@ pub fn divergence(ctx: ExpCtx) -> ExperimentRecord {
                             and stays bounded for fixed P — the empirical form of \
                             §IV-C's bounded-staleness assumption"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -361,6 +368,7 @@ pub fn table6(ctx: ExpCtx) -> ExperimentRecord {
         shape_expectation: "FIFO < LRU < importance < HET-KG on every dataset \
                             (paper Table VI; e.g. Freebase-86m 6.6/8.6/34.3/43.1%)"
             .into(),
+        digest: Fnv::default().hex(),
     }
 }
 
@@ -368,6 +376,7 @@ pub fn table6(ctx: ExpCtx) -> ExperimentRecord {
 pub fn table7(ctx: ExpCtx) -> ExperimentRecord {
     let epochs = ctx.epochs(6);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for dataset in [Dataset::Fb15k, Dataset::Wn18] {
         let w = Workload::new(dataset, ctx.full, ctx.seed);
         for (label, aware) in [("HET-KG", true), ("HET-KG-N", false)] {
@@ -380,6 +389,7 @@ pub fn table7(ctx: ExpCtx) -> ExperimentRecord {
                 epochs,
                 ctx,
             );
+            digest.report(&report);
             let m = report.final_metrics.as_ref().expect("eval enabled");
             rows.push(vec![
                 dataset.name().to_string(),
@@ -412,6 +422,7 @@ pub fn table7(ctx: ExpCtx) -> ExperimentRecord {
                             faster but loses accuracy relative to HET-KG \
                             (paper Table VII)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -419,16 +430,9 @@ pub fn table7(ctx: ExpCtx) -> ExperimentRecord {
 mod tests {
     use super::*;
 
-    fn quick() -> ExpCtx {
-        ExpCtx {
-            quick: true,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn fig8a_hit_ratio_rises_with_capacity() {
-        let r = fig8a(quick());
+        let r = fig8a(ExpCtx::QUICK);
         let first: f64 = r.rows[0][1].trim_end_matches('%').parse().unwrap();
         let last: f64 = r.rows.last().unwrap()[1]
             .trim_end_matches('%')
@@ -442,7 +446,7 @@ mod tests {
 
     #[test]
     fn table6_hetkg_beats_simple_caches() {
-        let r = table6(quick());
+        let r = table6(ExpCtx::QUICK);
         for row in &r.rows {
             let v = |i: usize| row[i].trim_end_matches('%').parse::<f64>().unwrap();
             let (fifo, lru, imp, het) = (v(1), v(2), v(4), v(5));

@@ -3,11 +3,11 @@
 //! on the benchmark's skewed workload.
 
 use super::ExpCtx;
-use crate::record::ExperimentRecord;
+use crate::record::{ExperimentRecord, Fnv};
 use crate::render::{mb, pct, secs};
-use crate::workloads::{Dataset, Workload};
+use crate::workloads::{bench_config, bench_graph, Dataset, Workload};
 use hetkg_partition::{MetisLike, Partitioner};
-use hetkg_train::{train, SystemKind, TrainConfig};
+use hetkg_train::{train, SystemKind};
 
 const SYSTEMS: [SystemKind; 4] = [
     SystemKind::Pbg,
@@ -21,14 +21,12 @@ pub fn fig5(ctx: ExpCtx) -> ExperimentRecord {
     let w = Workload::new(Dataset::Freebase86m, ctx.full, ctx.seed);
     let epochs = ctx.epochs(6);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for system in SYSTEMS {
-        let mut cfg = TrainConfig::small(system);
-        cfg.machines = 4;
-        cfg.dim = 128;
-        cfg.epochs = epochs;
-        cfg.seed = ctx.seed;
+        let mut cfg = ctx.config(system, 128, epochs);
         cfg.eval_candidates = Some(200);
         let report = train(&w.kg, &w.split.train, &w.eval_set, &cfg);
+        digest.report(&report);
         for (t, mrr) in report.convergence_series() {
             rows.push(vec![
                 system.to_string(),
@@ -47,6 +45,7 @@ pub fn fig5(ctx: ExpCtx) -> ExperimentRecord {
                             any given MRR earlier than DGL-KE, PBG latest \
                             (paper Fig. 5; HET-KG-D best on Freebase-86m)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -56,15 +55,12 @@ pub fn fig6(ctx: ExpCtx) -> ExperimentRecord {
     let epochs = ctx.epochs(2);
     let worker_counts = [1usize, 2, 4, 8];
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for system in [SystemKind::Pbg, SystemKind::DglKe, SystemKind::HetKgDps] {
         let mut base_time = None;
         for &n in &worker_counts {
-            let mut cfg = TrainConfig::small(system);
+            let mut cfg = ctx.config(system, 32, epochs);
             cfg.machines = n;
-            cfg.dim = 32;
-            cfg.epochs = epochs;
-            cfg.seed = ctx.seed;
-            cfg.eval_candidates = None;
             // The paper's Freebase-86m hyperparameters (Table II): large
             // batches amortize per-message latency — without them no PS
             // system scales.
@@ -74,6 +70,7 @@ pub fn fig6(ctx: ExpCtx) -> ExperimentRecord {
                 strategy: hetkg_embed::negative::NegStrategy::Chunked { chunk_size: 32 },
             };
             let report = train(&w.kg, &w.split.train, &[], &cfg);
+            digest.report(&report);
             let total = report.total_secs();
             let base = *base_time.get_or_insert(total);
             rows.push(vec![
@@ -96,6 +93,7 @@ pub fn fig6(ctx: ExpCtx) -> ExperimentRecord {
                             transfer); DGL-KE and HET-KG scale, with HET-KG's \
                             speedup ≈30% above DGL-KE's on average (paper Fig. 6)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -103,16 +101,13 @@ pub fn fig6(ctx: ExpCtx) -> ExperimentRecord {
 pub fn fig7(ctx: ExpCtx) -> ExperimentRecord {
     let epochs = ctx.epochs(3);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for dataset in Dataset::all() {
         let w = Workload::new(dataset, ctx.full, ctx.seed);
         for system in SYSTEMS {
-            let mut cfg = TrainConfig::small(system);
-            cfg.machines = 4;
-            cfg.dim = 128;
-            cfg.epochs = epochs;
-            cfg.seed = ctx.seed;
-            cfg.eval_candidates = None;
+            let cfg = ctx.config(system, 128, epochs);
             let report = train(&w.kg, &w.split.train, &[], &cfg);
+            digest.report(&report);
             rows.push(vec![
                 dataset.name().to_string(),
                 system.to_string(),
@@ -144,85 +139,7 @@ pub fn fig7(ctx: ExpCtx) -> ExperimentRecord {
                             fewer bytes and spends less communication time; PBG's \
                             communication far exceeds the others (paper Fig. 7)"
             .into(),
-    }
-}
-
-/// The benchmark's skewed training workload (`train-hetkg-skew` /
-/// `train-dglke-skew`), or with `--quick` one seed of the same graph at a
-/// tenth of its scale.
-#[derive(Clone, Copy)]
-struct SkewScale {
-    /// Graph divisor.
-    shrink: usize,
-    dim: usize,
-    batch_size: usize,
-    epochs: usize,
-    seeds: &'static [u64],
-    machines: usize,
-}
-
-/// One seed's graph, with what a run over it is divided by.
-struct SkewWorkload {
-    kg: hetkg_kgraph::KnowledgeGraph,
-    split: hetkg_kgraph::split::Split,
-    /// Worker iterations of a run, as the trainer cuts them: per machine,
-    /// one per batch of its partition's triples, per epoch.
-    iters: usize,
-    /// Triples trained on over a run.
-    triples: usize,
-}
-
-impl SkewScale {
-    fn of(ctx: ExpCtx) -> Self {
-        let (shrink, dim, batch_size, epochs, seeds): (_, _, _, _, &[u64]) = if ctx.quick {
-            (10, 32, 64, 1, &[7])
-        } else {
-            (1, 128, 512, 2, &[7, 8, 9])
-        };
-        Self {
-            shrink,
-            dim,
-            batch_size,
-            epochs,
-            seeds,
-            machines: 4,
-        }
-    }
-
-    fn workload(&self, seed: u64) -> SkewWorkload {
-        let kg = hetkg_kgraph::generator::SyntheticKg {
-            num_entities: 200_000 / self.shrink,
-            num_relations: 200,
-            num_triples: 800_000 / self.shrink,
-            entity_alpha: 1.0,
-            relation_alpha: 1.1,
-            ..Default::default()
-        }
-        .build(seed);
-        let split = hetkg_kgraph::split::Split::ninety_five_five(&kg, seed);
-        let iters = Partitioner::partition(&MetisLike::new(seed), &kg, self.machines)
-            .split_triples(&split.train)
-            .iter()
-            .map(|t| t.len().div_ceil(self.batch_size))
-            .sum::<usize>()
-            * self.epochs;
-        let triples = self.epochs * split.train.len();
-        SkewWorkload {
-            kg,
-            split,
-            iters,
-            triples,
-        }
-    }
-
-    fn config(&self, system: SystemKind, seed: u64) -> TrainConfig {
-        let mut cfg = TrainConfig::paper(system, hetkg_embed::ModelKind::TransEL2, self.dim);
-        cfg.batch_size = self.batch_size;
-        cfg.machines = self.machines;
-        cfg.epochs = self.epochs;
-        cfg.eval_candidates = None;
-        cfg.seed = seed;
-        cfg
+        digest: digest.hex(),
     }
 }
 
@@ -276,15 +193,13 @@ pub fn skew_breakdown(ctx: ExpCtx) -> ExperimentRecord {
         "final loss",
         "MRR",
     ];
-    let scale = SkewScale::of(ctx);
-    let SkewScale {
-        shrink,
-        dim,
-        batch_size,
-        epochs,
-        seeds,
-        machines,
-    } = scale;
+    // `--quick`: one seed of the same graph at a tenth of its scale.
+    let (shrink, dim, batch_size, epochs, seeds): (usize, _, _, _, &[u64]) = if ctx.quick {
+        (10, 32, 64, 1, &[7])
+    } else {
+        (1, 128, 512, 2, &[7, 8, 9])
+    };
+    let machines = 4;
     let eval = EvalConfig {
         filtered: true,
         max_candidates: Some(1000 / shrink),
@@ -292,17 +207,29 @@ pub fn skew_breakdown(ctx: ExpCtx) -> ExperimentRecord {
     };
     let dash = || ["-"; 3].map(String::from);
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for &seed in seeds {
-        let w = scale.workload(seed);
-        let per_triple = |bytes: u64| format!("{:.1}", bytes as f64 / w.triples as f64);
+        let (kg, split) = bench_graph(200_000 / shrink, 1.0, seed);
+        // Worker iterations of a run as the trainer cuts them (per machine,
+        // one per batch of its part's triples, per epoch) and triples trained.
+        let iters = MetisLike::new(seed)
+            .partition(&kg, machines)
+            .split_triples(&split.train)
+            .iter()
+            .map(|t| t.len().div_ceil(batch_size))
+            .sum::<usize>()
+            * epochs;
+        let triples = epochs * split.train.len();
+        let per_triple = |bytes: u64| format!("{:.1}", bytes as f64 / triples as f64);
         // Per system its remote bytes and simulated seconds, for the ratio.
         let totals = SYSTEMS.map(|(system, name)| {
-            let cfg = scale.config(system, seed);
-            let (r, store) = train_with_store(&w.kg, &w.split.train, &[], &cfg);
-            let test = &w.split.test[..(1000 / shrink).min(w.split.test.len())];
-            let snapshot = snapshot(&store, w.kg.key_space());
+            let cfg = bench_config(system, dim, batch_size, epochs, seed);
+            let (r, store) = train_with_store(&kg, &split.train, &[], &cfg);
+            digest.report(&r);
+            let test = &split.test[..(1000 / shrink).min(split.test.len())];
+            let snapshot = snapshot(&store, kg.key_space());
             let model = cfg.model.build(dim);
-            let mrr = evaluate(model.as_ref(), &snapshot, test, w.kg.triples(), &eval).mrr();
+            let mrr = evaluate(model.as_ref(), &snapshot, test, kg.triples(), &eval).mrr();
             let (t, e) = (r.total_traffic(), r.total_table());
             let mut cells = vec![
                 seed.to_string(),
@@ -315,7 +242,7 @@ pub fn skew_breakdown(ctx: ExpCtx) -> ExperimentRecord {
                 r.total_overlap_secs(),
             ];
             cells.extend(lanes.map(|s| format!("{s:.4}")));
-            cells.push(format!("{:.3}", t.remote_messages as f64 / w.iters as f64));
+            cells.push(format!("{:.3}", t.remote_messages as f64 / iters as f64));
             cells.push(per_triple(t.remote_bytes));
             cells.extend(CAUSES.map(|c| per_triple(t.by_cause.get(c).remote)));
             cells.push(format!("{} / {}", e.staged_early, e.staged_late));
@@ -387,6 +314,7 @@ pub fn skew_breakdown(ctx: ExpCtx) -> ExperimentRecord {
                             gradient; under DPS no staged miss key is left for consume time, \
                             and DGL-KE issues most of its staged keys early"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -394,16 +322,9 @@ pub fn skew_breakdown(ctx: ExpCtx) -> ExperimentRecord {
 mod tests {
     use super::*;
 
-    fn quick() -> ExpCtx {
-        ExpCtx {
-            quick: true,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn fig7_hetkg_moves_fewer_bytes_than_dglke() {
-        let r = fig7(quick());
+        let r = fig7(ExpCtx::QUICK);
         // Rows come in groups of 4 per dataset: PBG, DGL-KE, HET-KG-C, HET-KG-D.
         for chunk in r.rows.chunks(4) {
             let bytes = |row: &Vec<String>| row[6].parse::<f64>().unwrap();
@@ -424,7 +345,7 @@ mod tests {
         // Shape of the record and the direction of its claims at a tenth of
         // the benchmark's scale; `tests/overlap.rs` pins the pipeline's
         // contract, `tests/traffic_shape.rs` the bytes and message counts.
-        let r = skew_breakdown(quick());
+        let r = skew_breakdown(ExpCtx::QUICK);
         assert!(r.rows.iter().all(|row| row.len() == r.columns.len()));
         let systems: Vec<&str> = r.rows.iter().map(|row| row[1].as_str()).collect();
         assert_eq!(
@@ -460,7 +381,7 @@ mod tests {
 
     #[test]
     fn fig6_reports_speedups_relative_to_one_worker() {
-        let r = fig6(quick());
+        let r = fig6(ExpCtx::QUICK);
         // Each system's first row is 1 worker with speedup 1.00x.
         for chunk in r.rows.chunks(4) {
             assert_eq!(chunk[0][1], "1");

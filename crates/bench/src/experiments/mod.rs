@@ -10,9 +10,11 @@ pub mod ablations;
 pub mod accuracy;
 pub mod cache;
 pub mod efficiency;
+pub mod ledger;
 pub mod motivation;
 
 use crate::record::ExperimentRecord;
+use hetkg_train::{SystemKind, TrainConfig};
 
 /// Shared experiment context.
 #[derive(Debug, Clone, Copy)]
@@ -44,58 +46,57 @@ impl ExpCtx {
             default
         }
     }
+
+    /// The smoke-run context the experiments' tests use.
+    #[cfg(test)]
+    pub(crate) const QUICK: Self = Self {
+        full: false,
+        seed: 42,
+        quick: true,
+    };
+
+    /// `system` as most experiments train it: [`TrainConfig::small`] on 4
+    /// machines at dimension `dim` for `epochs`, seeded by `--seed`.
+    pub(crate) fn config(&self, system: SystemKind, dim: usize, epochs: usize) -> TrainConfig {
+        let mut cfg = TrainConfig::small(system);
+        (cfg.machines, cfg.dim, cfg.epochs, cfg.seed) = (4, dim, epochs, self.seed);
+        cfg
+    }
 }
 
-/// All experiment ids, in paper order (used by `repro all` and `--list`).
-pub const ALL: &[&str] = &[
-    "table1",
-    "fig2",
-    "table3",
-    "table4",
-    "table5",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig9",
-    "table6",
-    "table7",
-    "partition-ablation",
-    "negsample-ablation",
-    "divergence",
-    "bandwidth-sweep",
-    "compression-ablation",
-    "skew-breakdown",
+/// What runs one experiment.
+pub type Experiment = fn(ExpCtx) -> ExperimentRecord;
+
+/// Every experiment's id and the function that runs it, in paper order
+/// (used by `repro all` and `--list`), then the behaviour ledger.
+pub const ALL: &[(&str, Experiment)] = &[
+    ("table1", motivation::table1),
+    ("fig2", motivation::fig2),
+    ("table3", accuracy::table3),
+    ("table4", accuracy::table4),
+    ("table5", accuracy::table5),
+    ("fig5", efficiency::fig5),
+    ("fig6", efficiency::fig6),
+    ("fig7", efficiency::fig7),
+    ("fig8a", cache::fig8a),
+    ("fig8b", cache::fig8b),
+    ("fig8c", cache::fig8c),
+    ("fig9", cache::fig9),
+    ("table6", cache::table6),
+    ("table7", cache::table7),
+    ("partition-ablation", ablations::partition),
+    ("negsample-ablation", ablations::negsample),
+    ("divergence", cache::divergence),
+    ("bandwidth-sweep", ablations::bandwidth),
+    ("compression-ablation", ablations::compression),
+    ("skew-breakdown", efficiency::skew_breakdown),
+    ("ledger", ledger::ledger),
 ];
 
 /// Run one experiment by id.
 pub fn run(id: &str, ctx: ExpCtx) -> Option<ExperimentRecord> {
-    let record = match id {
-        "table1" => motivation::table1(ctx),
-        "fig2" => motivation::fig2(ctx),
-        "table3" => accuracy::table3(ctx),
-        "table4" => accuracy::table4(ctx),
-        "table5" => accuracy::table5(ctx),
-        "fig5" => efficiency::fig5(ctx),
-        "fig6" => efficiency::fig6(ctx),
-        "fig7" => efficiency::fig7(ctx),
-        "fig8a" => cache::fig8a(ctx),
-        "fig8b" => cache::fig8b(ctx),
-        "fig8c" => cache::fig8c(ctx),
-        "fig9" => cache::fig9(ctx),
-        "table6" => cache::table6(ctx),
-        "table7" => cache::table7(ctx),
-        "partition-ablation" => ablations::partition(ctx),
-        "negsample-ablation" => ablations::negsample(ctx),
-        "divergence" => cache::divergence(ctx),
-        "bandwidth-sweep" => ablations::bandwidth(ctx),
-        "compression-ablation" => ablations::compression(ctx),
-        "skew-breakdown" => efficiency::skew_breakdown(ctx),
-        _ => return None,
-    };
-    Some(record)
+    let &(_, experiment) = ALL.iter().find(|(name, _)| *name == id)?;
+    Some(experiment(ctx))
 }
 
 /// Print a record's table and shape note to stdout.
@@ -120,23 +121,14 @@ mod tests {
 
     #[test]
     fn quick_clamps_epochs() {
-        let ctx = ExpCtx {
-            quick: true,
-            ..Default::default()
-        };
-        assert_eq!(ctx.epochs(30), 2);
-        let ctx = ExpCtx::default();
-        assert_eq!(ctx.epochs(30), 30);
+        assert_eq!(ExpCtx::QUICK.epochs(30), 2);
+        assert_eq!(ExpCtx::default().epochs(30), 30);
     }
 
     #[test]
-    fn all_ids_are_known() {
-        // Dispatch must recognize every listed id (run with quick to keep
-        // this cheap is NOT done here — we only check the match arms exist
-        // by name, which `run` does before executing; instead just assert
-        // the list is non-empty and unique).
-        let mut ids: Vec<&&str> = ALL.iter().collect();
-        ids.sort();
+    fn experiment_ids_are_unique() {
+        let mut ids: Vec<&str> = ALL.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), ALL.len());
     }

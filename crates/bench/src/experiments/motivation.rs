@@ -3,28 +3,26 @@
 //! than entities).
 
 use super::ExpCtx;
-use crate::record::ExperimentRecord;
+use crate::record::{ExperimentRecord, Fnv};
 use crate::render::{pct, secs};
 use crate::workloads::{Dataset, Workload};
 use hetkg_core::prefetch::Prefetcher;
 use hetkg_embed::negative::NegativeSampler;
 use hetkg_kgraph::stats::AccessCounter;
-use hetkg_train::{train, SystemKind, TrainConfig};
+use hetkg_train::{train, SystemKind};
 
 /// Table I: per-dataset DGL-KE training time split into computation and
 /// communication — communication dominates, most of all on the large graph.
 pub fn table1(ctx: ExpCtx) -> ExperimentRecord {
     let mut rows = Vec::new();
+    let mut digest = Fnv::default();
     for dataset in Dataset::all() {
         let w = Workload::new(dataset, ctx.full, ctx.seed);
-        let mut cfg = TrainConfig::small(SystemKind::DglKe);
-        cfg.machines = 4;
-        cfg.epochs = ctx.epochs(3);
         // The paper uses d = 400; communication share grows with d. Use a
         // mid-size dim so harness runs stay fast but the share is realistic.
-        cfg.dim = 128;
-        cfg.eval_candidates = None;
+        let cfg = ctx.config(SystemKind::DglKe, 128, ctx.epochs(3));
         let report = train(&w.kg, &w.split.train, &[], &cfg);
+        digest.report(&report);
         rows.push(vec![
             dataset.name().to_string(),
             secs(report.total_compute_secs()),
@@ -44,6 +42,7 @@ pub fn table1(ctx: ExpCtx) -> ExperimentRecord {
         shape_expectation: "communication is the majority share on every dataset and \
                             largest on Freebase-86m (paper: >70% there with d=400)"
             .into(),
+        digest: digest.hex(),
     }
 }
 
@@ -105,6 +104,7 @@ pub fn fig2(ctx: ExpCtx) -> ExperimentRecord {
                             relations are far hotter per key than entities \
                             (paper's FB15k: top-1% entities ≈6%, relations ≈36%)"
             .into(),
+        digest: Fnv::default().hex(),
     }
 }
 
@@ -112,16 +112,9 @@ pub fn fig2(ctx: ExpCtx) -> ExperimentRecord {
 mod tests {
     use super::*;
 
-    fn quick() -> ExpCtx {
-        ExpCtx {
-            quick: true,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn fig2_shows_relation_heat() {
-        let r = fig2(quick());
+        let r = fig2(ExpCtx::QUICK);
         assert_eq!(r.rows.len(), 3);
         for row in &r.rows {
             let heat: f64 = row[3].trim_end_matches('x').parse().unwrap();
@@ -131,7 +124,7 @@ mod tests {
 
     #[test]
     fn table1_reports_all_datasets_with_nonzero_comm() {
-        let r = table1(quick());
+        let r = table1(ExpCtx::QUICK);
         assert_eq!(r.rows.len(), 3);
         for row in &r.rows {
             let share: f64 = row[4].trim_end_matches('%').parse().unwrap();

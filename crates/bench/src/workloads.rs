@@ -6,10 +6,51 @@
 //! (slow; the Freebase preset stays at 1/86 scale regardless — see
 //! DESIGN.md).
 
+use hetkg_embed::ModelKind;
 use hetkg_kgraph::generator::SyntheticKg;
 use hetkg_kgraph::split::Split;
 use hetkg_kgraph::{datasets, KnowledgeGraph, Triple};
+use hetkg_train::{SystemKind, TrainConfig};
 use serde::{Deserialize, Serialize};
+
+/// The benchmark's graph shape (`benchmark/src/train.rs`): `entities`
+/// entities, four times as many triples, 200 relations at skew 1.1 —
+/// built at `seed` with its 90/5/5 split.
+pub(crate) fn bench_graph(
+    entities: usize,
+    entity_alpha: f64,
+    seed: u64,
+) -> (KnowledgeGraph, Split) {
+    let kg = SyntheticKg {
+        num_entities: entities,
+        num_relations: 200,
+        num_triples: 4 * entities,
+        entity_alpha,
+        relation_alpha: 1.1,
+        ..Default::default()
+    }
+    .build(seed);
+    let split = Split::ninety_five_five(&kg, seed);
+    (kg, split)
+}
+
+/// The benchmark's training configuration: TransE-L2 with Table II's
+/// hyperparameters on 4 machines, no evaluation during training.
+pub(crate) fn bench_config(
+    system: SystemKind,
+    dim: usize,
+    batch: usize,
+    epochs: usize,
+    seed: u64,
+) -> TrainConfig {
+    let mut cfg = TrainConfig::paper(system, ModelKind::TransEL2, dim);
+    cfg.batch_size = batch;
+    cfg.machines = 4;
+    cfg.epochs = epochs;
+    cfg.eval_candidates = None;
+    cfg.seed = seed;
+    cfg
+}
 
 /// Which paper dataset a workload mimics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

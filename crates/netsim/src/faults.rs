@@ -115,6 +115,11 @@ pub struct CrashPoint {
     pub epoch: usize,
 }
 
+/// The names [`FaultPlan::preset`] knows, in the order the CLI lists them.
+pub const PRESETS: [&str; 6] = [
+    "lossy", "corrupt", "outage", "overload", "chaos", "failover",
+];
+
 /// Everything that can go wrong in one run. The default plan is fault-free:
 /// attaching it must leave behavior byte-identical to no plan at all.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -297,6 +302,21 @@ impl FaultPlan {
             }],
             ..Self::default()
         }
+    }
+
+    /// The named plan `name` (one of [`PRESETS`]) at `seed`, or `None` for
+    /// a name that is not a preset. The CLI's `--fault-profile` and the
+    /// experiment harness's ledger both resolve names here.
+    pub fn preset(name: &str, seed: u64) -> Option<Self> {
+        Some(match name {
+            "lossy" => Self::lossy(seed, 0.02),
+            "corrupt" => Self::corrupting(seed, 0.01),
+            "outage" => Self::shard_outage(seed, 1, 0.050, 0.150),
+            "overload" => Self::overload(seed),
+            "chaos" => Self::chaos(seed),
+            "failover" => Self::failover(seed),
+            _ => return None,
+        })
     }
 
     /// All scheduled crash epochs (`crash` unioned with `crashes`), sorted

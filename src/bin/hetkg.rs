@@ -47,6 +47,7 @@ use het_kg::eval::breakdown::evaluate_breakdown_threaded;
 use het_kg::eval::link_prediction::EmbeddingSnapshot;
 use het_kg::kgraph::io::load_benchmark;
 use het_kg::kgraph::stats::AccessCounter;
+use het_kg::netsim::faults::PRESETS;
 use het_kg::partition::quality;
 use het_kg::prelude::*;
 use het_kg::ps::{OverloadControl, ShardServerConfig};
@@ -294,6 +295,26 @@ fn positive(
     }
 }
 
+/// The most threads `serve --threads` or `eval --eval-threads` may start:
+/// more is a usage error, found before anything loads, not a panic in a
+/// thread scope when the OS refuses one.
+const MAX_THREADS: usize = 256;
+
+/// Parse a thread-count flag: at least 1, at most [`MAX_THREADS`].
+fn threads(
+    flags: &HashMap<String, String>,
+    name: &'static str,
+    default: usize,
+) -> Result<usize, CliError> {
+    match positive(flags, name, default)? {
+        n if n > MAX_THREADS => Err(CliError::BadFlag {
+            flag: name,
+            message: format!("at most {MAX_THREADS} threads, got {n}"),
+        }),
+        n => Ok(n),
+    }
+}
+
 /// Parse an integer flag that may be 0.
 fn non_negative(
     flags: &HashMap<String, String>,
@@ -363,19 +384,28 @@ struct Data {
 
 fn load_data(flags: &HashMap<String, String>) -> Result<Data, CliError> {
     let seed = parse_seed(flags)?;
-    if let Some(dir) = flags.get("data") {
-        let bench = load_benchmark(&PathBuf::from(dir))
-            .map_err(|e| CliError::Data(format!("loading {dir}: {e}")))?;
-        return Ok(Data {
-            kg: bench.graph,
-            train: bench.train,
-            _valid: bench.valid,
-            test: bench.test,
-        });
-    }
-    let name = flags
-        .get("synthetic")
-        .ok_or_else(|| CliError::Data("pass --data DIR or --synthetic NAME".into()))?;
+    let name = match (flags.get("data"), flags.get("synthetic")) {
+        (Some(dir), None) => {
+            let bench = load_benchmark(&PathBuf::from(dir))
+                .map_err(|e| CliError::Data(format!("loading {dir}: {e}")))?;
+            return Ok(Data {
+                kg: bench.graph,
+                train: bench.train,
+                _valid: bench.valid,
+                test: bench.test,
+            });
+        }
+        (None, Some(name)) => name,
+        (data, _) => {
+            return Err(CliError::BadFlag {
+                flag: "data",
+                message: format!(
+                    "pass --data DIR or --synthetic NAME{}",
+                    if data.is_some() { ", not both" } else { "" }
+                ),
+            })
+        }
+    };
     let generator = match name.as_str() {
         "fb15k" => datasets::fb15k_like().scale(0.05),
         "wn18" => datasets::wn18_like().scale(0.10),
@@ -434,28 +464,24 @@ fn parse_system(name: &str) -> Result<SystemKind, CliError> {
 
 /// Resolve `--fault-profile`: a named preset or a JSON [`FaultPlan`] file.
 fn parse_fault_profile(value: &str, seed: u64) -> Result<Option<FaultPlan>, CliError> {
-    match value {
-        "none" => Ok(None),
-        "lossy" => Ok(Some(FaultPlan::lossy(seed, 0.02))),
-        "corrupt" => Ok(Some(FaultPlan::corrupting(seed, 0.01))),
-        "outage" => Ok(Some(FaultPlan::shard_outage(seed, 1, 0.050, 0.150))),
-        "overload" => Ok(Some(FaultPlan::overload(seed))),
-        "chaos" => Ok(Some(FaultPlan::chaos(seed))),
-        "failover" => Ok(Some(FaultPlan::failover(seed))),
-        path => {
-            let raw = std::fs::read_to_string(path).map_err(|e| CliError::BadFlag {
-                flag: "fault-profile",
-                message: format!(
-                    "not a preset (none | lossy | corrupt | outage | overload | chaos | failover) and reading {path:?} failed: {e}"
-                ),
-            })?;
-            let plan: FaultPlan = serde_json::from_str(&raw).map_err(|e| CliError::BadFlag {
-                flag: "fault-profile",
-                message: format!("{path:?} is not a valid FaultPlan: {e}"),
-            })?;
-            Ok(Some(plan))
-        }
+    if value == "none" {
+        return Ok(None);
     }
+    if let Some(plan) = FaultPlan::preset(value, seed) {
+        return Ok(Some(plan));
+    }
+    let raw = std::fs::read_to_string(value).map_err(|e| CliError::BadFlag {
+        flag: "fault-profile",
+        message: format!(
+            "not a preset (none | {}) and reading {value:?} failed: {e}",
+            PRESETS.join(" | ")
+        ),
+    })?;
+    let plan: FaultPlan = serde_json::from_str(&raw).map_err(|e| CliError::BadFlag {
+        flag: "fault-profile",
+        message: format!("{value:?} is not a valid FaultPlan: {e}"),
+    })?;
+    Ok(Some(plan))
 }
 
 fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
@@ -884,6 +910,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), CliError> {
         flags,
         &["checkpoint", "model", "dim", "candidates", "eval-threads"],
     )?;
+    let eval_threads = threads(flags, "eval-threads", 1)?;
     let data = load_data(flags)?;
     let path = flags
         .get("checkpoint")
@@ -904,7 +931,6 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), CliError> {
             model.relation_dim()
         )));
     }
-    let eval_threads = positive(flags, "eval-threads", 1)?;
     let snapshot = EmbeddingSnapshot::new(ck.entities, ck.relations);
     // Metrics are bit-identical for any thread count (ranks land in fixed
     // slots; aggregation replays them in protocol order on one thread).
@@ -957,6 +983,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let model = parse_model(flag(flags, "model", "transe"))?.build(positive(flags, "dim", 64)?);
     let dim = model.base_dim();
     let shards = positive(flags, "shards", 4)?;
+    let threads = threads(flags, "threads", 2)?;
     let snapshot = match (flags.get("checkpoint"), flags.get("checkpoint-dir")) {
         (Some(_), Some(_)) => {
             return Err(CliError::BadFlag {
@@ -1033,7 +1060,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     };
 
     let cfg = LoadGenConfig {
-        threads: positive(flags, "threads", 2)?,
+        threads,
         queries_per_thread: positive(flags, "queries", 10_000)?,
         warmup_per_thread: non_negative(flags, "warmup", 2_000)?,
         topk_share: {
@@ -1167,6 +1194,49 @@ mod tests {
             }
             other => panic!("an uncreatable --checkpoint-dir was not refused: {other:?}"),
         }
+    }
+
+    /// `run(line)`'s error, which must be a usage error (exit 2) naming `flag`.
+    fn refused_flag(line: &str) -> &'static str {
+        match run(args(line)) {
+            Err(err @ CliError::BadFlag { flag, .. }) => {
+                assert_eq!(err.exit_code(), 2, "{line}: {err}");
+                flag
+            }
+            other => panic!("{line}: not refused as a bad flag: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn no_dataset_or_two_of_them_is_a_usage_error() {
+        assert_eq!(refused_flag("train --epochs 1"), "data");
+        assert_eq!(refused_flag("eval --checkpoint ck.bin"), "data");
+        let both = "train --synthetic wn18 --data no-such-dir --epochs 1";
+        assert_eq!(refused_flag(both), "data");
+        // `serve` needs a dataset only to warm its cache from.
+        let ck = std::env::temp_dir().join(format!("hetkg-warm-{}.bin", std::process::id()));
+        let table = |rows| het_kg::embed::EmbeddingTable::zeros(rows, 64);
+        Checkpoint::new(table(8), table(2)).save(&ck).unwrap();
+        let line = format!("serve --checkpoint {} --warm on", ck.display());
+        let flag = refused_flag(&line);
+        std::fs::remove_file(&ck).unwrap();
+        assert_eq!(flag, "data");
+    }
+
+    #[test]
+    fn a_thread_count_above_the_ceiling_is_refused_before_anything_loads() {
+        // Neither the checkpoint nor a dataset exists: a refusal of the
+        // thread count is the proof that nothing was loaded or spawned.
+        let n = MAX_THREADS + 1;
+        let serve = format!("serve --checkpoint no-such.bin --threads {n}");
+        assert_eq!(refused_flag(&serve), "threads");
+        let eval = format!("eval --checkpoint no-such.bin --eval-threads {n}");
+        assert_eq!(refused_flag(&eval), "eval-threads");
+        let at_ceiling = format!("serve --checkpoint no-such.bin --threads {MAX_THREADS}");
+        assert!(matches!(
+            run(args(&at_ceiling)),
+            Err(CliError::Checkpoint(_))
+        ));
     }
 
     #[test]
