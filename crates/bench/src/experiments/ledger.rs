@@ -61,7 +61,7 @@ impl Ledger {
             .push(vec![run.into(), field.into(), value.to_string()]);
     }
 
-    fn bits(&mut self, run: &str, field: String, value: f64) {
+    fn bits(&mut self, run: &str, field: impl Into<String>, value: f64) {
         self.row(run, field, format!("{:016x}", value.to_bits()));
     }
 
@@ -116,7 +116,7 @@ impl Ledger {
         }
         let pass = verdict.within_bound && verdict.staleness_ok;
         self.row(run, "oracle", if pass { "PASS" } else { "FAIL" });
-        self.bits(run, "oracle.max_divergence".into(), verdict.max_divergence);
+        self.bits(run, "oracle.max_divergence", verdict.max_divergence);
         let (mut report, mut bytes) = (Fnv::default(), Fnv::default());
         report.report(&verdict.report);
         self.row(run, "report", report.hex());

@@ -301,7 +301,7 @@ fn positive(
 const MAX_THREADS: usize = 256;
 
 /// Parse a thread-count flag: at least 1, at most [`MAX_THREADS`].
-fn threads(
+fn thread_count(
     flags: &HashMap<String, String>,
     name: &'static str,
     default: usize,
@@ -910,7 +910,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), CliError> {
         flags,
         &["checkpoint", "model", "dim", "candidates", "eval-threads"],
     )?;
-    let eval_threads = threads(flags, "eval-threads", 1)?;
+    let eval_threads = thread_count(flags, "eval-threads", 1)?;
     let data = load_data(flags)?;
     let path = flags
         .get("checkpoint")
@@ -983,7 +983,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let model = parse_model(flag(flags, "model", "transe"))?.build(positive(flags, "dim", 64)?);
     let dim = model.base_dim();
     let shards = positive(flags, "shards", 4)?;
-    let threads = threads(flags, "threads", 2)?;
+    let threads = thread_count(flags, "threads", 2)?;
     let snapshot = match (flags.get("checkpoint"), flags.get("checkpoint-dir")) {
         (Some(_), Some(_)) => {
             return Err(CliError::BadFlag {
