@@ -11,7 +11,7 @@
 //! it records fixed runs bit for bit, whatever the flags (see
 //! `experiments::ledger`).
 
-use hetkg_bench::experiments::{self, ExpCtx, ALL};
+use hetkg_bench::experiments::{self, ExpCtx};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,9 +20,7 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--list") {
-        for (id, _) in ALL {
-            println!("{id}");
-        }
+        experiments::ids().for_each(|id| println!("{id}"));
         return;
     }
     let mut ctx = ExpCtx::default();
@@ -50,20 +48,28 @@ fn main() {
         }
     }
     if ids.iter().any(|i| i == "all") {
-        ids = ALL.iter().map(|(id, _)| id.to_string()).collect();
+        ids = experiments::ids().map(String::from).collect();
     }
     if ids.is_empty() {
         usage();
         std::process::exit(2);
     }
     let mut failed = false;
+    // Records already written: one run can make several asked for.
+    let mut done: Vec<String> = Vec::new();
     for id in &ids {
+        if done.contains(id) {
+            continue;
+        }
         match experiments::run(id, ctx) {
-            Some(record) => {
-                experiments::print_record(&record);
-                match record.save() {
-                    Ok(path) => println!("saved {}\n", path.display()),
-                    Err(e) => eprintln!("could not save record for {id}: {e}"),
+            Some(records) => {
+                for record in records.into_iter().filter(|r| ids.contains(&r.id)) {
+                    experiments::print_record(&record);
+                    match record.save() {
+                        Ok(path) => println!("saved {}\n", path.display()),
+                        Err(e) => eprintln!("could not save record for {}: {e}", record.id),
+                    }
+                    done.push(record.id);
                 }
             }
             None => {
@@ -83,9 +89,7 @@ fn usage() {
     println!("       repro all [--quick]");
     println!("       repro --list\n");
     println!("experiments (paper order, then the behaviour ledger):");
-    for (id, _) in ALL {
-        println!("  {id}");
-    }
+    experiments::ids().for_each(|id| println!("  {id}"));
     println!("\nflags:");
     println!("  --full   published dataset sizes (slow; Freebase stays 1/86-scaled)");
     println!("  --quick  clamp epochs to 2 for smoke runs");

@@ -2,6 +2,7 @@
 //! computation/communication breakdown — and the same breakdown, by cause,
 //! on the benchmark's skewed workload.
 
+use super::accuracy::{Run, SYSTEMS};
 use super::ExpCtx;
 use crate::record::{ExperimentRecord, Fnv};
 use crate::render::{mb, pct, secs};
@@ -9,24 +10,13 @@ use crate::workloads::{bench_config, bench_graph, Dataset, Workload};
 use hetkg_partition::{MetisLike, Partitioner};
 use hetkg_train::{train, SystemKind};
 
-const SYSTEMS: [SystemKind; 4] = [
-    SystemKind::Pbg,
-    SystemKind::DglKe,
-    SystemKind::HetKgCps,
-    SystemKind::HetKgDps,
-];
-
-/// Fig. 5: MRR-vs-time convergence series per system on the large dataset.
-pub fn fig5(ctx: ExpCtx) -> ExperimentRecord {
-    let w = Workload::new(Dataset::Freebase86m, ctx.full, ctx.seed);
-    let epochs = ctx.epochs(6);
+/// Fig. 5: MRR-vs-time convergence series per system on the large dataset,
+/// read from Table V's runs (`accuracy::table5_and_fig5`).
+pub(crate) fn fig5(w: &Workload, epochs: usize, runs: &[Run]) -> ExperimentRecord {
     let mut rows = Vec::new();
     let mut digest = Fnv::default();
-    for system in SYSTEMS {
-        let mut cfg = ctx.config(system, 128, epochs);
-        cfg.eval_candidates = Some(200);
-        let report = train(&w.kg, &w.split.train, &w.eval_set, &cfg);
-        digest.report(&report);
+    for (system, _, report) in runs {
+        digest.report(report);
         for (t, mrr) in report.convergence_series() {
             rows.push(vec![
                 system.to_string(),

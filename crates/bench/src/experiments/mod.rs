@@ -64,38 +64,46 @@ impl ExpCtx {
     }
 }
 
-/// What runs one experiment.
-pub type Experiment = fn(ExpCtx) -> ExperimentRecord;
+/// What runs one entry of [`ALL`]: a record per id the entry names, in order.
+pub type Experiment = fn(ExpCtx) -> Vec<ExperimentRecord>;
 
-/// Every experiment's id and the function that runs it, in paper order
-/// (used by `repro all` and `--list`), then the behaviour ledger.
-pub const ALL: &[(&str, Experiment)] = &[
-    ("table1", motivation::table1),
-    ("fig2", motivation::fig2),
-    ("table3", accuracy::table3),
-    ("table4", accuracy::table4),
-    ("table5", accuracy::table5),
-    ("fig5", efficiency::fig5),
-    ("fig6", efficiency::fig6),
-    ("fig7", efficiency::fig7),
-    ("fig8a", cache::fig8a),
-    ("fig8b", cache::fig8b),
-    ("fig8c", cache::fig8c),
-    ("fig9", cache::fig9),
-    ("table6", cache::table6),
-    ("table7", cache::table7),
-    ("partition-ablation", ablations::partition),
-    ("negsample-ablation", ablations::negsample),
-    ("divergence", cache::divergence),
-    ("bandwidth-sweep", ablations::bandwidth),
-    ("compression-ablation", ablations::compression),
-    ("skew-breakdown", efficiency::skew_breakdown),
-    ("ledger", ledger::ledger),
+/// Every experiment's ids and the function that runs it, in paper order
+/// (used by `repro all` and `--list`), then the behaviour ledger. An entry
+/// names several ids when their records read the same runs.
+pub const ALL: &[(&[&str], Experiment)] = &[
+    (&["table1"], |c| vec![motivation::table1(c)]),
+    (&["fig2"], |c| vec![motivation::fig2(c)]),
+    (&["table3"], |c| vec![accuracy::table3(c)]),
+    (&["table4"], |c| vec![accuracy::table4(c)]),
+    (&["table5", "fig5"], accuracy::table5_and_fig5),
+    (&["fig6"], |c| vec![efficiency::fig6(c)]),
+    (&["fig7"], |c| vec![efficiency::fig7(c)]),
+    (&["fig8a"], |c| vec![cache::fig8a(c)]),
+    (&["fig8b"], |c| vec![cache::fig8b(c)]),
+    (&["fig8c"], |c| vec![cache::fig8c(c)]),
+    (&["fig9"], |c| vec![cache::fig9(c)]),
+    (&["table6"], |c| vec![cache::table6(c)]),
+    (&["table7"], |c| vec![cache::table7(c)]),
+    (&["partition-ablation"], |c| vec![ablations::partition(c)]),
+    (&["negsample-ablation"], |c| vec![ablations::negsample(c)]),
+    (&["divergence"], |c| vec![cache::divergence(c)]),
+    (&["bandwidth-sweep"], |c| vec![ablations::bandwidth(c)]),
+    (&["compression-ablation"], |c| {
+        vec![ablations::compression(c)]
+    }),
+    (&["skew-breakdown"], |c| vec![efficiency::skew_breakdown(c)]),
+    (&["ledger"], |c| vec![ledger::ledger(c)]),
 ];
 
-/// Run one experiment by id.
-pub fn run(id: &str, ctx: ExpCtx) -> Option<ExperimentRecord> {
-    let &(_, experiment) = ALL.iter().find(|(name, _)| *name == id)?;
+/// Every record id, in [`ALL`]'s order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    ALL.iter().flat_map(|(ids, _)| ids.iter().copied())
+}
+
+/// Run the entry of [`ALL`] that makes the record `id`: its records, `id`'s
+/// among them.
+pub fn run(id: &str, ctx: ExpCtx) -> Option<Vec<ExperimentRecord>> {
+    let &(_, experiment) = ALL.iter().find(|(ids, _)| ids.contains(&id))?;
     Some(experiment(ctx))
 }
 
@@ -127,9 +135,9 @@ mod tests {
 
     #[test]
     fn experiment_ids_are_unique() {
-        let mut ids: Vec<&str> = ALL.iter().map(|&(id, _)| id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), ALL.len());
+        let mut unique: Vec<&str> = ids().collect();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ids().count());
     }
 }

@@ -81,21 +81,12 @@ impl Dataset {
     /// The generator preset at harness scale (`full = false`) or published
     /// scale (`full = true`).
     pub fn generator(self, full: bool) -> SyntheticKg {
-        let base = match self {
-            Dataset::Fb15k => datasets::fb15k_like(),
-            Dataset::Wn18 => datasets::wn18_like(),
-            Dataset::Freebase86m => datasets::freebase86m_like(),
-        };
+        // `datasets::HARNESS` lists the presets in this enum's order.
+        let (_, preset, scale) = datasets::HARNESS[self as usize];
         if full {
-            base
+            preset()
         } else {
-            // Harness scale: ~2-6% of published size, large enough for the
-            // skew statistics to be stable.
-            match self {
-                Dataset::Fb15k => base.scale(0.05),
-                Dataset::Wn18 => base.scale(0.10),
-                Dataset::Freebase86m => base.scale(0.01), // of the 1/86 preset
-            }
+            preset().scale(scale)
         }
     }
 
@@ -166,6 +157,15 @@ mod tests {
     fn full_scale_matches_published_shapes() {
         assert_eq!(Dataset::Fb15k.generator(true).num_relations, 1_345);
         assert_eq!(Dataset::Wn18.generator(true).num_relations, 18);
+    }
+
+    #[test]
+    fn each_dataset_builds_the_harness_preset_of_its_name() {
+        for d in Dataset::all() {
+            let name = d.name().to_lowercase().replace('-', "");
+            let preset = datasets::harness(&name).map(|g| format!("{g:?}"));
+            assert_eq!(preset, Some(format!("{:?}", d.generator(false))), "{d}");
+        }
     }
 
     #[test]

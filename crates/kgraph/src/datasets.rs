@@ -96,6 +96,25 @@ pub fn freebase86m_like() -> SyntheticKg {
     .scale(1.0 / 86.0)
 }
 
+/// A preset's command-line name, its generator and the fraction of it the
+/// experiment harness builds.
+pub type HarnessPreset = (&'static str, fn() -> SyntheticKg, f64);
+
+/// Each preset with the fraction of it the experiment harness and `hetkg
+/// --synthetic` build: ~2-6% of published size (Freebase: of the 1/86
+/// preset), large enough for the skew statistics to be stable.
+pub const HARNESS: [HarnessPreset; 3] = [
+    ("fb15k", fb15k_like, 0.05),
+    ("wn18", wn18_like, 0.10),
+    ("freebase86m", freebase86m_like, 0.01),
+];
+
+/// The [`HARNESS`] preset named `name` at its harness scale.
+pub fn harness(name: &str) -> Option<SyntheticKg> {
+    let (_, preset, scale) = HARNESS.iter().find(|(n, ..)| *n == name)?;
+    Some(preset().scale(*scale))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

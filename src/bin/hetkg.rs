@@ -1,51 +1,11 @@
-//! `hetkg` — the command-line face of the library.
-//!
-//! ```text
-//! hetkg stats     (--data DIR | --synthetic NAME)
-//! hetkg partition (--data DIR | --synthetic NAME) [--parts N]
-//! hetkg train     (--data DIR | --synthetic NAME) [--system S] [--model M]
-//!                 [--dim D] [--epochs E] [--machines N] [--out CK.bin]
-//!                 [--fault-profile P] [--checkpoint-every N]
-//!                 [--integrity on|off] [--checkpoint-dir DIR]
-//!                 [--max-restarts N] [--oracle on|off]
-//!                 [--compress off|int8|int4|topk|adaptive]
-//!                 [--transport sim|tcp|uds] [--report PATH]
-//! hetkg eval      (--data DIR | --synthetic NAME) --checkpoint CK.bin
-//!                 [--model M] [--dim D] [--candidates K] [--eval-threads N]
-//! hetkg serve     (--checkpoint CK.bin | --checkpoint-dir DIR)
-//!                 [--model M] [--dim D] [--shards N] [--threads N]
-//!                 [--queries N] [--warmup N] [--topk K] [--topk-share F]
-//!                 [--zipf S] [--cache-rows N] [--warm on|off]
-//!                 [--think-us N] [--reload-ms N] [--report PATH]
-//! hetkg ps-server --config FILE --shard N --listen (tcp:ADDR | uds:PATH)
-//! ```
-//!
-//! `serve` loads a trained checkpoint into sharded read-only tables and
-//! benchmarks the online read path: Zipf-skewed point lookups plus top-k
-//! link prediction on closed-loop worker threads, with a hotness-gated
-//! hot-row cache in front. The digest line it prints is deterministic per
-//! (seed, snapshot, thread count) — CI pins it across runs.
-//!
-//! `--data DIR` expects FB15k-format `train.txt`/`valid.txt`/`test.txt`;
-//! `--synthetic NAME` is one of `fb15k`, `wn18`, `freebase86m` (harness
-//! scale). `--fault-profile` is a named preset (`none`, `lossy`, `corrupt`,
-//! `outage`, `overload`, `chaos`, `failover`) or a path to a JSON
-//! [`FaultPlan`] file. `--replication K` keeps `K - 1` backup replicas per
-//! PS shard; the `failover` profile (which permanently kills a primary
-//! mid-run) defaults it to 2 and refuses to run without a backup. A plan
-//! with an overload window — the `overload` profile's flash crowd, or a
-//! plan file's — arms a retry budget and per-shard circuit breakers, so the
-//! run browns out instead of retry-storming.
-//!
-//! `--transport tcp|uds` runs each PS shard as a real OS process speaking
-//! length-prefixed wire frames over sockets; `train` spawns them itself via
-//! the `ps-server` subcommand (not normally invoked by hand). Fault
-//! injection and replication are sim-only.
+//! `hetkg` — the command-line face of the library; `hetkg --help` lists its
+//! commands and flags.
 
 use het_kg::embed::checkpoint::Checkpoint;
+use het_kg::embed::KgeModel;
 use het_kg::eval::breakdown::evaluate_breakdown_threaded;
 use het_kg::eval::link_prediction::EmbeddingSnapshot;
-use het_kg::kgraph::io::load_benchmark;
+use het_kg::kgraph::io::{load_benchmark, Benchmark, Dictionary};
 use het_kg::kgraph::stats::AccessCounter;
 use het_kg::netsim::faults::PRESETS;
 use het_kg::partition::quality;
@@ -56,22 +16,23 @@ use het_kg::train_sys::oracle;
 use het_kg::train_sys::trainer;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 
 /// Everything that can go wrong before or during a command. Usage errors
-/// (bad flags, unknown commands) exit with status 2; runtime errors (data
-/// loading, checkpoint I/O) with status 1.
+/// (bad flags, unknown commands) exit with status 2, and all come before
+/// anything loads; runtime errors (loading data or a checkpoint, I/O) with
+/// status 1.
 #[derive(Debug)]
 enum CliError {
     UnknownCommand(String),
     UnexpectedArg(String),
-    MissingValue(String),
+    MissingValue(&'static str),
     UnknownFlag { command: &'static str, flag: String },
     BadFlag { flag: &'static str, message: String },
     MissingFlag(&'static str),
-    Data(String),
-    Checkpoint(String),
+    Runtime(String),
 }
 
 impl fmt::Display for CliError {
@@ -87,18 +48,15 @@ impl fmt::Display for CliError {
             }
             CliError::BadFlag { flag, message } => write!(f, "--{flag}: {message}"),
             CliError::MissingFlag(name) => write!(f, "--{name} is required"),
-            CliError::Data(m) => write!(f, "{m}"),
-            CliError::Checkpoint(m) => write!(f, "{m}"),
+            CliError::Runtime(m) => write!(f, "{m}"),
         }
     }
 }
 
-impl std::error::Error for CliError {}
-
 impl CliError {
     fn exit_code(&self) -> i32 {
         match self {
-            CliError::Data(_) | CliError::Checkpoint(_) => 1,
+            CliError::Runtime(_) => 1,
             _ => 2,
         }
     }
@@ -107,7 +65,7 @@ impl CliError {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
+        print!("{USAGE}");
         return;
     }
     if let Err(e) = run(args) {
@@ -116,335 +74,370 @@ fn main() {
     }
 }
 
+type Command = fn(&Flags) -> Result<(), CliError>;
+
+/// Every command and what runs it.
+const COMMANDS: [(&str, Command); 6] = [
+    ("stats", cmd_stats),
+    ("partition", cmd_partition),
+    ("train", cmd_train),
+    ("eval", cmd_eval),
+    ("serve", cmd_serve),
+    ("ps-server", cmd_ps_server),
+];
+
 fn run(mut args: Vec<String>) -> Result<(), CliError> {
     let command = args.remove(0);
-    let flags = parse_flags(&args)?;
-    match command.as_str() {
-        "stats" => cmd_stats(&flags),
-        "partition" => cmd_partition(&flags),
-        "train" => cmd_train(&flags),
-        "eval" => cmd_eval(&flags),
-        "serve" => cmd_serve(&flags),
-        "ps-server" => cmd_ps_server(&flags),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+    let Some(&(name, cmd)) = COMMANDS.iter().find(|(name, _)| *name == command) else {
+        return Err(CliError::UnknownCommand(command));
+    };
+    cmd(&parse_flags(name, &args)?)
+}
+
+/// Prose, not a list generated from [`FLAGS`]; a test holds the flags it
+/// names equal to the table's.
+const USAGE: &str = r"hetkg — knowledge graph embedding training with a hotness-aware cache
+
+commands:
+  stats      dataset statistics and access-frequency skew
+  partition  compare METIS-like vs random partitioning quality
+  train      distributed training (simulated cluster); saves a checkpoint
+  eval       filtered link prediction from a checkpoint, with breakdown
+  serve      online serving benchmark from a checkpoint: Zipf lookups +
+             top-k link prediction on real worker threads
+  ps-server  one parameter-server shard process (spawned by train
+             when --transport is tcp or uds; not normally run by hand)
+
+data selection (all commands):
+  --data DIR        FB15k-format train.txt/valid.txt/test.txt
+  --synthetic NAME  fb15k | wn18 | freebase86m (harness scale)
+
+training flags:
+  --system S      hetkg-c | hetkg-d | dglke | pbg      (default hetkg-d)
+  --model M       transe | distmult | complex | ...    (default transe)
+  --dim D         embedding dimension                  (default 64)
+  --epochs E      training epochs                      (default 10)
+  --machines N    simulated machines                   (default 4)
+  --parts N       partitions for `partition`           (default 4)
+  --candidates K  eval candidate subsample             (default 500)
+  --eval-threads N rank test triples on N threads; metrics are
+                  bit-identical for any N               (default 1)
+  --out PATH      checkpoint output                    (default hetkg-model.bin)
+  --checkpoint P  checkpoint input for `eval` / `serve`
+  --seed N        master seed                          (default 42)
+  --no-overlap    disable comm/compute pipelining: stage nothing ahead and
+                  run each operation in turn; epoch time is that
+                  sequential schedule's, on the same timeline
+  --compress C    push-path gradient compression        (default off)
+                  off: dense f32 rows, bit-identical to pre-compression
+                  int8 | int4: per-row scaled quantization
+                  topk: top-k sparsification (k = dim/4)
+                  adaptive: starts at int8, tightens to top-k only
+                  while the comm lane is the bottleneck; error-
+                  feedback residuals stay client-side in every mode
+  --report PATH   write the full TrainReport JSON here (per-epoch
+                  traffic with its split by cause, cache, loss)
+  --transport T   sim | tcp | uds                       (default sim)
+                  sim: in-process cost-model cluster, bit-identical
+                       to every earlier release
+                  tcp | uds: each PS shard is a real OS process
+                       (spawned `hetkg ps-server`) reached over
+                       TCP or Unix sockets; same loss trajectory
+                       and metered bytes as sim. Incompatible with
+                       --fault-profile and --replication > 1
+                       (sim-only)
+fault injection (train):
+  --fault-profile P    none | lossy | corrupt | outage | overload | chaos
+                       | failover, or a JSON FaultPlan file (default none)
+                       lossy: 2% remote-message loss with retry/backoff
+                       corrupt: 1% payload bit-flips, caught by the
+                                wire-frame checksum and re-pulled
+                       outage: PS shard 1 down mid-run; HET-KG serves
+                               stale hits and defers pushes meanwhile
+                       overload: a flash crowd saturates shard 1 — it
+                                 sheds and throttles arrivals; budget +
+                                 breaker + cache brownout ride it out
+                       chaos: loss + outage + straggler + worker crash
+                              recovered from a checkpoint (+ a shard
+                              kill, armed only when replication is on)
+                       failover: loss + straggler + a permanent primary
+                                 kill survived by backup promotion
+  --replication K      backup replicas per PS shard: K-1 (default 1 =
+                       off; failover profile defaults to 2)
+  --checkpoint-every N recovery checkpoint every N epochs (0 = off;
+                       forced on when the profile schedules a crash)
+integrity & supervision (train):
+  --integrity on|off   verify wire-frame checksums     (default on;
+                       off lets injected corruption poison the tables)
+  --checkpoint-dir DIR keep recovery checkpoints on disk, written
+                       crash-consistently with a manifest (default:
+                       validated in-memory images)
+  --max-restarts N     supervisor restart budget of the pool (default 3)
+  --oracle on|off      also run a fault-free shadow reference and
+                       check per-key divergence        (default off)
+serving flags (serve):
+  --checkpoint-dir DIR serve the newest valid checkpoint from a
+                       manifest store (alternative to --checkpoint)
+  --shards N      entity-table shards                  (default 4)
+  --threads N     closed-loop client threads           (default 2)
+  --queries N     timed queries per thread             (default 10000)
+  --warmup N      untimed warmup queries per thread    (default 2000)
+  --topk K        k for top-k queries                  (default 10)
+  --topk-share F  fraction of queries that are top-k   (default 0.02)
+  --zipf S        workload skew exponent (0 = uniform) (default 1.0)
+  --cache-rows N  hot-row cache budget (0 = minimum)   (default entities/4)
+  --warm on|off   pre-admit rows by training-data hotness; needs
+                  --data/--synthetic                   (default off)
+  --think-us N    per-query client think time, us      (default 0)
+  --reload-ms N   poll --checkpoint-dir for newer checkpoints and
+                  hot-swap without stalling readers (0 = off)
+  --report PATH   write the full ServeReport JSON here
+";
+
+/// What a flag's value must be.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// Stands alone: no value follows it.
+    Bare,
+    /// An integer in `min..=max`.
+    Int(u64, u64),
+    /// A finite number in `[0, max]`.
+    Num(f64),
+    /// `on` or `off` (also `true` or `false`).
+    Switch,
+    /// Text, checked where it is used.
+    Text,
+}
+
+use Kind::{Bare, Int, Num, Switch, Text};
+
+impl Kind {
+    /// `value` as `str::parse` reads it (`on` is `true`) if it is one of
+    /// this kind's; else why not.
+    fn check(self, value: &str) -> Result<String, String> {
+        match self {
+            Bare | Text => Ok(value.to_string()),
+            Int(min, max) => match value.parse::<u64>() {
+                Err(_) => Err(format!("{value:?} is not an integer")),
+                Ok(n) if n < min => Err(format!("must be at least {min}, got {n}")),
+                Ok(n) if n > max => Err(format!("must be at most {max}, got {n}")),
+                Ok(_) => Ok(value.to_string()),
+            },
+            Num(max) => match value.parse::<f64>() {
+                Ok(x) if (0.0..=max).contains(&x) => Ok(value.to_string()),
+                Ok(x) if x.is_finite() && x > max => Err(format!("must be in [0, {max}], got {x}")),
+                _ => Err(format!("{value:?} is not a non-negative number")),
+            },
+            Switch => match value {
+                "on" | "true" => Ok("true".into()),
+                "off" | "false" => Ok("false".into()),
+                _ => Err(format!("expected on or off, got {value:?}")),
+            },
+        }
     }
 }
 
-fn usage() {
-    println!("hetkg — knowledge graph embedding training with a hotness-aware cache\n");
-    println!("commands:");
-    println!("  stats      dataset statistics and access-frequency skew");
-    println!("  partition  compare METIS-like vs random partitioning quality");
-    println!("  train      distributed training (simulated cluster); saves a checkpoint");
-    println!("  eval       filtered link prediction from a checkpoint, with breakdown");
-    println!("  serve      online serving benchmark from a checkpoint: Zipf lookups +");
-    println!("             top-k link prediction on real worker threads");
-    println!("  ps-server  one parameter-server shard process (spawned by train");
-    println!("             when --transport is tcp or uds; not normally run by hand)\n");
-    println!("data selection (all commands):");
-    println!("  --data DIR        FB15k-format train.txt/valid.txt/test.txt");
-    println!("  --synthetic NAME  fb15k | wn18 | freebase86m (harness scale)\n");
-    println!("training flags:");
-    println!("  --system S      hetkg-c | hetkg-d | dglke | pbg      (default hetkg-d)");
-    println!("  --model M       transe | distmult | complex | ...    (default transe)");
-    println!("  --dim D         embedding dimension                  (default 64)");
-    println!("  --epochs E      training epochs                      (default 10)");
-    println!("  --machines N    simulated machines                   (default 4)");
-    println!("  --parts N       partitions for `partition`           (default 4)");
-    println!("  --candidates K  eval candidate subsample             (default 500)");
-    println!("  --eval-threads N rank test triples on N threads; metrics are");
-    println!("                  bit-identical for any N               (default 1)");
-    println!("  --out PATH      checkpoint output                    (default hetkg-model.bin)");
-    println!("  --checkpoint P  checkpoint input for `eval` / `serve`");
-    println!("  --seed N        master seed                          (default 42)");
-    println!("  --no-overlap    disable comm/compute pipelining: stage nothing ahead and");
-    println!("                  run each operation in turn; epoch time is that");
-    println!("                  sequential schedule's, on the same timeline");
-    println!("  --compress C    push-path gradient compression        (default off)");
-    println!("                  off: dense f32 rows, bit-identical to pre-compression");
-    println!("                  int8 | int4: per-row scaled quantization");
-    println!("                  topk: top-k sparsification (k = dim/4)");
-    println!("                  adaptive: starts at int8, tightens to top-k only");
-    println!("                  while the comm lane is the bottleneck; error-");
-    println!("                  feedback residuals stay client-side in every mode");
-    println!("  --report PATH   write the full TrainReport JSON here (per-epoch");
-    println!("                  traffic with its split by cause, cache, loss)");
-    println!("  --transport T   sim | tcp | uds                       (default sim)");
-    println!("                  sim: in-process cost-model cluster, bit-identical");
-    println!("                       to every earlier release");
-    println!("                  tcp | uds: each PS shard is a real OS process");
-    println!("                       (spawned `hetkg ps-server`) reached over");
-    println!("                       TCP or Unix sockets; same loss trajectory");
-    println!("                       and metered bytes as sim. Incompatible with");
-    println!("                       --fault-profile and --replication > 1");
-    println!("                       (sim-only)");
-    println!("fault injection (train):");
-    println!("  --fault-profile P    none | lossy | corrupt | outage | overload | chaos");
-    println!("                       | failover, or a JSON FaultPlan file (default none)");
-    println!("                       lossy: 2% remote-message loss with retry/backoff");
-    println!("                       corrupt: 1% payload bit-flips, caught by the");
-    println!("                                wire-frame checksum and re-pulled");
-    println!("                       outage: PS shard 1 down mid-run; HET-KG serves");
-    println!("                               stale hits and defers pushes meanwhile");
-    println!("                       overload: a flash crowd saturates shard 1 — it");
-    println!("                                 sheds and throttles arrivals; budget +");
-    println!("                                 breaker + cache brownout ride it out");
-    println!("                       chaos: loss + outage + straggler + worker crash");
-    println!("                              recovered from a checkpoint (+ a shard");
-    println!("                              kill, armed only when replication is on)");
-    println!("                       failover: loss + straggler + a permanent primary");
-    println!("                                 kill survived by backup promotion");
-    println!("  --replication K      backup replicas per PS shard: K-1 (default 1 =");
-    println!("                       off; failover profile defaults to 2)");
-    println!("  --checkpoint-every N recovery checkpoint every N epochs (0 = off;");
-    println!("                       forced on when the profile schedules a crash)");
-    println!("integrity & supervision (train):");
-    println!("  --integrity on|off   verify wire-frame checksums     (default on;");
-    println!("                       off lets injected corruption poison the tables)");
-    println!("  --checkpoint-dir DIR keep recovery checkpoints on disk, written");
-    println!("                       crash-consistently with a manifest (default:");
-    println!("                       validated in-memory images)");
-    println!("  --max-restarts N     supervisor restart budget of the pool (default 3)");
-    println!("  --oracle on|off      also run a fault-free shadow reference and");
-    println!("                       check per-key divergence        (default off)");
-    println!("serving flags (serve):");
-    println!("  --checkpoint-dir DIR serve the newest valid checkpoint from a");
-    println!("                       manifest store (alternative to --checkpoint)");
-    println!("  --shards N      entity-table shards                  (default 4)");
-    println!("  --threads N     closed-loop client threads           (default 2)");
-    println!("  --queries N     timed queries per thread             (default 10000)");
-    println!("  --warmup N      untimed warmup queries per thread    (default 2000)");
-    println!("  --topk K        k for top-k queries                  (default 10)");
-    println!("  --topk-share F  fraction of queries that are top-k   (default 0.02)");
-    println!("  --zipf S        workload skew exponent (0 = uniform) (default 1.0)");
-    println!("  --cache-rows N  hot-row cache budget (0 = minimum)   (default entities/4)");
-    println!("  --warm on|off   pre-admit rows by training-data hotness; needs");
-    println!("                  --data/--synthetic                   (default off)");
-    println!("  --think-us N    per-query client think time, us      (default 0)");
-    println!("  --reload-ms N   poll --checkpoint-dir for newer checkpoints and");
-    println!("                  hot-swap without stalling readers (0 = off)");
-    println!("  --report PATH   write the full ServeReport JSON here");
-}
+/// One flag: its name, the commands that take it, what its value must be
+/// and its default when that is a constant.
+type Flag = (
+    &'static str,
+    &'static [&'static str],
+    Kind,
+    Option<&'static str>,
+);
 
-/// Flags that stand alone (no value follows them).
-const BARE_FLAGS: &[&str] = &["no-overlap"];
+/// The most threads `serve --threads` or `eval --eval-threads` may start:
+/// more is a usage error, not a panic in a thread scope when the OS refuses
+/// one.
+const MAX_THREADS: u64 = 256;
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut flags = HashMap::new();
+/// No bound but the width of the `usize` a count is read as.
+const ANY: u64 = usize::MAX as u64;
+const EVERY: &[&str] = &["stats", "partition", "train", "eval", "serve", "ps-server"];
+const MODELS: &[&str] = &["train", "eval", "serve"];
+
+/// Every flag of every command.
+const FLAGS: &[Flag] = &[
+    ("data", EVERY, Text, None),
+    ("synthetic", EVERY, Text, None),
+    ("seed", EVERY, Int(0, u64::MAX), Some("42")),
+    ("parts", &["partition"], Int(1, ANY), Some("4")),
+    ("system", &["train"], Text, Some("hetkg-d")),
+    ("model", MODELS, Text, Some("transe")),
+    ("dim", MODELS, Int(1, ANY), Some("64")),
+    ("epochs", &["train"], Int(1, ANY), Some("10")),
+    ("machines", &["train"], Int(1, ANY), Some("4")),
+    ("out", &["train"], Text, Some("hetkg-model.bin")),
+    ("no-overlap", &["train"], Bare, None),
+    ("compress", &["train"], Text, Some("off")),
+    ("report", &["train", "serve"], Text, None),
+    ("transport", &["train"], Text, Some("sim")),
+    ("fault-profile", &["train"], Text, Some("none")),
+    ("replication", &["train"], Int(1, ANY), None),
+    ("checkpoint-every", &["train"], Int(0, ANY), Some("0")),
+    ("integrity", &["train"], Switch, Some("on")),
+    ("checkpoint-dir", &["train", "serve"], Text, None),
+    ("max-restarts", &["train"], Int(0, u32::MAX as u64), None),
+    ("oracle", &["train"], Switch, Some("off")),
+    ("checkpoint", &["eval", "serve"], Text, None),
+    ("candidates", &["eval"], Int(1, ANY), Some("500")),
+    ("eval-threads", &["eval"], Int(1, MAX_THREADS), Some("1")),
+    ("shards", &["serve"], Int(1, ANY), Some("4")),
+    ("threads", &["serve"], Int(1, MAX_THREADS), Some("2")),
+    ("queries", &["serve"], Int(1, ANY), Some("10000")),
+    ("warmup", &["serve"], Int(0, ANY), Some("2000")),
+    ("topk", &["serve"], Int(1, ANY), Some("10")),
+    ("topk-share", &["serve"], Num(1.0), Some("0.02")),
+    ("zipf", &["serve"], Num(f64::MAX), Some("1.0")),
+    ("cache-rows", &["serve"], Int(0, ANY), None),
+    ("warm", &["serve"], Switch, Some("off")),
+    ("think-us", &["serve"], Int(0, ANY), Some("0")),
+    ("reload-ms", &["serve"], Int(0, ANY), Some("0")),
+    ("config", &["ps-server"], Text, None),
+    ("shard", &["ps-server"], Int(0, ANY), None),
+    ("listen", &["ps-server"], Text, None),
+];
+
+/// A command's flags, each one it takes with a value its kind allows.
+struct Flags(HashMap<&'static str, String>);
+
+/// Check `args` against [`FLAGS`] — a typo'd flag must fail loudly, not
+/// silently train with defaults — before anything loads.
+fn parse_flags(command: &'static str, args: &[String]) -> Result<Flags, CliError> {
+    let mut values = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(CliError::UnexpectedArg(arg.clone()));
         };
-        if BARE_FLAGS.contains(&name) {
-            flags.insert(name.to_string(), String::new());
-            continue;
-        }
-        let Some(value) = it.next() else {
-            return Err(CliError::MissingValue(name.to_string()));
-        };
-        flags.insert(name.to_string(), value.clone());
-    }
-    Ok(flags)
-}
-
-fn flag<'a>(flags: &'a HashMap<String, String>, name: &str, default: &'a str) -> &'a str {
-    flags.get(name).map(String::as_str).unwrap_or(default)
-}
-
-/// Flags every command accepts (data selection + seed).
-const COMMON_FLAGS: &[&str] = &["data", "synthetic", "seed"];
-
-/// Reject flags the command does not understand — a typo'd flag must fail
-/// loudly, not silently train with defaults.
-fn check_flags(
-    command: &'static str,
-    flags: &HashMap<String, String>,
-    allowed: &[&str],
-) -> Result<(), CliError> {
-    for k in flags.keys() {
-        if !COMMON_FLAGS.contains(&k.as_str()) && !allowed.contains(&k.as_str()) {
+        let taken = |(n, commands, ..): &&Flag| *n == name && commands.contains(&command);
+        let Some(&(name, _, kind, _)) = FLAGS.iter().find(taken) else {
             return Err(CliError::UnknownFlag {
                 command,
-                flag: k.clone(),
+                flag: name.to_string(),
             });
-        }
+        };
+        let value = match kind {
+            Bare => String::new(),
+            kind => {
+                let value = it.next().ok_or(CliError::MissingValue(name))?;
+                let bad = |message| CliError::BadFlag {
+                    flag: name,
+                    message,
+                };
+                kind.check(value).map_err(bad)?;
+                value.clone()
+            }
+        };
+        values.insert(name, value);
     }
-    Ok(())
+    Ok(Flags(values))
 }
 
-/// Parse an integer flag that must be ≥ 1.
-fn positive(
-    flags: &HashMap<String, String>,
-    name: &'static str,
-    default: usize,
-) -> Result<usize, CliError> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            Ok(n) => Err(CliError::BadFlag {
-                flag: name,
-                message: format!("must be at least 1, got {n}"),
-            }),
-            Err(_) => Err(CliError::BadFlag {
-                flag: name,
-                message: format!("{v:?} is not an integer"),
-            }),
-        },
+impl Flags {
+    /// `--name`'s value if it was given, as a `T`.
+    fn given<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.0.get(name).map(|value| read(name, value))
     }
-}
 
-/// The most threads `serve --threads` or `eval --eval-threads` may start:
-/// more is a usage error, found before anything loads, not a panic in a
-/// thread scope when the OS refuses one.
-const MAX_THREADS: usize = 256;
+    /// `--name`'s value, or its default from [`FLAGS`], as a `T`.
+    fn get<T: FromStr>(&self, name: &str) -> T {
+        let value = self.0.get(name).map(String::as_str).or(spec(name).3);
+        read(name, value.expect("a flag read with `get` has a default"))
+    }
 
-/// Parse a thread-count flag: at least 1, at most [`MAX_THREADS`].
-fn thread_count(
-    flags: &HashMap<String, String>,
-    name: &'static str,
-    default: usize,
-) -> Result<usize, CliError> {
-    match positive(flags, name, default)? {
-        n if n > MAX_THREADS => Err(CliError::BadFlag {
-            flag: name,
-            message: format!("at most {MAX_THREADS} threads, got {n}"),
-        }),
-        n => Ok(n),
+    /// `--name`'s value as a `T`; a usage error if it was not given.
+    fn required<T: FromStr>(&self, name: &'static str) -> Result<T, CliError> {
+        self.given(name).ok_or(CliError::MissingFlag(name))
     }
 }
 
-/// Parse an integer flag that may be 0.
-fn non_negative(
-    flags: &HashMap<String, String>,
-    name: &'static str,
-    default: usize,
-) -> Result<usize, CliError> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse::<usize>().map_err(|_| CliError::BadFlag {
-            flag: name,
-            message: format!("{v:?} is not an integer"),
-        }),
-    }
+/// `--name`'s entry of [`FLAGS`].
+fn spec(name: &str) -> &'static Flag {
+    let flag = FLAGS.iter().find(|(n, ..)| *n == name);
+    flag.unwrap_or_else(|| panic!("--{name} is not in FLAGS"))
 }
 
-/// Parse a finite, non-negative float flag.
-fn fraction(
-    flags: &HashMap<String, String>,
-    name: &'static str,
-    default: f64,
-) -> Result<f64, CliError> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => match v.parse::<f64>() {
-            Ok(f) if f.is_finite() && f >= 0.0 => Ok(f),
-            _ => Err(CliError::BadFlag {
-                flag: name,
-                message: format!("{v:?} is not a non-negative number"),
-            }),
-        },
-    }
+/// `value`, a checked value of `--name`, as a `T`.
+fn read<T: FromStr>(name: &str, value: &str) -> T {
+    let value = spec(name).2.check(value).ok().and_then(|v| v.parse().ok());
+    value.unwrap_or_else(|| panic!("--{name}: a value not of the type it is read as"))
 }
 
-/// Parse an `on|off` flag (also accepts `true|false`).
-fn switch(
-    flags: &HashMap<String, String>,
-    name: &'static str,
-    default: bool,
-) -> Result<bool, CliError> {
-    match flags.get(name).map(String::as_str) {
-        None => Ok(default),
-        Some("on") | Some("true") => Ok(true),
-        Some("off") | Some("false") => Ok(false),
-        Some(v) => Err(CliError::BadFlag {
-            flag: name,
-            message: format!("expected on or off, got {v:?}"),
-        }),
-    }
+/// Where a command's dataset comes from, checked before anything loads.
+enum Source {
+    /// `--data DIR`: FB15k-format files.
+    Dir(String),
+    /// `--synthetic NAME`: a harness-scale generator.
+    Synthetic(SyntheticKg),
 }
 
-fn parse_seed(flags: &HashMap<String, String>) -> Result<u64, CliError> {
-    flag(flags, "seed", "42")
-        .parse()
-        .map_err(|_| CliError::BadFlag {
-            flag: "seed",
-            message: "must be an unsigned integer".into(),
-        })
-}
-
-/// The loaded dataset: graph plus train/valid/test.
-struct Data {
-    kg: KnowledgeGraph,
-    train: Vec<Triple>,
-    _valid: Vec<Triple>,
-    test: Vec<Triple>,
-}
-
-fn load_data(flags: &HashMap<String, String>) -> Result<Data, CliError> {
-    let seed = parse_seed(flags)?;
-    let name = match (flags.get("data"), flags.get("synthetic")) {
-        (Some(dir), None) => {
-            let bench = load_benchmark(&PathBuf::from(dir))
-                .map_err(|e| CliError::Data(format!("loading {dir}: {e}")))?;
-            return Ok(Data {
-                kg: bench.graph,
-                train: bench.train,
-                _valid: bench.valid,
-                test: bench.test,
-            });
-        }
-        (None, Some(name)) => name,
-        (data, _) => {
-            return Err(CliError::BadFlag {
-                flag: "data",
-                message: format!(
-                    "pass --data DIR or --synthetic NAME{}",
-                    if data.is_some() { ", not both" } else { "" }
-                ),
-            })
-        }
-    };
-    let generator = match name.as_str() {
-        "fb15k" => datasets::fb15k_like().scale(0.05),
-        "wn18" => datasets::wn18_like().scale(0.10),
-        "freebase86m" => datasets::freebase86m_like().scale(0.01),
-        other => {
-            return Err(CliError::BadFlag {
+fn source(flags: &Flags) -> Result<Source, CliError> {
+    match (flags.given("data"), flags.given::<String>("synthetic")) {
+        (Some(dir), None) => Ok(Source::Dir(dir)),
+        (None, Some(name)) => datasets::harness(&name)
+            .map(Source::Synthetic)
+            .ok_or_else(|| CliError::BadFlag {
                 flag: "synthetic",
-                message: format!("unknown dataset {other:?} (fb15k | wn18 | freebase86m)"),
-            })
+                message: format!("unknown dataset {name:?} (fb15k | wn18 | freebase86m)"),
+            }),
+        (data, _) => Err(CliError::BadFlag {
+            flag: "data",
+            message: format!(
+                "pass --data DIR or --synthetic NAME{}",
+                if data.is_some() { ", not both" } else { "" }
+            ),
+        }),
+    }
+}
+
+impl Source {
+    /// Load the files, or build the graph at `seed` and split it 90/5/5.
+    fn load(self, seed: u64) -> Result<Benchmark, CliError> {
+        match self {
+            Source::Dir(dir) => load_benchmark(Path::new(&dir))
+                .map_err(|e| CliError::Runtime(format!("loading {dir}: {e}"))),
+            Source::Synthetic(generator) => {
+                let graph = generator.build(seed);
+                let Split { train, valid, test } = Split::ninety_five_five(&graph, seed);
+                let dict = Dictionary::default();
+                Ok(Benchmark {
+                    graph,
+                    train,
+                    valid,
+                    test,
+                    dict,
+                })
+            }
         }
-    };
-    let kg = generator.build(seed);
-    let split = Split::ninety_five_five(&kg, seed);
-    Ok(Data {
-        kg,
-        train: split.train,
-        _valid: split.valid,
-        test: split.test,
+    }
+}
+
+/// A model by the lower-cased name it displays as; `transe` is TransE-L2.
+fn parse_model(name: &str) -> Result<ModelKind, CliError> {
+    let name = name.to_lowercase();
+    let wanted = if name == "transe" { "transe-l2" } else { &name };
+    let found = ModelKind::all()
+        .into_iter()
+        .find(|m| m.to_string().to_lowercase() == wanted);
+    found.ok_or_else(|| CliError::BadFlag {
+        flag: "model",
+        message: format!("unknown model {name:?}"),
     })
 }
 
-fn parse_model(name: &str) -> Result<ModelKind, CliError> {
-    Ok(match name.to_lowercase().as_str() {
-        "transe" | "transe-l2" => ModelKind::TransEL2,
-        "transe-l1" => ModelKind::TransEL1,
-        "transh" => ModelKind::TransH,
-        "transr" => ModelKind::TransR,
-        "transd" => ModelKind::TransD,
-        "distmult" => ModelKind::DistMult,
-        "complex" => ModelKind::ComplEx,
-        "rescal" => ModelKind::Rescal,
-        "hole" => ModelKind::HolE,
-        other => {
-            return Err(CliError::BadFlag {
-                flag: "model",
-                message: format!("unknown model {other:?}"),
-            })
-        }
-    })
+/// Refuse a checkpoint whose row widths are not `model`'s.
+fn check_widths(model: &dyn KgeModel, (e, r): (usize, usize)) -> Result<(), CliError> {
+    if (e, r) == (model.entity_dim(), model.relation_dim()) {
+        return Ok(());
+    }
+    Err(CliError::Runtime(format!(
+        "checkpoint widths (e{e}, r{r}) do not match {} at d={} (e{}, r{})",
+        model.name(),
+        model.base_dim(),
+        model.entity_dim(),
+        model.relation_dim()
+    )))
 }
 
 fn parse_system(name: &str) -> Result<SystemKind, CliError> {
@@ -484,17 +477,16 @@ fn parse_fault_profile(value: &str, seed: u64) -> Result<Option<FaultPlan>, CliE
     Ok(Some(plan))
 }
 
-fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    check_flags("stats", flags, &[])?;
-    let data = load_data(flags)?;
-    let kg = &data.kg;
+fn cmd_stats(flags: &Flags) -> Result<(), CliError> {
+    let data = source(flags)?.load(flags.get("seed"))?;
+    let kg = &data.graph;
     println!(
         "entities {} | relations {} | triples {} (train {} / valid {} / test {})",
         kg.num_entities(),
         kg.num_relations(),
         kg.num_triples(),
         data.train.len(),
-        data._valid.len(),
+        data.valid.len(),
         data.test.len()
     );
     println!("avg entity degree {:.2}", kg.avg_degree());
@@ -514,74 +506,41 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    check_flags("partition", flags, &["parts"])?;
-    let data = load_data(flags)?;
-    let parts = positive(flags, "parts", 4)?;
-    let seed = parse_seed(flags)?;
+fn cmd_partition(flags: &Flags) -> Result<(), CliError> {
+    let (parts, seed) = (flags.get("parts"), flags.get("seed"));
+    let data = source(flags)?.load(seed)?;
     println!("{:<12} {:>10} {:>9}", "partitioner", "edge cut", "balance");
-    for (name, p) in [
-        (
-            "metis-like",
-            MetisLike::new(seed).partition(&data.kg, parts),
-        ),
-        (
-            "random",
-            RandomPartitioner::new(seed).partition(&data.kg, parts),
-        ),
-    ] {
+    let metis = MetisLike::new(seed).partition(&data.graph, parts);
+    let random = RandomPartitioner::new(seed).partition(&data.graph, parts);
+    for (name, p) in [("metis-like", metis), ("random", random)] {
         println!(
             "{:<12} {:>9.1}% {:>9.2}",
             name,
-            100.0 * quality::cut_fraction(&data.kg, &p),
+            100.0 * quality::cut_fraction(&data.graph, &p),
             quality::balance(&p)
         );
     }
     Ok(())
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    check_flags(
-        "train",
-        flags,
-        &[
-            "system",
-            "model",
-            "dim",
-            "epochs",
-            "machines",
-            "out",
-            "fault-profile",
-            "checkpoint-every",
-            "integrity",
-            "checkpoint-dir",
-            "max-restarts",
-            "oracle",
-            "no-overlap",
-            "replication",
-            "compress",
-            "transport",
-            "report",
-        ],
-    )?;
-    let data = load_data(flags)?;
-    let mut cfg = TrainConfig::small(parse_system(flag(flags, "system", "hetkg-d"))?);
-    cfg.model = parse_model(flag(flags, "model", "transe"))?;
-    cfg.dim = positive(flags, "dim", 64)?;
-    cfg.epochs = positive(flags, "epochs", 10)?;
-    cfg.machines = positive(flags, "machines", 4)?;
-    cfg.seed = parse_seed(flags)?;
+fn cmd_train(flags: &Flags) -> Result<(), CliError> {
+    let source = source(flags)?;
+    let mut cfg = TrainConfig::small(parse_system(&flags.get::<String>("system"))?);
+    cfg.model = parse_model(&flags.get::<String>("model"))?;
+    cfg.dim = flags.get("dim");
+    cfg.epochs = flags.get("epochs");
+    cfg.machines = flags.get("machines");
+    cfg.seed = flags.get("seed");
     cfg.eval_candidates = None;
-    let profile = flag(flags, "fault-profile", "none");
-    cfg.faults = parse_fault_profile(profile, cfg.seed)?;
+    let profile: String = flags.get("fault-profile");
+    cfg.faults = parse_fault_profile(&profile, cfg.seed)?;
     // The failover profile permanently kills a primary, so it defaults
     // replication on; a kill with no backup to promote would abort the run.
-    cfg.replication = match flags.get("replication") {
-        Some(_) => positive(flags, "replication", 1)?,
-        None if profile == "failover" => 2,
-        None => 1,
-    };
-    if profile == "failover" && cfg.replication < 2 {
+    let failover = profile == "failover";
+    cfg.replication = flags
+        .given("replication")
+        .unwrap_or(if failover { 2 } else { 1 });
+    if failover && cfg.replication < 2 {
         return Err(CliError::BadFlag {
             flag: "replication",
             message: "the failover profile permanently kills a primary; it needs \
@@ -589,37 +548,34 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 .into(),
         });
     }
-    cfg.checkpoint_every = non_negative(flags, "checkpoint-every", 0)?;
-    cfg.integrity = switch(flags, "integrity", true)?;
-    if let Some(dir) = flags.get("checkpoint-dir") {
+    cfg.checkpoint_every = flags.get("checkpoint-every");
+    cfg.integrity = flags.get("integrity");
+    if let Some(dir) = flags.given::<String>("checkpoint-dir") {
         // The trainer opens the same store before its first epoch and
         // panics if it cannot; refuse the flag here instead.
-        CheckpointStore::open(dir, 1).map_err(|e| CliError::BadFlag {
+        CheckpointStore::open(&dir, 1).map_err(|e| CliError::BadFlag {
             flag: "checkpoint-dir",
             message: format!("cannot keep recovery checkpoints in {dir:?}: {e}"),
         })?;
-        cfg.checkpoint_dir = Some(dir.clone());
+        cfg.checkpoint_dir = Some(dir);
     }
-    cfg.supervisor.max_restarts =
-        non_negative(flags, "max-restarts", cfg.supervisor.max_restarts as usize)? as u32;
-    cfg.overlap = !flags.contains_key("no-overlap");
-    let compress = flag(flags, "compress", "off");
+    if let Some(budget) = flags.given("max-restarts") {
+        cfg.supervisor.max_restarts = budget;
+    }
+    cfg.overlap = flags.given::<String>("no-overlap").is_none();
+    let compress: String = flags.get("compress");
     cfg.compression =
-        het_kg::netsim::CompressionMode::parse(compress).ok_or_else(|| CliError::BadFlag {
+        het_kg::netsim::CompressionMode::parse(&compress).ok_or_else(|| CliError::BadFlag {
             flag: "compress",
             message: format!("unknown mode {compress:?} (off | int8 | int4 | topk | adaptive)"),
         })?;
-    cfg.transport = match flag(flags, "transport", "sim") {
-        "sim" => TransportKind::Sim,
-        "tcp" => TransportKind::Tcp,
-        "uds" => TransportKind::Uds,
-        other => {
-            return Err(CliError::BadFlag {
-                flag: "transport",
-                message: format!("unknown transport {other:?} (sim | tcp | uds)"),
-            })
-        }
-    };
+    let transport: String = flags.get("transport");
+    let transports = [TransportKind::Sim, TransportKind::Tcp, TransportKind::Uds];
+    let named = transports.into_iter().find(|t| t.to_string() == transport);
+    cfg.transport = named.ok_or_else(|| CliError::BadFlag {
+        flag: "transport",
+        message: format!("unknown transport {transport:?} (sim | tcp | uds)"),
+    })?;
     if cfg.transport.is_socket() {
         // Refusing the combination up front beats the trainer's panic.
         cfg.check_socket_transport().map_err(|refused| {
@@ -640,7 +596,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         })?;
         cfg.ps_server_bin = Some(exe.to_string_lossy().into_owned());
     }
-    let oracle_on = switch(flags, "oracle", false)?;
+    let oracle_on = flags.get("oracle");
+    let data = source.load(cfg.seed)?;
 
     println!(
         "training {} / {} (d={}) on {} machines, {} epochs...",
@@ -683,7 +640,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         );
     }
     let (report, store) = if oracle_on {
-        let (verdict, store) = oracle::shadow_check_with_store(&data.kg, &data.train, &cfg);
+        let (verdict, store) = oracle::shadow_check_with_store(&data.graph, &data.train, &cfg);
         println!(
             "oracle: {} | max per-key divergence {:.3e} (mean {:.3e}, bound {}) over {} keys | staleness ok: {}",
             if verdict.within_bound && verdict.staleness_ok { "PASS" } else { "FAIL" },
@@ -695,7 +652,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         );
         (verdict.report, store)
     } else {
-        trainer::train_with_store(&data.kg, &data.train, &[], &cfg)
+        trainer::train_with_store(&data.graph, &data.train, &[], &cfg)
     };
     for e in &report.epochs {
         println!(
@@ -846,16 +803,16 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
         );
     }
 
-    let out = PathBuf::from(flag(flags, "out", "hetkg-model.bin"));
-    let ck = trainer::checkpoint(&store, data.kg.key_space());
+    let out: PathBuf = flags.get("out");
+    let ck = trainer::checkpoint(&store, data.graph.key_space());
     ck.save(&out)
-        .map_err(|e| CliError::Checkpoint(format!("saving checkpoint: {e}")))?;
+        .map_err(|e| CliError::Runtime(format!("saving checkpoint: {e}")))?;
     println!("checkpoint written to {}", out.display());
-    if let Some(path) = flags.get("report") {
+    if let Some(path) = flags.given::<String>("report") {
         let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| CliError::Data(format!("serializing the train report: {e}")))?;
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Data(format!("writing report {path}: {e}")))?;
+            .map_err(|e| CliError::Runtime(format!("serializing the train report: {e}")))?;
+        std::fs::write(&path, json)
+            .map_err(|e| CliError::Runtime(format!("writing report {path}: {e}")))?;
         println!("report written to {path}");
     }
     Ok(())
@@ -865,72 +822,44 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// bind the requested listener, print the readiness handshake on stdout
 /// (the spawning trainer blocks on it), then serve until a shutdown frame
 /// arrives on the wire.
-fn cmd_ps_server(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    check_flags("ps-server", flags, &["config", "shard", "listen"])?;
-    let path = flags.get("config").ok_or(CliError::MissingFlag("config"))?;
-    let raw = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Data(format!("reading shard config {path}: {e}")))?;
+fn cmd_ps_server(flags: &Flags) -> Result<(), CliError> {
+    let path: String = flags.required("config")?;
+    let shard: usize = flags.required("shard")?;
+    let listen: String = flags.required("listen")?;
+    let raw = std::fs::read_to_string(&path)
+        .map_err(|e| CliError::Runtime(format!("reading shard config {path}: {e}")))?;
     let config: ShardServerConfig = serde_json::from_str(&raw)
-        .map_err(|e| CliError::Data(format!("{path} is not a valid shard config: {e}")))?;
-    let shard: usize = flags
-        .get("shard")
-        .ok_or(CliError::MissingFlag("shard"))?
-        .parse()
-        .map_err(|_| CliError::BadFlag {
-            flag: "shard",
-            message: "must be an unsigned integer".into(),
-        })?;
-    if shard >= config.num_shards {
+        .map_err(|e| CliError::Runtime(format!("{path} is not a valid shard config: {e}")))?;
+    let shards = config.num_shards;
+    if shard >= shards {
         return Err(CliError::BadFlag {
             flag: "shard",
-            message: format!(
-                "shard {shard} out of range (config has {})",
-                config.num_shards
-            ),
+            message: format!("shard {shard} out of range (config has {shards})"),
         });
     }
-    let listen = flags.get("listen").ok_or(CliError::MissingFlag("listen"))?;
-    let listener = het_kg::ps::ShardListener::bind(listen)
-        .map_err(|e| CliError::Data(format!("binding {listen}: {e}")))?;
+    let listener = het_kg::ps::ShardListener::bind(&listen)
+        .map_err(|e| CliError::Runtime(format!("binding {listen}: {e}")))?;
     let spec = listener
         .local_spec()
-        .map_err(|e| CliError::Data(format!("resolving listen address: {e}")))?;
+        .map_err(|e| CliError::Runtime(format!("resolving listen address: {e}")))?;
     // The handshake line must hit the pipe before the trainer's read, so
     // flush past stdout's buffering explicitly.
     println!("{}{spec}", het_kg::ps::server::READY_PREFIX);
     std::io::Write::flush(&mut std::io::stdout())
-        .map_err(|e| CliError::Data(format!("flushing readiness handshake: {e}")))?;
+        .map_err(|e| CliError::Runtime(format!("flushing readiness handshake: {e}")))?;
     het_kg::ps::serve(&config, shard, &listener)
-        .map_err(|e| CliError::Data(format!("ps-server shard {shard}: {e}")))
+        .map_err(|e| CliError::Runtime(format!("ps-server shard {shard}: {e}")))
 }
 
-fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    check_flags(
-        "eval",
-        flags,
-        &["checkpoint", "model", "dim", "candidates", "eval-threads"],
-    )?;
-    let eval_threads = thread_count(flags, "eval-threads", 1)?;
-    let data = load_data(flags)?;
-    let path = flags
-        .get("checkpoint")
-        .ok_or(CliError::MissingFlag("checkpoint"))?;
-    let ck = Checkpoint::load(&PathBuf::from(path))
-        .map_err(|e| CliError::Checkpoint(format!("loading checkpoint: {e}")))?;
-    let model = parse_model(flag(flags, "model", "transe"))?;
-    let dim = positive(flags, "dim", 64)?;
-    let candidates = positive(flags, "candidates", 500)?;
-    let model = model.build(dim);
-    if ck.entities.dim() != model.entity_dim() || ck.relations.dim() != model.relation_dim() {
-        return Err(CliError::Checkpoint(format!(
-            "checkpoint widths (e{}, r{}) do not match {} at d={dim} (e{}, r{})",
-            ck.entities.dim(),
-            ck.relations.dim(),
-            model.name(),
-            model.entity_dim(),
-            model.relation_dim()
-        )));
-    }
+fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
+    let source = source(flags)?;
+    let path: PathBuf = flags.required("checkpoint")?;
+    let model = parse_model(&flags.get::<String>("model"))?.build(flags.get("dim"));
+    let candidates: usize = flags.get("candidates");
+    let data = source.load(flags.get("seed"))?;
+    let ck = Checkpoint::load(&path)
+        .map_err(|e| CliError::Runtime(format!("loading checkpoint: {e}")))?;
+    check_widths(model.as_ref(), (ck.entities.dim(), ck.relations.dim()))?;
     let snapshot = EmbeddingSnapshot::new(ck.entities, ck.relations);
     // Metrics are bit-identical for any thread count (ranks land in fixed
     // slots; aggregation replays them in protocol order on one thread).
@@ -938,13 +867,13 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), CliError> {
         model.as_ref(),
         &snapshot,
         &data.test,
-        data.kg.triples(),
+        data.graph.triples(),
         &EvalConfig {
             filtered: true,
-            max_candidates: Some(candidates.min(data.kg.num_entities())),
+            max_candidates: Some(candidates.min(data.graph.num_entities())),
             seed: 0,
         },
-        eval_threads,
+        flags.get("eval-threads"),
     );
     println!("overall:   {}", breakdown.overall);
     println!("head-side: {}", breakdown.head_side);
@@ -957,81 +886,75 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    check_flags(
-        "serve",
-        flags,
-        &[
-            "checkpoint",
-            "checkpoint-dir",
-            "model",
-            "dim",
-            "shards",
-            "threads",
-            "queries",
-            "warmup",
-            "topk",
-            "topk-share",
-            "zipf",
-            "cache-rows",
-            "warm",
-            "think-us",
-            "reload-ms",
-            "report",
-        ],
-    )?;
-    let model = parse_model(flag(flags, "model", "transe"))?.build(positive(flags, "dim", 64)?);
+fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
+    let model = parse_model(&flags.get::<String>("model"))?.build(flags.get("dim"));
     let dim = model.base_dim();
-    let shards = positive(flags, "shards", 4)?;
-    let threads = thread_count(flags, "threads", 2)?;
-    let snapshot = match (flags.get("checkpoint"), flags.get("checkpoint-dir")) {
+    let shards = flags.get("shards");
+    let dir = flags.given::<PathBuf>("checkpoint-dir");
+    let path = match (flags.given::<PathBuf>("checkpoint"), &dir) {
         (Some(_), Some(_)) => {
             return Err(CliError::BadFlag {
                 flag: "checkpoint",
                 message: "pass either --checkpoint or --checkpoint-dir, not both".into(),
             })
         }
-        (Some(path), None) => {
-            let ck = Checkpoint::load(&PathBuf::from(path))
-                .map_err(|e| CliError::Checkpoint(format!("loading checkpoint: {e}")))?;
+        (None, None) => return Err(CliError::MissingFlag("checkpoint")),
+        (path, _) => path,
+    };
+    let reload_ms: u64 = flags.get("reload-ms");
+    if reload_ms > 0 && dir.is_none() {
+        return Err(CliError::BadFlag {
+            flag: "reload-ms",
+            message: "hot reload needs --checkpoint-dir (a manifest store to poll)".into(),
+        });
+    }
+    // Warming pre-admits by *training-data* hotness — the same statistic
+    // the training cache builds its hot set from — so it needs the dataset.
+    let warm_from = flags
+        .get::<bool>("warm")
+        .then(|| source(flags))
+        .transpose()?;
+    let cfg = LoadGenConfig {
+        threads: flags.get("threads"),
+        queries_per_thread: flags.get("queries"),
+        warmup_per_thread: flags.get("warmup"),
+        topk_share: flags.get("topk-share"),
+        k: flags.get("topk"),
+        zipf_exponent: flags.get("zipf"),
+        seed: flags.get("seed"),
+        think_us: flags.get("think-us"),
+    };
+
+    let snapshot = match (path, &dir) {
+        (Some(path), _) => {
+            let ck = Checkpoint::load(&path)
+                .map_err(|e| CliError::Runtime(format!("loading checkpoint: {e}")))?;
             ServingSnapshot::from_checkpoint(&ck, 0, 0, shards)
         }
-        (None, Some(dir)) => ServingSnapshot::load_latest(&PathBuf::from(dir), shards)
-            .map_err(|e| CliError::Checkpoint(e.to_string()))?,
-        (None, None) => return Err(CliError::MissingFlag("checkpoint")),
+        (None, Some(dir)) => ServingSnapshot::load_latest(dir, shards)
+            .map_err(|e| CliError::Runtime(e.to_string()))?,
+        (None, None) => unreachable!("one of the two, checked above"),
     };
-    if snapshot.entities.dim() != model.entity_dim()
-        || snapshot.relations.dim() != model.relation_dim()
-    {
-        return Err(CliError::Checkpoint(format!(
-            "checkpoint widths (e{}, r{}) do not match {} at d={dim} (e{}, r{})",
-            snapshot.entities.dim(),
-            snapshot.relations.dim(),
-            model.name(),
-            model.entity_dim(),
-            model.relation_dim()
-        )));
-    }
+    let widths = (snapshot.entities.dim(), snapshot.relations.dim());
+    check_widths(model.as_ref(), widths)?;
     let (entities, relations) = (snapshot.entities.rows(), snapshot.relations.rows());
     let (snap_seq, snap_epoch) = (snapshot.seq, snapshot.epoch);
     if entities == 0 || relations == 0 {
-        return Err(CliError::Checkpoint(
+        return Err(CliError::Runtime(
             "checkpoint has no entities or no relations to serve".into(),
         ));
     }
-    let cache_rows = non_negative(flags, "cache-rows", (entities / 4).max(8))?;
+    let cache_rows = flags.given("cache-rows").unwrap_or((entities / 4).max(8));
     let model_name = model.name();
     let cell = std::sync::Arc::new(SnapshotCell::new(snapshot));
     let engine = ServeEngine::new(cell.clone(), model, cache_rows)
-        .map_err(|e| CliError::Checkpoint(e.to_string()))?;
+        .map_err(|e| CliError::Runtime(e.to_string()))?;
 
-    if switch(flags, "warm", false)? {
-        // Pre-admit by *training-data* hotness — the same statistic the
-        // training cache builds its hot set from. Needs the dataset.
-        let data = load_data(flags)?;
-        let mut counter = AccessCounter::new(data.kg.key_space());
-        counter.record_batch(data.kg.triples());
-        let counts = &counter.counts()[..data.kg.num_entities().min(entities)];
+    if let Some(source) = warm_from {
+        let data = source.load(cfg.seed)?;
+        let mut counter = AccessCounter::new(data.graph.key_space());
+        counter.record_batch(data.graph.triples());
+        let counts = &counter.counts()[..data.graph.num_entities().min(entities)];
         let snap = engine.snapshot();
         engine.cache().warm(counts, snap.seq, |id| {
             snap.entities.row(id as usize).to_vec()
@@ -1042,42 +965,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         );
     }
 
-    let reload_ms = non_negative(flags, "reload-ms", 0)?;
-    let reloader = match (flags.get("checkpoint-dir"), reload_ms) {
-        (Some(dir), ms) if ms > 0 => Some(SnapshotReloader::spawn(
-            cell.clone(),
-            PathBuf::from(dir),
-            shards,
-            std::time::Duration::from_millis(ms as u64),
-        )),
-        (None, ms) if ms > 0 => {
-            return Err(CliError::BadFlag {
-                flag: "reload-ms",
-                message: "hot reload needs --checkpoint-dir (a manifest store to poll)".into(),
-            })
-        }
-        _ => None,
-    };
-
-    let cfg = LoadGenConfig {
-        threads,
-        queries_per_thread: positive(flags, "queries", 10_000)?,
-        warmup_per_thread: non_negative(flags, "warmup", 2_000)?,
-        topk_share: {
-            let s = fraction(flags, "topk-share", 0.02)?;
-            if s > 1.0 {
-                return Err(CliError::BadFlag {
-                    flag: "topk-share",
-                    message: format!("must be in [0, 1], got {s}"),
-                });
-            }
-            s
-        },
-        k: positive(flags, "topk", 10)?,
-        zipf_exponent: fraction(flags, "zipf", 1.0)?,
-        seed: parse_seed(flags)?,
-        think_us: non_negative(flags, "think-us", 0)? as u64,
-    };
+    let reloader = dir.filter(|_| reload_ms > 0).map(|dir| {
+        let every = std::time::Duration::from_millis(reload_ms);
+        SnapshotReloader::spawn(cell.clone(), dir, shards, every)
+    });
 
     println!(
         "serving {model_name} d={dim}: {entities} entities, {relations} relations, \
@@ -1118,6 +1009,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         run.cache.total(),
         engine.cache().admits(),
     );
+    // Deterministic per (seed, snapshot, thread count): CI pins it across runs.
     println!("digest {:016x}", run.digest);
 
     if let Some(r) = reloader {
@@ -1130,7 +1022,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         }
     }
 
-    if let Some(path) = flags.get("report") {
+    if let Some(path) = flags.given::<String>("report") {
         let report = ServeReport::new(
             model_name,
             dim,
@@ -1143,8 +1035,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
             &cfg,
             &run,
         );
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CliError::Data(format!("writing report {path}: {e}")))?;
+        std::fs::write(&path, report.to_json())
+            .map_err(|e| CliError::Runtime(format!("writing report {path}: {e}")))?;
         println!("report written to {path}");
     }
     Ok(())
@@ -1213,14 +1105,12 @@ mod tests {
         assert_eq!(refused_flag("eval --checkpoint ck.bin"), "data");
         let both = "train --synthetic wn18 --data no-such-dir --epochs 1";
         assert_eq!(refused_flag(both), "data");
-        // `serve` needs a dataset only to warm its cache from.
-        let ck = std::env::temp_dir().join(format!("hetkg-warm-{}.bin", std::process::id()));
-        let table = |rows| het_kg::embed::EmbeddingTable::zeros(rows, 64);
-        Checkpoint::new(table(8), table(2)).save(&ck).unwrap();
-        let line = format!("serve --checkpoint {} --warm on", ck.display());
-        let flag = refused_flag(&line);
-        std::fs::remove_file(&ck).unwrap();
-        assert_eq!(flag, "data");
+        // `serve` needs a dataset only to warm its cache from, and says so
+        // before it loads the checkpoint, which does not exist.
+        assert_eq!(
+            refused_flag("serve --checkpoint no-such.bin --warm on"),
+            "data"
+        );
     }
 
     #[test]
@@ -1233,10 +1123,129 @@ mod tests {
         let eval = format!("eval --checkpoint no-such.bin --eval-threads {n}");
         assert_eq!(refused_flag(&eval), "eval-threads");
         let at_ceiling = format!("serve --checkpoint no-such.bin --threads {MAX_THREADS}");
-        assert!(matches!(
-            run(args(&at_ceiling)),
-            Err(CliError::Checkpoint(_))
-        ));
+        assert!(matches!(run(args(&at_ceiling)), Err(CliError::Runtime(_))));
+    }
+
+    #[test]
+    fn a_restart_budget_above_u32_is_refused_not_truncated() {
+        // Cast to u32, 2^32 was a budget of 0 and 2^32 + 3 one of 3.
+        for n in ["4294967296", "4294967299"] {
+            let line = format!("train --data no-such-dir --max-restarts {n}");
+            assert_eq!(refused_flag(&line), "max-restarts");
+        }
+        let at_ceiling = "train --data no-such-dir --max-restarts 4294967295";
+        assert!(matches!(run(args(at_ceiling)), Err(CliError::Runtime(_))));
+    }
+
+    /// The inputs of a line that must be refused before it loads anything:
+    /// none of them exists.
+    fn missing_inputs(command: &str) -> &'static str {
+        match command {
+            "eval" | "serve" => "--data no-such-dir --checkpoint no-such.bin",
+            _ => "--data no-such-dir",
+        }
+    }
+
+    #[test]
+    fn every_checked_flag_refuses_bad_values_before_anything_loads() {
+        for &(name, commands, kind, _) in FLAGS {
+            // Values each command must refuse, and bounded maxima it must
+            // accept (then fail on the missing input, exit 1).
+            let (bad, edge): (Vec<String>, Vec<String>) = match kind {
+                Int(min, max) => (
+                    vec![
+                        "x".into(),
+                        "1.5".into(),
+                        min.checked_sub(1).map_or("-1".into(), |n| n.to_string()),
+                        (u128::from(max) + 1).to_string(),
+                    ],
+                    (max < ANY).then(|| max.to_string()).into_iter().collect(),
+                ),
+                Num(max) => (
+                    vec![
+                        "x".into(),
+                        "-1".into(),
+                        "NaN".into(),
+                        (2.0 * max).to_string(),
+                    ],
+                    (max < f64::MAX)
+                        .then(|| max.to_string())
+                        .into_iter()
+                        .collect(),
+                ),
+                Switch => (vec!["maybe".into(), "1".into()], vec![]),
+                Bare | Text => continue,
+            };
+            for command in commands {
+                let inputs = missing_inputs(command);
+                for value in &bad {
+                    let line = format!("{command} {inputs} --{name} {value}");
+                    assert_eq!(refused_flag(&line), name, "{line}");
+                }
+                for value in &edge {
+                    let line = format!("{command} {inputs} --{name} {value}");
+                    assert!(
+                        matches!(run(args(&line)), Err(CliError::Runtime(_))),
+                        "{line}"
+                    );
+                }
+            }
+        }
+        // Names checked in code, also before anything loads.
+        for (command, name) in [
+            ("train", "system"),
+            ("train", "model"),
+            ("eval", "model"),
+            ("serve", "model"),
+            ("train", "compress"),
+            ("train", "transport"),
+            ("train", "fault-profile"),
+        ] {
+            let line = format!(
+                "{command} {} --{name} no-such-word",
+                missing_inputs(command)
+            );
+            assert_eq!(refused_flag(&line), name, "{line}");
+        }
+        assert_eq!(refused_flag("stats --synthetic no-such-word"), "synthetic");
+    }
+
+    #[test]
+    fn every_default_is_a_value_of_its_flag_and_commands_exist() {
+        for &(name, commands, kind, default) in FLAGS {
+            if let Some(default) = default {
+                assert!(kind.check(default).is_ok(), "--{}: {default}", name);
+            }
+            for command in commands {
+                assert!(
+                    COMMANDS.iter().any(|(name, _)| name == command),
+                    "{command}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn usage_names_the_flags_of_the_table() {
+        let mut named: Vec<&str> = USAGE
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest.find(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+                &rest[..end.unwrap_or(rest.len())]
+            })
+            .collect();
+        named.sort_unstable();
+        named.dedup();
+        // `ps-server`'s flags are the spawning trainer's hand-off, not help.
+        let hand_off = ["config", "shard", "listen"];
+        let mut table: Vec<&str> = FLAGS
+            .iter()
+            .map(|f| f.0)
+            .filter(|n| !hand_off.contains(n))
+            .collect();
+        table.sort_unstable();
+        assert_eq!(named, table);
     }
 
     #[test]
