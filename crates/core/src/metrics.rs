@@ -3,13 +3,15 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Hit/miss counters for one cache over one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Accesses served from the cache.
-    pub hits: u64,
-    /// Accesses that had to go to the PS.
-    pub misses: u64,
+hetkg_netsim::counters! {
+    /// Hit/miss counters for one cache over one run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CacheStats {
+        /// Accesses served from the cache.
+        pub hits: u64,
+        /// Accesses that had to go to the PS.
+        pub misses: u64,
+    }
 }
 
 impl CacheStats {
@@ -37,65 +39,59 @@ impl CacheStats {
     pub fn hit_ratio(&self) -> f64 {
         ratio(self.hits, self.total())
     }
-
-    /// Combine counters (e.g. across workers).
-    pub fn merge(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-        }
-    }
 }
 
-/// What a hot table held and what building it cost, with how the pipeline
-/// split the miss pulls it left over (a cacheless system reports the split
-/// of its whole pulls and zeros for the table). All fields are sums, so
-/// reports merge across workers and epochs by addition; the ratios are
-/// derived.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct TableEconomy {
-    /// Table (re)constructions: one for CPS, one per `D` iterations for DPS.
-    pub rebuilds: u64,
-    /// Rows the table held right after each rebuild, summed over rebuilds.
-    pub rows_held: u64,
-    /// The table's capacity, summed over rebuilds (the base of
-    /// [`TableEconomy::occupancy`]).
-    pub capacity: u64,
-    /// Rows rebuilds pulled because the table did not hold them yet.
-    pub fresh_rows: u64,
-    /// Of `staged_late`, the keys staged in DPS windows whose selection
-    /// left the table room. DPS holds every key two batches of a window read
-    /// unless the selection filled the table, so this is 0.
-    #[serde(default)]
-    pub staged_late_with_room: u64,
-    /// Miss keys of staged batches whose pull was issued one iteration
-    /// early, behind the in-flight compute.
-    pub staged_early: u64,
-    /// Miss keys of staged batches left for consume time, because the
-    /// in-flight batch writes them. Neither count takes in a rebuilt table's
-    /// first batch, staged across two windows, which always share some.
-    pub staged_late: u64,
-    /// Cached rows written back: each left the table's write-back arena in
-    /// one push, once per sync window, whatever it had collected.
-    #[serde(default)]
-    pub written_back_rows: u64,
-    /// Of those, the rows that left before their window's last push: in the
-    /// push of the last batch to read them before it.
-    #[serde(default)]
-    pub written_back_early: u64,
-    /// The gradients the written-back rows had collected (each row at least
-    /// one).
-    #[serde(default)]
-    pub coalesced_grads: u64,
-    /// Over the written-back rows that carried more than one gradient —
-    /// the ones sent with an energy: `Σ E`, the energies sent …
-    #[serde(default)]
-    pub written_back_energy: f64,
-    /// … and `Σ ‖Σg‖²`, the squared norms of the sums they were sent with
-    /// (the one counter here that is computed for the report alone: a dot
-    /// product per such row per write-back, not per iteration).
-    #[serde(default)]
-    pub written_back_sum_sq: f64,
+hetkg_netsim::counters! {
+    /// What a hot table held and what building it cost, with how the pipeline
+    /// split the miss pulls it left over (a cacheless system reports the split
+    /// of its whole pulls and zeros for the table). All fields are sums, so
+    /// reports merge across workers and epochs by addition; the ratios are
+    /// derived.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct TableEconomy {
+        /// Table (re)constructions: one for CPS, one per `D` iterations for DPS.
+        pub rebuilds: u64,
+        /// Rows the table held right after each rebuild, summed over rebuilds.
+        pub rows_held: u64,
+        /// The table's capacity, summed over rebuilds (the base of
+        /// [`TableEconomy::occupancy`]).
+        pub capacity: u64,
+        /// Rows rebuilds pulled because the table did not hold them yet.
+        pub fresh_rows: u64,
+        /// Of `staged_late`, the keys staged in DPS windows whose selection
+        /// left the table room. DPS holds every key two batches of a window read
+        /// unless the selection filled the table, so this is 0.
+        #[serde(default)]
+        pub staged_late_with_room: u64,
+        /// Miss keys of staged batches whose pull was issued one iteration
+        /// early, behind the in-flight compute.
+        pub staged_early: u64,
+        /// Miss keys of staged batches left for consume time, because the
+        /// in-flight batch writes them. Neither count takes in a rebuilt table's
+        /// first batch, staged across two windows, which always share some.
+        pub staged_late: u64,
+        /// Cached rows written back: each left the table's write-back arena in
+        /// one push, once per sync window, whatever it had collected.
+        #[serde(default)]
+        pub written_back_rows: u64,
+        /// Of those, the rows that left before their window's last push: in the
+        /// push of the last batch to read them before it.
+        #[serde(default)]
+        pub written_back_early: u64,
+        /// The gradients the written-back rows had collected (each row at least
+        /// one).
+        #[serde(default)]
+        pub coalesced_grads: u64,
+        /// Over the written-back rows that carried more than one gradient —
+        /// the ones sent with an energy: `Σ E`, the energies sent …
+        #[serde(default)]
+        pub written_back_energy: f64,
+        /// … and `Σ ‖Σg‖²`, the squared norms of the sums they were sent with
+        /// (the one counter here that is computed for the report alone: a dot
+        /// product per such row per write-back, not per iteration).
+        #[serde(default)]
+        pub written_back_sum_sq: f64,
+    }
 }
 
 impl TableEconomy {
@@ -132,24 +128,6 @@ impl TableEconomy {
             0.0
         }
     }
-
-    /// Combine counters (e.g. across workers).
-    pub fn merge(self, other: TableEconomy) -> TableEconomy {
-        TableEconomy {
-            rebuilds: self.rebuilds + other.rebuilds,
-            rows_held: self.rows_held + other.rows_held,
-            capacity: self.capacity + other.capacity,
-            fresh_rows: self.fresh_rows + other.fresh_rows,
-            staged_late_with_room: self.staged_late_with_room + other.staged_late_with_room,
-            staged_early: self.staged_early + other.staged_early,
-            staged_late: self.staged_late + other.staged_late,
-            written_back_rows: self.written_back_rows + other.written_back_rows,
-            written_back_early: self.written_back_early + other.written_back_early,
-            coalesced_grads: self.coalesced_grads + other.coalesced_grads,
-            written_back_energy: self.written_back_energy + other.written_back_energy,
-            written_back_sum_sq: self.written_back_sum_sq + other.written_back_sum_sq,
-        }
-    }
 }
 
 /// `num / den`, 0 when nothing was counted.
@@ -176,12 +154,37 @@ mod tests {
         assert!((s.hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
+    /// A `T` whose counters each hold a distinct value: the `i`-th number of
+    /// its JSON, in key order, is `base + step·i`, a quarter of that for an
+    /// `f64` (as `hetkg-netsim`'s ledgers are checked), so a field `merge`
+    /// or `since` leaves out, or takes from the wrong side, misses its value.
+    fn distinct<T: Default + Serialize + Deserialize>(base: u64, step: u64) -> T {
+        let mut fields = serde_json::Map::new();
+        let zero = serde_json::to_value(T::default()).unwrap();
+        for (i, (key, value)) in (0..).zip(zero.as_object().unwrap().iter()) {
+            let n = base + step * i;
+            let filled = match value {
+                serde_json::Value::Float(_) => serde_json::Value::Float(n as f64 / 4.0),
+                _ => serde_json::Value::UInt(n),
+            };
+            fields.insert(key.clone(), filled);
+        }
+        serde_json::from_value(serde_json::Value::Map(fields)).unwrap()
+    }
+
     #[test]
     fn merge_adds_counters() {
         let a = CacheStats { hits: 3, misses: 1 };
         let b = CacheStats { hits: 1, misses: 5 };
         let c = a.merge(b);
         assert_eq!(c, CacheStats { hits: 4, misses: 6 });
+        let (a, b) = (distinct::<CacheStats>(1, 1), distinct(100, 1));
+        assert_eq!(a.merge(b), distinct(101, 2));
+        assert_eq!(distinct::<CacheStats>(101, 2).since(a), b);
+        let (a, b) = (distinct::<TableEconomy>(1, 1), distinct(100, 1));
+        assert_eq!(a.merge(b), distinct(101, 2));
+        assert_eq!(b.merge(a), distinct(101, 2));
+        assert_eq!(distinct::<TableEconomy>(101, 2).since(a), b);
     }
 
     #[test]

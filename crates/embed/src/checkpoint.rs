@@ -28,9 +28,8 @@ const VERSION: u32 = 3;
 /// Flags word: bit 0 set when the checkpoint carries [`TrainState`].
 const FLAG_HAS_STATE: u32 = 1;
 
-/// 32-bit FNV-1a, resumable from a prior digest state. Same digest the wire
-/// frames use (`hetkg-netsim` is not a dependency of this crate, so the
-/// 4-line fold is inlined here).
+/// 32-bit FNV-1a, resumable from a prior digest state: every section's
+/// checksum.
 fn fnv1a_with(seed: u32, bytes: &[u8]) -> u32 {
     bytes
         .iter()
@@ -355,6 +354,14 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::init::Init;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 32-bit test vectors.
+        assert_eq!(fnv1a(b""), 0x811C_9DC5);
+        assert_eq!(fnv1a(b"a"), 0xE40C_292C);
+        assert_eq!(fnv1a(b"foobar"), 0xBF9C_F968);
+    }
 
     fn sample() -> Checkpoint {
         let mut entities = EmbeddingTable::zeros(7, 5);

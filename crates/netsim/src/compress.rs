@@ -297,42 +297,31 @@ pub fn decode_row(codec: Codec, bytes: &[u8], out: &mut [f32]) {
     }
 }
 
-/// Client-side compression counters, merged across workers into the run
-/// report. Byte counters compare the dense-equivalent frame size against
-/// what actually crossed the wire (both including the 8-byte key ids).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CompressionStats {
-    /// Gradient rows pushed through the compressor (dense level included).
-    pub rows: u64,
-    /// Push frames sealed (one per touched shard per push).
-    pub frames: u64,
-    /// Bytes the same frames would have occupied dense.
-    pub raw_bytes: u64,
-    /// Bytes the frames actually occupied on the wire.
-    pub wire_bytes: u64,
-    /// Deferred pushes that folded a client-side residual into the backlog
-    /// (error feedback rides the degraded path, not just the wire).
-    pub residual_folds: u64,
-    /// Adaptive-ladder tightenings (comm lane critical).
-    pub level_ups: u64,
-    /// Adaptive-ladder relaxations (comm lane slack).
-    pub level_downs: u64,
+crate::counters! {
+    /// Client-side compression counters, merged across workers into the run
+    /// report. Byte counters compare the dense-equivalent frame size against
+    /// what actually crossed the wire (both including the 8-byte key ids).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct CompressionStats {
+        /// Gradient rows pushed through the compressor (dense level included).
+        pub rows: u64,
+        /// Push frames sealed (one per touched shard per push).
+        pub frames: u64,
+        /// Bytes the same frames would have occupied dense.
+        pub raw_bytes: u64,
+        /// Bytes the frames actually occupied on the wire.
+        pub wire_bytes: u64,
+        /// Deferred pushes that folded a client-side residual into the backlog
+        /// (error feedback rides the degraded path, not just the wire).
+        pub residual_folds: u64,
+        /// Adaptive-ladder tightenings (comm lane critical).
+        pub level_ups: u64,
+        /// Adaptive-ladder relaxations (comm lane slack).
+        pub level_downs: u64,
+    }
 }
 
 impl CompressionStats {
-    /// Combine two workers' counters.
-    pub fn merge(self, o: CompressionStats) -> CompressionStats {
-        CompressionStats {
-            rows: self.rows + o.rows,
-            frames: self.frames + o.frames,
-            raw_bytes: self.raw_bytes + o.raw_bytes,
-            wire_bytes: self.wire_bytes + o.wire_bytes,
-            residual_folds: self.residual_folds + o.residual_folds,
-            level_ups: self.level_ups + o.level_ups,
-            level_downs: self.level_downs + o.level_downs,
-        }
-    }
-
     /// Dense-equivalent over wire bytes (1.0 until anything is pushed).
     pub fn ratio(&self) -> f64 {
         if self.wire_bytes == 0 {

@@ -12,8 +12,9 @@
 //! The injector deliberately knows nothing about retries or caching; it
 //! only answers "what happened to this message?" via [`Verdict`]. Retry
 //! policy lives in the PS client, degraded-mode semantics in the trainer —
-//! both report their countermeasures back here (`note_*`), so each event is
-//! counted once, in the worker's [`FaultSnapshot`]. The run's report is
+//! both report their countermeasures back here
+//! ([`count`](FaultInjector::count)), so each event is counted once, in the
+//! worker's [`FaultSnapshot`]. The run's report is
 //! those ledgers [`merge`](FaultSnapshot::merge)d, plus the few counts only
 //! the trainer sees.
 
@@ -363,147 +364,111 @@ pub enum Verdict {
     },
 }
 
-/// The fault ledger: fault and countermeasure counters. One injector (one
-/// worker) counts into its own; a run's report is every injector's
-/// [`merge`](Self::merge)d with one the trainer fills with the six
-/// run-level fields — `recoveries` and `checkpoints` from its recovery
-/// loop, the four `breaker_*`/`brownout_secs` from the shared breaker
-/// table — which an injector's own ledger leaves at zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultSnapshot {
-    /// Remote messages lost in transit.
-    pub drops: u64,
-    /// Retransmission attempts made by the PS client.
-    pub retries: u64,
-    /// Bytes re-sent due to drops (also metered as traffic, so simulated
-    /// network time already pays for them).
-    pub retransmitted_bytes: u64,
-    /// Messages refused because the target shard was down.
-    pub outage_refusals: u64,
-    /// Remote messages slowed by a straggler episode.
-    pub slow_messages: u64,
-    /// Extra simulated seconds added by straggler episodes.
-    pub extra_latency_secs: f64,
-    /// Simulated seconds spent in retry backoff / waiting out outages.
-    pub backoff_secs: f64,
-    /// Cache hits served stale because the home shard was down.
-    pub degraded_hits: u64,
-    /// Gradient pushes deferred into the local backlog during an outage.
-    pub deferred_pushes: u64,
-    /// Backlog flushes performed after shard recovery.
-    pub backlog_flushes: u64,
-    /// Crash-recovery restarts (restore-from-checkpoint events); run-level.
-    #[serde(default)]
-    pub recoveries: u64,
-    /// Recovery checkpoints taken during the run; run-level.
-    #[serde(default)]
-    pub checkpoints: u64,
-    /// Remote messages delivered with a flipped payload bit.
-    #[serde(default)]
-    pub corrupt_frames: u64,
-    /// Corrupt frames caught by the checksum and re-pulled (never ingested).
-    #[serde(default)]
-    pub corrupt_detected: u64,
-    /// Corrupt frames ingested because checksums were disabled (poisoned
-    /// entries; zero whenever integrity is on).
-    #[serde(default)]
-    pub corrupt_ingested: u64,
-    /// Backup replicas promoted to primary after a permanent shard death.
-    #[serde(default)]
-    pub promotions: u64,
-    /// Replication-backlog frames replayed during anti-entropy catch-up.
-    #[serde(default)]
-    pub catch_up_frames: u64,
-    /// Bytes replayed during anti-entropy catch-up.
-    #[serde(default)]
-    pub catch_up_bytes: u64,
-    /// Hedged pulls issued because the primary looked like a straggler.
-    #[serde(default)]
-    pub hedged_pulls: u64,
-    /// Hedged pulls where the backup's response arrived first.
-    #[serde(default)]
-    pub hedged_wins: u64,
-    /// Hedged pulls where the primary still won the race.
-    #[serde(default)]
-    pub hedged_losses: u64,
-    /// Requests shed by a saturated shard inside an overload window.
-    #[serde(default)]
-    pub overload_sheds: u64,
-    /// Messages delivered with queue-induced service-latency inflation.
-    #[serde(default)]
-    pub overload_throttled: u64,
-    /// Extra simulated seconds of queue-induced service latency.
-    #[serde(default)]
-    pub overload_extra_secs: f64,
-    /// Retries refused because the run-global retry budget was dry.
-    #[serde(default)]
-    pub retries_denied: u64,
-    /// Requests failed fast by an open circuit breaker (no send, no
-    /// exponential backoff burned).
-    #[serde(default)]
-    pub breaker_fast_fails: u64,
-    /// Cache hits served stale because the home shard's breaker was open
-    /// (brownout), beyond the ordinary outage-driven `degraded_hits`.
-    #[serde(default)]
-    pub brownout_stale_serves: u64,
-    /// Deferred gradient pushes dropped because the brownout backlog hit
-    /// its bound.
-    #[serde(default)]
-    pub shed_pushes: u64,
-    /// Circuit-breaker Closed→Open transitions; run-level.
-    #[serde(default)]
-    pub breaker_opens: u64,
-    /// Circuit-breaker Open→HalfOpen probe transitions; run-level.
-    #[serde(default)]
-    pub breaker_half_opens: u64,
-    /// Circuit-breaker HalfOpen→Closed recoveries; run-level.
-    #[serde(default)]
-    pub breaker_closes: u64,
-    /// Total simulated seconds shards spent behind a tripped breaker, over
-    /// closed brownout episodes; run-level.
-    #[serde(default)]
-    pub brownout_secs: f64,
+crate::counters! {
+    /// The fault ledger: fault and countermeasure counters. One injector (one
+    /// worker) counts into its own; a run's report is every injector's
+    /// [`merge`](Self::merge)d with one the trainer fills with the six
+    /// run-level fields — `recoveries` and `checkpoints` from its recovery
+    /// loop, the four `breaker_*`/`brownout_secs` from the shared breaker
+    /// table — which an injector's own ledger leaves at zero.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+    pub struct FaultSnapshot {
+        /// Remote messages lost in transit.
+        pub drops: u64,
+        /// Retransmission attempts made by the PS client.
+        pub retries: u64,
+        /// Bytes re-sent due to drops (also metered as traffic, so simulated
+        /// network time already pays for them).
+        pub retransmitted_bytes: u64,
+        /// Messages refused because the target shard was down.
+        pub outage_refusals: u64,
+        /// Remote messages slowed by a straggler episode.
+        pub slow_messages: u64,
+        /// Extra simulated seconds added by straggler episodes.
+        pub extra_latency_secs: f64,
+        /// Simulated seconds spent in retry backoff / waiting out outages.
+        pub backoff_secs: f64,
+        /// Cache hits served stale because the home shard was down.
+        pub degraded_hits: u64,
+        /// Gradient pushes deferred into the local backlog during an outage.
+        pub deferred_pushes: u64,
+        /// Backlog flushes performed after shard recovery.
+        pub backlog_flushes: u64,
+        /// Crash-recovery restarts (restore-from-checkpoint events); run-level.
+        #[serde(default)]
+        pub recoveries: u64,
+        /// Recovery checkpoints taken during the run; run-level.
+        #[serde(default)]
+        pub checkpoints: u64,
+        /// Remote messages delivered with a flipped payload bit.
+        #[serde(default)]
+        pub corrupt_frames: u64,
+        /// Corrupt frames caught by the checksum and re-pulled (never ingested).
+        #[serde(default)]
+        pub corrupt_detected: u64,
+        /// Corrupt frames ingested because checksums were disabled (poisoned
+        /// entries; zero whenever integrity is on).
+        #[serde(default)]
+        pub corrupt_ingested: u64,
+        /// Backup replicas promoted to primary after a permanent shard death.
+        #[serde(default)]
+        pub promotions: u64,
+        /// Replication-backlog frames replayed during anti-entropy catch-up.
+        #[serde(default)]
+        pub catch_up_frames: u64,
+        /// Bytes replayed during anti-entropy catch-up.
+        #[serde(default)]
+        pub catch_up_bytes: u64,
+        /// Hedged pulls issued because the primary looked like a straggler.
+        #[serde(default)]
+        pub hedged_pulls: u64,
+        /// Hedged pulls where the backup's response arrived first.
+        #[serde(default)]
+        pub hedged_wins: u64,
+        /// Hedged pulls where the primary still won the race.
+        #[serde(default)]
+        pub hedged_losses: u64,
+        /// Requests shed by a saturated shard inside an overload window.
+        #[serde(default)]
+        pub overload_sheds: u64,
+        /// Messages delivered with queue-induced service-latency inflation.
+        #[serde(default)]
+        pub overload_throttled: u64,
+        /// Extra simulated seconds of queue-induced service latency.
+        #[serde(default)]
+        pub overload_extra_secs: f64,
+        /// Retries refused because the run-global retry budget was dry.
+        #[serde(default)]
+        pub retries_denied: u64,
+        /// Requests failed fast by an open circuit breaker (no send, no
+        /// exponential backoff burned).
+        #[serde(default)]
+        pub breaker_fast_fails: u64,
+        /// Cache hits served stale because the home shard's breaker was open
+        /// (brownout), beyond the ordinary outage-driven `degraded_hits`.
+        #[serde(default)]
+        pub brownout_stale_serves: u64,
+        /// Deferred gradient pushes dropped because the brownout backlog hit
+        /// its bound.
+        #[serde(default)]
+        pub shed_pushes: u64,
+        /// Circuit-breaker Closed→Open transitions; run-level.
+        #[serde(default)]
+        pub breaker_opens: u64,
+        /// Circuit-breaker Open→HalfOpen probe transitions; run-level.
+        #[serde(default)]
+        pub breaker_half_opens: u64,
+        /// Circuit-breaker HalfOpen→Closed recoveries; run-level.
+        #[serde(default)]
+        pub breaker_closes: u64,
+        /// Total simulated seconds shards spent behind a tripped breaker, over
+        /// closed brownout episodes; run-level.
+        #[serde(default)]
+        pub brownout_secs: f64,
+    }
 }
 
 impl FaultSnapshot {
-    /// Combine two ledgers, field by field: the one fold over the counters.
-    pub fn merge(self, o: FaultSnapshot) -> FaultSnapshot {
-        FaultSnapshot {
-            drops: self.drops + o.drops,
-            retries: self.retries + o.retries,
-            retransmitted_bytes: self.retransmitted_bytes + o.retransmitted_bytes,
-            outage_refusals: self.outage_refusals + o.outage_refusals,
-            slow_messages: self.slow_messages + o.slow_messages,
-            extra_latency_secs: self.extra_latency_secs + o.extra_latency_secs,
-            backoff_secs: self.backoff_secs + o.backoff_secs,
-            degraded_hits: self.degraded_hits + o.degraded_hits,
-            deferred_pushes: self.deferred_pushes + o.deferred_pushes,
-            backlog_flushes: self.backlog_flushes + o.backlog_flushes,
-            recoveries: self.recoveries + o.recoveries,
-            checkpoints: self.checkpoints + o.checkpoints,
-            corrupt_frames: self.corrupt_frames + o.corrupt_frames,
-            corrupt_detected: self.corrupt_detected + o.corrupt_detected,
-            corrupt_ingested: self.corrupt_ingested + o.corrupt_ingested,
-            promotions: self.promotions + o.promotions,
-            catch_up_frames: self.catch_up_frames + o.catch_up_frames,
-            catch_up_bytes: self.catch_up_bytes + o.catch_up_bytes,
-            hedged_pulls: self.hedged_pulls + o.hedged_pulls,
-            hedged_wins: self.hedged_wins + o.hedged_wins,
-            hedged_losses: self.hedged_losses + o.hedged_losses,
-            overload_sheds: self.overload_sheds + o.overload_sheds,
-            overload_throttled: self.overload_throttled + o.overload_throttled,
-            overload_extra_secs: self.overload_extra_secs + o.overload_extra_secs,
-            retries_denied: self.retries_denied + o.retries_denied,
-            breaker_fast_fails: self.breaker_fast_fails + o.breaker_fast_fails,
-            brownout_stale_serves: self.brownout_stale_serves + o.brownout_stale_serves,
-            shed_pushes: self.shed_pushes + o.shed_pushes,
-            breaker_opens: self.breaker_opens + o.breaker_opens,
-            breaker_half_opens: self.breaker_half_opens + o.breaker_half_opens,
-            breaker_closes: self.breaker_closes + o.breaker_closes,
-            brownout_secs: self.brownout_secs + o.brownout_secs,
-        }
-    }
-
     /// Total fault events (drops + refusals + slowdowns + corruptions +
     /// overload sheds).
     pub fn total_faults(&self) -> u64 {
@@ -844,12 +809,10 @@ impl FaultInjector {
         self.inner.lock().rng.next_f64()
     }
 
-    /// Record one retransmission of `bytes` (the retry the client is about
-    /// to make after a drop).
-    pub fn note_retry(&self, bytes: u64) {
-        let mut inner = self.inner.lock();
-        inner.stats.retries += 1;
-        inner.stats.retransmitted_bytes += bytes;
+    /// Count one event into this worker's ledger: `event` adds to the
+    /// counters it moves, e.g. `f.count(|s| s.degraded_hits += n)`.
+    pub fn count(&self, event: impl FnOnce(&mut FaultSnapshot)) {
+        event(&mut self.inner.lock().stats);
     }
 
     /// Spend `secs` of simulated time backing off / waiting for recovery.
@@ -858,40 +821,6 @@ impl FaultInjector {
         let mut inner = self.inner.lock();
         inner.stats.backoff_secs += secs;
         inner.wait(secs);
-    }
-
-    /// Record `n` cache hits served stale because their shard was down.
-    pub fn note_degraded_hits(&self, n: u64) {
-        self.inner.lock().stats.degraded_hits += n;
-    }
-
-    /// Record `n` gradient pushes deferred into the local backlog.
-    pub fn note_deferred_pushes(&self, n: u64) {
-        self.inner.lock().stats.deferred_pushes += n;
-    }
-
-    /// Record one backlog flush after shard recovery.
-    pub fn note_backlog_flush(&self) {
-        self.inner.lock().stats.backlog_flushes += 1;
-    }
-
-    /// Record one corrupt frame caught by the checksum (about to be re-pulled).
-    pub fn note_corrupt_detected(&self) {
-        self.inner.lock().stats.corrupt_detected += 1;
-    }
-
-    /// Record one corrupt frame ingested because checksums were off.
-    pub fn note_corrupt_ingested(&self) {
-        self.inner.lock().stats.corrupt_ingested += 1;
-    }
-
-    /// Record one backup-to-primary promotion performed by this worker,
-    /// with the anti-entropy catch-up it replayed beforehand.
-    pub fn note_promotion(&self, catch_up_frames: u64, catch_up_bytes: u64) {
-        let mut inner = self.inner.lock();
-        inner.stats.promotions += 1;
-        inner.stats.catch_up_frames += catch_up_frames;
-        inner.stats.catch_up_bytes += catch_up_bytes;
     }
 
     /// Record one hedged pull. On a win the pull effectively completed when
@@ -907,26 +836,6 @@ impl FaultInjector {
         } else {
             inner.stats.hedged_losses += 1;
         }
-    }
-
-    /// Record one retry refused because the run-global retry budget was dry.
-    pub fn note_retry_denied(&self) {
-        self.inner.lock().stats.retries_denied += 1;
-    }
-
-    /// Record one request failed fast by an open circuit breaker.
-    pub fn note_breaker_fast_fail(&self) {
-        self.inner.lock().stats.breaker_fast_fails += 1;
-    }
-
-    /// Record `n` cache hits served stale under brownout (open breaker).
-    pub fn note_brownout_stale_serves(&self, n: u64) {
-        self.inner.lock().stats.brownout_stale_serves += n;
-    }
-
-    /// Record `n` deferred pushes shed because the backlog hit its bound.
-    pub fn note_shed_pushes(&self, n: u64) {
-        self.inner.lock().stats.shed_pushes += n;
     }
 
     /// Current counters.
@@ -1086,55 +995,56 @@ mod tests {
         assert_eq!(inj.waited(), 0.25);
     }
 
-    /// A ledger whose 32 fields each hold a distinct value: field `i` (in
-    /// declaration order) is `base + step·i`, a quarter of that for an `f64`.
-    fn distinct(base: u64, step: u64) -> FaultSnapshot {
-        let v = |i: u64| base + step * i;
-        let s = |i: u64| v(i) as f64 / 4.0;
-        FaultSnapshot {
-            drops: v(0),
-            retries: v(1),
-            retransmitted_bytes: v(2),
-            outage_refusals: v(3),
-            slow_messages: v(4),
-            extra_latency_secs: s(5),
-            backoff_secs: s(6),
-            degraded_hits: v(7),
-            deferred_pushes: v(8),
-            backlog_flushes: v(9),
-            recoveries: v(10),
-            checkpoints: v(11),
-            corrupt_frames: v(12),
-            corrupt_detected: v(13),
-            corrupt_ingested: v(14),
-            promotions: v(15),
-            catch_up_frames: v(16),
-            catch_up_bytes: v(17),
-            hedged_pulls: v(18),
-            hedged_wins: v(19),
-            hedged_losses: v(20),
-            overload_sheds: v(21),
-            overload_throttled: v(22),
-            overload_extra_secs: s(23),
-            retries_denied: v(24),
-            breaker_fast_fails: v(25),
-            brownout_stale_serves: v(26),
-            shed_pushes: v(27),
-            breaker_opens: v(28),
-            breaker_half_opens: v(29),
-            breaker_closes: v(30),
-            brownout_secs: s(31),
+    /// A `T` whose counters each hold a distinct value: the `i`-th number of
+    /// its JSON (nested ones included, in key order) is `base + step·i`, a
+    /// quarter of that for an `f64`. The fields are enumerated through serde,
+    /// not the list `counters!` was given, so a field that `merge` or `since`
+    /// leaves out, or takes from the wrong side, misses its value.
+    fn distinct<T: Default + Serialize + Deserialize>(base: u64, step: u64) -> T {
+        fn fill(value: &serde_json::Value, next: &mut impl FnMut() -> u64) -> serde_json::Value {
+            match value {
+                serde_json::Value::Map(fields) => {
+                    let mut out = serde_json::Map::new();
+                    for (key, field) in fields.iter() {
+                        out.insert(key.clone(), fill(field, next));
+                    }
+                    serde_json::Value::Map(out)
+                }
+                serde_json::Value::Float(_) => serde_json::Value::Float(next() as f64 / 4.0),
+                _ => serde_json::Value::UInt(next()),
+            }
         }
+        let mut n = base;
+        let mut next = || {
+            n += step;
+            n - step
+        };
+        let zero = serde_json::to_value(T::default()).unwrap();
+        serde_json::from_value(fill(&zero, &mut next)).unwrap()
+    }
+
+    /// Every field of `T` merges and subtracts on its own.
+    fn assert_fieldwise<T>()
+    where
+        T: crate::Counters + Default + Serialize + Deserialize + PartialEq + std::fmt::Debug,
+    {
+        let (a, b) = (distinct::<T>(1, 1), distinct::<T>(100, 1));
+        assert_eq!(a.merge(b), distinct(101, 2));
+        assert_eq!(b.merge(a), distinct(101, 2));
+        assert_eq!(a.merge(T::default()), a);
+        assert_eq!(distinct::<T>(101, 2).since(a), b);
+        assert_eq!(a.since(a), T::default());
     }
 
     #[test]
     fn snapshots_merge_componentwise() {
-        // Every field distinct on both sides, so a field merged from the
-        // wrong source, or not at all, misses its sum.
-        let (a, b) = (distinct(1, 1), distinct(100, 1));
-        assert_eq!(a.merge(b), distinct(101, 2));
-        assert_eq!(b.merge(a), distinct(101, 2));
-        assert_eq!(a.merge(FaultSnapshot::default()), a);
+        use crate::{CauseBytes, CompressionStats, LaneBytes, TrafficSnapshot};
+        assert_fieldwise::<FaultSnapshot>();
+        assert_fieldwise::<CompressionStats>();
+        assert_fieldwise::<TrafficSnapshot>();
+        assert_fieldwise::<CauseBytes>();
+        assert_fieldwise::<LaneBytes>();
+        let (a, b) = (distinct::<FaultSnapshot>(1, 1), distinct(100, 1));
         assert_eq!(
             a.merge(b).total_faults(),
             a.total_faults() + b.total_faults()
@@ -1279,7 +1189,11 @@ mod tests {
     fn failover_counters_accumulate_and_merge() {
         let inj = injector(FaultPlan::default());
         inj.advance(1.0);
-        inj.note_promotion(12, 4096);
+        inj.count(|s| {
+            s.promotions += 1;
+            s.catch_up_frames += 12;
+            s.catch_up_bytes += 4096;
+        });
         inj.note_hedged_pull(true, 0.25);
         inj.note_hedged_pull(false, 0.0);
         inj.note_hedged_pull(true, 0.25);
@@ -1395,11 +1309,11 @@ mod tests {
     #[test]
     fn overload_counters_accumulate_and_merge() {
         let inj = injector(FaultPlan::default());
-        inj.note_retry_denied();
-        inj.note_retry_denied();
-        inj.note_breaker_fast_fail();
-        inj.note_brownout_stale_serves(5);
-        inj.note_shed_pushes(3);
+        inj.count(|s| s.retries_denied += 1);
+        inj.count(|s| s.retries_denied += 1);
+        inj.count(|s| s.breaker_fast_fails += 1);
+        inj.count(|s| s.brownout_stale_serves += 5);
+        inj.count(|s| s.shed_pushes += 3);
         let s = inj.stats();
         assert_eq!(s.retries_denied, 2);
         assert_eq!(s.breaker_fast_fails, 1);

@@ -19,18 +19,6 @@
 /// envelope overhead, not the metered payload bytes.
 pub const FRAME_CHECKSUM_BYTES: u64 = 4;
 
-const FNV_OFFSET: u32 = 0x811C_9DC5;
-const FNV_PRIME: u32 = 0x0100_0193;
-
-/// 32-bit FNV-1a over a byte slice: small and allocation-free, for short
-/// inputs. Frames are sealed with the lane-parallel [`frame_digest`], not
-/// with this.
-pub fn fnv1a(bytes: &[u8]) -> u32 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u32::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
-
 use crate::compress::Codec;
 
 /// Independent hash lanes in the frame digest. Word `i` of a section goes to
@@ -734,13 +722,5 @@ mod tests {
                 WireFrame::seal_encoded_versioned(vec![7], vec![], vec![], vec![1, 2, 3, 0], codec);
             assert_ne!(short.checksum(), padded.checksum(), "{codec:?}");
         }
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 32-bit test vectors.
-        assert_eq!(fnv1a(b""), 0x811C_9DC5);
-        assert_eq!(fnv1a(b"a"), 0xE40C_292C);
-        assert_eq!(fnv1a(b"foobar"), 0xBF9C_F968);
     }
 }

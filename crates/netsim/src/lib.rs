@@ -11,10 +11,13 @@
 //! * [`ClusterTopology`] — worker → machine placement (co-located PS);
 //! * [`Timeline`] — per-worker two-lane (comm/compute) critical path;
 //! * [`FaultPlan`]/[`FaultInjector`] — seeded, deterministic fault
-//!   injection (drops, stragglers, shard outages) in simulated time.
+//!   injection (drops, stragglers, shard outages) in simulated time;
+//! * [`counters!`] — the report structs of additive counters, each field
+//!   written once.
 
 pub mod compress;
 pub mod cost;
+pub mod counters;
 pub mod faults;
 pub mod frame;
 pub mod meter;
@@ -24,6 +27,7 @@ pub mod topology;
 
 pub use compress::{Codec, CompressionMode, CompressionStats};
 pub use cost::CostModel;
+pub use counters::Counters;
 pub use faults::{
     CrashPoint, FaultInjector, FaultPlan, FaultSnapshot, OutageWindow, OverloadWindow, ShardKill,
     ShardLiveness, SlowEpisode, Verdict,

@@ -3,7 +3,8 @@
 //! One [`TrafficMeter`] per worker. Counters are atomics so the worker
 //! thread and any observer (the trainer's reporting loop) can share it via
 //! `Arc` without locks. [`TrafficSnapshot`] is a plain copy used in reports;
-//! snapshots subtract, so per-epoch traffic is `end − start`.
+//! snapshots subtract ([`TrafficSnapshot::since`]), so per-epoch traffic is
+//! `end − start`.
 //!
 //! Every worker-lane byte is recorded together with its [`Cause`] — there is
 //! no way to add to `local_bytes`/`remote_bytes` without one — so the
@@ -63,35 +64,39 @@ impl Cause {
     }
 }
 
-/// One cause's bytes on the two worker lanes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LaneBytes {
-    /// Bytes moved through shared memory.
-    pub local: u64,
-    /// Bytes moved across machines.
-    pub remote: u64,
+crate::counters! {
+    /// One cause's bytes on the two worker lanes.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct LaneBytes {
+        /// Bytes moved through shared memory.
+        pub local: u64,
+        /// Bytes moved across machines.
+        pub remote: u64,
+    }
 }
 
-/// Worker-lane bytes split by [`Cause`]. Sums to the snapshot's
-/// `local_bytes` / `remote_bytes` exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CauseBytes {
-    /// [`Cause::MissPull`].
-    pub miss_pull: LaneBytes,
-    /// [`Cause::SyncProbe`].
-    pub sync_probe: LaneBytes,
-    /// [`Cause::SyncRows`].
-    pub sync_rows: LaneBytes,
-    /// [`Cause::Construction`].
-    pub construction: LaneBytes,
-    /// [`Cause::Push`].
-    pub push: LaneBytes,
-    /// [`Cause::WriteBack`] (zero in reports written before hot rows were
-    /// written back).
-    #[serde(default)]
-    pub write_back: LaneBytes,
-    /// [`Cause::Write`].
-    pub write: LaneBytes,
+crate::counters! {
+    /// Worker-lane bytes split by [`Cause`]. Sums to the snapshot's
+    /// `local_bytes` / `remote_bytes` exactly.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CauseBytes {
+        /// [`Cause::MissPull`].
+        pub miss_pull: LaneBytes,
+        /// [`Cause::SyncProbe`].
+        pub sync_probe: LaneBytes,
+        /// [`Cause::SyncRows`].
+        pub sync_rows: LaneBytes,
+        /// [`Cause::Construction`].
+        pub construction: LaneBytes,
+        /// [`Cause::Push`].
+        pub push: LaneBytes,
+        /// [`Cause::WriteBack`] (zero in reports written before hot rows were
+        /// written back).
+        #[serde(default)]
+        pub write_back: LaneBytes,
+        /// [`Cause::Write`].
+        pub write: LaneBytes,
+    }
 }
 
 impl CauseBytes {
@@ -122,26 +127,9 @@ impl CauseBytes {
 
     /// All causes added up — equal to the snapshot's lane totals.
     pub fn total(&self) -> LaneBytes {
-        Cause::ALL.iter().fold(LaneBytes::default(), |acc, &c| {
-            let b = self.get(c);
-            LaneBytes {
-                local: acc.local + b.local,
-                remote: acc.remote + b.remote,
-            }
-        })
-    }
-
-    /// Combine two splits cause by cause, lane by lane.
-    fn zip_with(self, other: CauseBytes, f: impl Fn(u64, u64) -> u64) -> CauseBytes {
-        let mut out = CauseBytes::default();
-        for c in Cause::ALL {
-            let (a, b) = (self.get(c), other.get(c));
-            *out.get_mut(c) = LaneBytes {
-                local: f(a.local, b.local),
-                remote: f(a.remote, b.remote),
-            };
-        }
-        out
+        Cause::ALL
+            .iter()
+            .fold(LaneBytes::default(), |acc, &c| acc.merge(self.get(c)))
     }
 }
 
@@ -230,116 +218,45 @@ impl TrafficMeter {
             push_messages: self.push_messages.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        for counter in self.by_cause.iter().flatten() {
-            counter.store(0, Ordering::Relaxed);
-        }
-        self.local_bytes.store(0, Ordering::Relaxed);
-        self.local_messages.store(0, Ordering::Relaxed);
-        self.remote_bytes.store(0, Ordering::Relaxed);
-        self.remote_messages.store(0, Ordering::Relaxed);
-        self.replication_bytes.store(0, Ordering::Relaxed);
-        self.replication_messages.store(0, Ordering::Relaxed);
-        self.push_wire_bytes.store(0, Ordering::Relaxed);
-        self.push_raw_bytes.store(0, Ordering::Relaxed);
-        self.push_messages.store(0, Ordering::Relaxed);
-    }
 }
 
-/// A point-in-time copy of a meter's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrafficSnapshot {
-    /// Bytes moved through shared memory.
-    pub local_bytes: u64,
-    /// Shared-memory message count.
-    pub local_messages: u64,
-    /// Bytes moved across machines.
-    pub remote_bytes: u64,
-    /// Cross-machine message count.
-    pub remote_messages: u64,
-    /// Bytes shipped from primary shards to their backup replicas.
-    #[serde(default)]
-    pub replication_bytes: u64,
-    /// Primary→backup replication message count.
-    #[serde(default)]
-    pub replication_messages: u64,
-    /// Gradient-push frame bytes as transmitted (post-compression). A
-    /// breakdown of bytes already counted on the local/remote lanes.
-    #[serde(default)]
-    pub push_wire_bytes: u64,
-    /// Dense-equivalent bytes of the same push frames (what an
-    /// uncompressed run would have transmitted).
-    #[serde(default)]
-    pub push_raw_bytes: u64,
-    /// Gradient-push frame count.
-    #[serde(default)]
-    pub push_messages: u64,
-    /// `local_bytes` and `remote_bytes` split by why they moved (all zero in
-    /// reports written before the split existed).
-    #[serde(default)]
-    pub by_cause: CauseBytes,
+crate::counters! {
+    /// A point-in-time copy of a meter's counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct TrafficSnapshot {
+        /// Bytes moved through shared memory.
+        pub local_bytes: u64,
+        /// Shared-memory message count.
+        pub local_messages: u64,
+        /// Bytes moved across machines.
+        pub remote_bytes: u64,
+        /// Cross-machine message count.
+        pub remote_messages: u64,
+        /// Bytes shipped from primary shards to their backup replicas.
+        #[serde(default)]
+        pub replication_bytes: u64,
+        /// Primary→backup replication message count.
+        #[serde(default)]
+        pub replication_messages: u64,
+        /// Gradient-push frame bytes as transmitted (post-compression). A
+        /// breakdown of bytes already counted on the local/remote lanes.
+        #[serde(default)]
+        pub push_wire_bytes: u64,
+        /// Dense-equivalent bytes of the same push frames (what an
+        /// uncompressed run would have transmitted).
+        #[serde(default)]
+        pub push_raw_bytes: u64,
+        /// Gradient-push frame count.
+        #[serde(default)]
+        pub push_messages: u64,
+        /// `local_bytes` and `remote_bytes` split by why they moved (all zero in
+        /// reports written before the split existed).
+        #[serde(default)]
+        pub by_cause: CauseBytes,
+    }
 }
 
 impl TrafficSnapshot {
-    /// Traffic between an earlier snapshot and this one.
-    ///
-    /// Counters are monotone while the meter lives, but `reset()` between
-    /// the two snapshots makes `self` smaller than `earlier`. That is a
-    /// caller bug (the delta is meaningless), so debug builds assert; in
-    /// release the subtraction saturates to zero instead of panicking in
-    /// the middle of a long training run.
-    pub fn since(self, earlier: TrafficSnapshot) -> TrafficSnapshot {
-        debug_assert!(
-            self.local_bytes >= earlier.local_bytes
-                && self.local_messages >= earlier.local_messages
-                && self.remote_bytes >= earlier.remote_bytes
-                && self.remote_messages >= earlier.remote_messages
-                && self.replication_bytes >= earlier.replication_bytes
-                && self.replication_messages >= earlier.replication_messages
-                && self.push_wire_bytes >= earlier.push_wire_bytes
-                && self.push_raw_bytes >= earlier.push_raw_bytes
-                && self.push_messages >= earlier.push_messages,
-            "snapshot went backwards (meter reset between snapshots?): \
-             {self:?} since {earlier:?}"
-        );
-        TrafficSnapshot {
-            local_bytes: self.local_bytes.saturating_sub(earlier.local_bytes),
-            local_messages: self.local_messages.saturating_sub(earlier.local_messages),
-            remote_bytes: self.remote_bytes.saturating_sub(earlier.remote_bytes),
-            remote_messages: self.remote_messages.saturating_sub(earlier.remote_messages),
-            replication_bytes: self
-                .replication_bytes
-                .saturating_sub(earlier.replication_bytes),
-            replication_messages: self
-                .replication_messages
-                .saturating_sub(earlier.replication_messages),
-            push_wire_bytes: self.push_wire_bytes.saturating_sub(earlier.push_wire_bytes),
-            push_raw_bytes: self.push_raw_bytes.saturating_sub(earlier.push_raw_bytes),
-            push_messages: self.push_messages.saturating_sub(earlier.push_messages),
-            by_cause: self
-                .by_cause
-                .zip_with(earlier.by_cause, u64::saturating_sub),
-        }
-    }
-
-    /// Sum of two snapshots (aggregating workers).
-    pub fn merge(self, other: TrafficSnapshot) -> TrafficSnapshot {
-        TrafficSnapshot {
-            local_bytes: self.local_bytes + other.local_bytes,
-            local_messages: self.local_messages + other.local_messages,
-            remote_bytes: self.remote_bytes + other.remote_bytes,
-            remote_messages: self.remote_messages + other.remote_messages,
-            replication_bytes: self.replication_bytes + other.replication_bytes,
-            replication_messages: self.replication_messages + other.replication_messages,
-            push_wire_bytes: self.push_wire_bytes + other.push_wire_bytes,
-            push_raw_bytes: self.push_raw_bytes + other.push_raw_bytes,
-            push_messages: self.push_messages + other.push_messages,
-            by_cause: self.by_cause.zip_with(other.by_cause, |a, b| a + b),
-        }
-    }
-
     /// Total bytes, local + remote. Replication bytes are *not* included:
     /// they retransmit payloads already counted on the worker lanes, and the
     /// paper's communication-volume comparisons meter worker traffic only.
@@ -401,8 +318,6 @@ mod tests {
         }
         assert_eq!(end.since(start).by_cause.sync_probe.remote, 12);
         assert_eq!(end.since(start).by_cause.total().remote, 12);
-        m.reset();
-        assert_eq!(m.snapshot(), TrafficSnapshot::default());
     }
 
     #[test]
@@ -443,18 +358,19 @@ mod tests {
     }
 
     // Regression: `since` used unchecked `u64` subtraction and panicked in
-    // release builds when `reset()` landed between the two snapshots (debug
-    // builds now assert instead, so this test only runs in release).
+    // release builds when the later snapshot was the smaller, as after a meter
+    // reset (debug builds now assert instead, so this test only runs in
+    // release).
     #[cfg(not(debug_assertions))]
     #[test]
-    fn since_saturates_after_reset() {
+    fn since_saturates_when_a_counter_went_backwards() {
         let m = TrafficMeter::new();
         m.record(true, &[(Cause::MissPull, 1_000)]);
         m.record(false, &[(Cause::MissPull, 500)]);
         let before = m.snapshot();
-        m.reset();
-        m.record(true, &[(Cause::MissPull, 10)]);
-        let delta = m.snapshot().since(before);
+        let fresh = TrafficMeter::new();
+        fresh.record(true, &[(Cause::MissPull, 10)]);
+        let delta = fresh.snapshot().since(before);
         assert_eq!(delta, TrafficSnapshot::default());
     }
 
@@ -503,8 +419,6 @@ mod tests {
         let delta = m.snapshot().since(start);
         assert_eq!(delta.replication_bytes, 5);
         assert_eq!(delta.replication_messages, 1);
-        m.reset();
-        assert_eq!(m.snapshot(), TrafficSnapshot::default());
     }
 
     #[test]
@@ -543,8 +457,6 @@ mod tests {
         let delta = m.snapshot().since(start);
         assert_eq!(delta.push_wire_bytes, 10);
         assert_eq!(delta.push_messages, 1);
-        m.reset();
-        assert_eq!(m.snapshot(), TrafficSnapshot::default());
     }
 
     #[test]
@@ -569,14 +481,6 @@ mod tests {
         assert_eq!(s.replication_bytes, 0);
         assert_eq!(s.replication_messages, 0);
         assert_eq!(s.remote_bytes, 3);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let m = TrafficMeter::new();
-        m.record(true, &[(Cause::MissPull, 10)]);
-        m.reset();
-        assert_eq!(m.snapshot(), TrafficSnapshot::default());
     }
 
     #[test]

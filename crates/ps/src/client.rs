@@ -965,7 +965,7 @@ impl PsClient {
                     // own checksum refuses.
                     let hit = damaged.corrupt(f.corruption_pattern());
                     if self.checksums && !(hit && damaged.verify()) {
-                        f.note_corrupt_detected();
+                        f.count(|s| s.corrupt_detected += 1);
                         retry_on_schedule(
                             f,
                             attempts,
@@ -975,7 +975,7 @@ impl PsClient {
                     } else {
                         // No digest to check (or, astronomically rarely, a
                         // digest collision): the receiver accepts garbage.
-                        f.note_corrupt_ingested();
+                        f.count(|s| s.corrupt_ingested += 1);
                         *frame = damaged;
                         return Ok(());
                     }
@@ -1019,7 +1019,10 @@ fn retry_on_schedule(
     if attempts >= MAX_ATTEMPTS {
         return Err(exhausted);
     }
-    f.note_retry(bytes);
+    f.count(|s| {
+        s.retries += 1;
+        s.retransmitted_bytes += bytes;
+    });
     f.note_backoff(backoff(attempts, f.jitter()));
     Ok(())
 }

@@ -344,7 +344,7 @@ impl OverloadControl {
         attempts: u32,
     ) -> Result<(), RpcError> {
         while let Some(until) = self.breakers.cooling_until(shard, f.now()) {
-            f.note_breaker_fast_fail();
+            f.count(|s| s.breaker_fast_fails += 1);
             if !read {
                 return Err(RpcError::Overloaded { shard, attempts });
             }
@@ -392,9 +392,12 @@ impl OverloadControl {
         }
         let relief = (retry_at - f.now()).max(0.0);
         if self.budget.try_spend() {
-            f.note_retry(bytes);
+            f.count(|s| {
+                s.retries += 1;
+                s.retransmitted_bytes += bytes;
+            });
         } else {
-            f.note_retry_denied();
+            f.count(|s| s.retries_denied += 1);
             if !read {
                 return Err(RpcError::Overloaded { shard, attempts });
             }

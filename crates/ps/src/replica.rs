@@ -117,7 +117,11 @@ impl Replicas {
             if !self.store.promote(shard) {
                 return Err(lost);
             }
-            f.note_promotion(flush.records, flush.messages * flush.payload_bytes);
+            f.count(|s| {
+                s.promotions += 1;
+                s.catch_up_frames += flush.records;
+                s.catch_up_bytes += flush.messages * flush.payload_bytes;
+            });
         }
         Ok(())
     }

@@ -190,6 +190,7 @@ pub struct HetKgWorker {
     /// Global iteration counter (across epochs).
     iteration: usize,
     staleness: StalenessTracker,
+    /// Hits and misses, weighted by use, this epoch.
     cache_stats: CacheStats,
     /// What the table held and cost, and how the pipeline split the staged
     /// miss pulls, this epoch.
@@ -250,8 +251,6 @@ pub struct HetKgWorker {
     /// Degraded mode: gradient pushes deferred while their home shard was
     /// down, replayed on recovery.
     backlog: HashMap<ParamKey, Deferred>,
-    /// Cache stats at epoch start (the epoch report is the delta).
-    epoch_start_cache: CacheStats,
 }
 
 impl HetKgWorker {
@@ -319,7 +318,6 @@ impl HetKgWorker {
             staged_rebuild: false,
             staged_hits: Vec::new(),
             backlog: HashMap::new(),
-            epoch_start_cache: CacheStats::new(),
         }
     }
 
@@ -606,7 +604,7 @@ impl HetKgWorker {
         ) {
             Ok(()) => {
                 if let Some(f) = self.ctx.client.faults() {
-                    f.note_backlog_flush();
+                    f.count(|s| s.backlog_flushes += 1);
                 }
             }
             Err(RpcError::Overloaded { .. }) => {
@@ -829,12 +827,10 @@ impl HetKgWorker {
         let also_read = |k| syncs && table.contains(k);
         self.pipeline.push(ctx, also_read, carry, compute_end);
         if let Some(f) = self.ctx.client.faults() {
-            if deferred > 0 {
-                f.note_deferred_pushes(deferred);
-            }
-            if shed > 0 {
-                f.note_shed_pushes(shed);
-            }
+            f.count(|s| {
+                s.deferred_pushes += deferred;
+                s.shed_pushes += shed;
+            });
         }
         self.table.clear_handed_over();
     }
@@ -1007,12 +1003,10 @@ impl HetKgWorker {
             }
         }
         if let Some(f) = client.faults() {
-            if degraded_uses > 0 {
-                f.note_degraded_hits(degraded_uses);
-            }
-            if brownout_uses > 0 {
-                f.note_brownout_stale_serves(brownout_uses);
-            }
+            f.count(|s| {
+                s.degraded_hits += degraded_uses;
+                s.brownout_stale_serves += brownout_uses;
+            });
         }
     }
 
@@ -1104,7 +1098,7 @@ impl WorkerLoop for HetKgWorker {
     }
 
     fn begin_system_epoch(&mut self, _epoch: usize) {
-        self.epoch_start_cache = self.cache_stats;
+        self.cache_stats = CacheStats::default();
         self.economy = TableEconomy::default();
         self.epoch_divergence = 0.0;
         self.epoch_div_sum = 0.0;
@@ -1112,10 +1106,7 @@ impl WorkerLoop for HetKgWorker {
     }
 
     fn system_stats(&self, stats: &mut WorkerEpochStats) {
-        stats.cache = CacheStats {
-            hits: self.cache_stats.hits - self.epoch_start_cache.hits,
-            misses: self.cache_stats.misses - self.epoch_start_cache.misses,
-        };
+        stats.cache = self.cache_stats;
         stats.max_divergence = self.epoch_divergence;
         stats.mean_divergence = if self.epoch_div_samples == 0 {
             0.0

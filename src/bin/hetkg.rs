@@ -108,7 +108,7 @@ commands:
   ps-server  one parameter-server shard process (spawned by train
              when --transport is tcp or uds; not normally run by hand)
 
-data selection (all commands):
+data selection (all commands but ps-server):
   --data DIR        FB15k-format train.txt/valid.txt/test.txt
   --synthetic NAME  fb15k | wn18 | freebase86m (harness scale)
 
@@ -253,14 +253,16 @@ const MAX_THREADS: u64 = 256;
 
 /// No bound but the width of the `usize` a count is read as.
 const ANY: u64 = usize::MAX as u64;
-const EVERY: &[&str] = &["stats", "partition", "train", "eval", "serve", "ps-server"];
+/// The commands that read a dataset: all but `ps-server`, whose shard comes
+/// from its `--config`.
+const DATA: &[&str] = &["stats", "partition", "train", "eval", "serve"];
 const MODELS: &[&str] = &["train", "eval", "serve"];
 
 /// Every flag of every command.
 const FLAGS: &[Flag] = &[
-    ("data", EVERY, Text, None),
-    ("synthetic", EVERY, Text, None),
-    ("seed", EVERY, Int(0, u64::MAX), Some("42")),
+    ("data", DATA, Text, None),
+    ("synthetic", DATA, Text, None),
+    ("seed", DATA, Int(0, u64::MAX), Some("42")),
     ("parts", &["partition"], Int(1, ANY), Some("4")),
     ("system", &["train"], Text, Some("hetkg-d")),
     ("model", MODELS, Text, Some("transe")),
@@ -1111,6 +1113,11 @@ mod tests {
             refused_flag("serve --checkpoint no-such.bin --warm on"),
             "data"
         );
+        // A shard reads no dataset: its `--config` says what it serves.
+        match run(args("ps-server --synthetic fb15k")) {
+            Err(CliError::UnknownFlag { flag, .. }) => assert_eq!(flag, "synthetic"),
+            other => panic!("ps-server took a dataset: {other:?}"),
+        }
     }
 
     #[test]
@@ -1142,6 +1149,7 @@ mod tests {
     fn missing_inputs(command: &str) -> &'static str {
         match command {
             "eval" | "serve" => "--data no-such-dir --checkpoint no-such.bin",
+            "ps-server" => "--config no-such.json",
             _ => "--data no-such-dir",
         }
     }
