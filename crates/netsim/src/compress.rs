@@ -151,19 +151,64 @@ pub fn encoded_len(codec: Codec, width: usize) -> usize {
     }
 }
 
-/// Quantize one value against `inv_scale` (1/scale), clamped to `limit`.
+/// Quantize one value against `inv_scale` (1/scale): `v × inv_scale`
+/// rounded half away from zero, clamped to `limit`. A non-finite `v`
+/// reads as 0, and so does a NaN product (0 × an infinite `inv_scale`).
+///
+/// `f32::round` is a libm call on baseline x86-64, and a saturating
+/// `as i32` is a scalar conversion per lane, so neither is used. The
+/// product is clamped first, which moves no result since `limit` is an
+/// integer; adding [`ROUNDER`] rounds it to the nearest integer, ties to
+/// even, which the sum's float bits then hold; and a tie that went to even
+/// toward zero is moved away from it. Every step is exact and vectorizes.
 #[inline]
 fn quantize(v: f32, inv_scale: f32, limit: i32) -> i8 {
     let v = if v.is_finite() { v } else { 0.0 };
-    let q = (v * inv_scale).round() as i32;
-    q.clamp(-limit, limit) as i8
+    let x = v * inv_scale;
+    let bound = limit as f32;
+    let x = if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(-bound, bound)
+    };
+    let shifted = x + ROUNDER;
+    let even = shifted.to_bits() as i32 - ROUNDER.to_bits() as i32;
+    let below = x - (shifted - ROUNDER);
+    let away = i32::from(below == 0.5 && x > 0.0) - i32::from(below == -0.5 && x < 0.0);
+    (even + away) as i8
 }
 
-/// Largest finite magnitude in `row` (0 for empty or all-non-finite rows).
+/// 1.5 × 2²³: added to an `x` with |x| < 2²², the sum lies in [2²³, 2²⁴),
+/// where floats are the integers, so it is `x` rounded to the nearest
+/// integer (ties to even), plus this constant, in the low mantissa bits.
+const ROUNDER: f32 = 12_582_912.0;
+
+/// Largest finite magnitude in `row` (0 for empty or all-non-finite rows),
+/// kept in eight independent lanes so the loop vectorizes. The result is
+/// exact: a maximum of finite non-negative values does not depend on the
+/// order it is taken in.
 fn max_abs(row: &[f32]) -> f32 {
-    row.iter()
-        .map(|v| if v.is_finite() { v.abs() } else { 0.0 })
-        .fold(0.0, f32::max)
+    const LANES: usize = 8;
+    let finite_abs = |v: f32| {
+        let a = v.abs();
+        // NaN fails the comparison too.
+        if a < f32::INFINITY {
+            a
+        } else {
+            0.0
+        }
+    };
+    let max = |m: f32, a: f32| if a > m { a } else { m };
+    let mut lanes = [0.0f32; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = max(*m, finite_abs(v));
+        }
+    }
+    let head = lanes.into_iter().fold(0.0, max);
+    tail.iter().map(|&v| finite_abs(v)).fold(head, max)
 }
 
 /// Append `row`'s encoding under `codec` to `out`. `idx_scratch` is a
@@ -172,6 +217,20 @@ fn max_abs(row: &[f32]) -> f32 {
 /// [`encoded_len`]`(codec, row.len())` bytes. `Dense` is not encodable —
 /// dense frames never take this path.
 pub fn encode_row(codec: Codec, row: &[f32], out: &mut Vec<u8>, idx_scratch: &mut Vec<u32>) {
+    encode_row_with(codec, row, out, idx_scratch, max_abs, quantize);
+}
+
+/// [`encode_row`] with the scale's `max_abs` and the per-value `quantize`
+/// passed in, so that tests can run the byte layout over the reference
+/// scalar pair.
+fn encode_row_with(
+    codec: Codec,
+    row: &[f32],
+    out: &mut Vec<u8>,
+    idx_scratch: &mut Vec<u32>,
+    max_abs: impl Fn(&[f32]) -> f32,
+    quantize: impl Fn(f32, f32, i32) -> i8,
+) {
     debug_assert!(codec != Codec::Dense, "dense rows are sealed, not encoded");
     debug_assert!(
         row.len() <= u16::MAX as usize,
@@ -184,9 +243,7 @@ pub fn encode_row(codec: Codec, row: &[f32], out: &mut Vec<u8>, idx_scratch: &mu
             let scale = max_abs(row) / 127.0;
             out.extend_from_slice(&scale.to_le_bytes());
             let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-            for &v in row {
-                out.push(quantize(v, inv, 127) as u8);
-            }
+            out.extend(row.iter().map(|&v| quantize(v, inv, 127) as u8));
         }
         Codec::Int4 => {
             let scale = max_abs(row) / 7.0;
@@ -335,6 +392,151 @@ impl CompressionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scalar quantizer `quantize` replaced (one `f32::round` per
+    /// value): the reference it is pinned to.
+    fn reference_quantize(v: f32, inv_scale: f32, limit: i32) -> i8 {
+        let v = if v.is_finite() { v } else { 0.0 };
+        let q = (v * inv_scale).round() as i32;
+        q.clamp(-limit, limit) as i8
+    }
+
+    /// The sequential fold `max_abs` replaced.
+    fn reference_max_abs(row: &[f32]) -> f32 {
+        row.iter()
+            .map(|v| if v.is_finite() { v.abs() } else { 0.0 })
+            .fold(0.0, f32::max)
+    }
+
+    const CODECS: [Codec; 4] = [
+        Codec::Int8,
+        Codec::Int4,
+        Codec::TopKQuarter,
+        Codec::TopKEighth,
+    ];
+
+    /// `row` encoded under `codec` by `encode_row` and by the reference
+    /// scalar pair.
+    fn both_encodings(codec: Codec, row: &[f32]) -> (Vec<u8>, Vec<u8>) {
+        let (mut fast, mut reference, mut idx) = (Vec::new(), Vec::new(), Vec::new());
+        encode_row(codec, row, &mut fast, &mut idx);
+        encode_row_with(
+            codec,
+            row,
+            &mut reference,
+            &mut idx,
+            reference_max_abs,
+            reference_quantize,
+        );
+        (fast, reference)
+    }
+
+    /// The largest value a codec quantizes to: a row whose magnitude peaks
+    /// at `limit × s` has scale `s`.
+    fn limit(codec: Codec) -> f32 {
+        if codec == Codec::Int4 {
+            7.0
+        } else {
+            127.0
+        }
+    }
+
+    #[test]
+    fn encodings_equal_the_reference_on_ties_and_non_finite_values() {
+        for codec in CODECS {
+            let l = limit(codec);
+            // Scale 1: every value below lands exactly on its quantized
+            // value, a tie, or (±∞, NaN) is read as 0.
+            let ties = [
+                l,
+                0.5,
+                -0.5,
+                1.5,
+                -2.5,
+                l - 0.5,
+                0.5 - l,
+                -0.0,
+                0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                3.0,
+                -l,
+            ];
+            // A subnormal scale whose reciprocal overflows to ∞: every
+            // nonzero value saturates, every zero reads NaN → 0.
+            let tiny = f32::from_bits(1 << 9); // 2^-140
+            assert!((1.0 / tiny).is_infinite());
+            let subnormal = [l * tiny, 3.0 * tiny, 0.0, -0.0, -tiny, f32::NAN];
+            for row in [
+                &ties[..],
+                &subnormal[..],
+                &[0.0; 9][..],
+                &[-0.0; 3][..],
+                &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY][..],
+            ] {
+                let (fast, reference) = both_encodings(codec, row);
+                assert_eq!(fast, reference, "{codec:?} {row:?}");
+            }
+        }
+        // The ties do round half away from zero.
+        assert_eq!(
+            [0.5f32, -0.5, 126.5, -126.5, 2.5].map(|v| quantize(v, 1.0, 127)),
+            [1, -1, 127, -127, 3]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Every quantizer input, finite or not: the same byte as the
+        /// reference.
+        #[test]
+        fn quantize_equals_the_reference_on_every_input(
+            v in any::<u32>(),
+            inv in any::<u32>(),
+            wide in any::<bool>(),
+        ) {
+            let (v, inv) = (f32::from_bits(v), f32::from_bits(inv));
+            let l = if wide { 127 } else { 7 };
+            prop_assert_eq!(quantize(v, inv, l), reference_quantize(v, inv, l));
+        }
+
+        /// Rows of arbitrary bit patterns, of uniform values and of exact
+        /// ties at a power-of-two scale, at every codec: `encode_row`'s bytes
+        /// are the reference's, scale included.
+        #[test]
+        fn encode_row_equals_the_reference_bit_for_bit(
+            values in prop::collection::vec((0u8..3, any::<u32>(), -1.0f32..1.0, -127i32..127), 1..70),
+            exp in -140i32..40,
+        ) {
+            for codec in CODECS {
+                let l = limit(codec);
+                // 2^exp, subnormal below 2^-126.
+                let s = if exp >= -126 {
+                    f32::from_bits(((exp + 127) as u32) << 23)
+                } else {
+                    f32::from_bits(1 << (exp + 149))
+                };
+                let mut row: Vec<f32> = values
+                    .iter()
+                    .map(|&(family, bits, unit, k)| match family {
+                        0 => f32::from_bits(bits),
+                        1 => unit * l * s,
+                        // A tie or an integer multiple of the scale.
+                        _ => (k.clamp(-(l as i32), l as i32) as f32 + 0.5 * (bits & 1) as f32) * s,
+                    })
+                    .collect();
+                // Peak at l × s, so ties of the third family are ties.
+                let peak = values[0].1 as usize % row.len();
+                row[peak] = -l * s;
+                let (fast, reference) = both_encodings(codec, &row);
+                prop_assert_eq!(fast, reference, "{:?}", codec);
+                prop_assert_eq!(max_abs(&row).to_bits(), reference_max_abs(&row).to_bits());
+            }
+        }
+    }
 
     fn roundtrip(codec: Codec, row: &[f32]) -> Vec<f32> {
         let mut enc = Vec::new();

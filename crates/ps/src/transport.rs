@@ -14,7 +14,11 @@
 //!   (see [`hetkg_netsim::stream`]) over TCP or Unix-domain sockets.
 //!   A carry is one attempt; a socket failure comes back as the same
 //!   [`RpcError`] vocabulary the simulated fault machinery raises, and
-//!   retrying is the client's alone.
+//!   retrying is the client's alone. A push or write returns once its
+//!   frame is written: its ack is read before the shard's next reply, so
+//!   the trainer computes while the server applies, and every later read
+//!   of the shard still sees the push — its one stream is answered in
+//!   order. [`Transport::flush`] reads every ack still owed.
 //!
 //! What a shard does with a frame exists once, here: `answer_read` for
 //! the one read (a pull-if-newer; a plain pull is the request that holds no
@@ -119,13 +123,25 @@ impl FrameOp<'_> {
 /// Get one frame answered by its shard: the single seam every PS
 /// interaction crosses.
 ///
-/// Contract: on `Ok(())` the shard has answered the frame — for a read the
-/// whole response frame has replaced it; a push or write has been applied.
-/// On `Err` the frame's payload is unspecified. Nothing is metered here:
-/// that is the caller's.
+/// Contract: on `Ok(())` for a read, the shard has answered the frame and
+/// the whole response frame has replaced it. On `Ok(())` for a push or
+/// write, the frame is ordered before every later frame on its shard's
+/// stream: every later read of that shard sees it applied. Whether the
+/// shard accepted it may be learned later — a refusal or a lost
+/// acknowledgement surfaces as an `Err` of that shard's next read, or of
+/// [`flush`](Transport::flush). On `Err` the frame's payload is
+/// unspecified. Nothing is metered here: that is the caller's.
 pub trait Transport: fmt::Debug + Send + Sync {
     /// Carry `frame` to `shard` and bring back its answer.
     fn carry(&self, shard: usize, op: FrameOp<'_>, frame: &mut WireFrame) -> Result<(), RpcError>;
+
+    /// Settle every push and write carried so far: `Ok` once each shard
+    /// has accepted all of them, else the first shard's failure. A
+    /// transport that settles each frame as it carries it has nothing to
+    /// do.
+    fn flush(&self) -> Result<(), RpcError> {
+        Ok(())
+    }
 }
 
 /// The default backend: the shards are this in-process store.
@@ -449,6 +465,9 @@ fn connect(addr: &ServerAddr) -> io::Result<Sock> {
 struct ShardConn {
     addr: ServerAddr,
     sock: Option<Sock>,
+    /// Acks the server owes on `sock` for the pushes and writes written
+    /// since the last reply was read; 0 when there is no stream.
+    pending: usize,
 }
 
 impl ShardConn {
@@ -459,6 +478,30 @@ impl ShardConn {
         }
         Ok(self.sock.as_mut().expect("connected above"))
     }
+
+    /// Read and check every pending ack, oldest first. The server answers
+    /// a stream's frames in the order they were written, so these come
+    /// before the reply to anything written after them.
+    fn drain(&mut self) -> io::Result<()> {
+        while self.pending > 0 {
+            let sock = self.sock.as_mut().expect("acks are pending on a stream");
+            let StreamMessage { op, frame } = stream::read_message(sock)?;
+            if !frame.verify() {
+                return Err(bad_reply("reply failed checksum"));
+            }
+            if op != OP_ACK {
+                return Err(bad_reply("reply does not answer the request"));
+            }
+            self.pending -= 1;
+        }
+        Ok(())
+    }
+
+    /// Drop the stream, whose state is suspect, with the acks it owed.
+    fn hang_up(&mut self) {
+        self.sock = None;
+        self.pending = 0;
+    }
 }
 
 /// How long a dial may take.
@@ -466,10 +509,23 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long one read or write on a connected stream may block: a shard
 /// server applying a large frame under load answers well inside it.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+/// How many acks a stream may owe before a push or write waits for them.
+/// It keeps what the server writes and the client has not read to a few
+/// hundred bytes, far inside a socket buffer, so the server never blocks on
+/// an ack while the client blocks on a push.
+const MAX_PENDING_ACKS: usize = 16;
 
 /// The socket backend: one persistent stream per shard server, exchanges
 /// serialized per shard by a mutex (workers are driven single-threaded, so
 /// this is protection, not a bottleneck).
+///
+/// A push or write does not wait for its ack: the frame is written and the
+/// ack is read before the next reply on that stream — the shard's next
+/// read or image read — or at [`flush`](Transport::flush), or once
+/// `MAX_PENDING_ACKS` (16) are owed. A shard server handles one stream's
+/// frames in order, and every worker shares the one stream, so a read
+/// still sees every push written before it; the trainer computes while
+/// the servers apply.
 #[derive(Debug)]
 pub struct ProcessTransport {
     conns: Vec<Mutex<ShardConn>>,
@@ -487,7 +543,13 @@ impl ProcessTransport {
         Self {
             conns: addrs
                 .into_iter()
-                .map(|addr| Mutex::new(ShardConn { addr, sock: None }))
+                .map(|addr| {
+                    Mutex::new(ShardConn {
+                        addr,
+                        sock: None,
+                        pending: 0,
+                    })
+                })
                 .collect(),
             widths,
             moved: Mutex::new(Vec::new()),
@@ -508,16 +570,26 @@ impl ProcessTransport {
             .collect()
     }
 
-    /// One round trip: the frame goes out, the reply must verify and carry
-    /// the op that answers `op`.
+    /// Write the frame. A push or write then owes its ack; a read drains
+    /// the acks owed before it and reads its reply, which must verify and
+    /// carry the op that answers `op`.
     fn attempt(
         &self,
         conn: &mut ShardConn,
         op: FrameOp<'_>,
         frame: &mut WireFrame,
     ) -> io::Result<()> {
-        let sock = conn.dial()?;
-        stream::write_frame(sock, op.wire_op(), frame)?;
+        stream::write_frame(conn.dial()?, op.wire_op(), frame)?;
+        if !op.is_read() {
+            conn.pending += 1;
+            return if conn.pending < MAX_PENDING_ACKS {
+                Ok(())
+            } else {
+                conn.drain()
+            };
+        }
+        conn.drain()?;
+        let sock = conn.sock.as_mut().expect("written to above");
         let StreamMessage {
             op: reply,
             frame: resp,
@@ -526,10 +598,7 @@ impl ProcessTransport {
             return Err(bad_reply("reply failed checksum"));
         }
         let images = matches!(op, FrameOp::Images);
-        let answered = op.is_read() && reply == op.wire_op();
-        if !op.is_read() && reply == OP_ACK {
-            Ok(())
-        } else if answered && answers(&self.widths, images, frame, &resp) {
+        if reply == op.wire_op() && answers(&self.widths, images, frame, &resp) {
             *frame = resp;
             Ok(())
         } else {
@@ -538,22 +607,28 @@ impl ProcessTransport {
     }
 
     /// Send an orderly shutdown to every shard server over the existing
-    /// (or freshly dialed) connections. The servers' accept loops serve
-    /// one connection at a time, so shutdown must ride the same stream the
-    /// training traffic used.
+    /// (or freshly dialed) connections, once the acks each owes are read.
+    /// The servers' accept loops serve one connection at a time, so
+    /// shutdown must ride the same stream the training traffic used. The
+    /// first failure is returned, a lost ack's included; every server is
+    /// still sent its shutdown.
     pub fn send_shutdown(&self) -> io::Result<()> {
         let mut first_err = None;
         for conn in &self.conns {
             let mut conn = conn.lock();
-            let r = (|| -> io::Result<()> {
+            let drained = conn.drain();
+            if drained.is_err() {
+                conn.hang_up();
+            }
+            let sent = (|| -> io::Result<()> {
                 let sock = conn.dial()?;
                 stream::write_message(sock, OP_SHUTDOWN, &[], &[], &[], &[], Codec::Dense, 0)?;
                 // Ack is best-effort: the server may exit before replying.
                 let _ = stream::read_message(sock);
                 Ok(())
             })();
-            conn.sock = None;
-            if let Err(e) = r {
+            conn.hang_up();
+            if let Err(e) = drained.and(sent) {
                 first_err.get_or_insert(e);
             }
         }
@@ -583,10 +658,11 @@ fn map_io_error(e: &io::Error, shard: usize) -> RpcError {
 }
 
 impl Transport for ProcessTransport {
-    /// One attempt. A failure drops the stream, so the next carry dials
-    /// again, and the frame is not written twice: a push or write whose
-    /// reply was lost may already have been applied, and whether to send
-    /// anything again is the client's fault loop's to decide.
+    /// One attempt. A failure — this frame's, or an ack owed for an
+    /// earlier one — drops the stream, so the next carry dials again, and
+    /// no frame is written twice: a push or write whose ack was lost may
+    /// already have been applied, and whether to send anything again is
+    /// the client's fault loop's to decide.
     fn carry(&self, shard: usize, op: FrameOp<'_>, frame: &mut WireFrame) -> Result<(), RpcError> {
         let conn = self
             .conns
@@ -603,10 +679,24 @@ impl Transport for ProcessTransport {
         }
         let mut conn = conn.lock();
         self.attempt(&mut conn, op, frame).map_err(|e| {
-            // Whatever the failure, the stream is suspect.
-            conn.sock = None;
+            conn.hang_up();
             map_io_error(&e, shard)
         })
+    }
+
+    /// Read every ack each shard owes; the first shard whose stream fails
+    /// has its error returned, and every stream that failed is dropped.
+    fn flush(&self) -> Result<(), RpcError> {
+        let mut result = Ok(());
+        for (shard, conn) in self.conns.iter().enumerate() {
+            let mut conn = conn.lock();
+            let drained = conn.drain().map_err(|e| {
+                conn.hang_up();
+                map_io_error(&e, shard)
+            });
+            result = result.and(drained);
+        }
+        result
     }
 }
 
@@ -652,39 +742,48 @@ mod tests {
         ));
     }
 
+    /// A message a stand-in server read: its op and keys.
+    #[cfg(unix)]
+    type Received = (u8, Vec<u64>);
+
     /// A stand-in shard server on a Unix socket: per connection it reads
-    /// one message, counts it, answers with `reply` if there is one and
-    /// hangs up — until a shutdown arrives.
+    /// messages in order, logs each one's op and keys, and answers it with
+    /// what `reply` returns — or hangs up where that is `None` — until a
+    /// shutdown arrives.
     #[cfg(unix)]
     struct FakeShard {
         transport: ProcessTransport,
         path: PathBuf,
-        received: Arc<std::sync::atomic::AtomicUsize>,
+        log: Arc<Mutex<Vec<Received>>>,
         thread: std::thread::JoinHandle<()>,
     }
 
     #[cfg(unix)]
     impl FakeShard {
-        fn start(name: &str, reply: Option<(u8, WireFrame)>) -> Self {
-            use std::sync::atomic::Ordering;
+        fn start(
+            name: &str,
+            reply: impl Fn(&StreamMessage) -> Option<(u8, WireFrame)> + Send + 'static,
+        ) -> Self {
             let path =
                 std::env::temp_dir().join(format!("hetkg-fake-{}-{name}.sock", std::process::id()));
             let _ = std::fs::remove_file(&path);
             let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
-            let received = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let count = Arc::clone(&received);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&log);
             let thread = std::thread::spawn(move || {
                 for conn in listener.incoming() {
                     let mut conn = conn.unwrap();
-                    let Ok(message) = stream::read_message(&mut conn) else {
-                        continue;
-                    };
-                    if message.op == OP_SHUTDOWN {
-                        break;
-                    }
-                    count.fetch_add(1, Ordering::SeqCst);
-                    if let Some((op, frame)) = &reply {
-                        let _ = stream::write_frame(&mut conn, *op, frame);
+                    while let Ok(message) = stream::read_message(&mut conn) {
+                        if message.op == OP_SHUTDOWN {
+                            return;
+                        }
+                        seen.lock().push((message.op, message.frame.keys.clone()));
+                        let Some((op, frame)) = reply(&message) else {
+                            break;
+                        };
+                        if stream::write_frame(&mut conn, op, &frame).is_err() {
+                            break;
+                        }
                     }
                 }
             });
@@ -692,14 +791,19 @@ mod tests {
             Self {
                 transport,
                 path,
-                received,
+                log,
                 thread,
             }
         }
 
         /// Messages the server has read, shutdown aside.
         fn received(&self) -> usize {
-            self.received.load(std::sync::atomic::Ordering::SeqCst)
+            self.log.lock().len()
+        }
+
+        /// Acks the transport owes on its stream.
+        fn pending(&self) -> usize {
+            self.transport.conns[0].lock().pending
         }
 
         fn stop(self) {
@@ -709,22 +813,104 @@ mod tests {
         }
     }
 
+    /// A shard that acks every push and write, and answers every read with
+    /// its plain rows, 4 wide and all `0.25`.
+    #[cfg(unix)]
+    fn acking(message: &StreamMessage) -> Option<(u8, WireFrame)> {
+        Some(match message.op {
+            OP_PUSH | OP_WRITE => (OP_ACK, WireFrame::seal(Vec::new(), Vec::new())),
+            op => (
+                op,
+                WireFrame::seal(Vec::new(), vec![0.25; 4 * message.frame.keys.len()]),
+            ),
+        })
+    }
+
+    #[cfg(unix)]
+    fn push(transport: &ProcessTransport, key: u64) -> Result<(), RpcError> {
+        let sgd = crate::optimizer::Sgd { lr: 0.1 };
+        let mut frame = WireFrame::seal(vec![key], vec![0.5; 4]);
+        transport.carry(0, FrameOp::Push(&sgd), &mut frame)
+    }
+
+    #[cfg(unix)]
+    fn read(transport: &ProcessTransport, key: u64) -> Result<WireFrame, RpcError> {
+        let mut frame = WireFrame::seal(vec![key], Vec::new());
+        transport.carry(0, FrameOp::PullNewer, &mut frame)?;
+        Ok(frame)
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn pushes_do_not_wait_for_acks_and_a_read_drains_them_first() {
+        let shard = FakeShard::start("deferred", acking);
+        for key in 0..5 {
+            push(&shard.transport, key).unwrap();
+        }
+        assert_eq!(shard.pending(), 5, "no ack has been read");
+        // The reply comes after the five acks on the stream; taking an ack
+        // for it would fail the read.
+        let reply = read(&shard.transport, 2).unwrap();
+        assert_eq!(reply.payload, [0.25; 4]);
+        assert_eq!(shard.pending(), 0);
+        let log = shard.log.lock().clone();
+        let pushes = (0..5).map(|k| (OP_PUSH, vec![k]));
+        assert_eq!(
+            log,
+            pushes.chain([(OP_PULL_NEWER, vec![2])]).collect::<Vec<_>>(),
+            "the server read every frame, in the order written"
+        );
+        assert_eq!(shard.transport.flush(), Ok(()));
+        shard.stop();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_stream_owes_fewer_acks_than_the_cap() {
+        let shard = FakeShard::start("cap", acking);
+        let mut most = 0;
+        for key in 0..3 * MAX_PENDING_ACKS as u64 {
+            push(&shard.transport, key % 6).unwrap();
+            most = most.max(shard.pending());
+        }
+        assert_eq!(most, MAX_PENDING_ACKS - 1);
+        assert_eq!(shard.transport.flush(), Ok(()));
+        assert_eq!(shard.pending(), 0);
+        assert_eq!(shard.received(), 3 * MAX_PENDING_ACKS);
+        shard.stop();
+    }
+
     #[cfg(unix)]
     #[test]
     fn a_push_whose_ack_is_lost_is_sent_once() {
-        let shard = FakeShard::start("lost-ack", None);
-        let sgd = crate::optimizer::Sgd { lr: 0.1 };
-        let mut push = WireFrame::seal(vec![3], vec![0.5; 4]);
-        let err = shard
-            .transport
-            .carry(0, FrameOp::Push(&sgd), &mut push)
-            .unwrap_err();
-        assert_eq!(err, RpcError::Dropped { attempts: 1 });
+        // The server reads one message and hangs up without an ack.
+        let shard = FakeShard::start("lost-ack", |_| None);
+        assert_eq!(push(&shard.transport, 3), Ok(()), "the ack is not awaited");
+        assert_eq!(
+            read(&shard.transport, 1).unwrap_err(),
+            RpcError::Dropped { attempts: 1 },
+            "the loss surfaces at the shard's next exchange"
+        );
         assert_eq!(
             shard.received(),
             1,
             "the server may have applied the push: it is not written again"
         );
+        assert_eq!(shard.pending(), 0, "the stream was dropped with its debt");
+        shard.stop();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_lost_ack_surfaces_at_flush() {
+        let shard = FakeShard::start("lost-ack-flush", |_| None);
+        assert_eq!(push(&shard.transport, 3), Ok(()));
+        assert_eq!(
+            shard.transport.flush(),
+            Err(RpcError::Dropped { attempts: 1 })
+        );
+        assert_eq!(shard.transport.flush(), Ok(()), "reported once");
+        assert_eq!(shard.received(), 1);
         shard.stop();
     }
 
@@ -734,12 +920,8 @@ mod tests {
         // The answer to a one-row plain pull, a bit flipped after sealing.
         let mut reply = WireFrame::seal(Vec::new(), vec![0.25; 4]);
         assert!(reply.corrupt(0) && !reply.verify());
-        let shard = FakeShard::start("bad-reply", Some((OP_PULL_NEWER, reply)));
-        let mut read = WireFrame::seal(vec![1], Vec::new());
-        let err = shard
-            .transport
-            .carry(0, FrameOp::PullNewer, &mut read)
-            .unwrap_err();
+        let shard = FakeShard::start("bad-reply", move |_| Some((OP_PULL_NEWER, reply.clone())));
+        let err = read(&shard.transport, 1).unwrap_err();
         assert_eq!(err, RpcError::CorruptPayload { attempts: 1 });
         assert_eq!(shard.received(), 1, "retrying a read is the client's");
         shard.stop();
@@ -748,21 +930,20 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn a_failed_push_still_marks_its_rows_moved() {
-        let shard = FakeShard::start("moved", None);
+        // The push is written, and its ack is lost: it fails at the read
+        // after it, and its rows may have moved all the same.
+        let shard = FakeShard::start("moved", |_| None);
         let sgd = crate::optimizer::Sgd { lr: 0.1 };
         let mut push = WireFrame::seal(vec![1, 4], vec![0.5; 8]);
         assert!(shard
             .transport
             .carry(0, FrameOp::Push(&sgd), &mut push)
-            .is_err());
+            .is_ok());
+        assert!(read(&shard.transport, 2).is_err());
         assert_eq!(shard.transport.take_moved(), [ParamKey(1), ParamKey(4)]);
         assert!(shard.transport.take_moved().is_empty(), "taken once");
         // A failed read moves nothing.
-        let mut read = WireFrame::seal(vec![2], Vec::new());
-        assert!(shard
-            .transport
-            .carry(0, FrameOp::PullNewer, &mut read)
-            .is_err());
+        assert!(read(&shard.transport, 2).is_err());
         assert!(shard.transport.take_moved().is_empty());
         shard.stop();
     }

@@ -33,7 +33,7 @@ use hetkg_netsim::{CompressionMode, CompressionStats, FaultInjector, ShardLivene
 use hetkg_partition::{MetisLike, Partitioner, RandomPartitioner};
 use hetkg_ps::{
     KvStore, OverloadControl, ProcessCluster, PsClient, PsScratch, ShardRouter, ShardServerConfig,
-    SocketMode,
+    SocketMode, Transport,
 };
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -315,6 +315,13 @@ pub fn train_with_store(
     let mut epoch = 0;
     while epoch < config.epochs {
         let stats = run_epoch_interleaved(&mut workers, epoch);
+        // The epoch's pushes did not wait for their acks: the servers must
+        // have accepted every one before the epoch counts as done.
+        if let Some((_, transport)) = &sockets {
+            transport
+                .flush()
+                .expect("ps-servers accept the epoch's pushes");
+        }
         if crash_epochs.contains(&epoch) && fired.insert(epoch) {
             // Injected crash of the pool: everything since the last recovery
             // checkpoint — this epoch's updates included — is lost. The
