@@ -11,12 +11,19 @@
 //!   split (the node-heterogeneity fix: default 25% entities / 75%
 //!   relations) — by frequency in an access list for CPS, by reading
 //!   batches among the keys at least two batches read for DPS;
+//! * [`window`] — Algorithms 1 + 2 over a worker's iterations: the batch
+//!   each iteration trains on, the hot set each rebuild selects, what it
+//!   evicts and fills, and whether a key is read again before a boundary;
 //! * [`table`] — the cache itself: id → slot map over a dense slab;
 //! * [`policy`] — CPS (constant partial stale: table fixed before training)
 //!   and DPS (dynamic partial stale: rebuilt every `D` iterations);
-//! * [`sync`] — Algorithms 3–4: bounded-staleness synchronization — the
-//!   cached values are refreshed from the PS every `P` iterations, which
-//!   bounds the divergence between cached and global embeddings;
+//! * [`sync`] — Algorithms 3–4 and §IV-C: bounded-staleness
+//!   synchronization — the cached values are refreshed from the PS every
+//!   `P` iterations, which bounds the divergence between cached and global
+//!   embeddings — with [`SyncClock`], the one place a worker asks which
+//!   iteration syncs, rebuilds or ends a window, and how old a hit may be;
+//! * [`backlog`] — degraded mode's bounded backlog of deferred pushes;
+//! * [`metrics`] — hit/miss counts and the table's economy;
 //! * [`baselines`] — FIFO / LRU / LFU / importance caches for Table VI.
 //!
 //! # Example: select and cache a hot set
@@ -45,6 +52,7 @@
 //! assert!(table.contains(ParamKey(3)));
 //! ```
 
+pub mod backlog;
 pub mod baselines;
 pub mod filter;
 pub mod metrics;
@@ -52,8 +60,10 @@ pub mod policy;
 pub mod prefetch;
 pub mod sync;
 pub mod table;
+pub mod window;
 
 pub use filter::{FilterConfig, HotSet};
 pub use policy::{CachePolicy, PolicyKind};
-pub use sync::SyncConfig;
+pub use sync::{SyncClock, SyncConfig};
 pub use table::HotEmbeddingTable;
+pub use window::Window;

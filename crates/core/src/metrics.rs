@@ -1,6 +1,8 @@
 //! Cache effectiveness accounting: hits, misses, hit ratio, and what the hot
 //! table held and cost.
 
+use crate::table::Pending;
+use hetkg_ps::optimizer::energy;
 use serde::{Deserialize, Serialize};
 
 hetkg_netsim::counters! {
@@ -95,6 +97,17 @@ hetkg_netsim::counters! {
 }
 
 impl TableEconomy {
+    /// Count `p` written back, `early` when before its window's last push.
+    pub fn written_back(&mut self, p: &Pending<'_>, early: bool) {
+        self.written_back_rows += 1;
+        self.written_back_early += u64::from(early);
+        self.coalesced_grads += u64::from(p.grads);
+        if p.grads > 1 {
+            self.written_back_energy += f64::from(p.energy);
+            self.written_back_sum_sq += f64::from(energy(p.sum));
+        }
+    }
+
     /// Rows held ÷ capacity, mean over rebuilds; 0 before any rebuild.
     pub fn occupancy(&self) -> f64 {
         ratio(self.rows_held, self.capacity)

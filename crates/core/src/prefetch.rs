@@ -235,8 +235,13 @@ impl Prefetcher {
     /// How `window` reads `key`; `None` when none of its batches does.
     /// `window` must be the one the latest [`Prefetcher::prefetch_into`]
     /// filled: the marks that say where a key's entry is are this
-    /// prefetcher's, and they are overwritten window after window.
-    pub fn reads_of<'w>(&self, window: &'w Prefetched, key: ParamKey) -> Option<&'w KeyReads> {
+    /// prefetcher's, and they are overwritten window after window (which is
+    /// why [`Window`](crate::window::Window) holds both).
+    pub(crate) fn reads_of<'w>(
+        &self,
+        window: &'w Prefetched,
+        key: ParamKey,
+    ) -> Option<&'w KeyReads> {
         let mark = self.marks.get(key.index())?;
         if mark.stamp < self.window_first {
             return None;

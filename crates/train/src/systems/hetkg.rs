@@ -1,108 +1,44 @@
-//! HET-KG's worker loop: Hot-Embedding Oriented Training (§IV-B, Alg. 3).
+//! HET-KG's worker loop: Hot-Embedding Oriented Training (§IV-B, Alg. 3),
+//! composed from `hetkg-core`'s algorithms over a [`WorkerCtx`] and a
+//! `worker::Pipeline`: [`Window`] (Algs. 1 + 2: the batches, the hot set,
+//! when a key is read), [`SyncClock`] (Alg. 3 and §IV-C: when to sync,
+//! rebuild or write back, what a sync asks, how old a hit may be) and
+//! [`Backlog`] (degraded mode's deferred pushes).
 //!
-//! The data path per iteration:
+//! An iteration consumes its staged batch — a staged rebuild evicts, hits
+//! are copied from the table, and one request per shard carries the late
+//! misses, a rebuild's late fresh rows and, at a sync, the table's
+//! pull-if-newer — computes, applies each cached row's gradient to the
+//! cached copy and holds it, and pushes the rest. A held row is written back
+//! as `Σg` with its energy in the push after which its window says no batch
+//! reads it, at the latest in the window's boundary push (DESIGN.md,
+//! "Hot-table synchronization", "Hot-row write-back"). Under a fault plan an
+//! unhealthy shard's rows are served stale up to the degraded bound and its
+//! pushes deferred ("Cache brownout").
 //!
-//! 1. (re)construct the hot-embedding table when the policy says so —
-//!    CPS once from the whole subgraph's frequencies, DPS every `D`
-//!    iterations from the prefetched window's read statistics: the keys
-//!    at least two of its batches read, most reading batches first (a row
-//!    one batch reads costs the same one pull cached or not);
-//! 2. synchronize the table with the PS every `P` iterations (bounded
-//!    staleness, Alg. 3 lines 8–9) — as a *pull-if-newer*: the worker sends
-//!    the server version each cached row is held under and receives only
-//!    the rows whose version moved. A row that does not come back is
-//!    bit-identical to the cached copy, so no value the model reads depends
-//!    on the gate, and every row — returned or not — is confirmed current
-//!    as of this iteration, which is what §IV-C's bound counts from;
-//! 3. read hot embeddings from the table, pull only the *misses* from the
-//!    PS — this is where the communication reduction comes from;
-//! 4. compute gradients and update (Alg. 3 lines 17–19, as built): the
-//!    gradient of a row the table does not hold is pushed to the PS, as a
-//!    cacheless system would; the gradient of a cached row is applied to the
-//!    cached copy — the worker's own reads stay current — and *held* in the
-//!    table beside the others the row collects, to be written back once per
-//!    sync window: in the push of the last batch of the window that reads
-//!    the row. Under DPS the prefetched window knows which batch that is
-//!    ([`KeyReads::read_in`](hetkg_core::prefetch::KeyReads::read_in)), so
-//!    the write-backs of a window are spread over its pushes, where the link
-//!    is idle, instead of bursting in the last one, in front of the sync.
-//!    That last one — the *boundary* push: before the table's next sync,
-//!    before a DPS rebuild (nothing evicted is lost) and at an epoch's end
-//!    (evaluation, checkpoints and restarts see everything) — sends whatever
-//!    is still held, which under CPS, where no window says when a row is
-//!    quiet, is everything. So no gradient waits more than `P − 1`
-//!    iterations — the write side of §IV-C's bound — and no message is
-//!    added. A row that collected one gradient goes out as that gradient;
-//!    one that collected several goes out as their sum `Σg` with their
-//!    energy `Σᵢ‖gᵢ‖²` in the push frame's trailer, which is what lets the
-//!    server's AdaGrad account for the gradients it never saw one by one
-//!    ([`Optimizer::update_coalesced`](hetkg_ps::optimizer::Optimizer::update_coalesced)).
-//!    It has to be out by the push *before* the sync: the refresh would
-//!    otherwise overwrite local updates the server has not seen.
-//!
-//! With fault injection attached the cache doubles as a degraded-mode
-//! buffer: while a PS shard is down, cached keys homed there keep serving
-//! (stale) hits past the sync bound `P` for up to eight sync periods
-//! ([`SyncConfig::degraded_bound`]), and their gradient pushes — rows
-//! written back included, with their energy — are deferred into a local
-//! backlog that is replayed once the shard recovers. With overload protection attached
-//! ([`hetkg_ps::OverloadControl`]) the same machinery doubles as a
-//! *brownout*: a shard whose circuit breaker is open is treated like a
-//! down shard — cached keys serve stale (counted separately as brownout
-//! stale serves), pushes defer into the backlog — and pushes the budget
-//! refuses to retry fold into the backlog instead of spinning. The
-//! backlog is bounded; gradients past the bound are shed (and counted).
-//! Without faults — or with an all-zero fault plan — every key is always
-//! "available" and the data path is identical to the healthy one.
-//!
-//! The loop runs on a `worker::Pipeline`, which states the schedule: with
-//! `WorkerCtx::overlap` on, while iteration `i` computes, iteration `i+1` is
-//! *staged* — its batch drawn, usage counted, cache probed, the pull of its
-//! misses split and booked. What HET-KG adds:
-//!
-//! 1. the consume-time request is a sync's pull-if-newer, with the late
-//!    misses and a rebuild's late fresh rows riding in it; when it syncs,
-//!    the push in front of it holds every cached row in its hazard part —
-//!    what the boundary push writes back;
-//! 2. hits are copied from the cache at consume time, after the in-flight
-//!    push's local updates and before the sync, so a batch with no late key
-//!    reads nothing its request returns, and the request gates the next
-//!    compute, whose hits come from the refreshed table;
-//! 3. a rebuild iteration is staged like any other: the iteration before it
-//!    prefetches the next window, selects its hot set and probes the
-//!    rebuild's first batch against *that set*; the rows the table does not
-//!    hold yet ride in the staged pull beside the misses, and eviction and
-//!    insertion wait for consume time.
-//!
-//! The sequential path is the same code with nothing staged ahead, which is
-//! also how an epoch's first iteration runs. The trainer disables overlap
-//! entirely under non-inert fault plans.
-//!
-//! A unit of work is one iteration. The worker's `WorkerCtx` keeps the
-//! epoch's books; HET-KG adds the stats only a cache has: its hits and
-//! misses, the divergence measured at syncs, the staleness observed, and
-//! the table's economy.
+//! With overlap on, iteration `i+1` is staged while `i` computes. What HET-KG
+//! adds to the pipeline's schedule: (1) when the request syncs, the push in
+//! front of it holds every cached row in its hazard part; (2) a rebuild is
+//! staged like any iteration — the iteration before prefetches the window,
+//! selects the hot set and probes the batch against it — and evicts and
+//! inserts at consume time; (3) hits are copied before the sync, so a batch
+//! with no late key reads nothing its request returns, and the request gates
+//! the next compute. An epoch's first iteration runs unstaged.
 
 use crate::batch::{BatchResult, GradAccum};
 use crate::worker::{
     retries_exhausted, Part, Pipeline, PushRow, StagedPull, WorkerCtx, WorkerEpochStats, WorkerLoop,
 };
-use hetkg_core::filter::{filter_hot_set, HotSet, HotSetSelector};
+use hetkg_core::backlog::Backlog;
 use hetkg_core::metrics::{CacheStats, TableEconomy};
-use hetkg_core::policy::{subgraph_accesses, CachePolicy, PolicyKind};
-use hetkg_core::prefetch::{MiniBatch, Prefetched, Prefetcher};
-use hetkg_core::sync::{StalenessTracker, SyncConfig};
+use hetkg_core::policy::CachePolicy;
+use hetkg_core::sync::{SyncClock, SyncConfig};
 use hetkg_core::table::HotEmbeddingTable;
+use hetkg_core::window::Window;
 use hetkg_embed::negative::NegativeSampler;
 use hetkg_kgraph::ParamKey;
 use hetkg_ps::optimizer::energy;
 use hetkg_ps::{PsScratch, RpcError};
-use std::collections::HashMap;
-
-/// Degraded mode: hard bound on distinct keys the deferred-push backlog may
-/// hold. Gradients arriving once the backlog is full are shed (dropped and
-/// counted) rather than growing memory without bound under a long brownout.
-const BACKLOG_CAP: usize = 4096;
 
 /// [`PushRow::slot`] of a row that comes out of the table's write-back
 /// arena, rather than the gradient accumulator (this batch's gradient of a
@@ -117,140 +53,45 @@ fn row_of<'a>(table: &'a HotEmbeddingTable, grads: &'a GradAccum, r: &PushRow) -
     }
 }
 
-/// How an iteration consumes its staged batch: what
-/// [`HetKgWorker::copy_hits`] and [`HetKgWorker::consume_time_request`] read,
-/// which run inside [`Pipeline::consume`].
-#[derive(Debug, Clone, Copy)]
-struct Consuming {
-    now: usize,
-    /// A sync iteration (Alg. 3 lines 8–9).
-    sync: bool,
-    /// The batch is the first of a rebuilt table.
-    rebuild: bool,
-    /// A fault plan is attached.
-    degraded: bool,
-    /// The largest age a hit may be read at ([`HetKgWorker::staleness_bound`]).
-    bound: usize,
-    /// Rows homed on an unhealthy shard are not asked about: degraded mode,
-    /// while staleness is still inside the degraded bound.
-    skip_unhealthy: bool,
-    /// Whether the sync is version-gated; off only in the tests'
-    /// full-refresh reference.
-    gated: bool,
-}
-
-/// Gradients deferred while their home shard was unhealthy, summed per key
-/// with their energy — what the table holds per cached row, for any row —
-/// and replayed the way a row is written back.
-#[derive(Debug)]
-struct Deferred {
-    sum: Vec<f32>,
-    energy: f32,
-    grads: u32,
-}
-
-/// Test-only: a row as it was written back — the boundary pushes before it,
-/// the key, its gradient count, and its energy and sum bit for bit.
-#[cfg(test)]
-type WrittenBackRow = (usize, ParamKey, u32, u32, Vec<u32>);
-
-/// Test-only: where one iteration sat on the worker's timeline.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy)]
-struct IterationTrace {
-    iteration: usize,
-    /// Staged when it ran, nothing early, rather than behind the iteration
-    /// before.
-    unstaged: bool,
-    /// What its compute waited for: the completion of the last pull it reads.
-    waited_for: f64,
-    /// The completion of its consume-time request, when its compute did not
-    /// wait for it; 0 otherwise.
-    left_behind: f64,
-    compute_secs: f64,
-    compute_end: f64,
+/// Scratch of the consume-time request: the versions the probed rows are held
+/// under, and a row for the gate's debug check.
+#[derive(Debug, Default)]
+struct Scratch {
+    held: Vec<u32>,
+    check_row: Vec<f32>,
 }
 
 /// Per-worker HET-KG training state (CPS or DPS, by the policy's kind).
 pub struct HetKgWorker {
     ctx: WorkerCtx,
-    policy: CachePolicy,
-    sync: SyncConfig,
+    /// Algs. 1 + 2: the batches, the hot set and the prefetched window.
+    window: Window,
+    /// Alg. 3's schedule and §IV-C's bound.
+    clock: SyncClock,
     table: HotEmbeddingTable,
-    sampler: Prefetcher,
-    negatives: NegativeSampler,
-    /// DPS: the prefetched window — its batches, of which iteration
-    /// `window_base + b` trains on batch `b`, and its per-key read
-    /// statistics. Handed back to the prefetcher every `D` iterations, so its
-    /// buffers are reused.
-    window: Prefetched,
-    window_base: usize,
-    /// DPS: Algorithm 2 over `window.reads`, with its reusable buffers.
-    selector: HotSetSelector,
+    backlog: Backlog,
     /// Global iteration counter (across epochs).
     iteration: usize,
-    staleness: StalenessTracker,
     /// Hits and misses, weighted by use, this epoch.
     cache_stats: CacheStats,
     /// What the table held and cost, and how the pipeline split the staged
     /// miss pulls, this epoch.
     economy: TableEconomy,
-    /// Largest cache-vs-global divergence seen at sync points this epoch.
+    /// This epoch's syncs: the largest cache-vs-global divergence, the sum
+    /// of the per-key ones and how many keys they covered.
     epoch_divergence: f64,
-    /// Sum of per-key divergences across this epoch's sync events.
     epoch_div_sum: f64,
-    /// Number of per-key divergence samples this epoch.
     epoch_div_samples: u64,
-    /// Scratch: the version each conditional key of a consume-time request
-    /// is held under.
-    probe_held: Vec<u32>,
-    /// The hot set the staged (or latest) rebuild selected, sorted, and the
-    /// keys of it the table did not hold when it was selected, hottest first.
-    selected: Vec<ParamKey>,
-    fresh: Vec<ParamKey>,
-    /// Scratch for the debug check that a row the shard declined to send is
-    /// bit-equal to the cached copy.
-    check_row: Vec<f32>,
-    /// Test-only: synchronize the way the code did before versions existed
-    /// (pull every cached row, every time), as the reference the
-    /// differential tests hold the version gate against.
-    #[cfg(test)]
-    full_refresh_reference: bool,
-    /// Test-only: push every gradient every iteration and hold nothing, as
-    /// the code did before hot rows were written back — the reference the
-    /// differential tests hold the write-back against.
-    #[cfg(test)]
-    write_through_reference: bool,
-    /// Test-only: write held rows back in a window's boundary push and in no
-    /// other, as the code did before the prefetched window was asked when a
-    /// row is last read — the reference the differential tests hold the
-    /// early write-back against.
-    #[cfg(test)]
-    boundary_write_back_reference: bool,
-    /// Test-only: every row written back, when a test asks for the log, and
-    /// where every iteration sat on the timeline.
-    #[cfg(test)]
-    written_back_log: Option<Vec<WrittenBackRow>>,
-    #[cfg(test)]
-    boundary_pushes: usize,
-    #[cfg(test)]
-    trace: Vec<IterationTrace>,
-    /// Reusable draw buffers (CPS draws one batch per iteration into them).
-    batch: MiniBatch,
+    scratch: Scratch,
     /// The staged batch — the next iteration's, staged while the current
     /// one computes, or this one's — its miss pull, and the push in front
     /// of it.
     pipeline: Pipeline,
-    /// Whether the staged batch is the first of a rebuilt table: probed
-    /// against `selected`, its pull carrying the `fresh` rows, the eviction
-    /// and the insertions still to happen when it is consumed.
-    staged_rebuild: bool,
     /// Slots of the staged batch's cache hits. Their *values* are read
     /// only at consume time, after the in-flight push updates the cache.
     staged_hits: Vec<u32>,
-    /// Degraded mode: gradient pushes deferred while their home shard was
-    /// down, replayed on recovery.
-    backlog: HashMap<ParamKey, Deferred>,
+    #[cfg(test)]
+    refs: tests::Refs,
 }
 
 impl HetKgWorker {
@@ -275,190 +116,76 @@ impl HetKgWorker {
             ctx.model.relation_dim(),
             ctx.optimizer.state_width(),
         );
-        let sampler = Prefetcher::new(
-            ctx.batch_size,
-            ctx.key_space,
-            seed ^ (ctx.worker_id as u64).wrapping_mul(0x1234_5678_9ABC),
-        );
+        let seed = seed ^ (ctx.worker_id as u64).wrapping_mul(0x1234_5678_9ABC);
+        let window = Window::new(policy, ctx.key_space, ctx.batch_size, seed, negatives);
         Self {
             ctx,
-            policy,
-            sync,
+            window,
+            clock: SyncClock::new(sync, policy),
             table,
-            sampler,
-            negatives,
-            window: Prefetched::default(),
-            window_base: 0,
-            selector: HotSetSelector::default(),
+            backlog: Backlog::default(),
             iteration: 0,
-            staleness: StalenessTracker::new(),
             cache_stats: CacheStats::new(),
             economy: TableEconomy::default(),
             epoch_divergence: 0.0,
             epoch_div_sum: 0.0,
             epoch_div_samples: 0,
-            probe_held: Vec::new(),
-            selected: Vec::new(),
-            fresh: Vec::new(),
-            check_row: Vec::new(),
-            #[cfg(test)]
-            full_refresh_reference: false,
-            #[cfg(test)]
-            write_through_reference: false,
-            #[cfg(test)]
-            boundary_write_back_reference: false,
-            #[cfg(test)]
-            written_back_log: None,
-            #[cfg(test)]
-            boundary_pushes: 0,
-            #[cfg(test)]
-            trace: Vec::new(),
-            batch: MiniBatch::default(),
+            scratch: Scratch::default(),
             pipeline: Pipeline::default(),
-            staged_rebuild: false,
             staged_hits: Vec::new(),
-            backlog: HashMap::new(),
+            #[cfg(test)]
+            refs: tests::Refs::default(),
         }
     }
 
-    /// The cache table (exposed for tests and the harness's hit-ratio
-    /// experiments).
+    /// The cache table (for tests and the hit-ratio experiments).
     pub fn table(&self) -> &HotEmbeddingTable {
         &self.table
     }
 
-    /// Largest cache staleness observed so far (must stay ≤ P; reads at a
-    /// sync iteration precede that iteration's refresh).
+    /// Largest table-wide staleness observed so far ([`SyncClock`]).
     pub fn max_staleness(&self) -> usize {
-        self.staleness.max_observed()
+        self.clock.max_staleness()
     }
 
-    /// The largest age (iterations since it was last confirmed current) a
-    /// cached row may be read at: `P` — a read at a sync iteration precedes
-    /// that iteration's refresh, so the bound is inclusive — and, while a
-    /// fault plan lets syncs skip unhealthy shards, eight sync periods.
-    fn staleness_bound(&self, degraded: bool) -> usize {
-        if degraded {
-            self.sync.degraded_bound()
-        } else {
-            self.sync.period
-        }
-    }
-
-    /// Selection for the table iteration `t` (re)builds (Alg. 3 lines 5–7,
-    /// the half that reads no row): CPS from the whole subgraph's
-    /// frequencies, DPS from the window prefetched here for iterations `t`
-    /// onwards. Leaves the hot set in `selected`, sorted, and in `fresh`,
-    /// hottest first, the keys of it the table does not hold — membership
-    /// only changes when the rebuild is consumed, so this may run an
-    /// iteration ahead of it. Keys already cached are not fetched again: hot
-    /// sets overlap heavily between windows and retained rows stay within
-    /// the staleness bound (the periodic sync refreshes them).
-    fn select_for(&mut self, t: usize) {
-        match self.policy.kind {
-            PolicyKind::Cps => {
-                let acc = subgraph_accesses(&self.ctx.subgraph, self.ctx.key_space);
-                let hot = filter_hot_set(&acc, self.ctx.key_space, &self.policy.filter);
-                self.note_selection(&hot);
-            }
-            PolicyKind::Dps => {
-                self.prefetch_window(t);
-                let mut selector = std::mem::take(&mut self.selector);
-                let hot =
-                    selector.select(&self.window.reads, self.ctx.key_space, &self.policy.filter);
-                self.note_selection(hot);
-                self.selector = selector;
-            }
-        }
-    }
-
-    fn note_selection(&mut self, hot: &HotSet) {
-        self.selected.clear();
-        self.selected.extend(hot.keys());
-        self.selected.sort_unstable();
-        let table = &self.table;
-        self.fresh.clear();
-        self.fresh
-            .extend(hot.keys().filter(|&k| !table.contains(k)));
-    }
-
-    /// The consume-time half of a rebuild that reads no row: evict what fell
-    /// out of the selection. The fresh rows arrive with the staged pull —
-    /// metered: building the cache is not free — each with the version it is
-    /// held under from now on.
-    fn evict_unselected(&mut self) {
-        let selected = &self.selected;
-        self.table.retain(|k| selected.binary_search(&k).is_ok());
-        self.economy.rebuilds += 1;
-        self.economy.rows_held += selected.len() as u64;
-        self.economy.capacity += self.policy.filter.capacity as u64;
-        self.economy.fresh_rows += self.fresh.len() as u64;
-    }
-
-    /// The staged batch's consume-time PS request, one message per shard:
-    /// its late misses (into the working set; all of its misses when nothing
-    /// was pulled ahead), the late fresh rows of a rebuild (into the table,
-    /// and into the working set when the batch reads them) and, at a sync
-    /// iteration, the table's synchronization (Alg. 3 lines 8–9) as a
-    /// pull-if-newer over every cached row. Lists every key it asks about in
-    /// `keys`; returns, for the epoch's statistics, the largest and summed
-    /// cache-vs-global divergence it observed and how many cached rows it
-    /// covered.
-    ///
-    /// A fresh row is asked about with nothing held, so it always comes
-    /// back, with its version; its bytes are construction's in this message
-    /// as in the staged one. Three kinds of cached row send nothing or get
-    /// nothing back. Rows this iteration's rebuild received moments ago are
-    /// not even asked about,
-    /// and rows whose version still matches cost 12 bytes asked and nothing
-    /// returned; both count as zero-divergence samples, because that is
-    /// what a full refresh would have measured on them. In degraded mode
-    /// only — and not counted — rows homed on a down or browning-out shard
-    /// are skipped: they keep their old version and keep ageing toward the
-    /// degraded bound; once staleness reaches it everything is asked about
-    /// and the client waits the outage out (or probes the breaker) in
-    /// simulated time. A partial sync does not reset the staleness clock.
-    ///
-    /// Not gated (the tests' reference), a sync is what the code did before
-    /// rows had versions: every cached row (of a healthy shard, in degraded
-    /// mode) pulled plainly, whatever comes back overwriting the cache,
-    /// changed or not, held under no version.
+    /// The staged batch's consume-time request, one message per shard: its
+    /// late misses, a rebuild's late fresh rows (into the table, and the
+    /// working set when the batch reads them) and, at a sync, the
+    /// pull-if-newer of the rows [`SyncClock::probe`] lists. Lists every key
+    /// asked in `keys`; returns the largest and summed divergence seen and
+    /// the rows covered (a row confirmed unreturned is a zero sample). Not
+    /// `gated` (the tests' reference), a sync pulls every covered row plainly.
     fn consume_time_request(
         ctx: &mut WorkerCtx,
         table: &mut HotEmbeddingTable,
         pull: &StagedPull,
         keys: &mut Vec<ParamKey>,
-        held: &mut Vec<u32>,
-        check_row: &mut Vec<f32>,
-        at: Consuming,
+        scratch: &mut Scratch,
+        clock: &SyncClock,
+        gated: bool,
     ) -> (f64, f64, usize) {
-        let (now, sync) = (at.now, at.sync);
+        let (sync, skip) = (clock.syncing(), clock.skips_unhealthy());
         let client = &ctx.client;
-        let asked = |k: ParamKey| !at.skip_unhealthy || client.shard_healthy(k);
+        let asked = |k: ParamKey| !skip || client.shard_healthy(k);
         let (late, late_slots, late_fresh) = pull.late();
         keys.extend_from_slice(late);
-        if sync && !at.gated {
+        if sync && !gated {
             // Plain keys lead a request.
             keys.extend(table.iter_keys().filter(|&k| asked(k)));
         }
         let fresh = keys.len()..keys.len() + late_fresh.len();
         let mut covered = fresh.start - late.len();
         keys.extend_from_slice(late_fresh);
+        let held = &mut scratch.held;
         held.clear();
         if sync {
             covered += late_fresh.iter().filter(|&&k| asked(k)).count();
         }
-        if sync && at.gated {
-            for (k, version, confirmed) in table.iter_held() {
-                if !asked(k) {
-                    continue;
-                }
-                covered += 1;
-                if confirmed != now {
-                    keys.push(k);
-                    held.push(version);
-                }
-            }
+        if sync && gated {
+            covered += clock.probe(table, asked, |k, version| {
+                keys.push(k);
+                held.push(version);
+            });
         }
         let (keys, held) = (&*keys, &*held);
         let (ws, layout) = (&mut ctx.ws, ctx.scratch.plan.layout());
@@ -469,33 +196,26 @@ impl HetKgWorker {
                 if let Some(&slot) = late_slots.get(i) {
                     ws.row_mut(slot).copy_from_slice(row);
                 } else if fresh.contains(&i) {
-                    table
-                        .insert_at(keys[i], row, version, now)
-                        .expect("capacity covers the hot set");
+                    clock.admit(table, keys[i], row, version);
                     // A hit of the batch that was not there to copy.
                     if let Some(slot) = layout.slot_of(keys[i]) {
                         ws.row_mut(slot).copy_from_slice(row);
                     }
                 } else {
-                    let cached = table
-                        .get(keys[i])
-                        .expect("only cached keys are asked about");
-                    let d = l2_distance(cached, row);
+                    let d = clock.refresh(table, keys[i], row, version);
                     max_div = max_div.max(d);
                     div_sum += d;
-                    table.refresh_at(keys[i], row, version, now);
                 }
             })
             .unwrap_or_else(|e| retries_exhausted("pull_batch", e));
         // Everything asked about under a version and not returned still
-        // matches.
-        // (Checked in debug builds against the shards' rows, which a
-        // catch-up brings into the client's store over any transport.)
+        // matches (checked in debug builds against the shards' rows).
         let asked = &keys[fresh.end..];
         if cfg!(debug_assertions) {
             let caught_up = client.catch_up(asked, &mut ctx.ps);
             caught_up.unwrap_or_else(|e| retries_exhausted("catch_up", e));
         }
+        let check_row = &mut scratch.check_row;
         for (&k, &held) in asked.iter().zip(held) {
             if cfg!(debug_assertions) && table.held_version(k) == Some(held) {
                 // The gate is sound: what the shard declined to send is,
@@ -503,102 +223,29 @@ impl HetKgWorker {
                 let cached = table.get(k).expect("only cached keys are asked about");
                 check_row.resize(cached.len(), 0.0);
                 client.store().pull(k, check_row);
-                debug_assert!(
-                    cached
-                        .iter()
-                        .zip(check_row.iter())
-                        .all(|(c, g)| c.to_bits() == g.to_bits()),
-                    "{k} kept version {held} but its bits moved"
-                );
+                let same = cached
+                    .iter()
+                    .zip(&*check_row)
+                    .all(|(c, g)| c.to_bits() == g.to_bits());
+                debug_assert!(same, "{k} kept version {held} but its bits moved");
             }
-            table.confirm(k, now);
+            clock.confirm(table, k);
         }
         (max_div, div_sum, covered)
     }
 
-    /// Algorithm 1: prefetch the `D` batches of iterations `t` onwards into
-    /// `window`. Every batch of the window it replaces has been compiled.
-    fn prefetch_window(&mut self, t: usize) {
-        self.sampler.prefetch_into(
-            &self.ctx.subgraph,
-            &mut self.negatives,
-            self.policy.prefetch_depth,
-            &mut self.window,
-        );
-        self.window_base = t;
-    }
-
-    /// DPS: which batch of the window iteration `t` trains on; `None` when
-    /// the window does not reach it (or there is no window: CPS).
-    fn window_batch(&self, t: usize) -> Option<usize> {
-        let b = t.checked_sub(self.window_base)?;
-        (self.policy.kind == PolicyKind::Dps && b < self.window.batches.len()).then_some(b)
-    }
-
-    /// Fold `grads` gradients of `k`, summed in `sum` with energy `energy`,
-    /// into the deferred backlog. Existing entries accumulate regardless of
-    /// the bound; a *new* key is admitted only while the backlog holds fewer
-    /// than [`BACKLOG_CAP`] keys. Returns `true` when the gradients were
-    /// kept, `false` when they were shed.
-    fn defer_into(
-        backlog: &mut HashMap<ParamKey, Deferred>,
-        k: ParamKey,
-        sum: &[f32],
-        energy: f32,
-        grads: u32,
-    ) -> bool {
-        if let Some(acc) = backlog.get_mut(&k) {
-            for (a, b) in acc.sum.iter_mut().zip(sum) {
-                *a += b;
-            }
-            acc.energy += energy;
-            acc.grads += grads;
-            true
-        } else if backlog.len() >= BACKLOG_CAP {
-            false
-        } else {
-            let sum = sum.to_vec();
-            backlog.insert(k, Deferred { sum, energy, grads });
-            true
-        }
-    }
-
-    /// Replay backlogged gradient pushes whose home shard has recovered —
-    /// reachable *and* not behind a tripped breaker — the way hot rows are
-    /// written back: an entry that collected one gradient as that gradient,
-    /// one that collected several as their sum with its energy. No-op on
-    /// the healthy path (backlog empty) and while the shards are still down
-    /// or browning out. Keys are flushed in sorted order so the replay is
-    /// deterministic regardless of `HashMap` iteration order. The replay,
-    /// and any wait it met, is posted to the comm lane in turn.
+    /// Replay the backlogged pushes whose home shard is healthy again, and
+    /// post the replay, with any wait it met, to the comm lane.
     fn flush_backlog_if_ready(&mut self) {
-        if self.backlog.is_empty() {
+        let client = &self.ctx.client;
+        let Some(replay) = self.backlog.take_ready(|k| client.shard_healthy(k)) else {
             return;
-        }
-        let mut ready: Vec<ParamKey> = self
-            .backlog
-            .keys()
-            .copied()
-            .filter(|&k| self.ctx.client.shard_healthy(k))
-            .collect();
-        if ready.is_empty() {
-            return;
-        }
-        ready.sort_unstable_by_key(|k| (self.backlog[k].grads > 1, k.0));
-        let rows: Vec<Deferred> = ready
-            .iter()
-            .map(|k| self.backlog.remove(k).expect("key was just listed"))
-            .collect();
-        let energies: Vec<f32> = rows
-            .iter()
-            .filter(|d| d.grads > 1)
-            .map(|d| d.energy)
-            .collect();
+        };
         let before = self.ctx.meter.snapshot();
         match self.ctx.client.try_push_coalesced_rows(
-            &ready,
-            &energies,
-            |i| &rows[i].sum,
+            &replay.keys,
+            &replay.energies,
+            |i| &replay.rows[i].sum,
             self.ctx.optimizer.as_ref(),
             &mut self.ctx.ps,
         ) {
@@ -607,102 +254,38 @@ impl HetKgWorker {
                     f.count(|s| s.backlog_flushes += 1);
                 }
             }
-            Err(RpcError::Overloaded { .. }) => {
-                // The replay raced a fresh overload verdict (budget dry or
-                // breaker re-tripped mid-flush): put the gradients back and
-                // retry next iteration. Re-insertion cannot overflow the
-                // bound — these keys held slots moments ago.
-                for (k, d) in ready.into_iter().zip(rows) {
-                    self.backlog.insert(k, d);
-                }
-            }
+            // The replay raced a fresh overload verdict (budget dry or
+            // breaker re-tripped mid-flush): put it back and retry next
+            // iteration.
+            Err(RpcError::Overloaded { .. }) => self.backlog.put_back(replay),
             Err(other) => retries_exhausted("backlog replay", other),
         }
         let replay = self.ctx.meter.snapshot().since(before);
         self.ctx.post_comm(replay, 0.0);
     }
 
-    /// [`Self::defer_into`], folding the key's pending error-feedback
-    /// residual into kept gradients: a deferred push must carry it too —
-    /// otherwise the compression error would sit client-side until the key
-    /// happens to be pushed again, stretching the staleness envelope. Shed
-    /// keys keep their residual.
-    fn defer_with_residual(
-        backlog: &mut HashMap<ParamKey, Deferred>,
-        ps: &mut PsScratch,
-        k: ParamKey,
-        sum: &[f32],
-        energy: f32,
-        grads: u32,
-    ) -> bool {
-        let kept = Self::defer_into(backlog, k, sum, energy, grads);
-        if kept {
-            if let Some(e) = backlog.get_mut(&k) {
-                ps.fold_residual(k, &mut e.sum);
-            }
-        }
-        kept
-    }
-
-    /// The window's batches that train between this iteration's push and the
-    /// window's boundary push, the boundary's own included — what a held row
-    /// must sit out to be worth writing back now. `remaining` iterations of
-    /// the epoch follow this one, at least one. `None` when no prefetched
-    /// window says (CPS, or a window that does not reach that far): what
-    /// staging happens to have drawn is not asked, the sequential schedule
-    /// has not drawn it.
-    fn batches_to_boundary(&self, remaining: usize) -> Option<std::ops::Range<usize>> {
-        let first = self.iteration + 1;
-        let mut last = first;
-        while last - self.iteration < remaining && !self.ends_a_window(last) {
-            last += 1;
-        }
-        Some(self.window_batch(first)?..self.window_batch(last)? + 1)
-    }
-
-    /// Whether iteration `t`'s push is the last before the table's next sync
-    /// or rebuild.
-    fn ends_a_window(&self, t: usize) -> bool {
-        self.policy.needs_construction(t + 1) || self.sync.is_sync_iteration(t + 1)
-    }
-
-    /// The update step (Alg. 3 lines 17–19, as built). Every gradient of a
-    /// cached row is applied to the cached copy and held in the table; the
-    /// gradients of the other rows are pushed. Held rows ride in the same
-    /// push when they have collected the last gradient their window gives
-    /// them: all of them in a boundary push — the last before a sync, a
-    /// rebuild or, with no iteration `remaining`, the epoch's end — and
-    /// before it, under DPS, the rows no batch up to the boundary reads,
-    /// which the prefetched window knows. Rows that collected one gradient
-    /// go as that gradient, among the plain rows, and the rows that
-    /// collected several behind them, each with its energy.
-    ///
-    /// `degraded`: a fault plan is attached. Rows homed on a down or
-    /// browning-out shard are deferred into the local backlog, with their
-    /// energy, instead of blocking the iteration, and a push the overload
-    /// machinery refuses — retry budget dry, breaker tripped mid-flight —
-    /// folds into the backlog the same way. With every shard up (and no
-    /// breaker open) this sends exactly what the healthy path does.
+    /// The update step (Alg. 3 lines 17–19, as built): cached rows' gradients
+    /// applied and held, the others pushed, and with them the held rows that
+    /// got their window's last gradient — all of them in a boundary push
+    /// (with no iteration `remaining`, the epoch's last). `degraded` (a fault
+    /// plan is attached): rows of an unhealthy shard, and a push the overload
+    /// machinery refuses, defer into the backlog instead.
     fn push_update(&mut self, remaining: usize, degraded: bool, compute_end: f64) {
         let now = self.iteration;
-        let boundary = remaining == 0 || self.ends_a_window(now);
+        let boundary = remaining == 0 || self.clock.ends_window(now);
         #[cfg(test)]
-        let (hold, early) = (
-            !self.write_through_reference,
-            !self.boundary_write_back_reference,
-        );
+        let (hold, early) = (!self.refs.write_through, !self.refs.boundary_write_back);
         #[cfg(not(test))]
         let (hold, early) = (true, true);
+        let (window, clock) = (&self.window, &self.clock);
+        // The window's batches up to the boundary, when it covers them: what
+        // a held row must sit out to be worth writing back now.
         let quiet = if boundary || !early {
             None
         } else {
-            self.batches_to_boundary(remaining)
+            window.batches(clock.to_boundary(now, remaining))
         };
-        // The batch of the window in flight, while the window covers it.
-        let in_flight = self.window_batch(now);
         let (grads, table) = (&self.ctx.grads, &mut self.table);
-        let (sampler, window) = (&self.sampler, &self.window);
-        let reads = |k: ParamKey| sampler.reads_of(window, k);
         let optimizer = self.ctx.optimizer.as_ref();
         let up = &mut self.pipeline.rows;
         for &slot in grads.touched() {
@@ -721,46 +304,22 @@ impl HetKgWorker {
             // comes true: the window knew this batch reads the row, so a
             // row it says no batch reads again collects nothing more.
             debug_assert!(
-                in_flight.is_none_or(|b| reads(key).is_some_and(|r| r.read_in(b..b + 1))),
+                window.lists(now, key),
                 "{key} collected a gradient from a batch its window does not list as reading it"
             );
         }
         let economy = &mut self.economy;
-        let period = self.sync.period;
         #[cfg(test)]
-        let (log, boundaries) = (&mut self.written_back_log, self.boundary_pushes);
+        let refs = &mut self.refs;
         table.hand_over_where(|p| {
-            let leaves = boundary
-                || quiet
-                    .as_ref()
-                    .is_some_and(|q| reads(p.key).is_some_and(|r| !r.read_in(q.clone())));
+            let leaves = boundary || quiet.as_ref().is_some_and(|q| window.quiet(p.key, q));
             if !leaves {
                 return false;
             }
-            // The write side of §IV-C: no gradient waits out a window.
-            debug_assert!(
-                now - p.since < period,
-                "{} held a gradient for {} iterations (P = {period})",
-                p.key,
-                now - p.since
-            );
-            economy.written_back_rows += 1;
-            economy.written_back_early += u64::from(!boundary);
-            economy.coalesced_grads += u64::from(p.grads);
-            if p.grads > 1 {
-                economy.written_back_energy += f64::from(p.energy);
-                economy.written_back_sum_sq += f64::from(energy(p.sum));
-            }
+            clock.assert_held(p.key, p.since, now);
+            economy.written_back(&p, !boundary);
             #[cfg(test)]
-            if let Some(log) = log.as_mut() {
-                log.push((
-                    boundaries,
-                    p.key,
-                    p.grads,
-                    p.energy.to_bits(),
-                    p.sum.iter().map(|v| v.to_bits()).collect(),
-                ));
-            }
+            refs.written_back(&p);
             up.push(PushRow {
                 key: p.key,
                 slot: FROM_TABLE,
@@ -770,19 +329,24 @@ impl HetKgWorker {
             true
         });
         #[cfg(test)]
-        {
-            self.boundary_pushes += usize::from(boundary);
-        }
+        self.refs.pushed(boundary);
         // The push's order (`Pipeline::push`), so degraded mode defers in it.
         up.sort_unstable_by_key(|r| (r.grads > 1, r.key));
         let (ctx, backlog, table) = (&mut self.ctx, &mut self.backlog, &self.table);
         let (mut deferred, mut shed) = (0u64, 0u64);
         let mut defer = |r: &PushRow, row: &[f32], ps: &mut PsScratch| {
-            let e = match r.slot {
-                FROM_TABLE => r.energy,
-                _ => energy(row),
+            let e = if r.slot == FROM_TABLE {
+                r.energy
+            } else {
+                energy(row)
             };
-            if Self::defer_with_residual(backlog, ps, r.key, row, e, r.grads) {
+            // The key's pending compression residual rides with kept
+            // gradients, or it would sit client-side until the key happens
+            // to be pushed again.
+            let residual = |sum: &mut [f32]| {
+                ps.fold_residual(r.key, sum);
+            };
+            if backlog.defer(r.key, row, e, r.grads, residual) {
                 deferred += 1;
             } else {
                 shed += 1;
@@ -800,7 +364,7 @@ impl HetKgWorker {
         // With a batch staged behind this one, the rows its consume-time
         // request reads leave first: its late keys and, when it syncs,
         // every cached row.
-        let syncs = self.sync.is_sync_iteration(now + 1);
+        let syncs = self.clock.syncs(now + 1);
         let carry = |ctx: &mut WorkerCtx, part: Part<'_>| {
             let grads = &ctx.grads;
             let pushed = ctx.client.try_push_coalesced_rows(
@@ -835,54 +399,23 @@ impl HetKgWorker {
         self.table.clear_handed_over();
     }
 
-    /// Stage iteration `t`'s batch: draw it, probe the cache, and stage its
-    /// miss pull — with `pull_ahead`, while the previous iteration is still
-    /// in flight; without, every miss waits for [`Self::consume_staged`],
-    /// which is the sequential schedule. The probe is valid until then:
-    /// gradient application updates rows in place, a sync refreshes them in
-    /// place, and only a rebuild inserts or evicts. When `t` rebuilds the
-    /// table (Alg. 3 lines 5–7) the hot set is selected here — under DPS
-    /// from the next window, prefetched here: the prefetcher's draws are its
-    /// own and the batch in flight is compiled — the batch is probed against
-    /// *that set*, and the rows of it the table does not hold yet ride in
-    /// the staged pull, split like the misses; evicting and inserting wait
-    /// for the batch to be consumed, after the in-flight push.
+    /// Stage iteration `t`'s batch: draw it, probe the cache — against the
+    /// new hot set, when `t` rebuilds, whose fresh rows then ride in the
+    /// pull — and stage its miss pull, early with `pull_ahead`. The probe
+    /// holds until consume time: only a rebuild inserts or evicts.
     fn stage(&mut self, t: usize, pull_ahead: bool) {
-        let rebuild = self.policy.needs_construction(t);
-        if rebuild {
-            self.select_for(t);
-        } else {
-            self.fresh.clear();
-        }
-        let batch = match self.policy.kind {
-            PolicyKind::Dps => {
-                // The iteration counter runs on across epochs and every
-                // `D`-th iteration prefetches `D` batches: the window the
-                // table was selected from reaches the table's next rebuild.
-                let b = self
-                    .window_batch(t)
-                    .expect("a prefetched window covers every iteration up to the next rebuild");
-                &self.window.batches[b]
-            }
-            PolicyKind::Cps => {
-                self.sampler
-                    .draw_into(&self.ctx.subgraph, &mut self.negatives, &mut self.batch);
-                &self.batch
-            }
-        };
+        let rebuild = self.clock.rebuilds(t);
+        self.window
+            .stage(t, rebuild, &self.ctx.subgraph, &self.table);
+        let (window, table) = (&self.window, &self.table);
         self.staged_hits.clear();
-        let (table, selected, hits) = (&self.table, &self.selected, &mut self.staged_hits);
-        let stats = &mut self.cache_stats;
+        let (hits, stats) = (&mut self.staged_hits, &mut self.cache_stats);
         // A key used `u` times in the batch counts `u` hits/misses — the
         // paper's "embedding usage" statistic (Fig. 2, Table VI). Pull
         // traffic is still deduplicated per batch. They are counted here: a
         // batch is consumed in the epoch it is staged in.
         let missed = |slot, k: ParamKey, uses| {
-            let cached = if rebuild {
-                selected.binary_search(&k).is_ok()
-            } else {
-                table.contains(k)
-            };
+            let cached = window.holds(table, k);
             if cached {
                 hits.push(slot);
                 stats.hits += u64::from(uses);
@@ -897,85 +430,62 @@ impl HetKgWorker {
         // one's first share, and there always are some.
         let late_before = self.economy.staged_late;
         let economy = (!rebuild).then_some(&mut self.economy);
-        let fresh = self.fresh.iter().copied();
+        let (batch, fresh) = (window.trains_on(t), window.fresh().iter().copied());
         self.pipeline
             .stage(&mut self.ctx, batch, pull_ahead, missed, fresh, economy);
         // DPS holds every key two batches of the window read unless the
         // selection filled the table, and the batch in flight is of this
         // window: with room left, none of its keys should be a staged miss.
-        if self.policy.kind == PolicyKind::Dps && self.selected.len() < self.policy.filter.capacity
-        {
+        if window.has_room() {
             self.economy.staged_late_with_room += self.economy.staged_late - late_before;
         }
-        self.staged_rebuild = rebuild;
     }
 
-    /// Make the staged batch the one in flight. A staged rebuild happens
-    /// now: rows that fell out of the selection are evicted, the fresh ones
-    /// arrive with the pull. Hits are copied ([`Self::copy_hits`]) before
-    /// the consume-time request, which at a sync iteration (never iteration
-    /// 0, whose cache was constructed from fresh pulls moments ago) carries
-    /// the table's synchronization with the late keys: one round trip per
-    /// server, as a real KVStore client batches. Returns when the batch's
-    /// compute may start ([`Pipeline::consume`]).
+    /// Make the staged batch the one in flight: a staged rebuild evicts,
+    /// hits are copied ([`Self::copy_hits`]), then the consume-time request
+    /// runs. Returns when the batch's compute may start.
     fn consume_staged(&mut self, degraded: bool) -> f64 {
-        let now = self.iteration;
-        let staleness_now = self.staleness.observe(now);
-        let rebuild = std::mem::take(&mut self.staged_rebuild);
-        if rebuild {
-            self.evict_unselected();
-        }
+        self.clock.begin(self.iteration, degraded);
+        let rebuild = self.window.consume(&mut self.table, &mut self.economy);
         #[cfg(test)]
-        let gated = !self.full_refresh_reference;
+        let gated = !self.refs.full_refresh;
         #[cfg(not(test))]
         let gated = true;
-        let at = Consuming {
-            now,
-            sync: self.sync.is_sync_iteration(now),
-            rebuild,
-            degraded,
-            bound: self.staleness_bound(degraded),
-            skip_unhealthy: degraded && staleness_now < self.sync.degraded_bound(),
-            gated,
-        };
-        let (hits, held, check_row) =
-            (&self.staged_hits, &mut self.probe_held, &mut self.check_row);
+        let (clock, hits, scratch) = (&self.clock, &self.staged_hits, &mut self.scratch);
         let mut seen = (0.0, 0.0, 0);
         let ready = self.pipeline.consume(
             &mut self.ctx,
             &mut self.table,
-            |table, k, version, row| {
-                table
-                    .insert_at(k, row, version, now)
-                    .expect("capacity covers the hot set");
-            },
+            |table, k, version, row| clock.admit(table, k, row, version),
             |ctx, table, pull, keys| {
-                Self::copy_hits(ctx, table, hits, at);
-                seen = Self::consume_time_request(ctx, table, pull, keys, held, check_row, at);
+                Self::copy_hits(ctx, table, hits, clock, rebuild);
+                seen = Self::consume_time_request(ctx, table, pull, keys, scratch, clock, gated);
             },
         );
-        if at.sync {
+        if self.clock.syncing() {
             // Divergences are seen on the rows that came back; every row
-            // covered, returned or not, is a sample. Only a sync that
-            // covered the whole table resets the staleness clock.
+            // covered, returned or not, is a sample.
             let (max_div, div_sum, covered) = seen;
             self.epoch_divergence = self.epoch_divergence.max(max_div);
             self.epoch_div_sum += div_sum;
             self.epoch_div_samples += covered as u64;
-            if covered == self.table.len() {
-                self.staleness.record_sync(now);
-            }
+            self.clock.synced(covered, self.table.len());
         }
         ready
     }
 
-    /// Copy the staged batch's cache hits (`hits`, its plan slots) into its
-    /// working set — after the previous push applied its local updates,
-    /// before this iteration's sync, so a hit is at most one sync period
-    /// stale, which is exactly the bounded-staleness contract — and count
-    /// the hits degraded mode serves stale.
-    fn copy_hits(ctx: &mut WorkerCtx, table: &HotEmbeddingTable, hits: &[u32], at: Consuming) {
+    /// Copy the staged batch's hits (plan slots) into its working set, after
+    /// the last push's local updates and before this sync
+    /// ([`SyncClock::assert_fresh`]), and count those served stale.
+    fn copy_hits(
+        ctx: &mut WorkerCtx,
+        table: &HotEmbeddingTable,
+        hits: &[u32],
+        clock: &SyncClock,
+        rebuild: bool,
+    ) {
         let (plan, client) = (&ctx.scratch.plan, &ctx.client);
+        let faults = client.faults();
         let mut degraded_uses = 0u64;
         let mut brownout_uses = 0u64;
         for &slot in hits {
@@ -983,38 +493,28 @@ impl HetKgWorker {
             let Some(row) = table.get(k) else {
                 // A fresh row the in-flight batch wrote: it comes with the
                 // consume-time request, which copies it.
-                debug_assert!(at.rebuild, "staged hits stay cached until consumed");
+                debug_assert!(rebuild, "staged hits stay cached until consumed");
                 continue;
             };
-            debug_assert_fresh(table, k, at.now, at.bound);
+            clock.assert_fresh(table, k);
             ctx.ws.row_mut(slot).copy_from_slice(row);
-            if at.degraded {
+            if faults.is_some() {
                 let uses = u64::from(plan.uses()[slot as usize]);
+                // Served stale while the home shard is down — the hit the
+                // baselines don't have — or while its breaker is open.
                 if !client.shard_available(k) {
-                    // Served stale from the cache while the home shard is
-                    // down — the hit the baselines don't have.
                     degraded_uses += uses;
                 } else if client.breaker_tripped(client.shard_of(k)) {
-                    // Served stale because the home shard's breaker is
-                    // open: the brownout hit, counted separately from
-                    // outage hits.
                     brownout_uses += uses;
                 }
             }
         }
-        if let Some(f) = client.faults() {
+        if let Some(f) = faults {
             f.count(|s| {
                 s.degraded_hits += degraded_uses;
                 s.brownout_stale_serves += brownout_uses;
             });
         }
-    }
-
-    /// Single sequential iteration (no staging, everything written back) —
-    /// the unit tests' probe.
-    #[cfg(test)]
-    fn one_iteration(&mut self) -> BatchResult {
-        self.one_iteration_inner(0)
     }
 
     /// `remaining`: how many iterations of this epoch follow. While some do,
@@ -1044,7 +544,7 @@ impl HetKgWorker {
         let result = self.ctx.compute();
         let compute_end = self.ctx.post_compute(result.work_units, pull_end);
         #[cfg(test)]
-        self.trace.push(IterationTrace {
+        self.refs.trace.push(tests::IterationTrace {
             iteration: self.iteration,
             unstaged,
             waited_for: pull_end,
@@ -1060,27 +560,6 @@ impl HetKgWorker {
         self.iteration += 1;
         result
     }
-}
-
-/// §IV-C at the point of use: a cached row read at iteration `now` was last
-/// confirmed current at most `bound` iterations ago.
-#[inline]
-fn debug_assert_fresh(table: &HotEmbeddingTable, k: ParamKey, now: usize, bound: usize) {
-    debug_assert!(
-        table.age(k, now) <= Some(bound),
-        "§IV-C: {k} read {:?} iterations after it was last current (bound {bound})",
-        table.age(k, now)
-    );
-}
-
-/// L2 distance between a cached row and the server's, accumulated in `f64`.
-fn l2_distance(cached: &[f32], global: &[f32]) -> f64 {
-    let d2: f64 = cached
-        .iter()
-        .zip(global)
-        .map(|(&c, &g)| ((c - g) as f64).powi(2))
-        .sum();
-    d2.sqrt()
 }
 
 impl WorkerLoop for HetKgWorker {
@@ -1113,7 +592,7 @@ impl WorkerLoop for HetKgWorker {
         } else {
             self.epoch_div_sum / self.epoch_div_samples as f64
         };
-        stats.max_staleness = self.staleness.max_observed();
+        stats.max_staleness = self.clock.max_staleness();
         stats.table = self.economy;
     }
 }
@@ -1122,6 +601,10 @@ impl WorkerLoop for HetKgWorker {
 mod tests {
     use super::*;
     use crate::worker::assert_same_bytes_more_messages;
+    use hetkg_core::filter::{filter_hot_set, FilterConfig, HotSet};
+    use hetkg_core::policy::PolicyKind;
+    use hetkg_core::prefetch::MiniBatch;
+    use hetkg_core::table::Pending;
     use hetkg_embed::init::Init;
     use hetkg_embed::loss::LossKind;
     use hetkg_embed::negative::{NegConfig, NegStrategy};
@@ -1133,6 +616,69 @@ mod tests {
     use hetkg_ps::optimizer::AdaGrad;
     use hetkg_ps::{KvStore, OverloadControl, PsClient, ShardRouter};
     use std::sync::Arc;
+
+    /// A row as it was written back: the boundary pushes before it, the
+    /// key, its gradient count, and its energy and sum bit for bit.
+    type WrittenBackRow = (usize, ParamKey, u32, u32, Vec<u32>);
+
+    /// Where one iteration sat on the worker's timeline.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct IterationTrace {
+        pub iteration: usize,
+        /// Staged when it ran, nothing early, rather than behind the
+        /// iteration before.
+        pub unstaged: bool,
+        /// What its compute waited for: the completion of the last pull it
+        /// reads.
+        pub waited_for: f64,
+        /// The completion of its consume-time request, when its compute did
+        /// not wait for it; 0 otherwise.
+        pub left_behind: f64,
+        pub compute_secs: f64,
+        pub compute_end: f64,
+    }
+
+    /// The references a worker can be switched to, each the code as it was
+    /// before a rule the differential tests hold against it, and what the
+    /// tests read off a run.
+    #[derive(Debug, Default)]
+    pub(super) struct Refs {
+        /// Synchronize the way the code did before versions existed: pull
+        /// every cached row, every time (the version gate's reference).
+        pub full_refresh: bool,
+        /// Push every gradient every iteration and hold nothing, as the
+        /// code did before hot rows were written back.
+        pub write_through: bool,
+        /// Write held rows back in a window's boundary push and in no
+        /// other, as the code did before the prefetched window was asked
+        /// when a row is last read.
+        pub boundary_write_back: bool,
+        /// Every row written back, when a test asks for the log.
+        pub written_back_log: Option<Vec<WrittenBackRow>>,
+        pub boundary_pushes: usize,
+        /// Where every iteration sat on the timeline.
+        pub trace: Vec<IterationTrace>,
+    }
+
+    impl Refs {
+        /// A push went out, a boundary push when `boundary`.
+        pub fn pushed(&mut self, boundary: bool) {
+            self.boundary_pushes += usize::from(boundary);
+        }
+
+        /// Log `p`, written back, when a test asked for the log.
+        pub fn written_back(&mut self, p: &Pending<'_>) {
+            if let Some(log) = self.written_back_log.as_mut() {
+                log.push((
+                    self.boundary_pushes,
+                    p.key,
+                    p.grads,
+                    p.energy.to_bits(),
+                    p.sum.iter().map(|v| v.to_bits()).collect(),
+                ));
+            }
+        }
+    }
 
     fn build(policy_kind: PolicyKind, capacity: usize) -> HetKgWorker {
         build_inner(policy_kind, capacity, None, None)
@@ -1199,7 +745,7 @@ mod tests {
         );
         let policy = CachePolicy {
             kind: policy_kind,
-            filter: hetkg_core::filter::FilterConfig::paper_default(capacity),
+            filter: FilterConfig::paper_default(capacity),
             prefetch_depth: 4,
         };
         HetKgWorker::new(ctx, policy, SyncConfig::new(4), negatives, 1)
@@ -1208,11 +754,11 @@ mod tests {
     /// Rebuild `w`'s table to hold `hot`, now, outside any iteration: the
     /// fresh rows in one construction pull.
     fn precache(w: &mut HetKgWorker, hot: &HotSet) {
-        w.note_selection(hot);
-        let (fresh, nothing) = (w.fresh.iter().copied(), MiniBatch::default());
+        w.window.choose(hot, &w.table);
+        let (fresh, nothing) = (w.window.fresh().iter().copied(), MiniBatch::default());
         w.pipeline
             .stage(&mut w.ctx, &nothing, false, |_, _, _| false, fresh, None);
-        w.evict_unselected();
+        w.window.consume(&mut w.table, &mut w.economy);
         let now = w.iteration;
         let insert = |table: &mut HotEmbeddingTable, k, version, row: &[f32]| {
             table.insert_at(k, row, version, now).unwrap();
@@ -1340,7 +886,7 @@ mod tests {
         // firing at iteration 0 — right after CPS construction filled the
         // cache — would leave samples behind. It must not.
         let mut w = build(PolicyKind::Cps, 200);
-        w.one_iteration();
+        w.one_iteration_inner(0);
         assert_eq!(w.iteration, 1);
         assert!(!w.table().is_empty(), "construction must have run");
         assert_eq!(
@@ -1349,7 +895,7 @@ mod tests {
         );
         // The periodic sync (P = 4 in `build`) still fires at iteration 4.
         for _ in 0..4 {
-            w.one_iteration();
+            w.one_iteration_inner(0);
         }
         assert!(
             w.epoch_div_samples > 0,
@@ -1362,9 +908,9 @@ mod tests {
     fn in_sync_at_the_sync_point() -> (HetKgWorker, Vec<ParamKey>) {
         let mut w = build(PolicyKind::Cps, 200);
         for _ in 0..4 {
-            w.one_iteration();
+            w.one_iteration_inner(0);
         }
-        assert!(w.sync.is_sync_iteration(w.iteration));
+        assert!(w.clock.syncs(w.iteration));
         assert_eq!(w.epoch_div_samples, 0, "no sync has run yet");
         let keys: Vec<ParamKey> = w.table.iter_keys().collect();
         assert!(!keys.is_empty());
@@ -1472,7 +1018,8 @@ mod tests {
         // P = 4, behind three computes, at 6.76 s. The next push, at
         // iteration 7, finds the shard back and flushes the backlog.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
-        let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
+        let filter = FilterConfig::paper_default(200);
+        let everything = filter_hot_set(&every_key, w.ctx.key_space, &filter);
         precache(&mut w, &everything);
         w.iteration = 1;
         for e in 0..2 {
@@ -1544,14 +1091,15 @@ mod tests {
         // 1.0 s — inside it; the first message the crowd can shed is
         // iteration 3's write-back, some 3 s of compute later.
         let every_key: Vec<ParamKey> = (0..w.ctx.key_space.len() as u64).map(ParamKey).collect();
-        let everything = filter_hot_set(&every_key, w.ctx.key_space, &w.policy.filter);
+        let filter = FilterConfig::paper_default(200);
+        let everything = filter_hot_set(&every_key, w.ctx.key_space, &filter);
         precache(&mut w, &everything);
         w.iteration = 1;
         for e in 0..4 {
             w.run_epoch(e);
         }
         assert!(
-            w.iteration > w.sync.degraded_bound(),
+            w.iteration > w.clock.bound(true),
             "the run reaches the bound"
         );
         let stats = w.ctx.client.faults().unwrap().stats();
@@ -1600,11 +1148,10 @@ mod tests {
         use crate::oracle::{shadow_check, SLACK};
         use hetkg_ps::optimizer::OptimizerKind;
         assert_eq!(SyncConfig::new(8).degraded_bound(), 64);
-        let mut w = build(PolicyKind::Cps, 30);
         for p in [1, 3, 8] {
-            w.sync = SyncConfig::new(p);
-            assert_eq!(w.staleness_bound(true), 8 * p);
-            assert_eq!(w.staleness_bound(false), p);
+            let clock = SyncClock::new(SyncConfig::new(p), CachePolicy::cps(30));
+            assert_eq!(clock.bound(true), 8 * p);
+            assert_eq!(clock.bound(false), p);
         }
         let g = SyntheticKg {
             num_entities: 80,
@@ -1672,7 +1219,7 @@ mod tests {
         );
         let policy = CachePolicy {
             kind: PolicyKind::Cps,
-            filter: hetkg_core::filter::FilterConfig::paper_default(60),
+            filter: FilterConfig::paper_default(60),
             prefetch_depth: 4,
         };
         HetKgWorker::new(ctx, policy, SyncConfig::new(4), negatives, 1)
@@ -1746,7 +1293,7 @@ mod tests {
         };
         let (mut workers, store) = spec.build();
         for w in &mut workers {
-            w.full_refresh_reference = reference;
+            w.refs.full_refresh = reference;
         }
         (workers, store)
     }
@@ -1846,7 +1393,7 @@ mod tests {
                     let negatives = NegativeSampler::new(3_000, NegConfig::default(), 9 + w as u64);
                     let policy = CachePolicy {
                         kind,
-                        filter: hetkg_core::filter::FilterConfig::paper_default(300),
+                        filter: FilterConfig::paper_default(300),
                         prefetch_depth: spec.depth,
                     };
                     HetKgWorker::new(ctx, policy, SyncConfig::new(spec.period), negatives, 1)
@@ -2070,7 +1617,7 @@ mod tests {
 
     fn write_through(mut pool: Vec<HetKgWorker>) -> Vec<HetKgWorker> {
         for w in &mut pool {
-            w.write_through_reference = true;
+            w.refs.write_through = true;
         }
         pool
     }
@@ -2265,7 +1812,7 @@ mod tests {
                             let stats = w.finish_epoch();
                             written_back += stats.table.coalesced_grads;
                             assert!(w.table.pending().next().is_none(), "{what}: epoch end");
-                            assert!(stats.max_staleness <= w.staleness_bound(faulty), "{what}");
+                            assert!(stats.max_staleness <= w.clock.bound(faulty), "{what}");
                             if period == 1 {
                                 assert_eq!(stats.traffic.by_cause.write_back, Default::default());
                             }
@@ -2298,7 +1845,7 @@ mod tests {
 
     fn boundary_only(mut pool: Vec<HetKgWorker>) -> Vec<HetKgWorker> {
         for w in &mut pool {
-            w.boundary_write_back_reference = true;
+            w.refs.boundary_write_back = true;
         }
         pool
     }
@@ -2310,6 +1857,7 @@ mod tests {
     fn written_back(w: &HetKgWorker, what: &str) -> WrittenBack {
         let mut rows = WrittenBack::new();
         let log = w
+            .refs
             .written_back_log
             .as_ref()
             .expect("the test asked for the log");
@@ -2391,7 +1939,7 @@ mod tests {
                         let (reference, reference_store) = spec.build();
                         let mut reference = boundary_only(reference);
                         for w in early.iter_mut().chain(&mut reference) {
-                            w.written_back_log = Some(Vec::new());
+                            w.refs.written_back_log = Some(Vec::new());
                             w.pipeline.whole_push_reference = true;
                         }
                         // Alone, a worker's epochs may end mid-window.
@@ -2502,7 +2050,7 @@ mod tests {
         let stats = (0..epochs)
             .map(|epoch| run_pool_epoch(&mut pool, epoch).remove(0))
             .collect();
-        (std::mem::take(&mut pool[0].trace), stats)
+        (std::mem::take(&mut pool[0].refs.trace), stats)
     }
 
     /// Below any message's cost: not a wait.
